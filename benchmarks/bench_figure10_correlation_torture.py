@@ -1,7 +1,7 @@
 """Correlation Torture benchmark (Figure 10).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_figure10_correlation_torture.py --benchmark-only -s
 """

@@ -1,7 +1,7 @@
 """Optimizer failures and disasters (Figure 11).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_figure11_failures.py --benchmark-only -s
 """

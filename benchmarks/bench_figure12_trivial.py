@@ -1,7 +1,7 @@
 """Trivial Optimization benchmark (Figure 12).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_figure12_trivial.py --benchmark-only -s
 """

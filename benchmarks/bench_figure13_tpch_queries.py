@@ -1,7 +1,7 @@
 """TPC-H per-query times (Figure 13).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_figure13_tpch_queries.py --benchmark-only -s
 """

@@ -1,7 +1,7 @@
 """Source of speedups versus MonetDB (Figure 6).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_figure6_speedup_source.py --benchmark-only -s
 """

@@ -1,7 +1,7 @@
 """Convergence of Skinner-C (Figure 7).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_figure7_convergence.py --benchmark-only -s
 """

@@ -1,7 +1,7 @@
 """Memory consumption of Skinner-C (Figure 8).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_figure8_memory.py --benchmark-only -s
 """

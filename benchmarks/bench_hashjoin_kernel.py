@@ -1,8 +1,9 @@
-"""Hash-join kernel benchmark: vectorized kernel vs ``join_mode="rows"``.
+"""Hash-join kernel benchmark: vectorized kernel vs the dict-based reference.
 
-Measures the plan executor's hash-join operator in both ``join_mode``
-settings on join-heavy three-table plans, cross-checking byte-identical
-results and meter charges on every run.  Run with::
+Measures the plan executor's hash-join operator against
+``hash_join_step(mode="rows")`` on join-heavy three-table plans,
+cross-checking byte-identical results and meter charges on every run.  Run
+with::
 
     pytest benchmarks/bench_hashjoin_kernel.py --benchmark-only -s
 """

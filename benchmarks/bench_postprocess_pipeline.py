@@ -1,7 +1,7 @@
 """Post-processing pipeline benchmark: columnar vs row path.
 
-Measures the aggregation-/DISTINCT-/ORDER-BY-heavy post-processing stage in
-both ``postprocess_mode`` settings over one large materialized join result.
+Measures the aggregation-/DISTINCT-/ORDER-BY-heavy post-processing stage
+against ``post_process(mode="rows")`` over one large materialized join result.
 Run with::
 
     pytest benchmarks/bench_postprocess_pipeline.py --benchmark-only -s

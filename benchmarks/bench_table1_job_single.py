@@ -1,7 +1,7 @@
 """Join order benchmark, single-threaded (Table 1).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_table1_job_single.py --benchmark-only -s
 """

@@ -1,7 +1,7 @@
 """Join order benchmark, multi-threaded (Table 2).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Unlike its
+synthetic workload substitutes described in ``docs/ci.md``.  Unlike its
 single-threaded sibling, this variant actually executes Skinner-C
 morsel-parallel over ``workers`` processes and records the measured
 single-process versus parallel wall-clock.  Run with::

@@ -1,7 +1,7 @@
 """Join order quality across engines (Table 3).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_table3_order_quality.py --benchmark-only -s
 """

@@ -1,7 +1,7 @@
 """Join order quality, multi-threaded (Table 4).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  The learning
+synthetic workload substitutes described in ``docs/ci.md``.  The learning
 Skinner-C passes execute morsel-parallel over ``workers`` processes (the
 learned orders are byte-identical to a single-process run by design); the
 measured A/B wall-clock lands under ``output["parallel"]``.  Run with::

@@ -1,7 +1,7 @@
 """Learning versus randomized join orders (Table 5).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_table5_learning_vs_random.py --benchmark-only -s
 """

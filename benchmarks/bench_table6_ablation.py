@@ -1,7 +1,7 @@
 """Feature ablation (Table 6).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_table6_ablation.py --benchmark-only -s
 """

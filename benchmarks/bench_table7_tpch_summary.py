@@ -1,7 +1,7 @@
 """TPC-H variants summary (Table 7).
 
 Regenerates the corresponding result of the paper's evaluation with the
-synthetic workload substitutes described in DESIGN.md.  Run with::
+synthetic workload substitutes described in ``docs/ci.md``.  Run with::
 
     pytest benchmarks/bench_table7_tpch_summary.py --benchmark-only -s
 """

@@ -13,7 +13,7 @@ registry that third-party code can extend.  Run with::
     python examples/quickstart.py
 """
 
-from repro import SkinnerDB, connect, register_engine
+from repro import connect, register_engine
 
 
 def main() -> None:
@@ -90,12 +90,10 @@ def main() -> None:
     print("Registered engines:", ", ".join(conn.registry.names()))
     assert callable(register_engine)  # third-party entry point (docs/api.md)
 
-    # -- the classic facade remains: whole-result execution with metrics.
-    db = SkinnerDB()
-    db.create_table("films", {"fid": [1, 2], "year": [1990, 2001]})
-    result = db.execute("SELECT COUNT(*) AS n FROM films f WHERE f.year > ?",
-                        params=(1995,))
-    print(f"\nFacade result: {result.rows} — {result.metrics.describe()}")
+    # -- no cursor needed for a whole result with its metrics.
+    result = conn.execute("SELECT COUNT(*) AS n FROM films f WHERE f.year > ?",
+                          params=(1985,))
+    print(f"\nWhole result: {result.rows} — {result.metrics.describe()}")
 
     # -- and the server's multi-query API serves many submissions at once:
     # admission-controlled, episodes interleaved fairly, results cached.

@@ -10,7 +10,7 @@ Run with::
     python examples/udf_predicates.py
 """
 
-from repro import SkinnerDB, SkinnerConfig
+from repro import SkinnerConfig, connect
 from repro.workloads.torture import make_udf_torture
 from repro.baselines.traditional import TraditionalEngine
 from repro.skinner.skinner_c import SkinnerC
@@ -18,7 +18,7 @@ from repro.skinner.skinner_c import SkinnerC
 
 def curated_example() -> None:
     """A hand-written schema with a semantic UDF join predicate."""
-    db = SkinnerDB(config=SkinnerConfig(slice_budget=100))
+    db = connect(SkinnerConfig(slice_budget=100), autocommit=True)
     db.create_table("sensors", {
         "sid": [1, 2, 3, 4],
         "lat": [52.5, 48.1, 40.7, 37.8],

@@ -21,17 +21,16 @@ Quick start (PEP 249 API, see ``docs/api.md``)::
     for row in cur:
         print(row)
 
-The classic one-object facade remains available::
+Whole-result convenience (no cursor), schema mutations auto-committed::
 
-    from repro import SkinnerDB
-
-    db = SkinnerDB()
-    db.create_table("r", {"id": [1, 2, 3], "x": [10, 20, 30]})
-    result = db.execute("SELECT COUNT(*) AS n FROM r")
+    conn = connect(autocommit=True)
+    conn.create_table("r", {"id": [1, 2, 3], "x": [10, 20, 30]})
+    result = conn.execute("SELECT COUNT(*) AS n FROM r")
     print(result.rows, result.metrics.describe())
 """
 
 from repro.api import (
+    ENGINE_NAMES,
     Connection,
     Cursor,
     EngineRegistry,
@@ -43,7 +42,6 @@ from repro.api import (
     threadsafety,
 )
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
-from repro.db import ENGINE_NAMES, SkinnerDB
 from repro.errors import (
     BudgetExceeded,
     CatalogError,
@@ -85,7 +83,6 @@ __all__ = [
     "SessionState",
     "SchemaError",
     "SkinnerConfig",
-    "SkinnerDB",
     "Table",
     "apilevel",
     "connect",

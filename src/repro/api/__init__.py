@@ -16,7 +16,7 @@ Four pieces:
 * :class:`EngineRegistry` / :class:`EngineSpec` / :func:`register_engine` —
   the pluggable engine registry every execution path resolves engine names
   through; third-party engines register here and become usable from
-  cursors, ``SkinnerDB.execute``, and the serving layer alike.
+  cursors, ``Connection.execute``, and the serving layer alike.
 * module globals ``apilevel`` / ``threadsafety`` / ``paramstyle`` per
   PEP 249.
 
@@ -35,6 +35,7 @@ from repro.api.transport import LocalTransport, SubmitHandle, Transport
 from repro.api.registry import (
     BUILTIN_SPECS,
     DEFAULT_REGISTRY,
+    ENGINE_NAMES,
     EngineContext,
     EngineRegistry,
     EngineSpec,
@@ -51,6 +52,7 @@ __all__ = [
     "SubmitHandle",
     "Transport",
     "DEFAULT_REGISTRY",
+    "ENGINE_NAMES",
     "EngineContext",
     "EngineRegistry",
     "EngineSpec",

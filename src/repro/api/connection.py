@@ -20,9 +20,8 @@ Transactions cover *schema mutations*: ``create_table`` / ``add_table`` /
 ``load_csv`` / ``drop_table`` / ``register_udf`` apply immediately (queries
 in the same session see them), and ``rollback()`` restores the catalog and
 UDF registry to their state at the last ``commit()``.  Query execution is
-read-only and unaffected by transaction boundaries.  Facade-style callers
-(:class:`repro.db.SkinnerDB`) open the connection with ``autocommit=True``,
-which turns every mutation into its own committed transaction.  On a
+read-only and unaffected by transaction boundaries.  ``autocommit=True``
+turns every mutation into its own committed transaction.  On a
 remote connection the transaction verbs act on the server's shared session
 (see ``docs/serving.md``).
 
@@ -33,13 +32,13 @@ cursor method, and ``close()`` is idempotent — both per PEP 249.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.api.cursor import Cursor
 from repro.api.registry import DEFAULT_REGISTRY, EngineContext, EngineRegistry
+from repro.api.settings import SETTINGS, resolve_settings
 from repro.api.transport import LocalTransport, Transport
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.errors import InterfaceError, OperationalError, ReproError
@@ -87,30 +86,15 @@ def connect(
     connections only (a remote server resolves engines and commits against
     its own state).
 
-    ``workers`` sets this connection's default intra-query parallelism for
-    parallelizable engines (morsel-parallel Skinner-C): explicit keyword
-    beats the ``REPRO_PARALLEL_WORKERS`` environment variable beats the
-    config's own ``parallel_workers``.  Anything but a positive integer
-    raises :class:`~repro.errors.InterfaceError` here, at connect time.
-
-    ``data_dir`` selects durable storage, resolved through the identical
-    chain: explicit keyword beats the ``REPRO_DATA_DIR`` environment
-    variable beats the config's own ``data_dir`` (``None`` everywhere
-    keeps the in-memory catalog).  Locally, opening the directory recovers
-    committed tables before :func:`connect` returns — warm starts answer
-    their first query without re-parsing CSVs; remotely the value is sent
-    in the handshake and must match the server's own data directory.  Bad
-    values (non-string, empty, an existing non-directory path, or a
-    format-version mismatch on open) raise
-    :class:`~repro.errors.InterfaceError` here, at connect time.
-
-    ``engine`` sets this connection's default engine for executions that
-    name none, resolved through the identical chain: explicit keyword
-    beats the ``REPRO_ENGINE`` environment variable beats the DSN's
-    ``?engine=`` parameter beats the config's own ``default_engine``.
-    Locally the name is validated against the connection's registry (and
-    remotely against the server's) so unknown engines raise
-    :class:`~repro.errors.InterfaceError` here, at connect time.
+    ``workers`` (default intra-query parallelism), ``data_dir`` (durable
+    storage root; ``None`` everywhere keeps the in-memory catalog) and
+    ``engine`` (default engine for executions that name none) are the
+    *connection settings* of :mod:`repro.api.settings` (``docs/api.md``):
+    each resolves keyword > environment variable > DSN parameter > config
+    field, and a bad value or an unknown engine raises
+    :class:`~repro.errors.InterfaceError` here, at connect time.  Remotely
+    they travel in the handshake; the server checks the engine against
+    *its* registry and refuses a ``data_dir`` other than its own.
 
     >>> import repro.api as db_api
     >>> conn = db_api.connect()
@@ -122,112 +106,30 @@ def connect(
     >>> cur.fetchall()
     [(20,)]
     """
-    workers = _resolve_workers(workers)
-    data_dir = _resolve_data_dir(data_dir)
-    engine = _resolve_engine(engine)
+    keywords = {"workers": workers, "data_dir": data_dir, "engine": engine}
     if isinstance(config, str):
-        from repro.net.client import RemoteTransport
+        from repro.net.client import RemoteTransport, parse_dsn
 
-        transport = RemoteTransport.from_dsn(
-            config, tenant=tenant, timeout=timeout, workers=workers,
-            data_dir=data_dir, engine=engine,
+        host, port, options = parse_dsn(config)
+        transport = RemoteTransport(
+            host,
+            port,
+            tenant=tenant if tenant is not None else (options.get("tenant") or "default"),
+            timeout=timeout if timeout is not None else options.get("timeout"),
+            settings=resolve_settings(keywords, dsn=options),
         )
         return Connection(transport=transport)
-    if workers is not None:
-        config = config.with_overrides(parallel_workers=workers)
-    if data_dir is not None:
-        config = config.with_overrides(data_dir=data_dir)
-    if engine is not None:
-        config = config.with_overrides(default_engine=engine)
-    effective_registry = registry if registry is not None else DEFAULT_REGISTRY
-    if config.default_engine not in effective_registry:
-        raise InterfaceError(
-            f"unknown engine {config.default_engine!r}; registered engines: "
-            f"{', '.join(effective_registry.names())}"
-        )
+    resolved = resolve_settings(keywords, config=config)
+    config = config.with_overrides(
+        **{setting.config_field: resolved[setting.name] for setting in SETTINGS}
+    )
+    (registry if registry is not None else DEFAULT_REGISTRY).resolve(config.default_engine)
     return Connection(
         config,
         registry=registry,
         autocommit=autocommit,
         tenant=tenant if tenant is not None else "default",
     )
-
-
-def _resolve_workers(workers: int | None) -> int | None:
-    """Validate the ``workers`` request (kwarg, then environment).
-
-    Returns ``None`` when neither the keyword nor ``REPRO_PARALLEL_WORKERS``
-    asks for anything — the config's own ``parallel_workers`` then applies
-    untouched.  Invalid values fail *here*, at connect time, instead of
-    surfacing as a confusing mid-query error.
-    """
-    if workers is None:
-        raw = os.environ.get("REPRO_PARALLEL_WORKERS")
-        if raw is None or raw == "":
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InterfaceError(
-                f"REPRO_PARALLEL_WORKERS must be a positive integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InterfaceError(
-                f"REPRO_PARALLEL_WORKERS must be a positive integer, got {raw!r}"
-            )
-        return value
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise InterfaceError(f"workers must be a positive integer, got {workers!r}")
-    if workers < 1:
-        raise InterfaceError(f"workers must be a positive integer, got {workers!r}")
-    return workers
-
-
-def _resolve_data_dir(data_dir: str | Path | None) -> str | None:
-    """Validate the ``data_dir`` request (kwarg, then environment).
-
-    Returns ``None`` when neither the keyword nor ``REPRO_DATA_DIR`` asks
-    for anything — the config's own ``data_dir`` then applies untouched.
-    Invalid values fail *here*, at connect time, mirroring
-    :func:`_resolve_workers`.
-    """
-    origin = "data_dir"
-    if data_dir is None:
-        raw = os.environ.get("REPRO_DATA_DIR")
-        if raw is None or raw == "":
-            return None
-        data_dir = raw
-        origin = "REPRO_DATA_DIR"
-    if isinstance(data_dir, Path):
-        data_dir = str(data_dir)
-    if not isinstance(data_dir, str) or not data_dir.strip():
-        raise InterfaceError(f"{origin} must be a non-empty path, got {data_dir!r}")
-    path = Path(data_dir)
-    if path.exists() and not path.is_dir():
-        raise InterfaceError(f"{origin} {data_dir!r} exists and is not a directory")
-    return data_dir
-
-
-def _resolve_engine(engine: str | None) -> str | None:
-    """Validate the ``engine`` request (kwarg, then environment).
-
-    Returns ``None`` when neither the keyword nor ``REPRO_ENGINE`` asks
-    for anything — the DSN's ``?engine=`` (remote) or the config's own
-    ``default_engine`` (local) then applies untouched.  Shape errors fail
-    *here*, at connect time, mirroring :func:`_resolve_workers`; registry
-    membership is checked by the caller (locally) or the server handshake
-    (remotely), which own the authoritative name sets.
-    """
-    origin = "engine"
-    if engine is None:
-        raw = os.environ.get("REPRO_ENGINE")
-        if raw is None or raw == "":
-            return None
-        engine = raw
-        origin = "REPRO_ENGINE"
-    if not isinstance(engine, str) or not engine.strip():
-        raise InterfaceError(f"{origin} must be a non-empty engine name, got {engine!r}")
-    return engine.lower()
 
 
 def _build_buffer_manager(config: SkinnerConfig):
@@ -261,7 +163,7 @@ class Connection:
         :func:`repro.api.register_engine` are available on every connection.
     autocommit:
         When true, schema mutations commit immediately and ``rollback()``
-        is a no-op (the :class:`~repro.db.SkinnerDB` facade's mode).
+        is a no-op.
     tenant:
         Tenant identity for the serving layer's quota accounting.
     transport:
@@ -332,14 +234,17 @@ class Connection:
     def default_engine(self) -> str:
         """Engine used when a query names none explicitly.
 
-        Locally the config's ``default_engine`` (after :func:`connect`'s
-        ``engine=``/``REPRO_ENGINE`` resolution); remotely the name the
-        server acknowledged in the handshake.
+        The ``engine`` connection setting (:meth:`info`): locally the
+        config's ``default_engine`` after :func:`connect`'s resolution,
+        remotely the name the server acknowledged in the handshake.
         """
+        return self._settings()["engine"]
+
+    def _settings(self) -> dict[str, Any]:
+        """Effective value of every connection setting, by setting name."""
         if self._remote:
-            return getattr(self._transport, "engine", None) or "skinner-c"
-        assert self.config is not None
-        return self.config.default_engine
+            return dict(self._transport.settings)
+        return {s.name: getattr(self.config, s.config_field) for s in SETTINGS}
 
     def close(self) -> None:
         """Close the connection: roll back pending schema changes, close
@@ -408,8 +313,8 @@ class Connection:
         """Autocommit: every mutation is its own committed transaction.
 
         Without this, durable storage would never see a commit record on
-        autocommit connections (the :class:`~repro.db.SkinnerDB` facade)
-        and their mutations would be rolled back on reopen.
+        autocommit connections and their mutations would be rolled back on
+        reopen.
         """
         if self.autocommit and not self._remote:
             assert self.catalog is not None
@@ -564,33 +469,24 @@ class Connection:
         return self._transport.stats()
 
     def info(self) -> dict[str, Any]:
-        """Connection facts: transport kind, tenant, effective parallelism.
+        """Connection facts: transport kind, tenant, and the settings.
 
-        ``workers`` is the intra-query parallelism Skinner-C queries on
-        this connection run with by default — locally the config's
-        ``parallel_workers`` (after :func:`connect`'s ``workers=``/
-        ``REPRO_PARALLEL_WORKERS`` resolution), remotely the value the
-        server granted in the handshake.  ``engines`` lists the resolvable
-        engine names (local connections only — a remote server owns its
-        registry).  ``caches`` echoes the serving layer's result- and
-        join-order-cache counters (hits/misses/invalidations): live values
-        once this connection's server exists, zeroed counters before the
-        first execution, and ``None`` remotely (read :meth:`stats` for the
+        Every row of :data:`repro.api.settings.SETTINGS` (``workers``,
+        ``data_dir``, ``engine``) is echoed under its name with its
+        effective value: locally the resolved config field, remotely what
+        the server granted.  ``engines`` lists the resolvable engine names
+        (local connections only — a remote server owns its registry).
+        ``caches`` echoes the serving layer's result- and join-order-cache
+        counters (hits/misses/invalidations): live values once this
+        connection's server exists, zeroed counters before the first
+        execution, and ``None`` remotely (read :meth:`stats` for the
         server-side numbers).
         """
         self._check_open()
+        info = {"remote": self._remote, "tenant": self.tenant, **self._settings()}
         if self._remote:
-            return {
-                "remote": True,
-                "tenant": self.tenant,
-                "workers": getattr(self._transport, "workers", 1),
-                "data_dir": getattr(self._transport, "data_dir", None),
-                "engine": self.default_engine,
-                "engines": None,
-                "autocommit": False,
-                "caches": None,
-            }
-        assert self.config is not None and self.registry is not None
+            return {**info, "engines": None, "autocommit": False, "caches": None}
+        assert self.registry is not None
         if self._server is not None:
             caches = {
                 "result": self._server.result_cache.counters(),
@@ -600,11 +496,7 @@ class Connection:
             zeroed = {"entries": 0, "hits": 0, "misses": 0, "invalidations": 0}
             caches = {"result": dict(zeroed), "order": dict(zeroed)}
         return {
-            "remote": False,
-            "tenant": self.tenant,
-            "workers": self.config.parallel_workers,
-            "data_dir": self.config.data_dir,
-            "engine": self.default_engine,
+            **info,
             "engines": self.registry.names(),
             "autocommit": self.autocommit,
             "caches": caches,
@@ -654,8 +546,9 @@ class Connection:
     ) -> QueryResult:
         """Execute on a directly constructed engine (no serving layer).
 
-        The pre-serving code path, kept for A/B comparisons and callers
-        that want to bypass admission control and the caches; engines are
+        The engine-direct reference the equivalence tests and benchmarks
+        compare the serving path against, and the way to bypass admission
+        control and the caches; engines are
         resolved through the same registry as :meth:`execute`, so both
         paths reject an unknown engine with the identical error.  Local
         connections only — a remote server always serves through its

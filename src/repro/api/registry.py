@@ -1,15 +1,10 @@
 """The engine registry: one pluggable dispatch point for every engine.
 
-Before this module existed the library hard-coded engine dispatch twice —
-once in the :class:`~repro.db.SkinnerDB` facade's direct path and once in
-the serving layer's ``SERVABLE_ENGINES`` tuple — so adding an engine meant
-editing library code in two places that could (and did) drift.  Now a
-single :class:`EngineRegistry` owns the mapping from engine names to
-:class:`EngineSpec` entries; ``SkinnerDB.execute``, ``execute_direct``, the
-:class:`~repro.serving.server.QueryServer`, and the PEP 249
-:class:`~repro.api.connection.Connection` all resolve engines here, and
-third-party code extends the set with :func:`register_engine` without
-touching the library:
+A single :class:`EngineRegistry` owns the mapping from engine names to
+:class:`EngineSpec` entries; ``Connection.execute``, ``execute_direct``,
+cursors, and the :class:`~repro.serving.server.QueryServer` all resolve
+engines here, and third-party code extends the set with
+:func:`register_engine` without touching the library:
 
 >>> from repro.api import EngineSpec, register_engine
 >>> register_engine(EngineSpec("my-engine", factory=lambda ctx: MyEngine(ctx)))
@@ -37,7 +32,7 @@ from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import SkinnerConfig
 from repro.engine.task import validate_task_contract
-from repro.errors import ReproError
+from repro.errors import InterfaceError, ReproError
 from repro.external.engines import sqlite_skinner_g_factory, sqlite_skinner_h_factory
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
@@ -183,7 +178,7 @@ class EngineSpec:
 
 
 class EngineRegistry:
-    """Name-to-spec mapping shared by the facade, the API, and the server."""
+    """Name-to-spec mapping shared by connections, cursors, and the server."""
 
     def __init__(self) -> None:
         self._specs: dict[str, EngineSpec] = {}
@@ -218,13 +213,14 @@ class EngineRegistry:
     def resolve(self, name: str) -> EngineSpec:
         """The spec for an engine name — the *single* unknown-engine error site.
 
-        Every execution path (``SkinnerDB.execute``, ``execute_direct``,
-        ``QueryServer.submit``, ``Connection.cursor()``) validates engine
-        names here, so the error message cannot drift between paths.
+        Every execution path (``Connection.execute``, ``execute_direct``,
+        ``QueryServer.submit``, ``Connection.cursor()``), ``connect()`` and
+        the server handshake validate engine names here, so the error
+        cannot drift between paths.
         """
         spec = self._specs.get(name.lower())
         if spec is None:
-            raise ReproError(
+            raise InterfaceError(
                 f"unknown engine {name!r}; registered engines: "
                 f"{', '.join(self.names())}"
             )
@@ -346,6 +342,10 @@ DEFAULT_REGISTRY = EngineRegistry()
 for _spec in BUILTIN_SPECS:
     DEFAULT_REGISTRY.register(_spec)
 
+#: Engines selectable by name (``repro.ENGINE_NAMES``) — a live view of the
+#: default registry, identical to the serving layer's ``SERVABLE_ENGINES``.
+ENGINE_NAMES = RegistryNames(DEFAULT_REGISTRY)
+
 
 def register_engine(
     spec: EngineSpec | None = None,
@@ -364,7 +364,7 @@ def register_engine(
         register_engine(name="my-engine", factory=lambda ctx: MyEngine(ctx))
 
     Registered engines are immediately selectable via ``engine="my-engine"``
-    in ``SkinnerDB.execute``, ``Connection.cursor().execute``, and
+    in ``Connection.execute``, ``Connection.cursor().execute``, and
     ``QueryServer.submit``.
     """
     registry = registry if registry is not None else DEFAULT_REGISTRY

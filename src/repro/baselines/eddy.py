@@ -21,7 +21,6 @@ import time
 from typing import Any
 
 from repro.engine.meter import CostMeter
-from repro.engine.operators import validate_join_mode
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.errors import BudgetExceeded
@@ -51,14 +50,7 @@ class _OperatorStats:
 
 
 class EddyEngine:
-    """Adaptive per-tuple routing baseline.
-
-    ``join_mode`` is accepted (and validated) for constructor uniformity
-    with the other plan-running baselines; the router itself is inherently
-    tuple-at-a-time, so both modes probe the same dict-based join maps —
-    which the preprocessor now builds via the shared vectorized grouping
-    kernel either way.
-    """
+    """Adaptive per-tuple routing baseline."""
 
     def __init__(
         self,
@@ -67,15 +59,11 @@ class EddyEngine:
         *,
         profile: str | EngineProfile = "skinner",
         threads: int = 1,
-        postprocess_mode: str = "columnar",
-        join_mode: str = "vectorized",
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._profile = profile if isinstance(profile, EngineProfile) else get_profile(profile)
         self._threads = threads
-        self._postprocess_mode = postprocess_mode
-        self._join_mode = validate_join_mode(join_mode)
 
     @property
     def name(self) -> str:
@@ -103,8 +91,7 @@ class EddyEngine:
                 else:
                     self._route_all(prepared, result_set, meter)
             relation = result_set.to_relation()
-            output = post_process(query, relation, prepared.tables, self._udfs, meter,
-                                  mode=self._postprocess_mode)
+            output = post_process(query, relation, prepared.tables, self._udfs, meter)
         except BudgetExceeded:
             timed_out = True
             result_set = JoinResultSet(tuple(query.aliases))

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
-from repro.engine.operators import validate_join_mode
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.errors import BudgetExceeded
@@ -71,14 +70,10 @@ class ReOptimizerEngine:
         validation_factor: float = 3.0,
         max_rounds: int = 5,
         threads: int = 1,
-        postprocess_mode: str = "columnar",
-        join_mode: str = "vectorized",
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._statistics = statistics
-        self._postprocess_mode = postprocess_mode
-        self._join_mode = validate_join_mode(join_mode)
         self._profile = profile if isinstance(profile, EngineProfile) else get_profile(profile)
         self._sample_fraction = sample_fraction
         self._sample_limit = sample_limit
@@ -103,8 +98,7 @@ class ReOptimizerEngine:
             self._statistics = StatisticsCatalog.collect(self._catalog)
         base = EstimatedCardinality(query, self._statistics, self._udfs)
         estimator = _CorrectedEstimator(base)
-        executor = PlanExecutor(self._catalog, query, self._udfs,
-                                join_mode=self._join_mode)
+        executor = PlanExecutor(self._catalog, query, self._udfs)
         timed_out = False
         rounds = 0
         plan = self._optimize(query, estimator)
@@ -122,8 +116,7 @@ class ReOptimizerEngine:
                         break
                     plan = new_plan
             relation = executor.execute_order(list(plan.order), meter)
-            output = post_process(query, relation, executor.tables, self._udfs, meter,
-                                  mode=self._postprocess_mode)
+            output = post_process(query, relation, executor.tables, self._udfs, meter)
         except BudgetExceeded:
             timed_out = True
             output = Table("result", {})
@@ -194,8 +187,7 @@ class ReOptimizerEngine:
         from repro.engine.executor import _restrict_query
 
         sub_query = _restrict_query(query, list(prefix))
-        sub_executor = PlanExecutor(self._catalog, sub_query, self._udfs,
-                                    join_mode=self._join_mode)
+        sub_executor = PlanExecutor(self._catalog, sub_query, self._udfs)
         filtered = {alias: executor.filtered_positions(alias) for alias in prefix}
         filtered[prefix[0]] = sample
         sub_executor._filtered = filtered

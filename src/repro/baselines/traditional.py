@@ -15,7 +15,6 @@ from collections.abc import Sequence
 
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
-from repro.engine.operators import validate_join_mode
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.errors import BudgetExceeded
@@ -52,12 +51,6 @@ class TraditionalEngine:
         ``"dp"`` (exhaustive left-deep DP, the default) or ``"greedy"``.
     threads:
         Threads modelled when converting work to simulated time.
-    postprocess_mode:
-        Post-processing pipeline (``"columnar"`` or ``"rows"``); see
-        :func:`repro.engine.postprocess.post_process`.
-    join_mode:
-        Hash-join implementation of the plan executor (``"vectorized"`` or
-        ``"rows"``); see :func:`repro.engine.operators.hash_join_step`.
     """
 
     def __init__(
@@ -69,8 +62,6 @@ class TraditionalEngine:
         profile: str | EngineProfile = "postgres",
         optimizer: str = "dp",
         threads: int = 1,
-        postprocess_mode: str = "columnar",
-        join_mode: str = "vectorized",
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
@@ -80,8 +71,6 @@ class TraditionalEngine:
             raise ValueError("optimizer must be 'dp', 'greedy', or 'size_heuristic'")
         self._optimizer = optimizer
         self._threads = threads
-        self._postprocess_mode = postprocess_mode
-        self._join_mode = validate_join_mode(join_mode)
 
     @property
     def name(self) -> str:
@@ -138,16 +127,14 @@ class TraditionalEngine:
         else:
             plan = self.plan(query)
             order = plan.order
-        executor = PlanExecutor(self._catalog, query, self._udfs,
-                                join_mode=self._join_mode)
+        executor = PlanExecutor(self._catalog, query, self._udfs)
         timed_out = False
         try:
             if query.num_tables == 1:
                 relation = executor.execute_order(list(query.aliases), meter)
             else:
                 relation = executor.execute_order(order, meter)
-            output = post_process(query, relation, executor.tables, self._udfs, meter,
-                                  mode=self._postprocess_mode)
+            output = post_process(query, relation, executor.tables, self._udfs, meter)
         except BudgetExceeded:
             timed_out = True
             output = Table("result", {})

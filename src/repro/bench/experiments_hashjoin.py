@@ -3,11 +3,13 @@
 PR 3 replaced the plan executor's dict-based hash-join build/probe with the
 columnar kernel of :mod:`repro.engine.joinkernels`.  This experiment isolates
 that operator on join-heavy left-deep plans: a three-table chain with
-controlled fan-out is executed through :class:`repro.engine.executor.
-PlanExecutor` in both ``join_mode`` settings, reporting wall time per query
-and the kernel speedup.  Every run cross-checks that the two modes produce
-**byte-identical** row-id relations (same rows, same order) and identical
-meter charges, so the speedup numbers are always backed by equivalent work.
+controlled fan-out is joined step by step through
+:func:`repro.engine.operators.hash_join_step` with ``mode="vectorized"`` (what
+the plan executor runs) and ``mode="rows"`` (the dict-based reference),
+reporting wall time per query and the kernel speedup.  Every run cross-checks
+that the two modes produce **byte-identical** row-id relations (same rows,
+same order) and identical meter charges, so the speedup numbers are always
+backed by equivalent work.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
+from repro.engine.operators import hash_join_step
 from repro.engine.profiles import get_profile
+from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import Predicate, column_equals_column
 from repro.query.query import Query, make_query
@@ -67,6 +71,18 @@ def _queries() -> dict[str, Query]:
     }
 
 
+def _join_chain(executor: PlanExecutor, mode: str, meter: CostMeter) -> RowIdRelation:
+    """The chain plan of ``executor``'s query, every step a hash join in ``mode``."""
+    positions = executor.pre_process()
+    tables = executor.tables
+    first = _JOIN_ORDER[0]
+    result = RowIdRelation.from_base(first, positions[first])
+    for alias, equi, residual in executor.join_steps(_JOIN_ORDER):
+        result = hash_join_step(result, alias, tables[alias], positions[alias],
+                                equi, residual, tables, meter, mode=mode)
+    return result
+
+
 def _assert_equivalent(reference, vectorized, reference_work, vectorized_work, label):
     if vectorized.aliases != reference.aliases:
         raise AssertionError(f"{label}: alias sets diverge between join modes")
@@ -93,14 +109,14 @@ def hashjoin_kernel(
         timings: dict[str, float] = {}
         relations: dict[str, Any] = {}
         work: dict[str, Any] = {}
+        executor = PlanExecutor(catalog, query)
+        executor.pre_process(CostMeter())  # warm the filtered-position cache
         for mode in ("rows", "vectorized"):
-            executor = PlanExecutor(catalog, query, join_mode=mode)
-            executor.pre_process(CostMeter())  # warm the filtered-position cache
             best = float("inf")
             for _ in range(max(1, repetitions)):
                 meter = CostMeter()
                 started = time.perf_counter()
-                relations[mode] = executor.execute_order(list(_JOIN_ORDER), meter)
+                relations[mode] = _join_chain(executor, mode, meter)
                 best = min(best, time.perf_counter() - started)
                 work[mode] = meter.snapshot()
             timings[mode] = best

@@ -4,8 +4,9 @@ PR 1 vectorized the multi-way join, which moved the bottleneck downstream
 into post-processing.  This experiment isolates that stage: it materializes
 one large join result (a row-id relation over a single wide table) and runs
 aggregation-, DISTINCT-, and ORDER-BY-heavy queries through
-:func:`repro.engine.postprocess.post_process` in both ``postprocess_mode``
-settings, reporting wall time per query and the columnar speedup.  Outputs
+:func:`repro.engine.postprocess.post_process` with ``mode="columnar"`` (the
+production pipeline) and ``mode="rows"`` (the reference), reporting wall time
+per query and the columnar speedup.  Outputs
 are cross-checked for equality on every run, so the speedup numbers are
 always backed by identical results.
 """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.api.connection import Connection
+from repro.api.connection import Connection, connect
 from repro.config import SkinnerConfig
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
@@ -36,7 +36,7 @@ def _build_connection(tuples_per_table: int, seed: int) -> Connection:
     to filtering/hash builds, rows only exist near completion anyway.
     """
     rng = make_rng(seed)
-    connection = Connection(_BENCH_CONFIG, autocommit=True)
+    connection = connect(_BENCH_CONFIG, autocommit=True)
     num_keys = max(1, tuples_per_table // 6)
     for name in ("a", "b", "c"):
         connection.add_table(Table(name, {

@@ -16,7 +16,7 @@ from repro.workloads.generators import Workload
 #: time-slice budget is 500 multi-way-join iterations against IMDb-scale
 #: data; the synthetic workloads here are roughly three orders of magnitude
 #: smaller, so the per-slice budget is scaled down accordingly (exploration
-#: would otherwise dominate, see DESIGN.md §1).
+#: would otherwise dominate, see ``docs/ci.md``).
 BENCH_CONFIG = DEFAULT_CONFIG.with_overrides(slice_budget=100, batches_per_table=8,
                                              base_timeout=1_500)
 

@@ -23,29 +23,15 @@ class SkinnerConfig:
         (the paper's ``b``).
     batch_size:
         Skinner-C: how many candidate tuple indices the multi-way join
-        examines per vectorized batch.  ``1`` selects the scalar
-        tuple-at-a-time executor (the pre-batching behavior, kept for A/B
-        comparisons); larger values amortize interpreter overhead across
-        NumPy operations.  Batches never exceed the remaining slice budget.
+        examines per vectorized batch; larger values amortize interpreter
+        overhead across NumPy operations (``1`` means batches of one).
+        Batches never exceed the remaining slice budget.
     exploration_weight:
         UCT exploration weight for Skinner-C.
     reward_function:
         ``"scaled_deltas"`` (the refined reward summing scaled tuple-index
         deltas) or ``"leftmost"`` (progress in the left-most table only, the
         simpler reward analyzed in §5).
-    postprocess_mode:
-        ``"columnar"`` (the default) runs projection, aggregation, DISTINCT,
-        and ORDER BY as NumPy operations over the join result's row-id
-        vectors; ``"rows"`` selects the tuple-at-a-time reference pipeline
-        (the pre-vectorization behavior, kept for A/B comparisons).  Queries
-        with UDF-bearing output expressions always use the row pipeline.
-    join_mode:
-        Hash-join implementation of the left-deep plan executor (used by
-        Skinner-G/H and the baselines): ``"vectorized"`` (the default) runs
-        the columnar build/probe kernel of
-        :mod:`repro.engine.joinkernels`; ``"rows"`` selects the dict-based
-        tuple-at-a-time reference path, kept for A/B comparisons.  Both
-        modes produce byte-identical join results and meter charges.
     use_hash_jump:
         Whether Skinner-C jumps tuple indices via hash lookups for equality
         join predicates.
@@ -113,7 +99,8 @@ class SkinnerConfig:
         with base columns in shared memory; results and meter charges are
         byte-identical for every worker count because the morsel plan
         depends only on the data and the morsel knobs, never on the pool
-        size.  See ``docs/parallel.md``.
+        size.  See ``docs/parallel.md``.  The config end of the ``workers``
+        connection setting (:mod:`repro.api.settings`).
     parallel_morsels:
         Skinner-C: target number of morsels the partition alias (the
         largest filtered table) is split into.  Deliberately *not* derived
@@ -134,10 +121,8 @@ class SkinnerConfig:
         :class:`~repro.storage.durable.DurableBufferManager` — columns
         persist as memory-mapped files, ``commit()`` survives restart, and
         a reopened connection recovers to the last committed transaction
-        (see ``docs/storage.md``).  :func:`repro.api.connect` resolves its
-        ``data_dir=`` keyword and the ``REPRO_DATA_DIR`` environment
-        variable into this field, exactly like ``workers=`` into
-        ``parallel_workers``.
+        (see ``docs/storage.md``).  The config end of the ``data_dir``
+        connection setting (:mod:`repro.api.settings`).
     buffer_pool_bytes:
         Byte capacity of the durable backend's page cache — the bound on
         resident (memory-mapped) column arrays; least-recently-used
@@ -146,17 +131,13 @@ class SkinnerConfig:
     default_engine:
         Engine used when a query names none explicitly (cursor ``execute``
         without ``engine=``, network submissions without an override).
-        :func:`repro.api.connect` resolves its ``engine=`` keyword, the
-        ``REPRO_ENGINE`` environment variable, and the DSN ``?engine=``
-        parameter into this field — exactly like ``workers=`` into
-        ``parallel_workers`` — and validates the name against the engine
-        registry at connect time.
+        The config end of the ``engine`` connection setting
+        (:mod:`repro.api.settings`); :func:`repro.api.connect` lower-cases
+        it and checks it against the engine registry.
     """
 
     slice_budget: int = 500
     batch_size: int = 1024
-    postprocess_mode: str = "columnar"
-    join_mode: str = "vectorized"
     exploration_weight: float = SKINNER_C_EXPLORATION_WEIGHT
     reward_function: str = "scaled_deltas"
     use_hash_jump: bool = True

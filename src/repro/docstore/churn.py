@@ -330,7 +330,7 @@ def run_churn(
             )
     mutations = report.mutations
     if report.invalidations < mutations:
-        # Every mutation commits through the facade, which must clear the
+        # Every mutation commits through the connection, which must clear the
         # serving caches (the initial load predates the server, so it does
         # not count) — fewer invalidations than mutations means a commit
         # bypassed invalidation and stale results could be served.

@@ -12,8 +12,8 @@ evaluations, hash probes, intermediate tuples).  An
 :class:`~repro.engine.profiles.EngineProfile` converts work units into
 simulated time so that different engines (row store, vectorized column
 store, the Java-style Skinner engine) can be compared the way the paper
-compares Postgres, MonetDB, and SkinnerDB.  See DESIGN.md §1 for the
-substitution rationale.
+compares Postgres, MonetDB, and SkinnerDB.  See ``docs/ci.md`` ("work units on
+synthetic workloads") for the substitution rationale.
 """
 
 from repro.engine.executor import PlanExecutor
@@ -27,14 +27,12 @@ from repro.engine.joinkernels import (
     probe_grouped,
 )
 from repro.engine.meter import CostMeter, WorkBreakdown
-from repro.engine.operators import JOIN_MODES, validate_join_mode
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.engine.relation import RowIdRelation
 from repro.engine.task import EngineTask, ExecutionBackend, validate_task_contract
 
 __all__ = [
-    "JOIN_MODES",
     "CompositeKeys",
     "CostMeter",
     "EngineProfile",
@@ -51,6 +49,5 @@ __all__ = [
     "group_rows",
     "post_process",
     "probe_grouped",
-    "validate_join_mode",
     "validate_task_contract",
 ]

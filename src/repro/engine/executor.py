@@ -6,9 +6,7 @@ of a query), producing a row-id relation.  It supports:
 
 * pre-processing (unary predicate filtering) with cached results,
 * hash joins when equality predicates link the new table to the prefix,
-  nested-loop joins otherwise; the hash join runs the vectorized kernel by
-  default, with ``join_mode="rows"`` selecting the dict-based reference path
-  (see :mod:`repro.engine.operators`),
+  nested-loop joins otherwise (see :mod:`repro.engine.operators`),
 * vectorized residual/unary predicate evaluation for UDF-free comparisons
   (see :mod:`repro.engine.vectorized`); only UDF predicates are evaluated
   tuple at a time,
@@ -24,14 +22,10 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.engine.meter import CostMeter
-from repro.engine.operators import (
-    filter_table,
-    hash_join_step,
-    nested_loop_step,
-    validate_join_mode,
-)
+from repro.engine.operators import filter_table, hash_join_step, nested_loop_step
 from repro.engine.relation import RowIdRelation
 from repro.errors import PlanningError
+from repro.query.predicates import Predicate
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
@@ -46,13 +40,10 @@ class PlanExecutor:
         catalog: Catalog,
         query: Query,
         udfs: UdfRegistry | None = None,
-        *,
-        join_mode: str = "vectorized",
     ) -> None:
         self._catalog = catalog
         self._query = query
         self._udfs = udfs
-        self._join_mode = validate_join_mode(join_mode)
         self._tables: dict[str, Table] = {
             alias: catalog.table(name) for alias, name in query.tables
         }
@@ -112,11 +103,34 @@ class PlanExecutor:
             positions_of.update({alias: np.asarray(p, dtype=np.int64)
                                  for alias, p in base_positions.items()})
 
-        first = order[0]
-        result = RowIdRelation.from_base(first, positions_of[first])
+        result = RowIdRelation.from_base(order[0], positions_of[order[0]])
+        for alias, equi, residual in self.join_steps(order):
+            if equi:
+                result = hash_join_step(
+                    result, alias, self._tables[alias], positions_of[alias],
+                    equi, residual, self._tables, meter, self._udfs,
+                )
+            else:
+                result = nested_loop_step(
+                    result, alias, self._tables[alias], positions_of[alias],
+                    residual, self._tables, meter, self._udfs,
+                )
+        return result
+
+    def join_steps(
+        self, order: Sequence[str]
+    ) -> list[tuple[str, list[Predicate], list[Predicate]]]:
+        """Per joined alias of ``order``: ``(alias, equi, residual)`` predicates.
+
+        Each join predicate is applied at the first position where all its
+        tables are in the prefix; ``equi`` are the equality predicates
+        linking the new alias to the prefix (a hash join when non-empty),
+        ``residual`` everything else that became applicable.
+        """
+        steps = []
         applied: set[int] = set()
         join_predicates = self._query.join_predicates()
-        prefix_aliases = {first}
+        prefix_aliases = {order[0]}
         for alias in order[1:]:
             prefix_aliases.add(alias)
             applicable = [
@@ -127,18 +141,8 @@ class PlanExecutor:
             equi = [p for _, p in applicable if p.is_equi_join and alias in p.tables()]
             residual = [p for _, p in applicable if not (p.is_equi_join and alias in p.tables())]
             applied.update(i for i, _ in applicable)
-            if equi:
-                result = hash_join_step(
-                    result, alias, self._tables[alias], positions_of[alias],
-                    equi, residual, self._tables, meter, self._udfs,
-                    mode=self._join_mode,
-                )
-            else:
-                result = nested_loop_step(
-                    result, alias, self._tables[alias], positions_of[alias],
-                    residual, self._tables, meter, self._udfs,
-                )
-        return result
+            steps.append((alias, equi, residual))
+        return steps
 
     # ------------------------------------------------------------------
     # helpers used by optimizers and the true-cardinality oracle
@@ -154,8 +158,7 @@ class PlanExecutor:
         if len(aliases) == 1:
             return int(self.filtered_positions(aliases[0]).shape[0])
         sub_query = _restrict_query(self._query, aliases)
-        executor = PlanExecutor(self._catalog, sub_query, self._udfs,
-                                join_mode=self._join_mode)
+        executor = PlanExecutor(self._catalog, sub_query, self._udfs)
         executor._filtered = {alias: self.filtered_positions(alias) for alias in aliases}
         meter = CostMeter()
         graph = sub_query.join_graph()

@@ -4,7 +4,7 @@ Every engine charges its work to a :class:`CostMeter`.  The meter serves
 three purposes:
 
 * it is the **simulated clock**: benchmarks report weighted work units
-  instead of wall-clock time (see DESIGN.md §1);
+  instead of wall-clock time (see ``docs/ci.md``);
 * it enforces **budgets**: Skinner-G aborts a batch when the per-batch
   timeout elapses, which here means the meter raises
   :class:`~repro.errors.BudgetExceeded` once the budget is spent;

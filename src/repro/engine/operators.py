@@ -12,17 +12,15 @@ repository:
   the new table to the current prefix (Cartesian product or generic/UDF-only
   join predicates).
 
-The hash join runs in one of two modes (``SkinnerConfig.join_mode``):
-
-* ``"vectorized"`` (default) — the columnar kernel from
-  :mod:`repro.engine.joinkernels`: composite keys encoded as int64 code
-  vectors, the build side grouped by stable argsort, the probe side matched
-  via ``searchsorted``, and the result emitted as whole selector arrays.
-* ``"rows"`` — the dict-based build/probe reference path, kept for A/B
-  comparisons (mirroring the ``postprocess_mode`` and ``batch_size=1``
-  precedents).  Both modes produce byte-identical relations and charge
-  identical meter work; NaN float join keys never match in either mode (see
-  :mod:`repro.engine.joinkernels`).
+The hash join runs the columnar kernel from :mod:`repro.engine.joinkernels`:
+composite keys encoded as int64 code vectors, the build side grouped by
+stable argsort, the probe side matched via ``searchsorted``, and the result
+emitted as whole selector arrays.  :func:`hash_join_step`'s ``mode="rows"``
+argument selects the dict-based build/probe reference the equivalence tests
+and the kernel benchmark compare against; nothing in the production path
+passes it.  Both produce byte-identical relations and charge identical meter
+work; NaN float join keys never match in either (see
+:mod:`repro.engine.joinkernels`).
 
 All operators charge their work to a :class:`~repro.engine.meter.CostMeter`.
 """
@@ -54,15 +52,8 @@ from repro.query.predicates import Predicate
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
 
-#: Valid hash-join implementations (``SkinnerConfig.join_mode``).
+#: Valid values of :func:`hash_join_step`'s ``mode`` parameter.
 JOIN_MODES = ("vectorized", "rows")
-
-
-def validate_join_mode(mode: str) -> str:
-    """Validate a ``join_mode`` value and return it."""
-    if mode not in JOIN_MODES:
-        raise ValueError(f"join_mode must be one of {JOIN_MODES}, got {mode!r}")
-    return mode
 
 
 def filter_table(
@@ -169,7 +160,8 @@ def hash_join_step(
     the dict-based ``"rows"`` reference path; both emit the same relation in
     the same row order and charge the same meter work.
     """
-    validate_join_mode(mode)
+    if mode not in JOIN_MODES:
+        raise ValueError(f"hash join mode must be one of {JOIN_MODES}, got {mode!r}")
     # Building the hash side scans/hashes the new table's tuples once, so it
     # is charged as scan work, not as hash probes: the probe counter must
     # mean the same thing across join implementations for the meter profiles
@@ -193,7 +185,7 @@ def _rows_hash_join(
     tables: Mapping[str, Table],
     meter: CostMeter,
 ) -> RowIdRelation:
-    """Dict-based build/probe reference path (``join_mode="rows"``)."""
+    """Dict-based build/probe reference path (``mode="rows"``)."""
     build_keys = _composite_keys_for_new(table, positions, alias, equi_predicates)
     buckets: dict[Any, list[int]] = {}
     for row, key in enumerate(build_keys):

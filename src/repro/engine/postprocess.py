@@ -12,10 +12,11 @@ Two implementations produce identical outputs:
   projection, grouping/aggregation (``reduceat`` over group segments),
   DISTINCT, and ORDER BY as array operations;
 * the **row** pipeline materializes one Python dict per result tuple and
-  processes them tuple at a time — the pre-vectorization reference, selected
-  with ``mode="rows"`` (``SkinnerConfig.postprocess_mode``) for A/B
-  comparisons, and used automatically whenever the query's expressions are
-  not vectorizable (UDF calls in the select list, GROUP BY, or ORDER BY).
+  processes them tuple at a time — used automatically whenever the query's
+  expressions are not vectorizable (UDF calls in the select list, GROUP BY,
+  or ORDER BY), and selectable with ``mode="rows"`` as the reference the
+  equivalence tests and the pipeline benchmark compare against (nothing in
+  the production path passes it).
 
 Both pipelines emit rows in the same order: groups appear in first-occurrence
 order, DISTINCT keeps first occurrences, and sorting is stable.
@@ -37,7 +38,7 @@ from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
 
-#: Valid values of the ``mode`` parameter / ``SkinnerConfig.postprocess_mode``.
+#: Valid values of :func:`post_process`'s ``mode`` parameter.
 POSTPROCESS_MODES = ("columnar", "rows")
 
 

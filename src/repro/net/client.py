@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
+from repro.api.settings import SETTINGS, check_settings
 from repro.api.transport import SubmitHandle, Transport
 from repro.config import SkinnerConfig
 from repro.errors import InterfaceError, OperationalError
@@ -54,15 +55,16 @@ from repro.storage.table import Table
 DEFAULT_PORT = 7439
 
 
-def parse_dsn(
-    dsn: str,
-) -> tuple[str, int, str | None, float | None, int | None, str | None, str | None]:
+def parse_dsn(dsn: str) -> tuple[str, int, dict[str, Any]]:
     """Parse ``repro://host:port/?tenant=name&timeout=s&workers=N&data_dir=path&engine=name``.
 
-    Returns ``(host, port, tenant, timeout, workers, data_dir, engine)``
-    with ``None`` for parameters the DSN does not set.  Unknown query
-    parameters are rejected — a typo in ``tenant`` would otherwise
-    silently land the client in the default quota bucket.
+    Returns ``(host, port, options)`` where ``options`` holds the query
+    parameters the DSN sets: ``tenant``, ``timeout`` (seconds, a float), and
+    the connection settings of :data:`repro.api.settings.SETTINGS`, each
+    already validated and normalised by its table row.  Unknown and repeated
+    parameters are rejected — a typo in ``tenant`` (or a second ``tenant=``
+    silently losing to the first) would otherwise land the client in the
+    wrong quota bucket.
     """
     parts = urlsplit(dsn)
     if parts.scheme != "repro":
@@ -72,41 +74,24 @@ def parse_dsn(
     host = parts.hostname or "127.0.0.1"
     port = parts.port if parts.port is not None else DEFAULT_PORT
     params = parse_qs(parts.query, keep_blank_values=True)
-    unknown = set(params) - {"tenant", "timeout", "workers", "data_dir", "engine"}
+    unknown = set(params) - {"tenant", "timeout"} - {setting.name for setting in SETTINGS}
     if unknown:
         raise InterfaceError(f"unknown DSN parameter(s): {', '.join(sorted(unknown))}")
-    tenant = params["tenant"][0] if "tenant" in params else None
-    timeout: float | None = None
-    if "timeout" in params:
+    repeated = sorted(key for key, values in params.items() if len(values) > 1)
+    if repeated:
+        raise InterfaceError(f"DSN parameter(s) given more than once: {', '.join(repeated)}")
+    raw = {key: values[0] for key, values in params.items()}
+    options: dict[str, Any] = check_settings(raw, "DSN ")
+    if "tenant" in raw:
+        options["tenant"] = raw["tenant"]
+    if "timeout" in raw:
         try:
-            timeout = float(params["timeout"][0])
+            options["timeout"] = float(raw["timeout"])
         except ValueError:
             raise InterfaceError(
-                f"DSN timeout must be a number of seconds, got {params['timeout'][0]!r}"
+                f"DSN timeout must be a number of seconds, got {raw['timeout']!r}"
             ) from None
-    workers: int | None = None
-    if "workers" in params:
-        raw = params["workers"][0]
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InterfaceError(
-                f"DSN workers must be a positive integer, got {raw!r}"
-            ) from None
-        if workers < 1:
-            raise InterfaceError(f"DSN workers must be a positive integer, got {raw!r}")
-    data_dir: str | None = None
-    if "data_dir" in params:
-        data_dir = params["data_dir"][0]
-        if not data_dir.strip():
-            raise InterfaceError("DSN data_dir must be a non-empty path")
-    engine: str | None = None
-    if "engine" in params:
-        engine = params["engine"][0]
-        if not engine.strip():
-            raise InterfaceError("DSN engine must be a non-empty engine name")
-        engine = engine.lower()
-    return host, port, tenant, timeout, workers, data_dir, engine
+    return host, port, options
 
 
 class SocketChannel:
@@ -119,9 +104,7 @@ class SocketChannel:
         *,
         tenant: str = "default",
         timeout: float | None = None,
-        workers: int | None = None,
-        data_dir: str | None = None,
-        engine: str | None = None,
+        settings: Mapping[str, Any] | None = None,
     ) -> None:
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
@@ -133,27 +116,14 @@ class SocketChannel:
         # TCP_NODELAY: every exchange is one small frame each way; Nagle
         # would add 40ms to each request under load.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # The requested connection settings ride along (None = no request);
+        # the server re-checks them and replies with what it granted.
         hello = self.request(
-            "hello",
-            version=PROTOCOL_VERSION,
-            tenant=tenant,
-            workers=workers,
-            data_dir=data_dir,
-            engine=engine,
+            "hello", version=PROTOCOL_VERSION, tenant=tenant, **(settings or {})
         )
         self.tenant: str = str(hello.get("tenant", tenant))
-        #: Effective intra-query parallelism the server granted this session
-        #: (the handshake echoes it back; ``1`` means single-process).
-        self.workers: int = int(hello.get("workers", workers or 1))
-        #: The server's durable data directory (``None`` = in-memory);
-        #: echoed by the handshake, which rejects a mismatched request.
-        raw_dir = hello.get("data_dir")
-        self.data_dir: str | None = str(raw_dir) if raw_dir is not None else None
-        #: Session default engine the server acknowledged (queries that
-        #: name no engine run on this); validated during the handshake, so
-        #: an unknown name fails the connect, not the first query.
-        raw_engine = hello.get("engine")
-        self.engine: str | None = str(raw_engine) if raw_engine is not None else None
+        #: Effective value of every connection setting, as granted.
+        self.settings: dict[str, Any] = {s.name: hello.get(s.name) for s in SETTINGS}
 
     def request(self, verb: str, **args: Any) -> dict[str, Any]:
         """One request/response exchange; returns the response data."""
@@ -219,8 +189,8 @@ class SocketChannel:
 class RemoteTransport(Transport):
     """The :class:`Transport` over a :class:`SocketChannel`.
 
-    Construct via :func:`from_dsn` (what ``connect()`` does) — the
-    positional form exists for tests that already know host and port.
+    ``connect()`` builds one from a parsed DSN; ``settings`` are the
+    resolved connection settings to request in the handshake.
     """
 
     remote = True
@@ -232,42 +202,13 @@ class RemoteTransport(Transport):
         *,
         tenant: str = "default",
         timeout: float | None = None,
-        workers: int | None = None,
-        data_dir: str | None = None,
-        engine: str | None = None,
+        settings: Mapping[str, Any] | None = None,
     ) -> None:
         self._channel = SocketChannel(
-            host, port, tenant=tenant, timeout=timeout, workers=workers,
-            data_dir=data_dir, engine=engine,
+            host, port, tenant=tenant, timeout=timeout, settings=settings
         )
         self.tenant = self._channel.tenant
-        self.workers = self._channel.workers
-        self.data_dir = self._channel.data_dir
-        self.engine = self._channel.engine
-
-    @classmethod
-    def from_dsn(
-        cls,
-        dsn: str,
-        *,
-        tenant: str | None = None,
-        timeout: float | None = None,
-        workers: int | None = None,
-        data_dir: str | None = None,
-        engine: str | None = None,
-    ) -> RemoteTransport:
-        """Resolve a ``repro://`` DSN; keyword arguments win over the DSN's."""
-        (host, port, dsn_tenant, dsn_timeout, dsn_workers, dsn_data_dir,
-         dsn_engine) = parse_dsn(dsn)
-        return cls(
-            host,
-            port,
-            tenant=tenant if tenant is not None else (dsn_tenant or "default"),
-            timeout=timeout if timeout is not None else dsn_timeout,
-            workers=workers if workers is not None else dsn_workers,
-            data_dir=data_dir if data_dir is not None else dsn_data_dir,
-            engine=engine if engine is not None else dsn_engine,
-        )
+        self.settings = self._channel.settings
 
     # ------------------------------------------------------------------
     # argument marshalling

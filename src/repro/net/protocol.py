@@ -30,9 +30,12 @@ See ``docs/serving.md`` for the full verb table.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import struct
 from typing import Any
+
+from repro.config import SkinnerConfig
 
 from repro.errors import (
     BudgetExceeded,
@@ -159,6 +162,52 @@ def error_from_wire(wire: dict[str, Any]) -> ReproError:
         spent = wire.get("spent")
         return BudgetExceeded(message, spent if isinstance(spent, int) else 0)
     return cls(message)
+
+
+# ----------------------------------------------------------------------
+# per-submission config
+# ----------------------------------------------------------------------
+#: Fields older clients still serialize, with what replaced them.
+_REMOVED_CONFIG_FIELDS = {
+    "join_mode": "the plan executor always runs the vectorized hash-join kernel",
+    "postprocess_mode": "post-processing always runs the columnar pipeline "
+                        "(row pipeline where an expression needs it)",
+}
+
+_SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+_CONFIG_ANNOTATIONS = {field.name: field.type for field in dataclasses.fields(SkinnerConfig)}
+
+
+def _scalar_matches(annotation: str, value: Any) -> bool:
+    """Whether ``value`` fits a field annotated ``int``, ``str | None``, ..."""
+    names = [part.strip() for part in annotation.split("|")]
+    if isinstance(value, bool):  # an int subclass: passes only where the field says bool
+        return "bool" in names
+    return any(isinstance(value, _SCALAR_TYPES[name]) for name in names if name != "bool")
+
+
+def config_from_wire(wire: dict[str, Any]) -> SkinnerConfig:
+    """The :class:`SkinnerConfig` a ``submit`` carries, checked field by field.
+
+    The payload is outside input: an unknown key or an ill-typed scalar is
+    an :class:`InterfaceError` naming the key here, at the verb, instead of
+    a ``TypeError`` from the constructor or a failure mid-query.
+    """
+    if not isinstance(wire, dict):
+        raise InterfaceError(f"submit config must be an object, got {type(wire).__name__}")
+    for key, value in wire.items():
+        if key in _REMOVED_CONFIG_FIELDS:
+            raise InterfaceError(
+                f"config field {key!r} was removed: {_REMOVED_CONFIG_FIELDS[key]}; "
+                "drop it from the submitted config (upgrade the client)"
+            )
+        if key not in _CONFIG_ANNOTATIONS:
+            raise InterfaceError(f"unknown config field {key!r}")
+        if not _scalar_matches(_CONFIG_ANNOTATIONS[key], value):
+            raise InterfaceError(
+                f"config field {key!r} must be {_CONFIG_ANNOTATIONS[key]}, got {value!r}"
+            )
+    return SkinnerConfig(**wire)
 
 
 # ----------------------------------------------------------------------

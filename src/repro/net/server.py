@@ -37,11 +37,13 @@ import time
 from typing import Any
 
 from repro.api.connection import Connection, connect
+from repro.api.settings import SETTINGS, check_settings
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.errors import InterfaceError, OperationalError, ReproError
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     FrameError,
+    config_from_wire,
     encode_frame,
     error_to_wire,
     read_frame,
@@ -60,8 +62,9 @@ class _Client:
     def __init__(self, peer: str) -> None:
         self.peer = peer
         self.tenant = "default"
-        self.workers: int | None = None
-        self.engine: str | None = None
+        #: Effective connection settings of this session, fixed by its
+        #: ``hello``: what it asked for, else the server's config.
+        self.settings: dict[str, Any] = {}
         self.tickets: set[int] = set()
 
 
@@ -248,87 +251,46 @@ class ReproServer:
             )
             return False
         client.tenant = str(args.get("tenant") or "default")
-        workers = args.get("workers")
-        if workers is not None:
-            if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-                await self._write(
-                    writer, request_id,
-                    error=InterfaceError(
-                        f"workers must be a positive integer, got {workers!r}"
-                    ),
-                )
-                return False
-            client.workers = workers
-        effective = (
-            client.workers
-            if client.workers is not None
-            else self.connection.config.parallel_workers
-        )
-        requested_engine = args.get("engine")
-        if requested_engine is not None:
-            # Engine names resolve against the *server's* registry; an
-            # unknown name would otherwise surface only at the first
-            # submit, long after the session looked healthy.
-            if not isinstance(requested_engine, str) or not requested_engine.strip():
-                await self._write(
-                    writer, request_id,
-                    error=InterfaceError(
-                        f"engine must be a non-empty engine name, "
-                        f"got {requested_engine!r}"
-                    ),
-                )
-                return False
-            engine_name = requested_engine.lower()
-            if engine_name not in self.connection.registry:
-                await self._write(
-                    writer, request_id,
-                    error=InterfaceError(
-                        f"unknown engine {engine_name!r}; registered engines: "
-                        f"{', '.join(sorted(self.connection.registry.names()))}"
-                    ),
-                )
-                return False
-            client.engine = engine_name
-        server_dir = self.connection.config.data_dir
-        requested_dir = args.get("data_dir")
-        if requested_dir is not None:
-            # data_dir names server-side storage; a client asking for a
-            # directory this server does not serve would silently run
-            # against the wrong (or no) durable state, so mismatches fail
-            # the handshake.
-            if not isinstance(requested_dir, str) or not requested_dir.strip():
-                await self._write(
-                    writer, request_id,
-                    error=InterfaceError(
-                        f"data_dir must be a non-empty path, got {requested_dir!r}"
-                    ),
-                )
-                return False
-            if server_dir is None or not _same_path(requested_dir, server_dir):
-                await self._write(
-                    writer, request_id,
-                    error=InterfaceError(
-                        f"server data_dir is {server_dir!r}; "
-                        f"refusing session asking for {requested_dir!r}"
-                    ),
-                )
-                return False
+        try:
+            requested = self._admit_settings(args)
+        except InterfaceError as exc:
+            await self._write(writer, request_id, error=exc)
+            return False
+        config = self.connection.config
+        client.settings = {
+            setting.name: requested.get(setting.name, getattr(config, setting.config_field))
+            for setting in SETTINGS
+        }
         await self._write(
             writer, request_id,
-            data={
-                "version": PROTOCOL_VERSION,
-                "tenant": client.tenant,
-                "server": "repro",
-                "workers": effective,
-                "data_dir": server_dir,
-                "engine": (
-                    client.engine
-                    if client.engine is not None
-                    else self.connection.config.default_engine
-                ),
-            },
+            data={"version": PROTOCOL_VERSION, "tenant": client.tenant, "server": "repro",
+                  **client.settings},
         )
         return True
+
+    def _admit_settings(self, args: dict[str, Any]) -> dict[str, Any]:
+        """The session's requested connection settings, validated.
+
+        On top of the settings table's shape checks: an engine must exist
+        in the *server's* registry (else it would fail only at the first
+        submit), and a ``data_dir`` other than the one this server serves
+        is refused (the session would silently run against the wrong, or
+        no, durable state).  A matching ``data_dir`` is dropped: the reply
+        echoes the server's own spelling.
+        """
+        requested = check_settings(args)
+        if "engine" in requested:
+            self.connection.registry.resolve(requested["engine"])
+        requested_dir = requested.pop("data_dir", None)
+        server_dir = self.connection.config.data_dir
+        if requested_dir is not None and (
+            server_dir is None or not _same_path(requested_dir, server_dir)
+        ):
+            raise InterfaceError(
+                f"server data_dir is {server_dir!r}; "
+                f"refusing session asking for {requested_dir!r}"
+            )
+        return requested
 
     async def _respond(
         self, client: _Client, writer: asyncio.StreamWriter, request: dict[str, Any]
@@ -394,20 +356,14 @@ class ReproServer:
             # A per-submission config carries its own parallel_workers —
             # the client serialized the whole dataclass, session defaults
             # must not override an explicit choice.
-            effective_config = SkinnerConfig(**config)
-        elif client.workers is not None:
-            effective_config = conn.config.with_overrides(
-                parallel_workers=client.workers
-            )
+            effective_config = config_from_wire(config)
         else:
-            effective_config = conn.config
+            effective_config = conn.config.with_overrides(
+                parallel_workers=client.settings["workers"]
+            )
         ticket = conn.server.submit(
             parsed,
-            engine=(
-                args.get("engine")
-                or client.engine
-                or conn.config.default_engine
-            ),
+            engine=args.get("engine") or client.settings["engine"],
             profile=args.get("profile", "postgres"),
             config=effective_config,
             threads=int(args.get("threads", 1)),

@@ -23,7 +23,7 @@ class QueryMetrics:
         pre/post-processing).
     simulated_time:
         Weighted work under the engine's profile (abstract milliseconds) —
-        the repository's substitute for wall-clock time, see DESIGN.md §1.
+        the repository's substitute for wall-clock time, see ``docs/ci.md``.
     wall_time_seconds:
         Actual Python wall-clock time, recorded for reference only.
     intermediate_cardinality:

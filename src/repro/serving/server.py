@@ -399,9 +399,9 @@ class QueryServer:
     ) -> QueryResult:
         """Single-query convenience path: submit, drive to completion, return.
 
-        This is what the :class:`~repro.db.SkinnerDB` facade routes through
-        by default, so even one-off queries go through admission, the result
-        cache, and the join-order warm-start.
+        This is what ``Connection.execute`` routes through, so even one-off
+        queries go through admission, the result cache, and the join-order
+        warm-start.
         """
         ticket = self.submit(
             query, engine=engine, profile=profile, config=config, threads=threads,
@@ -434,7 +434,7 @@ class QueryServer:
         """Drop cached results, join-order priors, and collected statistics.
 
         Must be called whenever the underlying catalog or UDF registry
-        changes; the facade does this on every schema mutation.  The epoch
+        changes; the connection does this on every schema mutation.  The epoch
         bump additionally fences in-flight sessions: a task that snapshotted
         its tables under the old epoch still finishes (and still answers
         correctly for *its* submission time), but its result and learned
@@ -602,8 +602,7 @@ class QueryServer:
             return
         relation = RowIdRelation.from_index_tuples(task.stream_aliases, fresh)
         table = post_process(
-            session.query, relation, task.stream_tables, self._udfs, CostMeter(),
-            mode=session.config.postprocess_mode,
+            session.query, relation, task.stream_tables, self._udfs, CostMeter()
         )
         rows = self._table_rows(table)
         if session.limit_remaining is not None:

@@ -13,24 +13,25 @@ With equality join predicates, advancing an index "jumps" directly to the
 next tuple whose join column matches the value fixed by the preceding tables,
 using the hash maps built during pre-processing (paper §4.5, last paragraph).
 
-Two executors share these semantics:
+The production executor is **batched**: it materializes the full run of
+candidate row indices at a join-order position — the matching bucket of the
+pre-processing hash maps, or a bounded ``arange`` for scan positions — as an
+``int64`` array, takes up to ``batch_size`` of them at a time, applies the
+newly applicable predicates vectorized over the column arrays, and emits
+surviving combinations into the result set in bulk.  Suspension works
+mid-batch: the per-position batch cursors are recorded in the
+:class:`~repro.skinner.state.JoinState` so another join order can take over
+after any slice, and the tuple-index vector alone is always sufficient to
+rebuild the exact position.
 
-* the **scalar** executor advances one tuple index per loop iteration — the
-  literal transcription of Algorithm 2, kept as the ``batch_size=1``
-  reference for A/B comparisons;
-* the **batched** executor (``batch_size > 1``) materializes the full run of
-  candidate row indices at a join-order position — the matching bucket of the
-  pre-processing hash maps, or a bounded ``arange`` for scan positions — as
-  an ``int64`` array, applies the newly applicable predicates vectorized over
-  the column arrays, and emits surviving combinations into the result set in
-  bulk.  Suspension works mid-batch: the per-position batch cursors are
-  recorded in the :class:`~repro.skinner.state.JoinState` so another join
-  order can take over after any slice, and the tuple-index vector alone is
-  always sufficient to rebuild the exact position.
-
-Both executors enumerate candidate combinations in the same lexicographic
-sequence and evaluate the same predicates per candidate, so they produce
-identical result sets and identical suspend/resume states.
+:meth:`MultiwayJoin._continue_scalar` is the literal transcription of
+Algorithm 2 (one tuple index per loop iteration).  Nothing in the production
+path calls it; the equivalence tests compare the batched executor against it.
+Both enumerate result combinations in the same lexicographic sequence and
+evaluate the same predicates per candidate, so they emit identical rows in
+identical order and finish in identical states; the scalar loop additionally
+examines the reset index on every descent, so its slice boundaries and scan
+charges differ (see ``tests/test_batched_join.py``).
 """
 
 from __future__ import annotations
@@ -183,10 +184,10 @@ class MultiwayJoin:
     Parameters
     ----------
     batch_size:
-        Candidates examined per vectorized batch.  ``1`` selects the scalar
-        tuple-at-a-time executor; larger values amortize interpreter overhead
-        across NumPy operations.  Batches are clamped to the remaining slice
-        budget and to the meter's remaining work budget.
+        Candidates examined per vectorized batch; larger values amortize
+        interpreter overhead across NumPy operations.  Batches are clamped
+        to the remaining slice budget and to the meter's remaining work
+        budget.
     """
 
     def __init__(
@@ -329,63 +330,8 @@ class MultiwayJoin:
         left-most table is exhausted), ``False`` when the budget ran out.
         Result tuples are added to ``result_set``; ``state`` is advanced in
         place so the caller can back it up.  The budget counts examined
-        candidate tuples, so a batch of ``n`` candidates consumes ``n`` units
-        — batched and scalar execution drain a slice at the same rate.
+        candidate tuples, so a batch of ``n`` candidates consumes ``n`` units.
         """
-        if self._batch_size == 1:
-            return self._continue_scalar(state, offsets, budget, result_set, meter)
-        return self._continue_batched(state, offsets, budget, result_set, meter)
-
-    def _continue_scalar(
-        self,
-        state: JoinState,
-        offsets: Mapping[str, int],
-        budget: int,
-        result_set: JoinResultSet,
-        meter: CostMeter,
-    ) -> bool:
-        context = self.context_for(state.order)
-        order = context.order
-        cardinalities = context.cardinalities
-        last = len(order) - 1
-        if any(c == 0 for c in cardinalities):
-            return True
-
-        # Resuming restarts the descent at depth 0, which costs up to one
-        # iteration per join-order position before any index advances; a
-        # budget below that would make no progress and never terminate.
-        budget = max(budget, len(order) + 1)
-        depth = 0
-        iterations = 0
-        while iterations < budget:
-            iterations += 1
-            meter.charge_scan(1)
-            if state.indices[depth] < cardinalities[depth] and self._satisfied(
-                context, depth, state, meter
-            ):
-                if depth == last:
-                    result_set.add(self._result_tuple(state))
-                    meter.charge_output(1)
-                    depth = self._next_tuple(context, state, offsets, depth)
-                else:
-                    depth += 1
-            else:
-                depth = self._next_tuple(context, state, offsets, depth)
-            if depth < 0:
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # batched ContinueJoin
-    # ------------------------------------------------------------------
-    def _continue_batched(
-        self,
-        state: JoinState,
-        offsets: Mapping[str, int],
-        budget: int,
-        result_set: JoinResultSet,
-        meter: CostMeter,
-    ) -> bool:
         context = self.context_for(state.order)
         order = context.order
         cardinalities = context.cardinalities
@@ -394,6 +340,9 @@ class MultiwayJoin:
             state.batch_cursors = None
             return True
 
+        # Resuming restarts the descent at depth 0, which costs up to one
+        # iteration per join-order position before any index advances; a
+        # budget below that would make no progress and never terminate.
         budget = max(budget, len(order) + 1)
         frames, depth, iterations = self._resume_frames(context, state, meter)
         while True:
@@ -683,8 +632,44 @@ class MultiwayJoin:
         meter.charge_output(rows)
 
     # ------------------------------------------------------------------
-    # NextTuple with optional hash jump (scalar executor)
+    # the scalar reference (Algorithm 2 verbatim; test oracle only)
     # ------------------------------------------------------------------
+    def _continue_scalar(
+        self,
+        state: JoinState,
+        offsets: Mapping[str, int],
+        budget: int,
+        result_set: JoinResultSet,
+        meter: CostMeter,
+    ) -> bool:
+        context = self.context_for(state.order)
+        order = context.order
+        cardinalities = context.cardinalities
+        last = len(order) - 1
+        if any(c == 0 for c in cardinalities):
+            return True
+
+        budget = max(budget, len(order) + 1)
+        depth = 0
+        iterations = 0
+        while iterations < budget:
+            iterations += 1
+            meter.charge_scan(1)
+            if state.indices[depth] < cardinalities[depth] and self._satisfied(
+                context, depth, state, meter
+            ):
+                if depth == last:
+                    result_set.add(self._result_tuple(state))
+                    meter.charge_output(1)
+                    depth = self._next_tuple(context, state, offsets, depth)
+                else:
+                    depth += 1
+            else:
+                depth = self._next_tuple(context, state, offsets, depth)
+            if depth < 0:
+                return True
+        return False
+
     def _next_tuple(
         self,
         context: _OrderContext,

@@ -476,8 +476,7 @@ class ParallelSkinnerCTask(EngineTask):
         """Post-process the assembled result and report merged metrics."""
         relation = self.result_set.to_relation()
         output = post_process(
-            self.query, relation, self.prepared.tables, self._udfs, self.join_meter,
-            mode=self._config.postprocess_mode,
+            self.query, relation, self.prepared.tables, self._udfs, self.join_meter
         )
         metrics = self._metrics(result_rows=output.num_rows, full=True)
         return QueryResult(output, metrics)

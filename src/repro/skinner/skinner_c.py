@@ -214,8 +214,7 @@ class SkinnerCTask(EngineTask):
         """Post-process the join result and assemble metrics."""
         relation = self.result_set.to_relation()
         output = post_process(
-            self.query, relation, self.prepared.tables, self._udfs, self.join_meter,
-            mode=self._config.postprocess_mode,
+            self.query, relation, self.prepared.tables, self._udfs, self.join_meter
         )
         total_meter = CostMeter()
         total_meter.merge(self.pre_meter)
@@ -435,8 +434,7 @@ class SkinnerC(ExecutionBackend):
                     state, offsets, self._config.slice_budget, result_set, meter
                 )
         relation = result_set.to_relation()
-        output = post_process(query, relation, prepared.tables, self._udfs, meter,
-                              mode=self._config.postprocess_mode)
+        output = post_process(query, relation, prepared.tables, self._udfs, meter)
         work = meter.snapshot()
         metrics = QueryMetrics(
             engine=f"{self.name}(forced)",

@@ -73,11 +73,10 @@ class InternalGenericEngine(GenericEngine):
         catalog: Catalog,
         query: Query,
         udfs: UdfRegistry | None,
-        config: SkinnerConfig,
     ) -> None:
         self._query = query
         self._aliases = tuple(query.aliases)
-        self._executor = PlanExecutor(catalog, query, udfs, join_mode=config.join_mode)
+        self._executor = PlanExecutor(catalog, query, udfs)
 
     @property
     def tables(self) -> Mapping[str, Table]:
@@ -139,8 +138,7 @@ class GenericLearningRun:
 
     def __post_init__(self) -> None:
         if self.engine is None:
-            self.engine = InternalGenericEngine(self.catalog, self.query,
-                                                self.udfs, self.config)
+            self.engine = InternalGenericEngine(self.catalog, self.query, self.udfs)
         self.meter = CostMeter()
         self.engine.pre_process(self.meter)
         self.result_set = JoinResultSet(tuple(self.query.aliases))
@@ -353,8 +351,7 @@ class SkinnerG(ExecutionBackend):
     ) -> QueryResult:
         relation = run.result_set.to_relation()
         assert run.engine is not None
-        output = post_process(query, relation, run.engine.tables, self._udfs, run.meter,
-                              mode=self._config.postprocess_mode)
+        output = post_process(query, relation, run.engine.tables, self._udfs, run.meter)
         total = CostMeter()
         total.merge(run.meter)
         if extra_work is not None:

@@ -100,8 +100,7 @@ class SkinnerHTask(EngineTask):
             # 1. Try the traditional optimizer's plan under the current timeout.
             relation = None
             if self._substrate is None:
-                executor = PlanExecutor(engine._catalog, query, engine._udfs,
-                                        join_mode=engine._config.join_mode)
+                executor = PlanExecutor(engine._catalog, query, engine._udfs)
                 attempt_tables = executor.tables
                 attempt_meter = CostMeter(budget=budget)
                 try:
@@ -125,8 +124,7 @@ class SkinnerHTask(EngineTask):
                 # identical to the learning path's result-set order.
                 relation = relation.canonical_order(query.aliases)
                 output = post_process(query, relation, attempt_tables, engine._udfs,
-                                      self._traditional_meter,
-                                      mode=engine._config.postprocess_mode)
+                                      self._traditional_meter)
                 self._result = engine._traditional_result(
                     query, output, plan, run, self._traditional_meter,
                     self._started, round_index,

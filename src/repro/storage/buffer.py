@@ -15,9 +15,9 @@ Every engine in the repository reads base-table columns through
   copies.
 
 The execution layers never see the difference: rows and meter charges are
-byte-identical across backends (property-tested like ``join_mode`` and
-``batch_size`` before them), which is what makes the substrate swappable
-without the engines noticing.
+byte-identical across backends (property-tested in
+``tests/test_storage_durability.py``), which is what makes the substrate
+swappable without the engines noticing.
 """
 
 from __future__ import annotations

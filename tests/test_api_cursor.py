@@ -1,8 +1,8 @@
 """Tests for the PEP 249 connection/cursor API and streaming fetches.
 
 The property tests check the acceptance criteria of the API redesign: rows
-obtained through ``fetchmany``-streaming, ``fetchall``, ``db.execute``, and
-``db.execute_direct`` are byte-identical on randomized queries across all
+obtained through ``fetchmany``-streaming, ``fetchall``, ``conn.execute``, and
+``conn.execute_direct`` are byte-identical on randomized queries across all
 registered engines — including under concurrent cursor interleaving and
 mid-stream ``Cursor.close()`` (which must not leak admission slots) — and
 streamed queries are charged exactly like unstreamed ones.
@@ -13,7 +13,7 @@ import random
 import pytest
 
 import repro.api
-from repro import ReproError, SkinnerConfig, SkinnerDB, connect
+from repro import ReproError, SkinnerConfig, connect
 from repro.errors import CatalogError, ParseError
 from repro.serving.session import SessionState
 
@@ -178,10 +178,10 @@ class TestParameterBinding:
         cursor.execute("SELECT COUNT(*) AS n FROM r")
         assert cursor.fetchone() == (6,)
 
-    def test_facade_execute_accepts_params(self):
-        db = SkinnerDB(config=FAST)
-        db.create_table("r", {"id": [1, 2], "a": [5, 7]})
-        result = db.execute("SELECT r.id FROM r WHERE r.a = ?", params=(7,))
+    def test_connection_execute_accepts_params(self):
+        conn = connect(FAST, autocommit=True)
+        conn.create_table("r", {"id": [1, 2], "a": [5, 7]})
+        result = conn.execute("SELECT r.id FROM r WHERE r.a = ?", params=(7,))
         assert table_rows(result) == [(2,)]
 
 
@@ -227,11 +227,11 @@ class TestSchemaTransactions:
             conn.create_table("tmp", {"x": [1]})
         assert conn.catalog.has_table("tmp")
 
-    def test_facade_autocommits(self):
-        db = SkinnerDB(config=FAST)
-        db.create_table("t", {"x": [1]})
-        db.connection.rollback()  # no open transaction: a no-op
-        assert db.catalog.has_table("t")
+    def test_autocommit_commits_every_mutation(self):
+        conn = connect(FAST, autocommit=True)
+        conn.create_table("t", {"x": [1]})
+        conn.rollback()  # no open transaction: a no-op
+        assert conn.catalog.has_table("t")
 
 
 class TestLoadCsvReplace:
@@ -243,23 +243,15 @@ class TestLoadCsvReplace:
         path.write_text("city,pop\n" + "\n".join(rows) + "\n")
         return path
 
-    def test_facade_reload_requires_replace(self, tmp_path):
-        db = SkinnerDB(config=FAST)
-        path = self._write_csv(tmp_path, ["rome,3", "oslo,1"])
-        db.load_csv(path)
-        with pytest.raises(CatalogError):
-            db.load_csv(path)
-        path = self._write_csv(tmp_path, ["rome,4"])
-        db.load_csv(path, replace=True)
-        assert db.execute("SELECT COUNT(*) AS n FROM cities").rows[0]["n"] == 1
-
     def test_connection_reload_requires_replace(self, tmp_path):
         conn = connect(FAST)
-        path = self._write_csv(tmp_path, ["rome,3"])
+        path = self._write_csv(tmp_path, ["rome,3", "oslo,1"])
         conn.load_csv(path)
         with pytest.raises(CatalogError):
             conn.load_csv(path)
+        path = self._write_csv(tmp_path, ["rome,4"])
         conn.load_csv(path, replace=True)
+        assert conn.execute("SELECT COUNT(*) AS n FROM cities").rows[0]["n"] == 1
 
 
 class TestStreaming:
@@ -374,8 +366,8 @@ def _random_query(rng: random.Random) -> str:
 
 
 class TestPropertyByteIdentical:
-    """Property: fetchmany-streamed rows, fetchall, db.execute, and
-    db.execute_direct agree on randomized queries across all registered
+    """Property: fetchmany-streamed rows, fetchall, conn.execute, and
+    conn.execute_direct agree on randomized queries across all registered
     engines (same rows, same meter charges)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -747,14 +739,11 @@ class TestPep249Errors:
             cursor.fetchall()
 
 
-class TestExecuteDirectDeprecation:
-    def test_facade_execute_direct_warns_and_still_works(self):
+class TestExecuteDirect:
+    def test_execute_direct_is_not_deprecated(self):
         import warnings
-        db = SkinnerDB(config=FAST)
-        db.create_table("r", {"id": [1, 2], "a": [10, 20]})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = db.execute_direct("SELECT COUNT(*) AS n FROM r")
-        assert result.rows == [{"n": 2}]
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert any("cursor.execute" in str(w.message) for w in caught)
+        conn = make_connection()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = conn.execute_direct("SELECT COUNT(*) AS n FROM r")
+        assert result.rows == [{"n": 6}]

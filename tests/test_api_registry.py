@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ENGINE_NAMES, ReproError, SkinnerConfig, SkinnerDB, register_engine
+from repro import ENGINE_NAMES, Connection, ReproError, SkinnerConfig, register_engine
 from repro.api import DEFAULT_REGISTRY, EngineRegistry, EngineSpec, connect
 from repro.result import QueryMetrics, QueryResult
 from repro.serving import SERVABLE_ENGINES
@@ -34,8 +34,8 @@ class ToyEngine:
 
 
 @pytest.fixture
-def db() -> SkinnerDB:
-    db = SkinnerDB(config=FAST)
+def db() -> Connection:
+    db = connect(FAST, autocommit=True)
     db.create_table("r", {"id": [1, 2, 3], "x": [10, 20, 30]})
     return db
 
@@ -119,10 +119,10 @@ class TestUnknownEngineError:
 
 class TestCustomEngine:
     """Acceptance: a registered toy engine executes through both
-    ``Connection.cursor()`` and ``SkinnerDB.execute`` without touching
+    ``Connection.cursor()`` and ``Connection.execute`` without touching
     library code."""
 
-    def test_toy_engine_via_facade(self, db, toy_registered):
+    def test_toy_engine_via_execute(self, db, toy_registered):
         result = db.execute("SELECT r.x FROM r", engine="toy")
         assert result.rows == [{"answer": 42}]
         assert result.metrics.engine == "toy"

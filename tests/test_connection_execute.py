@@ -1,8 +1,8 @@
-"""Tests for the SkinnerDB facade (SQL in, results out, every engine)."""
+"""Tests for ``Connection.execute`` (SQL in, results out, every engine)."""
 
 import pytest
 
-from repro import ENGINE_NAMES, ReproError, SkinnerDB, SkinnerConfig
+from repro import ENGINE_NAMES, Connection, ReproError, SkinnerConfig, connect
 from repro.errors import CatalogError
 from repro.storage.table import Table
 
@@ -10,8 +10,8 @@ FAST = SkinnerConfig(slice_budget=64, batches_per_table=3, base_timeout=200)
 
 
 @pytest.fixture
-def db() -> SkinnerDB:
-    db = SkinnerDB(config=FAST)
+def db() -> Connection:
+    db = connect(FAST, autocommit=True)
     db.create_table("dept", {
         "did": [1, 2, 3],
         "dname": ["eng", "ops", "hr"],
@@ -93,7 +93,7 @@ class TestQueryExecution:
 
 
 class TestServingLayerRouting:
-    """db.execute routes through the QueryServer; execute_direct bypasses it."""
+    """execute routes through the QueryServer; execute_direct bypasses it."""
 
     JOIN_SQL = TestQueryExecution.JOIN_SQL
 

@@ -9,7 +9,7 @@ The acceptance properties of the sqlite reference adapter:
 * every meter charge comes from the deterministic work-unit clock (sqlite
   progress-handler ticks + delivered rows), so repeated runs report
   identical :class:`~repro.engine.meter.WorkBreakdown` and simulated time;
-* the engines resolve through every front door — cursor, facade, serving,
+* the engines resolve through every front door — cursor, connection, serving,
   and ``repro://`` — and obey the ``connect(engine=...)`` >
   ``REPRO_ENGINE`` > DSN ``?engine=`` resolution chain;
 * mirrors are fingerprint-gated (transactions and rollback re-mirror),
@@ -24,7 +24,6 @@ import random
 import pytest
 
 from repro import InterfaceError, SkinnerConfig, connect
-from repro.db import SkinnerDB
 from repro.errors import UnsupportedQueryError
 from repro.external import (
     SqliteAdapter,
@@ -329,33 +328,12 @@ class TestEmitterRejections:
 
 
 class TestEngineSelection:
-    """The engine= kwarg > REPRO_ENGINE > DSN ?engine= resolution chain."""
+    """What a resolved ``engine`` does (its resolution and shape checks are
+    table-driven in ``tests/test_connection_settings.py``)."""
 
     def test_unknown_engine_rejected_at_connect(self):
         with pytest.raises(InterfaceError, match="unknown engine"):
             connect(FAST, engine="no-such-engine")
-
-    def test_env_variable_selects_default_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "skinner_g_sqlite")
-        conn = connect(FAST)
-        try:
-            assert conn.default_engine == "skinner_g_sqlite"
-            assert conn.info()["engine"] == "skinner_g_sqlite"
-        finally:
-            conn.close()
-
-    def test_kwarg_beats_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "skinner-g")
-        conn = connect(FAST, engine="skinner-c")
-        try:
-            assert conn.default_engine == "skinner-c"
-        finally:
-            conn.close()
-
-    def test_invalid_env_engine_names_its_origin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "   ")
-        with pytest.raises(InterfaceError, match="REPRO_ENGINE"):
-            connect(FAST)
 
     def test_cursor_inherits_connection_default(self):
         conn = connect(FAST, engine="skinner-g")
@@ -365,14 +343,14 @@ class TestEngineSelection:
         finally:
             conn.close()
 
-    def test_facade_runs_external_engine(self):
-        db = SkinnerDB(FAST)
+    def test_connection_execute_runs_external_engine(self):
+        conn = connect(FAST, autocommit=True)
         try:
-            db.create_table("t", {"x": [3, 1, 2]})
-            result = db.execute("SELECT t.x FROM t", engine="skinner_g_sqlite")
+            conn.create_table("t", {"x": [3, 1, 2]})
+            result = conn.execute("SELECT t.x FROM t", engine="skinner_g_sqlite")
             assert sorted(row["x"] for row in result.rows) == [1, 2, 3]
         finally:
-            db.close()
+            conn.close()
 
 
 class TestRemoteSelection:

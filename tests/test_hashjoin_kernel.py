@@ -1,7 +1,7 @@
 """Equivalence of the vectorized hash-join kernel and the dict-based path.
 
-The plan executor's vectorized hash join (``join_mode="vectorized"``) must be
-observationally identical to the dict-based reference (``join_mode="rows"``):
+The plan executor's vectorized hash join must be observationally identical
+to the dict-based reference (``hash_join_step(mode="rows")``):
 byte-identical ``RowIdRelation``s — same rows in the same order — and
 identical meter charges, over composite keys, duplicate keys, empty build or
 probe sides, cross-dictionary string keys, NaN float keys, and residual
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import SkinnerConfig
 from repro.engine.executor import PlanExecutor
 from repro.engine.joinkernels import (
     KeyPart,
@@ -26,7 +25,7 @@ from repro.engine.joinkernels import (
     probe_grouped,
 )
 from repro.engine.meter import CostMeter
-from repro.engine.operators import hash_join_step
+from repro.engine.operators import hash_join_step, nested_loop_step
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import (
@@ -86,17 +85,34 @@ def random_catalog_and_query(seed: int, *, num_tables: int, rows: int):
     return catalog, make_query(aliases, predicates=predicates)
 
 
-def run_order(catalog, query, order, mode):
-    executor = PlanExecutor(catalog, query, join_mode=mode)
+def run_reference(catalog, query, order):
+    """``order`` joined step by step, every hash join on the dict-based path."""
+    executor = PlanExecutor(catalog, query)
     meter = CostMeter()
-    relation = executor.execute_order(list(order), meter)
+    positions = executor.pre_process(meter)
+    tables = executor.tables
+    relation = RowIdRelation.from_base(order[0], positions[order[0]])
+    for alias, equi, residual in executor.join_steps(order):
+        if equi:
+            relation = hash_join_step(relation, alias, tables[alias], positions[alias],
+                                      equi, residual, tables, meter, mode="rows")
+        else:
+            relation = nested_loop_step(relation, alias, tables[alias], positions[alias],
+                                        residual, tables, meter)
+    return relation, meter.snapshot()
+
+
+def run_executor(catalog, query, order):
+    """``order`` through the production :class:`PlanExecutor`."""
+    meter = CostMeter()
+    relation = PlanExecutor(catalog, query).execute_order(list(order), meter)
     return relation, meter.snapshot()
 
 
 def assert_identical(catalog, query, order):
-    """Both modes: byte-identical relations and identical meter charges."""
-    reference, reference_work = run_order(catalog, query, order, "rows")
-    vectorized, vectorized_work = run_order(catalog, query, order, "vectorized")
+    """Executor vs reference: byte-identical relations, identical charges."""
+    reference, reference_work = run_reference(catalog, query, order)
+    vectorized, vectorized_work = run_executor(catalog, query, order)
     assert vectorized.aliases == reference.aliases
     for alias in reference.aliases:
         assert np.array_equal(vectorized.ids(alias), reference.ids(alias)), (
@@ -352,45 +368,17 @@ class TestKernelPrimitives:
         assert build.translate_codes(other).tolist() == [1, 0]
 
 
-class TestJoinModeThreading:
-    def test_executor_validates_mode(self, tiny_catalog, tiny_join_query):
+class TestExecutorAgainstReference:
+    def test_hash_join_step_validates_mode(self, tiny_catalog, tiny_join_query):
+        executor = PlanExecutor(tiny_catalog, tiny_join_query)
+        positions = executor.pre_process()
+        order = tiny_join_query.join_graph().valid_join_orders()[0]
+        alias, equi, residual = executor.join_steps(order)[0]
+        prefix = RowIdRelation.from_base(order[0], positions[order[0]])
         with pytest.raises(ValueError):
-            PlanExecutor(tiny_catalog, tiny_join_query, join_mode="columnar")
+            hash_join_step(prefix, alias, executor.tables[alias], positions[alias],
+                           equi, residual, executor.tables, CostMeter(), mode="columnar")
 
-    def test_executor_modes_identical(self, tiny_catalog, tiny_join_query):
+    def test_executor_matches_reference_on_every_order(self, tiny_catalog, tiny_join_query):
         for order in tiny_join_query.join_graph().valid_join_orders():
             assert_identical(tiny_catalog, tiny_join_query, list(order))
-
-    def test_baselines_honor_join_mode(self, tiny_catalog, tiny_join_query):
-        from repro.baselines.eddy import EddyEngine
-        from repro.baselines.reoptimizer import ReOptimizerEngine
-        from repro.baselines.traditional import TraditionalEngine
-
-        for factory in (
-            lambda mode: TraditionalEngine(tiny_catalog, join_mode=mode),
-            lambda mode: ReOptimizerEngine(tiny_catalog, join_mode=mode),
-            lambda mode: EddyEngine(tiny_catalog, join_mode=mode),
-        ):
-            results = {}
-            for mode in JOIN_MODES:
-                result = factory(mode).execute(tiny_join_query)
-                table = result.table
-                results[mode] = [
-                    tuple(row[name] for name in table.column_names) for row in table.rows()
-                ]
-            assert results["vectorized"] == results["rows"]
-            with pytest.raises(ValueError):
-                factory("bogus")
-
-    def test_skinner_g_honors_config_join_mode(self, tiny_catalog, tiny_join_query):
-        from repro.skinner.skinner_g import SkinnerG
-
-        reference = None
-        for mode in JOIN_MODES:
-            config = SkinnerConfig(base_timeout=200, batches_per_table=3, join_mode=mode)
-            result = SkinnerG(tiny_catalog, config=config).execute(tiny_join_query)
-            rows = sorted(map(repr, result.table.rows()))
-            if reference is None:
-                reference = rows
-            else:
-                assert rows == reference

@@ -65,22 +65,24 @@ class TestDsnParsing:
         assert parse_dsn(
             "repro://db.example:8123/?tenant=ops&timeout=2.5&workers=4"
             "&data_dir=/var/lib/repro&engine=Skinner-G"
-        ) == ("db.example", 8123, "ops", 2.5, 4, "/var/lib/repro", "skinner-g")
+        ) == ("db.example", 8123, {
+            "tenant": "ops", "timeout": 2.5, "workers": 4,
+            "data_dir": "/var/lib/repro", "engine": "skinner-g",
+        })
 
     def test_defaults(self):
-        assert parse_dsn("repro://localhost/") == (
-            "localhost", DEFAULT_PORT, None, None, None, None, None
-        )
+        assert parse_dsn("repro://localhost/") == ("localhost", DEFAULT_PORT, {})
 
-    def test_rejects_blank_data_dir(self):
-        with pytest.raises(InterfaceError, match="data_dir"):
-            parse_dsn("repro://localhost/?data_dir=")
+    def test_rejects_bad_timeout(self):
+        with pytest.raises(InterfaceError, match="DSN timeout must be a number"):
+            parse_dsn("repro://localhost/?timeout=soon")
 
-    def test_rejects_bad_workers(self):
-        with pytest.raises(InterfaceError, match="workers"):
-            parse_dsn("repro://localhost/?workers=zero")
-        with pytest.raises(InterfaceError, match="workers"):
-            parse_dsn("repro://localhost/?workers=0")
+    @pytest.mark.parametrize("key, first, second", [
+        ("workers", "2", "x"), ("tenant", "a", "b"), ("engine", "eddy", "eddy"),
+    ])
+    def test_rejects_repeated_parameters(self, key, first, second):
+        with pytest.raises(InterfaceError, match=f"more than once: {key}"):
+            parse_dsn(f"repro://localhost/?{key}={first}&{key}={second}")
 
     def test_rejects_wrong_scheme(self):
         with pytest.raises(InterfaceError, match="scheme"):
@@ -197,6 +199,26 @@ class TestErrorMapping:
             remote_cursor.fetchall()
         assert type(remote_err.value).__name__ == type(local_err.value).__name__
         assert str(remote_err.value) == str(local_err.value)
+
+    @pytest.mark.parametrize("config, message", [
+        ({"slice_budgett": 64}, "unknown config field 'slice_budgett'"),
+        ({"slice_budget": "abc"}, "config field 'slice_budget' must be int, got 'abc'"),
+        ({"use_offsets": 1}, "config field 'use_offsets' must be bool, got 1"),
+        ({"slice_budget": True}, "config field 'slice_budget' must be int, got True"),
+        ({"join_mode": "rows"}, "config field 'join_mode' was removed"),
+        ({"postprocess_mode": "rows"}, "config field 'postprocess_mode' was removed"),
+        (["slice_budget"], "submit config must be an object"),
+    ])
+    def test_submit_config_is_validated_at_the_verb(self, remote, config, message):
+        """A foreign (or older) client's config never reaches the engine."""
+        channel = remote.transport._channel
+        with pytest.raises(InterfaceError, match=message):
+            channel.request("submit", sql="SELECT r.id FROM r", config=config)
+        assert remote.stats()["completed"] == 0
+        # A well-formed per-submission config (all fields, as the client
+        # serializes them) still goes through, nullable fields included.
+        result = remote.execute("SELECT r.id FROM r", config=FAST.with_overrides(seed=None))
+        assert len(result.rows) == 6
 
 
 def _random_query(rng: random.Random) -> str:
@@ -354,7 +376,7 @@ class TestBackpressure:
         ).start()
         try:
             seed_rs_schema(live.connection)
-            transport = RemoteTransport.from_dsn(live.dsn, tenant="flood")
+            transport = RemoteTransport(live.server.host, live.server.port, tenant="flood")
             try:
                 tickets = []
                 for _ in range(bound * 3):

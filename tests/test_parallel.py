@@ -6,9 +6,10 @@ produce byte-identical result rows and identical meter charges to the same
 query with 1 worker — and identical rows to the plain single-process
 Skinner-C task — because the morsel plan is a pure function of the data
 and the morsel knobs, never of the pool size.  On top of that the new
-surface is pinned: ``connect(workers=)`` / ``?workers=N`` validation,
-``Connection.info()``, registry conformance validation, fallback rules,
-and shared-memory / worker-pool hygiene.
+surface is pinned: ``?workers=N`` applied server-side, registry conformance
+validation, fallback rules, and shared-memory / worker-pool hygiene (the
+``workers`` setting's resolution and validation are table-driven in
+``tests/test_connection_settings.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from repro.api import DEFAULT_REGISTRY, EngineSpec, connect
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.task import EngineTask, ExecutionBackend, validate_task_contract
-from repro.errors import InterfaceError, ReproError
+from repro.errors import ReproError
 from repro.query.predicates import (
     column_compare_literal,
     column_equals_column,
@@ -193,53 +194,6 @@ class TestFallbacks:
         assert not isinstance(task, ParallelSkinnerCTask)
 
 
-class TestConnectWorkers:
-    def test_workers_kwarg_sets_config(self):
-        conn = connect(workers=3)
-        try:
-            assert conn.config.parallel_workers == 3
-            info = conn.info()
-            assert info["workers"] == 3
-            assert info["remote"] is False
-            assert "skinner-c" in info["engines"]
-        finally:
-            conn.close()
-
-    def test_default_is_single_process(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
-        conn = connect()
-        try:
-            assert conn.info()["workers"] == 1
-        finally:
-            conn.close()
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "two", True])
-    def test_invalid_workers_rejected_at_connect(self, bad):
-        with pytest.raises(InterfaceError, match="workers"):
-            connect(workers=bad)
-
-    def test_env_variable_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
-        conn = connect()
-        try:
-            assert conn.config.parallel_workers == 2
-        finally:
-            conn.close()
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
-        conn = connect(workers=4)
-        try:
-            assert conn.config.parallel_workers == 4
-        finally:
-            conn.close()
-
-    def test_bad_env_rejected_at_connect(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "many")
-        with pytest.raises(InterfaceError, match="REPRO_PARALLEL_WORKERS"):
-            connect()
-
-
 class TestRegistryConformance:
     def test_streamable_without_task_class_rejected(self):
         spec = EngineSpec("bad-stream", lambda ctx: None, streamable=True)
@@ -351,7 +305,3 @@ class TestWireWorkers:
                 assert remote.table.rows() == expected.table.rows()
             finally:
                 conn.close()
-
-    def test_remote_bad_workers_rejected_client_side(self):
-        with pytest.raises(InterfaceError, match="workers"):
-            connect("repro://127.0.0.1:1/?workers=nope")

@@ -1,7 +1,7 @@
 """Differential tests: columnar post-processing == row post-processing.
 
-The columnar pipeline (``postprocess_mode="columnar"``) must be
-observationally identical to the row reference pipeline on every query shape
+The columnar pipeline (``post_process``'s default) must be observationally
+identical to the row reference pipeline (``mode="rows"``) on every query shape
 it claims to support: projections (plain and computed), every aggregate
 function, GROUP BY, DISTINCT, ORDER BY (ascending and ``_Reversed``
 descending keys, output aliases and source expressions), and LIMIT —
@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
+from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
 from repro.engine.relation import RowIdRelation
@@ -263,7 +264,15 @@ def test_udf_select_items_fall_back_to_row_pipeline(sales):
 # ----------------------------------------------------------------------
 # engine-level equivalence and result-set export
 # ----------------------------------------------------------------------
-def test_skinner_c_results_identical_across_postprocess_modes(tiny_catalog):
+def _rows_reference(catalog, query) -> Table:
+    """The row pipeline over the query's full join, in canonical row order."""
+    executor = PlanExecutor(catalog, query)
+    relation = executor.execute_order(list(query.aliases), CostMeter())
+    return post_process(query, relation.canonical_order(query.aliases),
+                        executor.tables, mode="rows")
+
+
+def test_skinner_c_result_matches_row_reference(tiny_catalog):
     query = make_query(
         [("c", "customers"), ("o", "orders")],
         predicates=[column_equals_column("c", "cid", "o", "cid")],
@@ -276,16 +285,13 @@ def test_skinner_c_results_identical_across_postprocess_modes(tiny_catalog):
         group_by=[ColumnRef("c", "country")],
         order_by=[OrderItem(ColumnRef("c", "total"), ascending=False)],
     )
-    results = {}
-    for mode in ("rows", "columnar"):
-        config = SkinnerConfig(slice_budget=32, postprocess_mode=mode)
-        results[mode] = SkinnerC(tiny_catalog, config=config).execute(query)
-    assert_tables_identical(results["rows"].table, results["columnar"].table)
-    assert results["columnar"].table.column("total").values() == [640, 470]
-    assert results["columnar"].table.column("country").values() == ["de", "us"]
+    result = SkinnerC(tiny_catalog, config=SkinnerConfig(slice_budget=32)).execute(query)
+    assert_tables_identical(_rows_reference(tiny_catalog, query), result.table)
+    assert result.table.column("total").values() == [640, 470]
+    assert result.table.column("country").values() == ["de", "us"]
 
 
-def test_baseline_engines_honor_postprocess_mode(tiny_catalog):
+def test_baseline_engine_results_match_row_reference(tiny_catalog):
     from repro.baselines.eddy import EddyEngine
     from repro.baselines.traditional import TraditionalEngine
 
@@ -300,11 +306,11 @@ def test_baseline_engines_honor_postprocess_mode(tiny_catalog):
         group_by=[ColumnRef("c", "country")],
         order_by=[OrderItem(ColumnRef("c", "country"))],
     )
-    for factory in (lambda mode: TraditionalEngine(tiny_catalog, postprocess_mode=mode),
-                    lambda mode: EddyEngine(tiny_catalog, postprocess_mode=mode)):
-        results = {mode: factory(mode).execute(query) for mode in ("rows", "columnar")}
-        assert_tables_identical(results["rows"].table, results["columnar"].table)
-        assert results["columnar"].table.column("biggest").values() == [500, 250]
+    expected = _rows_reference(tiny_catalog, query)
+    for engine in (TraditionalEngine(tiny_catalog), EddyEngine(tiny_catalog)):
+        result = engine.execute(query)
+        assert_tables_identical(expected, result.table)
+        assert result.table.column("biggest").values() == [500, 250]
 
 
 def test_result_set_matrix_matches_sorted_tuples():
@@ -320,13 +326,14 @@ def test_result_set_matrix_matches_sorted_tuples():
 # ----------------------------------------------------------------------
 # generic-predicate metering: only true UDF invocations hit charge_udf
 # ----------------------------------------------------------------------
-def _run_join(prepared, order, batch_size, udfs=None):
+def _run_join(prepared, order, batch_size, udfs=None, *, scalar=False):
     join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
+    step = join._continue_scalar if scalar else join.continue_join
     offsets = {alias: 0 for alias in prepared.aliases}
     state = initial_state(order, offsets)
     results = JoinResultSet(prepared.aliases)
     meter = CostMeter()
-    while not join.continue_join(state, offsets, 10_000, results, meter):
+    while not step(state, offsets, 10_000, results, meter):
         pass
     return results, meter
 
@@ -344,7 +351,7 @@ def test_non_udf_generic_predicates_charge_no_udf_work(tiny_catalog):
         ],
     )
     prepared = preprocess(tiny_catalog, query)
-    scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), 1)
+    scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), 1, scalar=True)
     batched_results, batched_meter = _run_join(prepared, ("c", "o"), 64)
     assert set(batched_results.tuples()) == set(scalar_results.tuples())
     assert len(scalar_results) > 0
@@ -364,7 +371,7 @@ def test_udf_predicates_charge_identically_in_both_executors(tiny_catalog):
         ],
     )
     prepared = preprocess(tiny_catalog, query, udfs)
-    scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), 1, udfs)
+    scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), 1, udfs, scalar=True)
     batched_results, batched_meter = _run_join(prepared, ("c", "o"), 64, udfs)
     assert set(batched_results.tuples()) == set(scalar_results.tuples())
     assert scalar_meter.udf_invocations == batched_meter.udf_invocations > 0

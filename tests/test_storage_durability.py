@@ -8,11 +8,12 @@ byte-identical rows and identical meter charges — including with
 ``workers=2``, where morsel workers map the column files directly instead
 of receiving shared-memory copies.
 
-On top of the property, the new surface is pinned: ``connect(data_dir=)``
-/ ``REPRO_DATA_DIR`` / DSN ``?data_dir=`` resolution and validation, the
-handshake echo and mismatch refusal, ``Connection.info()``, warm-start
+On top of the property, the new surface is pinned: what a resolved
+``data_dir`` does (resolution and validation of the setting are
+table-driven in ``tests/test_connection_settings.py``), the
+handshake echo and mismatch refusal, warm-start
 idempotent ``load_csv`` (no re-parse on matching fingerprints), and the
-``SkinnerDB`` facade's durable mode.
+autocommit connection's durable mode.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 
 import pytest
 
-from repro import InterfaceError, SkinnerConfig, SkinnerDB, connect
+from repro import InterfaceError, SkinnerConfig, connect
 from repro.errors import CatalogError
 from repro.net.server import ServerThread
 from repro.skinner.parallel import live_segment_count, shutdown_workers
@@ -144,7 +145,8 @@ class TestPropertyBackendByteIdentical:
 
 
 class TestConnectDataDir:
-    """``data_dir`` resolution: kwarg > REPRO_DATA_DIR env > config."""
+    """What a resolved ``data_dir`` does (its resolution and shape checks are
+    table-driven in ``tests/test_connection_settings.py``)."""
 
     def test_kwarg_selects_durable(self, tmp_path):
         conn = connect(FAST, data_dir=tmp_path / "db")
@@ -161,27 +163,6 @@ class TestConnectDataDir:
             assert conn.info()["data_dir"] is None
         finally:
             conn.close()
-
-    def test_env_var_applies(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path / "envdb"))
-        conn = connect(FAST)
-        try:
-            assert conn.info()["data_dir"] == str(tmp_path / "envdb")
-        finally:
-            conn.close()
-
-    def test_kwarg_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path / "envdb"))
-        conn = connect(FAST, data_dir=tmp_path / "kwargdb")
-        try:
-            assert conn.info()["data_dir"] == str(tmp_path / "kwargdb")
-        finally:
-            conn.close()
-
-    @pytest.mark.parametrize("bad", ["", "   ", 7, True])
-    def test_invalid_kwarg_raises(self, bad):
-        with pytest.raises(InterfaceError, match="data_dir"):
-            connect(FAST, data_dir=bad)
 
     def test_existing_file_path_raises(self, tmp_path):
         path = tmp_path / "file"
@@ -339,16 +320,16 @@ class TestReplaceDropsIndexes:
             conn.close()
 
 
-class TestDurableFacade:
-    def test_skinnerdb_data_dir_round_trip(self, tmp_path):
-        db = SkinnerDB(FAST, data_dir=tmp_path / "db")
-        db.create_table("r", {"id": [1, 2, 3], "x": [10, 20, 30]})
-        result = db.execute("SELECT r.x FROM r WHERE r.id = 2")
+class TestDurableAutocommit:
+    def test_autocommit_data_dir_round_trip(self, tmp_path):
+        conn = connect(FAST, data_dir=tmp_path / "db", autocommit=True)
+        conn.create_table("r", {"id": [1, 2, 3], "x": [10, 20, 30]})
+        result = conn.execute("SELECT r.x FROM r WHERE r.id = 2")
         assert [row["x"] for row in result.rows] == [20]
-        db.close()
+        conn.close()
 
-        # Facade mutations autocommit, so a reopen sees the table.
-        reopened = SkinnerDB(FAST, data_dir=tmp_path / "db")
+        # Autocommit mutations each commit, so a reopen sees the table.
+        reopened = connect(FAST, data_dir=tmp_path / "db", autocommit=True)
         result = reopened.execute("SELECT r.x FROM r WHERE r.id = 2")
         assert [row["x"] for row in result.rows] == [20]
         reopened.close()
