@@ -22,10 +22,14 @@ class SkinnerConfig:
         Skinner-C: number of multi-way join loop iterations per time slice
         (the paper's ``b``).
     batch_size:
-        Skinner-C: how many candidate tuple indices the multi-way join
-        examines per vectorized batch; larger values amortize interpreter
-        overhead across NumPy operations (``1`` means batches of one).
-        Batches never exceed the remaining slice budget.
+        Skinner-C: upper bound on the ``(prefix, candidate)`` pairs the
+        multi-way join examines in one vectorized step.  A batch is the
+        candidates of a whole *block* of partial tuples — the hash buckets
+        of up to ``batch_size`` prefixes looked up together — not the bucket
+        of one parent tuple, so it is also the most prefixes a block holds;
+        larger values amortize interpreter overhead across NumPy operations
+        (``1`` means batches of one).  A step never exceeds its share of the
+        remaining slice budget, which is what bounds it at the default.
     exploration_weight:
         UCT exploration weight for Skinner-C.
     reward_function:

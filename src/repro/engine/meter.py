@@ -65,42 +65,80 @@ class CostMeter:
     output_tuples: int = 0
     udf_invocations: int = 0
     _checkpoints: list[int] = field(default_factory=list, repr=False)
+    #: Running sum of the six counters (kept by every method that moves one).
+    _total: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._total = self.snapshot().total
 
     # ------------------------------------------------------------------
     # charging
     # ------------------------------------------------------------------
+    # The six named methods are written out: they sit on every engine's hot
+    # path, and one attribute add plus one comparison against the running
+    # total is all a charge costs.
     def charge(self, kind: str, amount: int = 1) -> None:
-        """Charge ``amount`` work units of the given ``kind``."""
+        """Charge ``amount`` work units to the counter named ``kind``."""
         if amount < 0:
             raise ValueError("cannot charge negative work")
-        current = getattr(self, kind)
-        setattr(self, kind, current + amount)
-        if self.budget is not None and self.total > self.budget:
-            raise BudgetExceeded(spent=self.total)
+        setattr(self, kind, getattr(self, kind) + amount)
+        self._total = total = self._total + amount
+        if self.budget is not None and total > self.budget:
+            raise BudgetExceeded(spent=total)
 
     def charge_scan(self, amount: int = 1) -> None:
         """Charge scanning ``amount`` base-table tuples."""
-        self.charge("tuples_scanned", amount)
+        if amount < 0:
+            raise ValueError("cannot charge negative work")
+        self.tuples_scanned += amount
+        self._total = total = self._total + amount
+        if self.budget is not None and total > self.budget:
+            raise BudgetExceeded(spent=total)
 
     def charge_predicate(self, amount: int = 1) -> None:
         """Charge ``amount`` predicate evaluations."""
-        self.charge("predicate_evals", amount)
+        if amount < 0:
+            raise ValueError("cannot charge negative work")
+        self.predicate_evals += amount
+        self._total = total = self._total + amount
+        if self.budget is not None and total > self.budget:
+            raise BudgetExceeded(spent=total)
 
     def charge_probe(self, amount: int = 1) -> None:
         """Charge ``amount`` hash-table probes."""
-        self.charge("hash_probes", amount)
+        if amount < 0:
+            raise ValueError("cannot charge negative work")
+        self.hash_probes += amount
+        self._total = total = self._total + amount
+        if self.budget is not None and total > self.budget:
+            raise BudgetExceeded(spent=total)
 
     def charge_intermediate(self, amount: int = 1) -> None:
         """Charge materializing ``amount`` intermediate result tuples."""
-        self.charge("intermediate_tuples", amount)
+        if amount < 0:
+            raise ValueError("cannot charge negative work")
+        self.intermediate_tuples += amount
+        self._total = total = self._total + amount
+        if self.budget is not None and total > self.budget:
+            raise BudgetExceeded(spent=total)
 
     def charge_output(self, amount: int = 1) -> None:
         """Charge producing ``amount`` final result tuples."""
-        self.charge("output_tuples", amount)
+        if amount < 0:
+            raise ValueError("cannot charge negative work")
+        self.output_tuples += amount
+        self._total = total = self._total + amount
+        if self.budget is not None and total > self.budget:
+            raise BudgetExceeded(spent=total)
 
     def charge_udf(self, amount: int = 1) -> None:
         """Charge ``amount`` user-defined-function invocations."""
-        self.charge("udf_invocations", amount)
+        if amount < 0:
+            raise ValueError("cannot charge negative work")
+        self.udf_invocations += amount
+        self._total = total = self._total + amount
+        if self.budget is not None and total > self.budget:
+            raise BudgetExceeded(spent=total)
 
     def clamp_batch(self, requested: int) -> int:
         """Largest batch size (at least 1) that fits the remaining budget.
@@ -128,14 +166,7 @@ class CostMeter:
     @property
     def total(self) -> int:
         """Total unweighted work units charged so far."""
-        return (
-            self.tuples_scanned
-            + self.predicate_evals
-            + self.hash_probes
-            + self.intermediate_tuples
-            + self.output_tuples
-            + self.udf_invocations
-        )
+        return self._total
 
     @property
     def remaining(self) -> int | None:
@@ -163,6 +194,7 @@ class CostMeter:
         self.intermediate_tuples += other.intermediate_tuples
         self.output_tuples += other.output_tuples
         self.udf_invocations += other.udf_invocations
+        self._total += other.total
 
     # ------------------------------------------------------------------
     # checkpointing (used by time-sliced execution)
@@ -185,6 +217,7 @@ class CostMeter:
         self.intermediate_tuples = 0
         self.output_tuples = 0
         self.udf_invocations = 0
+        self._total = 0
         self._checkpoints.clear()
 
 

@@ -1,37 +1,63 @@
 """The depth-first multi-way join with fast join-order switching (Algorithm 2).
 
-The join keeps at most one partial tuple at any time: a vector of tuple
-indices, one per table of the join order.  Execution is a depth-first search
-over index combinations — descend when the current partial tuple satisfies
-all newly applicable predicates, advance the current index otherwise, and
-backtrack when a table is exhausted.  Because the complete execution state is
-that index vector, suspending after a bounded number of loop iterations and
-resuming later (possibly after executing other join orders in between) is
-essentially free.
+Execution is a depth-first search over tuple-index combinations, one index
+per table of the join order: descend when the partial tuple satisfies all
+newly applicable predicates, advance otherwise, backtrack when a table is
+exhausted.  The complete execution state is the index vector
+(:class:`~repro.skinner.state.JoinState`), so suspending after a bounded
+number of examined candidates and resuming later — possibly after other join
+orders ran in between — is essentially free.  With equality join predicates,
+the candidates at a position are the rows the pre-processing hash maps hold
+for the value fixed by an earlier table (paper §4.5, last paragraph).
 
-With equality join predicates, advancing an index "jumps" directly to the
-next tuple whose join column matches the value fixed by the preceding tables,
-using the hash maps built during pre-processing (paper §4.5, last paragraph).
+The production executor (:meth:`MultiwayJoin.continue_join`) runs that search
+over **blocks of prefixes**.  A frame at join-order position ``d`` holds up
+to ``batch_size`` surviving partial tuples — an index matrix of ``K``
+prefixes by ``d`` positions, in lexicographic order — together with each
+prefix's candidate run at position ``d`` (a hash-map bucket found by one
+many-probe lookup for the whole block, or the row range of a scan
+position).  One step takes the next run of
+``(prefix, candidate)`` pairs across as many prefixes as the step's share of
+the budget allows, filters them with both sides gathered as arrays, and
+either pushes the survivors as the block of position ``d + 1`` or, at the
+last position, emits them in one bulk insert.  A block is processed to the
+end before the next candidates of the position above it are taken, so the
+search order, the emission order and the set of candidates examined are
+those of the tuple-at-a-time loop; only the width of each NumPy operation
+changes (hundreds of candidates where a key/foreign-key bucket holds one).
 
-The production executor is **batched**: it materializes the full run of
-candidate row indices at a join-order position — the matching bucket of the
-pre-processing hash maps, or a bounded ``arange`` for scan positions — as an
-``int64`` array, takes up to ``batch_size`` of them at a time, applies the
-newly applicable predicates vectorized over the column arrays, and emits
-surviving combinations into the result set in bulk.  Suspension works
-mid-batch: the per-position batch cursors are recorded in the
-:class:`~repro.skinner.state.JoinState` so another join order can take over
-after any slice, and the tuple-index vector alone is always sufficient to
-rebuild the exact position.
+Two rules tie this to the learning loop:
+
+* **Lower bound.**  After any slice ``state.indices`` is the
+  lexicographically smallest combination not yet fully processed — the next
+  unexamined candidate of the deepest block, under its prefix, with deeper
+  positions at their offsets.  Everything below it is in the result set;
+  candidates already filtered beyond it are look-ahead, parked with the
+  executor under the order and that index vector.  A slice that comes back
+  with the same vector carries on from the parked frames; any other state is
+  rebuilt from the index vector alone.  A bounded number of suspended orders
+  keep their look-ahead, the least recently suspended dropped first.
+* **Budget spreading.**  The budget counts examined candidates.  A step at a
+  position reached by hash jump may spend ``remaining // (positions from
+  here to the last)``, which keeps every step of a descent through
+  key/foreign-key buckets equally wide.  A step at a scan position (the
+  first position, a join without an equality, hash jump off) already gets a
+  table's worth of candidates from one prefix and takes what is left, like
+  the chunk a tuple-at-a-time executor takes from one scan.  Either leaves
+  one unit for each deeper position, so every slice reaches the last
+  position and moves the lower bound; and a slice that has moved it stops
+  once less than an eighth of its budget is left, because spending the
+  remainder takes ever narrower steps.
 
 :meth:`MultiwayJoin._continue_scalar` is the literal transcription of
 Algorithm 2 (one tuple index per loop iteration).  Nothing in the production
-path calls it; the equivalence tests compare the batched executor against it.
+path calls it; the equivalence tests compare the block executor against it.
 Both enumerate result combinations in the same lexicographic sequence and
 evaluate the same predicates per candidate, so they emit identical rows in
-identical order and finish in identical states; the scalar loop additionally
-examines the reset index on every descent, so its slice boundaries and scan
-charges differ (see ``tests/test_batched_join.py``).
+identical order, finish in identical states and can take over from each
+other at any suspension; the scalar loop additionally examines the reset
+index on every descent, so its slice boundaries and scan charges differ
+(see ``tests/test_batched_join.py``).
 """
 
 from __future__ import annotations
@@ -52,12 +78,19 @@ from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import JoinState
 from repro.storage.column import ColumnType
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 #: comparators for vectorized predicate plans.  The scalar path evaluates
 #: predicates through the same table (its lambdas broadcast over numpy
 #: arrays), so both executors inherit any operator change together.
 _VECTOR_OPS = _COMPARATORS
+
+#: A slice stops once it has advanced and less than this fraction of its
+#: budget is left: grinding the remainder out takes ever narrower steps.
+_TAIL_DIVISOR = 8
+
+#: Suspended orders that keep their look-ahead, least recently suspended
+#: dropped first.  A cap on memory only: a dropped run is rebuilt from the
+#: index vector, at the price of examining its look-ahead again.
+_PARKED_RUNS = 32
 
 #: mirrored operator when the batch-position column is the right-hand side.
 _MIRRORED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -67,6 +100,7 @@ _MIRRORED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="
 class _JumpSpec:
     """How to jump the index at one join-order position via hashing."""
 
+    predicate: Predicate
     own_column: str
     earlier_position: int
     earlier_alias: str
@@ -78,16 +112,19 @@ class _PredicatePlan:
     """How to evaluate one newly applicable predicate over a candidate batch.
 
     ``vectorized`` plans compare the batch position's physical column values
-    against the single value fixed by an earlier position.  ``expression``
-    plans evaluate both sides of a UDF-free comparison over decoded column
-    arrays (built-in arithmetic, literals, string columns as ``object``
-    arrays) — the generic fallback, vectorized.  Only true UDF predicates
-    (and bare boolean expressions) remain row-at-a-time over the batch,
-    which matches the scalar executor's behavior exactly.
+    against the values an earlier position holds in each candidate's prefix.
+    ``expression`` plans evaluate both sides of a UDF-free comparison over
+    decoded column arrays (built-in arithmetic, literals, string columns as
+    ``object`` arrays) — the generic fallback, vectorized.  Only true UDF
+    predicates (and bare boolean expressions) remain row-at-a-time over the
+    batch, which matches the scalar executor's behavior exactly.  The
+    ``jump`` plan is the equality the candidates were looked up by: it holds
+    for every one of them and is charged, not evaluated.
     """
 
     predicate: Predicate
     aliases: tuple[str, ...]
+    jump: bool = False
     vectorized: bool = False
     expression: bool = False
     own_column: str | None = None
@@ -115,65 +152,72 @@ class _OrderContext:
 
 
 class _Frame:
-    """Candidate run of one join-order position during batched execution.
+    """A block of partial tuples and their candidate runs at one position.
 
-    ``matches`` holds the hash-map bucket for jump positions (``None`` for
-    scan positions, whose candidates are the implicit ascending row range).
-    ``cursor``/``next_row`` point at the next unexamined candidate;
-    ``survivors``/``scursor`` hold the predicate-filtered remainder of the
-    current chunk at intermediate depths.  A plain ``__slots__`` class: one
-    frame is allocated per descent, which makes construction cost part of
-    the hot path.
+    ``prefix`` is the block of ``K`` surviving partial tuples in
+    lexicographic order, one row per join-order position ``0 .. d-1`` and one
+    column per tuple (a ``d x K`` index matrix, so a position's indices are
+    contiguous).  Tuple ``p`` owns ``counts[p]`` candidates:
+    ``rows[starts[p] + i]`` for a hash-map bucket, or the row ids
+    ``starts[p] + i`` themselves when ``rows`` is ``None`` (a scan position).
+    The runs are laid end to end — ``ends`` are the boundaries — and ``pos``
+    is the number of candidates of that flat sequence already examined.
     """
 
-    __slots__ = ("matches", "cursor", "next_row", "survivors", "scursor")
+    __slots__ = ("prefix", "rows", "counts", "ends", "shift", "total", "pos")
 
-    def __init__(self, matches: np.ndarray | None, cursor: int = 0, next_row: int = 0) -> None:
-        self.matches = matches
-        self.cursor = cursor
-        self.next_row = next_row
-        self.survivors = _EMPTY
-        self.scursor = 0
+    def __init__(
+        self, prefix: np.ndarray, rows: np.ndarray | None, starts: np.ndarray, counts: np.ndarray
+    ) -> None:
+        self.prefix = prefix
+        self.rows = rows
+        self.counts = counts
+        self.ends = ends = counts.cumsum()
+        #: flat candidate number -> index into ``rows`` (or row id), per tuple.
+        self.shift = starts - ends + counts
+        self.total = int(ends[-1])
+        self.pos = 0
 
-    def exhausted(self, cardinality: int) -> bool:
-        if self.matches is not None:
-            return self.cursor >= self.matches.shape[0]
-        return self.next_row >= cardinality
+    def take(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``limit`` unexamined ``(tuple, candidate)`` pairs."""
+        pos = self.pos
+        end = min(pos + limit, self.total)
+        if pos == 0 and end == self.total:
+            first, stop, lengths = 0, self.counts.shape[0], self.counts
+        else:
+            ends = self.ends
+            first = int(ends.searchsorted(pos, "right"))
+            stop = int(ends.searchsorted(end - 1, "right")) + 1
+            lengths = self.counts[first:stop].copy()
+            lengths[0] = ends[first] - pos
+            lengths[-1] -= ends[stop - 1] - end
+        parent = np.arange(first, stop).repeat(lengths)
+        index = np.arange(pos, end) + self.shift[parent]
+        self.pos = end
+        return parent, index if self.rows is None else self.rows[index]
 
-    def take(self, limit: int, cardinality: int) -> np.ndarray:
-        """Next chunk of at most ``limit`` unexamined candidate row ids."""
-        if self.matches is not None:
-            chunk = self.matches[self.cursor : self.cursor + limit]
-            self.cursor += int(chunk.shape[0])
-            return chunk
-        high = min(self.next_row + limit, cardinality)
-        if high <= self.next_row:
-            return _EMPTY
-        chunk = np.arange(self.next_row, high, dtype=np.int64)
-        self.next_row = high
-        return chunk
+    def cursor(self) -> tuple[int, int]:
+        """Tuple number and row id of the next unexamined candidate."""
+        parent = int(self.ends.searchsorted(self.pos, "right"))
+        index = self.pos + int(self.shift[parent])
+        return parent, index if self.rows is None else int(self.rows[index])
 
-    def next_bound(self, cardinality: int) -> int:
-        """Row id the next unexamined candidate starts at (for suspension)."""
-        if self.matches is not None:
-            if self.cursor < self.matches.shape[0]:
-                return int(self.matches[self.cursor])
-            return cardinality
-        return min(self.next_row, cardinality)
 
-    def batch_cursor(self) -> int:
-        """Progress marker within the candidate run (saved in JoinState)."""
-        if self.matches is not None:
-            return self.cursor
-        return self.next_row
+def _extend(prefix: np.ndarray, parent: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """The block of ``prefix[:, parent[i]] + (candidates[i],)`` partial tuples."""
+    depth = prefix.shape[0]
+    block = np.empty((depth + 1, candidates.shape[0]), dtype=np.int64)
+    if depth:
+        prefix.take(parent, axis=1, out=block[:depth])
+    block[depth] = candidates
+    return block
 
 
 @dataclass
-class _SuspendedRun:
-    """Frames parked when a slice suspends, for exact mid-batch resumption."""
+class _ParkedRun:
+    """Frames parked when a slice suspends; good for the index vector ``snapshot``."""
 
     snapshot: tuple[int, ...]
-    cursors: list[int]
     frames: list[_Frame | None]
     depth: int
 
@@ -184,10 +228,11 @@ class MultiwayJoin:
     Parameters
     ----------
     batch_size:
-        Candidates examined per vectorized batch; larger values amortize
-        interpreter overhead across NumPy operations.  Batches are clamped
-        to the remaining slice budget and to the meter's remaining work
-        budget.
+        Upper bound on the ``(prefix, candidate)`` pairs one vectorized step
+        examines, and so on the number of partial tuples a block holds;
+        larger values amortize interpreter overhead across NumPy operations.
+        A step is further limited to its share of the remaining slice budget
+        and to the meter's remaining work budget.
     """
 
     def __init__(
@@ -205,7 +250,13 @@ class MultiwayJoin:
         self._use_hash_jump = use_hash_jump
         self._batch_size = batch_size
         self._contexts: dict[tuple[str, ...], _OrderContext] = {}
-        self._suspended: dict[tuple[str, ...], _SuspendedRun] = {}
+        #: Look-ahead of suspended orders, oldest first, at most
+        #: ``_PARKED_RUNS`` (block frames for every order ever tried add up).
+        self._parked: dict[tuple[str, ...], _ParkedRun] = {}
+
+    def parked_frame_sets(self) -> int:
+        """How many suspended orders currently keep their look-ahead."""
+        return len(self._parked)
 
     # ------------------------------------------------------------------
     # per-order preparation
@@ -224,11 +275,12 @@ class MultiwayJoin:
             seen.add(alias)
             newly = [p for p in remaining if p.tables() <= seen and alias in p.tables()]
             remaining = [p for p in remaining if p not in newly]
+            jump = self._jump_spec(order, position, newly)
             context.predicates_at.append(newly)
             context.predicate_aliases_at.append([tuple(sorted(p.tables())) for p in newly])
-            context.jump_at.append(self._jump_spec(order, position, newly))
+            context.jump_at.append(jump)
             context.plans_at.append(
-                [self._plan_predicate(order, position, p) for p in newly]
+                [self._plan_predicate(order, position, p, jump) for p in newly]
             )
         order_position = {alias: position for position, alias in enumerate(order)}
         context.order_positions = order_position
@@ -256,6 +308,7 @@ class MultiwayJoin:
             if (alias, own.column) not in self._prepared.join_maps:
                 continue
             return _JumpSpec(
+                predicate=predicate,
                 own_column=own.column,
                 earlier_position=earlier[other.table],
                 earlier_alias=other.table,
@@ -264,12 +317,19 @@ class MultiwayJoin:
         return None
 
     def _plan_predicate(
-        self, order: tuple[str, ...], position: int, predicate: Predicate
+        self,
+        order: tuple[str, ...],
+        position: int,
+        predicate: Predicate,
+        jump: _JumpSpec | None,
     ) -> _PredicatePlan:
         """Classify a newly applicable predicate for batched evaluation."""
         alias = order[position]
         aliases = tuple(sorted(predicate.tables()))
         plan = _PredicatePlan(predicate=predicate, aliases=aliases)
+        if jump is not None and predicate is jump.predicate:
+            plan.jump = True
+            return plan
         left, op, right = predicate.left, predicate.op, predicate.right
         if (
             op not in _VECTOR_OPS
@@ -330,242 +390,220 @@ class MultiwayJoin:
         left-most table is exhausted), ``False`` when the budget ran out.
         Result tuples are added to ``result_set``; ``state`` is advanced in
         place so the caller can back it up.  The budget counts examined
-        candidate tuples, so a batch of ``n`` candidates consumes ``n`` units.
+        candidate tuples, so a step over ``n`` candidates consumes ``n`` units.
         """
         context = self.context_for(state.order)
         order = context.order
-        cardinalities = context.cardinalities
-        last = len(order) - 1
-        if any(c == 0 for c in cardinalities):
-            state.batch_cursors = None
+        if 0 in context.cardinalities:
             return True
 
         # Resuming restarts the descent at depth 0, which costs up to one
         # iteration per join-order position before any index advances; a
         # budget below that would make no progress and never terminate.
         budget = max(budget, len(order) + 1)
+        last = len(order) - 1
         frames, depth, iterations = self._resume_frames(context, state, meter)
+        advanced = False
         while True:
-            if iterations >= budget:
-                self._suspend(context, state, frames, depth)
-                return False
             frame = frames[depth]
-            if frame is None:
-                frame = self._make_frame(context, state, depth, state.indices[depth])
-                frames[depth] = frame
+            if frame.pos >= frame.total:
+                frames[depth] = None
+                depth -= 1
+                if depth < 0:
+                    state.indices[:] = [offsets.get(alias, 0) for alias in order]
+                    return True
+                continue
+            remaining = budget - iterations
+            if remaining <= 0 or (advanced and remaining < budget // _TAIL_DIVISOR):
+                self._suspend(context, state, offsets, frames, depth)
+                return False
+            # What this step may spend.  Where candidates come from hash
+            # buckets, an equal share of what is left for this and every
+            # deeper position keeps the whole descent wide.  At a scan
+            # position one prefix alone supplies a table's worth: the step
+            # takes what is left, as a per-tuple executor's chunk would, and
+            # its survivors are next slice's work.  Either way one unit per
+            # deeper position stays behind, so every slice gets to the last
+            # position and moves the lower bound.
+            below = last - depth
+            if context.jump_at[depth] is None:
+                share = max(1, remaining - below)
+            else:
+                share = max(1, remaining // (below + 1))
+            parent, candidates = frame.take(meter.clamp_batch(min(self._batch_size, share)))
+            examined = int(candidates.shape[0])
+            iterations += examined
+            meter.charge_scan(examined)
+            parent, candidates = self._filter_batch(
+                context, depth, frame.prefix, parent, candidates, meter
+            )
+            if candidates.shape[0] == 0:
+                advanced = True
+                continue
             if depth == last:
-                limit = meter.clamp_batch(min(self._batch_size, budget - iterations))
-                chunk = frame.take(limit, cardinalities[depth])
-                if chunk.shape[0] == 0:
-                    depth = self._pop_frame(context, state, frames, offsets, depth)
-                    if depth < 0:
-                        state.batch_cursors = None
-                        return True
-                    continue
-                iterations += int(chunk.shape[0])
-                meter.charge_scan(int(chunk.shape[0]))
-                survivors = self._filter_batch(context, depth, state, chunk, meter)
-                if survivors.shape[0]:
-                    self._emit_batch(context, state, depth, survivors, result_set, meter)
-                state.indices[depth] = frame.next_bound(cardinalities[depth])
+                advanced = True
+                self._emit_batch(context, frame.prefix, parent, candidates, result_set, meter)
                 continue
-            if frame.scursor >= frame.survivors.shape[0]:
-                if frame.exhausted(cardinalities[depth]):
-                    depth = self._pop_frame(context, state, frames, offsets, depth)
-                    if depth < 0:
-                        state.batch_cursors = None
-                        return True
-                    continue
-                limit = meter.clamp_batch(min(self._batch_size, budget - iterations))
-                chunk = frame.take(limit, cardinalities[depth])
-                iterations += int(chunk.shape[0])
-                meter.charge_scan(int(chunk.shape[0]))
-                frame.survivors = self._filter_batch(context, depth, state, chunk, meter)
-                frame.scursor = 0
-                continue
-            state.indices[depth] = int(frame.survivors[frame.scursor])
-            frame.scursor += 1
+            block = _extend(frame.prefix, parent, candidates)
             depth += 1
+            frames[depth] = self._make_frame(context, depth, block, offsets.get(order[depth], 0))
 
     def _make_frame(
-        self, context: _OrderContext, state: JoinState, depth: int, lower: int
+        self, context: _OrderContext, depth: int, prefix: np.ndarray, lower: int
     ) -> _Frame:
-        """Materialize the candidate run at ``depth`` starting from ``lower``."""
+        """The candidate runs at ``depth`` of a block of prefixes, from ``lower`` on."""
         spec = context.jump_at[depth]
         if spec is None:
-            return _Frame(None, next_row=max(0, lower))
+            lower = max(0, lower)
+            width = max(0, context.cardinalities[depth] - lower)
+            prefixes = prefix.shape[1]
+            return _Frame(
+                prefix, None, np.full(prefixes, lower, np.int64), np.full(prefixes, width, np.int64)
+            )
         prepared = self._prepared
-        earlier_index = state.indices[spec.earlier_position]
-        value = prepared.value_at(spec.earlier_alias, spec.earlier_column, earlier_index)
+        earlier = prepared.physical_column(spec.earlier_alias, spec.earlier_column)
         join_map = prepared.join_maps[(context.order[depth], spec.own_column)]
-        matches = join_map.get(value)
-        if matches is None:
-            matches = _EMPTY
-        if lower <= 0 or matches.shape[0] == 0:
-            start = 0
-        else:
-            start = int(np.searchsorted(matches, lower, side="left"))
-        return _Frame(matches=matches, cursor=start)
-
-    def _pop_frame(
-        self,
-        context: _OrderContext,
-        state: JoinState,
-        frames: list[_Frame | None],
-        offsets: Mapping[str, int],
-        depth: int,
-    ) -> int:
-        """Backtrack from an exhausted position, resetting it to its offset."""
-        state.indices[depth] = offsets.get(context.order[depth], 0)
-        frames[depth] = None
-        return depth - 1
+        starts, counts = join_map.lookup_many(
+            earlier[prefix[spec.earlier_position]],
+            prepared.tables[spec.earlier_alias].column(spec.earlier_column),
+            lower,
+        )
+        return _Frame(prefix, join_map.rows, starts, counts)
 
     def _resume_frames(
         self, context: _OrderContext, state: JoinState, meter: CostMeter
     ) -> tuple[list[_Frame | None], int, int]:
-        """Rebuild (or reuse) the per-position candidate runs for a state.
+        """Rebuild (or reuse) the per-position frames for a state.
 
-        A state suspended by this executor resumes from the parked frames via
-        the batch cursors; any other state (restored by the progress tracker,
-        clamped to new offsets, or freshly initialized) is rebuilt by
-        descending along its index vector: a position whose index is a
-        satisfied candidate keeps its deeper indices, the first unsatisfied
-        position becomes the resumption depth — exactly the scalar
-        executor's re-descent semantics.
+        A state this executor just suspended resumes from the parked frames;
+        any other state (restored by the progress tracker, clamped to new
+        offsets, suspended by the scalar reference, or freshly initialized)
+        is rebuilt by descending along its index vector with one-prefix
+        blocks: a position whose index is a satisfied candidate keeps its
+        deeper indices, the first unsatisfied position becomes the
+        resumption depth — exactly the scalar executor's re-descent
+        semantics.
         """
-        order = context.order
-        cardinalities = context.cardinalities
-        parked = self._suspended.pop(order, None)
-        if (
-            parked is not None
-            and parked.snapshot == tuple(state.indices)
-            and (state.batch_cursors is None or state.batch_cursors == parked.cursors)
-        ):
+        parked = self._parked.pop(context.order, None)
+        if parked is not None and parked.snapshot == tuple(state.indices):
             return parked.frames, parked.depth, 0
+        order = context.order
         frames: list[_Frame | None] = [None] * len(order)
-        depth = 0
+        prefix = np.empty((0, 1), dtype=np.int64)
+        parent = np.zeros(1, dtype=np.int64)
         iterations = 0
         last = len(order) - 1
-        for position in range(len(order)):
-            index = state.indices[position]
-            frames[position] = self._make_frame(context, state, position, index)
-            depth = position
-            if position == last:
-                break
-            if index >= cardinalities[position]:
+        for depth, index in enumerate(state.indices):
+            frame = frames[depth] = self._make_frame(context, depth, prefix, index)
+            if depth == last or index >= context.cardinalities[depth]:
                 break
             iterations += 1
             meter.charge_scan(1)
-            frame = frames[position]
-            if frame.matches is not None:
-                if frame.cursor >= frame.matches.shape[0] or int(
-                    frame.matches[frame.cursor]
-                ) != index:
-                    break
-            satisfied = self._filter_batch(
-                context, position, state, np.asarray([index], dtype=np.int64), meter
-            )
-            if satisfied.shape[0] == 0:
+            if frame.total == 0 or frame.cursor()[1] != index:
+                break
+            candidate = np.asarray([index], dtype=np.int64)
+            if not self._filter_batch(context, depth, prefix, parent, candidate, meter)[1].shape[0]:
                 break
             # The saved index is the current candidate: consume it from the
             # run and keep descending with the deeper saved indices.
-            if frame.matches is not None:
-                frame.cursor += 1
-            else:
-                frame.next_row = index + 1
-            depth = position + 1
+            frame.pos = 1
+            prefix = _extend(prefix, parent, candidate)
         return frames, depth, iterations
 
     def _suspend(
         self,
         context: _OrderContext,
         state: JoinState,
+        offsets: Mapping[str, int],
         frames: list[_Frame | None],
         depth: int,
     ) -> None:
-        """Record the mid-batch position in the state and park the frames."""
-        cardinalities = context.cardinalities
+        """Write the lexicographic lower bound into the state and park the frames."""
         frame = frames[depth]
-        if frame is not None:
-            if frame.scursor < frame.survivors.shape[0]:
-                state.indices[depth] = int(frame.survivors[frame.scursor])
-            else:
-                state.indices[depth] = frame.next_bound(cardinalities[depth])
-        cursors = [f.batch_cursor() if f is not None else 0 for f in frames]
-        state.batch_cursors = cursors
-        self._suspended[context.order] = _SuspendedRun(
-            snapshot=tuple(state.indices),
-            cursors=list(cursors),
-            frames=frames,
-            depth=depth,
-        )
+        parent, candidate = frame.cursor()
+        indices = frame.prefix[:, parent].tolist()
+        indices.append(candidate)
+        indices.extend(offsets.get(alias, 0) for alias in context.order[depth + 1 :])
+        state.indices[:] = indices
+        parked = self._parked
+        parked[context.order] = _ParkedRun(tuple(indices), frames, depth)
+        if len(parked) > _PARKED_RUNS:
+            del parked[next(iter(parked))]
 
     def _filter_batch(
         self,
         context: _OrderContext,
         depth: int,
-        state: JoinState,
+        prefix: np.ndarray,
+        parent: np.ndarray,
         candidates: np.ndarray,
         meter: CostMeter,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Apply the newly applicable predicates at ``depth`` to a batch.
 
-        Predicates are applied sequentially to the shrinking survivor array,
-        so the number of evaluations charged matches the scalar executor's
-        per-tuple short-circuiting.
+        ``candidates[i]`` is a row of the table at ``depth`` proposed for the
+        partial tuple ``prefix[:, parent[i]]``.  Predicates are applied
+        sequentially to the shrinking survivor arrays, so the number of
+        evaluations charged matches the scalar executor's per-tuple
+        short-circuiting.
         """
-        plans = context.plans_at[depth]
-        if not plans:
-            return candidates
         prepared = self._prepared
         alias = context.order[depth]
-        for plan in plans:
+        for plan in context.plans_at[depth]:
             if candidates.shape[0] == 0:
-                return candidates
+                break
             meter.charge_predicate(int(candidates.shape[0]))
-            if plan.vectorized:
-                own_values = prepared.physical_column(alias, plan.own_column)[candidates]
-                other_value = prepared.value_at(
-                    plan.other_alias, plan.other_column, state.indices[plan.other_position]
-                )
-                if plan.own_is_string:
-                    code = prepared.encode_for(alias, plan.own_column, other_value)
-                    mask = own_values == code if plan.op == "=" else own_values != code
-                else:
-                    mask = _VECTOR_OPS[plan.op](own_values, other_value)
-                candidates = candidates[mask]
+            if plan.jump:
                 continue
-            if plan.expression:
-                filtered = self._filter_expression(context, plan, alias, state, candidates)
-                if filtered is not None:
-                    candidates = filtered
-                    continue
-            candidates = self._filter_generic(context, plan, alias, state, candidates, meter)
-        return candidates
+            if plan.vectorized:
+                own = prepared.physical_column(alias, plan.own_column)[candidates]
+                other = prepared.physical_column(plan.other_alias, plan.other_column)[
+                    prefix[plan.other_position][parent]
+                ]
+                if plan.own_is_string:
+                    own_column = prepared.tables[alias].column(plan.own_column)
+                    other = own_column.translate_codes(
+                        prepared.tables[plan.other_alias].column(plan.other_column)
+                    )[other]
+                keep = _VECTOR_OPS[plan.op](own, other)
+            else:
+                keep = None
+                if plan.expression:
+                    keep = self._filter_expression(context, plan, alias, prefix, parent, candidates)
+                if keep is None:
+                    keep = self._filter_generic(
+                        context, plan, alias, prefix, parent, candidates, meter
+                    )
+            parent = parent[keep]
+            candidates = candidates[keep]
+        return parent, candidates
 
     def _filter_expression(
         self,
         context: _OrderContext,
         plan: _PredicatePlan,
         alias: str,
-        state: JoinState,
+        prefix: np.ndarray,
+        parent: np.ndarray,
         candidates: np.ndarray,
     ) -> np.ndarray | None:
         """Vectorized evaluation of a UDF-free comparison over decoded arrays.
 
-        Columns of the batch alias resolve to decoded column arrays sliced by
-        the candidate run; columns of earlier positions resolve to the single
-        decoded value those positions have fixed.  Returns ``None`` when the
-        expression turns out not to vectorize after all (e.g. arithmetic on
-        strings) so the caller can take the row-at-a-time path instead.
+        Columns of the batch alias resolve to decoded column arrays gathered
+        by the candidates; columns of earlier positions are gathered by the
+        index each candidate's prefix holds there.  Returns the keep mask, or
+        ``None`` when the expression turns out not to vectorize after all
+        (e.g. arithmetic on strings) so the caller can take the row-at-a-time
+        path instead.
         """
         prepared = self._prepared
         position_of = context.order_positions
 
         def resolve(ref: ColumnRef) -> Any:
+            values = prepared.decoded_array(ref.table, ref.column)
             if ref.table == alias:
-                return prepared.decoded_array(alias, ref.column)[candidates]
-            return prepared.value_at(ref.table, ref.column, state.indices[position_of[ref.table]])
+                return values[candidates]
+            return values[prefix[position_of[ref.table]][parent]]
 
         predicate = plan.predicate
         try:
@@ -576,18 +614,19 @@ class MultiwayJoin:
             return None
         if mask.ndim == 0:  # incomparable scalar fallout: uniform truth value
             mask = broadcast(bool(mask), int(candidates.shape[0])).astype(bool)
-        return candidates[mask]
+        return mask
 
     def _filter_generic(
         self,
         context: _OrderContext,
         plan: _PredicatePlan,
         alias: str,
-        state: JoinState,
+        prefix: np.ndarray,
+        parent: np.ndarray,
         candidates: np.ndarray,
         meter: CostMeter,
     ) -> np.ndarray:
-        """Row-at-a-time fallback for UDF and non-columnar predicates."""
+        """Row-at-a-time keep mask for UDF and non-columnar predicates."""
         prepared = self._prepared
         predicate = plan.predicate
         # Meter only actual UDF invocations: ``udf_cost - 1`` is the summed
@@ -597,37 +636,32 @@ class MultiwayJoin:
         if per_row > 0:
             meter.charge_udf(per_row * int(candidates.shape[0]))
         position_of = context.order_positions
-        fixed: dict[str, dict[str, Any]] = {
-            a: prepared.binding_for(a, state.indices[position_of[a]])
-            for a in plan.aliases
-            if a != alias
-        }
+        earlier = [(a, position_of[a]) for a in plan.aliases if a != alias]
         keep = np.zeros(candidates.shape[0], dtype=bool)
-        for row, index in enumerate(candidates.tolist()):
-            binding = dict(fixed)
+        pairs = zip(prefix[:, parent].T.tolist(), candidates.tolist())
+        for row, (fixed, index) in enumerate(pairs):
+            binding = {a: prepared.binding_for(a, fixed[position]) for a, position in earlier}
             binding[alias] = prepared.binding_for(alias, index)
             keep[row] = predicate.evaluate(binding, self._udfs)
-        return candidates[keep]
+        return keep
 
     def _emit_batch(
         self,
         context: _OrderContext,
-        state: JoinState,
-        depth: int,
-        survivors: np.ndarray,
+        prefix: np.ndarray,
+        parent: np.ndarray,
+        candidates: np.ndarray,
         result_set: JoinResultSet,
         meter: CostMeter,
     ) -> None:
         """Emit every surviving last-position candidate in one bulk insert."""
         prepared = self._prepared
-        rows = int(survivors.shape[0])
+        rows = int(candidates.shape[0])
+        last = len(context.order) - 1
         matrix = np.empty((rows, len(prepared.aliases)), dtype=np.int64)
         for column, position in enumerate(context.canonical_positions):
-            alias = context.order[position]
-            if position == depth:
-                matrix[:, column] = prepared.base_rows(alias, survivors)
-            else:
-                matrix[:, column] = prepared.base_row(alias, state.indices[position])
+            indices = candidates if position == last else prefix[position][parent]
+            matrix[:, column] = prepared.base_rows(context.order[position], indices)
         result_set.add_batch(matrix)
         meter.charge_output(rows)
 

@@ -15,14 +15,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.joinkernels import group_rows
+from repro.engine.joinkernels import _integral_as_int64, group_rows
 from repro.engine.meter import CostMeter
 from repro.engine.operators import filter_table
 from repro.query.predicates import Predicate
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
-from repro.storage.column import ColumnType
+from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
 
@@ -113,9 +113,10 @@ class PreprocessedQuery:
     def physical_column(self, alias: str, column: str) -> np.ndarray:
         """Physical values of ``alias.column`` over the filtered tuple array.
 
-        For string columns these are dictionary codes; compare them against
-        :meth:`encode_for`-translated literals.  The gathered array is cached
-        because the batched executor slices it once per candidate batch.
+        For string columns these are dictionary codes (translate another
+        column's codes with ``Column.translate_codes`` before comparing).
+        The gathered array is cached because the block executor gathers from
+        it once per candidate batch.
         """
         key = (alias, column)
         cached = self._physical_cache.get(key)
@@ -139,14 +140,6 @@ class PreprocessedQuery:
             cached = col.decoded_data[self.filtered[alias]]
             self._decoded_array_cache[key] = cached
         return cached
-
-    def encode_for(self, alias: str, column: str, value: Any) -> Any:
-        """Translate a decoded value into ``alias.column``'s physical domain.
-
-        String columns return the dictionary code (``-1`` when the value does
-        not occur, so no row compares equal); numeric columns pass through.
-        """
-        return self.tables[alias].column(column).encode(value)
 
     def is_empty(self) -> bool:
         """Whether any table has no surviving tuples (empty join result)."""
@@ -216,7 +209,7 @@ class GroupedJoinMap:
       numeric column (or the reverse) matches nothing.
     """
 
-    __slots__ = ("_column", "_keys", "_rows", "_starts", "_counts", "_memo")
+    __slots__ = ("_column", "_keys", "_rows", "_starts", "_counts", "_memo", "_ranks")
 
     def __init__(self, column, positions: np.ndarray) -> None:
         self._column = column
@@ -232,6 +225,12 @@ class GroupedJoinMap:
         #: probed.  (NaN probes bypass the memo: ``nan != nan`` would grow
         #: it without bound.)
         self._memo: dict[Any, np.ndarray | None] = {}
+        self._ranks: np.ndarray | None = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """All indexed rows, bucket after bucket (what :meth:`lookup_many` slices)."""
+        return self._rows
 
     def __len__(self) -> int:
         return int(self._keys.shape[0])
@@ -302,6 +301,72 @@ class GroupedJoinMap:
             return None  # also NaN keys at this position: nan != nan
         start = int(self._starts[position])
         return self._rows[start:start + int(self._counts[position])]
+
+    def lookup_many(
+        self, values: np.ndarray, source: Column, lower: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`get` for a whole vector of probes, as bucket bounds.
+
+        ``values`` are *physical* values of the probing column ``source``
+        (dictionary codes when it is a string column).  Returns
+        ``(starts, counts)`` such that ``rows[starts[i]:starts[i] + counts[i]]``
+        is what ``get`` returns for the decoded ``values[i]``, with
+        ``counts[i] == 0`` where ``get`` returns ``None``: NaN never matches,
+        int and float meet only where the conversion is exact, strings are
+        translated between the two columns' dictionaries, and a string
+        column never matches a numeric one.  With ``lower > 0`` every bucket
+        is cut down to its rows ``>= lower`` (the hash-jump's resume bound).
+        """
+        keys = self._keys
+        probes = self._encode_probes(np.asarray(values), source)
+        if probes is None or keys.shape[0] == 0:
+            zeros = np.zeros(np.shape(values)[0], dtype=np.int64)
+            return zeros, zeros
+        probes, valid = probes
+        # ``mode="clip"``: a probe beyond the last key reads the last key.
+        position = keys.searchsorted(probes)
+        found = keys.take(position, mode="clip") == probes  # False for NaN on either side
+        if valid is not None:
+            found &= valid
+        starts = self._starts.take(position, mode="clip")
+        counts = self._counts.take(position, mode="clip") * found
+        if lower > 0:
+            position = np.minimum(position, keys.shape[0] - 1)
+            # ``_rows`` ascends by (bucket, row), so one binary search per
+            # probe over that combined rank finds the cut inside its bucket.
+            size = self._rows.shape[0] + 1
+            if self._ranks is None:
+                bucket = np.repeat(np.arange(keys.shape[0], dtype=np.int64), self._counts)
+                self._ranks = bucket * size + self._rows
+            ends = starts + counts
+            cut = np.searchsorted(self._ranks, position * size + min(lower, size - 1))
+            starts = np.clip(cut, starts, ends)
+            counts = ends - starts
+        return starts, counts
+
+    def _encode_probes(
+        self, values: np.ndarray, source: Column
+    ) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """Vector form of :meth:`_encode_probe`: ``(probes, valid mask or None)``.
+
+        ``None`` when the two columns' types can never compare equal.
+        """
+        own_is_string = self._column.ctype is ColumnType.STRING
+        if own_is_string != (source.ctype is ColumnType.STRING):
+            return None
+        if own_is_string:
+            # Absent strings translate to a code no row carries.
+            return self._column.translate_codes(source)[values], None
+        if self._keys.dtype.kind == values.dtype.kind:
+            return values, None
+        if self._keys.dtype.kind in "iu":
+            return _integral_as_int64(values)
+        # Int probes against float keys: only exactly representable ints can
+        # equal a float64 key (the cast back must stay inside int64).
+        probes = values.astype(np.float64)
+        in_range = probes < 9_223_372_036_854_775_808.0
+        valid = in_range & (np.where(in_range, probes, 0.0).astype(np.int64) == values)
+        return probes, valid
 
 
 def _build_join_maps(prepared: PreprocessedQuery, meter: CostMeter) -> None:

@@ -70,17 +70,16 @@ class JoinResultSet:
             raise ValueError("batch shape must be (rows, num_aliases)")
         tuples = self._tuples
         before = len(tuples)
+        keys = map(tuple, matrix.tolist())
         if self._stream_log is None:
-            tuples.update(map(tuple, matrix.tolist()))
+            tuples.update(keys)
         else:
-            # Per-tuple insertion so the journal records exactly the new
-            # tuples in batch order (only streaming consumers pay for this).
-            log = self._stream_log
-            for key in map(tuple, matrix.tolist()):
-                size = len(tuples)
-                tuples.add(key)
-                if len(tuples) != size:
-                    log.append(key)
+            # The journal takes exactly the new tuples, in batch order
+            # (``dict.fromkeys`` drops repeats inside the batch, keeping the
+            # first of each).
+            fresh = [key for key in dict.fromkeys(keys) if key not in tuples]
+            tuples.update(fresh)
+            self._stream_log.extend(fresh)
         return len(tuples) - before
 
     def tuples(self) -> list[tuple[int, ...]]:

@@ -24,26 +24,16 @@ class JoinState:
 
     order: tuple[str, ...]
     indices: list[int] = field(default_factory=list)
-    #: Per-position cursor into the candidate run the batched executor was
-    #: iterating when the slice was suspended (``batch_cursors[p]`` counts
-    #: candidates of position ``p`` already consumed).  ``None`` outside a
-    #: suspended batched execution.  The cursors are a resume accelerator
-    #: only: ``indices`` alone always suffices to rebuild the exact
-    #: position, so restoring a state without cursors is still correct.
-    batch_cursors: list[int] | None = None
 
     def __post_init__(self) -> None:
         if not self.indices:
             self.indices = [0] * len(self.order)
         if len(self.indices) != len(self.order):
             raise ValueError("state length must match join order length")
-        if self.batch_cursors is not None and len(self.batch_cursors) != len(self.order):
-            raise ValueError("batch cursors length must match join order length")
 
     def copy(self) -> "JoinState":
         """Deep copy of the state."""
-        cursors = list(self.batch_cursors) if self.batch_cursors is not None else None
-        return JoinState(self.order, list(self.indices), cursors)
+        return JoinState(self.order, list(self.indices))
 
     def index_of(self, alias: str) -> int:
         """Current tuple index of the given alias."""
@@ -108,10 +98,6 @@ def clamp_to_offsets(
             raised = True
         elif cardinality is not None:
             clamped.indices[position] = min(index, max(low, cardinality))
-    if clamped.indices != state.indices:
-        # Moving any index invalidates the batch cursors recorded for the
-        # old candidate runs; the batched executor rebuilds from indices.
-        clamped.batch_cursors = None
     return clamped
 
 

@@ -35,6 +35,10 @@ class UctJoinTree:
         self._root = UctNode(())
         self._num_tables = len(join_graph.aliases)
         self._selection_counts: dict[tuple[str, ...], int] = {}
+        #: ``JoinGraph.eligible_next`` per prefix: the graph never changes
+        #: under a tree, and every descent asks again at every level.  The
+        #: lists are shared, in the graph's order — callers only read them.
+        self._eligible: dict[tuple[str, ...], list[str]] = {}
 
     # ------------------------------------------------------------------
     # properties for analysis (Figures 7 and 8)
@@ -62,6 +66,13 @@ class UctJoinTree:
         ranked = sorted(self._selection_counts.items(), key=lambda item: item[1], reverse=True)
         return ranked[:k]
 
+    def _eligible_next(self, prefix: Sequence[str]) -> list[str]:
+        key = tuple(prefix)
+        eligible = self._eligible.get(key)
+        if eligible is None:
+            eligible = self._eligible[key] = self._graph.eligible_next(prefix)
+        return eligible
+
     # ------------------------------------------------------------------
     # UctChoice
     # ------------------------------------------------------------------
@@ -71,7 +82,7 @@ class UctJoinTree:
         node: UctNode | None = self._root
         expanded_this_round = False
         while len(prefix) < self._num_tables:
-            eligible = self._graph.eligible_next(prefix)
+            eligible = self._eligible_next(prefix)
             if node is not None:
                 unexplored = [action for action in eligible if action not in node.children]
                 if unexplored:
@@ -149,7 +160,7 @@ class UctJoinTree:
         node.seed(reward, visits)
         prefix: list[str] = []
         for action in order:
-            for sibling in self._graph.eligible_next(prefix):
+            for sibling in self._eligible_next(prefix):
                 if sibling != action and node.child(sibling) is None:
                     node.add_child(sibling).seed(0.0, 1)
             child = node.add_child(action)
@@ -214,7 +225,7 @@ class UctJoinTree:
         prefix: list[str] = []
         node: UctNode | None = self._root
         while len(prefix) < self._num_tables:
-            eligible = self._graph.eligible_next(prefix)
+            eligible = self._eligible_next(prefix)
             action: str
             if node is not None and node.children:
                 visited = [a for a in eligible if node.child(a) is not None]

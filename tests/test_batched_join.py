@@ -1,13 +1,17 @@
-"""Equivalence of the batched multi-way join and the scalar reference.
+"""Equivalence of the prefix-block multi-way join and the scalar reference.
 
-The batched executor (``MultiwayJoin.continue_join``, any ``batch_size``)
+The production executor (``MultiwayJoin.continue_join``, any ``batch_size``)
 must be observationally identical to the scalar reference
 (``MultiwayJoin._continue_scalar``, Algorithm 2 verbatim, reachable only by
 calling it directly): same result sets, same final states, and the same
 results under arbitrary suspend/resume slicing — that is what keeps the
 regret-bounded learning loop untouched by vectorization.
 The random inputs are built from the deterministic generator helpers in
-``repro.workloads.generators`` (Zipfian join keys, correlated columns).
+``repro.workloads.generators`` (Zipfian join keys, correlated columns).  Two
+shapes: the chain queries of ``random_catalog_and_query`` and the *wide*
+queries of ``wide_catalog_and_query``, whose blocks really hold many
+prefixes (fan-out above one at consecutive positions, string and NaN join
+keys, a scan position below the first, UDF and expression predicates).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.query.predicates import (
     column_equals_column,
     udf_predicate,
 )
-from repro.query.expressions import ColumnRef
+from repro.query.expressions import ColumnRef, FunctionCall, Literal
 from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
 from repro.skinner.multiway_join import MultiwayJoin
@@ -35,6 +39,7 @@ from repro.skinner.state import initial_state
 from repro.skinner.skinner_c import SkinnerC
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from repro.workloads.job import make_job_workload
 from repro.workloads.generators import (
     choice_strings,
     correlated_column,
@@ -82,12 +87,81 @@ def random_catalog_and_query(seed: int, *, num_tables: int, rows: int):
     return catalog, query
 
 
+def wide_catalog_and_query(seed: int):
+    """A four-table query whose blocks are wider than one prefix, plus its UDFs.
+
+    ``t0.k = t1.k`` and ``t1.k2 = t2.k2`` join on a handful of keys, so two
+    consecutive positions fan out; ``t3`` hangs off ``t2`` by ``<=`` only and
+    is a scan position wherever it stands; string keys come from different
+    dictionaries per table, float keys contain NaN; an arithmetic expression,
+    a string ordering and a UDF are drawn on top.
+    """
+    rng = make_rng(seed)
+    catalog = Catalog()
+    colors = (["red", "green", "blue"], ["blue", "red", "pink"], ["pink", "blue", "green", "red"])
+    for index, name in enumerate(("t0", "t1", "t2", "t3")):
+        rows = int(rng.integers(1 if index else 2, 10))
+        catalog.add_table(Table(name, {
+            "k": uniform_keys(rng, rows, 3),
+            "k2": uniform_keys(rng, rows, 2),
+            "v": uniform_keys(rng, rows, 6),
+            "w": uniform_keys(rng, rows, 6),
+            "f": [(float("nan"), 1.0, 2.0)[int(i)] for i in rng.integers(0, 3, size=rows)],
+            "s": choice_strings(rng, rows, colors[index % len(colors)]),
+        }))
+    predicates = [
+        column_equals_column("t0", "k", "t1", "k"),
+        column_equals_column("t1", "k2", "t2", "k2"),
+        Predicate(ColumnRef("t2", "v"), "<=", ColumnRef("t3", "w")),
+    ]
+    if rng.random() < 0.5:
+        predicates.append(column_equals_column("t0", "s", "t2", "s"))
+    if rng.random() < 0.5:
+        predicates.append(column_equals_column("t0", "f", "t1", "f"))
+    if rng.random() < 0.5:
+        total = FunctionCall("add", (ColumnRef("t0", "v"), ColumnRef("t2", "w")))
+        predicates.append(Predicate(total, ">", Literal(int(rng.integers(1, 6)))))
+    if rng.random() < 0.3:
+        predicates.append(Predicate(ColumnRef("t0", "s"), "<", ColumnRef("t2", "s")))
+    udfs = UdfRegistry()
+    udfs.register("near", lambda a, b: abs(a - b) <= 2)
+    if rng.random() < 0.5:
+        predicates.append(udf_predicate("near", ("t1", "v"), ("t3", "w")))
+    # Which equality a position jumps by is the first one listed: vary it.
+    predicates = [predicates[int(i)] for i in rng.permutation(len(predicates))]
+    return catalog, make_query(["t0", "t1", "t2", "t3"], predicates=predicates), udfs
+
+
+#: hypothesis axes shared by the properties below.
+SHAPES = st.sampled_from([2, 3, 4, "wide", "wide"])
+BATCH_SIZES = st.sampled_from([1, 2, 7, 1024])
+#: slice budgets; ``0`` stands for the smallest legal one, ``len(order) + 1``.
+BUDGETS = st.sampled_from([0, 3, 17, 100])
+SEEDS = st.integers(min_value=0, max_value=100_000)
+
+
+def build_case(seed: int, shape, *, rows: int = 24):
+    """``(prepared, order, udfs)`` for one generated query and one of its orders."""
+    if shape == "wide":
+        catalog, query, udfs = wide_catalog_and_query(seed)
+    else:
+        catalog, query = random_catalog_and_query(seed, num_tables=shape, rows=rows)
+        udfs = None
+    prepared = preprocess(catalog, query, udfs)
+    orders = query.join_graph().valid_join_orders()
+    return prepared, orders[seed % len(orders)], udfs
+
+
 def run_sliced(prepared, order, batch_size, budget, udfs=None, *, offsets=None,
-               advance_offsets=False, scalar=lambda slice_index: False):
+               advance_offsets=False, scalar=lambda slice_index: False,
+               fresh_executor=False, after_slice=None):
     """Drive ContinueJoin in budget slices until completion.
 
     ``scalar(slice_index)`` says which slices run on the scalar reference
-    instead of the production (batched) executor.
+    instead of the production (block) executor.  ``fresh_executor`` builds a
+    new ``MultiwayJoin`` for every slice, so nothing parked can help: the
+    slice starts from the bare index vector, as after a tracker round-trip.
+    ``after_slice(state, results, finished, previous)`` runs after each slice.
     """
     join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
     offsets = offsets if offsets is not None else {alias: 0 for alias in prepared.aliases}
@@ -99,122 +173,183 @@ def run_sliced(prepared, order, batch_size, budget, udfs=None, *, offsets=None,
     slices = 0
     previous = tuple(state.indices)
     while not finished:
+        if fresh_executor:
+            join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
+            state = state.copy()
         step = join._continue_scalar if scalar(slices) else join.continue_join
-        finished = step(state, offsets, budget, results, meter)
+        finished = step(state, offsets, budget or len(order) + 1, results, meter)
         slices += 1
         assert slices < 200_000, "executor did not terminate"
         current = tuple(state.indices)
         if not finished:
             assert current >= previous, "state went backwards across a suspension"
+        if after_slice is not None:
+            after_slice(state, results, finished, previous)
         previous = current
         if advance_offsets:
             offsets[order[0]] = max(offsets[order[0]], state.indices[0])
+    if not scalar(slices - 1):  # the block executor finished the order itself
+        assert join.parked_frame_sets() == 0, "a finished order keeps nothing parked"
     return results, state, meter, slices
 
 
-@settings(max_examples=30, deadline=None,
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(min_value=0, max_value=100_000),
-       st.integers(min_value=2, max_value=4),
-       st.sampled_from([3, 17, 100]))
-def test_batched_equals_scalar_results_and_states(seed, num_tables, budget):
+@given(SEEDS, SHAPES, BATCH_SIZES, BUDGETS)
+def test_batched_equals_scalar_results_and_states(seed, shape, batch_size, budget):
     """Property: identical result sets and identical suspend/resume states."""
-    catalog, query = random_catalog_and_query(seed, num_tables=num_tables, rows=24)
-    prepared = preprocess(catalog, query)
-    orders = query.join_graph().valid_join_orders()
-    order = orders[seed % len(orders)]
-    scalar_results, scalar_state, _, _ = run_sliced(prepared, order, 1, budget,
+    prepared, order, udfs = build_case(seed, shape)
+    scalar_results, scalar_state, _, _ = run_sliced(prepared, order, 1, budget, udfs,
                                                     scalar=every_slice)
-    batched_results, batched_state, _, _ = run_sliced(prepared, order, 1024, budget)
+    batched_results, batched_state, _, _ = run_sliced(prepared, order, batch_size, budget, udfs)
     assert set(batched_results.tuples()) == set(scalar_results.tuples())
     assert batched_state.as_tuple() == scalar_state.as_tuple()
-    assert batched_state.batch_cursors is None, "finished states carry no cursors"
 
 
-@settings(max_examples=30, deadline=None,
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(min_value=0, max_value=100_000),
-       st.integers(min_value=2, max_value=4),
-       st.sampled_from([3, 17, 100]))
-def test_batches_of_one_match_scalar_reference(seed, num_tables, budget):
-    """``batch_size=1`` is batches of one through the batched executor.
+@given(SEEDS, SHAPES, BATCH_SIZES, BUDGETS)
+def test_batches_of_one_match_scalar_reference(seed, shape, batch_size, budget):
+    """Any ``batch_size`` — ``1`` is batches of one — against the scalar reference.
 
-    Against the scalar reference it must produce the same rows in the same
-    emission order, the same final state, and the same output charge, and
-    every suspension point of either executor must be a valid resumption
-    point of the other (alternating them slice by slice changes nothing).
+    It must produce the same rows in the same emission order, the same final
+    state, and the same output charge, and every suspension point of either
+    executor must be a valid resumption point of the other (alternating them
+    slice by slice changes nothing).
 
     Scan/predicate charges and the positions of slice boundaries are *not*
     compared: the scalar loop spends one iteration examining the reset index
-    on every descent where the batched executor jumps straight into the
-    hash bucket, so the two drain a slice budget at different rates (on
-    these generators the totals differ for ~3 in 4 inputs, in either
-    direction once resume re-descents are counted).
+    on every descent where the block executor starts inside the hash bucket,
+    so the two drain a slice budget at different rates (on these generators
+    the totals differ for ~3 in 4 inputs, in either direction once resume
+    re-descents are counted).
     """
-    catalog, query = random_catalog_and_query(seed, num_tables=num_tables, rows=24)
-    prepared = preprocess(catalog, query)
-    orders = query.join_graph().valid_join_orders()
-    order = orders[seed % len(orders)]
+    prepared, order, udfs = build_case(seed, shape)
     reference, reference_state, reference_meter, _ = run_sliced(
-        prepared, order, 1, budget, scalar=every_slice)
+        prepared, order, 1, budget, udfs, scalar=every_slice)
     emitted = reference.drain_new()
     for label, scalar in (("batched", lambda i: False),
                           ("batched then scalar", lambda i: i % 2 == 1),
                           ("scalar then batched", lambda i: i % 2 == 0)):
-        results, state, _, _ = run_sliced(prepared, order, 1, budget, scalar=scalar)
+        results, state, meter, _ = run_sliced(prepared, order, batch_size, budget, udfs,
+                                              scalar=scalar)
         assert np.array_equal(results.to_matrix(), reference.to_matrix()), label
         assert results.drain_new() == emitted, f"{label}: emission order"
         assert state.as_tuple() == reference_state.as_tuple(), label
-    batched_work = run_sliced(prepared, order, 1, budget)[2].snapshot()
-    assert batched_work.output_tuples == reference_meter.snapshot().output_tuples
+        assert meter.output_tuples == reference_meter.output_tuples, label
 
 
-@settings(max_examples=15, deadline=None,
+@settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(min_value=0, max_value=100_000),
-       st.sampled_from([4, 23, 111]))
-def test_suspended_state_is_self_describing(seed, budget):
-    """A suspended batched state resumes correctly from its indices alone.
+@given(SEEDS, SHAPES, BATCH_SIZES, st.sampled_from([0, 4, 23, 111]))
+def test_suspended_state_is_self_describing(seed, shape, batch_size, budget):
+    """A suspended state resumes correctly from its indices alone.
 
-    Every slice runs on a *fresh* executor with ``batch_cursors`` stripped,
-    so no parked frames or cursors can help: the rebuilt frames must land on
-    exactly the candidates the suspended run would have examined next.  This
-    is the path the progress tracker exercises when another join order ran
-    in between (only the index vector survives the tracker round-trip).
+    Every slice runs on a *fresh* executor, so no parked frames can help:
+    the rebuilt frames must land on exactly the candidates the suspended run
+    would have examined next.  This is the path the progress tracker
+    exercises when another join order ran in between (only the index vector
+    survives the tracker round-trip).
     """
-    catalog, query = random_catalog_and_query(seed, num_tables=3, rows=20)
-    prepared = preprocess(catalog, query)
-    order = query.join_graph().valid_join_orders()[0]
-    reference, _, _, _ = run_sliced(prepared, order, 1024, 1_000_000)
-    offsets = {alias: 0 for alias in prepared.aliases}
-    state = initial_state(order, offsets)
-    results = JoinResultSet(prepared.aliases)
-    meter = CostMeter()
-    finished = False
-    slices = 0
-    while not finished:
-        join = MultiwayJoin(prepared, batch_size=1024)
-        state = state.copy()
-        state.batch_cursors = None
-        finished = join.continue_join(state, offsets, budget, results, meter)
-        slices += 1
-        assert slices < 100_000
-    assert set(results.tuples()) == set(reference.tuples())
+    prepared, order, udfs = build_case(seed, shape, rows=20)
+    reference, reference_state, _, _ = run_sliced(prepared, order, 1024, 1_000_000, udfs)
+    results, state, _, _ = run_sliced(prepared, order, batch_size, budget, udfs,
+                                      fresh_executor=True)
+    assert results.drain_new() == reference.drain_new(), "same rows in the same order"
+    assert state.as_tuple() == reference_state.as_tuple()
 
 
-@settings(max_examples=15, deadline=None,
+@settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(min_value=0, max_value=100_000))
-def test_batched_slicing_is_invariant(seed):
+@given(SEEDS, SHAPES, BATCH_SIZES)
+def test_batched_slicing_is_invariant(seed, shape, batch_size):
     """Any slice budget (any suspension pattern) yields the same results."""
-    catalog, query = random_catalog_and_query(seed, num_tables=3, rows=20)
-    prepared = preprocess(catalog, query)
-    order = query.join_graph().valid_join_orders()[0]
-    reference, reference_state, _, _ = run_sliced(prepared, order, 1024, 1_000_000)
-    for budget in (5, 31, 256):
-        results, state, _, _ = run_sliced(prepared, order, 1024, budget)
+    prepared, order, udfs = build_case(seed, shape, rows=20)
+    reference, reference_state, _, _ = run_sliced(prepared, order, 1024, 1_000_000, udfs)
+    for budget in (0, 5, 31, 256):
+        results, state, _, _ = run_sliced(prepared, order, batch_size, budget, udfs)
         assert set(results.tuples()) == set(reference.tuples()), f"budget {budget}"
         assert state.as_tuple() == reference_state.as_tuple()
+
+
+# ----------------------------------------------------------------------
+# what the learning loop relies on: lower bound, charges, progress
+# ----------------------------------------------------------------------
+def position_vector(prepared, order, result_tuple):
+    """A result tuple (base rows per alias) as filtered indices in join-order positions."""
+    base_rows = dict(zip(prepared.aliases, result_tuple))
+    return tuple(
+        int(np.searchsorted(prepared.filtered[alias], base_rows[alias])) for alias in order
+    )
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS, SHAPES, BATCH_SIZES, BUDGETS, st.booleans())
+def test_everything_below_a_suspended_state_is_emitted(seed, shape, batch_size, budget,
+                                                       fresh_executor):
+    """After *any* suspension the state is a lexicographic lower bound.
+
+    Every result combination below ``state.indices`` is already in the
+    result set — the invariant prefix sharing, ``advance_offset`` and the
+    reward functions are built on.
+    """
+    prepared, order, udfs = build_case(seed, shape, rows=16)
+    complete, _, _, _ = run_sliced(prepared, order, 1024, 1_000_000, udfs)
+    by_vector = sorted((position_vector(prepared, order, t), t) for t in complete.tuples())
+
+    def lower_bound_holds(state, results, finished, previous):
+        bound = tuple(state.indices)
+        emitted = set(results.tuples())
+        for vector, result_tuple in by_vector:
+            if not finished and vector >= bound:
+                break
+            assert result_tuple in emitted, (vector, bound)
+
+    run_sliced(prepared, order, batch_size, budget, udfs, fresh_executor=fresh_executor,
+               after_slice=lower_bound_holds)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS, SHAPES)
+def test_run_to_completion_charges_ignore_batch_size_and_budget(seed, shape):
+    """One order run to the end examines the same candidates however it is cut.
+
+    On one executor (every slice resumes from its parked frames) the scan,
+    predicate, UDF and output charges are *equal* for every ``batch_size``
+    and ``slice_budget``.  Starting every slice from the bare index vector
+    can only add to them — the re-descent along the saved indices and the
+    look-ahead that was dropped with the frames — and never changes the
+    output charge.
+    """
+    prepared, order, udfs = build_case(seed, shape, rows=20)
+    _, _, reference, _ = run_sliced(prepared, order, 1024, 1_000_000, udfs)
+    expected = reference.snapshot()
+    for batch_size in (1, 2, 7, 1024):
+        for budget in (0, 5, 31, 256):
+            _, _, meter, _ = run_sliced(prepared, order, batch_size, budget, udfs)
+            assert meter.snapshot() == expected, (batch_size, budget)
+            _, _, meter, _ = run_sliced(prepared, order, batch_size, budget, udfs,
+                                        fresh_executor=True)
+            work = meter.snapshot()
+            assert work.output_tuples == expected.output_tuples
+            assert work.tuples_scanned >= expected.tuples_scanned
+            assert work.predicate_evals >= expected.predicate_evals
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS, SHAPES, BATCH_SIZES, st.sampled_from([2, 3, 10]), st.booleans())
+def test_every_slice_finishes_or_advances(seed, shape, batch_size, factor, fresh_executor):
+    """With a budget of at least ``2 * len(order)`` no slice stands still."""
+    prepared, order, udfs = build_case(seed, shape)
+
+    def moved(state, results, finished, previous):
+        assert finished or tuple(state.indices) > previous
+
+    run_sliced(prepared, order, batch_size, factor * len(order), udfs,
+               fresh_executor=fresh_executor, after_slice=moved)
 
 
 def test_batched_interleaved_orders_share_result_set(tiny_catalog, tiny_join_query):
@@ -264,8 +399,15 @@ def test_batched_udf_predicates_match_scalar(tiny_catalog):
         assert b_state.as_tuple() == s_state.as_tuple()
 
 
-def test_suspended_state_records_batch_cursors(tiny_catalog, tiny_join_query):
-    """A mid-batch suspension records per-position cursors; resume clears them."""
+def test_suspension_parks_frames_under_the_index_vector(tiny_catalog, tiny_join_query):
+    """A mid-block suspension parks its frames keyed by the state's index vector.
+
+    (Restated from ``test_suspended_state_records_batch_cursors``: the state
+    no longer carries per-position cursors — the order and the index vector
+    are the whole key of the parked run — so the test pins that key, that a
+    copy of the state resumes from it, and that finishing leaves nothing
+    parked.)
+    """
     prepared = preprocess(tiny_catalog, tiny_join_query)
     join = MultiwayJoin(prepared, batch_size=4)
     offsets = {alias: 0 for alias in prepared.aliases}
@@ -274,13 +416,18 @@ def test_suspended_state_records_batch_cursors(tiny_catalog, tiny_join_query):
     meter = CostMeter()
     finished = join.continue_join(state, offsets, 4, results, meter)
     assert not finished
-    assert state.batch_cursors is not None
-    assert len(state.batch_cursors) == 3
+    assert join.parked_frame_sets() == 1
+    parked = join._parked[state.order]
+    assert parked.snapshot == state.as_tuple()
     copied = state.copy()
-    assert copied.batch_cursors == state.batch_cursors
+    assert copied.indices == state.indices and copied.indices is not state.indices
+    scanned = meter.tuples_scanned
+    finished = join.continue_join(copied, offsets, 4, results, meter)
+    assert meter.tuples_scanned - scanned <= 4, "resumed from the frames, no re-descent"
+    assert not finished and join._parked[state.order].frames is parked.frames
     while not finished:
-        finished = join.continue_join(state, offsets, 4, results, meter)
-    assert state.batch_cursors is None
+        finished = join.continue_join(copied, offsets, 4, results, meter)
+    assert join.parked_frame_sets() == 0
     assert set(results.tuples()) == reference_join_tuples(tiny_catalog, tiny_join_query)
 
 
@@ -302,3 +449,58 @@ def test_invalid_batch_size_rejected(tiny_catalog, tiny_join_query):
     prepared = preprocess(tiny_catalog, tiny_join_query)
     with pytest.raises(ValueError):
         MultiwayJoin(prepared, batch_size=0)
+
+
+# ----------------------------------------------------------------------
+# fences: counts, not wall time
+# ----------------------------------------------------------------------
+def test_vector_width_fence(monkeypatch):
+    """Candidates examined per kernel step stay wide on a learning run.
+
+    Every step of the executor — one vectorized lookup, filter and push or
+    emit — passes through ``_filter_batch`` once.  On the key/foreign-key
+    joins of the JOB analogue the per-parent-tuple loop this executor
+    replaced managed 7.7 candidates per step at this scale and 1.1 at the
+    benchmark's; blocks of prefixes manage ~32.  A later change cannot
+    quietly fall back to one bucket per step.
+    """
+    workload = make_job_workload(0.3, 29)
+    steps = 0
+    filter_batch = MultiwayJoin._filter_batch
+
+    def counted(self, *args):
+        nonlocal steps
+        steps += 1
+        return filter_batch(self, *args)
+
+    monkeypatch.setattr(MultiwayJoin, "_filter_batch", counted)
+    engine = SkinnerC(workload.catalog, config=SkinnerConfig())
+    examined = 0
+    for entry in workload.queries:
+        task = engine.task(entry.query)
+        while not task.finished:
+            task.run_episode()
+        examined += task.join_meter.tuples_scanned
+    assert examined / steps >= 16, (examined, steps)
+
+
+def test_parked_look_ahead_is_bounded():
+    """Alternating among many orders never parks more than a constant."""
+    workload = make_job_workload(0.3, 29)
+    query = max((entry.query for entry in workload.queries), key=lambda q: q.num_tables)
+    orders = query.join_graph().valid_join_orders()
+    assert len(orders) > 64
+    prepared = preprocess(workload.catalog, query)
+    join = MultiwayJoin(prepared, batch_size=1024)
+    offsets = {alias: 0 for alias in prepared.aliases}
+    states = {}
+    results = JoinResultSet(prepared.aliases)
+    meter = CostMeter()
+    suspended = 0
+    for turn in range(200):
+        order = orders[(turn * 7) % len(orders)]
+        state = states.setdefault(order, initial_state(order, offsets))
+        if not join.continue_join(state, offsets, 12, results, meter):
+            suspended += 1
+        assert join.parked_frame_sets() <= 32
+    assert suspended > 64, "the orders were suspended, not finished"

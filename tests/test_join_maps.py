@@ -15,6 +15,8 @@ multi-way join and the eddy baseline probe it once per index advance:
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.meter import CostMeter
 from repro.query.predicates import column_equals_column
@@ -103,6 +105,65 @@ class TestMemoAndEmpty:
         jmap = _map_for([5, 1])
         assert 5 in jmap
         assert 2 not in jmap
+
+
+# ----------------------------------------------------------------------
+# the many-probe lookup of the prefix-block join
+# ----------------------------------------------------------------------
+_EDGE_INTS = [0, 1, -1, 5, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]
+_EDGE_FLOATS = [
+    0.0, -0.0, 1.0, 5.0, 5.5, float(2**53), float(2**53) + 2.0, 2.0**63, -(2.0**63),
+    float("nan"), float("inf"), float("-inf"),
+]
+_ints = st.lists(st.one_of(st.sampled_from(_EDGE_INTS), st.integers(-6, 6)), max_size=12)
+_floats = st.lists(
+    st.one_of(st.sampled_from(_EDGE_FLOATS), st.integers(-6, 6).map(float)), max_size=12
+)
+_strings = st.lists(st.sampled_from(["a", "b", "c", "d", "", "zz"]), max_size=12)
+_column_values = st.one_of(_ints, _floats, _strings)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_values, _column_values, st.data())
+@example(_EDGE_FLOATS, _EDGE_INTS, None)
+@example(_EDGE_INTS, _EDGE_FLOATS, None)
+@example(["a", "b", "b", ""], ["b", "zz", "a"], None)
+def test_lookup_many_equals_get_elementwise(key_values, probe_values, data):
+    """``lookup_many`` is ``[get(v) for v in values]`` in bucket-bounds form.
+
+    Key and probe columns are drawn independently, so the pairs cover int
+    keys probed by floats and the reverse (NaN, the infinities, values on
+    both sides of 2**53 and at the int64 edges), string columns with
+    *different* dictionaries, string against numeric, absent keys, an empty
+    map and an empty probe vector; a random subset of the key rows is
+    indexed (the filtered positions), and ``lower`` cuts each bucket.
+    """
+    keys = Table("k", {"c": key_values}) if key_values else None
+    probes = Table("p", {"c": probe_values}) if probe_values else None
+    if keys is None or probes is None:
+        # An empty list has no inferable type: pair it with an int column.
+        keys = keys or Table("k", {"c": np.empty(0, dtype=np.int64)})
+        probes = probes or Table("p", {"c": np.empty(0, dtype=np.int64)})
+    if data is None:  # the pinned examples: every row indexed
+        positions, lower = np.arange(keys.num_rows, dtype=np.int64), 2
+    else:
+        positions = np.asarray(
+            sorted(data.draw(st.sets(st.integers(0, max(0, keys.num_rows - 1)))
+                             if keys.num_rows else st.just(set()))),
+            dtype=np.int64,
+        )
+        lower = data.draw(st.integers(0, max(1, positions.shape[0])))
+    jmap = GroupedJoinMap(keys.column("c"), positions)
+    source = probes.column("c")
+    for bound in (0, lower):
+        starts, counts = jmap.lookup_many(source.data, source, bound)
+        assert starts.shape == counts.shape == source.data.shape
+        for value, start, count in zip(source.decoded_data.tolist(), starts, counts):
+            expected = jmap.get(value)
+            expected = np.empty(0, dtype=np.int64) if expected is None else expected
+            expected = expected[expected >= bound]
+            assert jmap.rows[start:start + count].tolist() == expected.tolist(), (
+                value, bound)
 
 
 def test_preprocessor_builds_grouped_maps_and_charges_scan():
