@@ -9,7 +9,9 @@ regressions.  Two metrics are gated per benchmark:
 * **work fingerprint** — the sum of every ``simulated_time`` value in the
   artifact's output.  This is derived from the cost meters, so it is
   deterministic across machines: exceeding the baseline by more than the
-  tolerance means the engines genuinely do more work now.
+  tolerance means the engines genuinely do more work now.  A fingerprint
+  equal to the baseline's to its three stored decimals reads ``identical``
+  instead of ``ok``.
 * **wall time** — guarded by the same relative tolerance *plus* an absolute
   floor (``wall_floor_seconds``) that absorbs runner noise on the tiny smoke
   inputs, so only real interpreter-level blowups trip it.
@@ -110,7 +112,12 @@ def compare(
         if base_work > 0 and work > base_work * (1.0 + tolerance) + 1e-6:
             regressions.append("WORK")
             failed = True
-        status = "+".join(regressions) + " REGRESSION" if regressions else "ok"
+        if regressions:
+            status = "+".join(regressions) + " REGRESSION"
+        else:
+            # The tolerance is one-sided and wide; a refactoring's claim that
+            # no engine does different work is the exact match, so show it.
+            status = "identical" if work == round(base_work, 3) else "ok"
         rows.append({
             "benchmark": name, "status": status,
             "wall": f"{wall:.2f}s vs {base_wall:.2f}s",

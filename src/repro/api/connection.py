@@ -509,7 +509,6 @@ class Connection:
         engine: str | None = None,
         profile: str = "postgres",
         config: SkinnerConfig | None = None,
-        threads: int = 1,
         forced_order: Sequence[str] | None = None,
         use_result_cache: bool = True,
         params: Sequence[Any] | Mapping[str, Any] | None = None,
@@ -528,7 +527,6 @@ class Connection:
             engine=engine if engine is not None else self.default_engine,
             profile=profile,
             config=config,
-            threads=threads,
             forced_order=forced_order,
             use_result_cache=use_result_cache,
         )
@@ -540,7 +538,6 @@ class Connection:
         engine: str | None = None,
         profile: str = "postgres",
         config: SkinnerConfig | None = None,
-        threads: int = 1,
         forced_order: Sequence[str] | None = None,
         params: Sequence[Any] | Mapping[str, Any] | None = None,
     ) -> QueryResult:
@@ -563,7 +560,6 @@ class Connection:
             self.udfs,
             config or self.config,
             profile=profile,
-            threads=threads,
             statistics_provider=self.statistics,
         )
         return spec.execute(context, parsed, forced_order=forced_order)

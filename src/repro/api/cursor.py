@@ -108,7 +108,6 @@ class Cursor:
         engine: str | None = None,
         profile: str | None = None,
         config: SkinnerConfig | None = None,
-        threads: int = 1,
         forced_order: Sequence[str] | None = None,
         use_result_cache: bool = True,
         weight: float = 1.0,
@@ -131,7 +130,6 @@ class Cursor:
             engine=engine or self.engine,
             profile=profile or self.profile,
             config=config,
-            threads=threads,
             forced_order=forced_order,
             use_result_cache=use_result_cache,
             weight=weight,

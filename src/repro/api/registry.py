@@ -10,14 +10,13 @@ engines here, and third-party code extends the set with
 >>> register_engine(EngineSpec("my-engine", factory=lambda ctx: MyEngine(ctx)))
 
 A factory receives an :class:`EngineContext` (catalog, UDFs, config,
-profile, modelled thread count, and a lazy statistics provider) and returns
+profile, and a lazy statistics provider) and returns
 an engine object with an ``execute(query) -> QueryResult`` method.  The
 capability flags on the spec describe what else the engine supports:
 ``episodic`` engines expose ``task(query)`` returning a resumable episode
 task the server can interleave; ``streamable`` engines produce tasks whose
 result batches can be drained before completion; ``supports_forced_order``
-engines accept ``execute(query, forced_order=...)``; ``needs_statistics``
-is advisory (factories pull statistics from the context themselves).
+engines accept ``execute(query, forced_order=...)``.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class EngineContext:
     udfs: UdfRegistry | None
     config: SkinnerConfig
     profile: str = "postgres"
-    threads: int = 1
     statistics_provider: Callable[[], Any] | None = None
     _statistics: Any = field(default=None, repr=False)
 
@@ -86,9 +84,6 @@ class EngineSpec:
     supports_forced_order:
         Whether ``execute(query, forced_order=...)`` is accepted (the
         traditional optimizer baseline).
-    needs_statistics:
-        Whether the factory consults ``context.statistics()`` — serving
-        pure Skinner traffic then never collects statistics.
     streamable:
         Whether the engine's episode tasks support incremental result
         delivery (``enable_streaming()`` / ``drain_new_tuples()``), so a
@@ -117,7 +112,6 @@ class EngineSpec:
     name: str
     factory: Callable[[EngineContext], Any]
     supports_forced_order: bool = False
-    needs_statistics: bool = False
     streamable: bool = False
     episodic: bool = False
     warm_startable: bool = False
@@ -284,35 +278,33 @@ class RegistryNames(Sequence):
 # built-in engines
 # ----------------------------------------------------------------------
 def _skinner_c(context: EngineContext) -> SkinnerC:
-    return SkinnerC(context.catalog, context.udfs, context.config,
-                    threads=context.threads)
+    return SkinnerC(context.catalog, context.udfs, context.config)
 
 
 def _skinner_g(context: EngineContext) -> SkinnerG:
     return SkinnerG(context.catalog, context.udfs, context.config,
-                    dbms_profile=context.profile, threads=context.threads)
+                    dbms_profile=context.profile)
 
 
 def _skinner_h(context: EngineContext) -> SkinnerH:
     return SkinnerH(context.catalog, context.udfs, context.config,
                     dbms_profile=context.profile,
-                    statistics=context.statistics(), threads=context.threads)
+                    statistics=context.statistics())
 
 
 def _traditional(context: EngineContext) -> TraditionalEngine:
     return TraditionalEngine(context.catalog, context.udfs,
                              statistics=context.statistics(),
-                             profile=context.profile, threads=context.threads)
+                             profile=context.profile)
 
 
 def _eddy(context: EngineContext) -> EddyEngine:
-    return EddyEngine(context.catalog, context.udfs, threads=context.threads)
+    return EddyEngine(context.catalog, context.udfs)
 
 
 def _reoptimizer(context: EngineContext) -> ReOptimizerEngine:
     return ReOptimizerEngine(context.catalog, context.udfs,
-                             statistics=context.statistics(),
-                             threads=context.threads)
+                             statistics=context.statistics())
 
 
 BUILTIN_SPECS = (
@@ -321,12 +313,11 @@ BUILTIN_SPECS = (
                task_class=SkinnerCTask),
     EngineSpec("skinner-g", _skinner_g, episodic=True,
                task_class=SkinnerGTask),
-    EngineSpec("skinner-h", _skinner_h, episodic=True, needs_statistics=True,
+    EngineSpec("skinner-h", _skinner_h, episodic=True,
                task_class=SkinnerHTask),
-    EngineSpec("traditional", _traditional, supports_forced_order=True,
-               needs_statistics=True),
+    EngineSpec("traditional", _traditional, supports_forced_order=True),
     EngineSpec("eddy", _eddy),
-    EngineSpec("reoptimizer", _reoptimizer, needs_statistics=True),
+    EngineSpec("reoptimizer", _reoptimizer),
     # Skinner-G/H over a real host DBMS (the paper's actual deployment):
     # batches run as order-forcing SQL on a per-catalog sqlite mirror, with
     # automatic fallback to the internal executor for queries the dialect
@@ -334,7 +325,7 @@ BUILTIN_SPECS = (
     EngineSpec("skinner_g_sqlite", sqlite_skinner_g_factory, episodic=True,
                task_class=SkinnerGTask),
     EngineSpec("skinner_h_sqlite", sqlite_skinner_h_factory, episodic=True,
-               needs_statistics=True, task_class=SkinnerHTask),
+               task_class=SkinnerHTask),
 )
 
 #: The process-wide default registry with the built-in engines.

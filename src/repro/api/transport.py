@@ -70,7 +70,6 @@ class Transport(ABC):
         engine: str,
         profile: str,
         config: SkinnerConfig | None,
-        threads: int,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
         weight: float,
@@ -108,7 +107,6 @@ class Transport(ABC):
         engine: str,
         profile: str,
         config: SkinnerConfig | None,
-        threads: int,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
     ) -> QueryResult:
@@ -207,7 +205,6 @@ class LocalTransport(Transport):
         engine: str,
         profile: str,
         config: SkinnerConfig | None,
-        threads: int,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
         weight: float,
@@ -223,7 +220,6 @@ class LocalTransport(Transport):
             # Resolve against the connection's (reassignable) config, not
             # the server's construction-time snapshot.
             config=config or conn.config,
-            threads=threads,
             forced_order=forced_order,
             use_result_cache=use_result_cache,
             weight=weight,
@@ -256,7 +252,6 @@ class LocalTransport(Transport):
         engine: str,
         profile: str,
         config: SkinnerConfig | None,
-        threads: int,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
     ) -> QueryResult:
@@ -267,7 +262,6 @@ class LocalTransport(Transport):
             engine=engine,
             profile=profile,
             config=config or conn.config,
-            threads=threads,
             forced_order=forced_order,
             use_result_cache=use_result_cache,
         )

@@ -58,12 +58,10 @@ class EddyEngine:
         udfs: UdfRegistry | None = None,
         *,
         profile: str | EngineProfile = "skinner",
-        threads: int = 1,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._profile = profile if isinstance(profile, EngineProfile) else get_profile(profile)
-        self._threads = threads
 
     @property
     def name(self) -> str:
@@ -100,7 +98,7 @@ class EddyEngine:
         metrics = QueryMetrics(
             engine=self.name,
             work=work,
-            simulated_time=self._profile.simulated_time(work, threads=self._threads),
+            simulated_time=self._profile.simulated_time(work),
             wall_time_seconds=time.perf_counter() - started,
             intermediate_cardinality=work.intermediate_tuples,
             result_rows=output.num_rows,

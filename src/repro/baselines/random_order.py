@@ -28,7 +28,6 @@ def make_random_order_engine(
     config: SkinnerConfig = DEFAULT_CONFIG,
     *,
     dbms_profile: str = "postgres",
-    threads: int = 1,
 ):
     """Build a Skinner engine whose join orders are chosen at random.
 
@@ -39,9 +38,9 @@ def make_random_order_engine(
     """
     randomized = random_skinner_config(config)
     if variant == "skinner-c":
-        return SkinnerC(catalog, udfs, randomized, threads=threads)
+        return SkinnerC(catalog, udfs, randomized)
     if variant == "skinner-g":
-        return SkinnerG(catalog, udfs, randomized, dbms_profile=dbms_profile, threads=threads)
+        return SkinnerG(catalog, udfs, randomized, dbms_profile=dbms_profile)
     if variant == "skinner-h":
-        return SkinnerH(catalog, udfs, randomized, dbms_profile=dbms_profile, threads=threads)
+        return SkinnerH(catalog, udfs, randomized, dbms_profile=dbms_profile)
     raise ValueError(f"unknown Skinner variant {variant!r}")

@@ -69,7 +69,6 @@ class ReOptimizerEngine:
         sample_limit: int = 200,
         validation_factor: float = 3.0,
         max_rounds: int = 5,
-        threads: int = 1,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
@@ -79,7 +78,6 @@ class ReOptimizerEngine:
         self._sample_limit = sample_limit
         self._validation_factor = validation_factor
         self._max_rounds = max_rounds
-        self._threads = threads
 
     @property
     def name(self) -> str:
@@ -124,7 +122,7 @@ class ReOptimizerEngine:
         metrics = QueryMetrics(
             engine=self.name,
             work=work,
-            simulated_time=self._profile.simulated_time(work, threads=self._threads),
+            simulated_time=self._profile.simulated_time(work),
             wall_time_seconds=time.perf_counter() - started,
             intermediate_cardinality=work.intermediate_tuples,
             result_rows=output.num_rows,

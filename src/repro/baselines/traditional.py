@@ -49,8 +49,6 @@ class TraditionalEngine:
         Engine profile name or object (``postgres``, ``monetdb``, ...).
     optimizer:
         ``"dp"`` (exhaustive left-deep DP, the default) or ``"greedy"``.
-    threads:
-        Threads modelled when converting work to simulated time.
     """
 
     def __init__(
@@ -61,7 +59,6 @@ class TraditionalEngine:
         statistics: StatisticsCatalog | None = None,
         profile: str | EngineProfile = "postgres",
         optimizer: str = "dp",
-        threads: int = 1,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
@@ -70,7 +67,6 @@ class TraditionalEngine:
         if optimizer not in ("dp", "greedy", "size_heuristic"):
             raise ValueError("optimizer must be 'dp', 'greedy', or 'size_heuristic'")
         self._optimizer = optimizer
-        self._threads = threads
 
     @property
     def name(self) -> str:
@@ -142,7 +138,7 @@ class TraditionalEngine:
         metrics = QueryMetrics(
             engine=self.name,
             work=work,
-            simulated_time=self._profile.simulated_time(work, threads=self._threads),
+            simulated_time=self._profile.simulated_time(work),
             wall_time_seconds=time.perf_counter() - started,
             intermediate_cardinality=work.intermediate_tuples,
             result_rows=output.num_rows,
@@ -150,7 +146,6 @@ class TraditionalEngine:
             extra={
                 "forced_order": forced_order is not None,
                 "estimated_cost": plan.cost if plan is not None else None,
-                "threads": self._threads,
                 "optimizer": self._optimizer,
                 "timed_out": timed_out,
             },

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Any
 
@@ -60,7 +61,7 @@ def table2(
         "title": f"Table 2: Join order benchmark, multi-threaded ({threads} threads)",
         "rows": rows,
         "records": records,
-        "parallel": _parallel_wall_clock(workload, threads, workers),
+        "parallel": _parallel_wall_clock(workload, workers),
         "parameters": {
             "scale": scale, "seed": seed, "threads": threads, "workers": workers,
         },
@@ -68,7 +69,7 @@ def table2(
 
 
 def _parallel_wall_clock(
-    workload: Any, threads: int, workers: int, query_names: list[str] | None = None
+    workload: Any, workers: int, query_names: list[str] | None = None
 ) -> dict[str, Any] | None:
     """A/B wall-clock of Skinner-C: single-process versus morsel-parallel.
 
@@ -91,7 +92,7 @@ def _parallel_wall_clock(
         ("parallel", BENCH_CONFIG.with_overrides(parallel_workers=workers)),
     )
     for label, config in variants:
-        engine = SkinnerC(workload.catalog, workload.udfs, config, threads=threads)
+        engine = SkinnerC(workload.catalog, workload.udfs, config)
         started = time.perf_counter()
         for workload_query in queries:
             engine.execute(workload_query.query)
@@ -113,7 +114,11 @@ def _order_quality_records(
     query_names: list[str] | None,
     workers: int = 1,
 ) -> list[QueryRecord]:
-    """Shared driver for Tables 3 and 4: cross-executing join orders."""
+    """Shared driver for Tables 3 and 4: cross-executing join orders.
+
+    ``threads`` re-weights every record for that many modelled cores; a
+    forced order on the Skinner engine spreads nothing and stays as run.
+    """
     workload = make_job_workload(scale=scale, seed=seed)
     queries = workload.queries
     if query_names is not None:
@@ -123,39 +128,38 @@ def _order_quality_records(
     skinner_config = BENCH_CONFIG if workers <= 1 else BENCH_CONFIG.with_overrides(
         parallel_workers=workers
     )
-    skinner = SkinnerC(workload.catalog, workload.udfs, skinner_config, threads=threads)
+    skinner = SkinnerC(workload.catalog, workload.udfs, skinner_config)
     engines = {
-        "Postgres": TraditionalEngine(workload.catalog, workload.udfs,
-                                      profile="postgres", threads=threads),
-        "MonetDB": TraditionalEngine(workload.catalog, workload.udfs,
-                                     profile="monetdb", threads=threads),
+        "Postgres": TraditionalEngine(workload.catalog, workload.udfs, profile="postgres"),
+        "MonetDB": TraditionalEngine(workload.catalog, workload.udfs, profile="monetdb"),
     }
     records: list[QueryRecord] = []
+
+    def record(label: str, query_name: str, result: Any, profile: str) -> None:
+        records.append(QueryRecord.from_metrics(
+            label, query_name, result.metrics, profile=profile, threads=threads))
+
     for workload_query in queries:
         query = workload_query.query
         learned = skinner.execute(query)
-        records.append(QueryRecord.from_metrics(
-            "Skinner/Skinner", workload_query.name, learned.metrics))
+        record("Skinner/Skinner", workload_query.name, learned, "skinner")
         skinner_order = learned.metrics.final_join_order
         optimal_order = None
         if query.num_tables <= max_tables_for_optimal:
             optimal_order = optimal_plan(workload.catalog, query, workload.udfs).order
         if optimal_order is not None:
             forced = skinner.execute_with_order(query, optimal_order)
-            records.append(QueryRecord.from_metrics(
-                "Skinner/Optimal", workload_query.name, forced.metrics))
+            record("Skinner/Optimal", workload_query.name, forced, "skinner")
         for engine_name, engine in engines.items():
+            profile = engine.profile.name
             original = engine.execute(query)
-            records.append(QueryRecord.from_metrics(
-                f"{engine_name}/Original", workload_query.name, original.metrics))
+            record(f"{engine_name}/Original", workload_query.name, original, profile)
             if skinner_order is not None:
                 forced = engine.execute(query, forced_order=skinner_order)
-                records.append(QueryRecord.from_metrics(
-                    f"{engine_name}/Skinner", workload_query.name, forced.metrics))
+                record(f"{engine_name}/Skinner", workload_query.name, forced, profile)
             if optimal_order is not None:
                 forced = engine.execute(query, forced_order=optimal_order)
-                records.append(QueryRecord.from_metrics(
-                    f"{engine_name}/Optimal", workload_query.name, forced.metrics))
+                record(f"{engine_name}/Optimal", workload_query.name, forced, profile)
     return records
 
 
@@ -218,7 +222,7 @@ def table4(
         "title": f"Table 4: Join orders across engines, multi-threaded ({threads} threads)",
         "rows": _order_quality_rows(records),
         "records": records,
-        "parallel": _parallel_wall_clock(workload, threads, workers, query_names),
+        "parallel": _parallel_wall_clock(workload, workers, query_names),
         "parameters": {
             "scale": scale, "seed": seed, "threads": threads, "workers": workers,
         },
@@ -266,7 +270,7 @@ def table6(scale: float = 0.5, seed: int = 13, threads: int = 8) -> dict[str, An
     ]
     records: list[QueryRecord] = []
     for label, config, config_threads in configurations:
-        spec = skinner_c_spec(label, config, threads=config_threads)
+        spec = dataclasses.replace(skinner_c_spec(label, config), threads=config_threads)
         records.extend(run_workload([spec], workload))
     rows = [{
         "Enabled Features": summary.engine,

@@ -27,11 +27,19 @@ class EngineSpec:
     supports_budget:
         Whether ``execute`` accepts the ``work_budget`` keyword used to
         emulate per-query timeouts.
+    profile, threads:
+        The modelled system the records report: the engine profile the
+        factory's engine runs under, and the core count its
+        ``simulated_time`` is re-weighted for when a record is built (see
+        :func:`repro.bench.metrics.modelled_time`).  No execution sees
+        ``threads``.
     """
 
     name: str
     factory: Callable[[Workload], Any]
     supports_budget: bool = False
+    profile: str = "skinner"
+    threads: int = 1
 
 
 def run_query(
@@ -53,7 +61,9 @@ def run_query(
         result = engine.execute(query, work_budget=work_budget)
     else:
         result = engine.execute(query)
-    record = QueryRecord.from_metrics(spec.name, query_name, result.metrics)
+    record = QueryRecord.from_metrics(
+        spec.name, query_name, result.metrics, profile=spec.profile, threads=spec.threads
+    )
     return record, result
 
 

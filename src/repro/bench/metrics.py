@@ -2,10 +2,38 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+from repro.engine.meter import WorkBreakdown
+from repro.engine.profiles import get_profile
 from repro.result import QueryMetrics
+
+
+def modelled_time(metrics: QueryMetrics, profile: str, threads: int) -> float:
+    """``metrics.simulated_time`` re-weighted for ``threads`` modelled cores.
+
+    The paper's multi-threaded tables are the single-threaded executions
+    weighted for more cores (§6.1), so this is the only place a core count
+    enters.  The share of the work the system spreads
+    (``metrics.parallel_work``) is weighted by
+    :meth:`EngineProfile.simulated_time` at ``threads``; where that is a
+    part of the work, the rest is a second phase at one core, as the engine
+    itself reported it (start-up cost included).  ``profile`` names the
+    profile the engine ran under.
+    """
+    spread = metrics.parallel_work
+    if threads <= 1 or (spread is not None and not spread.total):
+        return metrics.simulated_time
+    weights = get_profile(profile)
+    if spread is None:
+        return weights.simulated_time(metrics.work, threads=threads)
+    rest = WorkBreakdown(*(
+        total - part
+        for total, part in zip(dataclasses.astuple(metrics.work), dataclasses.astuple(spread))
+    ))
+    return weights.simulated_time(spread, threads=threads) + weights.simulated_time(rest)
 
 
 @dataclass(frozen=True)
@@ -23,12 +51,24 @@ class QueryRecord:
     wall_time_seconds: float = 0.0
 
     @classmethod
-    def from_metrics(cls, engine: str, query: str, metrics: QueryMetrics) -> "QueryRecord":
-        """Build a record from an engine's reported metrics."""
+    def from_metrics(
+        cls,
+        engine: str,
+        query: str,
+        metrics: QueryMetrics,
+        *,
+        profile: str = "skinner",
+        threads: int = 1,
+    ) -> "QueryRecord":
+        """Build a record from an engine's reported metrics.
+
+        ``threads > 1`` reports the time of a system with that many cores
+        under ``profile`` (see :func:`modelled_time`).
+        """
         return cls(
             engine=engine,
             query=query,
-            simulated_time=metrics.simulated_time,
+            simulated_time=modelled_time(metrics, profile, threads),
             intermediate_cardinality=metrics.intermediate_cardinality,
             predicate_evaluations=metrics.work.predicate_evals + metrics.work.udf_invocations,
             result_rows=metrics.result_rows,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.baselines.eddy import EddyEngine
 from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
@@ -24,13 +26,11 @@ BENCH_CONFIG = DEFAULT_CONFIG.with_overrides(slice_budget=100, batches_per_table
 def skinner_c_spec(
     name: str = "Skinner-C",
     config: SkinnerConfig = BENCH_CONFIG,
-    *,
-    threads: int = 1,
 ) -> EngineSpec:
     """Skinner-C with the benchmark configuration."""
     return EngineSpec(
         name=name,
-        factory=lambda w: SkinnerC(w.catalog, w.udfs, config, threads=threads),
+        factory=lambda w: SkinnerC(w.catalog, w.udfs, config),
     )
 
 
@@ -39,15 +39,15 @@ def traditional_spec(
     profile: str,
     *,
     optimizer: str = "dp",
-    threads: int = 1,
 ) -> EngineSpec:
     """A traditional optimizer + executor under the given engine profile."""
     return EngineSpec(
         name=name,
         factory=lambda w: TraditionalEngine(
-            w.catalog, w.udfs, profile=profile, optimizer=optimizer, threads=threads
+            w.catalog, w.udfs, profile=profile, optimizer=optimizer
         ),
         supports_budget=True,
+        profile=profile,
     )
 
 
@@ -55,14 +55,12 @@ def skinner_g_spec(
     name: str,
     profile: str,
     config: SkinnerConfig = BENCH_CONFIG,
-    *,
-    threads: int = 1,
 ) -> EngineSpec:
     """Skinner-G on top of a generic engine profile."""
     return EngineSpec(
         name=name,
-        factory=lambda w: SkinnerG(w.catalog, w.udfs, config,
-                                   dbms_profile=profile, threads=threads),
+        factory=lambda w: SkinnerG(w.catalog, w.udfs, config, dbms_profile=profile),
+        profile=profile,
     )
 
 
@@ -70,14 +68,12 @@ def skinner_h_spec(
     name: str,
     profile: str,
     config: SkinnerConfig = BENCH_CONFIG,
-    *,
-    threads: int = 1,
 ) -> EngineSpec:
     """Skinner-H on top of a generic engine profile."""
     return EngineSpec(
         name=name,
-        factory=lambda w: SkinnerH(w.catalog, w.udfs, config,
-                                   dbms_profile=profile, threads=threads),
+        factory=lambda w: SkinnerH(w.catalog, w.udfs, config, dbms_profile=profile),
+        profile=profile,
     )
 
 
@@ -125,20 +121,22 @@ def job_single_threaded_specs() -> list[EngineSpec]:
 def job_multi_threaded_specs(threads: int = 8, *, workers: int = 1) -> list[EngineSpec]:
     """The four configurations of Table 2.
 
+    Every configuration executes once, on one core's worth of work clock;
+    ``threads`` is the core count its records are re-weighted for.
     ``workers > 1`` runs Skinner-C morsel-parallel over that many worker
     processes (rows and meter charges are byte-identical by design, only
-    wall-clock changes); the baselines model parallelism through the
-    simulated-time ``threads`` knob as before.
+    wall-clock changes).
     """
     config = BENCH_CONFIG if workers <= 1 else BENCH_CONFIG.with_overrides(
         parallel_workers=workers
     )
-    return [
-        skinner_c_spec("Skinner-C", config, threads=threads),
-        traditional_spec("MonetDB", "monetdb", threads=threads),
-        skinner_g_spec("S-G(MDB)", "monetdb", threads=threads),
-        skinner_h_spec("S-H(MDB)", "monetdb", threads=threads),
+    specs = [
+        skinner_c_spec("Skinner-C", config),
+        traditional_spec("MonetDB", "monetdb"),
+        skinner_g_spec("S-G(MDB)", "monetdb"),
+        skinner_h_spec("S-H(MDB)", "monetdb"),
     ]
+    return [dataclasses.replace(spec, threads=threads) for spec in specs]
 
 
 def torture_specs() -> list[EngineSpec]:

@@ -251,7 +251,6 @@ class RemoteTransport(Transport):
         engine: str,
         profile: str,
         config: SkinnerConfig | None,
-        threads: int,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
         weight: float,
@@ -265,7 +264,6 @@ class RemoteTransport(Transport):
             engine=engine,
             profile=profile,
             config=self._wire_config(config),
-            threads=threads,
             forced_order=list(forced_order) if forced_order is not None else None,
             use_result_cache=use_result_cache,
             weight=weight,
@@ -298,7 +296,6 @@ class RemoteTransport(Transport):
         engine: str,
         profile: str,
         config: SkinnerConfig | None,
-        threads: int,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
     ) -> QueryResult:
@@ -308,7 +305,6 @@ class RemoteTransport(Transport):
             engine=engine,
             profile=profile,
             config=config,
-            threads=threads,
             forced_order=forced_order,
             use_result_cache=use_result_cache,
             weight=1.0,

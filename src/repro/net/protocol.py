@@ -215,17 +215,14 @@ def config_from_wire(wire: dict[str, Any]) -> SkinnerConfig:
 # ----------------------------------------------------------------------
 def metrics_to_wire(metrics: QueryMetrics) -> dict[str, Any]:
     """Serialize :class:`QueryMetrics` (work counters exactly, as ints)."""
-    work = metrics.work
     return {
         "engine": metrics.engine,
-        "work": {
-            "tuples_scanned": work.tuples_scanned,
-            "predicate_evals": work.predicate_evals,
-            "hash_probes": work.hash_probes,
-            "intermediate_tuples": work.intermediate_tuples,
-            "output_tuples": work.output_tuples,
-            "udf_invocations": work.udf_invocations,
-        },
+        "work": dataclasses.asdict(metrics.work),
+        "parallel_work": (
+            dataclasses.asdict(metrics.parallel_work)
+            if metrics.parallel_work is not None
+            else None
+        ),
         "simulated_time": metrics.simulated_time,
         "wall_time_seconds": metrics.wall_time_seconds,
         "intermediate_cardinality": metrics.intermediate_cardinality,
@@ -248,9 +245,11 @@ def metrics_to_wire(metrics: QueryMetrics) -> dict[str, Any]:
 def metrics_from_wire(wire: dict[str, Any]) -> QueryMetrics:
     """Reconstruct :class:`QueryMetrics` from its wire form."""
     order = wire.get("final_join_order")
+    spread = wire["parallel_work"]
     return QueryMetrics(
         engine=wire["engine"],
         work=WorkBreakdown(**wire["work"]),
+        parallel_work=WorkBreakdown(**spread) if spread is not None else None,
         simulated_time=wire["simulated_time"],
         wall_time_seconds=wire["wall_time_seconds"],
         intermediate_cardinality=wire["intermediate_cardinality"],

@@ -56,6 +56,16 @@ def _same_path(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _request_args(request: dict[str, Any]) -> dict[str, Any]:
+    """A request's ``args`` (outside input): an object, or absent."""
+    args = request.get("args")
+    if args is None:
+        return {}
+    if not isinstance(args, dict):
+        raise OperationalError("args must be a JSON object")
+    return args
+
+
 class _Client:
     """Per-connection state: the handshaken tenant and owned tickets."""
 
@@ -233,27 +243,19 @@ class ReproServer:
         if request is None:
             return False
         request_id = request.get("id")
-        if request.get("v") != "hello":
-            await self._write(
-                writer, request_id,
-                error=OperationalError("first request must be hello"),
-            )
-            return False
-        args = request.get("args") or {}
-        version = args.get("version")
-        if version != PROTOCOL_VERSION:
-            await self._write(
-                writer, request_id,
-                error=OperationalError(
+        try:
+            if request.get("v") != "hello":
+                raise OperationalError("first request must be hello")
+            args = _request_args(request)
+            version = args.get("version")
+            if version != PROTOCOL_VERSION:
+                raise OperationalError(
                     f"protocol version {version} unsupported (server speaks "
                     f"{PROTOCOL_VERSION})"
-                ),
-            )
-            return False
-        client.tenant = str(args.get("tenant") or "default")
-        try:
+                )
+            client.tenant = str(args.get("tenant") or "default")
             requested = self._admit_settings(args)
-        except InterfaceError as exc:
+        except (OperationalError, InterfaceError) as exc:
             await self._write(writer, request_id, error=exc)
             return False
         config = self.connection.config
@@ -297,9 +299,8 @@ class ReproServer:
     ) -> None:
         request_id = request.get("id")
         verb = request.get("v")
-        args = request.get("args") or {}
         try:
-            data = await self._dispatch(client, str(verb), args)
+            data = await self._dispatch(client, str(verb), _request_args(request))
         except ReproError as exc:
             await self._write(writer, request_id, error=exc)
         except Exception as exc:  # noqa: BLE001 - a server bug becomes an
@@ -348,6 +349,12 @@ class ReproServer:
         return await handler(client, args)
 
     async def _verb_submit(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
+        if "threads" in args:
+            raise InterfaceError(
+                "submit argument 'threads' was removed: an execution has no "
+                "modelled core count, a report re-weights simulated_time from "
+                "metrics.parallel_work; drop it (upgrade the client)"
+            )
         conn = self.connection
         parsed = conn.parse(str(args["sql"]), args.get("params"))
         config = args.get("config")
@@ -366,7 +373,6 @@ class ReproServer:
             engine=args.get("engine") or client.settings["engine"],
             profile=args.get("profile", "postgres"),
             config=effective_config,
-            threads=int(args.get("threads", 1)),
             forced_order=tuple(forced) if forced is not None else None,
             use_result_cache=bool(args.get("use_result_cache", True)),
             weight=float(args.get("weight", 1.0)),

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.meter import WorkBreakdown
-from repro.engine.profiles import EngineProfile
 from repro.storage.table import Table
 
 
@@ -21,9 +20,18 @@ class QueryMetrics:
     work:
         Work-unit breakdown charged during execution (join phase plus
         pre/post-processing).
+    parallel_work:
+        The share of ``work`` the modelled system spreads over cores.
+        ``None``: all of it, in one phase (every engine but Skinner-C).
+        Skinner-C reports its pre-processing breakdown — the rest of
+        ``work`` is then a second, serial phase (paper §6.1) — and an empty
+        breakdown for a forced-order run.  No execution reads it; a report
+        re-weights ``simulated_time`` for many cores from it, see
+        :func:`repro.bench.metrics.modelled_time`.
     simulated_time:
-        Weighted work under the engine's profile (abstract milliseconds) —
-        the repository's substitute for wall-clock time, see ``docs/ci.md``.
+        Weighted work under the engine's profile on one core (abstract
+        milliseconds) — the repository's substitute for wall-clock time,
+        see ``docs/ci.md``.
     wall_time_seconds:
         Actual Python wall-clock time, recorded for reference only.
     intermediate_cardinality:
@@ -44,6 +52,7 @@ class QueryMetrics:
 
     engine: str
     work: WorkBreakdown = field(default_factory=WorkBreakdown)
+    parallel_work: WorkBreakdown | None = None
     simulated_time: float = 0.0
     wall_time_seconds: float = 0.0
     intermediate_cardinality: int = 0
@@ -79,9 +88,3 @@ class QueryResult:
     def __len__(self) -> int:
         return self.table.num_rows
 
-
-def simulate_time(
-    profile: EngineProfile, work: WorkBreakdown, *, threads: int = 1
-) -> float:
-    """Convenience wrapper converting work units to simulated time."""
-    return profile.simulated_time(work, threads=threads)

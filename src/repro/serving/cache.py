@@ -4,7 +4,7 @@ Two caches sit above the per-query engines:
 
 * the **result cache** maps a *normalized query fingerprint* — the parsed
   query's canonical rendering plus everything else that can change the
-  answer or its metrics (engine, profile, threads, config, forced order) —
+  answer or its metrics (engine, profile, config, forced order) —
   to a finished :class:`~repro.result.QueryResult`.  Any schema or UDF
   change invalidates the whole cache (the server bumps it on mutation).
 * the **join-order cache** maps a *join-graph signature* — the aliased base
@@ -41,7 +41,6 @@ def query_fingerprint(
     *,
     engine: str,
     profile: str,
-    threads: int,
     config: SkinnerConfig,
     forced_order: Sequence[str] | None = None,
 ) -> str:
@@ -55,7 +54,6 @@ def query_fingerprint(
         query.display(),
         engine,
         profile,
-        str(threads),
         repr(config),
         repr(tuple(forced_order) if forced_order is not None else None),
     )

@@ -105,9 +105,6 @@ class QueryServer:
         Callable returning a :class:`StatisticsCatalog` for the engines
         that need one (traditional, re-optimizer, Skinner-H).  Defaults to
         collecting (and caching) statistics from the catalog on first use.
-    threads:
-        Default modelled thread count for submissions that do not override
-        it.
     registry:
         Engine registry resolving ``engine=`` names; defaults to the
         process-wide :data:`~repro.api.registry.DEFAULT_REGISTRY`.
@@ -120,13 +117,11 @@ class QueryServer:
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
         statistics_provider: Callable[[], StatisticsCatalog] | None = None,
-        threads: int = 1,
         registry: EngineRegistry | None = None,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
-        self._threads = threads
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._statistics_provider = statistics_provider
         self._statistics: StatisticsCatalog | None = None
@@ -160,10 +155,9 @@ class QueryServer:
         self,
         query: str | Query,
         *,
-        engine: str = "skinner-c",
+        engine: str | None = None,
         profile: str = "postgres",
         config: SkinnerConfig | None = None,
-        threads: int | None = None,
         forced_order: Sequence[str] | None = None,
         weight: float = 1.0,
         priority: int = 0,
@@ -183,17 +177,17 @@ class QueryServer:
         delivery through :meth:`fetch`: when the engine and query shape
         allow it, completed batches become fetchable while the query is
         still executing; otherwise all rows become fetchable at completion.
+        ``engine=None`` runs the server config's ``default_engine``.
         """
-        engine = engine.lower()
+        engine = (engine or self._config.default_engine).lower()
         spec = self._registry.resolve(engine)
         spec.check_forced_order(forced_order)
         if weight <= 0:
             raise ReproError("weight must be positive")
         parsed = parse_query(query, self._catalog) if isinstance(query, str) else query
         config = config or self._config
-        threads = threads if threads is not None else self._threads
         fingerprint = query_fingerprint(
-            parsed, engine=engine, profile=profile, threads=threads,
+            parsed, engine=engine, profile=profile,
             config=config, forced_order=forced_order,
         )
         session = QuerySession(
@@ -202,7 +196,6 @@ class QueryServer:
             engine=engine,
             profile=profile,
             config=config,
-            threads=threads,
             forced_order=tuple(forced_order) if forced_order is not None else None,
             weight=weight,
             priority=priority,
@@ -390,10 +383,9 @@ class QueryServer:
         self,
         query: str | Query,
         *,
-        engine: str = "skinner-c",
+        engine: str | None = None,
         profile: str = "postgres",
         config: SkinnerConfig | None = None,
-        threads: int | None = None,
         forced_order: Sequence[str] | None = None,
         use_result_cache: bool = True,
     ) -> QueryResult:
@@ -404,7 +396,7 @@ class QueryServer:
         warm-start.
         """
         ticket = self.submit(
-            query, engine=engine, profile=profile, config=config, threads=threads,
+            query, engine=engine, profile=profile, config=config,
             forced_order=forced_order, use_result_cache=use_result_cache,
         )
         try:
@@ -651,7 +643,6 @@ class QueryServer:
             self._udfs,
             session.config,
             profile=session.profile,
-            threads=session.threads,
             statistics_provider=self._statistics_for_engines,
         )
         try:

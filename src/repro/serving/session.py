@@ -135,7 +135,6 @@ class QuerySession:
     engine: str
     profile: str
     config: SkinnerConfig
-    threads: int = 1
     forced_order: tuple[str, ...] | None = None
     weight: float = 1.0
     priority: int = 0

@@ -50,14 +50,13 @@ import numpy as np
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
-from repro.engine.profiles import get_profile
 from repro.engine.task import EngineTask
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
-from repro.skinner.skinner_c import SkinnerCTask
+from repro.skinner.skinner_c import SkinnerCTask, skinner_c_metrics
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
@@ -338,7 +337,6 @@ def _run_morsel(payload: dict[str, Any]) -> dict[str, Any]:
         None,
         payload["config"],
         order_selection=payload["order_selection"],
-        threads=1,
         engine_name=payload["engine_name"],
         order_prior=payload["order_prior"],
         restrict_positions=restrict,
@@ -389,16 +387,13 @@ class ParallelSkinnerCTask(EngineTask):
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
         order_selection: str = "uct",
-        threads: int = 1,
         engine_name: str = "skinner-c",
         order_prior: Sequence[tuple[tuple[str, ...], float, int]] | None = None,
     ) -> None:
         self._config = config
         self._order_selection = order_selection
-        self._threads = threads
         self._engine_name = engine_name
         self._workers = max(1, config.parallel_workers)
-        self._profile = get_profile("skinner")
         self._started = time.perf_counter()
         self.query = query
         self._catalog = catalog
@@ -549,7 +544,6 @@ class ParallelSkinnerCTask(EngineTask):
             None,
             self._config,
             order_selection=self._order_selection,
-            threads=1,
             engine_name=self._engine_name,
             order_prior=order_prior,
             restrict_positions=self._restrict_for(index),
@@ -691,18 +685,11 @@ class ParallelSkinnerCTask(EngineTask):
     # metrics
     # ------------------------------------------------------------------
     def _metrics(self, *, result_rows: int, full: bool) -> QueryMetrics:
-        total_meter = CostMeter()
-        total_meter.merge(self.pre_meter)
-        total_meter.merge(self.join_meter)
-        simulated = self._profile.simulated_time(
-            self.pre_meter.snapshot(), threads=self._threads
-        ) + self._profile.simulated_time(self.join_meter.snapshot(), threads=1)
         tracker_nodes = (
             self._pilot.tracker.node_count() if self._pilot is not None
             else self._tracker_nodes
         )
         extra: dict[str, Any] = {
-            "threads": self._threads,
             "episode_wall_seconds": self.episode_wall_seconds,
             "parallel_workers": self._workers,
             "parallel_morsels": len(self._morsel_bounds),
@@ -721,12 +708,12 @@ class ParallelSkinnerCTask(EngineTask):
                     "trace": [],
                 }
             )
-        return QueryMetrics(
-            engine=self._engine_name,
-            work=total_meter.snapshot(),
-            simulated_time=simulated,
-            wall_time_seconds=time.perf_counter() - self._started,
-            intermediate_cardinality=self.join_meter.tuples_scanned,
+        return skinner_c_metrics(
+            self._engine_name,
+            self._started,
+            self.join_meter,
+            self.pre_meter,
+            self.result_set,
             result_rows=result_rows,
             final_join_order=(
                 self.tree.best_order() if self._order_selection == "uct" else None
@@ -734,7 +721,6 @@ class ParallelSkinnerCTask(EngineTask):
             time_slices=self.slices,
             uct_nodes=self.tree.node_count(),
             tracker_nodes=tracker_nodes,
-            result_tuple_count=len(self.result_set),
             extra=extra,
         )
 

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
-from repro.engine.meter import CostMeter
+from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import get_profile
 from repro.engine.task import EngineTask, ExecutionBackend
@@ -39,6 +39,48 @@ from repro.storage.catalog import Catalog
 from repro.uct.tree import UctJoinTree
 
 _MAX_SLICES = 5_000_000
+
+
+def skinner_c_metrics(
+    engine: str,
+    started: float,
+    join: CostMeter,
+    pre: CostMeter | None,
+    result_set: JoinResultSet,
+    **fields: Any,
+) -> QueryMetrics:
+    """The one place Skinner-C metrics are assembled.
+
+    A learned run charges two meters and reports them as two phases of the
+    ``skinner`` profile, pre-processing being the share a multi-core system
+    spreads (paper §6.1).  A forced-order run charges one (``pre=None``):
+    one phase, nothing spread.  ``fields`` are passed to
+    :class:`QueryMetrics` as they are.
+    """
+    profile = get_profile("skinner")
+    if pre is None:
+        work = join.snapshot()
+        parallel_work = WorkBreakdown()
+        simulated = profile.simulated_time(work)
+    else:
+        total = CostMeter()
+        total.merge(pre)
+        total.merge(join)
+        work = total.snapshot()
+        parallel_work = pre.snapshot()
+        simulated = profile.simulated_time(parallel_work) + profile.simulated_time(
+            join.snapshot()
+        )
+    return QueryMetrics(
+        engine=engine,
+        work=work,
+        parallel_work=parallel_work,
+        simulated_time=simulated,
+        wall_time_seconds=time.perf_counter() - started,
+        intermediate_cardinality=join.tuples_scanned,
+        result_tuple_count=len(result_set),
+        **fields,
+    )
 
 
 class SkinnerCTask(EngineTask):
@@ -82,7 +124,6 @@ class SkinnerCTask(EngineTask):
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
         order_selection: str = "uct",
-        threads: int = 1,
         engine_name: str = "skinner-c",
         trace: bool = False,
         order_prior: Sequence[tuple[tuple[str, ...], float, int]] | None = None,
@@ -90,10 +131,8 @@ class SkinnerCTask(EngineTask):
     ) -> None:
         self._config = config
         self._order_selection = order_selection
-        self._threads = threads
         self._engine_name = engine_name
         self._trace = trace
-        self._profile = get_profile("skinner")
         self._started = time.perf_counter()
         self.query = query
         self.pre_meter = CostMeter()
@@ -216,37 +255,7 @@ class SkinnerCTask(EngineTask):
         output = post_process(
             self.query, relation, self.prepared.tables, self._udfs, self.join_meter
         )
-        total_meter = CostMeter()
-        total_meter.merge(self.pre_meter)
-        total_meter.merge(self.join_meter)
-        simulated = self._profile.simulated_time(
-            self.pre_meter.snapshot(), threads=self._threads
-        ) + self._profile.simulated_time(self.join_meter.snapshot(), threads=1)
-        metrics = QueryMetrics(
-            engine=self._engine_name,
-            work=total_meter.snapshot(),
-            simulated_time=simulated,
-            wall_time_seconds=time.perf_counter() - self._started,
-            intermediate_cardinality=self.join_meter.tuples_scanned,
-            result_rows=output.num_rows,
-            final_join_order=(
-                self.tree.best_order() if self._order_selection == "uct" else None
-            ),
-            time_slices=self.slices,
-            uct_nodes=self.tree.node_count(),
-            tracker_nodes=self.tracker.node_count(),
-            result_tuple_count=len(self.result_set),
-            extra={
-                "result_bytes": self.result_set.estimated_bytes(),
-                "tracker_bytes": self.tracker.estimated_bytes(),
-                "uct_bytes": self.tree.node_count() * 64,
-                "top_orders": self.tree.top_orders(5),
-                "trace": self.trace_records,
-                "threads": self._threads,
-                "episode_wall_seconds": self.episode_wall_seconds,
-            },
-        )
-        return QueryResult(output, metrics)
+        return QueryResult(output, self._metrics(result_rows=output.num_rows, full=True))
 
     def partial_metrics(self, result_rows: int) -> QueryMetrics:
         """Metrics for a LIMIT-truncated streamed result.
@@ -257,18 +266,25 @@ class SkinnerCTask(EngineTask):
         episode prefix cost, which is by construction no more than a full
         run of the same query.
         """
-        total_meter = CostMeter()
-        total_meter.merge(self.pre_meter)
-        total_meter.merge(self.join_meter)
-        simulated = self._profile.simulated_time(
-            self.pre_meter.snapshot(), threads=self._threads
-        ) + self._profile.simulated_time(self.join_meter.snapshot(), threads=1)
-        return QueryMetrics(
-            engine=self._engine_name,
-            work=total_meter.snapshot(),
-            simulated_time=simulated,
-            wall_time_seconds=time.perf_counter() - self._started,
-            intermediate_cardinality=self.join_meter.tuples_scanned,
+        return self._metrics(result_rows=result_rows, full=False)
+
+    def _metrics(self, *, result_rows: int, full: bool) -> QueryMetrics:
+        extra: dict[str, Any] = {"episode_wall_seconds": self.episode_wall_seconds}
+        if full:
+            extra = {
+                "result_bytes": self.result_set.estimated_bytes(),
+                "tracker_bytes": self.tracker.estimated_bytes(),
+                "uct_bytes": self.tree.node_count() * 64,
+                "top_orders": self.tree.top_orders(5),
+                "trace": self.trace_records,
+                **extra,
+            }
+        return skinner_c_metrics(
+            self._engine_name,
+            self._started,
+            self.join_meter,
+            self.pre_meter,
+            self.result_set,
             result_rows=result_rows,
             final_join_order=(
                 self.tree.best_order() if self._order_selection == "uct" else None
@@ -276,11 +292,7 @@ class SkinnerCTask(EngineTask):
             time_slices=self.slices,
             uct_nodes=self.tree.node_count(),
             tracker_nodes=self.tracker.node_count(),
-            result_tuple_count=len(self.result_set),
-            extra={
-                "threads": self._threads,
-                "episode_wall_seconds": self.episode_wall_seconds,
-            },
+            extra=extra,
         )
 
 
@@ -298,9 +310,6 @@ class SkinnerC(ExecutionBackend):
     order_selection:
         ``"uct"`` (default) or ``"random"`` — the latter replaces learning by
         uniform random join-order selection and is the baseline of Table 5.
-    threads:
-        Number of worker threads modelled for pre-processing (only the
-        pre-processing phase parallelizes, paper §6.1).
     """
 
     def __init__(
@@ -310,7 +319,6 @@ class SkinnerC(ExecutionBackend):
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
         order_selection: str | None = None,
-        threads: int = 1,
     ) -> None:
         order_selection = order_selection or config.order_selection
         if order_selection not in ("uct", "random"):
@@ -319,8 +327,6 @@ class SkinnerC(ExecutionBackend):
         self._udfs = udfs
         self._config = config
         self._order_selection = order_selection
-        self._threads = threads
-        self._profile = get_profile("skinner")
 
     @property
     def name(self) -> str:
@@ -357,7 +363,6 @@ class SkinnerC(ExecutionBackend):
                 self._udfs,
                 self._config,
                 order_selection=self._order_selection,
-                threads=self._threads,
                 engine_name=self.name,
                 order_prior=order_prior,
             )
@@ -367,7 +372,6 @@ class SkinnerC(ExecutionBackend):
             self._udfs,
             self._config,
             order_selection=self._order_selection,
-            threads=self._threads,
             engine_name=self.name,
             trace=trace,
             order_prior=order_prior,
@@ -435,16 +439,9 @@ class SkinnerC(ExecutionBackend):
                 )
         relation = result_set.to_relation()
         output = post_process(query, relation, prepared.tables, self._udfs, meter)
-        work = meter.snapshot()
-        metrics = QueryMetrics(
-            engine=f"{self.name}(forced)",
-            work=work,
-            simulated_time=self._profile.simulated_time(work, threads=1),
-            wall_time_seconds=time.perf_counter() - started,
-            intermediate_cardinality=work.tuples_scanned,
-            result_rows=output.num_rows,
-            final_join_order=tuple(order),
-            result_tuple_count=len(result_set),
+        metrics = skinner_c_metrics(
+            f"{self.name}(forced)", started, meter, None, result_set,
+            result_rows=output.num_rows, final_join_order=tuple(order),
         )
         return QueryResult(output, metrics)
 

@@ -293,7 +293,6 @@ class SkinnerG(ExecutionBackend):
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
         dbms_profile: str | EngineProfile = "postgres",
-        threads: int = 1,
         generic_engine: GenericEngineProvider | None = None,
         backend_label: str | None = None,
     ) -> None:
@@ -303,7 +302,6 @@ class SkinnerG(ExecutionBackend):
         self._profile = (
             dbms_profile if isinstance(dbms_profile, EngineProfile) else get_profile(dbms_profile)
         )
-        self._threads = threads
         #: Substrate factory — ``None`` keeps the internal executor (the
         #: historical behavior and the A/B reference); ``repro.external``
         #: passes providers that drive a real DBMS.
@@ -360,7 +358,7 @@ class SkinnerG(ExecutionBackend):
         metrics = QueryMetrics(
             engine=engine_name,
             work=work,
-            simulated_time=self._profile.simulated_time(work, threads=self._threads),
+            simulated_time=self._profile.simulated_time(work),
             wall_time_seconds=time.perf_counter() - started,
             intermediate_cardinality=work.intermediate_tuples,
             result_rows=output.num_rows,
@@ -370,7 +368,6 @@ class SkinnerG(ExecutionBackend):
             result_tuple_count=len(run.result_set),
             extra={
                 "timeout_levels": run.scheme.time_per_level(),
-                "threads": self._threads,
                 **(extra or {}),
             },
         )

@@ -160,7 +160,6 @@ class SkinnerH(ExecutionBackend):
         *,
         dbms_profile: str | EngineProfile = "postgres",
         statistics: StatisticsCatalog | None = None,
-        threads: int = 1,
         generic_engine: "GenericEngineProvider | None" = None,
         backend_label: str | None = None,
     ) -> None:
@@ -171,10 +170,9 @@ class SkinnerH(ExecutionBackend):
             dbms_profile if isinstance(dbms_profile, EngineProfile) else get_profile(dbms_profile)
         )
         self._statistics = statistics
-        self._threads = threads
         self._backend_label = backend_label
         self._generic = SkinnerG(
-            catalog, udfs, config, dbms_profile=self._profile, threads=threads,
+            catalog, udfs, config, dbms_profile=self._profile,
             generic_engine=generic_engine, backend_label=backend_label,
         )
 
@@ -227,7 +225,7 @@ class SkinnerH(ExecutionBackend):
         metrics = QueryMetrics(
             engine=self.name,
             work=work,
-            simulated_time=self._profile.simulated_time(work, threads=self._threads),
+            simulated_time=self._profile.simulated_time(work),
             wall_time_seconds=time.perf_counter() - started,
             intermediate_cardinality=work.intermediate_tuples,
             result_rows=output.num_rows,
@@ -235,7 +233,6 @@ class SkinnerH(ExecutionBackend):
             time_slices=run.iterations,
             uct_nodes=run.uct_node_count(),
             result_tuple_count=len(run.result_set),
-            extra={"winner": "traditional", "rounds": rounds + 1, "plan": plan.order,
-                   "threads": self._threads},
+            extra={"winner": "traditional", "rounds": rounds + 1, "plan": plan.order},
         )
         return QueryResult(output, metrics)

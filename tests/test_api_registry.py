@@ -150,11 +150,10 @@ class TestCustomEngine:
             return ToyEngine(context)
 
         register_engine(name="toy", factory=factory, replace=True)
-        db.execute("SELECT r.x FROM r", engine="toy", profile="monetdb", threads=3)
+        db.execute("SELECT r.x FROM r", engine="toy", profile="monetdb")
         context = captured["context"]
         assert context.catalog is db.catalog
         assert context.profile == "monetdb"
-        assert context.threads == 3
 
 
 class TestForcedOrderCapability:

@@ -1,12 +1,16 @@
 """Tests for the benchmark harness, metrics aggregation, and reporting."""
 
+import dataclasses
+
 import pytest
 
+from repro.api.registry import DEFAULT_REGISTRY, EngineContext
 from repro.bench.harness import EngineSpec, run_query, run_workload
 from repro.bench.metrics import (
     QueryRecord,
     aggregate_records,
     count_failures_and_disasters,
+    modelled_time,
     per_query_speedups,
     relative_overheads,
     time_share_of_top_queries,
@@ -21,6 +25,9 @@ from repro.bench.specs import (
     traditional_spec,
 )
 from repro.config import SkinnerConfig
+from repro.engine.profiles import get_profile
+from repro.skinner.parallel import ParallelSkinnerCTask
+from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.workloads.torture import make_trivial_workload, make_udf_torture
 
 FAST = SkinnerConfig(slice_budget=32, batches_per_table=2, base_timeout=150)
@@ -127,6 +134,63 @@ class TestHarness:
 
     def test_bench_config_is_scaled_down(self):
         assert BENCH_CONFIG.slice_budget <= 500
+
+
+class TestModelledCores:
+    """``threads`` weights a finished run's record; no execution sees it."""
+
+    #: The profile each registered engine weights its work with when the
+    #: execution context names ``monetdb``.
+    RUNS_UNDER = {"skinner-c": "skinner", "eddy": "skinner", "reoptimizer": "skinner"}
+
+    def test_every_engine_at_one_core_reports_its_own_time(self, job_workload):
+        query = job_workload.queries[0].query
+        for name in DEFAULT_REGISTRY.names():
+            context = EngineContext(
+                job_workload.catalog, job_workload.udfs, FAST, profile="monetdb"
+            )
+            metrics = DEFAULT_REGISTRY.resolve(name).execute(context, query).metrics
+            profile = self.RUNS_UNDER.get(name, "monetdb")
+            one = QueryRecord.from_metrics(name, "q", metrics, profile=profile, threads=1)
+            assert one.simulated_time == metrics.simulated_time, name
+            assert "threads" not in metrics.extra, name
+            if name != "skinner-c":  # one phase: the whole execution spreads
+                assert metrics.parallel_work is None, name
+                assert modelled_time(metrics, profile, 8) == get_profile(
+                    profile).simulated_time(metrics.work, threads=8), name
+
+    @pytest.mark.parametrize("task_class", [SkinnerCTask, ParallelSkinnerCTask])
+    def test_skinner_c_spreads_pre_processing_only(self, job_workload, task_class):
+        config = FAST.with_overrides(parallel_morsels=3, parallel_min_morsel_rows=4)
+        task = task_class(job_workload.catalog, job_workload.queries[0].query, None, config)
+        while not task.finished:
+            task.run_episode()
+        metrics = task.finalize().metrics
+        skinner = get_profile("skinner")
+        pre, join = task.pre_meter.snapshot(), task.join_meter.snapshot()
+        assert metrics.parallel_work == pre and pre.total and join.total
+        assert metrics.simulated_time == (
+            skinner.simulated_time(pre) + skinner.simulated_time(join))
+        assert modelled_time(metrics, "skinner", 8) == (
+            skinner.simulated_time(pre, threads=8) + skinner.simulated_time(join))
+        assert modelled_time(metrics, "skinner", 8) < metrics.simulated_time
+
+    def test_forced_order_on_skinner_c_spreads_nothing(self, job_workload):
+        query = job_workload.queries[0].query
+        engine = SkinnerC(job_workload.catalog, job_workload.udfs, FAST)
+        forced = engine.execute_with_order(query, engine.execute(query).metrics.final_join_order)
+        assert forced.metrics.parallel_work.total == 0
+        assert modelled_time(forced.metrics, "skinner", 8) == forced.metrics.simulated_time
+
+    def test_records_move_with_threads_only_under_a_parallel_profile(self, job_workload):
+        query = job_workload.queries[0]
+        times = {}
+        for profile in ("postgres", "monetdb"):
+            for threads in (1, 8):
+                spec = dataclasses.replace(traditional_spec(profile, profile), threads=threads)
+                times[profile, threads] = run_query(spec, job_workload, query)[0].simulated_time
+        assert times["postgres", 8] == times["postgres", 1]
+        assert times["monetdb", 8] < times["monetdb", 1]
 
 
 class TestExperimentDrivers:

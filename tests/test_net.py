@@ -14,13 +14,16 @@ The acceptance properties of the remote transport:
 """
 
 import random
+import socket
 import threading
+import time
 
 import pytest
 
 from repro import InterfaceError, ReproError, SkinnerConfig, connect
 from repro.errors import OperationalError, ParseError
 from repro.net.client import DEFAULT_PORT, RemoteTransport, parse_dsn
+from repro.net.protocol import LENGTH_PREFIX, decode_payload, encode_frame
 from repro.net.server import ServerThread
 
 #: Mirrors the FAST config of test_api_cursor.py: quick convergence, no
@@ -133,6 +136,8 @@ class TestRemoteBasics:
         assert result.rows == [{"n": 6}]
         assert result.metrics.engine == "skinner-c"
         assert result.metrics.work.total > 0
+        # One-phase engines say "all of it" as None on both sides of the wire.
+        assert remote.execute("SELECT r.id FROM r", engine="eddy").metrics.parallel_work is None
 
     def test_stats_verb_reports_tenants_and_caches(self, remote):
         remote.execute("SELECT COUNT(*) AS n FROM s")
@@ -220,6 +225,42 @@ class TestErrorMapping:
         result = remote.execute("SELECT r.id FROM r", config=FAST.with_overrides(seed=None))
         assert len(result.rows) == 6
 
+    def test_submit_rejects_the_removed_threads_argument(self, remote):
+        """An older client's modelled core count is refused, not ignored."""
+        channel = remote.transport._channel
+        with pytest.raises(InterfaceError, match="submit argument 'threads' was removed"):
+            channel.request("submit", sql="SELECT r.id FROM r", threads=1)
+        assert remote.stats()["completed"] == 0
+
+    def test_non_object_args_after_hello_keep_the_session(self, server, remote):
+        channel = remote.transport._channel
+        channel._sock.sendall(encode_frame({"id": 99, "v": "poll", "args": [1]}))
+        reply = channel._read_frame()
+        assert reply["id"] == 99 and not reply["ok"]
+        assert reply["error"]["type"] == "OperationalError"
+        assert "args must be a JSON object" in reply["error"]["message"]
+        # Same socket, same session: the next well-formed verb is served,
+        # and the bad frame created no ticket.
+        assert len(remote.execute("SELECT r.id FROM r").rows) == 6
+        assert [len(client.tickets) for client in server.server._clients] == [0]
+        assert remote.stats()["completed"] == 1
+
+    def test_non_object_args_in_hello_close_the_socket_cleanly(self, server):
+        with socket.create_connection((server.server.host, server.server.port), timeout=5) as sock:
+            sock.sendall(encode_frame({"id": 1, "v": "hello", "args": [1]}))
+            stream = sock.makefile("rb")
+            (length,) = LENGTH_PREFIX.unpack(stream.read(LENGTH_PREFIX.size))
+            reply = decode_payload(stream.read(length))
+            assert reply["id"] == 1 and not reply["ok"]
+            assert reply["error"]["type"] == "OperationalError"
+            assert "args must be a JSON object" in reply["error"]["message"]
+            assert stream.read() == b""  # then EOF: refused, not crashed
+        deadline = time.monotonic() + 5
+        while server.server._writers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server.server._writers and not server.server._clients
+        assert server.connection.stats()["inflight"] == 0
+
 
 def _random_query(rng: random.Random) -> str:
     """A randomized SPJ(+postprocessing) query over the r/s fixtures."""
@@ -251,12 +292,15 @@ class TestRemoteLocalByteIdentical:
                 local_cursor.execute(sql, use_result_cache=False)
                 local_rows = local_cursor.fetchall()
                 local_work = local_cursor.result().metrics.work
+                local_spread = local_cursor.result().metrics.parallel_work
                 remote_cursor = remote_conn.cursor()
                 remote_cursor.execute(sql, use_result_cache=False)
                 remote_rows = remote_cursor.fetchall()
                 remote_work = remote_cursor.result().metrics.work
                 assert remote_rows == local_rows, sql
                 assert remote_work == local_work, sql
+                assert local_spread is not None  # Skinner-C: its pre-processing
+                assert remote_cursor.result().metrics.parallel_work == local_spread, sql
         finally:
             remote_conn.close()
 
@@ -384,7 +428,7 @@ class TestBackpressure:
                         "SELECT r.name, s.c FROM r, s WHERE r.id = s.rid",
                         None,
                         engine="skinner-c", profile="postgres", config=None,
-                        threads=1, forced_order=None, use_result_cache=False,
+                        forced_order=None, use_result_cache=False,
                         weight=1.0, priority=0, stream=True,
                     )
                     tickets.append(handle.ticket)
@@ -430,7 +474,7 @@ class TestServerLifecycle:
         # variant — stop the server while a result() wait is in flight.
         handle = transport.submit(
             "SELECT r.id FROM r", None,
-            engine="skinner-c", profile="postgres", config=None, threads=1,
+            engine="skinner-c", profile="postgres", config=None,
             forced_order=None, use_result_cache=False, weight=1.0,
             priority=0, stream=True,
         )

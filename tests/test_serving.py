@@ -298,7 +298,7 @@ def test_result_cache_lru_eviction(catalog):
 def test_fingerprint_normalizes_whitespace_and_case(catalog):
     a = parse_query("SELECT COUNT(*) AS n FROM r WHERE r.v > 25", catalog)
     b = parse_query("select   COUNT(*) AS n from r  where r.v > 25", catalog)
-    kwargs = dict(engine="skinner-c", profile="postgres", threads=1, config=FAST)
+    kwargs = dict(engine="skinner-c", profile="postgres", config=FAST)
     assert query_fingerprint(a, **kwargs) == query_fingerprint(b, **kwargs)
     assert (query_fingerprint(a, **kwargs)
             != query_fingerprint(a, **{**kwargs, "engine": "skinner-g"}))
@@ -404,6 +404,16 @@ def test_submit_rejects_bad_requests(catalog):
         server.submit(QUERIES[0], engine="skinner-c", forced_order=("r", "s"))
     with pytest.raises(ReproError):
         server.poll(999)
+
+
+def test_submit_and_execute_default_to_the_configured_engine(catalog):
+    server = QueryServer(catalog, config=FAST.with_overrides(default_engine="traditional"))
+    ticket = server.submit(QUERIES[1])
+    assert server.session(ticket).engine == "traditional"
+    assert server.result(ticket).metrics.engine == "traditional(postgres)"
+    assert server.execute(QUERIES[4]).metrics.engine == "traditional(postgres)"
+    explicit = server.execute(QUERIES[1], engine="skinner-c", use_result_cache=False)
+    assert explicit.metrics.engine == "skinner-c"
 
 
 # ----------------------------------------------------------------------

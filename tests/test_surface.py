@@ -11,10 +11,12 @@ Removing one only needs the expectation shrunk.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import repro
-from repro import SkinnerConfig, connect
+from repro import Connection, Cursor, QueryServer, SkinnerConfig, connect
 from repro.api.settings import SETTINGS
 
 CONFIG_FIELDS = {
@@ -58,6 +60,25 @@ CONNECT_PARAMETERS = [
     ("engine", inspect.Parameter.KEYWORD_ONLY),
 ]
 
+#: Per-call options of the four ways to run a query, in signature order.
+EXECUTE_PARAMETERS = {
+    Cursor.execute: [
+        "self", "operation", "parameters", "engine", "profile", "config",
+        "forced_order", "use_result_cache", "weight", "priority",
+    ],
+    Connection.execute: [
+        "self", "query", "engine", "profile", "config", "forced_order",
+        "use_result_cache", "params",
+    ],
+    Connection.execute_direct: [
+        "self", "query", "engine", "profile", "config", "forced_order", "params",
+    ],
+    QueryServer.submit: [
+        "self", "query", "engine", "profile", "config", "forced_order", "weight",
+        "priority", "tenant", "use_result_cache", "stream",
+    ],
+}
+
 
 def test_config_fields_are_exactly_these():
     fields = [field.name for field in dataclasses.fields(SkinnerConfig)]
@@ -89,3 +110,40 @@ def test_settings_table_is_exactly_this():
     # Each setting is a connect() keyword and lands in a real config field.
     assert {s.name for s in SETTINGS} <= {name for name, _ in CONNECT_PARAMETERS}
     assert {s.config_field for s in SETTINGS} <= CONFIG_FIELDS
+
+
+def test_execute_signatures_are_exactly_these():
+    for function, expected in EXECUTE_PARAMETERS.items():
+        assert list(inspect.signature(function).parameters) == expected, function.__qualname__
+
+
+def test_modelled_threads_is_an_argument_of_the_report_only():
+    """No execution path takes a modelled core count.
+
+    ``threads`` re-weights a finished run's ``simulated_time``; the only
+    callables that may name it are the bench reports and the one function
+    that holds Amdahl's law.
+    """
+    offenders = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.startswith("repro.bench"):
+            continue
+        module = importlib.import_module(info.name)
+        functions = []
+        for member in vars(module).values():
+            if getattr(member, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(member):
+                functions.append(member)
+            elif inspect.isclass(member):
+                functions += [
+                    getattr(attribute, "__func__", attribute)
+                    for attribute in vars(member).values()
+                    if inspect.isfunction(getattr(attribute, "__func__", attribute))
+                ]
+        offenders += [
+            f"{module.__name__}.{function.__qualname__}"
+            for function in functions
+            if "threads" in inspect.signature(function).parameters
+        ]
+    assert offenders == ["repro.engine.profiles.EngineProfile.simulated_time"]
