@@ -12,15 +12,17 @@ class SkinnerConfig:
     """Tuning knobs shared by the Skinner variants.
 
     The defaults follow the paper's experimental setup (§6.1): Skinner-C uses
-    a time-slice budget of 500 multi-way-join loop iterations and a tiny UCT
-    exploration weight; Skinner-G/H use much larger per-batch budgets and the
-    canonical ``sqrt(2)`` exploration weight.
+    a base time-slice budget of 500 multi-way-join loop iterations and a tiny
+    UCT exploration weight; Skinner-G/H use much larger per-batch budgets and
+    the canonical ``sqrt(2)`` exploration weight.
 
     Attributes
     ----------
     slice_budget:
-        Skinner-C: number of multi-way join loop iterations per time slice
-        (the paper's ``b``).
+        Skinner-C: the *base* budget of a time slice, in multi-way join loop
+        iterations (the paper's ``b``).  The first slice of every join order
+        gets exactly this; later slices of the same order get a growing
+        multiple of it (``docs/engines.md``, "Slice budget schedule").
     batch_size:
         Skinner-C: upper bound on the ``(prefix, candidate)`` pairs the
         multi-way join examines in one vectorized step.  A batch is the

@@ -175,18 +175,30 @@ class ReproServer:
         server = self.connection.server
         while not self._stopping:
             if server.step():
-                self._notify_progress()
-                await asyncio.sleep(0)
+                await self._yield_to_clients()
             else:
                 self._work.clear()
                 # Re-check after clearing: a submit may have raced the clear.
                 if server.step():
-                    self._notify_progress()
-                    await asyncio.sleep(0)
+                    await self._yield_to_clients()
                     continue
                 if self._stopping:
                     break
                 await self._work.wait()
+
+    async def _yield_to_clients(self) -> None:
+        """After a grant: wake the waiters, then let the loop turn three times.
+
+        The pump is always ahead of the handlers in the loop's ready queue,
+        so one turn per grant would answer a request that arrived during a
+        grant only two grants later (one turn reads the socket, the next
+        wakes the handler).  Three turns answer it before the next grant
+        starts: what a request waits for is the grant in flight, whose
+        length the slice-budget schedule now grows.
+        """
+        self._notify_progress()
+        for _ in range(3):
+            await asyncio.sleep(0)
 
     def _notify_progress(self) -> None:
         """Wake every coroutine waiting for serving-state changes."""

@@ -92,6 +92,28 @@ _TAIL_DIVISOR = 8
 #: index vector, at the price of examining its look-ahead again.
 _PARKED_RUNS = 32
 
+#: Cap of the slice-budget schedule: no slice runs at more than this many
+#: base budgets.  Past 32 the seconds per query stay flat on the JOB
+#: analogues at ten times benchmark scale while the work still creeps up.
+MAX_BUDGET_FACTOR = 32
+
+
+def budget_factor(selections: int) -> int:
+    """Base budgets the ``selections``-th slice of one join order may spend.
+
+    ``2^floor(log2(selections))`` up to the cap: 1, 2, 2, 4, 4, 4, 4, 8, ...
+    The first slice of an order is a base-budget probe, and no slice spends
+    more than one base budget on top of what its order was already given.
+    """
+    return min(MAX_BUDGET_FACTOR, 1 << (selections.bit_length() - 1))
+
+
+#: An order's selections from this one on that are powers of two — the
+#: slices at which its budget would double — go to its best rival instead.
+#: From 2 the second looks cost 3.5% more work on Table 1, from 4 1.9%,
+#: from 8 0.8%; all three find the orders a misleading first slice hid.
+SECOND_LOOK_FROM = 8
+
 #: mirrored operator when the batch-position column is the right-hand side.
 _MIRRORED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 

@@ -1,13 +1,21 @@
 """Skinner-C: regret-bounded query evaluation on the customized engine.
 
 This is Algorithm 3 of the paper: query execution is divided into small time
-slices (``slice_budget`` multi-way-join loop iterations each).  At the start
-of a slice the UCT tree proposes a join order, the progress tracker restores
-the most advanced safe state for it, the multi-way join runs until the
-budget is exhausted, and the observed progress becomes the reward that
-updates the UCT tree.  Result tuples from all join orders accumulate in a
-duplicate-eliminating result set; execution ends when any join order (or the
-shared offsets) cover the whole input.
+slices.  At the start of a slice the UCT tree proposes a join order, the
+progress tracker restores the most advanced safe state for it, the multi-way
+join runs until the slice's budget is exhausted, and the observed progress
+becomes the reward that updates the UCT tree.  Result tuples from all join
+orders accumulate in a duplicate-eliminating result set; execution ends when
+any join order (or the shared offsets) cover the whole input.
+
+``slice_budget`` multi-way-join loop iterations are the *base* budget: what
+the first slice of every join order gets.  Later slices of the same order
+run at :func:`~repro.skinner.multiway_join.budget_factor` base budgets, and
+their reward is divided by that factor, so the tree, the morsel statistics
+and the serving layer's order priors all read "progress per base budget".
+The selections at which an order's budget would double go to its best
+rival instead: a second look at what a misleading first slice may have
+hidden (``docs/engines.md``, "Slice budget schedule").
 """
 
 from __future__ import annotations
@@ -29,7 +37,12 @@ from repro.errors import ExecutionError, ReproError
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
-from repro.skinner.multiway_join import MultiwayJoin
+from repro.skinner.multiway_join import (
+    MAX_BUDGET_FACTOR,
+    SECOND_LOOK_FROM,
+    MultiwayJoin,
+    budget_factor,
+)
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
@@ -165,6 +178,11 @@ class SkinnerCTask(EngineTask):
         self._rng = random.Random(config.seed)
         self._graph = query.join_graph()
         self.slices = 0
+        #: Selections per join order: the key of the budget schedule.
+        self._granted: dict[tuple[str, ...], int] = {}
+        #: Rewards earned per join order, to rank rivals for a second look.
+        self._earned: dict[tuple[str, ...], float] = {}
+        self._max_factor = 1
         #: Wall-clock seconds spent inside :meth:`run_episode` — the
         #: reference-time cost of this query's own episodes, free of the
         #: scheduling gaps that inflate ``wall_time_seconds`` when the task
@@ -222,17 +240,28 @@ class SkinnerCTask(EngineTask):
             order = self.tree.choose_order()
         else:
             order = SkinnerC._random_order(self._graph, self._rng)
+        granted = self._granted[order] = self._granted.get(order, 0) + 1
+        rival = self._second_look(order, granted)
+        if rival is not None:
+            order = rival
+            granted = self._granted[order] = self._granted[order] + 1
+        factor = budget_factor(granted)
+        self._max_factor = max(self._max_factor, factor)
+        budget = self._config.slice_budget * factor
         state = self.tracker.restore(order, self._cardinalities)
         prior = state.copy()
         finished = self.join.continue_join(
             state,
             self.tracker.offsets,
-            self._config.slice_budget,
+            budget,
             self.result_set,
             self.join_meter,
         )
-        reward = self._compute_reward(prior, state, self._cardinalities)
+        # Progress per base budget, whatever this slice was given: rewards
+        # earned at different factors stay comparable.
+        reward = self._compute_reward(prior, state, self._cardinalities) / factor
         self.tree.update(order, reward)
+        self._earned[order] = self._earned.get(order, 0.0) + reward
         self.tracker.backup(state)
         if self._config.use_offsets:
             self.tracker.advance_offset(order[0], state.indices[0])
@@ -243,11 +272,31 @@ class SkinnerCTask(EngineTask):
                 finished = True
         if self._trace:
             self.trace_records.append(
-                {"slice": self.slices, "uct_nodes": self.tree.node_count(), "order": order}
+                {"slice": self.slices, "uct_nodes": self.tree.node_count(), "order": order,
+                 "budget": budget, "factor": factor, "reward": reward,
+                 "second_look": rival is not None}
             )
         self.finished = finished
         self.episode_wall_seconds += time.perf_counter() - episode_started
         return finished
+
+    def _second_look(self, order: tuple[str, ...], granted: int) -> tuple[str, ...] | None:
+        """The rival that gets the slice UCT just gave ``order``, if one is due.
+
+        One is due when the selection is one at which the order's budget
+        doubles: its best rival so far — the other order with the highest
+        mean reward — runs instead, so an order that a misleading first
+        slice undersold is found while finding it is still cheap.
+        """
+        if (
+            self._order_selection != "uct"
+            or granted < SECOND_LOOK_FROM
+            or granted & (granted - 1)
+        ):
+            return None
+        rivals = [(earned / self._granted[rival], rival)
+                  for rival, earned in self._earned.items() if rival != order]
+        return max(rivals)[1] if rivals else None
 
     def finalize(self) -> QueryResult:
         """Post-process the join result and assemble metrics."""
@@ -269,7 +318,10 @@ class SkinnerCTask(EngineTask):
         return self._metrics(result_rows=result_rows, full=False)
 
     def _metrics(self, *, result_rows: int, full: bool) -> QueryMetrics:
-        extra: dict[str, Any] = {"episode_wall_seconds": self.episode_wall_seconds}
+        extra: dict[str, Any] = {
+            "episode_wall_seconds": self.episode_wall_seconds,
+            "max_budget_factor": self._max_factor,
+        }
         if full:
             extra = {
                 "result_bytes": self.result_set.estimated_bytes(),
@@ -409,7 +461,8 @@ class SkinnerC(ExecutionBackend):
         """Execute a query with one fixed join order on the Skinner-C engine.
 
         No learning happens: the multi-way join runs the given order to
-        completion.  Tables 3 and 4 use this to measure how a given join
+        completion, at the top budget of the slice schedule from the first
+        call.  Tables 3 and 4 use this to measure how a given join
         order (Skinner's learned order, or the C_out-optimal order) performs
         inside the Skinner execution engine.
         """
@@ -433,10 +486,9 @@ class SkinnerC(ExecutionBackend):
             state = JoinState(tuple(order))
             offsets = {alias: 0 for alias in prepared.aliases}
             finished = False
+            budget = self._config.slice_budget * MAX_BUDGET_FACTOR
             while not finished:
-                finished = join.continue_join(
-                    state, offsets, self._config.slice_budget, result_set, meter
-                )
+                finished = join.continue_join(state, offsets, budget, result_set, meter)
         relation = result_set.to_relation()
         output = post_process(query, relation, prepared.tables, self._udfs, meter)
         metrics = skinner_c_metrics(

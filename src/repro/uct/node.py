@@ -11,13 +11,16 @@ class UctNode:
     child node (the tree grows by at most one node per round).
     """
 
-    __slots__ = ("prefix", "visits", "reward_sum", "children")
+    __slots__ = ("prefix", "visits", "reward_sum", "children", "fully_expanded")
 
     def __init__(self, prefix: tuple[str, ...]) -> None:
         self.prefix = prefix
         self.visits = 0
         self.reward_sum = 0.0
         self.children: dict[str, UctNode] = {}
+        #: Set once every eligible action has a child; children are never
+        #: removed, so selection need not look for unexplored actions again.
+        self.fully_expanded = False
 
     @property
     def average_reward(self) -> float:

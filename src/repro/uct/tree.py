@@ -83,20 +83,21 @@ class UctJoinTree:
         expanded_this_round = False
         while len(prefix) < self._num_tables:
             eligible = self._eligible_next(prefix)
-            if node is not None:
-                unexplored = [action for action in eligible if action not in node.children]
-                if unexplored:
-                    action = self._rng.choice(unexplored)
-                    if not expanded_this_round:
-                        node = node.add_child(action)
-                        expanded_this_round = True
-                    else:
-                        node = None
-                else:
-                    action = self._select_ucb(node, eligible)
-                    node = node.child(action)
-            else:
+            if node is None:
                 action = self._rng.choice(eligible)
+            elif node.fully_expanded or not (
+                unexplored := [action for action in eligible if action not in node.children]
+            ):
+                node.fully_expanded = True
+                action = self._select_ucb(node, eligible)
+                node = node.children[action]
+            else:
+                action = self._rng.choice(unexplored)
+                if not expanded_this_round:
+                    node = node.add_child(action)
+                    expanded_this_round = True
+                else:
+                    node = None
             prefix.append(action)
         order = tuple(prefix)
         self._selection_counts[order] = self._selection_counts.get(order, 0) + 1

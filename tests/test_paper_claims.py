@@ -9,7 +9,9 @@ import pytest
 
 from repro.baselines.traditional import TraditionalEngine
 from repro.bench.metrics import QueryRecord, count_failures_and_disasters
+from repro.bench.specs import BENCH_CONFIG
 from repro.config import SkinnerConfig
+from repro.optimizer.exhaustive import optimal_plan
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_h import SkinnerH
 from repro.workloads.job import make_job_workload
@@ -69,6 +71,41 @@ class TestJoinOrderBenchmarkClaims:
         )
         random_total = sum(
             random_engine.execute(q.query).metrics.simulated_time for q in queries
+        )
+        assert learned_total < random_total
+
+    def test_learned_order_is_near_the_enumerated_optimum(self, job):
+        """Table 3, query by query: inside Skinner's own engine the order UCT
+        settles on costs at most 1.5x the C_out-optimal order found by
+        exhaustive enumeration over true cardinalities.  The net under the
+        slice-budget schedule: growing slices must not lock in a bad order."""
+        skinner = SkinnerC(job.catalog, job.udfs, FAST)
+        checked = 0
+        for workload_query in job.queries:
+            query = workload_query.query
+            if query.num_tables > 5:
+                continue
+            learned_order = skinner.execute(query).metrics.final_join_order
+            optimal_order = optimal_plan(job.catalog, query, job.udfs).order
+            learned = skinner.execute_with_order(query, learned_order)
+            optimal = skinner.execute_with_order(query, optimal_order)
+            assert learned.rows == optimal.rows
+            assert learned.metrics.work.total <= 1.5 * optimal.metrics.work.total, \
+                workload_query.name
+            checked += 1
+        assert checked >= 10
+
+    def test_learning_beats_randomization_on_the_whole_workload(self, job):
+        """Table 5's Skinner-C rows as the benchmark runs them: all queries,
+        the benchmark configuration, learned total below random total."""
+        learned_engine = SkinnerC(job.catalog, job.udfs, BENCH_CONFIG)
+        random_engine = SkinnerC(job.catalog, job.udfs,
+                                 BENCH_CONFIG.with_overrides(order_selection="random"))
+        learned_total = sum(
+            learned_engine.execute(q.query).metrics.simulated_time for q in job.queries
+        )
+        random_total = sum(
+            random_engine.execute(q.query).metrics.simulated_time for q in job.queries
         )
         assert learned_total < random_total
 

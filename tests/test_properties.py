@@ -40,14 +40,14 @@ _small_int = st.integers(min_value=0, max_value=4)
 
 
 @st.composite
-def catalog_and_query(draw):
+def catalog_and_query(draw, max_tables=3, max_rows=7):
     """A random 2-3 table catalog plus a random SPJ query over it."""
-    num_tables = draw(st.integers(min_value=2, max_value=3))
+    num_tables = draw(st.integers(min_value=2, max_value=max_tables))
     catalog = Catalog()
     aliases = []
     for table_index in range(num_tables):
         name = f"t{table_index}"
-        num_rows = draw(st.integers(min_value=0, max_value=7))
+        num_rows = draw(st.integers(min_value=0, max_value=max_rows))
         catalog.add_table(Table(name, {
             "k": [draw(_small_int) for _ in range(num_rows)],
             "v": [draw(_small_int) for _ in range(num_rows)],

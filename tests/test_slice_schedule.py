@@ -1,0 +1,221 @@
+"""The slice-budget schedule of Skinner-C (docs/engines.md, "Slice budget schedule").
+
+The first slice of every join order is a base-budget probe; slice ``n`` of
+an order runs at ``2^floor(log2 n)`` base budgets up to a cap, and its reward
+is divided by that factor; the selections at which an order's budget would
+double go to its best rival instead.  These tests pin the rule, its regret
+invariant, the reward scale, the second look, and that scheduling never
+changes a result.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.config import SkinnerConfig
+from repro.skinner import skinner_c
+from repro.skinner.multiway_join import MAX_BUDGET_FACTOR, SECOND_LOOK_FROM, budget_factor
+from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
+from repro.workloads.job import make_job_workload
+from tests.conftest import result_multiset
+from tests.test_properties import catalog_and_query
+
+BASE = 16
+
+
+def test_budget_factor_is_the_power_of_two_at_or_below_the_selection_count():
+    assert [budget_factor(n) for n in range(1, 17)] == [
+        1, 2, 2, 4, 4, 4, 4, 8, 8, 8, 8, 8, 8, 8, 8, 16]
+    assert budget_factor(MAX_BUDGET_FACTOR) == MAX_BUDGET_FACTOR
+    assert budget_factor(MAX_BUDGET_FACTOR * 2) == MAX_BUDGET_FACTOR
+    assert budget_factor(10**9) == MAX_BUDGET_FACTOR
+
+
+@pytest.fixture(scope="module")
+def traced_slices():
+    """Every slice of every JOB-analogue query: its trace record and its scans."""
+    job = make_job_workload(scale=0.4, seed=13)
+    config = SkinnerConfig(slice_budget=BASE)
+    runs = []
+    for workload_query in job.queries:
+        task = SkinnerCTask(job.catalog, workload_query.query, job.udfs, config, trace=True)
+        slices = []
+        while not task.finished:
+            before = task.join_meter.tuples_scanned
+            task.run_episode()
+            slices.append((task.trace_records[-1], task.join_meter.tuples_scanned - before))
+        runs.append((task.finalize().metrics, slices, task.tree.selection_counts()))
+    return runs
+
+
+def test_first_slice_of_every_order_is_a_base_probe_and_no_slice_exceeds_the_cap(traced_slices):
+    seen_cap = False
+    for _, slices, _ in traced_slices:
+        orders = set()
+        for record, scanned in slices:
+            assert record["budget"] == BASE * record["factor"]
+            assert scanned <= record["budget"] <= BASE * MAX_BUDGET_FACTOR
+            if record["order"] not in orders:
+                orders.add(record["order"])
+                assert record["factor"] == 1 and scanned <= BASE
+            seen_cap = seen_cap or record["factor"] == MAX_BUDGET_FACTOR
+    assert seen_cap, "no query reached the cap: the bound above was never exercised"
+
+
+def test_no_slice_spends_more_than_a_base_budget_over_what_its_order_already_got(traced_slices):
+    """The regret argument: a slice at most doubles its order's spending."""
+    for _, slices, _ in traced_slices:
+        granted: dict[tuple[str, ...], int] = defaultdict(int)
+        for record, _ in slices:
+            assert record["budget"] <= BASE + granted[record["order"]]
+            granted[record["order"]] += record["budget"]
+
+
+def test_metrics_report_the_largest_factor_reached(traced_slices):
+    for metrics, slices, _ in traced_slices:
+        assert metrics.extra["max_budget_factor"] == max(r["factor"] for r, _ in slices)
+
+
+def test_second_looks_go_to_orders_already_tried_at_doubling_selections(traced_slices):
+    """At most one per power of two from ``SECOND_LOOK_FROM`` on that UCT's
+    count of an order has passed, and never to an order that has not run."""
+    looks = 0
+    for _, slices, selections in traced_slices:
+        assert sum(selections.values()) == len(slices)
+        due = sum(count.bit_length() - SECOND_LOOK_FROM.bit_length() + 1
+                  for count in selections.values() if count >= SECOND_LOOK_FROM)
+        taken = [index for index, (record, _) in enumerate(slices) if record["second_look"]]
+        assert len(taken) <= due
+        for index in taken:
+            assert slices[index][0]["order"] in {r["order"] for r, _ in slices[:index]}
+        looks += len(taken)
+    assert looks, "no query took a second look: the rule above was never exercised"
+
+
+def _misled_task(job):
+    """A task whose first-tried order earns 0.001 once and 0.5 afterwards,
+    the second-tried order a steady 0.01 and every other order nothing."""
+    query = max(job.queries, key=lambda q: q.query.num_tables).query
+    task = SkinnerCTask(job.catalog, query, job.udfs, SkinnerConfig(slice_budget=2), trace=True)
+    tried: list[tuple[str, ...]] = []
+
+    def reward(prior, state, cardinalities):
+        if state.order not in tried:
+            tried.append(state.order)
+            return 0.001 if len(tried) == 1 else 0.01 if len(tried) == 2 else 0.0
+        return 0.5 if state.order == tried[0] else 0.01 if state.order == tried[1] else 0.0
+
+    task._compute_reward = reward
+    while not task.finished:
+        task.run_episode()
+    return task, tried
+
+
+def test_a_second_look_finds_the_order_its_first_slice_undersold(monkeypatch):
+    job = make_job_workload(scale=0.4, seed=13)
+    task, tried = _misled_task(job)
+    hidden, leader = tried[:2]
+    looks = [r for r in task.trace_records if r["second_look"]]
+    assert looks[0]["order"] == hidden and looks[0]["factor"] == 2
+    first = task.trace_records.index(looks[0])
+    assert sum(r["order"] == leader for r in task.trace_records[:first]) == SECOND_LOOK_FROM - 1
+    after = task.trace_records[first + 1:]
+    assert sum(r["order"] == hidden for r in after) > len(after) // 2 > SECOND_LOOK_FROM
+    assert task.tree.top_orders(1)[0][0] == hidden == task.tree.best_order()
+
+    monkeypatch.setattr(skinner_c, "SECOND_LOOK_FROM", 1 << 30)
+    task, tried = _misled_task(job)
+    assert sum(r["order"] == tried[0] for r in task.trace_records) == 1
+
+
+def test_an_edited_forest_does_not_flip_the_learned_order():
+    """The case the second look was added for: the document store's
+    ``praised_five_star`` (three aliases, no equality) while inserts, rating
+    rewrites and deletes — the e2e benchmark's write cycle — edit the forest.
+    From the 57th write on, base-budget first slices report the cheapest
+    order at a quarter of the leader's rate (its true rate is six times
+    higher), and without a second look UCT stays on an order that costs 6.2x
+    the best for as long as the forest keeps that shape."""
+    import copy
+    import itertools
+
+    from repro.docstore.axes import axis_query
+    from repro.docstore.shred import shred_nodes
+    from repro.docstore.workload import _query_pool, build_forest, random_item
+    from repro.query.parser import parse_query
+    from repro.storage.catalog import Catalog
+    from repro.storage.table import Table
+    from repro.workloads.generators import make_rng
+
+    forest = build_forest(documents=8, items_per_document=24, depth=2, seed=7)
+    rng = make_rng(7)
+    cycle = []
+    for window in range(8):
+        kind = ("insert", "update", "delete")[window % 3]
+        cycle.append((kind, float(rng.random()),
+                      random_item(rng, depth=1, sellers=40) if kind == "insert" else None,
+                      float(rng.integers(1, 6))))
+    steps = next(steps for stem, _, steps in _query_pool("doc_nodes")
+                 if stem == "praised_five_star")
+    for write in range(62):
+        kind, pick, subtree, stars = cycle[write % len(cycle)]
+        nodes = [node for root in forest for node in root.walk()]
+        regions = [node for node in nodes if node.tag == "region"]
+        if kind == "insert":
+            regions[int(pick * len(regions))].children.append(copy.deepcopy(subtree))
+        elif kind == "update":
+            ratings = [node for node in nodes if node.tag == "rating"]
+            node = ratings[int(pick * len(ratings))]
+            node.text, node.number = str(int(stars)), stars
+        else:
+            owners = [(region, child) for region in regions for child in region.children
+                      if child.tag == "item"]
+            region, item = owners[int(pick * len(owners))]
+            region.children.remove(item)
+        if write < 54:
+            continue
+        catalog = Catalog()
+        catalog.add_table(Table("doc_nodes", shred_nodes(forest)))
+        query = parse_query(axis_query("doc_nodes", steps), catalog)
+        engine = SkinnerC(catalog)
+        learned = engine.execute(query).metrics.work.total
+        best = min(engine.execute_with_order(query, order).metrics.work.total
+                   for order in itertools.permutations(query.aliases) if order[1] == "s1")
+        assert learned <= 2 * best, f"after write {write}: {learned} against {best}"
+
+
+def test_rewards_stay_on_the_progress_per_base_budget_scale(tiny_catalog, tiny_join_query):
+    """A factor-k slice feeds UCT its progress divided by k."""
+    task = SkinnerCTask(tiny_catalog, tiny_join_query, None, SkinnerConfig(slice_budget=4),
+                        trace=True)
+    task._compute_reward = lambda prior, state, cardinalities: 0.5
+    while not task.finished:
+        task.run_episode()
+    records = task.trace_records
+    assert max(record["factor"] for record in records) > 1
+    assert all(record["reward"] == 0.5 / record["factor"] for record in records)
+    root = task.tree.root
+    assert root.visits == len(records)
+    assert root.reward_sum == pytest.approx(sum(record["reward"] for record in records))
+
+
+# ----------------------------------------------------------------------
+# scheduling never changes a result
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(catalog_and_query(max_tables=4, max_rows=12), st.booleans(), st.booleans(),
+       st.sampled_from([2, 5, 16]))
+def test_scheduled_run_equals_the_forced_order_run(bundle, use_hash_jump, share_progress, base):
+    """Random chain joins big enough to take many tiny slices (a third of the
+    examples reach a factor above 1)."""
+    catalog, query = bundle
+    config = SkinnerConfig(slice_budget=base, use_hash_jump=use_hash_jump,
+                           share_progress=share_progress)
+    engine = SkinnerC(catalog, config=config)
+    learned = engine.execute(query)
+    forced = engine.execute_with_order(query, query.aliases)
+    assert result_multiset(learned) == result_multiset(forced)

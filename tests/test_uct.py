@@ -135,3 +135,59 @@ class TestTree:
         orders_a = [first.choose_order() for _ in range(10)]
         orders_b = [second.choose_order() for _ in range(10)]
         assert orders_a == orders_b
+
+
+class _RescanningTree(UctJoinTree):
+    """``choose_order`` as it was before nodes remembered being fully expanded:
+    the unexplored actions are listed again at every level of every descent."""
+
+    def choose_order(self):
+        prefix = []
+        node = self._root
+        expanded_this_round = False
+        while len(prefix) < self._num_tables:
+            eligible = self._eligible_next(prefix)
+            if node is not None:
+                unexplored = [action for action in eligible if action not in node.children]
+                if unexplored:
+                    action = self._rng.choice(unexplored)
+                    if not expanded_this_round:
+                        node = node.add_child(action)
+                        expanded_this_round = True
+                    else:
+                        node = None
+                else:
+                    action = self._select_ucb(node, eligible)
+                    node = node.child(action)
+            else:
+                action = self._rng.choice(eligible)
+            prefix.append(action)
+        order = tuple(prefix)
+        self._selection_counts[order] = self._selection_counts.get(order, 0) + 1
+        return order
+
+
+@pytest.mark.parametrize("num_tables", [2, 4, 6])
+@pytest.mark.parametrize("weight", [SKINNER_C_EXPLORATION_WEIGHT, DEFAULT_EXPLORATION_WEIGHT])
+@pytest.mark.parametrize("warm", [False, True])
+def test_remembering_full_expansion_changes_no_selection(num_tables, weight, warm):
+    """Same seed, same rewards: the same orders from the same RNG draws."""
+    import random
+
+    graph = chain_graph(num_tables)
+    trees = [cls(graph, exploration_weight=weight, seed=11)
+             for cls in (_RescanningTree, UctJoinTree)]
+    if warm:  # priors materialize whole sibling sets before the first choice
+        for tree in trees:
+            tree.seed(tuple(graph.aliases), 0.8, 3)
+            tree.merge_stats([(tuple(reversed(graph.aliases)), 2, 0.1)])
+    rewards = random.Random(5)
+    for _ in range(400):
+        reward = rewards.random() * 0.05
+        orders = [tree.choose_order() for tree in trees]
+        assert orders[0] == orders[1]
+        for tree in trees:
+            tree.update(orders[0], reward)
+    assert trees[0]._rng.getstate() == trees[1]._rng.getstate()
+    assert trees[0].node_count() == trees[1].node_count()
+    assert trees[1].root.fully_expanded
