@@ -6,7 +6,7 @@
   the connection owns a catalog, a UDF registry, the serving layer, and the
   engine registry the session resolves ``engine=`` names against.
 * ``connect("repro://host:port/?tenant=...")`` — a DSN: the connection
-  speaks the length-prefixed JSON wire protocol of :mod:`repro.net`
+  speaks the length-prefixed wire protocol of :mod:`repro.net`
   against a live server; the catalog, UDFs, and scheduling live
   server-side and this process only holds a socket.
 

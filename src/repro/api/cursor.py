@@ -165,7 +165,8 @@ class Cursor:
         For a streaming query this returns as soon as *any* rows are
         fetchable — possibly fewer than ``size`` — so the first batch
         arrives before the query finishes; an empty list means the result
-        is exhausted.
+        is exhausted.  ``size`` is a non-negative ``int``; anything else
+        (``-1``, ``"2"``, ``True``) is an :class:`InterfaceError`.
         """
         return self._fetch(size if size is not None else self.arraysize)
 
@@ -188,9 +189,11 @@ class Cursor:
         return row
 
     def _fetch(self, max_rows: int | None) -> list[tuple[Any, ...]]:
+        """The next batch as tuples — made here, from whole columns at a
+        time; everything below the cursor hands tables on."""
         self._check_fetchable(needs_query=True)
         assert self._ticket is not None
-        return self.connection.transport.fetch(self._ticket, max_rows)
+        return self.connection.transport.fetch_batch(self._ticket, max_rows).row_tuples()
 
     # ------------------------------------------------------------------
     # results and metrics

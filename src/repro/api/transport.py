@@ -11,8 +11,9 @@ schema mutations, transaction boundaries, metrics — goes through one
   :class:`~repro.serving.server.QueryServer`.  This is what ``connect()``
   with a :class:`~repro.config.SkinnerConfig` (the historical form) uses.
 * :class:`~repro.net.client.RemoteTransport` — a blocking socket speaking
-  the length-prefixed JSON protocol of :mod:`repro.net` against a live
-  server.  ``connect("repro://host:port/?tenant=...")`` resolves to it.
+  the framed protocol of :mod:`repro.net` (JSON header, raw column
+  buffers) against a live server.
+  ``connect("repro://host:port/?tenant=...")`` resolves to it.
 
 Because cursors only see the transport interface, the streamed fetch path
 and the completion-delivered result path behave identically against either
@@ -79,8 +80,12 @@ class Transport(ABC):
         """Submit a query; ``config=None`` means the backend's default."""
 
     @abstractmethod
+    def fetch_batch(self, ticket: int, max_rows: int | None) -> Table:
+        """Next streamed batch as a table (no rows = result exhausted)."""
+
     def fetch(self, ticket: int, max_rows: int | None) -> list[tuple[Any, ...]]:
-        """Next streamed row batch (empty list = result exhausted)."""
+        """:meth:`fetch_batch` as a list of row tuples."""
+        return self.fetch_batch(ticket, max_rows).row_tuples()
 
     @abstractmethod
     def poll(self, ticket: int) -> dict[str, Any]:
@@ -229,8 +234,8 @@ class LocalTransport(Transport):
         )
         return SubmitHandle(ticket, tuple(parsed.output_names(conn.catalog)))
 
-    def fetch(self, ticket: int, max_rows: int | None) -> list[tuple[Any, ...]]:
-        return self._connection.server.fetch(ticket, max_rows)
+    def fetch_batch(self, ticket: int, max_rows: int | None) -> Table:
+        return self._connection.server.fetch_batch(ticket, max_rows)
 
     def poll(self, ticket: int) -> dict[str, Any]:
         return self._connection.server.poll(ticket)

@@ -36,6 +36,7 @@ from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
+from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
 #: Valid values of :func:`post_process`'s ``mode`` parameter.
@@ -89,6 +90,10 @@ class _ColumnarData:
 
     def table(self, alias: str) -> Table:
         return self._tables[alias]
+
+    def ids(self, alias: str) -> np.ndarray:
+        """Base-table row of ``alias`` for every result row."""
+        return self._relation.ids(alias)
 
     def column(self, alias: str, column: str) -> np.ndarray:
         """Decoded values of ``alias.column`` aligned with the result rows."""
@@ -146,7 +151,40 @@ def _post_process_columnar(
     if length == 0:
         # Match the row pipeline's typing of empty results exactly.
         return Table("result", {name: [] for name in dict.fromkeys(names)})
-    return Table("result", columns)
+    if query.select_items:
+        items = zip(names, (item.expression for item in query.select_items))
+    else:
+        items = ((f"{alias}_{column}", ColumnRef(alias, column))
+                 for alias, _ in query.tables for column in data.table(alias).column_names)
+    # Like ``columns``, keyed by name: of two items named alike the last wins.
+    bare = {name: ref for name, ref in items if isinstance(ref, ColumnRef)}
+    return Table("result", {
+        name: _output_column(values, bare.get(name), data, source_rows)
+        for name, values in columns.items()
+    })
+
+
+def _output_column(
+    values: np.ndarray, bare: ColumnRef | None, data: _ColumnarData, source_rows: np.ndarray
+) -> Column:
+    """One output column, typed as ``Column(values)`` types it, built from
+    physical arrays instead of value by value.
+
+    ``bare`` is set when the select item is nothing but a column reference:
+    a string column then gathers the source's codes at the output's source
+    rows and shares the source's dictionary.  Any other string-valued
+    expression is encoded afresh.
+    """
+    if np.issubdtype(values.dtype, np.integer):
+        return Column.from_physical(values.astype(np.int64, copy=False), ColumnType.INT)
+    if np.issubdtype(values.dtype, np.floating):
+        return Column.from_physical(values.astype(np.float64, copy=False), ColumnType.FLOAT)
+    if bare is not None:
+        source = data.table(bare.table).column(bare.column)
+        if source.ctype is ColumnType.STRING:
+            codes = source.data[data.ids(bare.table)[source_rows]]
+            return Column.from_physical(codes, ColumnType.STRING, source.dictionary)
+    return Column(values)
 
 
 # ----------------------------------------------------------------------

@@ -72,8 +72,10 @@ class EngineTask(abc.ABC):
     and validated against the owning :class:`~repro.api.registry.EngineSpec`
     capabilities:
 
-    * **streamable** — ``enable_streaming()`` / ``drain_new_tuples()`` plus
-      ``stream_aliases`` / ``stream_tables`` for incremental row delivery.
+    * **streamable** — ``enable_streaming()`` / ``drain_new_tuples()`` (the
+      tuples found since the last drain, as a ``(rows, aliases)`` int64
+      matrix) plus ``stream_aliases`` / ``stream_tables`` for incremental
+      row delivery.
     * **partial results** — ``partial_metrics(result_rows)`` for
       LIMIT-style early termination.
     * **parallelizable** — a truthy ``parallel_capable`` class attribute

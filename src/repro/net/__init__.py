@@ -3,8 +3,9 @@
 The package turns the in-process :class:`~repro.serving.server.QueryServer`
 into a multi-tenant network service:
 
-* :mod:`repro.net.protocol` — the length-prefixed JSON wire protocol
-  (framing, verb/response envelopes, error and result codecs);
+* :mod:`repro.net.protocol` — the wire protocol: length-prefixed frames
+  of a JSON header and raw column buffers (framing, verb/response
+  envelopes, error, table and result codecs);
 * :mod:`repro.net.server` — the :class:`ReproServer` asyncio front door
   (per-client handshake, episode pump, tenant backpressure, disconnect
   cleanup) plus :class:`ServerThread` for embedding a live server in tests

@@ -38,14 +38,16 @@ from repro.api.transport import SubmitHandle, Transport
 from repro.config import SkinnerConfig
 from repro.errors import InterfaceError, OperationalError
 from repro.net.protocol import (
+    FRAME_HEAD,
     LENGTH_PREFIX,
-    MAX_FRAME,
     PROTOCOL_VERSION,
     FrameError,
+    check_frame_head,
     decode_payload,
     encode_frame,
     error_from_wire,
     result_from_wire,
+    wire_table,
 )
 from repro.result import QueryResult
 from repro.storage.loader import load_csv as _load_csv_file
@@ -138,6 +140,9 @@ class SocketChannel:
             except socket.timeout:
                 self._teardown()
                 raise OperationalError(f"request {verb!r} timed out") from None
+            except FrameError:
+                self._teardown()  # the stream cannot be resynchronized
+                raise
             except OSError as exc:
                 self._teardown()
                 raise OperationalError(f"connection lost during {verb!r}: {exc}") from None
@@ -152,21 +157,25 @@ class SocketChannel:
         raise error_from_wire(response.get("error") or {})
 
     def _read_frame(self) -> dict[str, Any]:
-        prefix = self._recv_exact(LENGTH_PREFIX.size)
-        (length,) = LENGTH_PREFIX.unpack(prefix)
-        if length > MAX_FRAME:
-            raise FrameError(f"announced frame of {length} bytes exceeds MAX_FRAME")
-        return decode_payload(self._recv_exact(length))
+        """One frame, received into one buffer that its tables then view."""
+        head = bytearray(FRAME_HEAD.size)
+        self._recv_into(head)
+        length, header_length = FRAME_HEAD.unpack(head)
+        check_frame_head(length, header_length)  # before allocating `length`
+        body = bytearray(length)
+        body[:LENGTH_PREFIX.size] = head[LENGTH_PREFIX.size:]
+        self._recv_into(memoryview(body)[LENGTH_PREFIX.size:])
+        return decode_payload(body)
 
-    def _recv_exact(self, count: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < count:
-            chunk = self._sock.recv(count - len(chunks))
-            if not chunk:
+    def _recv_into(self, buffer: bytearray | memoryview) -> None:
+        """Fill ``buffer`` from the socket, written once, in place."""
+        view = memoryview(buffer)
+        while len(view):
+            received = self._sock.recv_into(view)
+            if not received:
                 self._teardown()
                 raise OperationalError("server closed the connection")
-            chunks.extend(chunk)
-        return bytes(chunks)
+            view = view[received:]
 
     def _teardown(self) -> None:
         self._closed = True
@@ -272,9 +281,8 @@ class RemoteTransport(Transport):
         )
         return SubmitHandle(int(data["ticket"]), tuple(data["columns"]))
 
-    def fetch(self, ticket: int, max_rows: int | None) -> list[tuple[Any, ...]]:
-        data = self._channel.request("fetch", ticket=ticket, max_rows=max_rows)
-        return [tuple(row) for row in data["rows"]]
+    def fetch_batch(self, ticket: int, max_rows: int | None) -> Table:
+        return wire_table(self._channel.request("fetch", ticket=ticket, max_rows=max_rows))
 
     def poll(self, ticket: int) -> dict[str, Any]:
         return self._channel.request("poll", ticket=ticket)
@@ -323,12 +331,7 @@ class RemoteTransport(Transport):
     # schema and transactions
     # ------------------------------------------------------------------
     def _ship_table(self, table: Table, *, replace: bool) -> None:
-        columns = {
-            name: table.column(name).values() for name in table.column_names
-        }
-        self._channel.request(
-            "create_table", name=table.name, columns=columns, replace=replace
-        )
+        self._channel.request("create_table", table=table, replace=replace)
 
     def create_table(
         self, name: str, columns: Mapping[str, Sequence[Any]], *, replace: bool

@@ -43,17 +43,27 @@ from repro.errors import InterfaceError, OperationalError, ReproError
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     FrameError,
+    V1Frame,
     config_from_wire,
     encode_frame,
     error_to_wire,
     read_frame,
+    refuse_v1,
     result_to_wire,
+    wire_table,
 )
+from repro.serving.server import check_fetch_size
 
 
 def _same_path(a: str, b: str) -> bool:
     """Whether two paths name the same location (symlinks resolved)."""
     return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _version_error(version: Any) -> OperationalError:
+    return OperationalError(
+        f"protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
+    )
 
 
 def _request_args(request: dict[str, Any]) -> dict[str, Any]:
@@ -251,7 +261,14 @@ class ReproServer:
         self, client: _Client, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
         """First exchange: protocol version check and tenant binding."""
-        request = await read_frame(reader)
+        try:
+            request = await read_frame(reader)
+        except V1Frame as old:
+            # The same typed refusal a v2-framed hello naming version 1
+            # gets, in the only framing this peer reads.
+            writer.write(refuse_v1(old.request_id, _version_error(1)))
+            await writer.drain()
+            return False
         if request is None:
             return False
         request_id = request.get("id")
@@ -261,10 +278,7 @@ class ReproServer:
             args = _request_args(request)
             version = args.get("version")
             if version != PROTOCOL_VERSION:
-                raise OperationalError(
-                    f"protocol version {version} unsupported (server speaks "
-                    f"{PROTOCOL_VERSION})"
-                )
+                raise _version_error(version)
             client.tenant = str(args.get("tenant") or "default")
             requested = self._admit_settings(args)
         except (OperationalError, InterfaceError) as exc:
@@ -407,11 +421,11 @@ class ReproServer:
         qs = self.connection.server
         ticket = int(args["ticket"])
         max_rows = args.get("max_rows")
+        check_fetch_size(max_rows)  # before parking, not after the wait
         while True:
             session = qs.session(ticket)  # unknown tickets raise here
             if session.done or (session.stream is not None and len(session.stream)):
-                rows = qs.fetch(ticket, max_rows, drive=False)
-                return {"rows": [list(row) for row in rows]}
+                return {"table": qs.fetch_batch(ticket, max_rows, drive=False)}
             await self._await_progress()
 
     async def _verb_result(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
@@ -437,9 +451,8 @@ class ReproServer:
     async def _verb_create_table(
         self, client: _Client, args: dict[str, Any]
     ) -> dict[str, Any]:
-        table = self.connection.create_table(
-            str(args["name"]), args["columns"], replace=bool(args.get("replace", False))
-        )
+        table = wire_table(args)
+        self.connection.add_table(table, replace=bool(args.get("replace", False)))
         return {"name": table.name, "rows": table.num_rows}
 
     async def _verb_drop_table(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:

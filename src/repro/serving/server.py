@@ -41,7 +41,7 @@ from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter, WorkLedger
 from repro.engine.postprocess import post_process
 from repro.engine.relation import RowIdRelation
-from repro.errors import ReproError
+from repro.errors import InterfaceError, ReproError
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.parser import parse_query
 from repro.query.query import Query
@@ -56,7 +56,7 @@ from repro.serving.cache import (
     query_fingerprint,
 )
 from repro.serving.scheduler import FairScheduler
-from repro.serving.session import QuerySession, SessionState, StreamBuffer
+from repro.serving.session import QuerySession, SessionState, StreamBuffer, empty_batch
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -67,6 +67,23 @@ SERVABLE_ENGINES = RegistryNames(DEFAULT_REGISTRY)
 
 #: How many learned join orders one finished query contributes to the prior.
 _PRIOR_ORDERS = 3
+
+
+def check_fetch_size(max_rows: Any) -> None:
+    """A fetch size is ``None`` (everything buffered) or a non-negative int.
+
+    The one check behind ``Cursor.fetchmany``, :meth:`QueryServer.fetch` and
+    the wire's ``fetch`` verb, so a bad size reads the same locally and
+    over ``repro://`` — and ``-1`` is an error instead of an empty batch
+    that every caller takes for "exhausted".
+    """
+    if max_rows is None or (
+        isinstance(max_rows, int) and not isinstance(max_rows, bool) and max_rows >= 0
+    ):
+        return
+    raise InterfaceError(
+        f"fetch size must be None or a non-negative int, got {max_rows!r}"
+    )
 
 
 def _stream_eligible(query: Query, *, allow_limit: bool = False) -> bool:
@@ -245,16 +262,17 @@ class QueryServer:
             }
         return snapshot
 
-    def fetch(
+    def fetch_batch(
         self, ticket: int, max_rows: int | None = None, *, drive: bool = True
-    ) -> list[tuple[Any, ...]]:
+    ) -> Table:
         """Fetch up to ``max_rows`` result rows of a streaming submission.
 
         This is the incremental-delivery path behind
         :meth:`repro.api.cursor.Cursor.fetchmany`: the scheduler is driven
         until the submission has fetchable rows (or finishes), then the
-        buffered rows are returned in their materialization order.  An
-        empty list therefore means the result is exhausted.  With
+        buffered rows are returned in their materialization order, as a
+        table — columns stay arrays until a cursor makes tuples of them.  A
+        table of no rows therefore means the result is exhausted.  With
         ``drive=False`` only already-buffered rows are returned.
 
         Rows stream *before completion* when the engine's registry spec is
@@ -263,6 +281,7 @@ class QueryServer:
         pushed into the stream (the session completes early once the limit
         is filled); otherwise the buffer fills when the query completes.
         """
+        check_fetch_size(max_rows)
         session = self._session(ticket)
         if not session.stream_requested:
             raise ReproError(
@@ -284,8 +303,15 @@ class QueryServer:
             assert session.error is not None
             raise session.error
         if session.stream is None:
-            return []  # drive=False before activation: nothing buffered yet
+            # drive=False before activation: nothing buffered yet
+            return empty_batch(session.query.output_names(self._catalog))
         return session.stream.take(max_rows)
+
+    def fetch(
+        self, ticket: int, max_rows: int | None = None, *, drive: bool = True
+    ) -> list[tuple[Any, ...]]:
+        """:meth:`fetch_batch` as a list of row tuples (empty = exhausted)."""
+        return self.fetch_batch(ticket, max_rows, drive=drive).row_tuples()
 
     def result(self, ticket: int, *, drive: bool = True) -> QueryResult:
         """The result of a submission, driving the scheduler until it is done.
@@ -590,17 +616,16 @@ class QueryServer:
             self._finish_limited(session)
             return
         fresh = task.drain_new_tuples()
-        if not fresh:
+        if not len(fresh):
             return
-        relation = RowIdRelation.from_index_tuples(task.stream_aliases, fresh)
+        relation = RowIdRelation.from_matrix(task.stream_aliases, fresh)
         table = post_process(
             session.query, relation, task.stream_tables, self._udfs, CostMeter()
         )
-        rows = self._table_rows(table)
         if session.limit_remaining is not None:
-            rows = rows[: session.limit_remaining]
-            session.limit_remaining -= len(rows)
-        buffer.push(rows, self.ledger.grand_total())
+            table = table.slice(0, session.limit_remaining)
+            session.limit_remaining -= table.num_rows
+        buffer.push(table, self.ledger.grand_total())
         if session.limit_remaining is not None and session.limit_remaining <= 0:
             self._finish_limited(session)
 
@@ -609,13 +634,7 @@ class QueryServer:
         if session.stream is None:
             session.stream = StreamBuffer(result.table.column_names)
         session.stream.names = tuple(result.table.column_names)
-        session.stream.push(self._table_rows(result.table), self.ledger.grand_total())
-
-    @staticmethod
-    def _table_rows(table: Table) -> list[tuple[Any, ...]]:
-        """A table's rows as plain tuples in column-declaration order."""
-        columns = [table.column(name).values() for name in table.column_names]
-        return list(zip(*columns))
+        session.stream.push(result.table, self.ledger.grand_total())
 
     def _warm_start_priors(
         self, session: QuerySession, spec: Any
@@ -767,12 +786,11 @@ class QueryServer:
         task = session.task
         buffer = session.stream
         assert task is not None and buffer is not None
-        # Duplicate output names collapse to one dict-keyed column in a full
-        # run's result table, and the streamed rows are already that width —
-        # pair the journal with the deduplicated names (first occurrence
-        # wins), exactly like the completion path.
-        names = list(dict.fromkeys(buffer.names))
-        table = Table.from_rows("result", names, buffer.journal)
+        # The journaled batches are post-processed tables already, so
+        # duplicate output names have collapsed to one column exactly like
+        # in a full run's result table.
+        table = (Table.concat(buffer.journal) if buffer.journal
+                 else empty_batch(buffer.names))
         if hasattr(task, "partial_metrics"):
             metrics = task.partial_metrics(table.num_rows)
         else:  # registry extensions without partial accounting

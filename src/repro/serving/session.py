@@ -26,13 +26,16 @@ import time
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Protocol
+
+import numpy as np
 
 from repro.config import SkinnerConfig
 from repro.engine.task import EngineTask
 from repro.errors import ReproError
 from repro.query.query import Query
 from repro.result import QueryResult
+from repro.storage.table import Table
 
 
 class EpisodeTask(Protocol):
@@ -62,58 +65,75 @@ class StreamingTask(EpisodeTask, Protocol):
     def enable_streaming(self) -> None:
         """Start journaling newly materialized result tuples."""
 
-    def drain_new_tuples(self) -> list[tuple[int, ...]]:
-        """Tuples materialized since the last drain, in discovery order."""
+    def drain_new_tuples(self) -> np.ndarray:
+        """Tuples materialized since the last drain, in discovery order: a
+        ``(rows, aliases)`` int64 matrix over ``stream_aliases``."""
+
+
+def empty_batch(names: Sequence[str]) -> Table:
+    """A batch of no rows under a query's output names (repeats collapsed)."""
+    return Table("result", {name: [] for name in dict.fromkeys(names)})
 
 
 class StreamBuffer:
     """Rows materialized ahead of completion, queued for cursor fetches.
 
-    The server pushes projected row batches between episodes; a cursor
-    takes rows out in FIFO order.  ``first_rows_at_work`` records the
-    deterministic work-unit clock at the moment the first row became
-    fetchable — the streaming analogue of the session's
+    The server pushes projected batches between episodes, each one a
+    :class:`~repro.storage.table.Table`; a cursor takes rows out in FIFO
+    order as a table again — whole queued tables are handed over as they
+    are, a partial take slices column arrays.  ``first_rows_at_work``
+    records the deterministic work-unit clock at the moment the first row
+    became fetchable — the streaming analogue of the session's
     ``completed_at_work`` — which is how the benchmark measures
     time-to-first-batch without wall-clock noise.
     """
 
     def __init__(self, names: Sequence[str]) -> None:
         self.names = tuple(names)
-        self._rows: deque[tuple[Any, ...]] = deque()
+        self._tables: deque[Table] = deque()
+        #: Rows of the head table already taken (it is sliced, never copied).
+        self._head_taken = 0
+        self._buffered = 0
         self.rows_streamed = 0
         self.first_rows_at_work: int | None = None
         #: Whether rows arrive between episodes (True) or only at completion.
         self.incremental = False
-        #: When True every pushed row is also retained in :attr:`journal`
+        #: When True every pushed table is also retained in :attr:`journal`
         #: (consumed fetches included) — the LIMIT push-down path builds the
         #: session's final result table from it.  Bounded by the limit.
         self.keep_journal = False
-        self.journal: list[tuple[Any, ...]] = []
+        self.journal: list[Table] = []
 
-    def push(self, rows: Sequence[tuple[Any, ...]], clock: int) -> None:
+    def push(self, table: Table, clock: int) -> None:
         """Append a projected batch (``clock`` is the ledger grand total)."""
-        if not rows:
+        if not table.num_rows:
             return
         if self.first_rows_at_work is None:
             self.first_rows_at_work = clock
-        self._rows.extend(rows)
-        self.rows_streamed += len(rows)
+        self._tables.append(table)
+        self._buffered += table.num_rows
+        self.rows_streamed += table.num_rows
         if self.keep_journal:
-            self.journal.extend(rows)
+            self.journal.append(table)
 
-    def take(self, max_rows: int | None = None) -> list[tuple[Any, ...]]:
+    def take(self, max_rows: int | None = None) -> Table:
         """Remove and return up to ``max_rows`` buffered rows (FIFO)."""
-        if max_rows is None:
-            taken = list(self._rows)
-            self._rows.clear()
-            return taken
-        taken = []
-        while self._rows and len(taken) < max_rows:
-            taken.append(self._rows.popleft())
-        return taken
+        wanted = self._buffered if max_rows is None else min(max_rows, self._buffered)
+        self._buffered -= wanted
+        parts = []
+        while wanted:
+            head, start = self._tables[0], self._head_taken
+            stop = min(head.num_rows, start + wanted)
+            parts.append(head if (start, stop) == (0, head.num_rows) else head.slice(start, stop))
+            wanted -= stop - start
+            if stop == head.num_rows:
+                self._tables.popleft()
+                stop = 0
+            self._head_taken = stop
+        return Table.concat(parts) if parts else empty_batch(self.names)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._buffered
 
 
 class SessionState(enum.Enum):

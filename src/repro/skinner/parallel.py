@@ -427,7 +427,6 @@ class ParallelSkinnerCTask(EngineTask):
         # one morsel: over everything, making this exactly the plain task).
         # Its tree is the coordinator tree all statistics merge into.
         self._pilot: SkinnerCTask | None = self._make_morsel_task(0, order_prior)
-        self._pilot.enable_streaming()
         self.tree = self._pilot.tree
         self.tracker = self._pilot.tracker
         if self._pilot.finished:  # empty input or single-table fast path
@@ -501,16 +500,15 @@ class ParallelSkinnerCTask(EngineTask):
     # incremental result delivery (streaming cursors)
     # ------------------------------------------------------------------
     def enable_streaming(self) -> None:
-        """Journal new tuples: live from the pilot, per-morsel afterwards.
+        """Nothing to switch on: the result set keeps discovery order anyway.
 
         The streamed order is deterministic across worker counts — pilot
         tuples in discovery order, then each remaining morsel's tuples in
         sorted-matrix order, morsel by morsel.
         """
-        self.result_set.enable_streaming()
 
-    def drain_new_tuples(self) -> list[tuple[int, ...]]:
-        """Result tuples added since the last drain."""
+    def drain_new_tuples(self) -> np.ndarray:
+        """Result tuples added since the last drain, as a matrix."""
         return self.result_set.drain_new()
 
     @property
@@ -555,8 +553,8 @@ class ParallelSkinnerCTask(EngineTask):
         restrict[self._partition_alias] = restrict[self._partition_alias][start:stop]
         return restrict
 
-    def _forward(self, tuples: list[tuple[int, ...]]) -> None:
-        self.result_set.add_many(tuples)
+    def _forward(self, matrix: np.ndarray) -> None:
+        self.result_set.add_batch(matrix)
 
     def _finish_pilot(self) -> None:
         """Fold the pilot into the coordinator and start phase two."""

@@ -2,8 +2,13 @@
 
 Different join orders can regenerate the same result tuple; Skinner-C stores
 result tuples as vectors of base-table row positions (one per query alias,
-in a canonical alias order) inside a set, so duplicates across join orders
-are eliminated before materialization (paper §4.5 and Theorem 5.3).
+in a canonical alias order), so duplicates across join orders are
+eliminated before materialization (paper §4.5 and Theorem 5.3).
+
+The tuples stay arrays from the join's emit onward: the store is a list of
+int64 matrix blocks in discovery order plus a membership set holding one
+key per row, the row's bytes.  Nothing is ever turned into a Python tuple
+unless a caller asks for :meth:`JoinResultSet.tuples`.
 """
 
 from __future__ import annotations
@@ -15,19 +20,52 @@ import numpy as np
 from repro.engine.relation import RowIdRelation
 
 
+_INT64_RANGE = 1 << 63
+
+
+def _lexicographic_order(matrix: np.ndarray) -> np.ndarray:
+    """The permutation sorting a matrix of *distinct* int64 rows like tuples.
+
+    Columns are packed mixed-radix, most significant first and each shifted
+    to start at zero, into as few int64 keys as hold them — one key
+    whenever the column ranges (at most the base tables' row counts)
+    multiply to less than 2^63 — so the sort compares one integer per row,
+    not one per alias.  Ties cannot occur between distinct rows, so the
+    single-key sort need not be stable.
+    """
+    if not matrix.shape[0]:
+        return np.empty(0, dtype=np.intp)
+    lows, highs = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
+    keys: list[np.ndarray] = []
+    size = 0  # the key being packed holds values in [0, size); 0: packs no more
+    for column, (low, high) in enumerate(zip(lows, highs)):
+        span = high - low + 1
+        if size and size * span <= _INT64_RANGE:
+            keys[-1] = keys[-1] * span + (matrix[:, column] - low)
+            size *= span
+        elif span <= _INT64_RANGE:
+            keys.append(matrix[:, column] - low)
+            size = span
+        else:  # a range too wide to shift into int64 sorts as it is
+            keys.append(matrix[:, column])
+            size = 0
+    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+
+
 class JoinResultSet:
     """A set of result tuples in tuple-index representation."""
 
     def __init__(self, aliases: Sequence[str]) -> None:
         self._aliases = tuple(aliases)
-        self._tuples: set[tuple[int, ...]] = set()
-        #: Completion-safe streaming journal: when enabled, every *new* tuple
-        #: is also appended here in insertion order, and a streaming consumer
-        #: drains the undelivered suffix between episodes.  Draining never
-        #: touches the set, so finalization stays byte-identical whether or
-        #: not the result was streamed.
-        self._stream_log: list[tuple[int, ...]] | None = None
-        self._stream_cursor = 0
+        #: One opaque element per matrix row: viewing a block through it
+        #: yields the rows' bytes, the membership keys.
+        self._row = np.dtype((np.void, 8 * len(self._aliases)))
+        self._keys: set[bytes] = set()
+        #: The new rows of every batch, in the order they were added.  The
+        #: blocks are the store; a streaming consumer drains the suffix it
+        #: has not seen yet, which never touches what finalization reads.
+        self._blocks: list[np.ndarray] = []
+        self._drained = 0
 
     @property
     def aliases(self) -> tuple[str, ...]:
@@ -35,84 +73,61 @@ class JoinResultSet:
         return self._aliases
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._keys)
 
-    def __contains__(self, index_tuple: tuple[int, ...]) -> bool:
-        return tuple(index_tuple) in self._tuples
+    def __contains__(self, index_tuple: Sequence[int]) -> bool:
+        return np.asarray(index_tuple, dtype=np.int64).tobytes() in self._keys
 
     def add(self, index_tuple: Sequence[int]) -> bool:
         """Add one index vector; returns True if it was new."""
-        key = tuple(int(i) for i in index_tuple)
-        if key in self._tuples:
-            return False
-        self._tuples.add(key)
-        if self._stream_log is not None:
-            self._stream_log.append(key)
-        return True
+        return self.add_many([index_tuple]) == 1
 
     def add_many(self, index_tuples: Iterable[Sequence[int]]) -> int:
         """Add several index vectors; returns how many were new."""
-        added = 0
-        for index_tuple in index_tuples:
-            if self.add(index_tuple):
-                added += 1
-        return added
+        matrix = np.asarray(list(index_tuples), dtype=np.int64)
+        return self.add_batch(matrix.reshape(-1, len(self._aliases)))
 
     def add_batch(self, matrix: np.ndarray) -> int:
         """Bulk-add a ``(rows, aliases)`` int matrix of index vectors.
 
-        Used by the batched multi-way join to emit a whole surviving batch in
-        one call.  ``ndarray.tolist`` yields plain Python ints, so the stored
-        keys are identical to those produced by :meth:`add`.
+        The rows not stored yet are kept, first occurrences first, as one
+        block; returns how many there were.  The matrix is adopted when all
+        of it is new (what the multi-way join emits almost always is), so
+        the caller must not write to it afterwards.
         """
-        matrix = np.asarray(matrix, dtype=np.int64)
+        matrix = np.ascontiguousarray(matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != len(self._aliases):
             raise ValueError("batch shape must be (rows, num_aliases)")
-        tuples = self._tuples
-        before = len(tuples)
-        keys = map(tuple, matrix.tolist())
-        if self._stream_log is None:
-            tuples.update(keys)
-        else:
-            # The journal takes exactly the new tuples, in batch order
-            # (``dict.fromkeys`` drops repeats inside the batch, keeping the
-            # first of each).
-            fresh = [key for key in dict.fromkeys(keys) if key not in tuples]
-            tuples.update(fresh)
-            self._stream_log.extend(fresh)
-        return len(tuples) - before
+        keys = matrix.view(self._row).ravel().tolist()
+        stored = self._keys
+        before = len(stored)
+        whole = stored.isdisjoint(keys)
+        if whole:
+            stored.update(keys)
+            whole = len(stored) - before == len(keys)
+            if not whole:  # repeats inside the batch: undo, filter row by row
+                stored.difference_update(keys)
+        if not whole:
+            store = stored.add
+            matrix = matrix[[row for row, key in enumerate(keys)
+                             if key not in stored and not store(key)]]
+        if matrix.shape[0]:
+            self._blocks.append(matrix)
+        return len(stored) - before
 
     def tuples(self) -> list[tuple[int, ...]]:
-        """All stored index vectors (unordered)."""
-        return list(self._tuples)
+        """All stored index vectors as tuples, in discovery order."""
+        return list(map(tuple, self._stacked(self._blocks).tolist()))
 
-    # ------------------------------------------------------------------
-    # streaming
-    # ------------------------------------------------------------------
-    def enable_streaming(self) -> None:
-        """Start journaling newly added tuples for incremental delivery.
+    def drain_new(self) -> np.ndarray:
+        """Rows added since the last drain, in discovery order, as a matrix.
 
-        Tuples already present (e.g. the single-table fast path populates
-        the set at task construction) enter the journal in ascending order,
-        which for that path equals their insertion order — the journal is
-        deterministic regardless of set iteration order.
+        Only a cursor advances: the blocks stay, so finalization is
+        byte-identical whether or not the result was streamed.
         """
-        if self._stream_log is None:
-            self._stream_log = sorted(self._tuples)
-            self._stream_cursor = 0
-
-    @property
-    def streaming(self) -> bool:
-        """Whether the streaming journal is active."""
-        return self._stream_log is not None
-
-    def drain_new(self) -> list[tuple[int, ...]]:
-        """Journaled tuples not yet delivered (advances the drain cursor)."""
-        if self._stream_log is None:
-            return []
-        batch = self._stream_log[self._stream_cursor:]
-        self._stream_cursor = len(self._stream_log)
-        return batch
+        fresh = self._blocks[self._drained:]
+        self._drained = len(self._blocks)
+        return self._stacked(fresh)
 
     def to_matrix(self) -> np.ndarray:
         """The stored index vectors as a ``(rows, aliases)`` int64 matrix.
@@ -122,13 +137,8 @@ class JoinResultSet:
         post-processing pipeline — see a deterministic row order regardless
         of which join orders produced the tuples.
         """
-        if not self._tuples:
-            return np.empty((0, len(self._aliases)), dtype=np.int64)
-        matrix = np.array(list(self._tuples), dtype=np.int64)
-        if matrix.ndim == 1:  # zero aliases cannot happen, but be explicit
-            matrix = matrix.reshape(len(self._tuples), -1)
-        order = np.lexsort(matrix.T[::-1])
-        return matrix[order]
+        matrix = self._stacked(self._blocks)
+        return matrix[_lexicographic_order(matrix)]
 
     def to_relation(self) -> RowIdRelation:
         """Materialize the set as a row-id relation over the alias order."""
@@ -136,4 +146,11 @@ class JoinResultSet:
 
     def estimated_bytes(self) -> int:
         """Rough memory footprint: 8 bytes per stored index."""
-        return len(self._tuples) * len(self._aliases) * 8
+        return len(self._keys) * len(self._aliases) * 8
+
+    def _stacked(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return np.empty((0, len(self._aliases)), dtype=np.int64)
+        return np.concatenate(blocks)

@@ -191,9 +191,8 @@ class SkinnerCTask(EngineTask):
         self.trace_records: list[dict[str, Any]] = []
         self.finished = self.prepared.is_empty() or query.num_tables == 1
         if query.num_tables == 1 and not self.prepared.is_empty():
-            alias = self.prepared.aliases[0]
-            for filtered_index in range(self._cardinalities[alias]):
-                self.result_set.add((self.prepared.base_row(alias, filtered_index),))
+            # Single-table fast path: the filtered rows are the result.
+            self.result_set.add_batch(self.prepared.filtered[self.prepared.aliases[0]][:, None])
 
     def work_total(self) -> int:
         """Total work units charged to this query so far (pre + join phase)."""
@@ -203,19 +202,17 @@ class SkinnerCTask(EngineTask):
     # incremental result delivery (streaming cursors)
     # ------------------------------------------------------------------
     def enable_streaming(self) -> None:
-        """Journal newly materialized result tuples for streaming delivery.
+        """Nothing to switch on: the result set keeps discovery order anyway.
 
-        Must be called before the first episode; afterwards
         :meth:`drain_new_tuples` returns the tuples each episode added, so a
         serving-layer cursor can hand rows to the client while the join is
         still running.  Streaming changes neither the episode sequence nor
         the meter charges — :meth:`finalize` still materializes from the
         full duplicate-eliminated set.
         """
-        self.result_set.enable_streaming()
 
-    def drain_new_tuples(self) -> list[tuple[int, ...]]:
-        """Result tuples added since the last drain, in discovery order."""
+    def drain_new_tuples(self) -> np.ndarray:
+        """Result tuples added since the last drain: a matrix, discovery order."""
         return self.result_set.drain_new()
 
     @property
@@ -474,8 +471,7 @@ class SkinnerC(ExecutionBackend):
         )
         result_set = JoinResultSet(prepared.aliases)
         if query.num_tables == 1 and not prepared.is_empty():
-            for filtered_index in range(prepared.cardinality(prepared.aliases[0])):
-                result_set.add((prepared.base_row(prepared.aliases[0], filtered_index),))
+            result_set.add_batch(prepared.filtered[prepared.aliases[0]][:, None])
         elif not prepared.is_empty():
             join = MultiwayJoin(
                 prepared,

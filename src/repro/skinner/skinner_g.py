@@ -155,9 +155,8 @@ class GenericLearningRun:
         if any(self.engine.filtered_positions(a).shape[0] == 0 for a in self.query.aliases):
             self.finished = True
         if self.query.num_tables == 1:
-            alias = self.query.aliases[0]
-            for position in self.engine.filtered_positions(alias):
-                self.result_set.add((int(position),))
+            positions = self.engine.filtered_positions(self.query.aliases[0])
+            self.result_set.add_batch(positions[:, None])
             self.finished = True
 
     # ------------------------------------------------------------------

@@ -94,7 +94,11 @@ class Column:
         for strings together with the ``dictionary`` of distinct values).
         This is the reconstruction path of morsel workers, which receive the
         flat physical arrays through shared memory and the string
-        dictionaries by value, and of :meth:`take` for numeric columns.
+        dictionaries by value, of :meth:`take` for numeric columns, and of
+        the result path (post-processing output, stream slices, decoded
+        wire frames).  A ``list`` dictionary is adopted, not copied, so
+        slices of one column share it; the value-to-code map is built on
+        first use.
         """
         column = cls.__new__(cls)
         column._ctype = ctype
@@ -108,13 +112,14 @@ class Column:
         if ctype is ColumnType.STRING:
             if dictionary is None:
                 raise SchemaError("string columns need a dictionary")
-            column._dictionary = list(dictionary)
-            column._code_of = {value: i for i, value in enumerate(column._dictionary)}
+            column._dictionary = (
+                dictionary if isinstance(dictionary, list) else list(dictionary)
+            )
         else:
             if dictionary is not None:
                 raise SchemaError("only string columns have a dictionary")
             column._dictionary = None
-            column._code_of = None
+        column._code_of = None
         return column
 
     @classmethod
@@ -240,14 +245,21 @@ class Column:
         return float(raw)
 
     def values(self) -> list[Any]:
-        """Return all decoded values as a Python list."""
-        data = self.data
-        if self._ctype is ColumnType.STRING:
-            dictionary = self.dictionary
-            return [dictionary[int(code)] for code in data]
-        if self._ctype is ColumnType.INT:
-            return [int(v) for v in data]
-        return [float(v) for v in data]
+        """Return all decoded values as a Python list.
+
+        ``tolist`` yields exactly ``int`` / ``float`` / ``str`` elements;
+        strings are the dictionary's own objects, taken through an object
+        array — or one by one where the dictionary outgrows the column (a
+        short slice of a long column must not pay for the whole dictionary).
+        """
+        if self._ctype is not ColumnType.STRING:
+            return self.data.tolist()
+        if self._decoded is not None:
+            return self._decoded.tolist()
+        dictionary = self.dictionary
+        if len(dictionary) > self._length:
+            return [dictionary[code] for code in self.data.tolist()]
+        return np.asarray(dictionary, dtype=object)[self.data].tolist()
 
     def raw(self, row: int) -> Any:
         """Return the physical value at ``row`` (code for strings)."""
@@ -306,6 +318,39 @@ class Column:
             values = [dictionary[int(code)] for code in data[positions]]
             return Column(values, ColumnType.STRING)
         return Column.from_physical(np.asarray(data[positions]), self._ctype)
+
+    def slice(self, start: int, stop: int | None = None) -> "Column":
+        """Rows ``start:stop`` as a view: no copy, the dictionary shared."""
+        return Column.from_physical(
+            self.data[start:stop],
+            self._ctype,
+            self.dictionary if self._ctype is ColumnType.STRING else None,
+        )
+
+    @staticmethod
+    def concat(parts: Sequence["Column"]) -> "Column":
+        """The rows of ``parts`` in order (all of one type).
+
+        String parts that share one dictionary object — slices of a column,
+        or code gathers over one source column — concatenate their codes;
+        any other mix is decoded and encoded afresh.
+        """
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        if first.ctype is not ColumnType.STRING:
+            return Column.from_physical(
+                np.concatenate([part.data for part in parts]), first.ctype
+            )
+        if all(part.dictionary is first.dictionary for part in parts):
+            return Column.from_physical(
+                np.concatenate([part.data for part in parts]),
+                ColumnType.STRING,
+                first.dictionary,
+            )
+        return Column(
+            np.concatenate([part.decoded_data for part in parts]), ColumnType.STRING
+        )
 
     def compare(self, op: str, literal: Any) -> np.ndarray:
         """Return a boolean mask of rows satisfying ``column <op> literal``.

@@ -102,9 +102,33 @@ class Table:
         """Return all rows (decoded); intended for small tables and tests."""
         return [self.row(i) for i in range(self._num_rows)]
 
+    def row_tuples(self) -> list[tuple[Any, ...]]:
+        """All rows as plain tuples in column-declaration order."""
+        return list(zip(*(col.values() for col in self._columns.values())))
+
     # ------------------------------------------------------------------
     # bulk operations
     # ------------------------------------------------------------------
+    def slice(self, start: int, stop: int | None = None) -> "Table":
+        """Rows ``start:stop`` as views of this table's columns (no copy)."""
+        return Table(
+            self.name, {name: col.slice(start, stop) for name, col in self._columns.items()}
+        )
+
+    @staticmethod
+    def concat(parts: Sequence["Table"]) -> "Table":
+        """The rows of ``parts`` in order (same columns in every part)."""
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        return Table(
+            first.name,
+            {
+                name: Column.concat([part.column(name) for part in parts])
+                for name in first.column_names
+            },
+        )
+
     def select(self, positions: np.ndarray | Sequence[int]) -> "Table":
         """Return a new table containing only the given row positions."""
         positions = np.asarray(positions, dtype=np.int64)

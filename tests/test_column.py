@@ -58,6 +58,31 @@ class TestValueAccess:
     def test_len(self):
         assert len(Column([1, 2, 3, 4])) == 4
 
+    def test_values_are_exactly_python_int_float_str(self):
+        """``values()`` goes through ``tolist``: no NumPy scalar may leak out
+        (``np.int64`` is not an ``int``, and JSON and sqlite refuse it)."""
+        for column, kind in (
+            (Column([5, 7, 2**62]), int),
+            (Column([1.5, 2.0, float("inf")]), float),
+            (Column(["a", "", "a"]), str),
+            (Column(["long", "tail"] * 3).slice(1, 2), str),  # dictionary > rows
+        ):
+            assert [type(value) for value in column.values()] == [kind] * len(column)
+        assert Column([5, 7, 2**62]).values() == [5, 7, 2**62]
+        assert Column(["long", "tail"] * 3).slice(1, 3).values() == ["tail", "long"]
+
+    def test_slice_shares_the_dictionary_and_concat_rejoins_it(self):
+        column = Column(["a", "b", "a", "c"])
+        head, tail = column.slice(0, 1), column.slice(1)
+        assert head.dictionary is column.dictionary
+        joined = Column.concat([head, tail])
+        assert joined.dictionary is column.dictionary
+        assert joined.values() == column.values()
+        # Different dictionaries: decoded and encoded afresh, values intact.
+        other = Column(["c", "z"])
+        assert Column.concat([tail, other]).values() == ["b", "a", "c", "c", "z"]
+        assert Column.concat([Column([1, 2]), Column([3])]).values() == [1, 2, 3]
+
     def test_empty_column(self):
         column = Column([])
         assert len(column) == 0

@@ -142,7 +142,7 @@ class TestRemoteBasics:
     def test_stats_verb_reports_tenants_and_caches(self, remote):
         remote.execute("SELECT COUNT(*) AS n FROM s")
         stats = remote.stats()
-        assert stats["protocol_version"] == 1
+        assert stats["protocol_version"] == 2
         assert stats["clients"] >= 1
         assert "default" in stats["tenants"]
         assert "result_cache" in stats and "order_cache" in stats

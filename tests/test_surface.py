@@ -18,6 +18,8 @@ import pkgutil
 import repro
 from repro import Connection, Cursor, QueryServer, SkinnerConfig, connect
 from repro.api.settings import SETTINGS
+from repro.api.transport import Transport
+from repro.net.protocol import PROTOCOL_VERSION
 
 CONFIG_FIELDS = {
     # Skinner-C
@@ -115,6 +117,19 @@ def test_settings_table_is_exactly_this():
 def test_execute_signatures_are_exactly_these():
     for function, expected in EXECUTE_PARAMETERS.items():
         assert list(inspect.signature(function).parameters) == expected, function.__qualname__
+
+
+def test_fetch_has_one_batch_returning_form_and_the_wire_one_version():
+    """Tables are fetched; the row-returning ``fetch`` is one line over it
+    on both layers (same parameters), and there is one wire encoding."""
+    for owner in (QueryServer, Transport):
+        batch = list(inspect.signature(owner.fetch_batch).parameters)
+        assert batch == list(inspect.signature(owner.fetch).parameters)
+    assert list(inspect.signature(QueryServer.fetch_batch).parameters) == [
+        "self", "ticket", "max_rows", "drive"]
+    assert list(inspect.signature(Transport.fetch_batch).parameters) == [
+        "self", "ticket", "max_rows"]
+    assert PROTOCOL_VERSION == 2
 
 
 def test_modelled_threads_is_an_argument_of_the_report_only():
