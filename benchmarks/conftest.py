@@ -165,6 +165,8 @@ def render(output: dict[str, Any]) -> str:
     for key in ("standard", "udf"):
         if key in output and isinstance(output[key], list):
             parts.append(format_table(f"{title} ({key})", output[key]))
+    if "batch_reuse" in output:
+        parts.append(format_table(f"{title} (batch reuse)", output["batch_reuse"]))
     if "scatter" in output:
         parts.append(format_table(f"{title} (per-query speedups)", output["scatter"]))
     if not parts:

@@ -10,6 +10,16 @@ reporting wall time per query and the kernel speedup.  Every run cross-checks
 that the two modes produce **byte-identical** row-id relations (same rows,
 same order) and identical meter charges, so the speedup numbers are always
 backed by equivalent work.
+
+A second series, ``batch_reuse``, measures what Skinner-G/H get from the
+executor's :class:`~repro.engine.operators.HashBuildCache`: the chain plan is
+invoked ten times on one batch of the left-most table and the remaining
+suffixes of the others — suffixes that move on every few invocations, as
+they do when batches complete — once through one executor kept across the
+invocations and once through a fresh executor per invocation.  Relations and
+meter charges must be identical call for call; what differs is how often a
+build side is grouped, and the wall time.  The series reports work *units*
+beside the experiment's gated ``simulated_time`` total, not inside it.
 """
 
 from __future__ import annotations
@@ -85,12 +95,64 @@ def _join_chain(executor: PlanExecutor, mode: str, meter: CostMeter) -> RowIdRel
 
 def _assert_equivalent(reference, vectorized, reference_work, vectorized_work, label):
     if vectorized.aliases != reference.aliases:
-        raise AssertionError(f"{label}: alias sets diverge between join modes")
+        raise AssertionError(f"{label}: alias sets diverge")
     for alias in reference.aliases:
         if not np.array_equal(vectorized.ids(alias), reference.ids(alias)):
-            raise AssertionError(f"{label}: row ids of {alias!r} diverge between join modes")
+            raise AssertionError(f"{label}: row ids of {alias!r} diverge")
     if vectorized_work != reference_work:
-        raise AssertionError(f"{label}: meter charges diverge between join modes")
+        raise AssertionError(f"{label}: meter charges diverge")
+
+
+#: Invocations of the ``batch_reuse`` series, and after how many of them each
+#: build side's suffix moves on (a completed batch of that table).
+_BATCH_INVOCATIONS = 10
+_SUFFIX_ADVANCES_EVERY = {"t1": 2, "t2": 5}
+
+
+def _batch_reuse(catalog: Catalog, query: Query) -> list[dict[str, Any]]:
+    """One kept executor vs a fresh one per invocation, over shrinking suffixes."""
+    kept = PlanExecutor(catalog, query)
+    filtered = kept.pre_process(CostMeter())
+    left = _JOIN_ORDER[0]
+    batches = np.array_split(filtered[left], _BATCH_INVOCATIONS)
+    # One array object per suffix: what GenericLearningRun hands the executor.
+    suffixes = {
+        alias: [filtered[alias][step * filtered[alias].shape[0] // _BATCH_INVOCATIONS:]
+                for step in range(_BATCH_INVOCATIONS)]
+        for alias in _SUFFIX_ADVANCES_EVERY
+    }
+    walls = {"kept": 0.0, "fresh": 0.0}
+    builds = {"kept": 0, "fresh": 0}
+    work_units = 0
+    for invocation, batch in enumerate(batches):
+        base = {alias: suffixes[alias][invocation // every]
+                for alias, every in _SUFFIX_ADVANCES_EVERY.items()}
+        base[left] = batch
+        fresh = PlanExecutor(catalog, query)
+        fresh.pre_process(CostMeter())
+        outcomes = {}
+        for label, executor in (("kept", kept), ("fresh", fresh)):
+            meter = CostMeter()
+            started = time.perf_counter()
+            relation = executor.execute_order(_JOIN_ORDER, meter, base)
+            walls[label] += time.perf_counter() - started
+            outcomes[label] = (relation, meter.snapshot())
+        builds["fresh"] += sum(fresh.hash_builds.built.values())
+        _assert_equivalent(outcomes["fresh"][0], outcomes["kept"][0], outcomes["fresh"][1],
+                           outcomes["kept"][1],
+                           f"batch_reuse invocation {invocation}, fresh vs kept executor")
+        work_units += outcomes["kept"][1].total
+    builds["kept"] = sum(kept.hash_builds.built.values())
+    return [
+        {
+            "Executor": name,
+            "Invocations": _BATCH_INVOCATIONS,
+            "Builds": builds[label],
+            "Wall (ms)": round(walls[label] * 1e3, 2),
+            "Work Units": work_units,
+        }
+        for label, name in (("kept", "kept across invocations"), ("fresh", "fresh per invocation"))
+    ]
 
 
 def hashjoin_kernel(
@@ -127,7 +189,7 @@ def hashjoin_kernel(
                 "result_rows": len(relations[mode]),
             })
         _assert_equivalent(relations["rows"], relations["vectorized"],
-                           work["rows"], work["vectorized"], name)
+                           work["rows"], work["vectorized"], f"{name}, rows vs vectorized")
         speedup = timings["rows"] / max(timings["vectorized"], 1e-9)
         speedups[name] = speedup
         rows.append({
@@ -142,6 +204,7 @@ def hashjoin_kernel(
         "rows": rows,
         "records": records,
         "speedups": speedups,
+        "batch_reuse": _batch_reuse(catalog, _queries()["chain_fanout"]),
         "parameters": {"tuples_per_table": tuples_per_table, "fanout": fanout,
                        "seed": seed, "repetitions": repetitions},
     }

@@ -18,13 +18,12 @@ synthetic workloads") for the substitution rationale.
 
 from repro.engine.executor import PlanExecutor
 from repro.engine.joinkernels import (
-    CompositeKeys,
+    CompositeKeySpace,
+    GroupedJoinMap,
     GroupedRows,
-    KeyPart,
     encode_composite_keys,
     expand_matches,
     group_rows,
-    probe_grouped,
 )
 from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.engine.postprocess import post_process
@@ -33,13 +32,13 @@ from repro.engine.relation import RowIdRelation
 from repro.engine.task import EngineTask, ExecutionBackend, validate_task_contract
 
 __all__ = [
-    "CompositeKeys",
+    "CompositeKeySpace",
     "CostMeter",
     "EngineProfile",
     "EngineTask",
     "ExecutionBackend",
+    "GroupedJoinMap",
     "GroupedRows",
-    "KeyPart",
     "PlanExecutor",
     "RowIdRelation",
     "WorkBreakdown",
@@ -48,6 +47,5 @@ __all__ = [
     "get_profile",
     "group_rows",
     "post_process",
-    "probe_grouped",
     "validate_task_contract",
 ]

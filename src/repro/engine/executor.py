@@ -12,7 +12,11 @@ of a query), producing a row-id relation.  It supports:
   tuple at a time,
 * an optional **work budget** — used by Skinner-G to emulate per-batch
   timeouts: when the budget is exhausted, execution aborts and all
-  intermediate results are lost, exactly like a timed-out DBMS invocation.
+  intermediate results are lost, exactly like a timed-out DBMS invocation,
+* grouped hash-join build sides kept for the life of the executor
+  (:class:`~repro.engine.operators.HashBuildCache`): an invocation that joins
+  against the very positions array of an earlier one is still *charged* the
+  build, but does not sort the table again.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.engine.meter import CostMeter
-from repro.engine.operators import filter_table, hash_join_step, nested_loop_step
+from repro.engine.operators import (
+    HashBuildCache,
+    filter_table,
+    hash_join_step,
+    nested_loop_step,
+)
 from repro.engine.relation import RowIdRelation
 from repro.errors import PlanningError
 from repro.query.predicates import Predicate
@@ -30,6 +39,9 @@ from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+
+#: ``(alias, equi, residual)``: the predicates joining one more alias.
+JoinStep = tuple[str, list[Predicate], list[Predicate]]
 
 
 class PlanExecutor:
@@ -48,6 +60,9 @@ class PlanExecutor:
             alias: catalog.table(name) for alias, name in query.tables
         }
         self._filtered: dict[str, np.ndarray] | None = None
+        self._steps: dict[tuple[str, ...], list[JoinStep]] = {}
+        #: Grouped build sides of this query's hash joins (see ``execute_order``).
+        self.hash_builds = HashBuildCache()
 
     # ------------------------------------------------------------------
     # pre-processing
@@ -93,10 +108,13 @@ class PlanExecutor:
             caller when it runs out.
         base_positions:
             Optional override of the filtered positions per alias.  Skinner-G
-            uses this to restrict the left-most table to one batch.
+            uses this to restrict the left-most table to one batch.  A hash
+            join reuses the build side grouped for an earlier call only when
+            handed the *same array object* again (int64 arrays pass through
+            unconverted), so callers that repeat a restriction should repeat
+            the array.
         """
-        if sorted(order) != sorted(self._query.aliases):
-            raise PlanningError(f"join order {order} does not cover query aliases")
+        steps = self.join_steps(order)
         filtered = self.pre_process(meter)
         positions_of = dict(filtered)
         if base_positions:
@@ -104,11 +122,12 @@ class PlanExecutor:
                                  for alias, p in base_positions.items()})
 
         result = RowIdRelation.from_base(order[0], positions_of[order[0]])
-        for alias, equi, residual in self.join_steps(order):
+        for alias, equi, residual in steps:
             if equi:
                 result = hash_join_step(
                     result, alias, self._tables[alias], positions_of[alias],
                     equi, residual, self._tables, meter, self._udfs,
+                    builds=self.hash_builds,
                 )
             else:
                 result = nested_loop_step(
@@ -117,16 +136,26 @@ class PlanExecutor:
                 )
         return result
 
-    def join_steps(
-        self, order: Sequence[str]
-    ) -> list[tuple[str, list[Predicate], list[Predicate]]]:
+    def join_steps(self, order: Sequence[str]) -> list[JoinStep]:
         """Per joined alias of ``order``: ``(alias, equi, residual)`` predicates.
 
         Each join predicate is applied at the first position where all its
         tables are in the prefix; ``equi`` are the equality predicates
         linking the new alias to the prefix (a hash join when non-empty),
-        ``residual`` everything else that became applicable.
+        ``residual`` everything else that became applicable.  ``order`` must
+        be a permutation of the query's aliases.  The steps are worked out
+        once per order (Skinner-G asks again every time slice).
         """
+        order = tuple(order)
+        steps = self._steps.get(order)
+        if steps is None:
+            if sorted(order) != sorted(self._query.aliases):
+                raise PlanningError(f"join order {order} does not cover query aliases")
+            steps = self._steps[order] = self._classify_predicates(order)
+        return steps
+
+    def _classify_predicates(self, order: tuple[str, ...]) -> list[JoinStep]:
+        """:meth:`join_steps` for an order not seen before."""
         steps = []
         applied: set[int] = set()
         join_predicates = self._query.join_predicates()

@@ -1,93 +1,66 @@
 """Vectorized equi-join kernel primitives: key encoding, grouping, probing.
 
-The plan executor's hash join and the Skinner preprocessor's join-map build
-used to run as Python dict loops — one tuple construction, one dict lookup,
-and one list append per row.  This module provides the columnar equivalents
-they now share:
+The plan executor's hash join and the Skinner preprocessor's join maps share
+one structure, :class:`GroupedJoinMap`: the build side's rows grouped by join
+key into sorted runs, probed by binary search.  Nothing in it depends on the
+probe side, so one map serves every probe of an unchanged build side — the
+plan executor keeps it across the batch invocations of Skinner-G/H, the
+preprocessor across the slices of Skinner-C.
 
-* :func:`encode_composite_keys` — turn the (possibly composite) equi-join
-  key of both join sides into **one int64 code vector per side**, such that
-  code equality is exactly value-tuple equality.  String columns reuse their
-  dictionary codes from :class:`repro.storage.column.Column` (the probe
-  side's dictionary is translated into the build side's code space); numeric
-  columns are factorized jointly over both sides via ``np.unique``.
-* :func:`group_rows` — group a key vector into sorted runs
-  (``np.argsort`` + run boundaries), the columnar replacement for building a
+* :func:`group_rows` — group a key vector into sorted runs (a stable sort +
+  run boundaries), the columnar replacement for building a
   ``dict[key, list[row]]`` hash table.
-* :func:`probe_grouped` / :func:`expand_matches` — binary-search probe keys
-  against the grouped build side (``np.searchsorted``) and emit the
-  ``(selector, build_rows)`` arrays of the join result directly.
+* :class:`GroupedJoinMap` — a single-column key groups the column's raw
+  *physical* values (int64, float64, dictionary codes for strings): no
+  factorization at all.  Probe values are translated into that domain
+  (:func:`_translate_probes`) and ``searchsorted`` into the run keys.
+* :func:`encode_composite_keys` — a composite key gets one int64 code per
+  build row: every key column is factorized over the *build rows only* and
+  the per-column codes are combined mixed-radix.  The returned
+  :class:`CompositeKeySpace` replays the same encoding on any probe.
+* :func:`expand_matches` — emit the ``(selector, build_rows)`` arrays of the
+  join result from the per-probe bucket bounds.
 
 NaN join-key semantics (pinned)
 -------------------------------
 A ``NaN`` float join key **never matches** — not even another ``NaN``.
 This mirrors the row path: its dict keys are freshly constructed ``float``
 objects, and ``nan != nan`` in Python, so a NaN key can never be found
-again.  The kernel enforces the same rule explicitly: NaN rows are marked
-invalid on both sides and excluded from grouping and probing (a sort-based
-kernel would otherwise group NaNs together and invent matches the row path
-never produces).
+again.  The kernel gets the same rule from ``==`` on the sorted keys: a
+build-side NaN sits in a run no probe compares equal to, and a NaN probe
+compares equal to no run (a sort-based kernel that trusted ``searchsorted``
+alone would group NaNs together and invent matches the row path never
+produces).
 
 Cross-type keys behave like Python ``==`` exactly: ``1 == 1.0`` matches
-(the float side of a mixed int/float part is narrowed to its
-exactly-integral values and compared in int64, so ``2**53 + 1`` and
-``2.0**53`` stay distinct), while a string part compared against a numeric
-part matches nothing.
+(the probe side of a mixed int/float pair is converted to the build side's
+type and kept only where the conversion is exact, so ``2**53 + 1`` and
+``2.0**53`` stay distinct), while a string column compared against a numeric
+one matches nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.storage.column import Column, ColumnType
 
 __all__ = [
-    "CompositeKeys",
+    "CompositeKeySpace",
+    "GroupedJoinMap",
     "GroupedRows",
-    "KeyPart",
     "encode_composite_keys",
     "expand_matches",
     "group_rows",
-    "probe_grouped",
 ]
 
 #: Radix-combination guard: composite code spans stay below this bound, and
-#: are re-compressed through ``np.unique`` when the next part would overflow.
+#: are re-compressed to a dense domain when the next part would overflow.
 _MAX_SPAN = 2**62
-
-
-@dataclass(frozen=True)
-class KeyPart:
-    """One column-equality component of a composite join key.
-
-    ``build_values`` / ``probe_values`` are the *physical* column values
-    (dictionary codes for strings) already gathered for the join's candidate
-    rows, so the kernel never touches full base tables.
-    """
-
-    build_column: Column
-    build_values: np.ndarray
-    probe_column: Column
-    probe_values: np.ndarray
-
-
-@dataclass(frozen=True)
-class CompositeKeys:
-    """Both sides of a composite join key encoded into one int64 code space.
-
-    ``build_codes[i] == probe_codes[j]`` (with both rows valid) holds exactly
-    when every key column of build row ``i`` equals the corresponding key
-    column of probe row ``j`` under Python ``==``.  Invalid rows (NaN keys,
-    string-vs-numeric type mismatches) can never match.
-    """
-
-    build_codes: np.ndarray
-    probe_codes: np.ndarray
-    build_valid: np.ndarray
-    probe_valid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,103 +80,51 @@ class GroupedRows:
     counts: np.ndarray
 
 
-# ----------------------------------------------------------------------
-# composite key encoding
-# ----------------------------------------------------------------------
-def encode_composite_keys(parts: Sequence[KeyPart]) -> CompositeKeys:
-    """Encode a composite equi-join key into one int64 code per side.
+def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, values[order])`` of a stable ascending sort of a non-empty vector.
 
-    Parts are combined by mixed radix over their per-part code domains;
-    whenever the combined span would overflow int64, the partial codes are
-    re-compressed to a dense domain via ``np.unique`` first, so any number
-    of key columns is supported.
+    int64 keys whose span times the row count fits int64 are packed with
+    their row numbers into one int64 each and sorted as plain values: equal
+    keys then order by row, which is what stable means, and a value sort runs
+    several times faster than a stable argsort.  Other dtypes and wider
+    spans take the argsort.
     """
-    if not parts:
-        raise ValueError("composite key needs at least one part")
-    num_build = int(np.asarray(parts[0].build_values).shape[0])
-    num_probe = int(np.asarray(parts[0].probe_values).shape[0])
-    build_codes = np.zeros(num_build, dtype=np.int64)
-    probe_codes = np.zeros(num_probe, dtype=np.int64)
-    build_valid = np.ones(num_build, dtype=bool)
-    probe_valid = np.ones(num_probe, dtype=bool)
-    span = 1
-    for part in parts:
-        part_build, part_probe, part_build_valid, part_probe_valid, domain = _encode_part(part)
-        if span > _MAX_SPAN // max(1, domain):
-            joint = np.concatenate([build_codes, probe_codes])
-            _, inverse = np.unique(joint, return_inverse=True)
-            inverse = inverse.astype(np.int64, copy=False).reshape(-1)
-            build_codes = inverse[:num_build]
-            probe_codes = inverse[num_build:]
-            span = max(1, num_build + num_probe)
-        build_codes = build_codes * domain + part_build
-        probe_codes = probe_codes * domain + part_probe
-        span *= max(1, domain)
-        if part_build_valid is not None:
-            build_valid &= part_build_valid
-        if part_probe_valid is not None:
-            probe_valid &= part_probe_valid
-    return CompositeKeys(build_codes, probe_codes, build_valid, probe_valid)
+    count = values.shape[0]
+    if values.dtype == np.int64:
+        low = int(values.min())
+        if (int(values.max()) - low + 1) * count < 2**63:
+            packed = (values - low) * count + np.arange(count, dtype=np.int64)
+            packed.sort()
+            return packed % count, packed // count + low
+    order = np.argsort(values, kind="stable")
+    return order, values[order]
 
 
-def _encode_part(
-    part: KeyPart,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None, int]:
-    """Encode one key column pair into a shared dense-ish int64 domain.
+def group_rows(values: np.ndarray, rows: np.ndarray | None = None) -> GroupedRows:
+    """Group ``rows`` (default ``arange``) into runs of equal ``values``.
 
-    Returns ``(build_codes, probe_codes, build_valid, probe_valid, domain)``
-    with codes in ``[0, domain)`` and ``None`` valid masks meaning all-valid.
+    The sort is stable: rows of equal keys stay in ascending order, which
+    both the hash-jump's per-bucket ``searchsorted`` and the byte-identical
+    emission order of the join kernel rely on.  Run boundaries are detected
+    with ``!=`` on adjacent sorted values, so for float keys each NaN forms
+    its own singleton run (``nan != nan``) — no accidental NaN grouping.
     """
-    build_column, probe_column = part.build_column, part.probe_column
-    build = np.asarray(part.build_values)
-    probe = np.asarray(part.probe_values)
-    if build_column.ctype is ColumnType.STRING and probe_column.ctype is ColumnType.STRING:
-        # Reuse dictionary codes: the build side's codes are already dense;
-        # the probe side's dictionary is translated into the build side's
-        # code space (absent values share one sentinel code that matches no
-        # build row, which keeps the radix domain at dictionary size + 1).
-        translation = build_column.translate_codes(probe_column)
-        probe_codes = translation[probe] if probe.shape[0] else probe.astype(np.int64)
-        domain = len(build_column.dictionary) + 1
-        return build.astype(np.int64, copy=False), probe_codes, None, None, domain
-    if ColumnType.STRING in (build_column.ctype, probe_column.ctype):
-        # String vs numeric: Python `==` is False for every pair, so no row
-        # on either side can participate in a match.
-        return (
-            np.zeros(build.shape[0], dtype=np.int64),
-            np.zeros(probe.shape[0], dtype=np.int64),
-            np.zeros(build.shape[0], dtype=bool),
-            np.zeros(probe.shape[0], dtype=bool),
-            1,
-        )
-    build_valid: np.ndarray | None = None
-    probe_valid: np.ndarray | None = None
-    if (build_column.ctype is ColumnType.FLOAT) != (probe_column.ctype is ColumnType.FLOAT):
-        # Mixed int/float key: Python compares exactly (`2**53 + 1 != 2.0**53`),
-        # so casting the int side to float64 would invent matches above 2**53.
-        # Instead the float side keeps only exactly-integral in-int64-range
-        # values (the only ones that can equal an int64) and is compared as
-        # int64; everything else — NaN included — can never match.
-        if build_column.ctype is ColumnType.FLOAT:
-            build, build_valid = _integral_as_int64(build)
-        else:
-            probe, probe_valid = _integral_as_int64(probe)
-    elif build_column.ctype is ColumnType.FLOAT:
-        build_nan = np.isnan(build)
-        probe_nan = np.isnan(probe)
-        if build_nan.any():
-            build_valid = ~build_nan
-            build = np.where(build_nan, 0.0, build)
-        if probe_nan.any():
-            probe_valid = ~probe_nan
-            probe = np.where(probe_nan, 0.0, probe)
-    combined = np.concatenate([build, probe])
-    _, inverse = np.unique(combined, return_inverse=True)
-    inverse = inverse.astype(np.int64, copy=False).reshape(-1)
-    domain = max(1, int(inverse.max()) + 1) if inverse.shape[0] else 1
-    return inverse[: build.shape[0]], inverse[build.shape[0]:], build_valid, probe_valid, domain
+    values = np.asarray(values)
+    if values.shape[0] == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return GroupedRows(empty, values[:0], empty, empty)
+    order, sorted_values = _stable_sort(values)
+    if rows is not None:
+        order = np.asarray(rows, dtype=np.int64)[order]
+    boundaries = np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+    starts = np.flatnonzero(boundaries).astype(np.int64)
+    counts = np.diff(np.append(starts, values.shape[0])).astype(np.int64)
+    return GroupedRows(order, sorted_values[starts], starts, counts)
 
 
+# ----------------------------------------------------------------------
+# probe translation
+# ----------------------------------------------------------------------
 def _integral_as_int64(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exactly-integral in-range float64 values as int64, others masked out."""
     values = values.astype(np.float64, copy=False)
@@ -217,70 +138,322 @@ def _integral_as_int64(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(valid, values, 0.0).astype(np.int64), valid
 
 
-# ----------------------------------------------------------------------
-# grouping and probing
-# ----------------------------------------------------------------------
-def group_rows(values: np.ndarray, rows: np.ndarray | None = None) -> GroupedRows:
-    """Group ``rows`` (default ``arange``) into runs of equal ``values``.
+def _translate_probes(
+    column: Column, values: np.ndarray, source: Column
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """Physical values of ``source`` in ``column``'s physical domain.
 
-    The stable argsort keeps rows of equal keys in ascending order, which
-    both the hash-jump's per-bucket ``searchsorted`` and the byte-identical
-    emission order of the join kernel rely on.  Run boundaries are detected
-    with ``!=`` on adjacent sorted values, so for float keys each NaN forms
-    its own singleton run (``nan != nan``) — no accidental NaN grouping.
+    Returns ``(probes, valid mask or None)``, or ``None`` when the two
+    columns' types can never compare equal (string against numeric).
     """
-    values = np.asarray(values)
-    if rows is None:
-        rows = np.arange(values.shape[0], dtype=np.int64)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-    if values.shape[0] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return GroupedRows(empty, values[:0], empty, empty)
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    boundaries = np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
-    starts = np.flatnonzero(boundaries).astype(np.int64)
-    counts = np.diff(np.append(starts, values.shape[0])).astype(np.int64)
-    return GroupedRows(rows[order], sorted_values[starts], starts, counts)
+    own_is_string = column.ctype is ColumnType.STRING
+    if own_is_string != (source.ctype is ColumnType.STRING):
+        return None
+    if own_is_string:
+        # Absent strings translate to a code no row carries.
+        return column.translate_codes(source)[values], None
+    own_kind = column.data.dtype.kind
+    if own_kind == values.dtype.kind:
+        return values, None
+    if own_kind in "iu":
+        return _integral_as_int64(values)
+    # Int probes against float keys: only exactly representable ints can
+    # equal a float64 key (the cast back must stay inside int64).
+    probes = values.astype(np.float64)
+    in_range = probes < 9_223_372_036_854_775_808.0
+    valid = in_range & (np.where(in_range, probes, 0.0).astype(np.int64) == values)
+    return probes, valid
 
 
-def probe_grouped(
-    grouped: GroupedRows, keys: np.ndarray, valid: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Match probe ``keys`` against a grouped build side.
+def _find(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per probe: its slot in the sorted, non-empty ``keys`` and whether it is there.
 
-    Returns ``(probe_rows, groups)``: the probe rows (ascending) that found
-    a build run, and the index of that run in ``grouped``.  ``valid`` masks
-    out probe rows that may never match (NaN keys, type mismatches).
+    The slot of a probe that is not found is some valid index; NaN is found
+    nowhere, on either side.
     """
-    keys = np.asarray(keys)
-    empty = np.empty(0, dtype=np.int64)
-    if grouped.keys.shape[0] == 0 or keys.shape[0] == 0:
-        return empty, empty
-    positions = np.searchsorted(grouped.keys, keys)
-    safe = np.minimum(positions, grouped.keys.shape[0] - 1)
-    hits = (positions < grouped.keys.shape[0]) & (grouped.keys[safe] == keys)
-    if valid is not None:
-        hits &= valid
-    probe_rows = np.flatnonzero(hits).astype(np.int64)
-    return probe_rows, positions[probe_rows].astype(np.int64)
+    position = np.minimum(keys.searchsorted(probes), keys.shape[0] - 1)
+    return position, keys[position] == probes
+
+
+# ----------------------------------------------------------------------
+# composite key encoding
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CompositeKeySpace:
+    """The int64 code space of a composite key, defined by the build side alone.
+
+    ``domains[i]`` are the sorted distinct physical values of key column
+    ``columns[i]`` over the build rows; a row's code is the mixed-radix
+    combination of its per-column domain slots.  ``dense[i]``, where present,
+    are the sorted distinct partial codes of the build rows before column
+    ``i`` joined in: the span guard re-compressed them to their own slots.
+    """
+
+    columns: tuple[Column, ...]
+    domains: tuple[np.ndarray, ...]
+    dense: dict[int, np.ndarray]
+
+    def probe_codes(
+        self, values: Sequence[np.ndarray], sources: Sequence[Column]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, valid)`` of probe rows given per key column.
+
+        ``values[i]`` are physical values of ``sources[i]``.  A valid probe
+        row's code equals a build row's code exactly when every key column
+        compares equal under Python ``==``; a row holding a value absent from
+        a column's domain (or a NaN, or of a type that cannot compare equal)
+        is invalid and its code meaningless.
+        """
+        length = int(np.shape(values[0])[0])
+        codes = np.zeros(length, dtype=np.int64)
+        valid = np.ones(length, dtype=bool)
+        for index, (column, domain) in enumerate(zip(self.columns, self.domains)):
+            translated = _translate_probes(column, np.asarray(values[index]), sources[index])
+            if translated is None or domain.shape[0] == 0:
+                return codes, np.zeros(length, dtype=bool)
+            if index in self.dense:
+                codes, found = _find(self.dense[index], codes)
+                valid &= found
+            probes, part_valid = translated
+            part, found = _find(domain, probes)
+            codes = codes * domain.shape[0] + part
+            valid &= found
+            if part_valid is not None:
+                valid &= part_valid
+        return codes, valid
+
+
+def encode_composite_keys(
+    columns: Sequence[Column], positions: np.ndarray
+) -> tuple[CompositeKeySpace, np.ndarray]:
+    """Encode the composite key of the build rows ``positions`` into int64 codes.
+
+    Returns the code space and one code per build row, such that code
+    equality is exactly value-tuple equality (build rows with a NaN part get
+    codes no probe can produce).  Parts are combined by mixed radix over
+    their per-column domains; whenever the combined span would overflow
+    int64, the partial codes are re-compressed to a dense domain first, so
+    any number of key columns is supported.
+    """
+    if not columns:
+        raise ValueError("composite key needs at least one column")
+    codes = np.zeros(positions.shape[0], dtype=np.int64)
+    domains: list[np.ndarray] = []
+    dense: dict[int, np.ndarray] = {}
+    span = 1
+    for index, column in enumerate(columns):
+        domain, part = np.unique(column.data[positions], return_inverse=True)
+        size = max(1, domain.shape[0])
+        if span > _MAX_SPAN // size:
+            dense[index], codes = np.unique(codes, return_inverse=True)
+            span = max(1, dense[index].shape[0])
+        codes = codes.reshape(-1) * size + part.reshape(-1)
+        span *= size
+        domains.append(domain)
+    return CompositeKeySpace(tuple(columns), tuple(domains), dense), codes
+
+
+# ----------------------------------------------------------------------
+# the grouped join map
+# ----------------------------------------------------------------------
+class GroupedJoinMap:
+    """A join key's bucket index over some rows of a table, in grouped-runs form.
+
+    ``key`` is one :class:`~repro.storage.column.Column` or, for a composite
+    key, a sequence of them; ``positions`` are the indexed rows of the table,
+    and a bucket holds *indices into* ``positions``.  A single column groups
+    its *physical* values directly (dictionary codes for strings); several
+    columns group the codes of :func:`encode_composite_keys`.  Either way
+    the map is a function of the indexed rows alone, so it can be built once
+    and probed from any column of any table: :meth:`lookup_many` translates
+    a vector of probes into the key domain and binary-searches the sorted run
+    keys, and :meth:`get` does the same for one decoded value (single-column
+    maps only).
+
+    Lookup semantics match a ``{value: rows}`` dict exactly:
+
+    * rows within a bucket stay in ascending order (stable grouping sort),
+      which the hash-jump's per-bucket ``searchsorted`` relies on;
+    * float NaN keys form singleton runs no probe can find again
+      (``nan != nan``) — the pinned NaN-never-matches join semantics;
+    * cross-type probes follow Python ``==``: ``1`` finds ``1.0`` and vice
+      versa (only when the conversion is exact, so huge ints and floats
+      beyond 2**53 never invent matches), while a string probed against a
+      numeric column (or the reverse) matches nothing.
+    """
+
+    __slots__ = ("_column", "_space", "_keys", "_rows", "_starts", "_counts", "_memo", "_ranks")
+
+    def __init__(self, key: Column | Sequence[Column], positions: np.ndarray) -> None:
+        columns = (key,) if isinstance(key, Column) else tuple(key)
+        if len(columns) == 1:
+            self._column: Column | None = columns[0]
+            self._space: CompositeKeySpace | None = None
+            values = columns[0].data[positions]
+        else:
+            self._column = None
+            self._space, values = encode_composite_keys(columns, positions)
+        grouped = group_rows(values)
+        self._keys = grouped.keys
+        self._rows = grouped.rows
+        self._starts = grouped.starts
+        self._counts = grouped.counts
+        #: Probe memo: the hash-jump probes the same decoded values once per
+        #: index advance, so the first lookup's encode + binary search is
+        #: cached and every repeat is one dict hit — the lazily materialized
+        #: subset of the old eager ``{value: rows}`` dict that is actually
+        #: probed.  (NaN probes bypass the memo: ``nan != nan`` would grow
+        #: it without bound.)
+        self._memo: dict[Any, np.ndarray | None] = {}
+        self._ranks: np.ndarray | None = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """All indexed rows, bucket after bucket (what :meth:`lookup_many` slices)."""
+        return self._rows
+
+    def __len__(self) -> int:
+        return int(self._keys.shape[0])
+
+    def __contains__(self, value: Any) -> bool:
+        return self.get(value) is not None
+
+    def _encode_probe(self, value: Any) -> Any | None:
+        """Translate a decoded probe value into the physical key domain.
+
+        Returns ``None`` when no key can possibly equal the value (type
+        mismatch, absent dictionary string, inexact int/float conversion).
+        """
+        if self._column is None:
+            raise TypeError("get() looks up one value: the map's key is composite")
+        if self._column.ctype is ColumnType.STRING:
+            if not isinstance(value, str):
+                return None
+            code = self._column.encode(value)
+            return code if code >= 0 else None
+        if isinstance(value, bool):
+            value = int(value)
+        if not isinstance(value, (int, float, np.integer, np.floating)):
+            return None
+        if self._keys.dtype.kind in "iu":
+            if isinstance(value, (float, np.floating)):
+                # Only exactly-integral in-range floats can equal an int key.
+                if not (np.isfinite(value) and float(value).is_integer()):
+                    return None
+                as_int = int(value)
+                if not (-(2**63) <= as_int < 2**63):
+                    return None
+                return as_int
+            return int(value)
+        if isinstance(value, (int, np.integer)):
+            try:
+                as_float = float(value)
+            except OverflowError:
+                return None
+            # An inexact conversion means no float64 key equals this int.
+            if int(as_float) != int(value):
+                return None
+            return as_float
+        return float(value)
+
+    def get(self, value: Any) -> np.ndarray | None:
+        """Rows whose join column equals ``value``, or ``None`` (no bucket).
+
+        The returned array is a view of the grouped run — ascending filtered
+        indices, exactly what the dict-based map stored per key.
+        """
+        if isinstance(value, float) and value != value:
+            return None  # NaN never matches (pinned join semantics)
+        try:
+            return self._memo[value]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable probe values can never equal a key
+            return None
+        matches = self._lookup(value)
+        self._memo[value] = matches
+        return matches
+
+    def _lookup(self, value: Any) -> np.ndarray | None:
+        probe = self._encode_probe(value)
+        if probe is None or self._keys.shape[0] == 0:
+            return None
+        position = int(np.searchsorted(self._keys, probe))
+        if position >= self._keys.shape[0] or self._keys[position] != probe:
+            return None  # also NaN keys at this position: nan != nan
+        start = int(self._starts[position])
+        return self._rows[start:start + int(self._counts[position])]
+
+    def lookup_many(
+        self,
+        values: np.ndarray | Sequence[np.ndarray],
+        source: Column | Sequence[Column],
+        lower: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`get` for a whole vector of probes, as bucket bounds.
+
+        ``values`` are *physical* values of the probing column ``source``
+        (dictionary codes when it is a string column); a map built from a
+        sequence of key columns takes one value vector and one source column
+        per key column instead.  Returns ``(starts, counts)`` such that
+        ``rows[starts[i]:starts[i] + counts[i]]`` is what ``get`` returns for
+        the decoded ``values[i]``, with ``counts[i] == 0`` where ``get``
+        returns ``None``: NaN never matches, int and float meet only where
+        the conversion is exact, strings are translated between the two
+        columns' dictionaries, and a string column never matches a numeric
+        one.  With ``lower > 0`` every bucket is cut down to its rows
+        ``>= lower`` (the hash-jump's resume bound).
+        """
+        keys = self._keys
+        if self._space is not None:
+            probes = self._space.probe_codes(values, source)
+            values = values[0]
+        else:
+            if not isinstance(source, Column):  # a one-column key given as a sequence
+                (values,), (source,) = values, source
+            probes = _translate_probes(self._column, np.asarray(values), source)
+        if probes is None or keys.shape[0] == 0:
+            zeros = np.zeros(np.shape(values)[0], dtype=np.int64)
+            return zeros, zeros
+        probes, valid = probes
+        # ``mode="clip"``: a probe beyond the last key reads the last key.
+        position = keys.searchsorted(probes)
+        found = keys.take(position, mode="clip") == probes  # False for NaN on either side
+        if valid is not None:
+            found &= valid
+        starts = self._starts.take(position, mode="clip")
+        counts = self._counts.take(position, mode="clip") * found
+        if lower > 0:
+            position = np.minimum(position, keys.shape[0] - 1)
+            # ``_rows`` ascends by (bucket, row), so one binary search per
+            # probe over that combined rank finds the cut inside its bucket.
+            size = self._rows.shape[0] + 1
+            if self._ranks is None:
+                bucket = np.repeat(np.arange(keys.shape[0], dtype=np.int64), self._counts)
+                self._ranks = bucket * size + self._rows
+            ends = starts + counts
+            cut = np.searchsorted(self._ranks, position * size + min(lower, size - 1))
+            starts = np.clip(cut, starts, ends)
+            counts = ends - starts
+        return starts, counts
 
 
 def expand_matches(
-    grouped: GroupedRows, probe_rows: np.ndarray, groups: np.ndarray
+    rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Emit the ``(selector, build_rows)`` arrays for matched probe rows.
+    """Emit the ``(selector, build_rows)`` arrays for per-probe bucket bounds.
 
-    ``selector[k]`` is the probe row of output row ``k`` and ``build_rows[k]``
-    the matching build row; probe rows appear in their given order, and the
-    build rows of one run in ascending order — the same emission order as the
-    dict-based loop, so join results are byte-identical between the paths.
+    Probe row ``i`` matches ``rows[starts[i]:starts[i] + counts[i]]`` (what
+    :meth:`GroupedJoinMap.lookup_many` returns).  ``selector[k]`` is the probe
+    row of output row ``k`` and ``build_rows[k]`` the matching build row;
+    probe rows appear in ascending order, and the build rows of one bucket in
+    ascending order — the same emission order as the dict-based loop, so join
+    results are byte-identical between the paths.
     """
-    counts = grouped.counts[groups]
-    total = int(counts.sum())
-    selector = np.repeat(probe_rows, counts)
-    flat_starts = np.repeat(grouped.starts[groups], counts)
+    hits = np.flatnonzero(counts)
+    counts = counts[hits]
     ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return selector, grouped.rows[flat_starts + offsets]
+    total = int(ends[-1]) if hits.shape[0] else 0
+    selector = np.repeat(hits, counts)
+    offsets = np.arange(total, dtype=np.int64) + np.repeat(starts[hits] - ends + counts, counts)
+    return selector, rows[offsets]

@@ -13,32 +13,28 @@ repository:
   join predicates).
 
 The hash join runs the columnar kernel from :mod:`repro.engine.joinkernels`:
-composite keys encoded as int64 code vectors, the build side grouped by
-stable argsort, the probe side matched via ``searchsorted``, and the result
-emitted as whole selector arrays.  :func:`hash_join_step`'s ``mode="rows"``
-argument selects the dict-based build/probe reference the equivalence tests
-and the kernel benchmark compare against; nothing in the production path
-passes it.  Both produce byte-identical relations and charge identical meter
-work; NaN float join keys never match in either (see
-:mod:`repro.engine.joinkernels`).
+the build side grouped by a stable sort into a
+:class:`~repro.engine.joinkernels.GroupedJoinMap` (kept in a
+:class:`HashBuildCache` while the build rows stay the same array), the probe
+side matched via ``searchsorted``, and the result emitted as whole selector
+arrays.  :func:`hash_join_step`'s ``mode="rows"`` argument selects the
+dict-based build/probe reference the equivalence tests and the kernel
+benchmark compare against; nothing in the production path passes it.  Both
+produce byte-identical relations and charge identical meter work; NaN float
+join keys never match in either (see :mod:`repro.engine.joinkernels`).
 
 All operators charge their work to a :class:`~repro.engine.meter.CostMeter`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
 
-from repro.engine.joinkernels import (
-    KeyPart,
-    encode_composite_keys,
-    expand_matches,
-    group_rows,
-    probe_grouped,
-)
+from repro.engine.joinkernels import GroupedJoinMap, expand_matches
 from repro.engine.meter import CostMeter
 from repro.engine.relation import RowIdRelation
 from repro.engine.vectorized import (
@@ -140,6 +136,43 @@ def _vector_comparison_mask(predicate: Predicate, resolve, length: int) -> np.nd
     return mask
 
 
+class HashBuildCache:
+    """The grouped build sides of one query's hash joins, kept between joins.
+
+    Skinner-G/H invoke the plan executor once per time slice, each time
+    joining against build sides that seldom changed since the slice before;
+    grouping one sorts the table.  The cache holds one
+    :class:`~repro.engine.joinkernels.GroupedJoinMap` per ``(alias, key
+    columns)`` together with the positions array it indexes, and an entry
+    answers only a join whose ``positions`` **is** that array: identity is
+    the one test that cannot be fooled by another array of the same length or
+    the same first rows, and the held reference keeps the array's id from
+    being recycled (position arrays are never written to once handed out).
+    A different array replaces the entry, so there is never more than one
+    grouped copy per join key.
+
+    Only the sorts are saved: :func:`hash_join_step` charges every join its
+    build, hit or miss, as the host DBMS the paper targets would pay it.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple[str, tuple[str, ...]], tuple[np.ndarray, GroupedJoinMap]] = {}
+        #: How many times each ``(alias, key columns)`` was grouped.
+        self.built: Counter[tuple[str, tuple[str, ...]]] = Counter()
+
+    def build_side(
+        self, alias: str, table: Table, key_columns: tuple[str, ...], positions: np.ndarray
+    ) -> GroupedJoinMap:
+        """The rows ``positions`` of ``table`` grouped by ``key_columns``."""
+        key = (alias, key_columns)
+        entry = self._entries.get(key)
+        if entry is None or entry[0] is not positions:
+            columns = [table.column(name) for name in key_columns]
+            entry = self._entries[key] = (positions, GroupedJoinMap(columns, positions))
+            self.built[key] += 1
+        return entry[1]
+
+
 def hash_join_step(
     prefix: RowIdRelation,
     alias: str,
@@ -151,6 +184,7 @@ def hash_join_step(
     meter: CostMeter,
     udfs: UdfRegistry | None = None,
     mode: str = "vectorized",
+    builds: HashBuildCache | None = None,
 ) -> RowIdRelation:
     """Extend ``prefix`` by ``alias`` using a hash join.
 
@@ -158,21 +192,25 @@ def hash_join_step(
     the prefix via column equality.  ``residual_predicates`` are evaluated on
     each candidate combination.  ``mode`` selects the vectorized kernel or
     the dict-based ``"rows"`` reference path; both emit the same relation in
-    the same row order and charge the same meter work.
+    the same row order and charge the same meter work.  ``builds`` is the
+    caller's :class:`HashBuildCache`; without one the build side is grouped
+    for this join alone.
     """
     if mode not in JOIN_MODES:
         raise ValueError(f"hash join mode must be one of {JOIN_MODES}, got {mode!r}")
     # Building the hash side scans/hashes the new table's tuples once, so it
     # is charged as scan work, not as hash probes: the probe counter must
     # mean the same thing across join implementations for the meter profiles
-    # and the Table-6 ablation to be comparable.
+    # and the Table-6 ablation to be comparable.  Every join is charged its
+    # build, also one that finds the build side in ``builds``.
     meter.charge_scan(positions.shape[0])
     if mode == "rows":
         candidate = _rows_hash_join(prefix, alias, table, positions, equi_predicates,
                                     tables, meter)
     else:
         candidate = _vectorized_hash_join(prefix, alias, table, positions, equi_predicates,
-                                          tables, meter)
+                                          tables, meter,
+                                          builds if builds is not None else HashBuildCache())
     return _apply_residual(candidate, residual_predicates, tables, meter, udfs)
 
 
@@ -216,26 +254,22 @@ def _vectorized_hash_join(
     equi_predicates: Sequence[Predicate],
     tables: Mapping[str, Table],
     meter: CostMeter,
+    builds: HashBuildCache,
 ) -> RowIdRelation:
     """Columnar build/probe via the :mod:`repro.engine.joinkernels` primitives."""
-    parts = []
+    key_columns = []
+    probe_columns = []
+    probe_values = []
     for predicate in equi_predicates:
         left, right = predicate.equi_join_columns()
-        own = left if left.table == alias else right
-        other = right if left.table == alias else left
-        build_column = table.column(own.column)
+        own, other = (left, right) if left.table == alias else (right, left)
+        key_columns.append(own.column)
         probe_column = tables[other.table].column(other.column)
-        parts.append(KeyPart(
-            build_column=build_column,
-            build_values=build_column.data[positions],
-            probe_column=probe_column,
-            probe_values=probe_column.data[prefix.ids(other.table)],
-        ))
-    keys = encode_composite_keys(parts)
+        probe_columns.append(probe_column)
+        probe_values.append(probe_column.data[prefix.ids(other.table)])
     meter.charge_probe(len(prefix))
-    build_rows_valid = np.flatnonzero(keys.build_valid).astype(np.int64)
-    grouped = group_rows(keys.build_codes[build_rows_valid], build_rows_valid)
-    probe_rows, groups = probe_grouped(grouped, keys.probe_codes, keys.probe_valid)
+    build = builds.build_side(alias, table, tuple(key_columns), positions)
+    starts, counts = build.lookup_many(probe_values, probe_columns)
     # Charge before materializing so a work budget cuts off an exploding
     # join as soon as the budget is reached.  The rows path charges one
     # probe row's matches at a time and stops at the group that crosses the
@@ -243,7 +277,6 @@ def _vectorized_hash_join(
     # meters into their reported work), a charge that would exceed the
     # remaining budget is truncated to the cumulative count through that
     # same crossing group before it raises.
-    counts = grouped.counts[groups]
     total_matches = int(counts.sum())
     remaining = meter.remaining
     if remaining is not None and total_matches > remaining:
@@ -251,7 +284,7 @@ def _vectorized_hash_join(
         crossing = int(np.searchsorted(cumulative, remaining, side="right"))
         total_matches = int(cumulative[crossing])
     meter.charge_intermediate(total_matches)
-    selector, build_rows = expand_matches(grouped, probe_rows, groups)
+    selector, build_rows = expand_matches(build.rows, starts, counts)
     return prefix.extend(alias, positions[build_rows], selector)
 
 

@@ -110,12 +110,15 @@ class RowIdRelation:
         *set* — never of the executor (hash join, external scan, ...) that
         happened to find the tuples.
         """
-        key_aliases = list(aliases) if aliases is not None else self.aliases
         if self._length == 0:
             return self
-        matrix = np.stack([self._ids[alias] for alias in key_aliases], axis=1)
-        order = np.lexsort(matrix.T[::-1])
+        order = np.lexsort(self.matrix(aliases).T[::-1])
         return RowIdRelation({alias: ids[order] for alias, ids in self._ids.items()})
+
+    def matrix(self, aliases: Sequence[str] | None = None) -> np.ndarray:
+        """The result as a ``(rows, aliases)`` int64 matrix, one column per alias."""
+        order = list(aliases) if aliases is not None else self.aliases
+        return np.stack([self._ids[alias] for alias in order], axis=1)
 
     def index_tuples(self, aliases: Sequence[str] | None = None) -> list[tuple[int, ...]]:
         """Return the result as a list of index tuples ordered by ``aliases``."""

@@ -159,9 +159,11 @@ class GenericEngine(abc.ABC):
       performed up to (and including) the overflowing charge; external
       adapters charge exactly the budget — so learning trajectories are a
       pure function of data + knobs.
-    * Row identity: results are **row-position tuples** into the base
-      tables (the internal row-id representation), ordered like
-      ``query.aliases``, so post-processing, deduplication, and result
+    * Row identity: results are **row positions** into the base tables
+      (the internal row-id representation), one column per alias in
+      ``query.aliases`` order — an int64 matrix from :meth:`execute_batch`,
+      a :class:`~repro.engine.relation.RowIdRelation` from
+      :meth:`execute_plan` — so post-processing, deduplication, and result
       ordering stay inside the reproduction and rows are byte-identical
       across substrates.
     """
@@ -185,14 +187,16 @@ class GenericEngine(abc.ABC):
         order: Sequence[str],
         base_positions: "Mapping[str, np.ndarray]",
         budget: int,
-    ) -> "tuple[CostMeter, list[tuple[int, ...]] | None]":
+    ) -> "tuple[CostMeter, np.ndarray | None]":
         """One batch attempt in the forced ``order`` under ``budget``.
 
         ``base_positions`` restricts each alias to a subset of its filtered
         positions (the left-most alias to one batch, the others to their
-        unprocessed remainder).  Returns the meter charged for the attempt
-        and the joined row-position tuples (``query.aliases`` order), or
-        ``None`` when the budget expired first.
+        unprocessed remainder); the caller hands in the same array object
+        for as long as a restriction stays the same.  Returns the meter
+        charged for the attempt and the joined row positions as a
+        ``(rows, len(query.aliases))`` int64 matrix in the engine's discovery
+        order, or ``None`` when the budget expired first.
         """
 
     @abc.abstractmethod

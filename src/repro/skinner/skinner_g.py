@@ -25,6 +25,7 @@ clock).
 
 from __future__ import annotations
 
+import random
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -93,13 +94,13 @@ class InternalGenericEngine(GenericEngine):
         order: Sequence[str],
         base_positions: Mapping[str, np.ndarray],
         budget: int,
-    ) -> tuple[CostMeter, list[tuple[int, ...]] | None]:
+    ) -> tuple[CostMeter, np.ndarray | None]:
         meter = CostMeter(budget=budget)
         try:
             relation = self._executor.execute_order(order, meter, base_positions)
         except BudgetExceeded:
             return meter, None
-        return meter, relation.index_tuples(self._aliases)
+        return meter, relation.matrix(self._aliases)
 
     def execute_plan(
         self, order: Sequence[str], budget: int
@@ -133,6 +134,11 @@ class GenericLearningRun:
     trees: dict[int, UctJoinTree] = field(init=False, default_factory=dict)
     batch_offsets: dict[str, int] = field(init=False, default_factory=dict)
     batches: dict[str, list[np.ndarray]] = field(init=False, default_factory=dict)
+    #: Per alias, the filtered positions from its current batch on: one array
+    #: object for as long as the alias's offset stands, because the engine
+    #: recognizes a build side it has already grouped by the array it is
+    #: handed (see :class:`~repro.engine.operators.HashBuildCache`).
+    remaining: dict[str, np.ndarray] = field(init=False, default_factory=dict)
     iterations: int = field(init=False, default=0)
     finished: bool = field(init=False, default=False)
 
@@ -152,6 +158,7 @@ class GenericLearningRun:
                 for chunk in np.array_split(positions, per_table)
             ]
             self.batch_offsets[alias] = 0
+            self.remaining[alias] = np.asarray(positions, dtype=np.int64)
         if any(self.engine.filtered_positions(a).shape[0] == 0 for a in self.query.aliases):
             self.finished = True
         if self.query.num_tables == 1:
@@ -185,11 +192,15 @@ class GenericLearningRun:
         left = order[0]
         base_positions = self._base_positions(order)
         assert self.engine is not None
-        slice_meter, tuples = self.engine.execute_batch(order, base_positions, choice.budget)
+        slice_meter, joined = self.engine.execute_batch(order, base_positions, choice.budget)
         spent = slice_meter.total
         self.meter.merge(slice_meter)
-        if tuples is not None:
-            self.result_set.add_many(tuples)
+        if joined is not None:
+            self.result_set.add_batch(joined)
+            # The batches are consecutive pieces of the filtered positions,
+            # so what remains is a slice of them, not a copy.
+            done = self.batches[left][self.batch_offsets[left]]
+            self.remaining[left] = self.remaining[left][done.shape[0]:]
             self.batch_offsets[left] += 1
             tree.update(order, 1.0)
             if self.batch_offsets[left] >= len(self.batches[left]):
@@ -200,8 +211,6 @@ class GenericLearningRun:
 
     def _random_order(self) -> tuple[str, ...]:
         """Uniform random join order (Cartesian-avoiding) for the ablation."""
-        import random
-
         seed = None if self.config.seed is None else self.config.seed + self.iterations
         rng = random.Random(seed)
         prefix: list[str] = []
@@ -212,17 +221,8 @@ class GenericLearningRun:
     def _base_positions(self, order: tuple[str, ...]) -> dict[str, np.ndarray]:
         """Positions per alias: current batch for the left-most, remainder otherwise."""
         left = order[0]
-        positions: dict[str, np.ndarray] = {}
-        for alias in order:
-            offset = self.batch_offsets[alias]
-            chunks = self.batches[alias]
-            if alias == left:
-                positions[alias] = chunks[offset] if offset < len(chunks) else np.empty(0, np.int64)
-            else:
-                remaining = chunks[offset:]
-                positions[alias] = (
-                    np.concatenate(remaining) if remaining else np.empty(0, np.int64)
-                )
+        positions = {alias: self.remaining[alias] for alias in order}
+        positions[left] = self.batches[left][self.batch_offsets[left]]
         return positions
 
     # ------------------------------------------------------------------

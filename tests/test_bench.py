@@ -220,3 +220,15 @@ class TestExperimentDrivers:
                                         budgets=(16, 64))
         assert "uct_tree_growth" in output["series"]
         assert output["series"]["uct_tree_growth"]
+
+    def test_hashjoin_batch_reuse_series(self):
+        from repro.bench.experiments import EXPERIMENTS
+
+        output = EXPERIMENTS["hashjoin_kernel"](tuples_per_table=300, repetitions=1)
+        kept, fresh = output["batch_reuse"]
+        # t1's suffix moves on every 2nd invocation, t2's every 5th: 5 + 2
+        # builds through one executor, 2 per invocation through fresh ones.
+        assert (kept["Builds"], fresh["Builds"]) == (7, 20)
+        assert kept["Work Units"] == fresh["Work Units"] > 0
+        # The series sits beside the gated work total, not in it.
+        assert "simulated_time" not in kept

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from repro.engine.executor import PlanExecutor
 from repro.engine.joinkernels import (
-    KeyPart,
+    GroupedJoinMap,
     encode_composite_keys,
     expand_matches,
     group_rows,
-    probe_grouped,
 )
 from repro.engine.meter import CostMeter
 from repro.engine.operators import hash_join_step, nested_loop_step
@@ -85,11 +84,8 @@ def random_catalog_and_query(seed: int, *, num_tables: int, rows: int):
     return catalog, make_query(aliases, predicates=predicates)
 
 
-def run_reference(catalog, query, order):
+def join_on_rows_path(executor, order, positions, meter):
     """``order`` joined step by step, every hash join on the dict-based path."""
-    executor = PlanExecutor(catalog, query)
-    meter = CostMeter()
-    positions = executor.pre_process(meter)
     tables = executor.tables
     relation = RowIdRelation.from_base(order[0], positions[order[0]])
     for alias, equi, residual in executor.join_steps(order):
@@ -99,6 +95,15 @@ def run_reference(catalog, query, order):
         else:
             relation = nested_loop_step(relation, alias, tables[alias], positions[alias],
                                         residual, tables, meter)
+    return relation
+
+
+def run_reference(catalog, query, order):
+    """The dict-based reference for ``order`` over the whole filtered tables."""
+    executor = PlanExecutor(catalog, query)
+    meter = CostMeter()
+    positions = executor.pre_process(meter)
+    relation = join_on_rows_path(executor, order, positions, meter)
     return relation, meter.snapshot()
 
 
@@ -316,6 +321,17 @@ class TestKernelPrimitives:
         assert grouped.starts.tolist() == [0, 2]
         assert grouped.counts.tolist() == [2, 3]
 
+    def test_group_rows_packed_sort_equals_stable_argsort(self):
+        """Narrow int64 keys sort packed with their rows; wide ones by argsort."""
+        rng = make_rng(3)
+        for low, high in ((-5, 5), (0, 2**20), (-(2**62), 2**62), (2**63 - 9, 2**63 - 1)):
+            values = rng.integers(low, high, size=200, dtype=np.int64)
+            grouped = group_rows(values)
+            order = np.argsort(values, kind="stable")
+            assert grouped.rows.tolist() == order.tolist()
+            assert grouped.rows.dtype == np.int64 and grouped.keys.dtype == np.int64
+            assert grouped.keys.tolist() == np.unique(values).tolist()
+
     def test_group_rows_empty(self):
         grouped = group_rows(np.empty(0, dtype=np.int64))
         assert grouped.rows.shape[0] == 0
@@ -328,30 +344,53 @@ class TestKernelPrimitives:
         assert grouped.counts.tolist() == [1, 1, 1]
 
     def test_probe_grouped_empty_build(self):
-        grouped = group_rows(np.empty(0, dtype=np.int64))
-        rows, groups = probe_grouped(grouped, np.array([1, 2, 3]))
-        assert rows.shape[0] == 0 and groups.shape[0] == 0
+        build = Column([4, 5, 6])
+        grouped = GroupedJoinMap(build, np.empty(0, dtype=np.int64))
+        probe = Column([1, 2, 3])
+        starts, counts = grouped.lookup_many(probe.data, probe)
+        assert counts.tolist() == [0, 0, 0]
+        selector, build_rows = expand_matches(grouped.rows, starts, counts)
+        assert selector.shape[0] == 0 and build_rows.shape[0] == 0
 
     def test_probe_and_expand_round_trip(self):
-        grouped = group_rows(np.array([5, 7, 5, 9]))
-        rows, groups = probe_grouped(grouped, np.array([7, 5, 4]))
-        selector, build_rows = expand_matches(grouped, rows, groups)
+        build, probe = Column([5, 7, 5, 9]), Column([7, 5, 4])
+        grouped = GroupedJoinMap(build, np.arange(4, dtype=np.int64))
+        starts, counts = grouped.lookup_many(probe.data, probe)
+        selector, build_rows = expand_matches(grouped.rows, starts, counts)
         assert selector.tolist() == [0, 1, 1]
         assert build_rows.tolist() == [1, 0, 2]
 
     def test_encode_composite_requires_parts(self):
         with pytest.raises(ValueError):
-            encode_composite_keys([])
+            encode_composite_keys([], np.empty(0, dtype=np.int64))
 
     def test_encode_many_parts_does_not_overflow(self):
         """Radix combination re-compresses instead of overflowing int64."""
         build = Column(list(range(40)))
-        probe = Column(list(range(40)))
-        values = build.data
-        parts = [KeyPart(build, values, probe, values) for _ in range(16)]
-        keys = encode_composite_keys(parts)
-        assert np.array_equal(keys.build_codes, keys.probe_codes)
-        assert np.unique(keys.build_codes).shape[0] == 40
+        probe = Column(list(range(-5, 45)))
+        positions = np.arange(40, dtype=np.int64)
+        space, build_codes = encode_composite_keys([build] * 16, positions)
+        assert space.dense  # the span guard fired
+        assert np.unique(build_codes).shape[0] == 40
+        probe_codes, valid = space.probe_codes([probe.data] * 16, [probe] * 16)
+        assert valid.tolist() == [0 <= value < 40 for value in range(-5, 45)]
+        assert np.array_equal(probe_codes[valid], build_codes)
+
+    def test_composite_code_space_ignores_the_probe(self):
+        """One build-side encoding serves probes with other values and types."""
+        ints, strings = Column([3, 1, 3, 2]), Column(["b", "a", "b", "c"])
+        grouped = GroupedJoinMap([ints, strings], np.arange(4, dtype=np.int64))
+        probes = [
+            (Column([3.0, 2.5, 1.0, float("nan")]), Column(["b", "a", "a", "b"]),
+             [[0, 2], [], [1], []]),
+            (Column([2, 3, 7]), Column(["c", "zz", "b"]), [[3], [], []]),
+            (Column(["3", "1"]), Column(["b", "a"]), [[], []]),
+        ]
+        for first, second, expected in probes:
+            starts, counts = grouped.lookup_many([first.data, second.data], [first, second])
+            found = [grouped.rows[start:start + count].tolist()
+                     for start, count in zip(starts, counts)]
+            assert found == expected
 
     def test_translate_codes_maps_into_build_dictionary(self):
         build = Column(["a", "b", "c"])
@@ -382,3 +421,181 @@ class TestExecutorAgainstReference:
     def test_executor_matches_reference_on_every_order(self, tiny_catalog, tiny_join_query):
         for order in tiny_join_query.join_graph().valid_join_orders():
             assert_identical(tiny_catalog, tiny_join_query, list(order))
+
+
+# ----------------------------------------------------------------------
+# build-side reuse across batch invocations
+# ----------------------------------------------------------------------
+def edge_catalog_and_queries():
+    """Keys on both sides of 2**53, NaN, disjoint dictionaries, an empty table."""
+    nan = float("nan")
+    catalog = Catalog()
+    catalog.add_table(Table("t0", {
+        "k": [2**53 + 1, 2**53, 2**60, 3, 3, 7, -1, 2**53],
+        "f": [float(2**53), 2.5, nan, 3.0, nan, 7.0, float(2**60), -1.0],
+        "s": ["red", "only0", "blue", "red", "", "blue", "red", "green"],
+        "v": [0, 1, 2, 3, 4, 5, 0, 1],
+    }))
+    catalog.add_table(Table("t1", {
+        "k": [3, 2**53, 2**53 + 1, 7, 7, 2**60, 5],
+        "f": [3.0, float(2**53), float(2**53), nan, 7.5, float(2**60), float("inf")],
+        "s": ["red", "blue", "only1", "blue", "", "red", "red"],
+        "v": [5, 4, 3, 2, 1, 0, 5],
+    }))
+    catalog.add_table(Table("t2", {
+        "k": np.empty(0, dtype=np.int64),
+        "v": np.empty(0, dtype=np.int64),
+    }))
+    catalog.add_table(Table("t3", {
+        "k": [7, 3, 2**53, 2**53 + 1, 3],
+        "f": [7.0, nan, float(2**53), 3.0, 3.5],
+        "s": ["blue", "red", "only3", "red", "green"],
+        "v": [1, 1, 2, 2, 3],
+    }))
+    mixed = make_query(["t0", "t1", "t3"], predicates=[
+        column_equals_column("t0", "k", "t1", "f"),  # int vs float, either side builds
+        column_equals_column("t1", "k", "t3", "f"),
+        Predicate(ColumnRef("t0", "v"), "<=", ColumnRef("t3", "v")),
+    ])
+    composite = make_query(["t0", "t1", "t3"], predicates=[
+        column_equals_column("t0", "f", "t1", "f"),  # float pair with NaNs ...
+        column_equals_column("t0", "s", "t1", "s"),  # ... and a string part
+        column_equals_column("t1", "s", "t3", "s"),
+    ])
+    with_empty_side = make_query(["t0", "t2", "t3"], predicates=[
+        column_equals_column("t0", "k", "t3", "k"),
+        column_equals_column("t2", "k", "t3", "k"),
+    ])
+    return catalog, [mixed, composite, with_empty_side]
+
+
+def attempt(run, meter):
+    """``(relation or None, meter snapshot)`` of one budgeted batch attempt."""
+    from repro.errors import BudgetExceeded
+
+    try:
+        relation = run(meter)
+    except BudgetExceeded:
+        relation = None
+    return relation, meter.snapshot()
+
+
+def assert_batches_identical(catalog, query, seed, *, batches=3, calls=40):
+    """One executor over a Skinner-G-shaped call sequence vs a fresh one per call.
+
+    Every call joins one batch of the left-most alias with the remaining
+    suffix of the others, in a random order under a random (often too small)
+    budget; a completed batch moves its alias's suffix on.  The long-lived
+    executor must return, call for call, the relation and the meter snapshot
+    of a fresh executor and of the dict-based reference.
+    """
+    rng = make_rng(seed)
+    kept = PlanExecutor(catalog, query)
+    filtered = kept.pre_process()
+    chunks = {alias: np.array_split(positions, max(1, min(batches, positions.shape[0])))
+              for alias, positions in filtered.items()}
+    offsets = dict.fromkeys(filtered, 0)
+    suffixes = dict(filtered)
+    aliases = list(query.aliases)
+    hits = 0
+    for _ in range(calls):
+        order = [str(alias) for alias in rng.permutation(aliases)]
+        left = order[0]
+        if offsets[left] >= len(chunks[left]):
+            continue
+        base = dict(suffixes)
+        base[left] = chunks[left][offsets[left]]
+        budget = int(rng.choice([3, 10, 30, 100, 10_000]))
+        fresh = PlanExecutor(catalog, query)
+        fresh.pre_process()
+        built_before = sum(kept.hash_builds.built.values())
+        outcomes = [
+            attempt(lambda m: kept.execute_order(order, m, base), CostMeter(budget=budget)),
+            attempt(lambda m: fresh.execute_order(order, m, base), CostMeter(budget=budget)),
+            attempt(lambda m: join_on_rows_path(fresh, order, base, m), CostMeter(budget=budget)),
+        ]
+        built_now = sum(kept.hash_builds.built.values())
+        hits += sum(fresh.hash_builds.built.values()) - (built_now - built_before)
+        (relation, work), *others = outcomes
+        for other, other_work in others:
+            assert work == other_work, f"meter diverges for order {order}, budget {budget}"
+            assert (relation is None) == (other is None)
+            if relation is not None:
+                assert relation.aliases == other.aliases
+                for alias in relation.aliases:
+                    assert np.array_equal(relation.ids(alias), other.ids(alias)), (order, alias)
+        if relation is not None:
+            done = chunks[left][offsets[left]].shape[0]
+            suffixes[left] = suffixes[left][done:]
+            offsets[left] += 1
+    return hits
+
+
+class TestBuildSideReuse:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=2, max_value=4))
+    def test_kept_executor_equals_fresh_and_rows_call_for_call(self, seed, num_tables):
+        catalog, query = random_catalog_and_query(seed, num_tables=num_tables, rows=24)
+        assert_batches_identical(catalog, query, seed + 7)
+
+    def test_kept_executor_on_edge_keys(self):
+        catalog, queries = edge_catalog_and_queries()
+        for query in queries:
+            hits = sum(assert_batches_identical(catalog, query, seed, calls=60)
+                       for seed in range(6))
+            assert hits > 0  # the sequence did reuse build sides, not only rebuild them
+
+    @staticmethod
+    def _two_table_executor():
+        catalog = Catalog()
+        catalog.add_table(Table("a", {"x": [1, 2, 3, 4]}))
+        catalog.add_table(Table("b", {"x": [1, 2, 3, 4, 1, 2, 3, 4]}))
+        query = make_query(["a", "b"], predicates=[column_equals_column("a", "x", "b", "x")])
+        return PlanExecutor(catalog, query)
+
+    def test_equal_length_equal_first_element_is_not_a_hit(self):
+        executor = self._two_table_executor()
+        first = np.array([0, 1, 2], dtype=np.int64)
+        second = np.array([0, 5, 7], dtype=np.int64)  # same length, same first row
+        for positions, expected in ((first, [(0, 0), (1, 1), (2, 2)]),
+                                    (second, [(0, 0), (1, 5), (3, 7)]),
+                                    (first.copy(), [(0, 0), (1, 1), (2, 2)])):
+            relation = executor.execute_order(["a", "b"], CostMeter(), {"b": positions})
+            assert relation.index_tuples(["a", "b"]) == expected
+        assert executor.hash_builds.built == {("b", ("x",)): 3}
+        # ... and the same array object is one: no fourth build.
+        executor.execute_order(["a", "b"], CostMeter(), {"b": second})
+        executor.execute_order(["a", "b"], CostMeter(), {"b": second})
+        assert executor.hash_builds.built == {("b", ("x",)): 4}
+
+    def test_build_charge_over_budget_leaves_no_entry(self):
+        from repro.errors import BudgetExceeded
+
+        executor = self._two_table_executor()
+        executor.pre_process()
+        meter = CostMeter(budget=5)  # the build scan of b's 8 rows crosses it
+        with pytest.raises(BudgetExceeded):
+            executor.execute_order(["a", "b"], meter)
+        assert meter.tuples_scanned == 8 and meter.hash_probes == 0
+        assert not executor.hash_builds.built
+        meter = CostMeter()
+        relation = executor.execute_order(["a", "b"], meter)
+        assert len(relation) == 8 and meter.tuples_scanned == 8
+        assert executor.hash_builds.built == {("b", ("x",)): 1}
+
+    def test_skinner_g_builds_each_key_once_per_offset(self):
+        """A learning run that copied its position arrays would rebuild every slice."""
+        from repro.config import SkinnerConfig
+        from repro.skinner.skinner_g import GenericLearningRun
+        from repro.workloads.tpch import make_tpch_workload
+
+        batches = 3
+        config = SkinnerConfig(batches_per_table=batches, base_timeout=50, seed=11)
+        workload = make_tpch_workload(1.0, 29)
+        for workload_query in workload.queries[:4]:
+            run = GenericLearningRun(workload.catalog, workload_query.query, None, config)
+            while not run.finished:
+                run.step()
+            built = run.engine._executor.hash_builds.built
+            assert run.iterations > 20 * batches  # most slices found their build sides
+            assert built and max(built.values()) <= batches + 1, built
