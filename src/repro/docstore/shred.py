@@ -49,7 +49,10 @@ import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import ReproError
+from repro.storage.column import Column, ColumnType
 
 #: Synthetic tags for nodes that have no name of their own.
 ITEM_TAG = "#item"
@@ -155,7 +158,7 @@ def _from_json(tag: str, value) -> DocNode:
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
-def shred_nodes(roots: list[DocNode] | DocNode) -> dict[str, list]:
+def shred_nodes(roots: list[DocNode] | DocNode) -> dict[str, Column]:
     """Encode a document forest as node-table columns.
 
     Each document occupies one disjoint ``[base, base + size)`` range of
@@ -163,44 +166,60 @@ def shred_nodes(roots: list[DocNode] | DocNode) -> dict[str, list]:
     containment test exact across the whole forest.  Rows are emitted in
     ``pre`` order, so ``pre`` doubles as the row id (and lines up with the
     ``_repro_rid`` of external-DBMS mirrors).
+
+    One traversal with an explicit stack — linear in the nodes, no
+    recursion limit — that returns typed :class:`Column` objects (int64 /
+    float64 arrays, first-seen dictionary codes), so ``Table(name,
+    shred_nodes(forest))`` adopts them as they are.
     """
     if isinstance(roots, DocNode):
         roots = [roots]
-    columns: dict[str, list] = {
-        "pre": [], "post": [], "parent": [], "depth": [], "size": [],
-        "kind": [], "tag": [], "val_str": [], "val_num": [],
+    nodes: list[DocNode] = []  # in document order: row i is nodes[i]
+    parent, depth, post = [], [], []  # one int per row
+    open_rows: list[int] = []  # the visited node's ancestors, root first
+    closed = 0  # nodes whose subtree is complete: the next postorder rank
+    stack: list[DocNode | None] = roots[::-1]
+    while stack:
+        node = stack.pop()
+        if node is None:  # every child of the innermost open node is done
+            post[open_rows.pop()] = closed
+            closed += 1
+            continue
+        parent.append(open_rows[-1] if open_rows else -1)
+        depth.append(len(open_rows))
+        nodes.append(node)
+        if node.children:
+            open_rows.append(len(post))
+            post.append(0)  # patched when the ``None`` below comes off the stack
+            stack.append(None)
+            stack.extend(node.children[::-1])
+        else:
+            post.append(closed)
+            closed += 1
+    ranks = {"pre": np.arange(len(nodes)), "post": post, "parent": parent, "depth": depth}
+    ints = {name: np.array(values, dtype=np.int64) for name, values in ranks.items()}
+    # Before a node closes, every earlier node that is not one of its
+    # ancestors has closed, and so has each of its descendants.
+    ints["size"] = ints["post"] - ints["pre"] + ints["depth"]
+    numbers = np.array([node.number for node in nodes], dtype=np.float64)
+    return {
+        **{name: Column.from_physical(data, ColumnType.INT) for name, data in ints.items()},
+        "kind": _string_column([node.kind for node in nodes]),
+        "tag": _string_column([node.tag for node in nodes]),
+        "val_str": _string_column([node.text for node in nodes]),
+        "val_num": Column.from_physical(numbers, ColumnType.FLOAT),
     }
-    base = 0
-    for root in roots:
-        counters = {"pre": base, "post": base}
-        _encode(root, parent=-1, depth=0, counters=counters, columns=columns)
-        base += root.subtree_size()
-    return columns
 
 
-def _encode(node: DocNode, *, parent: int, depth: int,
-            counters: dict[str, int], columns: dict[str, list]) -> int:
-    pre = counters["pre"]
-    counters["pre"] += 1
-    row = len(columns["pre"])
-    columns["pre"].append(pre)
-    columns["post"].append(0)  # patched once the subtree is numbered
-    columns["parent"].append(parent)
-    columns["depth"].append(depth)
-    columns["size"].append(node.subtree_size() - 1)
-    columns["kind"].append(node.kind)
-    columns["tag"].append(node.tag)
-    columns["val_str"].append(node.text)
-    columns["val_num"].append(node.number)
-    for child in node.children:
-        _encode(child, parent=pre, depth=depth + 1,
-                counters=counters, columns=columns)
-    columns["post"][row] = counters["post"]
-    counters["post"] += 1
-    return pre
+def _string_column(values: list[str]) -> Column:
+    """Dictionary-encode ``values``; codes number the strings as first seen."""
+    dictionary = list(dict.fromkeys(values))
+    code_of = dict(zip(dictionary, range(len(dictionary))))
+    codes = np.fromiter(map(code_of.__getitem__, values), dtype=np.int64, count=len(values))
+    return Column.from_physical(codes, ColumnType.STRING, dictionary)
 
 
-def shred_document(path: str | Path, *, format: str | None = None) -> dict[str, list]:
+def shred_document(path: str | Path, *, format: str | None = None) -> dict[str, Column]:
     """Read and shred one document file into node-table columns.
 
     ``format`` is ``"xml"`` or ``"json"``; ``None`` infers it from the
@@ -260,9 +279,11 @@ def delete_subtree(roots: list[DocNode], index: int) -> bool:
     target = node_at(roots, index)
     for root in roots:
         for node in root.walk():
-            if target in node.children:
-                node.children.remove(target)
-                return True
+            for position, child in enumerate(node.children):
+                # Identity, not ``==``: look-alike siblings compare equal.
+                if child is target:
+                    del node.children[position]
+                    return True
     return False  # a root (or already detached): leave the forest intact
 
 

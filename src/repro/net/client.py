@@ -336,7 +336,7 @@ class RemoteTransport(Transport):
     def create_table(
         self, name: str, columns: Mapping[str, Sequence[Any]], *, replace: bool
     ) -> Table:
-        table = Table(name, {key: list(values) for key, values in columns.items()})
+        table = Table(name, columns)  # wraps raw sequences, adopts Columns
         self._ship_table(table, replace=replace)
         return table
 

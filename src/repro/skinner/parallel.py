@@ -90,24 +90,27 @@ class _ArraySpec:
 
 @dataclass(frozen=True)
 class _FileArraySpec:
-    """Locator of one flat array in a durable column file.
+    """Locator of one flat array in a durable segment file.
 
-    Columns of a durable catalog already live in files under the
-    ``data_dir``; workers ``np.memmap`` the file read-only instead of
-    receiving a shared-memory copy — zero copies, and the OS page cache is
-    shared across the whole worker pool.
+    Tables of a durable catalog already live in files under the
+    ``data_dir``; workers ``np.memmap`` the column's byte range read-only
+    instead of receiving a shared-memory copy — zero copies, and the OS
+    page cache is shared across the whole worker pool.
     """
 
     path: str
     dtype: str
     length: int
+    offset: int
 
 
 @dataclass(frozen=True)
 class _DictFileSpec:
-    """Locator of a string dictionary persisted as a JSON sidecar file."""
+    """Locator of a string dictionary: a JSON byte span of a segment file."""
 
     path: str
+    offset: int
+    length: int
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,8 @@ class _ColumnSpec:
     """Physical description of one column shipped to workers.
 
     ``array`` locates the physical values in shared memory (in-memory
-    tables) or in a durable column file (``data_dir`` tables);
-    ``dictionary`` is the string dictionary by value, by sidecar file, or
+    tables) or in a durable segment file (``data_dir`` tables);
+    ``dictionary`` is the string dictionary by value, by file span, or
     ``None`` for numeric columns.
     """
 
@@ -211,15 +214,16 @@ def _load_shared_array(spec: _ArraySpec) -> np.ndarray:
 def _load_column_array(spec: _ArraySpec | _FileArraySpec) -> np.ndarray:
     """Materialize one column's physical array in a worker.
 
-    File-backed specs map the durable column file read-only — no copy;
-    the kernel shares the pages across every worker touching the column.
+    File-backed specs map the column's range of the segment file read-only —
+    no copy; the kernel shares the pages across every worker touching it.
     Shared-memory specs copy out as before.
     """
     if isinstance(spec, _FileArraySpec):
         if spec.length == 0:
             return np.empty(0, dtype=np.dtype(spec.dtype))
         return np.memmap(
-            spec.path, dtype=np.dtype(spec.dtype), mode="r", shape=(spec.length,)
+            spec.path, dtype=np.dtype(spec.dtype), mode="r", offset=spec.offset,
+            shape=(spec.length,),
         )
     return _load_shared_array(spec)
 
@@ -228,8 +232,9 @@ def _load_dictionary(
     dictionary: tuple[str, ...] | _DictFileSpec | None,
 ) -> list[str] | None:
     if isinstance(dictionary, _DictFileSpec):
-        with open(dictionary.path) as handle:
-            return json.load(handle)
+        with open(dictionary.path, "rb") as handle:
+            handle.seek(dictionary.offset)
+            return json.loads(handle.read(dictionary.length))
     return list(dictionary) if dictionary is not None else None
 
 
@@ -396,7 +401,6 @@ class ParallelSkinnerCTask(EngineTask):
         self._workers = max(1, config.parallel_workers)
         self._started = time.perf_counter()
         self.query = query
-        self._catalog = catalog
         self._udfs = udfs
         self.pre_meter = CostMeter()
         self.join_meter = CostMeter()
@@ -405,6 +409,10 @@ class ParallelSkinnerCTask(EngineTask):
         self.prepared = preprocess(
             catalog, query, udfs, self.pre_meter, build_hash_maps=False
         )
+        # Later morsel tasks read the tables snapshotted here, as workers do.
+        self._catalog = Catalog()
+        for table in self.prepared.tables.values():
+            self._catalog.add_table(table, replace=True)  # self-joins repeat one
         self.result_set = JoinResultSet(self.prepared.aliases)
         self.slices = 0
         self.episode_wall_seconds = 0.0
@@ -617,13 +625,12 @@ class ParallelSkinnerCTask(EngineTask):
         is_string = column.ctype is ColumnType.STRING
         if source is not None:
             return _ColumnSpec(
-                array=_FileArraySpec(source.path, source.dtype, source.length),
-                ctype=column.ctype.value,
-                dictionary=(
-                    _DictFileSpec(source.dictionary_path)
-                    if is_string and source.dictionary_path is not None
-                    else (tuple(column.dictionary) if is_string else None)
+                array=_FileArraySpec(
+                    source.path, source.dtype, source.length, source.offset
                 ),
+                ctype=column.ctype.value,
+                dictionary=source.dictionary
+                and _DictFileSpec(source.path, *source.dictionary),
             )
         return _ColumnSpec(
             array=shared.share(column.data),
@@ -632,9 +639,18 @@ class ParallelSkinnerCTask(EngineTask):
         )
 
     def _collect_dispatched(self) -> None:
-        """Merge the next dispatched morsel (blocking, in morsel order)."""
-        result = self._dispatched[self._merged - 1]
-        self._merge_morsel(result.get())
+        """Merge the next dispatched morsel (blocking, in morsel order).
+
+        A worker that starts after a commit unlinked the table generation
+        this query snapshotted finds no segment file and fails the morsel;
+        the coordinator holds the mapping and runs it inline instead.
+        """
+        try:
+            outcome = self._dispatched[self._merged - 1].get()
+        except FileNotFoundError:
+            self._run_inline_morsel()
+        else:
+            self._merge_morsel(outcome)
 
     def _run_inline_morsel(self) -> None:
         """Single-worker phase two: one episode of the current morsel."""

@@ -8,11 +8,11 @@ Every engine in the repository reads base-table columns through
 * :class:`InMemoryBufferManager` — the historical behavior and the A/B
   reference: columns are plain in-process numpy arrays, nothing survives
   the process, snapshots are shallow dictionary copies.
-* :class:`~repro.storage.durable.DurableBufferManager` — columns persist
-  as memory-mapped files under a ``data_dir`` with a JSON catalog and a
-  write-ahead log; physical arrays are served lazily through a bounded
-  :class:`PageCache`, and snapshots/restores are WAL marks instead of
-  copies.
+* :class:`~repro.storage.durable.DurableBufferManager` — each table
+  generation persists as one memory-mapped segment file under a
+  ``data_dir`` with a JSON catalog and a write-ahead log; column views into
+  the mapping are served lazily through a bounded :class:`PageCache`, and
+  snapshots/restores are WAL marks instead of copies.
 
 The execution layers never see the difference: rows and meter charges are
 byte-identical across backends (property-tested in
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -39,38 +39,42 @@ if TYPE_CHECKING:
 class ColumnSource:
     """Locator of one column's persistent physical representation.
 
-    Durable-backed columns carry one of these (``Column.source``); the
-    morsel-parallel executor uses it to hand workers a *file path* instead
-    of copying the array into shared memory, and the buffer manager uses it
-    as the page-cache key.
+    Durable-backed columns carry one (``Column.source``): ``length`` items of
+    ``dtype`` at byte ``offset`` of the segment file ``path`` and, for strings,
+    the ``(offset, length)`` byte span of the JSON dictionary in that file.
+    The morsel-parallel executor hands it to workers in place of a
+    shared-memory copy; ``(path, offset)`` is the column's page-cache key.
     """
 
     path: str
     dtype: str
     length: int
-    dictionary_path: str | None = None
+    offset: int = 0
+    dictionary: tuple[int, int] | None = None
 
 
 class PageCache:
     """A bounded LRU cache of materialized column arrays.
 
     The durable backend serves every physical-array access through one of
-    these: a hit returns the already-mapped array, a miss opens the memmap
-    (and may evict least-recently-used entries to stay under the byte
-    capacity).  Eviction statistics are exposed for tests and capacity
-    tuning — an eviction storm on a hot query means ``buffer_pool_bytes``
-    is too small for the working set.
+    these: a hit returns the view already made, a miss makes one over the
+    table's mapped segment (and may evict least-recently-used entries to
+    stay under the byte capacity).  A mapping is address space; the pool
+    bounds and counts the views, whose pages are what gets touched.
+    Eviction statistics are exposed for tests and capacity tuning — an
+    eviction storm on a hot query means ``buffer_pool_bytes`` is too small
+    for the working set.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
         self._capacity = max(0, int(capacity_bytes))
-        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[Hashable, np.ndarray] = OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: str, loader: Callable[[], np.ndarray]) -> np.ndarray:
+    def get(self, key: Hashable, loader: Callable[[], np.ndarray]) -> np.ndarray:
         """The cached array for ``key``, loading (and caching) on a miss."""
         cached = self._entries.get(key)
         if cached is not None:
@@ -90,11 +94,14 @@ class PageCache:
             self._bytes -= int(evicted.nbytes)
             self.evictions += 1
 
-    def invalidate(self, key: str) -> None:
-        """Drop one entry (e.g. its backing file was checkpointed away)."""
-        dropped = self._entries.pop(key, None)
-        if dropped is not None:
-            self._bytes -= int(dropped.nbytes)
+    def invalidate(self, key: Hashable) -> None:
+        """Drop ``key``'s entry and every entry keyed ``(key, ...)`` — the
+        views into one segment, once its file is unlinked."""
+        for held in [
+            held for held in self._entries
+            if held == key or (isinstance(held, tuple) and held[0] == key)
+        ]:
+            self._bytes -= int(self._entries.pop(held).nbytes)
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
@@ -119,9 +126,9 @@ class BufferManager(ABC):
     The catalog forwards every state transition here — registration, drops,
     ingest fingerprints, transaction boundaries — and keeps only the
     name-to-:class:`~repro.storage.table.Table` mapping itself.  A backend
-    may rewrite registered tables (the durable one re-wraps columns as
-    lazily materialized memmap views), which is why :meth:`register_table`
-    returns the table the catalog must actually expose.
+    may rewrite registered tables (the durable one re-wraps columns as lazy
+    views of a mapped file), which is why :meth:`register_table` returns the
+    table the catalog must actually expose.
     """
 
     #: Whether tables survive the process (drives ``Connection.info()``).

@@ -1,4 +1,4 @@
-"""The durable buffer manager: memory-mapped columns, catalog, and WAL.
+"""The durable buffer manager: memory-mapped segments, catalog, and WAL.
 
 On-disk layout under ``data_dir`` (full format in ``docs/storage.md``)::
 
@@ -6,24 +6,26 @@ On-disk layout under ``data_dir`` (full format in ``docs/storage.md``)::
       catalog.json     # checkpoint: schemas, column locators, fingerprints
       wal.log          # record-structured WAL since the last checkpoint
       cols/
-        <table>-<generation>.<column>.arr    # raw little-endian int64/float64
-        <table>-<generation>.<column>.dict   # JSON string dictionary sidecar
+        <table>-<generation>.seg   # raw little-endian int64/float64 columns
+                                   # end to end, then the dictionaries as JSON
 
-Column payloads are written (and fsynced) *before* the WAL record that
-references them, WAL commit records are fsynced, and ``catalog.json`` is
-replaced atomically at checkpoints — so a process killed at any instant
-reopens to exactly the last committed transaction:
+A write is ordered segment ``write`` + fsync → WAL record → ``cols/`` fsync
+→ commit record + fsync, and ``catalog.json`` is replaced atomically at
+checkpoints — so a process killed at any instant reopens to exactly the
+last committed transaction:
 
 1. load ``catalog.json`` (the checkpoint state);
 2. replay the WAL's committed prefix on top of it; discard any tail after
    the last commit record (an uncommitted transaction or a torn write);
-3. checkpoint the recovered state, truncate the WAL, and delete column
-   files no table references anymore (payloads of rolled-back or replaced
-   generations).
+3. checkpoint the recovered state, truncate the WAL, and delete segments
+   no table references (payloads of torn transactions).
 
-Physical arrays are served through a bounded :class:`~repro.storage.buffer.
-PageCache` of ``np.memmap`` views, so the working set — not the dataset —
-must fit the buffer pool; a fresh process answers its first query without
+A segment is mapped once, when its :class:`Table` is built, and every reader
+that holds the table holds the mapping — which is why a commit may unlink
+the generations it replaced straight away.  The mapping is address space;
+what the bounded :class:`~repro.storage.buffer.PageCache` holds and counts
+are the column *views* into it, so the working set — not the dataset — must
+fit the buffer pool, and a fresh process answers its first query without
 re-parsing CSVs (ingest fingerprints make ``load_csv`` idempotent).
 Snapshots for schema transactions are WAL byte offsets: rollback truncates
 the log to the mark and rebuilds state by replaying it, instead of deep
@@ -33,6 +35,7 @@ copies.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from pathlib import Path
 from typing import Any
@@ -47,7 +50,7 @@ from repro.storage.wal import WriteAheadLog
 
 #: On-disk format version; bumped on layout changes.  Opening a data_dir
 #: written by a different version fails fast instead of misreading it.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _CATALOG_FILE = "catalog.json"
 _WAL_FILE = "wal.log"
@@ -65,7 +68,7 @@ _DTYPE_OF_CTYPE = {
 
 
 class DurableBufferManager(BufferManager):
-    """Columns as memmap files + JSON catalog + write-ahead log.
+    """Tables as mapped segment files + JSON catalog + write-ahead log.
 
     Parameters
     ----------
@@ -92,6 +95,9 @@ class DurableBufferManager(BufferManager):
         self._wal = WriteAheadLog(self._dir / _WAL_FILE)
         self._state: dict[str, Any] = {}
         self._generation = 0
+        #: Segments created or superseded since the last commit: what a
+        #: commit or rollback may have left unreferenced.
+        self._touched: set[str] = set()
         #: Facts about the last bootstrap, for tests and diagnostics.
         self.recovery_info: dict[str, Any] = {}
 
@@ -154,8 +160,13 @@ class DurableBufferManager(BufferManager):
     def _apply(self, record: dict[str, Any]) -> None:
         """Apply one WAL mutation record to the in-memory state."""
         op = record.get("op")
+        if op in ("add_table", "drop_table"):
+            old = self._state["tables"].get(record["name"])
+            if old is not None:
+                self._touched.add(old["file"])
         if op == "add_table":
             self._state["tables"][record["name"]] = record["meta"]
+            self._touched.add(record["meta"]["file"])
         elif op == "drop_table":
             self._state["tables"].pop(record["name"], None)
             self._state["ingests"].pop(record["name"], None)
@@ -165,7 +176,7 @@ class DurableBufferManager(BufferManager):
         # format version.
 
     # ------------------------------------------------------------------
-    # table materialization (lazy memmap views)
+    # table materialization (one mapping per table, lazy column views)
     # ------------------------------------------------------------------
     def _build_tables(self) -> dict[str, Table]:
         return {
@@ -174,33 +185,41 @@ class DurableBufferManager(BufferManager):
         }
 
     def _build_table(self, name: str, meta: dict[str, Any]) -> Table:
-        columns: dict[str, Column] = {}
-        for column_meta in meta["columns"]:
-            columns[column_meta["name"]] = self._build_column(column_meta)
-        return Table(name, columns)
+        path = str(self._dir / meta["file"])
+        try:
+            with open(path, "rb") as handle:
+                mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            if len(mapping) < int(meta["bytes"]):
+                raise ValueError(f"{len(mapping)} bytes")
+        except (OSError, ValueError) as exc:  # ValueError: also an empty file
+            raise InterfaceError(
+                f"data_dir {str(self._dir)!r}: segment {meta['file']!r} of table {name!r} "
+                f"is missing or shorter than the {meta['bytes']} bytes its catalog entry says"
+            ) from exc
+        return Table(name, {
+            column_meta["name"]: self._build_column(path, mapping, column_meta)
+            for column_meta in meta["columns"]
+        })
 
-    def _build_column(self, meta: dict[str, Any]) -> Column:
-        ctype = ColumnType(meta["ctype"])
+    def _build_column(self, path: str, mapping: mmap.mmap, meta: dict[str, Any]) -> Column:
         source = ColumnSource(
-            path=str(self._dir / meta["file"]),
+            path=path,
             dtype=meta["dtype"],
             length=int(meta["length"]),
-            dictionary_path=(
-                str(self._dir / meta["dictionary_file"])
-                if meta.get("dictionary_file")
-                else None
-            ),
+            offset=int(meta["offset"]),
+            dictionary=tuple(meta["dictionary"]) if meta["dictionary"] else None,
         )
-        fetch = lambda: self._cache.get(  # noqa: E731 - closure over source
-            source.path, lambda: _open_array(source)
+        key = (path, source.offset)
+        dtype = np.dtype(source.dtype)
+        fetch = lambda: self._cache.get(  # noqa: E731 - closure over the mapping
+            key, lambda: np.frombuffer(mapping, dtype, source.length, source.offset)
         )
-        dictionary_fetch = (
-            (lambda: _load_dictionary(source.dictionary_path))
-            if source.dictionary_path is not None
-            else None
-        )
+        dictionary_fetch = None
+        if source.dictionary is not None:
+            start, length = source.dictionary
+            dictionary_fetch = lambda: json.loads(mapping[start:start + length])  # noqa: E731
         return Column.lazy(
-            ctype,
+            ColumnType(meta["ctype"]),
             source.length,
             fetch,
             dictionary_fetch=dictionary_fetch,
@@ -211,35 +230,45 @@ class DurableBufferManager(BufferManager):
     # mutations
     # ------------------------------------------------------------------
     def register_table(self, table: Table, *, replace: bool = False) -> Table:
-        """Write the table's columns to files and log the registration.
+        """Write the table as one segment file and log the registration.
 
-        The returned table's columns are lazily materialized memmap views
-        served by the page cache — the caller's RAM-resident arrays become
-        garbage once the caller drops them.
+        The returned table's columns are lazily materialized views into the
+        mapped segment, served by the page cache — the caller's
+        RAM-resident arrays become garbage once the caller drops them.
         """
         generation = self._generation
         self._generation += 1
+        file = f"{_COLS_DIR}/{table.name}-{generation}.seg"
+        parts: list[bytes | np.ndarray] = []
         columns_meta: list[dict[str, Any]] = []
+        offset = 0
         for column_name in table.column_names:
             column = table.column(column_name)
-            stem = f"{table.name}-{generation}.{column_name}"
-            array_file = f"{_COLS_DIR}/{stem}.arr"
-            _write_array(self._dir / array_file, column.data)
-            dictionary_file = None
-            if column.ctype is ColumnType.STRING:
-                dictionary_file = f"{_COLS_DIR}/{stem}.dict"
-                _write_json(self._dir / dictionary_file, column.dictionary)
+            dtype = _DTYPE_OF_CTYPE[column.ctype]
+            data = np.ascontiguousarray(column.data, dtype=dtype)
+            parts.append(data)
             columns_meta.append({
                 "name": column_name,
                 "ctype": column.ctype.value,
-                "dtype": _DTYPE_OF_CTYPE[column.ctype],
-                "file": array_file,
+                "dtype": dtype,
+                "offset": offset,
                 "length": len(column),
-                "dictionary_file": dictionary_file,
+                "dictionary": None,
             })
+            offset += data.nbytes  # 8-byte items: every column stays 8-aligned
+        for column_meta in columns_meta:
+            if column_meta["ctype"] == ColumnType.STRING.value:
+                blob = json.dumps(table.column(column_meta["name"]).dictionary).encode()
+                parts.append(blob + b"\n")
+                column_meta["dictionary"] = [offset, len(blob)]
+                offset += len(blob) + 1
+        # An empty table still gets a byte: an empty file cannot be mapped.
+        _write_segment(self._dir / file, parts if offset else [b"\n"])
         meta = {
             "generation": generation,
             "rows": table.num_rows,
+            "file": file,
+            "bytes": offset,
             "columns": columns_meta,
         }
         record = {"op": "add_table", "name": table.name, "replace": bool(replace),
@@ -292,13 +321,21 @@ class DurableBufferManager(BufferManager):
         # table can never collide with an orphaned payload file that a
         # live column still maps.
         self._generation = max(self._generation, self._max_generation() + 1)
+        self._remove_orphans()  # the rolled-back registrations
         return self._build_tables()
 
     def commit(self) -> None:
-        """Fsync a commit record; checkpoint when the WAL has outgrown."""
+        """Fsync ``cols/`` (the new segments' directory entries), then a
+        commit record, then unlink what the transaction left unreferenced:
+        readers hold their mapping, rollback returns to this commit at most
+        and recovery opens only the final state's files.  Checkpoint when
+        the WAL has outgrown."""
         if self._wal.uncommitted_records == 0:
             return
+        if self._touched:
+            _fsync_dir(self._dir / _COLS_DIR)
         size = self._wal.commit()
+        self._remove_orphans()
         if size >= self._checkpoint_bytes:
             self._checkpoint()
 
@@ -310,8 +347,8 @@ class DurableBufferManager(BufferManager):
 
         Must only run at a commit boundary (no uncommitted WAL tail) —
         otherwise uncommitted mutations would be promoted into the
-        checkpoint.  Orphaned column files (rolled-back or replaced
-        generations) are deleted afterwards.
+        checkpoint.  Orphaned segments (a torn transaction's, found by
+        scanning ``cols/``) are deleted afterwards.
         """
         assert self._wal.uncommitted_records == 0, "checkpoint inside a transaction"
         self._state["format_version"] = FORMAT_VERSION
@@ -325,21 +362,20 @@ class DurableBufferManager(BufferManager):
         os.replace(tmp_path, catalog_path)
         _fsync_dir(self._dir)
         self._wal.reset()
-        self._remove_orphans()
+        self._remove_orphans(scan=True)
 
-    def _remove_orphans(self) -> None:
-        referenced: set[str] = set()
-        for meta in self._state["tables"].values():
-            for column_meta in meta["columns"]:
-                referenced.add(column_meta["file"])
-                if column_meta.get("dictionary_file"):
-                    referenced.add(column_meta["dictionary_file"])
-        cols_dir = self._dir / _COLS_DIR
-        for path in cols_dir.iterdir():
-            relative = f"{_COLS_DIR}/{path.name}"
-            if relative not in referenced:
-                self._cache.invalidate(str(path))
-                path.unlink(missing_ok=True)
+    def _remove_orphans(self, *, scan: bool = False) -> None:
+        """Unlink the segments no table references — among those this
+        transaction touched, or with ``scan`` among all of ``cols/`` (a torn
+        transaction's) — and forget what was touched."""
+        candidates = self._touched
+        if scan:
+            candidates = {f"{_COLS_DIR}/{path.name}" for path in (self._dir / _COLS_DIR).iterdir()}
+        referenced = {meta["file"] for meta in self._state["tables"].values()}
+        for file in candidates - referenced:
+            self._cache.invalidate(str(self._dir / file))
+            (self._dir / file).unlink(missing_ok=True)
+        self._touched.clear()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -372,33 +408,12 @@ def _empty_state() -> dict[str, Any]:
     }
 
 
-def _write_array(path: Path, array: np.ndarray) -> None:
-    """Write a flat array (fsynced — payloads precede their WAL record)."""
+def _write_segment(path: Path, parts: list[bytes | np.ndarray]) -> None:
+    """Write one segment file (fsynced — it precedes its WAL record)."""
     with open(path, "wb") as handle:
-        np.ascontiguousarray(array).tofile(handle)
+        handle.writelines(parts)
         handle.flush()
         os.fsync(handle.fileno())
-
-
-def _write_json(path: Path, value: Any) -> None:
-    with open(path, "w") as handle:
-        json.dump(value, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _open_array(source: ColumnSource) -> np.ndarray:
-    """Map one column file read-only (empty columns skip the mmap)."""
-    if source.length == 0:
-        return np.empty(0, dtype=np.dtype(source.dtype))
-    return np.memmap(
-        source.path, dtype=np.dtype(source.dtype), mode="r", shape=(source.length,)
-    )
-
-
-def _load_dictionary(path: str) -> list[str]:
-    with open(path) as handle:
-        return json.load(handle)
 
 
 def _fsync_dir(path: Path) -> None:

@@ -19,9 +19,12 @@ Four properties carry the subsystem:
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SkinnerConfig, connect
 from repro.errors import CatalogError, ReproError
@@ -36,6 +39,7 @@ from repro.docstore import (
     shred_nodes,
 )
 from repro.docstore.shred import (
+    _numeric,
     delete_subtree,
     forest_size,
     insert_subtree,
@@ -44,6 +48,8 @@ from repro.docstore.shred import (
 )
 from repro.docstore.workload import _query_pool, build_forest, to_xml
 from repro.net.server import ServerThread
+from repro.storage.column import Column
+from repro.storage.table import Table
 
 FAST = SkinnerConfig(
     slice_budget=64,
@@ -173,9 +179,79 @@ def forest():
     return build_forest(documents=2, items_per_document=6, depth=1, seed=3)
 
 
+def shredded_values(roots):
+    """``shred_nodes`` as plain value lists, one per column."""
+    return {name: column.values() for name, column in shred_nodes(roots).items()}
+
+
 @pytest.fixture(scope="module")
 def columns(forest):
-    return shred_nodes(forest)
+    return shredded_values(forest)
+
+
+def recursive_shred(roots):
+    """The encoder ``shred_nodes`` replaced, kept as its oracle: one
+    recursive call per node, plain value lists, types left to ``Column``."""
+    columns = {name: [] for name in (
+        "pre", "post", "parent", "depth", "size", "kind", "tag", "val_str", "val_num")}
+
+    def encode(node, parent, depth, counters):
+        pre = counters["pre"]
+        counters["pre"] += 1
+        row = len(columns["pre"])
+        columns["pre"].append(pre)
+        columns["post"].append(0)  # patched once the subtree is numbered
+        columns["parent"].append(parent)
+        columns["depth"].append(depth)
+        columns["size"].append(node.subtree_size() - 1)
+        columns["kind"].append(node.kind)
+        columns["tag"].append(node.tag)
+        columns["val_str"].append(node.text)
+        columns["val_num"].append(node.number)
+        for child in node.children:
+            encode(child, pre, depth + 1, counters)
+        columns["post"][row] = counters["post"]
+        counters["post"] += 1
+
+    base = 0
+    for root in roots:
+        encode(root, -1, 0, {"pre": base, "post": base})
+        base += root.subtree_size()
+    return columns
+
+
+def assert_same_as_oracle(roots):
+    """Same types, physical arrays and dictionaries as the recursive encoder."""
+    got = shred_nodes(roots)
+    want = recursive_shred(roots if isinstance(roots, list) else [roots])
+    assert list(got) == list(want)
+    for name, values in want.items():
+        column, expected = got[name], Column(values)
+        assert isinstance(column, Column)
+        assert column.ctype is expected.ctype, name
+        assert same_values(column.data.tolist(), expected.data.tolist()), name
+        if name in ("kind", "tag", "val_str"):
+            assert column.dictionary == expected.dictionary, name
+
+
+_TAGS = st.sampled_from(["a", "b", "item", "rating"])
+_TEXTS = st.sampled_from(["", "5", "x", "2.5", "nan"])
+_LEAVES = st.builds(
+    lambda tag, text: DocNode(tag=tag, text=text, number=_numeric(text)), _TAGS, _TEXTS)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.builds(
+        lambda tag, kids: DocNode(tag=tag, children=kids),
+        _TAGS, st.lists(children, max_size=4)),
+    max_leaves=25,
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False, width=32)
+    | st.sampled_from(["", "x", "7"]),
+    lambda values: st.lists(values, max_size=3)
+    | st.dictionaries(st.sampled_from(["k", "v", "w"]), values, max_size=3),
+    max_leaves=15,
+)
 
 
 @pytest.fixture(scope="module")
@@ -242,8 +318,8 @@ class TestParsing:
             parse_json("{nope")
 
     def test_xml_round_trip_through_serializer(self, forest):
-        got = shred_nodes(parse_xml(to_xml(forest[0])))
-        want = shred_nodes(forest[0])
+        got = shredded_values(parse_xml(to_xml(forest[0])))
+        want = shredded_values(forest[0])
         assert set(got) == set(want)
         for name in want:
             if name != "val_num":
@@ -316,6 +392,60 @@ class TestEncoding:
         assert forest_size(roots) == 2
         assert not delete_subtree(roots, 0)  # roots are never removed
         assert forest_size(roots) == 2
+
+    def test_delete_subtree_picks_the_node_not_a_look_alike(self):
+        # DocNode compares by value: the two ratings are equal, not identical.
+        roots = [parse_xml(
+            "<site><item><rating>5</rating></item>"
+            "<item><rating>5</rating><name>n</name></item></site>")]
+        assert node_at(roots, 4).tag == "rating"
+        assert delete_subtree(roots, 4)
+        first, second = roots[0].children
+        assert [child.tag for child in first.children] == ["rating"]
+        assert [child.tag for child in second.children] == ["name"]
+
+
+class TestShredAgainstRecursiveOracle:
+    """``shred_nodes`` is one iterative pass returning typed columns; the
+    recursive encoder it replaced says what they must hold."""
+
+    def test_generated_forest(self, forest):
+        assert_same_as_oracle(forest)
+        assert_same_as_oracle(forest[0])  # a bare root is a forest of one
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_TREES, min_size=1, max_size=4))
+    def test_random_forests(self, roots):
+        assert_same_as_oracle(roots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_JSON)
+    def test_json_documents(self, value):
+        assert_same_as_oracle([parse_json(json.dumps(value))])
+
+    def test_xml_document(self):
+        assert_same_as_oracle([parse_xml(TestParsing.XML)])
+
+    def test_empty_forest(self):
+        assert shredded_values([]) == recursive_shred([])
+        # Typed even when empty (the value-list form inferred INT throughout).
+        assert Table("doc", shred_nodes([])).column_types()["kind"].value == "string"
+
+    def test_deep_chain_does_not_recurse(self):
+        depth = 5000  # far past the interpreter's recursion limit
+        root = DocNode(tag="n0")
+        node = root
+        for level in range(1, depth):
+            child = DocNode(tag=f"n{level % 7}")
+            node.children.append(child)
+            node = child
+        columns = shred_nodes(root)
+        ranks = list(range(depth))
+        assert columns["pre"].values() == ranks
+        assert columns["post"].values() == ranks[::-1]
+        assert columns["depth"].values() == ranks
+        assert columns["parent"].values() == [-1] + ranks[:-1]
+        assert columns["size"].values() == ranks[::-1]
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ executor involved).
 from __future__ import annotations
 
 import json
+import os
 import zlib
 
 import numpy as np
@@ -168,6 +169,17 @@ class TestPageCache:
         assert cache.stats()["entries"] == 1
         assert cache.get("big", lambda: self._array(100)) is array
 
+    def test_invalidate_drops_every_view_of_a_segment(self):
+        cache = PageCache(1 << 20)
+        for key in (("seg-1", 0), ("seg-1", 80), ("seg-2", 0)):
+            cache.get(key, lambda: self._array(10))
+        cache.invalidate("seg-1")
+        stats = cache.stats()
+        assert stats["entries"] == 1 and stats["cached_bytes"] == 80
+        hits = cache.hits
+        cache.get(("seg-2", 0), lambda: self._array(10))
+        assert cache.hits == hits + 1
+
     def test_invalidate_and_clear(self):
         cache = PageCache(1 << 20)
         cache.get("a", lambda: self._array(10))
@@ -252,6 +264,62 @@ class TestDurableBufferManager:
         assert before.isdisjoint(after)  # old generation's files deleted
         assert len(after) == len(before)
 
+    def test_commit_reclaims_the_generations_it_replaced(self, tmp_path):
+        manager = DurableBufferManager(tmp_path, checkpoint_bytes=1 << 30)
+        manager.bootstrap()
+        first = manager.register_table(_table())
+        manager.commit()
+        first.column("id").values()  # a cached view of the first generation
+        for _ in range(5):
+            manager.register_table(_table(), replace=True)  # no checkpoint in between
+            manager.commit()
+            assert len(list((tmp_path / "cols").iterdir())) == 1
+        assert manager.cache_stats()["entries"] == 0  # reclaimed views are dropped
+        assert _rows(first) == _rows(_table())  # its holder still reads it
+        manager.register_table(_table(), replace=True)
+        manager.register_table(_table(), replace=True)
+        manager.drop_table("t")
+        assert len(list((tmp_path / "cols").iterdir())) == 3  # nothing before commit
+        manager.commit()
+        assert list((tmp_path / "cols").iterdir()) == []
+        manager.close()
+
+    def test_rollback_reclaims_its_own_segments_only(self, tmp_path):
+        manager = DurableBufferManager(tmp_path)
+        manager.bootstrap()
+        tables = {"t": manager.register_table(_table())}
+        manager.commit()
+        (kept,) = (tmp_path / "cols").iterdir()
+        mark = manager.snapshot(tables)
+        manager.register_table(_table(), replace=True)
+        manager.register_table(Table("extra", {"a": [1]}))
+        restored = manager.restore(mark)
+        assert list((tmp_path / "cols").iterdir()) == [kept]
+        assert _rows(restored["t"]) == _rows(_table())
+        manager.close()
+
+    def test_a_write_is_three_fsyncs_in_order(self, tmp_path, monkeypatch):
+        manager = DurableBufferManager(tmp_path)
+        manager.bootstrap()
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.path.basename(os.readlink(f"/proc/self/fd/{fd}")))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        manager.register_table(_table())
+        manager.commit()
+        # The segment, then its directory entry, then the commit record.
+        assert synced == ["t-1.seg", "cols", "wal.log"]
+        del synced[:]
+        manager.record_ingest("t", "fp")  # no segment: no directory fsync
+        manager.commit()
+        assert synced == ["wal.log"]
+        monkeypatch.undo()
+        manager.close()
+
     def test_rollback_via_wal_mark(self, tmp_path):
         manager = DurableBufferManager(tmp_path)
         tables = manager.bootstrap()
@@ -325,7 +393,7 @@ class TestDurableBufferManager:
         column = tables["t"].column("name")
         assert column.values() == ["x", "y", "x"]
         assert column.source is not None
-        assert column.source.dictionary_path is not None
+        assert column.source.dictionary is not None  # its span in the segment
 
 
 class TestInMemoryBufferManager:

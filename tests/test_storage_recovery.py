@@ -9,6 +9,7 @@ committed tables intact and queryable, uncommitted tables gone.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -17,7 +18,10 @@ import sys
 import textwrap
 import time
 
-from repro import connect
+import pytest
+
+from repro import SkinnerConfig, connect
+from repro.errors import InterfaceError
 
 _TIMEOUT = 60.0
 
@@ -162,6 +166,127 @@ class TestKillNineRecovery:
         conn = connect(data_dir=data_dir)
         try:
             assert sorted(conn.catalog.table_names()) == ["alpha", "beta"]
+        finally:
+            conn.close()
+
+
+    def test_kill_between_segment_write_and_wal_record(self, tmp_path):
+        # The write order is segment fsync -> WAL record: a process killed
+        # in between leaves a segment nothing points to.  The next open
+        # must come up on the last commit and delete the orphan.
+        data_dir = tmp_path / "db"
+        sentinel = tmp_path / "segment-written"
+        script = tmp_path / "child.py"
+        script.write_text(textwrap.dedent("""\
+            import sys, time
+            from pathlib import Path
+            from repro import connect
+            from repro.storage.wal import WriteAheadLog
+
+            def main():
+                data_dir, sentinel = sys.argv[1], Path(sys.argv[2])
+                conn = connect(data_dir=data_dir)
+                conn.create_table("t", {"id": [1, 2, 3], "name": ["a", "b", "a"]})
+                conn.commit()
+                append = WriteAheadLog.append
+
+                def stall(self, record, **kwargs):
+                    if record.get("op") == "add_table":
+                        sentinel.touch()
+                        time.sleep(600)  # parent SIGKILLs us here
+                    return append(self, record, **kwargs)
+
+                WriteAheadLog.append = stall
+                conn.create_table("t", {"id": [9], "name": ["z"]}, replace=True)
+
+            if __name__ == "__main__":
+                main()
+        """))
+        child = _spawn(script, data_dir, sentinel)
+        _wait_for(sentinel, child, "segment-written sentinel")
+        _sigkill(child)
+        assert len(list((data_dir / "cols").iterdir())) == 2  # t's and the orphan
+
+        conn = connect(data_dir=data_dir)
+        try:
+            assert conn.catalog.table("t").column("name").values() == ["a", "b", "a"]
+            assert conn.catalog.buffer_manager.recovery_info["discarded_records"] == 0
+            assert len(list((data_dir / "cols").iterdir())) == 1
+        finally:
+            conn.close()
+
+
+class TestDamagedDataDir:
+    def _committed(self, data_dir):
+        conn = connect(data_dir=data_dir)
+        conn.create_table("t", {"id": list(range(50)), "name": ["x", "y"] * 25})
+        conn.commit()
+        conn.close()
+
+    def test_truncated_segment_raises_typed_error(self, tmp_path):
+        self._committed(tmp_path / "db")
+        (segment,) = (tmp_path / "db" / "cols").iterdir()
+        os.truncate(segment, segment.stat().st_size - 16)
+        with pytest.raises(InterfaceError, match="bytes"):
+            connect(data_dir=tmp_path / "db")
+
+    def test_missing_segment_raises_typed_error(self, tmp_path):
+        self._committed(tmp_path / "db")
+        (segment,) = (tmp_path / "db" / "cols").iterdir()
+        segment.unlink()
+        with pytest.raises(InterfaceError, match="missing"):
+            connect(data_dir=tmp_path / "db")
+
+    def test_version_one_directory_is_refused(self, tmp_path):
+        # Layout 1: one .arr (and .dict) file per column, no segments.
+        data_dir = tmp_path / "db"
+        (data_dir / "cols").mkdir(parents=True)
+        (data_dir / "cols" / "t-1.id.arr").write_bytes(bytes(24))
+        (data_dir / "catalog.json").write_text(json.dumps({
+            "format_version": 1, "next_generation": 2, "ingests": {},
+            "tables": {"t": {"generation": 1, "rows": 3, "columns": [{
+                "name": "id", "ctype": "int", "dtype": "<i8", "length": 3,
+                "file": "cols/t-1.id.arr", "dictionary_file": None}]}},
+        }))
+        with pytest.raises(InterfaceError, match="format version 1"):
+            connect(data_dir=data_dir)
+        assert (data_dir / "cols" / "t-1.id.arr").exists()  # refused, not cleaned
+
+
+class TestReaderOutlivesItsGeneration:
+    """A cursor holds its tables, a table holds its mapping: replacing,
+    committing (which unlinks the old segment) and checkpointing under a
+    half-fetched result changes nothing the cursor returns."""
+
+    CONFIG = SkinnerConfig(
+        buffer_pool_bytes=1024, slice_budget=32, batch_size=8, batches_per_table=3,
+        base_timeout=150, serving_warm_start=False, parallel_min_morsel_rows=16,
+    )
+    SQL = "SELECT a.k, b.v FROM t a, u b WHERE a.k = b.k"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replace_commit_checkpoint_between_fetches(self, tmp_path, workers):
+        conn = connect(self.CONFIG, data_dir=tmp_path / "db", workers=workers)
+        try:
+            conn.create_table("t", {"k": list(range(300))})
+            conn.create_table("u", {"k": list(range(300)),
+                                    "v": [str(k % 7) for k in range(300)]})
+            conn.commit()
+            cursor = conn.cursor()
+            cursor.execute(self.SQL)
+            rows = cursor.fetchmany(5)  # the join is under way, far from done
+            conn.create_table("u", {"k": [1], "v": ["z"]}, replace=True)
+            conn.commit()
+            segments = {path.name for path in (tmp_path / "db" / "cols").iterdir()}
+            assert len(segments) == 2  # u's first generation is already gone
+            conn.catalog.buffer_manager._checkpoint()
+            rows += cursor.fetchall()
+            assert sorted(rows) == [(k, str(k % 7)) for k in range(300)]
+            if workers > 1:
+                # Morsel workers open segments by path and found this one
+                # unlinked: the coordinator ran those morsels on its mapping.
+                assert cursor.result().metrics.extra["parallel_morsels"] > 1
+            assert conn.cursor().execute(self.SQL).fetchall() == [(1, "z")]
         finally:
             conn.close()
 
