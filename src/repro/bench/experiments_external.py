@@ -91,7 +91,7 @@ def external_sqlite(tuples_per_table: int = 400) -> dict[str, Any]:
 
         learned_order = external.metrics.final_join_order
         adapter = sqlite_adapter_for(connection.catalog)
-        emitter = SqlEmitter(connection.catalog, query)
+        emitter = SqlEmitter(connection.catalog, query, adapter.dialect)
 
         def plan_cost(order):
             """Full-query cost of one plan on the deterministic work clock."""

@@ -44,6 +44,21 @@ from repro.storage.table import Table
 JoinStep = tuple[str, list[Predicate], list[Predicate]]
 
 
+class _ChargeLog:
+    """Hands ``charge_*`` calls on to a meter and keeps them for billing again."""
+
+    def __init__(self, meter: CostMeter) -> None:
+        self._meter = meter
+        self.charges: list[tuple[str, int]] = []
+
+    def __getattr__(self, name: str):
+        def charge(amount: int = 1) -> None:
+            self.charges.append((name, amount))
+            getattr(self._meter, name)(amount)
+
+        return charge
+
+
 class PlanExecutor:
     """Executes left-deep join orders for one query against a catalog."""
 
@@ -60,6 +75,7 @@ class PlanExecutor:
             alias: catalog.table(name) for alias, name in query.tables
         }
         self._filtered: dict[str, np.ndarray] | None = None
+        self._filter_charges: list[tuple[str, int]] = []
         self._steps: dict[tuple[str, ...], list[JoinStep]] = {}
         #: Grouped build sides of this query's hash joins (see ``execute_order``).
         self.hash_builds = HashBuildCache()
@@ -72,15 +88,26 @@ class PlanExecutor:
         """Alias-to-table mapping for this query."""
         return self._tables
 
-    def pre_process(self, meter: CostMeter | None = None) -> dict[str, np.ndarray]:
-        """Apply unary predicates to every table; results are cached."""
+    def pre_process(
+        self, meter: CostMeter | None = None, *, bill_again: bool = False
+    ) -> dict[str, np.ndarray]:
+        """Apply unary predicates to every table; results are cached.
+
+        A cached pass charges nothing, unless ``bill_again``: then ``meter``
+        is charged what the pass cost, charge by charge, so a budget runs out
+        exactly where it would on filtering afresh (Skinner-H's attempts and
+        its learning run share one executor; a host would scan for each).
+        """
         if self._filtered is None:
-            meter = meter if meter is not None else CostMeter()
+            log = _ChargeLog(meter if meter is not None else CostMeter())
             filtered: dict[str, np.ndarray] = {}
             for alias, table in self._tables.items():
                 predicates = self._query.unary_predicates(alias)
-                filtered[alias] = filter_table(table, alias, predicates, meter, self._udfs)
-            self._filtered = filtered
+                filtered[alias] = filter_table(table, alias, predicates, log, self._udfs)
+            self._filtered, self._filter_charges = filtered, log.charges
+        elif bill_again:
+            for name, amount in self._filter_charges:
+                getattr(meter, name)(amount)
         return self._filtered
 
     def filtered_positions(self, alias: str) -> np.ndarray:

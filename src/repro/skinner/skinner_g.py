@@ -84,7 +84,9 @@ class InternalGenericEngine(GenericEngine):
         return self._executor.tables
 
     def pre_process(self, meter: CostMeter) -> None:
-        self._executor.pre_process(meter)
+        # Skinner-H's traditional attempts may have filtered already; the
+        # learning run is charged its own pass all the same.
+        self._executor.pre_process(meter, bill_again=True)
 
     def filtered_positions(self, alias: str) -> np.ndarray:
         return self._executor.filtered_positions(alias)
@@ -107,6 +109,8 @@ class InternalGenericEngine(GenericEngine):
     ) -> tuple[CostMeter, RowIdRelation | None]:
         meter = CostMeter(budget=budget)
         try:
+            # Every whole-query invocation pays the filters, as a host would.
+            self._executor.pre_process(meter, bill_again=True)
             relation = self._executor.execute_order(order, meter)
         except BudgetExceeded:
             return meter, None

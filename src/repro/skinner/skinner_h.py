@@ -14,12 +14,11 @@ from __future__ import annotations
 import time
 
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
-from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.engine.task import EngineTask, ExecutionBackend
-from repro.errors import BudgetExceeded, ExecutionError
+from repro.errors import ExecutionError
 from repro.optimizer.cardinality import EstimatedCardinality
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
@@ -28,7 +27,12 @@ from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
-from repro.skinner.skinner_g import GenericEngineProvider, GenericLearningRun, SkinnerG
+from repro.skinner.skinner_g import (
+    GenericEngineProvider,
+    GenericLearningRun,
+    InternalGenericEngine,
+    SkinnerG,
+)
 from repro.storage.catalog import Catalog
 
 _MAX_ROUNDS = 64
@@ -44,6 +48,15 @@ class SkinnerHTask(EngineTask):
     Skinner-G run.  Driving the task to completion performs exactly the same
     attempt/learning sequence — and charges exactly the same meter work — as
     the monolithic :meth:`SkinnerH.execute` loop.
+
+    The learning run — and with it the substrate's pre-processing — is built
+    by the first learning episode, not here: a query whose traditional plan
+    completes under the first timeout costs that one attempt and nothing
+    else.  Its metrics then report ``time_slices == 0``, ``uct_nodes == 0``
+    and the traditional relation's ``result_tuple_count``; single-table and
+    empty-input queries are answered the same way (``winner`` is
+    ``"traditional"``, ``rounds`` 1) unless the scan alone overruns the
+    first timeout.
     """
 
     def __init__(self, engine: "SkinnerH", query: Query) -> None:
@@ -51,15 +64,13 @@ class SkinnerHTask(EngineTask):
         self._query = query
         self._started = time.perf_counter()
         self._plan = engine._traditional_plan(query)
-        # One pluggable substrate serves both sides of the hybrid: the
-        # learning run's batch attempts and the traditional plan's timed
-        # whole-query attempts.  ``None`` keeps the historical internal
-        # executor paths byte-identical.
-        self._substrate = engine._generic._make_generic_engine(query)
-        self.run = GenericLearningRun(
-            engine._catalog, query, engine._udfs, engine._config,
-            engine=self._substrate,
+        # One substrate serves both sides of the hybrid — the traditional
+        # plan's timed whole-query attempts and the learning run's batch
+        # attempts — so the internal executor filters and groups once.
+        self._substrate = engine._generic._make_generic_engine(query) or (
+            InternalGenericEngine(engine._catalog, query, engine._udfs)
         )
+        self.run: GenericLearningRun | None = None
         self._traditional_meter = CostMeter()
         self._result: QueryResult | None = None
         self.finished = False
@@ -67,7 +78,8 @@ class SkinnerHTask(EngineTask):
 
     def work_total(self) -> int:
         """Total work units charged to this query so far (both strategies)."""
-        return self.run.meter.total + self._traditional_meter.total
+        learned = self.run.meter.total if self.run is not None else 0
+        return learned + self._traditional_meter.total
 
     def run_episode(self) -> bool:
         """Run one episode; returns ``True`` when the query has completed."""
@@ -87,35 +99,12 @@ class SkinnerHTask(EngineTask):
 
     def _episode_generator(self):
         engine = self._engine
-        query, plan, run = self._query, self._plan, self.run
-        if run.finished:
-            # Trivial queries (single table / empty input) need no join phase.
-            self._result = engine._generic._finalize(
-                query, run, self._started, engine_name=engine.name,
-                extra={"winner": "learning", "rounds": 0, "plan": plan.order},
-            )
-            return
+        query, plan, substrate = self._query, self._plan, self._substrate
         for round_index in range(_MAX_ROUNDS):
             budget = engine._config.base_timeout * 2**round_index
             # 1. Try the traditional optimizer's plan under the current timeout.
-            relation = None
-            if self._substrate is None:
-                executor = PlanExecutor(engine._catalog, query, engine._udfs)
-                attempt_tables = executor.tables
-                attempt_meter = CostMeter(budget=budget)
-                try:
-                    relation = executor.execute_order(plan.order, attempt_meter)
-                except BudgetExceeded:
-                    pass
-                finally:
-                    # Merge unconditionally: an attempt aborted by any other
-                    # exception (e.g. a raising UDF) still consumed this work,
-                    # and the serving ledger reads it through work_total().
-                    self._traditional_meter.merge(attempt_meter)
-            else:
-                attempt_meter, relation = self._substrate.execute_plan(plan.order, budget)
-                attempt_tables = self._substrate.tables
-                self._traditional_meter.merge(attempt_meter)
+            attempt_meter, relation = substrate.execute_plan(plan.order, budget)
+            self._traditional_meter.merge(attempt_meter)
             if relation is not None:
                 # Canonical row order: the executor's output order is an
                 # artifact (hash-join emission vs an external engine's scan
@@ -123,15 +112,21 @@ class SkinnerHTask(EngineTask):
                 # materialized rows byte-identical across substrates and
                 # identical to the learning path's result-set order.
                 relation = relation.canonical_order(query.aliases)
-                output = post_process(query, relation, attempt_tables, engine._udfs,
+                output = post_process(query, relation, substrate.tables, engine._udfs,
                                       self._traditional_meter)
                 self._result = engine._traditional_result(
-                    query, output, plan, run, self._traditional_meter,
-                    self._started, round_index,
+                    query, output, plan, self.run, len(relation),
+                    self._traditional_meter, self._started, round_index,
                 )
                 return
             yield  # episode boundary: one timed-out traditional attempt
             # 2. Give the learning run the same amount of work.
+            run = self.run
+            if run is None:
+                run = self.run = GenericLearningRun(
+                    engine._catalog, query, engine._udfs, engine._config,
+                    engine=substrate,
+                )
             learned = 0
             while learned < budget and not run.finished:
                 learned += run.step()
@@ -213,14 +208,17 @@ class SkinnerH(ExecutionBackend):
         query: Query,
         output,
         plan: LeftDeepPlan,
-        run: GenericLearningRun,
+        run: GenericLearningRun | None,
+        join_tuples: int,
         traditional_meter: CostMeter,
         started: float,
         rounds: int,
     ) -> QueryResult:
+        """Metrics of a traditional win; ``run`` is ``None`` if learning never began."""
         total = CostMeter()
         total.merge(traditional_meter)
-        total.merge(run.meter)
+        if run is not None:
+            total.merge(run.meter)
         work = total.snapshot()
         metrics = QueryMetrics(
             engine=self.name,
@@ -230,9 +228,9 @@ class SkinnerH(ExecutionBackend):
             intermediate_cardinality=work.intermediate_tuples,
             result_rows=output.num_rows,
             final_join_order=plan.order,
-            time_slices=run.iterations,
-            uct_nodes=run.uct_node_count(),
-            result_tuple_count=len(run.result_set),
+            time_slices=run.iterations if run is not None else 0,
+            uct_nodes=run.uct_node_count() if run is not None else 0,
+            result_tuple_count=join_tuples,
             extra={"winner": "traditional", "rounds": rounds + 1, "plan": plan.order},
         )
         return QueryResult(output, metrics)

@@ -180,6 +180,59 @@ class TestSkinnerH:
         # traditional optimizer; allow generous slack for the tiny input.
         assert hybrid.metrics.work.total <= 25 * max(traditional.metrics.work.total, 1)
 
+    def test_round_zero_win_never_starts_the_learning_side(self, tiny_catalog, tiny_join_query):
+        task = SkinnerH(tiny_catalog, config=FAST_CONFIG).task(tiny_join_query)
+        assert task.work_total() == 0 and task.run is None
+        assert task.run_episode()
+        assert task.run is None
+        metrics = task.finalize().metrics
+        assert metrics.extra["winner"] == "traditional" and metrics.extra["rounds"] == 1
+        assert metrics.time_slices == 0 and metrics.uct_nodes == 0
+        assert metrics.result_tuple_count == reference_join_count(tiny_catalog, tiny_join_query)
+        # The traditional engine's bill and nothing else: no second filter pass.
+        traditional = TraditionalEngine(tiny_catalog).execute(tiny_join_query)
+        assert metrics.work == traditional.metrics.work
+        assert task.work_total() == metrics.work.total
+
+    @pytest.mark.parametrize("predicates, rows", [
+        ([column_compare_literal("c", "score", ">", 10)], 4),
+        ([column_compare_literal("c", "score", ">", 99)], 0),
+    ])
+    def test_trivial_queries_are_answered_by_the_first_attempt(
+        self, tiny_catalog, predicates, rows
+    ):
+        query = make_query(
+            [("c", "customers")], predicates=predicates,
+            select_items=[SelectItem(expression=ColumnRef("c", "cid"), alias="cid")],
+        )
+        result = SkinnerH(tiny_catalog, config=FAST_CONFIG).execute(query)
+        assert len(result.rows) == rows
+        assert result.metrics.extra["winner"] == "traditional"
+        assert result.metrics.extra["rounds"] == 1
+        assert result.metrics.result_tuple_count == rows
+
+    def test_both_sides_share_one_filter_pass(self, tiny_catalog, tiny_join_query, monkeypatch):
+        """A timed-out round 0 hands its filtered tables to the learning side
+        and to every later attempt; each is still charged its own scan."""
+        from repro.engine import executor
+
+        filtered = []
+        real = executor.filter_table
+
+        def counting(table, alias, *args, **kwargs):
+            filtered.append(alias)
+            return real(table, alias, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "filter_table", counting)
+        # 35 units: the filters fit (32), the first join does not.
+        config = FAST_CONFIG.with_overrides(base_timeout=35)
+        result = SkinnerH(tiny_catalog, config=config).execute(tiny_join_query)
+        assert result.metrics.extra["rounds"] > 1
+        assert sorted(filtered) == ["c", "i", "o"]
+        # 19 rows scanned, billed to every round and to the learning run.
+        scans = result.metrics.work.tuples_scanned
+        assert scans >= 19 * (result.metrics.extra["rounds"] + 1)
+
 
 class TestTraditionalEngine:
     def test_forced_order_changes_plan(self, tiny_catalog, tiny_join_query):

@@ -12,25 +12,32 @@ The acceptance properties of the sqlite reference adapter:
 * the engines resolve through every front door — cursor, connection, serving,
   and ``repro://`` — and obey the ``connect(engine=...)`` >
   ``REPRO_ENGINE`` > DSN ``?engine=`` resolution chain;
+* Skinner-H asks its host for nothing the traditional plan does not need
+  (one statement on a round-0 win, each filter once after a timeout), the
+  mirror's join-column indexes live and die with their table's file, and
+  what a statement costs does not depend on which statements ran before;
 * mirrors are fingerprint-gated (transactions and rollback re-mirror),
   UDF queries fall back to the internal executor with a
   :class:`RuntimeWarning`, and scratch mirror databases are deleted when
   the owning connection closes.
 """
 
+import hashlib
 import os
 import random
+import sqlite3
 
 import pytest
 
 from repro import InterfaceError, SkinnerConfig, connect
 from repro.errors import UnsupportedQueryError
 from repro.external import (
+    ExternalGenericEngine,
     SqliteAdapter,
     sqlite_adapter_for,
     table_fingerprint,
 )
-from repro.external.emitter import SqlEmitter
+from repro.external.emitter import SqlEmitter, index_name
 from repro.net.server import ServerThread
 from repro.query.expressions import ColumnRef, FunctionCall, Literal
 from repro.query.predicates import (
@@ -40,6 +47,8 @@ from repro.query.predicates import (
     udf_predicate,
 )
 from repro.query.query import SelectItem, make_query
+from repro.skinner.skinner_g import SkinnerG
+from repro.skinner.skinner_h import SkinnerH
 
 FAST = SkinnerConfig(
     slice_budget=64,
@@ -216,6 +225,166 @@ class TestSqliteEquivalence:
             conn.close()
 
 
+class RecordingAdapter(SqliteAdapter):
+    """A sqlite adapter that keeps every statement it ran and what it read."""
+
+    def __init__(self):
+        super().__init__()
+        self.statements = []
+
+    def run_batch(self, sql, params=(), budget=None):
+        outcome = super().run_batch(sql, params, budget)
+        self.statements.append((sql, tuple(params), budget, outcome.ticks, outcome.delivered))
+        return outcome
+
+
+def engine_on(adapter, engine_class, catalog, config):
+    """Skinner-G or Skinner-H whose every query runs on ``adapter``."""
+
+    def provider(catalog, query, udfs, config):
+        return ExternalGenericEngine(catalog, query, adapter)
+
+    return engine_class(catalog, None, config, generic_engine=provider, backend_label="sqlite")
+
+
+def is_filter(statement):
+    """Pre-processing statements are the only ones the emitter orders."""
+    return "ORDER BY" in statement[0]
+
+
+def history_workload(conn):
+    """Three tables and six statements whose columns overlap: between them
+    they index ``id``, ``k`` and ``val``/``w`` of tables that other
+    statements filter on those very columns or join without an equality, so
+    a statement run last finds indexes it never asked for — and an unhinted
+    sqlite would use them."""
+    rng = random.Random(99)
+    for name, extra in (("t0", "val"), ("t1", "score"), ("t2", "w")):
+        conn.create_table(name, {
+            "id": [rng.randint(0, 99) for _ in range(400)],
+            "k": [rng.randint(0, 39) for _ in range(400)],
+            extra: [rng.randint(-4, 9) for _ in range(400)],
+        }, replace=True)
+    conn.commit()
+    select = [SelectItem(expression=ColumnRef("a", "id"), alias="id")]
+    statements = [
+        ([("a", "t0"), ("b", "t1")],
+         [column_equals_column("a", "id", "b", "id"),
+          column_compare_literal("a", "k", "=", 3)]),
+        ([("a", "t0"), ("b", "t1"), ("c", "t2")],
+         [column_equals_column("a", "k", "b", "k"),
+          column_equals_column("b", "id", "c", "id"),
+          column_compare_literal("a", "val", ">", 5)]),
+        ([("a", "t0"), ("c", "t2")],
+         [column_equals_column("a", "val", "c", "w"),
+          column_compare_literal("a", "id", "<", 4),
+          column_compare_literal("c", "k", "<", 9)]),
+        ([("a", "t0"), ("b", "t1")],
+         [column_equals_column("a", "id", "b", "id"),
+          column_equals_column("a", "k", "b", "k")]),
+        ([("a", "t0"), ("c", "t2")],
+         [column_equals_column("a", "id", "c", "id"),
+          Predicate(ColumnRef("a", "val"), ">", ColumnRef("c", "w")),
+          column_compare_literal("c", "k", "=", 2)]),
+        ([("a", "t0"), ("b", "t1")],
+         [Predicate(ColumnRef("a", "val"), "<", ColumnRef("b", "score")),
+          column_compare_literal("a", "id", "=", 7),
+          column_compare_literal("b", "k", "=", 3)]),
+    ]
+    return [make_query(tables, predicates=predicates, select_items=select)
+            for tables, predicates in statements]
+
+
+class TestHostStatements:
+    """What the hybrid asks of its host, and what a statement costs there."""
+
+    def test_round_zero_win_is_one_host_statement(self):
+        conn = connect(FAST)
+        adapter = RecordingAdapter()
+        try:
+            seed_random_tables(conn, random.Random(7))
+            query = random_join_query(random.Random(7))
+            hybrid = engine_on(adapter, SkinnerH, conn.catalog,
+                               FAST.with_overrides(base_timeout=10_000))
+            result = hybrid.execute(query)
+            assert result.metrics.extra == {
+                "winner": "traditional", "rounds": 1, "plan": result.metrics.final_join_order}
+            assert result.metrics.time_slices == 0 and result.metrics.uct_nodes == 0
+            assert len(adapter.statements) == 1
+            assert not is_filter(adapter.statements[0])
+            assert rows_of(result) == rows_of(conn.execute_direct(query, engine="skinner-h"))
+        finally:
+            adapter.close()
+            conn.close()
+
+    def test_timed_out_round_zero_filters_each_alias_once(self):
+        conn = connect(FAST)
+        adapter = RecordingAdapter()
+        try:
+            seed_random_tables(conn, random.Random(7))
+            query = random_join_query(random.Random(7))
+            hybrid = engine_on(adapter, SkinnerH, conn.catalog,
+                               FAST.with_overrides(base_timeout=1))
+            result = hybrid.execute(query)
+            assert result.metrics.extra["rounds"] > 1
+            assert adapter.statements[0][2] == 1 and not is_filter(adapter.statements[0])
+            filters = [statement[0] for statement in adapter.statements if is_filter(statement)]
+            assert len(filters) == len(set(filters)) == len(query.aliases)
+            assert rows_of(result) == rows_of(conn.execute_direct(query, engine="skinner-h"))
+        finally:
+            adapter.close()
+            conn.close()
+
+    @pytest.mark.parametrize("engine_class", [SkinnerG, SkinnerH])
+    def test_cost_is_independent_of_history(self, engine_class):
+        """Same statement, same mirror content: same ticks, rows and meter
+        charges on a fresh mirror and on one that every other statement of
+        the workload has already run on (and left its indexes in)."""
+        config = FAST.with_overrides(base_timeout=40)
+        conn = connect(FAST)
+        try:
+            queries = history_workload(conn)
+            for position, query in enumerate(queries):
+                fresh, seasoned = RecordingAdapter(), RecordingAdapter()
+                try:
+                    alone = engine_on(fresh, engine_class, conn.catalog, config).execute(query)
+                    others = engine_on(seasoned, SkinnerG, conn.catalog, config)
+                    for other in queries[:position] + queries[position + 1:]:
+                        others.execute(other)
+                    del seasoned.statements[:]
+                    last = engine_on(seasoned, engine_class, conn.catalog, config).execute(query)
+                    assert seasoned.statements == fresh.statements
+                    assert last.metrics.work == alone.metrics.work
+                    assert rows_of(last) == rows_of(alone)
+                finally:
+                    fresh.close()
+                    seasoned.close()
+        finally:
+            conn.close()
+
+    def test_forced_join_reads_inner_aliases_through_the_mirror_index(self):
+        conn = connect(FAST)
+        adapter = SqliteAdapter()
+        try:
+            query = history_workload(conn)[1]
+            engine = ExternalGenericEngine(conn.catalog, query, adapter)
+            emitter = SqlEmitter(conn.catalog, query, adapter.dialect)
+            for order in (("a", "b", "c"), ("c", "b", "a"), ("b", "a", "c")):
+                sql, params = emitter.join_sql(order, {order[0]: (0, 19), order[1]: (5, None)})
+                plan = [row[3] for row in
+                        adapter._require_conn().execute("EXPLAIN QUERY PLAN " + sql, params)]
+                assert len(plan) == 3 and not any("AUTOMATIC" in step for step in plan)
+                assert plan[0].startswith(f"SEARCH {order[0]} USING INTEGER PRIMARY KEY")
+                for alias, step in zip(order[1:], plan[1:]):
+                    assert step.startswith(f"SEARCH {alias} USING")
+                    assert "INDEX _repro_ix_" in step
+            meter, relation = engine.execute_plan(("c", "b", "a"), 10**9)
+            assert relation is not None and meter.total > 0
+        finally:
+            adapter.close()
+            conn.close()
+
+
 class TestMirrorLifecycle:
     def test_rollback_triggers_re_mirror(self):
         conn = connect(FAST)
@@ -282,6 +451,53 @@ class TestMirrorLifecycle:
             assert os.stat(b_path).st_mtime_ns == b_mtime
             assert sha(b_path) == b_sha
             assert sha(a_path) != a_sha
+        finally:
+            conn.close()
+
+    def test_index_lives_and_dies_with_its_table_file(self):
+        """A sibling's commit leaves a table's index byte-for-byte alone; a
+        re-mirror (replace, then rollback) drops it and the next statement
+        that joins on the column builds it again."""
+
+        def sha(path):
+            with open(path, "rb") as handle:
+                return hashlib.sha256(handle.read()).hexdigest()
+
+        def indexes(path):
+            reader = sqlite3.connect(path)
+            try:
+                return [name for (name,) in reader.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'index'")]
+            finally:
+                reader.close()
+
+        conn = connect(FAST)
+        try:
+            conn.create_table("a", {"x": [1, 2, 3]})
+            conn.create_table("b", {"y": [1, 2]})
+            conn.commit()
+            query = make_query(
+                [("a", "a"), ("b", "b")],
+                predicates=[column_equals_column("a", "x", "b", "y")],
+                select_items=[SelectItem(expression=ColumnRef("a", "x"), alias="x")],
+            )
+
+            def run():
+                return sorted(rows_of(conn.execute_direct(query, engine="skinner_h_sqlite")))
+
+            assert run() == [(1,), (2,)]
+            adapter = sqlite_adapter_for(conn.catalog)
+            a_path, b_path = adapter.table_path("a"), adapter.table_path("b")
+            assert indexes(a_path) == [index_name("a", "x")]
+            assert indexes(b_path) == [index_name("b", "y")]
+            b_sha = sha(b_path)
+            conn.create_table("a", {"x": [2, 9]}, replace=True)
+            assert run() == [(2,)]  # INDEXED BY would fail on a missing index
+            assert indexes(a_path) == [index_name("a", "x")]
+            conn.rollback()
+            assert run() == [(1,), (2,)]
+            assert indexes(a_path) == [index_name("a", "x")]
+            assert sha(b_path) == b_sha
         finally:
             conn.close()
 
