@@ -67,6 +67,8 @@ class Cursor:
         self.profile = profile
         self._ticket: int | None = None
         self._description: list[tuple] | None = None
+        #: Rows iteration has fetched and not handed out yet, last row first.
+        self._ahead: list[tuple[Any, ...]] = []
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -183,16 +185,27 @@ class Cursor:
         return self
 
     def __next__(self) -> tuple[Any, ...]:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
+        """The next row; fetched :attr:`arraysize` rows at a time."""
+        if not self._ahead:
+            self._ahead = self._fetch(self.arraysize)[::-1]
+            if not self._ahead:
+                raise StopIteration
+        return self._ahead.pop()
 
     def _fetch(self, max_rows: int | None) -> list[tuple[Any, ...]]:
         """The next batch as tuples — made here, from whole columns at a
         time; everything below the cursor hands tables on."""
         self._check_fetchable(needs_query=True)
         assert self._ticket is not None
+        ahead = self._ahead
+        if ahead:  # what iteration fetched ahead goes out first
+            from repro.serving.server import check_fetch_size
+
+            check_fetch_size(max_rows)
+            keep = 0 if max_rows is None else max(0, len(ahead) - max_rows)
+            rows = ahead[keep:][::-1]
+            del ahead[keep:]
+            return rows
         return self.connection.transport.fetch_batch(self._ticket, max_rows).row_tuples()
 
     # ------------------------------------------------------------------
@@ -243,6 +256,7 @@ class Cursor:
             pass  # already forgotten server-side, or the wire is gone
         self._ticket = None
         self._description = None
+        self._ahead = []
 
     def __enter__(self) -> Cursor:
         return self

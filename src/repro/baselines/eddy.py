@@ -84,8 +84,10 @@ class EddyEngine:
             if not prepared.is_empty():
                 if query.num_tables == 1:
                     alias = prepared.aliases[0]
-                    for index in range(prepared.cardinality(alias)):
-                        result_set.add((prepared.base_row(alias, index),))
+                    result_set.add_many(
+                        (prepared.base_row(alias, index),)
+                        for index in range(prepared.cardinality(alias))
+                    )
                 else:
                     self._route_all(prepared, result_set, meter)
             relation = result_set.to_relation()
@@ -117,6 +119,7 @@ class EddyEngine:
         aliases = list(prepared.aliases)
         stats = _OperatorStats(aliases)
         driver = min(aliases, key=prepared.cardinality)
+        routed: list[tuple[int, ...]] = []
         for driver_index in range(prepared.cardinality(driver)):
             meter.charge_scan(1)
             partials: list[dict[str, int]] = [{driver: driver_index}]
@@ -129,10 +132,11 @@ class EddyEngine:
                 partials = expanded
                 joined.append(next_alias)
             for partial in partials:
-                result_set.add(
+                routed.append(
                     tuple(prepared.base_row(alias, partial[alias]) for alias in prepared.aliases)
                 )
                 meter.charge_output(1)
+        result_set.add_many(routed)  # one insert: adding settles distinctness each time
 
     def _expand(
         self,

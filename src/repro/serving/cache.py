@@ -32,8 +32,11 @@ from repro.config import SkinnerConfig
 from repro.query.query import Query
 from repro.result import QueryResult
 
-#: A warm-start prior: (join order, average reward, pseudo-visits).
-OrderPrior = tuple[tuple[str, ...], float, int]
+#: A warm-start prior: (join order, average reward, pseudo-visits,
+#: accumulated selections).  The last is the order's evidence: its
+#: selections in the query that recorded the prior on top of what that
+#: query's own prior brought, saturating at the slice schedule's cap.
+OrderPrior = tuple[tuple[str, ...], float, int, int]
 
 
 def query_fingerprint(

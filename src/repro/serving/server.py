@@ -650,7 +650,8 @@ class QueryServer:
         counters = self._tenant_cache_counters(session.tenant)
         counters["order_hits" if priors else "order_misses"] += 1
         return tuple(
-            (order, reward, min(visits, cap)) for order, reward, visits in priors
+            (order, reward, min(visits, cap), evidence)
+            for order, reward, visits, evidence in priors
         )
 
     def _activate(self, session: QuerySession) -> None:
@@ -755,19 +756,13 @@ class QueryServer:
             return
         if session.config.order_selection != "uct":
             return
-        top = task.tree.top_orders(_PRIOR_ORDERS)
-        total = sum(count for _, count in top)
-        if total == 0:
-            return
-        # The prior signal is the *selection share*, not the raw UCT reward:
-        # scaled progress deltas vanish as an order approaches completion
-        # (the finishing order often records the lowest average reward), so
-        # seeding raw rewards would steer the next query away from the best
-        # order.  Selection frequency is what UCT concentrates on the best
-        # arm, ranks orders correctly, and — being much larger than the
-        # per-slice progress rewards — pins the next query to the learned
-        # order until enough real evidence dilutes the seed.
-        priors = [(order, count / total, count) for order, count in top]
+        # Beside each order's selection share goes the evidence it has
+        # accumulated — this query's selections on top of what its own
+        # prior brought — which is where the next query on this join graph
+        # enters the slice-budget schedule.
+        evidence = task.order_evidence() if hasattr(task, "order_evidence") else {}
+        priors = [(order, share, count, evidence.get(order, 0))
+                  for order, share, count in task.tree.selection_shares(_PRIOR_ORDERS)]
         self.order_cache.record(join_graph_signature(session.query), priors)
 
     def _finish_limited(self, session: QuerySession) -> None:

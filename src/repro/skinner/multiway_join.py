@@ -413,6 +413,14 @@ class MultiwayJoin:
         Result tuples are added to ``result_set``; ``state`` is advanced in
         place so the caller can back it up.  The budget counts examined
         candidate tuples, so a step over ``n`` candidates consumes ``n`` units.
+
+        Emission follows the lexicographic order of the index vectors, and
+        everything emitted lies below the vector the slice ends on.  A state
+        at or ahead of the one this order was last suspended at — what the
+        progress tracker restores — therefore emits no tuple the order has
+        emitted into ``result_set`` before, and the blocks go in unchecked
+        under the order's name; a caller that rewinds an order must give it
+        a result set of its own.
         """
         context = self.context_for(state.order)
         order = context.order
@@ -684,7 +692,9 @@ class MultiwayJoin:
         for column, position in enumerate(context.canonical_positions):
             indices = candidates if position == last else prefix[position][parent]
             matrix[:, column] = prepared.base_rows(context.order[position], indices)
-        result_set.add_batch(matrix)
+        # An order never repeats a tuple (see continue_join): its blocks
+        # need no check against each other.
+        result_set.emit(matrix, context.order)
         meter.charge_output(rows)
 
     # ------------------------------------------------------------------

@@ -393,7 +393,7 @@ class ParallelSkinnerCTask(EngineTask):
         *,
         order_selection: str = "uct",
         engine_name: str = "skinner-c",
-        order_prior: Sequence[tuple[tuple[str, ...], float, int]] | None = None,
+        order_prior: Sequence[tuple[tuple[str, ...], float, int, int]] | None = None,
     ) -> None:
         self._config = config
         self._order_selection = order_selection
@@ -422,7 +422,8 @@ class ParallelSkinnerCTask(EngineTask):
             self.prepared.filtered, self.prepared.aliases, config
         )
         self._merged = 0
-        self._priors: tuple[tuple[tuple[str, ...], float, int], ...] = ()
+        self._priors: tuple[tuple[tuple[str, ...], float, int, int], ...] = ()
+        self._evidence: dict[tuple[str, ...], int] = {}
         self._shared: _SharedArrays | None = None
         self._dispatched: list[Any] = []
         self._inline_task: SkinnerCTask | None = None
@@ -508,12 +509,19 @@ class ParallelSkinnerCTask(EngineTask):
     # incremental result delivery (streaming cursors)
     # ------------------------------------------------------------------
     def enable_streaming(self) -> None:
-        """Nothing to switch on: the result set keeps discovery order anyway.
+        """The pilot keeps the probe ramp (:meth:`SkinnerCTask.enable_streaming`).
 
-        The streamed order is deterministic across worker counts — pilot
-        tuples in discovery order, then each remaining morsel's tuples in
-        sorted-matrix order, morsel by morsel.
+        Its episodes are the ones a client's fetch waits for; the remaining
+        morsels arrive whole.  The streamed order is deterministic across
+        worker counts — pilot tuples in discovery order, then each
+        remaining morsel's tuples in sorted-matrix order, morsel by morsel.
         """
+        if self._pilot is not None:
+            self._pilot.enable_streaming()
+
+    def order_evidence(self) -> dict[tuple[str, ...], int]:
+        """The pilot's :meth:`SkinnerCTask.order_evidence`, once it has finished."""
+        return self._evidence
 
     def drain_new_tuples(self) -> np.ndarray:
         """Result tuples added since the last drain, as a matrix."""
@@ -535,7 +543,7 @@ class ParallelSkinnerCTask(EngineTask):
     def _make_morsel_task(
         self,
         index: int,
-        order_prior: Sequence[tuple[tuple[str, ...], float, int]] | None,
+        order_prior: Sequence[tuple[tuple[str, ...], float, int, int]] | None,
     ) -> SkinnerCTask:
         """An inline single-process task over morsel ``index``.
 
@@ -562,7 +570,9 @@ class ParallelSkinnerCTask(EngineTask):
         return restrict
 
     def _forward(self, matrix: np.ndarray) -> None:
-        self.result_set.add_batch(matrix)
+        # One source for all of them: a morsel task hands over distinct
+        # rows, and no row belongs to two morsels.
+        self.result_set.emit(matrix, self._partition_alias)
 
     def _finish_pilot(self) -> None:
         """Fold the pilot into the coordinator and start phase two."""
@@ -574,7 +584,8 @@ class ParallelSkinnerCTask(EngineTask):
         self.slices += pilot.slices
         self._tracker_nodes = pilot.tracker.node_count()
         self._tracker_bytes = pilot.tracker.estimated_bytes()
-        self._priors = _pilot_priors(pilot.tree, self._config)
+        self._evidence = pilot.order_evidence()
+        self._priors = _pilot_priors(pilot.tree, self._evidence, self._config)
         self._pilot = None
         self._merged = 1
         if self._merged < len(self._morsel_bounds) and self._workers > 1:
@@ -683,9 +694,7 @@ class ParallelSkinnerCTask(EngineTask):
         self._worker_tracker_nodes += outcome["tracker_nodes"]
         self._worker_episode_wall += outcome["episode_wall"]
         self.tree.merge_stats(outcome["order_stats"])
-        matrix = outcome["matrix"]
-        if matrix.shape[0]:
-            self.result_set.add_batch(matrix)
+        self._forward(outcome["matrix"])
         self._merged += 1
 
     def _check_done(self) -> None:
@@ -740,20 +749,18 @@ class ParallelSkinnerCTask(EngineTask):
 
 
 def _pilot_priors(
-    tree, config: SkinnerConfig
-) -> tuple[tuple[tuple[str, ...], float, int], ...]:
+    tree, evidence: dict[tuple[str, ...], int], config: SkinnerConfig
+) -> tuple[tuple[tuple[str, ...], float, int, int], ...]:
     """Warm-start priors the pilot hands to the remaining morsels.
 
     Mirrors the serving layer's cross-query order cache: the pilot's most
     selected orders, weighted by selection share, capped at
     ``serving_warm_start_visits`` pseudo-visits so workers can still
-    overrule a misleading pilot.
+    overrule a misleading pilot, each with the selections it has
+    accumulated — a morsel starts an order at the budget the pilot reached.
     """
-    top = tree.top_orders(_PRIOR_ORDERS)
-    total = sum(count for _, count in top)
-    if not total:
-        return ()
     cap = max(1, config.serving_warm_start_visits)
     return tuple(
-        (order, count / total, min(count, cap)) for order, count in top
+        (order, share, min(count, cap), evidence.get(order, 0))
+        for order, share, count in tree.selection_shares(_PRIOR_ORDERS)
     )

@@ -18,8 +18,9 @@ The number of tracker nodes is reported for the memory analysis (Figure 8).
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 
-from repro.skinner.state import JoinState, clamp_to_offsets, initial_state
+from repro.skinner.state import JoinState, clamp_in_place, initial_state
 
 
 class _PrefixNode:
@@ -41,14 +42,18 @@ class ProgressTracker:
         self._exact: dict[tuple[str, ...], tuple[int, ...]] = {}
         self._root = _PrefixNode()
         self._offsets: dict[str, int] = {alias: 0 for alias in aliases}
+        self._offsets_view = MappingProxyType(self._offsets)
 
     # ------------------------------------------------------------------
     # offsets
     # ------------------------------------------------------------------
     @property
-    def offsets(self) -> dict[str, int]:
-        """Per-alias count of leading filtered tuples that are fully processed."""
-        return dict(self._offsets)
+    def offsets(self) -> Mapping[str, int]:
+        """Per-alias count of leading filtered tuples that are fully processed.
+
+        A read-only view that follows :meth:`advance_offset`, not a copy.
+        """
+        return self._offsets_view
 
     def advance_offset(self, alias: str, index: int) -> None:
         """Record that all filtered tuples of ``alias`` below ``index`` are done."""
@@ -100,7 +105,7 @@ class ProgressTracker:
         else:
             best = max(candidates)
             state = JoinState(order, list(best))
-        return clamp_to_offsets(state, self._offsets, cardinalities)
+        return clamp_in_place(state, self._offsets, cardinalities)
 
     # ------------------------------------------------------------------
     # memory accounting (Figure 8)

@@ -15,7 +15,9 @@ their reward is divided by that factor, so the tree, the morsel statistics
 and the serving layer's order priors all read "progress per base budget".
 The selections at which an order's budget would double go to its best
 rival instead: a second look at what a misleading first slice may have
-hidden (``docs/engines.md``, "Slice budget schedule").
+hidden.  An order that a warm-start prior names starts where the selections
+it has accumulated over earlier queries left it, not at the base budget
+(``docs/engines.md``, "Slice budget schedule").
 """
 
 from __future__ import annotations
@@ -113,9 +115,12 @@ class SkinnerCTask(EngineTask):
     ----------
     order_prior:
         Optional warm-start from the cross-query join-order cache: an
-        iterable of ``(order, average_reward, visits)`` triples seeded into
-        the fresh UCT tree before the first episode (see
-        :meth:`repro.uct.tree.UctJoinTree.seed`).
+        iterable of ``(order, average_reward, visits, evidence)``.  The
+        first three are seeded into the fresh UCT tree before the first
+        episode (see :meth:`repro.uct.tree.UctJoinTree.seed`); ``evidence``
+        is how many selections the order has accumulated over the queries
+        the prior was learned from, and is where it enters the slice-budget
+        schedule (:meth:`order_evidence`).
     restrict_positions:
         Optional pre-computed filtered base-row positions per alias.  The
         morsel-parallel coordinator uses this to hand each worker one chunk
@@ -139,7 +144,7 @@ class SkinnerCTask(EngineTask):
         order_selection: str = "uct",
         engine_name: str = "skinner-c",
         trace: bool = False,
-        order_prior: Sequence[tuple[tuple[str, ...], float, int]] | None = None,
+        order_prior: Sequence[tuple[tuple[str, ...], float, int, int]] | None = None,
         restrict_positions: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         self._config = config
@@ -163,8 +168,6 @@ class SkinnerCTask(EngineTask):
             exploration_weight=config.exploration_weight,
             seed=config.seed,
         )
-        for order, reward, visits in order_prior or ():
-            self.tree.seed(order, reward, visits)
         self.tracker = ProgressTracker(
             self.prepared.aliases, share_prefixes=config.share_progress
         )
@@ -182,6 +185,19 @@ class SkinnerCTask(EngineTask):
         self._granted: dict[tuple[str, ...], int] = {}
         #: Rewards earned per join order, to rank rivals for a second look.
         self._earned: dict[tuple[str, ...], float] = {}
+        #: Selections a prior brought that the schedule does not count:
+        #: evidence for the next query all the same.
+        self._withheld: dict[tuple[str, ...], int] = {}
+        for order, reward, visits, evidence in order_prior or ():
+            self.tree.seed(order, reward, visits)
+            # The order enters the schedule at the rung its evidence has
+            # earned, one short of it: its first selection here is a
+            # doubling one, which a rival gets if the prior names one.
+            head_start = budget_factor(evidence + 1) - 1
+            self._withheld[order] = evidence - head_start
+            if head_start:
+                self._granted[order] = head_start
+                self._earned[order] = reward * head_start
         self._max_factor = 1
         #: Wall-clock seconds spent inside :meth:`run_episode` — the
         #: reference-time cost of this query's own episodes, free of the
@@ -192,7 +208,9 @@ class SkinnerCTask(EngineTask):
         self.finished = self.prepared.is_empty() or query.num_tables == 1
         if query.num_tables == 1 and not self.prepared.is_empty():
             # Single-table fast path: the filtered rows are the result.
-            self.result_set.add_batch(self.prepared.filtered[self.prepared.aliases[0]][:, None])
+            self.result_set.emit(
+                self.prepared.filtered[self.prepared.aliases[0]][:, None], self.prepared.aliases
+            )
 
     def work_total(self) -> int:
         """Total work units charged to this query so far (pre + join phase)."""
@@ -202,14 +220,20 @@ class SkinnerCTask(EngineTask):
     # incremental result delivery (streaming cursors)
     # ------------------------------------------------------------------
     def enable_streaming(self) -> None:
-        """Nothing to switch on: the result set keeps discovery order anyway.
+        """Rows will be fetched while the join runs: keep the probe ramp.
 
         :meth:`drain_new_tuples` returns the tuples each episode added, so a
         serving-layer cursor can hand rows to the client while the join is
-        still running.  Streaming changes neither the episode sequence nor
-        the meter charges — :meth:`finalize` still materializes from the
-        full duplicate-eliminated set.
+        still running, and the client's first fetch waits for one whole
+        slice.  A prior's head start in the budget schedule is therefore
+        set aside — every order starts at a base budget, as in a cold task
+        — and only counts as evidence for the next query.  Call before the
+        first episode.  :meth:`finalize` materializes from the full
+        duplicate-eliminated set either way.
         """
+        for order, head_start in self._granted.items():
+            self._withheld[order] += head_start
+        self._granted, self._earned = {}, {}
 
     def drain_new_tuples(self) -> np.ndarray:
         """Result tuples added since the last drain: a matrix, discovery order."""
@@ -224,6 +248,18 @@ class SkinnerCTask(EngineTask):
     def stream_tables(self) -> dict[str, Any]:
         """Alias-to-table mapping for projecting streamed tuples."""
         return self.prepared.tables
+
+    def order_evidence(self) -> dict[tuple[str, ...], int]:
+        """Selections per join order, a prior's included, up to the cap.
+
+        What the next query on the same join graph may take as its head
+        start: past ``MAX_BUDGET_FACTOR`` selections there is no rung left
+        to earn.
+        """
+        evidence = dict(self._withheld)
+        for order, granted in self._granted.items():
+            evidence[order] = evidence.get(order, 0) + granted
+        return {order: min(MAX_BUDGET_FACTOR, count) for order, count in evidence.items()}
 
     def run_episode(self) -> bool:
         """Execute one time slice; returns ``True`` when the join finished."""
@@ -261,11 +297,10 @@ class SkinnerCTask(EngineTask):
         self._earned[order] = self._earned.get(order, 0.0) + reward
         self.tracker.backup(state)
         if self._config.use_offsets:
-            self.tracker.advance_offset(order[0], state.indices[0])
-            if any(
-                self.tracker.offsets[a] >= self._cardinalities[a]
-                for a in self.prepared.aliases
-            ):
+            # The one offset a slice moves is its left-most table's.
+            leftmost = order[0]
+            self.tracker.advance_offset(leftmost, state.indices[0])
+            if self.tracker.offsets[leftmost] >= self._cardinalities[leftmost]:
                 finished = True
         if self._trace:
             self.trace_records.append(
@@ -392,7 +427,7 @@ class SkinnerC(ExecutionBackend):
         query: Query,
         *,
         trace: bool = False,
-        order_prior: Sequence[tuple[tuple[str, ...], float, int]] | None = None,
+        order_prior: Sequence[tuple[tuple[str, ...], float, int, int]] | None = None,
     ) -> EngineTask:
         """Create a resumable episode task for ``query``.
 
@@ -471,7 +506,7 @@ class SkinnerC(ExecutionBackend):
         )
         result_set = JoinResultSet(prepared.aliases)
         if query.num_tables == 1 and not prepared.is_empty():
-            result_set.add_batch(prepared.filtered[prepared.aliases[0]][:, None])
+            result_set.emit(prepared.filtered[prepared.aliases[0]][:, None], prepared.aliases)
         elif not prepared.is_empty():
             join = MultiwayJoin(
                 prepared,

@@ -52,6 +52,11 @@ from repro.uct.tree import UctJoinTree
 
 _MAX_ITERATIONS = 500_000
 
+#: The one source of a run's result blocks (see ``JoinResultSet``): a batch
+#: that succeeds leaves its left-most table's remaining rows for good, so no
+#: later batch can produce a tuple with one of them again (paper §4.3).
+_BATCHES = "batches"
+
 #: ``provider(catalog, query, udfs, config) -> GenericEngine | None`` — a
 #: factory selecting the execution substrate for one query.  Returning
 #: ``None`` means "fall back to the internal executor" (e.g. external
@@ -167,7 +172,7 @@ class GenericLearningRun:
             self.finished = True
         if self.query.num_tables == 1:
             positions = self.engine.filtered_positions(self.query.aliases[0])
-            self.result_set.add_batch(positions[:, None])
+            self.result_set.emit(positions[:, None], _BATCHES)
             self.finished = True
 
     # ------------------------------------------------------------------
@@ -200,7 +205,7 @@ class GenericLearningRun:
         spent = slice_meter.total
         self.meter.merge(slice_meter)
         if joined is not None:
-            self.result_set.add_batch(joined)
+            self.result_set.emit(joined, _BATCHES)
             # The batches are consecutive pieces of the filtered positions,
             # so what remains is a slice of them, not a copy.
             done = self.batches[left][self.batch_offsets[left]]

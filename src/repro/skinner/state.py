@@ -84,21 +84,28 @@ def clamp_to_offsets(
     valid state without setting ``raised``, leaving the deeper indices with
     stale meaning (they recorded progress for the original index).
     """
-    clamped = state.copy()
+    return clamp_in_place(state.copy(), offsets, cardinalities)
+
+
+def clamp_in_place(
+    state: JoinState, offsets: Mapping[str, int], cardinalities: Mapping[str, int]
+) -> JoinState:
+    """:func:`clamp_to_offsets` on ``state`` itself, for a state nobody else holds."""
+    indices = state.indices
     raised = False
     for position, alias in enumerate(state.order):
         low = offsets.get(alias, 0)
         cardinality = cardinalities.get(alias)
-        index = clamped.indices[position]
+        index = indices[position]
         if raised:
-            clamped.indices[position] = low
+            indices[position] = low
             continue
         if index < low:
-            clamped.indices[position] = low
+            indices[position] = low
             raised = True
         elif cardinality is not None:
-            clamped.indices[position] = min(index, max(low, cardinality))
-    return clamped
+            indices[position] = min(index, max(low, cardinality))
+    return state
 
 
 def initial_state(order: Sequence[str], offsets: Mapping[str, int]) -> JoinState:

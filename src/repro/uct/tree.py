@@ -66,6 +66,39 @@ class UctJoinTree:
         ranked = sorted(self._selection_counts.items(), key=lambda item: item[1], reverse=True)
         return ranked[:k]
 
+    def selection_shares(self, k: int) -> list[tuple[tuple[str, ...], float, int]]:
+        """The ``k`` most selected orders, each with its share of their selections.
+
+        Orders selected equally often — all of them, when the query was over
+        before UCT repeated one — rank by the mean reward of the deepest
+        node on their path, not by which was tried first.
+
+        The share, not the raw reward, is what a warm-start prior carries:
+        scaled progress deltas vanish as an order approaches completion
+        (the finishing order often records the lowest average reward), so
+        seeding raw rewards would steer the next tree away from the best
+        order.  Selection frequency is what UCT concentrates on the best
+        arm, ranks orders correctly, and — being much larger than the
+        per-slice progress rewards — pins the seeded tree to the learned
+        order until enough real evidence dilutes the seed.
+        """
+        top = sorted(
+            self._selection_counts.items(),
+            key=lambda item: (-item[1], -self._deepest_node(item[0]).average_reward),
+        )[:k]
+        total = sum(count for _, count in top)
+        return [(order, count / total, count) for order, count in top]
+
+    def _deepest_node(self, order: Sequence[str]) -> UctNode:
+        """The last materialized node on the path of ``order``."""
+        node = self._root
+        for action in order:
+            child = node.child(action)
+            if child is None:
+                break
+            node = child
+        return node
+
     def _eligible_next(self, prefix: Sequence[str]) -> list[str]:
         key = tuple(prefix)
         eligible = self._eligible.get(key)

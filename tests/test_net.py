@@ -182,6 +182,64 @@ class TestRemoteBasics:
             cursor.fetchall()
 
 
+class TestIteration:
+    """``for row in cursor`` fetches ``arraysize`` rows a round trip."""
+
+    SQL = "SELECT r.id, s.c FROM r, s WHERE r.id = s.rid"
+
+    @staticmethod
+    def _fetch_frames(conn):
+        """Every ``fetch`` request the connection sends from now on."""
+        channel = conn.transport._channel
+        sent, request = [], channel.request
+
+        def counting(verb, **args):
+            if verb == "fetch":
+                sent.append(args["max_rows"])
+            return request(verb, **args)
+
+        channel.request = counting
+        return sent
+
+    def _finished_cursor(self, conn, arraysize):
+        cursor = conn.cursor()
+        cursor.arraysize = arraysize
+        cursor.execute(self.SQL, use_result_cache=False)
+        assert cursor.result().table.num_rows == 7  # all seven rows are buffered now
+        return cursor
+
+    def test_iteration_sends_one_fetch_per_chunk(self, remote):
+        sent = self._fetch_frames(remote)
+        row_by_row = list(self._finished_cursor(remote, 1))
+        assert sent == [1] * 8  # seven rows and the empty batch that ends them
+        del sent[:]
+        chunked = list(self._finished_cursor(remote, 4))
+        assert sent == [4, 4, 4]
+        assert chunked == row_by_row and len(chunked) == 7
+
+    def test_fetch_methods_continue_where_iteration_stands(self, remote):
+        reference = list(self._finished_cursor(remote, 1))
+        sent = self._fetch_frames(remote)
+        cursor = self._finished_cursor(remote, 5)
+        rows = [next(cursor), cursor.fetchone()]
+        assert cursor.rowcount == 7
+        rows += cursor.fetchmany(2)
+        rows += cursor.fetchmany(2)  # the one row left of the chunk, not a new fetch
+        assert sent == [5] and len(rows) == 5
+        rows.append(next(cursor))
+        with pytest.raises(InterfaceError, match="fetch size"):
+            cursor.fetchmany(-1)  # refused mid-chunk as anywhere else
+        rows += list(cursor)
+        assert rows == reference and cursor.fetchone() is None
+
+    def test_close_mid_iteration_drops_the_chunk(self, remote):
+        cursor = self._finished_cursor(remote, 4)
+        assert next(cursor) is not None
+        cursor.close()
+        with pytest.raises(InterfaceError, match="closed"):
+            next(cursor)
+
+
 class TestErrorMapping:
     def test_parse_error_crosses_the_wire_with_position(self, remote):
         cursor = remote.cursor()

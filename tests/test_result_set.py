@@ -5,16 +5,28 @@ plus a journal list of first occurrences, kept here in the test file.  Every
 operation is applied to both and every observation must agree — membership,
 ``len``, the number each call reports as new, discovery order through
 ``drain_new``, lexicographic order through ``to_matrix``.
+
+The result set itself keeps no set: blocks that carry a *source* promise not
+to repeat each other, and are compared with anything only once a second
+source has emitted.  The promise is tested where it is made (one join order,
+run slice by slice, never emits a tuple twice) and so is what rests on it
+(interleaved sources against the oracle; no comparison at all for one).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.meter import CostMeter
+from repro.skinner.multiway_join import MultiwayJoin
+from repro.skinner.preprocessor import preprocess
+from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
+from tests.conftest import reference_join_tuples
+from tests.test_properties import catalog_and_query
 
 
 class TupleSetOracle:
@@ -124,3 +136,114 @@ def test_wrong_shape_is_refused():
         with pytest.raises(ValueError, match="batch shape"):
             results.add_batch(bad)
     assert len(results) == 0 and (0, 0) not in results
+
+
+# ----------------------------------------------------------------------
+# sources: the promise, and what rests on it
+# ----------------------------------------------------------------------
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(catalog_and_query(max_tables=4, max_rows=9), st.data(),
+       st.sampled_from([1, 2, 3, 7, 40]), st.sampled_from([1, 4, 64]), st.booleans())
+def test_one_order_run_slice_by_slice_never_emits_a_tuple_twice(
+        bundle, data, budget, batch_size, use_hash_jump):
+    """The way ``SkinnerCTask`` drives an order: restored from the tracker,
+    offsets advancing, resumed from the parked frames or — when they are
+    dropped — re-descended from the index vector."""
+    catalog, query = bundle
+    prepared = preprocess(catalog, query, build_hash_maps=use_hash_jump)
+    orders = query.join_graph().valid_join_orders()
+    order = orders[data.draw(st.integers(0, len(orders) - 1))]
+    cardinalities = prepared.cardinalities()
+    join = MultiwayJoin(prepared, use_hash_jump=use_hash_jump, batch_size=batch_size)
+    tracker = ProgressTracker(prepared.aliases)
+    results = JoinResultSet(prepared.aliases)
+    meter = CostMeter()
+    finished = prepared.is_empty()
+    slices = 0
+    while not finished:
+        if data.draw(st.booleans()):
+            join._parked.clear()  # forget the look-ahead: re-descend
+        state = tracker.restore(order, cardinalities)
+        finished = join.continue_join(state, tracker.offsets, budget, results, meter)
+        tracker.backup(state)
+        tracker.advance_offset(order[0], state.indices[0])
+        finished = finished or tracker.offsets[order[0]] >= cardinalities[order[0]]
+        slices += 1
+        assert slices < 5_000
+    emitted = results.tuples()
+    assert len(emitted) == len(set(emitted)) == len(results)
+    assert set(emitted) == reference_join_tuples(catalog, query)
+    results.to_matrix()
+    results.drain_new()
+    assert results.distinctness_passes == 0  # one source: nothing was compared
+
+
+@st.composite
+def _interleavings(draw):
+    """Rows of a small universe handed out by several sources.
+
+    A source's blocks never repeat a row (that is its promise); different
+    sources overlap freely, and untagged batches repeat anything, themselves
+    included.  Values are tiny, or spread over 2^40-row ranges so that no
+    int64 key holds a row and the byte-key fallback runs.
+    """
+    width = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1, 2**40]))
+    value = st.integers(0, 3).map(lambda v: v * scale + v)
+    universe = draw(st.lists(st.tuples(*[value] * width), unique=True, min_size=1, max_size=24))
+    sources = []
+    for _ in range(draw(st.integers(2, 4))):
+        rows = draw(st.permutations(universe))[: draw(st.integers(0, len(universe)))]
+        cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+        sources.append([rows[a:b] for a, b in zip([0] + cuts, cuts + [len(rows)]) if b > a])
+    steps = draw(st.lists(st.integers(0, len(sources) + 2), max_size=30))
+    loose = st.lists(st.sampled_from(universe), max_size=8)
+    return width, sources, [(step, draw(loose) if step == len(sources) else None,
+                             draw(st.booleans())) for step in steps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_interleavings())
+def test_interleaved_sources_match_the_set_of_tuples_oracle(script):
+    width, sources, steps = script
+    results = JoinResultSet(tuple(f"t{i}" for i in range(width)))
+    oracle = TupleSetOracle()
+    used = set()
+    for step, loose, look in steps:
+        if step < len(sources):
+            if not sources[step]:
+                continue
+            block = sources[step].pop(0)
+            results.emit(np.array(block, dtype=np.int64).reshape(-1, width), step)
+            oracle.add_all(block)
+            used.add(step)
+        elif step == len(sources):  # an untagged batch, internal repeats and all
+            matrix = np.array(loose, dtype=np.int64).reshape(-1, width)
+            assert results.add_batch(matrix) == oracle.add_all(loose)
+            used.add(None)
+        elif step == len(sources) + 1:
+            assert _as_tuples(results.drain_new()) == oracle.drain()
+        if look:
+            assert len(results) == len(oracle.seen)
+    assert results.tuples() == oracle.journal
+    assert _as_tuples(results.to_matrix()) == sorted(oracle.seen)
+    assert _as_tuples(results.drain_new()) == oracle.drain()
+    assert len(results) == len(oracle.seen)
+    if len(used) < 2 and None not in used:
+        assert results.distinctness_passes == 0
+
+
+def test_rows_are_compared_only_once_a_second_source_has_emitted():
+    results = JoinResultSet(("a", "b"))
+    first = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    results.emit(first, "x")
+    results.emit(np.array([[5, 6]], dtype=np.int64), "x")
+    assert len(results) == 3 and results.drain_new().shape == (3, 2)
+    assert results.distinctness_passes == 0
+    results.emit(np.array([[3, 4], [7, 8]], dtype=np.int64), "y")
+    assert results.distinctness_passes == 0  # nobody has looked yet
+    assert _as_tuples(results.drain_new()) == [(7, 8)]
+    assert results.distinctness_passes == 1
+    results.emit(np.array([[9, 9]], dtype=np.int64), "y")
+    assert len(results) == 5 and results.distinctness_passes == 2
+    assert len(results) == 5 and results.distinctness_passes == 2  # nothing new to look at

@@ -3,9 +3,10 @@
 The first slice of every join order is a base-budget probe; slice ``n`` of
 an order runs at ``2^floor(log2 n)`` base budgets up to a cap, and its reward
 is divided by that factor; the selections at which an order's budget would
-double go to its best rival instead.  These tests pin the rule, its regret
-invariant, the reward scale, the second look, and that scheduling never
-changes a result.
+double go to its best rival instead.  A task warm-started from a prior
+starts each of the prior's orders where its accumulated selections left it.
+These tests pin the rule, its regret invariant, the reward scale, the second
+look, the seeding, and that scheduling never changes a result.
 """
 
 from __future__ import annotations
@@ -96,12 +97,14 @@ def test_second_looks_go_to_orders_already_tried_at_doubling_selections(traced_s
     assert looks, "no query took a second look: the rule above was never exercised"
 
 
-def _misled_task(job):
+def _misled_task(job, tried=None, order_prior=None):
     """A task whose first-tried order earns 0.001 once and 0.5 afterwards,
-    the second-tried order a steady 0.01 and every other order nothing."""
+    the second-tried order a steady 0.01 and every other order nothing.
+    ``tried`` carries the stub on from an earlier task."""
     query = max(job.queries, key=lambda q: q.query.num_tables).query
-    task = SkinnerCTask(job.catalog, query, job.udfs, SkinnerConfig(slice_budget=2), trace=True)
-    tried: list[tuple[str, ...]] = []
+    task = SkinnerCTask(job.catalog, query, job.udfs, SkinnerConfig(slice_budget=2), trace=True,
+                        order_prior=order_prior)
+    tried = [] if tried is None else tried
 
     def reward(prior, state, cardinalities):
         if state.order not in tried:
@@ -186,6 +189,176 @@ def test_an_edited_forest_does_not_flip_the_learned_order():
         best = min(engine.execute_with_order(query, order).metrics.work.total
                    for order in itertools.permutations(query.aliases) if order[1] == "s1")
         assert learned <= 2 * best, f"after write {write}: {learned} against {best}"
+
+
+# ----------------------------------------------------------------------
+# evidence seeds the schedule
+# ----------------------------------------------------------------------
+def _prior_of(task, visits_cap=8):
+    """What the serving layer would record and hand on for a finished task."""
+    evidence = task.order_evidence()
+    return [(order, share, min(count, visits_cap), evidence[order])
+            for order, share, count in task.tree.selection_shares(3)]
+
+
+def _drive(task):
+    """Every slice of a traced task: its trace record and its scans."""
+    slices = []
+    while not task.finished:
+        before = task.join_meter.tuples_scanned
+        task.run_episode()
+        slices.append((task.trace_records[-1], task.join_meter.tuples_scanned - before))
+    return slices
+
+
+@pytest.fixture(scope="module")
+def seeded_slices():
+    """Every JOB-analogue query run cold, then warm-started from what that
+    run learned: the prior, the slices, and the evidence the warm run leaves."""
+    job = make_job_workload(scale=0.4, seed=13)
+    config = SkinnerConfig(slice_budget=BASE)
+    runs = []
+    for workload_query in job.queries:
+        donor = SkinnerCTask(job.catalog, workload_query.query, job.udfs, config)
+        while not donor.finished:
+            donor.run_episode()
+        prior = _prior_of(donor)
+        task = SkinnerCTask(job.catalog, workload_query.query, job.udfs, config, trace=True,
+                            order_prior=prior)
+        runs.append((prior, _drive(task), task.order_evidence()))
+    return runs
+
+
+def _first_factors(slices):
+    """The factor of each order's first slice."""
+    first: dict[tuple[str, ...], int] = {}
+    for record, scanned in slices:
+        assert scanned <= record["budget"] == BASE * record["factor"]
+        first.setdefault(record["order"], record["factor"])
+    return first
+
+
+def test_a_seeded_order_starts_at_the_rung_its_evidence_has_earned(seeded_slices):
+    started = set()
+    for prior, slices, _ in seeded_slices:
+        evidence = {order: selections for order, _, _, selections in prior}
+        for order, factor in _first_factors(slices).items():
+            assert factor == budget_factor(evidence.get(order, 0) + 1)
+            started.add(factor)
+    assert {2, MAX_BUDGET_FACTOR} < started, "neither a low nor the top rung was entered"
+
+
+def test_an_order_the_prior_does_not_name_still_starts_with_a_base_probe():
+    """Random selection leaves the prior's orders soon enough."""
+    job = make_job_workload(scale=0.4, seed=13)
+    query = max(job.queries, key=lambda q: q.query.num_tables).query
+    order = tuple(query.aliases)
+    task = SkinnerCTask(job.catalog, query, job.udfs, SkinnerConfig(slice_budget=BASE),
+                        order_selection="random", trace=True,
+                        order_prior=[(order, 1.0, 8, MAX_BUDGET_FACTOR)])
+    first = _first_factors(_drive(task))
+    assert len(first) > 2 and all(
+        factor == (MAX_BUDGET_FACTOR if tried == order else 1) for tried, factor in first.items())
+
+
+def test_no_seeded_slice_spends_more_than_a_base_budget_over_the_grant_so_far(seeded_slices):
+    """The regret argument with the donor's grant counted: every selection a
+    prior stands for was given at least one base budget."""
+    for prior, slices, _ in seeded_slices:
+        granted = defaultdict(int, {order: BASE * selections for order, _, _, selections in prior})
+        for record, _ in slices:
+            assert record["budget"] <= BASE + granted[record["order"]]
+            granted[record["order"]] += record["budget"]
+
+
+def test_evidence_accumulates_over_the_prior_and_saturates_at_the_cap(seeded_slices):
+    saturated = False
+    for prior, slices, evidence in seeded_slices:
+        runs = defaultdict(int)
+        for record, _ in slices:
+            runs[record["order"]] += 1
+        for order, _, _, before in prior:
+            assert before <= evidence[order] <= MAX_BUDGET_FACTOR
+            assert evidence[order] >= min(MAX_BUDGET_FACTOR, before + runs[order])
+            saturated = saturated or evidence[order] == MAX_BUDGET_FACTOR
+        assert all(0 < selections <= MAX_BUDGET_FACTOR for selections in evidence.values())
+    assert saturated, "no order reached the cap: the bound above was never exercised"
+
+
+def test_a_streamed_warm_task_keeps_the_probe_ramp_and_the_evidence():
+    job = make_job_workload(scale=0.4, seed=13)
+    config = SkinnerConfig(slice_budget=BASE)
+    for workload_query in job.queries:
+        query = workload_query.query
+        donor = SkinnerCTask(job.catalog, query, job.udfs, config)
+        while not donor.finished:
+            donor.run_episode()
+        prior = _prior_of(donor)
+        if len(prior) > 1 and prior[0][3] >= SECOND_LOOK_FROM:
+            break  # unstreamed, this prior's first slice is a second look
+    task = SkinnerCTask(job.catalog, query, job.udfs, config, trace=True, order_prior=prior)
+    task.enable_streaming()
+    task.run_episode()
+    assert not task.trace_records[0]["second_look"]
+    while not task.finished:
+        task.run_episode()
+    first: dict[tuple[str, ...], int] = {}
+    for record in task.trace_records:
+        first.setdefault(record["order"], record["factor"])
+    assert set(first.values()) == {1}
+    evidence = task.order_evidence()
+    assert all(evidence[order] >= selections for order, _, _, selections in prior)
+
+
+def test_a_mislearned_donor_is_left_for_its_rival_within_the_first_second_look(monkeypatch):
+    """The donor never looked again at the order its first slice undersold
+    (no second looks: what a pinned tree used to be) and hands on what it
+    measured.  The recipient's first selection of the donor's order is a
+    doubling one, so the rival runs before the donor's order has had a
+    slice — one probe at the rival's own rung — and takes over."""
+    job = make_job_workload(scale=0.4, seed=13)
+    monkeypatch.setattr(skinner_c, "SECOND_LOOK_FROM", 1 << 30)
+    donor, tried = _misled_task(job)
+    monkeypatch.undo()
+    hidden, leader = tried[:2]
+    evidence = donor.order_evidence()
+    assert evidence[leader] >= SECOND_LOOK_FROM and evidence[hidden] == 1
+    prior = [(leader, 0.01, 8, evidence[leader]), (hidden, 0.001, 1, evidence[hidden])]
+    task, _ = _misled_task(job, tried, prior)
+    first = task.trace_records[0]
+    assert first["second_look"] and first["order"] == hidden and first["factor"] == 2
+    after = task.trace_records[1:]
+    assert after[0]["order"] == hidden
+    assert sum(r["order"] == hidden for r in after) > len(after) // 2
+    assert task.tree.best_order() == hidden
+    # Without a rival in the prior the donor's order runs, where it left off.
+    task, _ = _misled_task(job, tried, prior[:1])
+    first = task.trace_records[0]
+    assert first["order"] == leader and not first["second_look"]
+    assert first["factor"] == budget_factor(evidence[leader] + 1) >= SECOND_LOOK_FROM
+
+
+def test_the_order_cache_hands_on_evidence_and_invalidation_drops_it(tiny_catalog):
+    from repro import connect
+    from repro.serving.cache import join_graph_signature
+
+    conn = connect(SkinnerConfig(slice_budget=2))
+    for name in tiny_catalog.table_names():
+        conn.add_table(tiny_catalog.table(name))
+    conn.commit()
+    sql = ("SELECT COUNT(*) FROM customers c, orders o, items i "
+           "WHERE c.cid = o.cid AND o.oid = i.oid")
+    signature = join_graph_signature(conn.parse(sql))
+    cache = conn.server.order_cache
+    best = []
+    for _ in range(40):
+        conn.execute(sql, use_result_cache=False)
+        best.append(max(selections for _, _, _, selections in cache.priors(signature)))
+    assert best == sorted(best) and best[0] < SECOND_LOOK_FROM
+    assert best.count(MAX_BUDGET_FACTOR) > 1  # reached, and not passed
+    conn.server.invalidate_caches()
+    assert cache.priors(signature) == ()
+    conn.close()
 
 
 def test_rewards_stay_on_the_progress_per_base_budget_scale(tiny_catalog, tiny_join_query):
