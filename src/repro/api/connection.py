@@ -197,7 +197,6 @@ class Connection:
             self.autocommit = autocommit
             self.registry = registry if registry is not None else DEFAULT_REGISTRY
             self._transport = LocalTransport(self, tenant=tenant)
-        self._statistics: StatisticsCatalog | None = None
         self._server: QueryServer | None = None
         self._closed = False
         # Opaque catalog snapshot token of the open transaction (a table
@@ -411,20 +410,17 @@ class Connection:
         )
 
     def _invalidate(self) -> None:
-        """Schema or UDF change: drop statistics and serving caches."""
-        self._statistics = None
+        """Schema or UDF change: drop the serving caches."""
         if self._server is not None:
             self._server.invalidate_caches()
 
     # ------------------------------------------------------------------
     # statistics (used by the traditional baselines only)
     # ------------------------------------------------------------------
-    def statistics(self, *, refresh: bool = False) -> StatisticsCatalog:
-        """Collect (or return cached) optimizer statistics."""
+    def statistics(self) -> StatisticsCatalog:
+        """The optimizer statistics of the catalog as it stands."""
         self._check_local("statistics()")
-        if self._statistics is None or refresh:
-            self._statistics = StatisticsCatalog.collect(self.catalog)
-        return self._statistics
+        return StatisticsCatalog.of(self.catalog)
 
     # ------------------------------------------------------------------
     # execution
@@ -437,9 +433,7 @@ class Connection:
             from repro.serving.server import QueryServer
 
             self._server = QueryServer(
-                self.catalog, self.udfs, self.config,
-                statistics_provider=self.statistics,
-                registry=self.registry,
+                self.catalog, self.udfs, self.config, registry=self.registry
             )
         return self._server
 
@@ -556,11 +550,7 @@ class Connection:
         parsed = self._resolve_query(query, params)
         spec = self.registry.resolve(engine if engine is not None else self.default_engine)
         context = EngineContext(
-            self.catalog,
-            self.udfs,
-            config or self.config,
-            profile=profile,
-            statistics_provider=self.statistics,
+            self.catalog, self.udfs, config or self.config, profile=profile
         )
         return spec.execute(context, parsed, forced_order=forced_order)
 

@@ -10,29 +10,31 @@ engines here, and third-party code extends the set with
 >>> register_engine(EngineSpec("my-engine", factory=lambda ctx: MyEngine(ctx)))
 
 A factory receives an :class:`EngineContext` (catalog, UDFs, config,
-profile, and a lazy statistics provider) and returns
-an engine object with an ``execute(query) -> QueryResult`` method.  The
-capability flags on the spec describe what else the engine supports:
-``episodic`` engines expose ``task(query)`` returning a resumable episode
-task the server can interleave; ``streamable`` engines produce tasks whose
-result batches can be drained before completion; ``supports_forced_order``
-engines accept ``execute(query, forced_order=...)``.
+profile, and lazily collected statistics) and returns an engine object with
+an ``execute(query) -> QueryResult`` method.  An engine whose spec names a
+``task_class`` — a concrete :class:`~repro.engine.task.EngineTask` subclass
+— is *episodic*: it also exposes ``task(query)`` returning a resumable task
+the server interleaves, and what else its tasks can do (stream, warm-start)
+is read off that class.  ``supports_forced_order`` engines accept
+``execute(query, forced_order=...)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.baselines.eddy import EddyEngine
 from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import SkinnerConfig
-from repro.engine.task import validate_task_contract
+from repro.engine.task import EngineTask, OrderPrior
 from repro.errors import InterfaceError, ReproError
-from repro.external.engines import sqlite_skinner_g_factory, sqlite_skinner_h_factory
+from repro.external.engines import SQLITE_ENGINES
+from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryResult
@@ -44,35 +46,21 @@ from repro.storage.catalog import Catalog
 
 @dataclass
 class EngineContext:
-    """Everything an engine factory may need to build an engine instance.
-
-    Statistics are exposed as a method rather than a value so that engines
-    that do not need them (the Skinner strategies famously "maintain no
-    data statistics") never pay for collection.
-    """
+    """Everything an engine factory may need to build an engine instance."""
 
     catalog: Catalog
     udfs: UdfRegistry | None
     config: SkinnerConfig
     profile: str = "postgres"
-    statistics_provider: Callable[[], Any] | None = None
-    _statistics: Any = field(default=None, repr=False)
 
-    def statistics(self) -> Any:
-        """Collect (or return cached) optimizer statistics."""
-        if self._statistics is None:
-            if self.statistics_provider is not None:
-                self._statistics = self.statistics_provider()
-            else:
-                from repro.optimizer.statistics import StatisticsCatalog
-
-                self._statistics = StatisticsCatalog.collect(self.catalog)
-        return self._statistics
+    def statistics(self) -> StatisticsCatalog:
+        """The catalog's optimizer statistics (collected on first use)."""
+        return StatisticsCatalog.of(self.catalog)
 
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One registered engine: its name, factory, and capabilities.
+    """One registered engine: its name, factory, and task class.
 
     Attributes
     ----------
@@ -84,43 +72,21 @@ class EngineSpec:
     supports_forced_order:
         Whether ``execute(query, forced_order=...)`` is accepted (the
         traditional optimizer baseline).
-    streamable:
-        Whether the engine's episode tasks support incremental result
-        delivery (``enable_streaming()`` / ``drain_new_tuples()``), so a
-        cursor can fetch result batches before the query completes.
-    episodic:
-        Whether the engine exposes ``task(query)`` returning a resumable
-        episode task; non-episodic engines run through the server as one
-        monolithic episode.
-    warm_startable:
-        Whether ``task(query, order_prior=...)`` accepts join-order priors
-        from the cross-query join-order cache.
-    parallelizable:
-        Whether the engine can execute one query over several worker
-        processes when ``config.parallel_workers > 1`` — its task class is
-        a valid worker-side morsel executor (``parallel_capable``).
     task_class:
-        The :class:`~repro.engine.task.EngineTask` implementation behind
-        ``task(query)``.  Optional for plain episodic engines, but required
-        to *declare* ``streamable`` or ``parallelizable``: registration
-        validates the class against the declared capabilities (see
-        :func:`~repro.engine.task.validate_task_contract`), so a spec whose
-        capabilities its task cannot honor is rejected at registration
-        time, not mid-query.
+        The concrete :class:`~repro.engine.task.EngineTask` subclass behind
+        the engine's ``task(query)`` — naming one is what makes an engine
+        episodic, and the one rule registration checks.  Its ``streamable``
+        and ``warm_startable`` attributes say whether result batches can be
+        fetched before completion and whether ``task(query,
+        order_prior=...)`` accepts join-order priors.  ``None`` (the
+        default): the engine runs through the server as one monolithic
+        episode.
     """
 
     name: str
     factory: Callable[[EngineContext], Any]
     supports_forced_order: bool = False
-    streamable: bool = False
-    episodic: bool = False
-    warm_startable: bool = False
-    parallelizable: bool = False
-    task_class: type | None = None
-
-    def build(self, context: EngineContext) -> Any:
-        """Instantiate the engine for one execution context."""
-        return self.factory(context)
+    task_class: type[EngineTask] | None = None
 
     def execute(
         self,
@@ -131,10 +97,8 @@ class EngineSpec:
     ) -> QueryResult:
         """Build the engine and execute ``query`` directly (no serving layer)."""
         self.check_forced_order(forced_order)
-        engine = self.build(context)
-        if forced_order is not None:
-            return engine.execute(query, forced_order=forced_order)
-        return engine.execute(query)
+        options = {} if forced_order is None else {"forced_order": forced_order}
+        return self.factory(context).execute(query, **options)
 
     def create_task(
         self,
@@ -142,8 +106,8 @@ class EngineSpec:
         query: Query,
         *,
         forced_order: Sequence[str] | None = None,
-        order_prior: Sequence[tuple[tuple[str, ...], float, int]] | None = None,
-    ) -> Any:
+        order_prior: Sequence[OrderPrior] = (),
+    ) -> EngineTask:
         """Build the episode task the server schedules for ``query``.
 
         Episodic engines return their native resumable task; all other
@@ -152,16 +116,15 @@ class EngineSpec:
         query as one (unbounded) episode.
         """
         self.check_forced_order(forced_order)
-        engine = self.build(context)
-        if self.episodic:
-            if self.warm_startable and order_prior:
+        engine = self.factory(context)
+        if self.task_class is not None:
+            if self.task_class.warm_startable and order_prior:
                 return engine.task(query, order_prior=order_prior)
             return engine.task(query)
         from repro.serving.session import MonolithicTask
 
-        if forced_order is not None:
-            return MonolithicTask(lambda: engine.execute(query, forced_order=forced_order))
-        return MonolithicTask(lambda: engine.execute(query))
+        options = {} if forced_order is None else {"forced_order": forced_order}
+        return MonolithicTask(lambda: engine.execute(query, **options))
 
     def check_forced_order(self, forced_order: Sequence[str] | None) -> None:
         """Reject ``forced_order`` on engines that cannot honor it."""
@@ -180,21 +143,23 @@ class EngineRegistry:
     def register(self, spec: EngineSpec, *, replace: bool = False) -> EngineSpec:
         """Register an engine spec; raises if the name exists unless ``replace``.
 
-        Specs that ship a ``task_class`` (or declare task-level
-        capabilities) are validated against the
-        :class:`~repro.engine.task.EngineTask` contract here, so capability
-        lies surface at registration time.
+        A ``task_class`` must be a concrete
+        :class:`~repro.engine.task.EngineTask` subclass — a task the server
+        could not drive is refused here, not mid-query.
         """
         name = spec.name.lower()
         if name != spec.name:
             spec = dataclasses.replace(spec, name=name)
-        validate_task_contract(
-            name,
-            spec.task_class,
-            episodic=spec.episodic,
-            streamable=spec.streamable,
-            parallelizable=spec.parallelizable,
-        )
+        task_class = spec.task_class
+        if task_class is not None and not (
+            isinstance(task_class, type)
+            and issubclass(task_class, EngineTask)
+            and not inspect.isabstract(task_class)
+        ):
+            raise ReproError(
+                f"engine {name!r}: task_class must be a concrete EngineTask "
+                f"subclass, got {task_class!r}"
+            )
         if name in self._specs and not replace:
             raise ReproError(f"engine {name!r} is already registered")
         self._specs[name] = spec
@@ -223,10 +188,6 @@ class EngineRegistry:
     def names(self) -> tuple[str, ...]:
         """Registered engine names in registration order."""
         return tuple(self._specs)
-
-    def specs(self) -> tuple[EngineSpec, ...]:
-        """All registered specs in registration order."""
-        return tuple(self._specs.values())
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name.lower() in self._specs
@@ -288,14 +249,11 @@ def _skinner_g(context: EngineContext) -> SkinnerG:
 
 def _skinner_h(context: EngineContext) -> SkinnerH:
     return SkinnerH(context.catalog, context.udfs, context.config,
-                    dbms_profile=context.profile,
-                    statistics=context.statistics())
+                    dbms_profile=context.profile)
 
 
 def _traditional(context: EngineContext) -> TraditionalEngine:
-    return TraditionalEngine(context.catalog, context.udfs,
-                             statistics=context.statistics(),
-                             profile=context.profile)
+    return TraditionalEngine(context.catalog, context.udfs, profile=context.profile)
 
 
 def _eddy(context: EngineContext) -> EddyEngine:
@@ -303,18 +261,13 @@ def _eddy(context: EngineContext) -> EddyEngine:
 
 
 def _reoptimizer(context: EngineContext) -> ReOptimizerEngine:
-    return ReOptimizerEngine(context.catalog, context.udfs,
-                             statistics=context.statistics())
+    return ReOptimizerEngine(context.catalog, context.udfs)
 
 
 BUILTIN_SPECS = (
-    EngineSpec("skinner-c", _skinner_c, episodic=True, streamable=True,
-               warm_startable=True, parallelizable=True,
-               task_class=SkinnerCTask),
-    EngineSpec("skinner-g", _skinner_g, episodic=True,
-               task_class=SkinnerGTask),
-    EngineSpec("skinner-h", _skinner_h, episodic=True,
-               task_class=SkinnerHTask),
+    EngineSpec("skinner-c", _skinner_c, task_class=SkinnerCTask),
+    EngineSpec("skinner-g", _skinner_g, task_class=SkinnerGTask),
+    EngineSpec("skinner-h", _skinner_h, task_class=SkinnerHTask),
     EngineSpec("traditional", _traditional, supports_forced_order=True),
     EngineSpec("eddy", _eddy),
     EngineSpec("reoptimizer", _reoptimizer),
@@ -322,10 +275,8 @@ BUILTIN_SPECS = (
     # batches run as order-forcing SQL on a per-catalog sqlite mirror, with
     # automatic fallback to the internal executor for queries the dialect
     # cannot replicate (see repro.external).
-    EngineSpec("skinner_g_sqlite", sqlite_skinner_g_factory, episodic=True,
-               task_class=SkinnerGTask),
-    EngineSpec("skinner_h_sqlite", sqlite_skinner_h_factory, episodic=True,
-               task_class=SkinnerHTask),
+    *(EngineSpec(name, factory, task_class=task_class)
+      for name, factory, task_class in SQLITE_ENGINES),
 )
 
 #: The process-wide default registry with the built-in engines.
@@ -345,12 +296,12 @@ def register_engine(
     factory: Callable[[EngineContext], Any] | None = None,
     replace: bool = False,
     registry: EngineRegistry | None = None,
-    **capabilities: bool,
+    **fields: Any,
 ) -> EngineSpec:
     """Register an engine with the default (or a given) registry.
 
     Accepts either a prebuilt :class:`EngineSpec`, or ``name``/``factory``
-    plus capability keyword flags::
+    plus the spec's other fields as keywords::
 
         register_engine(name="my-engine", factory=lambda ctx: MyEngine(ctx))
 
@@ -362,7 +313,7 @@ def register_engine(
     if spec is None:
         if name is None or factory is None:
             raise ReproError("register_engine needs an EngineSpec or name+factory")
-        spec = EngineSpec(name=name, factory=factory, **capabilities)
+        spec = EngineSpec(name=name, factory=factory, **fields)
     return registry.register(spec, replace=replace)
 
 

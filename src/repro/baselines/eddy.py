@@ -61,7 +61,7 @@ class EddyEngine:
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
-        self._profile = profile if isinstance(profile, EngineProfile) else get_profile(profile)
+        self._profile = get_profile(profile)
 
     @property
     def name(self) -> str:
@@ -96,14 +96,12 @@ class EddyEngine:
             timed_out = True
             result_set = JoinResultSet(tuple(query.aliases))
             output = Table("result", {})
-        work = meter.snapshot()
-        metrics = QueryMetrics(
-            engine=self.name,
-            work=work,
-            simulated_time=self._profile.simulated_time(work),
-            wall_time_seconds=time.perf_counter() - started,
-            intermediate_cardinality=work.intermediate_tuples,
-            result_rows=output.num_rows,
+        metrics = QueryMetrics.measured(
+            self.name,
+            self._profile,
+            meter.snapshot(),
+            started,
+            output.num_rows,
             result_tuple_count=len(result_set),
             extra={"timed_out": timed_out},
         )

@@ -63,7 +63,6 @@ class ReOptimizerEngine:
         catalog: Catalog,
         udfs: UdfRegistry | None = None,
         *,
-        statistics: StatisticsCatalog | None = None,
         profile: str | EngineProfile = "skinner",
         sample_fraction: float = 0.1,
         sample_limit: int = 200,
@@ -72,8 +71,7 @@ class ReOptimizerEngine:
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
-        self._statistics = statistics
-        self._profile = profile if isinstance(profile, EngineProfile) else get_profile(profile)
+        self._profile = get_profile(profile)
         self._sample_fraction = sample_fraction
         self._sample_limit = sample_limit
         self._validation_factor = validation_factor
@@ -92,9 +90,7 @@ class ReOptimizerEngine:
         """
         started = time.perf_counter()
         meter = CostMeter(budget=work_budget)
-        if self._statistics is None:
-            self._statistics = StatisticsCatalog.collect(self._catalog)
-        base = EstimatedCardinality(query, self._statistics, self._udfs)
+        base = EstimatedCardinality(query, StatisticsCatalog.of(self._catalog), self._udfs)
         estimator = _CorrectedEstimator(base)
         executor = PlanExecutor(self._catalog, query, self._udfs)
         timed_out = False
@@ -118,14 +114,12 @@ class ReOptimizerEngine:
         except BudgetExceeded:
             timed_out = True
             output = Table("result", {})
-        work = meter.snapshot()
-        metrics = QueryMetrics(
-            engine=self.name,
-            work=work,
-            simulated_time=self._profile.simulated_time(work),
-            wall_time_seconds=time.perf_counter() - started,
-            intermediate_cardinality=work.intermediate_tuples,
-            result_rows=output.num_rows,
+        metrics = QueryMetrics.measured(
+            self.name,
+            self._profile,
+            meter.snapshot(),
+            started,
+            output.num_rows,
             final_join_order=plan.order,
             extra={"reoptimization_rounds": rounds,
                    "corrections": len(estimator.corrections),

@@ -42,9 +42,6 @@ class TraditionalEngine:
         Tables to run against.
     udfs:
         UDF registry (the optimizer treats UDF predicates as black boxes).
-    statistics:
-        Pre-collected statistics; collected lazily from the catalog if
-        omitted.
     profile:
         Engine profile name or object (``postgres``, ``monetdb``, ...).
     optimizer:
@@ -56,14 +53,12 @@ class TraditionalEngine:
         catalog: Catalog,
         udfs: UdfRegistry | None = None,
         *,
-        statistics: StatisticsCatalog | None = None,
         profile: str | EngineProfile = "postgres",
         optimizer: str = "dp",
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
-        self._statistics = statistics
-        self._profile = profile if isinstance(profile, EngineProfile) else get_profile(profile)
+        self._profile = get_profile(profile)
         if optimizer not in ("dp", "greedy", "size_heuristic"):
             raise ValueError("optimizer must be 'dp', 'greedy', or 'size_heuristic'")
         self._optimizer = optimizer
@@ -81,15 +76,11 @@ class TraditionalEngine:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def statistics(self) -> StatisticsCatalog:
-        """The statistics catalog (collected on first use)."""
-        if self._statistics is None:
-            self._statistics = StatisticsCatalog.collect(self._catalog)
-        return self._statistics
-
     def plan(self, query: Query) -> LeftDeepPlan:
         """Choose a join order using estimated cardinalities."""
-        estimator = EstimatedCardinality(query, self.statistics(), self._udfs)
+        estimator = EstimatedCardinality(
+            query, StatisticsCatalog.of(self._catalog), self._udfs
+        )
         if self._optimizer == "size_heuristic":
             return SizeHeuristicOptimizer(self._catalog).optimize(query, estimator)
         if self._optimizer == "dp" and query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
@@ -134,14 +125,12 @@ class TraditionalEngine:
         except BudgetExceeded:
             timed_out = True
             output = Table("result", {})
-        work = meter.snapshot()
-        metrics = QueryMetrics(
-            engine=self.name,
-            work=work,
-            simulated_time=self._profile.simulated_time(work),
-            wall_time_seconds=time.perf_counter() - started,
-            intermediate_cardinality=work.intermediate_tuples,
-            result_rows=output.num_rows,
+        metrics = QueryMetrics.measured(
+            self.name,
+            self._profile,
+            meter.snapshot(),
+            started,
+            output.num_rows,
             final_join_order=order,
             extra={
                 "forced_order": forced_order is not None,

@@ -39,7 +39,6 @@ import numpy as np
 from repro.api.connection import connect
 from repro.config import SkinnerConfig
 from repro.net.server import ServerThread
-from repro.optimizer.statistics import StatisticsCatalog
 from repro.serving.server import QueryServer
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -184,13 +183,11 @@ def _remote_clients(
 
 def _light_tenant_delay(
     catalog: Catalog,
-    statistics: StatisticsCatalog,
     heavy_sessions: int,
     light_quota: float | None,
 ) -> tuple[int, dict[str, Any]]:
     """Work-clock delay of the light tenant's query under a heavy flood."""
-    server = QueryServer(catalog, config=_BENCH_CONFIG,
-                         statistics_provider=lambda: statistics)
+    server = QueryServer(catalog, config=_BENCH_CONFIG)
     if light_quota is not None:
         server.set_tenant_quota("light", light_quota)
     heavy_sql = "SELECT COUNT(*) AS n FROM fact f, fact2 h WHERE f.k = h.k"
@@ -223,12 +220,9 @@ def multitenant_server(
     catalog = Catalog()
     for name, data in columns.items():
         catalog.add_table(Table(name, data))
-    statistics = StatisticsCatalog.collect(catalog)
-    solo_delay, _ = _light_tenant_delay(catalog, statistics, 0, None)
-    flood_delay, flood_stats = _light_tenant_delay(
-        catalog, statistics, heavy_sessions, None)
-    shielded_delay, shielded_stats = _light_tenant_delay(
-        catalog, statistics, heavy_sessions, 3.0)
+    solo_delay, _ = _light_tenant_delay(catalog, 0, None)
+    flood_delay, flood_stats = _light_tenant_delay(catalog, heavy_sessions, None)
+    shielded_delay, shielded_stats = _light_tenant_delay(catalog, heavy_sessions, 3.0)
 
     rows = [
         {

@@ -32,7 +32,6 @@ from typing import Any
 import numpy as np
 
 from repro.config import SkinnerConfig
-from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.parser import parse_query
 from repro.serving.server import QueryServer
 from repro.skinner.skinner_c import SkinnerC
@@ -105,14 +104,13 @@ def _workload() -> list[tuple[str, str, str]]:
     return queries
 
 
-def _solo_result(catalog: Catalog, sql: str, engine: str, config: SkinnerConfig,
-                 statistics: StatisticsCatalog):
+def _solo_result(catalog: Catalog, sql: str, engine: str, config: SkinnerConfig):
     query = parse_query(sql, catalog)
     if engine == "skinner-c":
         return SkinnerC(catalog, None, config).execute(query)
     if engine == "skinner-g":
         return SkinnerG(catalog, None, config).execute(query)
-    return SkinnerH(catalog, None, config, statistics=statistics).execute(query)
+    return SkinnerH(catalog, None, config).execute(query)
 
 
 def _assert_identical(name: str, solo, served) -> None:
@@ -140,7 +138,6 @@ def concurrent_serving(
     """Serving scheduler vs FIFO on TTFR, plus join-order warm-start gains."""
     catalog = _build_catalog(tuples_per_table, seed)
     config = _BENCH_CONFIG
-    statistics = StatisticsCatalog.collect(catalog)
     workload = _workload()
 
     # -- FIFO one-at-a-time: every query waits for all earlier submissions.
@@ -149,15 +146,14 @@ def concurrent_serving(
     clock = 0
     fifo_started = time.perf_counter()
     for name, engine, sql in workload:
-        result = _solo_result(catalog, sql, engine, config, statistics)
+        result = _solo_result(catalog, sql, engine, config)
         solo_results[name] = result
         clock += result.metrics.work.total
         fifo_ttfr[name] = clock
     fifo_seconds = time.perf_counter() - fifo_started
 
     # -- Episode-sliced serving: all eight in flight, fair interleaving.
-    server = QueryServer(catalog, config=config,
-                         statistics_provider=lambda: statistics)
+    server = QueryServer(catalog, config=config)
     served_started = time.perf_counter()
     tickets = {name: server.submit(sql, engine=engine, use_result_cache=False)
                for name, engine, sql in workload}
@@ -202,8 +198,7 @@ def concurrent_serving(
 
     def template_makespan(warm: bool) -> int:
         cfg = config.with_overrides(serving_warm_start=warm)
-        template_server = QueryServer(catalog, config=cfg,
-                                      statistics_provider=lambda: statistics)
+        template_server = QueryServer(catalog, config=cfg)
         for threshold in thresholds:
             template_server.result(template_server.submit(
                 template.format(threshold=threshold), use_result_cache=False))

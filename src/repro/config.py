@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT, SKINNER_C_EXPLORATION_WEIGHT
+from repro.uct.policy import SKINNER_C_EXPLORATION_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -13,8 +13,8 @@ class SkinnerConfig:
 
     The defaults follow the paper's experimental setup (§6.1): Skinner-C uses
     a base time-slice budget of 500 multi-way-join loop iterations and a tiny
-    UCT exploration weight; Skinner-G/H use much larger per-batch budgets and
-    the canonical ``sqrt(2)`` exploration weight.
+    UCT exploration weight; Skinner-G/H use much larger per-batch budgets (and
+    always the canonical ``sqrt(2)`` exploration weight).
 
     Attributes
     ----------
@@ -51,8 +51,6 @@ class SkinnerConfig:
     base_timeout:
         Skinner-G/H: work-unit budget of timeout level 0 (the paper's
         smallest timeout).
-    generic_exploration_weight:
-        UCT exploration weight for Skinner-G/H.
     order_selection:
         ``"uct"`` (learned) or ``"random"`` — the latter replaces
         reinforcement learning by uniform random join-order selection and is
@@ -71,15 +69,9 @@ class SkinnerConfig:
         Entries of the serving-level result cache (``0`` disables caching).
         Keys are normalized query fingerprints including engine, profile,
         and config, and the whole cache is invalidated on schema changes.
-    serving_order_cache_size:
-        Entries of the cross-query join-order prior cache (``0`` disables
-        it), keyed on the join-graph signature.
     serving_warm_start:
         Whether new Skinner-C queries seed their UCT tree from join orders
         learned by earlier queries on the same join graph.
-    serving_warm_start_visits:
-        Pseudo-visits credited per seeded join order; small values let a
-        stale prior decay quickly once real rewards arrive.
     serving_grant_wall_ms:
         Wall-clock budget of one scheduling grant in milliseconds, layered
         on top of the work-unit quantum: a grant ends after
@@ -116,11 +108,6 @@ class SkinnerConfig:
         Skinner-C: minimum filtered rows of the partition alias per morsel;
         queries too small to form at least two morsels of this size run
         single-process.
-    parallel_start_method:
-        ``multiprocessing`` start method of the worker pool (``"spawn"`` by
-        default — the only method safe on every supported platform; the
-        CI job forcing ``REPRO_PARALLEL_WORKERS=2`` guards exactly the
-        spawn-vs-fork difference).
     data_dir:
         Root directory of durable storage.  ``None`` (the default) keeps
         the historical in-memory catalog; a path selects the
@@ -151,22 +138,18 @@ class SkinnerConfig:
     use_offsets: bool = True
     batches_per_table: int = 10
     base_timeout: int = 2_000
-    generic_exploration_weight: float = DEFAULT_EXPLORATION_WEIGHT
     order_selection: str = "uct"
     seed: int | None = 42
     serving_max_inflight: int = 4
     serving_quantum_episodes: int = 1
     serving_result_cache_size: int = 64
-    serving_order_cache_size: int = 128
     serving_warm_start: bool = True
-    serving_warm_start_visits: int = 8
     serving_grant_wall_ms: float = 0.0
     serving_tenant_backlog: int = 8
     serving_limit_pushdown: bool = True
     parallel_workers: int = 1
     parallel_morsels: int = 8
     parallel_min_morsel_rows: int = 64
-    parallel_start_method: str = "spawn"
     data_dir: str | None = None
     buffer_pool_bytes: int = 256 * 2**20
     default_engine: str = "skinner-c"

@@ -29,7 +29,7 @@ from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.engine.relation import RowIdRelation
-from repro.engine.task import EngineTask, ExecutionBackend, validate_task_contract
+from repro.engine.task import EngineTask, ExecutionBackend
 
 __all__ = [
     "CompositeKeySpace",
@@ -47,5 +47,4 @@ __all__ = [
     "get_profile",
     "group_rows",
     "post_process",
-    "validate_task_contract",
 ]

@@ -117,8 +117,10 @@ _PROFILES: dict[str, EngineProfile] = {
 }
 
 
-def get_profile(name: str) -> EngineProfile:
-    """Return a named engine profile (case-insensitive)."""
+def get_profile(name: str | EngineProfile) -> EngineProfile:
+    """Return a named engine profile (case-insensitive); a profile is itself."""
+    if isinstance(name, EngineProfile):
+        return name
     try:
         return _PROFILES[name.lower()]
     except KeyError as exc:

@@ -1,23 +1,18 @@
 """The execution contract between engines and their schedulers.
 
-Historically the episode-task protocol (``run_episode`` / ``work_total`` /
-``finalize``) was duck-typed: each Skinner variant shipped a task class that
-happened to have the right methods, and the serving layer hoped for the
-best.  Worker dispatch for morsel parallelism needs a serializable,
-introspectable contract, so the protocol is now a formal ABC:
-
 :class:`EngineTask`
-    One query's resumable execution state.  A scheduler drives it one
-    bounded episode at a time (``run_episode``), reads monotone progress
-    (``work_total``), and materializes the answer exactly once
-    (``finalize``).  Optional extensions — streaming, partial results,
-    parallel morsel execution — are declared through well-known attributes
-    so registries can *validate* a task class against the capabilities its
-    engine spec claims (see :func:`validate_task_contract`).
+    One query's resumable execution state, and the *only* statement of the
+    task contract.  A scheduler drives it one bounded episode at a time
+    (``run_episode``), reads monotone progress (``work_total``), and
+    materializes the answer exactly once (``finalize``).  Everything else a
+    scheduler may ask of a task — streaming, partial results, learned join
+    orders, resource release — is a method with a default here, so callers
+    call instead of probing, and an engine registers by naming its concrete
+    subclass (:attr:`repro.api.registry.EngineSpec.task_class`).
 
 :class:`ExecutionBackend`
-    An engine: a factory of tasks (episodic engines) and/or a one-shot
-    ``execute`` entry point (monolithic engines).
+    An episodic engine: a factory of tasks, with the loop that drives one
+    to completion.
 
 :class:`GenericEngine`
     The execution substrate Skinner-G/H drive their batch attempts on —
@@ -37,23 +32,34 @@ import abc
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ReproError
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
     from repro.engine.meter import CostMeter
     from repro.engine.relation import RowIdRelation
     from repro.query.query import Query
-    from repro.result import QueryResult
+    from repro.result import QueryMetrics, QueryResult
     from repro.storage.table import Table
+
+#: A warm-start prior, handed from one task to the next: (join order,
+#: selection share, pseudo-visits, accumulated selections).  The last is the
+#: order's evidence: its selections in the query that recorded the prior on
+#: top of what that query's own prior brought, saturating at the slice
+#: schedule's cap.
+OrderPrior = tuple[tuple[str, ...], float, int, int]
+
+#: How many learned join orders one finished task hands on.
+PRIOR_ORDERS = 3
+
+#: Pseudo-visits credited at most per handed-on order; small, so a stale
+#: prior decays quickly once real rewards arrive.
+WARM_START_VISITS = 8
 
 
 class EngineTask(abc.ABC):
     """One query's resumable execution state, driven episode by episode.
 
-    Lifecycle contract (enforced by :func:`validate_task_contract` at
-    engine-registration time, relied on by the serving scheduler):
+    Lifecycle contract (relied on by the serving scheduler):
 
     * ``finished`` is readable at any point after construction.  A task may
       be born finished (empty input, single-table fast path).
@@ -66,31 +72,28 @@ class EngineTask(abc.ABC):
       ``finished`` is true.
     * :meth:`close` releases external resources (worker pools, shared
       memory) and must be idempotent and safe at *any* point, including
-      mid-query cancellation.  The base implementation is a no-op.
+      mid-query cancellation.
 
-    Optional extensions, discovered via ``hasattr`` by the serving layer
-    and validated against the owning :class:`~repro.api.registry.EngineSpec`
-    capabilities:
-
-    * **streamable** — ``enable_streaming()`` / ``drain_new_tuples()`` (the
-      tuples found since the last drain, as a ``(rows, aliases)`` int64
-      matrix) plus ``stream_aliases`` / ``stream_tables`` for incremental
-      row delivery.
-    * **partial results** — ``partial_metrics(result_rows)`` for
-      LIMIT-style early termination.
-    * **parallelizable** — a truthy ``parallel_capable`` class attribute
-      marking the task as a valid worker-side morsel executor.
+    The three abstract methods are all a subclass must write.  The optional
+    hooks below default to "this task does not do that": its rows become
+    fetchable at completion, it takes and hands on no join-order priors,
+    and closing it is a no-op.
     """
 
     #: Whether the query has produced its complete result set.  Concrete
     #: tasks typically manage this as a plain instance attribute.
     finished: bool = False
 
-    #: Whether instances can serve as worker-side morsel executors (safe to
-    #: construct from pickled query state in a spawned process).  Engine
-    #: specs declaring ``parallelizable`` must provide a task class with a
-    #: truthy value.
-    parallel_capable: bool = False
+    #: Whether result tuples can be drained between episodes:
+    #: :meth:`enable_streaming` / :meth:`drain_new_tuples` are overridden
+    #: and ``stream_aliases`` / ``stream_tables`` (the alias order of a
+    #: drained matrix and the alias-to-table mapping to project it with)
+    #: exist.
+    streamable: bool = False
+
+    #: Whether the engine's ``task(query, order_prior=...)`` accepts the
+    #: priors :meth:`learned_orders` produces.
+    warm_startable: bool = False
 
     @abc.abstractmethod
     def run_episode(self) -> bool:
@@ -104,23 +107,31 @@ class EngineTask(abc.ABC):
     def finalize(self) -> "QueryResult":
         """Materialize the final result (requires ``finished``)."""
 
+    def enable_streaming(self) -> None:
+        """Rows will be drained while the query runs; call before the first episode."""
+
+    def drain_new_tuples(self) -> np.ndarray:
+        """Result tuples found since the last drain, in discovery order: a
+        ``(rows, aliases)`` int64 matrix over ``stream_aliases``."""
+        return np.empty((0, 0), dtype=np.int64)
+
+    def partial_metrics(self, result_rows: int) -> "QueryMetrics":
+        """Metrics of a run abandoned once ``result_rows`` rows had streamed."""
+        from repro.result import QueryMetrics  # imports this package: not at the top
+
+        return QueryMetrics(engine=type(self).__name__, result_rows=result_rows)
+
+    def learned_orders(self, k: int = PRIOR_ORDERS) -> tuple[OrderPrior, ...]:
+        """The ``k`` join orders this task learned most about, as priors for
+        the next task on the same join graph (none by default)."""
+        return ()
+
     def close(self) -> None:
         """Release external resources; idempotent, safe mid-query."""
 
-    def __enter__(self) -> "EngineTask":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
 
 class ExecutionBackend(abc.ABC):
-    """An engine: executes queries, optionally via resumable tasks.
-
-    Monolithic engines implement only :meth:`execute`; episodic engines
-    additionally override :meth:`task` so schedulers can interleave many
-    queries on one thread.
-    """
+    """An episodic engine: makes resumable tasks and can drive one itself."""
 
     @property
     @abc.abstractmethod
@@ -128,12 +139,19 @@ class ExecutionBackend(abc.ABC):
         """The engine's registry name."""
 
     @abc.abstractmethod
-    def execute(self, query: "Query") -> "QueryResult":
-        """Run ``query`` to completion and return its result."""
+    def task(self, query: "Query", **options: Any) -> EngineTask:
+        """Create a resumable task for ``query``."""
 
-    def task(self, query: "Query", **kwargs: Any) -> EngineTask:
-        """Create a resumable task for ``query`` (episodic engines only)."""
-        raise ReproError(f"engine {self.name!r} is not episodic")
+    def execute(self, query: "Query", **options: Any) -> "QueryResult":
+        """Run ``query`` to completion: one task, episode after episode.
+
+        ``options`` go to :meth:`task`.  A scheduler interleaving many
+        queries performs exactly this episode sequence per query.
+        """
+        task = self.task(query, **options)
+        while not task.finished:
+            task.run_episode()
+        return task.finalize()
 
 
 class GenericEngine(abc.ABC):
@@ -211,56 +229,3 @@ class GenericEngine(abc.ABC):
 
     def close(self) -> None:
         """Release external resources; idempotent."""
-
-
-#: Method names every episodic task class must provide.
-_EPISODIC_METHODS = ("run_episode", "work_total", "finalize")
-
-#: Method names a streamable task class must additionally provide.
-_STREAMING_METHODS = ("enable_streaming", "drain_new_tuples")
-
-
-def validate_task_contract(
-    spec_name: str,
-    task_class: type | None,
-    *,
-    episodic: bool = False,
-    streamable: bool = False,
-    parallelizable: bool = False,
-) -> None:
-    """Check a task class against the capabilities an engine spec declares.
-
-    Raises :class:`~repro.errors.ReproError` when a declared capability has
-    no implementation to back it — at registration time, not mid-query.
-    Specs that declare no task-level capabilities and ship no task class
-    (monolithic engines) pass trivially.
-    """
-    if task_class is None:
-        missing = [
-            flag
-            for flag, declared in (
-                ("streamable", streamable),
-                ("parallelizable", parallelizable),
-            )
-            if declared
-        ]
-        if missing:
-            raise ReproError(
-                f"engine {spec_name!r} declares {', '.join(missing)} but "
-                "provides no task_class implementing it"
-            )
-        return
-    required = list(_EPISODIC_METHODS) if episodic or streamable else []
-    if streamable:
-        required += _STREAMING_METHODS
-    for method in required:
-        if not callable(getattr(task_class, method, None)):
-            raise ReproError(
-                f"engine {spec_name!r}: task class "
-                f"{task_class.__name__!r} does not implement {method}()"
-            )
-    if parallelizable and not getattr(task_class, "parallel_capable", False):
-        raise ReproError(
-            f"engine {spec_name!r} declares parallelizable but task class "
-            f"{task_class.__name__!r} is not marked parallel_capable"
-        )

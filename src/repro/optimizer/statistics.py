@@ -96,6 +96,20 @@ class StatisticsCatalog:
         self._tables: dict[str, TableStatistics] = {}
 
     @classmethod
+    def of(cls, catalog: Catalog) -> "StatisticsCatalog":
+        """The statistics of ``catalog`` as it stands, collected at most once.
+
+        The one holder of optimizer statistics: they are kept on the catalog
+        they describe, which drops them whenever a table is added, replaced
+        or dropped or a rollback restores an earlier state, so every engine,
+        connection and server over one catalog shares one collection per
+        catalog state.
+        """
+        if catalog.cached_statistics is None:
+            catalog.cached_statistics = cls.collect(catalog)
+        return catalog.cached_statistics
+
+    @classmethod
     def collect(cls, catalog: Catalog, sample_limit: int = _SAMPLE_LIMIT) -> "StatisticsCatalog":
         """Collect statistics for every table in the catalog."""
         stats = cls()
@@ -106,14 +120,6 @@ class StatisticsCatalog:
     def table(self, name: str) -> TableStatistics | None:
         """Statistics for a table, or ``None`` if unknown."""
         return self._tables.get(name)
-
-    def add(self, name: str, statistics: TableStatistics) -> None:
-        """Register (or overwrite) statistics for a table."""
-        self._tables[name] = statistics
-
-    def table_names(self) -> list[str]:
-        """Tables with collected statistics."""
-        return list(self._tables)
 
 
 def _collect_table(table: Table, sample_limit: int) -> TableStatistics:

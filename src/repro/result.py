@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.meter import WorkBreakdown
+from repro.engine.profiles import EngineProfile, get_profile
 from repro.storage.table import Table
 
 
@@ -63,6 +65,35 @@ class QueryMetrics:
     tracker_nodes: int = 0
     result_tuple_count: int = 0
     extra: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def measured(
+        cls,
+        engine: str,
+        profile: str | EngineProfile,
+        work: WorkBreakdown,
+        started: float,
+        result_rows: int,
+        **fields: Any,
+    ) -> "QueryMetrics":
+        """Metrics of a run that began at ``started`` and charged ``work``.
+
+        The one assembler every engine reports through: ``started`` is a
+        ``time.perf_counter()`` reading, simulated time is ``work`` under
+        ``profile`` and the intermediate cardinality is ``work``'s own,
+        unless ``fields`` name them (Skinner-C's two phases do); the other
+        ``fields`` go to the constructor as they are.
+        """
+        if "simulated_time" not in fields:
+            fields["simulated_time"] = get_profile(profile).simulated_time(work)
+        fields.setdefault("intermediate_cardinality", work.intermediate_tuples)
+        return cls(
+            engine=engine,
+            work=work,
+            wall_time_seconds=time.perf_counter() - started,
+            result_rows=result_rows,
+            **fields,
+        )
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -22,18 +22,15 @@ from repro.serving.cache import (
 from repro.serving.scheduler import FairScheduler
 from repro.serving.server import SERVABLE_ENGINES, QueryServer
 from repro.serving.session import (
-    EpisodeTask,
     MonolithicTask,
     QuerySession,
     SessionState,
     StreamBuffer,
-    StreamingTask,
 )
 
 __all__ = [
     "SERVABLE_ENGINES",
     "AdmissionController",
-    "EpisodeTask",
     "FairScheduler",
     "JoinOrderCache",
     "MonolithicTask",
@@ -42,7 +39,6 @@ __all__ = [
     "ResultCache",
     "SessionState",
     "StreamBuffer",
-    "StreamingTask",
     "join_graph_signature",
     "query_fingerprint",
 ]

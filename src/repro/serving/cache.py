@@ -29,14 +29,9 @@ from collections import OrderedDict
 from collections.abc import Sequence
 
 from repro.config import SkinnerConfig
+from repro.engine.task import OrderPrior
 from repro.query.query import Query
 from repro.result import QueryResult
-
-#: A warm-start prior: (join order, average reward, pseudo-visits,
-#: accumulated selections).  The last is the order's evidence: its
-#: selections in the query that recorded the prior on top of what that
-#: query's own prior brought, saturating at the slice schedule's cap.
-OrderPrior = tuple[tuple[str, ...], float, int, int]
 
 
 def query_fingerprint(

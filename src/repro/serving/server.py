@@ -27,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import replace
 from typing import Any
 
@@ -42,11 +42,10 @@ from repro.engine.meter import CostMeter, WorkLedger
 from repro.engine.postprocess import post_process
 from repro.engine.relation import RowIdRelation
 from repro.errors import InterfaceError, ReproError
-from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.result import QueryMetrics, QueryResult
+from repro.result import QueryResult
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import (
     JoinOrderCache,
@@ -65,8 +64,9 @@ from repro.storage.table import Table
 #: ``register_engine()`` become servable without touching this module.
 SERVABLE_ENGINES = RegistryNames(DEFAULT_REGISTRY)
 
-#: How many learned join orders one finished query contributes to the prior.
-_PRIOR_ORDERS = 3
+#: Entries of the cross-query join-order prior cache, keyed on the
+#: join-graph signature.
+ORDER_CACHE_SIZE = 128
 
 
 def check_fetch_size(max_rows: Any) -> None:
@@ -115,13 +115,9 @@ class QueryServer:
         Registry of user-defined functions referenced by queries.
     config:
         Default configuration; the ``serving_*`` knobs size the admission
-        bound, the scheduling quantum, and both caches.  Per-submission
+        bound, the scheduling quantum, and the result cache.  Per-submission
         config overrides apply to execution but not to the server-level
         sizing knobs.
-    statistics_provider:
-        Callable returning a :class:`StatisticsCatalog` for the engines
-        that need one (traditional, re-optimizer, Skinner-H).  Defaults to
-        collecting (and caching) statistics from the catalog on first use.
     registry:
         Engine registry resolving ``engine=`` names; defaults to the
         process-wide :data:`~repro.api.registry.DEFAULT_REGISTRY`.
@@ -133,22 +129,19 @@ class QueryServer:
         udfs: UdfRegistry | None = None,
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
-        statistics_provider: Callable[[], StatisticsCatalog] | None = None,
         registry: EngineRegistry | None = None,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._statistics_provider = statistics_provider
-        self._statistics: StatisticsCatalog | None = None
         self._scheduler = FairScheduler()
         self._admission = AdmissionController(config.serving_max_inflight)
         self._sessions: dict[int, QuerySession] = {}
         self._tickets = itertools.count(1)
         self.ledger = WorkLedger()
         self.result_cache = ResultCache(config.serving_result_cache_size)
-        self.order_cache = JoinOrderCache(config.serving_order_cache_size)
+        self.order_cache = JoinOrderCache(ORDER_CACHE_SIZE)
         self._completed = 0
         #: Bumped by every :meth:`invalidate_caches`; sessions record the
         #: epoch they snapshotted the catalog under so results computed
@@ -226,13 +219,8 @@ class QueryServer:
             counters = self._tenant_cache_counters(tenant)
             counters["result_hits" if cached is not None else "result_misses"] += 1
             if cached is not None:
-                session.result = self._cached_copy(cached)
-                session.state = SessionState.FINISHED
                 session.cache_hit = True
-                session.completed_at_work = self.ledger.grand_total()
-                self._completed += 1
-                if stream:
-                    self._deliver_result_rows(session, session.result)
+                self._finish(session, self._cached_copy(cached))
                 return session.ticket
         if self._admission.offer(session):
             self._activate(session)
@@ -275,7 +263,7 @@ class QueryServer:
         table of no rows therefore means the result is exhausted.  With
         ``drive=False`` only already-buffered rows are returned.
 
-        Rows stream *before completion* when the engine's registry spec is
+        Rows stream *before completion* when the engine's task is
         ``streamable`` and the query has no blocking post-processing
         (aggregation, GROUP BY, ORDER BY, DISTINCT); a plain LIMIT is
         pushed into the stream (the session completes early once the limit
@@ -449,7 +437,7 @@ class QueryServer:
     # cache management / inspection
     # ------------------------------------------------------------------
     def invalidate_caches(self) -> None:
-        """Drop cached results, join-order priors, and collected statistics.
+        """Drop cached results and join-order priors.
 
         Must be called whenever the underlying catalog or UDF registry
         changes; the connection does this on every schema mutation.  The epoch
@@ -461,7 +449,6 @@ class QueryServer:
         """
         self.result_cache.clear()
         self.order_cache.clear()
-        self._statistics = None
         self._catalog_epoch += 1
 
     def stats(self) -> dict[str, Any]:
@@ -571,26 +558,15 @@ class QueryServer:
             raise ReproError(f"unknown ticket {ticket}")
         return session
 
-    def _statistics_for_engines(self) -> StatisticsCatalog:
-        if self._statistics_provider is not None:
-            return self._statistics_provider()
-        if self._statistics is None:
-            self._statistics = StatisticsCatalog.collect(self._catalog)
-        return self._statistics
-
     # ------------------------------------------------------------------
     # streaming internals
     # ------------------------------------------------------------------
-    def _setup_stream(self, session: QuerySession, spec: Any) -> None:
-        """Attach a stream buffer; go incremental when engine+query allow it."""
+    def _setup_stream(self, session: QuerySession) -> None:
+        """Attach a stream buffer; go incremental when task+query allow it."""
         session.stream = StreamBuffer(session.query.output_names(self._catalog))
         task = session.task
-        if (
-            spec.streamable
-            and _stream_eligible(
-                session.query, allow_limit=session.config.serving_limit_pushdown
-            )
-            and hasattr(task, "enable_streaming")
+        if task.streamable and _stream_eligible(
+            session.query, allow_limit=session.config.serving_limit_pushdown
         ):
             task.enable_streaming()
             session.stream.incremental = True
@@ -640,30 +616,23 @@ class QueryServer:
         self, session: QuerySession, spec: Any
     ) -> tuple[OrderPrior, ...]:
         if (
-            not spec.warm_startable
+            spec.task_class is None
+            or not spec.task_class.warm_startable
             or not session.config.serving_warm_start
             or session.config.order_selection != "uct"
         ):
             return ()
-        cap = max(1, session.config.serving_warm_start_visits)
         priors = self.order_cache.priors(join_graph_signature(session.query))
         counters = self._tenant_cache_counters(session.tenant)
         counters["order_hits" if priors else "order_misses"] += 1
-        return tuple(
-            (order, reward, min(visits, cap), evidence)
-            for order, reward, visits, evidence in priors
-        )
+        return priors
 
     def _activate(self, session: QuerySession) -> None:
         # Task construction snapshots the input tables; remember under which
         # epoch, so completion knows whether the result is still cacheable.
         session.catalog_epoch = self._catalog_epoch
         context = EngineContext(
-            self._catalog,
-            self._udfs,
-            session.config,
-            profile=session.profile,
-            statistics_provider=self._statistics_for_engines,
+            self._catalog, self._udfs, session.config, profile=session.profile
         )
         try:
             # resolve() must stay inside the try: a queued session can be
@@ -683,7 +652,7 @@ class QueryServer:
             self._fail(session, error)
             return
         if session.stream_requested:
-            self._setup_stream(session, spec)
+            self._setup_stream(session)
         session.state = SessionState.RUNNING
         self._scheduler.add(session)
         # Task construction pre-processes the query; attribute that work to
@@ -709,61 +678,52 @@ class QueryServer:
         )
         self._scheduler.charge(session, consumed)
 
-    def _complete(self, session: QuerySession) -> None:
-        assert session.task is not None
-        session.result = session.task.finalize()
-        # Post-processing charges during finalize(); attribute the residual
-        # so the ledger total equals the solo-run meter total exactly.
+    def _finish(self, session: QuerySession, result: QueryResult) -> None:
+        """The one transition to FINISHED, whatever produced ``result``.
+
+        A finished task, a filled LIMIT and a result-cache hit all end here:
+        work the ledger has not seen yet (post-processing charges during
+        ``finalize()``) is attributed so the ledger total equals the
+        solo-run meter total exactly, rows not streamed incrementally
+        become fetchable, and the scheduler slot, the task's execution
+        state (preprocessed tables, result set, UCT tree, shared-memory
+        segments) and the admission slot are released — only the result
+        outlives completion.
+        """
+        session.result = result
         residual = session.work_total() - self.ledger.total(session.ticket)
         if residual > 0:
             self._account(session, residual)
         session.state = SessionState.FINISHED
         session.completed_at_work = self.ledger.grand_total()
         self._completed += 1
-        if session.stream is not None and not session.stream.incremental:
-            # Non-streamable engine or query shape: the whole result becomes
-            # fetchable now (incremental sessions already streamed it all).
-            self._deliver_result_rows(session, session.result)
-        self._scheduler.remove(session)
+        if session.stream_requested and (
+            session.stream is None or not session.stream.incremental
+        ):
+            self._deliver_result_rows(session, result)
+        self._scheduler.discard(session)
+        self._release_task(session)
+        if session in self._admission.inflight:
+            self._admit_next(session)
+
+    def _complete(self, session: QuerySession) -> None:
+        assert session.task is not None
+        result = session.task.finalize()
         # Cache only epoch-current results: a schema mutation that landed
         # while this task ran already invalidated the caches, and inserting
         # now would resurrect pre-mutation rows for post-mutation
         # submissions (the same fence covers learned join orders).
-        if (
-            session.fingerprint is not None
-            and session.catalog_epoch == self._catalog_epoch
-        ):
-            self.result_cache.put_result(session.fingerprint, session.result)
         if session.catalog_epoch == self._catalog_epoch:
-            self._record_learned_orders(session)
-        # Release the per-query execution state (preprocessed tables, result
-        # set, tracker, UCT tree, shared-memory segments) — only the result
-        # outlives completion.
-        self._release_task(session)
-        self._admit_next(session)
-
-    def _record_learned_orders(self, session: QuerySession) -> None:
-        task = session.task
-        if task is None or not self.order_cache.enabled:
-            return
-        try:
-            spec = self._registry.resolve(session.engine)
-        except ReproError:  # engine unregistered while the query ran
-            return
-        # Any warm-startable engine whose task learns through a UCT tree
-        # contributes priors (Skinner-C and registry extensions alike).
-        if not spec.warm_startable or not hasattr(task, "tree"):
-            return
-        if session.config.order_selection != "uct":
-            return
-        # Beside each order's selection share goes the evidence it has
-        # accumulated — this query's selections on top of what its own
-        # prior brought — which is where the next query on this join graph
-        # enters the slice-budget schedule.
-        evidence = task.order_evidence() if hasattr(task, "order_evidence") else {}
-        priors = [(order, share, count, evidence.get(order, 0))
-                  for order, share, count in task.tree.selection_shares(_PRIOR_ORDERS)]
-        self.order_cache.record(join_graph_signature(session.query), priors)
+            if session.fingerprint is not None:
+                self.result_cache.put_result(session.fingerprint, result)
+            # Each order's selection share goes beside the evidence it has
+            # accumulated, which is where the next query on this join graph
+            # enters the slice-budget schedule.
+            if session.config.order_selection == "uct":
+                self.order_cache.record(
+                    join_graph_signature(session.query), session.task.learned_orders()
+                )
+        self._finish(session, result)
 
     def _finish_limited(self, session: QuerySession) -> None:
         """Complete a streamed LIMIT query early: its owed rows all exist.
@@ -786,21 +746,9 @@ class QueryServer:
         # in a full run's result table.
         table = (Table.concat(buffer.journal) if buffer.journal
                  else empty_batch(buffer.names))
-        if hasattr(task, "partial_metrics"):
-            metrics = task.partial_metrics(table.num_rows)
-        else:  # registry extensions without partial accounting
-            metrics = QueryMetrics(engine=session.engine, result_rows=table.num_rows)
+        metrics = task.partial_metrics(table.num_rows)
         metrics.extra["limit_pushdown"] = True
-        session.result = QueryResult(table, metrics)
-        residual = session.work_total() - self.ledger.total(session.ticket)
-        if residual > 0:
-            self._account(session, residual)
-        session.state = SessionState.FINISHED
-        session.completed_at_work = self.ledger.grand_total()
-        self._completed += 1
-        self._scheduler.discard(session)
-        self._release_task(session)
-        self._admit_next(session)
+        self._finish(session, QueryResult(table, metrics))
 
     @staticmethod
     def _release_task(session: QuerySession) -> None:
@@ -809,12 +757,11 @@ class QueryServer:
         Parallel Skinner-C tasks own shared-memory segments and in-flight
         worker results; ``close()`` tears those down deterministically at
         every terminal transition (complete, fail, cancel, limit push-down)
-        instead of waiting for garbage collection.  Registry extensions
-        without a ``close()`` are dropped as before.
+        instead of waiting for garbage collection.
         """
         task = session.task
         session.task = None
-        if task is not None and hasattr(task, "close"):
+        if task is not None:
             with contextlib.suppress(Exception):
                 task.close()
 

@@ -1,11 +1,10 @@
 """Query sessions: one submitted query's lifecycle inside the server.
 
 A session tracks a submission from ``submit`` to its terminal state and owns
-the *episode task* that actually executes the query.  Episode tasks share a
-tiny protocol — ``run_episode() -> bool``, ``finished``, ``work_total()``,
-``finalize() -> QueryResult`` — formalized by the
-:class:`~repro.engine.task.EngineTask` ABC and implemented natively by the
-Skinner engines
+the *episode task* that actually executes the query.  Episode tasks are
+:class:`~repro.engine.task.EngineTask` subclasses — ``run_episode() -> bool``,
+``finished``, ``work_total()``, ``finalize() -> QueryResult`` — implemented
+natively by the Skinner engines
 (:class:`~repro.skinner.skinner_c.SkinnerCTask`,
 :class:`~repro.skinner.skinner_g.SkinnerGTask`,
 :class:`~repro.skinner.skinner_h.SkinnerHTask`); the non-adaptive baselines
@@ -26,9 +25,6 @@ import time
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Protocol
-
-import numpy as np
 
 from repro.config import SkinnerConfig
 from repro.engine.task import EngineTask
@@ -36,38 +32,6 @@ from repro.errors import ReproError
 from repro.query.query import Query
 from repro.result import QueryResult
 from repro.storage.table import Table
-
-
-class EpisodeTask(Protocol):
-    """What the scheduler needs from a resumable query execution.
-
-    Structural twin of the nominal :class:`~repro.engine.task.EngineTask`
-    ABC: the scheduler duck-types so third-party tasks need not inherit,
-    while :func:`~repro.engine.task.validate_task_contract` enforces the
-    same surface nominally at engine registration.
-    """
-
-    finished: bool
-
-    def run_episode(self) -> bool:
-        """Advance by one episode; returns True when execution completed."""
-
-    def work_total(self) -> int:
-        """Total work units charged to this query so far."""
-
-    def finalize(self) -> QueryResult:
-        """Materialize the final result (only after ``finished``)."""
-
-
-class StreamingTask(EpisodeTask, Protocol):
-    """An episode task that can deliver result tuples before completion."""
-
-    def enable_streaming(self) -> None:
-        """Start journaling newly materialized result tuples."""
-
-    def drain_new_tuples(self) -> np.ndarray:
-        """Tuples materialized since the last drain, in discovery order: a
-        ``(rows, aliases)`` int64 matrix over ``stream_aliases``."""
 
 
 def empty_batch(names: Sequence[str]) -> Table:
@@ -164,7 +128,7 @@ class QuerySession:
     tenant: str = "default"
     fingerprint: str | None = None
     state: SessionState = SessionState.QUEUED
-    task: EpisodeTask | None = None
+    task: EngineTask | None = None
     result: QueryResult | None = None
     error: Exception | None = None
     episodes: int = 0

@@ -50,7 +50,7 @@ import numpy as np
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
-from repro.engine.task import EngineTask
+from repro.engine.task import EngineTask, OrderPrior
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
@@ -61,9 +61,10 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
-#: How many of the pilot's top join orders seed each worker tree (matches
-#: the serving layer's cross-query order cache).
-_PRIOR_ORDERS = 3
+#: ``multiprocessing`` start method of the worker pool — the only one safe
+#: on every supported platform (the CI job forcing
+#: ``REPRO_PARALLEL_WORKERS=2`` guards exactly the spawn-vs-fork difference).
+_START_METHOD = "spawn"
 
 # ----------------------------------------------------------------------
 # shared-memory transport
@@ -242,22 +243,20 @@ def _load_dictionary(
 # worker pool
 # ----------------------------------------------------------------------
 
-_POOLS: dict[tuple[int, str], Any] = {}
+_POOLS: dict[int, Any] = {}
 
 
-def _get_pool(workers: int, start_method: str):
-    """The cached worker pool for ``(workers, start_method)``.
+def _get_pool(workers: int):
+    """The cached pool of ``workers`` processes.
 
     Pools are shared across queries (spawn start-up is expensive) and torn
     down via :func:`shutdown_workers` at interpreter exit.  Pool processes
     are daemonic, so even an unclean exit cannot leak them.
     """
-    key = (workers, start_method)
-    pool = _POOLS.get(key)
+    pool = _POOLS.get(workers)
     if pool is None:
-        context = multiprocessing.get_context(start_method)
-        pool = context.Pool(processes=workers)
-        _POOLS[key] = pool
+        context = multiprocessing.get_context(_START_METHOD)
+        pool = _POOLS[workers] = context.Pool(processes=workers)
     return pool
 
 
@@ -348,8 +347,12 @@ def _run_morsel(payload: dict[str, Any]) -> dict[str, Any]:
     )
     while not task.finished:
         task.run_episode()
+    return _morsel_outcome(task)
+
+
+def _morsel_outcome(task: SkinnerCTask) -> dict[str, Any]:
+    """What a finished morsel task hands the coordinator, as plain data."""
     return {
-        "index": payload["index"],
         "matrix": task.result_set.to_matrix(),
         "pre": task.pre_meter.snapshot(),
         "join": task.join_meter.snapshot(),
@@ -384,6 +387,9 @@ class ParallelSkinnerCTask(EngineTask):
     to exactly the single-process episode sequence.
     """
 
+    streamable = True
+    warm_startable = True
+
     def __init__(
         self,
         catalog: Catalog,
@@ -393,7 +399,7 @@ class ParallelSkinnerCTask(EngineTask):
         *,
         order_selection: str = "uct",
         engine_name: str = "skinner-c",
-        order_prior: Sequence[tuple[tuple[str, ...], float, int, int]] | None = None,
+        order_prior: Sequence[OrderPrior] | None = None,
     ) -> None:
         self._config = config
         self._order_selection = order_selection
@@ -422,7 +428,7 @@ class ParallelSkinnerCTask(EngineTask):
             self.prepared.filtered, self.prepared.aliases, config
         )
         self._merged = 0
-        self._priors: tuple[tuple[tuple[str, ...], float, int, int], ...] = ()
+        self._priors: tuple[OrderPrior, ...] = ()
         self._evidence: dict[tuple[str, ...], int] = {}
         self._shared: _SharedArrays | None = None
         self._dispatched: list[Any] = []
@@ -523,6 +529,9 @@ class ParallelSkinnerCTask(EngineTask):
         """The pilot's :meth:`SkinnerCTask.order_evidence`, once it has finished."""
         return self._evidence
 
+    #: The same assembly, over the merged tree and the pilot's evidence.
+    learned_orders = SkinnerCTask.learned_orders
+
     def drain_new_tuples(self) -> np.ndarray:
         """Result tuples added since the last drain, as a matrix."""
         return self.result_set.drain_new()
@@ -543,7 +552,7 @@ class ParallelSkinnerCTask(EngineTask):
     def _make_morsel_task(
         self,
         index: int,
-        order_prior: Sequence[tuple[tuple[str, ...], float, int, int]] | None,
+        order_prior: Sequence[OrderPrior] | None,
     ) -> SkinnerCTask:
         """An inline single-process task over morsel ``index``.
 
@@ -585,7 +594,9 @@ class ParallelSkinnerCTask(EngineTask):
         self._tracker_nodes = pilot.tracker.node_count()
         self._tracker_bytes = pilot.tracker.estimated_bytes()
         self._evidence = pilot.order_evidence()
-        self._priors = _pilot_priors(pilot.tree, self._evidence, self._config)
+        # The remaining morsels start from what the pilot learned — the
+        # same hand-over the serving layer's order cache makes across queries.
+        self._priors = pilot.learned_orders()
         self._pilot = None
         self._merged = 1
         if self._merged < len(self._morsel_bounds) and self._workers > 1:
@@ -613,10 +624,9 @@ class ParallelSkinnerCTask(EngineTask):
             alias: shared.share(positions)
             for alias, positions in self.prepared.filtered.items()
         }
-        pool = _get_pool(self._workers, self._config.parallel_start_method)
+        pool = _get_pool(self._workers)
         for index in range(1, len(self._morsel_bounds)):
             payload = {
-                "index": index,
                 "morsel": self._morsel_bounds[index],
                 "partition": self._partition_alias,
                 "tables": table_specs,
@@ -672,18 +682,7 @@ class ParallelSkinnerCTask(EngineTask):
             task.run_episode()
         if task.finished:
             self._inline_task = None
-            self._merge_morsel(
-                {
-                    "matrix": task.result_set.to_matrix(),
-                    "pre": task.pre_meter.snapshot(),
-                    "join": task.join_meter.snapshot(),
-                    "slices": task.slices,
-                    "uct_nodes": task.tree.node_count(),
-                    "tracker_nodes": task.tracker.node_count(),
-                    "order_stats": task.tree.order_stats(),
-                    "episode_wall": task.episode_wall_seconds,
-                }
-            )
+            self._merge_morsel(_morsel_outcome(task))
 
     def _merge_morsel(self, outcome: dict[str, Any]) -> None:
         """Fold one finished morsel into the coordinator state."""
@@ -746,21 +745,3 @@ class ParallelSkinnerCTask(EngineTask):
             tracker_nodes=tracker_nodes,
             extra=extra,
         )
-
-
-def _pilot_priors(
-    tree, evidence: dict[tuple[str, ...], int], config: SkinnerConfig
-) -> tuple[tuple[tuple[str, ...], float, int, int], ...]:
-    """Warm-start priors the pilot hands to the remaining morsels.
-
-    Mirrors the serving layer's cross-query order cache: the pilot's most
-    selected orders, weighted by selection share, capped at
-    ``serving_warm_start_visits`` pseudo-visits so workers can still
-    overrule a misleading pilot, each with the selections it has
-    accumulated — a morsel starts an order at the budget the pilot reached.
-    """
-    cap = max(1, config.serving_warm_start_visits)
-    return tuple(
-        (order, share, min(count, cap), evidence.get(order, 0))
-        for order, share, count in tree.selection_shares(_PRIOR_ORDERS)
-    )

@@ -34,7 +34,13 @@ from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.engine.postprocess import post_process
 from repro.engine.profiles import get_profile
-from repro.engine.task import EngineTask, ExecutionBackend
+from repro.engine.task import (
+    PRIOR_ORDERS,
+    WARM_START_VISITS,
+    EngineTask,
+    ExecutionBackend,
+    OrderPrior,
+)
 from repro.errors import ExecutionError, ReproError
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
@@ -86,12 +92,13 @@ def skinner_c_metrics(
         simulated = profile.simulated_time(parallel_work) + profile.simulated_time(
             join.snapshot()
         )
-    return QueryMetrics(
-        engine=engine,
-        work=work,
+    return QueryMetrics.measured(
+        engine,
+        profile,
+        work,
+        started,
         parallel_work=parallel_work,
         simulated_time=simulated,
-        wall_time_seconds=time.perf_counter() - started,
         intermediate_cardinality=join.tuples_scanned,
         result_tuple_count=len(result_set),
         **fields,
@@ -129,10 +136,8 @@ class SkinnerCTask(EngineTask):
         repeated — and none is charged — for restricted aliases).
     """
 
-    #: SkinnerCTask instances are safe worker-side morsel executors: all
-    #: constructor inputs are plain data (queries, configs, position
-    #: arrays), so a spawned process can rebuild one from a pickled payload.
-    parallel_capable = True
+    streamable = True
+    warm_startable = True
 
     def __init__(
         self,
@@ -144,7 +149,7 @@ class SkinnerCTask(EngineTask):
         order_selection: str = "uct",
         engine_name: str = "skinner-c",
         trace: bool = False,
-        order_prior: Sequence[tuple[tuple[str, ...], float, int, int]] | None = None,
+        order_prior: Sequence[OrderPrior] | None = None,
         restrict_positions: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         self._config = config
@@ -260,6 +265,22 @@ class SkinnerCTask(EngineTask):
         for order, granted in self._granted.items():
             evidence[order] = evidence.get(order, 0) + granted
         return {order: min(MAX_BUDGET_FACTOR, count) for order, count in evidence.items()}
+
+    def learned_orders(self, k: int = PRIOR_ORDERS) -> tuple[OrderPrior, ...]:
+        """The ``k`` most selected orders, as the next task's warm start.
+
+        Each carries its selection share, its selections capped at
+        ``WARM_START_VISITS`` pseudo-visits so real rewards can still
+        overrule a misleading prior, and its :meth:`order_evidence` — the
+        next task starts the order at the budget this one reached.  The
+        serving layer's cross-query order cache and the morsel-parallel
+        pilot both hand on exactly this.
+        """
+        evidence = self.order_evidence()
+        return tuple(
+            (order, share, min(count, WARM_START_VISITS), evidence.get(order, 0))
+            for order, share, count in self.tree.selection_shares(k)
+        )
 
     def run_episode(self) -> bool:
         """Execute one time slice; returns ``True`` when the join finished."""
@@ -427,7 +448,7 @@ class SkinnerC(ExecutionBackend):
         query: Query,
         *,
         trace: bool = False,
-        order_prior: Sequence[tuple[tuple[str, ...], float, int, int]] | None = None,
+        order_prior: Sequence[OrderPrior] | None = None,
     ) -> EngineTask:
         """Create a resumable episode task for ``query``.
 
@@ -481,13 +502,6 @@ class SkinnerC(ExecutionBackend):
         except ReproError:
             return False  # let the single-process path raise the real error
         return largest >= 2 * max(1, config.parallel_min_morsel_rows)
-
-    def execute(self, query: Query, *, trace: bool = False) -> QueryResult:
-        """Execute a query and return its result with metrics."""
-        task = self.task(query, trace=trace)
-        while not task.finished:
-            task.run_episode()
-        return task.finalize()
 
     def execute_with_order(self, query: Query, order: tuple[str, ...]) -> QueryResult:
         """Execute a query with one fixed join order on the Skinner-C engine.

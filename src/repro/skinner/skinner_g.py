@@ -48,6 +48,7 @@ from repro.skinner.result_set import JoinResultSet
 from repro.skinner.timeouts import PyramidTimeoutScheme
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT
 from repro.uct.tree import UctJoinTree
 
 _MAX_ITERATIONS = 500_000
@@ -190,7 +191,7 @@ class GenericLearningRun:
         if tree is None:
             tree = UctJoinTree(
                 self._graph,
-                exploration_weight=self.config.generic_exploration_weight,
+                exploration_weight=DEFAULT_EXPLORATION_WEIGHT,
                 seed=None if self.config.seed is None else self.config.seed + choice.level,
             )
             self.trees[choice.level] = tree
@@ -307,9 +308,7 @@ class SkinnerG(ExecutionBackend):
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
-        self._profile = (
-            dbms_profile if isinstance(dbms_profile, EngineProfile) else get_profile(dbms_profile)
-        )
+        self._profile = get_profile(dbms_profile)
         #: Substrate factory — ``None`` keeps the internal executor (the
         #: historical behavior and the A/B reference); ``repro.external``
         #: passes providers that drive a real DBMS.
@@ -335,13 +334,6 @@ class SkinnerG(ExecutionBackend):
         """Create a resumable episode task for ``query`` (see SkinnerGTask)."""
         return SkinnerGTask(self, query)
 
-    def execute(self, query: Query) -> QueryResult:
-        """Execute a query with pure in-query learning on the generic engine."""
-        task = self.task(query)
-        while not task.finished:
-            task.run_episode()
-        return task.finalize()
-
     # ------------------------------------------------------------------
     # shared with Skinner-H
     # ------------------------------------------------------------------
@@ -362,14 +354,12 @@ class SkinnerG(ExecutionBackend):
         total.merge(run.meter)
         if extra_work is not None:
             total.merge(extra_work)
-        work = total.snapshot()
-        metrics = QueryMetrics(
-            engine=engine_name,
-            work=work,
-            simulated_time=self._profile.simulated_time(work),
-            wall_time_seconds=time.perf_counter() - started,
-            intermediate_cardinality=work.intermediate_tuples,
-            result_rows=output.num_rows,
+        metrics = QueryMetrics.measured(
+            engine_name,
+            self._profile,
+            total.snapshot(),
+            started,
+            output.num_rows,
             final_join_order=run.best_order(),
             time_slices=run.iterations,
             uct_nodes=run.uct_node_count(),

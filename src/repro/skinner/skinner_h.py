@@ -154,17 +154,13 @@ class SkinnerH(ExecutionBackend):
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
         dbms_profile: str | EngineProfile = "postgres",
-        statistics: StatisticsCatalog | None = None,
         generic_engine: "GenericEngineProvider | None" = None,
         backend_label: str | None = None,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
-        self._profile = (
-            dbms_profile if isinstance(dbms_profile, EngineProfile) else get_profile(dbms_profile)
-        )
-        self._statistics = statistics
+        self._profile = get_profile(dbms_profile)
         self._backend_label = backend_label
         self._generic = SkinnerG(
             catalog, udfs, config, dbms_profile=self._profile,
@@ -180,11 +176,9 @@ class SkinnerH(ExecutionBackend):
     # planning with the traditional optimizer
     # ------------------------------------------------------------------
     def _traditional_plan(self, query: Query) -> LeftDeepPlan:
-        statistics = self._statistics
-        if statistics is None:
-            statistics = StatisticsCatalog.collect(self._catalog)
-            self._statistics = statistics
-        estimator = EstimatedCardinality(query, statistics, self._udfs)
+        estimator = EstimatedCardinality(
+            query, StatisticsCatalog.of(self._catalog), self._udfs
+        )
         if query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
             return DynamicProgrammingOptimizer().optimize(query, estimator)
         return GreedyOptimizer().optimize(query, estimator)
@@ -195,13 +189,6 @@ class SkinnerH(ExecutionBackend):
     def task(self, query: Query) -> SkinnerHTask:
         """Create a resumable episode task for ``query`` (see SkinnerHTask)."""
         return SkinnerHTask(self, query)
-
-    def execute(self, query: Query) -> QueryResult:
-        """Execute a query by interleaving the optimizer plan with learning."""
-        task = self.task(query)
-        while not task.finished:
-            task.run_episode()
-        return task.finalize()
 
     def _traditional_result(
         self,
@@ -219,14 +206,12 @@ class SkinnerH(ExecutionBackend):
         total.merge(traditional_meter)
         if run is not None:
             total.merge(run.meter)
-        work = total.snapshot()
-        metrics = QueryMetrics(
-            engine=self.name,
-            work=work,
-            simulated_time=self._profile.simulated_time(work),
-            wall_time_seconds=time.perf_counter() - started,
-            intermediate_cardinality=work.intermediate_tuples,
-            result_rows=output.num_rows,
+        metrics = QueryMetrics.measured(
+            self.name,
+            self._profile,
+            total.snapshot(),
+            started,
+            output.num_rows,
             final_join_order=plan.order,
             time_slices=run.iterations if run is not None else 0,
             uct_nodes=run.uct_node_count() if run is not None else 0,

@@ -7,9 +7,6 @@ This package provides the column store that every engine in the repository
   64-bit integers, floats, or dictionary-encoded strings.
 * :class:`~repro.storage.table.Table` — a named collection of equal-length
   columns.
-* :class:`~repro.storage.index.HashIndex` — a hash index from column value to
-  the sorted row positions holding that value; used both by the traditional
-  hash-join operators and by Skinner-C's hash-jump multi-way join.
 * :class:`~repro.storage.catalog.Catalog` — the set of tables known to a
   database instance.
 * :class:`~repro.storage.buffer.BufferManager` — where those tables
@@ -25,7 +22,6 @@ from repro.storage.buffer import BufferManager, ColumnSource, InMemoryBufferMana
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.durable import DurableBufferManager
-from repro.storage.index import HashIndex
 from repro.storage.loader import file_fingerprint, load_csv, parse_count, save_csv
 from repro.storage.table import Table
 from repro.storage.wal import WriteAheadLog
@@ -37,7 +33,6 @@ __all__ = [
     "ColumnSource",
     "ColumnType",
     "DurableBufferManager",
-    "HashIndex",
     "InMemoryBufferManager",
     "PageCache",
     "Table",

@@ -7,17 +7,19 @@ from typing import Any
 
 from repro.errors import CatalogError
 from repro.storage.buffer import BufferManager, InMemoryBufferManager
-from repro.storage.index import HashIndex
 from repro.storage.table import Table
 
 
 class Catalog:
-    """Registry of tables and their hash indexes.
+    """Registry of tables.
 
-    The catalog deliberately stores *no statistics*: statistics live in
-    :mod:`repro.optimizer.statistics` and are only consulted by the
-    traditional optimizer baselines, never by the Skinner strategies
-    (SkinnerDB "maintains no data statistics", paper §1).
+    The catalog deliberately *computes* no statistics: they are collected by
+    :meth:`repro.optimizer.statistics.StatisticsCatalog.of` for the
+    traditional optimizer baselines and Skinner-H only, never for the pure
+    Skinner strategies (SkinnerDB "maintains no data statistics", paper §1).
+    The catalog merely gives that accessor a slot to cache them in
+    (:attr:`cached_statistics`) and empties it wherever the set of tables
+    changes.
 
     *Where* tables physically live — RAM arrays or memory-mapped files
     under a ``data_dir`` — is the buffer manager's business: the catalog
@@ -30,7 +32,8 @@ class Catalog:
     def __init__(self, buffer_manager: BufferManager | None = None) -> None:
         self._buffer = buffer_manager if buffer_manager is not None else InMemoryBufferManager()
         self._tables: dict[str, Table] = self._buffer.bootstrap()
-        self._indexes: dict[tuple[str, str], HashIndex] = {}
+        #: Owned by ``StatisticsCatalog.of``; emptied by every mutation here.
+        self.cached_statistics: Any = None
 
     @property
     def buffer_manager(self) -> BufferManager:
@@ -45,17 +48,15 @@ class Catalog:
         if table.name in self._tables and not replace:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = self._buffer.register_table(table, replace=replace)
-        self._indexes = {
-            key: index for key, index in self._indexes.items() if key[0] != table.name
-        }
+        self.cached_statistics = None
 
     def drop_table(self, name: str) -> None:
-        """Remove a table and its indexes."""
+        """Remove a table."""
         if name not in self._tables:
             raise CatalogError(f"table {name!r} does not exist")
         self._buffer.drop_table(name)
         del self._tables[name]
-        self._indexes = {key: index for key, index in self._indexes.items() if key[0] != name}
+        self.cached_statistics = None
 
     def table(self, name: str) -> Table:
         """Return a table by name."""
@@ -90,25 +91,6 @@ class Catalog:
         return self._buffer.ingest_fingerprint(name)
 
     # ------------------------------------------------------------------
-    # indexes
-    # ------------------------------------------------------------------
-    def build_index(self, table_name: str, column_name: str) -> HashIndex:
-        """Build (or fetch a cached) hash index on ``table.column``."""
-        key = (table_name, column_name)
-        if key not in self._indexes:
-            column = self.table(table_name).column(column_name)
-            self._indexes[key] = HashIndex(column)
-        return self._indexes[key]
-
-    def index(self, table_name: str, column_name: str) -> HashIndex | None:
-        """Return an existing index or ``None``."""
-        return self._indexes.get((table_name, column_name))
-
-    def index_count(self) -> int:
-        """Number of materialized hash indexes."""
-        return len(self._indexes)
-
-    # ------------------------------------------------------------------
     # snapshots (schema transactions)
     # ------------------------------------------------------------------
     def snapshot(self) -> Any:
@@ -124,14 +106,9 @@ class Catalog:
         return self._buffer.snapshot(self._tables)
 
     def restore(self, snapshot: Any) -> None:
-        """Reset the catalog to a previously taken :meth:`snapshot`.
-
-        All materialized indexes are dropped: an index built between
-        snapshot and restore may describe a table object the rollback just
-        discarded, and indexes are pure caches that rebuild on demand.
-        """
+        """Reset the catalog to a previously taken :meth:`snapshot`."""
         self._tables = self._buffer.restore(snapshot)
-        self._indexes = {}
+        self.cached_statistics = None
 
     def commit(self) -> None:
         """Make every mutation since the last commit durable."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ENGINE_NAMES, Connection, ReproError, SkinnerConfig, register_engine
 from repro.api import DEFAULT_REGISTRY, EngineRegistry, EngineSpec, connect
+from repro.engine.task import EngineTask
 from repro.result import QueryMetrics, QueryResult
 from repro.serving import SERVABLE_ENGINES
 from repro.storage.table import Table
@@ -74,8 +75,7 @@ class TestRegistryBasics:
     def test_spec_capabilities_default_off(self, toy_registered):
         spec = DEFAULT_REGISTRY.resolve("toy")
         assert not spec.supports_forced_order
-        assert not spec.streamable
-        assert not spec.episodic
+        assert spec.task_class is None  # not episodic: one monolithic episode
 
     def test_custom_registry_is_isolated(self):
         registry = EngineRegistry()
@@ -154,6 +154,72 @@ class TestCustomEngine:
         context = captured["context"]
         assert context.catalog is db.catalog
         assert context.profile == "monetdb"
+
+
+class ToyTask(EngineTask):
+    """The whole contract: three methods, no optional hook overridden."""
+
+    def __init__(self) -> None:
+        self.episodes = 0
+
+    def run_episode(self) -> bool:
+        self.episodes += 1
+        self.finished = self.episodes >= 3
+        return self.finished
+
+    def work_total(self) -> int:
+        return 10 * self.episodes
+
+    def finalize(self) -> QueryResult:
+        table = Table("result", {"answer": [self.episodes]})
+        return QueryResult(table, QueryMetrics(engine="toy-task"))
+
+
+class ToyEpisodicEngine:
+    def __init__(self, context) -> None:
+        pass
+
+    def task(self, query) -> ToyTask:
+        return ToyTask()
+
+
+class TestEpisodicCustomEngine:
+    """A task that is nothing but an ``EngineTask`` subclass is served like
+    any other: the server calls the inherited hooks instead of probing."""
+
+    @pytest.fixture
+    def toy_task_registered(self):
+        register_engine(name="toy-task", factory=ToyEpisodicEngine, task_class=ToyTask)
+        try:
+            yield
+        finally:
+            DEFAULT_REGISTRY.unregister("toy-task")
+
+    def test_inherited_hooks_stream_at_completion_and_record_no_priors(
+        self, db, toy_task_registered
+    ):
+        server = db.server
+        ticket = server.submit("SELECT r.x FROM r LIMIT 1", engine="toy-task", stream=True)
+        task = server.session(ticket).task
+        assert isinstance(task, ToyTask) and not task.streamable
+        assert server.step() and server.step()  # two of three episodes
+        assert server.fetch(ticket, drive=False) == []  # nothing before completion
+        assert server.fetch(ticket) == [(3,)]
+        assert server.poll(ticket)["state"] == "finished"
+        assert server.poll(ticket)["work_done"] == 30 == server.ledger.grand_total()
+        assert server.session(ticket).task is None  # released through close()
+        assert server.order_cache.counters()["entries"] == 0
+        assert task.learned_orders() == () and len(task.drain_new_tuples()) == 0
+        assert task.partial_metrics(2).result_rows == 2
+
+    def test_cancel_closes_the_task(self, db, toy_task_registered, monkeypatch):
+        closed = []
+        monkeypatch.setattr(ToyTask, "close", lambda self: closed.append(self))
+        ticket = db.server.submit("SELECT r.x FROM r", engine="toy-task")
+        task = db.server.session(ticket).task
+        db.server.step()
+        assert db.server.cancel(ticket)
+        assert closed == [task]
 
 
 class TestForcedOrderCapability:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import ENGINE_NAMES, Connection, ReproError, SkinnerConfig, connect
+from repro.api import EngineContext
 from repro.errors import CatalogError
+from repro.optimizer.statistics import StatisticsCatalog
 from repro.storage.table import Table
 
 FAST = SkinnerConfig(slice_budget=64, batches_per_table=3, base_timeout=200)
@@ -49,6 +51,47 @@ class TestSchemaManagement:
         assert db.statistics() is first
         db.create_table("later", {"x": [1]})
         assert db.statistics() is not first
+
+    def test_statistics_follow_their_own_catalog_state(self, monkeypatch):
+        """One collection per catalog state, read through one accessor by the
+        connection, the engine context and the engines — never another
+        catalog's, never an earlier state's."""
+        conn, other = connect(FAST), connect(FAST)
+        conn.create_table("t", {"x": [1, 2, 3]})
+        conn.commit()
+        other.create_table("t", {"x": [7]})
+        committed = conn.statistics()
+        assert committed is StatisticsCatalog.of(conn.catalog)
+        assert committed is EngineContext(conn.catalog, None, FAST).statistics()
+        assert committed.table("t").row_count == 3
+        # A second connection on another catalog: same table name, own rows.
+        assert other.statistics().table("t").row_count == 1
+        assert conn.statistics() is committed
+        # Every schema mutation shows, replace and drop included.
+        conn.create_table("t", {"x": [1, 2, 3, 4]}, replace=True)
+        conn.create_table("u", {"y": [1]})
+        grown = conn.statistics()
+        assert grown.table("t").row_count == 4 and grown.table("u").row_count == 1
+        conn.drop_table("u")
+        assert conn.statistics().table("u") is None
+        # A rollback() returns to the committed state, not to a stale cache.
+        conn.rollback()
+        assert conn.statistics().table("t").row_count == 3
+        assert other.statistics().table("t").row_count == 1
+        # What the engines plan with is what the accessor holds.
+        calls = []
+        collect = StatisticsCatalog.collect.__func__
+        monkeypatch.setattr(StatisticsCatalog, "collect", classmethod(
+            lambda cls, catalog: calls.append(catalog) or collect(cls, catalog)))
+        conn.create_table("t", {"x": [5, 6]}, replace=True)
+        for engine in ("traditional", "skinner-h", "reoptimizer"):
+            rows = conn.execute("SELECT COUNT(*) AS n FROM t", engine=engine).rows
+            assert rows == [{"n": 2}]
+            conn.execute_direct("SELECT COUNT(*) AS n FROM t", engine=engine)
+        other.execute("SELECT COUNT(*) AS n FROM t", engine="traditional")
+        assert calls == [conn.catalog]  # other's statistics were already held
+        conn.close()
+        other.close()
 
 
 class TestQueryExecution:

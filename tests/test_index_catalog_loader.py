@@ -1,46 +1,12 @@
-"""Unit tests for hash indexes, the catalog, and CSV loading."""
+"""Unit tests for the catalog and CSV loading."""
 
 import pytest
 
 from repro.errors import CatalogError, SchemaError
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column, ColumnType
-from repro.storage.index import HashIndex
+from repro.storage.column import ColumnType
 from repro.storage.loader import load_csv, save_csv
 from repro.storage.table import Table
-
-
-class TestHashIndex:
-    def test_positions_for_int_values(self):
-        index = HashIndex(Column([5, 7, 5, 9, 5]))
-        assert index.positions(5).tolist() == [0, 2, 4]
-        assert index.positions(9).tolist() == [3]
-
-    def test_positions_missing_value(self):
-        index = HashIndex(Column([1, 2]))
-        assert index.positions(99).tolist() == []
-
-    def test_positions_for_strings_decoded(self):
-        index = HashIndex(Column(["a", "b", "a"]))
-        assert index.positions("a").tolist() == [0, 2]
-
-    def test_next_position_jumps_forward(self):
-        index = HashIndex(Column([4, 4, 8, 4, 8]))
-        assert index.next_position(4, 1) == 1
-        assert index.next_position(4, 2) == 3
-        assert index.next_position(4, 4) is None
-
-    def test_next_position_missing_value(self):
-        index = HashIndex(Column([1, 2, 3]))
-        assert index.next_position(42, 0) is None
-
-    def test_count(self):
-        index = HashIndex(Column([1, 1, 2]))
-        assert index.count(1) == 2
-        assert index.count(3) == 0
-
-    def test_len_is_distinct_values(self):
-        assert len(HashIndex(Column([1, 1, 2, 3]))) == 3
 
 
 class TestCatalog:
@@ -75,23 +41,6 @@ class TestCatalog:
         assert not catalog.has_table("t")
         with pytest.raises(CatalogError):
             catalog.drop_table("t")
-
-    def test_index_caching(self):
-        catalog = Catalog()
-        catalog.add_table(Table("t", {"a": [1, 2, 1]}))
-        first = catalog.build_index("t", "a")
-        second = catalog.build_index("t", "a")
-        assert first is second
-        assert catalog.index_count() == 1
-        assert catalog.index("t", "a") is first
-        assert catalog.index("t", "b") is None
-
-    def test_replacing_table_invalidates_indexes(self):
-        catalog = Catalog()
-        catalog.add_table(Table("t", {"a": [1, 2]}))
-        catalog.build_index("t", "a")
-        catalog.add_table(Table("t", {"a": [3]}), replace=True)
-        assert catalog.index_count() == 0
 
     def test_iteration(self):
         catalog = Catalog()

@@ -271,6 +271,8 @@ class TestErrorMapping:
         ({"join_mode": "rows"}, "config field 'join_mode' was removed"),
         ({"postprocess_mode": "rows"}, "config field 'postprocess_mode' was removed"),
         (["slice_budget"], "submit config must be an object"),
+        # Once a knob, now a constant: refused like any name never known.
+        ({"serving_order_cache_size": 0}, "unknown config field 'serving_order_cache_size'"),
     ])
     def test_submit_config_is_validated_at_the_verb(self, remote, config, message):
         """A foreign (or older) client's config never reaches the engine."""

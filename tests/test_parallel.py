@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.api import DEFAULT_REGISTRY, EngineSpec, connect
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
-from repro.engine.task import EngineTask, ExecutionBackend, validate_task_contract
+from repro.engine.task import EngineTask, ExecutionBackend
 from repro.errors import ReproError
 from repro.query.predicates import (
     column_compare_literal,
@@ -195,13 +195,10 @@ class TestFallbacks:
 
 
 class TestRegistryConformance:
-    def test_streamable_without_task_class_rejected(self):
-        spec = EngineSpec("bad-stream", lambda ctx: None, streamable=True)
-        with pytest.raises(ReproError, match="task_class"):
-            DEFAULT_REGISTRY.register(spec)
+    """The one rule: a ``task_class`` is a concrete ``EngineTask`` subclass."""
 
-    def test_parallelizable_needs_parallel_capable_task(self):
-        class Task:  # episodic surface, but not parallel-capable
+    def test_non_engine_task_class_rejected(self):
+        class Task:  # the right methods, but not an EngineTask
             def run_episode(self):
                 return True
 
@@ -211,12 +208,22 @@ class TestRegistryConformance:
             def finalize(self):
                 raise NotImplementedError
 
-        spec = EngineSpec(
-            "bad-parallel", lambda ctx: None,
-            episodic=True, parallelizable=True, task_class=Task,
-        )
-        with pytest.raises(ReproError, match="parallel_capable"):
-            DEFAULT_REGISTRY.register(spec)
+        for task_class in (Task, "SkinnerCTask", SkinnerC):
+            spec = EngineSpec("bad-task", lambda ctx: None, task_class=task_class)
+            with pytest.raises(ReproError, match="concrete EngineTask subclass"):
+                DEFAULT_REGISTRY.register(spec)
+        assert "bad-task" not in DEFAULT_REGISTRY
+
+    def test_abstract_task_class_rejected(self):
+        class Partial(EngineTask):  # work_total and finalize missing
+            def run_episode(self):
+                return True
+
+        for task_class in (EngineTask, Partial):
+            spec = EngineSpec("bad-abstract", lambda ctx: None, task_class=task_class)
+            with pytest.raises(ReproError, match="concrete EngineTask subclass"):
+                DEFAULT_REGISTRY.register(spec)
+        assert "bad-abstract" not in DEFAULT_REGISTRY
 
     def test_capability_free_registration_unaffected(self):
         spec = EngineSpec("plain-engine", lambda ctx: None)
@@ -226,19 +233,13 @@ class TestRegistryConformance:
         finally:
             DEFAULT_REGISTRY.unregister("plain-engine")
 
-    def test_builtin_skinner_c_declares_parallelizable(self):
+    def test_builtin_skinner_c_names_its_task_class(self):
         spec = DEFAULT_REGISTRY.resolve("skinner-c")
-        assert spec.parallelizable
         assert spec.task_class is SkinnerCTask
-        assert SkinnerCTask.parallel_capable
-
-    def test_validate_contract_checks_episodic_methods(self):
-        class Partial:
-            def run_episode(self):
-                return True
-
-        with pytest.raises(ReproError, match="work_total"):
-            validate_task_contract("p", Partial, episodic=True)
+        # What the tasks can do is read off the task, parallel or not.
+        for task_class in (SkinnerCTask, ParallelSkinnerCTask):
+            assert task_class.streamable and task_class.warm_startable
+        assert not DEFAULT_REGISTRY.resolve("skinner-g").task_class.streamable
 
     def test_abcs_are_exported(self):
         assert issubclass(SkinnerCTask, EngineTask)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
 from repro.errors import ReproError
-from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.parser import parse_query
 from repro.serving import QueryServer, SessionState
 from repro.serving.cache import join_graph_signature, query_fingerprint
@@ -86,8 +85,7 @@ def solo_result(catalog: Catalog, sql: str, engine: str, config: SkinnerConfig =
     if engine == "skinner-g":
         return SkinnerG(catalog, None, config).execute(query)
     if engine == "skinner-h":
-        return SkinnerH(catalog, None, config,
-                        statistics=StatisticsCatalog.collect(catalog)).execute(query)
+        return SkinnerH(catalog, None, config).execute(query)
     raise AssertionError(engine)
 
 

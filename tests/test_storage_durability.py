@@ -282,44 +282,6 @@ class TestWarmStartIngest:
             conn.close()
 
 
-class TestReplaceDropsIndexes:
-    """Satellite: ``load_csv(replace=True)`` must invalidate stale indexes."""
-
-    def test_rebuilt_index_sees_fresh_data(self, tmp_path):
-        path = tmp_path / "t.csv"
-        save_csv(Table("t", {"k": [1, 1, 2], "v": [10, 20, 30]}), path)
-        conn = connect(FAST)
-        try:
-            conn.load_csv(path)
-            stale = conn.catalog.build_index("t", "k")
-            assert conn.catalog.index_count() == 1
-            save_csv(Table("t", {"k": [5, 5, 5], "v": [1, 2, 3]}), path)
-            conn.load_csv(path, replace=True)
-            assert conn.catalog.index_count() == 0  # stale index dropped
-            rebuilt = conn.catalog.build_index("t", "k")
-            assert rebuilt is not stale
-            assert list(rebuilt.positions(5)) == [0, 1, 2]
-            assert list(rebuilt.positions(1)) == []
-        finally:
-            conn.close()
-
-    def test_index_from_rolled_back_transaction_does_not_survive(self):
-        conn = connect(FAST)
-        try:
-            conn.create_table("base", {"k": [1, 2, 3]})
-            conn.commit()
-            conn.create_table("scratch", {"k": [7, 7]})  # opens a transaction
-            conn.catalog.build_index("scratch", "k")
-            conn.catalog.build_index("base", "k")
-            conn.rollback()
-            assert conn.catalog.index_count() == 0
-            assert conn.catalog.index("scratch", "k") is None
-            assert conn.catalog.index("base", "k") is None
-            assert not conn.catalog.has_table("scratch")
-        finally:
-            conn.close()
-
-
 class TestDurableAutocommit:
     def test_autocommit_data_dir_round_trip(self, tmp_path):
         conn = connect(FAST, data_dir=tmp_path / "db", autocommit=True)

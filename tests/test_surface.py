@@ -16,9 +16,10 @@ import inspect
 import pkgutil
 
 import repro
-from repro import Connection, Cursor, QueryServer, SkinnerConfig, connect
+from repro import Connection, Cursor, EngineSpec, QueryServer, SkinnerConfig, connect
 from repro.api.settings import SETTINGS
 from repro.api.transport import Transport
+from repro.engine.task import EngineTask
 from repro.net.protocol import PROTOCOL_VERSION
 
 CONFIG_FIELDS = {
@@ -26,16 +27,15 @@ CONFIG_FIELDS = {
     "slice_budget", "batch_size", "exploration_weight", "reward_function",
     "use_hash_jump", "share_progress", "use_offsets",
     # Skinner-G/H
-    "batches_per_table", "base_timeout", "generic_exploration_weight",
+    "batches_per_table", "base_timeout",
     # learning
     "order_selection", "seed",
     # serving layer
     "serving_max_inflight", "serving_quantum_episodes", "serving_result_cache_size",
-    "serving_order_cache_size", "serving_warm_start", "serving_warm_start_visits",
-    "serving_grant_wall_ms", "serving_tenant_backlog", "serving_limit_pushdown",
+    "serving_warm_start", "serving_grant_wall_ms", "serving_tenant_backlog",
+    "serving_limit_pushdown",
     # morsel parallelism
     "parallel_workers", "parallel_morsels", "parallel_min_morsel_rows",
-    "parallel_start_method",
     # storage
     "data_dir", "buffer_pool_bytes",
     # connection default
@@ -49,6 +49,14 @@ PUBLIC_NAMES = {
     "QueryResult", "QueryServer", "ReproError", "SchemaError", "SessionState",
     "SkinnerConfig", "Table", "__version__", "apilevel", "connect", "paramstyle",
     "parse_query", "register_engine", "threadsafety",
+}
+
+#: The engine boundary: what a spec declares and what a task may be asked.
+ENGINE_SPEC_FIELDS = ["name", "factory", "supports_forced_order", "task_class"]
+ENGINE_TASK_NAMES = {
+    "finished", "streamable", "warm_startable",
+    "run_episode", "work_total", "finalize",
+    "enable_streaming", "drain_new_tuples", "partial_metrics", "learned_orders", "close",
 }
 
 CONNECT_PARAMETERS = [
@@ -84,8 +92,18 @@ EXECUTE_PARAMETERS = {
 
 def test_config_fields_are_exactly_these():
     fields = [field.name for field in dataclasses.fields(SkinnerConfig)]
-    assert len(fields) == len(set(fields)) == 28
+    assert len(fields) == len(set(fields)) == 24
     assert set(fields) == CONFIG_FIELDS
+
+
+def test_engine_contract_is_exactly_this():
+    """One statement of the task contract: the spec's four fields, the
+    three abstract methods, and a default for every optional hook."""
+    assert [field.name for field in dataclasses.fields(EngineSpec)] == ENGINE_SPEC_FIELDS
+    public = {name for name in vars(EngineTask) if not name.startswith("_")}
+    assert public == ENGINE_TASK_NAMES
+    assert EngineTask.__abstractmethods__ == {"run_episode", "work_total", "finalize"}
+    assert not (EngineTask.streamable or EngineTask.warm_startable)
 
 
 def test_package_exports_are_exactly_these():
