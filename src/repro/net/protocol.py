@@ -375,13 +375,6 @@ def error_from_wire(wire: dict[str, Any]) -> ReproError:
 # ----------------------------------------------------------------------
 # per-submission config
 # ----------------------------------------------------------------------
-#: Fields older clients still serialize, with what replaced them.
-_REMOVED_CONFIG_FIELDS = {
-    "join_mode": "the plan executor always runs the vectorized hash-join kernel",
-    "postprocess_mode": "post-processing always runs the columnar pipeline "
-                        "(row pipeline where an expression needs it)",
-}
-
 _SCALAR_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
 _CONFIG_ANNOTATIONS = {field.name: field.type for field in dataclasses.fields(SkinnerConfig)}
 
@@ -404,11 +397,6 @@ def config_from_wire(wire: dict[str, Any]) -> SkinnerConfig:
     if not isinstance(wire, dict):
         raise InterfaceError(f"submit config must be an object, got {type(wire).__name__}")
     for key, value in wire.items():
-        if key in _REMOVED_CONFIG_FIELDS:
-            raise InterfaceError(
-                f"config field {key!r} was removed: {_REMOVED_CONFIG_FIELDS[key]}; "
-                "drop it from the submitted config (upgrade the client)"
-            )
         if key not in _CONFIG_ANNOTATIONS:
             raise InterfaceError(f"unknown config field {key!r}")
         if not _scalar_matches(_CONFIG_ANNOTATIONS[key], value):

@@ -14,7 +14,7 @@ layer's central invariant intact — all episodes still run on one thread:
   progress event* the pump sets after every grant — the asyncio
   equivalent of the cooperative driving that in-process callers do;
 * **backpressure**: a handler stops reading its socket while its tenant's
-  backlog (non-terminal sessions) is at ``serving_tenant_backlog``, so a
+  backlog (non-terminal sessions) is at ``TENANT_BACKLOG``, so a
   flooding client is throttled by TCP flow control instead of growing an
   unbounded server-side queue.  The gate sits *between* requests — the
   previous response is always sent first — and sessions complete without
@@ -53,6 +53,16 @@ from repro.net.protocol import (
     wire_table,
 )
 from repro.serving.server import check_fetch_size
+
+#: Non-terminal sessions a tenant may hold before its sockets stop being
+#: read (the backpressure bound).
+TENANT_BACKLOG = 8
+
+#: The arguments the ``submit`` verb reads; any other name is refused.
+_SUBMIT_ARGS = frozenset({
+    "sql", "params", "engine", "profile", "config", "forced_order",
+    "use_result_cache", "weight", "priority", "stream",
+})
 
 
 def _same_path(a: str, b: str) -> bool:
@@ -99,8 +109,7 @@ class ReproServer:
         from ``config``.
     config:
         Configuration for the implicit connection (ignored when
-        ``connection`` is given).  ``serving_tenant_backlog`` bounds each
-        tenant's non-terminal sessions before its sockets stop being read.
+        ``connection`` is given).
     host, port:
         Listen address; port 0 picks an ephemeral port (read back from
         :attr:`port` after :meth:`start`).
@@ -179,8 +188,7 @@ class ReproServer:
         """Run scheduling grants while work exists; sleep on the work event.
 
         Yielding after every grant keeps socket I/O responsive even under
-        sustained load — one grant is bounded by the work quantum and (when
-        configured) the wall-clock grant budget.
+        sustained load — one grant is one episode.
         """
         server = self.connection.server
         while not self._stopping:
@@ -239,11 +247,10 @@ class ReproServer:
                 return
             self._clients.add(client)
             qs = self.connection.server
-            backlog_bound = max(1, self.connection.config.serving_tenant_backlog)
             while not self._stopping:
                 # Backpressure: stop reading this tenant's socket while its
                 # backlog is full; TCP flow control throttles the client.
-                while qs.tenant_backlog(client.tenant) >= backlog_bound:
+                while qs.tenant_backlog(client.tenant) >= TENANT_BACKLOG:
                     await self._await_progress()
                 request = await read_frame(reader)
                 if request is None:
@@ -375,12 +382,9 @@ class ReproServer:
         return await handler(client, args)
 
     async def _verb_submit(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
-        if "threads" in args:
-            raise InterfaceError(
-                "submit argument 'threads' was removed: an execution has no "
-                "modelled core count, a report re-weights simulated_time from "
-                "metrics.parallel_work; drop it (upgrade the client)"
-            )
+        unknown = sorted(set(args) - _SUBMIT_ARGS)
+        if unknown:
+            raise InterfaceError(f"unknown submit argument {unknown[0]!r}")
         conn = self.connection
         parsed = conn.parse(str(args["sql"]), args.get("params"))
         config = args.get("config")

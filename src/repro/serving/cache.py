@@ -17,7 +17,7 @@ Two caches sit above the per-query engines:
   predicates, and the relative quality of join orders is largely determined
   by the join graph.
 
-Both caches are LRU with a configurable entry bound and plain dictionaries
+Both caches are LRU with a fixed entry bound and plain dictionaries
 underneath — no background threads, in keeping with the cooperative
 single-threaded server design.
 """
@@ -74,7 +74,7 @@ class _LruCache:
     """A tiny LRU over an OrderedDict (newest at the end)."""
 
     def __init__(self, capacity: int) -> None:
-        self._capacity = max(0, capacity)
+        self._capacity = capacity
         self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -83,13 +83,7 @@ class _LruCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def enabled(self) -> bool:
-        return self._capacity > 0
-
     def get(self, key):
-        if not self.enabled:
-            return None
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -99,8 +93,6 @@ class _LruCache:
         return entry
 
     def put(self, key, value) -> None:
-        if not self.enabled:
-            return
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self._capacity:

@@ -68,6 +68,9 @@ SERVABLE_ENGINES = RegistryNames(DEFAULT_REGISTRY)
 #: join-graph signature.
 ORDER_CACHE_SIZE = 128
 
+#: Entries of the result cache, keyed on normalized query fingerprints.
+RESULT_CACHE_SIZE = 64
+
 
 def check_fetch_size(max_rows: Any) -> None:
     """A fetch size is ``None`` (everything buffered) or a non-negative int.
@@ -86,7 +89,7 @@ def check_fetch_size(max_rows: Any) -> None:
     )
 
 
-def _stream_eligible(query: Query, *, allow_limit: bool = False) -> bool:
+def _stream_eligible(query: Query) -> bool:
     """Whether a query's rows can be delivered before the join completes.
 
     Aggregation, GROUP BY, ORDER BY, and DISTINCT are *blocking*: their
@@ -94,14 +97,11 @@ def _stream_eligible(query: Query, *, allow_limit: bool = False) -> bool:
     completion.  Plain select-project-join output rows map 1:1 onto result
     tuples and stream as the tuples materialize (the result set's duplicate
     elimination guarantees each row is delivered once).  A bare ``LIMIT``
-    on such a query streams only when the caller opts into push-down
-    (``allow_limit``): any ``LIMIT`` rows are a valid answer, but a
-    truncated stream is a prefix of the materialization order rather than
-    the canonical completion order.
+    on such a query streams too and is pushed down: any ``LIMIT`` rows are
+    a valid answer, though a truncated stream is a prefix of the
+    materialization order rather than the canonical completion order.
     """
-    if query.has_aggregates or query.group_by or query.order_by or query.distinct:
-        return False
-    return query.limit is None or allow_limit
+    return not (query.has_aggregates or query.group_by or query.order_by or query.distinct)
 
 
 class QueryServer:
@@ -114,10 +114,9 @@ class QueryServer:
     udfs:
         Registry of user-defined functions referenced by queries.
     config:
-        Default configuration; the ``serving_*`` knobs size the admission
-        bound, the scheduling quantum, and the result cache.  Per-submission
-        config overrides apply to execution but not to the server-level
-        sizing knobs.
+        Default configuration; ``serving_max_inflight`` sizes the admission
+        bound.  Per-submission config overrides apply to execution but not
+        to the admission bound.
     registry:
         Engine registry resolving ``engine=`` names; defaults to the
         process-wide :data:`~repro.api.registry.DEFAULT_REGISTRY`.
@@ -140,7 +139,7 @@ class QueryServer:
         self._sessions: dict[int, QuerySession] = {}
         self._tickets = itertools.count(1)
         self.ledger = WorkLedger()
-        self.result_cache = ResultCache(config.serving_result_cache_size)
+        self.result_cache = ResultCache(RESULT_CACHE_SIZE)
         self.order_cache = JoinOrderCache(ORDER_CACHE_SIZE)
         self._completed = 0
         #: Bumped by every :meth:`invalidate_caches`; sessions record the
@@ -345,14 +344,9 @@ class QueryServer:
     # scheduling
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Run one scheduling grant (up to ``serving_quantum_episodes``).
+        """Run one scheduling grant: one episode of the session picked.
 
-        A grant is bounded by the work-unit quantum and — when
-        ``serving_grant_wall_ms`` is set — by wall-clock time: it ends
-        after the configured number of episodes or once the wall budget
-        elapses, whichever comes first, so a slow episode stream cannot
-        monopolize the thread between scheduling decisions.  Returns
-        ``False`` when no session is runnable (the server is idle).
+        Returns ``False`` when no session is runnable (the server is idle).
         """
         session = self._scheduler.pick()
         if session is None:
@@ -361,14 +355,9 @@ class QueryServer:
         assert task is not None
         before = session.work_total()
         grant_started = time.perf_counter()
-        wall_budget = self._config.serving_grant_wall_ms / 1000.0
         try:
-            for _ in range(max(1, self._config.serving_quantum_episodes)):
-                session.episodes += 1
-                if task.run_episode():
-                    break
-                if wall_budget > 0.0 and time.perf_counter() - grant_started >= wall_budget:
-                    break
+            session.episodes += 1
+            task.run_episode()
             elapsed = time.perf_counter() - grant_started
             session.wall_seconds += elapsed
             self._grant_wall_seconds += elapsed
@@ -565,9 +554,7 @@ class QueryServer:
         """Attach a stream buffer; go incremental when task+query allow it."""
         session.stream = StreamBuffer(session.query.output_names(self._catalog))
         task = session.task
-        if task.streamable and _stream_eligible(
-            session.query, allow_limit=session.config.serving_limit_pushdown
-        ):
+        if task.streamable and _stream_eligible(session.query):
             task.enable_streaming()
             session.stream.incremental = True
             if session.query.limit is not None:

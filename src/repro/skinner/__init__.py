@@ -18,7 +18,7 @@ from repro.skinner.multiway_join import MultiwayJoin
 from repro.skinner.preprocessor import PreprocessedQuery, preprocess
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
-from repro.skinner.reward import leftmost_reward, scaled_delta_reward
+from repro.skinner.reward import scaled_delta_reward
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.skinner_h import SkinnerH
@@ -35,7 +35,6 @@ __all__ = [
     "SkinnerC",
     "SkinnerG",
     "SkinnerH",
-    "leftmost_reward",
     "preprocess",
     "scaled_delta_reward",
 ]

@@ -97,6 +97,10 @@ _PARKED_RUNS = 32
 #: analogues at ten times benchmark scale while the work still creeps up.
 MAX_BUDGET_FACTOR = 32
 
+#: The ``batch_size`` Skinner-C joins with.  A step never exceeds its share
+#: of the remaining slice budget, which is what bounds it at this value.
+BATCH_SIZE = 1024
+
 
 def budget_factor(selections: int) -> int:
     """Base budgets the ``selections``-th slice of one join order may spend.
@@ -252,8 +256,9 @@ class MultiwayJoin:
     batch_size:
         Upper bound on the ``(prefix, candidate)`` pairs one vectorized step
         examines, and so on the number of partial tuples a block holds;
-        larger values amortize interpreter overhead across NumPy operations.
-        A step is further limited to its share of the remaining slice budget
+        larger values amortize interpreter overhead across NumPy operations
+        (Skinner-C uses ``BATCH_SIZE``; ``1`` means batches of one).  A step
+        is further limited to its share of the remaining slice budget
         and to the meter's remaining work budget.
     """
 

@@ -12,11 +12,11 @@ compose across concurrent episodes).
 
 Determinism is the design center (see ``docs/parallel.md``):
 
-* The **morsel plan** is a pure function of the data and the morsel knobs
-  (``parallel_morsels`` / ``parallel_min_morsel_rows``) — never of
-  ``parallel_workers``.  The partition alias is the alias with the largest
-  filtered cardinality (earliest declared wins ties); its positions are cut
-  into equal contiguous chunks.
+* The **morsel plan** is a pure function of the data (and the constants
+  ``MORSELS`` / ``MIN_MORSEL_ROWS``) — never of ``parallel_workers``.  The
+  partition alias is the alias with the largest filtered cardinality
+  (earliest declared wins ties); its positions are cut into equal
+  contiguous chunks.
 * Morsels partition the result space disjointly (every result tuple carries
   exactly one partition-alias row), so the duplicate-eliminating result set
   assembles the union without cross-morsel interference and
@@ -65,6 +65,14 @@ from repro.storage.table import Table
 #: on every supported platform (the CI job forcing
 #: ``REPRO_PARALLEL_WORKERS=2`` guards exactly the spawn-vs-fork difference).
 _START_METHOD = "spawn"
+
+#: Target number of morsels the partition alias is split into.  Not derived
+#: from ``parallel_workers``, so rows and charges match across pool sizes.
+MORSELS = 8
+
+#: Minimum filtered rows of the partition alias per morsel: a query too
+#: small to form two morsels of this size runs single-process.
+MIN_MORSEL_ROWS = 64
 
 # ----------------------------------------------------------------------
 # shared-memory transport
@@ -277,23 +285,20 @@ atexit.register(shutdown_workers)
 # ----------------------------------------------------------------------
 
 def plan_morsels(
-    filtered: dict[str, np.ndarray],
-    aliases: Sequence[str],
-    config: SkinnerConfig,
+    filtered: dict[str, np.ndarray], aliases: Sequence[str]
 ) -> tuple[str, list[tuple[int, int]]]:
     """Deterministic morsel plan: partition alias + contiguous chunk bounds.
 
     The partition alias is the one with the largest filtered cardinality
     (first declared wins ties).  Its positions split into
-    ``min(parallel_morsels, rows // parallel_min_morsel_rows)`` contiguous
-    chunks (at least one) of near-equal size.  The plan depends only on the
-    data and the morsel knobs — never on the worker count — which is what
-    makes rows and meter charges identical for every pool size.
+    ``min(MORSELS, rows // MIN_MORSEL_ROWS)`` contiguous chunks (at least
+    one) of near-equal size.  The plan depends only on the data — never on
+    the worker count — which is what makes rows and meter charges identical
+    for every pool size.
     """
     partition = max(aliases, key=lambda alias: filtered[alias].shape[0])
     rows = int(filtered[partition].shape[0])
-    min_rows = max(1, config.parallel_min_morsel_rows)
-    count = max(1, min(max(1, config.parallel_morsels), rows // min_rows))
+    count = max(1, min(MORSELS, rows // MIN_MORSEL_ROWS))
     base, extra = divmod(rows, count)
     bounds: list[tuple[int, int]] = []
     start = 0
@@ -340,7 +345,6 @@ def _run_morsel(payload: dict[str, Any]) -> dict[str, Any]:
         payload["query"],
         None,
         payload["config"],
-        order_selection=payload["order_selection"],
         engine_name=payload["engine_name"],
         order_prior=payload["order_prior"],
         restrict_positions=restrict,
@@ -397,12 +401,10 @@ class ParallelSkinnerCTask(EngineTask):
         udfs: UdfRegistry | None = None,
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
-        order_selection: str = "uct",
         engine_name: str = "skinner-c",
         order_prior: Sequence[OrderPrior] | None = None,
     ) -> None:
         self._config = config
-        self._order_selection = order_selection
         self._engine_name = engine_name
         self._workers = max(1, config.parallel_workers)
         self._started = time.perf_counter()
@@ -425,7 +427,7 @@ class ParallelSkinnerCTask(EngineTask):
         self.finished = False
         self._closed = False
         self._partition_alias, self._morsel_bounds = plan_morsels(
-            self.prepared.filtered, self.prepared.aliases, config
+            self.prepared.filtered, self.prepared.aliases
         )
         self._merged = 0
         self._priors: tuple[OrderPrior, ...] = ()
@@ -566,7 +568,6 @@ class ParallelSkinnerCTask(EngineTask):
             self.query,
             None,
             self._config,
-            order_selection=self._order_selection,
             engine_name=self._engine_name,
             order_prior=order_prior,
             restrict_positions=self._restrict_for(index),
@@ -633,7 +634,6 @@ class ParallelSkinnerCTask(EngineTask):
                 "positions": position_specs,
                 "query": self.query,
                 "config": self._config,
-                "order_selection": self._order_selection,
                 "engine_name": self._engine_name,
                 "order_prior": self._priors,
             }
@@ -738,7 +738,7 @@ class ParallelSkinnerCTask(EngineTask):
             self.result_set,
             result_rows=result_rows,
             final_join_order=(
-                self.tree.best_order() if self._order_selection == "uct" else None
+                self.tree.best_order() if self._config.order_selection == "uct" else None
             ),
             time_slices=self.slices,
             uct_nodes=self.tree.node_count(),

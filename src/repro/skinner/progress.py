@@ -4,13 +4,12 @@ Skinner-C never loses work when it switches join orders: the state of every
 join order tried so far (one tuple index per table) is kept, and join orders
 sharing a *prefix* share progress.  The tracker stores, for every join-order
 prefix seen so far, the lexicographically most advanced index vector backed
-up for that prefix.  Restoring a join order therefore combines
-
-* the exact state last backed up for that very order (fully resumable), and
-* for every prefix length, the most advanced state of any order sharing that
-  prefix: all index combinations strictly below the stored prefix vector are
-  known to be fully processed, so the restored order may "fast-forward" to it
-  with the deeper positions reset to the shared offsets (paper §4.5).
+up for that prefix.  A full-length prefix is one join order, so its leaf
+holds that order's own last state (fully resumable); every shorter prefix
+holds the most advanced state of any order sharing it: all index
+combinations strictly below the stored prefix vector are known to be fully
+processed, so the restored order may "fast-forward" to it with the deeper
+positions reset to the shared offsets (paper §4.5).
 
 The number of tracker nodes is reported for the memory analysis (Figure 8).
 """
@@ -36,10 +35,7 @@ class _PrefixNode:
 class ProgressTracker:
     """Stores execution progress per join order and per join-order prefix."""
 
-    def __init__(self, aliases: tuple[str, ...], *, share_prefixes: bool = True) -> None:
-        self._aliases = aliases
-        self._share_prefixes = share_prefixes
-        self._exact: dict[tuple[str, ...], tuple[int, ...]] = {}
+    def __init__(self, aliases: tuple[str, ...]) -> None:
         self._root = _PrefixNode()
         self._offsets: dict[str, int] = {alias: 0 for alias in aliases}
         self._offsets_view = MappingProxyType(self._offsets)
@@ -65,15 +61,9 @@ class ProgressTracker:
     # ------------------------------------------------------------------
     def backup(self, state: JoinState) -> None:
         """Store the state of a join order after a time slice."""
-        order = state.order
         indices = state.as_tuple()
-        previous = self._exact.get(order)
-        if previous is None or indices > previous:
-            self._exact[order] = indices
-        if not self._share_prefixes:
-            return
         node = self._root
-        for position, alias in enumerate(order):
+        for position, alias in enumerate(state.order):
             node = node.children.setdefault(alias, _PrefixNode())
             prefix_state = indices[: position + 1]
             if node.best_prefix_state is None or prefix_state > node.best_prefix_state:
@@ -85,21 +75,17 @@ class ProgressTracker:
     def restore(self, order: tuple[str, ...], cardinalities: Mapping[str, int]) -> JoinState:
         """Return the most advanced safe state to resume ``order`` from."""
         candidates: list[tuple[int, ...]] = []
-        exact = self._exact.get(order)
-        if exact is not None:
-            candidates.append(exact)
-        if self._share_prefixes:
-            node = self._root
-            for position, alias in enumerate(order):
-                node = node.children.get(alias)
-                if node is None:
-                    break
-                if node.best_prefix_state is not None:
-                    prefix = node.best_prefix_state
-                    rest = tuple(
-                        self._offsets.get(order[p], 0) for p in range(position + 1, len(order))
-                    )
-                    candidates.append(prefix + rest)
+        node = self._root
+        for position, alias in enumerate(order):
+            node = node.children.get(alias)
+            if node is None:
+                break
+            if node.best_prefix_state is not None:
+                prefix = node.best_prefix_state
+                rest = tuple(
+                    self._offsets.get(order[p], 0) for p in range(position + 1, len(order))
+                )
+                candidates.append(prefix + rest)
         if not candidates:
             state = initial_state(order, self._offsets)
         else:
@@ -110,29 +96,24 @@ class ProgressTracker:
     # ------------------------------------------------------------------
     # memory accounting (Figure 8)
     # ------------------------------------------------------------------
+    def _nodes(self) -> list[_PrefixNode]:
+        """Every materialized node below the root."""
+        nodes: list[_PrefixNode] = []
+        pending = list(self._root.children.values())
+        while pending:
+            node = pending.pop()
+            nodes.append(node)
+            pending.extend(node.children.values())
+        return nodes
+
     def node_count(self) -> int:
-        """Number of prefix-tree nodes currently materialized."""
-
-        def count(node: _PrefixNode) -> int:
-            return 1 + sum(count(child) for child in node.children.values())
-
-        return count(self._root)
+        """Number of prefix-tree nodes currently materialized (root included)."""
+        return 1 + len(self._nodes())
 
     def tracked_orders(self) -> int:
-        """Number of distinct join orders with an exact stored state."""
-        return len(self._exact)
+        """Number of distinct join orders with a stored state: the leaves."""
+        return sum(1 for node in self._nodes() if not node.children)
 
     def estimated_bytes(self) -> int:
         """Rough memory footprint of the stored states."""
-        exact_bytes = sum(8 * len(indices) for indices in self._exact.values())
-        prefix_bytes = 0
-
-        def visit(node: _PrefixNode) -> None:
-            nonlocal prefix_bytes
-            if node.best_prefix_state is not None:
-                prefix_bytes += 8 * len(node.best_prefix_state)
-            for child in node.children.values():
-                visit(child)
-
-        visit(self._root)
-        return exact_bytes + prefix_bytes
+        return sum(8 * len(node.best_prefix_state) for node in self._nodes())

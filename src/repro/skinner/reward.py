@@ -1,10 +1,9 @@
-"""Reward functions mapping execution progress to UCT rewards in [0, 1].
+"""The reward mapping execution progress to a UCT reward in [0, 1].
 
-Rewards quantify how much of the join's index space a time slice covered
+A reward quantifies how much of the join's index space a time slice covered
 with the chosen join order.  The paper's default ("scaled deltas") sums the
 per-position tuple-index deltas, scaling each down by the product of the
-cardinalities of its table and all preceding tables; the simpler variant
-analyzed formally in §5 only considers progress in the left-most table.
+cardinalities of its table and all preceding tables.
 """
 
 from __future__ import annotations
@@ -23,31 +22,6 @@ def scaled_delta_reward(
     progress_before = prior.progress_fraction(cardinalities)
     progress_after = current.progress_fraction(cardinalities)
     return _clamp(progress_after - progress_before)
-
-
-def leftmost_reward(
-    prior: JoinState, current: JoinState, cardinalities: Mapping[str, int]
-) -> float:
-    """The simple reward: relative tuple-index delta in the left-most table."""
-    if prior.order != current.order:
-        raise ValueError("reward compares states of the same join order")
-    leftmost = current.order[0]
-    cardinality = max(1, cardinalities[leftmost])
-    delta = current.indices[0] - prior.indices[0]
-    return _clamp(delta / cardinality)
-
-
-def reward_function(name: str):
-    """Look up a reward function by configuration name."""
-    functions = {
-        "scaled_deltas": scaled_delta_reward,
-        "leftmost": leftmost_reward,
-    }
-    try:
-        return functions[name]
-    except KeyError as exc:
-        known = ", ".join(sorted(functions))
-        raise ValueError(f"unknown reward function {name!r}; known: {known}") from exc
 
 
 def _clamp(value: float) -> float:

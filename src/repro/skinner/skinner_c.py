@@ -46,6 +46,7 @@ from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
 from repro.skinner.multiway_join import (
+    BATCH_SIZE,
     MAX_BUDGET_FACTOR,
     SECOND_LOOK_FROM,
     MultiwayJoin,
@@ -54,9 +55,10 @@ from repro.skinner.multiway_join import (
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
-from repro.skinner.reward import reward_function
+from repro.skinner.reward import scaled_delta_reward
 from repro.skinner.state import JoinState
 from repro.storage.catalog import Catalog
+from repro.uct.policy import SKINNER_C_EXPLORATION_WEIGHT
 from repro.uct.tree import UctJoinTree
 
 _MAX_SLICES = 5_000_000
@@ -146,14 +148,13 @@ class SkinnerCTask(EngineTask):
         udfs: UdfRegistry | None = None,
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
-        order_selection: str = "uct",
         engine_name: str = "skinner-c",
         trace: bool = False,
         order_prior: Sequence[OrderPrior] | None = None,
         restrict_positions: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         self._config = config
-        self._order_selection = order_selection
+        self._learned = config.order_selection == "uct"
         self._engine_name = engine_name
         self._trace = trace
         self._started = time.perf_counter()
@@ -170,19 +171,16 @@ class SkinnerCTask(EngineTask):
         self.result_set = JoinResultSet(self.prepared.aliases)
         self.tree = UctJoinTree(
             query.join_graph(),
-            exploration_weight=config.exploration_weight,
+            exploration_weight=SKINNER_C_EXPLORATION_WEIGHT,
             seed=config.seed,
         )
-        self.tracker = ProgressTracker(
-            self.prepared.aliases, share_prefixes=config.share_progress
-        )
+        self.tracker = ProgressTracker(self.prepared.aliases)
         self.join = MultiwayJoin(
             self.prepared,
             udfs,
             use_hash_jump=config.use_hash_jump,
-            batch_size=config.batch_size,
+            batch_size=BATCH_SIZE,
         )
-        self._compute_reward = reward_function(config.reward_function)
         self._rng = random.Random(config.seed)
         self._graph = query.join_graph()
         self.slices = 0
@@ -290,7 +288,7 @@ class SkinnerCTask(EngineTask):
         self.slices += 1
         if self.slices > _MAX_SLICES:
             raise ExecutionError("Skinner-C exceeded the maximum number of time slices")
-        if self._order_selection == "uct":
+        if self._learned:
             order = self.tree.choose_order()
         else:
             order = SkinnerC._random_order(self._graph, self._rng)
@@ -313,16 +311,15 @@ class SkinnerCTask(EngineTask):
         )
         # Progress per base budget, whatever this slice was given: rewards
         # earned at different factors stay comparable.
-        reward = self._compute_reward(prior, state, self._cardinalities) / factor
+        reward = scaled_delta_reward(prior, state, self._cardinalities) / factor
         self.tree.update(order, reward)
         self._earned[order] = self._earned.get(order, 0.0) + reward
         self.tracker.backup(state)
-        if self._config.use_offsets:
-            # The one offset a slice moves is its left-most table's.
-            leftmost = order[0]
-            self.tracker.advance_offset(leftmost, state.indices[0])
-            if self.tracker.offsets[leftmost] >= self._cardinalities[leftmost]:
-                finished = True
+        # The one offset a slice moves is its left-most table's.
+        leftmost = order[0]
+        self.tracker.advance_offset(leftmost, state.indices[0])
+        if self.tracker.offsets[leftmost] >= self._cardinalities[leftmost]:
+            finished = True
         if self._trace:
             self.trace_records.append(
                 {"slice": self.slices, "uct_nodes": self.tree.node_count(), "order": order,
@@ -342,7 +339,7 @@ class SkinnerCTask(EngineTask):
         slice undersold is found while finding it is still cheap.
         """
         if (
-            self._order_selection != "uct"
+            not self._learned
             or granted < SECOND_LOOK_FROM
             or granted & (granted - 1)
         ):
@@ -392,7 +389,7 @@ class SkinnerCTask(EngineTask):
             self.result_set,
             result_rows=result_rows,
             final_join_order=(
-                self.tree.best_order() if self._order_selection == "uct" else None
+                self.tree.best_order() if self._learned else None
             ),
             time_slices=self.slices,
             uct_nodes=self.tree.node_count(),
@@ -411,10 +408,10 @@ class SkinnerC(ExecutionBackend):
     udfs:
         Registry of user-defined functions referenced by queries.
     config:
-        Tuning knobs; see :class:`~repro.config.SkinnerConfig`.
-    order_selection:
-        ``"uct"`` (default) or ``"random"`` — the latter replaces learning by
-        uniform random join-order selection and is the baseline of Table 5.
+        Tuning knobs; see :class:`~repro.config.SkinnerConfig`.  Its
+        ``order_selection`` is ``"uct"`` or ``"random"`` — the latter
+        replaces learning by uniform random join-order selection and is the
+        baseline of Table 5.
     """
 
     def __init__(
@@ -422,21 +419,17 @@ class SkinnerC(ExecutionBackend):
         catalog: Catalog,
         udfs: UdfRegistry | None = None,
         config: SkinnerConfig = DEFAULT_CONFIG,
-        *,
-        order_selection: str | None = None,
     ) -> None:
-        order_selection = order_selection or config.order_selection
-        if order_selection not in ("uct", "random"):
+        if config.order_selection not in ("uct", "random"):
             raise ValueError("order_selection must be 'uct' or 'random'")
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
-        self._order_selection = order_selection
 
     @property
     def name(self) -> str:
         """Engine name used in reports."""
-        if self._order_selection == "random":
+        if self._config.order_selection == "random":
             return "skinner-c(random)"
         return "skinner-c"
 
@@ -467,7 +460,6 @@ class SkinnerC(ExecutionBackend):
                 query,
                 self._udfs,
                 self._config,
-                order_selection=self._order_selection,
                 engine_name=self.name,
                 order_prior=order_prior,
             )
@@ -476,7 +468,6 @@ class SkinnerC(ExecutionBackend):
             query,
             self._udfs,
             self._config,
-            order_selection=self._order_selection,
             engine_name=self.name,
             trace=trace,
             order_prior=order_prior,
@@ -484,8 +475,7 @@ class SkinnerC(ExecutionBackend):
 
     def _parallel_requested(self, query: Query, *, trace: bool) -> bool:
         """Whether ``task`` should hand this query to the parallel coordinator."""
-        config = self._config
-        if config.parallel_workers <= 1 or trace or query.num_tables < 2:
+        if self._config.parallel_workers <= 1 or trace or query.num_tables < 2:
             return False
         if query.has_udf_predicates():
             warnings.warn(
@@ -501,7 +491,9 @@ class SkinnerC(ExecutionBackend):
             )
         except ReproError:
             return False  # let the single-process path raise the real error
-        return largest >= 2 * max(1, config.parallel_min_morsel_rows)
+        from repro.skinner.parallel import MIN_MORSEL_ROWS
+
+        return largest >= 2 * MIN_MORSEL_ROWS
 
     def execute_with_order(self, query: Query, order: tuple[str, ...]) -> QueryResult:
         """Execute a query with one fixed join order on the Skinner-C engine.
@@ -526,7 +518,7 @@ class SkinnerC(ExecutionBackend):
                 prepared,
                 self._udfs,
                 use_hash_jump=self._config.use_hash_jump,
-                batch_size=self._config.batch_size,
+                batch_size=BATCH_SIZE,
             )
             state = JoinState(tuple(order))
             offsets = {alias: 0 for alias in prepared.aliases}

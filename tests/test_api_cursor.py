@@ -654,16 +654,6 @@ class TestLimitPushdown:
         assert not session.stream.incremental
         assert session.result.metrics.extra.get("limit_pushdown") is None
 
-    def test_pushdown_disabled_by_config_restores_blocking_limit(self):
-        conn = self._conn(serving_limit_pushdown=False)
-        cursor = conn.cursor()
-        cursor.execute(self.SQL, use_result_cache=False)
-        rows = cursor.fetchall()
-        session = conn.server.session(cursor.ticket)
-        assert len(rows) == 4
-        assert not session.stream.incremental
-        assert session.result.metrics.extra.get("limit_pushdown") is None
-
     def test_duplicate_output_names_collapse_like_a_full_run(self):
         # Result tables are dict-keyed, so "SELECT a.v, b.v" collapses to a
         # single column in a full run; the push-down's early result table

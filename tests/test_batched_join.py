@@ -36,6 +36,7 @@ from repro.skinner.multiway_join import MultiwayJoin
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import initial_state
+from repro.skinner import skinner_c
 from repro.skinner.skinner_c import SkinnerC
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -431,12 +432,13 @@ def test_suspension_parks_frames_under_the_index_vector(tiny_catalog, tiny_join_
     assert set(results.tuples()) == reference_join_tuples(tiny_catalog, tiny_join_query)
 
 
-def test_skinner_c_engine_identical_across_batch_sizes(tiny_catalog, tiny_join_query):
+def test_skinner_c_engine_identical_across_batch_sizes(
+        tiny_catalog, tiny_join_query, monkeypatch):
     """End-to-end: the engine returns the same relation for any batch size."""
     reference = None
     for batch_size in (1, 2, 64, 1024):
-        config = SkinnerConfig(slice_budget=32, batch_size=batch_size)
-        engine = SkinnerC(tiny_catalog, config=config)
+        monkeypatch.setattr(skinner_c, "BATCH_SIZE", batch_size)
+        engine = SkinnerC(tiny_catalog, config=SkinnerConfig(slice_budget=32))
         result = engine.execute(tiny_join_query)
         rows = result_multiset(result)
         if reference is None:

@@ -26,6 +26,7 @@ from repro.bench.specs import (
 )
 from repro.config import SkinnerConfig
 from repro.engine.profiles import get_profile
+from repro.skinner import parallel
 from repro.skinner.parallel import ParallelSkinnerCTask
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.workloads.torture import make_trivial_workload, make_udf_torture
@@ -160,9 +161,10 @@ class TestModelledCores:
                     profile).simulated_time(metrics.work, threads=8), name
 
     @pytest.mark.parametrize("task_class", [SkinnerCTask, ParallelSkinnerCTask])
-    def test_skinner_c_spreads_pre_processing_only(self, job_workload, task_class):
-        config = FAST.with_overrides(parallel_morsels=3, parallel_min_morsel_rows=4)
-        task = task_class(job_workload.catalog, job_workload.queries[0].query, None, config)
+    def test_skinner_c_spreads_pre_processing_only(self, job_workload, task_class, monkeypatch):
+        monkeypatch.setattr(parallel, "MORSELS", 3)
+        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 4)
+        task = task_class(job_workload.catalog, job_workload.queries[0].query, None, FAST)
         while not task.finished:
             task.run_episode()
         metrics = task.finalize().metrics

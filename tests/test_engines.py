@@ -128,11 +128,8 @@ class TestSkinnerC:
 
     @pytest.mark.parametrize("overrides", [
         {"use_hash_jump": False},
-        {"share_progress": False},
-        {"use_offsets": False},
-        {"reward_function": "leftmost"},
         {"order_selection": "random"},
-        {"use_hash_jump": False, "share_progress": False, "use_offsets": False},
+        {"use_hash_jump": False, "order_selection": "random"},
     ])
     def test_ablations_preserve_correctness(self, tiny_catalog, tiny_join_query, overrides):
         config = FAST_CONFIG.with_overrides(**overrides)
@@ -152,7 +149,7 @@ class TestSkinnerC:
 
     def test_invalid_order_selection_rejected(self, tiny_catalog):
         with pytest.raises(ValueError):
-            SkinnerC(tiny_catalog, order_selection="psychic")
+            SkinnerC(tiny_catalog, config=DEFAULT_CONFIG.with_overrides(order_selection="psychic"))
 
 
 class TestSkinnerG:

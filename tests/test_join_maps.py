@@ -18,10 +18,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
 from repro.query.predicates import column_equals_column
 from repro.query.query import make_query
-from repro.skinner.preprocessor import GroupedJoinMap, preprocess
+from repro.skinner.preprocessor import preprocess
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 

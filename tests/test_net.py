@@ -22,6 +22,7 @@ import pytest
 
 from repro import InterfaceError, ReproError, SkinnerConfig, connect
 from repro.errors import OperationalError, ParseError
+from repro.net import server as net_server
 from repro.net.client import DEFAULT_PORT, RemoteTransport, parse_dsn
 from repro.net.protocol import LENGTH_PREFIX, decode_payload, encode_frame
 from repro.net.server import ServerThread
@@ -266,13 +267,22 @@ class TestErrorMapping:
     @pytest.mark.parametrize("config, message", [
         ({"slice_budgett": 64}, "unknown config field 'slice_budgett'"),
         ({"slice_budget": "abc"}, "config field 'slice_budget' must be int, got 'abc'"),
-        ({"use_offsets": 1}, "config field 'use_offsets' must be bool, got 1"),
+        ({"use_hash_jump": 1}, "config field 'use_hash_jump' must be bool, got 1"),
         ({"slice_budget": True}, "config field 'slice_budget' must be int, got True"),
-        ({"join_mode": "rows"}, "config field 'join_mode' was removed"),
-        ({"postprocess_mode": "rows"}, "config field 'postprocess_mode' was removed"),
+        ({"join_mode": "rows"}, "unknown config field 'join_mode'"),
+        ({"postprocess_mode": "rows"}, "unknown config field 'postprocess_mode'"),
         (["slice_budget"], "submit config must be an object"),
-        # Once a knob, now a constant: refused like any name never known.
+        # Once a knob, now a constant (or gone with its code path): refused
+        # like any name never known.
         ({"serving_order_cache_size": 0}, "unknown config field 'serving_order_cache_size'"),
+        *(({name: value}, f"unknown config field '{name}'") for name, value in (
+            ("batch_size", 1024), ("exploration_weight", 1e-6),
+            ("reward_function", "scaled_deltas"), ("share_progress", True),
+            ("use_offsets", True), ("serving_quantum_episodes", 1),
+            ("serving_grant_wall_ms", 0.0), ("serving_result_cache_size", 64),
+            ("serving_tenant_backlog", 8), ("serving_limit_pushdown", True),
+            ("parallel_morsels", 8), ("parallel_min_morsel_rows", 64),
+        )),
     ])
     def test_submit_config_is_validated_at_the_verb(self, remote, config, message):
         """A foreign (or older) client's config never reaches the engine."""
@@ -288,8 +298,15 @@ class TestErrorMapping:
     def test_submit_rejects_the_removed_threads_argument(self, remote):
         """An older client's modelled core count is refused, not ignored."""
         channel = remote.transport._channel
-        with pytest.raises(InterfaceError, match="submit argument 'threads' was removed"):
+        with pytest.raises(InterfaceError, match="unknown submit argument 'threads'"):
             channel.request("submit", sql="SELECT r.id FROM r", threads=1)
+        assert remote.stats()["completed"] == 0
+
+    def test_submit_rejects_a_misspelt_argument(self, remote):
+        """A name the verb does not read is refused, not silently ignored."""
+        channel = remote.transport._channel
+        with pytest.raises(InterfaceError, match="unknown submit argument 'use_result_cach'"):
+            channel.request("submit", sql="SELECT r.id FROM r", use_result_cach=False)
         assert remote.stats()["completed"] == 0
 
     def test_non_object_args_after_hello_keep_the_session(self, server, remote):
@@ -473,11 +490,10 @@ class TestMidStreamDisconnect:
 
 
 class TestBackpressure:
-    def test_flooding_tenant_backlog_stays_bounded(self):
+    def test_flooding_tenant_backlog_stays_bounded(self, monkeypatch):
         bound = 2
-        live = ServerThread(
-            config=FAST.with_overrides(serving_tenant_backlog=bound)
-        ).start()
+        monkeypatch.setattr(net_server, "TENANT_BACKLOG", bound)
+        live = ServerThread(config=FAST).start()
         try:
             seed_rs_schema(live.connection)
             transport = RemoteTransport(live.server.host, live.server.port, tenant="flood")

@@ -4,11 +4,11 @@ The central property: the worker pool changes *where* a query's morsels
 run, never *what* they compute.  A query executed with N workers must
 produce byte-identical result rows and identical meter charges to the same
 query with 1 worker — and identical rows to the plain single-process
-Skinner-C task — because the morsel plan is a pure function of the data
-and the morsel knobs, never of the pool size.  On top of that the new
-surface is pinned: ``?workers=N`` applied server-side, registry conformance
-validation, fallback rules, and shared-memory / worker-pool hygiene (the
-``workers`` setting's resolution and validation are table-driven in
+Skinner-C task — because the morsel plan is a pure function of the data,
+never of the pool size.  On top of that the new surface is pinned:
+``?workers=N`` applied server-side, registry conformance validation,
+fallback rules, and shared-memory / worker-pool hygiene (the ``workers``
+setting's resolution and validation are table-driven in
 ``tests/test_connection_settings.py``).
 """
 
@@ -32,10 +32,10 @@ from repro.query.predicates import (
 from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
 from repro.serving import QueryServer
+from repro.skinner import parallel
 from repro.skinner.parallel import (
     ParallelSkinnerCTask,
     live_segment_count,
-    plan_morsels,
     shutdown_workers,
 )
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
@@ -43,10 +43,12 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng
 
-#: Morsel knobs small enough that test-sized tables actually morselize.
-PARALLEL = DEFAULT_CONFIG.with_overrides(
-    parallel_morsels=4, parallel_min_morsel_rows=8
-)
+
+@pytest.fixture(autouse=True)
+def _small_morsels(monkeypatch):
+    """Morsels small enough that test-sized tables actually morselize."""
+    monkeypatch.setattr(parallel, "MORSELS", 4)
+    monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 8)
 
 
 def build_catalog(seed: int = 7, n1: int = 400, n2: int = 300) -> Catalog:
@@ -73,7 +75,7 @@ def join_query(limit_v: int = 8):
     )
 
 
-def run_parallel(catalog, query, workers: int, config: SkinnerConfig = PARALLEL):
+def run_parallel(catalog, query, workers: int, config: SkinnerConfig = DEFAULT_CONFIG):
     task = ParallelSkinnerCTask(
         catalog, query, None, config.with_overrides(parallel_workers=workers)
     )
@@ -137,28 +139,23 @@ class TestByteIdentity:
         query = join_query()
         plain = SkinnerC(catalog, None, DEFAULT_CONFIG).execute(query)
         routed = SkinnerC(
-            catalog, None, PARALLEL.with_overrides(parallel_workers=2)
+            catalog, None, DEFAULT_CONFIG.with_overrides(parallel_workers=2)
         ).execute(query)
         assert routed.table.rows() == plain.table.rows()
         assert routed.metrics.extra["parallel_workers"] == 2
 
     def test_morsel_plan_ignores_worker_count(self):
         catalog = build_catalog()
-        query = join_query()
-        import numpy as np
-
-        filtered = {
-            "t1": np.arange(catalog.table("t1").num_rows, dtype=np.int64),
-            "t2": np.arange(catalog.table("t2").num_rows, dtype=np.int64),
-        }
-        aliases = tuple(alias for alias, _ in query.tables)
-        plans = {
-            w: plan_morsels(
-                filtered, aliases, PARALLEL.with_overrides(parallel_workers=w)
+        plans = []
+        for workers in (1, 2, 7):
+            task = ParallelSkinnerCTask(
+                catalog, join_query(), None,
+                DEFAULT_CONFIG.with_overrides(parallel_workers=workers),
             )
-            for w in (1, 2, 7)
-        }
-        assert plans[1] == plans[2] == plans[7]
+            plans.append((task._partition_alias, task._morsel_bounds))
+            task.close()
+        assert len(plans[0][1]) > 1
+        assert plans[0] == plans[1] == plans[2]
 
 
 class TestFallbacks:
@@ -173,17 +170,16 @@ class TestFallbacks:
                 udf_predicate("is_even", ("t1", "v")),
             ],
         )
-        engine = SkinnerC(catalog, udfs, PARALLEL.with_overrides(parallel_workers=2))
+        engine = SkinnerC(catalog, udfs, DEFAULT_CONFIG.with_overrides(parallel_workers=2))
         with pytest.warns(RuntimeWarning, match="UDF"):
             task = engine.task(query)
         assert isinstance(task, SkinnerCTask)
         assert not isinstance(task, ParallelSkinnerCTask)
 
-    def test_tiny_input_falls_back_silently(self):
+    def test_tiny_input_falls_back_silently(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 64)
         catalog = build_catalog(n1=10, n2=10)
-        config = PARALLEL.with_overrides(
-            parallel_workers=2, parallel_min_morsel_rows=64
-        )
+        config = DEFAULT_CONFIG.with_overrides(parallel_workers=2)
         task = SkinnerC(catalog, None, config).task(join_query())
         assert not isinstance(task, ParallelSkinnerCTask)
 
@@ -249,7 +245,7 @@ class TestRegistryConformance:
 class TestServingIntegration:
     def test_cancel_mid_query_releases_segments(self):
         catalog = build_catalog()
-        config = PARALLEL.with_overrides(
+        config = DEFAULT_CONFIG.with_overrides(
             parallel_workers=2, slice_budget=16, serving_warm_start=False
         )
         server = QueryServer(catalog, config=config)
@@ -263,7 +259,7 @@ class TestServingIntegration:
 
     def test_served_parallel_matches_direct(self):
         catalog = build_catalog()
-        config = PARALLEL.with_overrides(
+        config = DEFAULT_CONFIG.with_overrides(
             parallel_workers=2, serving_warm_start=False
         )
         server = QueryServer(catalog, config=config)
@@ -282,10 +278,7 @@ class TestWireWorkers:
     def test_dsn_workers_applies_server_side(self):
         from repro.net.server import ServerThread
 
-        config = SkinnerConfig(
-            slice_budget=64, parallel_morsels=4, parallel_min_morsel_rows=8,
-            serving_warm_start=False,
-        )
+        config = SkinnerConfig(slice_budget=64, serving_warm_start=False)
         with ServerThread(config=config) as live:
             catalog = build_catalog()
             for name in ("t1", "t2"):

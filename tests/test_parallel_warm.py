@@ -15,13 +15,14 @@ import multiprocessing
 import pytest
 
 from repro.api import connect
+from repro.config import DEFAULT_CONFIG
 from repro.serving.cache import join_graph_signature
 from repro.skinner.multiway_join import SECOND_LOOK_FROM
 from repro.skinner.parallel import ParallelSkinnerCTask, live_segment_count, shutdown_workers
-from tests.test_parallel import PARALLEL, build_catalog, join_query
+from tests.test_parallel import _small_morsels, build_catalog, join_query  # noqa: F401
 
 #: Slices short enough that the pilot earns a rung worth handing on.
-WARM = PARALLEL.with_overrides(slice_budget=8)
+WARM = DEFAULT_CONFIG.with_overrides(slice_budget=8)
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
-from repro.skinner.reward import leftmost_reward, reward_function, scaled_delta_reward
+from repro.skinner.reward import scaled_delta_reward
 from repro.skinner.state import JoinState, clamp_to_offsets, initial_state
 from repro.skinner.timeouts import PyramidTimeoutScheme
 
@@ -104,23 +104,9 @@ class TestRewards:
         state = JoinState(order, [2, 5])
         assert scaled_delta_reward(state, state.copy(), CARDS) == 0.0
 
-    def test_leftmost_reward(self):
-        order = ("a", "b")
-        prior = JoinState(order, [2, 0])
-        later = JoinState(order, [7, 19])
-        assert leftmost_reward(prior, later, CARDS) == pytest.approx(0.5)
-
     def test_rewards_require_same_order(self):
         with pytest.raises(ValueError):
             scaled_delta_reward(JoinState(("a", "b")), JoinState(("b", "a")), CARDS)
-        with pytest.raises(ValueError):
-            leftmost_reward(JoinState(("a", "b")), JoinState(("b", "a")), CARDS)
-
-    def test_reward_function_lookup(self):
-        assert reward_function("scaled_deltas") is scaled_delta_reward
-        assert reward_function("leftmost") is leftmost_reward
-        with pytest.raises(ValueError):
-            reward_function("bogus")
 
 
 class TestResultSet:
@@ -174,12 +160,6 @@ class TestProgressTracker:
         # Shares the length-1 prefix "a": everything below index 5 in a is done.
         assert restored.indices[0] == 5
         assert restored.indices[1:] == [0, 0]
-
-    def test_prefix_sharing_disabled(self):
-        tracker = ProgressTracker(("a", "b", "c"), share_prefixes=False)
-        tracker.backup(JoinState(("a", "b", "c"), [5, 3, 2]))
-        restored = tracker.restore(("a", "c", "b"), CARDS)
-        assert restored.indices == [0, 0, 0]
 
     def test_offsets_clamp_restored_state(self):
         tracker = ProgressTracker(("a", "b"))

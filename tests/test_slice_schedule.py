@@ -112,9 +112,10 @@ def _misled_task(job, tried=None, order_prior=None):
             return 0.001 if len(tried) == 1 else 0.01 if len(tried) == 2 else 0.0
         return 0.5 if state.order == tried[0] else 0.01 if state.order == tried[1] else 0.0
 
-    task._compute_reward = reward
-    while not task.finished:
-        task.run_episode()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(skinner_c, "scaled_delta_reward", reward)
+        while not task.finished:
+            task.run_episode()
     return task, tried
 
 
@@ -253,8 +254,8 @@ def test_an_order_the_prior_does_not_name_still_starts_with_a_base_probe():
     job = make_job_workload(scale=0.4, seed=13)
     query = max(job.queries, key=lambda q: q.query.num_tables).query
     order = tuple(query.aliases)
-    task = SkinnerCTask(job.catalog, query, job.udfs, SkinnerConfig(slice_budget=BASE),
-                        order_selection="random", trace=True,
+    task = SkinnerCTask(job.catalog, query, job.udfs,
+                        SkinnerConfig(slice_budget=BASE, order_selection="random"), trace=True,
                         order_prior=[(order, 1.0, 8, MAX_BUDGET_FACTOR)])
     first = _first_factors(_drive(task))
     assert len(first) > 2 and all(
@@ -361,11 +362,12 @@ def test_the_order_cache_hands_on_evidence_and_invalidation_drops_it(tiny_catalo
     conn.close()
 
 
-def test_rewards_stay_on_the_progress_per_base_budget_scale(tiny_catalog, tiny_join_query):
+def test_rewards_stay_on_the_progress_per_base_budget_scale(
+        tiny_catalog, tiny_join_query, monkeypatch):
     """A factor-k slice feeds UCT its progress divided by k."""
     task = SkinnerCTask(tiny_catalog, tiny_join_query, None, SkinnerConfig(slice_budget=4),
                         trace=True)
-    task._compute_reward = lambda prior, state, cardinalities: 0.5
+    monkeypatch.setattr(skinner_c, "scaled_delta_reward", lambda prior, state, cardinalities: 0.5)
     while not task.finished:
         task.run_episode()
     records = task.trace_records
@@ -380,14 +382,12 @@ def test_rewards_stay_on_the_progress_per_base_budget_scale(tiny_catalog, tiny_j
 # scheduling never changes a result
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(catalog_and_query(max_tables=4, max_rows=12), st.booleans(), st.booleans(),
-       st.sampled_from([2, 5, 16]))
-def test_scheduled_run_equals_the_forced_order_run(bundle, use_hash_jump, share_progress, base):
+@given(catalog_and_query(max_tables=4, max_rows=12), st.booleans(), st.sampled_from([2, 5, 16]))
+def test_scheduled_run_equals_the_forced_order_run(bundle, use_hash_jump, base):
     """Random chain joins big enough to take many tiny slices (a third of the
     examples reach a factor above 1)."""
     catalog, query = bundle
-    config = SkinnerConfig(slice_budget=base, use_hash_jump=use_hash_jump,
-                           share_progress=share_progress)
+    config = SkinnerConfig(slice_budget=base, use_hash_jump=use_hash_jump)
     engine = SkinnerC(catalog, config=config)
     learned = engine.execute(query)
     forced = engine.execute_with_order(query, query.aliases)

@@ -26,6 +26,7 @@ import pytest
 from repro import InterfaceError, SkinnerConfig, connect
 from repro.errors import CatalogError
 from repro.net.server import ServerThread
+from repro.skinner import parallel
 from repro.skinner.parallel import live_segment_count, shutdown_workers
 from repro.storage import parse_count
 from repro.storage.loader import save_csv
@@ -119,27 +120,26 @@ class TestPropertyBackendByteIdentical:
         reopened.close()
 
     @pytest.mark.parametrize("seed", [14, 15])
-    def test_workers_two_over_durable_matches_in_memory(self, seed, tmp_path):
+    def test_workers_two_over_durable_matches_in_memory(self, seed, tmp_path, monkeypatch):
         # workers=2 on a durable catalog exports columns to morsel workers
         # as memory-mapped files; same worker count in memory uses shm
         # copies.  Rows and charges must not notice.
+        monkeypatch.setattr(parallel, "MORSELS", 4)
+        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 2)
         rng = random.Random(seed)
         sql = _random_query(rng)
-        parallel = FAST.with_overrides(
-            parallel_morsels=4, parallel_min_morsel_rows=2
-        )
 
-        memory = connect(parallel, workers=2)
+        memory = connect(FAST, workers=2)
         seed_rs_schema(memory)
         reference = _run(memory, sql)
         memory.close()
 
-        durable = connect(parallel, workers=2, data_dir=tmp_path / "db")
+        durable = connect(FAST, workers=2, data_dir=tmp_path / "db")
         seed_rs_schema(durable)
         assert _run(durable, sql) == reference, sql
         durable.close()
 
-        reopened = connect(parallel, workers=2, data_dir=tmp_path / "db")
+        reopened = connect(FAST, workers=2, data_dir=tmp_path / "db")
         assert _run(reopened, sql) == reference, sql
         reopened.close()
 

@@ -22,6 +22,7 @@ import pytest
 
 from repro import SkinnerConfig, connect
 from repro.errors import InterfaceError
+from repro.skinner import parallel
 
 _TIMEOUT = 60.0
 
@@ -259,13 +260,14 @@ class TestReaderOutlivesItsGeneration:
     half-fetched result changes nothing the cursor returns."""
 
     CONFIG = SkinnerConfig(
-        buffer_pool_bytes=1024, slice_budget=32, batch_size=8, batches_per_table=3,
-        base_timeout=150, serving_warm_start=False, parallel_min_morsel_rows=16,
+        buffer_pool_bytes=1024, slice_budget=32, batches_per_table=3,
+        base_timeout=150, serving_warm_start=False,
     )
     SQL = "SELECT a.k, b.v FROM t a, u b WHERE a.k = b.k"
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_replace_commit_checkpoint_between_fetches(self, tmp_path, workers):
+    def test_replace_commit_checkpoint_between_fetches(self, tmp_path, workers, monkeypatch):
+        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 16)
         conn = connect(self.CONFIG, data_dir=tmp_path / "db", workers=workers)
         try:
             conn.create_table("t", {"k": list(range(300))})

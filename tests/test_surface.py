@@ -10,10 +10,12 @@ Removing one only needs the expectation shrunk.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import repro
 from repro import Connection, Cursor, EngineSpec, QueryServer, SkinnerConfig, connect
@@ -24,22 +26,15 @@ from repro.net.protocol import PROTOCOL_VERSION
 
 CONFIG_FIELDS = {
     # Skinner-C
-    "slice_budget", "batch_size", "exploration_weight", "reward_function",
-    "use_hash_jump", "share_progress", "use_offsets",
+    "slice_budget", "use_hash_jump",
     # Skinner-G/H
     "batches_per_table", "base_timeout",
     # learning
     "order_selection", "seed",
     # serving layer
-    "serving_max_inflight", "serving_quantum_episodes", "serving_result_cache_size",
-    "serving_warm_start", "serving_grant_wall_ms", "serving_tenant_backlog",
-    "serving_limit_pushdown",
-    # morsel parallelism
-    "parallel_workers", "parallel_morsels", "parallel_min_morsel_rows",
-    # storage
-    "data_dir", "buffer_pool_bytes",
-    # connection default
-    "default_engine",
+    "serving_max_inflight", "serving_warm_start",
+    # connection settings and storage
+    "parallel_workers", "data_dir", "default_engine", "buffer_pool_bytes",
 }
 
 PUBLIC_NAMES = {
@@ -92,8 +87,25 @@ EXECUTE_PARAMETERS = {
 
 def test_config_fields_are_exactly_these():
     fields = [field.name for field in dataclasses.fields(SkinnerConfig)]
-    assert len(fields) == len(set(fields)) == 24
+    assert len(fields) == len(set(fields)) == 12
     assert set(fields) == CONFIG_FIELDS
+
+
+def test_every_config_field_has_a_reader():
+    """A field nothing in ``repro`` reads is a knob with one value: a constant.
+
+    Every field must be read as an attribute (``config.<field>``) somewhere
+    outside ``repro/config.py``, so deleting a field's last reader fails here
+    instead of leaving the field behind.
+    """
+    package = Path(repro.__file__).parent
+    read: set[str] = set()
+    for path in package.rglob("*.py"):
+        if path == package / "config.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    assert CONFIG_FIELDS - read == set()
 
 
 def test_engine_contract_is_exactly_this():

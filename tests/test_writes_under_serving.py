@@ -26,7 +26,6 @@ from repro import SkinnerConfig, connect
 
 FAST = SkinnerConfig(
     slice_budget=32,
-    batch_size=8,
     batches_per_table=3,
     base_timeout=150,
     serving_warm_start=False,
