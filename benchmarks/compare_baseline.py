@@ -21,12 +21,15 @@ when that variable is set (or to ``--summary PATH``).  A benchmark present
 in the artifacts but missing from the baseline also fails the gate (status
 ``NO BASELINE``) with a pointer to the fix, so newly added benchmarks cannot
 ship ungated.  Refresh the baseline with ``--update`` after an intentional
-performance change or when adding a benchmark (see docs/ci.md).
+performance change or when adding a benchmark (see docs/ci.md); with
+``--only`` it refreshes the named entries and keeps every other one as it
+was, so a change that moves one fingerprint commits exactly that one.
 
 Usage::
 
     python benchmarks/compare_baseline.py bench-artifacts
     python benchmarks/compare_baseline.py bench-artifacts --update
+    python benchmarks/compare_baseline.py bench-artifacts --update --only docstore_axes
 """
 
 from __future__ import annotations
@@ -158,7 +161,12 @@ def main(argv: list[str] | None = None) -> int:
                              "(defaults to $GITHUB_STEP_SUMMARY when set)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from the artifacts instead of gating")
+    parser.add_argument("--only", metavar="NAME[,NAME]",
+                        type=lambda text: [name for name in text.split(",") if name],
+                        help="with --update: refresh these entries, keep all others")
     args = parser.parse_args(argv)
+    if args.only is not None and not args.update:
+        parser.error("--only needs --update")
 
     artifacts = load_artifacts(args.artifact_dir)
     if not artifacts:
@@ -169,9 +177,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.update:
         baseline.setdefault("tolerance", 0.25)
         baseline.setdefault("wall_floor_seconds", 2.0)
-        baseline["benchmarks"] = artifacts
+        if args.only is None:
+            refreshed = baseline["benchmarks"] = artifacts
+        else:
+            missing = [name for name in args.only if name not in artifacts]
+            if missing:
+                print(f"no artifact for {', '.join(missing)} under {args.artifact_dir}",
+                      file=sys.stderr)
+                return 1
+            refreshed = {name: artifacts[name] for name in args.only}
+            baseline.setdefault("benchmarks", {}).update(refreshed)
         args.baseline.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-        print(f"baseline refreshed with {len(artifacts)} benchmarks -> {args.baseline}")
+        print(f"baseline refreshed with {len(refreshed)} benchmarks -> {args.baseline}")
         return 0
 
     rows, failed = compare(baseline, artifacts)
@@ -189,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"benchmark(s) {', '.join(missing_baseline)} have no entry in "
             f"{args.baseline}; run `python benchmarks/compare_baseline.py "
-            f"{args.artifact_dir} --update` and commit the refreshed baseline "
+            f"{args.artifact_dir} --update --only {','.join(missing_baseline)}` "
+            "and commit the refreshed baseline "
             "together with the new benchmark (see docs/ci.md)",
             file=sys.stderr,
         )

@@ -1,7 +1,7 @@
 """Quickstart: shred documents, run XPath-axis joins, churn under serving.
 
 The document subsystem in one sitting: ``Connection.load_document()``
-shreds an XML (or JSON) file into a pre/post node table, the axis
+shreds an XML (or JSON) file into a pre/post/last node table, the axis
 compiler renders XPath-style steps as multi-way self-joins every engine
 can run, and the churn driver proves that interleaving subtree writes
 with streamed queries never changes any answer.  Run with::
@@ -47,8 +47,8 @@ def main() -> None:
         json_path = Path(scratch) / "inventory.json"
         json_path.write_text(INVENTORY_JSON.strip())
 
-        # Shred: one relational row per document node (pre/post region
-        # encoding, parent pointers, typed value columns).
+        # Shred: one relational row per document node (pre/post/last
+        # interval encoding, parent pointers, typed value columns).
         doc = conn.load_document(xml_path)                   # table "site"
         inv = conn.load_document(json_path, "inventory")
         conn.commit()

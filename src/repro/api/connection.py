@@ -376,8 +376,8 @@ class Connection:
         """Shred an XML or JSON document into a relational node table.
 
         The document is parsed client-side and shredded into one row per
-        node (pre/post order, parent, depth, kind/tag, typed value columns
-        — see ``docs/docstore.md``); XPath-style axis queries over the
+        node (pre/post order, last descendant, parent, depth, kind/tag,
+        typed value columns — see ``docs/docstore.md``); XPath-style axis queries over the
         table are built with :mod:`repro.docstore.axes`.  ``format`` is
         ``"xml"`` or ``"json"``, inferred from the file suffix when
         ``None``.  Like :meth:`load_csv`, re-loading identical bytes into a

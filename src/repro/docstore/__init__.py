@@ -9,8 +9,8 @@ optimizer's independence assumptions collapse (see ``docs/docstore.md``).
 Three parts:
 
 * :mod:`repro.docstore.shred` — parse XML/JSON into a node tree and encode
-  it as a relational node table (pre/post order, parent, depth, tag/kind,
-  typed value columns);
+  it as a relational node table (pre/post order, last descendant, parent,
+  depth, tag/kind, typed value columns);
 * :mod:`repro.docstore.axes` / :mod:`repro.docstore.workload` — compile
   XPath-style axis steps into multi-way self-join SQL on the repro query
   surface, and generate deterministic, correlation-heavy axes workloads;

@@ -8,15 +8,22 @@ is a chain of steps, each binding one alias of the *same* table; step
 axis                join predicates between ``sN`` and its context ``sM``
 =================== =====================================================
 child               ``sN.parent = sM.pre``
-descendant          ``sN.pre > sM.pre AND sN.post < sM.post``
+descendant          ``sN.pre > sM.pre AND sN.pre <= sM.last``
 following-sibling   ``sN.parent = sM.parent AND sN.pre > sM.pre``
-ancestor            ``sN.pre < sM.pre AND sN.post > sM.post``
+ancestor            ``sN.pre < sM.pre AND sN.last >= sM.pre``
 =================== =====================================================
 
 ``child`` and the parent half of ``following-sibling`` are equi-joins
-(hash-join eligible); ``descendant``/``ancestor`` and the order half of
-``following-sibling`` are generic inequality join predicates — the mix is
-what makes axis paths the paper's favorite stress case: every alias is
+(hash-join eligible).  ``descendant``/``ancestor`` are the interval
+encoding of XPath Accelerator / staircase join (Grust, van Keulen,
+Teubner, VLDB 2003) as plain inequality joins: a descendant's ``pre``
+lies in its context's ``(pre, last]``.  Wherever the join order binds the
+context first, both bounds fall on the ascending ``pre`` column of the
+later alias, so the multi-way join cuts that alias to one band of rows
+(for ``ancestor`` that is the order visiting the ancestor first); the
+other direction bounds ``pre`` on one side only.  The order half of
+``following-sibling`` stays a generic inequality — the mix is what makes
+axis paths the paper's favorite stress case: every alias is
 the same relation, so base-table statistics carry almost no signal, and
 the structural predicates are strongly correlated (a ``rating`` child
 exists almost surely under a ``review`` but almost never elsewhere),
@@ -92,11 +99,11 @@ def _axis_predicates(alias: str, context: str, axis: str) -> list[str]:
     if axis == "child":
         return [f"{alias}.parent = {context}.pre"]
     if axis == "descendant":
-        return [f"{alias}.pre > {context}.pre", f"{alias}.post < {context}.post"]
+        return [f"{alias}.pre > {context}.pre", f"{alias}.pre <= {context}.last"]
     if axis == "following-sibling":
         return [f"{alias}.parent = {context}.parent", f"{alias}.pre > {context}.pre"]
     if axis == "ancestor":
-        return [f"{alias}.pre < {context}.pre", f"{alias}.post > {context}.post"]
+        return [f"{alias}.pre < {context}.pre", f"{alias}.last >= {context}.pre"]
     raise ReproError(f"axis {axis!r} cannot extend a path")  # i.e. "self"
 
 

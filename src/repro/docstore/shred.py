@@ -1,19 +1,23 @@
 """Shred XML/JSON documents into relational node tables.
 
-The encoding is the classic pre/post region scheme: every document node
-becomes one row carrying its preorder rank (``pre``), postorder rank
-(``post``), parent's preorder rank (``parent``, ``-1`` for roots), depth,
-node kind, tag/key, and typed value columns.  Within one document the
-region containment test
+The encoding is the classic pre/post region scheme plus the interval form
+of XPath Accelerator (Grust, van Keulen, Teubner, VLDB 2003): every
+document node becomes one row carrying its preorder rank (``pre``),
+postorder rank (``post``), the ``pre`` of its last descendant (``last``),
+parent's preorder rank (``parent``, ``-1`` for roots), depth, node kind,
+tag/key, and typed value columns.  A node's descendants are exactly the
+rows after it up to its ``last``, so the containment test
 
-    ``d.pre > a.pre AND d.post < a.post``  ⇔  *d* is a descendant of *a*
+    ``d.pre > a.pre AND d.pre <= a.last``  ⇔  *d* is a descendant of *a*
 
-holds exactly, and because each document in a forest gets a disjoint
-``[base, base + size)`` range for *both* ranks, the test stays exact
-across multi-document tables (a cross-document pair always fails one of
-the two comparisons).  The axis compiler (:mod:`repro.docstore.axes`)
-relies on nothing but these columns, so every axis step is expressible as
-repro join predicates — no arithmetic, no window functions.
+holds exactly — as does the older ``d.pre > a.pre AND d.post < a.post`` —
+and because each document in a forest gets a disjoint ``[base, base +
+size)`` range of both ranks, both stay exact across multi-document tables.
+The interval form bounds one column, ``pre``, which ascends with the row
+id, so the multi-way join turns it into a band of rows instead of a scan.
+The axis compiler (:mod:`repro.docstore.axes`) relies on nothing but these
+columns, so every axis step is expressible as repro join predicates — no
+arithmetic, no window functions.
 
 Columns of a shredded table:
 
@@ -25,6 +29,8 @@ post     INT     postorder rank (same per-document offset as ``pre``)
 parent   INT     ``pre`` of the parent node, ``-1`` for document roots
 depth    INT     0 for roots
 size     INT     number of descendants (subtree size minus one)
+last     INT     ``pre + size``: ``pre`` of the last descendant (itself
+                 for a leaf)
 kind     STRING  ``elem``/``attr`` (XML), ``object``/``array``/
                  ``string``/``number``/``bool``/``null`` (JSON)
 tag      STRING  element tag, attribute name, or object key;
@@ -77,13 +83,19 @@ class DocNode:
 
     def subtree_size(self) -> int:
         """Number of nodes in this subtree (including the node itself)."""
-        return 1 + sum(child.subtree_size() for child in self.children)
+        return sum(1 for _ in self.walk())
 
     def walk(self):
-        """Yield the subtree's nodes in document (preorder) order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Yield the subtree's nodes in document (preorder) order.
+
+        An explicit stack, like :func:`shred_nodes`: a chain deeper than the
+        interpreter's recursion limit walks like any other tree.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def _numeric(text: str) -> float:
@@ -162,8 +174,8 @@ def shred_nodes(roots: list[DocNode] | DocNode) -> dict[str, Column]:
     """Encode a document forest as node-table columns.
 
     Each document occupies one disjoint ``[base, base + size)`` range of
-    both the ``pre`` and ``post`` rank spaces, keeping the region
-    containment test exact across the whole forest.  Rows are emitted in
+    both the ``pre`` and ``post`` rank spaces, keeping the containment
+    tests exact across the whole forest.  Rows are emitted in
     ``pre`` order, so ``pre`` doubles as the row id (and lines up with the
     ``_repro_rid`` of external-DBMS mirrors).
 
@@ -201,6 +213,7 @@ def shred_nodes(roots: list[DocNode] | DocNode) -> dict[str, Column]:
     # Before a node closes, every earlier node that is not one of its
     # ancestors has closed, and so has each of its descendants.
     ints["size"] = ints["post"] - ints["pre"] + ints["depth"]
+    ints["last"] = ints["pre"] + ints["size"]
     numbers = np.array([node.number for node in nodes], dtype=np.float64)
     return {
         **{name: Column.from_physical(data, ColumnType.INT) for name, data in ints.items()},
@@ -253,13 +266,9 @@ def shred_document(path: str | Path, *, format: str | None = None) -> dict[str, 
 # ----------------------------------------------------------------------
 def node_at(roots: list[DocNode], index: int) -> DocNode:
     """The ``index``-th node of the forest in document order."""
-    for root in roots:
-        size = root.subtree_size()
-        if index < size:
-            for offset, node in enumerate(root.walk()):
-                if offset == index:
-                    return node
-        index -= size
+    for offset, node in enumerate(node for root in roots for node in root.walk()):
+        if offset == index:
+            return node
     raise ReproError(f"node index {index} out of range")
 
 

@@ -8,15 +8,21 @@ exhausted.  The complete execution state is the index vector
 number of examined candidates and resuming later — possibly after other join
 orders ran in between — is essentially free.  With equality join predicates,
 the candidates at a position are the rows the pre-processing hash maps hold
-for the value fixed by an earlier table (paper §4.5, last paragraph).
+for the value fixed by an earlier table (paper §4.5, last paragraph).  Without
+one, ``<``/``<=``/``>``/``>=`` predicates from an INT column whose filtered
+values do not decrease (the document store's ``pre``) to earlier INT columns
+cut the position's rows to one band ``[lo, hi)`` per prefix, found by
+``searchsorted``.  The band stays a run of ascending filtered indices, which
+is what the lower bound below needs — a value-sorted index would not be.
 
 The production executor (:meth:`MultiwayJoin.continue_join`) runs that search
 over **blocks of prefixes**.  A frame at join-order position ``d`` holds up
 to ``batch_size`` surviving partial tuples — an index matrix of ``K``
 prefixes by ``d`` positions, in lexicographic order — together with each
 prefix's candidate run at position ``d`` (a hash-map bucket found by one
-many-probe lookup for the whole block, or the row range of a scan
-position).  One step takes the next run of
+many-probe lookup for the whole block, a band found by one ``searchsorted``
+per bound for the whole block, or the row range of a scan position).  One
+step takes the next run of
 ``(prefix, candidate)`` pairs across as many prefixes as the step's share of
 the budget allows, filters them with both sides gathered as arrays, and
 either pushes the survivors as the block of position ``d + 1`` or, at the
@@ -38,10 +44,10 @@ Two rules tie this to the learning loop:
   rebuilt from the index vector alone.  A bounded number of suspended orders
   keep their look-ahead, the least recently suspended dropped first.
 * **Budget spreading.**  The budget counts examined candidates.  A step at a
-  position reached by hash jump may spend ``remaining // (positions from
-  here to the last)``, which keeps every step of a descent through
+  position reached by hash or band jump may spend ``remaining // (positions
+  from here to the last)``, which keeps every step of a descent through
   key/foreign-key buckets equally wide.  A step at a scan position (the
-  first position, a join without an equality, hash jump off) already gets a
+  first position, a join with neither jump, hash jump off) already gets a
   table's worth of candidates from one prefix and takes what is left, like
   the chunk a tuple-at-a-time executor takes from one scan.  Either leaves
   one unit for each deeper position, so every slice reaches the last
@@ -56,8 +62,9 @@ Both enumerate result combinations in the same lexicographic sequence and
 evaluate the same predicates per candidate, so they emit identical rows in
 identical order, finish in identical states and can take over from each
 other at any suspension; the scalar loop additionally examines the reset
-index on every descent, so its slice boundaries and scan charges differ
-(see ``tests/test_batched_join.py``).
+index on every descent and scans a band position instead of cutting it, so
+its slice boundaries and scan charges differ (see
+``tests/test_batched_join.py``).
 """
 
 from __future__ import annotations
@@ -121,6 +128,9 @@ SECOND_LOOK_FROM = 8
 #: mirrored operator when the batch-position column is the right-hand side.
 _MIRRORED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
+#: comparators a band jump narrows the candidates by.
+_BAND_OPS = ("<", "<=", ">", ">=")
+
 
 @dataclass
 class _JumpSpec:
@@ -131,6 +141,28 @@ class _JumpSpec:
     earlier_position: int
     earlier_alias: str
     earlier_column: str
+
+    @property
+    def predicates(self) -> tuple[Predicate, ...]:
+        """The predicates every candidate satisfies by construction."""
+        return (self.predicate,)
+
+
+@dataclass
+class _BandSpec:
+    """How to narrow the candidates at one join-order position to a band.
+
+    ``own_column`` is an INT column of the position's alias whose filtered
+    values do not decrease, and each bound ``(op, earlier_position,
+    earlier_alias, earlier_column)`` reads ``own_column op earlier value``.
+    For one prefix every bound is then a cut of the filtered index range, so
+    the candidates are one row range ``[lo, hi)`` — a scan run, still in
+    ascending filtered index as the lower-bound invariant needs.
+    """
+
+    own_column: str
+    bounds: list[tuple[str, int, str, str]] = field(default_factory=list)
+    predicates: list[Predicate] = field(default_factory=list)
 
 
 @dataclass
@@ -143,9 +175,10 @@ class _PredicatePlan:
     decoded column arrays (built-in arithmetic, literals, string columns as
     ``object`` arrays) — the generic fallback, vectorized.  Only true UDF
     predicates (and bare boolean expressions) remain row-at-a-time over the
-    batch, which matches the scalar executor's behavior exactly.  The
-    ``jump`` plan is the equality the candidates were looked up by: it holds
-    for every one of them and is charged, not evaluated.
+    batch, which matches the scalar executor's behavior exactly.  A
+    ``jump`` plan is the equality the candidates were looked up by, or one
+    bound of the band they were cut to: it holds for every one of them and
+    is charged, not evaluated.
     """
 
     predicate: Predicate
@@ -169,7 +202,7 @@ class _OrderContext:
     cardinalities: tuple[int, ...]
     predicates_at: list[list[Predicate]] = field(default_factory=list)
     predicate_aliases_at: list[list[tuple[str, ...]]] = field(default_factory=list)
-    jump_at: list[_JumpSpec | None] = field(default_factory=list)
+    jump_at: list[_JumpSpec | _BandSpec | None] = field(default_factory=list)
     plans_at: list[list[_PredicatePlan]] = field(default_factory=list)
     #: join-order position of each alias in canonical (declaration) order.
     canonical_positions: tuple[int, ...] = ()
@@ -319,7 +352,8 @@ class MultiwayJoin:
 
     def _jump_spec(
         self, order: tuple[str, ...], position: int, predicates: list[Predicate]
-    ) -> _JumpSpec | None:
+    ) -> _JumpSpec | _BandSpec | None:
+        """A hash jump on the first usable equality, else a band jump, else a scan."""
         if not self._use_hash_jump or position == 0:
             return None
         alias = order[position]
@@ -341,20 +375,56 @@ class MultiwayJoin:
                 earlier_alias=other.table,
                 earlier_column=other.column,
             )
-        return None
+        return self._band_spec(alias, earlier, predicates)
+
+    def _band_spec(
+        self, alias: str, earlier: dict[str, int], predicates: list[Predicate]
+    ) -> _BandSpec | None:
+        """The band over the ascending INT column of ``alias`` with the most bounds.
+
+        A bound is a ``<``/``<=``/``>``/``>=`` between that column and an INT
+        column of an earlier alias.  Physical STRING values are dictionary
+        codes, whose order is not the strings' — hence INT on both sides.
+        """
+        prepared = self._prepared
+        bands: dict[str, _BandSpec] = {}
+        for predicate in predicates:
+            left, op, right = predicate.left, predicate.op, predicate.right
+            if (
+                op not in _BAND_OPS
+                or not isinstance(left, ColumnRef)
+                or not isinstance(right, ColumnRef)
+            ):
+                continue
+            if left.table == alias and right.table in earlier:
+                own, other = left, right
+            elif right.table == alias and left.table in earlier:
+                own, other, op = right, left, _MIRRORED_OP[op]
+            else:
+                continue
+            if (
+                prepared.tables[alias].column(own.column).ctype is not ColumnType.INT
+                or prepared.tables[other.table].column(other.column).ctype is not ColumnType.INT
+                or not prepared.ascends(alias, own.column)
+            ):
+                continue
+            band = bands.setdefault(own.column, _BandSpec(own.column))
+            band.bounds.append((op, earlier[other.table], other.table, other.column))
+            band.predicates.append(predicate)
+        return max(bands.values(), key=lambda band: len(band.bounds), default=None)
 
     def _plan_predicate(
         self,
         order: tuple[str, ...],
         position: int,
         predicate: Predicate,
-        jump: _JumpSpec | None,
+        jump: _JumpSpec | _BandSpec | None,
     ) -> _PredicatePlan:
         """Classify a newly applicable predicate for batched evaluation."""
         alias = order[position]
         aliases = tuple(sorted(predicate.tables()))
         plan = _PredicatePlan(predicate=predicate, aliases=aliases)
-        if jump is not None and predicate is jump.predicate:
+        if jump is not None and any(predicate is jumped for jumped in jump.predicates):
             plan.jump = True
             return plan
         left, op, right = predicate.left, predicate.op, predicate.right
@@ -488,14 +558,27 @@ class MultiwayJoin:
     ) -> _Frame:
         """The candidate runs at ``depth`` of a block of prefixes, from ``lower`` on."""
         spec = context.jump_at[depth]
+        prefixes = prefix.shape[1]
         if spec is None:
             lower = max(0, lower)
             width = max(0, context.cardinalities[depth] - lower)
-            prefixes = prefix.shape[1]
             return _Frame(
                 prefix, None, np.full(prefixes, lower, np.int64), np.full(prefixes, width, np.int64)
             )
         prepared = self._prepared
+        if isinstance(spec, _BandSpec):
+            # Each bound cuts every prefix's row range with one searchsorted.
+            starts = np.full(prefixes, max(0, lower), np.int64)
+            stops = np.full(prefixes, context.cardinalities[depth], np.int64)
+            values = prepared.physical_column(context.order[depth], spec.own_column)
+            for op, position, alias, column in spec.bounds:
+                bound = prepared.physical_column(alias, column)[prefix[position]]
+                cut = values.searchsorted(bound, "right" if op in (">", "<=") else "left")
+                if op in (">", ">="):
+                    np.maximum(starts, cut, out=starts)
+                else:
+                    np.minimum(stops, cut, out=stops)
+            return _Frame(prefix, None, starts, np.maximum(stops - starts, 0))
         earlier = prepared.physical_column(spec.earlier_alias, spec.earlier_column)
         join_map = prepared.join_maps[(context.order[depth], spec.own_column)]
         starts, counts = join_map.lookup_many(
@@ -765,7 +848,10 @@ class MultiwayJoin:
     def _advance_index(self, context: _OrderContext, state: JoinState, depth: int) -> int:
         spec = context.jump_at[depth]
         current = state.indices[depth]
-        if spec is None:
+        if not isinstance(spec, _JumpSpec):
+            # A band position is scanned here: every predicate is evaluated
+            # per candidate, so the reference checks the band's cut instead
+            # of sharing it.
             return current + 1
         prepared = self._prepared
         earlier_index = state.indices[spec.earlier_position]

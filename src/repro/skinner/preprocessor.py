@@ -65,6 +65,7 @@ class PreprocessedQuery:
     _decoded_array_cache: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, repr=False
     )
+    _ascends_cache: dict[tuple[str, str], bool] = field(default_factory=dict, repr=False)
 
     def cardinality(self, alias: str) -> int:
         """Filtered cardinality of a table."""
@@ -123,6 +124,21 @@ class PreprocessedQuery:
         if cached is None:
             cached = self.tables[alias].column(column).data[self.filtered[alias]]
             self._physical_cache[key] = cached
+        return cached
+
+    def ascends(self, alias: str, column: str) -> bool:
+        """Whether the physical values of ``alias.column`` never decrease over
+        the filtered tuple array — the band jump's precondition.
+
+        Filtered positions ascend by row id, so a column that ascends with
+        the row id (a shredded table's ``pre``) passes.  One O(n) check per
+        column, cached.
+        """
+        key = (alias, column)
+        cached = self._ascends_cache.get(key)
+        if cached is None:
+            values = self.physical_column(alias, column)
+            cached = self._ascends_cache[key] = bool((values[1:] >= values[:-1]).all())
         return cached
 
     def decoded_array(self, alias: str, column: str) -> np.ndarray:

@@ -7,11 +7,14 @@ calling it directly): same result sets, same final states, and the same
 results under arbitrary suspend/resume slicing — that is what keeps the
 regret-bounded learning loop untouched by vectorization.
 The random inputs are built from the deterministic generator helpers in
-``repro.workloads.generators`` (Zipfian join keys, correlated columns).  Two
-shapes: the chain queries of ``random_catalog_and_query`` and the *wide*
+``repro.workloads.generators`` (Zipfian join keys, correlated columns).  Three
+shapes: the chain queries of ``random_catalog_and_query``, the *wide*
 queries of ``wide_catalog_and_query``, whose blocks really hold many
 prefixes (fan-out above one at consecutive positions, string and NaN join
-keys, a scan position below the first, UDF and expression predicates).
+keys, a scan position below the first, UDF and expression predicates), and
+the *band* queries of ``band_catalog_and_query``, whose non-decreasing INT
+column is reached by range bounds only — the band jump's case, which the
+other two almost never produce.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.query.predicates import (
 from repro.query.expressions import ColumnRef, FunctionCall, Literal
 from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
-from repro.skinner.multiway_join import MultiwayJoin
+from repro.skinner.multiway_join import _MIRRORED_OP, MultiwayJoin, _BandSpec
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import initial_state
@@ -133,8 +136,56 @@ def wide_catalog_and_query(seed: int):
     return catalog, make_query(["t0", "t1", "t2", "t3"], predicates=predicates), udfs
 
 
+def band_catalog_and_query(seed: int):
+    """A three-table query whose ``t1`` hangs off the others by range bounds only.
+
+    ``t1.p`` never decreases with the row id and repeats its values in runs,
+    and the bounds in ``t0.lo`` / ``t0.hi`` / ``t2.c`` are drawn from the same
+    small range, so band edges land inside and at both ends of runs of equal
+    values.  ``t1.p`` gets a lower bound, an upper bound or both (strict or
+    not, spelled with ``t1`` on either side), sometimes one more from ``t2``;
+    ``t2`` joins ``t0`` by equality, and a unary filter on ``t1`` thins the
+    filtered rows some of the time.
+    """
+    rng = make_rng(seed)
+    catalog = Catalog()
+    sizes = [int(rng.integers(1, 9)), int(rng.integers(1, 16)), int(rng.integers(1, 6))]
+    catalog.add_table(Table("t0", {
+        "k": uniform_keys(rng, sizes[0], 3),
+        "lo": rng.integers(-1, 7, size=sizes[0]),
+        "hi": rng.integers(0, 8, size=sizes[0]),
+    }))
+    catalog.add_table(Table("t1", {
+        "p": np.sort(rng.integers(0, 6, size=sizes[1])),
+        "w": uniform_keys(rng, sizes[1], 4),
+    }))
+    catalog.add_table(Table("t2", {
+        "k": uniform_keys(rng, sizes[2], 3),
+        "c": rng.integers(0, 7, size=sizes[2]),
+    }))
+
+    def bound(op, other):
+        """``t1.p op other``, written either way round."""
+        if rng.random() < 0.5:
+            return Predicate(ColumnRef("t1", "p"), op, other)
+        return Predicate(other, _MIRRORED_OP[op], ColumnRef("t1", "p"))
+
+    lower, upper = (">", ">=")[int(rng.integers(0, 2))], ("<", "<=")[int(rng.integers(0, 2))]
+    sides = int(rng.integers(0, 3))  # 0: lower only, 1: upper only, 2: both
+    predicates = [column_equals_column("t0", "k", "t2", "k")]
+    if sides != 1:
+        predicates.append(bound(lower, ColumnRef("t0", "lo")))
+    if sides != 0:
+        predicates.append(bound(upper, ColumnRef("t0", "hi")))
+    if rng.random() < 0.3:
+        predicates.append(bound((lower, upper)[int(rng.integers(0, 2))], ColumnRef("t2", "c")))
+    if rng.random() < 0.5:
+        predicates.append(column_compare_literal("t1", "w", ">", int(rng.integers(0, 3))))
+    return catalog, make_query(["t0", "t1", "t2"], predicates=predicates)
+
+
 #: hypothesis axes shared by the properties below.
-SHAPES = st.sampled_from([2, 3, 4, "wide", "wide"])
+SHAPES = st.sampled_from([2, 3, 4, "wide", "wide", "band"])
 BATCH_SIZES = st.sampled_from([1, 2, 7, 1024])
 #: slice budgets; ``0`` stands for the smallest legal one, ``len(order) + 1``.
 BUDGETS = st.sampled_from([0, 3, 17, 100])
@@ -145,6 +196,9 @@ def build_case(seed: int, shape, *, rows: int = 24):
     """``(prepared, order, udfs)`` for one generated query and one of its orders."""
     if shape == "wide":
         catalog, query, udfs = wide_catalog_and_query(seed)
+    elif shape == "band":
+        catalog, query = band_catalog_and_query(seed)
+        udfs = None
     else:
         catalog, query = random_catalog_and_query(seed, num_tables=shape, rows=rows)
         udfs = None
@@ -225,6 +279,11 @@ def test_batches_of_one_match_scalar_reference(seed, shape, batch_size, budget):
     re-descents are counted).
     """
     prepared, order, udfs = build_case(seed, shape)
+    assert_matches_scalar(prepared, order, batch_size, budget, udfs)
+
+
+def assert_matches_scalar(prepared, order, batch_size, budget, udfs=None):
+    """Batched, and alternating with the scalar reference, equal the scalar run."""
     reference, reference_state, reference_meter, _ = run_sliced(
         prepared, order, 1, budget, udfs, scalar=every_slice)
     emitted = reference.drain_new()
@@ -271,6 +330,76 @@ def test_batched_slicing_is_invariant(seed, shape, batch_size):
         results, state, _, _ = run_sliced(prepared, order, batch_size, budget, udfs)
         assert set(results.tuples()) == set(reference.tuples()), f"budget {budget}"
         assert state.as_tuple() == reference_state.as_tuple()
+
+
+# ----------------------------------------------------------------------
+# band jumps: where they apply, and where they must not
+# ----------------------------------------------------------------------
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS, BATCH_SIZES)
+def test_band_shape_matches_scalar_at_every_budget(seed, batch_size):
+    """Every order of a band query, every budget: batched, scalar and
+    alternating executors agree row for row, state for state.
+
+    The scalar reference scans a band position and evaluates every bound per
+    candidate, so this checks the band's cut, edges and repeated values
+    included, rather than sharing it.
+    """
+    catalog, query = band_catalog_and_query(seed)
+    prepared = preprocess(catalog, query)
+    for order in query.join_graph().valid_join_orders():
+        for budget in (0, 3, 17, 100):
+            assert_matches_scalar(prepared, order, batch_size, budget)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_band_positions_are_cut_to_the_oracle(seed):
+    """``t1`` after ``t0`` is a band on ``p``, and the join is exact."""
+    catalog, query = band_catalog_and_query(seed)
+    prepared = preprocess(catalog, query)
+    order = ("t0", "t1", "t2")
+    band = MultiwayJoin(prepared).context_for(order).jump_at[1]
+    assert isinstance(band, _BandSpec) and band.own_column == "p"
+    expected = reference_join_tuples(catalog, query)
+    for budget in (0, 3, 100):
+        results, _, _, _ = run_sliced(prepared, order, 1024, budget)
+        assert set(results.tuples()) == expected, budget
+
+
+def _no_band_case(own_values, other_values, op):
+    """``t1.x op t0.x`` over the given values: the prepared query, its
+    ``(t0, t1)`` order context, and the brute-force result."""
+    catalog = Catalog()
+    catalog.add_table(Table("t0", {"x": other_values}))
+    catalog.add_table(Table("t1", {"x": own_values}))
+    query = make_query(["t0", "t1"], predicates=[
+        Predicate(ColumnRef("t1", "x"), op, ColumnRef("t0", "x"))])
+    prepared = preprocess(catalog, query)
+    context = MultiwayJoin(prepared).context_for(("t0", "t1"))
+    return prepared, context, reference_join_tuples(catalog, query)
+
+
+def test_no_band_over_a_column_with_one_descending_pair():
+    prepared, context, expected = _no_band_case([0, 1, 1, 3, 2, 4, 4], [1, 3], ">")
+    assert not prepared.ascends("t1", "x")
+    assert context.jump_at[1] is None
+    for budget in (0, 3, 17, 100):
+        results, _, _, _ = run_sliced(prepared, ("t0", "t1"), 7, budget)
+        assert set(results.tuples()) == expected, budget
+
+
+def test_no_band_over_a_string_column():
+    """Dictionary codes number strings as first seen, so ``b, b, c, a`` has
+    ascending codes ``0, 0, 1, 2`` while the strings do not ascend: the band
+    test is on the column type, not on the physical int64 dtype."""
+    prepared, context, expected = _no_band_case(["b", "b", "c", "a"], ["a", "bb"], ">")
+    assert prepared.physical_column("t1", "x").dtype == np.int64
+    assert prepared.ascends("t1", "x")
+    assert context.jump_at[1] is None
+    for budget in (0, 3, 17, 100):
+        results, _, _, _ = run_sliced(prepared, ("t0", "t1"), 7, budget)
+        assert set(results.tuples()) == expected, budget
 
 
 # ----------------------------------------------------------------------

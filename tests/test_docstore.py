@@ -193,7 +193,7 @@ def recursive_shred(roots):
     """The encoder ``shred_nodes`` replaced, kept as its oracle: one
     recursive call per node, plain value lists, types left to ``Column``."""
     columns = {name: [] for name in (
-        "pre", "post", "parent", "depth", "size", "kind", "tag", "val_str", "val_num")}
+        "pre", "post", "parent", "depth", "size", "last", "kind", "tag", "val_str", "val_num")}
 
     def encode(node, parent, depth, counters):
         pre = counters["pre"]
@@ -204,6 +204,7 @@ def recursive_shred(roots):
         columns["parent"].append(parent)
         columns["depth"].append(depth)
         columns["size"].append(node.subtree_size() - 1)
+        columns["last"].append(0)  # patched once the last descendant is numbered
         columns["kind"].append(node.kind)
         columns["tag"].append(node.tag)
         columns["val_str"].append(node.text)
@@ -212,6 +213,7 @@ def recursive_shred(roots):
             encode(child, pre, depth + 1, counters)
         columns["post"][row] = counters["post"]
         counters["post"] += 1
+        columns["last"][row] = counters["pre"] - 1
 
     base = 0
     for root in roots:
@@ -363,11 +365,12 @@ class TestEncoding:
             for ancestor in _ancestors(node, parents):
                 ancestry.add((pre_of[id(node)], pre_of[id(ancestor)]))
         n = len(order)
-        pre, post = columns["pre"], columns["post"]
+        pre, post, last = columns["pre"], columns["post"], columns["last"]
         for d in range(n):
             for a in range(n):
-                claimed = pre[d] > pre[a] and post[d] < post[a]
-                assert claimed == ((d, a) in ancestry), (d, a)
+                region = pre[d] > pre[a] and post[d] < post[a]
+                interval = pre[a] < pre[d] <= last[a]
+                assert region == interval == ((d, a) in ancestry), (d, a)
 
     def test_parent_depth_size_agree_with_the_tree(self, forest, columns):
         order, parents, pre_of = index_forest(forest)
@@ -432,20 +435,61 @@ class TestShredAgainstRecursiveOracle:
         assert Table("doc", shred_nodes([])).column_types()["kind"].value == "string"
 
     def test_deep_chain_does_not_recurse(self):
-        depth = 5000  # far past the interpreter's recursion limit
-        root = DocNode(tag="n0")
-        node = root
-        for level in range(1, depth):
-            child = DocNode(tag=f"n{level % 7}")
-            node.children.append(child)
-            node = child
+        root = deep_chain()
         columns = shred_nodes(root)
-        ranks = list(range(depth))
+        ranks = list(range(DEEP))
         assert columns["pre"].values() == ranks
         assert columns["post"].values() == ranks[::-1]
         assert columns["depth"].values() == ranks
         assert columns["parent"].values() == [-1] + ranks[:-1]
         assert columns["size"].values() == ranks[::-1]
+        assert columns["last"].values() == [DEEP - 1] * DEEP
+
+
+#: Far past the interpreter's recursion limit.
+DEEP = 5000
+
+
+def deep_chain(depth: int = DEEP) -> DocNode:
+    """A chain of ``depth`` nodes, each the only child of the one before."""
+    root = DocNode(tag="n0")
+    node = root
+    for level in range(1, depth):
+        child = DocNode(tag=f"n{level % 7}")
+        node.children.append(child)
+        node = child
+    return root
+
+
+class TestDeepChainHelpers:
+    """The tree helpers walk a chain deeper than the recursion limit, as the
+    shredder does.  (Nodes are compared by identity: ``DocNode.__eq__``
+    compares children, recursively.)"""
+
+    def test_walk(self):
+        nodes = list(deep_chain().walk())
+        assert len(nodes) == DEEP
+        assert all(child is parent.children[0] for parent, child in zip(nodes, nodes[1:]))
+
+    def test_subtree_size(self):
+        assert deep_chain().subtree_size() == DEEP
+
+    def test_node_at(self):
+        root = deep_chain()
+        deepest = list(root.walk())[-1]
+        assert node_at([root], DEEP - 1) is deepest
+        with pytest.raises(ReproError):
+            node_at([root], DEEP)
+
+    def test_forest_size(self):
+        assert forest_size([deep_chain(), deep_chain()]) == 2 * DEEP
+
+    def test_delete_subtree(self):
+        roots = [deep_chain()]
+        middle = node_at(roots, DEEP // 2)
+        assert delete_subtree(roots, DEEP // 2)
+        assert forest_size(roots) == DEEP // 2
+        assert all(node is not middle for node in roots[0].walk())
 
 
 # ----------------------------------------------------------------------
@@ -511,6 +555,58 @@ class TestAxisOracle:
         sql = axis_query("doc", steps, select=f"{last}.pre", distinct=True)
         got = sorted(row[0] for row in rows_of(doc_conn.execute(sql, engine="skinner-c")))
         assert got == oracle_axis_path(forest, steps)
+
+
+#: ``descendant``/``ancestor`` as the compiler emitted them before ``last``:
+#: the pre/post region test, kept as the oracle of the interval form.
+_PRE_POST_AXES = {
+    "descendant": "{n}.pre > {m}.pre AND {n}.post < {m}.post",
+    "ancestor": "{n}.pre < {m}.pre AND {n}.post > {m}.post",
+}
+
+
+def pre_post_axis_query(table, steps):
+    """The path in the pre/post form, projecting every step's ``pre``."""
+    where = []
+    for i, step in enumerate(steps):
+        if i:
+            where.append(_PRE_POST_AXES[step.axis].format(n=f"s{i}", m=f"s{i - 1}"))
+        if step.tag is not None:
+            where.append(f"s{i}.tag = '{step.tag}'")
+    aliases = [f"s{i}" for i in range(len(steps))]
+    return (f"SELECT {', '.join(f'{a}.pre' for a in aliases)}"
+            f" FROM {', '.join(f'{table} {a}' for a in aliases)} WHERE {' AND '.join(where)}")
+
+
+_REGION_STEPS = st.builds(
+    AxisStep, st.sampled_from(["descendant", "ancestor"]), st.none() | _TAGS)
+
+
+class TestIntervalAxes:
+    """``descendant``/``ancestor`` compiled onto ``pre``/``last`` return the
+    multiset the pre/post region form returns, on a cost-model optimizer and
+    on the learning engine (whose band jump the interval form feeds)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_TREES, min_size=1, max_size=3), st.none() | _TAGS,
+           st.lists(_REGION_STEPS, min_size=1, max_size=2))
+    def test_same_multiset_as_pre_post(self, roots, first_tag, later):
+        steps = [AxisStep("self", tag=first_tag), *later]
+        select = ", ".join(f"s{i}.pre" for i in range(len(steps)))
+        interval_sql = axis_query("doc", steps, select=select)
+        region_sql = pre_post_axis_query("doc", steps)
+        assert "last" in interval_sql and "post" not in interval_sql
+        conn = connect(FAST)
+        try:
+            conn.add_table(Table("doc", shred_nodes(roots)))
+            conn.commit()
+            for engine in ("traditional", "skinner-c"):
+                got, want = (
+                    sorted(rows_of(conn.execute(sql, engine=engine, use_result_cache=False)))
+                    for sql in (interval_sql, region_sql))
+                assert got == want, engine
+        finally:
+            conn.close()
 
 
 # ----------------------------------------------------------------------
