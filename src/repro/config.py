@@ -45,10 +45,11 @@ class SkinnerConfig:
     parallel_workers:
         Skinner-C: number of processes running morsel episodes for one
         query.  ``1`` (the default) keeps everything in-process.  Larger
-        values shard the join into morsels executed on a shared worker pool
-        with base columns in shared memory; results and meter charges are
-        byte-identical for every worker count because the morsel plan
-        depends only on the data, never on the pool size.  See
+        values shard the join into morsels executed on a shared pool of
+        worker processes, each morsel's tables pickled into its payload;
+        results and meter charges are byte-identical for every worker
+        count because the morsel plan depends only on the data, never on
+        the pool size; a dead worker sends the rest inline.  See
         ``docs/parallel.md``.  The config end of the ``workers`` connection
         setting (:mod:`repro.api.settings`).
     data_dir:

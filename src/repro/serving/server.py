@@ -673,8 +673,8 @@ class QueryServer:
         ``finalize()``) is attributed so the ledger total equals the
         solo-run meter total exactly, rows not streamed incrementally
         become fetchable, and the scheduler slot, the task's execution
-        state (preprocessed tables, result set, UCT tree, shared-memory
-        segments) and the admission slot are released — only the result
+        state (preprocessed tables, result set, UCT tree, queued morsels)
+        and the admission slot are released — only the result
         outlives completion.
         """
         session.result = result
@@ -741,8 +741,8 @@ class QueryServer:
     def _release_task(session: QuerySession) -> None:
         """Drop a session's task, closing it first to free external state.
 
-        Parallel Skinner-C tasks own shared-memory segments and in-flight
-        worker results; ``close()`` tears those down deterministically at
+        Parallel Skinner-C tasks own queued morsels and in-flight worker
+        results; ``close()`` tears those down deterministically at
         every terminal transition (complete, fail, cancel, limit push-down)
         instead of waiting for garbage collection.
         """

@@ -1,14 +1,14 @@
-"""Morsel-parallel Skinner-C: concurrent episodes over shared-memory workers.
+"""Morsel-parallel Skinner-C: concurrent episodes on a pool of worker processes.
 
 The paper's headline Skinner-C numbers are the *parallel* variant (Table 2).
 This module shards one query's batched multi-way join into **morsels** —
 contiguous chunks of the largest filtered table's tuple positions — and runs
-each morsel as an independent Skinner-C sub-query on a pool of
-``multiprocessing`` workers, with the flat int64/float64 column arrays
-placed in ``multiprocessing.shared_memory``.  Every worker learns its own
-UCT tree; visit/reward statistics flow back to the coordinator and are
-merged into one tree (the paper's observation that UCT reward updates
-compose across concurrent episodes).
+each morsel as an independent Skinner-C sub-query on a pool of spawned
+worker processes.  A morsel's tables, filtered positions, query, config and
+priors travel by value in the payload the pool pickles.  Every worker
+learns its own UCT tree; visit/reward statistics flow back to the
+coordinator and are merged into one tree (the paper's observation that UCT
+reward updates compose across concurrent episodes).
 
 Determinism is the design center (see ``docs/parallel.md``):
 
@@ -36,13 +36,12 @@ the same mechanism the serving layer's cross-query order cache uses.
 from __future__ import annotations
 
 import atexit
-import inspect
-import json
 import multiprocessing
+import pickle
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
 import numpy as np
@@ -58,8 +57,6 @@ from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.skinner_c import SkinnerCTask, skinner_c_metrics
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column, ColumnType
-from repro.storage.table import Table
 
 #: ``multiprocessing`` start method of the worker pool — the only one safe
 #: on every supported platform (the CI job forcing
@@ -75,206 +72,35 @@ MORSELS = 8
 MIN_MORSEL_ROWS = 64
 
 # ----------------------------------------------------------------------
-# shared-memory transport
-# ----------------------------------------------------------------------
-
-#: Names of shared-memory segments this process created and has not yet
-#: unlinked — exposed for leak assertions in tests and CI.
-_LIVE_SEGMENTS: set[str] = set()
-
-
-def live_segment_count() -> int:
-    """Shared-memory segments created here and not yet released."""
-    return len(_LIVE_SEGMENTS)
-
-
-@dataclass(frozen=True)
-class _ArraySpec:
-    """Locator of one flat array in shared memory."""
-
-    shm_name: str
-    dtype: str
-    length: int
-
-
-@dataclass(frozen=True)
-class _FileArraySpec:
-    """Locator of one flat array in a durable segment file.
-
-    Tables of a durable catalog already live in files under the
-    ``data_dir``; workers ``np.memmap`` the column's byte range read-only
-    instead of receiving a shared-memory copy — zero copies, and the OS
-    page cache is shared across the whole worker pool.
-    """
-
-    path: str
-    dtype: str
-    length: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class _DictFileSpec:
-    """Locator of a string dictionary: a JSON byte span of a segment file."""
-
-    path: str
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
-class _ColumnSpec:
-    """Physical description of one column shipped to workers.
-
-    ``array`` locates the physical values in shared memory (in-memory
-    tables) or in a durable segment file (``data_dir`` tables);
-    ``dictionary`` is the string dictionary by value, by file span, or
-    ``None`` for numeric columns.
-    """
-
-    array: _ArraySpec | _FileArraySpec
-    ctype: str
-    dictionary: tuple[str, ...] | _DictFileSpec | None
-
-
-class _SharedArrays:
-    """Coordinator-side owner of the query's shared-memory segments."""
-
-    def __init__(self) -> None:
-        self._segments: list[shared_memory.SharedMemory] = []
-
-    def share(self, array: np.ndarray) -> _ArraySpec:
-        """Copy ``array`` into a new shared-memory segment."""
-        flat = np.ascontiguousarray(array)
-        segment = shared_memory.SharedMemory(create=True, size=max(1, flat.nbytes))
-        if flat.nbytes:
-            view = np.ndarray(flat.shape, dtype=flat.dtype, buffer=segment.buf)
-            view[:] = flat
-            del view
-        self._segments.append(segment)
-        _LIVE_SEGMENTS.add(segment.name)
-        return _ArraySpec(segment.name, flat.dtype.str, int(flat.shape[0]))
-
-    def close(self) -> None:
-        """Unlink every segment; idempotent, safe with workers in flight.
-
-        A worker that attaches after the unlink fails with
-        ``FileNotFoundError`` inside its own process — the coordinator has
-        already abandoned that morsel's result, so the error is never
-        retrieved.
-        """
-        segments, self._segments = self._segments, []
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - platform specific
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            _LIVE_SEGMENTS.discard(segment.name)
-
-
-#: Whether this Python's SharedMemory supports the ``track`` parameter
-#: (3.13+); older versions register every *attach* with the resource
-#: tracker (bpo-39959), which must be suppressed — the tracker's cache is a
-#: set shared by the whole process tree, so attach-side registrations from
-#: several workers would corrupt each other's cleanup and the tracker would
-#: unlink segments the coordinator still owns.
-_SHM_SUPPORTS_TRACK = "track" in inspect.signature(
-    shared_memory.SharedMemory.__init__
-).parameters
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to a segment without registering it for tracker cleanup.
-
-    Only the creating process (the coordinator) may own a segment's
-    lifecycle; see :data:`_SHM_SUPPORTS_TRACK` for why attach-side tracking
-    must be off.
-    """
-    if _SHM_SUPPORTS_TRACK:
-        return shared_memory.SharedMemory(name=name, track=False)
-    register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = register
-
-
-def _load_shared_array(spec: _ArraySpec) -> np.ndarray:
-    """Copy one array out of shared memory (worker side).
-
-    The data is copied and the segment closed immediately: keeping numpy
-    views over the mapped buffer alive would both pin the mapping and make
-    ``close`` raise ``BufferError``.  Shared memory is the transport — one
-    copy per worker instead of per-payload pickling — not the working set.
-    """
-    segment = _attach_untracked(spec.shm_name)
-    view = np.ndarray((spec.length,), dtype=np.dtype(spec.dtype), buffer=segment.buf)
-    data = np.array(view, copy=True)
-    del view
-    segment.close()
-    return data
-
-
-def _load_column_array(spec: _ArraySpec | _FileArraySpec) -> np.ndarray:
-    """Materialize one column's physical array in a worker.
-
-    File-backed specs map the column's range of the segment file read-only —
-    no copy; the kernel shares the pages across every worker touching it.
-    Shared-memory specs copy out as before.
-    """
-    if isinstance(spec, _FileArraySpec):
-        if spec.length == 0:
-            return np.empty(0, dtype=np.dtype(spec.dtype))
-        return np.memmap(
-            spec.path, dtype=np.dtype(spec.dtype), mode="r", offset=spec.offset,
-            shape=(spec.length,),
-        )
-    return _load_shared_array(spec)
-
-
-def _load_dictionary(
-    dictionary: tuple[str, ...] | _DictFileSpec | None,
-) -> list[str] | None:
-    if isinstance(dictionary, _DictFileSpec):
-        with open(dictionary.path, "rb") as handle:
-            handle.seek(dictionary.offset)
-            return json.loads(handle.read(dictionary.length))
-    return list(dictionary) if dictionary is not None else None
-
-
-# ----------------------------------------------------------------------
 # worker pool
 # ----------------------------------------------------------------------
 
-_POOLS: dict[int, Any] = {}
+_POOLS: dict[int, ProcessPoolExecutor] = {}
 
 
-def _get_pool(workers: int):
+def _get_pool(workers: int) -> ProcessPoolExecutor:
     """The cached pool of ``workers`` processes.
 
-    Pools are shared across queries (spawn start-up is expensive) and torn
-    down via :func:`shutdown_workers` at interpreter exit.  Pool processes
-    are daemonic, so even an unclean exit cannot leak them.
+    Pools are shared across queries (spawn start-up is expensive), shut
+    down via :func:`shutdown_workers` at interpreter exit, and dropped from
+    the cache once a dead worker breaks them: the next query spawns afresh.
     """
     pool = _POOLS.get(workers)
     if pool is None:
         context = multiprocessing.get_context(_START_METHOD)
-        pool = _POOLS[workers] = context.Pool(processes=workers)
+        pool = _POOLS[workers] = ProcessPoolExecutor(workers, mp_context=context)
     return pool
 
 
 def shutdown_workers() -> None:
-    """Terminate and join every cached worker pool (idempotent)."""
+    """Shut down every cached pool, cancelling unstarted morsels (idempotent).
+
+    A pool whose workers were killed shuts down at once.
+    """
     pools = list(_POOLS.values())
     _POOLS.clear()
     for pool in pools:
-        pool.terminate()
-        pool.join()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 atexit.register(shutdown_workers)
@@ -313,41 +139,23 @@ def plan_morsels(
 # worker-side morsel executor
 # ----------------------------------------------------------------------
 
-def _run_morsel(payload: dict[str, Any]) -> dict[str, Any]:
+def _run_morsel(
+    tables: bytes, query: Query, config: SkinnerConfig, engine_name: str,
+    order_prior: Sequence[OrderPrior], restrict: dict[str, np.ndarray],
+) -> dict[str, Any]:
     """Execute one morsel to completion in a worker process.
 
-    Rebuilds the base tables from shared memory, runs an ordinary
-    :class:`SkinnerCTask` whose universe is the morsel's restricted
+    Registers the received (pickled) tables in a fresh catalog, runs an
+    ordinary :class:`SkinnerCTask` whose universe is the morsel's restricted
     positions, and returns plain data: the lexicographically sorted result
     matrix, meter snapshots, and the local UCT tree's order statistics.
     """
-    tables: dict[str, Table] = {}
-    for name, column_specs in payload["tables"].items():
-        columns: dict[str, Column] = {}
-        for column_name, spec in column_specs.items():
-            columns[column_name] = Column.from_physical(
-                _load_column_array(spec.array),
-                ColumnType(spec.ctype),
-                _load_dictionary(spec.dictionary),
-            )
-        tables[name] = Table(name, columns)
-    positions = {
-        alias: _load_shared_array(spec) for alias, spec in payload["positions"].items()
-    }
-    start, stop = payload["morsel"]
-    restrict = dict(positions)
-    restrict[payload["partition"]] = positions[payload["partition"]][start:stop]
     catalog = Catalog()
-    for table in tables.values():
+    for table in pickle.loads(tables):
         catalog.add_table(table)
     task = SkinnerCTask(
-        catalog,
-        payload["query"],
-        None,
-        payload["config"],
-        engine_name=payload["engine_name"],
-        order_prior=payload["order_prior"],
-        restrict_positions=restrict,
+        catalog, query, None, config, engine_name=engine_name,
+        order_prior=order_prior, restrict_positions=restrict,
     )
     while not task.finished:
         task.run_episode()
@@ -382,9 +190,10 @@ class ParallelSkinnerCTask(EngineTask):
       pilot episode — interleavable and cancellable, with newly found
       tuples streamed live.
     * After the pilot, each call merges one finished morsel, in morsel
-      order: inline execution with one worker, a blocking collect from the
-      pool otherwise.  Merging in a fixed order keeps meters, the UCT tree,
-      and the streamed tuple order deterministic.
+      order: a blocking collect from the pool, or inline execution with
+      one worker or once a dead worker broke the pool.  Merging in a fixed
+      order keeps meters, the UCT tree, and the streamed tuple order
+      deterministic.
 
     Rows and meter charges are byte-identical for every
     ``parallel_workers`` value; with a single morsel the task degenerates
@@ -432,8 +241,9 @@ class ParallelSkinnerCTask(EngineTask):
         self._merged = 0
         self._priors: tuple[OrderPrior, ...] = ()
         self._evidence: dict[tuple[str, ...], int] = {}
-        self._shared: _SharedArrays | None = None
-        self._dispatched: list[Any] = []
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_broken = False
+        self._dispatched: list[Future] = []
         self._inline_task: SkinnerCTask | None = None
         self._tracker_nodes = 0
         self._tracker_bytes = 0
@@ -449,7 +259,6 @@ class ParallelSkinnerCTask(EngineTask):
         if self._pilot.finished:  # empty input or single-table fast path
             self._forward(self._pilot.drain_new_tuples())
             self._finish_pilot()
-            self._check_done()
 
     # ------------------------------------------------------------------
     # EngineTask contract
@@ -474,11 +283,10 @@ class ParallelSkinnerCTask(EngineTask):
                 self._forward(self._pilot.drain_new_tuples())
                 if self._pilot.finished:
                     self._finish_pilot()
-            elif self._workers > 1:
+            elif self._dispatched:
                 self._collect_dispatched()
             else:
                 self._run_inline_morsel()
-            self._check_done()
         finally:
             self.episode_wall_seconds += time.perf_counter() - episode_started
         return self.finished
@@ -497,21 +305,19 @@ class ParallelSkinnerCTask(EngineTask):
         return self._metrics(result_rows=result_rows, full=False)
 
     def close(self) -> None:
-        """Release shared memory and abandon in-flight morsels (idempotent).
+        """Cancel morsels that have not started and drop the rest (idempotent).
 
-        The pool itself stays warm for later queries; un-collected workers
-        either finish into a dropped ``AsyncResult`` or fail attaching the
-        already-unlinked segments — both harmless.
+        The pool itself stays warm for later queries; a morsel already
+        running finishes into a dropped future.
         """
         if self._closed:
             return
         self._closed = True
         self._pilot = None
         self._inline_task = None
+        for future in self._dispatched:
+            future.cancel()
         self._dispatched = []
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
 
     # ------------------------------------------------------------------
     # incremental result delivery (streaming cursors)
@@ -564,12 +370,8 @@ class ParallelSkinnerCTask(EngineTask):
         inline path and the worker path byte-identical.
         """
         return SkinnerCTask(
-            self._catalog,
-            self.query,
-            None,
-            self._config,
-            engine_name=self._engine_name,
-            order_prior=order_prior,
+            self._catalog, self.query, None, self._config,
+            engine_name=self._engine_name, order_prior=order_prior,
             restrict_positions=self._restrict_for(index),
         )
 
@@ -600,81 +402,57 @@ class ParallelSkinnerCTask(EngineTask):
         self._priors = pilot.learned_orders()
         self._pilot = None
         self._merged = 1
-        if self._merged < len(self._morsel_bounds) and self._workers > 1:
+        self.finished = self._merged == len(self._morsel_bounds)
+        if not self.finished and self._workers > 1:
             self._dispatch_remaining()
 
     def _dispatch_remaining(self) -> None:
-        """Ship tables/positions to workers and enqueue every morsel.
+        """Enqueue every remaining morsel on the pool, its inputs by value.
 
-        Durable columns (``column.source`` set) travel as file locators —
-        workers map the ``data_dir`` files directly; in-memory columns are
-        copied into shared memory as before.  Positions are always shm
-        (they are query-specific filter results, not stored columns).
+        Each payload carries the snapshotted tables (one per name, so
+        self-joins ship one), its restricted positions, the query, the
+        config and the pilot's priors.  The tables are pickled once, on
+        this thread: a durable column pickles the generation this query
+        read through the page cache, which the pool's feeder thread (where
+        call arguments get pickled) must not touch.
         """
-        shared = _SharedArrays()
-        self._shared = shared
-        table_specs: dict[str, dict[str, _ColumnSpec]] = {}
-        for table in self.prepared.tables.values():
-            if table.name in table_specs:
-                continue  # self-joins share one base table
-            table_specs[table.name] = {
-                column_name: self._column_spec(table.column(column_name), shared)
-                for column_name in table.column_names
-            }
-        position_specs = {
-            alias: shared.share(positions)
-            for alias, positions in self.prepared.filtered.items()
-        }
-        pool = _get_pool(self._workers)
-        for index in range(1, len(self._morsel_bounds)):
-            payload = {
-                "morsel": self._morsel_bounds[index],
-                "partition": self._partition_alias,
-                "tables": table_specs,
-                "positions": position_specs,
-                "query": self.query,
-                "config": self._config,
-                "engine_name": self._engine_name,
-                "order_prior": self._priors,
-            }
-            self._dispatched.append(pool.apply_async(_run_morsel, (payload,)))
-
-    @staticmethod
-    def _column_spec(column: Column, shared: _SharedArrays) -> _ColumnSpec:
-        """One column's worker-side locator: file-backed or shared-memory."""
-        source = column.source
-        is_string = column.ctype is ColumnType.STRING
-        if source is not None:
-            return _ColumnSpec(
-                array=_FileArraySpec(
-                    source.path, source.dtype, source.length, source.offset
-                ),
-                ctype=column.ctype.value,
-                dictionary=source.dictionary
-                and _DictFileSpec(source.path, *source.dictionary),
-            )
-        return _ColumnSpec(
-            array=shared.share(column.data),
-            ctype=column.ctype.value,
-            dictionary=tuple(column.dictionary) if is_string else None,
-        )
+        self._pool = _get_pool(self._workers)
+        tables = pickle.dumps(list(self._catalog))
+        try:
+            for index in range(1, len(self._morsel_bounds)):
+                self._dispatched.append(self._pool.submit(
+                    _run_morsel, tables, self.query, self._config,
+                    self._engine_name, self._priors, self._restrict_for(index),
+                ))
+        except BrokenProcessPool:
+            self._abandon_pool()
 
     def _collect_dispatched(self) -> None:
-        """Merge the next dispatched morsel (blocking, in morsel order).
-
-        A worker that starts after a commit unlinked the table generation
-        this query snapshotted finds no segment file and fails the morsel;
-        the coordinator holds the mapping and runs it inline instead.
-        """
+        """Merge the next dispatched morsel (blocking, in morsel order)."""
         try:
-            outcome = self._dispatched[self._merged - 1].get()
-        except FileNotFoundError:
+            outcome = self._dispatched[self._merged - 1].result()
+        except BrokenProcessPool:
+            self._abandon_pool()
             self._run_inline_morsel()
         else:
             self._merge_morsel(outcome)
 
+    def _abandon_pool(self) -> None:
+        """A dead worker broke the pool: every outstanding morsel failed.
+
+        The pool leaves the cache (the next query spawns a fresh one), the
+        metrics say ``pool_broken``, and this morsel and the rest run inline,
+        one episode per :meth:`run_episode` call — the same rows and charges.
+        """
+        self._pool_broken = True
+        pool, self._pool = self._pool, None
+        if _POOLS.get(self._workers) is pool:
+            del _POOLS[self._workers]
+        pool.shutdown(wait=True, cancel_futures=True)
+        self._dispatched = []
+
     def _run_inline_morsel(self) -> None:
-        """Single-worker phase two: one episode of the current morsel."""
+        """Phase two on the coordinator: one episode of the current morsel."""
         if self._inline_task is None:
             self._inline_task = self._make_morsel_task(self._merged, self._priors)
         task = self._inline_task
@@ -695,13 +473,7 @@ class ParallelSkinnerCTask(EngineTask):
         self.tree.merge_stats(outcome["order_stats"])
         self._forward(outcome["matrix"])
         self._merged += 1
-
-    def _check_done(self) -> None:
-        if self._merged == len(self._morsel_bounds):
-            self.finished = True
-            if self._shared is not None:
-                self._shared.close()
-                self._shared = None
+        self.finished = self._merged == len(self._morsel_bounds)
 
     # ------------------------------------------------------------------
     # metrics
@@ -714,6 +486,7 @@ class ParallelSkinnerCTask(EngineTask):
         extra: dict[str, Any] = {
             "episode_wall_seconds": self.episode_wall_seconds,
             "parallel_workers": self._workers,
+            "pool_broken": self._pool_broken,
             "parallel_morsels": len(self._morsel_bounds),
             "partition_alias": self._partition_alias,
             "worker_uct_nodes": self._worker_uct_nodes,

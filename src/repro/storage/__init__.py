@@ -18,7 +18,7 @@ This package provides the column store that every engine in the repository
 * :mod:`~repro.storage.loader` — CSV import/export helpers.
 """
 
-from repro.storage.buffer import BufferManager, ColumnSource, InMemoryBufferManager, PageCache
+from repro.storage.buffer import BufferManager, InMemoryBufferManager, PageCache
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.durable import DurableBufferManager
@@ -30,7 +30,6 @@ __all__ = [
     "BufferManager",
     "Catalog",
     "Column",
-    "ColumnSource",
     "ColumnType",
     "DurableBufferManager",
     "InMemoryBufferManager",

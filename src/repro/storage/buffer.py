@@ -25,7 +25,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -33,24 +32,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from repro.storage.table import Table
-
-
-@dataclass(frozen=True)
-class ColumnSource:
-    """Locator of one column's persistent physical representation.
-
-    Durable-backed columns carry one (``Column.source``): ``length`` items of
-    ``dtype`` at byte ``offset`` of the segment file ``path`` and, for strings,
-    the ``(offset, length)`` byte span of the JSON dictionary in that file.
-    The morsel-parallel executor hands it to workers in place of a
-    shared-memory copy; ``(path, offset)`` is the column's page-cache key.
-    """
-
-    path: str
-    dtype: str
-    length: int
-    offset: int = 0
-    dictionary: tuple[int, int] | None = None
 
 
 class PageCache:

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from repro.errors import SchemaError
-
-if TYPE_CHECKING:
-    from repro.storage.buffer import ColumnSource
 
 
 class ColumnType(enum.Enum):
@@ -53,7 +50,6 @@ class Column:
         "_fetch",
         "_dict_fetch",
         "_length",
-        "source",
     )
 
     def __init__(self, values: Iterable[Any], ctype: ColumnType | None = None) -> None:
@@ -67,7 +63,6 @@ class Column:
         self._translations: dict[int, tuple["Column", np.ndarray]] = {}
         self._fetch: Callable[[], np.ndarray] | None = None
         self._dict_fetch: Callable[[], list[str]] | None = None
-        self.source: ColumnSource | None = None
         if ctype is ColumnType.INT:
             self._data = np.asarray(values, dtype=np.int64)
         elif ctype is ColumnType.FLOAT:
@@ -92,13 +87,12 @@ class Column:
 
         ``data`` is adopted as-is (int64/float64 values, or dictionary codes
         for strings together with the ``dictionary`` of distinct values).
-        This is the reconstruction path of morsel workers, which receive the
-        flat physical arrays through shared memory and the string
-        dictionaries by value, of :meth:`take` for numeric columns, and of
-        the result path (post-processing output, stream slices, decoded
-        wire frames).  A ``list`` dictionary is adopted, not copied, so
-        slices of one column share it; the value-to-code map is built on
-        first use.
+        This is the unpickling path (:meth:`__reduce__`, which is how morsel
+        workers receive their tables), the path of :meth:`take` for numeric
+        columns, and of the result path (post-processing output, stream
+        slices, decoded wire frames).  A ``list`` dictionary is adopted, not
+        copied, so slices of one column share it; the value-to-code map is
+        built on first use.
         """
         column = cls.__new__(cls)
         column._ctype = ctype
@@ -108,7 +102,6 @@ class Column:
         column._fetch = None
         column._dict_fetch = None
         column._length = int(data.shape[0])
-        column.source = None
         if ctype is ColumnType.STRING:
             if dictionary is None:
                 raise SchemaError("string columns need a dictionary")
@@ -130,7 +123,6 @@ class Column:
         fetch: Callable[[], np.ndarray],
         *,
         dictionary_fetch: Callable[[], list[str]] | None = None,
-        source: "ColumnSource | None" = None,
     ) -> "Column":
         """Build a column whose physical array is materialized on demand.
 
@@ -139,9 +131,9 @@ class Column:
         page cache, so residency (and eviction) is governed there rather
         than pinned per column.  String columns load their dictionary once
         via ``dictionary_fetch`` (dictionaries are metadata-sized and are
-        needed to plan predicates, so they stay resident).  ``source``
-        carries the on-disk locator that lets morsel workers re-map the
-        file instead of receiving a shared-memory copy.
+        needed to plan predicates, so they stay resident).  A lazy column
+        pickles like any other (:meth:`__reduce__`): by value, through
+        ``fetch``.
         """
         if (dictionary_fetch is not None) != (ctype is ColumnType.STRING):
             raise SchemaError("dictionary_fetch is for (exactly) string columns")
@@ -153,7 +145,6 @@ class Column:
         column._fetch = fetch
         column._dict_fetch = dictionary_fetch
         column._length = int(length)
-        column.source = source
         column._dictionary = None
         column._code_of = None
         return column
@@ -211,6 +202,12 @@ class Column:
 
     def __len__(self) -> int:
         return self._length
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # By physical value: a lazy column ships what its fetch reads now,
+        # and per-column caches (decoded values, code maps) stay behind.
+        dictionary = self.dictionary if self._ctype is ColumnType.STRING else None
+        return (Column.from_physical, (self.data, self._ctype, dictionary))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Column):

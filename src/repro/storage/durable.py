@@ -43,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import InterfaceError, SchemaError
-from repro.storage.buffer import BufferManager, ColumnSource, PageCache
+from repro.storage.buffer import BufferManager, PageCache
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 from repro.storage.wal import WriteAheadLog
@@ -202,28 +202,18 @@ class DurableBufferManager(BufferManager):
         })
 
     def _build_column(self, path: str, mapping: mmap.mmap, meta: dict[str, Any]) -> Column:
-        source = ColumnSource(
-            path=path,
-            dtype=meta["dtype"],
-            length=int(meta["length"]),
-            offset=int(meta["offset"]),
-            dictionary=tuple(meta["dictionary"]) if meta["dictionary"] else None,
-        )
-        key = (path, source.offset)
-        dtype = np.dtype(source.dtype)
+        length, offset = int(meta["length"]), int(meta["offset"])
+        key = (path, offset)
+        dtype = np.dtype(meta["dtype"])
         fetch = lambda: self._cache.get(  # noqa: E731 - closure over the mapping
-            key, lambda: np.frombuffer(mapping, dtype, source.length, source.offset)
+            key, lambda: np.frombuffer(mapping, dtype, length, offset)
         )
         dictionary_fetch = None
-        if source.dictionary is not None:
-            start, length = source.dictionary
-            dictionary_fetch = lambda: json.loads(mapping[start:start + length])  # noqa: E731
+        if meta["dictionary"]:
+            start, size = meta["dictionary"]
+            dictionary_fetch = lambda: json.loads(mapping[start:start + size])  # noqa: E731
         return Column.lazy(
-            ColumnType(meta["ctype"]),
-            source.length,
-            fetch,
-            dictionary_fetch=dictionary_fetch,
-            source=source,
+            ColumnType(meta["ctype"]), length, fetch, dictionary_fetch=dictionary_fetch
         )
 
     # ------------------------------------------------------------------

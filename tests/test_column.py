@@ -1,10 +1,14 @@
 """Unit tests for the typed column implementation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import SchemaError
 from repro.storage.column import Column, ColumnType
+from repro.storage.durable import DurableBufferManager
+from repro.storage.table import Table
 
 
 class TestTypeInference:
@@ -167,3 +171,66 @@ class TestBulkOperations:
         assert Column([1, 2]) == Column([1, 2])
         assert Column([1, 2]) != Column([2, 1])
         assert Column(["a"]) != Column([1])
+
+
+#: Non-empty values per type; the empty case is ``[]`` of the same type.
+PICKLE_VALUES = {
+    ColumnType.INT: [5, -7, 2**62],
+    ColumnType.FLOAT: [1.5, -0.0, float("inf")],
+    ColumnType.STRING: ["a", "", "a"],
+}
+
+
+class TestPickle:
+    """A column pickles by physical value: how morsel workers get tables."""
+
+    @staticmethod
+    def assert_round_trip(column):
+        copy = pickle.loads(pickle.dumps(column))
+        assert copy.ctype is column.ctype
+        assert copy.data.dtype == column.data.dtype
+        assert copy.data.tobytes() == column.data.tobytes()
+        if column.ctype is ColumnType.STRING:
+            assert copy.dictionary == column.dictionary
+        assert copy.values() == column.values()
+
+    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("ctype", list(ColumnType))
+    def test_in_memory(self, ctype, empty):
+        self.assert_round_trip(Column([] if empty else PICKLE_VALUES[ctype], ctype))
+
+    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("ctype", list(ColumnType))
+    def test_durable(self, tmp_path, ctype, empty):
+        manager = DurableBufferManager(tmp_path)
+        manager.bootstrap()
+        values = [] if empty else PICKLE_VALUES[ctype]
+        table = manager.register_table(Table("t", {"c": Column(values, ctype)}))
+        manager.commit()
+        self.assert_round_trip(table.column("c"))
+        manager.close()
+
+    def test_durable_column_outlives_its_generation(self, tmp_path):
+        manager = DurableBufferManager(tmp_path)
+        manager.bootstrap()
+        table = manager.register_table(Table("t", {
+            "i": PICKLE_VALUES[ColumnType.INT], "s": PICKLE_VALUES[ColumnType.STRING],
+        }))
+        manager.commit()
+        read = {name: table.column(name).values() for name in table.column_names}
+        manager.register_table(Table("t", {"i": [0], "s": ["z"]}), replace=True)
+        manager.commit()
+        manager._checkpoint()
+        assert len(list((tmp_path / "cols").iterdir())) == 1  # the old one is gone
+        for name, values in read.items():
+            self.assert_round_trip(table.column(name))
+            assert pickle.loads(pickle.dumps(table.column(name))).values() == values
+        manager.close()
+
+    def test_caches_stay_behind(self):
+        fresh = pickle.dumps(Column(["a", "b", "a"]))
+        column = Column(["a", "b", "a"])
+        column.translate_codes(Column(["b", "c"]))
+        _ = column.decoded_data
+        assert column._translations
+        assert pickle.dumps(column) == fresh

@@ -7,14 +7,17 @@ query with 1 worker — and identical rows to the plain single-process
 Skinner-C task — because the morsel plan is a pure function of the data,
 never of the pool size.  On top of that the new surface is pinned:
 ``?workers=N`` applied server-side, registry conformance validation,
-fallback rules, and shared-memory / worker-pool hygiene (the ``workers``
-setting's resolution and validation are table-driven in
-``tests/test_connection_settings.py``).
+fallback rules, worker-pool hygiene, and a query that outlives its killed
+workers (the ``workers`` setting's resolution and validation are
+table-driven in ``tests/test_connection_settings.py``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,11 +36,7 @@ from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
 from repro.serving import QueryServer
 from repro.skinner import parallel
-from repro.skinner.parallel import (
-    ParallelSkinnerCTask,
-    live_segment_count,
-    shutdown_workers,
-)
+from repro.skinner.parallel import ParallelSkinnerCTask, shutdown_workers
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -89,11 +88,10 @@ def run_parallel(catalog, query, workers: int, config: SkinnerConfig = DEFAULT_C
 
 @pytest.fixture(scope="module", autouse=True)
 def _pool_hygiene():
-    """After the module: no worker processes, no shared-memory segments."""
+    """After the module: no worker processes."""
     yield
     shutdown_workers()
     assert multiprocessing.active_children() == []
-    assert live_segment_count() == 0
 
 
 class TestByteIdentity:
@@ -243,19 +241,25 @@ class TestRegistryConformance:
 
 
 class TestServingIntegration:
-    def test_cancel_mid_query_releases_segments(self):
+    def test_cancel_mid_query_drops_unstarted_morsels(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MORSELS", 8)
+        shutdown_workers()  # a cold pool: no morsel starts before the cancel
         catalog = build_catalog()
         config = DEFAULT_CONFIG.with_overrides(
             parallel_workers=2, slice_budget=16, serving_warm_start=False
         )
         server = QueryServer(catalog, config=config)
-        query = join_query()
-        ticket = server.submit(query, use_result_cache=False)
-        for _ in range(3):
-            if not server.step():
-                break
-        assert server.cancel(ticket) or server.poll(ticket)["state"] == "finished"
-        assert live_segment_count() == 0
+        ticket = server.submit(join_query(), use_result_cache=False)
+        task = server._session(ticket).task
+        while task._pilot is not None:
+            server.step()
+        morsels = list(task._dispatched)
+        assert len(morsels) == 7
+        assert server.cancel(ticket)
+        assert task._dispatched == []
+        # The pool hands at most workers + 1 morsels to its call queue ahead
+        # of time; every other morsel is cancelled before it starts.
+        assert sum(future.cancelled() for future in morsels) >= len(morsels) - 3
 
     def test_served_parallel_matches_direct(self):
         catalog = build_catalog()
@@ -271,7 +275,54 @@ class TestServingIntegration:
         direct = run_parallel(catalog, query, 2, config)
         assert served.table.rows() == direct.table.rows()
         assert served.metrics.work == direct.metrics.work
-        assert live_segment_count() == 0
+
+
+def _kill_workers(workers: int):
+    """SIGKILL every process of the cached pool of ``workers``; return it."""
+    pool = parallel._POOLS[workers]
+    for process in list(pool._processes.values()):
+        os.kill(process.pid, signal.SIGKILL)
+    return pool
+
+
+class TestWorkerDeath:
+    """A killed pool worker fails the morsels it held, never hangs the query."""
+
+    def test_query_outlives_its_killed_workers(self):
+        catalog = build_catalog()
+        query = join_query()
+        undisturbed = run_parallel(catalog, query, 2)
+        shutdown_workers()  # the pool below is spawned by this query
+        task = ParallelSkinnerCTask(
+            catalog, query, None, DEFAULT_CONFIG.with_overrides(parallel_workers=2)
+        )
+        try:
+            while task._pilot is not None:
+                task.run_episode()
+            killed = _kill_workers(2)
+            while not task.finished:
+                task.run_episode()
+            result = task.finalize()
+        finally:
+            task.close()
+        # The coordinator ran the morsels itself: same rows, same charges.
+        assert result.table.rows() == undisturbed.table.rows()
+        assert result.metrics.work == undisturbed.metrics.work
+        assert result.metrics.time_slices == undisturbed.metrics.time_slices
+        assert result.metrics.extra["pool_broken"] is True
+        assert undisturbed.metrics.extra["pool_broken"] is False
+        assert 2 not in parallel._POOLS
+        again = run_parallel(catalog, query, 2)
+        assert parallel._POOLS[2] is not killed
+        assert again.metrics.work == undisturbed.metrics.work
+        assert again.metrics.extra["pool_broken"] is False
+        # Workers killed while idle: shutting the pool down still returns.
+        _kill_workers(2)
+        shutdown = threading.Thread(target=shutdown_workers, daemon=True)
+        shutdown.start()
+        shutdown.join(timeout=30)
+        assert not shutdown.is_alive()
+        assert multiprocessing.active_children() == []
 
 
 class TestWireWorkers:

