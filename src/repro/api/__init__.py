@@ -9,10 +9,12 @@ Four pieces:
   the engine supports it).  ``connect()`` takes either a config (in-process
   database) or a ``repro://host:port/?tenant=...`` DSN (remote server).
 * :class:`Transport` / :class:`LocalTransport` /
-  :class:`~repro.net.client.RemoteTransport` — the single result channel
-  behind connections and cursors; both the streamed fetch path and the
-  completion-delivered result path go through it, which is what makes
-  local and remote connections behave identically.
+  :class:`~repro.net.client.RemoteTransport` — the twelve verbs that cross
+  the local/remote boundary (submissions and their tickets, table
+  registration and drops, transaction boundaries, stats, close).
+  ``Connection.execute``, ``create_table`` and the file loads are written
+  once above them, which is what makes local and remote connections behave
+  identically.
 * :class:`EngineRegistry` / :class:`EngineSpec` / :func:`register_engine` —
   the pluggable engine registry every execution path resolves engine names
   through; third-party engines register here and become usable from

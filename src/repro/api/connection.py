@@ -10,10 +10,12 @@
   against a live server; the catalog, UDFs, and scheduling live
   server-side and this process only holds a socket.
 
-Either way the connection routes every operation through one
-:class:`~repro.api.transport.Transport`, so cursors, schema mutations, and
-transactions behave identically over both forms (capability differences —
-no Python UDFs or prebuilt :class:`Query` objects over the wire — raise
+Either way what crosses the local/remote boundary goes through one
+:class:`~repro.api.transport.Transport`, and what is built from its verbs
+(``execute``, ``create_table``, ``load_csv``, ``load_document``) is written
+once here, so cursors, schema mutations, and transactions behave
+identically over both forms (capability differences — no Python UDFs or
+prebuilt :class:`Query` objects over the wire — raise
 :class:`~repro.errors.InterfaceError`; see ``docs/api.md``).
 
 Transactions cover *schema mutations*: ``create_table`` / ``add_table`` /
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.api.cursor import Cursor
 from repro.api.registry import DEFAULT_REGISTRY, EngineContext, EngineRegistry
@@ -47,11 +49,14 @@ from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryResult
+from repro.storage import loader
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.serving.server import QueryServer
+
+_T = TypeVar("_T")
 
 #: PEP 249 module globals.
 apilevel = "2.0"
@@ -301,23 +306,26 @@ class Connection:
         self._check_local("in_transaction")
         return self._txn_tables is not None
 
-    def _before_mutation(self) -> None:
-        """Open an implicit transaction at the first mutation (PEP 249)."""
-        if not self.autocommit and self._txn_tables is None and not self._remote:
-            assert self.catalog is not None and self.udfs is not None
+    def _mutate(self, change: Callable[[], _T]) -> _T:
+        """Run one schema or UDF change inside the transaction bracket.
+
+        Locally the first mutation opens an implicit transaction (PEP 249),
+        the change drops the serving caches, and on autocommit connections
+        it is its own committed transaction — without that commit durable
+        storage would roll it back on reopen.  A remote server brackets the
+        change on its own connection.
+        """
+        self._check_open()
+        if self._remote:
+            return change()
+        if not self.autocommit and self._txn_tables is None:
             self._txn_tables = self.catalog.snapshot()
             self._txn_udfs = self.udfs.snapshot()
-
-    def _after_mutation(self) -> None:
-        """Autocommit: every mutation is its own committed transaction.
-
-        Without this, durable storage would never see a commit record on
-        autocommit connections and their mutations would be rolled back on
-        reopen.
-        """
-        if self.autocommit and not self._remote:
-            assert self.catalog is not None
+        outcome = change()
+        self._invalidate()
+        if self.autocommit:
             self.catalog.commit()
+        return outcome
 
     def commit(self) -> None:
         """Make schema mutations since the last commit permanent."""
@@ -337,18 +345,17 @@ class Connection:
         self, name: str, columns: Mapping[str, Sequence[Any]], *, replace: bool = False
     ) -> Table:
         """Create a table from a column name to value-list mapping."""
-        self._check_open()
-        return self._transport.create_table(name, columns, replace=replace)
+        return self._mutate(
+            lambda: self._transport.add_table(Table(name, columns), replace=replace)
+        )
 
     def add_table(self, table: Table, *, replace: bool = False) -> None:
         """Register an existing :class:`Table`."""
-        self._check_open()
-        self._transport.add_table(table, replace=replace)
+        self._mutate(lambda: self._transport.add_table(table, replace=replace))
 
     def drop_table(self, name: str) -> None:
         """Remove a table from the catalog."""
-        self._check_open()
-        self._transport.drop_table(name)
+        self._mutate(lambda: self._transport.drop_table(name))
 
     def load_csv(
         self,
@@ -362,8 +369,7 @@ class Connection:
         The file is always read client-side; over a remote transport the
         parsed columns are shipped to the server.
         """
-        self._check_open()
-        return self._transport.load_csv(path, table_name, replace=replace)
+        return self._ingest(path, table_name, loader.load_csv, replace=replace)
 
     def load_document(
         self,
@@ -384,10 +390,51 @@ class Connection:
         durable catalog is a warm-start no-op, and the parsed columns ship
         over the wire on remote connections.
         """
-        self._check_open()
-        return self._transport.load_document(
-            path, table_name, format=format, replace=replace
+        from repro.docstore.shred import shred_document
+
+        return self._ingest(
+            path, table_name,
+            lambda file, name: Table(name, shred_document(file, format=format)),
+            replace=replace,
         )
+
+    def _ingest(
+        self,
+        path: str | Path,
+        table_name: str | None,
+        parse: Callable[[Path, str], Table],
+        *,
+        replace: bool,
+    ) -> Table:
+        """Parse a file client-side and register the table it yields.
+
+        Idempotent ingest on durable catalogs: when the catalog already
+        holds the table and remembers the same source-file fingerprint, the
+        load is a no-op — this is what lets a warm start on a data_dir
+        answer its first query without re-parsing any source file.  Only
+        the durable backend remembers fingerprints, so an in-memory catalog
+        keeps the strict contract (reloading an existing table requires
+        ``replace=True``): nothing persists, so a duplicate load is a
+        schema mistake, not a warm start.
+        """
+        self._check_open()
+        path = Path(path)
+        name = table_name or path.stem
+        if self._remote:
+            table = parse(path, name)
+            return self._mutate(lambda: self._transport.add_table(table, replace=replace))
+        catalog = self.catalog
+        fingerprint = loader.file_fingerprint(path)
+        if catalog.has_table(name) and catalog.ingest_fingerprint(name) == fingerprint:
+            return catalog.table(name)
+        table = parse(path, name)
+
+        def register() -> Table:
+            registered = self._transport.add_table(table, replace=replace)
+            catalog.record_ingest(name, fingerprint)
+            return registered
+
+        return self._mutate(register)
 
     def register_udf(
         self,
@@ -401,13 +448,15 @@ class Connection:
         """Register a user-defined function callable from SQL.
 
         Local connections only: Python callables cannot be shipped over
-        the wire (remote transports raise
-        :class:`~repro.errors.InterfaceError`).
+        the wire (a remote connection raises
+        :class:`~repro.errors.InterfaceError`; register them on the
+        server's own connection).
         """
         self._check_open()
-        self._transport.register_udf(
+        self._check_local("registering a Python UDF")
+        self._mutate(lambda: self.udfs.register(
             name, function, cost=cost, selectivity_hint=selectivity_hint, replace=replace
-        )
+        ))
 
     def _invalidate(self) -> None:
         """Schema or UDF change: drop the serving caches."""
@@ -515,7 +564,7 @@ class Connection:
         ``engine=None`` selects the connection's :attr:`default_engine`.
         """
         self._check_open()
-        return self._transport.execute(
+        handle = self._transport.submit(
             query,
             params,
             engine=engine if engine is not None else self.default_engine,
@@ -523,7 +572,19 @@ class Connection:
             config=config,
             forced_order=forced_order,
             use_result_cache=use_result_cache,
+            weight=1.0,
+            priority=0,
+            stream=False,
         )
+        try:
+            return self._transport.result(handle.ticket)
+        finally:
+            # One-shot callers never poll afterwards; dropping the session
+            # keeps a long-lived server's memory bounded by its caches.
+            try:
+                self._transport.forget(handle.ticket)
+            except OperationalError:
+                pass  # the wire died after the result round trip
 
     def execute_direct(
         self,

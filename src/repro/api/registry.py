@@ -202,10 +202,9 @@ class EngineRegistry:
 class RegistryNames(Sequence):
     """A live, tuple-like view of a registry's engine names.
 
-    ``repro.ENGINE_NAMES`` and ``repro.serving.SERVABLE_ENGINES`` are
-    instances of this view over the default registry, so engines added via
-    :func:`register_engine` appear in both without any recomputation —
-    the two historical constants can no longer drift apart.
+    ``repro.ENGINE_NAMES`` is this view over the default registry, so
+    engines added via :func:`register_engine` appear in it without any
+    recomputation.
     """
 
     def __init__(self, registry: EngineRegistry) -> None:
@@ -285,7 +284,7 @@ for _spec in BUILTIN_SPECS:
     DEFAULT_REGISTRY.register(_spec)
 
 #: Engines selectable by name (``repro.ENGINE_NAMES``) — a live view of the
-#: default registry, identical to the serving layer's ``SERVABLE_ENGINES``.
+#: default registry.
 ENGINE_NAMES = RegistryNames(DEFAULT_REGISTRY)
 
 

@@ -1,13 +1,17 @@
-"""Transports: the single result channel behind connections and cursors.
+"""Transports: the operations that cross the local/remote boundary.
 
 The PEP 249 surface (:class:`~repro.api.connection.Connection` /
 :class:`~repro.api.cursor.Cursor`) does not talk to an execution engine
-directly; every operation — submissions, streamed fetches, whole results,
-schema mutations, transaction boundaries, metrics — goes through one
-:class:`Transport`.  Two implementations exist:
+directly.  What differs between running in process and running against a
+server goes through one :class:`Transport`, and only that: submissions and
+their tickets (``submit`` / ``fetch_batch`` / ``poll`` / ``result`` /
+``cancel`` / ``forget``), registering and dropping a table, the transaction
+boundaries, and the serving metrics.  Everything built from those verbs —
+``Connection.execute``, ``create_table``, file ingest — is written once, in
+the connection.  Two implementations exist:
 
 * :class:`LocalTransport` — the in-process path: operations act on the
-  connection's own catalog, UDF registry, and lazily created
+  connection's own catalog and lazily created
   :class:`~repro.serving.server.QueryServer`.  This is what ``connect()``
   with a :class:`~repro.config.SkinnerConfig` (the historical form) uses.
 * :class:`~repro.net.client.RemoteTransport` — a blocking socket speaking
@@ -26,12 +30,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.config import SkinnerConfig
 from repro.result import QueryResult
-from repro.storage.loader import file_fingerprint, load_csv
 from repro.storage.table import Table
 
 if TYPE_CHECKING:
@@ -54,9 +56,6 @@ class SubmitHandle:
 class Transport(ABC):
     """The operations a connection needs from its execution backend."""
 
-    #: Whether operations cross a process boundary (capability flag: remote
-    #: transports cannot ship Python objects — prebuilt queries, UDFs).
-    remote: bool = False
     #: Tenant identity submissions are accounted to (fixed at handshake for
     #: remote transports).
     tenant: str = "default"
@@ -83,10 +82,6 @@ class Transport(ABC):
     def fetch_batch(self, ticket: int, max_rows: int | None) -> Table:
         """Next streamed batch as a table (no rows = result exhausted)."""
 
-    def fetch(self, ticket: int, max_rows: int | None) -> list[tuple[Any, ...]]:
-        """:meth:`fetch_batch` as a list of row tuples."""
-        return self.fetch_batch(ticket, max_rows).row_tuples()
-
     @abstractmethod
     def poll(self, ticket: int) -> dict[str, Any]:
         """Non-blocking progress snapshot of a submission."""
@@ -103,76 +98,15 @@ class Transport(ABC):
     def forget(self, ticket: int) -> bool:
         """Drop a terminal submission's server-side bookkeeping."""
 
-    @abstractmethod
-    def execute(
-        self,
-        operation: str | Any,
-        parameters: Sequence[Any] | Mapping[str, Any] | None,
-        *,
-        engine: str,
-        profile: str,
-        config: SkinnerConfig | None,
-        forced_order: Sequence[str] | None,
-        use_result_cache: bool,
-    ) -> QueryResult:
-        """Whole-result convenience path (submit + result + forget)."""
-
     # -- schema and transactions ----------------------------------------
     @abstractmethod
-    def create_table(
-        self, name: str, columns: Mapping[str, Sequence[Any]], *, replace: bool
-    ) -> Table:
-        """Create a table from a column mapping."""
-
-    @abstractmethod
-    def add_table(self, table: Table, *, replace: bool) -> None:
-        """Register an existing table (shipped column-wise when remote)."""
+    def add_table(self, table: Table, *, replace: bool) -> Table:
+        """Register a table (shipped column-wise when remote); returns the
+        registered table — a durable catalog re-wraps the columns."""
 
     @abstractmethod
     def drop_table(self, name: str) -> None:
         """Remove a table."""
-
-    @abstractmethod
-    def load_csv(
-        self, path: str | Path, table_name: str | None, *, replace: bool
-    ) -> Table:
-        """Load a CSV file (always read client-side) into a table."""
-
-    def load_document(
-        self,
-        path: str | Path,
-        table_name: str | None,
-        *,
-        format: str | None,
-        replace: bool,
-    ) -> Table:
-        """Shred an XML/JSON document (client-side) into a node table.
-
-        The default implementation works over any transport: the document
-        is parsed and shredded in this process and the resulting node
-        columns travel through :meth:`create_table` (column-wise over the
-        wire when remote).  :class:`LocalTransport` overrides it to add the
-        durable-catalog warm-start skip shared with :meth:`load_csv`.
-        """
-        from repro.docstore.shred import shred_document
-
-        path = Path(path)
-        name = table_name or path.stem
-        return self.create_table(
-            name, shred_document(path, format=format), replace=replace
-        )
-
-    @abstractmethod
-    def register_udf(
-        self,
-        name: str,
-        function: Callable[..., Any],
-        *,
-        cost: int,
-        selectivity_hint: float,
-        replace: bool,
-    ) -> None:
-        """Register a Python UDF (local transports only)."""
 
     @abstractmethod
     def commit(self) -> None:
@@ -193,9 +127,11 @@ class Transport(ABC):
 
 
 class LocalTransport(Transport):
-    """The in-process transport over a connection's own serving layer."""
+    """The in-process transport over a connection's own serving layer.
 
-    remote = False
+    Its schema verbs change the catalog and nothing else: the connection
+    wraps every change in its transaction bracket (``Connection._mutate``).
+    """
 
     def __init__(self, connection: Connection, tenant: str = "default") -> None:
         self._connection = connection
@@ -249,134 +185,14 @@ class LocalTransport(Transport):
     def forget(self, ticket: int) -> bool:
         return self._connection.server.forget(ticket)
 
-    def execute(
-        self,
-        operation: str | Any,
-        parameters: Sequence[Any] | Mapping[str, Any] | None,
-        *,
-        engine: str,
-        profile: str,
-        config: SkinnerConfig | None,
-        forced_order: Sequence[str] | None,
-        use_result_cache: bool,
-    ) -> QueryResult:
-        conn = self._connection
-        parsed = conn._resolve_query(operation, parameters)
-        return conn.server.execute(
-            parsed,
-            engine=engine,
-            profile=profile,
-            config=config or conn.config,
-            forced_order=forced_order,
-            use_result_cache=use_result_cache,
-        )
-
     # -- schema and transactions ----------------------------------------
-    def create_table(
-        self, name: str, columns: Mapping[str, Sequence[Any]], *, replace: bool
-    ) -> Table:
-        conn = self._connection
-        conn._before_mutation()
-        conn.catalog.add_table(Table(name, columns), replace=replace)
-        conn._invalidate()
-        conn._after_mutation()
-        # The registered table, not the transient one built above — a
-        # durable catalog re-wraps columns as memory-mapped views.
-        return conn.catalog.table(name)
-
-    def add_table(self, table: Table, *, replace: bool) -> None:
-        conn = self._connection
-        conn._before_mutation()
-        conn.catalog.add_table(table, replace=replace)
-        conn._invalidate()
-        conn._after_mutation()
+    def add_table(self, table: Table, *, replace: bool) -> Table:
+        catalog = self._connection.catalog
+        catalog.add_table(table, replace=replace)
+        return catalog.table(table.name)
 
     def drop_table(self, name: str) -> None:
-        conn = self._connection
-        conn._before_mutation()
-        conn.catalog.drop_table(name)
-        conn._invalidate()
-        conn._after_mutation()
-
-    def _warm_ingest(self, name: str, fingerprint: str) -> Table | None:
-        """The table already ingested from identical bytes, else ``None``.
-
-        Idempotent ingest on durable catalogs: when the recovered catalog
-        already holds this table and remembers the same source-file
-        fingerprint, the load is a no-op — this is what lets a warm start
-        on a data_dir answer its first query without re-parsing any source
-        file.  In-memory catalogs keep the strict contract (reloading an
-        existing table requires ``replace=True``): nothing persists, so a
-        duplicate load is a schema mistake, not a warm start.  Shared by
-        the CSV and document ingest paths so both skip identically.
-        """
-        conn = self._connection
-        if (
-            conn.catalog.buffer_manager.durable
-            and conn.catalog.has_table(name)
-            and conn.catalog.ingest_fingerprint(name) == fingerprint
-        ):
-            return conn.catalog.table(name)
-        return None
-
-    def _ingest(self, name: str, table: Table, fingerprint: str, *,
-                replace: bool) -> Table:
-        """Register a freshly parsed table and remember its source bytes."""
-        conn = self._connection
-        conn._before_mutation()
-        conn.catalog.add_table(table, replace=replace)
-        conn.catalog.record_ingest(name, fingerprint)
-        conn._invalidate()
-        conn._after_mutation()
-        return conn.catalog.table(name)
-
-    def load_csv(
-        self, path: str | Path, table_name: str | None, *, replace: bool
-    ) -> Table:
-        path = Path(path)
-        name = table_name or path.stem
-        fingerprint = file_fingerprint(path)
-        warm = self._warm_ingest(name, fingerprint)
-        if warm is not None:
-            return warm
-        return self._ingest(name, load_csv(path, table_name), fingerprint,
-                            replace=replace)
-
-    def load_document(
-        self,
-        path: str | Path,
-        table_name: str | None,
-        *,
-        format: str | None,
-        replace: bool,
-    ) -> Table:
-        from repro.docstore.shred import shred_document
-
-        path = Path(path)
-        name = table_name or path.stem
-        fingerprint = file_fingerprint(path)
-        warm = self._warm_ingest(name, fingerprint)
-        if warm is not None:
-            return warm
-        table = Table(name, shred_document(path, format=format))
-        return self._ingest(name, table, fingerprint, replace=replace)
-
-    def register_udf(
-        self,
-        name: str,
-        function: Callable[..., Any],
-        *,
-        cost: int,
-        selectivity_hint: float,
-        replace: bool,
-    ) -> None:
-        conn = self._connection
-        conn._before_mutation()
-        conn.udfs.register(
-            name, function, cost=cost, selectivity_hint=selectivity_hint, replace=replace
-        )
-        conn._invalidate()
-        conn._after_mutation()
+        self._connection.catalog.drop_table(name)
 
     def commit(self) -> None:
         conn = self._connection

@@ -21,7 +21,6 @@ from repro.errors import BudgetExceeded
 from repro.optimizer.cardinality import EstimatedCardinality
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
-from repro.optimizer.heuristic import SizeHeuristicOptimizer
 from repro.optimizer.plans import LeftDeepPlan
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
@@ -44,8 +43,6 @@ class TraditionalEngine:
         UDF registry (the optimizer treats UDF predicates as black boxes).
     profile:
         Engine profile name or object (``postgres``, ``monetdb``, ...).
-    optimizer:
-        ``"dp"`` (exhaustive left-deep DP, the default) or ``"greedy"``.
     """
 
     def __init__(
@@ -54,14 +51,10 @@ class TraditionalEngine:
         udfs: UdfRegistry | None = None,
         *,
         profile: str | EngineProfile = "postgres",
-        optimizer: str = "dp",
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._profile = get_profile(profile)
-        if optimizer not in ("dp", "greedy", "size_heuristic"):
-            raise ValueError("optimizer must be 'dp', 'greedy', or 'size_heuristic'")
-        self._optimizer = optimizer
 
     @property
     def name(self) -> str:
@@ -77,13 +70,12 @@ class TraditionalEngine:
     # planning
     # ------------------------------------------------------------------
     def plan(self, query: Query) -> LeftDeepPlan:
-        """Choose a join order using estimated cardinalities."""
+        """Choose a join order using estimated cardinalities: exhaustive
+        left-deep DP, greedy above :data:`_MAX_EXHAUSTIVE_TABLES` tables."""
         estimator = EstimatedCardinality(
             query, StatisticsCatalog.of(self._catalog), self._udfs
         )
-        if self._optimizer == "size_heuristic":
-            return SizeHeuristicOptimizer(self._catalog).optimize(query, estimator)
-        if self._optimizer == "dp" and query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
+        if query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
             return DynamicProgrammingOptimizer().optimize(query, estimator)
         return GreedyOptimizer().optimize(query, estimator)
 
@@ -135,7 +127,6 @@ class TraditionalEngine:
             extra={
                 "forced_order": forced_order is not None,
                 "estimated_cost": plan.cost if plan is not None else None,
-                "optimizer": self._optimizer,
                 "timed_out": timed_out,
             },
         )

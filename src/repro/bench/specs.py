@@ -12,7 +12,6 @@ from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.skinner_h import SkinnerH
-from repro.workloads.generators import Workload
 
 #: Skinner configuration used by the benchmark harness.  The paper's default
 #: time-slice budget is 500 multi-way-join iterations against IMDb-scale
@@ -34,18 +33,11 @@ def skinner_c_spec(
     )
 
 
-def traditional_spec(
-    name: str,
-    profile: str,
-    *,
-    optimizer: str = "dp",
-) -> EngineSpec:
+def traditional_spec(name: str, profile: str) -> EngineSpec:
     """A traditional optimizer + executor under the given engine profile."""
     return EngineSpec(
         name=name,
-        factory=lambda w: TraditionalEngine(
-            w.catalog, w.udfs, profile=profile, optimizer=optimizer
-        ),
+        factory=lambda w: TraditionalEngine(w.catalog, w.udfs, profile=profile),
         supports_budget=True,
         profile=profile,
     )
@@ -154,7 +146,3 @@ def torture_specs() -> list[EngineSpec]:
         skinner_h_spec("S-H(Com-DB)", "commercial"),
         traditional_spec("MonetDB", "monetdb"),
     ]
-
-
-def _all_specs(workload: Workload) -> None:  # pragma: no cover - import guard helper
-    """Placeholder keeping Workload referenced for type checkers."""

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -184,14 +183,14 @@ def _run_schedule(
         observations: list[dict[str, Any]] = []
         active: dict[str, Any] | None = None
 
+        def fetch(ticket: int) -> list[tuple[Any, ...]]:
+            return server.fetch_batch(ticket, fetch_rows).row_tuples()
+
         def drain_active() -> None:
             nonlocal active
             if active is None:
                 return
-            while True:
-                chunk = server.fetch(active["ticket"], fetch_rows)
-                if not chunk:
-                    break
+            while chunk := fetch(active["ticket"]):
                 active["streamed"].extend(chunk)
             result = server.result(active["ticket"])
             active["rows"] = _result_rows(result)
@@ -210,15 +209,14 @@ def _run_schedule(
                 )
                 active = {"name": op.name, "ticket": ticket, "streamed": []}
                 if interleave:
-                    active["streamed"].extend(server.fetch(ticket, fetch_rows))
+                    active["streamed"].extend(fetch(ticket))
                 else:
                     drain_active()
             else:
                 if interleave and active is not None:
                     # Pull a partial chunk so the mutation lands strictly
                     # between fetches of a mid-execution stream.
-                    active["streamed"].extend(server.fetch(active["ticket"],
-                                                           fetch_rows))
+                    active["streamed"].extend(fetch(active["ticket"]))
                 _apply_mutation(forest, op)
                 _commit_forest(conn, forest)
         drain_active()

@@ -4,7 +4,9 @@
 deliberately synchronous — the PEP 249 surface is blocking, so the
 transport is one :class:`SocketChannel` issuing strictly ordered
 request/response exchanges under a lock (thread-safe, like the local
-transport's cooperative driving).  Long waits are server-side: a ``fetch``
+transport's cooperative driving).  :class:`RemoteTransport` carries only
+the :class:`~repro.api.transport.Transport` verbs, one exchange each.
+Long waits are server-side: a ``fetch``
 or ``result`` request parks in the server's event loop until rows exist,
 so the client needs no polling loop and no timeout by default (pass
 ``timeout=`` seconds to bound every exchange instead).
@@ -13,8 +15,9 @@ Capability limits of the wire (both raise
 :class:`~repro.errors.InterfaceError` client-side, before any bytes are
 sent): prebuilt :class:`~repro.query.query.Query` objects cannot be
 submitted (SQL text travels; the server parses against *its* catalog), and
-Python UDFs cannot be registered.  CSV loads read the file client-side and
-ship the parsed columns.
+Python UDFs cannot be registered (the connection refuses that itself).
+File loads are parsed client-side by the connection and arrive here as
+tables, which ship column-wise.
 
 Lost connections, framing violations, timeouts, and unknown server errors
 surface as :class:`~repro.errors.OperationalError`; typed engine errors
@@ -28,8 +31,7 @@ import dataclasses
 import itertools
 import socket
 import threading
-from collections.abc import Callable, Mapping, Sequence
-from pathlib import Path
+from collections.abc import Mapping, Sequence
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
@@ -50,7 +52,6 @@ from repro.net.protocol import (
     wire_table,
 )
 from repro.result import QueryResult
-from repro.storage.loader import load_csv as _load_csv_file
 from repro.storage.table import Table
 
 #: Default TCP port of ``python -m repro.net`` (and DSNs without a port).
@@ -202,8 +203,6 @@ class RemoteTransport(Transport):
     resolved connection settings to request in the handshake.
     """
 
-    remote = True
-
     def __init__(
         self,
         host: str,
@@ -296,76 +295,16 @@ class RemoteTransport(Transport):
     def forget(self, ticket: int) -> bool:
         return bool(self._channel.request("forget", ticket=ticket).get("forgotten"))
 
-    def execute(
-        self,
-        operation: str | Any,
-        parameters: Sequence[Any] | Mapping[str, Any] | None,
-        *,
-        engine: str,
-        profile: str,
-        config: SkinnerConfig | None,
-        forced_order: Sequence[str] | None,
-        use_result_cache: bool,
-    ) -> QueryResult:
-        handle = self.submit(
-            operation,
-            parameters,
-            engine=engine,
-            profile=profile,
-            config=config,
-            forced_order=forced_order,
-            use_result_cache=use_result_cache,
-            weight=1.0,
-            priority=0,
-            stream=False,
-        )
-        try:
-            return self.result(handle.ticket)
-        finally:
-            try:
-                self.forget(handle.ticket)
-            except OperationalError:
-                pass  # the wire died after the result round trip
-
     # ------------------------------------------------------------------
     # schema and transactions
     # ------------------------------------------------------------------
-    def _ship_table(self, table: Table, *, replace: bool) -> None:
+    def add_table(self, table: Table, *, replace: bool) -> Table:
+        # The wire verb that carries a table is create_table.
         self._channel.request("create_table", table=table, replace=replace)
-
-    def create_table(
-        self, name: str, columns: Mapping[str, Sequence[Any]], *, replace: bool
-    ) -> Table:
-        table = Table(name, columns)  # wraps raw sequences, adopts Columns
-        self._ship_table(table, replace=replace)
         return table
-
-    def add_table(self, table: Table, *, replace: bool) -> None:
-        self._ship_table(table, replace=replace)
 
     def drop_table(self, name: str) -> None:
         self._channel.request("drop_table", name=name)
-
-    def load_csv(
-        self, path: str | Path, table_name: str | None, *, replace: bool
-    ) -> Table:
-        table = _load_csv_file(path, table_name)
-        self._ship_table(table, replace=replace)
-        return table
-
-    def register_udf(
-        self,
-        name: str,
-        function: Callable[..., Any],
-        *,
-        cost: int,
-        selectivity_hint: float,
-        replace: bool,
-    ) -> None:
-        raise InterfaceError(
-            "Python UDFs cannot be registered over a remote connection; "
-            "register them on the server's own connection"
-        )
 
     def commit(self) -> None:
         self._channel.request("commit")

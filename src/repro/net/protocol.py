@@ -24,9 +24,7 @@ is ``{"$table": {"name", "rows", "columns": [...]}}``; each column names its
   survive);
 * ``dict`` — a string column: ``strings`` lists, in the header, only the
   strings this frame references, the buffer holds one code per row at the
-  width (``codes``) the list's length needs;
-* ``json`` — the fallback for a column whose physical array holds Python
-  objects: the values travel in the header.
+  width (``codes``) the list's length needs.
 
 The receiver wraps the buffers with ``np.frombuffer`` — the frame is read
 into one preallocated buffer and the ``i8`` / ``f8`` columns are views of
@@ -252,8 +250,6 @@ def _table_to_wire(table: Table, attach: Callable[[np.ndarray], int]) -> dict[st
             width, codes = _narrow(codes)
             wire.update(kind="dict", codes=width, at=attach(codes),
                         strings=[dictionary[code] for code in used.tolist()])
-        elif data.dtype == object:
-            wire.update(kind="json", ctype=column.ctype.value, values=data.tolist())
         elif column.ctype is ColumnType.INT:
             kind, data = _narrow(data)
             wire.update(kind=kind, at=attach(data))
@@ -281,10 +277,11 @@ def _table_from_wire(wire: Any, buffers: memoryview) -> Table:
         raise FrameError(f"malformed table frame: {exc!r}") from None
 
 
-def _buffer(kind: Any, at: Any, rows: int, buffers: memoryview) -> np.ndarray:
+def _buffer(kind: Any, wire: dict[str, Any], rows: int, buffers: memoryview) -> np.ndarray:
     dtype = _DTYPES.get(kind) if isinstance(kind, str) else None
     if dtype is None:
         raise FrameError(f"unknown column kind {kind!r}")
+    at = wire["at"]
     if not isinstance(at, int) or at < 0 or at + rows * dtype.itemsize > len(buffers):
         raise FrameError(
             f"column buffer of {rows} x {dtype.itemsize} bytes at {at!r} "
@@ -295,18 +292,11 @@ def _buffer(kind: Any, at: Any, rows: int, buffers: memoryview) -> np.ndarray:
 
 def _column_from_wire(wire: dict[str, Any], rows: int, buffers: memoryview) -> Column:
     kind = wire["kind"]
-    if kind == "json":
-        values = wire["values"]
-        if not isinstance(values, list) or len(values) != rows:
-            raise FrameError("json column does not hold the announced rows")
-        data = np.empty(rows, dtype=object)
-        data[:] = values
-        return Column.from_physical(data, ColumnType(wire["ctype"]))
     if kind == "dict":
         strings = wire["strings"]
         if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
             raise FrameError("dict column strings must be a list of strings")
-        codes = _buffer(wire["codes"], wire["at"], rows, buffers)
+        codes = _buffer(wire["codes"], wire, rows, buffers)
         if codes.dtype.kind != "i" or (
             rows and not 0 <= int(codes.min()) <= int(codes.max()) < len(strings)
         ):
@@ -314,7 +304,7 @@ def _column_from_wire(wire: dict[str, Any], rows: int, buffers: memoryview) -> C
         return Column.from_physical(
             codes.astype(np.int64, copy=False), ColumnType.STRING, strings
         )
-    data = _buffer(kind, wire["at"], rows, buffers)
+    data = _buffer(kind, wire, rows, buffers)
     if kind == "f8":
         return Column.from_physical(data, ColumnType.FLOAT)
     return Column.from_physical(data.astype(np.int64, copy=False), ColumnType.INT)

@@ -20,7 +20,7 @@ from repro.serving.cache import (
     query_fingerprint,
 )
 from repro.serving.scheduler import FairScheduler
-from repro.serving.server import SERVABLE_ENGINES, QueryServer
+from repro.serving.server import QueryServer
 from repro.serving.session import (
     MonolithicTask,
     QuerySession,
@@ -29,7 +29,6 @@ from repro.serving.session import (
 )
 
 __all__ = [
-    "SERVABLE_ENGINES",
     "AdmissionController",
     "FairScheduler",
     "JoinOrderCache",

@@ -104,11 +104,6 @@ class FairScheduler:
         """A tenant's quota share (1.0 unless set)."""
         return self._quotas.get(tenant, 1.0)
 
-    @property
-    def tenant_virtual_times(self) -> dict[str, float]:
-        """Tenant-level virtual clocks (inspection and metrics)."""
-        return dict(self._tenant_virtual)
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------

@@ -31,12 +31,7 @@ from collections.abc import Sequence
 from dataclasses import replace
 from typing import Any
 
-from repro.api.registry import (
-    DEFAULT_REGISTRY,
-    EngineContext,
-    EngineRegistry,
-    RegistryNames,
-)
+from repro.api.registry import DEFAULT_REGISTRY, EngineContext, EngineRegistry
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter, WorkLedger
 from repro.engine.postprocess import post_process
@@ -59,11 +54,6 @@ from repro.serving.session import QuerySession, SessionState, StreamBuffer, empt
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
-#: Engines the server can schedule — a live view of the default
-#: :class:`~repro.api.registry.EngineRegistry`, so engines added through
-#: ``register_engine()`` become servable without touching this module.
-SERVABLE_ENGINES = RegistryNames(DEFAULT_REGISTRY)
-
 #: Entries of the cross-query join-order prior cache, keyed on the
 #: join-graph signature.
 ORDER_CACHE_SIZE = 128
@@ -75,8 +65,8 @@ RESULT_CACHE_SIZE = 64
 def check_fetch_size(max_rows: Any) -> None:
     """A fetch size is ``None`` (everything buffered) or a non-negative int.
 
-    The one check behind ``Cursor.fetchmany``, :meth:`QueryServer.fetch` and
-    the wire's ``fetch`` verb, so a bad size reads the same locally and
+    The one check behind ``Cursor.fetchmany``, :meth:`QueryServer.fetch_batch`
+    and the wire's ``fetch`` verb, so a bad size reads the same locally and
     over ``repro://`` — and ``-1`` is an error instead of an empty batch
     that every caller takes for "exhausted".
     """
@@ -183,7 +173,7 @@ class QueryServer:
         ``use_result_cache=False`` skips the cache *lookup* for this
         submission (the finished result is still stored for later
         submissions).  ``stream=True`` buffers result rows for incremental
-        delivery through :meth:`fetch`: when the engine and query shape
+        delivery through :meth:`fetch_batch`: when the engine and query shape
         allow it, completed batches become fetchable while the query is
         still executing; otherwise all rows become fetchable at completion.
         ``engine=None`` runs the server config's ``default_engine``.
@@ -294,12 +284,6 @@ class QueryServer:
             return empty_batch(session.query.output_names(self._catalog))
         return session.stream.take(max_rows)
 
-    def fetch(
-        self, ticket: int, max_rows: int | None = None, *, drive: bool = True
-    ) -> list[tuple[Any, ...]]:
-        """:meth:`fetch_batch` as a list of row tuples (empty = exhausted)."""
-        return self.fetch_batch(ticket, max_rows, drive=drive).row_tuples()
-
     def result(self, ticket: int, *, drive: bool = True) -> QueryResult:
         """The result of a submission, driving the scheduler until it is done.
 
@@ -381,33 +365,6 @@ class QueryServer:
         while self.step():
             steps += 1
         return steps
-
-    def execute(
-        self,
-        query: str | Query,
-        *,
-        engine: str | None = None,
-        profile: str = "postgres",
-        config: SkinnerConfig | None = None,
-        forced_order: Sequence[str] | None = None,
-        use_result_cache: bool = True,
-    ) -> QueryResult:
-        """Single-query convenience path: submit, drive to completion, return.
-
-        This is what ``Connection.execute`` routes through, so even one-off
-        queries go through admission, the result cache, and the join-order
-        warm-start.
-        """
-        ticket = self.submit(
-            query, engine=engine, profile=profile, config=config,
-            forced_order=forced_order, use_result_cache=use_result_cache,
-        )
-        try:
-            return self.result(ticket)
-        finally:
-            # One-shot callers never poll afterwards; dropping the session
-            # keeps a long-lived server's memory bounded by its caches.
-            self.forget(ticket)
 
     def forget(self, ticket: int) -> bool:
         """Drop a terminal session's bookkeeping (its result stays cached).

@@ -112,7 +112,7 @@ class BufferManager(ABC):
     table the catalog must actually expose.
     """
 
-    #: Whether tables survive the process (drives ``Connection.info()``).
+    #: Whether tables survive the process.
     durable: bool = False
 
     @property
@@ -166,13 +166,11 @@ class InMemoryBufferManager(BufferManager):
     Tables are whatever :class:`~repro.storage.table.Table` objects the
     caller registered; snapshots are shallow copies (tables are immutable,
     so a copied name map captures the full state); commits are no-ops
-    because nothing outlives the process.
+    because nothing outlives the process.  Ingest fingerprints are not
+    kept: no file load can be a warm start when nothing persisted.
     """
 
     durable = False
-
-    def __init__(self) -> None:
-        self._ingests: dict[str, str] = {}
 
     def bootstrap(self) -> dict[str, Table]:
         return {}
@@ -181,21 +179,19 @@ class InMemoryBufferManager(BufferManager):
         return table
 
     def drop_table(self, name: str) -> None:
-        self._ingests.pop(name, None)
+        pass
 
     def record_ingest(self, name: str, fingerprint: str) -> None:
-        self._ingests[name] = fingerprint
+        pass
 
     def ingest_fingerprint(self, name: str) -> str | None:
-        return self._ingests.get(name)
+        return None
 
     def snapshot(self, tables: dict[str, Table]) -> Any:
-        return (dict(tables), dict(self._ingests))
+        return dict(tables)
 
     def restore(self, token: Any) -> dict[str, Table]:
-        tables, ingests = token
-        self._ingests = dict(ingests)
-        return dict(tables)
+        return dict(token)
 
     def commit(self) -> None:
         pass

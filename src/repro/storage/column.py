@@ -441,8 +441,3 @@ def _encode_strings(values: Sequence[Any]) -> tuple[np.ndarray, list[str], dict[
             dictionary.append(value)
         codes[i] = code
     return codes, dictionary, code_of
-
-
-def _from_physical(data: np.ndarray, ctype: ColumnType) -> Column:
-    """Backwards-compatible alias of :meth:`Column.from_physical`."""
-    return Column.from_physical(data, ctype)

@@ -21,7 +21,7 @@ catastrophic plans that dominate total execution time in Table 1/Figure 6.
 
 from __future__ import annotations
 
-from repro.query.expressions import ColumnRef, Star
+from repro.query.expressions import Star
 from repro.query.predicates import (
     Predicate,
     column_compare_literal,
@@ -469,8 +469,3 @@ def _make_queries(sizes: dict[str, int]) -> list[WorkloadQuery]:
         "seven-table dimension-heavy join", ("large",),
     ))
     return queries
-
-
-def job_output_column() -> ColumnRef:
-    """The column the JOB-analogue queries aggregate (for documentation)."""
-    return ColumnRef("t", "id")

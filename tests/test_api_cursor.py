@@ -490,7 +490,7 @@ class TestFetchEdgeCases:
         conn = make_connection()
         ticket = conn.server.submit("SELECT r.id FROM r")
         with pytest.raises(ReproError, match="stream=True"):
-            conn.server.fetch(ticket)
+            conn.server.fetch_batch(ticket)
 
 
 class TestPrebuiltQueryParameters:

@@ -6,7 +6,6 @@ from repro import ENGINE_NAMES, Connection, ReproError, SkinnerConfig, register_
 from repro.api import DEFAULT_REGISTRY, EngineRegistry, EngineSpec, connect
 from repro.engine.task import EngineTask
 from repro.result import QueryMetrics, QueryResult
-from repro.serving import SERVABLE_ENGINES
 from repro.storage.table import Table
 
 FAST = SkinnerConfig(slice_budget=64, batches_per_table=3, base_timeout=200)
@@ -56,13 +55,11 @@ class TestRegistryBasics:
 
     def test_engine_names_and_servable_engines_are_registry_views(self):
         assert tuple(ENGINE_NAMES) == DEFAULT_REGISTRY.names()
-        assert tuple(SERVABLE_ENGINES) == DEFAULT_REGISTRY.names()
-        assert ENGINE_NAMES == SERVABLE_ENGINES
+        assert ENGINE_NAMES == DEFAULT_REGISTRY.names()
 
     def test_views_are_live(self, toy_registered):
         assert "toy" in ENGINE_NAMES
-        assert "toy" in SERVABLE_ENGINES
-        assert list(ENGINE_NAMES) == list(SERVABLE_ENGINES)
+        assert list(ENGINE_NAMES) == list(DEFAULT_REGISTRY.names())
 
     def test_resolve_is_case_insensitive(self):
         assert DEFAULT_REGISTRY.resolve("SKINNER-C").name == "skinner-c"
@@ -203,8 +200,9 @@ class TestEpisodicCustomEngine:
         task = server.session(ticket).task
         assert isinstance(task, ToyTask) and not task.streamable
         assert server.step() and server.step()  # two of three episodes
-        assert server.fetch(ticket, drive=False) == []  # nothing before completion
-        assert server.fetch(ticket) == [(3,)]
+        # nothing before completion
+        assert server.fetch_batch(ticket, drive=False).row_tuples() == []
+        assert server.fetch_batch(ticket).row_tuples() == [(3,)]
         assert server.poll(ticket)["state"] == "finished"
         assert server.poll(ticket)["work_done"] == 30 == server.ledger.grand_total()
         assert server.session(ticket).task is None  # released through close()

@@ -1,10 +1,13 @@
 """Tests for ``Connection.execute`` (SQL in, results out, every engine)."""
 
+import contextlib
+
 import pytest
 
 from repro import ENGINE_NAMES, Connection, ReproError, SkinnerConfig, connect
 from repro.api import EngineContext
 from repro.errors import CatalogError
+from repro.net.server import ServerThread
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.storage.table import Table
 
@@ -182,6 +185,25 @@ class TestServingLayerRouting:
     def test_forced_order_via_server(self, db):
         result = db.execute(self.JOIN_SQL, engine="traditional", forced_order=("d", "e"))
         assert result.metrics.final_join_order == ("d", "e")
+
+    @pytest.mark.parametrize("where", ["in-process", "repro://"])
+    def test_execute_books_work_to_the_connection_tenant(self, where):
+        """One ``execute`` is the connection tenant's work, in process as
+        over the wire — not the ``"default"`` tenant's."""
+        with contextlib.ExitStack() as stack:
+            if where == "in-process":
+                conn = connect(FAST, tenant="alice")
+            else:
+                live = stack.enter_context(ServerThread(config=FAST))
+                conn = connect(live.dsn, tenant="alice")
+            stack.callback(conn.close)
+            conn.create_table("emp", {"eid": [1, 2, 3], "salary": [100, 120, 90]})
+            conn.commit()
+            result = conn.execute("SELECT COUNT(*) AS n FROM emp", use_result_cache=False)
+            assert result.rows == [{"n": 3}]
+            tenants = conn.stats()["tenants"]
+            assert "default" not in tenants
+            assert tenants["alice"]["work"] == result.metrics.work.total > 0
 
 
 class TestUdfs:

@@ -250,10 +250,6 @@ class TestTraditionalEngine:
         assert plan.cost > 0
         assert sorted(plan.order) == ["c", "i", "o"]
 
-    def test_invalid_optimizer_rejected(self, tiny_catalog):
-        with pytest.raises(ValueError):
-            TraditionalEngine(tiny_catalog, optimizer="quantum")
-
 
 class TestRandomOrderBaseline:
     def test_factory_variants(self, tiny_catalog, tiny_join_query):

@@ -517,7 +517,7 @@ class TestBackpressure:
                 for ticket in tickets:
                     rows = []
                     while True:
-                        batch = transport.fetch(ticket, None)
+                        batch = transport.fetch_batch(ticket, None).row_tuples()
                         if not batch:
                             break
                         rows.extend(batch)
@@ -559,7 +559,7 @@ class TestServerLifecycle:
         try:
             # Either the query finishes before the stop lands (rows) or the
             # shutdown surfaces as OperationalError — never a hang.
-            transport.fetch(handle.ticket, None)
+            transport.fetch_batch(handle.ticket, None).row_tuples()
         except OperationalError:
             pass
         finally:

@@ -9,7 +9,6 @@ from repro.optimizer.cost import cmm_cost, cout_cost, prefix_cardinalities
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.exhaustive import optimal_plan
 from repro.optimizer.greedy import GreedyOptimizer
-from repro.optimizer.heuristic import SizeHeuristicOptimizer
 from repro.optimizer.plans import LeftDeepPlan
 from repro.query.predicates import column_equals_column
 from repro.query.query import make_query
@@ -116,17 +115,6 @@ class TestGreedyAndHeuristic:
     def test_greedy_starts_with_smallest_base(self, chain_query, chain_estimator):
         plan = GreedyOptimizer().optimize(chain_query, chain_estimator)
         assert plan.order[0] == "b"
-
-    def test_size_heuristic_ignores_filters(self, tiny_catalog, tiny_join_query):
-        from repro.optimizer.statistics import StatisticsCatalog
-        from repro.optimizer.cardinality import EstimatedCardinality
-
-        stats = StatisticsCatalog.collect(tiny_catalog)
-        estimator = EstimatedCardinality(tiny_join_query, stats)
-        plan = SizeHeuristicOptimizer(tiny_catalog).optimize(tiny_join_query, estimator)
-        # customers is the smallest raw table of the query.
-        assert plan.order[0] == "c"
-        assert sorted(plan.order) == ["c", "i", "o"]
 
 
 class TestOracleOptimizer:

@@ -409,9 +409,8 @@ def test_submit_and_execute_default_to_the_configured_engine(catalog):
     ticket = server.submit(QUERIES[1])
     assert server.session(ticket).engine == "traditional"
     assert server.result(ticket).metrics.engine == "traditional(postgres)"
-    assert server.execute(QUERIES[4]).metrics.engine == "traditional(postgres)"
-    explicit = server.execute(QUERIES[1], engine="skinner-c", use_result_cache=False)
-    assert explicit.metrics.engine == "skinner-c"
+    explicit = server.submit(QUERIES[1], engine="skinner-c", use_result_cache=False)
+    assert server.result(explicit).metrics.engine == "skinner-c"
 
 
 # ----------------------------------------------------------------------

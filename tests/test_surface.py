@@ -20,8 +20,9 @@ from pathlib import Path
 import repro
 from repro import Connection, Cursor, EngineSpec, QueryServer, SkinnerConfig, connect
 from repro.api.settings import SETTINGS
-from repro.api.transport import Transport
+from repro.api.transport import LocalTransport, Transport
 from repro.engine.task import EngineTask
+from repro.net.client import RemoteTransport
 from repro.net.protocol import PROTOCOL_VERSION
 
 CONFIG_FIELDS = {
@@ -52,6 +53,13 @@ ENGINE_TASK_NAMES = {
     "finished", "streamable", "warm_startable",
     "run_episode", "work_total", "finalize",
     "enable_streaming", "drain_new_tuples", "partial_metrics", "learned_orders", "close",
+}
+
+#: The operations that differ between in-process and ``repro://``.
+TRANSPORT_VERBS = {
+    "submit", "fetch_batch", "poll", "result", "cancel", "forget",
+    "add_table", "drop_table",
+    "commit", "rollback", "stats", "close",
 }
 
 CONNECT_PARAMETERS = [
@@ -149,12 +157,17 @@ def test_execute_signatures_are_exactly_these():
         assert list(inspect.signature(function).parameters) == expected, function.__qualname__
 
 
-def test_fetch_has_one_batch_returning_form_and_the_wire_one_version():
-    """Tables are fetched; the row-returning ``fetch`` is one line over it
-    on both layers (same parameters), and there is one wire encoding."""
-    for owner in (QueryServer, Transport):
-        batch = list(inspect.signature(owner.fetch_batch).parameters)
-        assert batch == list(inspect.signature(owner.fetch).parameters)
+def test_transport_carries_exactly_the_boundary_verbs():
+    """A transport carries what crosses the local/remote boundary and
+    nothing derivable from it: ``execute``, table creation and file loads
+    are written once, in ``Connection``.  Tables are fetched in one
+    batch-returning form, and there is one wire encoding."""
+    assert Transport.__abstractmethods__ == TRANSPORT_VERBS
+    public = {name for name in vars(Transport) if not name.startswith("_")}
+    assert public == TRANSPORT_VERBS | {"tenant"}
+    derived = ("execute", "fetch", "create_table", "load_csv", "load_document", "register_udf")
+    for owner in (LocalTransport, RemoteTransport, QueryServer):
+        assert not [name for name in derived if hasattr(owner, name)], owner.__name__
     assert list(inspect.signature(QueryServer.fetch_batch).parameters) == [
         "self", "ticket", "max_rows", "drive"]
     assert list(inspect.signature(Transport.fetch_batch).parameters) == [

@@ -65,11 +65,11 @@ class TestVisibility:
             server = conn.server
             ticket = server.submit(conn.parse(SQL), engine="skinner-c",
                                    stream=True)
-            streamed = server.fetch(ticket, 2)  # activates pre-mutation
+            streamed = server.fetch_batch(ticket, 2).row_tuples()  # activates pre-mutation
             conn.create_table("t", {"x": [100, 200]}, replace=True)
             conn.commit()
             while True:
-                chunk = server.fetch(ticket, 4)
+                chunk = server.fetch_batch(ticket, 4).row_tuples()
                 if not chunk:
                     break
                 streamed.extend(chunk)
@@ -86,7 +86,7 @@ class TestVisibility:
             server = conn.server
             ticket = server.submit(conn.parse(SQL), engine="skinner-c",
                                    stream=True)
-            server.fetch(ticket, 2)
+            server.fetch_batch(ticket, 2).row_tuples()
             conn.create_table("t", {"x": [100, 200]}, replace=True)
             conn.commit()
             server.result(ticket)  # completes under the bumped epoch
@@ -124,7 +124,7 @@ class TestInterleavingProperty:
             def finish(entry):
                 ticket, expected, streamed = entry
                 while True:
-                    chunk = server.fetch(ticket, 3)
+                    chunk = server.fetch_batch(ticket, 3).row_tuples()
                     if not chunk:
                         break
                     streamed.extend(chunk)
@@ -137,12 +137,12 @@ class TestInterleavingProperty:
                         conn.parse(SQL), engine="skinner-c", stream=True,
                         use_result_cache=False,
                     )
-                    streamed = list(server.fetch(ticket, 1))  # force activation
+                    streamed = list(server.fetch_batch(ticket, 1).row_tuples())  # force activation
                     pending.append(
                         (ticket, sorted((x,) for x in values), streamed)
                     )
                 elif op == "fetch" and pending:
-                    pending[0][2].extend(server.fetch(pending[0][0], 2))
+                    pending[0][2].extend(server.fetch_batch(pending[0][0], 2).row_tuples())
                 elif op == "mutate":
                     version += 1
                     values = [100 * version + i for i in range(6 + version % 3)]
