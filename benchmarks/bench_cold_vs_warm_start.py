@@ -9,7 +9,7 @@ every run.  Run with::
     pytest benchmarks/bench_cold_vs_warm_start.py --benchmark-only -s
 """
 
-from repro.bench.experiments import EXPERIMENTS
+from benchmarks.paper.experiments import EXPERIMENTS
 
 from conftest import run_experiment
 

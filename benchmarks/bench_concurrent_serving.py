@@ -9,7 +9,7 @@ the cross-query join-order cache.  Run with::
     pytest benchmarks/bench_concurrent_serving.py --benchmark-only -s
 """
 
-from repro.bench.experiments import EXPERIMENTS
+from benchmarks.paper.experiments import EXPERIMENTS
 
 from conftest import run_experiment, smoke_mode
 

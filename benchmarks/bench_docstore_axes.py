@@ -10,7 +10,7 @@ byte-identical between both engines per query.  Run with::
     pytest benchmarks/bench_docstore_axes.py --benchmark-only -s
 """
 
-from repro.bench.experiments import EXPERIMENTS
+from benchmarks.paper.experiments import EXPERIMENTS
 
 from conftest import run_experiment
 

@@ -10,7 +10,7 @@ Skinner-G, and both forced full-query plans.  Run with::
     pytest benchmarks/bench_external_sqlite.py --benchmark-only -s
 """
 
-from repro.bench.experiments import EXPERIMENTS
+from benchmarks.paper.experiments import EXPERIMENTS
 
 from conftest import run_experiment
 

@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_figure10_correlation_torture.py --benchmark-only -s
 """
 
-from repro.bench.experiments import figure10
+from benchmarks.paper.experiments import figure10
 
 from conftest import run_experiment
 

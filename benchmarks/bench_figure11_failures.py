@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_figure11_failures.py --benchmark-only -s
 """
 
-from repro.bench.experiments import figure11
+from benchmarks.paper.experiments import figure11
 
 from conftest import run_experiment
 

@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_figure13_tpch_queries.py --benchmark-only -s
 """
 
-from repro.bench.experiments import figure13
+from benchmarks.paper.experiments import figure13
 
 from conftest import run_experiment
 

@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_figure6_speedup_source.py --benchmark-only -s
 """
 
-from repro.bench.experiments import figure6
+from benchmarks.paper.experiments import figure6
 
 from conftest import run_experiment
 

@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_figure7_convergence.py --benchmark-only -s
 """
 
-from repro.bench.experiments import figure7
+from benchmarks.paper.experiments import figure7
 
 from conftest import run_experiment
 

@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_figure8_memory.py --benchmark-only -s
 """
 
-from repro.bench.experiments import figure8
+from benchmarks.paper.experiments import figure8
 
 from conftest import run_experiment
 

@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_figure9_udf_torture.py --benchmark-only -s
 """
 
-from repro.bench.experiments import figure9
+from benchmarks.paper.experiments import figure9
 
 from conftest import run_experiment
 

@@ -1,14 +1,14 @@
 """Hash-join kernel benchmark: vectorized kernel vs the dict-based reference.
 
-Measures the plan executor's hash-join operator against
-``hash_join_step(mode="rows")`` on join-heavy three-table plans,
+Measures the plan executor's hash-join operator against the
+``rows_hash_join_step`` test oracle on join-heavy three-table plans,
 cross-checking byte-identical results and meter charges on every run.  Run
 with::
 
     pytest benchmarks/bench_hashjoin_kernel.py --benchmark-only -s
 """
 
-from repro.bench.experiments import EXPERIMENTS
+from benchmarks.paper.experiments import EXPERIMENTS
 
 from conftest import run_experiment, smoke_mode
 

@@ -11,7 +11,7 @@ quota-protected.  Run with::
     pytest benchmarks/bench_multitenant_server.py --benchmark-only -s
 """
 
-from repro.bench.experiments import EXPERIMENTS
+from benchmarks.paper.experiments import EXPERIMENTS
 
 from conftest import run_experiment, smoke_mode
 

@@ -1,13 +1,14 @@
 """Post-processing pipeline benchmark: columnar vs row path.
 
 Measures the aggregation-/DISTINCT-/ORDER-BY-heavy post-processing stage
-against ``post_process(mode="rows")`` over one large materialized join result.
+against the ``rows_post_process`` test oracle over one large materialized
+join result.
 Run with::
 
     pytest benchmarks/bench_postprocess_pipeline.py --benchmark-only -s
 """
 
-from repro.bench.experiments import EXPERIMENTS
+from benchmarks.paper.experiments import EXPERIMENTS
 
 from conftest import run_experiment, smoke_mode
 

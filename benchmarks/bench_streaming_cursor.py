@@ -9,7 +9,7 @@ meter charges on every run.  Run with::
     pytest benchmarks/bench_streaming_cursor.py --benchmark-only -s
 """
 
-from repro.bench.experiments import EXPERIMENTS
+from benchmarks.paper.experiments import EXPERIMENTS
 
 from conftest import run_experiment, smoke_mode
 

@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_table1_job_single.py --benchmark-only -s
 """
 
-from repro.bench.experiments import table1
+from benchmarks.paper.experiments import table1
 
 from conftest import run_experiment
 

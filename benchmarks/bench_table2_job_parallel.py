@@ -9,7 +9,7 @@ single-process versus parallel wall-clock.  Run with::
     pytest benchmarks/bench_table2_job_parallel.py --benchmark-only -s
 """
 
-from repro.bench.experiments import table2
+from benchmarks.paper.experiments import table2
 
 from conftest import run_experiment, smoke_mode
 

@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_table3_order_quality.py --benchmark-only -s
 """
 
-from repro.bench.experiments import table3
+from benchmarks.paper.experiments import table3
 
 from conftest import run_experiment
 

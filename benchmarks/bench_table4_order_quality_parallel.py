@@ -9,7 +9,7 @@ measured A/B wall-clock lands under ``output["parallel"]``.  Run with::
     pytest benchmarks/bench_table4_order_quality_parallel.py --benchmark-only -s
 """
 
-from repro.bench.experiments import table4
+from benchmarks.paper.experiments import table4
 
 from conftest import run_experiment
 

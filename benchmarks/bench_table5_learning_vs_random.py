@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_table5_learning_vs_random.py --benchmark-only -s
 """
 
-from repro.bench.experiments import table5
+from benchmarks.paper.experiments import table5
 
 from conftest import run_experiment
 

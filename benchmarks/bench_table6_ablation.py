@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_table6_ablation.py --benchmark-only -s
 """
 
-from repro.bench.experiments import table6
+from benchmarks.paper.experiments import table6
 
 from conftest import run_experiment
 

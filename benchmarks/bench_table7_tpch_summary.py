@@ -6,7 +6,7 @@ synthetic workload substitutes described in ``docs/ci.md``.  Run with::
     pytest benchmarks/bench_table7_tpch_summary.py --benchmark-only -s
 """
 
-from repro.bench.experiments import table7
+from benchmarks.paper.experiments import table7
 
 from conftest import run_experiment
 

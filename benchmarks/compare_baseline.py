@@ -4,17 +4,14 @@
 CI's ``bench-smoke`` job writes one ``BENCH_<experiment>.json`` artifact per
 benchmark; this script compares a directory of such artifacts against the
 committed ``benchmarks/baseline.json`` and fails (exit code 1) on
-regressions.  Two metrics are gated per benchmark:
-
-* **work fingerprint** — the sum of every ``simulated_time`` value in the
-  artifact's output.  This is derived from the cost meters, so it is
-  deterministic across machines: exceeding the baseline by more than the
-  tolerance means the engines genuinely do more work now.  A fingerprint
-  equal to the baseline's to its three stored decimals reads ``identical``
-  instead of ``ok``.
-* **wall time** — guarded by the same relative tolerance *plus* an absolute
-  floor (``wall_floor_seconds``) that absorbs runner noise on the tiny smoke
-  inputs, so only real interpreter-level blowups trip it.
+regressions.  One metric is gated per benchmark, the **work fingerprint**:
+the sum of every ``simulated_time`` value in the artifact's output.  This is
+derived from the cost meters, so it is deterministic across machines:
+exceeding the baseline by more than the tolerance means the engines
+genuinely do more work now.  A fingerprint equal to the baseline's to its
+three stored decimals reads ``identical`` instead of ``ok``.  Wall time is
+shown beside it and not gated: the smoke inputs finish in well under a
+second, and the end-to-end harness (``benchmarks/e2e/``) owns wall time.
 
 A markdown delta table is printed, and appended to ``$GITHUB_STEP_SUMMARY``
 when that variable is set (or to ``--summary PATH``).  A benchmark present
@@ -76,7 +73,6 @@ def compare(
 ) -> tuple[list[dict[str, str]], bool]:
     """Build the delta table; the second element is True when the gate fails."""
     tolerance = float(baseline.get("tolerance", 0.25))
-    wall_floor = float(baseline.get("wall_floor_seconds", 2.0))
     expected = baseline.get("benchmarks", {})
     rows: list[dict[str, str]] = []
     failed = False
@@ -105,18 +101,12 @@ def compare(
             })
             failed = True
             continue
-        regressions = []
         base_wall = float(base.get("wall_time_seconds", 0.0))
         base_work = float(base.get("work_fingerprint", 0.0))
         wall, work = current["wall_time_seconds"], current["work_fingerprint"]
-        if wall > base_wall * (1.0 + tolerance) + wall_floor:
-            regressions.append("WALL")
-            failed = True
         if base_work > 0 and work > base_work * (1.0 + tolerance) + 1e-6:
-            regressions.append("WORK")
+            status = "WORK REGRESSION"
             failed = True
-        if regressions:
-            status = "+".join(regressions) + " REGRESSION"
         else:
             # The tolerance is one-sided and wide; a refactoring's claim that
             # no engine does different work is the exact match, so show it.
@@ -131,12 +121,11 @@ def compare(
     return rows, failed
 
 
-def render_markdown(rows: list[dict[str, str]], tolerance: float, wall_floor: float) -> str:
+def render_markdown(rows: list[dict[str, str]], tolerance: float) -> str:
     lines = [
         "## Bench regression gate",
         "",
-        f"Tolerance: {tolerance:.0%} relative; wall time also gets a "
-        f"{wall_floor:.1f}s absolute floor for runner noise.",
+        f"Tolerance: {tolerance:.0%} relative on work; wall time is not gated.",
         "",
         "| Benchmark | Wall (current vs base) | Δ wall | Work (current vs base) "
         "| Δ work | Status |",
@@ -176,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.update:
         baseline.setdefault("tolerance", 0.25)
-        baseline.setdefault("wall_floor_seconds", 2.0)
         if args.only is None:
             refreshed = baseline["benchmarks"] = artifacts
         else:
@@ -192,8 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     rows, failed = compare(baseline, artifacts)
-    markdown = render_markdown(rows, float(baseline.get("tolerance", 0.25)),
-                               float(baseline.get("wall_floor_seconds", 2.0)))
+    markdown = render_markdown(rows, float(baseline.get("tolerance", 0.25)))
     print(markdown)
     summary_path = args.summary or (
         Path(os.environ["GITHUB_STEP_SUMMARY"]) if os.environ.get("GITHUB_STEP_SUMMARY")

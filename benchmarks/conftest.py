@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 import pytest
 
-from repro.bench.report import format_series, format_table
+from benchmarks.paper.report import render
 
 #: Per-keyword ceilings applied when ``BENCH_SMOKE=1``: every experiment
 #: keyword that appears here is reduced to a smoke-sized value.
@@ -150,25 +150,3 @@ def run_experiment(benchmark, experiment: Callable[..., dict[str, Any]], **kwarg
     print(render(output))
     return output
 
-
-def render(output: dict[str, Any]) -> str:
-    """Render an experiment output dictionary as text."""
-    parts: list[str] = []
-    title = output.get("title", "experiment")
-    if "rows" in output:
-        parts.append(format_table(title, output["rows"]))
-    if "series" in output:
-        parts.append(format_series(title, output["series"]))
-    for key in ("chain", "star", "m1", "m_half"):
-        if key in output and isinstance(output[key], dict) and "series" in output[key]:
-            parts.append(format_series(output[key]["title"], output[key]["series"]))
-    for key in ("standard", "udf"):
-        if key in output and isinstance(output[key], list):
-            parts.append(format_table(f"{title} ({key})", output[key]))
-    if "batch_reuse" in output:
-        parts.append(format_table(f"{title} (batch reuse)", output["batch_reuse"]))
-    if "scatter" in output:
-        parts.append(format_table(f"{title} (per-query speedups)", output["scatter"]))
-    if not parts:
-        parts.append(title)
-    return "\n".join(parts)

@@ -1,14 +1,14 @@
 """Reproduce any table or figure of the SkinnerDB paper from the command line.
 
-Usage::
+Usage (from the repository root)::
 
-    python examples/reproduce_paper.py table1 table5
-    python examples/reproduce_paper.py figure9 --small
-    python examples/reproduce_paper.py all --small
+    PYTHONPATH=src python -m benchmarks.paper table1 table5
+    PYTHONPATH=src python -m benchmarks.paper figure9 --small
+    PYTHONPATH=src python -m benchmarks.paper all --small
 
 ``--small`` shrinks the workloads so every experiment finishes in seconds;
-without it the defaults of :mod:`repro.bench.experiments` are used (the same
-parameters the ``benchmarks/`` modules run with).
+without it the defaults of :mod:`benchmarks.paper.experiments` are used (the
+same parameters the ``benchmarks/`` modules run with).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import argparse
 import sys
 import time
 
-from repro.bench.experiments import EXPERIMENTS
-from repro.bench.report import format_series, format_table
+from .experiments import EXPERIMENTS
+from .report import render
 
 _SMALL_OVERRIDES: dict[str, dict] = {
     "table1": {"scale": 0.3},
@@ -39,28 +39,8 @@ _SMALL_OVERRIDES: dict[str, dict] = {
 }
 
 
-def render(output: dict) -> str:
-    """Text rendering of one experiment's output."""
-    parts: list[str] = []
-    title = output.get("title", "experiment")
-    if "rows" in output:
-        parts.append(format_table(title, output["rows"]))
-    if "series" in output:
-        parts.append(format_series(title, output["series"]))
-    for key in ("chain", "star", "m1", "m_half"):
-        nested = output.get(key)
-        if isinstance(nested, dict) and "series" in nested:
-            parts.append(format_series(nested["title"], nested["series"]))
-    for key in ("standard", "udf"):
-        if isinstance(output.get(key), list):
-            parts.append(format_table(f"{title} ({key})", output[key]))
-    if "scatter" in output:
-        parts.append(format_table(f"{title} (per-query speedups)", output["scatter"]))
-    return "\n".join(parts) if parts else title
-
-
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="python -m benchmarks.paper", description=__doc__)
     parser.add_argument("experiments", nargs="+",
                         help="experiment names (table1..table7, figure6..figure13) or 'all'")
     parser.add_argument("--small", action="store_true",

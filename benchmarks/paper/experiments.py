@@ -4,10 +4,10 @@ Each function builds the workload, runs the relevant engine configurations,
 and returns a dictionary with a ``title``, the ``rows`` or ``series`` the
 paper reports, the raw per-query ``records``, and the ``parameters`` used.
 ``benchmarks/`` contains one pytest-benchmark module per entry point, and
-``examples/reproduce_paper.py`` prints any subset of them.
+``python -m benchmarks.paper`` prints any subset of them.
 """
 
-from repro.bench.experiments_figures import (
+from .experiments_figures import (
     figure6,
     figure7,
     figure8,
@@ -17,15 +17,15 @@ from repro.bench.experiments_figures import (
     figure12,
     figure13,
 )
-from repro.bench.experiments_docstore import docstore_axes
-from repro.bench.experiments_external import external_sqlite
-from repro.bench.experiments_hashjoin import hashjoin_kernel
-from repro.bench.experiments_postprocess import postprocess_pipeline
-from repro.bench.experiments_server import multitenant_server
-from repro.bench.experiments_serving import concurrent_serving
-from repro.bench.experiments_storage import cold_vs_warm_start
-from repro.bench.experiments_streaming import streaming_cursor
-from repro.bench.experiments_tables import (
+from .experiments_docstore import docstore_axes
+from .experiments_external import external_sqlite
+from .experiments_hashjoin import hashjoin_kernel
+from .experiments_postprocess import postprocess_pipeline
+from .experiments_server import multitenant_server
+from .experiments_serving import concurrent_serving
+from .experiments_storage import cold_vs_warm_start
+from .experiments_streaming import streaming_cursor
+from .experiments_tables import (
     table1,
     table2,
     table3,

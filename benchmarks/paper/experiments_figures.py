@@ -4,21 +4,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import run_workload
-from repro.bench.metrics import (
-    QueryRecord,
-    count_failures_and_disasters,
-    per_query_speedups,
-    time_share_of_top_queries,
-)
-from repro.bench.specs import (
-    BENCH_CONFIG,
-    skinner_c_spec,
-    skinner_g_spec,
-    skinner_h_spec,
-    torture_specs,
-    traditional_spec,
-)
 from repro.skinner.skinner_c import SkinnerC
 from repro.workloads.job import make_job_workload
 from repro.workloads.torture import (
@@ -27,6 +12,22 @@ from repro.workloads.torture import (
     make_udf_torture,
 )
 from repro.workloads.tpch import make_tpch_workload
+
+from .harness import run_workload
+from .metrics import (
+    QueryRecord,
+    count_failures_and_disasters,
+    per_query_speedups,
+    time_share_of_top_queries,
+)
+from .specs import (
+    BENCH_CONFIG,
+    skinner_c_spec,
+    skinner_g_spec,
+    skinner_h_spec,
+    torture_specs,
+    traditional_spec,
+)
 
 #: Default per-query work budget ("timeout") for the torture benchmarks.
 TORTURE_BUDGET = 120_000
@@ -240,7 +241,7 @@ def figure11(
     Restricted (like the paper) to the baselines sharing Skinner's execution
     engine: Skinner-C, Eddy, the traditional optimizer, and the re-optimizer.
     """
-    from repro.bench.specs import eddy_spec, optimizer_spec, reoptimizer_spec
+    from .specs import eddy_spec, optimizer_spec, reoptimizer_spec
 
     specs = [skinner_c_spec("Skinner"), eddy_spec("Eddy"),
              optimizer_spec("Optimizer"), reoptimizer_spec("Reoptimizer")]

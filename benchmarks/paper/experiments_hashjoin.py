@@ -4,12 +4,12 @@ PR 3 replaced the plan executor's dict-based hash-join build/probe with the
 columnar kernel of :mod:`repro.engine.joinkernels`.  This experiment isolates
 that operator on join-heavy left-deep plans: a three-table chain with
 controlled fan-out is joined step by step through
-:func:`repro.engine.operators.hash_join_step` with ``mode="vectorized"`` (what
-the plan executor runs) and ``mode="rows"`` (the dict-based reference),
-reporting wall time per query and the kernel speedup.  Every run cross-checks
-that the two modes produce **byte-identical** row-id relations (same rows,
-same order) and identical meter charges, so the speedup numbers are always
-backed by equivalent work.
+:func:`repro.engine.operators.hash_join_step` (what the plan executor runs)
+and through the dict-based test oracle ``rows_hash_join_step``
+(``tests/oracles/hash_join.py``), reporting wall time per query and the
+kernel speedup.  Every run cross-checks that the two paths produce
+**byte-identical** row-id relations (same rows, same order) and identical
+meter charges, so the speedup numbers are always backed by equivalent work.
 
 A second series, ``batch_reuse``, measures what Skinner-G/H get from the
 executor's :class:`~repro.engine.operators.HashBuildCache`: the chain plan is
@@ -40,8 +40,12 @@ from repro.query.query import Query, make_query
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
+from tests.oracles import rows_hash_join_step
 
 _JOIN_ORDER = ("t0", "t1", "t2")
+
+#: The hash join of each path: the dict-based oracle and the kernel.
+_JOIN_STEPS = {"rows": rows_hash_join_step, "vectorized": hash_join_step}
 
 
 def _build_catalog(tuples_per_table: int, fanout: int, seed: int) -> Catalog:
@@ -82,14 +86,15 @@ def _queries() -> dict[str, Query]:
 
 
 def _join_chain(executor: PlanExecutor, mode: str, meter: CostMeter) -> RowIdRelation:
-    """The chain plan of ``executor``'s query, every step a hash join in ``mode``."""
+    """The chain plan of ``executor``'s query, every step a hash join on ``mode``'s path."""
+    join_step = _JOIN_STEPS[mode]
     positions = executor.pre_process()
     tables = executor.tables
     first = _JOIN_ORDER[0]
     result = RowIdRelation.from_base(first, positions[first])
     for alias, equi, residual in executor.join_steps(_JOIN_ORDER):
-        result = hash_join_step(result, alias, tables[alias], positions[alias],
-                                equi, residual, tables, meter, mode=mode)
+        result = join_step(result, alias, tables[alias], positions[alias],
+                           equi, residual, tables, meter)
     return result
 
 

@@ -4,11 +4,11 @@ PR 1 vectorized the multi-way join, which moved the bottleneck downstream
 into post-processing.  This experiment isolates that stage: it materializes
 one large join result (a row-id relation over a single wide table) and runs
 aggregation-, DISTINCT-, and ORDER-BY-heavy queries through
-:func:`repro.engine.postprocess.post_process` with ``mode="columnar"`` (the
-production pipeline) and ``mode="rows"`` (the reference), reporting wall time
-per query and the columnar speedup.  Outputs
-are cross-checked for equality on every run, so the speedup numbers are
-always backed by identical results.
+:func:`repro.engine.postprocess.post_process` (the production columnar
+pipeline) and through the row-pipeline test oracle ``rows_post_process``
+(``tests/oracles/postprocess.py``), reporting wall time per query and the
+columnar speedup.  Outputs are cross-checked for equality on every run, so
+the speedup numbers are always backed by identical results.
 """
 
 from __future__ import annotations
@@ -24,8 +24,12 @@ from repro.query.expressions import ColumnRef, FunctionCall, Literal, Star
 from repro.query.query import AggregateSpec, OrderItem, Query, SelectItem, make_query
 from repro.storage.table import Table
 from repro.workloads.generators import choice_strings, make_rng, uniform_keys, zipf_keys
+from tests.oracles import rows_post_process
 
 _CATEGORIES = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+
+#: The post-processing of each path: the row-pipeline oracle and production.
+_PIPELINES = {"rows": rows_post_process, "columnar": post_process}
 
 
 def _build_table(tuples_per_table: int, groups: int, seed: int) -> Table:
@@ -114,7 +118,7 @@ def postprocess_pipeline(
             best = float("inf")
             for _ in range(max(1, repetitions)):
                 started = time.perf_counter()
-                outputs[mode] = post_process(query, relation, tables, mode=mode)
+                outputs[mode] = _PIPELINES[mode](query, relation, tables)
                 best = min(best, time.perf_counter() - started)
             timings[mode] = best
         _assert_equal_outputs(outputs["rows"], outputs["columnar"], name)

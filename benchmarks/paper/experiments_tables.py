@@ -7,9 +7,15 @@ import time
 from typing import Any
 
 from repro.baselines.traditional import TraditionalEngine
-from repro.bench.harness import run_workload
-from repro.bench.metrics import QueryRecord, aggregate_records, relative_overheads
-from repro.bench.specs import (
+from repro.config import SkinnerConfig
+from repro.optimizer.exhaustive import optimal_plan
+from repro.skinner.skinner_c import SkinnerC
+from repro.workloads.job import make_job_workload
+from repro.workloads.tpch import make_tpch_workload
+
+from .harness import run_workload
+from .metrics import QueryRecord, aggregate_records, relative_overheads
+from .specs import (
     BENCH_CONFIG,
     job_multi_threaded_specs,
     job_single_threaded_specs,
@@ -18,11 +24,6 @@ from repro.bench.specs import (
     skinner_h_spec,
     traditional_spec,
 )
-from repro.config import SkinnerConfig
-from repro.optimizer.exhaustive import optimal_plan
-from repro.skinner.skinner_c import SkinnerC
-from repro.workloads.job import make_job_workload
-from repro.workloads.tpch import make_tpch_workload
 
 
 def table1(scale: float = 0.6, seed: int = 13) -> dict[str, Any]:

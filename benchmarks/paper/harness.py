@@ -6,10 +6,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.bench.metrics import QueryRecord
 from repro.query.query import Query
 from repro.result import QueryResult
 from repro.workloads.generators import Workload, WorkloadQuery
+
+from .metrics import QueryRecord
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class EngineSpec:
         The modelled system the records report: the engine profile the
         factory's engine runs under, and the core count its
         ``simulated_time`` is re-weighted for when a record is built (see
-        :func:`repro.bench.metrics.modelled_time`).  No execution sees
+        :func:`benchmarks.paper.metrics.modelled_time`).  No execution sees
         ``threads``.
     """
 

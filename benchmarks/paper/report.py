@@ -1,4 +1,4 @@
-"""Plain-text rendering of benchmark tables and series."""
+"""Plain-text rendering of benchmark tables, series and experiment outputs."""
 
 from __future__ import annotations
 
@@ -34,6 +34,28 @@ def format_series(title: str, series: Mapping[str, Sequence[Any]]) -> str:
         rendered = ", ".join(_render(value) for value in values)
         lines.append(f"  {name}: [{rendered}]")
     return "\n".join(lines) + "\n"
+
+
+def render(output: Mapping[str, Any]) -> str:
+    """Render an experiment output dictionary as text."""
+    parts: list[str] = []
+    title = output.get("title", "experiment")
+    if "rows" in output:
+        parts.append(format_table(title, output["rows"]))
+    if "series" in output:
+        parts.append(format_series(title, output["series"]))
+    for key in ("chain", "star", "m1", "m_half"):
+        nested = output.get(key)
+        if isinstance(nested, dict) and "series" in nested:
+            parts.append(format_series(nested["title"], nested["series"]))
+    for key in ("standard", "udf"):
+        if isinstance(output.get(key), list):
+            parts.append(format_table(f"{title} ({key})", output[key]))
+    if "batch_reuse" in output:
+        parts.append(format_table(f"{title} (batch reuse)", output["batch_reuse"]))
+    if "scatter" in output:
+        parts.append(format_table(f"{title} (per-query speedups)", output["scatter"]))
+    return "\n".join(parts) if parts else title
 
 
 def _render(value: Any) -> str:

@@ -7,11 +7,12 @@ import dataclasses
 from repro.baselines.eddy import EddyEngine
 from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
-from repro.bench.harness import EngineSpec
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.skinner_h import SkinnerH
+
+from .harness import EngineSpec
 
 #: Skinner configuration used by the benchmark harness.  The paper's default
 #: time-slice budget is 500 multi-way-join iterations against IMDb-scale

@@ -15,11 +15,14 @@ import sys
 from repro.baselines.eddy import EddyEngine
 from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
-from repro.bench.specs import BENCH_CONFIG
+from repro.config import SkinnerConfig
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.skinner_h import SkinnerH
 from repro.workloads.job import make_job_workload
+
+# The synthetic data is ~1000x smaller than IMDb, so the budgets are scaled down.
+CONFIG = SkinnerConfig(slice_budget=100, batches_per_table=8, base_timeout=1_500)
 
 
 def main(scale: float = 0.5) -> None:
@@ -30,10 +33,10 @@ def main(scale: float = 0.5) -> None:
     print(f"SQL-ish  : {hazard.query.display()}\n")
 
     engines = {
-        "Skinner-C": SkinnerC(workload.catalog, workload.udfs, BENCH_CONFIG),
-        "Skinner-G(PG)": SkinnerG(workload.catalog, workload.udfs, BENCH_CONFIG,
+        "Skinner-C": SkinnerC(workload.catalog, workload.udfs, CONFIG),
+        "Skinner-G(PG)": SkinnerG(workload.catalog, workload.udfs, CONFIG,
                                   dbms_profile="postgres"),
-        "Skinner-H(PG)": SkinnerH(workload.catalog, workload.udfs, BENCH_CONFIG,
+        "Skinner-H(PG)": SkinnerH(workload.catalog, workload.udfs, CONFIG,
                                   dbms_profile="postgres"),
         "Postgres": TraditionalEngine(workload.catalog, workload.udfs, profile="postgres"),
         "MonetDB": TraditionalEngine(workload.catalog, workload.udfs, profile="monetdb"),

@@ -23,16 +23,13 @@ from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.errors import BudgetExceeded
 from repro.optimizer.cardinality import CardinalityEstimator, EstimatedCardinality
-from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
-from repro.optimizer.greedy import GreedyOptimizer
+from repro.optimizer.exhaustive import choose_plan
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
-
-_MAX_EXHAUSTIVE_TABLES = 11
 
 
 class _CorrectedEstimator(CardinalityEstimator):
@@ -95,7 +92,7 @@ class ReOptimizerEngine:
         executor = PlanExecutor(self._catalog, query, self._udfs)
         timed_out = False
         rounds = 0
-        plan = self._optimize(query, estimator)
+        plan = choose_plan(query, estimator)
         try:
             executor.pre_process(meter)
             if query.num_tables > 1:
@@ -104,7 +101,7 @@ class ReOptimizerEngine:
                     if not corrections:
                         break
                     estimator.corrections.update(corrections)
-                    new_plan = self._optimize(query, estimator)
+                    new_plan = choose_plan(query, estimator)
                     if new_plan.order == plan.order:
                         plan = new_plan
                         break
@@ -130,11 +127,6 @@ class ReOptimizerEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _optimize(self, query: Query, estimator: CardinalityEstimator):
-        if query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
-            return DynamicProgrammingOptimizer().optimize(query, estimator)
-        return GreedyOptimizer().optimize(query, estimator)
-
     def _validate(
         self,
         query: Query,

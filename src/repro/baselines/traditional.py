@@ -19,8 +19,7 @@ from repro.engine.postprocess import post_process
 from repro.engine.profiles import EngineProfile, get_profile
 from repro.errors import BudgetExceeded
 from repro.optimizer.cardinality import EstimatedCardinality
-from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
-from repro.optimizer.greedy import GreedyOptimizer
+from repro.optimizer.exhaustive import choose_plan
 from repro.optimizer.plans import LeftDeepPlan
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
@@ -28,8 +27,6 @@ from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
-
-_MAX_EXHAUSTIVE_TABLES = 11
 
 
 class TraditionalEngine:
@@ -70,14 +67,12 @@ class TraditionalEngine:
     # planning
     # ------------------------------------------------------------------
     def plan(self, query: Query) -> LeftDeepPlan:
-        """Choose a join order using estimated cardinalities: exhaustive
-        left-deep DP, greedy above :data:`_MAX_EXHAUSTIVE_TABLES` tables."""
+        """Choose a join order using estimated cardinalities (see
+        :func:`~repro.optimizer.exhaustive.choose_plan`)."""
         estimator = EstimatedCardinality(
             query, StatisticsCatalog.of(self._catalog), self._udfs
         )
-        if query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
-            return DynamicProgrammingOptimizer().optimize(query, estimator)
-        return GreedyOptimizer().optimize(query, estimator)
+        return choose_plan(query, estimator)
 
     # ------------------------------------------------------------------
     # execution

@@ -17,11 +17,11 @@ the build side grouped by a stable sort into a
 :class:`~repro.engine.joinkernels.GroupedJoinMap` (kept in a
 :class:`HashBuildCache` while the build rows stay the same array), the probe
 side matched via ``searchsorted``, and the result emitted as whole selector
-arrays.  :func:`hash_join_step`'s ``mode="rows"`` argument selects the
-dict-based build/probe reference the equivalence tests and the kernel
-benchmark compare against; nothing in the production path passes it.  Both
-produce byte-identical relations and charge identical meter work; NaN float
-join keys never match in either (see :mod:`repro.engine.joinkernels`).
+arrays.  The dict-based build/probe reference the equivalence tests and the
+kernel benchmark compare against is ``rows_hash_join_step`` in
+``tests/oracles/hash_join.py``; both produce byte-identical relations and
+charge identical meter work, and NaN float join keys never match in either
+(see :mod:`repro.engine.joinkernels`).
 
 All operators charge their work to a :class:`~repro.engine.meter.CostMeter`.
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from typing import Any
 
 import numpy as np
 
@@ -47,10 +46,6 @@ from repro.query.expressions import ColumnRef
 from repro.query.predicates import Predicate
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
-
-#: Valid values of :func:`hash_join_step`'s ``mode`` parameter.
-JOIN_MODES = ("vectorized", "rows")
-
 
 def filter_table(
     table: Table,
@@ -183,67 +178,26 @@ def hash_join_step(
     tables: Mapping[str, Table],
     meter: CostMeter,
     udfs: UdfRegistry | None = None,
-    mode: str = "vectorized",
     builds: HashBuildCache | None = None,
 ) -> RowIdRelation:
     """Extend ``prefix`` by ``alias`` using a hash join.
 
     ``equi_predicates`` must each connect ``alias`` to some alias already in
     the prefix via column equality.  ``residual_predicates`` are evaluated on
-    each candidate combination.  ``mode`` selects the vectorized kernel or
-    the dict-based ``"rows"`` reference path; both emit the same relation in
-    the same row order and charge the same meter work.  ``builds`` is the
-    caller's :class:`HashBuildCache`; without one the build side is grouped
-    for this join alone.
+    each candidate combination.  ``builds`` is the caller's
+    :class:`HashBuildCache`; without one the build side is grouped for this
+    join alone.
     """
-    if mode not in JOIN_MODES:
-        raise ValueError(f"hash join mode must be one of {JOIN_MODES}, got {mode!r}")
     # Building the hash side scans/hashes the new table's tuples once, so it
     # is charged as scan work, not as hash probes: the probe counter must
     # mean the same thing across join implementations for the meter profiles
     # and the Table-6 ablation to be comparable.  Every join is charged its
     # build, also one that finds the build side in ``builds``.
     meter.charge_scan(positions.shape[0])
-    if mode == "rows":
-        candidate = _rows_hash_join(prefix, alias, table, positions, equi_predicates,
-                                    tables, meter)
-    else:
-        candidate = _vectorized_hash_join(prefix, alias, table, positions, equi_predicates,
-                                          tables, meter,
-                                          builds if builds is not None else HashBuildCache())
+    candidate = _vectorized_hash_join(prefix, alias, table, positions, equi_predicates,
+                                      tables, meter,
+                                      builds if builds is not None else HashBuildCache())
     return _apply_residual(candidate, residual_predicates, tables, meter, udfs)
-
-
-def _rows_hash_join(
-    prefix: RowIdRelation,
-    alias: str,
-    table: Table,
-    positions: np.ndarray,
-    equi_predicates: Sequence[Predicate],
-    tables: Mapping[str, Table],
-    meter: CostMeter,
-) -> RowIdRelation:
-    """Dict-based build/probe reference path (``mode="rows"``)."""
-    build_keys = _composite_keys_for_new(table, positions, alias, equi_predicates)
-    buckets: dict[Any, list[int]] = {}
-    for row, key in enumerate(build_keys):
-        buckets.setdefault(key, []).append(row)
-
-    probe_keys = _composite_keys_for_prefix(prefix, tables, alias, equi_predicates)
-    selector: list[int] = []
-    new_positions: list[int] = []
-    meter.charge_probe(len(prefix))
-    for prefix_row, key in enumerate(probe_keys):
-        matches = buckets.get(key, ())
-        if matches:
-            # Charge before materializing so a work budget cuts off an
-            # exploding join as soon as the budget is reached.
-            meter.charge_intermediate(len(matches))
-        for build_row in matches:
-            selector.append(prefix_row)
-            new_positions.append(int(positions[build_row]))
-    return prefix.extend(alias, np.asarray(new_positions, dtype=np.int64),
-                         np.asarray(selector, dtype=np.int64))
 
 
 def _vectorized_hash_join(
@@ -271,8 +225,8 @@ def _vectorized_hash_join(
     build = builds.build_side(alias, table, tuple(key_columns), positions)
     starts, counts = build.lookup_many(probe_values, probe_columns)
     # Charge before materializing so a work budget cuts off an exploding
-    # join as soon as the budget is reached.  The rows path charges one
-    # probe row's matches at a time and stops at the group that crosses the
+    # join as soon as the budget is reached.  The dict-based reference charges
+    # one probe row's matches at a time and stops at the group that crosses the
     # budget; to record the identical overshoot (Skinner-G/H merge aborted
     # meters into their reported work), a charge that would exceed the
     # remaining budget is truncated to the cumulative count through that
@@ -353,43 +307,3 @@ def _apply_residual(
                 mask[i] = predicate.evaluate(binding, udfs)
         selector = selector[mask]
     return candidate.take(selector)
-
-
-# ----------------------------------------------------------------------
-# key extraction for hash joins
-# ----------------------------------------------------------------------
-def _composite_keys_for_new(
-    table: Table,
-    positions: np.ndarray,
-    alias: str,
-    equi_predicates: Sequence[Predicate],
-) -> list[tuple[Any, ...]]:
-    """Hash keys (one per position) on the build side of the join."""
-    columns = []
-    for predicate in equi_predicates:
-        left, right = predicate.equi_join_columns()
-        ref = left if left.table == alias else right
-        columns.append(table.column(ref.column))
-    keys: list[tuple[Any, ...]] = []
-    for position in positions:
-        keys.append(tuple(column.value(int(position)) for column in columns))
-    return keys
-
-
-def _composite_keys_for_prefix(
-    prefix: RowIdRelation,
-    tables: Mapping[str, Table],
-    new_alias: str,
-    equi_predicates: Sequence[Predicate],
-) -> list[tuple[Any, ...]]:
-    """Hash keys (one per prefix row) on the probe side of the join."""
-    sources = []
-    for predicate in equi_predicates:
-        left, right = predicate.equi_join_columns()
-        ref = right if left.table == new_alias else left
-        sources.append((ref.table, tables[ref.table].column(ref.column)))
-    keys: list[tuple[Any, ...]] = []
-    for row in range(len(prefix)):
-        key = tuple(column.value(int(prefix.ids(alias_)[row])) for alias_, column in sources)
-        keys.append(key)
-    return keys

@@ -12,11 +12,11 @@ Two implementations produce identical outputs:
   projection, grouping/aggregation (``reduceat`` over group segments),
   DISTINCT, and ORDER BY as array operations;
 * the **row** pipeline materializes one Python dict per result tuple and
-  processes them tuple at a time — used automatically whenever the query's
-  expressions are not vectorizable (UDF calls in the select list, GROUP BY,
-  or ORDER BY), and selectable with ``mode="rows"`` as the reference the
-  equivalence tests and the pipeline benchmark compare against (nothing in
-  the production path passes it).
+  processes them tuple at a time — used whenever the query's expressions
+  are not vectorizable (UDF calls in the select list, GROUP BY, or ORDER
+  BY), and, behind the output charge, the reference the equivalence tests
+  and the pipeline benchmark compare against (``rows_post_process`` in
+  ``tests/oracles/postprocess.py``).
 
 Both pipelines emit rows in the same order: groups appear in first-occurrence
 order, DISTINCT keeps first occurrences, and sorting is stable.
@@ -39,25 +39,17 @@ from repro.query.udf import UdfRegistry
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
-#: Valid values of :func:`post_process`'s ``mode`` parameter.
-POSTPROCESS_MODES = ("columnar", "rows")
-
-
 def post_process(
     query: Query,
     relation: RowIdRelation,
     tables: Mapping[str, Table],
     udfs: UdfRegistry | None = None,
     meter: CostMeter | None = None,
-    *,
-    mode: str = "columnar",
 ) -> Table:
     """Turn a join result into the final output table of the query."""
-    if mode not in POSTPROCESS_MODES:
-        raise ExecutionError(f"unknown postprocess mode {mode!r}")
     meter = meter if meter is not None else CostMeter()
     meter.charge_output(len(relation))
-    if mode == "columnar" and _columnar_supported(query):
+    if _columnar_supported(query):
         try:
             return _post_process_columnar(query, relation, tables)
         except NotVectorizable:

@@ -1,6 +1,9 @@
-"""Oracle optimizer: truly optimal left-deep orders under C_out.
+"""Which left-deep order an optimizer picks, and the C_out-optimal (oracle) order.
 
-Convenience wrappers around :class:`DynamicProgrammingOptimizer` with the
+:func:`choose_plan` is the one planner choice every cost-based engine makes —
+the traditional baseline, Skinner-H's traditional half and the
+re-optimizer: exhaustive left-deep DP up to :data:`_MAX_EXHAUSTIVE_TABLES`
+tables, greedy above.  :func:`optimal_plan` makes the same choice over the
 :class:`~repro.optimizer.cardinality.TrueCardinality` estimator, which the
 benchmark harness uses to produce the "Optimal" rows of Tables 3 and 4.
 """
@@ -8,7 +11,7 @@ benchmark harness uses to produce the "Optimal" rows of Tables 3 and 4.
 from __future__ import annotations
 
 from repro.engine.executor import PlanExecutor
-from repro.optimizer.cardinality import TrueCardinality
+from repro.optimizer.cardinality import CardinalityEstimator, TrueCardinality
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
 from repro.optimizer.plans import LeftDeepPlan
@@ -17,21 +20,21 @@ from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 
 # Exhaustive DP over subsets is exponential; beyond this many tables the
-# oracle falls back to a greedy order computed on true cardinalities, which
-# is still far better informed than the estimate-based baseline.
+# choice falls back to a greedy order under the same estimator.
 _MAX_EXHAUSTIVE_TABLES = 11
+
+
+def choose_plan(query: Query, estimator: CardinalityEstimator) -> LeftDeepPlan:
+    """The cheapest left-deep order under ``estimator``: DP, or greedy when large."""
+    if query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
+        return DynamicProgrammingOptimizer().optimize(query, estimator)
+    return GreedyOptimizer().optimize(query, estimator)
 
 
 def optimal_plan(
     catalog: Catalog,
     query: Query,
     udfs: UdfRegistry | None = None,
-    cost_metric: str = "cout",
 ) -> LeftDeepPlan:
     """Compute the C_out-optimal (oracle) left-deep join order for a query."""
-    executor = PlanExecutor(catalog, query, udfs)
-    estimator = TrueCardinality(executor)
-    if query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
-        optimizer = DynamicProgrammingOptimizer(cost_metric=cost_metric)
-        return optimizer.optimize(query, estimator)
-    return GreedyOptimizer().optimize(query, estimator)
+    return choose_plan(query, TrueCardinality(PlanExecutor(catalog, query, udfs)))

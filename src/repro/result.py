@@ -29,7 +29,7 @@ class QueryMetrics:
         ``work`` is then a second, serial phase (paper §6.1) — and an empty
         breakdown for a forced-order run.  No execution reads it; a report
         re-weights ``simulated_time`` for many cores from it, see
-        :func:`repro.bench.metrics.modelled_time`.
+        ``modelled_time`` in ``benchmarks/paper/metrics.py``.
     simulated_time:
         Weighted work under the engine's profile on one core (abstract
         milliseconds) — the repository's substitute for wall-clock time,

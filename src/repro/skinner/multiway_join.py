@@ -55,16 +55,10 @@ Two rules tie this to the learning loop:
   once less than an eighth of its budget is left, because spending the
   remainder takes ever narrower steps.
 
-:meth:`MultiwayJoin._continue_scalar` is the literal transcription of
-Algorithm 2 (one tuple index per loop iteration).  Nothing in the production
-path calls it; the equivalence tests compare the block executor against it.
-Both enumerate result combinations in the same lexicographic sequence and
-evaluate the same predicates per candidate, so they emit identical rows in
-identical order, finish in identical states and can take over from each
-other at any suspension; the scalar loop additionally examines the reset
-index on every descent and scans a band position instead of cutting it, so
-its slice boundaries and scan charges differ (see
-``tests/test_batched_join.py``).
+The literal transcription of Algorithm 2 (one tuple index per loop
+iteration) is the test oracle ``continue_scalar`` in
+``tests/oracles/multiway_join.py``; the equivalence tests compare the block
+executor against it.
 """
 
 from __future__ import annotations
@@ -200,8 +194,6 @@ class _OrderContext:
 
     order: tuple[str, ...]
     cardinalities: tuple[int, ...]
-    predicates_at: list[list[Predicate]] = field(default_factory=list)
-    predicate_aliases_at: list[list[tuple[str, ...]]] = field(default_factory=list)
     jump_at: list[_JumpSpec | _BandSpec | None] = field(default_factory=list)
     plans_at: list[list[_PredicatePlan]] = field(default_factory=list)
     #: join-order position of each alias in canonical (declaration) order.
@@ -336,8 +328,6 @@ class MultiwayJoin:
             newly = [p for p in remaining if p.tables() <= seen and alias in p.tables()]
             remaining = [p for p in remaining if p not in newly]
             jump = self._jump_spec(order, position, newly)
-            context.predicates_at.append(newly)
-            context.predicate_aliases_at.append([tuple(sorted(p.tables())) for p in newly])
             context.jump_at.append(jump)
             context.plans_at.append(
                 [self._plan_predicate(order, position, p, jump) for p in newly]
@@ -784,115 +774,3 @@ class MultiwayJoin:
         # need no check against each other.
         result_set.emit(matrix, context.order)
         meter.charge_output(rows)
-
-    # ------------------------------------------------------------------
-    # the scalar reference (Algorithm 2 verbatim; test oracle only)
-    # ------------------------------------------------------------------
-    def _continue_scalar(
-        self,
-        state: JoinState,
-        offsets: Mapping[str, int],
-        budget: int,
-        result_set: JoinResultSet,
-        meter: CostMeter,
-    ) -> bool:
-        context = self.context_for(state.order)
-        order = context.order
-        cardinalities = context.cardinalities
-        last = len(order) - 1
-        if any(c == 0 for c in cardinalities):
-            return True
-
-        budget = max(budget, len(order) + 1)
-        depth = 0
-        iterations = 0
-        while iterations < budget:
-            iterations += 1
-            meter.charge_scan(1)
-            if state.indices[depth] < cardinalities[depth] and self._satisfied(
-                context, depth, state, meter
-            ):
-                if depth == last:
-                    result_set.add(self._result_tuple(state))
-                    meter.charge_output(1)
-                    depth = self._next_tuple(context, state, offsets, depth)
-                else:
-                    depth += 1
-            else:
-                depth = self._next_tuple(context, state, offsets, depth)
-            if depth < 0:
-                return True
-        return False
-
-    def _next_tuple(
-        self,
-        context: _OrderContext,
-        state: JoinState,
-        offsets: Mapping[str, int],
-        depth: int,
-    ) -> int:
-        order = context.order
-        cardinalities = context.cardinalities
-        while True:
-            if state.indices[depth] < cardinalities[depth]:
-                state.indices[depth] = self._advance_index(context, state, depth)
-            else:
-                state.indices[depth] = cardinalities[depth]
-            if state.indices[depth] < cardinalities[depth]:
-                return depth
-            state.indices[depth] = offsets.get(order[depth], 0)
-            depth -= 1
-            if depth < 0:
-                return -1
-
-    def _advance_index(self, context: _OrderContext, state: JoinState, depth: int) -> int:
-        spec = context.jump_at[depth]
-        current = state.indices[depth]
-        if not isinstance(spec, _JumpSpec):
-            # A band position is scanned here: every predicate is evaluated
-            # per candidate, so the reference checks the band's cut instead
-            # of sharing it.
-            return current + 1
-        prepared = self._prepared
-        earlier_index = state.indices[spec.earlier_position]
-        value = prepared.value_at(spec.earlier_alias, spec.earlier_column, earlier_index)
-        join_map = prepared.join_maps[(context.order[depth], spec.own_column)]
-        matches = join_map.get(value)
-        if matches is None:
-            return context.cardinalities[depth]
-        position = int(np.searchsorted(matches, current + 1, side="left"))
-        if position >= matches.shape[0]:
-            return context.cardinalities[depth]
-        return int(matches[position])
-
-    # ------------------------------------------------------------------
-    # predicate checking and result construction (scalar executor)
-    # ------------------------------------------------------------------
-    def _satisfied(
-        self, context: _OrderContext, depth: int, state: JoinState, meter: CostMeter
-    ) -> bool:
-        predicates = context.predicates_at[depth]
-        if not predicates:
-            return True
-        prepared = self._prepared
-        order = context.order
-        position_of = {alias: position for position, alias in enumerate(order[: depth + 1])}
-        for predicate, aliases in zip(predicates, context.predicate_aliases_at[depth]):
-            binding: dict[str, dict[str, Any]] = {}
-            for alias in aliases:
-                binding[alias] = prepared.binding_for(alias, state.indices[position_of[alias]])
-            meter.charge_predicate(1)
-            per_row = predicate.udf_cost(self._udfs) - 1
-            if per_row > 0:  # meter only actual (registered) UDF invocations
-                meter.charge_udf(per_row)
-            if not predicate.evaluate(binding, self._udfs):
-                return False
-        return True
-
-    def _result_tuple(self, state: JoinState) -> tuple[int, ...]:
-        prepared = self._prepared
-        position_of = {alias: position for position, alias in enumerate(state.order)}
-        return tuple(
-            prepared.base_row(alias, state.indices[position_of[alias]])
-            for alias in prepared.aliases
-        )

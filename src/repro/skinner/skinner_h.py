@@ -20,8 +20,7 @@ from repro.engine.profiles import EngineProfile, get_profile
 from repro.engine.task import EngineTask, ExecutionBackend
 from repro.errors import ExecutionError
 from repro.optimizer.cardinality import EstimatedCardinality
-from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
-from repro.optimizer.greedy import GreedyOptimizer
+from repro.optimizer.exhaustive import choose_plan
 from repro.optimizer.plans import LeftDeepPlan
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
@@ -36,7 +35,6 @@ from repro.skinner.skinner_g import (
 from repro.storage.catalog import Catalog
 
 _MAX_ROUNDS = 64
-_MAX_EXHAUSTIVE_TABLES = 11
 
 
 class SkinnerHTask(EngineTask):
@@ -179,9 +177,7 @@ class SkinnerH(ExecutionBackend):
         estimator = EstimatedCardinality(
             query, StatisticsCatalog.of(self._catalog), self._udfs
         )
-        if query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
-            return DynamicProgrammingOptimizer().optimize(query, estimator)
-        return GreedyOptimizer().optimize(query, estimator)
+        return choose_plan(query, estimator)
 
     # ------------------------------------------------------------------
     # execution

@@ -2,9 +2,9 @@
 
 The production executor (``MultiwayJoin.continue_join``, any ``batch_size``)
 must be observationally identical to the scalar reference
-(``MultiwayJoin._continue_scalar``, Algorithm 2 verbatim, reachable only by
-calling it directly): same result sets, same final states, and the same
-results under arbitrary suspend/resume slicing — that is what keeps the
+(``tests.oracles.continue_scalar``, Algorithm 2 verbatim): same result sets,
+same final states, and the same results under arbitrary suspend/resume
+slicing — that is what keeps the
 regret-bounded learning loop untouched by vectorization.
 The random inputs are built from the deterministic generator helpers in
 ``repro.workloads.generators`` (Zipfian join keys, correlated columns).  Three
@@ -18,6 +18,8 @@ other two almost never produce.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -52,6 +54,7 @@ from repro.workloads.generators import (
     zipf_keys,
 )
 from tests.conftest import reference_join_tuples, result_multiset
+from tests.oracles import continue_scalar
 
 
 def every_slice(slice_index: int) -> bool:
@@ -230,7 +233,7 @@ def run_sliced(prepared, order, batch_size, budget, udfs=None, *, offsets=None,
         if fresh_executor:
             join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
             state = state.copy()
-        step = join._continue_scalar if scalar(slices) else join.continue_join
+        step = partial(continue_scalar, join) if scalar(slices) else join.continue_join
         finished = step(state, offsets, budget or len(order) + 1, results, meter)
         slices += 1
         assert slices < 200_000, "executor did not terminate"

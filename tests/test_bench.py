@@ -5,8 +5,14 @@ import dataclasses
 import pytest
 
 from repro.api.registry import DEFAULT_REGISTRY, EngineContext
-from repro.bench.harness import EngineSpec, run_query, run_workload
-from repro.bench.metrics import (
+from repro.config import SkinnerConfig
+from repro.engine.profiles import get_profile
+from repro.skinner import parallel
+from repro.skinner.parallel import ParallelSkinnerCTask
+from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
+from repro.workloads.torture import make_trivial_workload, make_udf_torture
+from benchmarks.paper.harness import EngineSpec, run_query, run_workload
+from benchmarks.paper.metrics import (
     QueryRecord,
     aggregate_records,
     count_failures_and_disasters,
@@ -15,8 +21,8 @@ from repro.bench.metrics import (
     relative_overheads,
     time_share_of_top_queries,
 )
-from repro.bench.report import format_series, format_table
-from repro.bench.specs import (
+from benchmarks.paper.report import format_series, format_table
+from benchmarks.paper.specs import (
     BENCH_CONFIG,
     job_multi_threaded_specs,
     job_single_threaded_specs,
@@ -24,12 +30,6 @@ from repro.bench.specs import (
     torture_specs,
     traditional_spec,
 )
-from repro.config import SkinnerConfig
-from repro.engine.profiles import get_profile
-from repro.skinner import parallel
-from repro.skinner.parallel import ParallelSkinnerCTask
-from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
-from repro.workloads.torture import make_trivial_workload, make_udf_torture
 
 FAST = SkinnerConfig(slice_budget=32, batches_per_table=2, base_timeout=150)
 
@@ -197,7 +197,7 @@ class TestModelledCores:
 
 class TestExperimentDrivers:
     def test_registry_contains_all_tables_and_figures(self):
-        from repro.bench.experiments import EXPERIMENTS
+        from benchmarks.paper.experiments import EXPERIMENTS
 
         expected = ({f"table{i}" for i in range(1, 8)}
                     | {f"figure{i}" for i in range(6, 14)}
@@ -208,7 +208,7 @@ class TestExperimentDrivers:
         assert set(EXPERIMENTS) == expected
 
     def test_figure12_tiny_run_has_expected_shape(self):
-        from repro.bench.experiments import EXPERIMENTS
+        from benchmarks.paper.experiments import EXPERIMENTS
 
         output = EXPERIMENTS["figure12"](table_counts=(3,), tuples_per_table=20, budget=20_000)
         assert "series" in output and "num_tables" in output["series"]
@@ -216,7 +216,7 @@ class TestExperimentDrivers:
         assert len(output["records"]) > 0
 
     def test_figure7_tiny_run(self):
-        from repro.bench.experiments import EXPERIMENTS
+        from benchmarks.paper.experiments import EXPERIMENTS
 
         output = EXPERIMENTS["figure7"](scale=0.12, seed=5, query_name="job_q03",
                                         budgets=(16, 64))
@@ -224,7 +224,7 @@ class TestExperimentDrivers:
         assert output["series"]["uct_tree_growth"]
 
     def test_hashjoin_batch_reuse_series(self):
-        from repro.bench.experiments import EXPERIMENTS
+        from benchmarks.paper.experiments import EXPERIMENTS
 
         output = EXPERIMENTS["hashjoin_kernel"](tuples_per_table=300, repetitions=1)
         kept, fresh = output["batch_reuse"]

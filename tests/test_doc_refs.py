@@ -18,6 +18,8 @@ MENTION = re.compile(r"[A-Za-z0-9_./-]+\.md\b")
 
 def scanned_files() -> list[Path]:
     files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "benchmarks").glob("bench_*.py"),
+             *(ROOT / "benchmarks" / "paper").glob("*.py"),
+             *(ROOT / "tests" / "oracles").glob("*.py"),
              *(ROOT / "docs").glob("*.md"), *(ROOT / "examples").glob("*.py")]
     assert len(files) > 100, "the scan lost its inputs"
     return files

@@ -1,7 +1,7 @@
 """Equivalence of the vectorized hash-join kernel and the dict-based path.
 
 The plan executor's vectorized hash join must be observationally identical
-to the dict-based reference (``hash_join_step(mode="rows")``):
+to the dict-based reference (``tests.oracles.rows_hash_join_step``):
 byte-identical ``RowIdRelation``s — same rows in the same order — and
 identical meter charges, over composite keys, duplicate keys, empty build or
 probe sides, cross-dictionary string keys, NaN float keys, and residual
@@ -37,8 +37,9 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
 from repro.workloads.generators import choice_strings, make_rng, uniform_keys, zipf_keys
+from tests.oracles import rows_hash_join_step
 
-JOIN_MODES = ("rows", "vectorized")
+JOIN_STEPS = {"rows": rows_hash_join_step, "vectorized": hash_join_step}
 
 
 def random_catalog_and_query(seed: int, *, num_tables: int, rows: int):
@@ -90,8 +91,8 @@ def join_on_rows_path(executor, order, positions, meter):
     relation = RowIdRelation.from_base(order[0], positions[order[0]])
     for alias, equi, residual in executor.join_steps(order):
         if equi:
-            relation = hash_join_step(relation, alias, tables[alias], positions[alias],
-                                      equi, residual, tables, meter, mode="rows")
+            relation = rows_hash_join_step(relation, alias, tables[alias], positions[alias],
+                                           equi, residual, tables, meter)
         else:
             relation = nested_loop_step(relation, alias, tables[alias], positions[alias],
                                         residual, tables, meter)
@@ -139,13 +140,13 @@ def test_vectorized_equals_rows_relations_and_meters(seed, num_tables):
 
 
 class TestHashJoinStep:
-    """Direct unit tests of both hash_join_step modes."""
+    """Direct unit tests of hash_join_step and its dict-based oracle."""
 
     @staticmethod
     def _join(mode, prefix, table, positions, equi, residual, tables):
         meter = CostMeter()
-        joined = hash_join_step(prefix, "b", table, positions, equi, residual,
-                                tables, meter, mode=mode)
+        joined = JOIN_STEPS[mode](prefix, "b", table, positions, equi, residual,
+                                  tables, meter)
         return joined, meter.snapshot()
 
     @staticmethod
@@ -256,11 +257,10 @@ class TestHashJoinStep:
         """Regression: build work is scan work, probes count probe rows only."""
         a, b, tables = self._tables({"x": [1, 2]}, {"x": [1, 2, 3, 4]})
         prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
-        for mode in JOIN_MODES:
+        for mode, join_step in JOIN_STEPS.items():
             meter = CostMeter()
-            hash_join_step(prefix, "b", b, np.arange(b.num_rows),
-                           [column_equals_column("a", "x", "b", "x")], [], tables,
-                           meter, mode=mode)
+            join_step(prefix, "b", b, np.arange(b.num_rows),
+                      [column_equals_column("a", "x", "b", "x")], [], tables, meter)
             assert meter.tuples_scanned == b.num_rows, mode
             assert meter.hash_probes == len(prefix), mode
 
@@ -277,12 +277,11 @@ class TestHashJoinStep:
         a, b, tables = self._tables({"x": [7] * n}, {"x": [7] * n})
         prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
         totals = {}
-        for mode in JOIN_MODES:
+        for mode, join_step in JOIN_STEPS.items():
             meter = CostMeter(budget=n + n + 25)  # aborts mid-intermediate
             with pytest.raises(BudgetExceeded):
-                hash_join_step(prefix, "b", b, np.arange(b.num_rows),
-                               [column_equals_column("a", "x", "b", "x")], [], tables,
-                               meter, mode=mode)
+                join_step(prefix, "b", b, np.arange(b.num_rows),
+                          [column_equals_column("a", "x", "b", "x")], [], tables, meter)
             totals[mode] = meter.snapshot()
         assert totals["vectorized"] == totals["rows"]
 
@@ -293,24 +292,15 @@ class TestHashJoinStep:
         prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
         for budget in range(7, 20):
             totals = {}
-            for mode in JOIN_MODES:
+            for mode, join_step in JOIN_STEPS.items():
                 meter = CostMeter(budget=budget)
                 try:
-                    hash_join_step(prefix, "b", b, np.arange(b.num_rows),
-                                   [column_equals_column("a", "x", "b", "x")], [], tables,
-                                   meter, mode=mode)
+                    join_step(prefix, "b", b, np.arange(b.num_rows),
+                              [column_equals_column("a", "x", "b", "x")], [], tables, meter)
                 except BudgetExceeded:
                     pass
                 totals[mode] = meter.snapshot()
             assert totals["vectorized"] == totals["rows"], f"budget {budget}"
-
-    def test_invalid_mode_rejected(self):
-        a, b, tables = self._tables({"x": [1]}, {"x": [1]})
-        prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
-        with pytest.raises(ValueError):
-            hash_join_step(prefix, "b", b, np.arange(b.num_rows),
-                           [column_equals_column("a", "x", "b", "x")], [], tables,
-                           CostMeter(), mode="bogus")
 
 
 class TestKernelPrimitives:
@@ -408,16 +398,6 @@ class TestKernelPrimitives:
 
 
 class TestExecutorAgainstReference:
-    def test_hash_join_step_validates_mode(self, tiny_catalog, tiny_join_query):
-        executor = PlanExecutor(tiny_catalog, tiny_join_query)
-        positions = executor.pre_process()
-        order = tiny_join_query.join_graph().valid_join_orders()[0]
-        alias, equi, residual = executor.join_steps(order)[0]
-        prefix = RowIdRelation.from_base(order[0], positions[order[0]])
-        with pytest.raises(ValueError):
-            hash_join_step(prefix, alias, executor.tables[alias], positions[alias],
-                           equi, residual, executor.tables, CostMeter(), mode="columnar")
-
     def test_executor_matches_reference_on_every_order(self, tiny_catalog, tiny_join_query):
         for order in tiny_join_query.join_graph().valid_join_orders():
             assert_identical(tiny_catalog, tiny_join_query, list(order))

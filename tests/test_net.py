@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro import InterfaceError, ReproError, SkinnerConfig, connect
+from repro import CatalogError, InterfaceError, ReproError, SkinnerConfig, connect
 from repro.errors import OperationalError, ParseError
 from repro.net import server as net_server
 from repro.net.client import DEFAULT_PORT, RemoteTransport, parse_dsn
@@ -154,6 +154,27 @@ class TestRemoteBasics:
         remote.rollback()
         with pytest.raises(ReproError, match="does not exist"):
             remote.execute("SELECT COUNT(*) AS n FROM t").rows  # noqa: B018
+
+    def test_drop_table_and_rollback_over_the_wire(self, remote):
+        remote.drop_table("s")
+        with pytest.raises(ReproError, match="does not exist"):
+            remote.execute("SELECT COUNT(*) AS n FROM s").rows  # noqa: B018
+        remote.rollback()
+        assert remote.execute("SELECT COUNT(*) AS n FROM s").rows == [{"n": 7}]
+        with pytest.raises(CatalogError):
+            remote.drop_table("missing")
+
+    def test_set_tenant_quota_over_the_wire(self, server, remote):
+        remote.transport.set_tenant_quota("x", 2.0)
+        tenant = connect(server.dsn, tenant="x")
+        try:
+            tenant.execute("SELECT COUNT(*) AS n FROM r")
+        finally:
+            tenant.close()
+        assert remote.stats()["tenants"]["x"]["quota"] == 2.0
+        for share in (0.0, -1.0):
+            with pytest.raises(ReproError, match="must be positive"):
+                remote.transport.set_tenant_quota("x", share)
 
     def test_local_only_capabilities_raise_interface_error(self, remote):
         with pytest.raises(InterfaceError, match="remote"):

@@ -1,8 +1,8 @@
 """Differential tests: columnar post-processing == row post-processing.
 
-The columnar pipeline (``post_process``'s default) must be observationally
-identical to the row reference pipeline (``mode="rows"``) on every query shape
-it claims to support: projections (plain and computed), every aggregate
+The columnar pipeline (what ``post_process`` runs) must be observationally
+identical to the row reference pipeline (``tests.oracles.rows_post_process``)
+on every query shape it claims to support: projections (plain and computed), every aggregate
 function, GROUP BY, DISTINCT, ORDER BY (ascending and ``_Reversed``
 descending keys, output aliases and source expressions), and LIMIT —
 including row *order*, column names, and column types.  Queries with UDFs in
@@ -33,6 +33,10 @@ from repro.skinner.result_set import JoinResultSet
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.state import initial_state
 from repro.storage.table import Table
+from tests.oracles import continue_scalar, rows_post_process
+
+#: The post-processing of each pipeline: the row oracle and production.
+PIPELINES = {"rows": rows_post_process, "columnar": post_process}
 
 REGIONS = ["north", "south", "east", "west"]
 
@@ -136,14 +140,14 @@ def test_columnar_matches_row_pipeline(case):
     table, relation, query = case
     tables = {"t": table}
     try:
-        expected = post_process(query, relation, tables, mode="rows")
+        expected = rows_post_process(query, relation, tables)
     except ExecutionError:
         # e.g. ORDER BY unresolvable against the empty-aggregate default row:
         # the columnar pipeline must reject the query the same way.
         with pytest.raises(ExecutionError):
-            post_process(query, relation, tables, mode="columnar")
+            post_process(query, relation, tables)
         return
-    actual = post_process(query, relation, tables, mode="columnar")
+    actual = post_process(query, relation, tables)
     assert_tables_identical(expected, actual)
 
 
@@ -156,7 +160,7 @@ def test_both_modes_charge_identical_output_work(case):
     for mode in ("rows", "columnar"):
         meters[mode] = CostMeter()
         try:
-            post_process(query, relation, {"t": table}, None, meters[mode], mode=mode)
+            PIPELINES[mode](query, relation, {"t": table}, None, meters[mode])
         except ExecutionError:
             pass  # both modes raise for the same queries (see test above)
     assert meters["rows"].snapshot() == meters["columnar"].snapshot()
@@ -176,8 +180,8 @@ def sales() -> tuple[Table, RowIdRelation]:
 
 
 def run_both(query, relation, tables):
-    expected = post_process(query, relation, tables, mode="rows")
-    actual = post_process(query, relation, tables, mode="columnar")
+    expected = rows_post_process(query, relation, tables)
+    actual = post_process(query, relation, tables)
     assert_tables_identical(expected, actual)
     return actual
 
@@ -233,15 +237,9 @@ def test_unresolvable_order_by_raises_in_both_modes(sales):
         select_items=[SelectItem(expression=ColumnRef("s", "amount"), alias="amount")],
         order_by=[OrderItem(ColumnRef("s", "no_such_column"))],
     )
-    for mode in ("rows", "columnar"):
+    for pipeline in PIPELINES.values():
         with pytest.raises(ExecutionError):
-            post_process(query, relation, {"s": table}, mode=mode)
-
-
-def test_unknown_mode_rejected(sales):
-    table, relation = sales
-    with pytest.raises(ExecutionError):
-        post_process(make_query([("s", "sales")]), relation, {"s": table}, mode="simd")
+            pipeline(query, relation, {"s": table})
 
 
 def test_udf_select_items_fall_back_to_row_pipeline(sales):
@@ -255,8 +253,8 @@ def test_udf_select_items_fall_back_to_row_pipeline(sales):
                                  alias="doubled")],
         order_by=[OrderItem(ColumnRef("s", "doubled"), ascending=False)],
     )
-    expected = post_process(query, relation, {"s": table}, udfs, mode="rows")
-    actual = post_process(query, relation, {"s": table}, udfs, mode="columnar")
+    expected = rows_post_process(query, relation, {"s": table}, udfs)
+    actual = post_process(query, relation, {"s": table}, udfs)
     assert_tables_identical(expected, actual)
     assert actual.column("doubled").values()[0] == 120
 
@@ -268,8 +266,8 @@ def _rows_reference(catalog, query) -> Table:
     """The row pipeline over the query's full join, in canonical row order."""
     executor = PlanExecutor(catalog, query)
     relation = executor.execute_order(list(query.aliases), CostMeter())
-    return post_process(query, relation.canonical_order(query.aliases),
-                        executor.tables, mode="rows")
+    return rows_post_process(query, relation.canonical_order(query.aliases),
+                             executor.tables)
 
 
 def test_skinner_c_result_matches_row_reference(tiny_catalog):
@@ -328,13 +326,16 @@ def test_result_set_matrix_matches_sorted_tuples():
 # ----------------------------------------------------------------------
 def _run_join(prepared, order, batch_size, udfs=None, *, scalar=False):
     join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
-    step = join._continue_scalar if scalar else join.continue_join
     offsets = {alias: 0 for alias in prepared.aliases}
     state = initial_state(order, offsets)
     results = JoinResultSet(prepared.aliases)
     meter = CostMeter()
-    while not step(state, offsets, 10_000, results, meter):
-        pass
+    if scalar:
+        while not continue_scalar(join, state, offsets, 10_000, results, meter):
+            pass
+    else:
+        while not join.continue_join(state, offsets, 10_000, results, meter):
+            pass
     return results, meter
 
 

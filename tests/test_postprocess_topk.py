@@ -21,6 +21,7 @@ from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
 from repro.query.query import OrderItem, SelectItem, make_query
 from repro.storage.table import Table
+from tests.oracles import rows_post_process
 
 from test_postprocess_columnar import assert_tables_identical
 
@@ -37,8 +38,8 @@ def _query(order_by, limit, distinct=False):
 
 
 def run_both(query, table):
-    expected = post_process(query, _relation(table), {"t": table}, mode="rows")
-    actual = post_process(query, _relation(table), {"t": table}, mode="columnar")
+    expected = rows_post_process(query, _relation(table), {"t": table})
+    actual = post_process(query, _relation(table), {"t": table})
     assert_tables_identical(expected, actual)
     return actual
 
@@ -96,13 +97,11 @@ def test_topk_with_nan_sort_keys_falls_back_to_full_sort():
         "v": [0, 1, 2, 3, 4, 5],
     })
     order_by = [OrderItem(ColumnRef("t", "k"))]
-    full = post_process(_query(order_by, limit=None), _relation(table),
-                        {"t": table}, mode="columnar")
+    full = post_process(_query(order_by, limit=None), _relation(table), {"t": table})
     # limit larger than the non-NaN count: the pivot becomes NaN and the
     # streamed path must defer to the full sort instead of dropping rows.
     for limit in (2, 5):
-        limited = post_process(_query(order_by, limit=limit), _relation(table),
-                               {"t": table}, mode="columnar")
+        limited = post_process(_query(order_by, limit=limit), _relation(table), {"t": table})
         assert limited.num_rows == limit
         assert limited.column("v").values() == full.column("v").values()[:limit]
 

@@ -21,6 +21,8 @@ import repro
 from repro import Connection, Cursor, EngineSpec, QueryServer, SkinnerConfig, connect
 from repro.api.settings import SETTINGS
 from repro.api.transport import LocalTransport, Transport
+from repro.engine.operators import hash_join_step
+from repro.engine.postprocess import post_process
 from repro.engine.task import EngineTask
 from repro.net.client import RemoteTransport
 from repro.net.protocol import PROTOCOL_VERSION
@@ -184,8 +186,6 @@ def test_modelled_threads_is_an_argument_of_the_report_only():
     """
     offenders = []
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.startswith("repro.bench"):
-            continue
         module = importlib.import_module(info.name)
         functions = []
         for member in vars(module).values():
@@ -205,3 +205,32 @@ def test_modelled_threads_is_an_argument_of_the_report_only():
             if "threads" in inspect.signature(function).parameters
         ]
     assert offenders == ["repro.engine.profiles.EngineProfile.simulated_time"]
+
+
+def test_the_package_is_the_engine():
+    """The paper harness and the test oracles live beside the package, not in it.
+
+    No module under ``src/repro`` imports ``tests`` or ``benchmarks``, the
+    harness and the Postgres adapter are gone from the installed package,
+    and the join and post-processing operators have one path each.
+    """
+    package = Path(repro.__file__).parent
+    offenders = []
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(package)}: {name}"
+                for name in names
+                if name.split(".")[0] in ("tests", "benchmarks")
+            ]
+    assert offenders == []
+    modules = {info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")}
+    assert not {"repro.bench", "repro.external.postgres_adapter"} & modules
+    for operator in (hash_join_step, post_process):
+        assert "mode" not in inspect.signature(operator).parameters, operator.__name__
