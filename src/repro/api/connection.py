@@ -44,8 +44,8 @@ from repro.api.settings import SETTINGS, resolve_settings
 from repro.api.transport import LocalTransport, Transport
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.errors import InterfaceError, OperationalError, ReproError
+from repro.engine.statement_cache import StatementCache
 from repro.optimizer.statistics import StatisticsCatalog
-from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryResult
@@ -468,6 +468,7 @@ class Connection:
     # ------------------------------------------------------------------
     def statistics(self) -> StatisticsCatalog:
         """The optimizer statistics of the catalog as it stands."""
+        self._check_open()
         self._check_local("statistics()")
         return StatisticsCatalog.of(self.catalog)
 
@@ -477,6 +478,7 @@ class Connection:
     @property
     def server(self) -> QueryServer:
         """The serving layer over this connection (created lazily)."""
+        self._check_open()
         self._check_local("server")
         if self._server is None:
             from repro.serving.server import QueryServer
@@ -498,9 +500,15 @@ class Connection:
         sql: str,
         params: Sequence[Any] | Mapping[str, Any] | None = None,
     ) -> Query:
-        """Parse SQL text (with optional bound parameters) into a query."""
+        """Parse SQL text (with optional bound parameters) into a query.
+
+        The parse is the catalog's
+        :class:`~repro.engine.statement_cache.StatementCache` entry for this
+        text and these parameters while the tables it names are unchanged.
+        """
+        self._check_open()
         self._check_local("parse()")
-        return parse_query(sql, self.catalog, params)
+        return StatementCache.of(self.catalog).parse(sql, params)
 
     def stats(self) -> dict[str, Any]:
         """Serving-layer metrics: queue depths, tenant shares, cache hits.

@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.meter import CostMeter
+from repro.engine.meter import ChargeLog, CostMeter
 from repro.engine.operators import (
     HashBuildCache,
     filter_table,
@@ -42,21 +42,6 @@ from repro.storage.table import Table
 
 #: ``(alias, equi, residual)``: the predicates joining one more alias.
 JoinStep = tuple[str, list[Predicate], list[Predicate]]
-
-
-class _ChargeLog:
-    """Hands ``charge_*`` calls on to a meter and keeps them for billing again."""
-
-    def __init__(self, meter: CostMeter) -> None:
-        self._meter = meter
-        self.charges: list[tuple[str, int]] = []
-
-    def __getattr__(self, name: str):
-        def charge(amount: int = 1) -> None:
-            self.charges.append((name, amount))
-            getattr(self._meter, name)(amount)
-
-        return charge
 
 
 class PlanExecutor:
@@ -99,15 +84,14 @@ class PlanExecutor:
         its learning run share one executor; a host would scan for each).
         """
         if self._filtered is None:
-            log = _ChargeLog(meter if meter is not None else CostMeter())
+            log = ChargeLog(meter if meter is not None else CostMeter())
             filtered: dict[str, np.ndarray] = {}
             for alias, table in self._tables.items():
                 predicates = self._query.unary_predicates(alias)
                 filtered[alias] = filter_table(table, alias, predicates, log, self._udfs)
             self._filtered, self._filter_charges = filtered, log.charges
         elif bill_again:
-            for name, amount in self._filter_charges:
-                getattr(meter, name)(amount)
+            meter.replay(self._filter_charges)
         return self._filtered
 
     def filtered_positions(self, alias: str) -> np.ndarray:

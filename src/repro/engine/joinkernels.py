@@ -312,6 +312,13 @@ class GroupedJoinMap:
         """All indexed rows, bucket after bucket (what :meth:`lookup_many` slices)."""
         return self._rows
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the grouped arrays, the rank vector a resumed
+        :meth:`lookup_many` builds included (what a cache of maps is bounded by)."""
+        grouped = self._keys.nbytes + self._starts.nbytes + self._counts.nbytes
+        return grouped + 2 * self._rows.nbytes
+
     def __len__(self) -> int:
         return int(self._keys.shape[0])
 

@@ -14,6 +14,7 @@ three purposes:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -140,6 +141,13 @@ class CostMeter:
         if self.budget is not None and total > self.budget:
             raise BudgetExceeded(spent=total)
 
+    def replay(self, charges: Iterable[tuple[str, int]]) -> None:
+        """Charge again, call by call, what a :class:`ChargeLog` recorded: a
+        budget runs out exactly where it ran out (or would have) the first
+        time."""
+        for name, amount in charges:
+            getattr(self, name)(amount)
+
     def clamp_batch(self, requested: int) -> int:
         """Largest batch size (at least 1) that fits the remaining budget.
 
@@ -219,6 +227,28 @@ class CostMeter:
         self.udf_invocations = 0
         self._total = 0
         self._checkpoints.clear()
+
+
+class ChargeLog:
+    """Hands ``charge_*`` calls on to a meter and keeps them, to bill again.
+
+    The one recorder of what a reusable pass cost: whoever keeps the pass's
+    output (the plan executor its filtered positions, the statement cache
+    its filters) keeps ``charges`` beside it and bills a later reader with
+    :meth:`CostMeter.replay`, so the work clock reads as if the pass ran
+    again.
+    """
+
+    def __init__(self, meter: CostMeter) -> None:
+        self._meter = meter
+        self.charges: list[tuple[str, int]] = []
+
+    def __getattr__(self, name: str):
+        def charge(amount: int = 1) -> None:
+            self.charges.append((name, amount))
+            getattr(self._meter, name)(amount)
+
+        return charge
 
 
 class WorkLedger:

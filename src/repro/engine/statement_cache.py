@@ -1,0 +1,243 @@
+"""What one statement builds that the next may reuse: parses, filters, join maps.
+
+Skinner-C's pre-processing (paper §3) filters every base table by its unary
+predicates and groups the surviving rows of every equi-join column into a
+:class:`~repro.engine.joinkernels.GroupedJoinMap` (§4.5, hashing).  Both are
+functions of one table's rows and the statement's predicates alone, and a
+statement's parse is a function of its text, its parameters and the tables it
+names.  :meth:`Catalog.version <repro.storage.catalog.Catalog.version>` names
+a table's rows for good, so one :class:`StatementCache` per catalog keeps
+
+* **parsed statements**, keyed on the SQL text and its parameters frozen to a
+  tuple, each value beside its type (``1`` and ``1.0`` never share a parse).
+  An entry lives while every table the statement names keeps the version it
+  was parsed under;
+* **filtered positions**, keyed on ``(table, version, alias, unary
+  predicates)``, beside the charges the filter made.  A hit replays them on
+  the statement's meter (:meth:`~repro.engine.meter.CostMeter.replay`), so
+  work units read exactly as if the filter ran again.  A predicate that calls
+  a UDF is never cached: the function may be re-registered under its name;
+* **join maps**, keyed on ``(filter key, column)``.  The caller still charges
+  a hit the build's scan, as :func:`~repro.engine.operators.hash_join_step`
+  charges a build side it found in its cache.
+
+The arrays are read-only and share one bound of :data:`MAX_BYTES`, least
+recently used out first; parses are capped at :data:`MAX_PARSED`.  A write
+leaves nothing dead behind: the first lookup after any table's version moved
+drops every entry of every table that moved — replaced, dropped or rolled
+back — at once.
+
+Every connection, server and engine over one catalog shares its cache.  Like
+the serving layer above it, the cache takes no locks.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from collections.abc import Hashable, Mapping, Sequence
+from typing import Any
+
+import numpy as np
+
+from repro.engine.joinkernels import GroupedJoinMap
+from repro.engine.meter import ChargeLog, CostMeter
+from repro.engine.operators import filter_table
+from repro.query.expressions import FunctionCall, Literal
+from repro.query.parser import parse_query
+from repro.query.predicates import Predicate
+from repro.query.query import Query
+from repro.query.udf import UdfRegistry
+from repro.storage.catalog import Catalog
+from repro.storage.table import Table
+
+#: Bytes of filtered positions and join maps one catalog's cache holds.
+MAX_BYTES = 32 * 2**20
+
+#: Parsed statements one catalog's cache holds.
+MAX_PARSED = 256
+
+
+class StatementCache:
+    """The parses, filtered positions and join maps built on one catalog."""
+
+    def __init__(self, catalog: Catalog) -> None:
+        self._catalog = catalog
+        #: key -> (query, names of the tables it reads), oldest first.
+        self._parsed: OrderedDict[Hashable, tuple[Query, frozenset[str]]] = OrderedDict()
+        #: key -> (filter or join map, bytes, table), least recently used first.
+        self._arrays: OrderedDict[Hashable, tuple[Any, int, str]] = OrderedDict()
+        #: table -> (the version its entries were built on, their keys).
+        self._tables: dict[str, tuple[int, set[Hashable]]] = {}
+        self._synced = catalog.latest_version
+        #: Bytes of the filtered positions and join maps held.
+        self.nbytes = 0
+
+    @classmethod
+    def of(cls, catalog: Catalog) -> StatementCache:
+        """The cache of ``catalog``, made on first use and kept in its slot."""
+        if catalog.statement_cache is None:
+            catalog.statement_cache = cls(catalog)
+        return catalog.statement_cache
+
+    def __len__(self) -> int:
+        return len(self._parsed) + len(self._arrays)
+
+    def versions(self) -> dict[str, int]:
+        """Per table with entries: the version they were built on."""
+        return {name: version for name, (version, keys) in self._tables.items() if keys}
+
+    # ------------------------------------------------------------------
+    # lookups
+    # ------------------------------------------------------------------
+    def parse(
+        self, sql: str, params: Sequence[Any] | Mapping[str, Any] | None = None
+    ) -> Query:
+        """:func:`~repro.query.parser.parse_query` on this catalog, once per
+        text, parameters and versions of the tables the statement names."""
+        key = _statement_key(sql, params)
+        if key is None:
+            return parse_query(sql, self._catalog, params)
+        self._sync()
+        entry = self._parsed.get(key)
+        if entry is not None:
+            self._parsed.move_to_end(key)
+            return entry[0]
+        query = parse_query(sql, self._catalog, params)
+        names = frozenset(name for _, name in query.tables)
+        # The parser resolves columns against the tables it finds; a parse
+        # naming an absent table has no version to be dropped with.
+        if all(self._catalog.has_table(name) for name in names):
+            self._parsed[key] = (query, names)
+            for name in names:
+                self._own(name, key)
+            if len(self._parsed) > MAX_PARSED:
+                self._drop(next(iter(self._parsed)))
+        return query
+
+    def filter(
+        self,
+        name: str,
+        alias: str,
+        predicates: Sequence[Predicate],
+        meter: CostMeter,
+        udfs: UdfRegistry | None = None,
+    ) -> tuple[np.ndarray, Hashable | None]:
+        """The rows of table ``name`` that ``alias``'s unary ``predicates``
+        keep, with the filter's charges on ``meter``, and the key naming them
+        for :meth:`join_map` (``None``: uncached, a UDF is called)."""
+        table = self._catalog.table(name)
+        if any(predicate.uses_udf for predicate in predicates):
+            return filter_table(table, alias, predicates, meter, udfs), None
+        self._sync()
+        predicates = tuple(predicates)
+        key = ("filter", name, self._catalog.version(name), alias, predicates,
+               _literal_types(predicates))
+        try:
+            entry = self._arrays.get(key)
+        except TypeError:  # an unhashable literal, e.g. an array bound as a parameter
+            return filter_table(table, alias, predicates, meter, udfs), None
+        if entry is not None:
+            self._arrays.move_to_end(key)
+            positions, charges = entry[0]
+            meter.replay(charges)
+            return positions, key
+        log = ChargeLog(meter)
+        positions = filter_table(table, alias, predicates, log, udfs)
+        positions.flags.writeable = False
+        self._put(key, name, (positions, tuple(log.charges)), positions.nbytes)
+        return positions, key
+
+    def join_map(
+        self, key: Hashable | None, table: Table, column: str, positions: np.ndarray
+    ) -> GroupedJoinMap:
+        """``table.column`` over the filtered rows ``positions`` grouped, once
+        per filter ``key`` (``None``: built for this caller alone)."""
+        if key is None:
+            return GroupedJoinMap(table.column(column), positions)
+        map_key = ("map", key, column)
+        entry = self._arrays.get(map_key)
+        if entry is not None:
+            self._arrays.move_to_end(map_key)
+            return entry[0]
+        join_map = GroupedJoinMap(table.column(column), positions)
+        self._put(map_key, key[1], join_map, join_map.nbytes)
+        return join_map
+
+    # ------------------------------------------------------------------
+    # bookkeeping
+    # ------------------------------------------------------------------
+    def _sync(self) -> None:
+        """Drop the entries of every table whose version moved since the last look."""
+        catalog = self._catalog
+        if catalog.latest_version == self._synced:
+            return
+        self._synced = catalog.latest_version
+        for name, (version, _) in list(self._tables.items()):
+            if not catalog.has_table(name) or catalog.version(name) != version:
+                self._forget(name)
+
+    def _own(self, name: str, key: Hashable) -> None:
+        # Every caller synced first, so what is held is at the current version.
+        self._tables.setdefault(name, (self._catalog.version(name), set()))[1].add(key)
+
+    def _put(self, key: Hashable, name: str, value: Any, nbytes: int) -> None:
+        if nbytes > MAX_BYTES:
+            return
+        self._arrays[key] = (value, nbytes, name)
+        self.nbytes += nbytes
+        self._own(name, key)
+        while self.nbytes > MAX_BYTES:
+            self._drop(next(iter(self._arrays)))
+
+    def _drop(self, key: Hashable) -> None:
+        if key in self._parsed:
+            names = self._parsed.pop(key)[1]
+        else:
+            _, nbytes, name = self._arrays.pop(key)
+            self.nbytes -= nbytes
+            names = (name,)
+        for name in names:
+            held = self._tables.get(name)
+            if held is not None:
+                held[1].discard(key)
+
+    def _forget(self, name: str) -> None:
+        for key in self._tables.pop(name)[1]:
+            self._drop(key)
+
+
+def _statement_key(
+    sql: str, params: Sequence[Any] | Mapping[str, Any] | None
+) -> Hashable | None:
+    """``sql`` with its parameters frozen, each value beside its type, or
+    ``None`` where they cannot be (the parse is then not cached)."""
+    if params is None:
+        frozen: Any = None
+    elif isinstance(params, Mapping):
+        frozen = (type(params), tuple((name, type(value), value) for name, value in params.items()))
+    elif isinstance(params, Sequence):
+        frozen = (type(params), tuple((type(value), value) for value in params))
+    else:
+        return None
+    key = ("sql", sql, frozen)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+def _literal_types(predicates: Sequence[Predicate]) -> tuple[type, ...]:
+    """The type of every literal in ``predicates``: ``x = 1`` and ``x = 1.0``
+    are equal predicates, but an int64 column need not compare alike with
+    both (``2**53 + 1``)."""
+    types = []
+    stack = [side for predicate in predicates for side in (predicate.left, predicate.right)
+             if side is not None]
+    while stack:
+        expression = stack.pop()
+        if isinstance(expression, Literal):
+            types.append(type(expression.value))
+        elif isinstance(expression, FunctionCall):
+            stack.extend(expression.args)
+    return tuple(types)

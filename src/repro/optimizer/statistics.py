@@ -90,31 +90,49 @@ class TableStatistics:
 
 
 class StatisticsCatalog:
-    """Statistics for all tables of a catalog."""
+    """Statistics for all tables of a catalog, each table at one version."""
 
     def __init__(self) -> None:
         self._tables: dict[str, TableStatistics] = {}
+        #: Table -> the catalog version its statistics describe.
+        self._versions: dict[str, int] = {}
+        #: ``Catalog.latest_version`` when these were collected.
+        self._latest = -1
 
     @classmethod
     def of(cls, catalog: Catalog) -> "StatisticsCatalog":
-        """The statistics of ``catalog`` as it stands, collected at most once.
+        """The statistics of ``catalog`` as it stands, collected at most once
+        per table version.
 
         The one holder of optimizer statistics: they are kept on the catalog
-        they describe, which drops them whenever a table is added, replaced
-        or dropped or a rollback restores an earlier state, so every engine,
-        connection and server over one catalog shares one collection per
-        catalog state.
+        they describe, so every engine, connection and server over one
+        catalog shares them.  Once a table is added, replaced or dropped, or
+        a rollback restores an earlier state, the next call returns new
+        statistics, re-collecting only the tables whose version moved.
         """
-        if catalog.cached_statistics is None:
-            catalog.cached_statistics = cls.collect(catalog)
-        return catalog.cached_statistics
+        held = catalog.cached_statistics
+        if held is None or held._latest != catalog.latest_version:
+            catalog.cached_statistics = held = cls.collect(catalog)
+        return held
 
     @classmethod
     def collect(cls, catalog: Catalog, sample_limit: int = _SAMPLE_LIMIT) -> "StatisticsCatalog":
-        """Collect statistics for every table in the catalog."""
+        """Collect statistics for every table in the catalog.
+
+        A table whose version the statistics held by :meth:`of` already
+        describe is taken from them: columns are sampled with a fixed seed,
+        so collecting it again would yield the same numbers.
+        """
+        held = catalog.cached_statistics if sample_limit == _SAMPLE_LIMIT else None
         stats = cls()
+        stats._latest = catalog.latest_version
         for table in catalog:
-            stats._tables[table.name] = _collect_table(table, sample_limit)
+            version = catalog.version(table.name)
+            if held is not None and held._versions.get(table.name) == version:
+                stats._tables[table.name] = held._tables[table.name]
+            else:
+                stats._tables[table.name] = _collect_table(table, sample_limit)
+            stats._versions[table.name] = version
         return stats
 
     def table(self, name: str) -> TableStatistics | None:

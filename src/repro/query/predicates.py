@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.errors import ExecutionError
@@ -56,6 +57,12 @@ class Predicate:
     # ------------------------------------------------------------------
     def tables(self) -> frozenset[str]:
         """Aliases of all tables this predicate references."""
+        return self._aliases
+
+    @cached_property
+    def _aliases(self) -> frozenset[str]:
+        # Worked out once: every engine classifies every predicate by it, and
+        # a parsed statement's predicates serve statement after statement.
         result = self.left.tables()
         if self.right is not None:
             result = result | self.right.tables()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.errors import PlanningError
@@ -152,10 +153,20 @@ class Query:
 
     def unary_predicates(self, alias: str | None = None) -> list[Predicate]:
         """Unary predicates, optionally restricted to one alias."""
-        result = [p for p in self.predicates if p.is_unary]
         if alias is not None:
-            result = [p for p in result if alias in p.tables()]
-        return result
+            return list(self._unary_by_alias.get(alias, ()))
+        return [p for p in self.predicates if p.is_unary]
+
+    @cached_property
+    def _unary_by_alias(self) -> dict[str, tuple[Predicate, ...]]:
+        # Sorted once per query: a parsed statement is pre-processed again
+        # every time it is executed.
+        grouped: dict[str, list[Predicate]] = {}
+        for predicate in self.predicates:
+            if predicate.is_unary:
+                (alias,) = predicate.tables()
+                grouped.setdefault(alias, []).append(predicate)
+        return {alias: tuple(predicates) for alias, predicates in grouped.items()}
 
     def join_predicates(self) -> list[Predicate]:
         """All predicates referencing two or more tables."""

@@ -36,8 +36,8 @@ from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter, WorkLedger
 from repro.engine.postprocess import post_process
 from repro.engine.relation import RowIdRelation
+from repro.engine.statement_cache import StatementCache
 from repro.errors import InterfaceError, ReproError
-from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryResult
@@ -183,7 +183,8 @@ class QueryServer:
         spec.check_forced_order(forced_order)
         if weight <= 0:
             raise ReproError("weight must be positive")
-        parsed = parse_query(query, self._catalog) if isinstance(query, str) else query
+        parsed = (StatementCache.of(self._catalog).parse(query)
+                  if isinstance(query, str) else query)
         config = config or self._config
         fingerprint = query_fingerprint(
             parsed, engine=engine, profile=profile,

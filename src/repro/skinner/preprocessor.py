@@ -5,11 +5,16 @@ and, when equality join predicates are present, builds hash maps from join
 column values to the positions of the *filtered* tuple arrays.  Those maps
 power the hash-jump acceleration of the multi-way join: only tuples that
 survived the unary predicates are hashed, keeping the overhead small.
+
+Both come from the catalog's
+:class:`~repro.engine.statement_cache.StatementCache`: a statement on tables
+an earlier statement filtered and indexed, at the same versions, reuses what
+that one built and is charged what building it cost.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
-from repro.engine.operators import filter_table
+from repro.engine.statement_cache import StatementCache
 from repro.query.predicates import Predicate
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
@@ -177,17 +182,22 @@ def preprocess(
     ----------
     restrict_positions:
         Optional pre-computed filtered positions (used by tests and by
-        engines that already pre-processed).
+        engines that already pre-processed).  A restricted alias bypasses the
+        statement cache: it is neither filtered nor indexed from it.
     """
     meter = meter if meter is not None else CostMeter()
+    cache = StatementCache.of(catalog)
     tables = {alias: catalog.table(name) for alias, name in query.tables}
     filtered: dict[str, np.ndarray] = {}
-    for alias, table in tables.items():
+    #: Per alias, the cache key of its filter (``None``: not cached).
+    keys: dict[str, Hashable | None] = {}
+    for alias, name in query.tables:
         if restrict_positions is not None and alias in restrict_positions:
             filtered[alias] = np.asarray(restrict_positions[alias], dtype=np.int64)
+            keys[alias] = None
             continue
         predicates = query.unary_predicates(alias)
-        filtered[alias] = filter_table(table, alias, predicates, meter, udfs)
+        filtered[alias], keys[alias] = cache.filter(name, alias, predicates, meter, udfs)
 
     prepared = PreprocessedQuery(
         query=query,
@@ -197,11 +207,16 @@ def preprocess(
         join_predicates=list(query.join_predicates()),
     )
     if build_hash_maps:
-        _build_join_maps(prepared, meter)
+        _build_join_maps(prepared, cache, keys, meter)
     return prepared
 
 
-def _build_join_maps(prepared: PreprocessedQuery, meter: CostMeter) -> None:
+def _build_join_maps(
+    prepared: PreprocessedQuery,
+    cache: StatementCache,
+    keys: Mapping[str, Hashable | None],
+    meter: CostMeter,
+) -> None:
     """Index each join column of each filtered table (paper §4.5, hashing)."""
     wanted: set[tuple[str, str]] = set()
     for predicate in prepared.join_predicates:
@@ -211,11 +226,12 @@ def _build_join_maps(prepared: PreprocessedQuery, meter: CostMeter) -> None:
         wanted.add((left.table, left.column))
         wanted.add((right.table, right.column))
     for alias, column_name in wanted:
-        table = prepared.tables[alias]
-        column = table.column(column_name)
         positions = prepared.filtered[alias]
         # Grouping the filtered tuples is build work: charge it as scan, like
         # the plan executor's hash-join build, so meter profiles compare the
-        # same quantities across join implementations.
+        # same quantities across join implementations — a map the cache
+        # already held included.
         meter.charge_scan(int(positions.shape[0]))
-        prepared.join_maps[(alias, column_name)] = GroupedJoinMap(column, positions)
+        prepared.join_maps[(alias, column_name)] = cache.join_map(
+            keys[alias], prepared.tables[alias], column_name, positions
+        )

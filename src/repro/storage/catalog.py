@@ -13,13 +13,23 @@ from repro.storage.table import Table
 class Catalog:
     """Registry of tables.
 
-    The catalog deliberately *computes* no statistics: they are collected by
+    Every table has a *version* (:meth:`version`), drawn from one counter
+    that only counts up: registering, replacing or dropping a table and
+    restoring a snapshot give the tables they touch versions no table of
+    this catalog had before, so ``(name, version)`` names one table state
+    for good, and a dropped and recreated table never matches what was
+    built on its predecessor.  Whatever is derived from a table's rows is
+    keyed on that pair.
+
+    The catalog deliberately *computes* nothing from its tables.  Optimizer
+    statistics are collected by
     :meth:`repro.optimizer.statistics.StatisticsCatalog.of` for the
     traditional optimizer baselines and Skinner-H only, never for the pure
-    Skinner strategies (SkinnerDB "maintains no data statistics", paper §1).
-    The catalog merely gives that accessor a slot to cache them in
-    (:attr:`cached_statistics`) and empties it wherever the set of tables
-    changes.
+    Skinner strategies (SkinnerDB "maintains no data statistics", paper §1),
+    and the parses, filtered positions and join maps statements reuse are
+    kept by :meth:`repro.engine.statement_cache.StatementCache.of`; the
+    catalog merely gives each of them a slot (:attr:`cached_statistics`,
+    :attr:`statement_cache`).
 
     *Where* tables physically live — RAM arrays or memory-mapped files
     under a ``data_dir`` — is the buffer manager's business: the catalog
@@ -32,8 +42,14 @@ class Catalog:
     def __init__(self, buffer_manager: BufferManager | None = None) -> None:
         self._buffer = buffer_manager if buffer_manager is not None else InMemoryBufferManager()
         self._tables: dict[str, Table] = self._buffer.bootstrap()
-        #: Owned by ``StatisticsCatalog.of``; emptied by every mutation here.
+        self._latest = 0
+        self._versions: dict[str, int] = {}
+        for name in self._tables:
+            self._bump(name)
+        #: Owned by ``StatisticsCatalog.of``.
         self.cached_statistics: Any = None
+        #: Owned by ``StatementCache.of``.
+        self.statement_cache: Any = None
 
     @property
     def buffer_manager(self) -> BufferManager:
@@ -48,7 +64,7 @@ class Catalog:
         if table.name in self._tables and not replace:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = self._buffer.register_table(table, replace=replace)
-        self.cached_statistics = None
+        self._bump(table.name)
 
     def drop_table(self, name: str) -> None:
         """Remove a table."""
@@ -56,7 +72,8 @@ class Catalog:
             raise CatalogError(f"table {name!r} does not exist")
         self._buffer.drop_table(name)
         del self._tables[name]
-        self.cached_statistics = None
+        self._bump(name)
+        del self._versions[name]
 
     def table(self, name: str) -> Table:
         """Return a table by name."""
@@ -64,6 +81,24 @@ class Catalog:
             return self._tables[name]
         except KeyError as exc:
             raise CatalogError(f"table {name!r} does not exist") from exc
+
+    def version(self, name: str) -> int:
+        """The version of a table: it moves whenever the table is replaced,
+        dropped and recreated, or restored by a rollback."""
+        try:
+            return self._versions[name]
+        except KeyError as exc:
+            raise CatalogError(f"table {name!r} does not exist") from exc
+
+    @property
+    def latest_version(self) -> int:
+        """The newest version given to any table, dropped ones included: it
+        moves with every change to the set of tables or their rows."""
+        return self._latest
+
+    def _bump(self, name: str) -> None:
+        self._latest += 1
+        self._versions[name] = self._latest
 
     def has_table(self, name: str) -> bool:
         """Whether a table with this name is registered."""
@@ -108,7 +143,9 @@ class Catalog:
     def restore(self, snapshot: Any) -> None:
         """Reset the catalog to a previously taken :meth:`snapshot`."""
         self._tables = self._buffer.restore(snapshot)
-        self.cached_statistics = None
+        self._versions = {}
+        for name in self._tables:
+            self._bump(name)
 
     def commit(self) -> None:
         """Make every mutation since the last commit durable."""
