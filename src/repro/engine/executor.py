@@ -7,9 +7,8 @@ of a query), producing a row-id relation.  It supports:
 * pre-processing (unary predicate filtering) with cached results,
 * hash joins when equality predicates link the new table to the prefix,
   nested-loop joins otherwise (see :mod:`repro.engine.operators`),
-* vectorized residual/unary predicate evaluation for UDF-free comparisons
-  (see :mod:`repro.engine.vectorized`); only UDF predicates are evaluated
-  tuple at a time,
+* residual and unary predicates evaluated over column arrays, UDF calls
+  included (see :mod:`repro.engine.vectorized`),
 * an optional **work budget** — used by Skinner-G to emulate per-batch
   timeouts: when the budget is exhausted, execution aborts and all
   intermediate results are lost, exactly like a timed-out DBMS invocation,

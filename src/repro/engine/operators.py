@@ -6,11 +6,15 @@ repository:
 * :func:`filter_table` — apply a table's unary predicates, producing the row
   positions that survive (pre-processing in the paper's terminology).
 * :func:`hash_join_step` — extend an intermediate result by one table via a
-  hash join on the applicable equality predicates, with residual predicates
-  evaluated tuple-at-a-time.
+  hash join on the applicable equality predicates, then filter it by the
+  residual predicates.
 * :func:`nested_loop_step` — the fallback when no equality predicate links
   the new table to the current prefix (Cartesian product or generic/UDF-only
   join predicates).
+
+Every predicate but ``column <op> literal`` (which compares the physical
+column once) is evaluated over arrays of the surviving rows by
+:func:`repro.engine.vectorized.predicate_mask`, UDF calls included.
 
 The hash join runs the columnar kernel from :mod:`repro.engine.joinkernels`:
 the build side grouped by a stable sort into a
@@ -36,13 +40,8 @@ import numpy as np
 from repro.engine.joinkernels import GroupedJoinMap, expand_matches
 from repro.engine.meter import CostMeter
 from repro.engine.relation import RowIdRelation
-from repro.engine.vectorized import (
-    VECTOR_COMPARATORS,
-    NotVectorizable,
-    evaluate_value,
-    vectorizable,
-)
-from repro.query.expressions import ColumnRef
+from repro.engine.vectorized import predicate_mask
+from repro.query.expressions import ColumnRef, Literal
 from repro.query.predicates import Predicate
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
@@ -74,61 +73,30 @@ def _unary_mask(
     udfs: UdfRegistry | None,
 ) -> np.ndarray:
     """Boolean mask over ``positions`` for one unary predicate."""
-    from repro.query.expressions import Literal
-
-    meter.charge_predicate(positions.shape[0])
-    per_row = predicate.udf_cost(udfs) - 1
-    if per_row > 0:  # meter only actual (registered) UDF invocations
-        meter.charge_udf(positions.shape[0] * per_row)
-    # Fast path: column <op> literal without UDFs.
+    length = int(positions.shape[0])
+    _charge_predicate(predicate, length, meter, udfs)
     if (
         predicate.op is not None
         and isinstance(predicate.left, ColumnRef)
         and isinstance(predicate.right, Literal)
-        and not predicate.uses_udf
-    ):
+    ):  # column <op> literal: compare the physical column once
         column = table.column(predicate.left.column)
-        full_mask = column.compare(predicate.op, predicate.right.value)
-        return full_mask[positions]
-    # Vectorized path for the remaining UDF-free comparisons (arithmetic
-    # expressions, reversed literal order, ...) over decoded column arrays.
-    if _comparison_vectorizable(predicate):
-        def resolve(ref: ColumnRef) -> np.ndarray:
-            return table.column(ref.column).decoded_data[positions]
+        return column.compare(predicate.op, predicate.right.value)[positions]
 
-        mask = _vector_comparison_mask(predicate, resolve, int(positions.shape[0]))
-        if mask is not None:
-            return mask
-    # Generic path: evaluate tuple at a time (UDFs, bare boolean expressions).
-    mask = np.zeros(positions.shape[0], dtype=bool)
-    for i, position in enumerate(positions):
-        binding = {alias: table.row(int(position))}
-        mask[i] = predicate.evaluate(binding, udfs)
-    return mask
+    def resolve(ref: ColumnRef) -> np.ndarray:
+        return table.column(ref.column).decoded_data[positions]
+
+    return predicate_mask(predicate, resolve, length, udfs)
 
 
-def _comparison_vectorizable(predicate: Predicate) -> bool:
-    """Whether the predicate is a UDF-free comparison of vectorizable sides."""
-    return (
-        predicate.op in VECTOR_COMPARATORS
-        and predicate.right is not None
-        and not predicate.uses_udf
-        and vectorizable(predicate.left)
-        and vectorizable(predicate.right)
-    )
-
-
-def _vector_comparison_mask(predicate: Predicate, resolve, length: int) -> np.ndarray | None:
-    """Evaluate a comparison predicate over arrays; ``None`` to fall back."""
-    try:
-        left = evaluate_value(predicate.left, resolve)
-        right = evaluate_value(predicate.right, resolve)
-        mask = np.asarray(VECTOR_COMPARATORS[predicate.op](left, right), dtype=bool)
-    except NotVectorizable:
-        return None
-    if mask.ndim == 0:  # incomparable scalar fallout: uniform truth value
-        return np.full(length, bool(mask))
-    return mask
+def _charge_predicate(
+    predicate: Predicate, length: int, meter: CostMeter, udfs: UdfRegistry | None
+) -> None:
+    """Charge ``length`` evaluations of ``predicate``, with its UDF calls."""
+    meter.charge_predicate(length)
+    per_row = predicate.udf_cost(udfs) - 1
+    if per_row > 0:  # meter only actual (registered) UDF invocations
+        meter.charge_udf(length * per_row)
 
 
 class HashBuildCache:
@@ -277,10 +245,8 @@ def _apply_residual(
     """Filter a candidate relation by residual predicates.
 
     Predicates are applied sequentially to the shrinking survivor set, so
-    the work charged matches the former row-at-a-time loop's short-circuit
-    exactly.  UDF-free comparisons are evaluated vectorized over decoded
-    column arrays; only UDF predicates (and bare boolean expressions) pay
-    the per-row binding cost.
+    the work charged is a row-at-a-time loop's short-circuit exactly; each
+    is evaluated over decoded column arrays gathered for the survivors.
     """
     if not predicates or len(candidate) == 0:
         return candidate
@@ -289,21 +255,11 @@ def _apply_residual(
         if selector.shape[0] == 0:
             break
         length = int(selector.shape[0])
-        meter.charge_predicate(length)
-        per_row = predicate.udf_cost(udfs) - 1
-        if per_row > 0:  # meter only actual (registered) UDF invocations
-            meter.charge_udf(length * per_row)
-        mask = None
-        if _comparison_vectorizable(predicate):
-            def resolve(ref: ColumnRef) -> np.ndarray:
-                ids = candidate.ids(ref.table)[selector]
-                return tables[ref.table].column(ref.column).decoded_data[ids]
+        _charge_predicate(predicate, length, meter, udfs)
 
-            mask = _vector_comparison_mask(predicate, resolve, length)
-        if mask is None:
-            mask = np.zeros(length, dtype=bool)
-            for i, row in enumerate(selector.tolist()):
-                binding = candidate.binding(row, tables)
-                mask[i] = predicate.evaluate(binding, udfs)
-        selector = selector[mask]
+        def resolve(ref: ColumnRef) -> np.ndarray:
+            ids = candidate.ids(ref.table)[selector]
+            return tables[ref.table].column(ref.column).decoded_data[ids]
+
+        selector = selector[predicate_mask(predicate, resolve, length, udfs)]
     return candidate.take(selector)

@@ -1,63 +1,41 @@
-"""Vectorized evaluation of scalar expressions over column arrays.
+"""Evaluation of scalar expressions and predicates over column arrays.
 
-The tuple-at-a-time engines evaluate expressions against a *binding* (one row
-dict per alias).  This module provides the batch equivalent: an expression is
-evaluated once over arrays of decoded column values, producing one NumPy
-array for a whole run of candidate rows.  It powers
+Every engine but the eddy baseline evaluates expressions here, a whole run of
+candidate rows at once: ``resolve`` hands the evaluator one array of decoded
+column values per column reference (or a scalar for a column fixed across the
+run), and the result is one NumPy array.  It powers
 
-* the columnar post-processing pipeline (:mod:`repro.engine.postprocess`),
-* the vectorized generic-predicate fallback of the multi-way join
-  (:meth:`repro.skinner.multiway_join.MultiwayJoin._filter_generic`), and
-* the residual-predicate filters of the left-deep plan executor
-  (:mod:`repro.engine.operators`).
+* the unary and residual filters of the plan executor
+  (:mod:`repro.engine.operators`),
+* the predicates of the multi-way join
+  (:mod:`repro.skinner.multiway_join`), and
+* columnar post-processing (:mod:`repro.engine.postprocess`).
 
-Only UDF-free expressions are vectorizable: column references, literals,
-``*``, and the built-in arithmetic functions.  String columns are decoded to
-``object`` arrays so that elementwise comparisons keep exact Python
-semantics (including ``TypeError`` on unorderable mixes, which callers treat
-as non-vectorizable and route through the row path).  Anything else raises
-:class:`NotVectorizable` and the caller falls back to row-at-a-time
-evaluation — the fallback is a behavior guarantee, not an error path.
+Column references, literals, ``*`` and the built-in arithmetic functions are
+array operations.  String columns are decoded to ``object`` arrays, so
+elementwise comparisons keep exact Python semantics.  A registered UDF is
+called once per row, in row order, on the Python scalars ``Table.row`` would
+hand it (``int``, ``float``, ``str``); its results form an ``object`` array.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import repeat
 from typing import Any
 
 import numpy as np
 
+from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef, Expression, FunctionCall, Literal, Star
+from repro.query.predicates import _COMPARATORS, Predicate
 
-__all__ = [
-    "NotVectorizable",
-    "broadcast",
-    "evaluate_array",
-    "evaluate_value",
-    "has_udf",
-    "vectorizable",
-    "VECTOR_COMPARATORS",
-]
+__all__ = ["evaluate_array", "predicate_mask"]
 
-
-class NotVectorizable(Exception):
-    """Raised when an expression cannot be evaluated over column arrays."""
-
-
-#: Comparators applied to evaluated arrays.  NumPy broadcasting gives the
-#: same elementwise truth values as the Python operators the row path uses.
-VECTOR_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 #: Elementwise implementations of the built-in scalar functions.  ``div``
 #: uses true division and ``mod`` floors like Python ``%``, so results match
-#: the row path bit for bit on int64/float64 inputs.
+#: ``FunctionCall.evaluate`` bit for bit on int64/float64 inputs.
 _BUILTIN_ARRAY_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
@@ -68,40 +46,50 @@ _BUILTIN_ARRAY_FUNCTIONS: dict[str, Callable[..., Any]] = {
 }
 
 
-def has_udf(expression: Expression) -> bool:
-    """Whether the expression contains a non-builtin function call."""
-    if isinstance(expression, FunctionCall):
-        if not expression.is_builtin():
-            return True
-        return any(has_udf(arg) for arg in expression.args)
-    return False
-
-
-def vectorizable(expression: Expression) -> bool:
-    """Whether :func:`evaluate_array` can handle the expression's structure."""
-    if isinstance(expression, (ColumnRef, Literal, Star)):
-        return True
-    if isinstance(expression, FunctionCall):
-        return expression.is_builtin() and all(vectorizable(a) for a in expression.args)
-    return False
-
-
 def evaluate_array(
     expression: Expression,
     resolve: Callable[[ColumnRef], Any],
     length: int,
+    udfs: Any = None,
 ) -> np.ndarray:
-    """Evaluate ``expression`` into an array of ``length`` decoded values.
+    """Evaluate ``expression`` into an array of ``length`` values.
 
     ``resolve`` maps a column reference to either an array of that column's
-    values for the batch or a scalar (for columns fixed across the batch).
+    values for the run or a scalar (for columns fixed across the run).
     Scalars propagate through the arithmetic and are broadcast to a full
-    array only at the end.
+    array only at the end.  ``udfs`` is the registry UDF calls resolve in.
     """
-    return broadcast(evaluate_value(expression, resolve), length)
+    return _broadcast(_evaluate(expression, resolve, length, udfs), length)
 
 
-def broadcast(value: Any, length: int) -> np.ndarray:
+def predicate_mask(
+    predicate: Predicate,
+    resolve: Callable[[ColumnRef], Any],
+    length: int,
+    udfs: Any = None,
+) -> np.ndarray:
+    """Boolean mask of the ``length`` rows satisfying ``predicate``.
+
+    A comparison compares both sides elementwise; a bare expression
+    (``WHERE good_pair(a.x, b.y)``) keeps the rows whose value is truthy,
+    as ``bool()`` judges it.
+    """
+    left = _evaluate(predicate.left, resolve, length, udfs)
+    if predicate.op is None:
+        return _broadcast(left, length).astype(bool)
+    # The comparators of ``Predicate.evaluate``: NumPy broadcasting gives
+    # their elementwise truth values.
+    comparator = _COMPARATORS.get(predicate.op)
+    if comparator is None:
+        raise ExecutionError(f"unsupported predicate operator {predicate.op!r}")
+    right = _evaluate(predicate.right, resolve, length, udfs)
+    mask = np.asarray(comparator(left, right), dtype=bool)
+    if mask.ndim == 0:  # two scalars, or incomparable types: one truth value
+        return np.full(length, bool(mask))
+    return mask
+
+
+def _broadcast(value: Any, length: int) -> np.ndarray:
     """Materialize a scalar-or-array evaluation result as a full array."""
     if isinstance(value, np.ndarray) and value.ndim == 1:
         return value
@@ -112,7 +100,9 @@ def broadcast(value: Any, length: int) -> np.ndarray:
     return np.full(length, value)
 
 
-def evaluate_value(expression: Expression, resolve: Callable[[ColumnRef], Any]) -> Any:
+def _evaluate(
+    expression: Expression, resolve: Callable[[ColumnRef], Any], length: int, udfs: Any
+) -> Any:
     """Evaluate to a scalar or a 1-d array, without broadcasting scalars."""
     if isinstance(expression, ColumnRef):
         return resolve(expression)
@@ -121,12 +111,16 @@ def evaluate_value(expression: Expression, resolve: Callable[[ColumnRef], Any]) 
     if isinstance(expression, Star):
         return 1
     if isinstance(expression, FunctionCall):
-        implementation = _BUILTIN_ARRAY_FUNCTIONS.get(expression.name.lower())
-        if implementation is None:
-            raise NotVectorizable(f"function {expression.name!r} is not vectorizable")
-        args = [evaluate_value(arg, resolve) for arg in expression.args]
-        try:
-            return implementation(*args)
-        except TypeError as exc:  # e.g. string arithmetic on object arrays
-            raise NotVectorizable(str(exc)) from exc
-    raise NotVectorizable(f"unsupported expression {type(expression).__name__}")
+        key = expression.name.lower()
+        implementation = _BUILTIN_ARRAY_FUNCTIONS.get(key)
+        if implementation is not None:
+            return implementation(*(_evaluate(arg, resolve, length, udfs)
+                                    for arg in expression.args))
+        if udfs is None or not udfs.has(key):
+            raise ExecutionError(f"unknown function {expression.name!r}")
+        function = udfs.get(key).function
+        columns = [_broadcast(_evaluate(arg, resolve, length, udfs), length).tolist()
+                   for arg in expression.args]
+        rows = zip(*columns) if columns else repeat((), length)
+        return np.fromiter((function(*row) for row in rows), dtype=object, count=length)
+    raise ExecutionError(f"unsupported expression {type(expression).__name__}")

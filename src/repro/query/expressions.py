@@ -4,9 +4,11 @@ Expressions are deliberately small: column references, literals, and
 function calls (arithmetic shows up in TPC-H style aggregates and is modelled
 with the built-in functions ``add``, ``sub``, ``mul``).  Every expression can
 report the set of table aliases it references and evaluate itself against a
-*binding* — a mapping from table alias to a row dictionary — which is how the
-tuple-at-a-time engines (Skinner-C's multi-way join, Eddies) evaluate
-predicates on partial tuples.
+*binding* — a mapping from table alias to a row dictionary — which is how
+the eddy baseline evaluates predicates on single tuples and how the test
+oracles compute reference results.  The engines evaluate expressions over
+column arrays instead (:mod:`repro.engine.vectorized`), with the same
+semantics.
 """
 
 from __future__ import annotations

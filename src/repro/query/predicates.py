@@ -8,8 +8,13 @@ references, which determines how the engines treat it:
 * **equality join** predicates (``a.x = b.y``) enable hash joins and
   Skinner-C's hash-jump acceleration;
 * **generic join** predicates (inequalities across tables, UDF calls over
-  several tables) are evaluated tuple-at-a-time as soon as all referenced
-  tables appear in the current join prefix.
+  several tables) are evaluated as soon as all referenced tables appear in
+  the current join prefix.
+
+The engines evaluate predicates over column arrays
+(:func:`repro.engine.vectorized.predicate_mask`); :meth:`Predicate.evaluate`
+against one binding is the tuple-at-a-time form the eddy baseline and the
+test oracles use.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.meter import CostMeter
-from repro.engine.vectorized import NotVectorizable, broadcast, evaluate_value, vectorizable
+from repro.engine.vectorized import predicate_mask
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import _COMPARATORS, Predicate
 from repro.query.udf import UdfRegistry
@@ -165,21 +165,21 @@ class _PredicatePlan:
 
     ``vectorized`` plans compare the batch position's physical column values
     against the values an earlier position holds in each candidate's prefix.
-    ``expression`` plans evaluate both sides of a UDF-free comparison over
-    decoded column arrays (built-in arithmetic, literals, string columns as
-    ``object`` arrays) — the generic fallback, vectorized.  Only true UDF
-    predicates (and bare boolean expressions) remain row-at-a-time over the
-    batch, which matches the scalar executor's behavior exactly.  A
-    ``jump`` plan is the equality the candidates were looked up by, or one
+    A ``jump`` plan is the equality the candidates were looked up by, or one
     bound of the band they were cut to: it holds for every one of them and
-    is charged, not evaluated.
+    is charged, not evaluated.  Every other plan evaluates the predicate over
+    decoded column arrays gathered for the batch
+    (:func:`~repro.engine.vectorized.predicate_mask`: built-in arithmetic,
+    strings as ``object`` arrays, UDFs called once per candidate).
+    ``udf_work`` is what one evaluation charges for the predicate's
+    registered UDFs.
     """
 
     predicate: Predicate
     aliases: tuple[str, ...]
     jump: bool = False
     vectorized: bool = False
-    expression: bool = False
+    udf_work: int = 0
     own_column: str | None = None
     op: str | None = None
     own_is_string: bool = False
@@ -198,7 +198,7 @@ class _OrderContext:
     plans_at: list[list[_PredicatePlan]] = field(default_factory=list)
     #: join-order position of each alias in canonical (declaration) order.
     canonical_positions: tuple[int, ...] = ()
-    #: alias -> join-order position, shared by the per-batch fallback path.
+    #: alias -> join-order position, read when a batch's arrays are gathered.
     order_positions: dict[str, int] = field(default_factory=dict)
 
 
@@ -417,6 +417,7 @@ class MultiwayJoin:
         if jump is not None and any(predicate is jumped for jumped in jump.predicates):
             plan.jump = True
             return plan
+        plan.udf_work = predicate.udf_cost(self._udfs) - 1
         left, op, right = predicate.left, predicate.op, predicate.right
         if (
             op not in _VECTOR_OPS
@@ -424,13 +425,6 @@ class MultiwayJoin:
             or not isinstance(right, ColumnRef)
             or left.table == right.table
         ):
-            plan.expression = (
-                op in _VECTOR_OPS
-                and right is not None
-                and not predicate.uses_udf
-                and vectorizable(left)
-                and vectorizable(right)
-            )
             return plan
         if left.table == alias:
             own, other = left, right
@@ -444,12 +438,8 @@ class MultiwayJoin:
         other_type = prepared.tables[other.table].column(other.column).ctype
         own_is_string = own_type is ColumnType.STRING
         other_is_string = other_type is ColumnType.STRING
-        if own_is_string != other_is_string:
-            plan.expression = True  # mixed string/numeric: decoded Python semantics
-            return plan
-        if own_is_string and op not in ("=", "!="):
-            plan.expression = True  # ordering on strings: compare decoded arrays
-            return plan
+        if own_is_string != other_is_string or (own_is_string and op not in ("=", "!=")):
+            return plan  # mixed or ordered strings: compare decoded values
         earlier = {a: p for p, a in enumerate(order[:position])}
         plan.vectorized = True
         plan.own_column = own.column
@@ -675,56 +665,12 @@ class MultiwayJoin:
                     )[other]
                 keep = _VECTOR_OPS[plan.op](own, other)
             else:
-                keep = None
-                if plan.expression:
-                    keep = self._filter_expression(context, plan, alias, prefix, parent, candidates)
-                if keep is None:
-                    keep = self._filter_generic(
-                        context, plan, alias, prefix, parent, candidates, meter
-                    )
+                keep = self._filter_arrays(context, plan, alias, prefix, parent, candidates, meter)
             parent = parent[keep]
             candidates = candidates[keep]
         return parent, candidates
 
-    def _filter_expression(
-        self,
-        context: _OrderContext,
-        plan: _PredicatePlan,
-        alias: str,
-        prefix: np.ndarray,
-        parent: np.ndarray,
-        candidates: np.ndarray,
-    ) -> np.ndarray | None:
-        """Vectorized evaluation of a UDF-free comparison over decoded arrays.
-
-        Columns of the batch alias resolve to decoded column arrays gathered
-        by the candidates; columns of earlier positions are gathered by the
-        index each candidate's prefix holds there.  Returns the keep mask, or
-        ``None`` when the expression turns out not to vectorize after all
-        (e.g. arithmetic on strings) so the caller can take the row-at-a-time
-        path instead.
-        """
-        prepared = self._prepared
-        position_of = context.order_positions
-
-        def resolve(ref: ColumnRef) -> Any:
-            values = prepared.decoded_array(ref.table, ref.column)
-            if ref.table == alias:
-                return values[candidates]
-            return values[prefix[position_of[ref.table]][parent]]
-
-        predicate = plan.predicate
-        try:
-            left = evaluate_value(predicate.left, resolve)
-            right = evaluate_value(predicate.right, resolve)
-            mask = np.asarray(_VECTOR_OPS[predicate.op](left, right), dtype=bool)
-        except NotVectorizable:
-            return None
-        if mask.ndim == 0:  # incomparable scalar fallout: uniform truth value
-            mask = broadcast(bool(mask), int(candidates.shape[0])).astype(bool)
-        return mask
-
-    def _filter_generic(
+    def _filter_arrays(
         self,
         context: _OrderContext,
         plan: _PredicatePlan,
@@ -734,24 +680,25 @@ class MultiwayJoin:
         candidates: np.ndarray,
         meter: CostMeter,
     ) -> np.ndarray:
-        """Row-at-a-time keep mask for UDF and non-columnar predicates."""
+        """Keep mask of a predicate evaluated over decoded column arrays.
+
+        Columns of the batch alias resolve to decoded column arrays gathered
+        by the candidates; columns of earlier positions are gathered by the
+        index each candidate's prefix holds there.
+        """
+        length = int(candidates.shape[0])
+        if plan.udf_work > 0:  # meter only actual (registered) UDF invocations
+            meter.charge_udf(plan.udf_work * length)
         prepared = self._prepared
-        predicate = plan.predicate
-        # Meter only actual UDF invocations: ``udf_cost - 1`` is the summed
-        # per-evaluation cost of the predicate's *registered* UDFs, so rows
-        # wrapped for non-UDF generic predicates charge no UDF work.
-        per_row = predicate.udf_cost(self._udfs) - 1
-        if per_row > 0:
-            meter.charge_udf(per_row * int(candidates.shape[0]))
         position_of = context.order_positions
-        earlier = [(a, position_of[a]) for a in plan.aliases if a != alias]
-        keep = np.zeros(candidates.shape[0], dtype=bool)
-        pairs = zip(prefix[:, parent].T.tolist(), candidates.tolist())
-        for row, (fixed, index) in enumerate(pairs):
-            binding = {a: prepared.binding_for(a, fixed[position]) for a, position in earlier}
-            binding[alias] = prepared.binding_for(alias, index)
-            keep[row] = predicate.evaluate(binding, self._udfs)
-        return keep
+
+        def resolve(ref: ColumnRef) -> Any:
+            values = prepared.decoded_array(ref.table, ref.column)
+            if ref.table == alias:
+                return values[candidates]
+            return values[prefix[position_of[ref.table]][parent]]
+
+        return predicate_mask(plan.predicate, resolve, length, self._udfs)
 
     def _emit_batch(
         self,

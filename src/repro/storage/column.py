@@ -64,9 +64,9 @@ class Column:
         self._fetch: Callable[[], np.ndarray] | None = None
         self._dict_fetch: Callable[[], list[str]] | None = None
         if ctype is ColumnType.INT:
-            self._data = np.asarray(values, dtype=np.int64)
+            self._data = _numeric(values, np.int64, ctype)
         elif ctype is ColumnType.FLOAT:
-            self._data = np.asarray(values, dtype=np.float64)
+            self._data = _numeric(values, np.float64, ctype)
         elif ctype is ColumnType.STRING:
             codes, dictionary, code_of = _encode_strings(values)
             self._data = codes
@@ -406,6 +406,27 @@ def _apply_comparison(data: np.ndarray, op: str, literal: Any) -> np.ndarray:
     except KeyError as exc:
         raise SchemaError(f"unsupported comparison operator {op!r}") from exc
     return np.asarray(fn(data, literal), dtype=bool)
+
+
+def _numeric(values: Sequence[Any] | np.ndarray, dtype: type, ctype: ColumnType) -> np.ndarray:
+    """``values`` as a 1-d ``dtype`` array; ``SchemaError`` naming the first
+    element that is not one number (``None``, an object, a nested list)."""
+    try:
+        data = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        data = None
+    if data is not None and data.ndim == 1:
+        return data
+    for position, value in enumerate(values):
+        try:
+            if np.asarray(value, dtype=dtype).ndim == 0:
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise SchemaError(
+            f"{ctype.name} column cannot hold element {position} ({type(value).__name__})"
+        )
+    raise SchemaError(f"{ctype.name} column needs a 1-d sequence of values")
 
 
 def _infer_type(values: Sequence[Any] | np.ndarray) -> ColumnType:

@@ -8,7 +8,8 @@ way, and charges the same meter work:
 * :func:`~tests.oracles.hash_join.rows_hash_join_step` — the plan executor's
   hash join with a Python dict;
 * :func:`~tests.oracles.postprocess.rows_post_process` — post-processing
-  one Python dict per result tuple.
+  one Python dict per result tuple, expressions (UDF calls included)
+  through ``Expression.evaluate``.
 
 Nothing under ``src/repro`` imports them; tests and the two kernel
 benchmarks (``benchmarks/paper/experiments_hashjoin.py`` and

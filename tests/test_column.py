@@ -1,6 +1,7 @@
 """Unit tests for the typed column implementation."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,41 @@ class TestTypeInference:
         column = Column([1, 2, 3], ColumnType.FLOAT)
         assert column.ctype is ColumnType.FLOAT
         assert column.value(0) == 1.0
+
+
+class TestValuesAColumnCannotHold:
+    """A value a column cannot hold fails at construction, by position and type."""
+
+    @pytest.mark.parametrize(("values", "ctype", "message"), [
+        ([[1, 2], [3, 4]], None, "INT column cannot hold element 0 (list)"),
+        ([[1, 2], [3]], None, "INT column cannot hold element 0 (list)"),
+        ([1, None, 3], None, "INT column cannot hold element 1 (NoneType)"),
+        ([1, 2, object()], ColumnType.INT, "INT column cannot hold element 2 (object)"),
+        ([7, "seven"], ColumnType.INT, "INT column cannot hold element 1 (str)"),
+        ([[1.5], [2.5]], ColumnType.FLOAT, "FLOAT column cannot hold element 0 (list)"),
+        (np.zeros((2, 2)), None, "FLOAT column cannot hold element 0 (ndarray)"),
+    ], ids=["nested", "ragged", "none", "object", "text", "nested-float", "2d-array"])
+    def test_rejected_with_position_and_type(self, values, ctype, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            Column(values, ctype)
+
+    @pytest.mark.parametrize(("values", "ctype", "expected"), [
+        ([1.5, None], None, [1.5, float("nan")]),
+        (["12", 3], ColumnType.INT, [12, 3]),
+        ([True, 2], None, [1, 2]),
+        ([[1, 2], 3], ColumnType.STRING, ["[1, 2]", "3"]),
+    ], ids=["float-none-is-nan", "numeric-text", "bool", "string-of-list"])
+    def test_every_one_dimensional_input_still_builds(self, values, ctype, expected):
+        got = Column(values, ctype).values()
+        assert [repr(value) for value in got] == [repr(value) for value in expected]
+
+    def test_create_table_rejects_a_nested_column(self):
+        from repro import connect
+
+        db = connect(autocommit=True)
+        with pytest.raises(SchemaError, match="element 0"):
+            db.create_table("t", {"a": [[1, 2], [3, 4]], "b": [1, 2]})
+        assert "t" not in db.catalog.table_names()
 
 
 class TestValueAccess:

@@ -10,6 +10,7 @@ from repro.errors import CatalogError
 from repro.net.server import ServerThread
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.storage.table import Table
+from tests.conftest import reference_join_count
 
 FAST = SkinnerConfig(slice_budget=64, batches_per_table=3, base_timeout=200)
 
@@ -213,12 +214,41 @@ class TestUdfs:
         assert result.rows[0]["n"] == 3
 
     def test_udf_join_predicate_all_engines(self, db):
-        db.register_udf("match_dept", lambda a, b: a == b)
-        sql = (
-            "SELECT COUNT(*) AS n FROM emp e, dept d WHERE match_dept(e.did, d.did)"
-        )
-        for engine in ENGINE_NAMES:
-            assert db.execute(sql, engine=engine).rows[0]["n"] == 6, engine
+        calls = []
+
+        def register_counted(name, function):
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
+
+            db.register_udf(name, counted, cost=3)
+
+        register_counted("match_dept", lambda a, b: a == b)
+        # Truthy and falsy values that are not bools: "x" keeps a row, "" and 0 drop it.
+        register_counted("pair_tag", lambda a, b: "x" if (a + b) % 2 else ("" if a < b else 0))
+        register_counted("next_did", lambda did: did + 1)
+        register_counted("half", lambda salary: salary / 2)
+        head = "SELECT COUNT(*) AS n FROM emp e, dept d WHERE "
+        predicates = [
+            "match_dept(e.did, d.did)",
+            "pair_tag(e.did, d.did)",
+            "next_did(e.did) > d.did",
+            "e.did = d.did AND half(e.salary) >= 50",
+        ]
+        for predicate in predicates:
+            sql = head + predicate
+            expected = reference_join_count(db.catalog, db.parse(sql), db.udfs)
+            for engine in ENGINE_NAMES:
+                calls.clear()
+                result = db.execute(sql, engine=engine, use_result_cache=False)
+                assert result.rows[0]["n"] == expected, (predicate, engine)
+                if engine in ("traditional", "skinner-c"):
+                    # No work budget cuts these engines off between the
+                    # charge for an evaluation and the call.
+                    assert len(calls) == result.metrics.work.udf_invocations / 3 > 0, (
+                        predicate, engine)
+            if predicate.startswith("match_dept"):
+                assert expected == 6
 
     def test_duplicate_udf_rejected(self, db):
         db.register_udf("f", lambda: 1)

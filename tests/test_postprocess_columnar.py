@@ -1,13 +1,13 @@
 """Differential tests: columnar post-processing == row post-processing.
 
-The columnar pipeline (what ``post_process`` runs) must be observationally
+The columnar pipeline (the one ``post_process`` runs) must be observationally
 identical to the row reference pipeline (``tests.oracles.rows_post_process``)
-on every query shape it claims to support: projections (plain and computed), every aggregate
-function, GROUP BY, DISTINCT, ORDER BY (ascending and ``_Reversed``
-descending keys, output aliases and source expressions), and LIMIT —
-including row *order*, column names, and column types.  Queries with UDFs in
-the select list fall back to the row pipeline and stay correct by
-construction; a test pins that down too.
+on every query shape: projections (plain, computed and UDF calls), every
+aggregate function (over columns and UDF results), GROUP BY (including a UDF
+whose keys mix ints and strings, so they cannot be sorted), DISTINCT, ORDER
+BY (ascending and ``_Reversed`` descending keys, output aliases and source
+expressions, UDF calls), and LIMIT — including row *order*, column names,
+and column types.
 """
 
 from __future__ import annotations
@@ -40,6 +40,13 @@ PIPELINES = {"rows": rows_post_process, "columnar": post_process}
 
 REGIONS = ["north", "south", "east", "west"]
 
+#: The UDFs the random queries call: ``twice`` keeps its argument's type,
+#: ``parity_tag`` maps an int to an int or a string, so its values group
+#: (by hashing) but cannot be sorted.
+UDFS = UdfRegistry()
+UDFS.register("twice", lambda value: 2 * value)
+UDFS.register("parity_tag", lambda value: value if value % 2 else f"even{value}")
+
 
 def assert_tables_identical(expected: Table, actual: Table) -> None:
     """Same column names, same column types, same values in the same order."""
@@ -67,8 +74,11 @@ _COLUMN_EXPRS = [
     FunctionCall("add", (ColumnRef("t", "f"), Literal(1))),
     FunctionCall("mod", (ColumnRef("t", "b"), Literal(3))),
     FunctionCall("abs", (ColumnRef("t", "b"),)),
+    FunctionCall("twice", (ColumnRef("t", "b"),)),
+    FunctionCall("twice", (ColumnRef("t", "f"),)),
 ]
 _NUMERIC_EXPRS = _COLUMN_EXPRS[1:]
+_MIXED_KEY = FunctionCall("parity_tag", (ColumnRef("t", "a"),))
 _AGG_FUNCTIONS = ["count", "sum", "avg", "min", "max"]
 
 
@@ -96,7 +106,8 @@ def postprocess_case(draw):
         if draw(st.booleans()):
             group_by = [draw(st.sampled_from([ColumnRef("t", "g"),
                                               FunctionCall("mod", (ColumnRef("t", "a"),
-                                                                   Literal(2)))]))]
+                                                                   Literal(2))),
+                                              _MIXED_KEY]))]
             items.append(SelectItem(expression=group_by[0], alias="key"))
         for i, function in enumerate(draw(
                 st.lists(st.sampled_from(_AGG_FUNCTIONS), min_size=1, max_size=3))):
@@ -110,14 +121,16 @@ def postprocess_case(draw):
             items.append(SelectItem(expression=expression, alias=f"col{i}"))
 
     names = [item.output_name(i) for i, item in enumerate(items)]
+    # Ordering needs comparable values: never sort by the mixed-type key.
+    sortable = [name for name in names if not (name == "key" and group_by == [_MIXED_KEY])]
     order_by = []
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 2)) if sortable else 0):
         choice = draw(st.integers(0, 2))
         if choice == 0:  # an output column, referenced by alias
-            order_by.append(OrderItem(ColumnRef("out", draw(st.sampled_from(names))),
+            order_by.append(OrderItem(ColumnRef("out", draw(st.sampled_from(sortable))),
                                       ascending=draw(st.booleans())))
         elif choice == 1:  # an output alias under the source table's name
-            order_by.append(OrderItem(ColumnRef("t", draw(st.sampled_from(names))),
+            order_by.append(OrderItem(ColumnRef("t", draw(st.sampled_from(sortable))),
                                       ascending=draw(st.booleans())))
         else:  # an arbitrary expression over the source tables
             order_by.append(OrderItem(draw(st.sampled_from(_COLUMN_EXPRS)),
@@ -140,14 +153,14 @@ def test_columnar_matches_row_pipeline(case):
     table, relation, query = case
     tables = {"t": table}
     try:
-        expected = rows_post_process(query, relation, tables)
+        expected = rows_post_process(query, relation, tables, UDFS)
     except ExecutionError:
         # e.g. ORDER BY unresolvable against the empty-aggregate default row:
         # the columnar pipeline must reject the query the same way.
         with pytest.raises(ExecutionError):
-            post_process(query, relation, tables)
+            post_process(query, relation, tables, UDFS)
         return
-    actual = post_process(query, relation, tables)
+    actual = post_process(query, relation, tables, UDFS)
     assert_tables_identical(expected, actual)
 
 
@@ -160,7 +173,7 @@ def test_both_modes_charge_identical_output_work(case):
     for mode in ("rows", "columnar"):
         meters[mode] = CostMeter()
         try:
-            PIPELINES[mode](query, relation, {"t": table}, None, meters[mode])
+            PIPELINES[mode](query, relation, {"t": table}, UDFS, meters[mode])
         except ExecutionError:
             pass  # both modes raise for the same queries (see test above)
     assert meters["rows"].snapshot() == meters["columnar"].snapshot()
@@ -242,7 +255,7 @@ def test_unresolvable_order_by_raises_in_both_modes(sales):
             pipeline(query, relation, {"s": table})
 
 
-def test_udf_select_items_fall_back_to_row_pipeline(sales):
+def test_udf_select_items_match_row_pipeline(sales):
     table, relation = sales
     udfs = UdfRegistry()
     udfs.register("double_it", lambda v: 2 * v)

@@ -234,3 +234,29 @@ def test_the_package_is_the_engine():
     assert not {"repro.bench", "repro.external.postgres_adapter"} & modules
     for operator in (hash_join_step, post_process):
         assert "mode" not in inspect.signature(operator).parameters, operator.__name__
+
+
+#: Row-at-a-time accessors: a call to one of them is a per-row path.
+ROW_AT_A_TIME_CALLS = {"evaluate", "binding", "row", "binding_for", "value_at"}
+
+
+def test_operators_evaluate_expressions_over_arrays_only():
+    """The filters, the multi-way join and post-processing have one path.
+
+    They evaluate every expression, UDF calls included, through
+    ``repro.engine.vectorized``; none of them calls ``Expression.evaluate``,
+    ``Predicate.evaluate`` or a per-row binding accessor.
+    """
+    package = Path(repro.__file__).parent
+    offenders = []
+    for module in ("engine/operators.py", "engine/postprocess.py", "skinner/multiway_join.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            function = node.func
+            name = function.attr if isinstance(function, ast.Attribute) else getattr(
+                function, "id", None)
+            if name in ROW_AT_A_TIME_CALLS:
+                offenders.append(f"{module}:{node.lineno}: {name}(")
+    assert offenders == []
