@@ -9,7 +9,7 @@ Four pieces:
   the engine supports it).  ``connect()`` takes either a config (in-process
   database) or a ``repro://host:port/?tenant=...`` DSN (remote server).
 * :class:`Transport` / :class:`LocalTransport` /
-  :class:`~repro.net.client.RemoteTransport` — the twelve verbs that cross
+  :class:`~repro.net.client.RemoteTransport` — the eleven verbs that cross
   the local/remote boundary (submissions and their tickets, table
   registration and drops, transaction boundaries, stats, close).
   ``Connection.execute``, ``create_table`` and the file loads are written

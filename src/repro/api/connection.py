@@ -590,7 +590,7 @@ class Connection:
             # One-shot callers never poll afterwards; dropping the session
             # keeps a long-lived server's memory bounded by its caches.
             try:
-                self._transport.forget(handle.ticket)
+                self._transport.release(handle.ticket)
             except OperationalError:
                 pass  # the wire died after the result round trip
 

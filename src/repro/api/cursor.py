@@ -18,9 +18,19 @@ connection fetch calls cooperatively drive the server, so several open
 cursors interleave their queries' episodes; on a remote connection the
 server's own pump makes progress and fetches simply wait for batches.
 
+A statement pays only for the exchanges that carry something.  Every
+fetched batch says whether the result is done, so once the last rows
+arrive the fetch methods answer ``[]`` without asking again; and the
+cursor keeps its ticket until the *next* ``execute``, whose submission
+carries the release of the old one.  ``result()``, ``rowcount`` and the
+server-side ``poll`` therefore still answer after the rows are drained,
+and a statement whose result fits one batch costs one submit and one
+fetch.
+
 Closing a cursor mid-stream cancels its submission (at the next episode
 boundary) and releases its admission slot — abandoning a half-fetched
-result cannot starve later queries.  All methods raise
+result cannot starve later queries; ``close()`` is the one place a
+release travels alone.  All methods raise
 :class:`~repro.errors.InterfaceError` after ``close()`` (PEP 249).
 """
 
@@ -69,6 +79,8 @@ class Cursor:
         self._description: list[tuple] | None = None
         #: Rows iteration has fetched and not handed out yet, last row first.
         self._ahead: list[tuple[Any, ...]] = []
+        #: Whether a fetched batch said the result is done: no more fetches.
+        self._drained = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -125,19 +137,26 @@ class Cursor:
         the connection's config locally, the *server's* config remotely.
         """
         self._check_fetchable(needs_query=False)
-        self._abandon()
-        handle = self.connection.transport.submit(
-            operation,
-            parameters,
-            engine=engine or self.engine,
-            profile=profile or self.profile,
-            config=config,
-            forced_order=forced_order,
-            use_result_cache=use_result_cache,
-            weight=weight,
-            priority=priority,
-            stream=True,
-        )
+        previous = self._drop_submission()
+        try:
+            handle = self.connection.transport.submit(
+                operation,
+                parameters,
+                engine=engine or self.engine,
+                profile=profile or self.profile,
+                config=config,
+                forced_order=forced_order,
+                use_result_cache=use_result_cache,
+                weight=weight,
+                priority=priority,
+                stream=True,
+                release=previous,
+            )
+        except Exception:
+            # The submission may have failed before it reached the server;
+            # a second release of an already-released ticket is a no-op.
+            self._release(previous)
+            raise
         self._ticket = handle.ticket
         self._description = [(name,) + _DESCRIPTION_PAD for name in handle.columns]
         return self
@@ -198,7 +217,9 @@ class Cursor:
         self._check_fetchable(needs_query=True)
         assert self._ticket is not None
         ahead = self._ahead
-        if ahead:  # what iteration fetched ahead goes out first
+        # What iteration fetched ahead goes out first; once a batch said the
+        # result is done, there is nothing left to ask the transport for.
+        if ahead or self._drained:
             from repro.serving.server import check_fetch_size
 
             check_fetch_size(max_rows)
@@ -206,7 +227,9 @@ class Cursor:
             rows = ahead[keep:][::-1]
             del ahead[keep:]
             return rows
-        return self.connection.transport.fetch_batch(self._ticket, max_rows).row_tuples()
+        batch = self.connection.transport.fetch_batch(self._ticket, max_rows)
+        self._drained = batch.done
+        return batch.row_tuples()
 
     # ------------------------------------------------------------------
     # results and metrics
@@ -240,23 +263,28 @@ class Cursor:
         """
         if self._closed:
             return
-        self._abandon()
+        self._release(self._drop_submission())
         self._closed = True
         self.connection._forget_cursor(self)
 
-    def _abandon(self) -> None:
-        """Drop the current submission (cancel if still in flight)."""
-        if self._ticket is None:
-            return
-        transport = self.connection.transport
-        try:
-            transport.cancel(self._ticket)
-            transport.forget(self._ticket)
-        except ReproError:
-            pass  # already forgotten server-side, or the wire is gone
+    def _drop_submission(self) -> int | None:
+        """Forget the current submission client-side; returns its ticket,
+        which the caller releases server-side."""
+        ticket = self._ticket
         self._ticket = None
         self._description = None
         self._ahead = []
+        self._drained = False
+        return ticket
+
+    def _release(self, ticket: int | None) -> None:
+        """Release ``ticket`` in an exchange of its own (cancel if in flight)."""
+        if ticket is None:
+            return
+        try:
+            self.connection.transport.release(ticket)
+        except ReproError:
+            pass  # the wire is gone
 
     def __enter__(self) -> Cursor:
         return self

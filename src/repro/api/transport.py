@@ -5,7 +5,7 @@ The PEP 249 surface (:class:`~repro.api.connection.Connection` /
 directly.  What differs between running in process and running against a
 server goes through one :class:`Transport`, and only that: submissions and
 their tickets (``submit`` / ``fetch_batch`` / ``poll`` / ``result`` /
-``cancel`` / ``forget``), registering and dropping a table, the transaction
+``release``), registering and dropping a table, the transaction
 boundaries, and the serving metrics.  Everything built from those verbs —
 ``Connection.execute``, ``create_table``, file ingest — is written once, in
 the connection.  Two implementations exist:
@@ -23,6 +23,13 @@ Because cursors only see the transport interface, the streamed fetch path
 and the completion-delivered result path behave identically against either
 transport — the property tests pin byte-identical rows and meter charges
 between the two.
+
+The verbs are shaped so that a statement pays only for exchanges that
+carry something: every :class:`Batch` says whether the result is ``done``
+(no empty batch is ever needed to learn that), and ``submit`` takes the
+ticket to ``release`` along with the new statement.  A statement on a
+reused cursor whose result fits one batch is therefore one ``submit`` and
+one ``fetch_batch`` — two exchanges over ``repro://``.
 """
 
 from __future__ import annotations
@@ -53,6 +60,22 @@ class SubmitHandle:
     columns: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class Batch:
+    """One fetched batch: its rows as a table, and whether the result is done.
+
+    ``done`` is true when the submission is terminal and nothing buffered is
+    left after this batch — a cursor that has seen it never fetches again.
+    """
+
+    table: Table
+    done: bool
+
+    def row_tuples(self) -> list[tuple[Any, ...]]:
+        """The batch's rows as tuples."""
+        return self.table.row_tuples()
+
+
 class Transport(ABC):
     """The operations a connection needs from its execution backend."""
 
@@ -75,12 +98,18 @@ class Transport(ABC):
         weight: float,
         priority: int,
         stream: bool = True,
+        release: int | None = None,
     ) -> SubmitHandle:
-        """Submit a query; ``config=None`` means the backend's default."""
+        """Submit a query; ``config=None`` means the backend's default.
+
+        ``release`` names a ticket to :meth:`release` first, in the same
+        exchange — before the new submission is admitted, so a slot it
+        frees can go to the new statement.
+        """
 
     @abstractmethod
-    def fetch_batch(self, ticket: int, max_rows: int | None) -> Table:
-        """Next streamed batch as a table (no rows = result exhausted)."""
+    def fetch_batch(self, ticket: int, max_rows: int | None) -> Batch:
+        """Next streamed batch, flagged ``done`` once the result is exhausted."""
 
     @abstractmethod
     def poll(self, ticket: int) -> dict[str, Any]:
@@ -91,12 +120,12 @@ class Transport(ABC):
         """The completed result (drives/waits until the query finishes)."""
 
     @abstractmethod
-    def cancel(self, ticket: int) -> bool:
-        """Cancel a queued or running submission."""
+    def release(self, ticket: int) -> bool:
+        """Cancel a submission still in flight, then drop its bookkeeping.
 
-    @abstractmethod
-    def forget(self, ticket: int) -> bool:
-        """Drop a terminal submission's server-side bookkeeping."""
+        ``False`` for a ticket the backend no longer knows; never raises
+        for one.
+        """
 
     # -- schema and transactions ----------------------------------------
     @abstractmethod
@@ -151,8 +180,11 @@ class LocalTransport(Transport):
         weight: float,
         priority: int,
         stream: bool = True,
+        release: int | None = None,
     ) -> SubmitHandle:
         conn = self._connection
+        if release is not None:
+            conn.server.release(release)
         parsed = conn._resolve_query(operation, parameters)
         ticket = conn.server.submit(
             parsed,
@@ -170,8 +202,10 @@ class LocalTransport(Transport):
         )
         return SubmitHandle(ticket, tuple(parsed.output_names(conn.catalog)))
 
-    def fetch_batch(self, ticket: int, max_rows: int | None) -> Table:
-        return self._connection.server.fetch_batch(ticket, max_rows)
+    def fetch_batch(self, ticket: int, max_rows: int | None) -> Batch:
+        server = self._connection.server
+        table = server.fetch_batch(ticket, max_rows)
+        return Batch(table, server.session(ticket).drained)
 
     def poll(self, ticket: int) -> dict[str, Any]:
         return self._connection.server.poll(ticket)
@@ -179,11 +213,8 @@ class LocalTransport(Transport):
     def result(self, ticket: int) -> QueryResult:
         return self._connection.server.result(ticket)
 
-    def cancel(self, ticket: int) -> bool:
-        return self._connection.server.cancel(ticket)
-
-    def forget(self, ticket: int) -> bool:
-        return self._connection.server.forget(ticket)
+    def release(self, ticket: int) -> bool:
+        return self._connection.server.release(ticket)
 
     # -- schema and transactions ----------------------------------------
     def add_table(self, table: Table, *, replace: bool) -> Table:

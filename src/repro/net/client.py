@@ -5,11 +5,14 @@ deliberately synchronous — the PEP 249 surface is blocking, so the
 transport is one :class:`SocketChannel` issuing strictly ordered
 request/response exchanges under a lock (thread-safe, like the local
 transport's cooperative driving).  :class:`RemoteTransport` carries only
-the :class:`~repro.api.transport.Transport` verbs, one exchange each.
-Long waits are server-side: a ``fetch``
-or ``result`` request parks in the server's event loop until rows exist,
-so the client needs no polling loop and no timeout by default (pass
-``timeout=`` seconds to bound every exchange instead).
+the :class:`~repro.api.transport.Transport` verbs, one exchange per call —
+and no call that carries nothing: a ``fetch`` reply says whether the
+result is ``done``, and ``submit`` carries the release of the cursor's
+previous ticket, so a statement whose result fits one batch is two
+exchanges (``submit``, ``fetch``).  Long waits are server-side: a
+``fetch`` or ``result`` request parks in the server's event loop until
+rows exist, so the client needs no polling loop and no timeout by default
+(pass ``timeout=`` seconds to bound every exchange instead).
 
 Capability limits of the wire (both raise
 :class:`~repro.errors.InterfaceError` client-side, before any bytes are
@@ -36,7 +39,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.settings import SETTINGS, check_settings
-from repro.api.transport import SubmitHandle, Transport
+from repro.api.transport import Batch, SubmitHandle, Transport
 from repro.config import SkinnerConfig
 from repro.errors import InterfaceError, OperationalError
 from repro.net.protocol import (
@@ -264,6 +267,7 @@ class RemoteTransport(Transport):
         weight: float,
         priority: int,
         stream: bool = True,
+        release: int | None = None,
     ) -> SubmitHandle:
         data = self._channel.request(
             "submit",
@@ -277,11 +281,13 @@ class RemoteTransport(Transport):
             weight=weight,
             priority=priority,
             stream=stream,
+            release=release,
         )
         return SubmitHandle(int(data["ticket"]), tuple(data["columns"]))
 
-    def fetch_batch(self, ticket: int, max_rows: int | None) -> Table:
-        return wire_table(self._channel.request("fetch", ticket=ticket, max_rows=max_rows))
+    def fetch_batch(self, ticket: int, max_rows: int | None) -> Batch:
+        data = self._channel.request("fetch", ticket=ticket, max_rows=max_rows)
+        return Batch(wire_table(data), bool(data.get("done")))
 
     def poll(self, ticket: int) -> dict[str, Any]:
         return self._channel.request("poll", ticket=ticket)
@@ -289,11 +295,8 @@ class RemoteTransport(Transport):
     def result(self, ticket: int) -> QueryResult:
         return result_from_wire(self._channel.request("result", ticket=ticket))
 
-    def cancel(self, ticket: int) -> bool:
-        return bool(self._channel.request("cancel", ticket=ticket).get("cancelled"))
-
-    def forget(self, ticket: int) -> bool:
-        return bool(self._channel.request("forget", ticket=ticket).get("forgotten"))
+    def release(self, ticket: int) -> bool:
+        return bool(self._channel.request("release", ticket=ticket).get("released"))
 
     # ------------------------------------------------------------------
     # schema and transactions

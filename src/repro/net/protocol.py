@@ -1,4 +1,4 @@
-"""The wire protocol, version 2: framed JSON headers and raw column buffers.
+"""The wire protocol, version 3: framed JSON headers and raw column buffers.
 
 One frame, in either direction::
 
@@ -51,7 +51,9 @@ pins the protocol version and the client's tenant identity; the tenant
 cannot be changed afterwards (quota accounting is per-connection).  A
 protocol-1 peer (frames of ``length | JSON``, rows as JSON lists) is told
 so in its own framing — :func:`refuse_v1` — and disconnected; nothing else
-of version 1 remains.  See ``docs/serving.md`` for the full verb table.
+of version 1 remains.  A protocol-2 peer frames like version 3 and gets
+the same typed refusal in it.  See ``docs/serving.md`` for the full verb
+table.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
 #: Protocol revision; bumped on any incompatible wire change.  The server
-#: rejects a ``hello`` with a different version.
-PROTOCOL_VERSION = 2
+#: rejects a ``hello`` with a different version.  Version 3 has version 2's
+#: framing and different verbs (``docs/serving.md`` has the table).
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's body (64 MiB).
 MAX_FRAME = 64 * 1024 * 1024

@@ -20,9 +20,12 @@ layer's central invariant intact — all episodes still run on one thread:
   previous response is always sent first — and sessions complete without
   being fetched, so a gated tenant's backlog always drains;
 * **disconnect cleanup**: when a client's socket closes (EOF, reset, or a
-  framing violation), every non-terminal ticket that client submitted is
-  cancelled and forgotten, releasing its admission slot — a vanished
-  client cannot starve the tenants that stayed.
+  framing violation), every ticket that client still holds is released
+  (cancelled if in flight, then forgotten), freeing its admission slot — a
+  vanished client cannot starve the tenants that stayed;
+* **ticket ownership**: a connection reaches only the tickets it submitted.
+  Another connection's ticket reads exactly like one that does not exist
+  (``unknown ticket N``), so a reply never reveals that it does.
 
 :class:`ServerThread` hosts a server on a background thread with an
 ephemeral port for tests, benchmarks, and the self-contained quickstart.
@@ -61,7 +64,7 @@ TENANT_BACKLOG = 8
 #: The arguments the ``submit`` verb reads; any other name is refused.
 _SUBMIT_ARGS = frozenset({
     "sql", "params", "engine", "profile", "config", "forced_order",
-    "use_result_cache", "weight", "priority", "stream",
+    "use_result_cache", "weight", "priority", "stream", "release",
 })
 
 
@@ -74,6 +77,16 @@ def _version_error(version: Any) -> OperationalError:
     return OperationalError(
         f"protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
     )
+
+
+def _ticket_arg(args: dict[str, Any], name: str = "ticket") -> int:
+    """A ticket argument (outside input): an ``int`` that is not a ``bool``."""
+    if name not in args:
+        raise InterfaceError(f"argument {name!r} is required")
+    value = args[name]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InterfaceError(f"argument {name!r} must be an int ticket, got {value!r}")
 
 
 def _request_args(request: dict[str, Any]) -> dict[str, Any]:
@@ -96,6 +109,13 @@ class _Client:
         #: ``hello``: what it asked for, else the server's config.
         self.settings: dict[str, Any] = {}
         self.tickets: set[int] = set()
+
+    def owned(self, args: dict[str, Any]) -> int:
+        """The request's ``ticket``, which must be one this client holds."""
+        ticket = _ticket_arg(args)
+        if ticket not in self.tickets:
+            raise ReproError(f"unknown ticket {ticket}")  # foreign reads as absent
+        return ticket
 
 
 class ReproServer:
@@ -358,17 +378,21 @@ class ReproServer:
         await writer.drain()
 
     def _abandon_client(self, client: _Client) -> None:
-        """Cancel and forget every non-terminal ticket a client left behind."""
-        qs = self.connection.server
+        """Release every ticket a client left behind."""
         for ticket in sorted(client.tickets):
-            try:
-                qs.cancel(ticket)
-                qs.forget(ticket)
-            except ReproError:
-                pass  # already forgotten
-        client.tickets.clear()
+            self._release(client, ticket)
+
+    def _release(self, client: _Client, ticket: int) -> bool:
+        """Release one of ``client``'s tickets; a foreign one is a no-op."""
+        if ticket not in client.tickets:
+            return False
+        client.tickets.discard(ticket)
+        released = self.connection.server.release(ticket)
+        # A cancel frees an admission slot and shrinks the tenant's backlog:
+        # wake the pump and any handler gated on either.
         self._notify_progress()
         self._work.set()
+        return released
 
     # ------------------------------------------------------------------
     # verb dispatch
@@ -385,8 +409,14 @@ class ReproServer:
         unknown = sorted(set(args) - _SUBMIT_ARGS)
         if unknown:
             raise InterfaceError(f"unknown submit argument {unknown[0]!r}")
+        sql = args.get("sql")
+        if not isinstance(sql, str):
+            raise InterfaceError(f"submit argument 'sql' must be SQL text, got {sql!r}")
+        if args.get("release") is not None:
+            # Before admission, so the slot it frees can go to this statement.
+            self._release(client, _ticket_arg(args, "release"))
         conn = self.connection
-        parsed = conn.parse(str(args["sql"]), args.get("params"))
+        parsed = conn.parse(sql, args.get("params"))
         config = args.get("config")
         forced = args.get("forced_order")
         if config is not None:
@@ -418,39 +448,35 @@ class ReproServer:
         }
 
     async def _verb_poll(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
-        return self.connection.server.poll(int(args["ticket"]))
+        return self.connection.server.poll(client.owned(args))
 
     async def _verb_fetch(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
-        """Next streamed batch; parks on the progress event until rows exist."""
+        """Next streamed batch; parks on the progress event until rows exist.
+
+        ``done`` tells the client the result is exhausted, so it never
+        spends an exchange on an empty batch to learn that.
+        """
         qs = self.connection.server
-        ticket = int(args["ticket"])
+        ticket = client.owned(args)
         max_rows = args.get("max_rows")
         check_fetch_size(max_rows)  # before parking, not after the wait
         while True:
-            session = qs.session(ticket)  # unknown tickets raise here
+            session = qs.session(ticket)
             if session.done or (session.stream is not None and len(session.stream)):
-                return {"table": qs.fetch_batch(ticket, max_rows, drive=False)}
+                table = qs.fetch_batch(ticket, max_rows, drive=False)
+                return {"table": table, "done": session.drained}
             await self._await_progress()
 
     async def _verb_result(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
         """The completed result; parks until the session is terminal."""
         qs = self.connection.server
-        ticket = int(args["ticket"])
+        ticket = client.owned(args)
         while not qs.session(ticket).done:
             await self._await_progress()
         return result_to_wire(qs.result(ticket, drive=False))
 
-    async def _verb_cancel(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
-        cancelled = self.connection.server.cancel(int(args["ticket"]))
-        self._notify_progress()
-        self._work.set()
-        return {"cancelled": cancelled}
-
-    async def _verb_forget(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
-        ticket = int(args["ticket"])
-        forgotten = self.connection.server.forget(ticket)
-        client.tickets.discard(ticket)
-        return {"forgotten": forgotten}
+    async def _verb_release(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
+        return {"released": self._release(client, _ticket_arg(args))}
 
     async def _verb_create_table(
         self, client: _Client, args: dict[str, Any]

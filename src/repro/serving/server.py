@@ -380,6 +380,18 @@ class QueryServer:
         del self._sessions[ticket]
         return True
 
+    def release(self, ticket: int) -> bool:
+        """:meth:`cancel` a submission still in flight, then :meth:`forget` it.
+
+        What a client does with a ticket it is finished with.  ``False`` for
+        a ticket this server does not know (already released): the call
+        never raises for one, so a release can ride on another request.
+        """
+        if ticket not in self._sessions:
+            return False
+        self.cancel(ticket)
+        return self.forget(ticket)
+
     # ------------------------------------------------------------------
     # cache management / inspection
     # ------------------------------------------------------------------

@@ -162,6 +162,11 @@ class QuerySession:
         return self.state in (SessionState.FINISHED, SessionState.CANCELLED,
                               SessionState.FAILED)
 
+    @property
+    def drained(self) -> bool:
+        """Whether the session is terminal and no buffered row is left."""
+        return self.done and (self.stream is None or not len(self.stream))
+
     def work_total(self) -> int:
         """Work units charged by this session's task so far."""
         return self.task.work_total() if self.task is not None else 0

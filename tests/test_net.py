@@ -143,7 +143,7 @@ class TestRemoteBasics:
     def test_stats_verb_reports_tenants_and_caches(self, remote):
         remote.execute("SELECT COUNT(*) AS n FROM s")
         stats = remote.stats()
-        assert stats["protocol_version"] == 2
+        assert stats["protocol_version"] == 3
         assert stats["clients"] >= 1
         assert "default" in stats["tenants"]
         assert "result_cache" in stats and "order_cache" in stats
@@ -233,10 +233,10 @@ class TestIteration:
     def test_iteration_sends_one_fetch_per_chunk(self, remote):
         sent = self._fetch_frames(remote)
         row_by_row = list(self._finished_cursor(remote, 1))
-        assert sent == [1] * 8  # seven rows and the empty batch that ends them
+        assert sent == [1] * 7  # the seventh row's batch says the result is done
         del sent[:]
         chunked = list(self._finished_cursor(remote, 4))
-        assert sent == [4, 4, 4]
+        assert sent == [4, 4]
         assert chunked == row_by_row and len(chunked) == 7
 
     def test_fetch_methods_continue_where_iteration_stands(self, remote):
@@ -543,7 +543,7 @@ class TestBackpressure:
                             break
                         rows.extend(batch)
                     assert len(rows) == 7
-                    transport.forget(ticket)
+                    transport.release(ticket)
             finally:
                 transport.close()
         finally:

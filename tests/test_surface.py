@@ -26,6 +26,7 @@ from repro.engine.postprocess import post_process
 from repro.engine.task import EngineTask
 from repro.net.client import RemoteTransport
 from repro.net.protocol import PROTOCOL_VERSION
+from repro.net.server import ReproServer
 
 CONFIG_FIELDS = {
     # Skinner-C
@@ -59,9 +60,15 @@ ENGINE_TASK_NAMES = {
 
 #: The operations that differ between in-process and ``repro://``.
 TRANSPORT_VERBS = {
-    "submit", "fetch_batch", "poll", "result", "cancel", "forget",
+    "submit", "fetch_batch", "poll", "result", "release",
     "add_table", "drop_table",
     "commit", "rollback", "stats", "close",
+}
+
+#: The verbs a ``repro://`` server answers after ``hello`` (``_verb_*``).
+WIRE_VERBS = {
+    "submit", "fetch", "poll", "result", "release",
+    "create_table", "drop_table", "commit", "rollback", "set_quota", "stats",
 }
 
 CONNECT_PARAMETERS = [
@@ -174,7 +181,24 @@ def test_transport_carries_exactly_the_boundary_verbs():
         "self", "ticket", "max_rows", "drive"]
     assert list(inspect.signature(Transport.fetch_batch).parameters) == [
         "self", "ticket", "max_rows"]
-    assert PROTOCOL_VERSION == 2
+    assert list(inspect.signature(Transport.submit).parameters)[-2:] == ["stream", "release"]
+    assert PROTOCOL_VERSION == 3
+
+
+def test_the_wire_answers_exactly_these_verbs():
+    """``release`` is the one way to let go of a ticket, on the wire too."""
+    verbs = {name.removeprefix("_verb_") for name in vars(ReproServer)
+             if name.startswith("_verb_")}
+    assert verbs == WIRE_VERBS
+
+
+def test_the_cursor_has_one_path_for_both_transports():
+    """The cursor never asks which transport it has or what it can do."""
+    tree = ast.parse(inspect.getsource(inspect.getmodule(Cursor)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"hasattr", "isinstance", "is_remote", "LocalTransport",
+                        "RemoteTransport"}
 
 
 def test_modelled_threads_is_an_argument_of_the_report_only():

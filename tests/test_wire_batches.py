@@ -1,4 +1,4 @@
-"""Protocol v2: tables cross the wire as column buffers, exactly.
+"""Protocol v3 (the framing of v2): tables cross the wire as column buffers, exactly.
 
 * encode → decode returns the same values with the same Python types for
   every column kind, at every narrowing boundary, for the float values JSON
@@ -6,7 +6,8 @@
 * a frame that lies about itself — torn, header longer than the frame,
   buffer shorter than ``rows × width``, unknown kind, oversized — raises
   :class:`FrameError` without allocating what it announced;
-* a protocol-1 ``hello`` gets the typed version error in its own framing;
+* a protocol-1 ``hello`` gets the typed version error in its own framing,
+  and a protocol-2 ``hello`` gets it in the framing versions 2 and 3 share;
 * a bad fetch size is the same :class:`InterfaceError` locally and remotely.
 """
 
@@ -245,6 +246,23 @@ def test_a_v1_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
         reply = decode_payload(stream.read(length))
         assert reply["id"] == 5 and "protocol version 1 unsupported" in reply["error"]["message"]
     with connect(server.dsn) as conn:
+        assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
+
+
+def test_a_v2_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
+    """Version 3 changed the verbs, not the framing: a version-2 client is
+    refused at the handshake instead of failing at its first ``cancel``."""
+    with _raw_socket(server) as sock:
+        sock.sendall(encode_frame({"v": "hello", "id": 2, "args": {"version": 2}}))
+        stream = sock.makefile("rb")
+        (length,) = LENGTH_PREFIX.unpack(stream.read(LENGTH_PREFIX.size))
+        reply = decode_payload(stream.read(length))
+        assert reply == {"id": 2, "ok": False, "error": {
+            "type": "OperationalError",
+            "message": f"protocol version 2 unsupported (server speaks {PROTOCOL_VERSION})"}}
+        assert stream.read() == b""  # and disconnected
+    with connect(server.dsn) as conn:
+        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 3
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 
