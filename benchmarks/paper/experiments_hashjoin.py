@@ -12,24 +12,30 @@ kernel speedup.  Every run cross-checks that the two paths produce
 meter charges, so the speedup numbers are always backed by equivalent work.
 
 A second series, ``batch_reuse``, measures what Skinner-G/H get from the
-executor's :class:`~repro.engine.operators.HashBuildCache`: the chain plan is
+catalog's statement cache and the executor's suffix views: the chain plan is
 invoked ten times on one batch of the left-most table and the remaining
 suffixes of the others — suffixes that move on every few invocations, as
 they do when batches complete — once through one executor kept across the
-invocations and once through a fresh executor per invocation.  Relations and
-meter charges must be identical call for call; what differs is how often a
-build side is grouped, and the wall time.  The series reports work *units*
-beside the experiment's gated ``simulated_time`` total, not inside it.
+invocations and once through a fresh executor per invocation, each on a
+catalog of its own.  Relations and meter charges must be identical call for
+call.  The series counts how often a build side is grouped
+(:class:`~repro.engine.joinkernels.GroupedJoinMap` constructions): once per
+build side and catalog, however the suffixes move and however many
+executors ask.  It reports work *units* beside the experiment's gated
+``simulated_time`` total, not inside it.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
 
 from repro.engine.executor import PlanExecutor
+from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
 from repro.engine.operators import hash_join_step
 from repro.engine.profiles import get_profile
@@ -114,45 +120,60 @@ _BATCH_INVOCATIONS = 10
 _SUFFIX_ADVANCES_EVERY = {"t1": 2, "t2": 5}
 
 
-def _batch_reuse(catalog: Catalog, query: Query) -> list[dict[str, Any]]:
+@contextmanager
+def _counting_groupings() -> Iterator[list[int]]:
+    """``[n]``: the :class:`GroupedJoinMap` constructions inside the block
+    (a suffix view is not one: it groups nothing)."""
+    count = [0]
+    real = GroupedJoinMap.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        real(self, *args, **kwargs)
+
+    GroupedJoinMap.__init__ = counted
+    try:
+        yield count
+    finally:
+        GroupedJoinMap.__init__ = real
+
+
+def _batch_reuse(make_catalog: Callable[[], Catalog], query: Query) -> list[dict[str, Any]]:
     """One kept executor vs a fresh one per invocation, over shrinking suffixes."""
-    kept = PlanExecutor(catalog, query)
+    catalogs = {"kept": make_catalog(), "fresh": make_catalog()}
+    kept = PlanExecutor(catalogs["kept"], query)
     filtered = kept.pre_process(CostMeter())
     left = _JOIN_ORDER[0]
-    batches = np.array_split(filtered[left], _BATCH_INVOCATIONS)
-    # One array object per suffix: what GenericLearningRun hands the executor.
-    suffixes = {
-        alias: [filtered[alias][step * filtered[alias].shape[0] // _BATCH_INVOCATIONS:]
-                for step in range(_BATCH_INVOCATIONS)]
-        for alias in _SUFFIX_ADVANCES_EVERY
-    }
+    # The pieces ``np.array_split`` would cut, as Skinner-G cuts its batches.
+    size, larger = divmod(filtered[left].shape[0], _BATCH_INVOCATIONS)
+    edges = [index * size + min(index, larger) for index in range(_BATCH_INVOCATIONS + 1)]
     walls = {"kept": 0.0, "fresh": 0.0}
-    builds = {"kept": 0, "fresh": 0}
+    groupings = {"kept": 0, "fresh": 0}
     work_units = 0
-    for invocation, batch in enumerate(batches):
-        base = {alias: suffixes[alias][invocation // every]
-                for alias, every in _SUFFIX_ADVANCES_EVERY.items()}
-        base[left] = batch
-        fresh = PlanExecutor(catalog, query)
+    for invocation in range(_BATCH_INVOCATIONS):
+        batch = (edges[invocation], edges[invocation + 1])
+        lower = {alias: (invocation // every) * filtered[alias].shape[0] // _BATCH_INVOCATIONS
+                 for alias, every in _SUFFIX_ADVANCES_EVERY.items()}
+        fresh = PlanExecutor(catalogs["fresh"], query)
         fresh.pre_process(CostMeter())
         outcomes = {}
         for label, executor in (("kept", kept), ("fresh", fresh)):
             meter = CostMeter()
-            started = time.perf_counter()
-            relation = executor.execute_order(_JOIN_ORDER, meter, base)
-            walls[label] += time.perf_counter() - started
+            with _counting_groupings() as grouped:
+                started = time.perf_counter()
+                relation = executor.execute_order(_JOIN_ORDER, meter, batch, lower)
+                walls[label] += time.perf_counter() - started
+            groupings[label] += grouped[0]
             outcomes[label] = (relation, meter.snapshot())
-        builds["fresh"] += sum(fresh.hash_builds.built.values())
         _assert_equivalent(outcomes["fresh"][0], outcomes["kept"][0], outcomes["fresh"][1],
                            outcomes["kept"][1],
                            f"batch_reuse invocation {invocation}, fresh vs kept executor")
         work_units += outcomes["kept"][1].total
-    builds["kept"] = sum(kept.hash_builds.built.values())
     return [
         {
             "Executor": name,
             "Invocations": _BATCH_INVOCATIONS,
-            "Builds": builds[label],
+            "Groupings": groupings[label],
             "Wall (ms)": round(walls[label] * 1e3, 2),
             "Work Units": work_units,
         }
@@ -209,7 +230,9 @@ def hashjoin_kernel(
         "rows": rows,
         "records": records,
         "speedups": speedups,
-        "batch_reuse": _batch_reuse(catalog, _queries()["chain_fanout"]),
+        "batch_reuse": _batch_reuse(
+            lambda: _build_catalog(tuples_per_table, fanout, seed), _queries()["chain_fanout"]
+        ),
         "parameters": {"tuples_per_table": tuples_per_table, "fanout": fanout,
                        "seed": seed, "repetitions": repetitions},
     }

@@ -274,6 +274,9 @@ class Connection:
 
                 close_adapters(self.catalog)
                 self.catalog.close()
+                # The connection owns its catalog: a closed handle must not
+                # pin the parses, filters and join maps built on it.
+                self.catalog.statement_cache = None
 
     def __enter__(self) -> Connection:
         return self

@@ -15,8 +15,6 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
@@ -97,7 +95,7 @@ class ReOptimizerEngine:
             executor.pre_process(meter)
             if query.num_tables > 1:
                 for rounds in range(1, self._max_rounds + 1):
-                    corrections = self._validate(query, executor, plan.order, estimator, meter)
+                    corrections = self._validate(executor, plan.order, estimator, meter)
                     if not corrections:
                         break
                     estimator.corrections.update(corrections)
@@ -129,7 +127,6 @@ class ReOptimizerEngine:
     # ------------------------------------------------------------------
     def _validate(
         self,
-        query: Query,
         executor: PlanExecutor,
         order: tuple[str, ...],
         estimator: CardinalityEstimator,
@@ -142,14 +139,15 @@ class ReOptimizerEngine:
         if total == 0:
             return {}
         sample_size = max(1, min(self._sample_limit, int(total * self._sample_fraction)))
-        sample = positions[:sample_size]
         scale = total / sample_size
         corrections: dict[frozenset[str], float] = {}
         for prefix_length in range(2, len(order) + 1):
             prefix = order[:prefix_length]
             sub_meter = CostMeter(budget=meter.remaining)
             try:
-                relation = self._prefix_relation(executor, query, prefix, sample, sub_meter)
+                relation = executor.restricted(prefix).execute_order(
+                    list(prefix), sub_meter, batch=(0, sample_size)
+                )
             except Exception:  # noqa: BLE001 - validation must never fail the query
                 break
             meter.merge(sub_meter)
@@ -159,20 +157,3 @@ class ReOptimizerEngine:
             if ratio > self._validation_factor or ratio < 1.0 / self._validation_factor:
                 corrections[frozenset(prefix)] = max(measured, 1.0)
         return corrections
-
-    def _prefix_relation(
-        self,
-        executor: PlanExecutor,
-        query: Query,
-        prefix: tuple[str, ...],
-        sample: np.ndarray,
-        meter: CostMeter,
-    ):
-        from repro.engine.executor import _restrict_query
-
-        sub_query = _restrict_query(query, list(prefix))
-        sub_executor = PlanExecutor(self._catalog, sub_query, self._udfs)
-        filtered = {alias: executor.filtered_positions(alias) for alias in prefix}
-        filtered[prefix[0]] = sample
-        sub_executor._filtered = filtered
-        return sub_executor.execute_order(list(prefix), meter)

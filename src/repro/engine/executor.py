@@ -4,43 +4,39 @@ This executor plays the role Postgres / MonetDB play in the paper: it is a
 conventional engine that executes one join order for a query (or for a batch
 of a query), producing a row-id relation.  It supports:
 
-* pre-processing (unary predicate filtering) with cached results,
+* pre-processing (unary predicate filtering),
 * hash joins when equality predicates link the new table to the prefix,
   nested-loop joins otherwise (see :mod:`repro.engine.operators`),
 * residual and unary predicates evaluated over column arrays, UDF calls
   included (see :mod:`repro.engine.vectorized`),
 * an optional **work budget** — used by Skinner-G to emulate per-batch
   timeouts: when the budget is exhausted, execution aborts and all
-  intermediate results are lost, exactly like a timed-out DBMS invocation,
-* grouped hash-join build sides kept for the life of the executor
-  (:class:`~repro.engine.operators.HashBuildCache`): an invocation that joins
-  against the very positions array of an earlier one is still *charged* the
-  build, but does not sort the table again.
+  intermediate results are lost, exactly like a timed-out DBMS invocation.
+
+Filtered positions and grouped hash-join build sides come from the catalog's
+:class:`~repro.engine.statement_cache.StatementCache`, shared with every
+other statement and engine on the same table versions.  A build side is
+*charged* on every join all the same, as the host DBMS the paper targets
+would pay it; only the sort is saved.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
+from functools import partial
 
 import numpy as np
 
+from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import ChargeLog, CostMeter
-from repro.engine.operators import (
-    HashBuildCache,
-    filter_table,
-    hash_join_step,
-    nested_loop_step,
-)
+from repro.engine.operators import hash_join_step, nested_loop_step
 from repro.engine.relation import RowIdRelation
-from repro.errors import PlanningError
-from repro.query.predicates import Predicate
+from repro.engine.statement_cache import StatementCache
+from repro.query.join_graph import JoinStep
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
-
-#: ``(alias, equi, residual)``: the predicates joining one more alias.
-JoinStep = tuple[str, list[Predicate], list[Predicate]]
 
 
 class PlanExecutor:
@@ -58,11 +54,15 @@ class PlanExecutor:
         self._tables: dict[str, Table] = {
             alias: catalog.table(name) for alias, name in query.tables
         }
+        self._cache = StatementCache.of(catalog)
         self._filtered: dict[str, np.ndarray] | None = None
+        #: Per alias, the cache key of its filter (``None``: a UDF is called).
+        self._filter_keys: dict[str, Hashable | None] = {}
         self._filter_charges: list[tuple[str, int]] = []
-        self._steps: dict[tuple[str, ...], list[JoinStep]] = {}
-        #: Grouped build sides of this query's hash joins (see ``execute_order``).
-        self.hash_builds = HashBuildCache()
+        #: ``(alias, key columns) -> (map, lower, map.suffix(lower))``: every
+        #: build side joined against, with the last remainder cut from it.
+        self._builds: dict[tuple[str, tuple[str, ...]],
+                           tuple[GroupedJoinMap, int, GroupedJoinMap]] = {}
 
     # ------------------------------------------------------------------
     # pre-processing
@@ -75,19 +75,23 @@ class PlanExecutor:
     def pre_process(
         self, meter: CostMeter | None = None, *, bill_again: bool = False
     ) -> dict[str, np.ndarray]:
-        """Apply unary predicates to every table; results are cached.
+        """Every alias's rows surviving its unary predicates.
 
-        A cached pass charges nothing, unless ``bill_again``: then ``meter``
-        is charged what the pass cost, charge by charge, so a budget runs out
-        exactly where it would on filtering afresh (Skinner-H's attempts and
-        its learning run share one executor; a host would scan for each).
+        The first pass charges ``meter`` what filtering costs, also where the
+        statement cache held the filter.  A later pass charges nothing, unless
+        ``bill_again``: then ``meter`` is charged the first pass, charge by
+        charge, so a budget runs out exactly where it would on filtering
+        afresh (Skinner-H's attempts and its learning run share one executor;
+        a host would scan for each).
         """
         if self._filtered is None:
             log = ChargeLog(meter if meter is not None else CostMeter())
             filtered: dict[str, np.ndarray] = {}
             for alias, table in self._tables.items():
                 predicates = self._query.unary_predicates(alias)
-                filtered[alias] = filter_table(table, alias, predicates, log, self._udfs)
+                filtered[alias], self._filter_keys[alias] = self._cache.filter(
+                    table, alias, predicates, log, self._udfs
+                )
             self._filtered, self._filter_charges = filtered, log.charges
         elif bill_again:
             meter.replay(self._filter_charges)
@@ -104,7 +108,8 @@ class PlanExecutor:
         self,
         order: Sequence[str],
         meter: CostMeter,
-        base_positions: Mapping[str, np.ndarray] | None = None,
+        batch: tuple[int, int] | None = None,
+        lower: Mapping[str, int] | None = None,
     ) -> RowIdRelation:
         """Execute one left-deep join order and return the join result.
 
@@ -116,72 +121,56 @@ class PlanExecutor:
             Cost meter charged for all work; may carry a budget, in which
             case :class:`~repro.errors.BudgetExceeded` propagates to the
             caller when it runs out.
-        base_positions:
-            Optional override of the filtered positions per alias.  Skinner-G
-            uses this to restrict the left-most table to one batch.  A hash
-            join reuses the build side grouped for an earlier call only when
-            handed the *same array object* again (int64 arrays pass through
-            unconverted), so callers that repeat a restriction should repeat
-            the array.
+        batch:
+            ``(start, stop)``: join only these filtered rows of the left-most
+            alias (Skinner-G's batch).
+        lower:
+            Per alias, the first filtered row it joins with; the rows before
+            it are left out (Skinner-G's remainders).  A hash join builds on
+            a :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix` of the
+            alias's cached map, cut once per bound.
         """
         steps = self.join_steps(order)
         filtered = self.pre_process(meter)
-        positions_of = dict(filtered)
-        if base_positions:
-            positions_of.update({alias: np.asarray(p, dtype=np.int64)
-                                 for alias, p in base_positions.items()})
-
-        result = RowIdRelation.from_base(order[0], positions_of[order[0]])
+        lower = lower or {}
+        first = filtered[order[0]]
+        if batch is not None:
+            first = first[batch[0]:batch[1]]
+        result = RowIdRelation.from_base(order[0], first)
         for alias, equi, residual in steps:
+            positions = filtered[alias]
+            cut = lower.get(alias, 0)
             if equi:
                 result = hash_join_step(
-                    result, alias, self._tables[alias], positions_of[alias],
+                    result, alias, self._tables[alias], positions,
                     equi, residual, self._tables, meter, self._udfs,
-                    builds=self.hash_builds,
+                    cut, partial(self._build_side, alias, cut),
                 )
             else:
                 result = nested_loop_step(
-                    result, alias, self._tables[alias], positions_of[alias],
+                    result, alias, self._tables[alias], positions[cut:],
                     residual, self._tables, meter, self._udfs,
                 )
         return result
 
-    def join_steps(self, order: Sequence[str]) -> list[JoinStep]:
-        """Per joined alias of ``order``: ``(alias, equi, residual)`` predicates.
+    def _build_side(self, alias: str, lower: int, columns: tuple[str, ...]) -> GroupedJoinMap:
+        """``alias``'s filtered rows from ``lower`` on, grouped by ``columns``."""
+        key = (alias, columns)
+        held = self._builds.get(key)
+        if held is None:
+            join_map = self._cache.join_map(
+                self._filter_keys[alias], self._tables[alias], columns, self._filtered[alias]
+            )
+            held = self._builds[key] = (join_map, 0, join_map)
+        if held[1] != lower:
+            held = self._builds[key] = (held[0], lower, held[0].suffix(lower))
+        return held[2]
 
-        Each join predicate is applied at the first position where all its
-        tables are in the prefix; ``equi`` are the equality predicates
-        linking the new alias to the prefix (a hash join when non-empty),
-        ``residual`` everything else that became applicable.  ``order`` must
-        be a permutation of the query's aliases.  The steps are worked out
-        once per order (Skinner-G asks again every time slice).
-        """
-        order = tuple(order)
-        steps = self._steps.get(order)
-        if steps is None:
-            if sorted(order) != sorted(self._query.aliases):
-                raise PlanningError(f"join order {order} does not cover query aliases")
-            steps = self._steps[order] = self._classify_predicates(order)
-        return steps
-
-    def _classify_predicates(self, order: tuple[str, ...]) -> list[JoinStep]:
-        """:meth:`join_steps` for an order not seen before."""
-        steps = []
-        applied: set[int] = set()
-        join_predicates = self._query.join_predicates()
-        prefix_aliases = {order[0]}
-        for alias in order[1:]:
-            prefix_aliases.add(alias)
-            applicable = [
-                (i, predicate)
-                for i, predicate in enumerate(join_predicates)
-                if i not in applied and predicate.tables() <= prefix_aliases
-            ]
-            equi = [p for _, p in applicable if p.is_equi_join and alias in p.tables()]
-            residual = [p for _, p in applicable if not (p.is_equi_join and alias in p.tables())]
-            applied.update(i for i, _ in applicable)
-            steps.append((alias, equi, residual))
-        return steps
+    def join_steps(self, order: Sequence[str]) -> tuple[JoinStep, ...]:
+        """Per joined alias of ``order``: ``(alias, equi, residual)``
+        predicates (:meth:`~repro.query.join_graph.JoinGraph.join_steps`,
+        worked out once per query and order)."""
+        return self._query.join_graph().join_steps(order)
 
     # ------------------------------------------------------------------
     # helpers used by optimizers and the true-cardinality oracle
@@ -196,14 +185,18 @@ class PlanExecutor:
         aliases = list(aliases)
         if len(aliases) == 1:
             return int(self.filtered_positions(aliases[0]).shape[0])
-        sub_query = _restrict_query(self._query, aliases)
-        executor = PlanExecutor(self._catalog, sub_query, self._udfs)
-        executor._filtered = {alias: self.filtered_positions(alias) for alias in aliases}
-        meter = CostMeter()
-        graph = sub_query.join_graph()
-        order = _greedy_connected_order(graph, aliases)
-        result = executor.execute_order(order, meter)
-        return len(result)
+        executor = self.restricted(aliases)
+        order = _greedy_connected_order(executor._query.join_graph(), aliases)
+        return len(executor.execute_order(order, CostMeter()))
+
+    def restricted(self, aliases: Sequence[str]) -> PlanExecutor:
+        """An executor of this query projected onto ``aliases``: it joins this
+        one's filtered rows and charges no filter pass of its own."""
+        filtered = self.pre_process()
+        executor = PlanExecutor(self._catalog, _restrict_query(self._query, aliases), self._udfs)
+        executor._filtered = {alias: filtered[alias] for alias in aliases}
+        executor._filter_keys = {alias: self._filter_keys[alias] for alias in aliases}
+        return executor
 
 
 def _restrict_query(query: Query, aliases: Sequence[str]) -> Query:

@@ -3,9 +3,11 @@
 The plan executor's hash join and the Skinner preprocessor's join maps share
 one structure, :class:`GroupedJoinMap`: the build side's rows grouped by join
 key into sorted runs, probed by binary search.  Nothing in it depends on the
-probe side, so one map serves every probe of an unchanged build side — the
-plan executor keeps it across the batch invocations of Skinner-G/H, the
-preprocessor across the slices of Skinner-C.
+probe side, so one map serves every probe of an unchanged build side: the
+catalog's :class:`~repro.engine.statement_cache.StatementCache` keeps it for
+every statement, plan-executor engine and Skinner-C slice on the same table
+version, and :meth:`GroupedJoinMap.suffix` serves the remainders of
+Skinner-G/H's batches from it without grouping again.
 
 * :func:`group_rows` — group a key vector into sorted runs (a stable sort +
   run boundaries), the columnar replacement for building a
@@ -109,17 +111,23 @@ def group_rows(values: np.ndarray, rows: np.ndarray | None = None) -> GroupedRow
     with ``!=`` on adjacent sorted values, so for float keys each NaN forms
     its own singleton run (``nan != nan``) — no accidental NaN grouping.
     """
-    values = np.asarray(values)
-    if values.shape[0] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return GroupedRows(empty, values[:0], empty, empty)
-    order, sorted_values = _stable_sort(values)
+    order, keys, bounds = _runs(np.asarray(values))
     if rows is not None:
         order = np.asarray(rows, dtype=np.int64)[order]
-    boundaries = np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
-    starts = np.flatnonzero(boundaries).astype(np.int64)
-    counts = np.diff(np.append(starts, values.shape[0])).astype(np.int64)
-    return GroupedRows(order, sorted_values[starts], starts, counts)
+    return GroupedRows(order, keys, bounds[:-1], np.diff(bounds))
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, keys, bounds)`` of :func:`group_rows`: run ``g`` is
+    ``order[bounds[g]:bounds[g + 1]]`` and has key ``keys[g]``."""
+    if values.shape[0] == 0:
+        return np.empty(0, dtype=np.int64), values[:0], np.zeros(1, dtype=np.int64)
+    order, sorted_values = _stable_sort(values)
+    boundaries = np.empty(values.shape[0] + 1, dtype=bool)
+    boundaries[0] = boundaries[-1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=boundaries[1:-1])
+    bounds = np.flatnonzero(boundaries)
+    return order, sorted_values[bounds[:-1]], bounds
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +290,8 @@ class GroupedJoinMap:
       numeric column (or the reverse) matches nothing.
     """
 
-    __slots__ = ("_column", "_space", "_keys", "_rows", "_starts", "_counts", "_memo", "_ranks")
+    __slots__ = ("_column", "_space", "_keys", "_rows", "_starts", "_ends", "_memo", "_ranks",
+                 "_grouped", "__weakref__")
 
     def __init__(self, key: Column | Sequence[Column], positions: np.ndarray) -> None:
         columns = (key,) if isinstance(key, Column) else tuple(key)
@@ -293,11 +302,9 @@ class GroupedJoinMap:
         else:
             self._column = None
             self._space, values = encode_composite_keys(columns, positions)
-        grouped = group_rows(values)
-        self._keys = grouped.keys
-        self._rows = grouped.rows
-        self._starts = grouped.starts
-        self._counts = grouped.counts
+        self._rows, self._keys, bounds = _runs(values)
+        #: Bucket ``g`` is ``_rows[_starts[g]:_ends[g]]``.
+        self._starts, self._ends = bounds[:-1], bounds[1:]
         #: Probe memo: the hash-jump probes the same decoded values once per
         #: index advance, so the first lookup's encode + binary search is
         #: cached and every repeat is one dict hit — the lazily materialized
@@ -306,6 +313,31 @@ class GroupedJoinMap:
         #: it without bound.)
         self._memo: dict[Any, np.ndarray | None] = {}
         self._ranks: np.ndarray | None = None
+        #: The map a :meth:`suffix` view was cut from (``self`` for a grouped one).
+        self._grouped = self
+
+    def suffix(self, lower: int) -> GroupedJoinMap:
+        """The grouped map cut down to its rows ``>= lower``.
+
+        Probing the cut map finds what a map over ``positions[lower:]`` finds,
+        every row ``lower`` higher: Skinner-G/H join each batch against the
+        remainder of the other tables, one lower bound per table.  It is a
+        view, not a regrouping.  The keys and rows are shared, and since a
+        bucket's rows ascend, the rows below ``lower`` are each bucket's first
+        ones: its bounds move past them with one ``np.add.reduceat``.  A
+        bucket left with no rows reads as absent.
+        """
+        grouped = self._grouped
+        if lower <= 0 or grouped._rows.shape[0] == 0:
+            return grouped
+        starts = np.add.reduceat(grouped._rows < lower, grouped._starts, dtype=np.int64)
+        starts += grouped._starts
+        view = object.__new__(GroupedJoinMap)
+        view._column, view._space = grouped._column, grouped._space
+        view._keys, view._rows, view._ends = grouped._keys, grouped._rows, grouped._ends
+        view._starts = starts
+        view._memo, view._ranks, view._grouped = {}, None, grouped
+        return view
 
     @property
     def rows(self) -> np.ndarray:
@@ -316,7 +348,7 @@ class GroupedJoinMap:
     def nbytes(self) -> int:
         """Bytes of the grouped arrays, the rank vector a resumed
         :meth:`lookup_many` builds included (what a cache of maps is bounded by)."""
-        grouped = self._keys.nbytes + self._starts.nbytes + self._counts.nbytes
+        grouped = self._keys.nbytes + self._starts.nbytes + self._ends.nbytes
         return grouped + 2 * self._rows.nbytes
 
     def __len__(self) -> int:
@@ -388,8 +420,10 @@ class GroupedJoinMap:
         position = int(np.searchsorted(self._keys, probe))
         if position >= self._keys.shape[0] or self._keys[position] != probe:
             return None  # also NaN keys at this position: nan != nan
-        start = int(self._starts[position])
-        return self._rows[start:start + int(self._counts[position])]
+        start, end = int(self._starts[position]), int(self._ends[position])
+        if start == end:
+            return None  # a bucket a suffix view emptied
+        return self._rows[start:end]
 
     def lookup_many(
         self,
@@ -429,17 +463,19 @@ class GroupedJoinMap:
         if valid is not None:
             found &= valid
         starts = self._starts.take(position, mode="clip")
-        counts = self._counts.take(position, mode="clip") * found
+        counts = (self._ends.take(position, mode="clip") - starts) * found
         if lower > 0:
             position = np.minimum(position, keys.shape[0] - 1)
             # ``_rows`` ascends by (bucket, row), so one binary search per
             # probe over that combined rank finds the cut inside its bucket.
             size = self._rows.shape[0] + 1
-            if self._ranks is None:
-                bucket = np.repeat(np.arange(keys.shape[0], dtype=np.int64), self._counts)
-                self._ranks = bucket * size + self._rows
+            grouped = self._grouped
+            if grouped._ranks is None:
+                bucket = np.repeat(np.arange(keys.shape[0], dtype=np.int64),
+                                   grouped._ends - grouped._starts)
+                grouped._ranks = bucket * size + self._rows
             ends = starts + counts
-            cut = np.searchsorted(self._ranks, position * size + min(lower, size - 1))
+            cut = np.searchsorted(grouped._ranks, position * size + min(lower, size - 1))
             starts = np.clip(cut, starts, ends)
             counts = ends - starts
         return starts, counts

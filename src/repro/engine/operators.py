@@ -18,10 +18,9 @@ column once) is evaluated over arrays of the surviving rows by
 
 The hash join runs the columnar kernel from :mod:`repro.engine.joinkernels`:
 the build side grouped by a stable sort into a
-:class:`~repro.engine.joinkernels.GroupedJoinMap` (kept in a
-:class:`HashBuildCache` while the build rows stay the same array), the probe
-side matched via ``searchsorted``, and the result emitted as whole selector
-arrays.  The dict-based build/probe reference the equivalence tests and the
+:class:`~repro.engine.joinkernels.GroupedJoinMap` (the caller's cached one, a
+suffix view of it for a remainder), the probe side matched via
+``searchsorted``, and the result emitted as whole selector arrays.  The dict-based build/probe reference the equivalence tests and the
 kernel benchmark compare against is ``rows_hash_join_step`` in
 ``tests/oracles/hash_join.py``; both produce byte-identical relations and
 charge identical meter work, and NaN float join keys never match in either
@@ -32,8 +31,7 @@ All operators charge their work to a :class:`~repro.engine.meter.CostMeter`.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,41 +97,9 @@ def _charge_predicate(
         meter.charge_udf(length * per_row)
 
 
-class HashBuildCache:
-    """The grouped build sides of one query's hash joins, kept between joins.
-
-    Skinner-G/H invoke the plan executor once per time slice, each time
-    joining against build sides that seldom changed since the slice before;
-    grouping one sorts the table.  The cache holds one
-    :class:`~repro.engine.joinkernels.GroupedJoinMap` per ``(alias, key
-    columns)`` together with the positions array it indexes, and an entry
-    answers only a join whose ``positions`` **is** that array: identity is
-    the one test that cannot be fooled by another array of the same length or
-    the same first rows, and the held reference keeps the array's id from
-    being recycled (position arrays are never written to once handed out).
-    A different array replaces the entry, so there is never more than one
-    grouped copy per join key.
-
-    Only the sorts are saved: :func:`hash_join_step` charges every join its
-    build, hit or miss, as the host DBMS the paper targets would pay it.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[str, tuple[str, ...]], tuple[np.ndarray, GroupedJoinMap]] = {}
-        #: How many times each ``(alias, key columns)`` was grouped.
-        self.built: Counter[tuple[str, tuple[str, ...]]] = Counter()
-
-    def build_side(
-        self, alias: str, table: Table, key_columns: tuple[str, ...], positions: np.ndarray
-    ) -> GroupedJoinMap:
-        """The rows ``positions`` of ``table`` grouped by ``key_columns``."""
-        key = (alias, key_columns)
-        entry = self._entries.get(key)
-        if entry is None or entry[0] is not positions:
-            columns = [table.column(name) for name in key_columns]
-            entry = self._entries[key] = (positions, GroupedJoinMap(columns, positions))
-            self.built[key] += 1
-        return entry[1]
+#: ``key_columns -> build side``: the rows a hash join builds on, grouped by
+#: those columns of the new table (see :func:`hash_join_step`).
+BuildSide = Callable[[tuple[str, ...]], GroupedJoinMap]
 
 
 def hash_join_step(
@@ -146,25 +112,29 @@ def hash_join_step(
     tables: Mapping[str, Table],
     meter: CostMeter,
     udfs: UdfRegistry | None = None,
-    builds: HashBuildCache | None = None,
+    lower: int = 0,
+    build_side: BuildSide | None = None,
 ) -> RowIdRelation:
     """Extend ``prefix`` by ``alias`` using a hash join.
 
     ``equi_predicates`` must each connect ``alias`` to some alias already in
     the prefix via column equality.  ``residual_predicates`` are evaluated on
-    each candidate combination.  ``builds`` is the caller's
-    :class:`HashBuildCache`; without one the build side is grouped for this
-    join alone.
+    each candidate combination.  The build side is ``positions[lower:]``:
+    ``build_side(key_columns)`` returns those rows grouped by the join's key
+    columns of ``table``, a map whose buckets hold indices into
+    ``positions`` (the caller's cached map, or its
+    :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix`); without it they
+    are grouped for this join alone.
     """
     # Building the hash side scans/hashes the new table's tuples once, so it
     # is charged as scan work, not as hash probes: the probe counter must
     # mean the same thing across join implementations for the meter profiles
     # and the Table-6 ablation to be comparable.  Every join is charged its
-    # build, also one that finds the build side in ``builds``.
-    meter.charge_scan(positions.shape[0])
+    # build, also one whose build side was grouped before, and before it is
+    # asked for: a build that overruns the budget is never grouped.
+    meter.charge_scan(positions.shape[0] - lower)
     candidate = _vectorized_hash_join(prefix, alias, table, positions, equi_predicates,
-                                      tables, meter,
-                                      builds if builds is not None else HashBuildCache())
+                                      tables, meter, lower, build_side)
     return _apply_residual(candidate, residual_predicates, tables, meter, udfs)
 
 
@@ -176,7 +146,8 @@ def _vectorized_hash_join(
     equi_predicates: Sequence[Predicate],
     tables: Mapping[str, Table],
     meter: CostMeter,
-    builds: HashBuildCache,
+    lower: int,
+    build_side: BuildSide | None,
 ) -> RowIdRelation:
     """Columnar build/probe via the :mod:`repro.engine.joinkernels` primitives."""
     key_columns = []
@@ -190,7 +161,11 @@ def _vectorized_hash_join(
         probe_columns.append(probe_column)
         probe_values.append(probe_column.data[prefix.ids(other.table)])
     meter.charge_probe(len(prefix))
-    build = builds.build_side(alias, table, tuple(key_columns), positions)
+    if build_side is None:
+        build = GroupedJoinMap([table.column(name) for name in key_columns], positions)
+        build = build.suffix(lower)
+    else:
+        build = build_side(tuple(key_columns))
     starts, counts = build.lookup_many(probe_values, probe_columns)
     # Charge before materializing so a work budget cuts off an exploding
     # join as soon as the budget is reached.  The dict-based reference charges

@@ -17,9 +17,14 @@ a table's rows for good, so one :class:`StatementCache` per catalog keeps
   the statement's meter (:meth:`~repro.engine.meter.CostMeter.replay`), so
   work units read exactly as if the filter ran again.  A predicate that calls
   a UDF is never cached: the function may be re-registered under its name;
-* **join maps**, keyed on ``(filter key, column)``.  The caller still charges
-  a hit the build's scan, as :func:`~repro.engine.operators.hash_join_step`
-  charges a build side it found in its cache.
+* **join maps**, keyed on ``(filter key, key columns)``: one
+  :class:`~repro.engine.joinkernels.GroupedJoinMap` per table version, filter
+  and tuple of key columns serves Skinner-C's pre-processing and the hash
+  joins of every plan-executor engine (``traditional``, Skinner-H's plan
+  attempts, Skinner-G/H's batches, which cut a
+  :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix` from it).  The
+  caller still charges a hit the build's scan, as
+  :func:`~repro.engine.operators.hash_join_step` charges every build.
 
 The arrays are read-only and share one bound of :data:`MAX_BYTES`, least
 recently used out first; parses are capped at :data:`MAX_PARSED`.  A write
@@ -116,19 +121,22 @@ class StatementCache:
 
     def filter(
         self,
-        name: str,
+        table: Table,
         alias: str,
         predicates: Sequence[Predicate],
         meter: CostMeter,
         udfs: UdfRegistry | None = None,
     ) -> tuple[np.ndarray, Hashable | None]:
-        """The rows of table ``name`` that ``alias``'s unary ``predicates``
-        keep, with the filter's charges on ``meter``, and the key naming them
-        for :meth:`join_map` (``None``: uncached, a UDF is called)."""
-        table = self._catalog.table(name)
+        """The rows of ``table`` that ``alias``'s unary ``predicates`` keep,
+        with the filter's charges on ``meter``, and the key naming them for
+        :meth:`join_map` (``None``: uncached, a UDF is called or ``table`` is
+        no longer the catalog's)."""
         if any(predicate.uses_udf for predicate in predicates):
             return filter_table(table, alias, predicates, meter, udfs), None
         self._sync()
+        name = table.name
+        if not self._current(name, table):
+            return filter_table(table, alias, predicates, meter, udfs), None
         predicates = tuple(predicates)
         key = ("filter", name, self._catalog.version(name), alias, predicates,
                _literal_types(predicates))
@@ -148,19 +156,25 @@ class StatementCache:
         return positions, key
 
     def join_map(
-        self, key: Hashable | None, table: Table, column: str, positions: np.ndarray
+        self,
+        key: Hashable | None,
+        table: Table,
+        columns: tuple[str, ...],
+        positions: np.ndarray,
     ) -> GroupedJoinMap:
-        """``table.column`` over the filtered rows ``positions`` grouped, once
-        per filter ``key`` (``None``: built for this caller alone)."""
-        if key is None:
-            return GroupedJoinMap(table.column(column), positions)
-        map_key = ("map", key, column)
-        entry = self._arrays.get(map_key)
-        if entry is not None:
-            self._arrays.move_to_end(map_key)
-            return entry[0]
-        join_map = GroupedJoinMap(table.column(column), positions)
-        self._put(map_key, key[1], join_map, join_map.nbytes)
+        """The filtered rows ``positions`` of ``table`` grouped by ``columns``,
+        once per filter ``key`` (``None``: built for this caller alone, as is
+        a map over a table version that is no longer the catalog's)."""
+        map_key = ("map", key, columns)
+        if key is not None:
+            self._sync()
+            entry = self._arrays.get(map_key)
+            if entry is not None:
+                self._arrays.move_to_end(map_key)
+                return entry[0]
+        join_map = GroupedJoinMap([table.column(column) for column in columns], positions)
+        if key is not None and self._current(table.name, table):
+            self._put(map_key, table.name, join_map, join_map.nbytes)
         return join_map
 
     # ------------------------------------------------------------------
@@ -175,6 +189,11 @@ class StatementCache:
         for name, (version, _) in list(self._tables.items()):
             if not catalog.has_table(name) or catalog.version(name) != version:
                 self._forget(name)
+
+    def _current(self, name: str, table: Table) -> bool:
+        """Whether ``table`` is what the catalog holds under ``name``: what an
+        engine built from a table since replaced or dropped is not kept."""
+        return self._catalog.has_table(name) and self._catalog.table(name) is table
 
     def _own(self, name: str, key: Hashable) -> None:
         # Every caller synced first, so what is held is at the current version.

@@ -203,15 +203,15 @@ class GenericEngine(abc.ABC):
     def execute_batch(
         self,
         order: Sequence[str],
-        base_positions: "Mapping[str, np.ndarray]",
+        batch: tuple[int, int],
+        lower: "Mapping[str, int]",
         budget: int,
     ) -> "tuple[CostMeter, np.ndarray | None]":
         """One batch attempt in the forced ``order`` under ``budget``.
 
-        ``base_positions`` restricts each alias to a subset of its filtered
-        positions (the left-most alias to one batch, the others to their
-        unprocessed remainder); the caller hands in the same array object
-        for as long as a restriction stays the same.  Returns the meter
+        Positions count :meth:`filtered_positions`: the left-most alias joins
+        its filtered rows ``batch[0]:batch[1]``, every other alias its
+        unprocessed remainder, from ``lower[alias]`` on.  Returns the meter
         charged for the attempt and the joined row positions as a
         ``(rows, len(query.aliases))`` int64 matrix in the engine's discovery
         order, or ``None`` when the budget expired first.

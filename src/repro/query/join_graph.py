@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.errors import PlanningError
 from repro.query.predicates import Predicate
+
+#: ``(alias, equi, residual)``: the predicates joining one more alias.
+JoinStep = tuple[str, tuple[Predicate, ...], tuple[Predicate, ...]]
 
 
 class JoinGraph:
@@ -26,9 +30,10 @@ class JoinGraph:
 
     def __init__(self, aliases: Sequence[str], predicates: Iterable[Predicate]) -> None:
         self._aliases = list(aliases)
+        self._predicates = list(predicates)
         self._neighbors: dict[str, set[str]] = {alias: set() for alias in aliases}
         self._edge_predicates: dict[frozenset[str], list[Predicate]] = {}
-        for predicate in predicates:
+        for predicate in self._predicates:
             tables = [t for t in predicate.tables() if t in self._neighbors]
             if len(tables) < 2:
                 continue
@@ -38,6 +43,12 @@ class JoinGraph:
                         self._neighbors[left].add(right)
             key = frozenset(tables)
             self._edge_predicates.setdefault(key, []).append(predicate)
+        #: :meth:`eligible_next` per prefix: every UCT descent of every tree
+        #: over the graph asks again at every level.
+        self._eligible: dict[tuple[str, ...], list[str]] = {}
+        #: :meth:`join_steps` per join order: every batch of every plan
+        #: executor over the graph asks again.
+        self._steps: dict[tuple[str, ...], tuple[JoinStep, ...]] = {}
 
     @property
     def aliases(self) -> list[str]:
@@ -54,7 +65,16 @@ class JoinGraph:
         If the prefix is empty, every table is eligible.  Otherwise only
         tables connected to the prefix are eligible; if none is connected,
         all remaining tables are (a Cartesian product is then unavoidable).
+        The list is worked out once per prefix and shared: callers only read
+        it.
         """
+        key = tuple(prefix)
+        eligible = self._eligible.get(key)
+        if eligible is None:
+            eligible = self._eligible[key] = self._eligible_after(key)
+        return eligible
+
+    def _eligible_after(self, prefix: tuple[str, ...]) -> list[str]:
         chosen = set(prefix)
         remaining = [alias for alias in self._aliases if alias not in chosen]
         if not chosen:
@@ -65,6 +85,41 @@ class JoinGraph:
             if any(neighbor in chosen for neighbor in self._neighbors[alias])
         ]
         return connected if connected else remaining
+
+    def join_steps(self, order: Sequence[str]) -> tuple[JoinStep, ...]:
+        """Per joined alias of ``order``: ``(alias, equi, residual)`` predicates.
+
+        Each join predicate is applied at the first position where all its
+        tables are in the prefix; ``equi`` are the equality predicates
+        linking the new alias to the prefix (a hash join when non-empty),
+        ``residual`` everything else that became applicable.  ``order`` must
+        be a permutation of the graph's aliases.  Worked out once per order.
+        """
+        order = tuple(order)
+        steps = self._steps.get(order)
+        if steps is None:
+            if sorted(order) != sorted(self._aliases):
+                raise PlanningError(f"join order {order} does not cover query aliases")
+            steps = self._steps[order] = self._classify(order)
+        return steps
+
+    def _classify(self, order: tuple[str, ...]) -> tuple[JoinStep, ...]:
+        steps = []
+        applied: set[int] = set()
+        prefix_aliases = {order[0]}
+        for alias in order[1:]:
+            prefix_aliases.add(alias)
+            applicable = [
+                (i, predicate)
+                for i, predicate in enumerate(self._predicates)
+                if i not in applied and predicate.tables() <= prefix_aliases
+            ]
+            equi = tuple(p for _, p in applicable if p.is_equi_join and alias in p.tables())
+            residual = tuple(p for _, p in applicable
+                             if not (p.is_equi_join and alias in p.tables()))
+            applied.update(i for i, _ in applicable)
+            steps.append((alias, equi, residual))
+        return tuple(steps)
 
     def is_connected(self) -> bool:
         """Whether the whole join graph is connected."""

@@ -181,7 +181,13 @@ class Query:
         return any(p.uses_udf for p in self.predicates)
 
     def join_graph(self) -> JoinGraph:
-        """Build the join graph over this query's aliases."""
+        """The join graph over this query's aliases, built once per query."""
+        return self._join_graph
+
+    @cached_property
+    def _join_graph(self) -> JoinGraph:
+        # One graph, so every tree and optimizer of the query shares its
+        # memo of eligible extensions.
         return JoinGraph(self.aliases, self.join_predicates())
 
     # ------------------------------------------------------------------

@@ -191,13 +191,13 @@ def preprocess(
     filtered: dict[str, np.ndarray] = {}
     #: Per alias, the cache key of its filter (``None``: not cached).
     keys: dict[str, Hashable | None] = {}
-    for alias, name in query.tables:
+    for alias, table in tables.items():
         if restrict_positions is not None and alias in restrict_positions:
             filtered[alias] = np.asarray(restrict_positions[alias], dtype=np.int64)
             keys[alias] = None
             continue
         predicates = query.unary_predicates(alias)
-        filtered[alias], keys[alias] = cache.filter(name, alias, predicates, meter, udfs)
+        filtered[alias], keys[alias] = cache.filter(table, alias, predicates, meter, udfs)
 
     prepared = PreprocessedQuery(
         query=query,
@@ -233,5 +233,5 @@ def _build_join_maps(
         # already held included.
         meter.charge_scan(int(positions.shape[0]))
         prepared.join_maps[(alias, column_name)] = cache.join_map(
-            keys[alias], prepared.tables[alias], column_name, positions
+            keys[alias], prepared.tables[alias], (column_name,), positions
         )

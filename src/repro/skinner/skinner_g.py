@@ -100,12 +100,13 @@ class InternalGenericEngine(GenericEngine):
     def execute_batch(
         self,
         order: Sequence[str],
-        base_positions: Mapping[str, np.ndarray],
+        batch: tuple[int, int],
+        lower: Mapping[str, int],
         budget: int,
     ) -> tuple[CostMeter, np.ndarray | None]:
         meter = CostMeter(budget=budget)
         try:
-            relation = self._executor.execute_order(order, meter, base_positions)
+            relation = self._executor.execute_order(order, meter, batch, lower)
         except BudgetExceeded:
             return meter, None
         return meter, relation.matrix(self._aliases)
@@ -142,13 +143,12 @@ class GenericLearningRun:
     result_set: JoinResultSet = field(init=False)
     scheme: PyramidTimeoutScheme = field(init=False)
     trees: dict[int, UctJoinTree] = field(init=False, default_factory=dict)
+    #: Per alias, its current batch: the batches before it have completed.
     batch_offsets: dict[str, int] = field(init=False, default_factory=dict)
-    batches: dict[str, list[np.ndarray]] = field(init=False, default_factory=dict)
-    #: Per alias, the filtered positions from its current batch on: one array
-    #: object for as long as the alias's offset stands, because the engine
-    #: recognizes a build side it has already grouped by the array it is
-    #: handed (see :class:`~repro.engine.operators.HashBuildCache`).
-    remaining: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    #: Per alias, where its batches start and end among its filtered rows:
+    #: batch ``i`` is ``edges[i]:edges[i + 1]``, the pieces of
+    #: ``np.array_split``.
+    batch_edges: dict[str, list[int]] = field(init=False, default_factory=dict)
     iterations: int = field(init=False, default=0)
     finished: bool = field(init=False, default=False)
 
@@ -161,14 +161,13 @@ class GenericLearningRun:
         self.scheme = PyramidTimeoutScheme(self.config.base_timeout)
         self._graph = self.query.join_graph()
         for alias in self.query.aliases:
-            positions = self.engine.filtered_positions(alias)
-            per_table = max(1, min(self.config.batches_per_table, positions.shape[0] or 1))
-            self.batches[alias] = [
-                np.asarray(chunk, dtype=np.int64)
-                for chunk in np.array_split(positions, per_table)
+            rows = int(self.engine.filtered_positions(alias).shape[0])
+            per_table = max(1, min(self.config.batches_per_table, rows or 1))
+            size, larger = divmod(rows, per_table)
+            self.batch_edges[alias] = [
+                index * size + min(index, larger) for index in range(per_table + 1)
             ]
             self.batch_offsets[alias] = 0
-            self.remaining[alias] = np.asarray(positions, dtype=np.int64)
         if any(self.engine.filtered_positions(a).shape[0] == 0 for a in self.query.aliases):
             self.finished = True
         if self.query.num_tables == 1:
@@ -200,20 +199,21 @@ class GenericLearningRun:
         else:
             order = tree.choose_order()
         left = order[0]
-        base_positions = self._base_positions(order)
+        edges, offset = self.batch_edges[left], self.batch_offsets[left]
+        # The batches are consecutive pieces of the filtered rows, so what
+        # remains of an alias starts where its current batch does.
+        lower = {alias: self.batch_edges[alias][self.batch_offsets[alias]] for alias in order}
         assert self.engine is not None
-        slice_meter, joined = self.engine.execute_batch(order, base_positions, choice.budget)
+        slice_meter, joined = self.engine.execute_batch(
+            order, (edges[offset], edges[offset + 1]), lower, choice.budget
+        )
         spent = slice_meter.total
         self.meter.merge(slice_meter)
         if joined is not None:
             self.result_set.emit(joined, _BATCHES)
-            # The batches are consecutive pieces of the filtered positions,
-            # so what remains is a slice of them, not a copy.
-            done = self.batches[left][self.batch_offsets[left]]
-            self.remaining[left] = self.remaining[left][done.shape[0]:]
             self.batch_offsets[left] += 1
             tree.update(order, 1.0)
-            if self.batch_offsets[left] >= len(self.batches[left]):
+            if self.batch_offsets[left] >= len(edges) - 1:
                 self.finished = True
         else:
             tree.update(order, 0.0)
@@ -227,13 +227,6 @@ class GenericLearningRun:
         while len(prefix) < self.query.num_tables:
             prefix.append(rng.choice(self._graph.eligible_next(prefix)))
         return tuple(prefix)
-
-    def _base_positions(self, order: tuple[str, ...]) -> dict[str, np.ndarray]:
-        """Positions per alias: current batch for the left-most, remainder otherwise."""
-        left = order[0]
-        positions = {alias: self.remaining[alias] for alias in order}
-        positions[left] = self.batches[left][self.batch_offsets[left]]
-        return positions
 
     # ------------------------------------------------------------------
     # accounting helpers

@@ -11,6 +11,7 @@ differs by more than a factor of two — both are verified by property tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -29,7 +30,9 @@ class PyramidTimeoutScheme:
         if base_timeout <= 0:
             raise ValueError("base timeout must be positive")
         self._base_timeout = base_timeout
-        self._time_per_level: dict[int, int] = {}
+        #: ``n_l`` per level ``l``: a level is used only once every level
+        #: below it is, so the levels used are ``0 .. len - 1``.
+        self._time_per_level: list[int] = []
 
     @property
     def base_timeout(self) -> int:
@@ -38,7 +41,7 @@ class PyramidTimeoutScheme:
 
     def time_per_level(self) -> dict[int, int]:
         """Accumulated time (in base-timeout units) allocated to each level."""
-        return dict(self._time_per_level)
+        return dict(enumerate(self._time_per_level))
 
     def levels_used(self) -> int:
         """Number of distinct timeout levels used so far."""
@@ -48,16 +51,19 @@ class PyramidTimeoutScheme:
         """Choose the timeout level for the next iteration and account for it.
 
         Implements ``L <- max{L | forall l < L: n_l >= n_L + 2^L}`` followed by
-        ``n_L <- n_L + 2^L`` (Algorithm 1, function NextTimeout).
+        ``n_L <- n_L + 2^L`` (Algorithm 1, function NextTimeout), in one pass
+        over the levels with the running minimum of the levels below.
         """
-        max_existing = max(self._time_per_level, default=-1)
+        spent = self._time_per_level
         chosen = 0
-        for level in range(max_existing + 2):
-            if self._is_feasible(level):
+        lowest = math.inf  # min n_l over the levels l below ``level``
+        for level, time in enumerate(spent):
+            if lowest >= time + (1 << level):
                 chosen = level
-        self._time_per_level[chosen] = self._time_per_level.get(chosen, 0) + 2**chosen
-        return TimeoutChoice(level=chosen, budget=self._base_timeout * 2**chosen)
-
-    def _is_feasible(self, level: int) -> bool:
-        required = self._time_per_level.get(level, 0) + 2**level
-        return all(self._time_per_level.get(l, 0) >= required for l in range(level))
+            if time < lowest:
+                lowest = time
+        if lowest >= 1 << len(spent):  # the first unused level, n_L = 0
+            chosen = len(spent)
+            spent.append(0)
+        spent[chosen] += 1 << chosen
+        return TimeoutChoice(level=chosen, budget=self._base_timeout * (1 << chosen))

@@ -12,12 +12,13 @@ Implements the two operations the paper's algorithms use as primitives
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Sequence
 
 from repro.query.join_graph import JoinGraph
 from repro.uct.node import UctNode
-from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT, ucb_score
+from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT
 
 
 class UctJoinTree:
@@ -35,10 +36,6 @@ class UctJoinTree:
         self._root = UctNode(())
         self._num_tables = len(join_graph.aliases)
         self._selection_counts: dict[tuple[str, ...], int] = {}
-        #: ``JoinGraph.eligible_next`` per prefix: the graph never changes
-        #: under a tree, and every descent asks again at every level.  The
-        #: lists are shared, in the graph's order — callers only read them.
-        self._eligible: dict[tuple[str, ...], list[str]] = {}
 
     # ------------------------------------------------------------------
     # properties for analysis (Figures 7 and 8)
@@ -99,13 +96,6 @@ class UctJoinTree:
             node = child
         return node
 
-    def _eligible_next(self, prefix: Sequence[str]) -> list[str]:
-        key = tuple(prefix)
-        eligible = self._eligible.get(key)
-        if eligible is None:
-            eligible = self._eligible[key] = self._graph.eligible_next(prefix)
-        return eligible
-
     # ------------------------------------------------------------------
     # UctChoice
     # ------------------------------------------------------------------
@@ -115,7 +105,7 @@ class UctJoinTree:
         node: UctNode | None = self._root
         expanded_this_round = False
         while len(prefix) < self._num_tables:
-            eligible = self._eligible_next(prefix)
+            eligible = self._graph.eligible_next(prefix)
             if node is None:
                 action = self._rng.choice(eligible)
             elif node.fully_expanded or not (
@@ -137,13 +127,20 @@ class UctJoinTree:
         return order
 
     def _select_ucb(self, node: UctNode, eligible: Sequence[str]) -> str:
-        parent_visits = max(1, node.visits)
+        # :func:`~repro.uct.policy.ucb_score`, the same float expression,
+        # with the parent's logarithm taken once.
+        log_parent = math.log(max(1, node.visits))
+        weight = self._weight
+        children = node.children  # the caller ensured every eligible one exists
         best_action = eligible[0]
-        best_score = -float("inf")
+        best_score = -math.inf
         for action in eligible:
-            child = node.child(action)
-            assert child is not None  # caller ensured all eligible are materialized
-            score = ucb_score(child.average_reward, child.visits, parent_visits, self._weight)
+            child = children[action]
+            visits = child.visits
+            if visits <= 0:
+                score = math.inf
+            else:
+                score = child.reward_sum / visits + weight * math.sqrt(log_parent / visits)
             if score > best_score:
                 best_score = score
                 best_action = action
@@ -194,7 +191,7 @@ class UctJoinTree:
         node.seed(reward, visits)
         prefix: list[str] = []
         for action in order:
-            for sibling in self._eligible_next(prefix):
+            for sibling in self._graph.eligible_next(prefix):
                 if sibling != action and node.child(sibling) is None:
                     node.add_child(sibling).seed(0.0, 1)
             child = node.add_child(action)
@@ -259,7 +256,7 @@ class UctJoinTree:
         prefix: list[str] = []
         node: UctNode | None = self._root
         while len(prefix) < self._num_tables:
-            eligible = self._eligible_next(prefix)
+            eligible = self._graph.eligible_next(prefix)
             action: str
             if node is not None and node.children:
                 visited = [a for a in eligible if node.child(a) is not None]

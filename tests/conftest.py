@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import Any
 
 import pytest
 
+from repro.engine.joinkernels import GroupedJoinMap
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
@@ -45,6 +48,33 @@ def result_multiset(result) -> list[tuple[Any, ...]]:
     names = result.table.column_names
     rows = [tuple(row[name] for name in names) for row in result.table.rows()]
     return sorted(rows, key=repr)
+
+
+@contextmanager
+def counting_groupings() -> Iterator[list[int]]:
+    """``[n]``: the :class:`GroupedJoinMap` constructions inside the block
+    (a suffix view is none: it groups nothing)."""
+    count = [0]
+    real = GroupedJoinMap.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        real(self, *args, **kwargs)
+
+    GroupedJoinMap.__init__ = counted
+    try:
+        yield count
+    finally:
+        GroupedJoinMap.__init__ = real
+
+
+def same_tables(catalog: Catalog) -> Catalog:
+    """A catalog of its own (and so a statement cache of its own) over the
+    very tables of ``catalog``."""
+    fresh = Catalog()
+    for table in catalog:
+        fresh.add_table(table)
+    return fresh
 
 
 @pytest.fixture

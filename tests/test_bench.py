@@ -228,9 +228,9 @@ class TestExperimentDrivers:
 
         output = EXPERIMENTS["hashjoin_kernel"](tuples_per_table=300, repetitions=1)
         kept, fresh = output["batch_reuse"]
-        # t1's suffix moves on every 2nd invocation, t2's every 5th: 5 + 2
-        # builds through one executor, 2 per invocation through fresh ones.
-        assert (kept["Builds"], fresh["Builds"]) == (7, 20)
+        # t1's suffix moves on every 2nd invocation, t2's every 5th; each
+        # side's catalog groups t1 and t2 once, kept executor or fresh ones.
+        assert (kept["Groupings"], fresh["Groupings"]) == (2, 2)
         assert kept["Work Units"] == fresh["Work Units"] > 0
         # The series sits beside the gated work total, not in it.
         assert "simulated_time" not in kept

@@ -211,16 +211,16 @@ class TestSkinnerH:
     def test_both_sides_share_one_filter_pass(self, tiny_catalog, tiny_join_query, monkeypatch):
         """A timed-out round 0 hands its filtered tables to the learning side
         and to every later attempt; each is still charged its own scan."""
-        from repro.engine import executor
+        from repro.engine import statement_cache
 
         filtered = []
-        real = executor.filter_table
+        real = statement_cache.filter_table
 
         def counting(table, alias, *args, **kwargs):
             filtered.append(alias)
             return real(table, alias, *args, **kwargs)
 
-        monkeypatch.setattr(executor, "filter_table", counting)
+        monkeypatch.setattr(statement_cache, "filter_table", counting)
         # 35 units: the filters fit (32), the first join does not.
         config = FAST_CONFIG.with_overrides(base_timeout=35)
         result = SkinnerH(tiny_catalog, config=config).execute(tiny_join_query)

@@ -37,6 +37,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
 from repro.workloads.generators import choice_strings, make_rng, uniform_keys, zipf_keys
+from tests.conftest import counting_groupings, same_tables
 from tests.oracles import rows_hash_join_step
 
 JOIN_STEPS = {"rows": rows_hash_join_step, "vectorized": hash_join_step}
@@ -465,37 +466,47 @@ def assert_batches_identical(catalog, query, seed, *, batches=3, calls=40):
 
     Every call joins one batch of the left-most alias with the remaining
     suffix of the others, in a random order under a random (often too small)
-    budget; a completed batch moves its alias's suffix on.  The long-lived
-    executor must return, call for call, the relation and the meter snapshot
-    of a fresh executor and of the dict-based reference.
+    budget; a completed batch moves its alias's lower bound on.  The
+    long-lived executor, whose hash joins build on suffix views of the maps
+    its catalog's statement cache keeps, must return, call for call, the
+    relation and the meter snapshot of a fresh executor on a catalog of its
+    own and of the dict-based reference over the suffix arrays.  Returns
+    ``(groupings, hash joins)`` of the long-lived executor.
     """
     rng = make_rng(seed)
     kept = PlanExecutor(catalog, query)
     filtered = kept.pre_process()
-    chunks = {alias: np.array_split(positions, max(1, min(batches, positions.shape[0])))
-              for alias, positions in filtered.items()}
+    edges = {}
+    for alias, positions in filtered.items():
+        count = max(1, min(batches, positions.shape[0]))
+        size, larger = divmod(positions.shape[0], count)
+        edges[alias] = [index * size + min(index, larger) for index in range(count + 1)]
     offsets = dict.fromkeys(filtered, 0)
-    suffixes = dict(filtered)
     aliases = list(query.aliases)
-    hits = 0
+    groupings = joins = 0
     for _ in range(calls):
         order = [str(alias) for alias in rng.permutation(aliases)]
         left = order[0]
-        if offsets[left] >= len(chunks[left]):
+        if offsets[left] >= len(edges[left]) - 1:
             continue
-        base = dict(suffixes)
-        base[left] = chunks[left][offsets[left]]
+        batch = (edges[left][offsets[left]], edges[left][offsets[left] + 1])
+        lower = {alias: edges[alias][offsets[alias]] for alias in aliases}
+        suffixes = {alias: filtered[alias][lower[alias]:] for alias in aliases}
+        suffixes[left] = filtered[left][batch[0]:batch[1]]
         budget = int(rng.choice([3, 10, 30, 100, 10_000]))
-        fresh = PlanExecutor(catalog, query)
+        fresh = PlanExecutor(same_tables(catalog), query)
         fresh.pre_process()
-        built_before = sum(kept.hash_builds.built.values())
+        with counting_groupings() as grouped:
+            outcome = attempt(lambda m: kept.execute_order(order, m, batch, lower),
+                              CostMeter(budget=budget))
+        groupings += grouped[0]
+        joins += sum(1 for _, equi, _ in kept.join_steps(order) if equi)
         outcomes = [
-            attempt(lambda m: kept.execute_order(order, m, base), CostMeter(budget=budget)),
-            attempt(lambda m: fresh.execute_order(order, m, base), CostMeter(budget=budget)),
-            attempt(lambda m: join_on_rows_path(fresh, order, base, m), CostMeter(budget=budget)),
+            outcome,
+            attempt(lambda m: fresh.execute_order(order, m, batch, lower), CostMeter(budget=budget)),
+            attempt(lambda m: join_on_rows_path(fresh, order, suffixes, m),
+                    CostMeter(budget=budget)),
         ]
-        built_now = sum(kept.hash_builds.built.values())
-        hits += sum(fresh.hash_builds.built.values()) - (built_now - built_before)
         (relation, work), *others = outcomes
         for other, other_work in others:
             assert work == other_work, f"meter diverges for order {order}, budget {budget}"
@@ -505,10 +516,8 @@ def assert_batches_identical(catalog, query, seed, *, batches=3, calls=40):
                 for alias in relation.aliases:
                     assert np.array_equal(relation.ids(alias), other.ids(alias)), (order, alias)
         if relation is not None:
-            done = chunks[left][offsets[left]].shape[0]
-            suffixes[left] = suffixes[left][done:]
             offsets[left] += 1
-    return hits
+    return groupings, joins
 
 
 class TestBuildSideReuse:
@@ -521,61 +530,9 @@ class TestBuildSideReuse:
     def test_kept_executor_on_edge_keys(self):
         catalog, queries = edge_catalog_and_queries()
         for query in queries:
-            hits = sum(assert_batches_identical(catalog, query, seed, calls=60)
-                       for seed in range(6))
-            assert hits > 0  # the sequence did reuse build sides, not only rebuild them
-
-    @staticmethod
-    def _two_table_executor():
-        catalog = Catalog()
-        catalog.add_table(Table("a", {"x": [1, 2, 3, 4]}))
-        catalog.add_table(Table("b", {"x": [1, 2, 3, 4, 1, 2, 3, 4]}))
-        query = make_query(["a", "b"], predicates=[column_equals_column("a", "x", "b", "x")])
-        return PlanExecutor(catalog, query)
-
-    def test_equal_length_equal_first_element_is_not_a_hit(self):
-        executor = self._two_table_executor()
-        first = np.array([0, 1, 2], dtype=np.int64)
-        second = np.array([0, 5, 7], dtype=np.int64)  # same length, same first row
-        for positions, expected in ((first, [(0, 0), (1, 1), (2, 2)]),
-                                    (second, [(0, 0), (1, 5), (3, 7)]),
-                                    (first.copy(), [(0, 0), (1, 1), (2, 2)])):
-            relation = executor.execute_order(["a", "b"], CostMeter(), {"b": positions})
-            assert relation.index_tuples(["a", "b"]) == expected
-        assert executor.hash_builds.built == {("b", ("x",)): 3}
-        # ... and the same array object is one: no fourth build.
-        executor.execute_order(["a", "b"], CostMeter(), {"b": second})
-        executor.execute_order(["a", "b"], CostMeter(), {"b": second})
-        assert executor.hash_builds.built == {("b", ("x",)): 4}
-
-    def test_build_charge_over_budget_leaves_no_entry(self):
-        from repro.errors import BudgetExceeded
-
-        executor = self._two_table_executor()
-        executor.pre_process()
-        meter = CostMeter(budget=5)  # the build scan of b's 8 rows crosses it
-        with pytest.raises(BudgetExceeded):
-            executor.execute_order(["a", "b"], meter)
-        assert meter.tuples_scanned == 8 and meter.hash_probes == 0
-        assert not executor.hash_builds.built
-        meter = CostMeter()
-        relation = executor.execute_order(["a", "b"], meter)
-        assert len(relation) == 8 and meter.tuples_scanned == 8
-        assert executor.hash_builds.built == {("b", ("x",)): 1}
-
-    def test_skinner_g_builds_each_key_once_per_offset(self):
-        """A learning run that copied its position arrays would rebuild every slice."""
-        from repro.config import SkinnerConfig
-        from repro.skinner.skinner_g import GenericLearningRun
-        from repro.workloads.tpch import make_tpch_workload
-
-        batches = 3
-        config = SkinnerConfig(batches_per_table=batches, base_timeout=50, seed=11)
-        workload = make_tpch_workload(1.0, 29)
-        for workload_query in workload.queries[:4]:
-            run = GenericLearningRun(workload.catalog, workload_query.query, None, config)
-            while not run.finished:
-                run.step()
-            built = run.engine._executor.hash_builds.built
-            assert run.iterations > 20 * batches  # most slices found their build sides
-            assert built and max(built.values()) <= batches + 1, built
+            counts = [assert_batches_identical(catalog, query, seed, calls=60)
+                      for seed in range(6)]
+            groupings = sum(grouped for grouped, _ in counts)
+            joins = sum(joined for _, joined in counts)
+            # The sequence did reuse build sides, not only rebuild them.
+            assert groupings < joins

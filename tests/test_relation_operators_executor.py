@@ -143,11 +143,12 @@ class TestPlanExecutor:
         with pytest.raises(BudgetExceeded):
             executor.execute_order(["c", "o", "i"], CostMeter(budget=5))
 
-    def test_batch_restriction_via_base_positions(self, tiny_catalog, tiny_join_query):
+    def test_batch_restriction_via_index_range(self, tiny_catalog, tiny_join_query):
         executor = PlanExecutor(tiny_catalog, tiny_join_query)
         full = executor.execute_order(["c", "o", "i"], CostMeter())
+        (index,) = np.flatnonzero(executor.filtered_positions("c") == 2)
         restricted = executor.execute_order(
-            ["c", "o", "i"], CostMeter(), base_positions={"c": np.array([2])}
+            ["c", "o", "i"], CostMeter(), batch=(int(index), int(index) + 1)
         )
         full_tuples = set(full.index_tuples(["c", "o", "i"]))
         restricted_tuples = set(restricted.index_tuples(["c", "o", "i"]))

@@ -212,6 +212,23 @@ class TestPyramidTimeouts:
             total += 2 ** scheme.next_timeout().level
         assert scheme.levels_used() <= math.log2(total) + 1
 
+    def test_levels_follow_algorithm_1_to_the_letter(self):
+        """``next_timeout`` picks ``max{L | forall l < L: n_l >= n_L + 2^L}``
+        (Algorithm 1, NextTimeout), checked level by level over 12k steps."""
+        scheme = PyramidTimeoutScheme(base_timeout=3)
+        spent: dict[int, int] = {}
+        for _ in range(12_000):
+            candidates = range(max(spent, default=-1) + 2)
+            expected = max(
+                level for level in candidates
+                if all(spent.get(lower, 0) >= spent.get(level, 0) + 2**level
+                       for lower in range(level))
+            )
+            spent[expected] = spent.get(expected, 0) + 2**expected
+            choice = scheme.next_timeout()
+            assert (choice.level, choice.budget) == (expected, 3 * 2**expected)
+        assert scheme.time_per_level() == spent
+
     def test_invalid_base_rejected(self):
         with pytest.raises(ValueError):
             PyramidTimeoutScheme(base_timeout=0)

@@ -146,7 +146,7 @@ class _RescanningTree(UctJoinTree):
         node = self._root
         expanded_this_round = False
         while len(prefix) < self._num_tables:
-            eligible = self._eligible_next(prefix)
+            eligible = self._graph.eligible_next(prefix)
             if node is not None:
                 unexplored = [action for action in eligible if action not in node.children]
                 if unexplored:
