@@ -313,10 +313,10 @@ class Connection:
         """Run one schema or UDF change inside the transaction bracket.
 
         Locally the first mutation opens an implicit transaction (PEP 249),
-        the change drops the serving caches, and on autocommit connections
-        it is its own committed transaction — without that commit durable
-        storage would roll it back on reopen.  A remote server brackets the
-        change on its own connection.
+        and on autocommit connections the change is its own committed
+        transaction — without that commit durable storage would roll it
+        back on reopen.  A remote server brackets the change on its own
+        connection.
         """
         self._check_open()
         if self._remote:
@@ -325,7 +325,6 @@ class Connection:
             self._txn_tables = self.catalog.snapshot()
             self._txn_udfs = self.udfs.snapshot()
         outcome = change()
-        self._invalidate()
         if self.autocommit:
             self.catalog.commit()
         return outcome
@@ -460,11 +459,6 @@ class Connection:
         self._mutate(lambda: self.udfs.register(
             name, function, cost=cost, selectivity_hint=selectivity_hint, replace=replace
         ))
-
-    def _invalidate(self) -> None:
-        """Schema or UDF change: drop the serving caches."""
-        if self._server is not None:
-            self._server.invalidate_caches()
 
     # ------------------------------------------------------------------
     # statistics (used by the traditional baselines only)

@@ -239,7 +239,6 @@ class LocalTransport(Transport):
             conn.udfs.restore(conn._txn_udfs)
             conn._txn_tables = None
             conn._txn_udfs = None
-            conn._invalidate()
 
     # -- lifecycle and health -------------------------------------------
     def stats(self) -> dict[str, Any]:

@@ -47,10 +47,15 @@ class UdfDefinition:
 
 
 class UdfRegistry:
-    """Case-insensitive registry of UDF definitions."""
+    """Case-insensitive registry of UDF definitions.
+
+    :attr:`version` counts up on every :meth:`register` and :meth:`restore`:
+    what was computed with the registry's functions is stale once it moved.
+    """
 
     def __init__(self) -> None:
         self._udfs: dict[str, UdfDefinition] = {}
+        self.version = 0
 
     def register(
         self,
@@ -67,6 +72,7 @@ class UdfRegistry:
             raise CatalogError(f"UDF {name!r} already registered")
         definition = UdfDefinition(key, function, cost, selectivity_hint)
         self._udfs[key] = definition
+        self.version += 1
         return definition
 
     def get(self, name: str) -> UdfDefinition:
@@ -97,3 +103,4 @@ class UdfRegistry:
     def restore(self, snapshot: dict[str, UdfDefinition]) -> None:
         """Reset the registry to a previously taken :meth:`snapshot`."""
         self._udfs = dict(snapshot)
+        self.version += 1

@@ -14,7 +14,8 @@ they compute.
 Above the scheduler sit two serving-level caches (see
 :mod:`repro.serving.cache`): a result cache over normalized query
 fingerprints, and a cross-query join-order cache that warm-starts a new
-query's UCT tree from orders learned on the same join graph.
+query's UCT tree from orders learned on the same join graph; their entries
+answer to table and UDF versions, so no write has to clear them.
 
 The server is cooperative and single-threaded by design: ``step()`` runs
 one scheduling grant, ``drain()`` runs until idle, and ``result(ticket)``
@@ -48,6 +49,7 @@ from repro.serving.cache import (
     ResultCache,
     join_graph_signature,
     query_fingerprint,
+    read_tables,
 )
 from repro.serving.scheduler import FairScheduler
 from repro.serving.session import QuerySession, SessionState, StreamBuffer, empty_batch
@@ -129,13 +131,9 @@ class QueryServer:
         self._sessions: dict[int, QuerySession] = {}
         self._tickets = itertools.count(1)
         self.ledger = WorkLedger()
-        self.result_cache = ResultCache(RESULT_CACHE_SIZE)
-        self.order_cache = JoinOrderCache(ORDER_CACHE_SIZE)
+        self.result_cache = ResultCache(RESULT_CACHE_SIZE, self._versions)
+        self.order_cache = JoinOrderCache(ORDER_CACHE_SIZE, self._versions)
         self._completed = 0
-        #: Bumped by every :meth:`invalidate_caches`; sessions record the
-        #: epoch they snapshotted the catalog under so results computed
-        #: against stale data never enter the result cache.
-        self._catalog_epoch = 0
         #: Work units charged per tenant (survives ``forget``); feeds the
         #: per-tenant grant shares of :meth:`stats`.
         self._tenant_work: dict[str, int] = {}
@@ -205,7 +203,7 @@ class QueryServer:
         )
         self._sessions[session.ticket] = session
         if use_result_cache:
-            cached = self.result_cache.get_result(fingerprint)
+            cached = self.result_cache.get(fingerprint)
             counters = self._tenant_cache_counters(tenant)
             counters["result_hits" if cached is not None else "result_misses"] += 1
             if cached is not None:
@@ -393,23 +391,8 @@ class QueryServer:
         return self.forget(ticket)
 
     # ------------------------------------------------------------------
-    # cache management / inspection
+    # inspection
     # ------------------------------------------------------------------
-    def invalidate_caches(self) -> None:
-        """Drop cached results and join-order priors.
-
-        Must be called whenever the underlying catalog or UDF registry
-        changes; the connection does this on every schema mutation.  The epoch
-        bump additionally fences in-flight sessions: a task that snapshotted
-        its tables under the old epoch still finishes (and still answers
-        correctly for *its* submission time), but its result and learned
-        orders are discarded instead of cached — post-mutation submissions
-        must never be served pre-mutation rows.
-        """
-        self.result_cache.clear()
-        self.order_cache.clear()
-        self._catalog_epoch += 1
-
     def stats(self) -> dict[str, Any]:
         """Server-level counters (cache efficiency, load, completions)."""
         return {
@@ -419,7 +402,6 @@ class QueryServer:
             "queued": len(self._admission.queued),
             "work_total": self.ledger.grand_total(),
             "grant_wall_seconds": self._grant_wall_seconds,
-            "catalog_epoch": self._catalog_epoch,
             "tenants": self.tenant_stats(),
             "result_cache": self.result_cache.counters(),
             "order_cache": self.order_cache.counters(),
@@ -457,9 +439,11 @@ class QueryServer:
 
         Each tenant's ``caches`` entry reports the result-cache lookups its
         submissions performed and the order-cache warm-start probes made on
-        their behalf; ``invalidations`` is the shared invalidation count
-        (the caches are server-wide, so every tenant sees the same value).
+        their behalf; ``invalidations`` is the result cache's count of stale
+        entries dropped (the caches are server-wide, so every tenant sees
+        the same value).
         """
+        invalidations = self.result_cache.counters()["invalidations"]
         tenants: set[str] = set(self._tenant_work)
         tenants.update(session.tenant for session in self._sessions.values())
         tenants.update(self._tenant_caches)
@@ -487,7 +471,7 @@ class QueryServer:
                         "hits": caches["order_hits"],
                         "misses": caches["order_misses"],
                     },
-                    "invalidations": self.result_cache.invalidations,
+                    "invalidations": invalidations,
                 },
             }
         return report
@@ -516,6 +500,15 @@ class QueryServer:
         if session is None:
             raise ReproError(f"unknown ticket {ticket}")
         return session
+
+    def _versions(self, tables: tuple[str, ...]) -> tuple:
+        """The UDF registry's version, then each table's (``None`` if absent)."""
+        catalog = self._catalog
+        return (
+            self._udfs.version if self._udfs is not None else 0,
+            *(catalog.version(name) if catalog.has_table(name) else None
+              for name in tables),
+        )
 
     # ------------------------------------------------------------------
     # streaming internals
@@ -585,9 +578,9 @@ class QueryServer:
         return priors
 
     def _activate(self, session: QuerySession) -> None:
-        # Task construction snapshots the input tables; remember under which
-        # epoch, so completion knows whether the result is still cacheable.
-        session.catalog_epoch = self._catalog_epoch
+        # Task construction snapshots the input tables; remember at which
+        # versions, so completion knows whether the result is still cacheable.
+        session.versions = self._versions(read_tables(session.query))
         context = EngineContext(
             self._catalog, self._udfs, session.config, profile=session.profile
         )
@@ -666,19 +659,20 @@ class QueryServer:
     def _complete(self, session: QuerySession) -> None:
         assert session.task is not None
         result = session.task.finalize()
-        # Cache only epoch-current results: a schema mutation that landed
-        # while this task ran already invalidated the caches, and inserting
-        # now would resurrect pre-mutation rows for post-mutation
-        # submissions (the same fence covers learned join orders).
-        if session.catalog_epoch == self._catalog_epoch:
+        # Cache only what the current tables and UDFs still give: a write
+        # that landed while this task ran moved a version, and the result
+        # and learned orders describe the rows from before it.
+        tables = read_tables(session.query)
+        if self._versions(tables) == session.versions:
             if session.fingerprint is not None:
-                self.result_cache.put_result(session.fingerprint, result)
+                self.result_cache.put(session.fingerprint, result, tables, session.versions)
             # Each order's selection share goes beside the evidence it has
             # accumulated, which is where the next query on this join graph
             # enters the slice-budget schedule.
             if session.config.order_selection == "uct":
                 self.order_cache.record(
-                    join_graph_signature(session.query), session.task.learned_orders()
+                    join_graph_signature(session.query), session.task.learned_orders(),
+                    tables, session.versions,
                 )
         self._finish(session, result)
 

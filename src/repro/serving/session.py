@@ -149,12 +149,11 @@ class QuerySession:
     #: Wall-clock seconds this session's grants spent executing episodes —
     #: reference accounting next to the deterministic work-unit ledger.
     wall_seconds: float = 0.0
-    #: The server's catalog epoch when the task snapshotted its input tables
-    #: (activation time).  A schema mutation bumps the server epoch; results
-    #: computed against an older epoch are still correct answers for *this*
-    #: submission but must not enter the result cache (they would serve
-    #: pre-mutation rows to post-mutation submissions).
-    catalog_epoch: int = 0
+    #: The UDF registry's version and those of the tables the query reads,
+    #: taken when the task snapshotted its input tables (activation time).
+    #: A result finished after a write moved any of them is still the right
+    #: answer for *this* submission but must not enter the serving caches.
+    versions: tuple = ()
 
     @property
     def done(self) -> bool:

@@ -84,7 +84,7 @@ class Catalog:
 
     def version(self, name: str) -> int:
         """The version of a table: it moves whenever the table is replaced,
-        dropped and recreated, or restored by a rollback."""
+        dropped and recreated, or put back to other rows by a rollback."""
         try:
             return self._versions[name]
         except KeyError as exc:
@@ -141,11 +141,20 @@ class Catalog:
         return self._buffer.snapshot(self._tables)
 
     def restore(self, snapshot: Any) -> None:
-        """Reset the catalog to a previously taken :meth:`snapshot`."""
+        """Reset the catalog to a previously taken :meth:`snapshot`.
+
+        A table whose :class:`Table` object the restore leaves in place keeps
+        its version, so rolling back a write to one table keeps what was
+        derived from its untouched siblings.  Every other table, and every
+        table the restore drops, moves.  The durable backend re-opens every
+        table on restore, so there every table gets a new version.
+        """
+        before = self._tables
         self._tables = self._buffer.restore(snapshot)
-        self._versions = {}
-        for name in self._tables:
-            self._bump(name)
+        for name in dict.fromkeys([*before, *self._tables]):
+            if self._tables.get(name) is not before.get(name):
+                self._bump(name)
+        self._versions = {name: self._versions[name] for name in self._tables}
 
     def commit(self) -> None:
         """Make every mutation since the last commit durable."""

@@ -58,8 +58,9 @@ class TestRunChurn:
         assert report.queries + report.mutations == report.steps
         assert report.interleaved_work == report.replay_work
         assert len(report.per_query) == report.queries
-        # every mutation commit clears the serving caches exactly once
-        assert report.invalidations >= report.mutations
+        # some answer came from the result cache, and the driver checked
+        # it against a direct run of the same statement
+        assert report.cache_hits >= 1
         assert "MATCH" in report.summary()
 
     def test_durable_catalogs_match_too(self, tmp_path):

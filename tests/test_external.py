@@ -16,10 +16,10 @@ The acceptance properties of the sqlite reference adapter:
   (one statement on a round-0 win, each filter once after a timeout), the
   mirror's join-column indexes live and die with their table's file, and
   what a statement costs does not depend on which statements ran before;
-* mirrors are fingerprint-gated (transactions and rollback re-mirror),
-  UDF queries fall back to the internal executor with a
-  :class:`RuntimeWarning`, and scratch mirror databases are deleted when
-  the owning connection closes.
+* mirrors are version-gated (transactions and rollback re-mirror) and
+  bound to one catalog, UDF queries fall back to the internal executor
+  with a :class:`RuntimeWarning`, and scratch mirror databases are deleted
+  when the owning connection closes.
 """
 
 import hashlib
@@ -35,7 +35,6 @@ from repro.external import (
     ExternalGenericEngine,
     SqliteAdapter,
     sqlite_adapter_for,
-    table_fingerprint,
 )
 from repro.external.emitter import SqlEmitter, index_name
 from repro.net.server import ServerThread
@@ -406,17 +405,6 @@ class TestMirrorLifecycle:
         finally:
             conn.close()
 
-    def test_fingerprint_tracks_content_not_ingest_history(self):
-        conn = connect(FAST)
-        try:
-            conn.create_table("t", {"x": [1, 2, 3]})
-            first = table_fingerprint(conn.catalog, "t")
-            assert table_fingerprint(conn.catalog, "t") == first  # cached
-            conn.create_table("t", {"x": [9, 9, 9]}, replace=True)
-            assert table_fingerprint(conn.catalog, "t") != first
-        finally:
-            conn.close()
-
     def test_sibling_commit_leaves_untouched_mirror_file_alone(self):
         """Delta re-mirroring: a commit to one table must not rewrite the
         per-table mirror file of an untouched sibling (mtime and bytes both
@@ -500,6 +488,25 @@ class TestMirrorLifecycle:
             assert sha(b_path) == b_sha
         finally:
             conn.close()
+
+    def test_one_adapter_serves_one_catalog(self):
+        """Versions are numbered per catalog: both connections' ``t`` sit at
+        the same version, so a shared adapter would serve one's mirror for
+        the other's rows.  The second catalog is refused instead."""
+        first, second = connect(FAST), connect(FAST)
+        adapter = SqliteAdapter()
+        try:
+            first.create_table("t", {"x": [1, 2, 3]})
+            second.create_table("t", {"x": [7, 8]})
+            assert first.catalog.version("t") == second.catalog.version("t")
+            adapter.mirror(first.catalog, ["t"])
+            adapter.mirror(first.catalog, ["t"])  # its own catalog again
+            with pytest.raises(InterfaceError, match="another catalog"):
+                adapter.mirror(second.catalog, ["t"])
+        finally:
+            adapter.close()
+            first.close()
+            second.close()
 
     def test_mirror_file_removed_on_connection_close(self):
         conn = connect(FAST)

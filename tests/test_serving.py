@@ -343,12 +343,13 @@ def test_warm_start_reduces_repeated_template_work(catalog):
     assert first.rows[0]["n"] >= second.rows[0]["n"]
 
 
-def test_invalidate_caches_drops_results_and_priors(catalog):
+def test_a_table_replace_drops_results_and_priors():
+    catalog = build_catalog()
     server = QueryServer(catalog, config=FAST.with_overrides(serving_warm_start=True))
     server.result(server.submit(QUERIES[0]))
     assert len(server.result_cache) == 1
     assert len(server.order_cache) == 1
-    server.invalidate_caches()
+    catalog.add_table(catalog.table("s"), replace=True)
     assert len(server.result_cache) == 0
     assert len(server.order_cache) == 0
 

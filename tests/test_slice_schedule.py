@@ -357,7 +357,7 @@ def test_the_order_cache_hands_on_evidence_and_invalidation_drops_it(tiny_catalo
         best.append(max(selections for _, _, _, selections in cache.priors(signature)))
     assert best == sorted(best) and best[0] < SECOND_LOOK_FROM
     assert best.count(MAX_BUDGET_FACTOR) > 1  # reached, and not passed
-    conn.server.invalidate_caches()
+    conn.add_table(conn.catalog.table("items"), replace=True)
     assert cache.priors(signature) == ()
     conn.close()
 
