@@ -114,20 +114,26 @@ def group_rows(values: np.ndarray, rows: np.ndarray | None = None) -> GroupedRow
     order, keys, bounds = _runs(np.asarray(values))
     if rows is not None:
         order = np.asarray(rows, dtype=np.int64)[order]
-    return GroupedRows(order, keys, bounds[:-1], np.diff(bounds))
+    return GroupedRows(order, keys, bounds[:-2], np.diff(bounds[:-1]))
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(order, keys, bounds)`` of :func:`group_rows`: run ``g`` is
-    ``order[bounds[g]:bounds[g + 1]]`` and has key ``keys[g]``."""
-    if values.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), values[:0], np.zeros(1, dtype=np.int64)
+    ``order[bounds[g]:bounds[g + 1]]`` and has key ``keys[g]``.
+
+    ``bounds`` ends on one more, empty run ``[n, n)`` past the last key: the
+    bucket :meth:`GroupedJoinMap.slots` gives a probe that finds none.
+    """
+    count = values.shape[0]
+    if count == 0:
+        return np.empty(0, dtype=np.int64), values[:0], np.zeros(2, dtype=np.int64)
     order, sorted_values = _stable_sort(values)
-    boundaries = np.empty(values.shape[0] + 1, dtype=bool)
-    boundaries[0] = boundaries[-1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=boundaries[1:-1])
+    boundaries = np.empty(count + 2, dtype=bool)
+    boundaries[0] = boundaries[-2] = boundaries[-1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=boundaries[1:-2])
     bounds = np.flatnonzero(boundaries)
-    return order, sorted_values[bounds[:-1]], bounds
+    bounds[-1] = count
+    return order, sorted_values[bounds[:-2]], bounds
 
 
 # ----------------------------------------------------------------------
@@ -273,15 +279,18 @@ class GroupedJoinMap:
     its *physical* values directly (dictionary codes for strings); several
     columns group the codes of :func:`encode_composite_keys`.  Either way
     the map is a function of the indexed rows alone, so it can be built once
-    and probed from any column of any table: :meth:`lookup_many` translates
-    a vector of probes into the key domain and binary-searches the sorted run
-    keys, and :meth:`get` does the same for one decoded value (single-column
-    maps only).
+    and probed from any column of any table.  A lookup takes two steps:
+    :meth:`slots` translates a vector of probes into the key domain and
+    binary-searches the sorted run keys for each probe's bucket number, and
+    :meth:`bounds` turns bucket numbers into bucket bounds.  A caller that
+    probes with the same values again keeps the bucket numbers and repeats
+    only the second step; :meth:`lookup_many` is both at once, and
+    :meth:`get` looks up one decoded value (single-column maps only).
 
     Lookup semantics match a ``{value: rows}`` dict exactly:
 
     * rows within a bucket stay in ascending order (stable grouping sort),
-      which the hash-jump's per-bucket ``searchsorted`` relies on;
+      which the hash-jump's resume bound relies on;
     * float NaN keys form singleton runs no probe can find again
       (``nan != nan``) — the pinned NaN-never-matches join semantics;
     * cross-type probes follow Python ``==``: ``1`` finds ``1.0`` and vice
@@ -290,7 +299,7 @@ class GroupedJoinMap:
       numeric column (or the reverse) matches nothing.
     """
 
-    __slots__ = ("_column", "_space", "_keys", "_rows", "_starts", "_ends", "_memo", "_ranks",
+    __slots__ = ("_column", "_space", "_keys", "_rows", "_starts", "_ends", "_lower", "_cut",
                  "_grouped", "__weakref__")
 
     def __init__(self, key: Column | Sequence[Column], positions: np.ndarray) -> None:
@@ -303,16 +312,13 @@ class GroupedJoinMap:
             self._column = None
             self._space, values = encode_composite_keys(columns, positions)
         self._rows, self._keys, bounds = _runs(values)
-        #: Bucket ``g`` is ``_rows[_starts[g]:_ends[g]]``.
+        #: Bucket ``g`` is ``_rows[_starts[g]:_ends[g]]``; bucket ``len(self)``
+        #: is the empty one a probe that finds no key is given.
         self._starts, self._ends = bounds[:-1], bounds[1:]
-        #: Probe memo: the hash-jump probes the same decoded values once per
-        #: index advance, so the first lookup's encode + binary search is
-        #: cached and every repeat is one dict hit — the lazily materialized
-        #: subset of the old eager ``{value: rows}`` dict that is actually
-        #: probed.  (NaN probes bypass the memo: ``nan != nan`` would grow
-        #: it without bound.)
-        self._memo: dict[Any, np.ndarray | None] = {}
-        self._ranks: np.ndarray | None = None
+        #: The rows below ``_lower`` are cut from every bucket (a suffix view).
+        self._lower = 0
+        #: ``(lower, starts)``: the last per-bucket cut :meth:`bounds` made.
+        self._cut: tuple[int, np.ndarray] | None = None
         #: The map a :meth:`suffix` view was cut from (``self`` for a grouped one).
         self._grouped = self
 
@@ -324,32 +330,44 @@ class GroupedJoinMap:
         remainder of the other tables, one lower bound per table.  It is a
         view, not a regrouping.  The keys and rows are shared, and since a
         bucket's rows ascend, the rows below ``lower`` are each bucket's first
-        ones: its bounds move past them with one ``np.add.reduceat``.  A
-        bucket left with no rows reads as absent.
+        ones: its bounds move past them (:meth:`_cut_at`).  A bucket left with
+        no rows reads as absent.
         """
         grouped = self._grouped
         if lower <= 0 or grouped._rows.shape[0] == 0:
             return grouped
-        starts = np.add.reduceat(grouped._rows < lower, grouped._starts, dtype=np.int64)
-        starts += grouped._starts
         view = object.__new__(GroupedJoinMap)
         view._column, view._space = grouped._column, grouped._space
         view._keys, view._rows, view._ends = grouped._keys, grouped._rows, grouped._ends
-        view._starts = starts
-        view._memo, view._ranks, view._grouped = {}, None, grouped
+        view._starts = grouped._cut_at(lower)
+        view._lower, view._cut, view._grouped = lower, None, grouped
         return view
+
+    def _cut_at(self, lower: int) -> np.ndarray:
+        """Per bucket of this grouped map, where its rows ``>= lower`` start.
+
+        One ``np.add.reduceat`` counts each bucket's rows below ``lower``;
+        the trailing empty bucket stays empty.
+        """
+        if self._rows.shape[0] == 0:
+            return self._starts
+        firsts = self._starts[:-1]
+        starts = np.empty_like(self._starts)
+        np.add.reduceat(self._rows < lower, firsts, dtype=np.int64, out=starts[:-1])
+        starts[:-1] += firsts
+        starts[-1] = self._starts[-1]
+        return starts
 
     @property
     def rows(self) -> np.ndarray:
-        """All indexed rows, bucket after bucket (what :meth:`lookup_many` slices)."""
+        """All indexed rows, bucket after bucket (what :meth:`bounds` indexes)."""
         return self._rows
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the grouped arrays, the rank vector a resumed
-        :meth:`lookup_many` builds included (what a cache of maps is bounded by)."""
-        grouped = self._keys.nbytes + self._starts.nbytes + self._ends.nbytes
-        return grouped + 2 * self._rows.nbytes
+        """Bytes of the grouped arrays, the per-bucket cut a resumed
+        :meth:`bounds` keeps included (what a cache of maps is bounded by)."""
+        return self._keys.nbytes + self._rows.nbytes + 2 * self._starts.nbytes
 
     def __len__(self) -> int:
         return int(self._keys.shape[0])
@@ -399,51 +417,36 @@ class GroupedJoinMap:
         """Rows whose join column equals ``value``, or ``None`` (no bucket).
 
         The returned array is a view of the grouped run — ascending filtered
-        indices, exactly what the dict-based map stored per key.
+        indices, exactly what the dict-based map stored per key.  Nothing is
+        remembered between calls: a map the statement cache keeps for a
+        table version's life must not grow with what it is asked.
         """
-        if isinstance(value, float) and value != value:
-            return None  # NaN never matches (pinned join semantics)
-        try:
-            return self._memo[value]
-        except KeyError:
-            pass
-        except TypeError:  # unhashable probe values can never equal a key
-            return None
-        matches = self._lookup(value)
-        self._memo[value] = matches
-        return matches
-
-    def _lookup(self, value: Any) -> np.ndarray | None:
         probe = self._encode_probe(value)
-        if probe is None or self._keys.shape[0] == 0:
+        keys = self._keys
+        if probe is None or keys.shape[0] == 0:
             return None
-        position = int(np.searchsorted(self._keys, probe))
-        if position >= self._keys.shape[0] or self._keys[position] != probe:
-            return None  # also NaN keys at this position: nan != nan
+        position = int(keys.searchsorted(probe))
+        if position >= keys.shape[0] or keys[position] != probe:
+            return None  # also NaN on either side: nan != nan
         start, end = int(self._starts[position]), int(self._ends[position])
         if start == end:
             return None  # a bucket a suffix view emptied
         return self._rows[start:end]
 
-    def lookup_many(
-        self,
-        values: np.ndarray | Sequence[np.ndarray],
-        source: Column | Sequence[Column],
-        lower: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`get` for a whole vector of probes, as bucket bounds.
+    def slots(
+        self, values: np.ndarray | Sequence[np.ndarray], source: Column | Sequence[Column]
+    ) -> np.ndarray:
+        """Each probe's bucket number, ``len(self)`` (an empty bucket) where it has none.
 
         ``values`` are *physical* values of the probing column ``source``
         (dictionary codes when it is a string column); a map built from a
         sequence of key columns takes one value vector and one source column
-        per key column instead.  Returns ``(starts, counts)`` such that
-        ``rows[starts[i]:starts[i] + counts[i]]`` is what ``get`` returns for
-        the decoded ``values[i]``, with ``counts[i] == 0`` where ``get``
-        returns ``None``: NaN never matches, int and float meet only where
-        the conversion is exact, strings are translated between the two
-        columns' dictionaries, and a string column never matches a numeric
-        one.  With ``lower > 0`` every bucket is cut down to its rows
-        ``>= lower`` (the hash-jump's resume bound).
+        per key column instead.  A probe finds the bucket :meth:`get` finds
+        for its decoded value: NaN never matches, int and float meet only
+        where the conversion is exact, strings are translated between the
+        two columns' dictionaries, and a string column never matches a
+        numeric one.  The numbers depend on the grouped keys alone, so they
+        serve every :meth:`suffix` of this map as well.
         """
         keys = self._keys
         if self._space is not None:
@@ -453,32 +456,47 @@ class GroupedJoinMap:
             if not isinstance(source, Column):  # a one-column key given as a sequence
                 (values,), (source,) = values, source
             probes = _translate_probes(self._column, np.asarray(values), source)
-        if probes is None or keys.shape[0] == 0:
-            zeros = np.zeros(np.shape(values)[0], dtype=np.int64)
-            return zeros, zeros
+        absent = keys.shape[0]
+        if probes is None or absent == 0:
+            return np.full(np.shape(values)[0], absent, dtype=np.intp)
         probes, valid = probes
+        slots = keys.searchsorted(probes)
         # ``mode="clip"``: a probe beyond the last key reads the last key.
-        position = keys.searchsorted(probes)
-        found = keys.take(position, mode="clip") == probes  # False for NaN on either side
+        found = keys.take(slots, mode="clip") == probes  # False for NaN on either side
         if valid is not None:
             found &= valid
-        starts = self._starts.take(position, mode="clip")
-        counts = (self._ends.take(position, mode="clip") - starts) * found
-        if lower > 0:
-            position = np.minimum(position, keys.shape[0] - 1)
-            # ``_rows`` ascends by (bucket, row), so one binary search per
-            # probe over that combined rank finds the cut inside its bucket.
-            size = self._rows.shape[0] + 1
+        slots[~found] = absent
+        return slots
+
+    def bounds(self, slots: np.ndarray, lower: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)`` of the buckets ``slots`` names, rows ``< lower`` cut.
+
+        ``rows[starts[i]:starts[i] + counts[i]]`` is bucket ``slots[i]``, so
+        ``counts[i] == 0`` where :meth:`get` returns ``None``.  With ``lower``
+        above this map's own bound every bucket is cut down to its rows
+        ``>= lower`` (the hash-jump's resume bound): one per-bucket cut of
+        the grouped map, kept for the next call with the same ``lower``.
+        """
+        starts = self._starts
+        if lower > self._lower:
             grouped = self._grouped
-            if grouped._ranks is None:
-                bucket = np.repeat(np.arange(keys.shape[0], dtype=np.int64),
-                                   grouped._ends - grouped._starts)
-                grouped._ranks = bucket * size + self._rows
-            ends = starts + counts
-            cut = np.searchsorted(grouped._ranks, position * size + min(lower, size - 1))
-            starts = np.clip(cut, starts, ends)
-            counts = ends - starts
-        return starts, counts
+            if grouped._cut is None or grouped._cut[0] != lower:
+                grouped._cut = (lower, grouped._cut_at(lower))
+            starts = grouped._cut[1]
+        first = starts.take(slots)
+        counts = self._ends.take(slots)
+        counts -= first
+        return first, counts
+
+    def lookup_many(
+        self,
+        values: np.ndarray | Sequence[np.ndarray],
+        source: Column | Sequence[Column],
+        lower: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`get` for a whole vector of probes, as bucket bounds:
+        :meth:`bounds` of :meth:`slots`."""
+        return self.bounds(self.slots(values, source), lower)
 
 
 def expand_matches(
@@ -487,7 +505,7 @@ def expand_matches(
     """Emit the ``(selector, build_rows)`` arrays for per-probe bucket bounds.
 
     Probe row ``i`` matches ``rows[starts[i]:starts[i] + counts[i]]`` (what
-    :meth:`GroupedJoinMap.lookup_many` returns).  ``selector[k]`` is the probe
+    :meth:`GroupedJoinMap.bounds` returns).  ``selector[k]`` is the probe
     row of output row ``k`` and ``build_rows[k]`` the matching build row;
     probe rows appear in ascending order, and the build rows of one bucket in
     ascending order — the same emission order as the dict-based loop, so join

@@ -219,20 +219,23 @@ def _aggregate_columnar(
         rank[emission] = np.arange(emission.shape[0], dtype=np.int64)
         group_ids = rank[inverse]
         representatives = first_index[emission]
-    else:
-        group_ids = np.zeros(length, dtype=np.int64)
-        representatives = np.zeros(1, dtype=np.int64)
-    sorter = np.argsort(group_ids, kind="stable")
-    sorted_ids = group_ids[sorter]
-    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]) if length else (
-        np.empty(0, dtype=np.int64))
-    counts = np.diff(np.r_[starts, length])
+        sorter: np.ndarray | None = np.argsort(group_ids, kind="stable")
+        sorted_ids = group_ids[sorter]
+        change = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+        starts = np.concatenate(([0], change)) if length else change
+        counts = np.diff(np.concatenate((starts, [length])))
+    else:  # one group, every row in row order: nothing to sort
+        sorter = None
+        representatives = starts = np.zeros(1, dtype=np.int64)
+        counts = np.full(1, length, dtype=np.int64)
 
     columns: dict[str, np.ndarray] = {}
     for i, item in enumerate(query.select_items):
         if item.is_aggregate:
             assert item.aggregate is not None
-            values = data.array(item.aggregate.argument)[sorter]
+            values = data.array(item.aggregate.argument)
+            if sorter is not None:
+                values = values[sorter]
             columns[names[i]] = _reduce_groups(item.aggregate.function, values, starts, counts)
         else:
             assert item.expression is not None

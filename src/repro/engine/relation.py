@@ -4,12 +4,15 @@ A join result over aliases ``(a, b, c)`` is stored as three equally long
 integer arrays: row ``i`` of the result is the combination of base-table
 rows ``ids['a'][i]``, ``ids['b'][i]``, ``ids['c'][i]``.  This mirrors the
 paper's concise tuple representation (§4.5): tuples are described by arrays
-of tuple indices and materialized only on demand.
+of tuple indices and materialized only on demand.  A relation may even
+defer its index arrays (:meth:`RowIdRelation.deferred`): it knows its
+aliases and length, and builds the arrays the first time one is read, so a
+statement that reads none — ``COUNT(*)`` — never builds them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -22,7 +25,7 @@ class RowIdRelation:
     """A (possibly intermediate) join result in row-id representation."""
 
     def __init__(self, ids: Mapping[str, np.ndarray]) -> None:
-        self._ids: dict[str, np.ndarray] = {}
+        self._columns: dict[str, np.ndarray] | None = {}
         length: int | None = None
         for alias, positions in ids.items():
             positions = np.asarray(positions, dtype=np.int64)
@@ -30,12 +33,25 @@ class RowIdRelation:
                 length = positions.shape[0]
             elif positions.shape[0] != length:
                 raise ExecutionError("row-id vectors must have equal length")
-            self._ids[alias] = positions
+            self._columns[alias] = positions
+        self._aliases = tuple(self._columns)
         self._length = length or 0
+        self._build: Callable[[], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def deferred(
+        cls, aliases: Sequence[str], length: int, build: Callable[[], np.ndarray]
+    ) -> "RowIdRelation":
+        """A relation of ``length`` rows whose ``(rows, aliases)`` matrix
+        ``build()`` makes the first time anything reads an index array."""
+        relation = cls({})
+        relation._columns, relation._build = None, build
+        relation._aliases, relation._length = tuple(aliases), length
+        return relation
+
     @classmethod
     def from_base(cls, alias: str, positions: np.ndarray | Sequence[int]) -> "RowIdRelation":
         """A relation over a single base table."""
@@ -69,7 +85,18 @@ class RowIdRelation:
     @property
     def aliases(self) -> list[str]:
         """Aliases covered by this relation."""
-        return list(self._ids)
+        return list(self._aliases)
+
+    @property
+    def _ids(self) -> dict[str, np.ndarray]:
+        """The index arrays, built now if they were deferred."""
+        if self._columns is None:
+            matrix = self._build()
+            if matrix.shape != (self._length, len(self._aliases)):
+                raise ExecutionError("deferred matrix shape must be (length, num_aliases)")
+            self._columns = {alias: matrix[:, i] for i, alias in enumerate(self._aliases)}
+            self._build = None
+        return self._columns
 
     def ids(self, alias: str) -> np.ndarray:
         """Row positions for one alias."""

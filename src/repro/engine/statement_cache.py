@@ -1,4 +1,4 @@
-"""What one statement builds that the next may reuse: parses, filters, join maps.
+"""What one statement builds that the next may reuse: parses, filters, join maps, edges.
 
 Skinner-C's pre-processing (paper §3) filters every base table by its unary
 predicates and groups the surviving rows of every equi-join column into a
@@ -24,13 +24,19 @@ a table's rows for good, so one :class:`StatementCache` per catalog keeps
   attempts, Skinner-G/H's batches, which cut a
   :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix` from it).  The
   caller still charges a hit the build's scan, as
-  :func:`~repro.engine.operators.hash_join_step` charges every build.
+  :func:`~repro.engine.operators.hash_join_step` charges every build;
+* **hash-jump edges**, keyed on ``(map key, probing filter key, probing
+  column)``: the bucket number of every filtered row of the probing alias
+  in one join map (:meth:`~repro.engine.joinkernels.GroupedJoinMap.slots`),
+  so Skinner-C's hash jump looks each probe value up once per pair of
+  table versions, not once per block of prefixes.  An edge belongs to both
+  tables: a write to either drops it.
 
 The arrays are read-only and share one bound of :data:`MAX_BYTES`, least
 recently used out first; parses are capped at :data:`MAX_PARSED`.  A write
 leaves nothing dead behind: the first lookup after any table's version moved
 drops every entry of every table that moved — replaced, dropped or rolled
-back — at once.
+back — at once, an entry owned by two tables as soon as either moved.
 
 Every connection, server and engine over one catalog shares its cache.  Like
 the serving layer above it, the cache takes no locks.
@@ -55,7 +61,7 @@ from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
-#: Bytes of filtered positions and join maps one catalog's cache holds.
+#: Bytes of filtered positions, join maps and edges one catalog's cache holds.
 MAX_BYTES = 32 * 2**20
 
 #: Parsed statements one catalog's cache holds.
@@ -63,18 +69,19 @@ MAX_PARSED = 256
 
 
 class StatementCache:
-    """The parses, filtered positions and join maps built on one catalog."""
+    """The parses, filtered positions, join maps and edges built on one catalog."""
 
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
         #: key -> (query, names of the tables it reads), oldest first.
         self._parsed: OrderedDict[Hashable, tuple[Query, frozenset[str]]] = OrderedDict()
-        #: key -> (filter or join map, bytes, table), least recently used first.
-        self._arrays: OrderedDict[Hashable, tuple[Any, int, str]] = OrderedDict()
+        #: key -> (filter, join map or edge, bytes, the tables owning it),
+        #: least recently used first.
+        self._arrays: OrderedDict[Hashable, tuple[Any, int, tuple[str, ...]]] = OrderedDict()
         #: table -> (the version its entries were built on, their keys).
         self._tables: dict[str, tuple[int, set[Hashable]]] = {}
         self._synced = catalog.latest_version
-        #: Bytes of the filtered positions and join maps held.
+        #: Bytes of the filtered positions, join maps and edges held.
         self.nbytes = 0
 
     @classmethod
@@ -152,7 +159,7 @@ class StatementCache:
         log = ChargeLog(meter)
         positions = filter_table(table, alias, predicates, log, udfs)
         positions.flags.writeable = False
-        self._put(key, name, (positions, tuple(log.charges)), positions.nbytes)
+        self._put(key, (name,), (positions, tuple(log.charges)), positions.nbytes)
         return positions, key
 
     def join_map(
@@ -174,8 +181,43 @@ class StatementCache:
                 return entry[0]
         join_map = GroupedJoinMap([table.column(column) for column in columns], positions)
         if key is not None and self._current(table.name, table):
-            self._put(map_key, table.name, join_map, join_map.nbytes)
+            self._put(map_key, (table.name,), join_map, join_map.nbytes)
         return join_map
+
+    def edge(
+        self,
+        build: tuple[Hashable | None, Table, tuple[str, ...]],
+        probe: tuple[Hashable | None, Table, str, np.ndarray],
+        join_map: GroupedJoinMap,
+    ) -> np.ndarray | None:
+        """The bucket of ``join_map`` every probing row finds, or ``None``.
+
+        ``build`` is the map's ``(filter key, table, key columns)`` as given
+        to :meth:`join_map`; ``probe`` is ``(filter key, table, column,
+        filtered positions)`` of the probing alias.  Entry ``i`` is the
+        :meth:`~repro.engine.joinkernels.GroupedJoinMap.slots` number of the
+        probing column at ``positions[i]``.  An edge with an uncached side
+        (a ``None`` key) is not built: its caller looks up each block.
+        """
+        build_key, build_table, columns = build
+        probe_key, probe_table, column, positions = probe
+        if build_key is None or probe_key is None:
+            return None
+        key = ("edge", ("map", build_key, columns), probe_key, column)
+        self._sync()
+        entry = self._arrays.get(key)
+        if entry is not None:
+            self._arrays.move_to_end(key)
+            return entry[0]
+        source = probe_table.column(column)
+        slots = join_map.slots(source.data[positions], source)
+        slots.flags.writeable = False
+        if self._current(build_table.name, build_table) and self._current(
+            probe_table.name, probe_table
+        ):
+            owners = tuple(dict.fromkeys((build_table.name, probe_table.name)))
+            self._put(key, owners, slots, slots.nbytes)
+        return slots
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -199,12 +241,13 @@ class StatementCache:
         # Every caller synced first, so what is held is at the current version.
         self._tables.setdefault(name, (self._catalog.version(name), set()))[1].add(key)
 
-    def _put(self, key: Hashable, name: str, value: Any, nbytes: int) -> None:
+    def _put(self, key: Hashable, names: tuple[str, ...], value: Any, nbytes: int) -> None:
         if nbytes > MAX_BYTES:
             return
-        self._arrays[key] = (value, nbytes, name)
+        self._arrays[key] = (value, nbytes, names)
         self.nbytes += nbytes
-        self._own(name, key)
+        for name in names:
+            self._own(name, key)
         while self.nbytes > MAX_BYTES:
             self._drop(next(iter(self._arrays)))
 
@@ -212,9 +255,8 @@ class StatementCache:
         if key in self._parsed:
             names = self._parsed.pop(key)[1]
         else:
-            _, nbytes, name = self._arrays.pop(key)
+            _, nbytes, names = self._arrays.pop(key)
             self.nbytes -= nbytes
-            names = (name,)
         for name in names:
             held = self._tables.get(name)
             if held is not None:

@@ -18,8 +18,8 @@
     The execution substrate Skinner-G/H drive their batch attempts on —
     the paper's "existing DBMS".  The internal left-deep
     :class:`~repro.engine.executor.PlanExecutor` implements it as the
-    default and A/B reference; :mod:`repro.external` implements it over
-    real databases (sqlite3, Postgres) by emitting order-forcing SQL.
+    default; :mod:`repro.external` implements it over sqlite3 by emitting
+    order-forcing SQL.
 
 Keeping the ABCs in ``repro.engine`` (below ``repro.skinner``,
 ``repro.external``, and ``repro.serving`` in the import graph) lets engine

@@ -19,9 +19,16 @@ The production executor (:meth:`MultiwayJoin.continue_join`) runs that search
 over **blocks of prefixes**.  A frame at join-order position ``d`` holds up
 to ``batch_size`` surviving partial tuples — an index matrix of ``K``
 prefixes by ``d`` positions, in lexicographic order — together with each
-prefix's candidate run at position ``d`` (a hash-map bucket found by one
-many-probe lookup for the whole block, a band found by one ``searchsorted``
-per bound for the whole block, or the row range of a scan position).  One
+prefix's candidate run at position ``d`` (a hash-map bucket, a band found
+by one ``searchsorted`` per bound for the whole block, or the row range of
+a scan position).  The hash jump looks up each *edge* — a join map and the
+earlier ``(alias, column)`` probing it — once: every filtered row of the
+probing alias gets its bucket number
+(:meth:`~repro.engine.joinkernels.GroupedJoinMap.slots`), kept in the
+catalog's statement cache for the two tables' versions
+(:meth:`~repro.skinner.preprocessor.PreprocessedQuery.edge`), and a block
+gathers its prefixes' numbers and turns them into runs with
+:meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds`.  One
 step takes the next run of
 ``(prefix, candidate)`` pairs across as many prefixes as the step's share of
 the budget allows, filters them with both sides gathered as arrays, and
@@ -559,13 +566,18 @@ class MultiwayJoin:
                 else:
                     np.minimum(stops, cut, out=stops)
             return _Frame(prefix, None, starts, np.maximum(stops - starts, 0))
-        earlier = prepared.physical_column(spec.earlier_alias, spec.earlier_column)
-        join_map = prepared.join_maps[(context.order[depth], spec.own_column)]
-        starts, counts = join_map.lookup_many(
-            earlier[prefix[spec.earlier_position]],
-            prepared.tables[spec.earlier_alias].column(spec.earlier_column),
-            lower,
-        )
+        alias = context.order[depth]
+        join_map = prepared.join_maps[(alias, spec.own_column)]
+        probes = prefix[spec.earlier_position]
+        slots = prepared.edge(alias, spec.own_column, spec.earlier_alias, spec.earlier_column)
+        if slots is None:
+            slots = join_map.slots(
+                prepared.physical_column(spec.earlier_alias, spec.earlier_column)[probes],
+                prepared.tables[spec.earlier_alias].column(spec.earlier_column),
+            )
+        else:
+            slots = slots[probes]
+        starts, counts = join_map.bounds(slots, lower)
         return _Frame(prefix, join_map.rows, starts, counts)
 
     def _resume_frames(

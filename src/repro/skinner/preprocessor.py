@@ -9,7 +9,10 @@ survived the unary predicates are hashed, keeping the overhead small.
 Both come from the catalog's
 :class:`~repro.engine.statement_cache.StatementCache`: a statement on tables
 an earlier statement filtered and indexed, at the same versions, reuses what
-that one built and is charged what building it cost.
+that one built and is charged what building it cost.  So does the bucket
+every filtered row of a probing alias finds in a join map
+(:meth:`PreprocessedQuery.edge`), which the hash jump gathers instead of
+looking up the values of each block of prefixes again.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ class PreprocessedQuery:
     join_predicates:
         The query's join predicates (index order is stable and used to keep
         track of which have been applied).
+    filter_keys:
+        Per alias, the statement-cache key of its filter (``None``: not
+        cached), which names its hash-jump edges there.
     """
 
     query: Query
@@ -61,6 +67,11 @@ class PreprocessedQuery:
     filtered: dict[str, np.ndarray]
     join_maps: dict[tuple[str, str], "GroupedJoinMap"] = field(default_factory=dict)
     join_predicates: list[Predicate] = field(default_factory=list)
+    filter_keys: dict[str, Hashable | None] = field(default_factory=dict)
+    statement_cache: StatementCache | None = field(default=None, repr=False)
+    _edge_cache: dict[tuple[str, str, str, str], np.ndarray | None] = field(
+        default_factory=dict, repr=False
+    )
     _physical_cache: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, repr=False
     )
@@ -162,6 +173,26 @@ class PreprocessedQuery:
             self._decoded_array_cache[key] = cached
         return cached
 
+    def edge(
+        self, alias: str, column: str, probe_alias: str, probe_column: str
+    ) -> np.ndarray | None:
+        """Per filtered row of ``probe_alias``, the bucket its ``probe_column``
+        value finds in the join map of ``alias.column``, or ``None`` when
+        either filter is uncached (the caller then looks up each block).
+
+        Fetched from the statement cache once per query and edge.
+        """
+        key = (alias, column, probe_alias, probe_column)
+        if key not in self._edge_cache:
+            self._edge_cache[key] = None if self.statement_cache is None else (
+                self.statement_cache.edge(
+                    (self.filter_keys.get(alias), self.tables[alias], (column,)),
+                    (self.filter_keys.get(probe_alias), self.tables[probe_alias], probe_column,
+                     self.filtered[probe_alias]),
+                    self.join_maps[(alias, column)],
+                ))
+        return self._edge_cache[key]
+
     def is_empty(self) -> bool:
         """Whether any table has no surviving tuples (empty join result)."""
         return any(self.cardinality(alias) == 0 for alias in self.aliases)
@@ -205,6 +236,8 @@ def preprocess(
         tables=tables,
         filtered=filtered,
         join_predicates=list(query.join_predicates()),
+        filter_keys=keys,
+        statement_cache=cache,
     )
     if build_hash_maps:
         _build_join_maps(prepared, cache, keys, meter)

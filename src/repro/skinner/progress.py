@@ -12,6 +12,8 @@ processed, so the restored order may "fast-forward" to it with the deeper
 positions reset to the shared offsets (paper §4.5).
 
 The number of tracker nodes is reported for the memory analysis (Figure 8).
+Nodes are never removed, so the tracker counts them, and the bytes of their
+states, as it makes them: reading either costs nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class ProgressTracker:
 
     def __init__(self, aliases: tuple[str, ...]) -> None:
         self._root = _PrefixNode()
+        #: Nodes made so far, the root included, and 8 bytes per index they store.
+        self._node_count = 1
+        self._state_bytes = 0
         self._offsets: dict[str, int] = {alias: 0 for alias in aliases}
         self._offsets_view = MappingProxyType(self._offsets)
 
@@ -64,7 +69,13 @@ class ProgressTracker:
         indices = state.as_tuple()
         node = self._root
         for position, alias in enumerate(state.order):
-            node = node.children.setdefault(alias, _PrefixNode())
+            child = node.children.get(alias)
+            if child is None:
+                # A new node stores a state of this prefix's length just below.
+                child = node.children[alias] = _PrefixNode()
+                self._node_count += 1
+                self._state_bytes += 8 * (position + 1)
+            node = child
             prefix_state = indices[: position + 1]
             if node.best_prefix_state is None or prefix_state > node.best_prefix_state:
                 node.best_prefix_state = prefix_state
@@ -108,7 +119,7 @@ class ProgressTracker:
 
     def node_count(self) -> int:
         """Number of prefix-tree nodes currently materialized (root included)."""
-        return 1 + len(self._nodes())
+        return self._node_count
 
     def tracked_orders(self) -> int:
         """Number of distinct join orders with a stored state: the leaves."""
@@ -116,4 +127,4 @@ class ProgressTracker:
 
     def estimated_bytes(self) -> int:
         """Rough memory footprint of the stored states."""
-        return sum(8 * len(node.best_prefix_state) for node in self._nodes())
+        return self._state_bytes

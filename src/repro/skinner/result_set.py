@@ -177,12 +177,19 @@ class JoinResultSet:
         of which join orders produced the tuples.
         """
         self._settle()
-        matrix = self._stacked(self._blocks)
-        return matrix[_lexicographic_order(matrix)]
+        return self._sorted(self._blocks)
 
     def to_relation(self) -> RowIdRelation:
-        """Materialize the set as a row-id relation over the alias order."""
-        return RowIdRelation.from_matrix(self._aliases, self.to_matrix())
+        """The set as a row-id relation over the alias order.
+
+        Only distinctness is settled now, for the length.  The rows are
+        stacked and sorted as :meth:`to_matrix` sorts them the first time
+        post-processing reads an alias, which a ``COUNT(*)`` never does.
+        Rows emitted after this call are not in the relation.
+        """
+        length = len(self)
+        blocks = list(self._blocks)
+        return RowIdRelation.deferred(self._aliases, length, lambda: self._sorted(blocks))
 
     def estimated_bytes(self) -> int:
         """Rough memory footprint: 8 bytes per stored index."""
@@ -265,6 +272,10 @@ class JoinResultSet:
         self._seen = np.sort(keys[:settled])
         self._run_keys = []
         return keys[settled:]
+
+    def _sorted(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        matrix = self._stacked(blocks)
+        return matrix[_lexicographic_order(matrix)]
 
     def _stacked(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         if len(blocks) == 1:

@@ -34,6 +34,9 @@ class UctJoinTree:
         self._weight = exploration_weight
         self._rng = random.Random(seed)
         self._root = UctNode(())
+        #: Materialized nodes, the root included: nodes are never removed, so
+        #: :meth:`_expand` counts them as it makes them.
+        self._node_count = 1
         self._num_tables = len(join_graph.aliases)
         self._selection_counts: dict[tuple[str, ...], int] = {}
 
@@ -52,7 +55,15 @@ class UctJoinTree:
 
     def node_count(self) -> int:
         """Number of materialized nodes (Figure 7a / 8a)."""
-        return self._root.subtree_size()
+        return self._node_count
+
+    def _expand(self, node: UctNode, action: str) -> UctNode:
+        """The child of ``node`` for ``action``, materialized if it is new."""
+        child = node.child(action)
+        if child is None:
+            child = node.add_child(action)
+            self._node_count += 1
+        return child
 
     def selection_counts(self) -> dict[tuple[str, ...], int]:
         """How often each complete join order was selected."""
@@ -117,7 +128,7 @@ class UctJoinTree:
             else:
                 action = self._rng.choice(unexplored)
                 if not expanded_this_round:
-                    node = node.add_child(action)
+                    node = self._expand(node, action)
                     expanded_this_round = True
                 else:
                     node = None
@@ -193,8 +204,8 @@ class UctJoinTree:
         for action in order:
             for sibling in self._graph.eligible_next(prefix):
                 if sibling != action and node.child(sibling) is None:
-                    node.add_child(sibling).seed(0.0, 1)
-            child = node.add_child(action)
+                    self._expand(node, sibling).seed(0.0, 1)
+            child = self._expand(node, action)
             child.seed(reward, visits)
             node = child
             prefix.append(action)

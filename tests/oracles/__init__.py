@@ -7,6 +7,8 @@ way, and charges the same meter work:
   multi-way join one tuple index at a time (Algorithm 2 verbatim);
 * :func:`~tests.oracles.hash_join.rows_hash_join_step` — the plan executor's
   hash join with a Python dict;
+* :func:`~tests.oracles.join_map.lookup_many_reference` — a join map's
+  many-probe lookup in one step, cut at a bound per probe;
 * :func:`~tests.oracles.postprocess.rows_post_process` — post-processing
   one Python dict per result tuple, expressions (UDF calls included)
   through ``Expression.evaluate``.
@@ -17,7 +19,10 @@ benchmarks (``benchmarks/paper/experiments_hashjoin.py`` and
 """
 
 from .hash_join import rows_hash_join_step
+from .join_map import lookup_many_reference
 from .multiway_join import continue_scalar
 from .postprocess import rows_post_process
 
-__all__ = ["continue_scalar", "rows_hash_join_step", "rows_post_process"]
+__all__ = [
+    "continue_scalar", "lookup_many_reference", "rows_hash_join_step", "rows_post_process",
+]

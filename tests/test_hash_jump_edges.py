@@ -1,0 +1,313 @@
+"""Skinner-C's hash jump looks each edge up once; a result is sorted only when read.
+
+* :meth:`~repro.engine.joinkernels.GroupedJoinMap.lookup_many` is
+  :meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds` of
+  :meth:`~repro.engine.joinkernels.GroupedJoinMap.slots`, and finds what the
+  one-step lookup with a per-probe rank search found
+  (``tests/oracles/join_map.py``);
+* the statement cache keeps one bucket number per filtered probing row for
+  every hash-jump edge, owned by both of its tables;
+* ``JoinResultSet.to_relation()`` defers stacking and sorting to the first
+  read of an alias, so a ``COUNT(*)`` never sorts, and streamed or not, a
+  finalized result is the same.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.config import SkinnerConfig
+from repro.engine import statement_cache
+from repro.engine.joinkernels import GroupedJoinMap
+from repro.engine.meter import CostMeter
+from repro.engine.relation import RowIdRelation
+from repro.engine.statement_cache import StatementCache
+from repro.query.parser import parse_query
+from repro.skinner import result_set
+from repro.skinner.multiway_join import MultiwayJoin
+from repro.skinner.preprocessor import preprocess
+from repro.skinner.result_set import JoinResultSet
+from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
+from repro.skinner.state import JoinState
+from repro.storage.catalog import Catalog
+from repro.storage.column import Column
+from repro.storage.table import Table
+from tests.oracles import lookup_many_reference
+
+BIG = 2**53
+NAN = float("nan")
+
+#: Per key kind: build-column values to draw from, and the values of the
+#: probing columns, one per key column.  Strings on the two sides get two
+#: dictionaries.
+KEY_KINDS = {
+    "int": ([[1, 2, 3, BIG, BIG + 1]], [[1, 2.0, 3.5, BIG, BIG + 1, float(BIG), NAN]]),
+    "float": ([[1.0, 2.5, NAN, float(BIG), 3.0]], [[1, 2.5, NAN, BIG, BIG + 1, 3]]),
+    "string": ([["a", "b", "c", ""]], [["b", "zz", "a", "", "c"]]),
+    "string_vs_int": ([["1", "2"]], [[1, 2]]),
+    "composite": ([[1, 2, BIG + 1], ["x", "y"]], [[1, 2.0, BIG + 1, BIG], ["y", "x", "q"]]),
+    "composite_float": ([[0.5, NAN, 2.0], [BIG, BIG + 1]],
+                        [[0.5, 2, NAN], [BIG + 1, float(BIG), BIG]]),
+}
+
+
+@st.composite
+def lookup_cases(draw):
+    kind = draw(st.sampled_from(sorted(KEY_KINDS)))
+    build_pools, probe_pools = KEY_KINDS[kind]
+    rows = draw(st.integers(min_value=0, max_value=30))
+    build = [Column([draw(st.sampled_from(pool)) for _ in range(rows)]) for pool in build_pools]
+    chosen = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    positions = np.flatnonzero(np.array(chosen, dtype=bool)).astype(np.int64)
+    length = draw(st.integers(min_value=0, max_value=12))
+    probes = [Column([draw(st.sampled_from(pool)) for _ in range(length)]) for pool in probe_pools]
+    cut = draw(st.integers(min_value=0, max_value=positions.shape[0]))
+    return build, positions, probes, cut
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lookup_cases())
+def test_bounds_of_slots_is_the_one_step_lookup(case):
+    """On grouped maps and suffix views, at ``lower`` 0, mid-way and past the end."""
+    build, positions, probes, cut = case
+    grouped = GroupedJoinMap(build if len(build) > 1 else build[0], positions)
+    values = [column.data for column in probes]
+    size = positions.shape[0]
+    for join_map in (grouped, grouped.suffix(cut)):
+        slots = join_map.slots(values, probes)
+        assert slots.shape == (len(probes[0]),)
+        assert ((slots >= 0) & (slots <= len(join_map))).all()
+        for lower in (0, size // 2, size, size + 3):
+            starts, counts = join_map.bounds(slots, lower)
+            ref_starts, ref_counts = lookup_many_reference(join_map, values, probes, lower)
+            assert counts.tolist() == ref_counts.tolist(), lower
+            hit = counts > 0
+            assert starts[hit].tolist() == ref_starts[hit].tolist(), lower
+            many = join_map.lookup_many(values, probes, lower)
+            assert np.array_equal(many[0], starts) and np.array_equal(many[1], counts)
+
+
+def test_a_probe_without_a_bucket_names_the_empty_trailing_one():
+    join_map = GroupedJoinMap(Column([5, 1, 5]), np.arange(3, dtype=np.int64))
+    probes = Column([5, 7, 1])
+    slots = join_map.slots(probes.data, probes)
+    assert slots.tolist() == [1, len(join_map), 0]
+    starts, counts = join_map.bounds(slots)
+    assert counts.tolist() == [2, 0, 1]
+    assert join_map.rows[starts[0]:starts[0] + 2].tolist() == [0, 2]
+
+
+def test_a_resumed_cut_is_made_once_per_lower():
+    join_map = GroupedJoinMap(Column([1, 2, 1, 2, 1]), np.arange(5, dtype=np.int64))
+    probes = Column([1, 2])
+    slots = join_map.slots(probes.data, probes)
+    first = join_map.bounds(slots, 2)
+    cut = join_map._cut
+    assert join_map.bounds(slots, 2)[1].tolist() == first[1].tolist() == [2, 1]
+    assert join_map._cut is cut  # kept, not made again
+    assert join_map.bounds(slots, 3)[1].tolist() == [1, 1]
+
+
+# ----------------------------------------------------------------------
+# edges in the statement cache
+# ----------------------------------------------------------------------
+JOIN_SQL = "SELECT COUNT(*) AS n FROM r, s WHERE r.k = s.k AND r.v > 1"
+
+
+def _catalog() -> Catalog:
+    catalog = Catalog()
+    catalog.add_table(Table("r", {"k": [1, 2, 2, 3, 4], "v": [1, 2, 3, 4, 5]}))
+    catalog.add_table(Table("s", {"k": [2, 3, 3, 5]}))
+    return catalog
+
+
+def _edge_keys(cache: StatementCache) -> list:
+    return [key for key in cache._arrays if key[0] == "edge"]
+
+
+def _map_keys(cache: StatementCache, table: str) -> list:
+    return [key for key in cache._arrays if key[0] == "map" and key[1][1] == table]
+
+
+def _edge(catalog: Catalog):
+    """The edge whose build map is ``r.k`` and whose probes are ``s.k``."""
+    prepared = preprocess(catalog, parse_query(JOIN_SQL, catalog))
+    return prepared, prepared.edge("r", "k", "s", "k")
+
+
+def test_an_edge_is_looked_up_once_per_pair_of_table_versions(monkeypatch):
+    catalog = _catalog()
+    prepared, slots = _edge(catalog)
+    join_map = prepared.join_maps[("r", "k")]
+    source = catalog.table("s").column("k")
+    assert slots.tolist() == join_map.slots(source.data[prepared.filtered["s"]], source).tolist()
+    assert not slots.flags.writeable
+    calls = []
+    original = GroupedJoinMap.slots
+    monkeypatch.setattr(GroupedJoinMap, "slots", lambda *args: calls.append(1) or original(*args))
+    assert _edge(catalog)[1] is slots
+    assert prepared.edge("r", "k", "s", "k") is slots
+    assert not calls
+    cache = StatementCache.of(catalog)
+    (key,) = [key for key in _edge_keys(cache) if key[1][2] == ("k",) and key[1][1][1] == "r"]
+    assert key in cache._tables["r"][1] and key in cache._tables["s"][1]
+
+
+def test_a_write_to_the_probing_table_drops_the_edge_and_keeps_the_build_map():
+    catalog = _catalog()
+    prepared, slots = _edge(catalog)
+    cache = StatementCache.of(catalog)
+    build_maps = _map_keys(cache, "r")
+    assert build_maps and _edge_keys(cache)
+    catalog.add_table(Table("s", {"k": [1, 4]}), replace=True)
+    cache._sync()
+    assert _edge_keys(cache) == []
+    assert _map_keys(cache, "r") == build_maps
+    assert "s" not in cache.versions()
+    fresh = _edge(catalog)
+    assert fresh[0].join_maps[("r", "k")] is prepared.join_maps[("r", "k")]
+    assert fresh[1].tolist() == [len(prepared.join_maps[("r", "k")]), 2]  # 1 absent, 4 found
+
+
+def test_a_write_to_the_build_table_drops_the_map_and_the_edge():
+    catalog = _catalog()
+    _edge(catalog)
+    cache = StatementCache.of(catalog)
+    catalog.add_table(Table("r", {"k": [3], "v": [9]}), replace=True)
+    cache._sync()
+    assert _edge_keys(cache) == [] and _map_keys(cache, "r") == []
+    assert "r" not in cache.versions()
+    assert all(key[1] != "r" for key in cache._arrays if key[0] == "filter")
+
+
+def test_an_evicted_edge_leaves_neither_owner_holding_it(monkeypatch):
+    catalog = _catalog()
+    prepared, _ = _edge(catalog)
+    prepared.edge("s", "k", "r", "k")
+    cache = StatementCache.of(catalog)
+    first, second = _edge_keys(cache)  # r.k probed by s.k, s.k probed by r.k
+    preprocess(catalog, parse_query(JOIN_SQL, catalog))  # the edges are now the oldest
+    monkeypatch.setattr(statement_cache, "MAX_BYTES", cache.nbytes)
+    preprocess(catalog, parse_query("SELECT COUNT(*) AS n FROM s WHERE s.k > 2", catalog))
+    assert first not in cache._arrays and second in cache._arrays
+    assert all(first not in keys for _, keys in cache._tables.values())
+    # A write to either owner then finds nothing it does not hold.
+    catalog.add_table(Table("r", {"k": [1], "v": [2]}), replace=True)
+    catalog.add_table(Table("s", {"k": [1]}), replace=True)
+    cache._sync()
+    assert len(cache._arrays) == 0 and cache.nbytes == 0
+
+
+def test_an_edge_counts_against_the_byte_bound(monkeypatch):
+    catalog = _catalog()
+    cached = _edge(catalog)[1]
+    cache = StatementCache.of(catalog)
+    (edge,) = _edge_keys(cache)
+    assert cache._arrays[edge][1] == cached.nbytes > 0
+    assert cache.nbytes == sum(nbytes for _, nbytes, _ in cache._arrays.values())
+    before = cache.nbytes
+    cache._drop(edge)
+    assert cache.nbytes == before - cached.nbytes
+    # Under a bound too small for any entry nothing is kept; the edge is
+    # still made for the statement that asked.
+    monkeypatch.setattr(statement_cache, "MAX_BYTES", 0)
+    fresh = _catalog()
+    slots = _edge(fresh)[1]
+    assert slots.tolist() == cached.tolist() and len(StatementCache.of(fresh)) == 0
+
+
+def test_an_uncached_filter_builds_no_edge():
+    catalog = _catalog()
+    query = parse_query(JOIN_SQL, catalog)
+    prepared = preprocess(catalog, query, restrict_positions={"s": np.array([0, 1])})
+    assert prepared.edge("r", "k", "s", "k") is None
+    assert prepared.edge("s", "k", "r", "k") is None
+    assert _edge_keys(StatementCache.of(catalog)) == []
+    # The hash jump then looks up each block's probes: s rows 0 and 1 (k 2 and 3).
+    results = JoinResultSet(prepared.aliases)
+    join = MultiwayJoin(prepared, batch_size=4)
+    assert join.continue_join(JoinState(("s", "r")), {}, 1000, results, CostMeter())
+    assert sorted(results.tuples()) == [(1, 0), (2, 0), (3, 1)]
+
+
+# ----------------------------------------------------------------------
+# a result is sorted when an alias is read
+# ----------------------------------------------------------------------
+COUNT_SQL = "SELECT COUNT(*) AS n FROM f, d WHERE f.k = d.k AND f.v < 700"
+ROWS_SQL = "SELECT f.v AS v, d.w AS w FROM f, d WHERE f.k = d.k AND f.v < 300 AND d.w > 1"
+FAST = SkinnerConfig(slice_budget=16)
+
+
+def _star_catalog() -> Catalog:
+    rng = np.random.default_rng(7)
+    catalog = Catalog()
+    catalog.add_table(Table("f", {"k": rng.integers(0, 40, 500).tolist(),
+                                  "v": rng.integers(0, 1000, 500).tolist()}))
+    catalog.add_table(Table("d", {"k": list(range(40)), "w": [k % 4 for k in range(40)]}))
+    return catalog
+
+
+def _run(sql: str, *, stream: bool = False):
+    catalog = _star_catalog()
+    task = SkinnerCTask(catalog, parse_query(sql, catalog), None, FAST)
+    if stream:
+        task.enable_streaming()
+    drained = []
+    while not task.finished:
+        task.run_episode()
+        if stream:
+            drained.append(task.drain_new_tuples())
+    return task, task.finalize(), drained
+
+
+def test_a_count_star_never_sorts_its_result(monkeypatch):
+    _, expected, _ = _run(COUNT_SQL)
+    forced = SkinnerC(_star_catalog()).execute_with_order(
+        parse_query(COUNT_SQL, _star_catalog()), ("d", "f"))
+
+    def refuse(matrix):
+        raise AssertionError("a COUNT(*) sorted its result")
+
+    monkeypatch.setattr(result_set, "_lexicographic_order", refuse)
+    task, result, _ = _run(COUNT_SQL)
+    assert result.table.row_tuples() == expected.table.row_tuples()
+    assert result.table.row_tuples()[0][0] == len(task.result_set) > 0
+    assert result.metrics.work == expected.metrics.work
+    catalog = _star_catalog()
+    unsorted = SkinnerC(catalog).execute_with_order(parse_query(COUNT_SQL, catalog), ("d", "f"))
+    assert unsorted.table.row_tuples() == forced.table.row_tuples()
+    assert unsorted.metrics.work == forced.metrics.work
+    with pytest.raises(AssertionError, match="sorted"):
+        _run(ROWS_SQL)
+
+
+def test_a_streamed_statement_finalizes_byte_identically():
+    _, plain, _ = _run(ROWS_SQL)
+    task, streamed, drained = _run(ROWS_SQL, stream=True)
+    assert sum(block.shape[0] for block in drained) == len(task.result_set)
+    assert streamed.table.row_tuples() == plain.table.row_tuples()
+    assert streamed.metrics.work == plain.metrics.work
+    # The relation sorts what was settled when it was made, once, on first read.
+    relation = task.result_set.to_relation()
+    assert len(relation) == len(task.result_set)
+    assert np.array_equal(relation.matrix(task.result_set.aliases), task.result_set.to_matrix())
+
+
+def test_a_deferred_relation_builds_once_and_checks_its_shape():
+    calls = []
+
+    def build():
+        calls.append(1)
+        return np.array([[0, 1], [2, 3]], dtype=np.int64)
+
+    relation = RowIdRelation.deferred(("a", "b"), 2, build)
+    assert len(relation) == 2 and relation.aliases == ["a", "b"] and not calls
+    assert relation.ids("b").tolist() == [1, 3]
+    assert relation.take(np.array([1])).index_tuples() == [(2, 3)]
+    assert calls == [1]
+    wrong = RowIdRelation.deferred(("a",), 3, build)
+    with pytest.raises(Exception, match="shape"):
+        wrong.ids("a")

@@ -14,7 +14,10 @@ multi-way join and the eddy baseline probe it once per index advance:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,12 +98,42 @@ class TestMemoAndEmpty:
         assert len(jmap) == 0
         assert jmap.get(1) is None
 
-    def test_repeated_probes_hit_the_memo(self):
-        jmap = _map_for([5, 1, 5])
-        first = jmap.get(5)
-        assert jmap.get(5) is first  # same cached array, no re-search
-        assert jmap.get(7) is None
-        assert jmap.get(7) is None
+    def test_get_remembers_nothing(self):
+        """A map the statement cache keeps must not grow with its probes."""
+        catalog = Catalog()
+        catalog.add_table(Table("r", {"k": list(range(100))}))
+        catalog.add_table(Table("s", {"k": list(range(100))}))
+        query = make_query(["r", "s"], predicates=[column_equals_column("r", "k", "s", "k")])
+        jmap = preprocess(catalog, query).join_maps[("r", "k")]
+        assert preprocess(catalog, query).join_maps[("r", "k")] is jmap  # the cached map
+        probes = list(range(-5_000, 5_000))
+        for value in probes[:100]:  # warm whatever the first calls allocate once
+            jmap.get(value)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for value in probes:
+                jmap.get(value)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 4096
+        assert list(jmap.get(7)) == [7]
+        assert jmap.get(7.5) is None
+
+    @pytest.mark.parametrize("keys, probes", [
+        ([1.0, float("nan"), 2.0**53, 3.0], [float("nan"), 2**53 + 1, 2**53, 1, 3]),
+        ([2**53 + 1, 2**53, 1], [2.0**53, float("nan"), 1.0, 2**53 + 1]),
+        (["b", "a", "c", "a"], ["a", "zz", "c", "", "b"]),
+    ])
+    def test_get_agrees_with_lookup_many(self, keys, probes):
+        jmap = _map_for(keys)
+        source = Table("p", {"c": probes}).column("c")
+        starts, counts = jmap.lookup_many(source.data, source)
+        for value, start, count in zip(source.decoded_data.tolist(), starts, counts):
+            found = jmap.get(value)
+            expected = [] if found is None else found.tolist()
+            assert jmap.rows[start:start + count].tolist() == expected, value
 
     def test_contains_delegates_to_get(self):
         jmap = _map_for([5, 1])

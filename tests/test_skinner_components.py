@@ -1,12 +1,17 @@
 """Unit tests for Skinner-C's building blocks: state, rewards, progress, timeouts."""
 
+import random
+
 import pytest
 
+from repro.query.join_graph import JoinGraph
+from repro.query.predicates import column_equals_column
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.reward import scaled_delta_reward
 from repro.skinner.state import JoinState, clamp_to_offsets, initial_state
 from repro.skinner.timeouts import PyramidTimeoutScheme
+from repro.uct.tree import UctJoinTree
 
 CARDS = {"a": 10, "b": 20, "c": 5}
 
@@ -181,6 +186,28 @@ class TestProgressTracker:
         assert tracker.tracked_orders() == 2
         assert tracker.node_count() > 1
         assert tracker.estimated_bytes() > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_node_and_byte_counters_equal_a_fresh_walk(seed):
+    """The tracker and the UCT tree count what they make; a walk agrees."""
+    rng = random.Random(seed)
+    aliases = ("a", "b", "c", "d")
+    graph = JoinGraph(aliases, [column_equals_column(left, "k", right, "k")
+                                for left, right in zip(aliases, aliases[1:])])
+    tree = UctJoinTree(graph, seed=seed)
+    tracker = ProgressTracker(aliases)
+    if seed % 2:  # priors materialize whole sibling sets
+        tree.seed(aliases, 0.5, 3)
+        tree.merge_stats([(aliases[::-1], 2, 0.1)])
+    for _ in range(rng.randrange(1, 60)):
+        order = tree.choose_order()
+        tree.update(order, rng.random())
+        tracker.backup(JoinState(order, [rng.randrange(9) for _ in order]))
+    walked = tracker._nodes()
+    assert tracker.node_count() == 1 + len(walked)
+    assert tracker.estimated_bytes() == sum(8 * len(node.best_prefix_state) for node in walked)
+    assert tree.node_count() == tree.root.subtree_size()
 
 
 class TestPyramidTimeouts:
