@@ -29,7 +29,10 @@ from repro.api.connection import connect
 from repro.config import SkinnerConfig
 from repro.docstore.workload import make_docstore_workload
 
-_ENGINES = ("traditional", "skinner-c")
+from .metrics import modelled_time
+
+#: Each engine, and the system its work is modelled as.
+_ENGINES = {"traditional": "postgres", "skinner-c": "skinner"}
 
 #: Small episode budgets: enough learning signal on the smoke-sized forest
 #: without inflating the work clock on the full one.
@@ -70,11 +73,11 @@ def docstore_axes(
                 result = connection.execute_direct(entry.query, engine=engine)
                 walls[engine] += time.perf_counter() - started
                 rows_seen[engine] = _result_rows(result)
-                totals[engine] += result.metrics.simulated_time
+                totals[engine] += modelled_time(result.metrics, _ENGINES[engine])
                 records.append({
                     "query": entry.name,
                     "engine": engine,
-                    "simulated_time": result.metrics.simulated_time,
+                    "simulated_time": modelled_time(result.metrics, _ENGINES[engine]),
                     "work": result.metrics.work,
                     "result_rows": len(result.rows),
                 })

@@ -32,6 +32,8 @@ from repro.config import SkinnerConfig
 from repro.external.emitter import SqlEmitter
 from repro.external.engines import sqlite_adapter_for
 
+from .metrics import modelled_time
+
 #: Small batch budget so fat-end batches overrun low pyramid levels while
 #: ``t2``-first batches complete — that contrast *is* the learning signal.
 _BENCH_CONFIG = SkinnerConfig(
@@ -114,14 +116,14 @@ def external_sqlite(tuples_per_table: int = 400) -> dict[str, Any]:
         records = [
             {
                 "engine": "skinner_g_sqlite",
-                "simulated_time": external.metrics.simulated_time,
+                "simulated_time": modelled_time(external.metrics, "postgres"),
                 "work": external.metrics.work,
                 "result_rows": len(external.rows),
                 "wall_time_seconds": external_wall,
             },
             {
                 "engine": "skinner-g",
-                "simulated_time": internal.metrics.simulated_time,
+                "simulated_time": modelled_time(internal.metrics, "postgres"),
                 "work": internal.metrics.work,
                 "result_rows": len(internal.rows),
             },

@@ -109,7 +109,8 @@ def figure7(
         "series": {"uct_tree_growth": [entry["uct_nodes"] for entry in growth],
                    **top_order_shares},
         "growth": growth,
-        "records": [QueryRecord.from_metrics("Skinner-C", query_name, traced.metrics)],
+        "records": [QueryRecord.from_metrics(
+            "Skinner-C", query_name, traced.metrics, profile="skinner")],
         "parameters": {"scale": scale, "seed": seed, "query": query_name,
                        "budgets": list(budgets)},
     }
@@ -124,7 +125,8 @@ def figure8(scale: float = 0.6, seed: int = 13) -> dict[str, Any]:
     for workload_query in workload.queries:
         result = engine.execute(workload_query.query)
         metrics = result.metrics
-        records.append(QueryRecord.from_metrics("Skinner-C", workload_query.name, metrics))
+        records.append(QueryRecord.from_metrics(
+            "Skinner-C", workload_query.name, metrics, profile="skinner"))
         total_bytes = (
             metrics.extra["result_bytes"]
             + metrics.extra["tracker_bytes"]

@@ -38,7 +38,6 @@ from repro.engine.executor import PlanExecutor
 from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
 from repro.engine.operators import hash_join_step
-from repro.engine.profiles import get_profile
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import Predicate, column_equals_column
@@ -47,6 +46,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
 from tests.oracles import rows_hash_join_step
+
+from .profiles import get_profile
 
 _JOIN_ORDER = ("t0", "t1", "t2")
 

@@ -44,6 +44,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
 
+from .metrics import modelled_time
+
 #: Server configuration: warm start off so every run is solo-equivalent,
 #: enough admission slots that concurrency (not queueing) is measured.
 _BENCH_CONFIG = SkinnerConfig(serving_warm_start=False, serving_max_inflight=8)
@@ -229,14 +231,14 @@ def multitenant_server(
             "Query": name,
             "Work": references[name][1].total,
             "Result Rows": len(references[name][0]),
-            "Simulated Time": round(references[name][2].simulated_time, 4),
+            "Simulated Time": round(modelled_time(references[name][2], "skinner"), 4),
         }
         for name, _sql in _client_workload()
     ]
     records = [
         {
             "query": name,
-            "simulated_time": references[name][2].simulated_time,
+            "simulated_time": modelled_time(references[name][2], "skinner"),
             "result_rows": references[name][2].result_rows,
         }
         for name, _sql in _client_workload()

@@ -41,6 +41,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
 
+from .metrics import modelled_time
+
 #: Serving configuration of the benchmark: defaults, warm start disabled so
 #: the mixed-workload comparison is exactly solo-equivalent.
 _BENCH_CONFIG = SkinnerConfig(serving_warm_start=False, serving_max_inflight=8)
@@ -78,6 +80,10 @@ def _build_catalog(tuples_per_table: int, seed: int) -> Catalog:
             "v": uniform_keys(rng, chain_rows, 1000),
         }))
     return catalog
+
+
+#: The system each workload engine's work is modelled as in the records.
+_PROFILES = {"skinner-c": "skinner", "skinner-g": "postgres", "skinner-h": "postgres"}
 
 
 def _workload() -> list[tuple[str, str, str]]:
@@ -179,7 +185,7 @@ def concurrent_serving(
         records.append({
             "query": name,
             "engine": engine,
-            "simulated_time": solo_results[name].metrics.simulated_time,
+            "simulated_time": modelled_time(solo_results[name].metrics, _PROFILES[engine]),
             "result_rows": solo_results[name].metrics.result_rows,
         })
 

@@ -32,6 +32,8 @@ from repro.storage.loader import save_csv
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
 
+from .metrics import modelled_time
+
 #: Modest slices, warm-start caching off: runs are order-independent, so
 #: charge comparisons across the three connections are exact.
 _BENCH_CONFIG = SkinnerConfig(slice_budget=200, serving_warm_start=False)
@@ -78,7 +80,7 @@ def _run_workload(connection) -> list[dict[str, Any]]:
             "query": name,
             "rows": rows,
             "work": result.metrics.work,
-            "simulated_time": result.metrics.simulated_time,
+            "simulated_time": modelled_time(result.metrics, "skinner"),
         })
     return results
 

@@ -22,6 +22,8 @@ from repro.config import SkinnerConfig
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
 
+from .metrics import modelled_time
+
 #: Modest slices so even smoke-sized runs take several episodes per query —
 #: otherwise "streaming" degenerates to a single episode; warm start off so
 #: runs are independent of submission order.
@@ -117,7 +119,7 @@ def streaming_cursor(tuples_per_table: int = 3_000, seed: int = 23) -> dict[str,
         records.append({
             "query": name,
             "result_rows": len(streamed),
-            "simulated_time": direct.metrics.simulated_time,
+            "simulated_time": modelled_time(direct.metrics, "skinner"),
             "first_batch_work": first_at,
             "completion_work": completed_at,
             "preempted_completion": preempted,

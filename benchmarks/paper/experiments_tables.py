@@ -130,10 +130,10 @@ def _order_quality_records(
         parallel_workers=workers
     )
     skinner = SkinnerC(workload.catalog, workload.udfs, skinner_config)
-    engines = {
-        "Postgres": TraditionalEngine(workload.catalog, workload.udfs, profile="postgres"),
-        "MonetDB": TraditionalEngine(workload.catalog, workload.udfs, profile="monetdb"),
-    }
+    traditional = TraditionalEngine(workload.catalog, workload.udfs)
+    # Postgres and MonetDB run the same optimizer and executor; only the
+    # profile their work is weighted with differs.
+    systems = {"Postgres": "postgres", "MonetDB": "monetdb"}
     records: list[QueryRecord] = []
 
     def record(label: str, query_name: str, result: Any, profile: str) -> None:
@@ -151,16 +151,14 @@ def _order_quality_records(
         if optimal_order is not None:
             forced = skinner.execute_with_order(query, optimal_order)
             record("Skinner/Optimal", workload_query.name, forced, "skinner")
-        for engine_name, engine in engines.items():
-            profile = engine.profile.name
-            original = engine.execute(query)
-            record(f"{engine_name}/Original", workload_query.name, original, profile)
-            if skinner_order is not None:
-                forced = engine.execute(query, forced_order=skinner_order)
-                record(f"{engine_name}/Skinner", workload_query.name, forced, profile)
-            if optimal_order is not None:
-                forced = engine.execute(query, forced_order=optimal_order)
-                record(f"{engine_name}/Optimal", workload_query.name, forced, profile)
+        runs = {"Original": traditional.execute(query)}
+        if skinner_order is not None:
+            runs["Skinner"] = traditional.execute(query, forced_order=skinner_order)
+        if optimal_order is not None:
+            runs["Optimal"] = traditional.execute(query, forced_order=optimal_order)
+        for system, profile in systems.items():
+            for order, result in runs.items():
+                record(f"{system}/{order}", workload_query.name, result, profile)
     return records
 
 

@@ -29,11 +29,11 @@ class EngineSpec:
         Whether ``execute`` accepts the ``work_budget`` keyword used to
         emulate per-query timeouts.
     profile, threads:
-        The modelled system the records report: the engine profile the
-        factory's engine runs under, and the core count its
-        ``simulated_time`` is re-weighted for when a record is built (see
+        The modelled system the records report: the profile (see
+        ``benchmarks/paper/profiles.py``) the engine's work units are
+        weighted with, and the core count, when a record is built (see
         :func:`benchmarks.paper.metrics.modelled_time`).  No execution sees
-        ``threads``.
+        either.
     """
 
     name: str

@@ -7,33 +7,39 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.engine.meter import WorkBreakdown
-from repro.engine.profiles import get_profile
 from repro.result import QueryMetrics
 
+from .profiles import get_profile
 
-def modelled_time(metrics: QueryMetrics, profile: str, threads: int) -> float:
-    """``metrics.simulated_time`` re-weighted for ``threads`` modelled cores.
 
-    The paper's multi-threaded tables are the single-threaded executions
-    weighted for more cores (§6.1), so this is the only place a core count
-    enters.  The share of the work the system spreads
-    (``metrics.parallel_work``) is weighted by
-    :meth:`EngineProfile.simulated_time` at ``threads``; where that is a
-    part of the work, the rest is a second phase at one core, as the engine
-    itself reported it (start-up cost included).  ``profile`` names the
-    profile the engine ran under.
+def modelled_time(metrics: QueryMetrics, profile: str, threads: int = 1) -> float:
+    """``metrics.work`` as simulated time under ``profile`` on ``threads`` cores.
+
+    The one place a report turns work units into time (abstract
+    milliseconds): ``profile`` names the modelled system, and the paper's
+    multi-threaded tables are the single-threaded executions weighted for
+    more cores (§6.1), so this is also the only place a core count enters.
+
+    Skinner-C reports its pre-processing breakdown in
+    ``extra["preprocess_work"]``, the share the modelled system spreads;
+    every other engine spreads all of ``work``.  An all-zero share (a
+    forced-order run) spreads nothing.  Otherwise the run is two phases,
+    the share at ``threads`` cores plus the rest of ``work`` at one, each
+    weighted separately — so a learned Skinner-C run pays the profile's
+    start-up cost twice, as the engine's own simulated time always did.
     """
-    spread = metrics.parallel_work
-    if threads <= 1 or (spread is not None and not spread.total):
-        return metrics.simulated_time
     weights = get_profile(profile)
+    spread = metrics.extra.get("preprocess_work")
     if spread is None:
         return weights.simulated_time(metrics.work, threads=threads)
+    pre = WorkBreakdown(**spread)
+    if not pre.total:
+        return weights.simulated_time(metrics.work)
     rest = WorkBreakdown(*(
         total - part
-        for total, part in zip(dataclasses.astuple(metrics.work), dataclasses.astuple(spread))
+        for total, part in zip(dataclasses.astuple(metrics.work), dataclasses.astuple(pre))
     ))
-    return weights.simulated_time(spread, threads=threads) + weights.simulated_time(rest)
+    return weights.simulated_time(pre, threads=threads) + weights.simulated_time(rest)
 
 
 @dataclass(frozen=True)
@@ -57,13 +63,13 @@ class QueryRecord:
         query: str,
         metrics: QueryMetrics,
         *,
-        profile: str = "skinner",
+        profile: str,
         threads: int = 1,
     ) -> "QueryRecord":
         """Build a record from an engine's reported metrics.
 
-        ``threads > 1`` reports the time of a system with that many cores
-        under ``profile`` (see :func:`modelled_time`).
+        Its time is the work under ``profile`` on ``threads`` cores (see
+        :func:`modelled_time`).
         """
         return cls(
             engine=engine,

@@ -1,12 +1,13 @@
-"""Engine profiles: converting work units into simulated time.
+"""Engine profiles: the paper's systems as weights over work units.
 
 The paper compares systems with very different per-tuple overheads: MonetDB
 (vectorized column store, lowest per-tuple cost), Postgres (row store),
 a commercial adaptive system, and the Java-based Skinner engine (highest
 per-tuple cost but best join orders).  A profile captures that constant
-factor plus how much of the execution parallelizes, so the benchmark
-harness can reproduce the single- vs multi-threaded comparisons
-(Tables 1 vs 2) without real threads.
+factor plus how much of the execution parallelizes, so the harness can
+reproduce the single- vs multi-threaded comparisons (Tables 1 vs 2) without
+real threads.  The engines report work units only; a report weights them
+here, through :func:`benchmarks.paper.metrics.modelled_time`.
 """
 
 from __future__ import annotations

@@ -35,10 +35,10 @@ def skinner_c_spec(
 
 
 def traditional_spec(name: str, profile: str) -> EngineSpec:
-    """A traditional optimizer + executor under the given engine profile."""
+    """A traditional optimizer + executor, its work weighted under ``profile``."""
     return EngineSpec(
         name=name,
-        factory=lambda w: TraditionalEngine(w.catalog, w.udfs, profile=profile),
+        factory=lambda w: TraditionalEngine(w.catalog, w.udfs),
         supports_budget=True,
         profile=profile,
     )
@@ -49,10 +49,10 @@ def skinner_g_spec(
     profile: str,
     config: SkinnerConfig = BENCH_CONFIG,
 ) -> EngineSpec:
-    """Skinner-G on top of a generic engine profile."""
+    """Skinner-G on the internal executor, its work weighted under ``profile``."""
     return EngineSpec(
         name=name,
-        factory=lambda w: SkinnerG(w.catalog, w.udfs, config, dbms_profile=profile),
+        factory=lambda w: SkinnerG(w.catalog, w.udfs, config),
         profile=profile,
     )
 
@@ -62,10 +62,10 @@ def skinner_h_spec(
     profile: str,
     config: SkinnerConfig = BENCH_CONFIG,
 ) -> EngineSpec:
-    """Skinner-H on top of a generic engine profile."""
+    """Skinner-H on the internal executor, its work weighted under ``profile``."""
     return EngineSpec(
         name=name,
-        factory=lambda w: SkinnerH(w.catalog, w.udfs, config, dbms_profile=profile),
+        factory=lambda w: SkinnerH(w.catalog, w.udfs, config),
         profile=profile,
     )
 

@@ -2,8 +2,9 @@
 
 Builds the synthetic JOB analogue (correlated, skewed movie data), picks one
 of the "hazard" queries whose plan a traditional optimizer gets badly wrong,
-and runs it on every engine, printing simulated time, intermediate-result
-cardinality, and the join order each engine ended up using.
+and runs it on every engine, printing work units, wall-clock milliseconds,
+intermediate-result cardinality, and the join order each engine ended up
+using.
 
 Run with::
 
@@ -34,17 +35,15 @@ def main(scale: float = 0.5) -> None:
 
     engines = {
         "Skinner-C": SkinnerC(workload.catalog, workload.udfs, CONFIG),
-        "Skinner-G(PG)": SkinnerG(workload.catalog, workload.udfs, CONFIG,
-                                  dbms_profile="postgres"),
-        "Skinner-H(PG)": SkinnerH(workload.catalog, workload.udfs, CONFIG,
-                                  dbms_profile="postgres"),
-        "Postgres": TraditionalEngine(workload.catalog, workload.udfs, profile="postgres"),
-        "MonetDB": TraditionalEngine(workload.catalog, workload.udfs, profile="monetdb"),
+        "Skinner-G": SkinnerG(workload.catalog, workload.udfs, CONFIG),
+        "Skinner-H": SkinnerH(workload.catalog, workload.udfs, CONFIG),
+        "Traditional": TraditionalEngine(workload.catalog, workload.udfs),
         "Eddy": EddyEngine(workload.catalog, workload.udfs),
         "Re-optimizer": ReOptimizerEngine(workload.catalog, workload.udfs),
     }
 
-    header = f"{'engine':<14} {'sim. time':>12} {'interm. card.':>14} {'rows':>6}  join order"
+    header = (f"{'engine':<14} {'work units':>12} {'wall ms':>9} {'interm. card.':>14} "
+              f"{'rows':>6}  join order")
     print(header)
     print("-" * len(header))
     reference_rows = None
@@ -52,7 +51,7 @@ def main(scale: float = 0.5) -> None:
         result = engine.execute(hazard.query)
         metrics = result.metrics
         order = " ".join(metrics.final_join_order) if metrics.final_join_order else "-"
-        print(f"{name:<14} {metrics.simulated_time:>12,.0f} "
+        print(f"{name:<14} {metrics.work.total:>12,} {metrics.wall_time_seconds * 1e3:>9.1f} "
               f"{metrics.intermediate_cardinality:>14,} {metrics.result_rows:>6}  {order}")
         if reference_rows is None:
             reference_rows = result.rows

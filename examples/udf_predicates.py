@@ -55,17 +55,18 @@ def torture_example() -> None:
     query = workload.queries[0].query
 
     skinner = SkinnerC(workload.catalog, workload.udfs, SkinnerConfig(slice_budget=100))
-    optimizer = TraditionalEngine(workload.catalog, workload.udfs, profile="skinner")
+    optimizer = TraditionalEngine(workload.catalog, workload.udfs)
 
     learned = skinner.execute(query)
     planned = optimizer.execute(query, work_budget=300_000)
 
     print("UDF torture, 6-table chain, 40 tuples per table:")
-    print(f"  Skinner-C           : {learned.metrics.simulated_time:>12,.0f} simulated ms, "
+    print(f"  Skinner-C            : {learned.metrics.work.total:>12,} work units, "
+          f"{learned.metrics.wall_time_seconds * 1e3:>8.1f} ms, "
           f"{learned.rows[0]['matches']} matching tuples")
     status = "TIMED OUT" if planned.metrics.extra["timed_out"] else "finished"
-    print(f"  Traditional optimizer: {planned.metrics.simulated_time:>12,.0f} simulated ms "
-          f"({status})")
+    print(f"  Traditional optimizer: {planned.metrics.work.total:>12,} work units, "
+          f"{planned.metrics.wall_time_seconds * 1e3:>8.1f} ms ({status})")
     print("\nSkinner discovers that one join edge never matches and schedules it "
           "first; the traditional optimizer has no way to know which edge that is.")
 

@@ -555,7 +555,6 @@ class Connection:
         query: str | Query,
         *,
         engine: str | None = None,
-        profile: str = "postgres",
         config: SkinnerConfig | None = None,
         forced_order: Sequence[str] | None = None,
         use_result_cache: bool = True,
@@ -573,7 +572,6 @@ class Connection:
             query,
             params,
             engine=engine if engine is not None else self.default_engine,
-            profile=profile,
             config=config,
             forced_order=forced_order,
             use_result_cache=use_result_cache,
@@ -596,7 +594,6 @@ class Connection:
         query: str | Query,
         *,
         engine: str | None = None,
-        profile: str = "postgres",
         config: SkinnerConfig | None = None,
         forced_order: Sequence[str] | None = None,
         params: Sequence[Any] | Mapping[str, Any] | None = None,
@@ -615,9 +612,7 @@ class Connection:
         self._check_local("execute_direct()")
         parsed = self._resolve_query(query, params)
         spec = self.registry.resolve(engine if engine is not None else self.default_engine)
-        context = EngineContext(
-            self.catalog, self.udfs, config or self.config, profile=profile
-        )
+        context = EngineContext(self.catalog, self.udfs, config or self.config)
         return spec.execute(context, parsed, forced_order=forced_order)
 
     def _resolve_query(

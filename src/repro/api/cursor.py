@@ -57,11 +57,11 @@ class Cursor:
     ----------
     arraysize:
         Default row count of :meth:`fetchmany` (PEP 249; default 1).
-    engine, profile:
-        Execution knobs applied to subsequent :meth:`execute` calls; both
-        can also be overridden per call.  ``engine`` defaults to the
-        connection's :attr:`~repro.api.connection.Connection.default_engine`
-        (the ``connect(engine=...)`` / ``REPRO_ENGINE`` resolution).
+    engine:
+        Engine applied to subsequent :meth:`execute` calls, unless a call
+        names one.  It defaults to the connection's
+        :attr:`~repro.api.connection.Connection.default_engine` (the
+        ``connect(engine=...)`` / ``REPRO_ENGINE`` resolution).
     """
 
     def __init__(
@@ -69,12 +69,10 @@ class Cursor:
         connection: Connection,
         *,
         engine: str | None = None,
-        profile: str = "postgres",
     ) -> None:
         self.connection = connection
         self.arraysize = 1
         self.engine = engine if engine is not None else connection.default_engine
-        self.profile = profile
         self._ticket: int | None = None
         self._description: list[tuple] | None = None
         #: Rows iteration has fetched and not handed out yet, last row first.
@@ -120,7 +118,6 @@ class Cursor:
         parameters: Sequence[Any] | Mapping[str, Any] | None = None,
         *,
         engine: str | None = None,
-        profile: str | None = None,
         config: SkinnerConfig | None = None,
         forced_order: Sequence[str] | None = None,
         use_result_cache: bool = True,
@@ -143,7 +140,6 @@ class Cursor:
                 operation,
                 parameters,
                 engine=engine or self.engine,
-                profile=profile or self.profile,
                 config=config,
                 forced_order=forced_order,
                 use_result_cache=use_result_cache,

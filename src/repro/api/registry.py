@@ -9,8 +9,8 @@ engines here, and third-party code extends the set with
 >>> from repro.api import EngineSpec, register_engine
 >>> register_engine(EngineSpec("my-engine", factory=lambda ctx: MyEngine(ctx)))
 
-A factory receives an :class:`EngineContext` (catalog, UDFs, config,
-profile, and lazily collected statistics) and returns an engine object with
+A factory receives an :class:`EngineContext` (catalog, UDFs, config and
+lazily collected statistics) and returns an engine object with
 an ``execute(query) -> QueryResult`` method.  An engine whose spec names a
 ``task_class`` — a concrete :class:`~repro.engine.task.EngineTask` subclass
 — is *episodic*: it also exposes ``task(query)`` returning a resumable task
@@ -51,7 +51,6 @@ class EngineContext:
     catalog: Catalog
     udfs: UdfRegistry | None
     config: SkinnerConfig
-    profile: str = "postgres"
 
     def statistics(self) -> StatisticsCatalog:
         """The catalog's optimizer statistics (collected on first use)."""
@@ -242,17 +241,15 @@ def _skinner_c(context: EngineContext) -> SkinnerC:
 
 
 def _skinner_g(context: EngineContext) -> SkinnerG:
-    return SkinnerG(context.catalog, context.udfs, context.config,
-                    dbms_profile=context.profile)
+    return SkinnerG(context.catalog, context.udfs, context.config)
 
 
 def _skinner_h(context: EngineContext) -> SkinnerH:
-    return SkinnerH(context.catalog, context.udfs, context.config,
-                    dbms_profile=context.profile)
+    return SkinnerH(context.catalog, context.udfs, context.config)
 
 
 def _traditional(context: EngineContext) -> TraditionalEngine:
-    return TraditionalEngine(context.catalog, context.udfs, profile=context.profile)
+    return TraditionalEngine(context.catalog, context.udfs)
 
 
 def _eddy(context: EngineContext) -> EddyEngine:

@@ -91,7 +91,6 @@ class Transport(ABC):
         parameters: Sequence[Any] | Mapping[str, Any] | None,
         *,
         engine: str,
-        profile: str,
         config: SkinnerConfig | None,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
@@ -173,7 +172,6 @@ class LocalTransport(Transport):
         parameters: Sequence[Any] | Mapping[str, Any] | None,
         *,
         engine: str,
-        profile: str,
         config: SkinnerConfig | None,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
@@ -189,7 +187,6 @@ class LocalTransport(Transport):
         ticket = conn.server.submit(
             parsed,
             engine=engine,
-            profile=profile,
             # Resolve against the connection's (reassignable) config, not
             # the server's construction-time snapshot.
             config=config or conn.config,

@@ -2,7 +2,7 @@
 
 * :class:`~repro.baselines.traditional.TraditionalEngine` — a conventional
   cost-based optimizer plus left-deep executor, playing the role of
-  Postgres / MonetDB / the commercial system (engine profiles differ).
+  Postgres / MonetDB / the commercial system.
 * :class:`~repro.baselines.eddy.EddyEngine` — adaptive per-tuple routing in
   the spirit of Eddies with lottery-style operator selection.
 * :class:`~repro.baselines.reoptimizer.ReOptimizerEngine` — sampling-based

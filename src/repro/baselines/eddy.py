@@ -22,7 +22,6 @@ from typing import Any
 
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
-from repro.engine.profiles import EngineProfile, get_profile
 from repro.errors import BudgetExceeded
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
@@ -56,12 +55,9 @@ class EddyEngine:
         self,
         catalog: Catalog,
         udfs: UdfRegistry | None = None,
-        *,
-        profile: str | EngineProfile = "skinner",
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
-        self._profile = get_profile(profile)
 
     @property
     def name(self) -> str:
@@ -98,7 +94,6 @@ class EddyEngine:
             output = Table("result", {})
         metrics = QueryMetrics.measured(
             self.name,
-            self._profile,
             meter.snapshot(),
             started,
             output.num_rows,

@@ -26,8 +26,6 @@ def make_random_order_engine(
     catalog: Catalog,
     udfs: UdfRegistry | None = None,
     config: SkinnerConfig = DEFAULT_CONFIG,
-    *,
-    dbms_profile: str = "postgres",
 ):
     """Build a Skinner engine whose join orders are chosen at random.
 
@@ -40,7 +38,7 @@ def make_random_order_engine(
     if variant == "skinner-c":
         return SkinnerC(catalog, udfs, randomized)
     if variant == "skinner-g":
-        return SkinnerG(catalog, udfs, randomized, dbms_profile=dbms_profile)
+        return SkinnerG(catalog, udfs, randomized)
     if variant == "skinner-h":
-        return SkinnerH(catalog, udfs, randomized, dbms_profile=dbms_profile)
+        return SkinnerH(catalog, udfs, randomized)
     raise ValueError(f"unknown Skinner variant {variant!r}")

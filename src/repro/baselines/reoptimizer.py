@@ -18,7 +18,6 @@ from collections.abc import Sequence
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
-from repro.engine.profiles import EngineProfile, get_profile
 from repro.errors import BudgetExceeded
 from repro.optimizer.cardinality import CardinalityEstimator, EstimatedCardinality
 from repro.optimizer.exhaustive import choose_plan
@@ -58,7 +57,6 @@ class ReOptimizerEngine:
         catalog: Catalog,
         udfs: UdfRegistry | None = None,
         *,
-        profile: str | EngineProfile = "skinner",
         sample_fraction: float = 0.1,
         sample_limit: int = 200,
         validation_factor: float = 3.0,
@@ -66,7 +64,6 @@ class ReOptimizerEngine:
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
-        self._profile = get_profile(profile)
         self._sample_fraction = sample_fraction
         self._sample_limit = sample_limit
         self._validation_factor = validation_factor
@@ -111,7 +108,6 @@ class ReOptimizerEngine:
             output = Table("result", {})
         metrics = QueryMetrics.measured(
             self.name,
-            self._profile,
             meter.snapshot(),
             started,
             output.num_rows,

@@ -3,9 +3,9 @@
 This engine does what a conventional DBMS does: collect statistics once,
 estimate cardinalities under independence assumptions, pick the cheapest
 left-deep join order by dynamic programming, and execute that single plan to
-completion.  Its engine profile determines per-tuple cost and parallelism so
-the same optimizer/executor pair can represent Postgres (row store, single
-threaded), MonetDB (vectorized, parallel), or the commercial system.
+completion.  The paper's Postgres, MonetDB and commercial systems are this
+engine's work weighted per system by the benchmark harness
+(``benchmarks/paper``); the engine itself reports work units.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from collections.abc import Sequence
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
-from repro.engine.profiles import EngineProfile, get_profile
 from repro.errors import BudgetExceeded
 from repro.optimizer.cardinality import EstimatedCardinality
 from repro.optimizer.exhaustive import choose_plan
@@ -38,30 +37,18 @@ class TraditionalEngine:
         Tables to run against.
     udfs:
         UDF registry (the optimizer treats UDF predicates as black boxes).
-    profile:
-        Engine profile name or object (``postgres``, ``monetdb``, ...).
     """
 
     def __init__(
         self,
         catalog: Catalog,
         udfs: UdfRegistry | None = None,
-        *,
-        profile: str | EngineProfile = "postgres",
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
-        self._profile = get_profile(profile)
 
-    @property
-    def name(self) -> str:
-        """Engine name used in reports."""
-        return f"traditional({self._profile.name})"
-
-    @property
-    def profile(self) -> EngineProfile:
-        """The engine profile in use."""
-        return self._profile
+    #: Engine name used in reports.
+    name = "traditional"
 
     # ------------------------------------------------------------------
     # planning
@@ -114,7 +101,6 @@ class TraditionalEngine:
             output = Table("result", {})
         metrics = QueryMetrics.measured(
             self.name,
-            self._profile,
             meter.snapshot(),
             started,
             output.num_rows,

@@ -15,7 +15,7 @@ transaction surface) is executed twice:
 
 Because engine tasks snapshot their input tables at activation, the
 catalog state each query observes is its *submission-time* state in both
-runs, so rows, ``simulated_time``, and ledger charges must be
+runs, so rows, work-unit breakdowns and ledger charges must be
 byte-identical pairwise — any divergence is a bug in snapshotting, in the
 version keys of the serving caches, or in admission accounting, and the
 report names it.  A stale cache hit would be identical in both runs, so
@@ -199,7 +199,7 @@ def _run_schedule(
                 active["streamed"].extend(chunk)
             result = server.result(active["ticket"])
             active["rows"] = _result_rows(result)
-            active["simulated_time"] = result.metrics.simulated_time
+            active["breakdown"] = result.metrics.work
             active["work"] = server.ledger.total(active["ticket"])
             observations.append(active)
             active = None
@@ -261,7 +261,7 @@ def run_churn(
     (``interleaved/`` and ``replay/`` subdirectories); ``None`` runs both
     in memory.  The returned report's ``matched`` asserts byte-identical
     canonical rows, identical streamed-row multisets, and identical
-    ``simulated_time`` and ledger charges per query, result-cache hits
+    ``metrics.work`` breakdowns and ledger charges per query, result-cache hits
     that match a direct run at their submission point — plus zero leaked
     admission slots in both runs.
     """
@@ -323,7 +323,6 @@ def run_churn(
         entry = {
             "name": one["name"],
             "rows": len(one["rows"]),
-            "simulated_time": one["simulated_time"],
             "work": one["work"],
         }
         report.per_query.append(entry)
@@ -335,10 +334,9 @@ def run_churn(
             report.mismatches.append(
                 f"{one['name']}: streamed rows disagree with the result"
             )
-        if one["simulated_time"] != two["simulated_time"]:
+        if one["breakdown"] != two["breakdown"]:
             report.mismatches.append(
-                f"{one['name']}: simulated_time {one['simulated_time']} "
-                f"vs {two['simulated_time']}"
+                f"{one['name']}: work {one['breakdown']} vs {two['breakdown']}"
             )
         if one["work"] != two["work"]:
             report.mismatches.append(

@@ -8,12 +8,10 @@ materialized lazily from the column store.
 
 Costs are not measured in wall-clock time but in **work units** charged to a
 :class:`~repro.engine.meter.CostMeter` (tuples scanned, predicate
-evaluations, hash probes, intermediate tuples).  An
-:class:`~repro.engine.profiles.EngineProfile` converts work units into
-simulated time so that different engines (row store, vectorized column
-store, the Java-style Skinner engine) can be compared the way the paper
-compares Postgres, MonetDB, and SkinnerDB.  See ``docs/ci.md`` ("work units on
-synthetic workloads") for the substitution rationale.
+evaluations, hash probes, intermediate tuples).  The benchmark harness
+weights them per modelled system to compare engines the way the paper
+compares Postgres, MonetDB, and SkinnerDB.  See ``docs/ci.md`` ("work units
+on synthetic workloads") for the substitution rationale.
 """
 
 from repro.engine.executor import PlanExecutor
@@ -27,14 +25,12 @@ from repro.engine.joinkernels import (
 )
 from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.engine.postprocess import post_process
-from repro.engine.profiles import EngineProfile, get_profile
 from repro.engine.relation import RowIdRelation
 from repro.engine.task import EngineTask, ExecutionBackend
 
 __all__ = [
     "CompositeKeySpace",
     "CostMeter",
-    "EngineProfile",
     "EngineTask",
     "ExecutionBackend",
     "GroupedJoinMap",
@@ -44,7 +40,6 @@ __all__ = [
     "WorkBreakdown",
     "encode_composite_keys",
     "expand_matches",
-    "get_profile",
     "group_rows",
     "post_process",
 ]

@@ -3,8 +3,9 @@
 Every engine charges its work to a :class:`CostMeter`.  The meter serves
 three purposes:
 
-* it is the **simulated clock**: benchmarks report weighted work units
-  instead of wall-clock time (see ``docs/ci.md``);
+* it is the **work clock**: deterministic work units that every budget
+  and reward reads and every engine reports beside wall seconds (the
+  paper harness weights them per modelled system, see ``docs/ci.md``);
 * it enforces **budgets**: Skinner-G aborts a batch when the per-batch
   timeout elapses, which here means the meter raises
   :class:`~repro.errors.BudgetExceeded` once the budget is spent;

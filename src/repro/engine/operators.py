@@ -128,8 +128,8 @@ def hash_join_step(
     """
     # Building the hash side scans/hashes the new table's tuples once, so it
     # is charged as scan work, not as hash probes: the probe counter must
-    # mean the same thing across join implementations for the meter profiles
-    # and the Table-6 ablation to be comparable.  Every join is charged its
+    # mean the same thing across join implementations for the weighted
+    # reports and the Table-6 ablation to be comparable.  Every join is charged its
     # build, also one whose build side was grouped before, and before it is
     # asked for: a build that overruns the budget is never grouped.
     meter.charge_scan(positions.shape[0] - lower)

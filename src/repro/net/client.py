@@ -260,7 +260,6 @@ class RemoteTransport(Transport):
         parameters: Sequence[Any] | Mapping[str, Any] | None,
         *,
         engine: str,
-        profile: str,
         config: SkinnerConfig | None,
         forced_order: Sequence[str] | None,
         use_result_cache: bool,
@@ -274,7 +273,6 @@ class RemoteTransport(Transport):
             sql=self._sql_text(operation),
             params=self._wire_params(parameters),
             engine=engine,
-            profile=profile,
             config=self._wire_config(config),
             forced_order=list(forced_order) if forced_order is not None else None,
             use_result_cache=use_result_cache,

@@ -1,4 +1,4 @@
-"""The wire protocol, version 3: framed JSON headers and raw column buffers.
+"""The wire protocol, version 4: framed JSON headers and raw column buffers.
 
 One frame, in either direction::
 
@@ -51,8 +51,8 @@ pins the protocol version and the client's tenant identity; the tenant
 cannot be changed afterwards (quota accounting is per-connection).  A
 protocol-1 peer (frames of ``length | JSON``, rows as JSON lists) is told
 so in its own framing — :func:`refuse_v1` — and disconnected; nothing else
-of version 1 remains.  A protocol-2 peer frames like version 3 and gets
-the same typed refusal in it.  See ``docs/serving.md`` for the full verb
+of version 1 remains.  A protocol-2 or -3 peer frames like version 4 and
+gets the same typed refusal in it.  See ``docs/serving.md`` for the full verb
 table.
 """
 
@@ -87,9 +87,10 @@ from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
 #: Protocol revision; bumped on any incompatible wire change.  The server
-#: rejects a ``hello`` with a different version.  Version 3 has version 2's
-#: framing and different verbs (``docs/serving.md`` has the table).
-PROTOCOL_VERSION = 3
+#: rejects a ``hello`` with a different version.  Versions 3 and 4 have
+#: version 2's framing and different verbs (``docs/serving.md`` has the
+#: table); version 4's ``submit`` and metrics carry work units only.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame's body (64 MiB).
 MAX_FRAME = 64 * 1024 * 1024
@@ -407,12 +408,6 @@ def metrics_to_wire(metrics: QueryMetrics) -> dict[str, Any]:
     return {
         "engine": metrics.engine,
         "work": dataclasses.asdict(metrics.work),
-        "parallel_work": (
-            dataclasses.asdict(metrics.parallel_work)
-            if metrics.parallel_work is not None
-            else None
-        ),
-        "simulated_time": metrics.simulated_time,
         "wall_time_seconds": metrics.wall_time_seconds,
         "intermediate_cardinality": metrics.intermediate_cardinality,
         "result_rows": metrics.result_rows,
@@ -434,12 +429,9 @@ def metrics_to_wire(metrics: QueryMetrics) -> dict[str, Any]:
 def metrics_from_wire(wire: dict[str, Any]) -> QueryMetrics:
     """Reconstruct :class:`QueryMetrics` from its wire form."""
     order = wire.get("final_join_order")
-    spread = wire["parallel_work"]
     return QueryMetrics(
         engine=wire["engine"],
         work=WorkBreakdown(**wire["work"]),
-        parallel_work=WorkBreakdown(**spread) if spread is not None else None,
-        simulated_time=wire["simulated_time"],
         wall_time_seconds=wire["wall_time_seconds"],
         intermediate_cardinality=wire["intermediate_cardinality"],
         result_rows=wire["result_rows"],

@@ -63,7 +63,7 @@ TENANT_BACKLOG = 8
 
 #: The arguments the ``submit`` verb reads; any other name is refused.
 _SUBMIT_ARGS = frozenset({
-    "sql", "params", "engine", "profile", "config", "forced_order",
+    "sql", "params", "engine", "config", "forced_order",
     "use_result_cache", "weight", "priority", "stream", "release",
 })
 
@@ -156,7 +156,8 @@ class ReproServer:
         self._progress: asyncio.Event = asyncio.Event()
         self._stopping = False
         self._clients: set[_Client] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: Each open client socket's writer, by the task handling it.
+        self._writers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._started_at = 0.0
 
     # ------------------------------------------------------------------
@@ -182,7 +183,14 @@ class ReproServer:
             await self.stop()
 
     async def stop(self) -> None:
-        """Stop listening, end the pump, and drop live client sockets."""
+        """Stop listening, drop live client sockets, wait for their
+        handlers to return, and end the pump.
+
+        A handler left running would be cancelled by the event loop's
+        shutdown instead, mid-read, which asyncio reports as an unhandled
+        error.  A socket whose peer has not read what was sent is aborted,
+        not closed, so no handler waits on it.
+        """
         if self._stopping:
             return
         self._stopping = True
@@ -190,11 +198,19 @@ class ReproServer:
         self._notify_progress()  # wake handlers blocked on fetch/backpressure
         if self._server is not None:
             self._server.close()
+        for writer in list(self._writers.values()):
+            if writer.transport.get_write_buffer_size():
+                writer.transport.abort()
+            else:
+                writer.close()
+        if self._writers:
+            await asyncio.wait(list(self._writers))
+        if self._server is not None:
+            # Since Python 3.12 this also waits for every accepted
+            # connection to drop, so it must come after the sockets close.
             await self._server.wait_closed()
         if self._pump_task is not None:
             await self._pump_task
-        for writer in list(self._writers):
-            writer.close()
 
     @property
     def dsn(self) -> str:
@@ -261,9 +277,12 @@ class ReproServer:
     ) -> None:
         peername = writer.get_extra_info("peername")
         client = _Client(str(peername))
-        self._writers.add(writer)
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._writers[handler] = writer
         try:
-            if not await self._handshake(client, reader, writer):
+            # Accepted just before stop(): its writer was not there to close.
+            if self._stopping or not await self._handshake(client, reader, writer):
                 return
             self._clients.add(client)
             qs = self.connection.server
@@ -279,7 +298,7 @@ class ReproServer:
         except (FrameError, ConnectionResetError, BrokenPipeError, OperationalError):
             return  # broken peer: cleanup below still runs
         finally:
-            self._writers.discard(writer)
+            del self._writers[handler]
             self._clients.discard(client)
             self._abandon_client(client)
             writer.close()
@@ -431,7 +450,6 @@ class ReproServer:
         ticket = conn.server.submit(
             parsed,
             engine=args.get("engine") or client.settings["engine"],
-            profile=args.get("profile", "postgres"),
             config=effective_config,
             forced_order=tuple(forced) if forced is not None else None,
             use_result_cache=bool(args.get("use_result_cache", True)),

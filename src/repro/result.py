@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.meter import WorkBreakdown
-from repro.engine.profiles import EngineProfile, get_profile
 from repro.storage.table import Table
 
 
@@ -18,24 +17,13 @@ class QueryMetrics:
     Attributes
     ----------
     engine:
-        Engine name (``skinner-c``, ``traditional(postgres)``, ...).
+        Engine name (``skinner-c``, ``traditional``, ``skinner-g(sqlite)``, ...).
     work:
         Work-unit breakdown charged during execution (join phase plus
-        pre/post-processing).
-    parallel_work:
-        The share of ``work`` the modelled system spreads over cores.
-        ``None``: all of it, in one phase (every engine but Skinner-C).
-        Skinner-C reports its pre-processing breakdown — the rest of
-        ``work`` is then a second, serial phase (paper §6.1) — and an empty
-        breakdown for a forced-order run.  No execution reads it; a report
-        re-weights ``simulated_time`` for many cores from it, see
-        ``modelled_time`` in ``benchmarks/paper/metrics.py``.
-    simulated_time:
-        Weighted work under the engine's profile on one core (abstract
-        milliseconds) — the repository's substitute for wall-clock time,
-        see ``docs/ci.md``.
+        pre/post-processing) — the deterministic clock every budget,
+        reward and benchmark fingerprint reads.
     wall_time_seconds:
-        Actual Python wall-clock time, recorded for reference only.
+        Python wall-clock seconds of the execution.
     intermediate_cardinality:
         Total intermediate-result tuples produced by the executed plan(s);
         the engine-independent join-order-quality metric of Tables 1 and 2.
@@ -49,13 +37,15 @@ class QueryMetrics:
         Memory-related counters used by Figure 8.
     extra:
         Engine-specific details (timeout levels used, re-optimization count,
-        ablation flags, ...).
+        ablation flags, ...).  Skinner-C adds ``preprocess_work``, the
+        :class:`~repro.engine.meter.WorkBreakdown` of its pre-processing as
+        a plain dict (all zero for a forced-order run): the share of
+        ``work`` that the paper's multi-core systems spread over cores
+        (§6.1), which ``benchmarks/paper`` re-weights; no execution reads it.
     """
 
     engine: str
     work: WorkBreakdown = field(default_factory=WorkBreakdown)
-    parallel_work: WorkBreakdown | None = None
-    simulated_time: float = 0.0
     wall_time_seconds: float = 0.0
     intermediate_cardinality: int = 0
     result_rows: int = 0
@@ -70,7 +60,6 @@ class QueryMetrics:
     def measured(
         cls,
         engine: str,
-        profile: str | EngineProfile,
         work: WorkBreakdown,
         started: float,
         result_rows: int,
@@ -79,13 +68,10 @@ class QueryMetrics:
         """Metrics of a run that began at ``started`` and charged ``work``.
 
         The one assembler every engine reports through: ``started`` is a
-        ``time.perf_counter()`` reading, simulated time is ``work`` under
-        ``profile`` and the intermediate cardinality is ``work``'s own,
-        unless ``fields`` name them (Skinner-C's two phases do); the other
-        ``fields`` go to the constructor as they are.
+        ``time.perf_counter()`` reading and the intermediate cardinality is
+        ``work``'s own unless ``fields`` name it (Skinner-C's join phase
+        does); the other ``fields`` go to the constructor as they are.
         """
-        if "simulated_time" not in fields:
-            fields["simulated_time"] = get_profile(profile).simulated_time(work)
         fields.setdefault("intermediate_cardinality", work.intermediate_tuples)
         return cls(
             engine=engine,
@@ -99,7 +85,7 @@ class QueryMetrics:
         """One-line human-readable summary."""
         order = " ".join(self.final_join_order) if self.final_join_order else "-"
         return (
-            f"{self.engine}: time={self.simulated_time:.1f} "
+            f"{self.engine}: work={self.work.total} "
             f"card={self.intermediate_cardinality} rows={self.result_rows} order=[{order}]"
         )
 

@@ -4,7 +4,7 @@ Two caches sit above the per-query engines:
 
 * the **result cache** maps a *normalized query fingerprint* — the parsed
   query's canonical rendering plus everything else that can change the
-  answer or its metrics (engine, profile, config, forced order) —
+  answer or its metrics (engine, config, forced order) —
   to a finished :class:`~repro.result.QueryResult`.
 * the **join-order cache** maps a *join-graph signature* — the aliased base
   tables plus the join predicates, with unary predicates deliberately
@@ -41,7 +41,6 @@ def query_fingerprint(
     query: Query,
     *,
     engine: str,
-    profile: str,
     config: SkinnerConfig,
     forced_order: Sequence[str] | None = None,
 ) -> str:
@@ -54,7 +53,6 @@ def query_fingerprint(
     parts = (
         query.display(),
         engine,
-        profile,
         repr(config),
         repr(tuple(forced_order) if forced_order is not None else None),
     )

@@ -153,7 +153,6 @@ class QueryServer:
         query: str | Query,
         *,
         engine: str | None = None,
-        profile: str = "postgres",
         config: SkinnerConfig | None = None,
         forced_order: Sequence[str] | None = None,
         weight: float = 1.0,
@@ -185,14 +184,12 @@ class QueryServer:
                   if isinstance(query, str) else query)
         config = config or self._config
         fingerprint = query_fingerprint(
-            parsed, engine=engine, profile=profile,
-            config=config, forced_order=forced_order,
+            parsed, engine=engine, config=config, forced_order=forced_order,
         )
         session = QuerySession(
             ticket=next(self._tickets),
             query=parsed,
             engine=engine,
-            profile=profile,
             config=config,
             forced_order=tuple(forced_order) if forced_order is not None else None,
             weight=weight,
@@ -581,9 +578,7 @@ class QueryServer:
         # Task construction snapshots the input tables; remember at which
         # versions, so completion knows whether the result is still cacheable.
         session.versions = self._versions(read_tables(session.query))
-        context = EngineContext(
-            self._catalog, self._udfs, session.config, profile=session.profile
-        )
+        context = EngineContext(self._catalog, self._udfs, session.config)
         try:
             # resolve() must stay inside the try: a queued session can be
             # activated long after submission (admission promotion), by

@@ -117,7 +117,6 @@ class QuerySession:
     ticket: int
     query: Query
     engine: str
-    profile: str
     config: SkinnerConfig
     forced_order: tuple[str, ...] | None = None
     weight: float = 1.0

@@ -261,7 +261,7 @@ def _build_join_maps(
     for alias, column_name in wanted:
         positions = prepared.filtered[alias]
         # Grouping the filtered tuples is build work: charge it as scan, like
-        # the plan executor's hash-join build, so meter profiles compare the
+        # the plan executor's hash-join build, so weighted reports compare the
         # same quantities across join implementations — a map the cache
         # already held included.
         meter.charge_scan(int(positions.shape[0]))

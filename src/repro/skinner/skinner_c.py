@@ -22,6 +22,7 @@ it has accumulated over earlier queries left it, not at the base budget
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 import warnings
@@ -33,7 +34,6 @@ import numpy as np
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.engine.postprocess import post_process
-from repro.engine.profiles import get_profile
 from repro.engine.task import (
     PRIOR_ORDERS,
     WARM_START_VISITS,
@@ -74,35 +74,30 @@ def skinner_c_metrics(
 ) -> QueryMetrics:
     """The one place Skinner-C metrics are assembled.
 
-    A learned run charges two meters and reports them as two phases of the
-    ``skinner`` profile, pre-processing being the share a multi-core system
-    spreads (paper §6.1).  A forced-order run charges one (``pre=None``):
-    one phase, nothing spread.  ``fields`` are passed to
+    A learned run charges two meters, pre-processing and the join, and
+    reports the first in ``extra["preprocess_work"]``: the share a
+    multi-core system spreads (paper §6.1).  A forced-order run charges one
+    (``pre=None``) and reports an all-zero share there.  The intermediate
+    cardinality is the join's scans.  ``fields`` are passed to
     :class:`QueryMetrics` as they are.
     """
-    profile = get_profile("skinner")
     if pre is None:
         work = join.snapshot()
-        parallel_work = WorkBreakdown()
-        simulated = profile.simulated_time(work)
+        spread = WorkBreakdown()
     else:
         total = CostMeter()
         total.merge(pre)
         total.merge(join)
         work = total.snapshot()
-        parallel_work = pre.snapshot()
-        simulated = profile.simulated_time(parallel_work) + profile.simulated_time(
-            join.snapshot()
-        )
+        spread = pre.snapshot()
+    extra = {**fields.pop("extra", {}), "preprocess_work": dataclasses.asdict(spread)}
     return QueryMetrics.measured(
         engine,
-        profile,
         work,
         started,
-        parallel_work=parallel_work,
-        simulated_time=simulated,
         intermediate_cardinality=join.tuples_scanned,
         result_tuple_count=len(result_set),
+        extra=extra,
         **fields,
     )
 

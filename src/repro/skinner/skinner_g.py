@@ -37,7 +37,6 @@ from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
-from repro.engine.profiles import EngineProfile, get_profile
 from repro.engine.relation import RowIdRelation
 from repro.engine.task import EngineTask, ExecutionBackend, GenericEngine
 from repro.errors import BudgetExceeded, ExecutionError
@@ -294,14 +293,12 @@ class SkinnerG(ExecutionBackend):
         udfs: UdfRegistry | None = None,
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
-        dbms_profile: str | EngineProfile = "postgres",
         generic_engine: GenericEngineProvider | None = None,
         backend_label: str | None = None,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
-        self._profile = get_profile(dbms_profile)
         #: Substrate factory — ``None`` keeps the internal executor (the
         #: historical behavior and the A/B reference); ``repro.external``
         #: passes providers that drive a real DBMS.
@@ -321,7 +318,7 @@ class SkinnerG(ExecutionBackend):
     @property
     def name(self) -> str:
         """Engine name used in reports."""
-        return f"skinner-g({self._backend_label or self._profile.name})"
+        return f"skinner-g({self._backend_label})" if self._backend_label else "skinner-g"
 
     def task(self, query: Query) -> SkinnerGTask:
         """Create a resumable episode task for ``query`` (see SkinnerGTask)."""
@@ -349,7 +346,6 @@ class SkinnerG(ExecutionBackend):
             total.merge(extra_work)
         metrics = QueryMetrics.measured(
             engine_name,
-            self._profile,
             total.snapshot(),
             started,
             output.num_rows,

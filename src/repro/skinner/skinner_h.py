@@ -16,7 +16,6 @@ import time
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
-from repro.engine.profiles import EngineProfile, get_profile
 from repro.engine.task import EngineTask, ExecutionBackend
 from repro.errors import ExecutionError
 from repro.optimizer.cardinality import EstimatedCardinality
@@ -151,24 +150,22 @@ class SkinnerH(ExecutionBackend):
         udfs: UdfRegistry | None = None,
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
-        dbms_profile: str | EngineProfile = "postgres",
         generic_engine: "GenericEngineProvider | None" = None,
         backend_label: str | None = None,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
-        self._profile = get_profile(dbms_profile)
         self._backend_label = backend_label
         self._generic = SkinnerG(
-            catalog, udfs, config, dbms_profile=self._profile,
+            catalog, udfs, config,
             generic_engine=generic_engine, backend_label=backend_label,
         )
 
     @property
     def name(self) -> str:
         """Engine name used in reports."""
-        return f"skinner-h({self._backend_label or self._profile.name})"
+        return f"skinner-h({self._backend_label})" if self._backend_label else "skinner-h"
 
     # ------------------------------------------------------------------
     # planning with the traditional optimizer
@@ -204,7 +201,6 @@ class SkinnerH(ExecutionBackend):
             total.merge(run.meter)
         metrics = QueryMetrics.measured(
             self.name,
-            self._profile,
             total.snapshot(),
             started,
             output.num_rows,

@@ -147,10 +147,11 @@ class TestCustomEngine:
             return ToyEngine(context)
 
         register_engine(name="toy", factory=factory, replace=True)
-        db.execute("SELECT r.x FROM r", engine="toy", profile="monetdb")
+        config = db.config.with_overrides(slice_budget=7)
+        db.execute("SELECT r.x FROM r", engine="toy", config=config)
         context = captured["context"]
         assert context.catalog is db.catalog
-        assert context.profile == "monetdb"
+        assert context.config == config
 
 
 class ToyTask(EngineTask):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api.registry import DEFAULT_REGISTRY, EngineContext
 from repro.config import SkinnerConfig
-from repro.engine.profiles import get_profile
+from repro.engine.meter import WorkBreakdown
 from repro.skinner import parallel
 from repro.skinner.parallel import ParallelSkinnerCTask
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
@@ -21,6 +21,7 @@ from benchmarks.paper.metrics import (
     relative_overheads,
     time_share_of_top_queries,
 )
+from benchmarks.paper.profiles import get_profile
 from benchmarks.paper.report import format_series, format_table
 from benchmarks.paper.specs import (
     BENCH_CONFIG,
@@ -140,23 +141,23 @@ class TestHarness:
 class TestModelledCores:
     """``threads`` weights a finished run's record; no execution sees it."""
 
-    #: The profile each registered engine weights its work with when the
-    #: execution context names ``monetdb``.
+    #: The profile each registered engine's work is weighted with here; the
+    #: rest are weighted as ``postgres``.
     RUNS_UNDER = {"skinner-c": "skinner", "eddy": "skinner", "reoptimizer": "skinner"}
 
     def test_every_engine_at_one_core_reports_its_own_time(self, job_workload):
         query = job_workload.queries[0].query
         for name in DEFAULT_REGISTRY.names():
-            context = EngineContext(
-                job_workload.catalog, job_workload.udfs, FAST, profile="monetdb"
-            )
+            context = EngineContext(job_workload.catalog, job_workload.udfs, FAST)
             metrics = DEFAULT_REGISTRY.resolve(name).execute(context, query).metrics
-            profile = self.RUNS_UNDER.get(name, "monetdb")
+            profile = self.RUNS_UNDER.get(name, "postgres")
             one = QueryRecord.from_metrics(name, "q", metrics, profile=profile, threads=1)
-            assert one.simulated_time == metrics.simulated_time, name
+            assert one.simulated_time == modelled_time(metrics, profile, 1), name
             assert "threads" not in metrics.extra, name
             if name != "skinner-c":  # one phase: the whole execution spreads
-                assert metrics.parallel_work is None, name
+                assert "preprocess_work" not in metrics.extra, name
+                assert one.simulated_time == get_profile(profile).simulated_time(
+                    metrics.work), name
                 assert modelled_time(metrics, profile, 8) == get_profile(
                     profile).simulated_time(metrics.work, threads=8), name
 
@@ -170,19 +171,24 @@ class TestModelledCores:
         metrics = task.finalize().metrics
         skinner = get_profile("skinner")
         pre, join = task.pre_meter.snapshot(), task.join_meter.snapshot()
-        assert metrics.parallel_work == pre and pre.total and join.total
-        assert metrics.simulated_time == (
+        assert WorkBreakdown(**metrics.extra["preprocess_work"]) == pre
+        assert pre.total and join.total
+        # Two phases, each weighted with its own start-up cost.
+        assert modelled_time(metrics, "skinner") == (
             skinner.simulated_time(pre) + skinner.simulated_time(join))
         assert modelled_time(metrics, "skinner", 8) == (
             skinner.simulated_time(pre, threads=8) + skinner.simulated_time(join))
-        assert modelled_time(metrics, "skinner", 8) < metrics.simulated_time
+        assert modelled_time(metrics, "skinner", 8) < modelled_time(metrics, "skinner")
 
     def test_forced_order_on_skinner_c_spreads_nothing(self, job_workload):
         query = job_workload.queries[0].query
         engine = SkinnerC(job_workload.catalog, job_workload.udfs, FAST)
         forced = engine.execute_with_order(query, engine.execute(query).metrics.final_join_order)
-        assert forced.metrics.parallel_work.total == 0
-        assert modelled_time(forced.metrics, "skinner", 8) == forced.metrics.simulated_time
+        assert WorkBreakdown(**forced.metrics.extra["preprocess_work"]).total == 0
+        assert modelled_time(forced.metrics, "skinner", 8) == modelled_time(
+            forced.metrics, "skinner")
+        assert modelled_time(forced.metrics, "skinner") == get_profile("skinner").simulated_time(
+            forced.metrics.work)
 
     def test_records_move_with_threads_only_under_a_parallel_profile(self, job_workload):
         query = job_workload.queries[0]

@@ -2,8 +2,8 @@
 
 The driver itself is the assertion machine — it runs one deterministic
 schedule of axis queries and subtree mutations twice (interleaved with
-streaming fetches vs serialized replay) and compares rows, simulated
-time, and ledger charges pairwise.  The tests here pin that it *reports
+streaming fetches vs serialized replay) and compares rows, work-unit
+breakdowns, and ledger charges pairwise.  The tests here pin that it *reports
 a match* on in-memory and durable catalogs, that its schedule builder is
 deterministic and well-formed, and that the CLI wires through.
 """

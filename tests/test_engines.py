@@ -117,7 +117,7 @@ class TestSkinnerC:
         assert metrics.time_slices >= 1
         assert metrics.uct_nodes >= 1
         assert metrics.final_join_order is not None
-        assert metrics.simulated_time > 0
+        assert metrics.work.total > 0
         assert metrics.result_tuple_count == reference_join_count(tiny_catalog, tiny_join_query)
 
     def test_trace_collection(self, tiny_catalog, tiny_join_query):
@@ -159,9 +159,11 @@ class TestSkinnerG:
         assert levels and 0 in levels
         assert result.metrics.time_slices >= 1
 
-    def test_name_includes_profile(self, tiny_catalog):
-        assert "postgres" in SkinnerG(tiny_catalog, dbms_profile="postgres").name
-        assert "monetdb" in SkinnerG(tiny_catalog, dbms_profile="monetdb").name
+    def test_name_labels_only_an_external_backend(self, tiny_catalog):
+        assert SkinnerG(tiny_catalog).name == "skinner-g"
+        assert SkinnerH(tiny_catalog).name == "skinner-h"
+        assert SkinnerG(tiny_catalog, backend_label="sqlite").name == "skinner-g(sqlite)"
+        assert SkinnerH(tiny_catalog, backend_label="sqlite").name == "skinner-h(sqlite)"
 
 
 class TestSkinnerH:

@@ -175,7 +175,7 @@ def drain_until_empty(conn, sql: str, use_result_cache: bool) -> list[tuple]:
     """The rows of a fresh submission, fetched until an empty batch."""
     transport = conn.transport
     handle = transport.submit(
-        sql, None, engine=conn.default_engine, profile="postgres", config=None,
+        sql, None, engine=conn.default_engine, config=None,
         forced_order=None, use_result_cache=use_result_cache, weight=1.0, priority=0,
     )
     rows = []
@@ -289,7 +289,7 @@ class TestMalformedTicketArguments:
     def test_a_malformed_ticket_is_an_interface_error_naming_it(self, remote, verb, value):
         transport = remote.transport
         for _ in range(7):  # tickets 1 to 7 exist and belong to this client
-            transport.submit(ORDERED, None, engine="skinner-c", profile="postgres",
+            transport.submit(ORDERED, None, engine="skinner-c",
                              config=None, forced_order=None, use_result_cache=True,
                              weight=1.0, priority=0, stream=False)
         args = {} if value is MISSING else {"ticket": value}

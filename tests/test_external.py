@@ -171,13 +171,7 @@ class TestSqliteEquivalence:
                 rng = random.Random(11)  # reset so both runs build one query
                 query = random_join_query(rng)
                 result = conn.execute_direct(query, engine="skinner_g_sqlite")
-                readings.append(
-                    (
-                        rows_of(result),
-                        result.metrics.work,
-                        result.metrics.simulated_time,
-                    )
-                )
+                readings.append((rows_of(result), result.metrics.work))
             finally:
                 conn.close()
         assert readings[0] == readings[1]

@@ -1,10 +1,10 @@
-"""Unit tests for the cost meter and engine profiles."""
+"""Unit tests for the cost meter and the paper harness's engine profiles."""
 
 import pytest
 
 from repro.engine.meter import CostMeter, WorkBreakdown
-from repro.engine.profiles import EngineProfile, get_profile, profile_names
 from repro.errors import BudgetExceeded
+from benchmarks.paper.profiles import EngineProfile, get_profile, profile_names
 
 
 class TestCostMeter:

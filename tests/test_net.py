@@ -137,13 +137,14 @@ class TestRemoteBasics:
         assert result.rows == [{"n": 6}]
         assert result.metrics.engine == "skinner-c"
         assert result.metrics.work.total > 0
-        # One-phase engines say "all of it" as None on both sides of the wire.
-        assert remote.execute("SELECT r.id FROM r", engine="eddy").metrics.parallel_work is None
+        # One-phase engines report no pre-processing share on either side.
+        assert "preprocess_work" not in remote.execute(
+            "SELECT r.id FROM r", engine="eddy").metrics.extra
 
     def test_stats_verb_reports_tenants_and_caches(self, remote):
         remote.execute("SELECT COUNT(*) AS n FROM s")
         stats = remote.stats()
-        assert stats["protocol_version"] == 3
+        assert stats["protocol_version"] == 4
         assert stats["clients"] >= 1
         assert "default" in stats["tenants"]
         assert "result_cache" in stats and "order_cache" in stats
@@ -323,6 +324,17 @@ class TestErrorMapping:
             channel.request("submit", sql="SELECT r.id FROM r", threads=1)
         assert remote.stats()["completed"] == 0
 
+    def test_submit_rejects_the_removed_profile_argument(self, remote):
+        """A protocol-3 client's engine profile is refused typed, not a
+        server-side ``KeyError``; the connection keeps serving."""
+        channel = remote.transport._channel
+        for profile in ("postgres", "oracle", 5):
+            with pytest.raises(InterfaceError, match="unknown submit argument 'profile'"):
+                channel.request("submit", sql="SELECT r.id FROM r", profile=profile)
+        assert remote.stats()["completed"] == 0
+        cursor = remote.cursor().execute("SELECT r.id FROM r")
+        assert len(cursor.fetchall()) == 6
+
     def test_submit_rejects_a_misspelt_argument(self, remote):
         """A name the verb does not read is refused, not silently ignored."""
         channel = remote.transport._channel
@@ -390,15 +402,16 @@ class TestRemoteLocalByteIdentical:
                 local_cursor.execute(sql, use_result_cache=False)
                 local_rows = local_cursor.fetchall()
                 local_work = local_cursor.result().metrics.work
-                local_spread = local_cursor.result().metrics.parallel_work
+                local_spread = local_cursor.result().metrics.extra["preprocess_work"]
                 remote_cursor = remote_conn.cursor()
                 remote_cursor.execute(sql, use_result_cache=False)
                 remote_rows = remote_cursor.fetchall()
                 remote_work = remote_cursor.result().metrics.work
                 assert remote_rows == local_rows, sql
                 assert remote_work == local_work, sql
-                assert local_spread is not None  # Skinner-C: its pre-processing
-                assert remote_cursor.result().metrics.parallel_work == local_spread, sql
+                # Skinner-C: its pre-processing share, a plain dict on the wire.
+                assert remote_cursor.result().metrics.extra["preprocess_work"] == \
+                    local_spread, sql
         finally:
             remote_conn.close()
 
@@ -524,7 +537,7 @@ class TestBackpressure:
                     handle = transport.submit(
                         "SELECT r.name, s.c FROM r, s WHERE r.id = s.rid",
                         None,
-                        engine="skinner-c", profile="postgres", config=None,
+                        engine="skinner-c", config=None,
                         forced_order=None, use_result_cache=False,
                         weight=1.0, priority=0, stream=True,
                     )
@@ -561,6 +574,70 @@ class TestServerLifecycle:
         with pytest.raises(OperationalError):
             connect(dsn)
 
+    def test_stop_with_a_client_still_connected_is_quiet(self, capfd, caplog):
+        """``stop()`` waits for the handlers it ended: the event loop's
+        shutdown cancels none of them mid-read, so asyncio reports nothing
+        (to stderr, or to the log records pytest diverts it to)."""
+        live = ServerThread(config=FAST).start()
+        seed_rs_schema(live.connection)
+        conn = connect(live.dsn)
+        assert len(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == 6
+        live.stop()
+        assert not live._thread.is_alive()
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [record for record in caplog.records if record.name == "asyncio"]
+        with pytest.raises(OperationalError):
+            conn.cursor().execute("SELECT r.id FROM r").fetchall()
+        conn.close()
+
+    def test_stop_with_a_client_that_never_reads_is_prompt(self):
+        """A reply the peer never reads stays in the server's write buffer;
+        closing that socket would wait for the buffer to flush, so ``stop()``
+        aborts it, and the handler blocked on it returns."""
+        live = ServerThread(config=FAST).start()
+        rows = 20_000
+        live.connection.create_table(
+            "wide", {"id": list(range(rows)), "pad": [f"{i:0100d}" for i in range(rows)]}
+        )
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect((live.server.host, live.server.port))
+        try:
+            stream = sock.makefile("rb")
+
+            def exchange(request_id, verb, **args):
+                sock.sendall(encode_frame({"id": request_id, "v": verb, "args": args}))
+                (length,) = LENGTH_PREFIX.unpack(stream.read(LENGTH_PREFIX.size))
+                reply = decode_payload(stream.read(length))
+                assert reply["ok"], reply
+                return reply["data"]
+
+            exchange(1, "hello", version=4)
+            ticket = exchange(2, "submit", sql="SELECT wide.id, wide.pad FROM wide",
+                              stream=True, use_result_cache=False)["ticket"]
+            # Ask for the ~2 MB result again and again without reading a
+            # reply, until the kernel's socket buffers are full and the
+            # server's own write buffer holds bytes.
+            (writer,) = live.server._writers.values()
+            for request_id in range(3, 43):
+                sock.sendall(encode_frame(
+                    {"id": request_id, "v": "result", "args": {"ticket": ticket}}))
+                deadline = time.monotonic() + 1
+                while not writer.transport.get_write_buffer_size() \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                if writer.transport.get_write_buffer_size():
+                    break
+            assert writer.transport.get_write_buffer_size()
+            started = time.monotonic()
+            live.stop()
+            assert time.monotonic() - started < 10
+            assert not live._thread.is_alive()
+            assert not live.server._writers
+        finally:
+            sock.close()
+            live.stop()
+
     def test_shutdown_wakes_parked_fetches(self):
         live = ServerThread(config=FAST).start()
         seed_rs_schema(live.connection)
@@ -571,7 +648,7 @@ class TestServerLifecycle:
         # variant — stop the server while a result() wait is in flight.
         handle = transport.submit(
             "SELECT r.id FROM r", None,
-            engine="skinner-c", profile="postgres", config=None,
+            engine="skinner-c", config=None,
             forced_order=None, use_result_cache=False, weight=1.0,
             priority=0, stream=True,
         )

@@ -14,7 +14,7 @@ from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_h import SkinnerH
 from repro.workloads.job import make_job_workload
 from repro.workloads.torture import make_correlation_torture, make_udf_torture
-from benchmarks.paper.metrics import QueryRecord, count_failures_and_disasters
+from benchmarks.paper.metrics import QueryRecord, count_failures_and_disasters, modelled_time
 from benchmarks.paper.specs import BENCH_CONFIG
 
 FAST = SkinnerConfig(slice_budget=64, batches_per_table=3, base_timeout=300)
@@ -29,22 +29,22 @@ class TestJoinOrderBenchmarkClaims:
     def test_skinner_c_beats_traditional_on_hazard_queries(self, job):
         """The traditional optimizer's catastrophic plans are Skinner's win (Table 1)."""
         skinner = SkinnerC(job.catalog, job.udfs, FAST)
-        postgres = TraditionalEngine(job.catalog, job.udfs, profile="postgres")
+        postgres = TraditionalEngine(job.catalog, job.udfs)
         for workload_query in job.tagged("hazard"):
             learned = skinner.execute(workload_query.query)
             planned = postgres.execute(workload_query.query)
             assert learned.rows == planned.rows
-            assert learned.metrics.simulated_time < planned.metrics.simulated_time, \
-                workload_query.name
+            assert modelled_time(learned.metrics, "skinner") < modelled_time(
+                planned.metrics, "postgres"), workload_query.name
 
     def test_traditional_wins_most_easy_queries(self, job):
         """Per-tuple overhead makes the traditional engine faster on easy queries (Fig. 6)."""
         skinner = SkinnerC(job.catalog, job.udfs, FAST)
-        postgres = TraditionalEngine(job.catalog, job.udfs, profile="postgres")
+        postgres = TraditionalEngine(job.catalog, job.udfs)
         easy = job.tagged("easy")
         wins = sum(
-            postgres.execute(q.query).metrics.simulated_time
-            < skinner.execute(q.query).metrics.simulated_time
+            modelled_time(postgres.execute(q.query).metrics, "postgres")
+            < modelled_time(skinner.execute(q.query).metrics, "skinner")
             for q in easy
         )
         assert wins >= len(easy) // 2
@@ -53,7 +53,7 @@ class TestJoinOrderBenchmarkClaims:
         """Table 3: forcing Skinner's learned order into the traditional engine
         never makes a hazard query slower (it fixes the catastrophic plan)."""
         skinner = SkinnerC(job.catalog, job.udfs, FAST)
-        postgres = TraditionalEngine(job.catalog, job.udfs, profile="postgres")
+        postgres = TraditionalEngine(job.catalog, job.udfs)
         workload_query = job.tagged("hazard")[0]
         learned_order = skinner.execute(workload_query.query).metrics.final_join_order
         original = postgres.execute(workload_query.query)
@@ -67,10 +67,10 @@ class TestJoinOrderBenchmarkClaims:
         random_engine = SkinnerC(job.catalog, job.udfs,
                                  FAST.with_overrides(order_selection="random", seed=3))
         learned_total = sum(
-            learned_engine.execute(q.query).metrics.simulated_time for q in queries
+            modelled_time(learned_engine.execute(q.query).metrics, "skinner") for q in queries
         )
         random_total = sum(
-            random_engine.execute(q.query).metrics.simulated_time for q in queries
+            modelled_time(random_engine.execute(q.query).metrics, "skinner") for q in queries
         )
         assert learned_total < random_total
 
@@ -102,10 +102,12 @@ class TestJoinOrderBenchmarkClaims:
         random_engine = SkinnerC(job.catalog, job.udfs,
                                  BENCH_CONFIG.with_overrides(order_selection="random"))
         learned_total = sum(
-            learned_engine.execute(q.query).metrics.simulated_time for q in job.queries
+            modelled_time(learned_engine.execute(q.query).metrics, "skinner")
+            for q in job.queries
         )
         random_total = sum(
-            random_engine.execute(q.query).metrics.simulated_time for q in job.queries
+            modelled_time(random_engine.execute(q.query).metrics, "skinner")
+            for q in job.queries
         )
         assert learned_total < random_total
 
@@ -113,8 +115,8 @@ class TestJoinOrderBenchmarkClaims:
 class TestHybridClaims:
     def test_hybrid_bounded_versus_traditional_on_easy_queries(self, job):
         """Theorem 5.8: Skinner-H pays at most a constant factor over the optimizer."""
-        postgres = TraditionalEngine(job.catalog, job.udfs, profile="postgres")
-        hybrid = SkinnerH(job.catalog, job.udfs, FAST, dbms_profile="postgres")
+        postgres = TraditionalEngine(job.catalog, job.udfs)
+        hybrid = SkinnerH(job.catalog, job.udfs, FAST)
         for workload_query in job.tagged("easy")[:3]:
             planned = postgres.execute(workload_query.query)
             hybrid_result = hybrid.execute(workload_query.query)
@@ -122,7 +124,7 @@ class TestHybridClaims:
 
     def test_hybrid_recovers_on_hazard_query(self, job):
         """On catastrophic queries the hybrid's learning side limits the damage."""
-        hybrid = SkinnerH(job.catalog, job.udfs, FAST, dbms_profile="postgres")
+        hybrid = SkinnerH(job.catalog, job.udfs, FAST)
         workload_query = job.tagged("hazard")[0]
         result = hybrid.execute(workload_query.query)
         assert result.metrics.extra["winner"] in ("traditional", "learning")
@@ -140,13 +142,14 @@ class TestTortureClaims:
                 )
                 query = workload.queries[0]
                 skinner = SkinnerC(workload.catalog, workload.udfs, FAST)
-                optimizer = TraditionalEngine(workload.catalog, workload.udfs,
-                                              profile="skinner")
+                optimizer = TraditionalEngine(workload.catalog, workload.udfs)
                 records.append(QueryRecord.from_metrics(
-                    "Skinner", query.name, skinner.execute(query.query).metrics))
+                    "Skinner", query.name, skinner.execute(query.query).metrics,
+                    profile="skinner"))
                 records.append(QueryRecord.from_metrics(
                     "Optimizer", query.name,
-                    optimizer.execute(query.query, work_budget=150_000).metrics))
+                    optimizer.execute(query.query, work_budget=150_000).metrics,
+                    profile="skinner"))
         counts = count_failures_and_disasters(records, metric="time")
         assert counts.get("Skinner", {}).get("disasters", 0) == 0
 
@@ -161,9 +164,10 @@ class TestTortureClaims:
         workload = make_udf_torture(6, 40, shape="chain", good_position=2)
         query = workload.queries[0].query
         skinner = SkinnerC(workload.catalog, workload.udfs, FAST)
-        optimizer = TraditionalEngine(workload.catalog, workload.udfs, profile="skinner")
+        optimizer = TraditionalEngine(workload.catalog, workload.udfs)
         learned = skinner.execute(query)
         planned = optimizer.execute(query, work_budget=200_000)
         assert learned.rows[0]["matches"] == 0
         timed_out = planned.metrics.extra["timed_out"]
-        assert timed_out or learned.metrics.simulated_time <= 3 * planned.metrics.simulated_time
+        assert timed_out or modelled_time(learned.metrics, "skinner") <= 3 * modelled_time(
+            planned.metrics, "skinner")

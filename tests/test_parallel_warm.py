@@ -63,7 +63,8 @@ def test_seeded_morsels_are_identical_across_worker_counts():
         assert result.table.rows() == reference.table.rows(), workers
         assert result.metrics.work == reference.metrics.work, workers
         assert result.metrics.time_slices == reference.metrics.time_slices, workers
-        assert result.metrics.simulated_time == reference.metrics.simulated_time, workers
+        assert (result.metrics.extra["preprocess_work"]
+                == reference.metrics.extra["preprocess_work"]), workers
         assert accumulated == handed_on, workers
 
 

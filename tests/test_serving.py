@@ -276,7 +276,7 @@ def test_result_cache_hit_and_flag(catalog):
     assert hit.metrics.extra["result_cache"] == "hit"
     assert server.ledger.total(hit_ticket) == 0  # no work charged
 
-    # Different engine, profile, or config => different fingerprint.
+    # Different engine or config => different fingerprint.
     miss = server.submit(QUERIES[0], engine="skinner-g")
     assert server.poll(miss)["cache_hit"] is False
     server.drain()
@@ -296,7 +296,7 @@ def test_result_cache_lru_eviction(catalog, monkeypatch):
 def test_fingerprint_normalizes_whitespace_and_case(catalog):
     a = parse_query("SELECT COUNT(*) AS n FROM r WHERE r.v > 25", catalog)
     b = parse_query("select   COUNT(*) AS n from r  where r.v > 25", catalog)
-    kwargs = dict(engine="skinner-c", profile="postgres", config=FAST)
+    kwargs = dict(engine="skinner-c", config=FAST)
     assert query_fingerprint(a, **kwargs) == query_fingerprint(b, **kwargs)
     assert (query_fingerprint(a, **kwargs)
             != query_fingerprint(a, **{**kwargs, "engine": "skinner-g"}))
@@ -409,7 +409,7 @@ def test_submit_and_execute_default_to_the_configured_engine(catalog):
     server = QueryServer(catalog, config=FAST.with_overrides(default_engine="traditional"))
     ticket = server.submit(QUERIES[1])
     assert server.session(ticket).engine == "traditional"
-    assert server.result(ticket).metrics.engine == "traditional(postgres)"
+    assert server.result(ticket).metrics.engine == "traditional"
     explicit = server.submit(QUERIES[1], engine="skinner-c", use_result_cache=False)
     assert server.result(explicit).metrics.engine == "skinner-c"
 

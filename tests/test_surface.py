@@ -85,18 +85,18 @@ CONNECT_PARAMETERS = [
 #: Per-call options of the four ways to run a query, in signature order.
 EXECUTE_PARAMETERS = {
     Cursor.execute: [
-        "self", "operation", "parameters", "engine", "profile", "config",
+        "self", "operation", "parameters", "engine", "config",
         "forced_order", "use_result_cache", "weight", "priority",
     ],
     Connection.execute: [
-        "self", "query", "engine", "profile", "config", "forced_order",
+        "self", "query", "engine", "config", "forced_order",
         "use_result_cache", "params",
     ],
     Connection.execute_direct: [
-        "self", "query", "engine", "profile", "config", "forced_order", "params",
+        "self", "query", "engine", "config", "forced_order", "params",
     ],
     QueryServer.submit: [
-        "self", "query", "engine", "profile", "config", "forced_order", "weight",
+        "self", "query", "engine", "config", "forced_order", "weight",
         "priority", "tenant", "use_result_cache", "stream",
     ],
 }
@@ -182,7 +182,7 @@ def test_transport_carries_exactly_the_boundary_verbs():
     assert list(inspect.signature(Transport.fetch_batch).parameters) == [
         "self", "ticket", "max_rows"]
     assert list(inspect.signature(Transport.submit).parameters)[-2:] == ["stream", "release"]
-    assert PROTOCOL_VERSION == 3
+    assert PROTOCOL_VERSION == 4
 
 
 def test_the_wire_answers_exactly_these_verbs():
@@ -202,11 +202,11 @@ def test_the_cursor_has_one_path_for_both_transports():
 
 
 def test_modelled_threads_is_an_argument_of_the_report_only():
-    """No execution path takes a modelled core count.
+    """No callable of the package takes a modelled system or core count.
 
-    ``threads`` re-weights a finished run's ``simulated_time``; the only
-    callables that may name it are the bench reports and the one function
-    that holds Amdahl's law.
+    The product reports work units and wall seconds; ``threads`` and the
+    engine ``profile`` (``dbms_profile``) weight a finished run's work in
+    the bench reports only (``benchmarks/paper``).
     """
     offenders = []
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
@@ -226,9 +226,9 @@ def test_modelled_threads_is_an_argument_of_the_report_only():
         offenders += [
             f"{module.__name__}.{function.__qualname__}"
             for function in functions
-            if "threads" in inspect.signature(function).parameters
+            if {"threads", "profile", "dbms_profile"} & set(inspect.signature(function).parameters)
         ]
-    assert offenders == ["repro.engine.profiles.EngineProfile.simulated_time"]
+    assert offenders == []
 
 
 def test_the_package_is_the_engine():

@@ -249,20 +249,36 @@ def test_a_v1_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 
-def test_a_v2_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
-    """Version 3 changed the verbs, not the framing: a version-2 client is
-    refused at the handshake instead of failing at its first ``cancel``."""
+def _refused_hello(server, version: int) -> None:
+    """A hello in the current framing naming ``version`` gets the typed
+    refusal and a disconnect."""
     with _raw_socket(server) as sock:
-        sock.sendall(encode_frame({"v": "hello", "id": 2, "args": {"version": 2}}))
+        sock.sendall(encode_frame({"v": "hello", "id": version, "args": {"version": version}}))
         stream = sock.makefile("rb")
         (length,) = LENGTH_PREFIX.unpack(stream.read(LENGTH_PREFIX.size))
         reply = decode_payload(stream.read(length))
-        assert reply == {"id": 2, "ok": False, "error": {
+        assert reply == {"id": version, "ok": False, "error": {
             "type": "OperationalError",
-            "message": f"protocol version 2 unsupported (server speaks {PROTOCOL_VERSION})"}}
+            "message": f"protocol version {version} unsupported "
+                       f"(server speaks {PROTOCOL_VERSION})"}}
         assert stream.read() == b""  # and disconnected
+
+
+def test_a_v2_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
+    """Version 3 changed the verbs, not the framing: a version-2 client is
+    refused at the handshake instead of failing at its first ``cancel``."""
+    _refused_hello(server, 2)
     with connect(server.dsn) as conn:
-        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 3
+        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 4
+        assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
+
+
+def test_a_v3_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
+    """Version 4 dropped ``submit``'s ``profile`` and the metrics' modelled
+    time: a version-3 client is refused at the handshake, not half served."""
+    _refused_hello(server, 3)
+    with connect(server.dsn) as conn:
+        assert conn.stats()["protocol_version"] == 4
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 

@@ -6,9 +6,9 @@ when rows are fetched.  Three consequences are pinned here:
 
 * a commit that lands *before* a submission is always visible to it;
 * a commit that lands *mid-stream* never changes the rows of an
-  already-activated query — and the catalog-epoch fence keeps that
-  query's (correct-for-its-snapshot, stale-for-everyone-else) result out
-  of the result cache, so a post-mutation submission re-executes;
+  already-activated query — and the table versions its session read keep
+  that query's (correct-for-its-snapshot, stale-for-everyone-else) result
+  out of the result cache, so a post-mutation submission re-executes;
 * however submits, fetches, and commits interleave, admission slots are
   never leaked: after draining, ``inflight`` and ``queued`` are zero and
   every query returned exactly its activation-time rows.
@@ -80,7 +80,7 @@ class TestVisibility:
         finally:
             conn.close()
 
-    def test_epoch_fence_keeps_stale_results_out_of_the_cache(self):
+    def test_table_versions_keep_stale_results_out_of_the_cache(self):
         conn = fresh_conn(list(range(12)))
         try:
             server = conn.server
@@ -89,8 +89,8 @@ class TestVisibility:
             server.fetch_batch(ticket, 2).row_tuples()
             conn.create_table("t", {"x": [100, 200]}, replace=True)
             conn.commit()
-            server.result(ticket)  # completes under the bumped epoch
-            # the fence discarded the stale result instead of caching it
+            server.result(ticket)  # completes after its table's version moved
+            # the stale result was discarded instead of cached
             assert server.stats()["result_cache"]["entries"] == 0
             again = server.submit(conn.parse(SQL), engine="skinner-c")
             assert sorted(rows_of(server.result(again))) == [(100,), (200,)]
