@@ -153,9 +153,9 @@ def _order_quality_records(
             record("Skinner/Optimal", workload_query.name, forced, "skinner")
         runs = {"Original": traditional.execute(query)}
         if skinner_order is not None:
-            runs["Skinner"] = traditional.execute(query, forced_order=skinner_order)
+            runs["Skinner"] = traditional.execute_with_order(query, skinner_order)
         if optimal_order is not None:
-            runs["Optimal"] = traditional.execute(query, forced_order=optimal_order)
+            runs["Optimal"] = traditional.execute_with_order(query, optimal_order)
         for system, profile in systems.items():
             for order, result in runs.items():
                 record(f"{system}/{order}", workload_query.name, result, profile)

@@ -556,7 +556,6 @@ class Connection:
         *,
         engine: str | None = None,
         config: SkinnerConfig | None = None,
-        forced_order: Sequence[str] | None = None,
         use_result_cache: bool = True,
         params: Sequence[Any] | Mapping[str, Any] | None = None,
     ) -> QueryResult:
@@ -573,10 +572,7 @@ class Connection:
             params,
             engine=engine if engine is not None else self.default_engine,
             config=config,
-            forced_order=forced_order,
             use_result_cache=use_result_cache,
-            weight=1.0,
-            priority=0,
             stream=False,
         )
         try:
@@ -595,7 +591,6 @@ class Connection:
         *,
         engine: str | None = None,
         config: SkinnerConfig | None = None,
-        forced_order: Sequence[str] | None = None,
         params: Sequence[Any] | Mapping[str, Any] | None = None,
     ) -> QueryResult:
         """Execute on a directly constructed engine (no serving layer).
@@ -613,7 +608,7 @@ class Connection:
         parsed = self._resolve_query(query, params)
         spec = self.registry.resolve(engine if engine is not None else self.default_engine)
         context = EngineContext(self.catalog, self.udfs, config or self.config)
-        return spec.execute(context, parsed, forced_order=forced_order)
+        return spec.execute(context, parsed)
 
     def _resolve_query(
         self,

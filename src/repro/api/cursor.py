@@ -119,10 +119,7 @@ class Cursor:
         *,
         engine: str | None = None,
         config: SkinnerConfig | None = None,
-        forced_order: Sequence[str] | None = None,
         use_result_cache: bool = True,
-        weight: float = 1.0,
-        priority: int = 0,
     ) -> Cursor:
         """Submit a query for (streaming) execution; returns the cursor.
 
@@ -141,10 +138,7 @@ class Cursor:
                 parameters,
                 engine=engine or self.engine,
                 config=config,
-                forced_order=forced_order,
                 use_result_cache=use_result_cache,
-                weight=weight,
-                priority=priority,
                 stream=True,
                 release=previous,
             )

@@ -15,8 +15,7 @@ an ``execute(query) -> QueryResult`` method.  An engine whose spec names a
 ``task_class`` — a concrete :class:`~repro.engine.task.EngineTask` subclass
 — is *episodic*: it also exposes ``task(query)`` returning a resumable task
 the server interleaves, and what else its tasks can do (stream, warm-start)
-is read off that class.  ``supports_forced_order`` engines accept
-``execute(query, forced_order=...)``.
+is read off that class.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ class EngineSpec:
     factory:
         ``factory(context) -> engine`` where the engine has at least an
         ``execute(query) -> QueryResult`` method.
-    supports_forced_order:
-        Whether ``execute(query, forced_order=...)`` is accepted (the
-        traditional optimizer baseline).
     task_class:
         The concrete :class:`~repro.engine.task.EngineTask` subclass behind
         the engine's ``task(query)`` — naming one is what makes an engine
@@ -84,27 +80,17 @@ class EngineSpec:
 
     name: str
     factory: Callable[[EngineContext], Any]
-    supports_forced_order: bool = False
     task_class: type[EngineTask] | None = None
 
-    def execute(
-        self,
-        context: EngineContext,
-        query: Query,
-        *,
-        forced_order: Sequence[str] | None = None,
-    ) -> QueryResult:
+    def execute(self, context: EngineContext, query: Query) -> QueryResult:
         """Build the engine and execute ``query`` directly (no serving layer)."""
-        self.check_forced_order(forced_order)
-        options = {} if forced_order is None else {"forced_order": forced_order}
-        return self.factory(context).execute(query, **options)
+        return self.factory(context).execute(query)
 
     def create_task(
         self,
         context: EngineContext,
         query: Query,
         *,
-        forced_order: Sequence[str] | None = None,
         order_prior: Sequence[OrderPrior] = (),
     ) -> EngineTask:
         """Build the episode task the server schedules for ``query``.
@@ -114,7 +100,6 @@ class EngineSpec:
         :class:`~repro.serving.session.MonolithicTask` running the whole
         query as one (unbounded) episode.
         """
-        self.check_forced_order(forced_order)
         engine = self.factory(context)
         if self.task_class is not None:
             if self.task_class.warm_startable and order_prior:
@@ -122,15 +107,7 @@ class EngineSpec:
             return engine.task(query)
         from repro.serving.session import MonolithicTask
 
-        options = {} if forced_order is None else {"forced_order": forced_order}
-        return MonolithicTask(lambda: engine.execute(query, **options))
-
-    def check_forced_order(self, forced_order: Sequence[str] | None) -> None:
-        """Reject ``forced_order`` on engines that cannot honor it."""
-        if forced_order is not None and not self.supports_forced_order:
-            raise ReproError(
-                f"forced_order is not supported by engine {self.name!r}"
-            )
+        return MonolithicTask(lambda: engine.execute(query))
 
 
 class EngineRegistry:
@@ -264,7 +241,7 @@ BUILTIN_SPECS = (
     EngineSpec("skinner-c", _skinner_c, task_class=SkinnerCTask),
     EngineSpec("skinner-g", _skinner_g, task_class=SkinnerGTask),
     EngineSpec("skinner-h", _skinner_h, task_class=SkinnerHTask),
-    EngineSpec("traditional", _traditional, supports_forced_order=True),
+    EngineSpec("traditional", _traditional),
     EngineSpec("eddy", _eddy),
     EngineSpec("reoptimizer", _reoptimizer),
     # Skinner-G/H over a real host DBMS (the paper's actual deployment):

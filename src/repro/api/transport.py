@@ -92,10 +92,7 @@ class Transport(ABC):
         *,
         engine: str,
         config: SkinnerConfig | None,
-        forced_order: Sequence[str] | None,
         use_result_cache: bool,
-        weight: float,
-        priority: int,
         stream: bool = True,
         release: int | None = None,
     ) -> SubmitHandle:
@@ -173,10 +170,7 @@ class LocalTransport(Transport):
         *,
         engine: str,
         config: SkinnerConfig | None,
-        forced_order: Sequence[str] | None,
         use_result_cache: bool,
-        weight: float,
-        priority: int,
         stream: bool = True,
         release: int | None = None,
     ) -> SubmitHandle:
@@ -190,10 +184,7 @@ class LocalTransport(Transport):
             # Resolve against the connection's (reassignable) config, not
             # the server's construction-time snapshot.
             config=config or conn.config,
-            forced_order=forced_order,
             use_result_cache=use_result_cache,
-            weight=weight,
-            priority=priority,
             tenant=self.tenant,
             stream=stream,
         )

@@ -11,16 +11,13 @@ engine's work weighted per system by the benchmark harness
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
 from repro.errors import BudgetExceeded
-from repro.optimizer.cardinality import EstimatedCardinality
-from repro.optimizer.exhaustive import choose_plan
+from repro.optimizer.exhaustive import estimated_plan
 from repro.optimizer.plans import LeftDeepPlan
-from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
@@ -55,39 +52,41 @@ class TraditionalEngine:
     # ------------------------------------------------------------------
     def plan(self, query: Query) -> LeftDeepPlan:
         """Choose a join order using estimated cardinalities (see
-        :func:`~repro.optimizer.exhaustive.choose_plan`)."""
-        estimator = EstimatedCardinality(
-            query, StatisticsCatalog.of(self._catalog), self._udfs
-        )
-        return choose_plan(query, estimator)
+        :func:`~repro.optimizer.exhaustive.estimated_plan`)."""
+        return estimated_plan(self._catalog, query, self._udfs)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        query: Query,
-        *,
-        forced_order: Sequence[str] | None = None,
-        work_budget: int | None = None,
-    ) -> QueryResult:
-        """Execute a query; ``forced_order`` overrides the optimizer's choice.
+    def execute(self, query: Query, *, work_budget: int | None = None) -> QueryResult:
+        """Execute a query under the optimizer's chosen plan.
 
-        Forcing orders is how Tables 3 and 4 run Skinner's learned orders and
-        the C_out-optimal orders inside the traditional engines.  When
-        ``work_budget`` is given and exhausted, execution stops and a partial
-        (empty) result is returned with ``extra["timed_out"] = True`` — the
-        benchmark harness uses this to emulate the per-query timeouts of the
-        torture benchmarks.
+        When ``work_budget`` is given and exhausted, execution stops and a
+        partial (empty) result is returned with ``extra["timed_out"] =
+        True`` — the benchmark harness uses this to emulate the per-query
+        timeouts of the torture benchmarks.
         """
         started = time.perf_counter()
+        plan = self.plan(query)
+        return self._run(query, plan.order, started, work_budget, plan.cost)
+
+    def execute_with_order(self, query: Query, order: tuple[str, ...]) -> QueryResult:
+        """Execute a query with one fixed join order; no optimizer runs.
+
+        Tables 3 and 4 use this to run Skinner's learned orders and the
+        C_out-optimal orders inside the traditional engines.
+        """
+        return self._run(query, tuple(order), time.perf_counter(), None, None)
+
+    def _run(
+        self,
+        query: Query,
+        order: tuple[str, ...],
+        started: float,
+        work_budget: int | None,
+        estimated_cost: float | None,
+    ) -> QueryResult:
         meter = CostMeter(budget=work_budget)
-        if forced_order is not None:
-            order = tuple(forced_order)
-            plan: LeftDeepPlan | None = None
-        else:
-            plan = self.plan(query)
-            order = plan.order
         executor = PlanExecutor(self._catalog, query, self._udfs)
         timed_out = False
         try:
@@ -105,10 +104,6 @@ class TraditionalEngine:
             started,
             output.num_rows,
             final_join_order=order,
-            extra={
-                "forced_order": forced_order is not None,
-                "estimated_cost": plan.cost if plan is not None else None,
-                "timed_out": timed_out,
-            },
+            extra={"estimated_cost": estimated_cost, "timed_out": timed_out},
         )
         return QueryResult(output, metrics)

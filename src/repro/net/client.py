@@ -261,10 +261,7 @@ class RemoteTransport(Transport):
         *,
         engine: str,
         config: SkinnerConfig | None,
-        forced_order: Sequence[str] | None,
         use_result_cache: bool,
-        weight: float,
-        priority: int,
         stream: bool = True,
         release: int | None = None,
     ) -> SubmitHandle:
@@ -274,10 +271,7 @@ class RemoteTransport(Transport):
             params=self._wire_params(parameters),
             engine=engine,
             config=self._wire_config(config),
-            forced_order=list(forced_order) if forced_order is not None else None,
             use_result_cache=use_result_cache,
-            weight=weight,
-            priority=priority,
             stream=stream,
             release=release,
         )

@@ -63,8 +63,7 @@ TENANT_BACKLOG = 8
 
 #: The arguments the ``submit`` verb reads; any other name is refused.
 _SUBMIT_ARGS = frozenset({
-    "sql", "params", "engine", "config", "forced_order",
-    "use_result_cache", "weight", "priority", "stream", "release",
+    "sql", "params", "engine", "config", "use_result_cache", "stream", "release",
 })
 
 
@@ -437,7 +436,6 @@ class ReproServer:
         conn = self.connection
         parsed = conn.parse(sql, args.get("params"))
         config = args.get("config")
-        forced = args.get("forced_order")
         if config is not None:
             # A per-submission config carries its own parallel_workers —
             # the client serialized the whole dataclass, session defaults
@@ -451,10 +449,7 @@ class ReproServer:
             parsed,
             engine=args.get("engine") or client.settings["engine"],
             config=effective_config,
-            forced_order=tuple(forced) if forced is not None else None,
             use_result_cache=bool(args.get("use_result_cache", True)),
-            weight=float(args.get("weight", 1.0)),
-            priority=int(args.get("priority", 0)),
             tenant=client.tenant,
             stream=bool(args.get("stream", True)),
         )
@@ -516,9 +511,10 @@ class ReproServer:
         return {}
 
     async def _verb_set_quota(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
-        self.connection.server.set_tenant_quota(
-            str(args["tenant"]), float(args["share"])
-        )
+        share = args.get("share")
+        if isinstance(share, bool) or not isinstance(share, (int, float)):
+            raise InterfaceError(f"tenant quota share must be positive and finite, got {share!r}")
+        self.connection.server.set_tenant_quota(str(args["tenant"]), share)
         return {}
 
     async def _verb_stats(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:

@@ -3,18 +3,26 @@
 :func:`choose_plan` is the one planner choice every cost-based engine makes —
 the traditional baseline, Skinner-H's traditional half and the
 re-optimizer: exhaustive left-deep DP up to :data:`_MAX_EXHAUSTIVE_TABLES`
-tables, greedy above.  :func:`optimal_plan` makes the same choice over the
-:class:`~repro.optimizer.cardinality.TrueCardinality` estimator, which the
-benchmark harness uses to produce the "Optimal" rows of Tables 3 and 4.
+tables, greedy above.  :func:`estimated_plan` makes it over the catalog's
+statistics, as a conventional optimizer does (the traditional baseline and
+Skinner-H's traditional half).  :func:`optimal_plan` makes the same choice
+over the :class:`~repro.optimizer.cardinality.TrueCardinality` estimator,
+which the benchmark harness uses to produce the "Optimal" rows of Tables 3
+and 4.
 """
 
 from __future__ import annotations
 
 from repro.engine.executor import PlanExecutor
-from repro.optimizer.cardinality import CardinalityEstimator, TrueCardinality
+from repro.optimizer.cardinality import (
+    CardinalityEstimator,
+    EstimatedCardinality,
+    TrueCardinality,
+)
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
 from repro.optimizer.plans import LeftDeepPlan
+from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
@@ -29,6 +37,15 @@ def choose_plan(query: Query, estimator: CardinalityEstimator) -> LeftDeepPlan:
     if query.num_tables <= _MAX_EXHAUSTIVE_TABLES:
         return DynamicProgrammingOptimizer().optimize(query, estimator)
     return GreedyOptimizer().optimize(query, estimator)
+
+
+def estimated_plan(
+    catalog: Catalog,
+    query: Query,
+    udfs: UdfRegistry | None = None,
+) -> LeftDeepPlan:
+    """The order a conventional optimizer picks from the catalog's statistics."""
+    return choose_plan(query, EstimatedCardinality(query, StatisticsCatalog.of(catalog), udfs))
 
 
 def optimal_plan(

@@ -4,10 +4,10 @@ This package turns the single-query engines into a multi-tenant service.
 SkinnerDB's episode-sliced execution (small budgeted time slices that can be
 suspended and resumed at will) is exactly the primitive a cooperative
 multi-query scheduler needs: :class:`~repro.serving.server.QueryServer`
-interleaves episodes of many in-flight queries under weighted fair-share
-scheduling with strict priority classes, bounds concurrency via admission
-control, caches results by normalized query fingerprint, and warm-starts
-new queries' UCT trees from join orders learned on the same join graph.
+interleaves episodes of many in-flight queries under fair-share scheduling
+by tenant quota, bounds concurrency via admission control, caches results
+by normalized query fingerprint, and warm-starts new queries' UCT trees
+from join orders learned on the same join graph.
 
 See ``docs/serving.md`` for the design document.
 """

@@ -1,14 +1,15 @@
 """Admission control: bound concurrent in-flight work, queue the overflow.
 
 The server interleaves episodes of at most ``max_inflight`` queries; every
-additional submission waits in a priority-ordered FIFO queue.  Bounding the
-in-flight set bounds memory (each in-flight Skinner query holds its
-pre-processed tables, UCT tree, and progress tracker) and keeps the
-scheduler's episode rotation short, at the cost of queueing delay — the
-classic admission trade-off.
+additional submission waits in a FIFO queue.  Bounding the in-flight set
+bounds memory (each in-flight Skinner query holds its pre-processed tables,
+UCT tree, and progress tracker) and keeps the scheduler's episode rotation
+short, at the cost of queueing delay — the classic admission trade-off.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from repro.serving.session import QuerySession
 
@@ -21,7 +22,7 @@ class AdmissionController:
             raise ValueError("max_inflight must be at least 1")
         self._max_inflight = max_inflight
         self._inflight: list[QuerySession] = []
-        self._queue: list[QuerySession] = []
+        self._queue: deque[QuerySession] = deque()
 
     # ------------------------------------------------------------------
     # inspection
@@ -38,22 +39,16 @@ class AdmissionController:
 
     @property
     def queued(self) -> tuple[QuerySession, ...]:
-        """Sessions waiting for admission, in dequeue order."""
-        return tuple(sorted(self._queue, key=self._queue_key))
+        """Sessions waiting for admission, in dequeue (submission) order."""
+        return tuple(self._queue)
 
     def queue_position(self, session: QuerySession) -> int | None:
         """0-based dequeue position of a queued session, or ``None``."""
-        ordered = self.queued
-        return ordered.index(session) if session in ordered else None
+        return self._queue.index(session) if session in self._queue else None
 
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    @staticmethod
-    def _queue_key(session: QuerySession) -> tuple[int, int]:
-        # Higher priority dequeues first; within a class, submission order.
-        return (-session.priority, session.ticket)
-
     def offer(self, session: QuerySession) -> bool:
         """Admit the session if a slot is free; queue it otherwise.
 
@@ -70,8 +65,7 @@ class AdmissionController:
         self._inflight.remove(session)
         if not self._queue:
             return None
-        nxt = min(self._queue, key=self._queue_key)
-        self._queue.remove(nxt)
+        nxt = self._queue.popleft()
         self._inflight.append(nxt)
         return nxt
 

@@ -4,7 +4,7 @@ Two caches sit above the per-query engines:
 
 * the **result cache** maps a *normalized query fingerprint* — the parsed
   query's canonical rendering plus everything else that can change the
-  answer or its metrics (engine, config, forced order) —
+  answer or its metrics (engine and config) —
   to a finished :class:`~repro.result.QueryResult`.
 * the **join-order cache** maps a *join-graph signature* — the aliased base
   tables plus the join predicates, with unary predicates deliberately
@@ -37,25 +37,14 @@ from repro.engine.task import OrderPrior
 from repro.query.query import Query
 
 
-def query_fingerprint(
-    query: Query,
-    *,
-    engine: str,
-    config: SkinnerConfig,
-    forced_order: Sequence[str] | None = None,
-) -> str:
+def query_fingerprint(query: Query, *, engine: str, config: SkinnerConfig) -> str:
     """Normalized fingerprint of one execution request.
 
     Queries are fingerprinted through their canonical rendering
     (:meth:`Query.display`), so textual variations that parse to the same
     query — whitespace, keyword case, redundant aliasing — share a key.
     """
-    parts = (
-        query.display(),
-        engine,
-        repr(config),
-        repr(tuple(forced_order) if forced_order is not None else None),
-    )
+    parts = (query.display(), engine, repr(config))
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 

@@ -1,36 +1,33 @@
-"""The fair episode scheduler: hierarchical stride scheduling with priorities.
+"""The fair episode scheduler: two-layer stride scheduling over tenant quotas.
 
 The scheduler decides which in-flight query runs its next episode.  It is a
 *stride* (virtual-time) scheduler over the deterministic work-unit clock,
-with two fairness layers:
+and tenant quotas are its one policy:
 
 * **tenants** divide the served work by their **quota shares**: every tenant
   keeps a virtual time advanced by ``consumed_work / quota``, and among the
-  tenants with runnable sessions (in the winning priority class) the one
-  with the lowest tenant virtual time runs next.  Over any interval, two
-  backlogged tenants receive work proportional to their quotas — a heavy
-  tenant flooding the server with sessions cannot push a light tenant
-  beyond its quota-implied share;
-* **sessions** within a tenant keep the classic per-session virtual time —
-  the work a session has consumed divided by its **weight** — so a tenant's
-  share is split between its own sessions by their weights;
-* **priority classes** remain strict and global: a runnable session of a
-  higher class always runs before any session of a lower class (within a
-  class, the tenant layer then the weight layer apply).
+  tenants with runnable sessions the one with the lowest tenant virtual time
+  runs next.  Over any interval, two backlogged tenants receive work
+  proportional to their quotas — a heavy tenant flooding the server with
+  sessions cannot push a light tenant below its quota-implied share;
+* **sessions** within a tenant keep a virtual time advanced by the work
+  they consume, so a tenant's share is split equally between its sessions.
 
 A newly admitted session starts at the current virtual-time minimum of its
-class (preferring same-tenant peers), so it neither gets a catch-up burst
-for time it was queued nor starves existing sessions; a tenant (re)entering
-the active set is aligned to the active tenants' minimum the same way.
+tenant's active sessions (of all active sessions when its tenant has none),
+so it neither gets a catch-up burst for time it was queued nor starves
+existing sessions; a tenant (re)entering the active set is aligned to the
+active tenants' minimum the same way.
 
 Everything is integer/float arithmetic over meter charges — no wall clock,
 no randomness — so a given submission sequence always produces the same
 episode interleaving, which the determinism tests rely on.  With a single
-tenant (the default) the tenant layer is inert and the schedule is
-identical to the pre-tenant scheduler.
+tenant (the default) the tenant layer is inert.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.errors import ReproError
 from repro.serving.session import QuerySession
@@ -56,20 +53,16 @@ class FairScheduler:
         return len(self._active)
 
     def add(self, session: QuerySession) -> None:
-        """Admit a session, aligning its virtual time with its class.
+        """Admit a session, aligning its virtual time with its peers.
 
-        The session starts at the minimum virtual time of its same-tenant
-        class peers (falling back to all class peers when its tenant has
-        none active); its tenant, if not already active, is aligned to the
-        minimum tenant virtual time the same way.
+        The session starts at the minimum virtual time of its tenant's
+        active sessions (falling back to all active sessions when its
+        tenant has none); its tenant, if not already active, is aligned to
+        the minimum tenant virtual time the same way.
         """
-        peers = [
-            s.virtual_time
-            for s in self._active
-            if s.priority == session.priority and s.tenant == session.tenant
-        ]
+        peers = [s.virtual_time for s in self._active if s.tenant == session.tenant]
         if not peers:
-            peers = [s.virtual_time for s in self._active if s.priority == session.priority]
+            peers = [s.virtual_time for s in self._active]
         session.virtual_time = min(peers) if peers else 0.0
         active_tenants = {s.tenant for s in self._active}
         if session.tenant not in active_tenants:
@@ -95,9 +88,14 @@ class FairScheduler:
     # tenant quotas
     # ------------------------------------------------------------------
     def set_quota(self, tenant: str, share: float) -> None:
-        """Set a tenant's quota share (relative, like session weights)."""
-        if share <= 0:
-            raise ReproError("tenant quota share must be positive")
+        """Set a tenant's quota share: a finite, positive ``int`` or ``float``."""
+        if (
+            isinstance(share, bool)
+            or not isinstance(share, (int, float))
+            or not math.isfinite(share)
+            or share <= 0
+        ):
+            raise ReproError(f"tenant quota share must be positive and finite, got {share!r}")
         self._quotas[tenant] = float(share)
 
     def quota(self, tenant: str) -> float:
@@ -110,17 +108,15 @@ class FairScheduler:
     def pick(self) -> QuerySession | None:
         """The next session to run.
 
-        Selection is hierarchical: highest priority class, then the tenant
-        with the lowest tenant virtual time among that class's runnable
-        tenants, then the session with the lowest virtual time within that
-        tenant.  Ties break on tenant name and submission ticket, so the
-        schedule is a pure function of the submission sequence and the
-        per-episode charges.
+        Selection is hierarchical: the runnable tenant with the lowest
+        tenant virtual time, then the session with the lowest virtual time
+        within that tenant.  Ties break on tenant name and submission
+        ticket, so the schedule is a pure function of the submission
+        sequence and the per-episode charges.
         """
         if not self._active:
             return None
-        top = max(s.priority for s in self._active)
-        candidates = [s for s in self._active if s.priority == top]
+        candidates = self._active
         tenants = {s.tenant for s in candidates}
         if len(tenants) > 1:
             winner = min(tenants, key=lambda t: (self._tenant_virtual.get(t, 0.0), t))
@@ -135,9 +131,8 @@ class FairScheduler:
         the scheduler; the same floor applies to the tenant clock.
         """
         charged = max(consumed, 1)
-        weight = max(session.weight, 1e-9)
-        session.virtual_time += charged / weight
-        share = max(self.quota(session.tenant), 1e-9)
+        session.virtual_time += charged
         self._tenant_virtual[session.tenant] = (
-            self._tenant_virtual.get(session.tenant, 0.0) + charged / share
+            self._tenant_virtual.get(session.tenant, 0.0)
+            + charged / self.quota(session.tenant)
         )

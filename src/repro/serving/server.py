@@ -3,13 +3,13 @@
 :class:`QueryServer` is the multi-tenant entry point of the repository: it
 accepts query submissions (``submit`` / ``poll`` / ``result`` / ``cancel``),
 bounds concurrent in-flight work through admission control, and drives a
-weighted fair-share scheduler that interleaves *episodes* — the budgeted
-time slices SkinnerDB's engines are built from — across all active queries
-on one thread.  Because an episode touches only its own query's state, a
-query's episode sequence (and therefore its results and meter charges) is
-byte-identical whether it runs alone or interleaved with arbitrary other
-queries; concurrency changes *when* a query's episodes run, never *what*
-they compute.
+fair-share scheduler over tenant quotas that interleaves *episodes* — the
+budgeted time slices SkinnerDB's engines are built from — across all active
+queries on one thread.  Because an episode touches only its own query's
+state, a query's episode sequence (and therefore its results and meter
+charges) is byte-identical whether it runs alone or interleaved with
+arbitrary other queries; concurrency changes *when* a query's episodes run,
+never *what* they compute.
 
 Above the scheduler sit two serving-level caches (see
 :mod:`repro.serving.cache`): a result cache over normalized query
@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import time
-from collections.abc import Sequence
 from dataclasses import replace
 from typing import Any
 
@@ -154,19 +153,15 @@ class QueryServer:
         *,
         engine: str | None = None,
         config: SkinnerConfig | None = None,
-        forced_order: Sequence[str] | None = None,
-        weight: float = 1.0,
-        priority: int = 0,
         tenant: str = "default",
         use_result_cache: bool = True,
         stream: bool = False,
     ) -> int:
         """Submit a query for execution; returns its ticket.
 
-        ``weight`` scales the session's fair share of episodes (2.0 gets
-        roughly twice the work rate of 1.0); ``priority`` selects the strict
-        priority class (higher runs first); ``tenant`` names the quota
-        bucket the work is accounted to (see :meth:`set_tenant_quota`).
+        ``tenant`` names the quota bucket the work is accounted to (see
+        :meth:`set_tenant_quota`); the tenant's sessions share its quota
+        equally.
         ``use_result_cache=False`` skips the cache *lookup* for this
         submission (the finished result is still stored for later
         submissions).  ``stream=True`` buffers result rows for incremental
@@ -176,24 +171,16 @@ class QueryServer:
         ``engine=None`` runs the server config's ``default_engine``.
         """
         engine = (engine or self._config.default_engine).lower()
-        spec = self._registry.resolve(engine)
-        spec.check_forced_order(forced_order)
-        if weight <= 0:
-            raise ReproError("weight must be positive")
+        self._registry.resolve(engine)
         parsed = (StatementCache.of(self._catalog).parse(query)
                   if isinstance(query, str) else query)
         config = config or self._config
-        fingerprint = query_fingerprint(
-            parsed, engine=engine, config=config, forced_order=forced_order,
-        )
+        fingerprint = query_fingerprint(parsed, engine=engine, config=config)
         session = QuerySession(
             ticket=next(self._tickets),
             query=parsed,
             engine=engine,
             config=config,
-            forced_order=tuple(forced_order) if forced_order is not None else None,
-            weight=weight,
-            priority=priority,
             tenant=tenant,
             fingerprint=fingerprint,
             stream_requested=stream,
@@ -410,10 +397,11 @@ class QueryServer:
     def set_tenant_quota(self, tenant: str, share: float) -> None:
         """Set a tenant's fair-share quota (relative; unset tenants get 1.0).
 
-        Quotas divide served work *between* tenants before per-session
-        weights divide a tenant's share between its own sessions — a heavy
-        tenant flooding the server cannot push a light tenant beyond its
-        quota-implied share of the work clock.
+        Quotas are the server's one scheduling policy: they divide served
+        work *between* tenants, and a tenant's sessions split its share
+        equally — a heavy tenant flooding the server cannot push a light
+        tenant below its quota-implied share of the work clock.  ``share``
+        must be a finite, positive number (:class:`ReproError` otherwise).
         """
         self._scheduler.set_quota(tenant, share)
 
@@ -588,7 +576,6 @@ class QueryServer:
             session.task = spec.create_task(
                 context,
                 session.query,
-                forced_order=session.forced_order,
                 order_prior=self._warm_start_priors(session, spec),
             )
         except Exception as error:  # noqa: BLE001 - e.g. a UDF raising

@@ -118,12 +118,9 @@ class QuerySession:
     query: Query
     engine: str
     config: SkinnerConfig
-    forced_order: tuple[str, ...] | None = None
-    weight: float = 1.0
-    priority: int = 0
     #: Tenant the submission is accounted to; the scheduler's tenant-level
-    #: stride divides work between tenants by their quota shares before the
-    #: per-session weights divide a tenant's share between its sessions.
+    #: stride divides work between tenants by their quota shares, and the
+    #: tenant's sessions split its share equally.
     tenant: str = "default"
     fingerprint: str | None = None
     state: SessionState = SessionState.QUEUED

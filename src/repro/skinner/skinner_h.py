@@ -18,10 +18,8 @@ from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
 from repro.engine.task import EngineTask, ExecutionBackend
 from repro.errors import ExecutionError
-from repro.optimizer.cardinality import EstimatedCardinality
-from repro.optimizer.exhaustive import choose_plan
+from repro.optimizer.exhaustive import estimated_plan
 from repro.optimizer.plans import LeftDeepPlan
-from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryMetrics, QueryResult
@@ -60,7 +58,7 @@ class SkinnerHTask(EngineTask):
         self._engine = engine
         self._query = query
         self._started = time.perf_counter()
-        self._plan = engine._traditional_plan(query)
+        self._plan = estimated_plan(engine._catalog, query, engine._udfs)
         # One substrate serves both sides of the hybrid — the traditional
         # plan's timed whole-query attempts and the learning run's batch
         # attempts — so the internal executor filters and groups once.
@@ -166,15 +164,6 @@ class SkinnerH(ExecutionBackend):
     def name(self) -> str:
         """Engine name used in reports."""
         return f"skinner-h({self._backend_label})" if self._backend_label else "skinner-h"
-
-    # ------------------------------------------------------------------
-    # planning with the traditional optimizer
-    # ------------------------------------------------------------------
-    def _traditional_plan(self, query: Query) -> LeftDeepPlan:
-        estimator = EstimatedCardinality(
-            query, StatisticsCatalog.of(self._catalog), self._udfs
-        )
-        return choose_plan(query, estimator)
 
     # ------------------------------------------------------------------
     # execution

@@ -236,7 +236,7 @@ def _q3():
         column_compare_literal("l", "l_shipdate", ">", 19950315),
     ]
     select = [_agg("sum", "l", "l_extendedprice", "revenue"), _count()]
-    return tables, predicates, select, "shipping-priority revenue"
+    return tables, predicates, select, "unshipped-order revenue"
 
 
 def _q5():

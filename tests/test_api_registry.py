@@ -71,7 +71,6 @@ class TestRegistryBasics:
 
     def test_spec_capabilities_default_off(self, toy_registered):
         spec = DEFAULT_REGISTRY.resolve("toy")
-        assert not spec.supports_forced_order
         assert spec.task_class is None  # not episodic: one monolithic episode
 
     def test_custom_registry_is_isolated(self):
@@ -219,24 +218,3 @@ class TestEpisodicCustomEngine:
         db.server.step()
         assert db.server.cancel(ticket)
         assert closed == [task]
-
-
-class TestForcedOrderCapability:
-    def test_forced_order_rejected_without_capability(self, db):
-        for call in (
-            lambda: db.execute("SELECT r.x FROM r", engine="eddy", forced_order=("r",)),
-            lambda: db.execute_direct(
-                "SELECT r.x FROM r", engine="eddy", forced_order=("r",)
-            ),
-        ):
-            with pytest.raises(ReproError, match="forced_order is not supported"):
-                call()
-
-    def test_forced_order_accepted_by_traditional(self, db):
-        db.create_table("s", {"rid": [1, 2], "y": [5, 6]})
-        result = db.execute(
-            "SELECT r.x FROM r, s WHERE r.id = s.rid",
-            engine="traditional",
-            forced_order=("s", "r"),
-        )
-        assert result.metrics.final_join_order == ("s", "r")

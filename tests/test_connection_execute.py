@@ -119,10 +119,6 @@ class TestQueryExecution:
         query = db.parse("SELECT e.salary FROM emp e WHERE e.salary > 100")
         assert len(db.execute(query)) == 2
 
-    def test_forced_order_on_traditional(self, db):
-        result = db.execute(self.JOIN_SQL, engine="traditional", forced_order=("d", "e"))
-        assert result.metrics.final_join_order == ("d", "e")
-
     def test_metrics_describe_is_readable(self, db):
         result = db.execute("SELECT COUNT(*) AS n FROM emp", engine="skinner-c")
         text = result.metrics.describe()
@@ -182,10 +178,6 @@ class TestServingLayerRouting:
         db.execute(self.JOIN_SQL)
         fresh = db.execute(self.JOIN_SQL, use_result_cache=False)
         assert fresh.metrics.extra.get("result_cache") is None
-
-    def test_forced_order_via_server(self, db):
-        result = db.execute(self.JOIN_SQL, engine="traditional", forced_order=("d", "e"))
-        assert result.metrics.final_join_order == ("d", "e")
 
     @pytest.mark.parametrize("where", ["in-process", "repro://"])
     def test_execute_books_work_to_the_connection_tenant(self, where):

@@ -237,7 +237,7 @@ class TestTraditionalEngine:
     def test_forced_order_changes_plan(self, tiny_catalog, tiny_join_query):
         engine = TraditionalEngine(tiny_catalog)
         default = engine.execute(tiny_join_query)
-        forced = engine.execute(tiny_join_query, forced_order=("i", "o", "c"))
+        forced = engine.execute_with_order(tiny_join_query, ("i", "o", "c"))
         assert forced.metrics.final_join_order == ("i", "o", "c")
         assert forced.table.num_rows == default.table.num_rows
 

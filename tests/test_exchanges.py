@@ -176,7 +176,7 @@ def drain_until_empty(conn, sql: str, use_result_cache: bool) -> list[tuple]:
     transport = conn.transport
     handle = transport.submit(
         sql, None, engine=conn.default_engine, config=None,
-        forced_order=None, use_result_cache=use_result_cache, weight=1.0, priority=0,
+        use_result_cache=use_result_cache,
     )
     rows = []
     while batch := transport.fetch_batch(handle.ticket, 2).row_tuples():
@@ -290,8 +290,7 @@ class TestMalformedTicketArguments:
         transport = remote.transport
         for _ in range(7):  # tickets 1 to 7 exist and belong to this client
             transport.submit(ORDERED, None, engine="skinner-c",
-                             config=None, forced_order=None, use_result_cache=True,
-                             weight=1.0, priority=0, stream=False)
+                             config=None, use_result_cache=True, stream=False)
         args = {} if value is MISSING else {"ticket": value}
         with pytest.raises(InterfaceError, match="argument 'ticket'"):
             transport._channel.request(verb, **args)

@@ -24,7 +24,7 @@ from repro import CatalogError, InterfaceError, ReproError, SkinnerConfig, conne
 from repro.errors import OperationalError, ParseError
 from repro.net import server as net_server
 from repro.net.client import DEFAULT_PORT, RemoteTransport, parse_dsn
-from repro.net.protocol import LENGTH_PREFIX, decode_payload, encode_frame
+from repro.net.protocol import LENGTH_PREFIX, PROTOCOL_VERSION, decode_payload, encode_frame
 from repro.net.server import ServerThread
 
 #: Mirrors the FAST config of test_api_cursor.py: quick convergence, no
@@ -144,7 +144,7 @@ class TestRemoteBasics:
     def test_stats_verb_reports_tenants_and_caches(self, remote):
         remote.execute("SELECT COUNT(*) AS n FROM s")
         stats = remote.stats()
-        assert stats["protocol_version"] == 4
+        assert stats["protocol_version"] == 5
         assert stats["clients"] >= 1
         assert "default" in stats["tenants"]
         assert "result_cache" in stats and "order_cache" in stats
@@ -173,9 +173,14 @@ class TestRemoteBasics:
         finally:
             tenant.close()
         assert remote.stats()["tenants"]["x"]["quota"] == 2.0
-        for share in (0.0, -1.0):
-            with pytest.raises(ReproError, match="must be positive"):
+        for share in (0.0, -1.0, float("nan"), float("inf"), True, "x"):
+            with pytest.raises(ReproError, match="must be positive and finite"):
                 remote.transport.set_tenant_quota("x", share)
+        # A share that is no number is refused at the verb.
+        for share in (True, "x", None):
+            with pytest.raises(InterfaceError, match="must be positive and finite"):
+                remote.transport.set_tenant_quota("x", share)
+        assert remote.stats()["tenants"]["x"]["quota"] == 2.0
 
     def test_local_only_capabilities_raise_interface_error(self, remote):
         with pytest.raises(InterfaceError, match="remote"):
@@ -317,20 +322,21 @@ class TestErrorMapping:
         result = remote.execute("SELECT r.id FROM r", config=FAST.with_overrides(seed=None))
         assert len(result.rows) == 6
 
-    def test_submit_rejects_the_removed_threads_argument(self, remote):
-        """An older client's modelled core count is refused, not ignored."""
+    @pytest.mark.parametrize("name, value", [
+        ("threads", 1),
+        ("profile", "postgres"), ("profile", "oracle"), ("profile", 5),
+        ("forced_order", ["r"]), ("forced_order", ["r", 5]), ("forced_order", "rs"),
+        ("weight", 2.0), ("weight", "x"), ("weight", float("nan")),
+        ("priority", 1), ("priority", "high"),
+    ])
+    def test_submit_rejects_a_removed_argument(self, remote, name, value):
+        """An older client's modelled core count (``threads``), engine
+        ``profile`` (protocol 3) or statement knob — ``forced_order``,
+        ``weight``, ``priority`` (protocol 4) — is refused typed, malformed
+        values included, not ignored; the connection keeps serving."""
         channel = remote.transport._channel
-        with pytest.raises(InterfaceError, match="unknown submit argument 'threads'"):
-            channel.request("submit", sql="SELECT r.id FROM r", threads=1)
-        assert remote.stats()["completed"] == 0
-
-    def test_submit_rejects_the_removed_profile_argument(self, remote):
-        """A protocol-3 client's engine profile is refused typed, not a
-        server-side ``KeyError``; the connection keeps serving."""
-        channel = remote.transport._channel
-        for profile in ("postgres", "oracle", 5):
-            with pytest.raises(InterfaceError, match="unknown submit argument 'profile'"):
-                channel.request("submit", sql="SELECT r.id FROM r", profile=profile)
+        with pytest.raises(InterfaceError, match=f"unknown submit argument '{name}'"):
+            channel.request("submit", sql="SELECT r.id FROM r", **{name: value})
         assert remote.stats()["completed"] == 0
         cursor = remote.cursor().execute("SELECT r.id FROM r")
         assert len(cursor.fetchall()) == 6
@@ -538,8 +544,7 @@ class TestBackpressure:
                         "SELECT r.name, s.c FROM r, s WHERE r.id = s.rid",
                         None,
                         engine="skinner-c", config=None,
-                        forced_order=None, use_result_cache=False,
-                        weight=1.0, priority=0, stream=True,
+                        use_result_cache=False, stream=True,
                     )
                     tickets.append(handle.ticket)
                     # The gate runs before the *next* request is read, so at
@@ -612,7 +617,7 @@ class TestServerLifecycle:
                 assert reply["ok"], reply
                 return reply["data"]
 
-            exchange(1, "hello", version=4)
+            exchange(1, "hello", version=PROTOCOL_VERSION)
             ticket = exchange(2, "submit", sql="SELECT wide.id, wide.pad FROM wide",
                               stream=True, use_result_cache=False)["ticket"]
             # Ask for the ~2 MB result again and again without reading a
@@ -649,8 +654,7 @@ class TestServerLifecycle:
         handle = transport.submit(
             "SELECT r.id FROM r", None,
             engine="skinner-c", config=None,
-            forced_order=None, use_result_cache=False, weight=1.0,
-            priority=0, stream=True,
+            use_result_cache=False, stream=True,
         )
         stopper = threading.Timer(0.2, live.stop)
         stopper.start()

@@ -57,7 +57,7 @@ class TestJoinOrderBenchmarkClaims:
         workload_query = job.tagged("hazard")[0]
         learned_order = skinner.execute(workload_query.query).metrics.final_join_order
         original = postgres.execute(workload_query.query)
-        forced = postgres.execute(workload_query.query, forced_order=learned_order)
+        forced = postgres.execute_with_order(workload_query.query, learned_order)
         assert forced.metrics.intermediate_cardinality <= original.metrics.intermediate_cardinality
 
     def test_learning_beats_randomization(self, job):

@@ -4,7 +4,7 @@ The central property: interleaving changes *when* a query's episodes run,
 never *what* they compute.  N queries served concurrently must produce
 byte-identical result tables and identical per-query meter charges to each
 query running alone on a directly constructed engine — regardless of
-weights, priorities, admission bounds, or queries being cancelled around
+tenants and their quotas, admission bounds, or queries being cancelled around
 them (including cancels mid-way through a query's episode sequence).  On
 top of that, the scheduler's fairness and determinism, admission control,
 and both serving caches are pinned individually.
@@ -78,6 +78,13 @@ QUERIES = [
 
 ENGINES = ["skinner-c", "skinner-g", "skinner-h"]
 
+#: Tenants a property test spreads its submissions over, and the quota each
+#: of them gets — so the scheduler's tenant layer is non-trivial.
+TENANT_NAMES = st.sampled_from(["a", "b", "c"])
+TENANT_QUOTAS = st.fixed_dictionaries(
+    {tenant: st.sampled_from([0.5, 1.0, 3.0]) for tenant in ("a", "b", "c")}
+)
+
 
 @pytest.fixture(scope="module")
 def catalog() -> Catalog:
@@ -107,18 +114,18 @@ def test_interleaved_queries_match_solo_runs(catalog, data):
         st.tuples(
             st.integers(0, len(QUERIES) - 1),
             st.sampled_from(ENGINES),
-            st.sampled_from([0.5, 1.0, 3.0]),   # weight
-            st.integers(0, 1),                   # priority class
+            TENANT_NAMES,
         ),
         min_size=2, max_size=6))
     max_inflight = data.draw(st.integers(1, 4))
     server = QueryServer(
         catalog, config=FAST.with_overrides(serving_max_inflight=max_inflight)
     )
+    for tenant, share in data.draw(TENANT_QUOTAS).items():
+        server.set_tenant_quota(tenant, share)
     tickets = {}
-    for query_index, engine, weight, priority in picks:
-        ticket = server.submit(QUERIES[query_index], engine=engine,
-                               weight=weight, priority=priority,
+    for query_index, engine, tenant in picks:
+        ticket = server.submit(QUERIES[query_index], engine=engine, tenant=tenant,
                                use_result_cache=False)
         tickets[ticket] = (query_index, engine)
 
@@ -145,13 +152,18 @@ def test_interleaved_queries_match_solo_runs(catalog, data):
         assert server.ledger.total(ticket) == solo.metrics.work.total
 
 
-def test_identical_submission_sequence_gives_identical_schedule(catalog):
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(TENANT_NAMES, min_size=len(QUERIES), max_size=len(QUERIES)),
+       TENANT_QUOTAS)
+def test_identical_submission_sequence_gives_identical_schedule(catalog, tenants, quotas):
     """Two servers fed the same sequence interleave identically."""
 
     def serve():
         server = QueryServer(catalog, config=FAST.with_overrides(serving_max_inflight=3))
-        tickets = [server.submit(sql, weight=1.0 + index % 2, priority=index % 2)
-                   for index, sql in enumerate(QUERIES)]
+        for tenant, share in quotas.items():
+            server.set_tenant_quota(tenant, share)
+        tickets = [server.submit(sql, tenant=tenant) for sql, tenant in zip(QUERIES, tenants)]
         trace = []
         while server.step():
             trace.append(tuple(sorted(
@@ -163,26 +175,8 @@ def test_identical_submission_sequence_gives_identical_schedule(catalog):
 
 
 # ----------------------------------------------------------------------
-# fairness, priorities, admission
+# fairness, admission
 # ----------------------------------------------------------------------
-def test_weighted_fair_share_tracks_weights(catalog):
-    """Backlogged sessions receive work roughly proportional to weight."""
-    server = QueryServer(catalog, config=FAST)
-    heavy = server.submit(QUERIES[1], weight=3.0, use_result_cache=False)
-    light = server.submit(QUERIES[1], weight=1.0, use_result_cache=False)
-    while not server.session(heavy).done and not server.session(light).done:
-        server.step()
-    # Same query, 3x the weight: the heavy one finishes first, and at that
-    # point the light one has received roughly a third of the work.
-    assert server.session(heavy).done and not server.session(light).done
-    heavy_work = server.ledger.total(heavy)
-    light_work = server.ledger.total(light)
-    assert 0 < light_work < 0.6 * heavy_work
-
-    server.drain()
-    assert_tables_identical(server.result(heavy).table, server.result(light).table)
-
-
 def test_short_query_is_not_stuck_behind_long_one(catalog):
     """Episode slicing: a short query finishes before an earlier long one."""
     server = QueryServer(catalog, config=FAST)
@@ -194,16 +188,6 @@ def test_short_query_is_not_stuck_behind_long_one(catalog):
     assert short_session.completed_at_work < long_session.completed_at_work
 
 
-def test_priority_class_preempts_lower_class(catalog):
-    server = QueryServer(catalog, config=FAST)
-    low = server.submit(QUERIES[1], priority=0, use_result_cache=False)
-    high = server.submit(QUERIES[1], priority=5, use_result_cache=False)
-    server.drain()
-    # The high-priority query completed first even though it arrived later.
-    assert (server.session(high).completed_at_work
-            < server.session(low).completed_at_work)
-
-
 def test_admission_bounds_inflight_and_queues_overflow(catalog):
     server = QueryServer(catalog, config=FAST.with_overrides(serving_max_inflight=2))
     tickets = [server.submit(sql, use_result_cache=False) for sql in QUERIES[:5]]
@@ -211,21 +195,9 @@ def test_admission_bounds_inflight_and_queues_overflow(catalog):
     assert states.count("running") == 2
     assert states.count("queued") == 3
     positions = [server.poll(ticket)["queue_position"] for ticket in tickets[2:]]
-    assert positions == [0, 1, 2]  # FIFO within one priority class
+    assert positions == [0, 1, 2]  # FIFO
     server.drain()
     assert all(server.poll(ticket)["state"] == "finished" for ticket in tickets)
-
-
-def test_queued_high_priority_dequeues_first(catalog):
-    server = QueryServer(catalog, config=FAST.with_overrides(serving_max_inflight=1))
-    server.submit(QUERIES[0], use_result_cache=False)
-    low = server.submit(QUERIES[1], priority=0, use_result_cache=False)
-    high = server.submit(QUERIES[2], priority=9, use_result_cache=False)
-    assert server.poll(high)["queue_position"] == 0
-    assert server.poll(low)["queue_position"] == 1
-    server.drain()
-    assert (server.session(high).completed_at_work
-            < server.session(low).completed_at_work)
 
 
 # ----------------------------------------------------------------------
@@ -398,10 +370,6 @@ def test_submit_rejects_bad_requests(catalog):
     with pytest.raises(ReproError):
         server.submit(QUERIES[0], engine="sqlite")
     with pytest.raises(ReproError):
-        server.submit(QUERIES[0], weight=0.0)
-    with pytest.raises(ReproError):
-        server.submit(QUERIES[0], engine="skinner-c", forced_order=("r", "s"))
-    with pytest.raises(ReproError):
         server.poll(999)
 
 
@@ -545,3 +513,16 @@ def test_tenant_stats_report_quota_backlog_and_shares(catalog):
     assert min(walls) > 0.0 and server.stats()["grant_wall_seconds"] >= sum(walls)
     with pytest.raises(ReproError, match="positive"):
         server.set_tenant_quota("gold", 0.0)
+
+
+@pytest.mark.parametrize("share", [0.0, -1.0, float("nan"), float("inf"), True, "x", None])
+def test_a_quota_share_must_be_a_finite_positive_number(catalog, share):
+    """Quotas are the one scheduling policy: a share that would stall a
+    tenant's clock (``inf``), scramble the order (``nan``) or is no number
+    at all is refused, and the tenant keeps its quota."""
+    server = QueryServer(catalog, config=FAST)
+    server.set_tenant_quota("gold", 2)
+    with pytest.raises(ReproError, match="must be positive and finite"):
+        server.set_tenant_quota("gold", share)
+    server.result(server.submit(QUERIES[4], tenant="gold"))
+    assert server.stats()["tenants"]["gold"]["quota"] == 2.0

@@ -51,7 +51,7 @@ PUBLIC_NAMES = {
 }
 
 #: The engine boundary: what a spec declares and what a task may be asked.
-ENGINE_SPEC_FIELDS = ["name", "factory", "supports_forced_order", "task_class"]
+ENGINE_SPEC_FIELDS = ["name", "factory", "task_class"]
 ENGINE_TASK_NAMES = {
     "finished", "streamable", "warm_startable",
     "run_episode", "work_total", "finalize",
@@ -85,19 +85,20 @@ CONNECT_PARAMETERS = [
 #: Per-call options of the four ways to run a query, in signature order.
 EXECUTE_PARAMETERS = {
     Cursor.execute: [
-        "self", "operation", "parameters", "engine", "config",
-        "forced_order", "use_result_cache", "weight", "priority",
+        "self", "operation", "parameters", "engine", "config", "use_result_cache",
     ],
     Connection.execute: [
-        "self", "query", "engine", "config", "forced_order",
-        "use_result_cache", "params",
+        "self", "query", "engine", "config", "use_result_cache", "params",
     ],
     Connection.execute_direct: [
-        "self", "query", "engine", "config", "forced_order", "params",
+        "self", "query", "engine", "config", "params",
     ],
     QueryServer.submit: [
-        "self", "query", "engine", "config", "forced_order", "weight",
-        "priority", "tenant", "use_result_cache", "stream",
+        "self", "query", "engine", "config", "tenant", "use_result_cache", "stream",
+    ],
+    Transport.submit: [
+        "self", "operation", "parameters", "engine", "config", "use_result_cache",
+        "stream", "release",
     ],
 }
 
@@ -126,7 +127,7 @@ def test_every_config_field_has_a_reader():
 
 
 def test_engine_contract_is_exactly_this():
-    """One statement of the task contract: the spec's four fields, the
+    """One statement of the task contract: the spec's three fields, the
     three abstract methods, and a default for every optional hook."""
     assert [field.name for field in dataclasses.fields(EngineSpec)] == ENGINE_SPEC_FIELDS
     public = {name for name in vars(EngineTask) if not name.startswith("_")}
@@ -182,7 +183,7 @@ def test_transport_carries_exactly_the_boundary_verbs():
     assert list(inspect.signature(Transport.fetch_batch).parameters) == [
         "self", "ticket", "max_rows"]
     assert list(inspect.signature(Transport.submit).parameters)[-2:] == ["stream", "release"]
-    assert PROTOCOL_VERSION == 4
+    assert PROTOCOL_VERSION == 5
 
 
 def test_the_wire_answers_exactly_these_verbs():
@@ -201,13 +202,8 @@ def test_the_cursor_has_one_path_for_both_transports():
                         "RemoteTransport"}
 
 
-def test_modelled_threads_is_an_argument_of_the_report_only():
-    """No callable of the package takes a modelled system or core count.
-
-    The product reports work units and wall seconds; ``threads`` and the
-    engine ``profile`` (``dbms_profile``) weight a finished run's work in
-    the bench reports only (``benchmarks/paper``).
-    """
+def _parameter_offenders(names: set[str]) -> list[str]:
+    """Functions and methods of the package taking any of ``names``."""
     offenders = []
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(info.name)
@@ -226,9 +222,27 @@ def test_modelled_threads_is_an_argument_of_the_report_only():
         offenders += [
             f"{module.__name__}.{function.__qualname__}"
             for function in functions
-            if {"threads", "profile", "dbms_profile"} & set(inspect.signature(function).parameters)
+            if names & set(inspect.signature(function).parameters)
         ]
-    assert offenders == []
+    return offenders
+
+
+def test_modelled_threads_is_an_argument_of_the_report_only():
+    """No callable of the package takes a modelled system or core count.
+
+    The product reports work units and wall seconds; ``threads`` and the
+    engine ``profile`` (``dbms_profile``) weight a finished run's work in
+    the bench reports only (``benchmarks/paper``).
+    """
+    assert _parameter_offenders({"threads", "profile", "dbms_profile"}) == []
+
+
+def test_a_statement_is_sql_parameters_engine_and_config():
+    """No callable of the package takes a forced join order or a
+    per-statement scheduling knob.  An experiment forces an order on an
+    engine object (``execute_with_order``), and tenant quotas are the
+    server's one scheduling policy."""
+    assert _parameter_offenders({"forced_order", "weight", "priority"}) == []
 
 
 def test_the_package_is_the_engine():

@@ -7,7 +7,8 @@
   buffer shorter than ``rows × width``, unknown kind, oversized — raises
   :class:`FrameError` without allocating what it announced;
 * a protocol-1 ``hello`` gets the typed version error in its own framing,
-  and a protocol-2 ``hello`` gets it in the framing versions 2 and 3 share;
+  and a protocol-2, -3 or -4 ``hello`` gets it in the framing versions 2
+  to 5 share;
 * a bad fetch size is the same :class:`InterfaceError` locally and remotely.
 """
 
@@ -249,9 +250,12 @@ def test_a_v1_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 
-def _refused_hello(server, version: int) -> None:
-    """A hello in the current framing naming ``version`` gets the typed
-    refusal and a disconnect."""
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_an_older_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server, version):
+    """Versions 3 to 5 changed the verbs and the metrics, not the framing: an
+    older client — version 2 before ``release``, 3 with ``profile``, 4 with
+    ``submit``'s ``forced_order`` / ``weight`` / ``priority`` — is refused at
+    the handshake with the typed error and a disconnect, not half served."""
     with _raw_socket(server) as sock:
         sock.sendall(encode_frame({"v": "hello", "id": version, "args": {"version": version}}))
         stream = sock.makefile("rb")
@@ -262,23 +266,8 @@ def _refused_hello(server, version: int) -> None:
             "message": f"protocol version {version} unsupported "
                        f"(server speaks {PROTOCOL_VERSION})"}}
         assert stream.read() == b""  # and disconnected
-
-
-def test_a_v2_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
-    """Version 3 changed the verbs, not the framing: a version-2 client is
-    refused at the handshake instead of failing at its first ``cancel``."""
-    _refused_hello(server, 2)
     with connect(server.dsn) as conn:
-        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 4
-        assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
-
-
-def test_a_v3_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
-    """Version 4 dropped ``submit``'s ``profile`` and the metrics' modelled
-    time: a version-3 client is refused at the handshake, not half served."""
-    _refused_hello(server, 3)
-    with connect(server.dsn) as conn:
-        assert conn.stats()["protocol_version"] == 4
+        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 5
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 

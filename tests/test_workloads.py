@@ -150,7 +150,7 @@ class TestTortureWorkloads:
         engine = TraditionalEngine(workload.catalog, workload.udfs)
         costs = []
         for order in query.join_graph().valid_join_orders():
-            result = engine.execute(query, forced_order=order)
+            result = engine.execute_with_order(query, order)
             costs.append(result.metrics.intermediate_cardinality)
         assert max(costs) <= 3 * max(1, min(costs))
 
