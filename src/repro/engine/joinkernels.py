@@ -287,6 +287,12 @@ class GroupedJoinMap:
     only the second step; :meth:`lookup_many` is both at once, and
     :meth:`get` looks up one decoded value (single-column maps only).
 
+    Whether every key holds one row (a primary key, ``unique``) is recorded
+    when the map is grouped.  A unique map's bucket ``g`` is row
+    ``rows[g]`` alone, so a caller that keeps what each probe finds
+    (:meth:`edge`, Skinner-C's hash jump) keeps that *partner row* instead
+    of the bucket number and needs no run bounds at all.
+
     Lookup semantics match a ``{value: rows}`` dict exactly:
 
     * rows within a bucket stay in ascending order (stable grouping sort),
@@ -300,7 +306,7 @@ class GroupedJoinMap:
     """
 
     __slots__ = ("_column", "_space", "_keys", "_rows", "_starts", "_ends", "_lower", "_cut",
-                 "_grouped", "__weakref__")
+                 "_grouped", "unique", "__weakref__")
 
     def __init__(self, key: Column | Sequence[Column], positions: np.ndarray) -> None:
         columns = (key,) if isinstance(key, Column) else tuple(key)
@@ -312,6 +318,8 @@ class GroupedJoinMap:
             self._column = None
             self._space, values = encode_composite_keys(columns, positions)
         self._rows, self._keys, bounds = _runs(values)
+        #: Whether every key holds exactly one row (NaN keys are singletons).
+        self.unique = self._keys.shape[0] == self._rows.shape[0]
         #: Bucket ``g`` is ``_rows[_starts[g]:_ends[g]]``; bucket ``len(self)``
         #: is the empty one a probe that finds no key is given.
         self._starts, self._ends = bounds[:-1], bounds[1:]
@@ -339,6 +347,7 @@ class GroupedJoinMap:
         view = object.__new__(GroupedJoinMap)
         view._column, view._space = grouped._column, grouped._space
         view._keys, view._rows, view._ends = grouped._keys, grouped._rows, grouped._ends
+        view.unique = grouped.unique
         view._starts = grouped._cut_at(lower)
         view._lower, view._cut, view._grouped = lower, None, grouped
         return view
@@ -362,6 +371,11 @@ class GroupedJoinMap:
     def rows(self) -> np.ndarray:
         """All indexed rows, bucket after bucket (what :meth:`bounds` indexes)."""
         return self._rows
+
+    @property
+    def lower(self) -> int:
+        """The rows below this are cut from every bucket (``0`` unless a :meth:`suffix`)."""
+        return self._lower
 
     @property
     def nbytes(self) -> int:
@@ -467,6 +481,27 @@ class GroupedJoinMap:
             found &= valid
         slots[~found] = absent
         return slots
+
+    def edge(
+        self, values: np.ndarray | Sequence[np.ndarray], source: Column | Sequence[Column]
+    ) -> np.ndarray:
+        """What each probe finds, in the form a hash jump keeps it.
+
+        A unique map gives each probe its partner row: the one row of the
+        bucket :meth:`slots` names, ``-1`` where it names none.  Rows a
+        :meth:`suffix` view cuts are still given; the caller drops the
+        partners below :attr:`lower`.  Any other map gives the
+        :meth:`slots` numbers, for :meth:`bounds`.
+        """
+        slots = self.slots(values, source)
+        if not self.unique:
+            return slots
+        absent = self._keys.shape[0]
+        if absent == 0:
+            return np.full(slots.shape[0], -1, dtype=np.int64)
+        partners = self._rows.take(slots, mode="clip")
+        partners[slots == absent] = -1
+        return partners
 
     def bounds(self, slots: np.ndarray, lower: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """``(starts, counts)`` of the buckets ``slots`` names, rows ``< lower`` cut.

@@ -26,11 +26,14 @@ a table's rows for good, so one :class:`StatementCache` per catalog keeps
   caller still charges a hit the build's scan, as
   :func:`~repro.engine.operators.hash_join_step` charges every build;
 * **hash-jump edges**, keyed on ``(map key, probing filter key, probing
-  column)``: the bucket number of every filtered row of the probing alias
-  in one join map (:meth:`~repro.engine.joinkernels.GroupedJoinMap.slots`),
-  so Skinner-C's hash jump looks each probe value up once per pair of
-  table versions, not once per block of prefixes.  An edge belongs to both
-  tables: a write to either drops it.
+  column)``: what every filtered row of the probing alias finds in one join
+  map (:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`): its partner
+  row where the map's key is unique (``-1``: none), its bucket number
+  otherwise.  Skinner-C's hash jump so looks each probe value up once per
+  pair of table versions, not once per block of prefixes.  An edge is built
+  whole when it is put in and counted by its own bytes; nothing the cache
+  holds grows later.  It belongs to both tables: a write to either drops
+  it.
 
 The arrays are read-only and share one bound of :data:`MAX_BYTES`, least
 recently used out first; parses are capped at :data:`MAX_PARSED`.  A write
@@ -190,14 +193,15 @@ class StatementCache:
         probe: tuple[Hashable | None, Table, str, np.ndarray],
         join_map: GroupedJoinMap,
     ) -> np.ndarray | None:
-        """The bucket of ``join_map`` every probing row finds, or ``None``.
+        """What every probing row finds in ``join_map``, or ``None``.
 
         ``build`` is the map's ``(filter key, table, key columns)`` as given
         to :meth:`join_map`; ``probe`` is ``(filter key, table, column,
         filtered positions)`` of the probing alias.  Entry ``i`` is the
-        :meth:`~repro.engine.joinkernels.GroupedJoinMap.slots` number of the
-        probing column at ``positions[i]``.  An edge with an uncached side
-        (a ``None`` key) is not built: its caller looks up each block.
+        :meth:`~repro.engine.joinkernels.GroupedJoinMap.edge` entry of the
+        probing column at ``positions[i]``: a partner row of a unique map, a
+        bucket number of any other.  An edge with an uncached side (a
+        ``None`` key) is not built: its caller looks up each block.
         """
         build_key, build_table, columns = build
         probe_key, probe_table, column, positions = probe
@@ -210,14 +214,14 @@ class StatementCache:
             self._arrays.move_to_end(key)
             return entry[0]
         source = probe_table.column(column)
-        slots = join_map.slots(source.data[positions], source)
-        slots.flags.writeable = False
+        edge = join_map.edge(source.data[positions], source)
+        edge.flags.writeable = False
         if self._current(build_table.name, build_table) and self._current(
             probe_table.name, probe_table
         ):
             owners = tuple(dict.fromkeys((build_table.name, probe_table.name)))
-            self._put(key, owners, slots, slots.nbytes)
-        return slots
+            self._put(key, owners, edge, edge.nbytes)
+        return edge
 
     # ------------------------------------------------------------------
     # bookkeeping

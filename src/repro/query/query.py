@@ -236,7 +236,21 @@ class Query:
         return refs
 
     def display(self) -> str:
-        """Compact SQL-ish rendering of the query (used in reports)."""
+        """Compact SQL-ish rendering of the query (used in reports and as
+        the result cache's key), rendered once per query."""
+        return self._display
+
+    def join_signature(self) -> tuple:
+        """The aliased base tables and the rendered join predicates, sorted.
+
+        Unary predicates are left out: same-template queries that filter
+        differently share it (the serving layer's join-order cache key).
+        """
+        return self._join_signature
+
+    @cached_property
+    def _display(self) -> str:
+        # Rendered once: a cached parse is fingerprinted on every submit.
         select = ", ".join(item.display() for item in self.select_items) or "*"
         tables = ", ".join(f"{name} {alias}" if name != alias else name for alias, name in self.tables)
         parts = [f"SELECT {'DISTINCT ' if self.distinct else ''}{select}", f"FROM {tables}"]
@@ -249,6 +263,11 @@ class Query:
         if self.limit is not None:
             parts.append(f"LIMIT {self.limit}")
         return " ".join(parts)
+
+    @cached_property
+    def _join_signature(self) -> tuple:
+        joins = tuple(sorted(p.display() for p in self.join_predicates()))
+        return (tuple(sorted(self.tables)), joins)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.display()

@@ -54,10 +54,10 @@ def join_graph_signature(query: Query) -> tuple:
     Unary predicates are excluded on purpose: two queries that join the
     same tables the same way but filter differently still rank join orders
     similarly, which is what makes cross-query warm-starting profitable.
+    Rendered once per query (:meth:`Query.join_signature`), like the
+    fingerprint's :meth:`Query.display`.
     """
-    tables = tuple(sorted(query.tables))
-    joins = tuple(sorted(p.display() for p in query.join_predicates()))
-    return (tables, joins)
+    return query.join_signature()
 
 
 def read_tables(query: Query) -> tuple[str, ...]:

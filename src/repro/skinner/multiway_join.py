@@ -23,13 +23,19 @@ prefix's candidate run at position ``d`` (a hash-map bucket, a band found
 by one ``searchsorted`` per bound for the whole block, or the row range of
 a scan position).  The hash jump looks up each *edge* — a join map and the
 earlier ``(alias, column)`` probing it — once: every filtered row of the
-probing alias gets its bucket number
-(:meth:`~repro.engine.joinkernels.GroupedJoinMap.slots`), kept in the
+probing alias gets what it finds there
+(:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`), kept in the
 catalog's statement cache for the two tables' versions
-(:meth:`~repro.skinner.preprocessor.PreprocessedQuery.edge`), and a block
-gathers its prefixes' numbers and turns them into runs with
-:meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds`.  One
-step takes the next run of
+(:meth:`~repro.skinner.preprocessor.PreprocessedQuery.edge`).  Where the
+map's key is unique (the primary-key side of a key/foreign-key join) that
+is the probing row's *partner row*, or ``-1``: a block gathers its
+prefixes' partners and keeps only the prefixes whose partner is at or
+above the position's lower bound, with that partner as their one
+candidate (:class:`_PartnerFrame`).  Any other map gives bucket numbers,
+which a block turns into runs with
+:meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds` (:class:`_Frame`).
+Which of the two a position gets is the map's key uniqueness, nothing
+else.  One step takes the next run of
 ``(prefix, candidate)`` pairs across as many prefixes as the step's share of
 the budget allows, filters them with both sides gathered as arrays, and
 either pushes the survivors as the block of position ``d + 1`` or, at the
@@ -216,10 +222,14 @@ class _Frame:
     lexicographic order, one row per join-order position ``0 .. d-1`` and one
     column per tuple (a ``d x K`` index matrix, so a position's indices are
     contiguous).  Tuple ``p`` owns ``counts[p]`` candidates:
-    ``rows[starts[p] + i]`` for a hash-map bucket, or the row ids
-    ``starts[p] + i`` themselves when ``rows`` is ``None`` (a scan position).
-    The runs are laid end to end — ``ends`` are the boundaries — and ``pos``
-    is the number of candidates of that flat sequence already examined.
+    ``rows[starts[p] + i]`` for the bucket of a map whose key repeats, or
+    the row ids ``starts[p] + i`` themselves when ``rows`` is ``None`` (a
+    scan position or a band).  The runs are laid end to end — ``ends`` are
+    the boundaries — and ``pos`` is the number of candidates of that flat
+    sequence already examined.  A one-tuple frame (the frame of every
+    position a descent along an index vector rebuilds, the first position's
+    among them) is one run: :meth:`take` slices it without the run
+    arithmetic.  A map whose key is unique gets a :class:`_PartnerFrame`.
     """
 
     __slots__ = ("prefix", "rows", "counts", "ends", "shift", "total", "pos")
@@ -240,6 +250,11 @@ class _Frame:
         """The next ``limit`` unexamined ``(tuple, candidate)`` pairs."""
         pos = self.pos
         end = min(pos + limit, self.total)
+        if self.counts.shape[0] == 1:
+            self.pos = end
+            start = int(self.shift[0])
+            index = np.arange(pos + start, end + start)
+            return np.zeros(end - pos, np.int64), index if self.rows is None else self.rows[index]
         if pos == 0 and end == self.total:
             first, stop, lengths = 0, self.counts.shape[0], self.counts
         else:
@@ -261,6 +276,39 @@ class _Frame:
         return parent, index if self.rows is None else int(self.rows[index])
 
 
+class _PartnerFrame:
+    """A block of partial tuples at a position reached through a unique key.
+
+    Every tuple of ``prefix`` (as in :class:`_Frame`) has at most one
+    candidate, the partner row its probe found.  Only the tuples whose
+    partner is at or above the position's lower bound are kept:
+    ``parents`` are their column numbers in ``prefix``, ascending, and
+    ``partners`` their candidates, so the flat candidate sequence is
+    ``partners`` itself and :meth:`take` and :meth:`cursor` are slices of
+    it.  ``pos`` counts the candidates already examined, as in
+    :class:`_Frame`.
+    """
+
+    __slots__ = ("prefix", "parents", "partners", "total", "pos")
+
+    def __init__(self, prefix: np.ndarray, parents: np.ndarray, partners: np.ndarray) -> None:
+        self.prefix = prefix
+        self.parents = parents
+        self.partners = partners
+        self.total = int(parents.shape[0])
+        self.pos = 0
+
+    def take(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``limit`` unexamined ``(tuple, candidate)`` pairs."""
+        pos = self.pos
+        end = self.pos = min(pos + limit, self.total)
+        return self.parents[pos:end], self.partners[pos:end]
+
+    def cursor(self) -> tuple[int, int]:
+        """Tuple number and row id of the next unexamined candidate."""
+        return int(self.parents[self.pos]), int(self.partners[self.pos])
+
+
 def _extend(prefix: np.ndarray, parent: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """The block of ``prefix[:, parent[i]] + (candidates[i],)`` partial tuples."""
     depth = prefix.shape[0]
@@ -276,7 +324,7 @@ class _ParkedRun:
     """Frames parked when a slice suspends; good for the index vector ``snapshot``."""
 
     snapshot: tuple[int, ...]
-    frames: list[_Frame | None]
+    frames: list[_Frame | _PartnerFrame | None]
     depth: int
 
 
@@ -542,8 +590,8 @@ class MultiwayJoin:
 
     def _make_frame(
         self, context: _OrderContext, depth: int, prefix: np.ndarray, lower: int
-    ) -> _Frame:
-        """The candidate runs at ``depth`` of a block of prefixes, from ``lower`` on."""
+    ) -> _Frame | _PartnerFrame:
+        """The candidates at ``depth`` of a block of prefixes, from ``lower`` on."""
         spec = context.jump_at[depth]
         prefixes = prefix.shape[1]
         if spec is None:
@@ -569,20 +617,24 @@ class MultiwayJoin:
         alias = context.order[depth]
         join_map = prepared.join_maps[(alias, spec.own_column)]
         probes = prefix[spec.earlier_position]
-        slots = prepared.edge(alias, spec.own_column, spec.earlier_alias, spec.earlier_column)
-        if slots is None:
-            slots = join_map.slots(
+        edge = prepared.edge(alias, spec.own_column, spec.earlier_alias, spec.earlier_column)
+        if edge is None:
+            found = join_map.edge(
                 prepared.physical_column(spec.earlier_alias, spec.earlier_column)[probes],
                 prepared.tables[spec.earlier_alias].column(spec.earlier_column),
             )
         else:
-            slots = slots[probes]
-        starts, counts = join_map.bounds(slots, lower)
+            found = edge[probes]
+        if join_map.unique:
+            # ``found`` holds partner rows, -1 where there is none.
+            parents = np.flatnonzero(found >= max(lower, join_map.lower))
+            return _PartnerFrame(prefix, parents, found[parents])
+        starts, counts = join_map.bounds(found, lower)
         return _Frame(prefix, join_map.rows, starts, counts)
 
     def _resume_frames(
         self, context: _OrderContext, state: JoinState, meter: CostMeter
-    ) -> tuple[list[_Frame | None], int, int]:
+    ) -> tuple[list[_Frame | _PartnerFrame | None], int, int]:
         """Rebuild (or reuse) the per-position frames for a state.
 
         A state this executor just suspended resumes from the parked frames;
@@ -598,7 +650,7 @@ class MultiwayJoin:
         if parked is not None and parked.snapshot == tuple(state.indices):
             return parked.frames, parked.depth, 0
         order = context.order
-        frames: list[_Frame | None] = [None] * len(order)
+        frames: list[_Frame | _PartnerFrame | None] = [None] * len(order)
         prefix = np.empty((0, 1), dtype=np.int64)
         parent = np.zeros(1, dtype=np.int64)
         iterations = 0
@@ -625,7 +677,7 @@ class MultiwayJoin:
         context: _OrderContext,
         state: JoinState,
         offsets: Mapping[str, int],
-        frames: list[_Frame | None],
+        frames: list[_Frame | _PartnerFrame | None],
         depth: int,
     ) -> None:
         """Write the lexicographic lower bound into the state and park the frames."""

@@ -9,9 +9,10 @@ survived the unary predicates are hashed, keeping the overhead small.
 Both come from the catalog's
 :class:`~repro.engine.statement_cache.StatementCache`: a statement on tables
 an earlier statement filtered and indexed, at the same versions, reuses what
-that one built and is charged what building it cost.  So does the bucket
-every filtered row of a probing alias finds in a join map
-(:meth:`PreprocessedQuery.edge`), which the hash jump gathers instead of
+that one built and is charged what building it cost.  So does what every
+filtered row of a probing alias finds in a join map — its partner row in a
+map whose key is unique, its bucket otherwise
+(:meth:`PreprocessedQuery.edge`) — which the hash jump gathers instead of
 looking up the values of each block of prefixes again.
 """
 
@@ -176,9 +177,11 @@ class PreprocessedQuery:
     def edge(
         self, alias: str, column: str, probe_alias: str, probe_column: str
     ) -> np.ndarray | None:
-        """Per filtered row of ``probe_alias``, the bucket its ``probe_column``
-        value finds in the join map of ``alias.column``, or ``None`` when
-        either filter is uncached (the caller then looks up each block).
+        """Per filtered row of ``probe_alias``, what its ``probe_column`` value
+        finds in the join map of ``alias.column``
+        (:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`: the partner
+        row of a unique map, else the bucket), or ``None`` when either
+        filter is uncached (the caller then looks up each block).
 
         Fetched from the statement cache once per query and edge.
         """

@@ -14,7 +14,10 @@ prefixes (fan-out above one at consecutive positions, string and NaN join
 keys, a scan position below the first, UDF and expression predicates), and
 the *band* queries of ``band_catalog_and_query``, whose non-decreasing INT
 column is reached by range bounds only — the band jump's case, which the
-other two almost never produce.
+other two almost never produce — and the *keyed* queries of
+``keyed_catalog_and_query``, whose dimension tables are joined by a unique
+``id`` (the partner-row frames of a key/foreign-key join, which the random
+catalogs reach only by chance).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.query.predicates import (
 from repro.query.expressions import ColumnRef, FunctionCall, Literal
 from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
-from repro.skinner.multiway_join import _MIRRORED_OP, MultiwayJoin, _BandSpec
+from repro.skinner.multiway_join import _MIRRORED_OP, MultiwayJoin, _BandSpec, _PartnerFrame
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import initial_state
@@ -187,8 +190,46 @@ def band_catalog_and_query(seed: int):
     return catalog, make_query(["t0", "t1", "t2"], predicates=predicates)
 
 
+def keyed_catalog_and_query(seed: int):
+    """A star query whose fact ``f`` references the unique ``id`` of ``d`` and ``e``.
+
+    ``d.id`` and ``e.id`` are shuffled row numbers (``e.id`` as strings half
+    of the time, from a dictionary other than ``f.s``'s), so the maps over
+    them are unique whichever rows the unary filter on ``d.v`` removes; the
+    references miss some ids and hit removed ones.  ``x`` joins ``f`` on
+    ``k``, a key with three values: a position whose map repeats keys next
+    to the unique ones.
+    """
+    rng = make_rng(seed)
+    catalog = Catalog()
+    dims, others, facts = int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 17))
+    catalog.add_table(Table("d", {
+        "id": rng.permutation(dims),
+        "v": uniform_keys(rng, dims, 4),
+    }))
+    strings = bool(rng.random() < 0.5)
+
+    def ids(values):
+        return [f"e{value}" for value in values] if strings else values
+
+    catalog.add_table(Table("e", {"id": ids(rng.permutation(others))}))
+    catalog.add_table(Table("f", {
+        "r": rng.integers(-1, dims + 2, size=facts),
+        "s": ids(rng.integers(-1, others + 2, size=facts)),
+        "k": uniform_keys(rng, facts, 3),
+    }))
+    catalog.add_table(Table("x", {"k": uniform_keys(rng, int(rng.integers(1, 7)), 3)}))
+    predicates = [
+        column_equals_column("f", "r", "d", "id"),
+        column_equals_column("e", "id", "f", "s"),
+        column_equals_column("f", "k", "x", "k"),
+        column_compare_literal("d", "v", ">", int(rng.integers(0, 3))),
+    ]
+    return catalog, make_query(["d", "e", "f", "x"], predicates=predicates)
+
+
 #: hypothesis axes shared by the properties below.
-SHAPES = st.sampled_from([2, 3, 4, "wide", "wide", "band"])
+SHAPES = st.sampled_from([2, 3, 4, "wide", "wide", "band", "keyed"])
 BATCH_SIZES = st.sampled_from([1, 2, 7, 1024])
 #: slice budgets; ``0`` stands for the smallest legal one, ``len(order) + 1``.
 BUDGETS = st.sampled_from([0, 3, 17, 100])
@@ -201,6 +242,9 @@ def build_case(seed: int, shape, *, rows: int = 24):
         catalog, query, udfs = wide_catalog_and_query(seed)
     elif shape == "band":
         catalog, query = band_catalog_and_query(seed)
+        udfs = None
+    elif shape == "keyed":
+        catalog, query = keyed_catalog_and_query(seed)
         udfs = None
     else:
         catalog, query = random_catalog_and_query(seed, num_tables=shape, rows=rows)
@@ -285,16 +329,16 @@ def test_batches_of_one_match_scalar_reference(seed, shape, batch_size, budget):
     assert_matches_scalar(prepared, order, batch_size, budget, udfs)
 
 
-def assert_matches_scalar(prepared, order, batch_size, budget, udfs=None):
+def assert_matches_scalar(prepared, order, batch_size, budget, udfs=None, offsets=None):
     """Batched, and alternating with the scalar reference, equal the scalar run."""
     reference, reference_state, reference_meter, _ = run_sliced(
-        prepared, order, 1, budget, udfs, scalar=every_slice)
+        prepared, order, 1, budget, udfs, offsets=offsets, scalar=every_slice)
     emitted = reference.drain_new()
     for label, scalar in (("batched", lambda i: False),
                           ("batched then scalar", lambda i: i % 2 == 1),
                           ("scalar then batched", lambda i: i % 2 == 0)):
         results, state, meter, _ = run_sliced(prepared, order, batch_size, budget, udfs,
-                                              scalar=scalar)
+                                              offsets=offsets, scalar=scalar)
         assert np.array_equal(results.to_matrix(), reference.to_matrix()), label
         assert np.array_equal(results.drain_new(), emitted), f"{label}: emission order"
         assert state.as_tuple() == reference_state.as_tuple(), label
@@ -368,6 +412,75 @@ def test_band_positions_are_cut_to_the_oracle(seed):
     for budget in (0, 3, 100):
         results, _, _, _ = run_sliced(prepared, order, 1024, budget)
         assert set(results.tuples()) == expected, budget
+
+
+# ----------------------------------------------------------------------
+# key/foreign-key joins: a unique key's partner rows
+# ----------------------------------------------------------------------
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS, BATCH_SIZES)
+def test_keyed_shape_matches_scalar_at_every_budget_and_offset(seed, batch_size):
+    """Every order of a key/foreign-key query, every budget, from zero and
+    from drawn offsets: batched, scalar and alternating executors agree row
+    for row, state for state; a slice resumed from the bare index vector
+    and one resumed from its parked look-ahead give the same rows.
+
+    The scalar reference looks each probe up in the map itself, so this
+    checks the partner rows the edge keeps and the cut at the lower bound
+    rather than sharing them.
+    """
+    catalog, query = keyed_catalog_and_query(seed)
+    prepared = preprocess(catalog, query)
+    assert prepared.join_maps[("d", "id")].unique and prepared.join_maps[("e", "id")].unique
+    rng = make_rng(seed)
+    drawn = {alias: int(rng.integers(0, prepared.cardinality(alias) + 1))
+             for alias in prepared.aliases}
+    for order in query.join_graph().valid_join_orders():
+        for offsets in (None, drawn):
+            for budget in (0, 3, 17, 100):
+                assert_matches_scalar(prepared, order, batch_size, budget, offsets=offsets)
+            parked, _, parked_meter, _ = run_sliced(prepared, order, batch_size, 5,
+                                                    offsets=offsets)
+            fresh, _, fresh_meter, _ = run_sliced(prepared, order, batch_size, 5,
+                                                  offsets=offsets, fresh_executor=True)
+            assert np.array_equal(fresh.drain_new(), parked.drain_new()), order
+            assert fresh_meter.output_tuples == parked_meter.output_tuples
+
+
+def test_a_unique_key_position_keeps_only_the_prefixes_that_hit():
+    """Behind ``f``, ``d`` is reached through its unique ``id``: the frame
+    holds the prefixes whose partner survived the filter and the lower
+    bound, each with that partner, in prefix order."""
+    catalog = Catalog()
+    catalog.add_table(Table("d", {"id": [4, 0, 3, 1, 2], "v": [1, 0, 1, 1, 1]}))
+    catalog.add_table(Table("f", {"r": [3, 0, 9, 4, 1, 3], "k": [0] * 6}))
+    query = make_query(["d", "f"], predicates=[
+        column_equals_column("f", "r", "d", "id"), column_compare_literal("d", "v", ">", 0)])
+    prepared = preprocess(catalog, query)
+    assert prepared.filtered["d"].tolist() == [0, 2, 3, 4]  # id 0 is filtered out
+    join = MultiwayJoin(prepared, batch_size=4)
+    context = join.context_for(("f", "d"))
+    block = np.arange(6, dtype=np.int64)[None, :]
+    frame = join._make_frame(context, 1, block, 0)
+    assert isinstance(frame, _PartnerFrame)
+    # ids 3, 0, 9, 4, 1, 3 -> filtered d rows 1, -, -, 0, 2, 1
+    assert frame.parents.tolist() == [0, 3, 4, 5] and frame.partners.tolist() == [1, 0, 2, 1]
+    assert frame.cursor() == (0, 1)
+    cut = join._make_frame(context, 1, block, 1)
+    assert cut.parents.tolist() == [0, 4, 5] and cut.partners.tolist() == [1, 2, 1]
+    parent, candidates = cut.take(2)
+    assert parent.tolist() == [0, 4] and candidates.tolist() == [1, 2]
+    assert cut.cursor() == (5, 1)
+    # The other way round ``f.r`` repeats 3: a bucket frame.
+    assert not isinstance(join._make_frame(join.context_for(("d", "f")), 1,
+                                           np.arange(4, dtype=np.int64)[None, :], 0),
+                          _PartnerFrame)
+    expected = reference_join_tuples(catalog, query)
+    for order in (("f", "d"), ("d", "f")):
+        for budget in (0, 3, 100):
+            results, _, _, _ = run_sliced(prepared, order, 4, budget)
+            assert set(results.tuples()) == expected, (order, budget)
 
 
 def _no_band_case(own_values, other_values, op):

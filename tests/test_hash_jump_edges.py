@@ -5,8 +5,10 @@
   :meth:`~repro.engine.joinkernels.GroupedJoinMap.slots`, and finds what the
   one-step lookup with a per-probe rank search found
   (``tests/oracles/join_map.py``);
-* the statement cache keeps one bucket number per filtered probing row for
-  every hash-jump edge, owned by both of its tables;
+* the statement cache keeps one entry per filtered probing row for every
+  hash-jump edge, owned by both of its tables: the partner row where the
+  map's key is unique, the bucket number otherwise, built whole when it is
+  put in, so the cache's byte count stays the bytes it holds;
 * ``JoinResultSet.to_relation()`` defers stacking and sorting to the first
   read of an alias, so a ``COUNT(*)`` never sorts, and streamed or not, a
   finalized result is the same.
@@ -231,6 +233,88 @@ def test_an_uncached_filter_builds_no_edge():
     join = MultiwayJoin(prepared, batch_size=4)
     assert join.continue_join(JoinState(("s", "r")), {}, 1000, results, CostMeter())
     assert sorted(results.tuples()) == [(1, 0), (2, 0), (3, 1)]
+
+
+# ----------------------------------------------------------------------
+# unique keys: partner rows
+# ----------------------------------------------------------------------
+KEYED_SQL = "SELECT COUNT(*) AS n FROM f, d WHERE f.k = d.id AND d.w > 0"
+
+
+def _keyed_catalog() -> Catalog:
+    catalog = Catalog()
+    catalog.add_table(Table("d", {"id": [3, 0, 2, 1, 4], "w": [1, 1, 0, 1, 1]}))
+    catalog.add_table(Table("f", {"k": [2, 3, 7, 3, 0, 4]}))
+    return catalog
+
+
+def _partner_edge_keys(cache: StatementCache) -> list:
+    """Edges whose build map is ``d.id``."""
+    return [key for key in _edge_keys(cache) if key[1][1][1] == "d" and key[1][2] == ("id",)]
+
+
+def _held_bytes(value) -> int:
+    """Bytes of a cache entry's arrays as they are now."""
+    return value[0].nbytes if isinstance(value, tuple) else value.nbytes
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lookup_cases())
+def test_a_unique_map_gives_each_probe_its_bucket_row(case):
+    build, positions, probes, cut = case
+    grouped = GroupedJoinMap(build if len(build) > 1 else build[0], positions)
+    values = [column.data for column in probes]
+    for join_map in (grouped, grouped.suffix(cut)):
+        slots = join_map.slots(values, probes)
+        edge = join_map.edge(values, probes)
+        assert join_map.unique == (len(join_map) == join_map.rows.shape[0])
+        if not join_map.unique:
+            assert np.array_equal(edge, slots)
+            continue
+        starts, counts = join_map.bounds(slots)
+        expected = [join_map.rows[start] if count else -1 for start, count in zip(starts, counts)]
+        # A suffix view gives the partners it cuts too: the caller drops them.
+        kept = [row if row >= join_map.lower else -1 for row in edge.tolist()]
+        assert kept == expected
+
+
+def test_key_foreign_key_edges_hold_partner_rows_and_exact_bytes():
+    """After key/foreign-key statements the cache counts exactly the bytes it
+    holds, and a write to either table of a partner edge drops it."""
+    catalog = _keyed_catalog()
+    engine = SkinnerC(catalog, config=FAST)
+    for sql in (KEYED_SQL, KEYED_SQL.replace("d.w > 0", "d.w >= 0"),
+                "SELECT COUNT(*) AS n FROM f a, f b, d WHERE a.k = d.id AND b.k = d.id"):
+        assert engine.execute(parse_query(sql, catalog)).table.row_tuples()
+    cache = StatementCache.of(catalog)
+    assert cache.nbytes == sum(_held_bytes(value) for value, _, _ in cache._arrays.values())
+    assert all(nbytes == _held_bytes(value) for value, nbytes, _ in cache._arrays.values())
+    prepared = preprocess(catalog, parse_query(KEYED_SQL, catalog))
+    assert prepared.join_maps[("d", "id")].unique
+    # d rows 0, 1, 3, 4 pass (ids 3, 0, 1, 4); f.k 2, 3, 7, 3, 0, 4.
+    assert prepared.edge("d", "id", "f", "k").tolist() == [-1, 0, -1, 0, 1, 3]
+    assert not prepared.join_maps[("f", "k")].unique  # f.k repeats 3: buckets
+    for table, rows in (("d", {"id": [0, 1], "w": [1, 1]}), ("f", {"k": [1]})):
+        assert _partner_edge_keys(cache)
+        catalog.add_table(Table(table, rows), replace=True)
+        cache._sync()
+        assert _partner_edge_keys(cache) == [], table
+        assert cache.nbytes == sum(_held_bytes(value) for value, _, _ in cache._arrays.values())
+        engine.execute(parse_query(KEYED_SQL, catalog))
+
+
+def test_an_uncached_unique_map_is_probed_per_block():
+    catalog = _keyed_catalog()
+    query = parse_query(KEYED_SQL, catalog)
+    prepared = preprocess(catalog, query, restrict_positions={"f": np.arange(6)})
+    assert prepared.edge("d", "id", "f", "k") is None
+    for batch_size, budget in ((1, 3), (4, 5), (64, 1000)):
+        results = JoinResultSet(prepared.aliases)
+        join = MultiwayJoin(prepared, batch_size=batch_size)
+        state = JoinState(("f", "d"))
+        while not join.continue_join(state, {}, budget, results, CostMeter()):
+            pass
+        assert results.tuples() == [(1, 0), (3, 0), (4, 1), (5, 4)]
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
+from repro.engine.statement_cache import StatementCache
 from repro.errors import ReproError
 from repro.query.parser import parse_query
+from repro.query.predicates import Predicate
 from repro.serving import QueryServer, SessionState
 from repro.serving import server as serving_server
 from repro.serving.cache import join_graph_signature, query_fingerprint
@@ -272,6 +274,25 @@ def test_fingerprint_normalizes_whitespace_and_case(catalog):
     assert query_fingerprint(a, **kwargs) == query_fingerprint(b, **kwargs)
     assert (query_fingerprint(a, **kwargs)
             != query_fingerprint(a, **{**kwargs, "engine": "skinner-g"}))
+
+
+def test_a_cached_parse_is_rendered_once(catalog, monkeypatch):
+    """Submitting a statement again fingerprints and signs its cached parse
+    without rendering any predicate again."""
+    server = QueryServer(catalog, config=FAST)
+    sql = QUERIES[2]
+    server.result(server.submit(sql, use_result_cache=False))
+    query = StatementCache.of(catalog).parse(sql)
+    fingerprint = query_fingerprint(query, engine="skinner-c", config=FAST)
+    signature = join_graph_signature(query)
+    renders = []
+    display = Predicate.display
+    monkeypatch.setattr(Predicate, "display", lambda self: renders.append(1) or display(self))
+    server.result(server.submit(sql, use_result_cache=False))
+    assert StatementCache.of(catalog).parse(sql) is query
+    assert query_fingerprint(query, engine="skinner-c", config=FAST) == fingerprint
+    assert join_graph_signature(query) == signature
+    assert renders == []
 
 
 # ----------------------------------------------------------------------
