@@ -7,15 +7,15 @@ engines here, and third-party code extends the set with
 :func:`register_engine` without touching the library:
 
 >>> from repro.api import EngineSpec, register_engine
->>> register_engine(EngineSpec("my-engine", factory=lambda ctx: MyEngine(ctx)))
+>>> register_engine(EngineSpec("my-engine", MyEngine, task_class=MyTask))
 
 A factory receives an :class:`EngineContext` (catalog, UDFs, config and
-lazily collected statistics) and returns an engine object with
-an ``execute(query) -> QueryResult`` method.  An engine whose spec names a
-``task_class`` — a concrete :class:`~repro.engine.task.EngineTask` subclass
-— is *episodic*: it also exposes ``task(query)`` returning a resumable task
-the server interleaves, and what else its tasks can do (stream, warm-start)
-is read off that class.
+lazily collected statistics) and returns an engine object whose
+``task(query)`` returns a resumable task; the spec names that task's
+``task_class`` — a concrete :class:`~repro.engine.task.EngineTask`
+subclass — and what else the engine's tasks can do (stream, warm-start) is
+read off that class.  Every engine is episodic: the server interleaves its
+tasks, and ``execute_direct`` drives one to completion.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.baselines.eddy import EddyEngine
-from repro.baselines.reoptimizer import ReOptimizerEngine
-from repro.baselines.traditional import TraditionalEngine
+from repro.baselines.eddy import EddyEngine, EddyTask
+from repro.baselines.reoptimizer import ReOptimizerEngine, ReOptimizerTask
+from repro.baselines.traditional import TraditionalEngine, TraditionalTask
 from repro.config import SkinnerConfig
-from repro.engine.task import EngineTask, OrderPrior
+from repro.engine.task import EngineTask, OrderPrior, run_to_completion
 from repro.errors import InterfaceError, ReproError
 from repro.external.engines import SQLITE_ENGINES
 from repro.optimizer.statistics import StatisticsCatalog
@@ -65,26 +65,25 @@ class EngineSpec:
     name:
         Engine name as referenced by ``engine=`` arguments (lower-case).
     factory:
-        ``factory(context) -> engine`` where the engine has at least an
-        ``execute(query) -> QueryResult`` method.
+        ``factory(context) -> engine`` where the engine has a
+        ``task(query) -> EngineTask`` method.
     task_class:
         The concrete :class:`~repro.engine.task.EngineTask` subclass behind
-        the engine's ``task(query)`` — naming one is what makes an engine
-        episodic, and the one rule registration checks.  Its ``streamable``
-        and ``warm_startable`` attributes say whether result batches can be
-        fetched before completion and whether ``task(query,
-        order_prior=...)`` accepts join-order priors.  ``None`` (the
-        default): the engine runs through the server as one monolithic
-        episode.
+        the engine's ``task(query)``, required, and the one rule
+        registration checks.  Its ``streamable`` and ``warm_startable``
+        attributes say whether result batches can be fetched before
+        completion and whether ``task(query, order_prior=...)`` accepts
+        join-order priors.
     """
 
     name: str
     factory: Callable[[EngineContext], Any]
-    task_class: type[EngineTask] | None = None
+    task_class: type[EngineTask]
 
     def execute(self, context: EngineContext, query: Query) -> QueryResult:
-        """Build the engine and execute ``query`` directly (no serving layer)."""
-        return self.factory(context).execute(query)
+        """Build the engine and run ``query``'s task to completion (no
+        serving layer)."""
+        return run_to_completion(self.create_task(context, query))
 
     def create_task(
         self,
@@ -93,21 +92,11 @@ class EngineSpec:
         *,
         order_prior: Sequence[OrderPrior] = (),
     ) -> EngineTask:
-        """Build the episode task the server schedules for ``query``.
-
-        Episodic engines return their native resumable task; all other
-        engines are wrapped in a
-        :class:`~repro.serving.session.MonolithicTask` running the whole
-        query as one (unbounded) episode.
-        """
+        """Build the episode task the server schedules for ``query``."""
         engine = self.factory(context)
-        if self.task_class is not None:
-            if self.task_class.warm_startable and order_prior:
-                return engine.task(query, order_prior=order_prior)
-            return engine.task(query)
-        from repro.serving.session import MonolithicTask
-
-        return MonolithicTask(lambda: engine.execute(query))
+        if self.task_class.warm_startable and order_prior:
+            return engine.task(query, order_prior=order_prior)
+        return engine.task(query)
 
 
 class EngineRegistry:
@@ -119,15 +108,16 @@ class EngineRegistry:
     def register(self, spec: EngineSpec, *, replace: bool = False) -> EngineSpec:
         """Register an engine spec; raises if the name exists unless ``replace``.
 
-        A ``task_class`` must be a concrete
-        :class:`~repro.engine.task.EngineTask` subclass — a task the server
-        could not drive is refused here, not mid-query.
+        The ``task_class`` must be a concrete
+        :class:`~repro.engine.task.EngineTask` subclass — an engine the
+        server could not drive episode by episode is refused here, not
+        mid-query.
         """
         name = spec.name.lower()
         if name != spec.name:
             spec = dataclasses.replace(spec, name=name)
         task_class = spec.task_class
-        if task_class is not None and not (
+        if not (
             isinstance(task_class, type)
             and issubclass(task_class, EngineTask)
             and not inspect.isabstract(task_class)
@@ -213,37 +203,21 @@ class RegistryNames(Sequence):
 # ----------------------------------------------------------------------
 # built-in engines
 # ----------------------------------------------------------------------
-def _skinner_c(context: EngineContext) -> SkinnerC:
-    return SkinnerC(context.catalog, context.udfs, context.config)
+def _skinner(engine_class: type) -> Callable[[EngineContext], Any]:
+    return lambda context: engine_class(context.catalog, context.udfs, context.config)
 
 
-def _skinner_g(context: EngineContext) -> SkinnerG:
-    return SkinnerG(context.catalog, context.udfs, context.config)
-
-
-def _skinner_h(context: EngineContext) -> SkinnerH:
-    return SkinnerH(context.catalog, context.udfs, context.config)
-
-
-def _traditional(context: EngineContext) -> TraditionalEngine:
-    return TraditionalEngine(context.catalog, context.udfs)
-
-
-def _eddy(context: EngineContext) -> EddyEngine:
-    return EddyEngine(context.catalog, context.udfs)
-
-
-def _reoptimizer(context: EngineContext) -> ReOptimizerEngine:
-    return ReOptimizerEngine(context.catalog, context.udfs)
+def _baseline(engine_class: type) -> Callable[[EngineContext], Any]:
+    return lambda context: engine_class(context.catalog, context.udfs)
 
 
 BUILTIN_SPECS = (
-    EngineSpec("skinner-c", _skinner_c, task_class=SkinnerCTask),
-    EngineSpec("skinner-g", _skinner_g, task_class=SkinnerGTask),
-    EngineSpec("skinner-h", _skinner_h, task_class=SkinnerHTask),
-    EngineSpec("traditional", _traditional),
-    EngineSpec("eddy", _eddy),
-    EngineSpec("reoptimizer", _reoptimizer),
+    EngineSpec("skinner-c", _skinner(SkinnerC), task_class=SkinnerCTask),
+    EngineSpec("skinner-g", _skinner(SkinnerG), task_class=SkinnerGTask),
+    EngineSpec("skinner-h", _skinner(SkinnerH), task_class=SkinnerHTask),
+    EngineSpec("traditional", _baseline(TraditionalEngine), task_class=TraditionalTask),
+    EngineSpec("eddy", _baseline(EddyEngine), task_class=EddyTask),
+    EngineSpec("reoptimizer", _baseline(ReOptimizerEngine), task_class=ReOptimizerTask),
     # Skinner-G/H over a real host DBMS (the paper's actual deployment):
     # batches run as order-forcing SQL on a per-catalog sqlite mirror, with
     # automatic fallback to the internal executor for queries the dialect
@@ -276,7 +250,7 @@ def register_engine(
     Accepts either a prebuilt :class:`EngineSpec`, or ``name``/``factory``
     plus the spec's other fields as keywords::
 
-        register_engine(name="my-engine", factory=lambda ctx: MyEngine(ctx))
+        register_engine(name="my-engine", factory=MyEngine, task_class=MyTask)
 
     Registered engines are immediately selectable via ``engine="my-engine"``
     in ``Connection.execute``, ``Connection.cursor().execute``, and
@@ -286,7 +260,8 @@ def register_engine(
     if spec is None:
         if name is None or factory is None:
             raise ReproError("register_engine needs an EngineSpec or name+factory")
-        spec = EngineSpec(name=name, factory=factory, **fields)
+        spec = EngineSpec(name=name, factory=factory,
+                          task_class=fields.pop("task_class", None), **fields)
     return registry.register(spec, replace=replace)
 
 

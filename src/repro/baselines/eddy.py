@@ -17,19 +17,16 @@ follows the spirit of the paper's own re-implemented baseline:
 
 from __future__ import annotations
 
-import time
+from collections.abc import Generator
 from typing import Any
 
-from repro.engine.meter import CostMeter
-from repro.engine.postprocess import post_process
-from repro.errors import BudgetExceeded
+from repro.engine.relation import RowIdRelation
+from repro.engine.task import ExecutionBackend, GeneratorTask
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.result import QueryMetrics, QueryResult
-from repro.skinner.preprocessor import PreprocessedQuery, preprocess
+from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.storage.catalog import Catalog
-from repro.storage.table import Table
 
 
 class _OperatorStats:
@@ -48,79 +45,52 @@ class _OperatorStats:
         return self._outputs[alias] / self._inputs[alias]
 
 
-class EddyEngine:
-    """Adaptive per-tuple routing baseline."""
+class EddyTask(GeneratorTask):
+    """One query on the eddy."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        udfs: UdfRegistry | None = None,
-    ) -> None:
-        self._catalog = catalog
-        self._udfs = udfs
+    def __init__(self, engine: "EddyEngine", query: Query,
+                 work_budget: int | None = None) -> None:
+        super().__init__(engine.name, query, engine._udfs, work_budget)
+        self._catalog = engine._catalog
 
-    @property
-    def name(self) -> str:
-        """Engine name used in reports."""
-        return "eddy"
+    def episodes(self) -> Generator[None, None, RowIdRelation]:
+        prepared = self.prepared = preprocess(self._catalog, self.query, self.udfs, self.meter)
+        self.tables = prepared.tables
+        result_set = self.result_set = JoinResultSet(prepared.aliases)
+        if not prepared.is_empty():
+            if self.query.num_tables == 1:
+                alias = prepared.aliases[0]
+                result_set.add_many(
+                    (prepared.base_row(alias, index),)
+                    for index in range(prepared.cardinality(alias))
+                )
+            else:
+                yield from self._route_all()
+        return result_set.to_relation()
 
-    def execute(self, query: Query, *, work_budget: int | None = None) -> QueryResult:
-        """Execute a query with adaptive per-tuple routing.
-
-        When ``work_budget`` is exhausted, execution is cut off and the
-        partial metrics are returned with ``extra["timed_out"] = True``.
-        """
-        started = time.perf_counter()
-        meter = CostMeter(budget=work_budget)
-        timed_out = False
-        result_set: JoinResultSet
-        try:
-            prepared = preprocess(self._catalog, query, self._udfs, meter)
-            result_set = JoinResultSet(prepared.aliases)
-            if not prepared.is_empty():
-                if query.num_tables == 1:
-                    alias = prepared.aliases[0]
-                    result_set.add_many(
-                        (prepared.base_row(alias, index),)
-                        for index in range(prepared.cardinality(alias))
-                    )
-                else:
-                    self._route_all(prepared, result_set, meter)
-            relation = result_set.to_relation()
-            output = post_process(query, relation, prepared.tables, self._udfs, meter)
-        except BudgetExceeded:
-            timed_out = True
-            result_set = JoinResultSet(tuple(query.aliases))
-            output = Table("result", {})
-        metrics = QueryMetrics.measured(
-            self.name,
-            meter.snapshot(),
-            started,
-            output.num_rows,
-            result_tuple_count=len(result_set),
-            extra={"timed_out": timed_out},
-        )
-        return QueryResult(output, metrics)
+    def metric_fields(self) -> dict[str, Any]:
+        return {"result_tuple_count": 0 if self.timed_out else len(self.result_set)}
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _route_all(
-        self, prepared: PreprocessedQuery, result_set: JoinResultSet, meter: CostMeter
-    ) -> None:
+    def _route_all(self) -> Generator[None, None, None]:
+        prepared, meter = self.prepared, self.meter
         graph = prepared.query.join_graph()
         aliases = list(prepared.aliases)
         stats = _OperatorStats(aliases)
         driver = min(aliases, key=prepared.cardinality)
         routed: list[tuple[int, ...]] = []
+        self._examined = 0
         for driver_index in range(prepared.cardinality(driver)):
             meter.charge_scan(1)
+            yield from self._examine()
             partials: list[dict[str, int]] = [{driver: driver_index}]
             joined = [driver]
             while len(joined) < len(aliases) and partials:
                 eligible = graph.eligible_next(joined)
                 next_alias = min(eligible, key=stats.expansion)
-                expanded = self._expand(prepared, partials, next_alias, meter)
+                expanded = yield from self._expand(partials, next_alias)
                 stats.record(next_alias, inputs=len(partials), outputs=len(expanded))
                 partials = expanded
                 joined.append(next_alias)
@@ -129,42 +99,40 @@ class EddyEngine:
                     tuple(prepared.base_row(alias, partial[alias]) for alias in prepared.aliases)
                 )
                 meter.charge_output(1)
-        result_set.add_many(routed)  # one insert: adding settles distinctness each time
+        self.result_set.add_many(routed)  # one insert: adding settles distinctness each time
+
+    def _examine(self) -> Generator[None, None, None]:
+        """Count one driver tuple or candidate examined, rejected ones
+        included; every ``episode_rows`` of them end an episode."""
+        self._examined += 1
+        if self._examined == self.episode_rows:
+            self._examined = 0
+            yield
 
     def _expand(
-        self,
-        prepared: PreprocessedQuery,
-        partials: list[dict[str, int]],
-        alias: str,
-        meter: CostMeter,
-    ) -> list[dict[str, int]]:
+        self, partials: list[dict[str, int]], alias: str
+    ) -> Generator[None, None, list[dict[str, int]]]:
         """Join every partial tuple with the filtered tuples of ``alias``."""
         applicable = [
             predicate
-            for predicate in prepared.join_predicates
+            for predicate in self.prepared.join_predicates
             if alias in predicate.tables()
             and all(t == alias or t in partials[0] for t in predicate.tables())
         ] if partials else []
         expanded: list[dict[str, int]] = []
         for partial in partials:
-            candidates = self._candidate_indices(prepared, partial, alias, applicable, meter)
-            for candidate in candidates:
+            for candidate in self._candidate_indices(partial, alias, applicable):
                 extended = dict(partial)
                 extended[alias] = candidate
-                if self._satisfies(prepared, extended, alias, applicable, meter):
+                if self._satisfies(extended, applicable):
                     expanded.append(extended)
-                    meter.charge_intermediate(1)
+                    self.meter.charge_intermediate(1)
+                yield from self._examine()
         return expanded
 
-    def _candidate_indices(
-        self,
-        prepared: PreprocessedQuery,
-        partial: dict[str, int],
-        alias: str,
-        applicable,
-        meter: CostMeter,
-    ) -> list[int]:
+    def _candidate_indices(self, partial: dict[str, int], alias: str, applicable) -> list[int]:
         """Candidate filtered indices of ``alias``, via hash maps when possible."""
+        prepared = self.prepared
         for predicate in applicable:
             if not predicate.is_equi_join:
                 continue
@@ -175,26 +143,35 @@ class EddyEngine:
             if join_map is None or other.table not in partial:
                 continue
             value = prepared.value_at(other.table, other.column, partial[other.table])
-            meter.charge_probe(1)
+            self.meter.charge_probe(1)
             matches = join_map.get(value)
             return [int(i) for i in matches] if matches is not None else []
         return list(range(prepared.cardinality(alias)))
 
-    def _satisfies(
-        self,
-        prepared: PreprocessedQuery,
-        extended: dict[str, int],
-        alias: str,
-        applicable,
-        meter: CostMeter,
-    ) -> bool:
+    def _satisfies(self, extended: dict[str, int], applicable) -> bool:
         for predicate in applicable:
             binding: dict[str, Any] = {
-                t: prepared.binding_for(t, extended[t]) for t in predicate.tables()
+                t: self.prepared.binding_for(t, extended[t]) for t in predicate.tables()
             }
-            meter.charge_predicate(1)
+            self.meter.charge_predicate(1)
             if predicate.uses_udf:
-                meter.charge_udf(max(1, predicate.udf_cost(self._udfs) - 1))
-            if not predicate.evaluate(binding, self._udfs):
+                self.meter.charge_udf(max(1, predicate.udf_cost(self.udfs) - 1))
+            if not predicate.evaluate(binding, self.udfs):
                 return False
         return True
+
+
+class EddyEngine(ExecutionBackend):
+    """Adaptive per-tuple routing baseline."""
+
+    #: Engine name used in reports.
+    name = "eddy"
+
+    def __init__(self, catalog: Catalog, udfs: UdfRegistry | None = None) -> None:
+        self._catalog = catalog
+        self._udfs = udfs
+
+    def task(self, query: Query, *, work_budget: int | None = None) -> EddyTask:
+        """A resumable task for ``query``; an exhausted ``work_budget`` ends it
+        with an empty result and ``extra["timed_out"] = True``."""
+        return EddyTask(self, query, work_budget)

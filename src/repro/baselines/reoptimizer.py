@@ -12,21 +12,27 @@ pays for its re-optimization effort — as it does in the paper's experiments.
 
 from __future__ import annotations
 
-import time
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
+from typing import Any
 
-from repro.engine.executor import PlanExecutor
-from repro.engine.meter import CostMeter
-from repro.engine.postprocess import post_process
-from repro.errors import BudgetExceeded
+from repro.baselines.traditional import TraditionalTask
+from repro.engine.relation import RowIdRelation
+from repro.engine.task import ExecutionBackend
 from repro.optimizer.cardinality import CardinalityEstimator, EstimatedCardinality
 from repro.optimizer.exhaustive import choose_plan
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.result import QueryMetrics, QueryResult
 from repro.storage.catalog import Catalog
-from repro.storage.table import Table
+
+#: A validation sample joins this share of the left-most alias's filtered
+#: rows, at most ``SAMPLE_LIMIT`` of them; an estimate off by more than
+#: ``VALIDATION_FACTOR`` either way is corrected, for at most ``MAX_ROUNDS``
+#: re-plans.
+SAMPLE_FRACTION = 0.1
+SAMPLE_LIMIT = 200
+VALIDATION_FACTOR = 3.0
+MAX_ROUNDS = 5
 
 
 class _CorrectedEstimator(CardinalityEstimator):
@@ -49,107 +55,71 @@ class _CorrectedEstimator(CardinalityEstimator):
         return self._base.cardinality(aliases)
 
 
-class ReOptimizerEngine:
-    """Iterative sampling-based re-optimization baseline."""
+class ReOptimizerTask(TraditionalTask):
+    """One query on the re-optimizer: validation rounds, then the traditional
+    task's run of the final plan.  A sample runs like a plan, charging the
+    task's meter (one that exhausts ``work_budget`` times the query out),
+    and ends an episode when it is done."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        udfs: UdfRegistry | None = None,
-        *,
-        sample_fraction: float = 0.1,
-        sample_limit: int = 200,
-        validation_factor: float = 3.0,
-        max_rounds: int = 5,
-    ) -> None:
-        self._catalog = catalog
-        self._udfs = udfs
-        self._sample_fraction = sample_fraction
-        self._sample_limit = sample_limit
-        self._validation_factor = validation_factor
-        self._max_rounds = max_rounds
+    def __init__(self, engine: "ReOptimizerEngine", query: Query,
+                 work_budget: int | None = None) -> None:
+        super().__init__(engine, query, order=(), work_budget=work_budget)  # set from _plan
+        base = EstimatedCardinality(query, StatisticsCatalog.of(engine._catalog), engine._udfs)
+        self._estimator = _CorrectedEstimator(base)
+        self._plan = choose_plan(query, self._estimator)
+        self._rounds = 0
 
-    @property
-    def name(self) -> str:
-        """Engine name used in reports."""
-        return "reoptimizer"
+    def episodes(self) -> Generator[None, None, RowIdRelation]:
+        self._executor.pre_process(self.meter)
+        if self.query.num_tables > 1:
+            for self._rounds in range(1, MAX_ROUNDS + 1):
+                corrections = yield from self._validate(self._plan.order)
+                if not corrections:
+                    break
+                self._estimator.corrections.update(corrections)
+                plan, self._plan = self._plan, choose_plan(self.query, self._estimator)
+                if plan.order == self._plan.order:
+                    break
+        self._order = self._plan.order
+        return (yield from super().episodes())
 
-    def execute(self, query: Query, *, work_budget: int | None = None) -> QueryResult:
-        """Execute with iterative sample-based plan validation.
-
-        When ``work_budget`` is exhausted, execution is cut off and the
-        partial metrics are returned with ``extra["timed_out"] = True``.
-        """
-        started = time.perf_counter()
-        meter = CostMeter(budget=work_budget)
-        base = EstimatedCardinality(query, StatisticsCatalog.of(self._catalog), self._udfs)
-        estimator = _CorrectedEstimator(base)
-        executor = PlanExecutor(self._catalog, query, self._udfs)
-        timed_out = False
-        rounds = 0
-        plan = choose_plan(query, estimator)
-        try:
-            executor.pre_process(meter)
-            if query.num_tables > 1:
-                for rounds in range(1, self._max_rounds + 1):
-                    corrections = self._validate(executor, plan.order, estimator, meter)
-                    if not corrections:
-                        break
-                    estimator.corrections.update(corrections)
-                    new_plan = choose_plan(query, estimator)
-                    if new_plan.order == plan.order:
-                        plan = new_plan
-                        break
-                    plan = new_plan
-            relation = executor.execute_order(list(plan.order), meter)
-            output = post_process(query, relation, executor.tables, self._udfs, meter)
-        except BudgetExceeded:
-            timed_out = True
-            output = Table("result", {})
-        metrics = QueryMetrics.measured(
-            self.name,
-            meter.snapshot(),
-            started,
-            output.num_rows,
-            final_join_order=plan.order,
-            extra={"reoptimization_rounds": rounds,
-                   "corrections": len(estimator.corrections),
-                   "timed_out": timed_out},
-        )
-        return QueryResult(output, metrics)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _validate(
-        self,
-        executor: PlanExecutor,
-        order: tuple[str, ...],
-        estimator: CardinalityEstimator,
-        meter: CostMeter,
-    ) -> dict[frozenset[str], float]:
+    def _validate(self, order: tuple[str, ...]) -> Generator[None, None, dict]:
         """Compare estimated and sampled cardinalities of the plan's prefixes."""
-        left = order[0]
-        positions = executor.filtered_positions(left)
-        total = int(positions.shape[0])
+        total = int(self._executor.filtered_positions(order[0]).shape[0])
         if total == 0:
             return {}
-        sample_size = max(1, min(self._sample_limit, int(total * self._sample_fraction)))
+        sample_size = max(1, min(SAMPLE_LIMIT, int(total * SAMPLE_FRACTION)))
         scale = total / sample_size
         corrections: dict[frozenset[str], float] = {}
         for prefix_length in range(2, len(order) + 1):
             prefix = order[:prefix_length]
-            sub_meter = CostMeter(budget=meter.remaining)
-            try:
-                relation = executor.restricted(prefix).execute_order(
-                    list(prefix), sub_meter, batch=(0, sample_size)
-                )
-            except Exception:  # noqa: BLE001 - validation must never fail the query
-                break
-            meter.merge(sub_meter)
+            relation = yield from self._executor.restricted(prefix).run_order(
+                list(prefix), self.meter, batch=(0, sample_size), episode_rows=self.episode_rows)
+            yield
             measured = len(relation) * scale
-            estimated = estimator.cardinality(list(prefix))
+            estimated = self._estimator.cardinality(list(prefix))
             ratio = max(measured, 1.0) / max(estimated, 1.0)
-            if ratio > self._validation_factor or ratio < 1.0 / self._validation_factor:
+            if ratio > VALIDATION_FACTOR or ratio < 1.0 / VALIDATION_FACTOR:
                 corrections[frozenset(prefix)] = max(measured, 1.0)
         return corrections
+
+    def metric_fields(self) -> dict[str, Any]:
+        return {"final_join_order": self._plan.order,
+                "extra": {"reoptimization_rounds": self._rounds,
+                          "corrections": len(self._estimator.corrections)}}
+
+
+class ReOptimizerEngine(ExecutionBackend):
+    """Iterative sampling-based re-optimization baseline."""
+
+    #: Engine name used in reports.
+    name = "reoptimizer"
+
+    def __init__(self, catalog: Catalog, udfs: UdfRegistry | None = None) -> None:
+        self._catalog = catalog
+        self._udfs = udfs
+
+    def task(self, query: Query, *, work_budget: int | None = None) -> ReOptimizerTask:
+        """A resumable task for ``query``; an exhausted ``work_budget`` ends it
+        with an empty result and ``extra["timed_out"] = True``."""
+        return ReOptimizerTask(self, query, work_budget)

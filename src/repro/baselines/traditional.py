@@ -10,22 +10,49 @@ engine's work weighted per system by the benchmark harness
 
 from __future__ import annotations
 
-import time
+from collections.abc import Generator
+from typing import Any
 
 from repro.engine.executor import PlanExecutor
-from repro.engine.meter import CostMeter
-from repro.engine.postprocess import post_process
-from repro.errors import BudgetExceeded
+from repro.engine.relation import RowIdRelation
+from repro.engine.task import ExecutionBackend, GeneratorTask, run_to_completion
 from repro.optimizer.exhaustive import estimated_plan
 from repro.optimizer.plans import LeftDeepPlan
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.result import QueryMetrics, QueryResult
+from repro.result import QueryResult
 from repro.storage.catalog import Catalog
-from repro.storage.table import Table
 
 
-class TraditionalEngine:
+class TraditionalTask(GeneratorTask):
+    """One query on the traditional engine: the plan (the optimizer's, or a
+    forced order) is fixed when the task is made, and the plan executor
+    ends an episode every :data:`~repro.engine.task.EPISODE_ROWS`
+    candidate rows."""
+
+    def __init__(self, engine: "TraditionalEngine", query: Query, *,
+                 order: tuple[str, ...] | None = None,
+                 work_budget: int | None = None) -> None:
+        super().__init__(engine.name, query, engine._udfs, work_budget)
+        self._executor = PlanExecutor(engine._catalog, query, engine._udfs)
+        self.tables = self._executor.tables
+        self._estimated_cost = None
+        if order is None:
+            plan = engine.plan(query)
+            order, self._estimated_cost = plan.order, plan.cost
+        self._order = tuple(order)
+
+    def episodes(self) -> Generator[None, None, RowIdRelation]:
+        order = self.query.aliases if self.query.num_tables == 1 else self._order
+        return (yield from self._executor.run_order(
+            list(order), self.meter, episode_rows=self.episode_rows))
+
+    def metric_fields(self) -> dict[str, Any]:
+        return {"final_join_order": self._order,
+                "extra": {"estimated_cost": self._estimated_cost}}
+
+
+class TraditionalEngine(ExecutionBackend):
     """Cost-based optimizer + left-deep executor baseline.
 
     Parameters
@@ -36,39 +63,26 @@ class TraditionalEngine:
         UDF registry (the optimizer treats UDF predicates as black boxes).
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        udfs: UdfRegistry | None = None,
-    ) -> None:
-        self._catalog = catalog
-        self._udfs = udfs
-
     #: Engine name used in reports.
     name = "traditional"
 
-    # ------------------------------------------------------------------
-    # planning
-    # ------------------------------------------------------------------
+    def __init__(self, catalog: Catalog, udfs: UdfRegistry | None = None) -> None:
+        self._catalog = catalog
+        self._udfs = udfs
+
     def plan(self, query: Query) -> LeftDeepPlan:
         """Choose a join order using estimated cardinalities (see
         :func:`~repro.optimizer.exhaustive.estimated_plan`)."""
         return estimated_plan(self._catalog, query, self._udfs)
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def execute(self, query: Query, *, work_budget: int | None = None) -> QueryResult:
-        """Execute a query under the optimizer's chosen plan.
+    def task(self, query: Query, *, work_budget: int | None = None) -> TraditionalTask:
+        """A resumable task running the optimizer's plan for ``query``.
 
-        When ``work_budget`` is given and exhausted, execution stops and a
-        partial (empty) result is returned with ``extra["timed_out"] =
-        True`` — the benchmark harness uses this to emulate the per-query
-        timeouts of the torture benchmarks.
+        An exhausted ``work_budget`` ends it with an empty result and
+        ``extra["timed_out"] = True`` — the benchmark harness uses this to
+        emulate the per-query timeouts of the torture benchmarks.
         """
-        started = time.perf_counter()
-        plan = self.plan(query)
-        return self._run(query, plan.order, started, work_budget, plan.cost)
+        return TraditionalTask(self, query, work_budget=work_budget)
 
     def execute_with_order(self, query: Query, order: tuple[str, ...]) -> QueryResult:
         """Execute a query with one fixed join order; no optimizer runs.
@@ -76,34 +90,4 @@ class TraditionalEngine:
         Tables 3 and 4 use this to run Skinner's learned orders and the
         C_out-optimal orders inside the traditional engines.
         """
-        return self._run(query, tuple(order), time.perf_counter(), None, None)
-
-    def _run(
-        self,
-        query: Query,
-        order: tuple[str, ...],
-        started: float,
-        work_budget: int | None,
-        estimated_cost: float | None,
-    ) -> QueryResult:
-        meter = CostMeter(budget=work_budget)
-        executor = PlanExecutor(self._catalog, query, self._udfs)
-        timed_out = False
-        try:
-            if query.num_tables == 1:
-                relation = executor.execute_order(list(query.aliases), meter)
-            else:
-                relation = executor.execute_order(order, meter)
-            output = post_process(query, relation, executor.tables, self._udfs, meter)
-        except BudgetExceeded:
-            timed_out = True
-            output = Table("result", {})
-        metrics = QueryMetrics.measured(
-            self.name,
-            meter.snapshot(),
-            started,
-            output.num_rows,
-            final_join_order=order,
-            extra={"estimated_cost": estimated_cost, "timed_out": timed_out},
-        )
-        return QueryResult(output, metrics)
+        return run_to_completion(TraditionalTask(self, query, order=order))

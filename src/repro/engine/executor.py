@@ -22,17 +22,23 @@ would pay it; only the sort is saved.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Generator, Hashable, Mapping, Sequence
 from functools import partial
 
 import numpy as np
 
 from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import ChargeLog, CostMeter
-from repro.engine.operators import hash_join_step, nested_loop_step
+from repro.engine.operators import (
+    Candidates,
+    apply_residual,
+    cross_candidates,
+    hash_join_candidates,
+)
 from repro.engine.relation import RowIdRelation
 from repro.engine.statement_cache import StatementCache
 from repro.query.join_graph import JoinStep
+from repro.query.predicates import Predicate
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
@@ -111,24 +117,36 @@ class PlanExecutor:
         batch: tuple[int, int] | None = None,
         lower: Mapping[str, int] | None = None,
     ) -> RowIdRelation:
-        """Execute one left-deep join order and return the join result.
+        """:meth:`run_order` to its end in one call: each step one range."""
+        steps = self.run_order(order, meter, batch, lower)
+        while True:
+            try:
+                next(steps)
+            except StopIteration as done:
+                return done.value
 
-        Parameters
-        ----------
-        order:
-            Permutation of the query's aliases.
-        meter:
-            Cost meter charged for all work; may carry a budget, in which
-            case :class:`~repro.errors.BudgetExceeded` propagates to the
-            caller when it runs out.
-        batch:
-            ``(start, stop)``: join only these filtered rows of the left-most
-            alias (Skinner-G's batch).
-        lower:
-            Per alias, the first filtered row it joins with; the rows before
-            it are left out (Skinner-G's remainders).  A hash join builds on
-            a :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix` of the
-            alias's cached map, cut once per bound.
+    def run_order(
+        self,
+        order: Sequence[str],
+        meter: CostMeter,
+        batch: tuple[int, int] | None = None,
+        lower: Mapping[str, int] | None = None,
+        *,
+        episode_rows: int | None = None,
+    ) -> Generator[None, None, RowIdRelation]:
+        """Execute the left-deep join ``order``, charging ``meter`` (a budget
+        on it raises :class:`~repro.errors.BudgetExceeded`), and return the
+        join result; yield every ``episode_rows`` candidate rows built
+        (never, for ``None``).
+
+        ``batch`` ``(start, stop)`` joins only these filtered rows of the
+        left-most alias (Skinner-G's batch); ``lower[alias]`` is the first
+        filtered row ``alias`` joins with (Skinner-G's remainders, joined on
+        a :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix` of the
+        cached map).  A step is charged whole — build scan, probes, every
+        candidate — before its candidates are built and filtered range by
+        range in probe order: ``episode_rows`` moves only the order of
+        residual charges, never the rows or the counters.
         """
         steps = self.join_steps(order)
         filtered = self.pre_process(meter)
@@ -137,21 +155,59 @@ class PlanExecutor:
         if batch is not None:
             first = first[batch[0]:batch[1]]
         result = RowIdRelation.from_base(order[0], first)
+        room = episode_rows
         for alias, equi, residual in steps:
             positions = filtered[alias]
             cut = lower.get(alias, 0)
             if equi:
-                result = hash_join_step(
-                    result, alias, self._tables[alias], positions,
-                    equi, residual, self._tables, meter, self._udfs,
-                    cut, partial(self._build_side, alias, cut),
+                candidates = hash_join_candidates(
+                    result, alias, self._tables[alias], positions, equi,
+                    self._tables, meter, cut, partial(self._build_side, alias, cut),
                 )
             else:
-                result = nested_loop_step(
-                    result, alias, self._tables[alias], positions[cut:],
-                    residual, self._tables, meter, self._udfs,
-                )
+                candidates = cross_candidates(result, alias, positions[cut:], meter)
+            if room is None:  # one range, as Skinner-G/H's batches run: no generator
+                result = apply_residual(candidates.take(0, candidates.total), residual,
+                                        self._tables, meter, self._udfs)
+            else:
+                result, room = yield from self._filter_ranges(
+                    candidates, (*result.aliases, alias), residual, meter, room, episode_rows)
         return result
+
+    def _filter_ranges(
+        self, candidates: Candidates, names: Sequence[str], residual: Sequence[Predicate],
+        meter: CostMeter, room: int, episode_rows: int,
+    ) -> Generator[None, None, tuple[RowIdRelation, int]]:
+        """A step's candidates (over ``names``) built and filtered range by
+        range, yielding whenever ``room`` runs out: the step's relation and
+        the room left.  With no residual predicate all survive, and ranges
+        are written into place rather than held twice by a concatenation."""
+        into = None
+        if not residual and candidates.total > room:
+            into = {name: np.empty(candidates.total, dtype=np.int64) for name in names}
+        parts, done = [], 0
+        while True:
+            stop = min(candidates.total, done + room)
+            part = apply_residual(candidates.take(done, stop), residual,
+                                  self._tables, meter, self._udfs)
+            if into is None:
+                parts.append(part)
+            else:
+                for name, ids in into.items():
+                    ids[done:stop] = part.ids(name)
+            room -= stop - done
+            if not room:
+                yield
+                room = episode_rows
+            done = stop
+            if done == candidates.total:
+                break
+        if into is not None:
+            return RowIdRelation(into), room
+        if len(parts) == 1:
+            return parts[0], room
+        return RowIdRelation({name: np.concatenate([part.ids(name) for part in parts])
+                              for name in names}), room
 
     def _build_side(self, alias: str, lower: int, columns: tuple[str, ...]) -> GroupedJoinMap:
         """``alias``'s filtered rows from ``lower`` on, grouped by ``columns``."""

@@ -5,12 +5,16 @@ repository:
 
 * :func:`filter_table` — apply a table's unary predicates, producing the row
   positions that survive (pre-processing in the paper's terminology).
-* :func:`hash_join_step` — extend an intermediate result by one table via a
-  hash join on the applicable equality predicates, then filter it by the
-  residual predicates.
-* :func:`nested_loop_step` — the fallback when no equality predicate links
+* :func:`hash_join_candidates` — extend an intermediate result by one table
+  via a hash join on the applicable equality predicates.
+* :func:`cross_candidates` — the fallback when no equality predicate links
   the new table to the current prefix (Cartesian product or generic/UDF-only
   join predicates).
+* :func:`apply_residual` — filter candidates by the residual predicates.
+
+A step charges its :class:`Candidates` whole, and then filters them range
+by range (:meth:`~repro.engine.executor.PlanExecutor.run_order`);
+:func:`hash_join_step` is a hash-join step in one range.
 
 Every predicate but ``column <op> literal`` (which compares the physical
 column once) is evaluated over arrays of the surviving rows by
@@ -31,6 +35,7 @@ All operators charge their work to a :class:`~repro.engine.meter.CostMeter`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
@@ -102,6 +107,55 @@ def _charge_predicate(
 BuildSide = Callable[[tuple[str, ...]], GroupedJoinMap]
 
 
+class Candidates:
+    """A join step's candidate rows in probe order, built range by range by
+    :meth:`take`: prefix row ``i`` pairs with ``positions[rows[starts[i]:
+    starts[i] + counts[i]]]``, its hash bucket, or, with no ``rows``, with
+    every position (a cross product)."""
+
+    def __init__(self, prefix: RowIdRelation, alias: str, positions: np.ndarray, total: int,
+                 rows: np.ndarray | None = None, starts: np.ndarray | None = None,
+                 counts: np.ndarray | None = None) -> None:
+        self._prefix, self._alias, self._positions = prefix, alias, positions
+        self._rows, self._starts, self._counts = rows, starts, counts
+        self.total = total
+
+    @functools.cached_property
+    def _ends(self) -> np.ndarray:
+        return np.cumsum(self._counts)
+
+    def take(self, start: int, stop: int) -> RowIdRelation:
+        """Candidates ``start:stop``, extending the prefix by the new alias."""
+        if self._rows is None:
+            return self._cross(start, stop)
+        starts, counts, first = self._starts, self._counts, 0
+        if (start, stop) != (0, self.total):
+            # The probe rows whose buckets overlap the range, trimmed to it.
+            ends = self._ends
+            first = int(np.searchsorted(ends, start, side="right"))
+            last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+            starts, counts = starts[first:last].copy(), counts[first:last].copy()
+            skipped = start - int(ends[first] - counts[0])
+            starts[0] += skipped
+            counts[0] -= skipped
+            counts[-1] -= int(ends[last - 1]) - stop
+        selector, build_rows = expand_matches(self._rows, starts, counts)
+        if first:
+            selector += first
+        return self._prefix.extend(self._alias, self._positions[build_rows], selector)
+
+    def _cross(self, start: int, stop: int) -> RowIdRelation:
+        """A cross product's range: each prefix row beside every position."""
+        width = self._positions.shape[0]
+        if (start, stop) == (0, self.total):
+            selector = np.repeat(np.arange(len(self._prefix), dtype=np.int64), width)
+            positions = np.tile(self._positions, len(self._prefix))
+        else:
+            selector, columns = np.divmod(np.arange(start, stop, dtype=np.int64), width)
+            positions = self._positions[columns]
+        return self._prefix.extend(self._alias, positions, selector)
+
+
 def hash_join_step(
     prefix: RowIdRelation,
     alias: str,
@@ -126,19 +180,13 @@ def hash_join_step(
     :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix`); without it they
     are grouped for this join alone.
     """
-    # Building the hash side scans/hashes the new table's tuples once, so it
-    # is charged as scan work, not as hash probes: the probe counter must
-    # mean the same thing across join implementations for the weighted
-    # reports and the Table-6 ablation to be comparable.  Every join is charged its
-    # build, also one whose build side was grouped before, and before it is
-    # asked for: a build that overruns the budget is never grouped.
-    meter.charge_scan(positions.shape[0] - lower)
-    candidate = _vectorized_hash_join(prefix, alias, table, positions, equi_predicates,
+    candidates = hash_join_candidates(prefix, alias, table, positions, equi_predicates,
                                       tables, meter, lower, build_side)
-    return _apply_residual(candidate, residual_predicates, tables, meter, udfs)
+    return apply_residual(candidates.take(0, candidates.total), residual_predicates,
+                           tables, meter, udfs)
 
 
-def _vectorized_hash_join(
+def hash_join_candidates(
     prefix: RowIdRelation,
     alias: str,
     table: Table,
@@ -146,10 +194,17 @@ def _vectorized_hash_join(
     equi_predicates: Sequence[Predicate],
     tables: Mapping[str, Table],
     meter: CostMeter,
-    lower: int,
-    build_side: BuildSide | None,
-) -> RowIdRelation:
-    """Columnar build/probe via the :mod:`repro.engine.joinkernels` primitives."""
+    lower: int = 0,
+    build_side: BuildSide | None = None,
+) -> Candidates:
+    """:func:`hash_join_step`'s build and probe, the step charged whole."""
+    # Building the hash side scans/hashes the new table's tuples once, so it
+    # is charged as scan work, not as hash probes: the probe counter must
+    # mean the same thing across join implementations for the weighted
+    # reports and the Table-6 ablation to be comparable.  Every join is charged its
+    # build, also one whose build side was grouped before, and before it is
+    # asked for: a build that overruns the budget is never grouped.
+    meter.charge_scan(positions.shape[0] - lower)
     key_columns = []
     probe_columns = []
     probe_values = []
@@ -174,43 +229,28 @@ def _vectorized_hash_join(
     # meters into their reported work), a charge that would exceed the
     # remaining budget is truncated to the cumulative count through that
     # same crossing group before it raises.
-    total_matches = int(counts.sum())
+    total = charged = int(counts.sum())
     remaining = meter.remaining
-    if remaining is not None and total_matches > remaining:
+    if remaining is not None and total > remaining:
         cumulative = np.cumsum(counts)
         crossing = int(np.searchsorted(cumulative, remaining, side="right"))
-        total_matches = int(cumulative[crossing])
-    meter.charge_intermediate(total_matches)
-    selector, build_rows = expand_matches(build.rows, starts, counts)
-    return prefix.extend(alias, positions[build_rows], selector)
+        charged = int(cumulative[crossing])
+    meter.charge_intermediate(charged)
+    return Candidates(prefix, alias, positions, total, build.rows, starts, counts)
 
 
-def nested_loop_step(
-    prefix: RowIdRelation,
-    alias: str,
-    table: Table,
-    positions: np.ndarray,
-    predicates: Sequence[Predicate],
-    tables: Mapping[str, Table],
-    meter: CostMeter,
-    udfs: UdfRegistry | None = None,
-) -> RowIdRelation:
-    """Extend ``prefix`` by ``alias`` via a (predicate-filtered) cross product."""
-    n_prefix = len(prefix)
-    n_new = positions.shape[0]
-    if n_prefix == 0 or n_new == 0:
-        aliases = prefix.aliases + [alias]
-        return RowIdRelation.empty(aliases)
-    # Charge before materializing so a work budget cuts off an exploding
-    # Cartesian product before it is allocated.
-    meter.charge_intermediate(n_prefix * n_new)
-    selector = np.repeat(np.arange(n_prefix, dtype=np.int64), n_new)
-    new_positions = np.tile(positions, n_prefix)
-    candidate = prefix.extend(alias, new_positions, selector)
-    return _apply_residual(candidate, predicates, tables, meter, udfs)
+def cross_candidates(
+    prefix: RowIdRelation, alias: str, positions: np.ndarray, meter: CostMeter
+) -> Candidates:
+    """``prefix`` extended by ``alias`` as a cross product, charged whole
+    before any of it is allocated (a work budget cuts an exploding product
+    off here)."""
+    total = len(prefix) * int(positions.shape[0])
+    meter.charge_intermediate(total)
+    return Candidates(prefix, alias, positions, total)
 
 
-def _apply_residual(
+def apply_residual(
     candidate: RowIdRelation,
     predicates: Sequence[Predicate],
     tables: Mapping[str, Table],

@@ -11,8 +11,11 @@
     subclass (:attr:`repro.api.registry.EngineSpec.task_class`).
 
 :class:`ExecutionBackend`
-    An episodic engine: a factory of tasks, with the loop that drives one
-    to completion.
+    An engine: a factory of tasks, with the one loop that drives a task to
+    completion (:func:`run_to_completion`).
+
+:class:`GeneratorTask`
+    A task written as one generator (the baselines' and Skinner-H's).
 
 :class:`GenericEngine`
     The execution substrate Skinner-G/H drive their batch attempts on —
@@ -29,17 +32,22 @@ implementations and the serving scheduler share them without cycles.
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping, Sequence
+import time
+from collections.abc import Generator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.engine.meter import CostMeter
+from repro.engine.postprocess import post_process
+from repro.errors import BudgetExceeded
+from repro.storage.table import Table
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.meter import CostMeter
     from repro.engine.relation import RowIdRelation
     from repro.query.query import Query
+    from repro.query.udf import UdfRegistry
     from repro.result import QueryMetrics, QueryResult
-    from repro.storage.table import Table
 
 #: A warm-start prior, handed from one task to the next: (join order,
 #: selection share, pseudo-visits, accumulated selections).  The last is the
@@ -54,6 +62,11 @@ PRIOR_ORDERS = 3
 #: Pseudo-visits credited at most per handed-on order; small, so a stale
 #: prior decays quickly once real rewards arrive.
 WARM_START_VISITS = 8
+
+#: Candidate rows a baseline examines per episode (a plan's step builds and
+#: filters them, the eddy routes them one by one): about Skinner-C's longest
+#: slice at the default schedule.  :class:`GeneratorTask` reads it.
+EPISODE_ROWS = 16_384
 
 
 class EngineTask(abc.ABC):
@@ -148,10 +161,76 @@ class ExecutionBackend(abc.ABC):
         ``options`` go to :meth:`task`.  A scheduler interleaving many
         queries performs exactly this episode sequence per query.
         """
-        task = self.task(query, **options)
-        while not task.finished:
-            task.run_episode()
-        return task.finalize()
+        return run_to_completion(self.task(query, **options))
+
+
+def run_to_completion(task: EngineTask) -> "QueryResult":
+    """Drive ``task`` episode after episode and return its result."""
+    while not task.finished:
+        task.run_episode()
+    return task.finalize()
+
+
+class GeneratorTask(EngineTask):
+    """A task written as one generator, :meth:`episodes`: each ``yield`` ends
+    an episode, and it returns the join result, which :meth:`finalize`
+    post-processes over :attr:`tables`.  Work goes to :attr:`meter`; an
+    exhausted ``work_budget`` ends the task with an empty result and
+    ``extra["timed_out"]``.  A baseline ends an episode every
+    :attr:`episode_rows` (:data:`EPISODE_ROWS`) candidate rows.  Skinner-H's
+    generator returns its finished result, and its task overrides
+    :meth:`finalize` and :meth:`work_total`.
+    """
+
+    def __init__(self, engine_name: str, query: "Query", udfs: "UdfRegistry | None",
+                 work_budget: int | None = None) -> None:
+        self.engine_name, self.query, self.udfs = engine_name, query, udfs
+        self.meter = CostMeter(budget=work_budget)
+        self.episode_rows = EPISODE_ROWS
+        self.timed_out = self.finished = False
+        self._started = time.perf_counter()
+        self._episodes = self.episodes()
+
+    @abc.abstractmethod
+    def episodes(self) -> Generator[None, None, "RowIdRelation"]:
+        """The query's join, yielding between episodes."""
+
+    def metric_fields(self) -> dict[str, Any]:
+        """:meth:`QueryMetrics.measured` fields beyond work and rows."""
+        return {}
+
+    def run_episode(self) -> bool:
+        if not self.finished:
+            try:
+                next(self._episodes)
+            except StopIteration as done:
+                self._returned, self.finished = done.value, True
+            except BudgetExceeded:
+                self.timed_out = self.finished = True
+        return self.finished
+
+    def work_total(self) -> int:
+        return self.meter.total
+
+    def finalize(self) -> "QueryResult":
+        from repro.result import QueryMetrics, QueryResult  # imports this package
+
+        output = Table("result", {})
+        if not self.timed_out:
+            try:
+                output = post_process(self.query, self._returned, self.tables,
+                                      self.udfs, self.meter)
+            except BudgetExceeded:
+                self.timed_out = True
+        fields = self.metric_fields()
+        fields["extra"] = {**fields.get("extra", {}), "timed_out": self.timed_out}
+        metrics = QueryMetrics.measured(
+            self.engine_name, self.meter.snapshot(), self._started, output.num_rows, **fields
+        )
+        return QueryResult(output, metrics)
+
+    def close(self) -> None:
+        self._episodes.close()
 
 
 class GenericEngine(abc.ABC):

@@ -22,7 +22,6 @@ from repro.serving.cache import (
 from repro.serving.scheduler import FairScheduler
 from repro.serving.server import QueryServer
 from repro.serving.session import (
-    MonolithicTask,
     QuerySession,
     SessionState,
     StreamBuffer,
@@ -32,7 +31,6 @@ __all__ = [
     "AdmissionController",
     "FairScheduler",
     "JoinOrderCache",
-    "MonolithicTask",
     "QueryServer",
     "QuerySession",
     "ResultCache",

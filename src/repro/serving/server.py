@@ -140,9 +140,10 @@ class QueryServer:
         #: lookups from this tenant's submissions and order-cache warm-start
         #: probes for them.
         self._tenant_caches: dict[str, dict[str, int]] = {}
-        #: Wall-clock seconds spent inside scheduling grants — the
-        #: reference-time companion of the deterministic work ledger.
+        #: Wall-clock seconds spent inside scheduling grants, and in the
+        #: longest one — the reference-time companions of the work ledger.
         self._grant_wall_seconds = 0.0
+        self._grant_wall_max_seconds = 0.0
 
     # ------------------------------------------------------------------
     # submission API
@@ -328,6 +329,7 @@ class QueryServer:
             elapsed = time.perf_counter() - grant_started
             session.wall_seconds += elapsed
             self._grant_wall_seconds += elapsed
+            self._grant_wall_max_seconds = max(self._grant_wall_max_seconds, elapsed)
             self._account(session, session.work_total() - before)
             self._pump_stream(session)
             if session.done:
@@ -386,6 +388,7 @@ class QueryServer:
             "queued": len(self._admission.queued),
             "work_total": self.ledger.grand_total(),
             "grant_wall_seconds": self._grant_wall_seconds,
+            "grant_wall_max_seconds": self._grant_wall_max_seconds,
             "tenants": self.tenant_stats(),
             "result_cache": self.result_cache.counters(),
             "order_cache": self.order_cache.counters(),
@@ -551,8 +554,7 @@ class QueryServer:
         self, session: QuerySession, spec: Any
     ) -> tuple[OrderPrior, ...]:
         if (
-            spec.task_class is None
-            or not spec.task_class.warm_startable
+            not spec.task_class.warm_startable
             or not session.config.serving_warm_start
             or session.config.order_selection != "uct"
         ):

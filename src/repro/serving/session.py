@@ -3,14 +3,12 @@
 A session tracks a submission from ``submit`` to its terminal state and owns
 the *episode task* that actually executes the query.  Episode tasks are
 :class:`~repro.engine.task.EngineTask` subclasses — ``run_episode() -> bool``,
-``finished``, ``work_total()``, ``finalize() -> QueryResult`` — implemented
-natively by the Skinner engines
-(:class:`~repro.skinner.skinner_c.SkinnerCTask`,
-:class:`~repro.skinner.skinner_g.SkinnerGTask`,
-:class:`~repro.skinner.skinner_h.SkinnerHTask`); the non-adaptive baselines
-run as a single monolithic episode so the server can serve every engine.
-Task construction is dispatched through the
-:class:`~repro.api.registry.EngineRegistry` (see ``EngineSpec.create_task``).
+``finished``, ``work_total()``, ``finalize() -> QueryResult`` — and every
+engine has one: the Skinner engines' episodes are time slices and batch
+attempts, and the baselines' (:mod:`repro.baselines`) end every
+:data:`~repro.engine.task.EPISODE_ROWS` candidate rows.  Task construction
+is dispatched through the :class:`~repro.api.registry.EngineRegistry` (see
+``EngineSpec.create_task``).
 
 Sessions submitted with ``stream=True`` additionally own a
 :class:`StreamBuffer`: the server projects result tuples into output rows as
@@ -23,12 +21,11 @@ from __future__ import annotations
 import enum
 import time
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.config import SkinnerConfig
 from repro.engine.task import EngineTask
-from repro.errors import ReproError
 from repro.query.query import Query
 from repro.result import QueryResult
 from repro.storage.table import Table
@@ -165,36 +162,3 @@ class QuerySession:
     def work_total(self) -> int:
         """Work units charged by this session's task so far."""
         return self.task.work_total() if self.task is not None else 0
-
-
-class MonolithicTask(EngineTask):
-    """Adapter running a non-resumable engine as one (unbounded) episode.
-
-    The traditional, eddy, and re-optimizer baselines have no suspend/resume
-    machinery; routed through the server they execute in a single episode.
-    They still get admission control, caching, and per-query accounting —
-    but a long-running baseline query cannot be preempted, which is exactly
-    the contrast the episode-sliced Skinner engines are designed to avoid.
-    """
-
-    def __init__(self, execute: Callable[[], QueryResult]) -> None:
-        self._execute = execute
-        self._result: QueryResult | None = None
-        self.finished = False
-
-    def run_episode(self) -> bool:
-        """Run the whole query in one go."""
-        if not self.finished:
-            self._result = self._execute()
-            self.finished = True
-        return True
-
-    def work_total(self) -> int:
-        """Work total (known only after the single episode completed)."""
-        return self._result.metrics.work.total if self._result is not None else 0
-
-    def finalize(self) -> QueryResult:
-        """The result of the single episode."""
-        if self._result is None:
-            raise ReproError("MonolithicTask.finalize() called before completion")
-        return self._result

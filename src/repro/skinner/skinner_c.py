@@ -110,10 +110,9 @@ class SkinnerCTask(EngineTask):
     — is exposed one *episode* (one time slice) at a time, so a scheduler
     can interleave many queries on one thread: :meth:`run_episode` executes
     exactly one slice and returns whether the query's join phase finished,
-    and :meth:`finalize` materializes the result.  Driving a task to
-    completion performs exactly the same slice sequence (and charges exactly
-    the same meter work) as the monolithic :meth:`SkinnerC.execute` loop,
-    which is what makes interleaved and solo runs byte-identical.
+    and :meth:`finalize` materializes the result.  A solo run
+    (:meth:`SkinnerC.execute`) drives the same task through the same slice
+    sequence, which is what makes interleaved and solo runs byte-identical.
 
     Parameters
     ----------

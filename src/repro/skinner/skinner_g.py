@@ -246,9 +246,8 @@ class SkinnerGTask(EngineTask):
     """Episode-sliced execution of one query on the Skinner-G engine.
 
     One episode is one iteration of Algorithm 1 — one batch attempt under
-    the pyramid timeout scheme (:meth:`GenericLearningRun.step`).  Driving
-    the task to completion performs exactly the same iteration sequence and
-    meter charges as the monolithic :meth:`SkinnerG.execute` loop.
+    the pyramid timeout scheme (:meth:`GenericLearningRun.step`); a solo run
+    (:meth:`SkinnerG.execute`) drives the same task to completion.
     """
 
     def __init__(self, engine: "SkinnerG", query: Query) -> None:

@@ -11,12 +11,12 @@ performance (up to a factor three) when it is catastrophic.
 
 from __future__ import annotations
 
-import time
+from collections.abc import Generator
 
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter
 from repro.engine.postprocess import post_process
-from repro.engine.task import EngineTask, ExecutionBackend
+from repro.engine.task import ExecutionBackend, GeneratorTask
 from repro.errors import ExecutionError
 from repro.optimizer.exhaustive import estimated_plan
 from repro.optimizer.plans import LeftDeepPlan
@@ -34,15 +34,14 @@ from repro.storage.catalog import Catalog
 _MAX_ROUNDS = 64
 
 
-class SkinnerHTask(EngineTask):
+class SkinnerHTask(GeneratorTask):
     """Episode-sliced execution of one query on the Skinner-H engine.
 
     The hybrid's round structure is exposed as a sequence of episodes: one
     episode is either a whole traditional-plan attempt under the current
     (doubling) timeout, or a single learning iteration of the embedded
-    Skinner-G run.  Driving the task to completion performs exactly the same
-    attempt/learning sequence — and charges exactly the same meter work — as
-    the monolithic :meth:`SkinnerH.execute` loop.
+    Skinner-G run; a solo run (:meth:`SkinnerH.execute`) drives the same
+    task to completion.
 
     The learning run — and with it the substrate's pre-processing — is built
     by the first learning episode, not here: a query whose traditional plan
@@ -55,9 +54,9 @@ class SkinnerHTask(EngineTask):
     """
 
     def __init__(self, engine: "SkinnerH", query: Query) -> None:
+        # ``self.meter`` is the traditional side's: every plan attempt.
+        super().__init__(engine.name, query, engine._udfs)
         self._engine = engine
-        self._query = query
-        self._started = time.perf_counter()
         self._plan = estimated_plan(engine._catalog, query, engine._udfs)
         # One substrate serves both sides of the hybrid — the traditional
         # plan's timed whole-query attempts and the learning run's batch
@@ -66,40 +65,24 @@ class SkinnerHTask(EngineTask):
             InternalGenericEngine(engine._catalog, query, engine._udfs)
         )
         self.run: GenericLearningRun | None = None
-        self._traditional_meter = CostMeter()
-        self._result: QueryResult | None = None
-        self.finished = False
-        self._episodes = self._episode_generator()
 
     def work_total(self) -> int:
         """Total work units charged to this query so far (both strategies)."""
         learned = self.run.meter.total if self.run is not None else 0
-        return learned + self._traditional_meter.total
-
-    def run_episode(self) -> bool:
-        """Run one episode; returns ``True`` when the query has completed."""
-        if self.finished:
-            return True
-        try:
-            next(self._episodes)
-        except StopIteration:
-            self.finished = True
-        return self.finished
+        return learned + self.meter.total
 
     def finalize(self) -> QueryResult:
-        """The final result (the task must have finished)."""
-        if self._result is None:
-            raise ExecutionError("SkinnerHTask.finalize() called before completion")
-        return self._result
+        """The result the winning side assembled (the task must have finished)."""
+        return self._returned
 
-    def _episode_generator(self):
+    def episodes(self) -> Generator[None, None, QueryResult]:
         engine = self._engine
-        query, plan, substrate = self._query, self._plan, self._substrate
+        query, plan, substrate = self.query, self._plan, self._substrate
         for round_index in range(_MAX_ROUNDS):
             budget = engine._config.base_timeout * 2**round_index
             # 1. Try the traditional optimizer's plan under the current timeout.
             attempt_meter, relation = substrate.execute_plan(plan.order, budget)
-            self._traditional_meter.merge(attempt_meter)
+            self.meter.merge(attempt_meter)
             if relation is not None:
                 # Canonical row order: the executor's output order is an
                 # artifact (hash-join emission vs an external engine's scan
@@ -108,12 +91,11 @@ class SkinnerHTask(EngineTask):
                 # identical to the learning path's result-set order.
                 relation = relation.canonical_order(query.aliases)
                 output = post_process(query, relation, substrate.tables, engine._udfs,
-                                      self._traditional_meter)
-                self._result = engine._traditional_result(
+                                      self.meter)
+                return engine._traditional_result(
                     query, output, plan, self.run, len(relation),
-                    self._traditional_meter, self._started, round_index,
+                    self.meter, self._started, round_index,
                 )
-                return
             yield  # episode boundary: one timed-out traditional attempt
             # 2. Give the learning run the same amount of work.
             run = self.run
@@ -129,13 +111,12 @@ class SkinnerHTask(EngineTask):
                     break
                 yield  # episode boundary: one learning iteration
             if run.finished:
-                self._result = engine._generic._finalize(
+                return engine._generic._finalize(
                     query, run, self._started, engine_name=engine.name,
                     extra={"winner": "learning", "rounds": round_index + 1,
                            "plan": plan.order},
-                    extra_work=self._traditional_meter,
+                    extra_work=self.meter,
                 )
-                return
         raise ExecutionError("Skinner-H did not converge within the round limit")
 
 

@@ -5,7 +5,7 @@ arguments and does what it does with a Python dict for the build side and
 tuple keys read value by value: the same build scan charge, the same probe
 and intermediate charges (one probe row's matches at a time, so a work
 budget stops it at the same group), and the same residual filter
-(``operators._apply_residual``).  The kernel must return a byte-identical
+(``operators.apply_residual``).  The kernel must return a byte-identical
 relation — same rows in the same order — and identical meter work.
 """
 
@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.meter import CostMeter
-from repro.engine.operators import _apply_residual
+from repro.engine.operators import apply_residual
 from repro.engine.relation import RowIdRelation
 from repro.query.predicates import Predicate
 from repro.query.udf import UdfRegistry
@@ -57,7 +57,7 @@ def rows_hash_join_step(
             new_positions.append(int(positions[build_row]))
     candidate = prefix.extend(alias, np.asarray(new_positions, dtype=np.int64),
                               np.asarray(selector, dtype=np.int64))
-    return _apply_residual(candidate, residual_predicates, tables, meter, udfs)
+    return apply_residual(candidate, residual_predicates, tables, meter, udfs)
 
 
 def _composite_keys_for_new(

@@ -547,18 +547,10 @@ class TestEngineUnregisteredMidFlight:
 
     def test_promotion_failure_hits_the_right_session(self):
         from repro.api import DEFAULT_REGISTRY, register_engine
-        from repro.result import QueryMetrics, QueryResult
-        from repro.storage.table import Table
 
-        class Toy:
-            def __init__(self, context):
-                pass
-
-            def execute(self, query):
-                return QueryResult(Table("result", {"x": [1]}),
-                                   QueryMetrics(engine="toy2"))
-
-        register_engine(name="toy2", factory=Toy)
+        traditional = DEFAULT_REGISTRY.resolve("traditional")
+        register_engine(name="toy2", factory=traditional.factory,
+                        task_class=traditional.task_class)
         try:
             conn = make_connection(serving_max_inflight=1)
             first = conn.server.submit(

@@ -22,15 +22,33 @@ BUILTINS = (
 )
 
 
+class OneEpisodeTask(EngineTask):
+    """A plugin that wants one episode: the whole query in its first grant."""
+
+    def __init__(self, query) -> None:
+        self.query, self.result = query, None
+
+    def run_episode(self) -> bool:
+        table = Table("result", {"answer": [42]})
+        self.result = QueryResult(table, QueryMetrics(engine="toy"))
+        self.finished = True
+        return True
+
+    def work_total(self) -> int:
+        return self.result.metrics.work.total if self.result else 0
+
+    def finalize(self) -> QueryResult:
+        return self.result
+
+
 class ToyEngine:
     """A trivial engine answering every query with one constant row."""
 
     def __init__(self, context) -> None:
         self.context = context
 
-    def execute(self, query) -> QueryResult:
-        table = Table("result", {"answer": [42]})
-        return QueryResult(table, QueryMetrics(engine="toy"))
+    def task(self, query) -> OneEpisodeTask:
+        return OneEpisodeTask(query)
 
 
 @pytest.fixture
@@ -42,7 +60,7 @@ def db() -> Connection:
 
 @pytest.fixture
 def toy_registered():
-    spec = register_engine(name="toy", factory=ToyEngine)
+    spec = register_engine(name="toy", factory=ToyEngine, task_class=OneEpisodeTask)
     try:
         yield spec
     finally:
@@ -65,17 +83,30 @@ class TestRegistryBasics:
         assert DEFAULT_REGISTRY.resolve("SKINNER-C").name == "skinner-c"
 
     def test_duplicate_registration_rejected(self, toy_registered):
-        with pytest.raises(ReproError):
-            register_engine(name="toy", factory=ToyEngine)
-        register_engine(name="toy", factory=ToyEngine, replace=True)
+        with pytest.raises(ReproError, match="already registered"):
+            register_engine(name="toy", factory=ToyEngine, task_class=OneEpisodeTask)
+        register_engine(name="toy", factory=ToyEngine, task_class=OneEpisodeTask,
+                        replace=True)
 
     def test_spec_capabilities_default_off(self, toy_registered):
-        spec = DEFAULT_REGISTRY.resolve("toy")
-        assert spec.task_class is None  # not episodic: one monolithic episode
+        task_class = DEFAULT_REGISTRY.resolve("toy").task_class
+        assert task_class is OneEpisodeTask
+        assert not task_class.streamable and not task_class.warm_startable
+
+    def test_spec_without_task_class_refused(self):
+        with pytest.raises(ReproError, match="concrete EngineTask subclass, got None"):
+            register_engine(name="no-task", factory=ToyEngine)
+        with pytest.raises(TypeError, match="task_class"):
+            EngineSpec("no-task", ToyEngine)
+        assert "no-task" not in DEFAULT_REGISTRY
+
+    def test_every_builtin_engine_names_a_task_class(self):
+        for name in BUILTINS:
+            assert issubclass(DEFAULT_REGISTRY.resolve(name).task_class, EngineTask)
 
     def test_custom_registry_is_isolated(self):
         registry = EngineRegistry()
-        registry.register(EngineSpec("only", ToyEngine))
+        registry.register(EngineSpec("only", ToyEngine, OneEpisodeTask))
         assert registry.names() == ("only",)
         assert "only" not in DEFAULT_REGISTRY
 
@@ -145,7 +176,8 @@ class TestCustomEngine:
             captured["context"] = context
             return ToyEngine(context)
 
-        register_engine(name="toy", factory=factory, replace=True)
+        register_engine(name="toy", factory=factory, task_class=OneEpisodeTask,
+                        replace=True)
         config = db.config.with_overrides(slice_budget=7)
         db.execute("SELECT r.x FROM r", engine="toy", config=config)
         context = captured["context"]

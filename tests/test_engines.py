@@ -286,3 +286,41 @@ class TestReOptimizer:
         engine = ReOptimizerEngine(workload.catalog, workload.udfs)
         result = engine.execute(workload.queries[0].query)
         assert result.rows[0]["matches"] == 0
+
+    def test_a_sample_that_overruns_the_budget_times_the_query_out(self, monkeypatch):
+        import dataclasses
+
+        from repro.baselines import reoptimizer
+        from repro.workloads.torture import make_udf_torture
+
+        # The two UDFs tie for the optimizer; pin the first plan to the
+        # left-to-right order the tie-break picks under PYTHONHASHSEED=0,
+        # whose full-length validation sample is a 10 x 100^3 product.
+        choose_plan = reoptimizer.choose_plan
+        plans = []
+
+        def first_plan_left_to_right(query, estimator):
+            plan = choose_plan(query, estimator)
+            if not plans:
+                plan = dataclasses.replace(plan, order=("t1", "t2", "t3", "t4"))
+            plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(reoptimizer, "choose_plan", first_plan_left_to_right)
+        workload = make_udf_torture(4)
+        engine = ReOptimizerEngine(workload.catalog, workload.udfs)
+        result = engine.execute(workload.queries[0].query, work_budget=800_000)
+        # The sample's work is charged, not dropped: the query timed out.
+        assert result.metrics.extra["timed_out"]
+        assert result.metrics.work.total > 800_000
+        assert result.table.num_rows == 0
+
+    def test_a_failing_sample_raises(self, tiny_catalog, tiny_join_query, monkeypatch):
+        from repro.engine.executor import PlanExecutor
+
+        def broken(self, aliases):
+            raise RuntimeError("sample failed")
+
+        monkeypatch.setattr(PlanExecutor, "restricted", broken)
+        with pytest.raises(RuntimeError, match="sample failed"):
+            ReOptimizerEngine(tiny_catalog).execute(tiny_join_query)

@@ -24,7 +24,7 @@ from repro.engine.joinkernels import (
     group_rows,
 )
 from repro.engine.meter import CostMeter
-from repro.engine.operators import hash_join_step, nested_loop_step
+from repro.engine.operators import apply_residual, cross_candidates, hash_join_step
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import (
@@ -95,8 +95,9 @@ def join_on_rows_path(executor, order, positions, meter):
             relation = rows_hash_join_step(relation, alias, tables[alias], positions[alias],
                                            equi, residual, tables, meter)
         else:
-            relation = nested_loop_step(relation, alias, tables[alias], positions[alias],
-                                        residual, tables, meter)
+            candidates = cross_candidates(relation, alias, positions[alias], meter)
+            relation = apply_residual(candidates.take(0, candidates.total), residual,
+                                      tables, meter, None)
     return relation
 
 

@@ -220,13 +220,11 @@ class TestRegistryConformance:
                 DEFAULT_REGISTRY.register(spec)
         assert "bad-abstract" not in DEFAULT_REGISTRY
 
-    def test_capability_free_registration_unaffected(self):
-        spec = EngineSpec("plain-engine", lambda ctx: None)
-        DEFAULT_REGISTRY.register(spec)
-        try:
-            assert "plain-engine" in DEFAULT_REGISTRY.names()
-        finally:
-            DEFAULT_REGISTRY.unregister("plain-engine")
+    def test_registration_without_task_class_refused(self):
+        spec = EngineSpec("plain-engine", lambda ctx: None, task_class=None)
+        with pytest.raises(ReproError, match="concrete EngineTask subclass"):
+            DEFAULT_REGISTRY.register(spec)
+        assert "plain-engine" not in DEFAULT_REGISTRY
 
     def test_builtin_skinner_c_names_its_task_class(self):
         spec = DEFAULT_REGISTRY.resolve("skinner-c")

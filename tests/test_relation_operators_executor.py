@@ -5,12 +5,65 @@ import pytest
 
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
-from repro.engine.operators import filter_table, hash_join_step, nested_loop_step
+from repro.engine.operators import (
+    Candidates,
+    apply_residual,
+    cross_candidates,
+    filter_table,
+    hash_join_step,
+)
 from repro.engine.relation import RowIdRelation
 from repro.errors import BudgetExceeded, ExecutionError, PlanningError
-from repro.query.predicates import column_compare_literal, column_equals_column
+from repro.query.expressions import ColumnRef
+from repro.query.predicates import (
+    Predicate,
+    column_compare_literal,
+    column_equals_column,
+    udf_predicate,
+)
 from repro.query.query import make_query
+from repro.query.udf import UdfRegistry
 from tests.conftest import reference_join_tuples
+
+#: ``episode_rows`` of :meth:`PlanExecutor.run_order`: one candidate, a few,
+#: and unbounded (the one range :meth:`PlanExecutor.execute_order` runs).
+EPISODE_ROWS = [1, 7, None]
+
+
+def run_in_episodes(catalog, query, order, episode_rows, monkeypatch, udfs=None, **kwargs):
+    """Drive ``run_order`` on a fresh executor to its end and check it
+    against ``execute_order`` on another: the same relation, row for row,
+    and the same counters; no episode materializes more than
+    ``episode_rows`` candidates.  Returns the relation and its meter."""
+    whole_meter, meter = CostMeter(), CostMeter()
+    whole = PlanExecutor(catalog, query, udfs).execute_order(order, whole_meter, **kwargs)
+    episodes = [0]
+    with monkeypatch.context() as patch:
+        take = Candidates.take
+
+        def counted(candidates, start, stop):
+            episodes[-1] += stop - start
+            return take(candidates, start, stop)
+
+        patch.setattr(Candidates, "take", counted)
+        steps = PlanExecutor(catalog, query, udfs).run_order(
+            order, meter, episode_rows=episode_rows, **kwargs)
+        while True:
+            try:
+                next(steps)
+            except StopIteration as done:
+                relation = done.value
+                break
+            episodes.append(0)
+    assert relation.aliases == whole.aliases
+    assert np.array_equal(relation.matrix(), whole.matrix())
+    assert meter.snapshot() == whole_meter.snapshot()
+    if episode_rows is None:
+        assert len(episodes) == 1
+    else:
+        assert max(episodes) <= episode_rows
+        assert len(episodes) == sum(episodes) // episode_rows + 1
+    return relation, meter
 
 
 class TestRowIdRelation:
@@ -102,10 +155,11 @@ class TestOperators:
         from repro.query.expressions import ColumnRef
         from repro.query.predicates import Predicate
 
-        joined = nested_loop_step(
-            prefix, "o", orders, np.arange(orders.num_rows),
+        candidates = cross_candidates(prefix, "o", np.arange(orders.num_rows), meter)
+        joined = apply_residual(
+            candidates.take(0, candidates.total),
             [Predicate(ColumnRef("c", "score"), ">", ColumnRef("o", "amount"))],
-            tables, meter,
+            tables, meter, None,
         )
         expected = {
             (c, o)
@@ -119,17 +173,31 @@ class TestOperators:
         meter = CostMeter()
         orders = tiny_catalog.table("orders")
         prefix = RowIdRelation.from_base("c", np.array([], dtype=np.int64))
-        joined = nested_loop_step(prefix, "o", orders, np.arange(3), [], {}, meter)
+        candidates = cross_candidates(prefix, "o", np.arange(3), meter)
+        joined = apply_residual(candidates.take(0, candidates.total), [], {}, meter, None)
         assert len(joined) == 0
+        assert joined.aliases == ["c", "o"]
+
+    def test_cross_product_ranges_tile_the_whole(self):
+        prefix = RowIdRelation.from_base("c", np.array([4, 1, 3], dtype=np.int64))
+        candidates = cross_candidates(prefix, "o", np.array([7, 5], dtype=np.int64), CostMeter())
+        whole = candidates.take(0, candidates.total).matrix()
+        assert whole.tolist() == [[4, 7], [4, 5], [1, 7], [1, 5], [3, 7], [3, 5]]
+        for start in range(candidates.total + 1):
+            for stop in range(start, candidates.total + 1):
+                assert np.array_equal(candidates.take(start, stop).matrix(), whole[start:stop])
 
 
 class TestPlanExecutor:
-    def test_all_orders_produce_reference_result(self, tiny_catalog, tiny_join_query):
+    @pytest.mark.parametrize("episode_rows", EPISODE_ROWS)
+    def test_all_orders_produce_reference_result(
+        self, tiny_catalog, tiny_join_query, episode_rows, monkeypatch
+    ):
         expected = reference_join_tuples(tiny_catalog, tiny_join_query)
         graph = tiny_join_query.join_graph()
         for order in graph.valid_join_orders():
-            executor = PlanExecutor(tiny_catalog, tiny_join_query)
-            relation = executor.execute_order(list(order), CostMeter())
+            relation, _ = run_in_episodes(tiny_catalog, tiny_join_query, list(order),
+                                          episode_rows, monkeypatch)
             produced = set(relation.index_tuples(tiny_join_query.aliases))
             assert produced == expected, f"order {order} disagrees with the oracle"
 
@@ -138,22 +206,60 @@ class TestPlanExecutor:
         with pytest.raises(PlanningError):
             executor.execute_order(["c", "o"], CostMeter())
 
-    def test_budget_aborts_execution(self, tiny_catalog, tiny_join_query):
+    @pytest.mark.parametrize("episode_rows", EPISODE_ROWS)
+    def test_budget_aborts_execution(self, tiny_catalog, tiny_join_query, episode_rows):
         executor = PlanExecutor(tiny_catalog, tiny_join_query)
         with pytest.raises(BudgetExceeded):
-            executor.execute_order(["c", "o", "i"], CostMeter(budget=5))
+            for _ in executor.run_order(["c", "o", "i"], CostMeter(budget=5),
+                                        episode_rows=episode_rows):
+                pass
 
-    def test_batch_restriction_via_index_range(self, tiny_catalog, tiny_join_query):
+    @pytest.mark.parametrize("episode_rows", EPISODE_ROWS)
+    def test_batch_restriction_via_index_range(
+        self, tiny_catalog, tiny_join_query, episode_rows, monkeypatch
+    ):
         executor = PlanExecutor(tiny_catalog, tiny_join_query)
         full = executor.execute_order(["c", "o", "i"], CostMeter())
         (index,) = np.flatnonzero(executor.filtered_positions("c") == 2)
-        restricted = executor.execute_order(
-            ["c", "o", "i"], CostMeter(), batch=(int(index), int(index) + 1)
+        restricted, _ = run_in_episodes(
+            tiny_catalog, tiny_join_query, ["c", "o", "i"], episode_rows, monkeypatch,
+            batch=(int(index), int(index) + 1),
         )
         full_tuples = set(full.index_tuples(["c", "o", "i"]))
         restricted_tuples = set(restricted.index_tuples(["c", "o", "i"]))
         assert restricted_tuples <= full_tuples
         assert all(t[0] == 2 for t in restricted_tuples)
+
+    @pytest.mark.parametrize("episode_rows", EPISODE_ROWS)
+    def test_batch_and_remainders_in_episodes(
+        self, tiny_catalog, tiny_join_query, episode_rows, monkeypatch
+    ):
+        for order in (["c", "o", "i"], ["i", "o", "c"], ["o", "c", "i"]):
+            run_in_episodes(tiny_catalog, tiny_join_query, order, episode_rows, monkeypatch,
+                            batch=(1, 3), lower={order[1]: 1, order[2]: 2})
+
+    @pytest.mark.parametrize("episode_rows", EPISODE_ROWS)
+    def test_cross_products_with_residual_and_udf_predicates(
+        self, tiny_catalog, episode_rows, monkeypatch
+    ):
+        udfs = UdfRegistry()
+        udfs.register("odd", lambda score, quantity: (score + quantity) % 2 == 1, cost=3)
+        query = make_query(
+            [("c", "customers"), ("o", "orders"), ("i", "items")],
+            predicates=[
+                column_equals_column("o", "oid", "i", "oid"),
+                Predicate(ColumnRef("c", "score"), "<", ColumnRef("o", "amount")),
+                udf_predicate("odd", ("c", "score"), ("i", "quantity")),
+            ],
+        )
+        expected = reference_join_tuples(tiny_catalog, query, udfs)
+        for order in (["c", "o", "i"], ["c", "i", "o"], ["i", "c", "o"]):
+            relation, meter = run_in_episodes(tiny_catalog, query, order, episode_rows,
+                                              monkeypatch, udfs)
+            assert set(relation.index_tuples(query.aliases)) == expected
+            assert meter.udf_invocations > 0
+        run_in_episodes(tiny_catalog, query, ["c", "i", "o"], episode_rows, monkeypatch, udfs,
+                        batch=(2, 5), lower={"i": 3, "o": 1})
 
     def test_join_subset_cardinality_matches_reference(self, tiny_catalog, tiny_join_query):
         executor = PlanExecutor(tiny_catalog, tiny_join_query)
@@ -163,7 +269,8 @@ class TestPlanExecutor:
         expected = len(reference_join_tuples(tiny_catalog, sub_query))
         assert executor.join_subset_cardinality(["c", "o"]) == expected
 
-    def test_cartesian_product_order_still_correct(self, tiny_catalog):
+    @pytest.mark.parametrize("episode_rows", EPISODE_ROWS)
+    def test_cartesian_product_order_still_correct(self, tiny_catalog, episode_rows, monkeypatch):
         # A query whose only join predicate links c and o; i is joined by a
         # cross product when it comes second.
         query = make_query(
@@ -171,6 +278,6 @@ class TestPlanExecutor:
             predicates=[column_equals_column("c", "cid", "o", "cid")],
         )
         expected = reference_join_tuples(tiny_catalog, query)
-        executor = PlanExecutor(tiny_catalog, query)
-        relation = executor.execute_order(["c", "i", "o"], CostMeter())
+        relation, _ = run_in_episodes(tiny_catalog, query, ["c", "i", "o"], episode_rows,
+                                      monkeypatch)
         assert set(relation.index_tuples(query.aliases)) == expected

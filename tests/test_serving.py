@@ -12,15 +12,23 @@ and both serving caches are pinned individually.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.eddy import EddyEngine
+from repro.baselines.traditional import TraditionalEngine
 from repro.config import SkinnerConfig
+from repro.engine import task as engine_task
 from repro.engine.statement_cache import StatementCache
 from repro.errors import ReproError
 from repro.query.parser import parse_query
-from repro.query.predicates import Predicate
+from repro.query.expressions import Star
+from repro.query.predicates import Predicate, udf_predicate
+from repro.query.query import AggregateSpec, SelectItem, make_query
+from repro.query.udf import UdfRegistry
 from repro.serving import QueryServer, SessionState
 from repro.serving import server as serving_server
 from repro.serving.cache import join_graph_signature, query_fingerprint
@@ -547,3 +555,114 @@ def test_a_quota_share_must_be_a_finite_positive_number(catalog, share):
         server.set_tenant_quota("gold", share)
     server.result(server.submit(QUERIES[4], tenant="gold"))
     assert server.stats()["tenants"]["gold"]["quota"] == 2.0
+
+
+# ----------------------------------------------------------------------
+# every engine runs in bounded episodes
+# ----------------------------------------------------------------------
+#: Candidate rows per baseline episode in the tests below.
+SMALL_EPISODE = 64
+
+
+@pytest.fixture
+def small_episodes(monkeypatch):
+    monkeypatch.setattr(engine_task, "EPISODE_ROWS", SMALL_EPISODE)
+
+
+def cross_product_workload():
+    """``x`` × ``y`` filtered by a UDF that holds for one pair only (15,000
+    candidates, 2 units each: a predicate evaluation and a UDF call), and a
+    small equi-join."""
+    catalog = Catalog()
+    catalog.add_table(Table("x", {"a": list(range(150))}))
+    catalog.add_table(Table("y", {"b": list(range(100))}))
+    catalog.add_table(Table("s", {"k": [i % 10 for i in range(20)]}))
+    catalog.add_table(Table("u", {"k": list(range(10))}))
+    udfs = UdfRegistry()
+    udfs.register("rare", lambda a, b: a == 7 and b == 3, cost=1)
+    crossed = make_query(
+        [("x", "x"), ("y", "y")],
+        predicates=[udf_predicate("rare", ("x", "a"), ("y", "b"))],
+        select_items=[SelectItem(aggregate=AggregateSpec("count", Star()), alias="n")],
+    )
+    return catalog, udfs, crossed
+
+
+@pytest.mark.parametrize("engine", ["traditional", "reoptimizer", "eddy"])
+def test_a_baseline_cross_product_does_not_hold_the_server(small_episodes, engine):
+    """Tenant ``a`` runs a UDF-filtered cross product on a baseline, tenant
+    ``b`` a small Skinner-C statement: ``b`` finishes while ``a`` runs, and
+    cancelling ``a`` frees its admission slot and closes its generator."""
+    catalog, udfs, crossed = cross_product_workload()
+    small = "SELECT COUNT(*) AS n FROM s, u WHERE s.k = u.k"
+    server = QueryServer(catalog, udfs, FAST.with_overrides(serving_max_inflight=2))
+    a = server.submit(crossed, engine=engine, tenant="a", use_result_cache=False)
+    b = server.submit(small, engine="skinner-c", tenant="b", use_result_cache=False)
+    while not server.session(b).done:
+        server.step()
+    assert server.result(b).rows == [{"n": 20}]
+    for _ in range(3):
+        server.step()
+    assert server.session(a).state is SessionState.RUNNING
+    assert server.session(a).episodes > 1
+    server.submit(small, engine="skinner-c", tenant="c", use_result_cache=False)
+    waiting = server.submit(small, engine="skinner-c", tenant="c", use_result_cache=False)
+    assert server.poll(waiting)["state"] == "queued"  # behind a and the one above
+    task = server.session(a).task
+    assert inspect.getgeneratorstate(task._episodes) == inspect.GEN_SUSPENDED
+    assert server.cancel(a)
+    assert inspect.getgeneratorstate(task._episodes) == inspect.GEN_CLOSED
+    assert server.poll(waiting)["state"] == "running"
+    server.drain()
+    assert server.poll(waiting)["state"] == "finished"
+
+
+def test_no_traditional_grant_materializes_more_than_one_episode(small_episodes):
+    """The step's candidate charges come first, whole, in the first grant;
+    every later grant but the one that post-processes materializes one
+    episode's candidates, 2 units each."""
+    catalog, udfs, crossed = cross_product_workload()
+    solo = TraditionalEngine(catalog, udfs).execute(crossed)
+    server = QueryServer(catalog, udfs, FAST)
+    ticket = server.submit(crossed, engine="traditional", use_result_cache=False)
+    deltas = []
+    while not server.session(ticket).done:
+        before = server.ledger.total(ticket)
+        server.step()
+        deltas.append(server.ledger.total(ticket) - before)
+    assert len(deltas) == 150 * 100 // SMALL_EPISODE + 1
+    assert deltas[0] > 150 * 100
+    assert set(deltas[1:-1]) == {2 * SMALL_EPISODE}
+    assert sum(deltas) == server.ledger.total(ticket) == solo.metrics.work.total
+    result = server.result(ticket)
+    assert result.rows == solo.rows == [{"n": 1}]
+    assert result.metrics.work == solo.metrics.work
+    assert server.stats()["grant_wall_max_seconds"] <= server.stats()["grant_wall_seconds"]
+
+
+def test_no_eddy_grant_examines_more_than_one_episode(small_episodes):
+    """The eddy counts every candidate it examines, rejected ones included:
+    a grant charges one episode's candidates (2 units each) and the driver
+    tuples among them (a scan each)."""
+    catalog, udfs, crossed = cross_product_workload()
+    solo = EddyEngine(catalog, udfs).execute(crossed)
+    server = QueryServer(catalog, udfs, FAST)
+    ticket = server.submit(crossed, engine="eddy", use_result_cache=False)
+    deltas = []
+    while not server.session(ticket).done:
+        before = server.ledger.total(ticket)
+        server.step()
+        deltas.append(server.ledger.total(ticket) - before)
+    assert len(deltas) == (100 + 150 * 100) // SMALL_EPISODE + 1
+    assert deltas[0] <= 150 + 100 + 2 * SMALL_EPISODE  # the filters' scans come first
+    assert max(deltas[1:]) <= 2 * SMALL_EPISODE
+    assert sum(deltas) == server.ledger.total(ticket) == solo.metrics.work.total
+    assert server.result(ticket).rows == solo.rows == [{"n": 1}]
+
+
+def test_stats_report_the_longest_grant(catalog):
+    server = QueryServer(catalog, config=FAST)
+    assert server.stats()["grant_wall_max_seconds"] == 0.0
+    server.result(server.submit(QUERIES[1], use_result_cache=False))
+    stats = server.stats()
+    assert 0.0 < stats["grant_wall_max_seconds"] <= stats["grant_wall_seconds"]
