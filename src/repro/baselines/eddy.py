@@ -69,7 +69,9 @@ class EddyTask(GeneratorTask):
         return result_set.to_relation()
 
     def metric_fields(self) -> dict[str, Any]:
-        return {"result_tuple_count": 0 if self.timed_out else len(self.result_set)}
+        # The routed tuples enter the result set when routing ends.
+        done = self.finished and not self.timed_out
+        return {"result_tuple_count": len(self.result_set) if done else 0}
 
     # ------------------------------------------------------------------
     # routing

@@ -66,7 +66,6 @@ class CostMeter:
     intermediate_tuples: int = 0
     output_tuples: int = 0
     udf_invocations: int = 0
-    _checkpoints: list[int] = field(default_factory=list, repr=False)
     #: Running sum of the six counters (kept by every method that moves one).
     _total: int = field(default=0, init=False, repr=False)
 
@@ -204,30 +203,6 @@ class CostMeter:
         self.output_tuples += other.output_tuples
         self.udf_invocations += other.udf_invocations
         self._total += other.total
-
-    # ------------------------------------------------------------------
-    # checkpointing (used by time-sliced execution)
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> int:
-        """Record the current total and return it."""
-        self._checkpoints.append(self.total)
-        return self.total
-
-    def since_checkpoint(self) -> int:
-        """Work done since the last checkpoint (or since creation)."""
-        base = self._checkpoints[-1] if self._checkpoints else 0
-        return self.total - base
-
-    def reset(self) -> None:
-        """Zero all counters and checkpoints (budget is preserved)."""
-        self.tuples_scanned = 0
-        self.predicate_evals = 0
-        self.hash_probes = 0
-        self.intermediate_tuples = 0
-        self.output_tuples = 0
-        self.udf_invocations = 0
-        self._total = 0
-        self._checkpoints.clear()
 
 
 class ChargeLog:

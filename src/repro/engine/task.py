@@ -15,7 +15,8 @@
     completion (:func:`run_to_completion`).
 
 :class:`GeneratorTask`
-    A task written as one generator (the baselines' and Skinner-H's).
+    A task written as one generator: every built-in engine's task, and the
+    one episode loop, post-processing pass and metrics builder they share.
 
 :class:`GenericEngine`
     The execution substrate Skinner-G/H drive their batch attempts on —
@@ -174,12 +175,18 @@ def run_to_completion(task: EngineTask) -> "QueryResult":
 class GeneratorTask(EngineTask):
     """A task written as one generator, :meth:`episodes`: each ``yield`` ends
     an episode, and it returns the join result, which :meth:`finalize`
-    post-processes over :attr:`tables`.  Work goes to :attr:`meter`; an
-    exhausted ``work_budget`` ends the task with an empty result and
-    ``extra["timed_out"]``.  A baseline ends an episode every
-    :attr:`episode_rows` (:data:`EPISODE_ROWS`) candidate rows.  Skinner-H's
-    generator returns its finished result, and its task overrides
-    :meth:`finalize` and :meth:`work_total`.
+    post-processes over :attr:`tables`, charging :attr:`meter`.
+
+    Every built-in engine's task is one, so this class is the one episode
+    loop: it times episodes (``extra["episode_wall_seconds"]``), turns an
+    exhausted ``work_budget`` into an empty result with
+    ``extra["timed_out"]``, post-processes, builds the final and partial
+    metrics, and closes the generator.  A subclass writes :meth:`episodes`,
+    ``tables``, :meth:`metric_fields` and, when it charges more meters than
+    :attr:`meter`, :meth:`meters`.  :meth:`work_total` and the reported
+    ``work`` both sum :meth:`meters`, so the two agree at any point of the
+    run.  A baseline ends an episode every :attr:`episode_rows`
+    (:data:`EPISODE_ROWS`) candidate rows.
     """
 
     def __init__(self, engine_name: str, query: "Query", udfs: "UdfRegistry | None",
@@ -188,6 +195,9 @@ class GeneratorTask(EngineTask):
         self.meter = CostMeter(budget=work_budget)
         self.episode_rows = EPISODE_ROWS
         self.timed_out = self.finished = False
+        #: Wall seconds spent inside :meth:`run_episode`: the query's own
+        #: cost, free of the gaps between an interleaved query's episodes.
+        self.episode_wall_seconds = 0.0
         self._started = time.perf_counter()
         self._episodes = self.episodes()
 
@@ -195,39 +205,59 @@ class GeneratorTask(EngineTask):
     def episodes(self) -> Generator[None, None, "RowIdRelation"]:
         """The query's join, yielding between episodes."""
 
+    def meters(self) -> tuple[CostMeter, ...]:
+        """Every meter this task has charged (:attr:`meter` by default)."""
+        return (self.meter,)
+
     def metric_fields(self) -> dict[str, Any]:
         """:meth:`QueryMetrics.measured` fields beyond work and rows."""
         return {}
 
     def run_episode(self) -> bool:
         if not self.finished:
+            started = time.perf_counter()
             try:
                 next(self._episodes)
             except StopIteration as done:
                 self._returned, self.finished = done.value, True
             except BudgetExceeded:
                 self.timed_out = self.finished = True
+            finally:
+                self.episode_wall_seconds += time.perf_counter() - started
         return self.finished
 
     def work_total(self) -> int:
-        return self.meter.total
+        total = 0
+        for meter in self.meters():  # the server reads this around every grant
+            total += meter.total
+        return total
 
     def finalize(self) -> "QueryResult":
-        from repro.result import QueryMetrics, QueryResult  # imports this package
+        from repro.result import QueryResult  # imports this package: not at the top
 
-        output = Table("result", {})
         if not self.timed_out:
             try:
                 output = post_process(self.query, self._returned, self.tables,
                                       self.udfs, self.meter)
             except BudgetExceeded:
                 self.timed_out = True
+        if self.timed_out:
+            output = Table("result", {})
+        return QueryResult(output, self.partial_metrics(output.num_rows))
+
+    def partial_metrics(self, result_rows: int) -> "QueryMetrics":
+        """The metrics of the run so far, ``result_rows`` rows delivered."""
+        from repro.result import QueryMetrics  # imports this package: not at the top
+
+        work = CostMeter()
+        for meter in self.meters():
+            work.merge(meter)
         fields = self.metric_fields()
-        fields["extra"] = {**fields.get("extra", {}), "timed_out": self.timed_out}
-        metrics = QueryMetrics.measured(
-            self.engine_name, self.meter.snapshot(), self._started, output.num_rows, **fields
+        fields["extra"] = {**fields.get("extra", {}), "timed_out": self.timed_out,
+                           "episode_wall_seconds": self.episode_wall_seconds}
+        return QueryMetrics.measured(
+            self.engine_name, work.snapshot(), self._started, result_rows, **fields
         )
-        return QueryResult(output, metrics)
 
     def close(self) -> None:
         self._episodes.close()

@@ -27,19 +27,19 @@ Determinism is the design center (see ``docs/parallel.md``):
   one worker the same morsel tasks run inline on the coordinator).
 
 Morsel 0 is the **pilot**: it always runs inline on the coordinator, one
-episode per :meth:`ParallelSkinnerCTask.run_episode` call, which keeps the
-task cancellable and streamable while it learns.  When the pilot finishes,
-its best join orders seed the remaining morsels as warm-start priors —
-the same mechanism the serving layer's cross-query order cache uses.
+of its episodes per coordinator episode, which keeps the task cancellable
+and streamable while it learns.  When the pilot finishes, its best join
+orders seed the remaining morsels as warm-start priors — the same
+mechanism the serving layer's cross-query order cache uses.
 """
 
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import multiprocessing
 import pickle
-import time
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
@@ -48,14 +48,13 @@ import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter
-from repro.engine.postprocess import post_process
-from repro.engine.task import EngineTask, OrderPrior
+from repro.engine.relation import RowIdRelation
+from repro.engine.task import GeneratorTask, OrderPrior
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.result import QueryMetrics, QueryResult
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
-from repro.skinner.skinner_c import SkinnerCTask, skinner_c_metrics
+from repro.skinner.skinner_c import SkinnerCTask
 from repro.storage.catalog import Catalog
 
 #: ``multiprocessing`` start method of the worker pool — the only one safe
@@ -180,20 +179,18 @@ def _morsel_outcome(task: SkinnerCTask) -> dict[str, Any]:
 # coordinator
 # ----------------------------------------------------------------------
 
-class ParallelSkinnerCTask(EngineTask):
+class ParallelSkinnerCTask(GeneratorTask):
     """Coordinator of one morsel-parallel Skinner-C query.
 
-    Implements the :class:`EngineTask` contract so the serving scheduler
-    drives it exactly like the single-process task:
+    A :class:`GeneratorTask`, so the serving scheduler drives it exactly
+    like the single-process task.  :meth:`episodes` yields:
 
-    * While the pilot (morsel 0) runs, each :meth:`run_episode` call is one
-      pilot episode — interleavable and cancellable, with newly found
-      tuples streamed live.
-    * After the pilot, each call merges one finished morsel, in morsel
-      order: a blocking collect from the pool, or inline execution with
-      one worker or once a dead worker broke the pool.  Merging in a fixed
-      order keeps meters, the UCT tree, and the streamed tuple order
-      deterministic.
+    * once per pilot (morsel 0) episode — interleavable and cancellable,
+      with newly found tuples streamed live;
+    * then once per merged morsel, in morsel order: a blocking collect from
+      the pool, or one episode of an inline morsel task, with one worker or
+      once a dead worker broke the pool.  Merging in a fixed order keeps
+      meters, the UCT tree, and the streamed tuple order deterministic.
 
     Rows and meter charges are byte-identical for every
     ``parallel_workers`` value; with a single morsel the task degenerates
@@ -213,40 +210,32 @@ class ParallelSkinnerCTask(EngineTask):
         engine_name: str = "skinner-c",
         order_prior: Sequence[OrderPrior] | None = None,
     ) -> None:
+        super().__init__(engine_name, query, udfs)
         self._config = config
-        self._engine_name = engine_name
         self._workers = max(1, config.parallel_workers)
-        self._started = time.perf_counter()
-        self.query = query
-        self._udfs = udfs
         self.pre_meter = CostMeter()
-        self.join_meter = CostMeter()
+        self.join_meter = self.meter
         # Unary filtering happens once, here; morsel tasks receive the
         # surviving positions and charge only their own join-map builds.
         self.prepared = preprocess(
             catalog, query, udfs, self.pre_meter, build_hash_maps=False
         )
+        self.tables = self.prepared.tables
         # Later morsel tasks read the tables snapshotted here, as workers do.
         self._catalog = Catalog()
         for table in self.prepared.tables.values():
             self._catalog.add_table(table, replace=True)  # self-joins repeat one
         self.result_set = JoinResultSet(self.prepared.aliases)
         self.slices = 0
-        self.episode_wall_seconds = 0.0
-        self.finished = False
-        self._closed = False
         self._partition_alias, self._morsel_bounds = plan_morsels(
             self.prepared.filtered, self.prepared.aliases
         )
-        self._merged = 0
         self._priors: tuple[OrderPrior, ...] = ()
         self._evidence: dict[tuple[str, ...], int] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_broken = False
         self._dispatched: list[Future] = []
         self._inline_task: SkinnerCTask | None = None
-        self._tracker_nodes = 0
-        self._tracker_bytes = 0
         self._worker_uct_nodes = 0
         self._worker_tracker_nodes = 0
         self._worker_episode_wall = 0.0
@@ -256,68 +245,34 @@ class ParallelSkinnerCTask(EngineTask):
         self._pilot: SkinnerCTask | None = self._make_morsel_task(0, order_prior)
         self.tree = self._pilot.tree
         self.tracker = self._pilot.tracker
-        if self._pilot.finished:  # empty input or single-table fast path
-            self._forward(self._pilot.drain_new_tuples())
-            self._finish_pilot()
 
-    # ------------------------------------------------------------------
-    # EngineTask contract
-    # ------------------------------------------------------------------
-    def work_total(self) -> int:
-        """Merged charges plus the live pilot's / inline morsel's progress."""
-        total = self.pre_meter.total + self.join_meter.total
-        if self._pilot is not None:
-            total += self._pilot.work_total()
-        if self._inline_task is not None:
-            total += self._inline_task.work_total()
-        return total
+    def meters(self) -> tuple[CostMeter, ...]:
+        """Merged charges plus the live pilot's / inline morsel's."""
+        meters = (self.pre_meter, self.join_meter)
+        for task in (self._pilot, self._inline_task):
+            if task is not None:
+                meters += task.meters()
+        return meters
 
-    def run_episode(self) -> bool:
-        """One pilot episode, or one merged morsel after the pilot."""
-        if self.finished:
-            return True
-        episode_started = time.perf_counter()
+    def episodes(self) -> Generator[None, None, RowIdRelation]:
         try:
-            if self._pilot is not None:
-                self._pilot.run_episode()
-                self._forward(self._pilot.drain_new_tuples())
-                if self._pilot.finished:
-                    self._finish_pilot()
-            elif self._dispatched:
-                self._collect_dispatched()
-            else:
-                self._run_inline_morsel()
+            pilot = self._pilot
+            while not pilot.run_episode():
+                self._forward(pilot.drain_new_tuples())
+                yield
+            self._finish_pilot(pilot)
+            for index in range(1, len(self._morsel_bounds)):
+                yield
+                yield from self._merge(index)
         finally:
-            self.episode_wall_seconds += time.perf_counter() - episode_started
-        return self.finished
-
-    def finalize(self) -> QueryResult:
-        """Post-process the assembled result and report merged metrics."""
-        relation = self.result_set.to_relation()
-        output = post_process(
-            self.query, relation, self.prepared.tables, self._udfs, self.join_meter
-        )
-        metrics = self._metrics(result_rows=output.num_rows, full=True)
-        return QueryResult(output, metrics)
-
-    def partial_metrics(self, result_rows: int) -> QueryMetrics:
-        """Metrics for a LIMIT-truncated streamed result (no post-process)."""
-        return self._metrics(result_rows=result_rows, full=False)
-
-    def close(self) -> None:
-        """Cancel morsels that have not started and drop the rest (idempotent).
-
-        The pool itself stays warm for later queries; a morsel already
-        running finishes into a dropped future.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._pilot = None
-        self._inline_task = None
-        for future in self._dispatched:
-            future.cancel()
-        self._dispatched = []
+            # Cancel morsels that have not started and drop the rest; the
+            # pool stays warm for later queries, and a morsel already
+            # running finishes into a dropped future.
+            for future in self._dispatched:
+                future.cancel()
+            self._dispatched = []
+            self._pilot = self._inline_task = None
+        return self.result_set.to_relation()
 
     # ------------------------------------------------------------------
     # incremental result delivery (streaming cursors)
@@ -371,7 +326,7 @@ class ParallelSkinnerCTask(EngineTask):
         """
         return SkinnerCTask(
             self._catalog, self.query, None, self._config,
-            engine_name=self._engine_name, order_prior=order_prior,
+            engine_name=self.engine_name, order_prior=order_prior,
             restrict_positions=self._restrict_for(index),
         )
 
@@ -386,24 +341,18 @@ class ParallelSkinnerCTask(EngineTask):
         # rows, and no row belongs to two morsels.
         self.result_set.emit(matrix, self._partition_alias)
 
-    def _finish_pilot(self) -> None:
+    def _finish_pilot(self, pilot: SkinnerCTask) -> None:
         """Fold the pilot into the coordinator and start phase two."""
-        pilot = self._pilot
-        assert pilot is not None
         self._forward(pilot.drain_new_tuples())
         self.pre_meter.merge(pilot.pre_meter)
         self.join_meter.merge(pilot.join_meter)
         self.slices += pilot.slices
-        self._tracker_nodes = pilot.tracker.node_count()
-        self._tracker_bytes = pilot.tracker.estimated_bytes()
         self._evidence = pilot.order_evidence()
         # The remaining morsels start from what the pilot learned — the
         # same hand-over the serving layer's order cache makes across queries.
         self._priors = pilot.learned_orders()
         self._pilot = None
-        self._merged = 1
-        self.finished = self._merged == len(self._morsel_bounds)
-        if not self.finished and self._workers > 1:
+        if len(self._morsel_bounds) > 1 and self._workers > 1:
             self._dispatch_remaining()
 
     def _dispatch_remaining(self) -> None:
@@ -422,20 +371,27 @@ class ParallelSkinnerCTask(EngineTask):
             for index in range(1, len(self._morsel_bounds)):
                 self._dispatched.append(self._pool.submit(
                     _run_morsel, tables, self.query, self._config,
-                    self._engine_name, self._priors, self._restrict_for(index),
+                    self.engine_name, self._priors, self._restrict_for(index),
                 ))
         except BrokenProcessPool:
             self._abandon_pool()
 
-    def _collect_dispatched(self) -> None:
-        """Merge the next dispatched morsel (blocking, in morsel order)."""
-        try:
-            outcome = self._dispatched[self._merged - 1].result()
-        except BrokenProcessPool:
-            self._abandon_pool()
-            self._run_inline_morsel()
-        else:
-            self._merge_morsel(outcome)
+    def _merge(self, index: int) -> Generator[None, None, None]:
+        """Merge morsel ``index``: collect it from the pool (blocking), or
+        run it inline, one :meth:`SkinnerCTask.run_episode` per episode."""
+        if self._dispatched:
+            try:
+                outcome = self._dispatched[index - 1].result()
+            except BrokenProcessPool:
+                self._abandon_pool()
+            else:
+                self._merge_morsel(outcome)
+                return
+        task = self._inline_task = self._make_morsel_task(index, self._priors)
+        while not task.run_episode():
+            yield
+        self._inline_task = None
+        self._merge_morsel(_morsel_outcome(task))
 
     def _abandon_pool(self) -> None:
         """A dead worker broke the pool: every outstanding morsel failed.
@@ -451,17 +407,6 @@ class ParallelSkinnerCTask(EngineTask):
         pool.shutdown(wait=True, cancel_futures=True)
         self._dispatched = []
 
-    def _run_inline_morsel(self) -> None:
-        """Phase two on the coordinator: one episode of the current morsel."""
-        if self._inline_task is None:
-            self._inline_task = self._make_morsel_task(self._merged, self._priors)
-        task = self._inline_task
-        if not task.finished:
-            task.run_episode()
-        if task.finished:
-            self._inline_task = None
-            self._merge_morsel(_morsel_outcome(task))
-
     def _merge_morsel(self, outcome: dict[str, Any]) -> None:
         """Fold one finished morsel into the coordinator state."""
         self.pre_meter.merge(outcome["pre"])
@@ -472,49 +417,41 @@ class ParallelSkinnerCTask(EngineTask):
         self._worker_episode_wall += outcome["episode_wall"]
         self.tree.merge_stats(outcome["order_stats"])
         self._forward(outcome["matrix"])
-        self._merged += 1
-        self.finished = self._merged == len(self._morsel_bounds)
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def _metrics(self, *, result_rows: int, full: bool) -> QueryMetrics:
-        tracker_nodes = (
-            self._pilot.tracker.node_count() if self._pilot is not None
-            else self._tracker_nodes
-        )
-        extra: dict[str, Any] = {
-            "episode_wall_seconds": self.episode_wall_seconds,
-            "parallel_workers": self._workers,
-            "pool_broken": self._pool_broken,
-            "parallel_morsels": len(self._morsel_bounds),
-            "partition_alias": self._partition_alias,
-            "worker_uct_nodes": self._worker_uct_nodes,
-            "worker_tracker_nodes": self._worker_tracker_nodes,
-            "worker_episode_wall_seconds": self._worker_episode_wall,
-        }
-        if full:
-            extra.update(
-                {
-                    "result_bytes": self.result_set.estimated_bytes(),
-                    "tracker_bytes": self._tracker_bytes,
-                    "uct_bytes": self.tree.node_count() * 64,
-                    "top_orders": self.tree.top_orders(5),
-                    "trace": [],
-                }
-            )
-        return skinner_c_metrics(
-            self._engine_name,
-            self._started,
-            self.join_meter,
-            self.pre_meter,
-            self.result_set,
-            result_rows=result_rows,
-            final_join_order=(
+    def metric_fields(self) -> dict[str, Any]:
+        """:meth:`SkinnerCTask.metric_fields` over the merged meters and
+        tree, the live pilot or inline morsel included."""
+        pre, join, slices = CostMeter(), CostMeter(), 0
+        for task in (self, self._pilot, self._inline_task):
+            if task is not None:
+                pre.merge(task.pre_meter)
+                join.merge(task.join_meter)
+                slices += task.slices
+        return {
+            "final_join_order": (
                 self.tree.best_order() if self._config.order_selection == "uct" else None
             ),
-            time_slices=self.slices,
-            uct_nodes=self.tree.node_count(),
-            tracker_nodes=tracker_nodes,
-            extra=extra,
-        )
+            "time_slices": slices,
+            "uct_nodes": self.tree.node_count(),
+            "tracker_nodes": self.tracker.node_count(),
+            "intermediate_cardinality": join.tuples_scanned,
+            "result_tuple_count": len(self.result_set),
+            "extra": {
+                "result_bytes": self.result_set.estimated_bytes(),
+                "tracker_bytes": self.tracker.estimated_bytes(),
+                "uct_bytes": self.tree.node_count() * 64,
+                "top_orders": self.tree.top_orders(5),
+                "trace": [],
+                "preprocess_work": dataclasses.asdict(pre.snapshot()),
+                "parallel_workers": self._workers,
+                "pool_broken": self._pool_broken,
+                "parallel_morsels": len(self._morsel_bounds),
+                "partition_alias": self._partition_alias,
+                "worker_uct_nodes": self._worker_uct_nodes,
+                "worker_tracker_nodes": self._worker_tracker_nodes,
+                "worker_episode_wall_seconds": self._worker_episode_wall,
+            },
+        }

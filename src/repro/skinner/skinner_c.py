@@ -24,27 +24,28 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import time
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Generator, Mapping, Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
-from repro.engine.meter import CostMeter, WorkBreakdown
-from repro.engine.postprocess import post_process
+from repro.engine.meter import CostMeter
+from repro.engine.relation import RowIdRelation
 from repro.engine.task import (
     PRIOR_ORDERS,
     WARM_START_VISITS,
     EngineTask,
     ExecutionBackend,
+    GeneratorTask,
     OrderPrior,
+    run_to_completion,
 )
 from repro.errors import ExecutionError, ReproError
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.result import QueryMetrics, QueryResult
+from repro.result import QueryResult
 from repro.skinner.multiway_join import (
     BATCH_SIZE,
     MAX_BUDGET_FACTOR,
@@ -56,7 +57,6 @@ from repro.skinner.preprocessor import preprocess
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.reward import scaled_delta_reward
-from repro.skinner.state import JoinState
 from repro.storage.catalog import Catalog
 from repro.uct.policy import SKINNER_C_EXPLORATION_WEIGHT
 from repro.uct.tree import UctJoinTree
@@ -64,55 +64,20 @@ from repro.uct.tree import UctJoinTree
 _MAX_SLICES = 5_000_000
 
 
-def skinner_c_metrics(
-    engine: str,
-    started: float,
-    join: CostMeter,
-    pre: CostMeter | None,
-    result_set: JoinResultSet,
-    **fields: Any,
-) -> QueryMetrics:
-    """The one place Skinner-C metrics are assembled.
-
-    A learned run charges two meters, pre-processing and the join, and
-    reports the first in ``extra["preprocess_work"]``: the share a
-    multi-core system spreads (paper §6.1).  A forced-order run charges one
-    (``pre=None``) and reports an all-zero share there.  The intermediate
-    cardinality is the join's scans.  ``fields`` are passed to
-    :class:`QueryMetrics` as they are.
-    """
-    if pre is None:
-        work = join.snapshot()
-        spread = WorkBreakdown()
-    else:
-        total = CostMeter()
-        total.merge(pre)
-        total.merge(join)
-        work = total.snapshot()
-        spread = pre.snapshot()
-    extra = {**fields.pop("extra", {}), "preprocess_work": dataclasses.asdict(spread)}
-    return QueryMetrics.measured(
-        engine,
-        work,
-        started,
-        intermediate_cardinality=join.tuples_scanned,
-        result_tuple_count=len(result_set),
-        extra=extra,
-        **fields,
-    )
-
-
-class SkinnerCTask(EngineTask):
+class SkinnerCTask(GeneratorTask):
     """Episode-sliced execution of one query on the Skinner-C engine.
 
     The execution loop of Algorithm 3 — choose a join order, restore its
     state, run one budgeted slice of the multi-way join, reward the UCT tree
-    — is exposed one *episode* (one time slice) at a time, so a scheduler
-    can interleave many queries on one thread: :meth:`run_episode` executes
-    exactly one slice and returns whether the query's join phase finished,
-    and :meth:`finalize` materializes the result.  A solo run
+    — is :meth:`episodes`, one *episode* (one time slice) per ``yield``, so
+    a scheduler can interleave many queries on one thread.  A solo run
     (:meth:`SkinnerC.execute`) drives the same task through the same slice
     sequence, which is what makes interleaved and solo runs byte-identical.
+
+    Two meters: :attr:`pre_meter` takes unary filtering and join-map builds,
+    :attr:`join_meter` (the task's :attr:`meter`) the join and
+    post-processing.  The first is reported in ``extra["preprocess_work"]``,
+    the share a multi-core system spreads (paper §6.1).
 
     Parameters
     ----------
@@ -130,6 +95,10 @@ class SkinnerCTask(EngineTask):
         of the partition alias: the worker then executes an ordinary
         Skinner-C task whose universe is the morsel (no unary filtering is
         repeated — and none is charged — for restricted aliases).
+    order:
+        One forced join order (:meth:`SkinnerC.execute_with_order`): every
+        slice runs it at the top budget factor, and pre-processing charges
+        the join's meter, so the reported ``preprocess_work`` is zero.
     """
 
     streamable = True
@@ -146,21 +115,21 @@ class SkinnerCTask(EngineTask):
         trace: bool = False,
         order_prior: Sequence[OrderPrior] | None = None,
         restrict_positions: Mapping[str, np.ndarray] | None = None,
+        order: tuple[str, ...] | None = None,
     ) -> None:
+        super().__init__(engine_name, query, udfs)
         self._config = config
         self._learned = config.order_selection == "uct"
-        self._engine_name = engine_name
+        self._forced = order
         self._trace = trace
-        self._started = time.perf_counter()
-        self.query = query
+        self.join_meter = self.meter
         self.pre_meter = CostMeter()
-        self.join_meter = CostMeter()
         self.prepared = preprocess(
-            catalog, query, udfs, self.pre_meter,
+            catalog, query, udfs, self.pre_meter if order is None else self.meter,
             build_hash_maps=config.use_hash_jump,
             restrict_positions=restrict_positions,
         )
-        self._udfs = udfs
+        self.tables = self.prepared.tables
         self._cardinalities = self.prepared.cardinalities()
         self.result_set = JoinResultSet(self.prepared.aliases)
         self.tree = UctJoinTree(
@@ -185,33 +154,34 @@ class SkinnerCTask(EngineTask):
         #: Selections a prior brought that the schedule does not count:
         #: evidence for the next query all the same.
         self._withheld: dict[tuple[str, ...], int] = {}
-        for order, reward, visits, evidence in order_prior or ():
-            self.tree.seed(order, reward, visits)
+        for prior_order, reward, visits, evidence in order_prior or ():
+            self.tree.seed(prior_order, reward, visits)
             # The order enters the schedule at the rung its evidence has
             # earned, one short of it: its first selection here is a
             # doubling one, which a rival gets if the prior names one.
             head_start = budget_factor(evidence + 1) - 1
-            self._withheld[order] = evidence - head_start
+            self._withheld[prior_order] = evidence - head_start
             if head_start:
-                self._granted[order] = head_start
-                self._earned[order] = reward * head_start
+                self._granted[prior_order] = head_start
+                self._earned[prior_order] = reward * head_start
         self._max_factor = 1
-        #: Wall-clock seconds spent inside :meth:`run_episode` — the
-        #: reference-time cost of this query's own episodes, free of the
-        #: scheduling gaps that inflate ``wall_time_seconds`` when the task
-        #: is interleaved with other queries.
-        self.episode_wall_seconds = 0.0
         self.trace_records: list[dict[str, Any]] = []
-        self.finished = self.prepared.is_empty() or query.num_tables == 1
         if query.num_tables == 1 and not self.prepared.is_empty():
             # Single-table fast path: the filtered rows are the result.
             self.result_set.emit(
                 self.prepared.filtered[self.prepared.aliases[0]][:, None], self.prepared.aliases
             )
 
-    def work_total(self) -> int:
-        """Total work units charged to this query so far (pre + join phase)."""
-        return self.pre_meter.total + self.join_meter.total
+    def meters(self) -> tuple[CostMeter, ...]:
+        return (self.pre_meter, self.join_meter)
+
+    def episodes(self) -> Generator[None, None, RowIdRelation]:
+        """One time slice per episode; an empty input or a single table
+        finishes in the first, running none."""
+        if not (self.prepared.is_empty() or self.query.num_tables == 1):
+            while not self._slice():
+                yield
+        return self.result_set.to_relation()
 
     # ------------------------------------------------------------------
     # incremental result delivery (streaming cursors)
@@ -274,24 +244,25 @@ class SkinnerCTask(EngineTask):
             for order, share, count in self.tree.selection_shares(k)
         )
 
-    def run_episode(self) -> bool:
+    def _slice(self) -> bool:
         """Execute one time slice; returns ``True`` when the join finished."""
-        if self.finished:
-            return True
-        episode_started = time.perf_counter()
         self.slices += 1
         if self.slices > _MAX_SLICES:
             raise ExecutionError("Skinner-C exceeded the maximum number of time slices")
-        if self._learned:
-            order = self.tree.choose_order()
+        rival = None
+        if self._forced is not None:
+            order, factor = self._forced, MAX_BUDGET_FACTOR
         else:
-            order = SkinnerC._random_order(self._graph, self._rng)
-        granted = self._granted[order] = self._granted.get(order, 0) + 1
-        rival = self._second_look(order, granted)
-        if rival is not None:
-            order = rival
-            granted = self._granted[order] = self._granted[order] + 1
-        factor = budget_factor(granted)
+            if self._learned:
+                order = self.tree.choose_order()
+            else:
+                order = SkinnerC._random_order(self._graph, self._rng)
+            granted = self._granted[order] = self._granted.get(order, 0) + 1
+            rival = self._second_look(order, granted)
+            if rival is not None:
+                order = rival
+                granted = self._granted[order] = self._granted[order] + 1
+            factor = budget_factor(granted)
         self._max_factor = max(self._max_factor, factor)
         budget = self._config.slice_budget * factor
         state = self.tracker.restore(order, self._cardinalities)
@@ -320,8 +291,6 @@ class SkinnerCTask(EngineTask):
                  "budget": budget, "factor": factor, "reward": reward,
                  "second_look": rival is not None}
             )
-        self.finished = finished
-        self.episode_wall_seconds += time.perf_counter() - episode_started
         return finished
 
     def _second_look(self, order: tuple[str, ...], granted: int) -> tuple[str, ...] | None:
@@ -342,54 +311,29 @@ class SkinnerCTask(EngineTask):
                   for rival, earned in self._earned.items() if rival != order]
         return max(rivals)[1] if rivals else None
 
-    def finalize(self) -> QueryResult:
-        """Post-process the join result and assemble metrics."""
-        relation = self.result_set.to_relation()
-        output = post_process(
-            self.query, relation, self.prepared.tables, self._udfs, self.join_meter
-        )
-        return QueryResult(output, self._metrics(result_rows=output.num_rows, full=True))
-
-    def partial_metrics(self, result_rows: int) -> QueryMetrics:
-        """Metrics for a LIMIT-truncated streamed result.
-
-        Used by the serving layer's LIMIT push-down: the task is abandoned
-        once the first ``LIMIT`` rows streamed, so there is no final
-        post-processing pass — the charges are whatever the executed
-        episode prefix cost, which is by construction no more than a full
-        run of the same query.
-        """
-        return self._metrics(result_rows=result_rows, full=False)
-
-    def _metrics(self, *, result_rows: int, full: bool) -> QueryMetrics:
-        extra: dict[str, Any] = {
-            "episode_wall_seconds": self.episode_wall_seconds,
-            "max_budget_factor": self._max_factor,
-        }
-        if full:
-            extra = {
+    def metric_fields(self) -> dict[str, Any]:
+        if self._forced is not None:
+            final_order = self._forced
+        else:
+            final_order = self.tree.best_order() if self._learned else None
+        return {
+            "final_join_order": final_order,
+            "time_slices": self.slices,
+            "uct_nodes": self.tree.node_count(),
+            "tracker_nodes": self.tracker.node_count(),
+            # The intermediate cardinality is the join's scans.
+            "intermediate_cardinality": self.join_meter.tuples_scanned,
+            "result_tuple_count": len(self.result_set),
+            "extra": {
                 "result_bytes": self.result_set.estimated_bytes(),
                 "tracker_bytes": self.tracker.estimated_bytes(),
                 "uct_bytes": self.tree.node_count() * 64,
                 "top_orders": self.tree.top_orders(5),
                 "trace": self.trace_records,
-                **extra,
-            }
-        return skinner_c_metrics(
-            self._engine_name,
-            self._started,
-            self.join_meter,
-            self.pre_meter,
-            self.result_set,
-            result_rows=result_rows,
-            final_join_order=(
-                self.tree.best_order() if self._learned else None
-            ),
-            time_slices=self.slices,
-            uct_nodes=self.tree.node_count(),
-            tracker_nodes=self.tracker.node_count(),
-            extra=extra,
-        )
+                "max_budget_factor": self._max_factor,
+                "preprocess_work": dataclasses.asdict(self.pre_meter.snapshot()),
+            },
+        }
 
 
 class SkinnerC(ExecutionBackend):
@@ -498,35 +442,10 @@ class SkinnerC(ExecutionBackend):
         order (Skinner's learned order, or the C_out-optimal order) performs
         inside the Skinner execution engine.
         """
-        started = time.perf_counter()
-        meter = CostMeter()
-        prepared = preprocess(
-            self._catalog, query, self._udfs, meter,
-            build_hash_maps=self._config.use_hash_jump,
-        )
-        result_set = JoinResultSet(prepared.aliases)
-        if query.num_tables == 1 and not prepared.is_empty():
-            result_set.emit(prepared.filtered[prepared.aliases[0]][:, None], prepared.aliases)
-        elif not prepared.is_empty():
-            join = MultiwayJoin(
-                prepared,
-                self._udfs,
-                use_hash_jump=self._config.use_hash_jump,
-                batch_size=BATCH_SIZE,
-            )
-            state = JoinState(tuple(order))
-            offsets = {alias: 0 for alias in prepared.aliases}
-            finished = False
-            budget = self._config.slice_budget * MAX_BUDGET_FACTOR
-            while not finished:
-                finished = join.continue_join(state, offsets, budget, result_set, meter)
-        relation = result_set.to_relation()
-        output = post_process(query, relation, prepared.tables, self._udfs, meter)
-        metrics = skinner_c_metrics(
-            f"{self.name}(forced)", started, meter, None, result_set,
-            result_rows=output.num_rows, final_join_order=tuple(order),
-        )
-        return QueryResult(output, metrics)
+        return run_to_completion(SkinnerCTask(
+            self._catalog, query, self._udfs, self._config,
+            engine_name=f"{self.name}(forced)", order=tuple(order),
+        ))
 
     @staticmethod
     def _random_order(graph, rng: random.Random) -> tuple[str, ...]:

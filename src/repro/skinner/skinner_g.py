@@ -15,8 +15,9 @@ order-forcing SQL — exactly the deployment the paper describes.
 
 Clock discipline: all batch budgets and rewards run on the deterministic
 work-unit clock of :class:`~repro.engine.meter.CostMeter` — never wall-clock
-time.  ``time.perf_counter()`` appears only when stamping the *reporting*
-field ``wall_time_seconds`` of the final metrics; no budget, reward, or
+time.  Wall time is read only by the shared task loop
+(:class:`~repro.engine.task.GeneratorTask`), for the *reporting* fields
+``wall_time_seconds`` and ``episode_wall_seconds``; no budget, reward, or
 scheduling decision reads it, so iteration sequences, meter charges, and
 bench work fingerprints are reproducible run to run (see
 ``docs/engines.md`` for how external adapters map their progress onto this
@@ -26,8 +27,7 @@ clock).
 from __future__ import annotations
 
 import random
-import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Generator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -36,13 +36,11 @@ import numpy as np
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
-from repro.engine.postprocess import post_process
 from repro.engine.relation import RowIdRelation
-from repro.engine.task import EngineTask, ExecutionBackend, GenericEngine
+from repro.engine.task import ExecutionBackend, GeneratorTask, GenericEngine
 from repro.errors import BudgetExceeded, ExecutionError
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.result import QueryMetrics, QueryResult
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.timeouts import PyramidTimeoutScheme
 from repro.storage.catalog import Catalog
@@ -242,45 +240,41 @@ class GenericLearningRun:
         return busiest.best_order()
 
 
-class SkinnerGTask(EngineTask):
+class SkinnerGTask(GeneratorTask):
     """Episode-sliced execution of one query on the Skinner-G engine.
 
     One episode is one iteration of Algorithm 1 — one batch attempt under
     the pyramid timeout scheme (:meth:`GenericLearningRun.step`); a solo run
-    (:meth:`SkinnerG.execute`) drives the same task to completion.
+    (:meth:`SkinnerG.execute`) drives the same task to completion.  Its
+    :attr:`meter` is the learning run's.
     """
 
     def __init__(self, engine: "SkinnerG", query: Query) -> None:
-        self._engine = engine
-        self._query = query
-        # Wall clock is captured for the reporting-only wall_time_seconds
-        # metric; every budget below runs on the work-unit clock.
-        self._started = time.perf_counter()
+        super().__init__(engine.name, query, engine._udfs)
         self.run = GenericLearningRun(
             engine._catalog, query, engine._udfs, engine._config,
             engine=engine._make_generic_engine(query),
         )
+        self.meter = self.run.meter
+        self.tables = self.run.engine.tables
 
-    @property
-    def finished(self) -> bool:
-        """Whether the join phase has completed."""
-        return self.run.finished
+    def episodes(self) -> Generator[None, None, RowIdRelation]:
+        run = self.run
+        while not run.finished:
+            run.step()
+            if not run.finished:
+                yield
+        return run.result_set.to_relation()
 
-    def work_total(self) -> int:
-        """Total work units charged to this query so far."""
-        return self.run.meter.total
-
-    def run_episode(self) -> bool:
-        """Run one batch attempt; returns ``True`` when the join finished."""
-        if not self.run.finished:
-            self.run.step()
-        return self.run.finished
-
-    def finalize(self) -> QueryResult:
-        """Post-process the join result and assemble metrics."""
-        return self._engine._finalize(
-            self._query, self.run, self._started, engine_name=self._engine.name
-        )
+    def metric_fields(self) -> dict[str, Any]:
+        run = self.run
+        return {
+            "final_join_order": run.best_order(),
+            "time_slices": run.iterations,
+            "uct_nodes": run.uct_node_count(),
+            "result_tuple_count": len(run.result_set),
+            "extra": {"timeout_levels": run.scheme.time_per_level()},
+        }
 
 
 class SkinnerG(ExecutionBackend):
@@ -322,39 +316,3 @@ class SkinnerG(ExecutionBackend):
     def task(self, query: Query) -> SkinnerGTask:
         """Create a resumable episode task for ``query`` (see SkinnerGTask)."""
         return SkinnerGTask(self, query)
-
-    # ------------------------------------------------------------------
-    # shared with Skinner-H
-    # ------------------------------------------------------------------
-    def _finalize(
-        self,
-        query: Query,
-        run: GenericLearningRun,
-        started: float,
-        *,
-        engine_name: str,
-        extra: dict[str, Any] | None = None,
-        extra_work: CostMeter | None = None,
-    ) -> QueryResult:
-        relation = run.result_set.to_relation()
-        assert run.engine is not None
-        output = post_process(query, relation, run.engine.tables, self._udfs, run.meter)
-        total = CostMeter()
-        total.merge(run.meter)
-        if extra_work is not None:
-            total.merge(extra_work)
-        metrics = QueryMetrics.measured(
-            engine_name,
-            total.snapshot(),
-            started,
-            output.num_rows,
-            final_join_order=run.best_order(),
-            time_slices=run.iterations,
-            uct_nodes=run.uct_node_count(),
-            result_tuple_count=len(run.result_set),
-            extra={
-                "timeout_levels": run.scheme.time_per_level(),
-                **(extra or {}),
-            },
-        )
-        return QueryResult(output, metrics)

@@ -12,22 +12,22 @@ performance (up to a factor three) when it is catastrophic.
 from __future__ import annotations
 
 from collections.abc import Generator
+from typing import Any
 
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter
-from repro.engine.postprocess import post_process
+from repro.engine.relation import RowIdRelation
 from repro.engine.task import ExecutionBackend, GeneratorTask
 from repro.errors import ExecutionError
 from repro.optimizer.exhaustive import estimated_plan
-from repro.optimizer.plans import LeftDeepPlan
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.result import QueryMetrics, QueryResult
 from repro.skinner.skinner_g import (
     GenericEngineProvider,
     GenericLearningRun,
     InternalGenericEngine,
     SkinnerG,
+    SkinnerGTask,
 )
 from repro.storage.catalog import Catalog
 
@@ -41,7 +41,8 @@ class SkinnerHTask(GeneratorTask):
     episode is either a whole traditional-plan attempt under the current
     (doubling) timeout, or a single learning iteration of the embedded
     Skinner-G run; a solo run (:meth:`SkinnerH.execute`) drives the same
-    task to completion.
+    task to completion.  :meth:`episodes` returns the winning side's
+    relation.
 
     The learning run — and with it the substrate's pre-processing — is built
     by the first learning episode, not here: a query whose traditional plan
@@ -54,7 +55,8 @@ class SkinnerHTask(GeneratorTask):
     """
 
     def __init__(self, engine: "SkinnerH", query: Query) -> None:
-        # ``self.meter`` is the traditional side's: every plan attempt.
+        # ``self.meter`` is the traditional side's (every plan attempt) and
+        # takes post-processing, whichever side wins.
         super().__init__(engine.name, query, engine._udfs)
         self._engine = engine
         self._plan = estimated_plan(engine._catalog, query, engine._udfs)
@@ -64,38 +66,34 @@ class SkinnerHTask(GeneratorTask):
         self._substrate = engine._generic._make_generic_engine(query) or (
             InternalGenericEngine(engine._catalog, query, engine._udfs)
         )
+        self.tables = self._substrate.tables
         self.run: GenericLearningRun | None = None
+        #: The side that finished first, its rounds, and its join tuples.
+        self._winner: str | None = None
+        self._rounds = 0
+        self._join_tuples = 0
 
-    def work_total(self) -> int:
-        """Total work units charged to this query so far (both strategies)."""
-        learned = self.run.meter.total if self.run is not None else 0
-        return learned + self.meter.total
+    def meters(self) -> tuple[CostMeter, ...]:
+        """Both strategies' work."""
+        return (self.meter,) if self.run is None else (self.meter, self.run.meter)
 
-    def finalize(self) -> QueryResult:
-        """The result the winning side assembled (the task must have finished)."""
-        return self._returned
-
-    def episodes(self) -> Generator[None, None, QueryResult]:
+    def episodes(self) -> Generator[None, None, RowIdRelation]:
         engine = self._engine
         query, plan, substrate = self.query, self._plan, self._substrate
         for round_index in range(_MAX_ROUNDS):
+            self._rounds = round_index + 1
             budget = engine._config.base_timeout * 2**round_index
             # 1. Try the traditional optimizer's plan under the current timeout.
             attempt_meter, relation = substrate.execute_plan(plan.order, budget)
             self.meter.merge(attempt_meter)
             if relation is not None:
+                self._winner, self._join_tuples = "traditional", len(relation)
                 # Canonical row order: the executor's output order is an
                 # artifact (hash-join emission vs an external engine's scan
                 # order); lexsorting by the query's aliases makes the
                 # materialized rows byte-identical across substrates and
                 # identical to the learning path's result-set order.
-                relation = relation.canonical_order(query.aliases)
-                output = post_process(query, relation, substrate.tables, engine._udfs,
-                                      self.meter)
-                return engine._traditional_result(
-                    query, output, plan, self.run, len(relation),
-                    self.meter, self._started, round_index,
-                )
+                return relation.canonical_order(query.aliases)
             yield  # episode boundary: one timed-out traditional attempt
             # 2. Give the learning run the same amount of work.
             run = self.run
@@ -111,13 +109,26 @@ class SkinnerHTask(GeneratorTask):
                     break
                 yield  # episode boundary: one learning iteration
             if run.finished:
-                return engine._generic._finalize(
-                    query, run, self._started, engine_name=engine.name,
-                    extra={"winner": "learning", "rounds": round_index + 1,
-                           "plan": plan.order},
-                    extra_work=self.meter,
-                )
+                self._winner = "learning"
+                return run.result_set.to_relation()
         raise ExecutionError("Skinner-H did not converge within the round limit")
+
+    def metric_fields(self) -> dict[str, Any]:
+        """A learning win reports the run as Skinner-G does; anything else
+        (a traditional win, or a run still going) the plan and the run so far."""
+        plan, run = self._plan, self.run
+        if self._winner == "learning":
+            fields = SkinnerGTask.metric_fields(self)
+        else:
+            fields = {
+                "final_join_order": plan.order,
+                "time_slices": run.iterations if run is not None else 0,
+                "uct_nodes": run.uct_node_count() if run is not None else 0,
+                "result_tuple_count": self._join_tuples,
+                "extra": {},
+            }
+        fields["extra"].update(winner=self._winner, rounds=self._rounds, plan=plan.order)
+        return fields
 
 
 class SkinnerH(ExecutionBackend):
@@ -152,32 +163,3 @@ class SkinnerH(ExecutionBackend):
     def task(self, query: Query) -> SkinnerHTask:
         """Create a resumable episode task for ``query`` (see SkinnerHTask)."""
         return SkinnerHTask(self, query)
-
-    def _traditional_result(
-        self,
-        query: Query,
-        output,
-        plan: LeftDeepPlan,
-        run: GenericLearningRun | None,
-        join_tuples: int,
-        traditional_meter: CostMeter,
-        started: float,
-        rounds: int,
-    ) -> QueryResult:
-        """Metrics of a traditional win; ``run`` is ``None`` if learning never began."""
-        total = CostMeter()
-        total.merge(traditional_meter)
-        if run is not None:
-            total.merge(run.meter)
-        metrics = QueryMetrics.measured(
-            self.name,
-            total.snapshot(),
-            started,
-            output.num_rows,
-            final_join_order=plan.order,
-            time_slices=run.iterations if run is not None else 0,
-            uct_nodes=run.uct_node_count() if run is not None else 0,
-            result_tuple_count=join_tuples,
-            extra={"winner": "traditional", "rounds": rounds + 1, "plan": plan.order},
-        )
-        return QueryResult(output, metrics)

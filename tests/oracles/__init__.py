@@ -11,18 +11,22 @@ way, and charges the same meter work:
   many-probe lookup in one step, cut at a bound per probe;
 * :func:`~tests.oracles.postprocess.rows_post_process` — post-processing
   one Python dict per result tuple, expressions (UDF calls included)
-  through ``Expression.evaluate``.
+  through ``Expression.evaluate``;
+* :func:`~tests.oracles.forced_order.forced_order` — Skinner-C on one
+  forced join order, one ``continue_join`` loop outside any task.
 
 Nothing under ``src/repro`` imports them; tests and the two kernel
 benchmarks (``benchmarks/paper/experiments_hashjoin.py`` and
 ``experiments_postprocess.py``) do.
 """
 
+from .forced_order import forced_order
 from .hash_join import rows_hash_join_step
 from .join_map import lookup_many_reference
 from .multiway_join import continue_scalar
 from .postprocess import rows_post_process
 
 __all__ = [
-    "continue_scalar", "lookup_many_reference", "rows_hash_join_step", "rows_post_process",
+    "continue_scalar", "forced_order", "lookup_many_reference", "rows_hash_join_step",
+    "rows_post_process",
 ]

@@ -16,6 +16,7 @@ import repro.api
 from repro import ReproError, SkinnerConfig, connect
 from repro.errors import CatalogError, ParseError
 from repro.serving.session import SessionState
+from repro.skinner import parallel
 
 #: Small budgets so learning engines converge quickly on the tiny fixtures;
 #: warm start off so served runs are solo-equivalent (the property tests
@@ -598,6 +599,26 @@ class TestLimitPushdown:
         limited_work = session.result.metrics.work.total
         full_work = conn.server.session(full.ticket).result.metrics.work.total
         assert 0 < limited_work < full_work
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_limited_metrics_report_the_ledger(self, workers, monkeypatch):
+        """A query abandoned at its LIMIT reports all the work it was
+        charged, the morsel pilot's included, and the fields of a full run."""
+        monkeypatch.setattr(parallel, "MORSELS", 4)
+        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 8)
+        conn = self._conn(parallel_workers=workers)
+        try:
+            limited = conn.cursor()
+            limited.execute(self.SQL, use_result_cache=False)
+            assert len(limited.fetchall()) == 4
+            metrics = conn.server.session(limited.ticket).result.metrics
+            assert metrics.extra.get("limit_pushdown") is True
+            assert metrics.work.total == conn.server.ledger.total(limited.ticket)
+            assert metrics.time_slices >= 1
+            full = conn.execute_direct(self.SQL.replace(" LIMIT 4", "")).metrics
+            assert metrics.extra.keys() - {"limit_pushdown"} == full.extra.keys()
+        finally:
+            conn.close()
 
     def test_limited_rows_are_a_subset_of_the_full_result(self):
         conn = self._conn()

@@ -55,20 +55,6 @@ class TestCostMeter:
         a.merge(WorkBreakdown(predicate_evals=1))
         assert a.total == 6
 
-    def test_checkpoint(self):
-        meter = CostMeter()
-        meter.charge_scan(5)
-        meter.checkpoint()
-        meter.charge_scan(3)
-        assert meter.since_checkpoint() == 3
-
-    def test_reset_preserves_budget(self):
-        meter = CostMeter(budget=100)
-        meter.charge_scan(5)
-        meter.reset()
-        assert meter.total == 0
-        assert meter.budget == 100
-
     def test_clamp_batch_unlimited_meter_passes_through(self):
         assert CostMeter().clamp_batch(10_000) == 10_000
 

@@ -298,3 +298,47 @@ def test_operators_evaluate_expressions_over_arrays_only():
             if name in ROW_AT_A_TIME_CALLS:
                 offenders.append(f"{module}:{node.lineno}: {name}(")
     assert offenders == []
+
+
+def _scoped_nodes(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """``(enclosing class/function names, node)`` for every node under ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, child.name)
+        yield from _scoped_nodes(child, inner)
+
+
+def test_every_task_runs_the_one_episode_loop():
+    """One task lifecycle: ``GeneratorTask`` is the only task that writes
+    ``run_episode``, the one place a task post-processes (beside the
+    server's projection of streamed rows), and the one metrics builder."""
+    package = Path(repro.__file__).parent
+    episodes, post_processing, measured = [], [], []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _scoped_nodes(tree):
+            where = f"{path.relative_to(package)}:{'.'.join(scope)}"
+            if isinstance(node, ast.FunctionDef) and node.name == "run_episode":
+                episodes.append(where)
+            if not isinstance(node, ast.Call):
+                continue
+            function = node.func
+            if isinstance(function, ast.Name) and function.id == "post_process":
+                post_processing.append(where)
+            if (isinstance(function, ast.Attribute) and function.attr == "measured"
+                    and isinstance(function.value, ast.Name)
+                    and function.value.id == "QueryMetrics"):
+                measured.append(where)
+    assert episodes == ["engine/task.py:EngineTask", "engine/task.py:GeneratorTask"]
+    assert post_processing == [
+        "engine/task.py:GeneratorTask.finalize", "serving/server.py:QueryServer._pump_stream"]
+    assert measured == ["engine/task.py:GeneratorTask.partial_metrics"]
+    # The per-engine builders folded into the tasks' ``metric_fields``.
+    from repro.skinner import skinner_c, skinner_g, skinner_h
+
+    assert not hasattr(skinner_c, "skinner_c_metrics")
+    assert not hasattr(skinner_g.SkinnerG, "_finalize")
+    assert not hasattr(skinner_h.SkinnerH, "_traditional_result")
+
