@@ -5,8 +5,9 @@ columnar kernel of :mod:`repro.engine.joinkernels`.  This experiment isolates
 that operator on join-heavy left-deep plans: a three-table chain with
 controlled fan-out is joined step by step through
 :func:`repro.engine.operators.hash_join_step` (the plan executor's hash step
-in one range)
-and through the dict-based test oracle ``rows_hash_join_step``
+in one range, its candidates taken from :mod:`repro.engine.joinsteps`, the
+join-step kernel the multi-way join shares) and through the dict-based test
+oracle ``rows_hash_join_step``
 (``tests/oracles/hash_join.py``), reporting wall time per query and the
 kernel speedup.  Every run cross-checks that the two paths produce
 **byte-identical** row-id relations (same rows, same order) and identical

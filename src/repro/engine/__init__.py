@@ -20,7 +20,6 @@ from repro.engine.joinkernels import (
     GroupedJoinMap,
     GroupedRows,
     encode_composite_keys,
-    expand_matches,
     group_rows,
 )
 from repro.engine.meter import CostMeter, WorkBreakdown
@@ -39,7 +38,6 @@ __all__ = [
     "RowIdRelation",
     "WorkBreakdown",
     "encode_composite_keys",
-    "expand_matches",
     "group_rows",
     "post_process",
 ]

@@ -20,8 +20,10 @@ Skinner-G/H's batches from it without grouping again.
   build row: every key column is factorized over the *build rows only* and
   the per-column codes are combined mixed-radix.  The returned
   :class:`CompositeKeySpace` replays the same encoding on any probe.
-* :func:`expand_matches` — emit the ``(selector, build_rows)`` arrays of the
-  join result from the per-probe bucket bounds.
+
+What a probe finds becomes a join step's candidates in
+:mod:`repro.engine.joinsteps`, shared by the plan executor and the
+multi-way join.
 
 NaN join-key semantics (pinned)
 -------------------------------
@@ -56,7 +58,6 @@ __all__ = [
     "GroupedJoinMap",
     "GroupedRows",
     "encode_composite_keys",
-    "expand_matches",
     "group_rows",
 ]
 
@@ -284,14 +285,14 @@ class GroupedJoinMap:
     binary-searches the sorted run keys for each probe's bucket number, and
     :meth:`bounds` turns bucket numbers into bucket bounds.  A caller that
     probes with the same values again keeps the bucket numbers and repeats
-    only the second step; :meth:`lookup_many` is both at once, and
-    :meth:`get` looks up one decoded value (single-column maps only).
+    only the second step; :meth:`get` looks up one decoded value
+    (single-column maps only).
 
     Whether every key holds one row (a primary key, ``unique``) is recorded
     when the map is grouped.  A unique map's bucket ``g`` is row
     ``rows[g]`` alone, so a caller that keeps what each probe finds
-    (:meth:`edge`, Skinner-C's hash jump) keeps that *partner row* instead
-    of the bucket number and needs no run bounds at all.
+    (:meth:`edge`, what both executors probe through) keeps that *partner
+    row* instead of the bucket number and needs no run bounds at all.
 
     Lookup semantics match a ``{value: rows}`` dict exactly:
 
@@ -485,7 +486,8 @@ class GroupedJoinMap:
     def edge(
         self, values: np.ndarray | Sequence[np.ndarray], source: Column | Sequence[Column]
     ) -> np.ndarray:
-        """What each probe finds, in the form a hash jump keeps it.
+        """What each probe finds, in the form a join step takes it
+        (:func:`~repro.engine.joinsteps.edge_candidates`).
 
         A unique map gives each probe its partner row: the one row of the
         bucket :meth:`slots` names, ``-1`` where it names none.  Rows a
@@ -522,34 +524,3 @@ class GroupedJoinMap:
         counts = self._ends.take(slots)
         counts -= first
         return first, counts
-
-    def lookup_many(
-        self,
-        values: np.ndarray | Sequence[np.ndarray],
-        source: Column | Sequence[Column],
-        lower: int = 0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`get` for a whole vector of probes, as bucket bounds:
-        :meth:`bounds` of :meth:`slots`."""
-        return self.bounds(self.slots(values, source), lower)
-
-
-def expand_matches(
-    rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Emit the ``(selector, build_rows)`` arrays for per-probe bucket bounds.
-
-    Probe row ``i`` matches ``rows[starts[i]:starts[i] + counts[i]]`` (what
-    :meth:`GroupedJoinMap.bounds` returns).  ``selector[k]`` is the probe
-    row of output row ``k`` and ``build_rows[k]`` the matching build row;
-    probe rows appear in ascending order, and the build rows of one bucket in
-    ascending order — the same emission order as the dict-based loop, so join
-    results are byte-identical between the paths.
-    """
-    hits = np.flatnonzero(counts)
-    counts = counts[hits]
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if hits.shape[0] else 0
-    selector = np.repeat(hits, counts)
-    offsets = np.arange(total, dtype=np.int64) + np.repeat(starts[hits] - ends + counts, counts)
-    return selector, rows[offsets]

@@ -23,14 +23,15 @@ a table's rows for good, so one :class:`StatementCache` per catalog keeps
   joins of every plan-executor engine (``traditional``, Skinner-H's plan
   attempts, Skinner-G/H's batches, which cut a
   :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix` from it).  The
-  caller still charges a hit the build's scan, as
-  :func:`~repro.engine.operators.hash_join_step` charges every build;
+  caller still charges a hit the build's scan, as a plan step
+  (:func:`~repro.engine.operators.hash_join_candidates`) charges every build;
 * **hash-jump edges**, keyed on ``(map key, probing filter key, probing
   column)``: what every filtered row of the probing alias finds in one join
   map (:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`): its partner
   row where the map's key is unique (``-1``: none), its bucket number
   otherwise.  Skinner-C's hash jump so looks each probe value up once per
-  pair of table versions, not once per block of prefixes.  An edge is built
+  pair of table versions, not once per block of prefixes (a plan step
+  calls ``edge`` on its own probes, uncached).  An edge is built
   whole when it is put in and counted by its own bytes; nothing the cache
   holds grows later.  It belongs to both tables: a write to either drops
   it.

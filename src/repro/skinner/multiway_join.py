@@ -18,27 +18,24 @@ is what the lower bound below needs — a value-sorted index would not be.
 The production executor (:meth:`MultiwayJoin.continue_join`) runs that search
 over **blocks of prefixes**.  A frame at join-order position ``d`` holds up
 to ``batch_size`` surviving partial tuples — an index matrix of ``K``
-prefixes by ``d`` positions, in lexicographic order — together with each
-prefix's candidate run at position ``d`` (a hash-map bucket, a band found
-by one ``searchsorted`` per bound for the whole block, or the row range of
-a scan position).  The hash jump looks up each *edge* — a join map and the
-earlier ``(alias, column)`` probing it — once: every filtered row of the
-probing alias gets what it finds there
+prefixes by ``d`` positions, in lexicographic order — together with their
+candidates at position ``d`` in one of the two shapes of
+:mod:`repro.engine.joinsteps`, the plan executor's too: runs (a hash-map
+bucket, a band found by one ``searchsorted`` per bound for the whole block,
+or the row range of a scan position) or partner rows.  The hash jump looks
+up each *edge* — a join map and the earlier ``(alias, column)`` probing
+it — once: every filtered row of the probing alias gets what it finds there
 (:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`), kept in the
 catalog's statement cache for the two tables' versions
 (:meth:`~repro.skinner.preprocessor.PreprocessedQuery.edge`).  Where the
 map's key is unique (the primary-key side of a key/foreign-key join) that
-is the probing row's *partner row*, or ``-1``: a block gathers its
-prefixes' partners and keeps only the prefixes whose partner is at or
-above the position's lower bound, with that partner as their one
-candidate (:class:`_PartnerFrame`).  Any other map gives bucket numbers,
-which a block turns into runs with
-:meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds` (:class:`_Frame`).
-Which of the two a position gets is the map's key uniqueness, nothing
-else.  One step takes the next run of
-``(prefix, candidate)`` pairs across as many prefixes as the step's share of
-the budget allows, filters them with both sides gathered as arrays, and
-either pushes the survivors as the block of position ``d + 1`` or, at the
+is the probing row's *partner row*, or ``-1``, and the block keeps only the
+prefixes whose partner is at or above the position's lower bound; any other
+map gives bucket numbers, which become runs
+(:func:`~repro.engine.joinsteps.edge_candidates`).  One step takes the next
+run of ``(prefix, candidate)`` pairs across as many prefixes as the step's
+share of the budget allows, filters them with both sides gathered as arrays,
+and either pushes the survivors as the block of position ``d + 1`` or, at the
 last position, emits them in one bulk insert.  A block is processed to the
 end before the next candidates of the position above it are taken, so the
 search order, the emission order and the set of candidates examined are
@@ -82,6 +79,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.engine.joinsteps import Partners, Runs, edge_candidates, scan
 from repro.engine.meter import CostMeter
 from repro.engine.vectorized import predicate_mask
 from repro.query.expressions import ColumnRef
@@ -215,98 +213,33 @@ class _OrderContext:
     order_positions: dict[str, int] = field(default_factory=dict)
 
 
-class _Frame:
-    """A block of partial tuples and their candidate runs at one position.
+class _Block:
+    """A block of partial tuples and their candidates at one position.
 
     ``prefix`` is the block of ``K`` surviving partial tuples in
     lexicographic order, one row per join-order position ``0 .. d-1`` and one
     column per tuple (a ``d x K`` index matrix, so a position's indices are
-    contiguous).  Tuple ``p`` owns ``counts[p]`` candidates:
-    ``rows[starts[p] + i]`` for the bucket of a map whose key repeats, or
-    the row ids ``starts[p] + i`` themselves when ``rows`` is ``None`` (a
-    scan position or a band).  The runs are laid end to end — ``ends`` are
-    the boundaries — and ``pos`` is the number of candidates of that flat
-    sequence already examined.  A one-tuple frame (the frame of every
-    position a descent along an index vector rebuilds, the first position's
-    among them) is one run: :meth:`take` slices it without the run
-    arithmetic.  A map whose key is unique gets a :class:`_PartnerFrame`.
+    contiguous).  ``shape`` gives tuple ``p`` its candidates
+    (:mod:`repro.engine.joinsteps`), and ``pos`` is the number of candidates
+    of its flat sequence already examined.
     """
 
-    __slots__ = ("prefix", "rows", "counts", "ends", "shift", "total", "pos")
+    __slots__ = ("prefix", "shape", "pos")
 
-    def __init__(
-        self, prefix: np.ndarray, rows: np.ndarray | None, starts: np.ndarray, counts: np.ndarray
-    ) -> None:
+    def __init__(self, prefix: np.ndarray, shape: Runs | Partners) -> None:
         self.prefix = prefix
-        self.rows = rows
-        self.counts = counts
-        self.ends = ends = counts.cumsum()
-        #: flat candidate number -> index into ``rows`` (or row id), per tuple.
-        self.shift = starts - ends + counts
-        self.total = int(ends[-1])
+        self.shape = shape
         self.pos = 0
 
     def take(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``limit`` unexamined ``(tuple, candidate)`` pairs."""
-        pos = self.pos
-        end = min(pos + limit, self.total)
-        if self.counts.shape[0] == 1:
-            self.pos = end
-            start = int(self.shift[0])
-            index = np.arange(pos + start, end + start)
-            return np.zeros(end - pos, np.int64), index if self.rows is None else self.rows[index]
-        if pos == 0 and end == self.total:
-            first, stop, lengths = 0, self.counts.shape[0], self.counts
-        else:
-            ends = self.ends
-            first = int(ends.searchsorted(pos, "right"))
-            stop = int(ends.searchsorted(end - 1, "right")) + 1
-            lengths = self.counts[first:stop].copy()
-            lengths[0] = ends[first] - pos
-            lengths[-1] -= ends[stop - 1] - end
-        parent = np.arange(first, stop).repeat(lengths)
-        index = np.arange(pos, end) + self.shift[parent]
-        self.pos = end
-        return parent, index if self.rows is None else self.rows[index]
+        start = self.pos
+        self.pos = min(start + limit, self.shape.total)
+        return self.shape.take(start, self.pos)
 
     def cursor(self) -> tuple[int, int]:
         """Tuple number and row id of the next unexamined candidate."""
-        parent = int(self.ends.searchsorted(self.pos, "right"))
-        index = self.pos + int(self.shift[parent])
-        return parent, index if self.rows is None else int(self.rows[index])
-
-
-class _PartnerFrame:
-    """A block of partial tuples at a position reached through a unique key.
-
-    Every tuple of ``prefix`` (as in :class:`_Frame`) has at most one
-    candidate, the partner row its probe found.  Only the tuples whose
-    partner is at or above the position's lower bound are kept:
-    ``parents`` are their column numbers in ``prefix``, ascending, and
-    ``partners`` their candidates, so the flat candidate sequence is
-    ``partners`` itself and :meth:`take` and :meth:`cursor` are slices of
-    it.  ``pos`` counts the candidates already examined, as in
-    :class:`_Frame`.
-    """
-
-    __slots__ = ("prefix", "parents", "partners", "total", "pos")
-
-    def __init__(self, prefix: np.ndarray, parents: np.ndarray, partners: np.ndarray) -> None:
-        self.prefix = prefix
-        self.parents = parents
-        self.partners = partners
-        self.total = int(parents.shape[0])
-        self.pos = 0
-
-    def take(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``limit`` unexamined ``(tuple, candidate)`` pairs."""
-        pos = self.pos
-        end = self.pos = min(pos + limit, self.total)
-        return self.parents[pos:end], self.partners[pos:end]
-
-    def cursor(self) -> tuple[int, int]:
-        """Tuple number and row id of the next unexamined candidate."""
-        return int(self.parents[self.pos]), int(self.partners[self.pos])
+        return self.shape.at(self.pos)
 
 
 def _extend(prefix: np.ndarray, parent: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -324,7 +257,7 @@ class _ParkedRun:
     """Frames parked when a slice suspends; good for the index vector ``snapshot``."""
 
     snapshot: tuple[int, ...]
-    frames: list[_Frame | _PartnerFrame | None]
+    frames: list[_Block | None]
     depth: int
 
 
@@ -546,7 +479,7 @@ class MultiwayJoin:
         advanced = False
         while True:
             frame = frames[depth]
-            if frame.pos >= frame.total:
+            if frame.pos >= frame.shape.total:
                 frames[depth] = None
                 depth -= 1
                 if depth < 0:
@@ -590,16 +523,14 @@ class MultiwayJoin:
 
     def _make_frame(
         self, context: _OrderContext, depth: int, prefix: np.ndarray, lower: int
-    ) -> _Frame | _PartnerFrame:
+    ) -> _Block:
         """The candidates at ``depth`` of a block of prefixes, from ``lower`` on."""
         spec = context.jump_at[depth]
         prefixes = prefix.shape[1]
         if spec is None:
             lower = max(0, lower)
             width = max(0, context.cardinalities[depth] - lower)
-            return _Frame(
-                prefix, None, np.full(prefixes, lower, np.int64), np.full(prefixes, width, np.int64)
-            )
+            return _Block(prefix, scan(prefixes, lower, width))
         prepared = self._prepared
         if isinstance(spec, _BandSpec):
             # Each bound cuts every prefix's row range with one searchsorted.
@@ -613,7 +544,7 @@ class MultiwayJoin:
                     np.maximum(starts, cut, out=starts)
                 else:
                     np.minimum(stops, cut, out=stops)
-            return _Frame(prefix, None, starts, np.maximum(stops - starts, 0))
+            return _Block(prefix, Runs(None, starts, np.maximum(stops - starts, 0)))
         alias = context.order[depth]
         join_map = prepared.join_maps[(alias, spec.own_column)]
         probes = prefix[spec.earlier_position]
@@ -625,16 +556,11 @@ class MultiwayJoin:
             )
         else:
             found = edge[probes]
-        if join_map.unique:
-            # ``found`` holds partner rows, -1 where there is none.
-            parents = np.flatnonzero(found >= max(lower, join_map.lower))
-            return _PartnerFrame(prefix, parents, found[parents])
-        starts, counts = join_map.bounds(found, lower)
-        return _Frame(prefix, join_map.rows, starts, counts)
+        return _Block(prefix, edge_candidates(join_map, found, lower))
 
     def _resume_frames(
         self, context: _OrderContext, state: JoinState, meter: CostMeter
-    ) -> tuple[list[_Frame | _PartnerFrame | None], int, int]:
+    ) -> tuple[list[_Block | None], int, int]:
         """Rebuild (or reuse) the per-position frames for a state.
 
         A state this executor just suspended resumes from the parked frames;
@@ -650,7 +576,7 @@ class MultiwayJoin:
         if parked is not None and parked.snapshot == tuple(state.indices):
             return parked.frames, parked.depth, 0
         order = context.order
-        frames: list[_Frame | _PartnerFrame | None] = [None] * len(order)
+        frames: list[_Block | None] = [None] * len(order)
         prefix = np.empty((0, 1), dtype=np.int64)
         parent = np.zeros(1, dtype=np.int64)
         iterations = 0
@@ -661,7 +587,7 @@ class MultiwayJoin:
                 break
             iterations += 1
             meter.charge_scan(1)
-            if frame.total == 0 or frame.cursor()[1] != index:
+            if frame.shape.total == 0 or frame.cursor()[1] != index:
                 break
             candidate = np.asarray([index], dtype=np.int64)
             if not self._filter_batch(context, depth, prefix, parent, candidate, meter)[1].shape[0]:
@@ -677,7 +603,7 @@ class MultiwayJoin:
         context: _OrderContext,
         state: JoinState,
         offsets: Mapping[str, int],
-        frames: list[_Frame | _PartnerFrame | None],
+        frames: list[_Block | None],
         depth: int,
     ) -> None:
         """Write the lexicographic lower bound into the state and park the frames."""

@@ -1,9 +1,11 @@
 """The many-probe join-map lookup in one step, with a per-probe rank search.
 
-:func:`lookup_many_reference` is what
-:meth:`~repro.engine.joinkernels.GroupedJoinMap.lookup_many` did before it
-became :meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds` of
-:meth:`~repro.engine.joinkernels.GroupedJoinMap.slots`: translate and
+:func:`lookup_many_reference` is what the map's many-probe lookup did in
+one step, before it became
+:meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds` of
+:meth:`~repro.engine.joinkernels.GroupedJoinMap.slots` (and the one-step
+method was deleted; both executors now probe through
+:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`): translate and
 binary-search the probes, read each one's bucket bounds, and cut a bucket
 at ``lower`` by one binary search per probe over the ``(bucket, row)``
 ranks of the grouped map.  A probe that finds no bucket gets a count of 0

@@ -30,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
+from repro.engine.joinsteps import Partners
 from repro.engine.meter import CostMeter
 from repro.query.predicates import (
     Predicate,
@@ -40,7 +41,7 @@ from repro.query.predicates import (
 from repro.query.expressions import ColumnRef, FunctionCall, Literal
 from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
-from repro.skinner.multiway_join import _MIRRORED_OP, MultiwayJoin, _BandSpec, _PartnerFrame
+from repro.skinner.multiway_join import _MIRRORED_OP, MultiwayJoin, _BandSpec
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import initial_state
@@ -463,19 +464,20 @@ def test_a_unique_key_position_keeps_only_the_prefixes_that_hit():
     context = join.context_for(("f", "d"))
     block = np.arange(6, dtype=np.int64)[None, :]
     frame = join._make_frame(context, 1, block, 0)
-    assert isinstance(frame, _PartnerFrame)
+    assert isinstance(frame.shape, Partners)
     # ids 3, 0, 9, 4, 1, 3 -> filtered d rows 1, -, -, 0, 2, 1
-    assert frame.parents.tolist() == [0, 3, 4, 5] and frame.partners.tolist() == [1, 0, 2, 1]
+    assert frame.shape.parents.tolist() == [0, 3, 4, 5]
+    assert frame.shape.partners.tolist() == [1, 0, 2, 1]
     assert frame.cursor() == (0, 1)
     cut = join._make_frame(context, 1, block, 1)
-    assert cut.parents.tolist() == [0, 4, 5] and cut.partners.tolist() == [1, 2, 1]
+    assert cut.shape.parents.tolist() == [0, 4, 5] and cut.shape.partners.tolist() == [1, 2, 1]
     parent, candidates = cut.take(2)
     assert parent.tolist() == [0, 4] and candidates.tolist() == [1, 2]
     assert cut.cursor() == (5, 1)
     # The other way round ``f.r`` repeats 3: a bucket frame.
     assert not isinstance(join._make_frame(join.context_for(("d", "f")), 1,
-                                           np.arange(4, dtype=np.int64)[None, :], 0),
-                          _PartnerFrame)
+                                           np.arange(4, dtype=np.int64)[None, :], 0).shape,
+                          Partners)
     expected = reference_join_tuples(catalog, query)
     for order in (("f", "d"), ("d", "f")):
         for budget in (0, 3, 100):

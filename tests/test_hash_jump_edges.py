@@ -1,10 +1,9 @@
 """Skinner-C's hash jump looks each edge up once; a result is sorted only when read.
 
-* :meth:`~repro.engine.joinkernels.GroupedJoinMap.lookup_many` is
-  :meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds` of
-  :meth:`~repro.engine.joinkernels.GroupedJoinMap.slots`, and finds what the
+* :meth:`~repro.engine.joinkernels.GroupedJoinMap.bounds` of
+  :meth:`~repro.engine.joinkernels.GroupedJoinMap.slots` finds what the
   one-step lookup with a per-probe rank search found
-  (``tests/oracles/join_map.py``);
+  (``tests/oracles/join_map.py``), and again on a repeated call;
 * the statement cache keeps one entry per filtered probing row for every
   hash-jump edge, owned by both of its tables: the partner row where the
   map's key is unique, the bucket number otherwise, built whole when it is
@@ -88,7 +87,7 @@ def test_bounds_of_slots_is_the_one_step_lookup(case):
             assert counts.tolist() == ref_counts.tolist(), lower
             hit = counts > 0
             assert starts[hit].tolist() == ref_starts[hit].tolist(), lower
-            many = join_map.lookup_many(values, probes, lower)
+            many = join_map.bounds(join_map.slots(values, probes), lower)
             assert np.array_equal(many[0], starts) and np.array_equal(many[1], counts)
 
 

@@ -20,11 +20,16 @@ from repro.engine.executor import PlanExecutor
 from repro.engine.joinkernels import (
     GroupedJoinMap,
     encode_composite_keys,
-    expand_matches,
     group_rows,
 )
+from repro.engine.joinsteps import Partners, Runs
 from repro.engine.meter import CostMeter
-from repro.engine.operators import apply_residual, cross_candidates, hash_join_step
+from repro.engine.operators import (
+    apply_residual,
+    cross_candidates,
+    hash_join_candidates,
+    hash_join_step,
+)
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import (
@@ -304,6 +309,61 @@ class TestHashJoinStep:
                 totals[mode] = meter.snapshot()
             assert totals["vectorized"] == totals["rows"], f"budget {budget}"
 
+    def test_budget_abort_unique_key_identical(self):
+        """A unique build key gives the plan executor partner rows, and a
+        budget that runs out among them stops where the dict path stops."""
+        from repro.errors import BudgetExceeded
+
+        a, b, tables = self._tables({"x": [4, 1, 8, 2, 2, 5, 9, 6, 3]},
+                                    {"x": [5, 1, 2, 3, 4, 6, 7]})
+        prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
+        equi = [column_equals_column("a", "x", "b", "x")]
+        candidates = hash_join_candidates(prefix, "b", b, np.arange(b.num_rows), equi,
+                                          tables, CostMeter())
+        assert isinstance(candidates.shape, Partners) and candidates.total == 7
+        build_and_probe = b.num_rows + a.num_rows
+        for budget in range(build_and_probe - 1, build_and_probe + 9):
+            totals = {}
+            for mode, join_step in JOIN_STEPS.items():
+                meter = CostMeter(budget=budget)
+                try:
+                    join_step(prefix, "b", b, np.arange(b.num_rows), equi, [], tables, meter)
+                except BudgetExceeded:
+                    pass
+                totals[mode] = meter.snapshot()
+            assert totals["vectorized"] == totals["rows"], f"budget {budget}"
+
+    def test_unique_key_suffix_equals_a_map_over_the_remainder(self):
+        """Partner rows from a suffix view (``lower > 0``), of the cached
+        map or of one grouped for the join, are the rows and the charges
+        of a map grouped afresh over the remainder."""
+        a, b, tables = self._tables({"x": [3, 7, 1, 3, 5, 0, 6], "v": [1, 2, 3, 4, 5, 6, 7]},
+                                    {"x": [6, 3, 1, 7, 5, 2], "w": [4, 4, 1, 9, 2, 7]})
+        prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
+        equi = [column_equals_column("a", "x", "b", "x")]
+        residual = [Predicate(ColumnRef("a", "v"), "<", ColumnRef("b", "w"))]
+        positions = np.array([0, 1, 2, 3, 5], dtype=np.int64)
+        grouped = GroupedJoinMap(b.column("x"), positions)
+        assert grouped.unique
+        for lower in range(1, positions.shape[0] + 1):
+            remainder = positions[lower:]
+            fresh = GroupedJoinMap(b.column("x"), remainder)
+            runs = {
+                "cached": (positions, lower, lambda columns: grouped.suffix(lower)),
+                "grouped": (positions, lower, None),
+                "fresh": (remainder, 0, lambda columns: fresh),
+            }
+            results = {}
+            for name, (build, cut, build_side) in runs.items():
+                meter = CostMeter()
+                joined = hash_join_step(prefix, "b", b, build, equi, residual, tables, meter,
+                                        lower=cut, build_side=build_side)
+                results[name] = joined.matrix().tolist(), meter.snapshot()
+            meter = CostMeter()
+            joined = rows_hash_join_step(prefix, "b", b, remainder, equi, residual, tables, meter)
+            results["rows"] = joined.matrix().tolist(), meter.snapshot()
+            assert len(set(map(repr, results.values()))) == 1, (lower, results)
+
 
 class TestKernelPrimitives:
     def test_group_rows_stable_ascending_within_group(self):
@@ -339,16 +399,18 @@ class TestKernelPrimitives:
         build = Column([4, 5, 6])
         grouped = GroupedJoinMap(build, np.empty(0, dtype=np.int64))
         probe = Column([1, 2, 3])
-        starts, counts = grouped.lookup_many(probe.data, probe)
+        starts, counts = grouped.bounds(grouped.slots(probe.data, probe))
         assert counts.tolist() == [0, 0, 0]
-        selector, build_rows = expand_matches(grouped.rows, starts, counts)
+        runs = Runs(grouped.rows, starts, counts)
+        selector, build_rows = runs.take(0, runs.total)
         assert selector.shape[0] == 0 and build_rows.shape[0] == 0
 
     def test_probe_and_expand_round_trip(self):
         build, probe = Column([5, 7, 5, 9]), Column([7, 5, 4])
         grouped = GroupedJoinMap(build, np.arange(4, dtype=np.int64))
-        starts, counts = grouped.lookup_many(probe.data, probe)
-        selector, build_rows = expand_matches(grouped.rows, starts, counts)
+        starts, counts = grouped.bounds(grouped.slots(probe.data, probe))
+        runs = Runs(grouped.rows, starts, counts)
+        selector, build_rows = runs.take(0, runs.total)
         assert selector.tolist() == [0, 1, 1]
         assert build_rows.tolist() == [1, 0, 2]
 
@@ -379,7 +441,8 @@ class TestKernelPrimitives:
             (Column(["3", "1"]), Column(["b", "a"]), [[], []]),
         ]
         for first, second, expected in probes:
-            starts, counts = grouped.lookup_many([first.data, second.data], [first, second])
+            starts, counts = grouped.bounds(grouped.slots([first.data, second.data],
+                                                          [first, second]))
             found = [grouped.rows[start:start + count].tolist()
                      for start, count in zip(starts, counts)]
             assert found == expected

@@ -129,7 +129,7 @@ class TestMemoAndEmpty:
     def test_get_agrees_with_lookup_many(self, keys, probes):
         jmap = _map_for(keys)
         source = Table("p", {"c": probes}).column("c")
-        starts, counts = jmap.lookup_many(source.data, source)
+        starts, counts = jmap.bounds(jmap.slots(source.data, source))
         for value, start, count in zip(source.decoded_data.tolist(), starts, counts):
             found = jmap.get(value)
             expected = [] if found is None else found.tolist()
@@ -163,7 +163,7 @@ _column_values = st.one_of(_ints, _floats, _strings)
 @example(_EDGE_INTS, _EDGE_FLOATS, None)
 @example(["a", "b", "b", ""], ["b", "zz", "a"], None)
 def test_lookup_many_equals_get_elementwise(key_values, probe_values, data):
-    """``lookup_many`` is ``[get(v) for v in values]`` in bucket-bounds form.
+    """``bounds(slots(values))`` is ``[get(v) for v in values]`` in bucket-bounds form.
 
     Key and probe columns are drawn independently, so the pairs cover int
     keys probed by floats and the reverse (NaN, the infinities, values on
@@ -190,7 +190,7 @@ def test_lookup_many_equals_get_elementwise(key_values, probe_values, data):
     jmap = GroupedJoinMap(keys.column("c"), positions)
     source = probes.column("c")
     for bound in (0, lower):
-        starts, counts = jmap.lookup_many(source.data, source, bound)
+        starts, counts = jmap.bounds(jmap.slots(source.data, source), bound)
         assert starts.shape == counts.shape == source.data.shape
         for value, start, count in zip(source.decoded_data.tolist(), starts, counts):
             expected = jmap.get(value)

@@ -23,7 +23,8 @@ from repro.api.connection import connect
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.executor import PlanExecutor
-from repro.engine.joinkernels import GroupedJoinMap, expand_matches
+from repro.engine.joinkernels import GroupedJoinMap
+from repro.engine.joinsteps import edge_candidates
 from repro.engine.meter import CostMeter
 from repro.engine.statement_cache import StatementCache
 from repro.errors import BudgetExceeded
@@ -75,14 +76,14 @@ def suffix_cases(draw):
 
 
 def _matches(join_map, probes, lower=0):
-    starts, counts = join_map.lookup_many([c.data for c in probes], probes, lower)
-    return expand_matches(join_map.rows, starts, counts)
+    shape = edge_candidates(join_map, join_map.edge([c.data for c in probes], probes), lower)
+    return shape.take(0, shape.total)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(suffix_cases())
 def test_a_suffix_finds_what_a_map_over_the_remainder_finds(case):
-    """``suffix(k)`` + ``lookup_many`` + ``expand_matches`` equals a map
+    """``suffix(k)`` + ``edge`` + the shared ``take`` equals a map
     grouped afresh over ``positions[k:]``, every row ``k`` higher."""
     build, positions, probes = case
     grouped = GroupedJoinMap(build, positions)

@@ -300,6 +300,32 @@ def test_operators_evaluate_expressions_over_arrays_only():
     assert offenders == []
 
 
+#: Run arithmetic: what turns per-prefix runs into flat candidate arrays.
+RUN_ARITHMETIC_CALLS = {"repeat", "cumsum", "tile", "divmod"}
+
+
+def test_one_join_step_kernel():
+    """Both executors take a join step's candidates from ``engine/joinsteps.py``.
+
+    Neither the plan executor's operators nor the multi-way join expand runs
+    themselves: no call to ``repeat``, ``cumsum``, ``tile`` or ``divmod``
+    outside the shared kernel.
+    """
+    package = Path(repro.__file__).parent
+    offenders = []
+    for module in ("engine/operators.py", "engine/executor.py", "skinner/multiway_join.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            function = node.func
+            name = function.attr if isinstance(function, ast.Attribute) else getattr(
+                function, "id", None)
+            if name in RUN_ARITHMETIC_CALLS:
+                offenders.append(f"{module}:{node.lineno}: {name}(")
+    assert offenders == []
+
+
 def _scoped_nodes(tree: ast.AST, scope: tuple[str, ...] = ()):
     """``(enclosing class/function names, node)`` for every node under ``tree``."""
     for child in ast.iter_child_nodes(tree):
