@@ -7,7 +7,6 @@ import time
 from typing import Any
 
 from repro.baselines.traditional import TraditionalEngine
-from repro.config import SkinnerConfig
 from repro.optimizer.exhaustive import optimal_plan
 from repro.skinner.skinner_c import SkinnerC
 from repro.workloads.job import make_job_workload
@@ -231,14 +230,13 @@ def table4(
 def table5(scale: float = 0.5, seed: int = 13) -> dict[str, Any]:
     """Table 5: learned versus randomized join-order selection."""
     workload = make_job_workload(scale=scale, seed=seed)
-    random_config = BENCH_CONFIG.with_overrides(order_selection="random")
     specs = [
-        skinner_c_spec("Skinner-C / Original", BENCH_CONFIG),
-        skinner_c_spec("Skinner-C / Random", random_config),
-        skinner_h_spec("S-H(PG) / Original", "postgres", BENCH_CONFIG),
-        skinner_h_spec("S-H(PG) / Random", "postgres", random_config),
-        skinner_h_spec("S-H(MDB) / Original", "monetdb", BENCH_CONFIG),
-        skinner_h_spec("S-H(MDB) / Random", "monetdb", random_config),
+        skinner_c_spec("Skinner-C / Original"),
+        skinner_c_spec("Skinner-C / Random", random_orders=True),
+        skinner_h_spec("S-H(PG) / Original", "postgres"),
+        skinner_h_spec("S-H(PG) / Random", "postgres", random_orders=True),
+        skinner_h_spec("S-H(MDB) / Original", "monetdb"),
+        skinner_h_spec("S-H(MDB) / Random", "monetdb", random_orders=True),
     ]
     records = run_workload(specs, workload)
     rows = []
@@ -261,16 +259,15 @@ def table5(scale: float = 0.5, seed: int = 13) -> dict[str, Any]:
 def table6(scale: float = 0.5, seed: int = 13, threads: int = 8) -> dict[str, Any]:
     """Table 6: impact of SkinnerDB features (indexes, parallelism, learning)."""
     workload = make_job_workload(scale=scale, seed=seed)
-    configurations: list[tuple[str, SkinnerConfig, int]] = [
-        ("indexes, parallelization, learning", BENCH_CONFIG, threads),
-        ("parallelization, learning", BENCH_CONFIG.with_overrides(use_hash_jump=False), threads),
-        ("learning", BENCH_CONFIG.with_overrides(use_hash_jump=False), 1),
-        ("none", BENCH_CONFIG.with_overrides(use_hash_jump=False, order_selection="random"), 1),
+    specs = [
+        (skinner_c_spec("indexes, parallelization, learning"), threads),
+        (skinner_c_spec("parallelization, learning", join_maps=False), threads),
+        (skinner_c_spec("learning", join_maps=False), 1),
+        (skinner_c_spec("none", random_orders=True, join_maps=False), 1),
     ]
     records: list[QueryRecord] = []
-    for label, config, config_threads in configurations:
-        spec = dataclasses.replace(skinner_c_spec(label, config), threads=config_threads)
-        records.extend(run_workload([spec], workload))
+    for spec, spec_threads in specs:
+        records.extend(run_workload([dataclasses.replace(spec, threads=spec_threads)], workload))
     rows = [{
         "Enabled Features": summary.engine,
         "Total Time": round(summary.total_time, 1),

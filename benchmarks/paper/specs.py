@@ -12,6 +12,7 @@ from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.skinner_h import SkinnerH
 
+from .ablations import RandomSkinnerH, SkinnerCVariant
 from .harness import EngineSpec
 
 #: Skinner configuration used by the benchmark harness.  The paper's default
@@ -26,8 +27,15 @@ BENCH_CONFIG = DEFAULT_CONFIG.with_overrides(slice_budget=100, batches_per_table
 def skinner_c_spec(
     name: str = "Skinner-C",
     config: SkinnerConfig = BENCH_CONFIG,
+    *,
+    random_orders: bool = False,
+    join_maps: bool = True,
 ) -> EngineSpec:
-    """Skinner-C with the benchmark configuration."""
+    """Skinner-C with the benchmark configuration, or one of its ablations
+    (:class:`~benchmarks.paper.ablations.SkinnerCVariant`)."""
+    if random_orders or not join_maps:
+        return EngineSpec(name=name, factory=lambda w: SkinnerCVariant(
+            w.catalog, w.udfs, config, random_orders=random_orders, join_maps=join_maps))
     return EngineSpec(
         name=name,
         factory=lambda w: SkinnerC(w.catalog, w.udfs, config),
@@ -61,11 +69,16 @@ def skinner_h_spec(
     name: str,
     profile: str,
     config: SkinnerConfig = BENCH_CONFIG,
+    *,
+    random_orders: bool = False,
 ) -> EngineSpec:
-    """Skinner-H on the internal executor, its work weighted under ``profile``."""
+    """Skinner-H on the internal executor, its work weighted under ``profile``;
+    ``random_orders`` is Table 5's ablation
+    (:class:`~benchmarks.paper.ablations.RandomSkinnerH`)."""
+    engine_class = RandomSkinnerH if random_orders else SkinnerH
     return EngineSpec(
         name=name,
-        factory=lambda w: SkinnerH(w.catalog, w.udfs, config),
+        factory=lambda w: engine_class(w.catalog, w.udfs, config),
         profile=profile,
     )
 

@@ -7,12 +7,15 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SkinnerConfig:
-    """The knobs a caller sets: ablations, budgets, deployment, seed.
+    """The knobs a caller sets: budgets, deployment, seed.
 
     The defaults follow the paper's experimental setup (§6.1): Skinner-C uses
     a base time-slice budget of 500 multi-way-join loop iterations;
     Skinner-G/H use much larger per-batch budgets.  Everything with one
-    value in use is a constant beside its reader, not a field here.
+    value in use is a constant beside its reader, not a field here, and the
+    ablations of the paper's Tables 5 and 6 (random join-order selection,
+    no join indexes) are engine variants of the benchmark harness
+    (``benchmarks/paper/ablations.py``), not ways to run the product.
 
     Attributes
     ----------
@@ -21,18 +24,11 @@ class SkinnerConfig:
         iterations (the paper's ``b``).  The first slice of every join order
         gets exactly this; later slices of the same order get a growing
         multiple of it (``docs/engines.md``, "Slice budget schedule").
-    use_hash_jump:
-        Whether Skinner-C jumps tuple indices via hash lookups for equality
-        join predicates.
     batches_per_table:
         Skinner-G: number of batches each table is divided into.
     base_timeout:
         Skinner-G/H: work-unit budget of timeout level 0 (the paper's
         smallest timeout).
-    order_selection:
-        ``"uct"`` (learned) or ``"random"`` — the latter replaces
-        reinforcement learning by uniform random join-order selection and is
-        the ablation baseline of Table 5.
     seed:
         Seed for the pseudo-random choices of the UCT trees.
     serving_max_inflight:
@@ -74,10 +70,8 @@ class SkinnerConfig:
     """
 
     slice_budget: int = 500
-    use_hash_jump: bool = True
     batches_per_table: int = 10
     base_timeout: int = 2_000
-    order_selection: str = "uct"
     seed: int | None = 42
     serving_max_inflight: int = 4
     serving_warm_start: bool = True

@@ -1,4 +1,4 @@
-"""The wire protocol, version 5: framed JSON headers and raw column buffers.
+"""The wire protocol, version 6: framed JSON headers and raw column buffers.
 
 One frame, in either direction::
 
@@ -51,8 +51,8 @@ pins the protocol version and the client's tenant identity; the tenant
 cannot be changed afterwards (quota accounting is per-connection).  A
 protocol-1 peer (frames of ``length | JSON``, rows as JSON lists) is told
 so in its own framing — :func:`refuse_v1` — and disconnected; nothing else
-of version 1 remains.  A protocol-2, -3 or -4 peer frames like version 5
-and gets the same typed refusal in it.  See ``docs/serving.md`` for the full
+of version 1 remains.  A protocol-2 to -5 peer frames like version 6 and
+gets the same typed refusal in it.  See ``docs/serving.md`` for the full
 verb table.
 """
 
@@ -87,11 +87,12 @@ from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
 #: Protocol revision; bumped on any incompatible wire change.  The server
-#: rejects a ``hello`` with a different version.  Versions 3 to 5 have
+#: rejects a ``hello`` with a different version.  Versions 3 to 6 have
 #: version 2's framing and different verbs (``docs/serving.md`` has the
-#: table); version 4's metrics carry work units only, and version 5's
-#: ``submit`` carries only the statement, its engine and its config.
-PROTOCOL_VERSION = 5
+#: table); version 4's metrics carry work units only, version 5's
+#: ``submit`` carries only the statement, its engine and its config, and
+#: version 6's config has no fields for the paper's ablations.
+PROTOCOL_VERSION = 6
 
 #: Upper bound on one frame's body (64 MiB).
 MAX_FRAME = 64 * 1024 * 1024

@@ -18,7 +18,7 @@ from repro.optimizer.cardinality import (
     EstimatedCardinality,
     TrueCardinality,
 )
-from repro.optimizer.cost import cmm_cost, cout_cost
+from repro.optimizer.cost import cout_cost
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
 from repro.optimizer.plans import LeftDeepPlan
@@ -34,6 +34,5 @@ __all__ = [
     "StatisticsCatalog",
     "TableStatistics",
     "TrueCardinality",
-    "cmm_cost",
     "cout_cost",
 ]

@@ -1,10 +1,8 @@
-"""Cost models over left-deep join orders.
+"""The cost model over left-deep join orders.
 
 The paper analyzes Skinner's guarantees relative to the C_out metric
 (Krishnamurthy et al.): the cost of a join order is the sum of the
-cardinalities of all intermediate results it produces.  C_mm additionally
-charges the inputs of every join, approximating a main-memory hash join's
-build+probe work.  Both operate on any
+cardinalities of all intermediate results it produces.  It operates on any
 :class:`~repro.optimizer.cardinality.CardinalityEstimator`.
 """
 
@@ -32,16 +30,3 @@ def cout_cost(order: Sequence[str], estimator: CardinalityEstimator) -> float:
     cardinalities = prefix_cardinalities(order, estimator)
     return float(sum(cardinalities[1:])) if len(cardinalities) > 1 else float(cardinalities[0])
 
-
-def cmm_cost(order: Sequence[str], estimator: CardinalityEstimator) -> float:
-    """C_mm: like C_out but also charging the inputs of every join step."""
-    cardinalities = prefix_cardinalities(order, estimator)
-    if len(cardinalities) <= 1:
-        return float(cardinalities[0]) if cardinalities else 0.0
-    total = 0.0
-    for step in range(1, len(order)):
-        left_input = cardinalities[step - 1]
-        right_input = estimator.base_cardinality(order[step])
-        output = cardinalities[step]
-        total += left_input + right_input + output
-    return float(total)

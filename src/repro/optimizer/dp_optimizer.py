@@ -19,12 +19,8 @@ from repro.query.query import Query
 
 
 class DynamicProgrammingOptimizer:
-    """Exhaustive left-deep enumeration with Cartesian-product avoidance."""
-
-    def __init__(self, cost_metric: str = "cout") -> None:
-        if cost_metric not in ("cout", "cmm"):
-            raise PlanningError(f"unknown cost metric {cost_metric!r}")
-        self._cost_metric = cost_metric
+    """Exhaustive left-deep enumeration with Cartesian-product avoidance,
+    minimising C_out."""
 
     def optimize(self, query: Query, estimator: CardinalityEstimator) -> LeftDeepPlan:
         """Return the cheapest left-deep order under the estimator."""
@@ -60,8 +56,6 @@ class DynamicProgrammingOptimizer:
                         cardinality_of[subset] = estimator.cardinality(sorted(subset))
                     step_output = cardinality_of[subset]
                     cost = best[rest][0] + step_output
-                    if self._cost_metric == "cmm":
-                        cost += cardinality_of[rest] + estimator.base_cardinality(last)
                     if subset_cost is None or cost < subset_cost:
                         subset_cost = cost
                         subset_order = rest_order + (last,)

@@ -36,8 +36,8 @@ class QueryMetrics:
     uct_nodes, tracker_nodes, result_tuple_count:
         Memory-related counters used by Figure 8.
     extra:
-        Engine-specific details (timeout levels used, re-optimization count,
-        ablation flags, ...).  Skinner-C adds ``preprocess_work``, the
+        Engine-specific details (timeout levels used, re-optimization
+        count, ...).  Skinner-C adds ``preprocess_work``, the
         :class:`~repro.engine.meter.WorkBreakdown` of its pre-processing as
         a plain dict (all zero for a forced-order run): the share of
         ``work`` that the paper's multi-core systems spread over cores

@@ -553,11 +553,7 @@ class QueryServer:
     def _warm_start_priors(
         self, session: QuerySession, spec: Any
     ) -> tuple[OrderPrior, ...]:
-        if (
-            not spec.task_class.warm_startable
-            or not session.config.serving_warm_start
-            or session.config.order_selection != "uct"
-        ):
+        if not (spec.task_class.warm_startable and session.config.serving_warm_start):
             return ()
         priors = self.order_cache.priors(join_graph_signature(session.query))
         counters = self._tenant_cache_counters(session.tenant)
@@ -653,11 +649,10 @@ class QueryServer:
             # Each order's selection share goes beside the evidence it has
             # accumulated, which is where the next query on this join graph
             # enters the slice-budget schedule.
-            if session.config.order_selection == "uct":
-                self.order_cache.record(
-                    join_graph_signature(session.query), session.task.learned_orders(),
-                    tables, session.versions,
-                )
+            self.order_cache.record(
+                join_graph_signature(session.query), session.task.learned_orders(),
+                tables, session.versions,
+            )
         self._finish(session, result)
 
     def _finish_limited(self, session: QuerySession) -> None:

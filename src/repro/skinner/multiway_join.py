@@ -57,7 +57,7 @@ Two rules tie this to the learning loop:
   position reached by hash or band jump may spend ``remaining // (positions
   from here to the last)``, which keeps every step of a descent through
   key/foreign-key buckets equally wide.  A step at a scan position (the
-  first position, a join with neither jump, hash jump off) already gets a
+  first position, a join with neither jump, no join map) already gets a
   table's worth of candidates from one prefix and takes what is left, like
   the chunk a tuple-at-a-time executor takes from one scan.  Either leaves
   one unit for each deeper position, so every slice reaches the last
@@ -280,14 +280,12 @@ class MultiwayJoin:
         prepared: PreprocessedQuery,
         udfs: UdfRegistry | None = None,
         *,
-        use_hash_jump: bool = True,
         batch_size: int = 1,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         self._prepared = prepared
         self._udfs = udfs
-        self._use_hash_jump = use_hash_jump
         self._batch_size = batch_size
         self._contexts: dict[tuple[str, ...], _OrderContext] = {}
         #: Look-ahead of suspended orders, oldest first, at most
@@ -331,8 +329,9 @@ class MultiwayJoin:
     def _jump_spec(
         self, order: tuple[str, ...], position: int, predicates: list[Predicate]
     ) -> _JumpSpec | _BandSpec | None:
-        """A hash jump on the first usable equality, else a band jump, else a scan."""
-        if not self._use_hash_jump or position == 0:
+        """A hash jump on the first equality whose map pre-processing built,
+        else a band jump, else a scan."""
+        if position == 0:
             return None
         alias = order[position]
         earlier = {a: p for p, a in enumerate(order[:position])}

@@ -431,9 +431,7 @@ class ParallelSkinnerCTask(GeneratorTask):
                 join.merge(task.join_meter)
                 slices += task.slices
         return {
-            "final_join_order": (
-                self.tree.best_order() if self._config.order_selection == "uct" else None
-            ),
+            "final_join_order": self.tree.best_order(),
             "time_slices": slices,
             "uct_nodes": self.tree.node_count(),
             "tracker_nodes": self.tracker.node_count(),

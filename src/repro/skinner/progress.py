@@ -121,10 +121,6 @@ class ProgressTracker:
         """Number of prefix-tree nodes currently materialized (root included)."""
         return self._node_count
 
-    def tracked_orders(self) -> int:
-        """Number of distinct join orders with a stored state: the leaves."""
-        return sum(1 for node in self._nodes() if not node.children)
-
     def estimated_bytes(self) -> int:
         """Rough memory footprint of the stored states."""
         return self._state_bytes

@@ -23,7 +23,6 @@ it has accumulated over earlier queries left it, not at the base budget
 from __future__ import annotations
 
 import dataclasses
-import random
 import warnings
 from collections.abc import Generator, Mapping, Sequence
 from typing import Any
@@ -53,7 +52,7 @@ from repro.skinner.multiway_join import (
     MultiwayJoin,
     budget_factor,
 )
-from repro.skinner.preprocessor import preprocess
+from repro.skinner.preprocessor import PreprocessedQuery, preprocess
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.reward import scaled_delta_reward
@@ -99,6 +98,11 @@ class SkinnerCTask(GeneratorTask):
         One forced join order (:meth:`SkinnerC.execute_with_order`): every
         slice runs it at the top budget factor, and pre-processing charges
         the join's meter, so the reported ``preprocess_work`` is zero.
+
+    A subclass may replace how the next slice's order is chosen
+    (:meth:`next_order`) and how the query is pre-processed
+    (:meth:`preprocess`); the paper's ablations do exactly that
+    (``benchmarks/paper/ablations.py``).
     """
 
     streamable = True
@@ -119,15 +123,13 @@ class SkinnerCTask(GeneratorTask):
     ) -> None:
         super().__init__(engine_name, query, udfs)
         self._config = config
-        self._learned = config.order_selection == "uct"
         self._forced = order
         self._trace = trace
         self.join_meter = self.meter
         self.pre_meter = CostMeter()
-        self.prepared = preprocess(
+        self.prepared = self.preprocess(
             catalog, query, udfs, self.pre_meter if order is None else self.meter,
-            build_hash_maps=config.use_hash_jump,
-            restrict_positions=restrict_positions,
+            restrict_positions,
         )
         self.tables = self.prepared.tables
         self._cardinalities = self.prepared.cardinalities()
@@ -138,15 +140,10 @@ class SkinnerCTask(GeneratorTask):
             seed=config.seed,
         )
         self.tracker = ProgressTracker(self.prepared.aliases)
-        self.join = MultiwayJoin(
-            self.prepared,
-            udfs,
-            use_hash_jump=config.use_hash_jump,
-            batch_size=BATCH_SIZE,
-        )
-        self._rng = random.Random(config.seed)
-        self._graph = query.join_graph()
+        self.join = MultiwayJoin(self.prepared, udfs, batch_size=BATCH_SIZE)
         self.slices = 0
+        #: Slices given to a rival instead of UCT's choice (:meth:`next_order`).
+        self.second_looks = 0
         #: Selections per join order: the key of the budget schedule.
         self._granted: dict[tuple[str, ...], int] = {}
         #: Rewards earned per join order, to rank rivals for a second look.
@@ -174,6 +171,17 @@ class SkinnerCTask(GeneratorTask):
 
     def meters(self) -> tuple[CostMeter, ...]:
         return (self.pre_meter, self.join_meter)
+
+    def preprocess(
+        self,
+        catalog: Catalog,
+        query: Query,
+        udfs: UdfRegistry | None,
+        meter: CostMeter,
+        restrict_positions: Mapping[str, np.ndarray] | None,
+    ) -> PreprocessedQuery:
+        """Filter the query's tables and build the join maps the hash jumps use."""
+        return preprocess(catalog, query, udfs, meter, restrict_positions=restrict_positions)
 
     def episodes(self) -> Generator[None, None, RowIdRelation]:
         """One time slice per episode; an empty input or a single table
@@ -249,19 +257,12 @@ class SkinnerCTask(GeneratorTask):
         self.slices += 1
         if self.slices > _MAX_SLICES:
             raise ExecutionError("Skinner-C exceeded the maximum number of time slices")
-        rival = None
+        looks = self.second_looks
         if self._forced is not None:
             order, factor = self._forced, MAX_BUDGET_FACTOR
         else:
-            if self._learned:
-                order = self.tree.choose_order()
-            else:
-                order = SkinnerC._random_order(self._graph, self._rng)
+            order = self.next_order()
             granted = self._granted[order] = self._granted.get(order, 0) + 1
-            rival = self._second_look(order, granted)
-            if rival is not None:
-                order = rival
-                granted = self._granted[order] = self._granted[order] + 1
             factor = budget_factor(granted)
         self._max_factor = max(self._max_factor, factor)
         budget = self._config.slice_budget * factor
@@ -289,35 +290,34 @@ class SkinnerCTask(GeneratorTask):
             self.trace_records.append(
                 {"slice": self.slices, "uct_nodes": self.tree.node_count(), "order": order,
                  "budget": budget, "factor": factor, "reward": reward,
-                 "second_look": rival is not None}
+                 "second_look": self.second_looks > looks}
             )
         return finished
 
-    def _second_look(self, order: tuple[str, ...], granted: int) -> tuple[str, ...] | None:
-        """The rival that gets the slice UCT just gave ``order``, if one is due.
+    def next_order(self) -> tuple[str, ...]:
+        """The join order the next slice runs: UCT's choice, or a second look.
 
-        One is due when the selection is one at which the order's budget
-        doubles: its best rival so far — the other order with the highest
-        mean reward — runs instead, so an order that a misleading first
-        slice undersold is found while finding it is still cheap.
+        A second look is due when UCT's choice is a selection at which the
+        order's budget doubles: its best rival so far — the other order
+        with the highest mean reward — runs instead, so an order that a
+        misleading first slice undersold is found while finding it is still
+        cheap.  UCT's choice keeps the selection all the same.
         """
-        if (
-            not self._learned
-            or granted < SECOND_LOOK_FROM
-            or granted & (granted - 1)
-        ):
-            return None
+        order = self.tree.choose_order()
+        granted = self._granted.get(order, 0) + 1
+        if granted < SECOND_LOOK_FROM or granted & (granted - 1):
+            return order
         rivals = [(earned / self._granted[rival], rival)
                   for rival, earned in self._earned.items() if rival != order]
-        return max(rivals)[1] if rivals else None
+        if not rivals:
+            return order
+        self._granted[order] = granted
+        self.second_looks += 1
+        return max(rivals)[1]
 
     def metric_fields(self) -> dict[str, Any]:
-        if self._forced is not None:
-            final_order = self._forced
-        else:
-            final_order = self.tree.best_order() if self._learned else None
         return {
-            "final_join_order": final_order,
+            "final_join_order": self._forced or self.tree.best_order(),
             "time_slices": self.slices,
             "uct_nodes": self.tree.node_count(),
             "tracker_nodes": self.tracker.node_count(),
@@ -346,10 +346,7 @@ class SkinnerC(ExecutionBackend):
     udfs:
         Registry of user-defined functions referenced by queries.
     config:
-        Tuning knobs; see :class:`~repro.config.SkinnerConfig`.  Its
-        ``order_selection`` is ``"uct"`` or ``"random"`` — the latter
-        replaces learning by uniform random join-order selection and is the
-        baseline of Table 5.
+        Tuning knobs; see :class:`~repro.config.SkinnerConfig`.
     """
 
     def __init__(
@@ -358,8 +355,6 @@ class SkinnerC(ExecutionBackend):
         udfs: UdfRegistry | None = None,
         config: SkinnerConfig = DEFAULT_CONFIG,
     ) -> None:
-        if config.order_selection not in ("uct", "random"):
-            raise ValueError("order_selection must be 'uct' or 'random'")
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
@@ -367,8 +362,6 @@ class SkinnerC(ExecutionBackend):
     @property
     def name(self) -> str:
         """Engine name used in reports."""
-        if self._config.order_selection == "random":
-            return "skinner-c(random)"
         return "skinner-c"
 
     # ------------------------------------------------------------------
@@ -446,12 +439,3 @@ class SkinnerC(ExecutionBackend):
             self._catalog, query, self._udfs, self._config,
             engine_name=f"{self.name}(forced)", order=tuple(order),
         ))
-
-    @staticmethod
-    def _random_order(graph, rng: random.Random) -> tuple[str, ...]:
-        """A uniformly random join order avoiding needless Cartesian products."""
-        prefix: list[str] = []
-        total = len(graph.aliases)
-        while len(prefix) < total:
-            prefix.append(rng.choice(graph.eligible_next(prefix)))
-        return tuple(prefix)

@@ -26,7 +26,6 @@ clock).
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable, Generator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -55,13 +54,11 @@ _MAX_ITERATIONS = 500_000
 #: later batch can produce a tuple with one of them again (paper §4.3).
 _BATCHES = "batches"
 
-#: ``provider(catalog, query, udfs, config) -> GenericEngine | None`` — a
-#: factory selecting the execution substrate for one query.  Returning
-#: ``None`` means "fall back to the internal executor" (e.g. external
-#: engines facing UDF predicates they cannot evaluate remotely).
-GenericEngineProvider = Callable[
-    [Catalog, Query, "UdfRegistry | None", SkinnerConfig], "GenericEngine | None"
-]
+#: ``provider(catalog, query, udfs) -> GenericEngine | None`` — a factory
+#: selecting the execution substrate for one query.  Returning ``None``
+#: means "fall back to the internal executor" (e.g. external engines facing
+#: UDF predicates they cannot evaluate remotely).
+GenericEngineProvider = Callable[[Catalog, Query, "UdfRegistry | None"], "GenericEngine | None"]
 
 
 class InternalGenericEngine(GenericEngine):
@@ -128,6 +125,8 @@ class GenericLearningRun:
     Skinner-H interleaves this run with executions of the traditional
     optimizer's plan, so the run exposes a :meth:`step` method executing a
     single iteration (one batch attempt) and reports the work it consumed.
+    A subclass may replace how an iteration's order is chosen
+    (:meth:`next_order`); the paper's Table 5 ablation does.
     """
 
     catalog: Catalog
@@ -156,7 +155,6 @@ class GenericLearningRun:
         self.engine.pre_process(self.meter)
         self.result_set = JoinResultSet(tuple(self.query.aliases))
         self.scheme = PyramidTimeoutScheme(self.config.base_timeout)
-        self._graph = self.query.join_graph()
         for alias in self.query.aliases:
             rows = int(self.engine.filtered_positions(alias).shape[0])
             per_table = max(1, min(self.config.batches_per_table, rows or 1))
@@ -186,15 +184,12 @@ class GenericLearningRun:
         tree = self.trees.get(choice.level)
         if tree is None:
             tree = UctJoinTree(
-                self._graph,
+                self.query.join_graph(),
                 exploration_weight=DEFAULT_EXPLORATION_WEIGHT,
                 seed=None if self.config.seed is None else self.config.seed + choice.level,
             )
             self.trees[choice.level] = tree
-        if self.config.order_selection == "random":
-            order = self._random_order()
-        else:
-            order = tree.choose_order()
+        order = self.next_order(tree)
         left = order[0]
         edges, offset = self.batch_edges[left], self.batch_offsets[left]
         # The batches are consecutive pieces of the filtered rows, so what
@@ -216,14 +211,9 @@ class GenericLearningRun:
             tree.update(order, 0.0)
         return spent
 
-    def _random_order(self) -> tuple[str, ...]:
-        """Uniform random join order (Cartesian-avoiding) for the ablation."""
-        seed = None if self.config.seed is None else self.config.seed + self.iterations
-        rng = random.Random(seed)
-        prefix: list[str] = []
-        while len(prefix) < self.query.num_tables:
-            prefix.append(rng.choice(self._graph.eligible_next(prefix)))
-        return tuple(prefix)
+    def next_order(self, tree: UctJoinTree) -> tuple[str, ...]:
+        """The join order of this iteration: the timeout level's UCT choice."""
+        return tree.choose_order()
 
     # ------------------------------------------------------------------
     # accounting helpers
@@ -251,10 +241,7 @@ class SkinnerGTask(GeneratorTask):
 
     def __init__(self, engine: "SkinnerG", query: Query) -> None:
         super().__init__(engine.name, query, engine._udfs)
-        self.run = GenericLearningRun(
-            engine._catalog, query, engine._udfs, engine._config,
-            engine=engine._make_generic_engine(query),
-        )
+        self.run = engine.learning_run(query, engine._make_generic_engine(query))
         self.meter = self.run.meter
         self.tables = self.run.engine.tables
 
@@ -278,7 +265,11 @@ class SkinnerGTask(GeneratorTask):
 
 
 class SkinnerG(ExecutionBackend):
-    """The Skinner-G engine wrapper producing query results and metrics."""
+    """The Skinner-G engine wrapper producing query results and metrics.
+
+    :meth:`learning_run` builds each query's :class:`GenericLearningRun`
+    (Skinner-H's too); a subclass may build another.
+    """
 
     def __init__(
         self,
@@ -306,7 +297,11 @@ class SkinnerG(ExecutionBackend):
         """
         if self._generic_engine is None:
             return None
-        return self._generic_engine(self._catalog, query, self._udfs, self._config)
+        return self._generic_engine(self._catalog, query, self._udfs)
+
+    def learning_run(self, query: Query, substrate: GenericEngine | None) -> GenericLearningRun:
+        """The learning run of ``query`` on ``substrate`` (``None``: the internal executor)."""
+        return GenericLearningRun(self._catalog, query, self._udfs, self._config, engine=substrate)
 
     @property
     def name(self) -> str:

@@ -14,22 +14,18 @@ from __future__ import annotations
 from collections.abc import Generator
 from typing import Any
 
-from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter
 from repro.engine.relation import RowIdRelation
-from repro.engine.task import ExecutionBackend, GeneratorTask
+from repro.engine.task import GeneratorTask
 from repro.errors import ExecutionError
 from repro.optimizer.exhaustive import estimated_plan
 from repro.query.query import Query
-from repro.query.udf import UdfRegistry
 from repro.skinner.skinner_g import (
-    GenericEngineProvider,
     GenericLearningRun,
     InternalGenericEngine,
     SkinnerG,
     SkinnerGTask,
 )
-from repro.storage.catalog import Catalog
 
 _MAX_ROUNDS = 64
 
@@ -63,7 +59,7 @@ class SkinnerHTask(GeneratorTask):
         # One substrate serves both sides of the hybrid — the traditional
         # plan's timed whole-query attempts and the learning run's batch
         # attempts — so the internal executor filters and groups once.
-        self._substrate = engine._generic._make_generic_engine(query) or (
+        self._substrate = engine._make_generic_engine(query) or (
             InternalGenericEngine(engine._catalog, query, engine._udfs)
         )
         self.tables = self._substrate.tables
@@ -98,10 +94,7 @@ class SkinnerHTask(GeneratorTask):
             # 2. Give the learning run the same amount of work.
             run = self.run
             if run is None:
-                run = self.run = GenericLearningRun(
-                    engine._catalog, query, engine._udfs, engine._config,
-                    engine=substrate,
-                )
+                run = self.run = engine.learning_run(query, substrate)
             learned = 0
             while learned < budget and not run.finished:
                 learned += run.step()
@@ -131,26 +124,12 @@ class SkinnerHTask(GeneratorTask):
         return fields
 
 
-class SkinnerH(ExecutionBackend):
-    """The hybrid Skinner engine on top of a generic execution engine."""
+class SkinnerH(SkinnerG):
+    """The hybrid Skinner engine on top of a generic execution engine.
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        udfs: UdfRegistry | None = None,
-        config: SkinnerConfig = DEFAULT_CONFIG,
-        *,
-        generic_engine: "GenericEngineProvider | None" = None,
-        backend_label: str | None = None,
-    ) -> None:
-        self._catalog = catalog
-        self._udfs = udfs
-        self._config = config
-        self._backend_label = backend_label
-        self._generic = SkinnerG(
-            catalog, udfs, config,
-            generic_engine=generic_engine, backend_label=backend_label,
-        )
+    Skinner-G's constructor, substrate provider and :meth:`learning_run`;
+    the task races that run against the traditional optimizer's plan.
+    """
 
     @property
     def name(self) -> str:

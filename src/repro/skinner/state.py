@@ -35,23 +35,9 @@ class JoinState:
         """Deep copy of the state."""
         return JoinState(self.order, list(self.indices))
 
-    def index_of(self, alias: str) -> int:
-        """Current tuple index of the given alias."""
-        return self.indices[self.order.index(alias)]
-
     def as_tuple(self) -> tuple[int, ...]:
         """The indices as an immutable tuple (position order)."""
         return tuple(self.indices)
-
-    def lexicographic_key(self) -> tuple[int, ...]:
-        """Key for comparing progress of two states of the *same* join order."""
-        return tuple(self.indices)
-
-    def is_ahead_of(self, other: "JoinState") -> bool:
-        """Whether this state is strictly ahead of ``other`` (same order)."""
-        if self.order != other.order:
-            raise ValueError("states belong to different join orders")
-        return self.lexicographic_key() > other.lexicographic_key()
 
     def progress_fraction(self, cardinalities: Mapping[str, int]) -> float:
         """Fraction of the lexicographic index space already covered.
@@ -68,10 +54,10 @@ class JoinState:
         return min(1.0, fraction)
 
 
-def clamp_to_offsets(
+def clamp_in_place(
     state: JoinState, offsets: Mapping[str, int], cardinalities: Mapping[str, int]
 ) -> JoinState:
-    """Raise state indices to at least the shared offsets.
+    """Raise ``state``'s indices to at least the shared offsets, in place.
 
     Tuples below an offset are globally finished, so raising an index to the
     offset never skips unprocessed results.  Raising an index at position
@@ -82,15 +68,9 @@ def clamp_to_offsets(
     An alias absent from ``cardinalities`` is treated as unbounded: clamping
     its index *down* to a defaulted cardinality of 0 would silently rewind a
     valid state without setting ``raised``, leaving the deeper indices with
-    stale meaning (they recorded progress for the original index).
+    stale meaning (they recorded progress for the original index).  The
+    state is returned; pass a copy of one somebody else holds.
     """
-    return clamp_in_place(state.copy(), offsets, cardinalities)
-
-
-def clamp_in_place(
-    state: JoinState, offsets: Mapping[str, int], cardinalities: Mapping[str, int]
-) -> JoinState:
-    """:func:`clamp_to_offsets` on ``state`` itself, for a state nobody else holds."""
     indices = state.indices
     raised = False
     for position, alias in enumerate(state.order):

@@ -23,24 +23,19 @@ from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import JoinState
 
 
-def forced_order(engine, query, order: tuple[str, ...]) -> QueryResult:
-    """Run ``query`` in ``order`` on the Skinner-C ``engine`` (a ``SkinnerC``)."""
+def forced_order(engine, query, order: tuple[str, ...], *, join_maps: bool = True) -> QueryResult:
+    """Run ``query`` in ``order`` on the Skinner-C ``engine`` (a ``SkinnerC``);
+    ``join_maps=False`` pre-processes without join maps."""
     started = time.perf_counter()
     meter = CostMeter()
     prepared = preprocess(
-        engine._catalog, query, engine._udfs, meter,
-        build_hash_maps=engine._config.use_hash_jump,
+        engine._catalog, query, engine._udfs, meter, build_hash_maps=join_maps,
     )
     result_set = JoinResultSet(prepared.aliases)
     if query.num_tables == 1 and not prepared.is_empty():
         result_set.emit(prepared.filtered[prepared.aliases[0]][:, None], prepared.aliases)
     elif not prepared.is_empty():
-        join = MultiwayJoin(
-            prepared,
-            engine._udfs,
-            use_hash_jump=engine._config.use_hash_jump,
-            batch_size=BATCH_SIZE,
-        )
+        join = MultiwayJoin(prepared, engine._udfs, batch_size=BATCH_SIZE)
         state = JoinState(tuple(order))
         offsets = {alias: 0 for alias in prepared.aliases}
         finished = False

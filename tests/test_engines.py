@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.eddy import EddyEngine
-from repro.baselines.random_order import make_random_order_engine, random_skinner_config
 from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import DEFAULT_CONFIG
@@ -11,9 +10,17 @@ from repro.query.expressions import ColumnRef, Star
 from repro.query.predicates import column_compare_literal, column_equals_column, udf_predicate
 from repro.query.query import AggregateSpec, SelectItem, make_query
 from repro.query.udf import UdfRegistry
+from repro.skinner import parallel
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.skinner_h import SkinnerH
+from benchmarks.paper.ablations import (
+    RandomNoJoinMapsTask,
+    RandomSkinnerG,
+    RandomSkinnerH,
+    SkinnerCVariant,
+    random_order,
+)
 from tests.conftest import reference_join_count, reference_join_tuples, result_multiset
 
 FAST_CONFIG = DEFAULT_CONFIG.with_overrides(
@@ -126,17 +133,6 @@ class TestSkinnerC:
         assert len(trace) == result.metrics.time_slices
         assert all("uct_nodes" in entry for entry in trace)
 
-    @pytest.mark.parametrize("overrides", [
-        {"use_hash_jump": False},
-        {"order_selection": "random"},
-        {"use_hash_jump": False, "order_selection": "random"},
-    ])
-    def test_ablations_preserve_correctness(self, tiny_catalog, tiny_join_query, overrides):
-        config = FAST_CONFIG.with_overrides(**overrides)
-        result = SkinnerC(tiny_catalog, config=config).execute(tiny_join_query)
-        assert result.metrics.result_tuple_count == reference_join_count(
-            tiny_catalog, tiny_join_query
-        )
 
     def test_execute_with_forced_order(self, tiny_catalog, tiny_join_query):
         engine = SkinnerC(tiny_catalog, config=FAST_CONFIG)
@@ -146,10 +142,6 @@ class TestSkinnerC:
                 tiny_catalog, tiny_join_query
             )
             assert result.metrics.final_join_order == order
-
-    def test_invalid_order_selection_rejected(self, tiny_catalog):
-        with pytest.raises(ValueError):
-            SkinnerC(tiny_catalog, config=DEFAULT_CONFIG.with_overrides(order_selection="psychic"))
 
 
 class TestSkinnerG:
@@ -253,24 +245,83 @@ class TestTraditionalEngine:
         assert sorted(plan.order) == ["c", "i", "o"]
 
 
-class TestRandomOrderBaseline:
-    def test_factory_variants(self, tiny_catalog, tiny_join_query):
+class TestAblationVariants:
+    """The harness variants of Tables 5 and 6 (``benchmarks/paper/ablations.py``)
+    still answer the query."""
+
+    @pytest.mark.parametrize("random_orders, join_maps", [
+        (False, False), (True, True), (True, False),
+    ])
+    def test_skinner_c_variants_preserve_correctness(
+            self, tiny_catalog, tiny_join_query, random_orders, join_maps):
+        engine = SkinnerCVariant(tiny_catalog, config=FAST_CONFIG,
+                                 random_orders=random_orders, join_maps=join_maps)
+        result = engine.execute(tiny_join_query, trace=True)
+        assert result.metrics.result_tuple_count == reference_join_count(
+            tiny_catalog, tiny_join_query
+        )
+        if random_orders:
+            assert result.metrics.final_join_order is None
+            assert not any(entry["second_look"] for entry in result.metrics.extra["trace"])
+
+    @pytest.mark.parametrize("engine_class", [SkinnerCVariant, RandomSkinnerG, RandomSkinnerH])
+    def test_random_variants_count_like_the_reference(
+            self, tiny_catalog, tiny_join_query, engine_class):
         expected = reference_join_count(tiny_catalog, tiny_join_query)
-        for variant in ("skinner-c", "skinner-g", "skinner-h"):
-            engine = make_random_order_engine(variant, tiny_catalog, config=FAST_CONFIG)
-            count_query = make_query(
-                tiny_join_query.tables,
-                predicates=tiny_join_query.predicates,
-                select_items=[SelectItem(aggregate=AggregateSpec("count", Star()), alias="n")],
+        extra = {"random_orders": True} if engine_class is SkinnerCVariant else {}
+        engine = engine_class(tiny_catalog, config=FAST_CONFIG, **extra)
+        count_query = make_query(
+            tiny_join_query.tables,
+            predicates=tiny_join_query.predicates,
+            select_items=[SelectItem(aggregate=AggregateSpec("count", Star()), alias="n")],
+        )
+        assert engine.execute(count_query).rows[0]["n"] == expected
+
+    def test_the_random_walk_reaches_every_cartesian_free_order_and_no_other(
+            self, tiny_join_query):
+        """c-o-i is a chain: starting at c or i forces o second."""
+        import random
+
+        graph = tiny_join_query.join_graph()
+        orders = {random_order(graph, random.Random(seed)) for seed in range(200)}
+        assert orders == {("c", "o", "i"), ("o", "c", "i"), ("o", "i", "c"), ("i", "o", "c")}
+
+    @pytest.mark.parametrize("random_orders, join_maps", [
+        (False, False), (True, True), (True, False),
+    ])
+    def test_skinner_c_variants_run_a_forced_order(
+            self, tiny_catalog, tiny_join_query, random_orders, join_maps):
+        engine = SkinnerCVariant(tiny_catalog, config=FAST_CONFIG,
+                                 random_orders=random_orders, join_maps=join_maps)
+        for order in (("c", "o", "i"), ("i", "o", "c")):
+            result = engine.execute_with_order(tiny_join_query, order)
+            assert result.metrics.result_tuple_count == reference_join_count(
+                tiny_catalog, tiny_join_query
             )
-            assert engine.execute(count_query).rows[0]["n"] == expected, variant
+            assert result.metrics.final_join_order == order
+            assert result.metrics.engine == f"{engine.name}(forced)"
 
-    def test_unknown_variant_rejected(self, tiny_catalog):
-        with pytest.raises(ValueError):
-            make_random_order_engine("skinner-z", tiny_catalog)
-
-    def test_random_config_flag(self):
-        assert random_skinner_config().order_selection == "random"
+    def test_a_variant_ablates_single_process_under_parallel_workers(
+            self, tiny_catalog, tiny_join_query, monkeypatch):
+        """``parallel_workers > 1`` would hand plain Skinner-C the query; the
+        variant keeps its own task, in this process."""
+        monkeypatch.setattr(parallel, "MIN_MORSEL_ROWS", 1)
+        config = FAST_CONFIG.with_overrides(parallel_workers=2)
+        plain = SkinnerC(tiny_catalog, config=config).task(tiny_join_query)
+        assert isinstance(plain, parallel.ParallelSkinnerCTask)
+        plain.close()
+        engine = SkinnerCVariant(tiny_catalog, config=config, random_orders=True, join_maps=False)
+        task = engine.task(tiny_join_query)
+        assert type(task) is RandomNoJoinMapsTask
+        assert not task.prepared.join_maps
+        while not task.finished:
+            task.run_episode()
+        result = task.finalize()
+        assert result.metrics.final_join_order is None
+        assert "parallel_workers" not in result.metrics.extra
+        assert result.metrics.result_tuple_count == reference_join_count(
+            tiny_catalog, tiny_join_query
+        )
 
 
 class TestReOptimizer:

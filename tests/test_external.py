@@ -234,7 +234,7 @@ class RecordingAdapter(SqliteAdapter):
 def engine_on(adapter, engine_class, catalog, config):
     """Skinner-G or Skinner-H whose every query runs on ``adapter``."""
 
-    def provider(catalog, query, udfs, config):
+    def provider(catalog, query, udfs):
         return ExternalGenericEngine(catalog, query, adapter)
 
     return engine_class(catalog, None, config, generic_engine=provider, backend_label="sqlite")

@@ -11,10 +11,9 @@ from repro.skinner.state import initial_state
 from tests.conftest import reference_join_tuples
 
 
-def run_to_completion(prepared, order, udfs=None, *, budget=50, use_hash_jump=True,
-                      offsets=None):
+def run_to_completion(prepared, order, udfs=None, *, budget=50, offsets=None):
     """Drive ContinueJoin in small slices until it reports completion."""
-    join = MultiwayJoin(prepared, udfs, use_hash_jump=use_hash_jump)
+    join = MultiwayJoin(prepared, udfs)
     offsets = offsets if offsets is not None else {alias: 0 for alias in prepared.aliases}
     state = initial_state(order, offsets)
     results = JoinResultSet(prepared.aliases)
@@ -40,8 +39,8 @@ class TestCorrectness:
         with_maps = preprocess(tiny_catalog, tiny_join_query, build_hash_maps=True)
         without_maps = preprocess(tiny_catalog, tiny_join_query, build_hash_maps=False)
         order = ("c", "o", "i")
-        fast, fast_meter, _ = run_to_completion(with_maps, order, use_hash_jump=True)
-        slow, slow_meter, _ = run_to_completion(without_maps, order, use_hash_jump=False)
+        fast, fast_meter, _ = run_to_completion(with_maps, order)
+        slow, slow_meter, _ = run_to_completion(without_maps, order)
         assert set(fast.tuples()) == set(slow.tuples())
         # Jumping skips non-matching tuples, so it must not do more work.
         assert fast_meter.tuples_scanned <= slow_meter.tuples_scanned

@@ -144,7 +144,7 @@ class TestRemoteBasics:
     def test_stats_verb_reports_tenants_and_caches(self, remote):
         remote.execute("SELECT COUNT(*) AS n FROM s")
         stats = remote.stats()
-        assert stats["protocol_version"] == 5
+        assert stats["protocol_version"] == 6
         assert stats["clients"] >= 1
         assert "default" in stats["tenants"]
         assert "result_cache" in stats and "order_cache" in stats
@@ -294,7 +294,7 @@ class TestErrorMapping:
     @pytest.mark.parametrize("config, message", [
         ({"slice_budgett": 64}, "unknown config field 'slice_budgett'"),
         ({"slice_budget": "abc"}, "config field 'slice_budget' must be int, got 'abc'"),
-        ({"use_hash_jump": 1}, "config field 'use_hash_jump' must be bool, got 1"),
+        ({"serving_warm_start": 1}, "config field 'serving_warm_start' must be bool, got 1"),
         ({"slice_budget": True}, "config field 'slice_budget' must be int, got True"),
         ({"join_mode": "rows"}, "unknown config field 'join_mode'"),
         ({"postprocess_mode": "rows"}, "unknown config field 'postprocess_mode'"),
@@ -309,6 +309,7 @@ class TestErrorMapping:
             ("serving_grant_wall_ms", 0.0), ("serving_result_cache_size", 64),
             ("serving_tenant_backlog", 8), ("serving_limit_pushdown", True),
             ("parallel_morsels", 8), ("parallel_min_morsel_rows", 64),
+            ("use_hash_jump", False), ("order_selection", "random"),
         )),
     ])
     def test_submit_config_is_validated_at_the_verb(self, remote, config, message):

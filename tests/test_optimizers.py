@@ -3,9 +3,8 @@
 import pytest
 
 from repro.engine.executor import PlanExecutor
-from repro.errors import PlanningError
 from repro.optimizer.cardinality import CardinalityEstimator, TrueCardinality
-from repro.optimizer.cost import cmm_cost, cout_cost, prefix_cardinalities
+from repro.optimizer.cost import cout_cost, prefix_cardinalities
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.exhaustive import optimal_plan
 from repro.optimizer.greedy import GreedyOptimizer
@@ -64,11 +63,6 @@ class TestCostModels:
     def test_cout_single_table(self, chain_estimator):
         assert cout_cost(["a"], chain_estimator) == 100
 
-    def test_cmm_adds_inputs(self, chain_estimator):
-        cout = cout_cost(["b", "a", "c"], chain_estimator)
-        cmm = cmm_cost(["b", "a", "c"], chain_estimator)
-        assert cmm > cout
-
 
 class TestDynamicProgramming:
     def test_finds_cheapest_order(self, chain_query, chain_estimator):
@@ -86,14 +80,6 @@ class TestDynamicProgramming:
     def test_single_table_query(self, chain_estimator):
         plan = DynamicProgrammingOptimizer().optimize(make_query(["a"]), chain_estimator)
         assert plan.order == ("a",)
-
-    def test_rejects_unknown_metric(self):
-        with pytest.raises(PlanningError):
-            DynamicProgrammingOptimizer(cost_metric="magic")
-
-    def test_cmm_metric_runs(self, chain_query, chain_estimator):
-        plan = DynamicProgrammingOptimizer(cost_metric="cmm").optimize(chain_query, chain_estimator)
-        assert sorted(plan.order) == ["a", "b", "c"]
 
     def test_avoids_cartesian_products(self, chain_estimator):
         query = make_query(

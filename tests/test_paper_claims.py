@@ -14,6 +14,7 @@ from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_h import SkinnerH
 from repro.workloads.job import make_job_workload
 from repro.workloads.torture import make_correlation_torture, make_udf_torture
+from benchmarks.paper.ablations import SkinnerCVariant
 from benchmarks.paper.metrics import QueryRecord, count_failures_and_disasters, modelled_time
 from benchmarks.paper.specs import BENCH_CONFIG
 
@@ -64,8 +65,8 @@ class TestJoinOrderBenchmarkClaims:
         """Table 5: replacing UCT by random join orders costs performance."""
         queries = job.tagged("hazard") + job.tagged("large")
         learned_engine = SkinnerC(job.catalog, job.udfs, FAST)
-        random_engine = SkinnerC(job.catalog, job.udfs,
-                                 FAST.with_overrides(order_selection="random", seed=3))
+        random_engine = SkinnerCVariant(job.catalog, job.udfs, FAST.with_overrides(seed=3),
+                                        random_orders=True)
         learned_total = sum(
             modelled_time(learned_engine.execute(q.query).metrics, "skinner") for q in queries
         )
@@ -99,8 +100,7 @@ class TestJoinOrderBenchmarkClaims:
         """Table 5's Skinner-C rows as the benchmark runs them: all queries,
         the benchmark configuration, learned total below random total."""
         learned_engine = SkinnerC(job.catalog, job.udfs, BENCH_CONFIG)
-        random_engine = SkinnerC(job.catalog, job.udfs,
-                                 BENCH_CONFIG.with_overrides(order_selection="random"))
+        random_engine = SkinnerCVariant(job.catalog, job.udfs, BENCH_CONFIG, random_orders=True)
         learned_total = sum(
             modelled_time(learned_engine.execute(q.query).metrics, "skinner")
             for q in job.queries

@@ -145,16 +145,16 @@ def test_wrong_shape_is_refused():
 @given(catalog_and_query(max_tables=4, max_rows=9), st.data(),
        st.sampled_from([1, 2, 3, 7, 40]), st.sampled_from([1, 4, 64]), st.booleans())
 def test_one_order_run_slice_by_slice_never_emits_a_tuple_twice(
-        bundle, data, budget, batch_size, use_hash_jump):
+        bundle, data, budget, batch_size, join_maps):
     """The way ``SkinnerCTask`` drives an order: restored from the tracker,
     offsets advancing, resumed from the parked frames or — when they are
     dropped — re-descended from the index vector."""
     catalog, query = bundle
-    prepared = preprocess(catalog, query, build_hash_maps=use_hash_jump)
+    prepared = preprocess(catalog, query, build_hash_maps=join_maps)
     orders = query.join_graph().valid_join_orders()
     order = orders[data.draw(st.integers(0, len(orders) - 1))]
     cardinalities = prepared.cardinalities()
-    join = MultiwayJoin(prepared, use_hash_jump=use_hash_jump, batch_size=batch_size)
+    join = MultiwayJoin(prepared, batch_size=batch_size)
     tracker = ProgressTracker(prepared.aliases)
     results = JoinResultSet(prepared.aliases)
     meter = CostMeter()

@@ -22,6 +22,7 @@ from repro.skinner import skinner_c
 from repro.skinner.multiway_join import MAX_BUDGET_FACTOR, SECOND_LOOK_FROM, budget_factor
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.workloads.job import make_job_workload
+from benchmarks.paper.ablations import RandomOrderTask, SkinnerCVariant
 from tests.conftest import result_multiset
 from tests.test_properties import catalog_and_query
 
@@ -254,9 +255,8 @@ def test_an_order_the_prior_does_not_name_still_starts_with_a_base_probe():
     job = make_job_workload(scale=0.4, seed=13)
     query = max(job.queries, key=lambda q: q.query.num_tables).query
     order = tuple(query.aliases)
-    task = SkinnerCTask(job.catalog, query, job.udfs,
-                        SkinnerConfig(slice_budget=BASE, order_selection="random"), trace=True,
-                        order_prior=[(order, 1.0, 8, MAX_BUDGET_FACTOR)])
+    task = RandomOrderTask(job.catalog, query, job.udfs, SkinnerConfig(slice_budget=BASE),
+                           trace=True, order_prior=[(order, 1.0, 8, MAX_BUDGET_FACTOR)])
     first = _first_factors(_drive(task))
     assert len(first) > 2 and all(
         factor == (MAX_BUDGET_FACTOR if tried == order else 1) for tried, factor in first.items())
@@ -383,12 +383,12 @@ def test_rewards_stay_on_the_progress_per_base_budget_scale(
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(catalog_and_query(max_tables=4, max_rows=12), st.booleans(), st.sampled_from([2, 5, 16]))
-def test_scheduled_run_equals_the_forced_order_run(bundle, use_hash_jump, base):
+def test_scheduled_run_equals_the_forced_order_run(bundle, join_maps, base):
     """Random chain joins big enough to take many tiny slices (a third of the
-    examples reach a factor above 1)."""
+    examples reach a factor above 1), with and without join maps."""
     catalog, query = bundle
-    config = SkinnerConfig(slice_budget=base, use_hash_jump=use_hash_jump)
-    engine = SkinnerC(catalog, config=config)
+    config = SkinnerConfig(slice_budget=base)
+    engine = SkinnerCVariant(catalog, config=config, join_maps=join_maps)
     learned = engine.execute(query)
     forced = engine.execute_with_order(query, query.aliases)
     assert result_multiset(learned) == result_multiset(forced)

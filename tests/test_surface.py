@@ -30,11 +30,11 @@ from repro.net.server import ReproServer
 
 CONFIG_FIELDS = {
     # Skinner-C
-    "slice_budget", "use_hash_jump",
+    "slice_budget",
     # Skinner-G/H
     "batches_per_table", "base_timeout",
     # learning
-    "order_selection", "seed",
+    "seed",
     # serving layer
     "serving_max_inflight", "serving_warm_start",
     # connection settings and storage
@@ -105,7 +105,7 @@ EXECUTE_PARAMETERS = {
 
 def test_config_fields_are_exactly_these():
     fields = [field.name for field in dataclasses.fields(SkinnerConfig)]
-    assert len(fields) == len(set(fields)) == 12
+    assert len(fields) == len(set(fields)) == 10
     assert set(fields) == CONFIG_FIELDS
 
 
@@ -183,7 +183,7 @@ def test_transport_carries_exactly_the_boundary_verbs():
     assert list(inspect.signature(Transport.fetch_batch).parameters) == [
         "self", "ticket", "max_rows"]
     assert list(inspect.signature(Transport.submit).parameters)[-2:] == ["stream", "release"]
-    assert PROTOCOL_VERSION == 5
+    assert PROTOCOL_VERSION == 6
 
 
 def test_the_wire_answers_exactly_these_verbs():
@@ -272,6 +272,33 @@ def test_the_package_is_the_engine():
     assert not {"repro.bench", "repro.external.postgres_adapter"} & modules
     for operator in (hash_join_step, post_process):
         assert "mode" not in inspect.signature(operator).parameters, operator.__name__
+
+
+def test_the_ablations_are_harness_variants():
+    """Tables 5 and 6 run engine variants of ``benchmarks/paper/ablations.py``.
+
+    No module of the package names the ablation switches that once were
+    config fields, and Skinner-C and Skinner-G pick orders by UCT alone:
+    neither imports ``random``.
+    """
+    package = Path(repro.__file__).parent
+    named = [
+        f"{path.relative_to(package)}: {name}"
+        for path in package.rglob("*.py")
+        for name in ("order_selection", "use_hash_jump")
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert named == []
+    for module in ("skinner/skinner_c.py", "skinner/skinner_g.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        imported = {
+            alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names
+        } | {
+            (node.module or "").split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert "random" not in imported, module
 
 
 #: Row-at-a-time accessors: a call to one of them is a per-row path.

@@ -18,6 +18,7 @@ from repro.query.query import make_query
 from repro.skinner import parallel
 from repro.skinner.parallel import ParallelSkinnerCTask, shutdown_workers
 from repro.skinner.skinner_c import SkinnerC
+from benchmarks.paper.ablations import SkinnerCVariant
 from tests.oracles import forced_order
 
 #: Small budgets, so nearly every engine's run takes more than three episodes.
@@ -83,8 +84,8 @@ def _connected_orders(query) -> list[tuple[str, ...]]:
     return orders
 
 
-def _assert_forced_matches_oracle(engine: SkinnerC, query, order) -> None:
-    expected = forced_order(engine, query, order)
+def _assert_forced_matches_oracle(engine: SkinnerC, query, order, join_maps=True) -> None:
+    expected = forced_order(engine, query, order, join_maps=join_maps)
     actual = engine.execute_with_order(query, order)
     assert actual.table.rows() == expected.table.rows(), order
     assert actual.metrics.work == expected.metrics.work, order
@@ -95,26 +96,32 @@ def _assert_forced_matches_oracle(engine: SkinnerC, query, order) -> None:
     assert actual.metrics.engine == expected.metrics.engine
 
 
+def _forced_engine(workload, hash_jump: bool) -> SkinnerC:
+    """Skinner-C, or without hash jumps Table 6's variant without join maps."""
+    config = SkinnerConfig(slice_budget=2)
+    if hash_jump:
+        return SkinnerC(workload.catalog, workload.udfs, config)
+    return SkinnerCVariant(workload.catalog, workload.udfs, config, join_maps=False)
+
+
 @pytest.mark.parametrize("hash_jump", [True, False])
 @pytest.mark.parametrize("index", [2, 5, 13])
 def test_forced_order_task_matches_the_oracle(job_workload, index, hash_jump):
     query = job_workload.queries[index].query
     # 64 candidates per call: every order takes several continue_join calls.
-    engine = SkinnerC(job_workload.catalog, job_workload.udfs,
-                      SkinnerConfig(slice_budget=2, use_hash_jump=hash_jump))
+    engine = _forced_engine(job_workload, hash_jump)
     orders = _connected_orders(query)
     assert len(orders) > 1
     for order in orders:
-        _assert_forced_matches_oracle(engine, query, order)
+        _assert_forced_matches_oracle(engine, query, order, hash_jump)
 
 
 @pytest.mark.parametrize("hash_jump", [True, False])
 def test_forced_order_task_matches_the_oracle_on_edge_inputs(job_workload, hash_jump):
-    engine = SkinnerC(job_workload.catalog, job_workload.udfs,
-                      SkinnerConfig(slice_budget=2, use_hash_jump=hash_jump))
+    engine = _forced_engine(job_workload, hash_jump)
     single = make_query(
         [("t", "title")], predicates=[column_compare_literal("t", "production_year", ">", 1990)])
-    _assert_forced_matches_oracle(engine, single, ("t",))
+    _assert_forced_matches_oracle(engine, single, ("t",), hash_jump)
     empty = job_workload.queries[0].query
     empty = make_query(
         list(empty.tables),
@@ -122,4 +129,4 @@ def test_forced_order_task_matches_the_oracle_on_edge_inputs(job_workload, hash_
         select_items=empty.select_items,
     )
     for order in _connected_orders(empty):
-        _assert_forced_matches_oracle(engine, empty, order)
+        _assert_forced_matches_oracle(engine, empty, order, hash_jump)

@@ -7,8 +7,8 @@
   buffer shorter than ``rows × width``, unknown kind, oversized — raises
   :class:`FrameError` without allocating what it announced;
 * a protocol-1 ``hello`` gets the typed version error in its own framing,
-  and a protocol-2, -3 or -4 ``hello`` gets it in the framing versions 2
-  to 5 share;
+  and a protocol-2 to -5 ``hello`` gets it in the framing versions 2 to 6
+  share;
 * a bad fetch size is the same :class:`InterfaceError` locally and remotely.
 """
 
@@ -250,12 +250,13 @@ def test_a_v1_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
 def test_an_older_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server, version):
-    """Versions 3 to 5 changed the verbs and the metrics, not the framing: an
-    older client — version 2 before ``release``, 3 with ``profile``, 4 with
-    ``submit``'s ``forced_order`` / ``weight`` / ``priority`` — is refused at
-    the handshake with the typed error and a disconnect, not half served."""
+    """Versions 3 to 6 changed the verbs, the metrics and the config, not the
+    framing: an older client — version 2 before ``release``, 3 with
+    ``profile``, 4 with ``submit``'s ``forced_order`` / ``weight`` /
+    ``priority``, 5 with the ablation config fields — is refused at the
+    handshake with the typed error and a disconnect, not half served."""
     with _raw_socket(server) as sock:
         sock.sendall(encode_frame({"v": "hello", "id": version, "args": {"version": version}}))
         stream = sock.makefile("rb")
@@ -267,7 +268,7 @@ def test_an_older_hello_gets_the_typed_refusal_and_the_server_keeps_serving(serv
                        f"(server speaks {PROTOCOL_VERSION})"}}
         assert stream.read() == b""  # and disconnected
     with connect(server.dsn) as conn:
-        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 5
+        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 6
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 
