@@ -7,13 +7,13 @@ import time
 from typing import Any
 
 from repro.baselines.traditional import TraditionalEngine
-from repro.optimizer.exhaustive import optimal_plan
 from repro.skinner.skinner_c import SkinnerC
 from repro.workloads.job import make_job_workload
 from repro.workloads.tpch import make_tpch_workload
 
 from .harness import run_workload
 from .metrics import QueryRecord, aggregate_records, relative_overheads
+from .oracle import optimal_plan
 from .specs import (
     BENCH_CONFIG,
     job_multi_threaded_specs,

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.baselines.eddy import EddyEngine
-from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.skinner.skinner_c import SkinnerC
@@ -13,6 +11,7 @@ from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.skinner_h import SkinnerH
 
 from .ablations import RandomSkinnerH, SkinnerCVariant
+from .baselines import EddyEngine, ReOptimizerEngine
 from .harness import EngineSpec
 
 #: Skinner configuration used by the benchmark harness.  The paper's default

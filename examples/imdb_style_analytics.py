@@ -2,19 +2,21 @@
 
 Builds the synthetic JOB analogue (correlated, skewed movie data), picks one
 of the "hazard" queries whose plan a traditional optimizer gets badly wrong,
-and runs it on every engine, printing work units, wall-clock milliseconds,
-intermediate-result cardinality, and the join order each engine ended up
-using.
+and runs it on the package's four engines, printing work units, wall-clock
+milliseconds, intermediate-result cardinality, and the join order each engine
+ended up using.
 
 Run with::
 
     python examples/imdb_style_analytics.py [scale]
+
+The paper's comparison engines (an eddy and a sampling re-optimizer) belong
+to the benchmark harness; from the repository root,
+``python -m benchmarks.paper figure11`` runs them beside Skinner-C.
 """
 
 import sys
 
-from repro.baselines.eddy import EddyEngine
-from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import SkinnerConfig
 from repro.skinner.skinner_c import SkinnerC
@@ -38,8 +40,6 @@ def main(scale: float = 0.5) -> None:
         "Skinner-G": SkinnerG(workload.catalog, workload.udfs, CONFIG),
         "Skinner-H": SkinnerH(workload.catalog, workload.udfs, CONFIG),
         "Traditional": TraditionalEngine(workload.catalog, workload.udfs),
-        "Eddy": EddyEngine(workload.catalog, workload.udfs),
-        "Re-optimizer": ReOptimizerEngine(workload.catalog, workload.udfs),
     }
 
     header = (f"{'engine':<14} {'work units':>12} {'wall ms':>9} {'interm. card.':>14} "

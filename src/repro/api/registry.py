@@ -26,8 +26,6 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.baselines.eddy import EddyEngine, EddyTask
-from repro.baselines.reoptimizer import ReOptimizerEngine, ReOptimizerTask
 from repro.baselines.traditional import TraditionalEngine, TraditionalTask
 from repro.config import SkinnerConfig
 from repro.engine.task import EngineTask, OrderPrior, run_to_completion
@@ -207,17 +205,12 @@ def _skinner(engine_class: type) -> Callable[[EngineContext], Any]:
     return lambda context: engine_class(context.catalog, context.udfs, context.config)
 
 
-def _baseline(engine_class: type) -> Callable[[EngineContext], Any]:
-    return lambda context: engine_class(context.catalog, context.udfs)
-
-
 BUILTIN_SPECS = (
     EngineSpec("skinner-c", _skinner(SkinnerC), task_class=SkinnerCTask),
     EngineSpec("skinner-g", _skinner(SkinnerG), task_class=SkinnerGTask),
     EngineSpec("skinner-h", _skinner(SkinnerH), task_class=SkinnerHTask),
-    EngineSpec("traditional", _baseline(TraditionalEngine), task_class=TraditionalTask),
-    EngineSpec("eddy", _baseline(EddyEngine), task_class=EddyTask),
-    EngineSpec("reoptimizer", _baseline(ReOptimizerEngine), task_class=ReOptimizerTask),
+    EngineSpec("traditional", lambda context: TraditionalEngine(context.catalog, context.udfs),
+               task_class=TraditionalTask),
     # Skinner-G/H over a real host DBMS (the paper's actual deployment):
     # batches run as order-forcing SQL on a per-catalog sqlite mirror, with
     # automatic fallback to the internal executor for queries the dialect

@@ -1,21 +1,12 @@
-"""Baselines the paper's evaluation compares against.
+"""The conventional engine SkinnerDB is compared with and runs beside.
 
-* :class:`~repro.baselines.traditional.TraditionalEngine` — a conventional
-  cost-based optimizer plus left-deep executor, playing the role of
-  Postgres / MonetDB / the commercial system.
-* :class:`~repro.baselines.eddy.EddyEngine` — adaptive per-tuple routing in
-  the spirit of Eddies with lottery-style operator selection.
-* :class:`~repro.baselines.reoptimizer.ReOptimizerEngine` — sampling-based
-  query re-optimization (Wu et al.), which validates the optimizer's
-  estimates on samples and re-plans when they are badly off.
+:class:`~repro.baselines.traditional.TraditionalEngine` is a cost-based
+optimizer plus left-deep executor, playing the role of Postgres / MonetDB /
+the commercial system.  The paper's other comparison engines (an eddy and a
+sampling re-optimizer) are plug-ins of the benchmark harness
+(``benchmarks/paper/baselines.py``), not part of the package.
 """
 
-from repro.baselines.eddy import EddyEngine
-from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
 
-__all__ = [
-    "EddyEngine",
-    "ReOptimizerEngine",
-    "TraditionalEngine",
-]
+__all__ = ["TraditionalEngine"]

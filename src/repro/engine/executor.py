@@ -228,26 +228,11 @@ class PlanExecutor:
         worked out once per query and order)."""
         return self._query.join_graph().join_steps(order)
 
-    # ------------------------------------------------------------------
-    # helpers used by optimizers and the true-cardinality oracle
-    # ------------------------------------------------------------------
-    def join_subset_cardinality(self, aliases: Sequence[str]) -> int:
-        """True cardinality of joining the given aliases (all predicates applied).
-
-        Used by the C_out oracle that computes truly optimal join orders for
-        Tables 3 and 4.  The result only depends on the *set* of aliases, so
-        callers may cache by frozenset.
-        """
-        aliases = list(aliases)
-        if len(aliases) == 1:
-            return int(self.filtered_positions(aliases[0]).shape[0])
-        executor = self.restricted(aliases)
-        order = _greedy_connected_order(executor._query.join_graph(), aliases)
-        return len(executor.execute_order(order, CostMeter()))
-
     def restricted(self, aliases: Sequence[str]) -> PlanExecutor:
         """An executor of this query projected onto ``aliases``: it joins this
-        one's filtered rows and charges no filter pass of its own."""
+        one's filtered rows and charges no filter pass of its own (how the
+        harness's re-optimizer samples prefixes and its oracle counts
+        sub-joins)."""
         filtered = self.pre_process()
         executor = PlanExecutor(self._catalog, _restrict_query(self._query, aliases), self._udfs)
         executor._filtered = {alias: filtered[alias] for alias in aliases}
@@ -261,12 +246,3 @@ def _restrict_query(query: Query, aliases: Sequence[str]) -> Query:
     tables = tuple((alias, name) for alias, name in query.tables if alias in alias_set)
     predicates = tuple(p for p in query.predicates if p.tables() <= alias_set)
     return Query(tables=tables, predicates=predicates)
-
-
-def _greedy_connected_order(graph, aliases: Sequence[str]) -> list[str]:
-    """A join order that keeps the prefix connected whenever possible."""
-    order = [aliases[0]]
-    while len(order) < len(aliases):
-        eligible = graph.eligible_next(order)
-        order.append(eligible[0])
-    return order

@@ -48,10 +48,17 @@ def post_process(
     meter = meter if meter is not None else CostMeter()
     meter.charge_output(len(relation))
     data = _ColumnarData(relation, tables, udfs)
-    if query.has_aggregates or query.group_by:
-        columns, names, source_rows = _aggregate_columnar(query, data)
+    if query.select_items:
+        names = query.output_names()
+        sources = [item.expression for item in query.select_items]
     else:
-        columns, names, source_rows = _project_columnar(query, data)
+        names = query.star_names(tables)
+        sources = [ColumnRef(alias, column) for alias, _ in query.tables
+                   for column in tables[alias].column_names]
+    if query.has_aggregates or query.group_by:
+        columns, source_rows = _aggregate_columnar(query, data, names)
+    else:
+        columns, source_rows = _project_columnar(data, names, sources)
     length = len(next(iter(columns.values()))) if source_rows is None else len(source_rows)
     if query.distinct:
         keep = _distinct_selector(columns, names, length)
@@ -65,15 +72,9 @@ def post_process(
         return Table("result", {"count": [length]})
     if length == 0:
         # Empty results type every column as an empty value list does.
-        return Table("result", {name: [] for name in dict.fromkeys(names)})
-    if query.select_items:
-        items = zip(names, (item.expression for item in query.select_items))
-    else:
-        items = ((f"{alias}_{column}", ColumnRef(alias, column))
-                 for alias, _ in query.tables for column in data.table(alias).column_names)
-    # Like ``columns``, keyed by name: of two items named alike the last wins.
+        return Table("result", {name: [] for name in names})
     # The default row of an empty global aggregate has no source to gather.
-    bare = {name: ref for name, ref in items
+    bare = {name: ref for name, ref in zip(names, sources)
             if isinstance(ref, ColumnRef) and source_rows is not None}
     return Table("result", {
         name: _output_column(values, bare.get(name), data, source_rows)
@@ -166,39 +167,26 @@ def _output_column(
 # projection
 # ----------------------------------------------------------------------
 def _project_columnar(
-    query: Query, data: _ColumnarData
-) -> tuple[dict[str, np.ndarray], list[str], np.ndarray]:
-    source_rows = np.arange(data.length, dtype=np.int64)
-    columns: dict[str, np.ndarray] = {}
-    names: list[str] = []
-    if not query.select_items:
-        for alias, _ in query.tables:
-            for column in data.table(alias).column_names:
-                name = f"{alias}_{column}"
-                names.append(name)
-                columns[name] = data.column(alias, column)
-        return columns, names, source_rows
-    names = [item.output_name(i) for i, item in enumerate(query.select_items)]
-    for i, item in enumerate(query.select_items):
-        assert item.expression is not None
-        columns[names[i]] = data.array(item.expression)
-    return columns, names, source_rows
+    data: _ColumnarData, names: list[str], sources: list
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each source expression's values under its output name."""
+    columns = {name: data.array(source) for name, source in zip(names, sources)}
+    return columns, np.arange(data.length, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
 # aggregation
 # ----------------------------------------------------------------------
 def _aggregate_columnar(
-    query: Query, data: _ColumnarData
-) -> tuple[dict[str, np.ndarray], list[str], np.ndarray | None]:
-    """Aggregate columns, names, and each group's first result row.
+    query: Query, data: _ColumnarData, names: list[str]
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Aggregate columns under ``names``, and each group's first result row.
 
     Global aggregates over an empty input produce one default row with no
     source row (``None``): COUNT and SUM are 0, the other aggregates have no
     defined value (NaN), and plain expressions default to an empty string
     (NULLs are not modelled).
     """
-    names = [item.output_name(i) for i, item in enumerate(query.select_items)]
     length = data.length
     if not query.group_by and length == 0:
         columns = {}
@@ -209,7 +197,7 @@ def _aggregate_columnar(
                 columns[name] = np.zeros(1, dtype=np.int64)
             else:
                 columns[name] = np.full(1, np.nan)
-        return columns, names, None
+        return columns, None
     if query.group_by:
         codes = _factorize([data.array(expression) for expression in query.group_by], length)
         _, first_index, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -240,7 +228,7 @@ def _aggregate_columnar(
         else:
             assert item.expression is not None
             columns[names[i]] = data.array(item.expression, rows=representatives)
-    return columns, names, representatives
+    return columns, representatives
 
 
 def _factorize(key_arrays: Sequence[np.ndarray], length: int) -> np.ndarray:

@@ -65,8 +65,9 @@ PRIOR_ORDERS = 3
 WARM_START_VISITS = 8
 
 #: Candidate rows a baseline examines per episode (a plan's step builds and
-#: filters them, the eddy routes them one by one): about Skinner-C's longest
-#: slice at the default schedule.  :class:`GeneratorTask` reads it.
+#: filters them; a plug-in that routes tuples one by one counts each it
+#: examines): about Skinner-C's longest slice at the default schedule.
+#: :class:`GeneratorTask` reads it.
 EPISODE_ROWS = 16_384
 
 

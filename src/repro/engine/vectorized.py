@@ -1,6 +1,6 @@
 """Evaluation of scalar expressions and predicates over column arrays.
 
-Every engine but the eddy baseline evaluates expressions here, a whole run of
+Every engine of the package evaluates expressions here, a whole run of
 candidate rows at once: ``resolve`` hands the evaluator one array of decoded
 column values per column reference (or a scalar for a column fixed across the
 run), and the result is one NumPy array.  It powers

@@ -1,23 +1,16 @@
 """Traditional query optimization substrate.
 
 SkinnerDB itself uses none of this — it learns join orders at run time.  The
-optimizer package exists because the paper's evaluation needs it twice:
-
-* as the **baseline** ("traditional optimizer") that can be misled by
-  correlated data and opaque UDF predicates, and
-* as the **oracle** that computes truly optimal left-deep orders under the
-  C_out metric (Tables 3 and 4 compare Skinner's learned orders against it).
-
-The estimator makes the classic simplifying assumptions (uniformity,
-predicate independence, containment of value sets); the oracle replaces
-estimates with true cardinalities obtained by actually executing sub-joins.
+optimizer plans for the traditional engine (and Skinner-H's traditional
+half), the conventional system that can be misled by correlated data and
+opaque UDF predicates.  Its estimator makes the classic simplifying
+assumptions (uniformity, predicate independence, containment of value
+sets).  The planner takes any :class:`CardinalityEstimator`: the benchmark
+harness's C_out oracle (``benchmarks/paper/oracle.py``) runs it over true
+sub-join cardinalities for Tables 3 and 4.
 """
 
-from repro.optimizer.cardinality import (
-    CardinalityEstimator,
-    EstimatedCardinality,
-    TrueCardinality,
-)
+from repro.optimizer.cardinality import CardinalityEstimator, EstimatedCardinality
 from repro.optimizer.cost import cout_cost
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
@@ -33,6 +26,5 @@ __all__ = [
     "LeftDeepPlan",
     "StatisticsCatalog",
     "TableStatistics",
-    "TrueCardinality",
     "cout_cost",
 ]

@@ -1,4 +1,4 @@
-"""Cardinality estimation: textbook estimates and the true-cardinality oracle.
+"""Cardinality estimation: the textbook estimates of a conventional optimizer.
 
 ``EstimatedCardinality`` reproduces how a conventional optimizer reasons:
 
@@ -7,17 +7,15 @@
 * equality joins use ``1 / max(distinct(left), distinct(right))``;
 * predicates it cannot analyze (UDFs) get a fixed default selectivity.
 
-``TrueCardinality`` is the oracle used to compute genuinely optimal join
-orders for the C_out metric: it executes the sub-join for each table subset
-once and caches the result.  Both implement the same interface so the DP and
-greedy optimizers can run on either.
+The DP and greedy optimizers run on any :class:`CardinalityEstimator`: the
+re-optimizer baseline and the C_out oracle of the benchmark harness
+(``benchmarks/paper``) bring their own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.engine.executor import PlanExecutor
 from repro.query.expressions import ColumnRef, Literal
 from repro.query.predicates import Predicate
 from repro.query.query import Query
@@ -142,25 +140,3 @@ class EstimatedCardinality(CardinalityEstimator):
             if predicate.tables() <= alias_set:
                 estimate *= self.join_predicate_selectivity(predicate)
         return max(1.0, estimate)
-
-
-class TrueCardinality(CardinalityEstimator):
-    """Oracle: cardinalities obtained by executing sub-joins (cached)."""
-
-    def __init__(self, executor: PlanExecutor) -> None:
-        self._executor = executor
-        self._cache: dict[frozenset[str], int] = {}
-
-    def base_cardinality(self, alias: str) -> float:
-        return float(self.cardinality([alias]))
-
-    def cardinality(self, aliases: Sequence[str]) -> float:
-        key = frozenset(aliases)
-        if key not in self._cache:
-            self._cache[key] = self._executor.join_subset_cardinality(list(aliases))
-        return float(self._cache[key])
-
-    @property
-    def cache_size(self) -> int:
-        """Number of sub-joins evaluated so far."""
-        return len(self._cache)

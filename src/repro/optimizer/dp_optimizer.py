@@ -5,9 +5,9 @@ best order for a table subset S is obtained by removing one "last" table t
 and extending the best order for S \\ {t}.  Cartesian products are avoided
 exactly as in the rest of the system (a table may only be appended if it is
 connected to the prefix, unless nothing is).  Run with the estimated
-cardinality model this is the "traditional optimizer" baseline; run with the
-true-cardinality oracle it yields the C_out-optimal orders used in
-Tables 3 and 4.
+cardinality model this is the "traditional optimizer" baseline; the
+estimator is the caller's, so the same enumeration yields the C_out-optimal
+orders of Tables 3 and 4 over true cardinalities.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ class DynamicProgrammingOptimizer:
         prefixes = tuple(
             cardinality_of.get(frozenset(order[: i + 1]), 0.0) for i in range(len(order))
         )
-        name = "true" if type(estimator).__name__ == "TrueCardinality" else "estimated"
-        return LeftDeepPlan(order, cost, prefixes, estimator_name=name)
+        return LeftDeepPlan(order, cost, prefixes)
 
 
 def _subsets_of_size(aliases: list[str], size: int):

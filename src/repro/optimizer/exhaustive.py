@@ -1,24 +1,15 @@
-"""Which left-deep order an optimizer picks, and the C_out-optimal (oracle) order.
+"""Which left-deep order an optimizer picks.
 
-:func:`choose_plan` is the one planner choice every cost-based engine makes —
-the traditional baseline, Skinner-H's traditional half and the
-re-optimizer: exhaustive left-deep DP up to :data:`_MAX_EXHAUSTIVE_TABLES`
-tables, greedy above.  :func:`estimated_plan` makes it over the catalog's
-statistics, as a conventional optimizer does (the traditional baseline and
-Skinner-H's traditional half).  :func:`optimal_plan` makes the same choice
-over the :class:`~repro.optimizer.cardinality.TrueCardinality` estimator,
-which the benchmark harness uses to produce the "Optimal" rows of Tables 3
-and 4.
+:func:`choose_plan` is the one planner choice every cost-based engine makes:
+exhaustive left-deep DP up to :data:`_MAX_EXHAUSTIVE_TABLES` tables, greedy
+above, under any estimator.  :func:`estimated_plan` makes it over the
+catalog's statistics, as a conventional optimizer does (the traditional
+baseline and Skinner-H's traditional half).
 """
 
 from __future__ import annotations
 
-from repro.engine.executor import PlanExecutor
-from repro.optimizer.cardinality import (
-    CardinalityEstimator,
-    EstimatedCardinality,
-    TrueCardinality,
-)
+from repro.optimizer.cardinality import CardinalityEstimator, EstimatedCardinality
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
 from repro.optimizer.plans import LeftDeepPlan
@@ -47,11 +38,3 @@ def estimated_plan(
     """The order a conventional optimizer picks from the catalog's statistics."""
     return choose_plan(query, EstimatedCardinality(query, StatisticsCatalog.of(catalog), udfs))
 
-
-def optimal_plan(
-    catalog: Catalog,
-    query: Query,
-    udfs: UdfRegistry | None = None,
-) -> LeftDeepPlan:
-    """Compute the C_out-optimal (oracle) left-deep join order for a query."""
-    return choose_plan(query, TrueCardinality(PlanExecutor(catalog, query, udfs)))

@@ -32,5 +32,4 @@ class GreedyOptimizer:
             order.append(next_alias)
         cost = cout_cost(order, estimator)
         prefixes = tuple(prefix_cardinalities(order, estimator))
-        name = "true" if type(estimator).__name__ == "TrueCardinality" else "estimated"
-        return LeftDeepPlan(tuple(order), cost, prefixes, estimator_name=name)
+        return LeftDeepPlan(tuple(order), cost, prefixes)

@@ -16,16 +16,13 @@ class LeftDeepPlan:
     cost:
         Cost under the optimizer's cost metric (C_out by default).
     prefix_cardinalities:
-        Estimated (or true, for the oracle) cardinality of every prefix of
-        the order, starting with the single left-most table.
-    estimator_name:
-        Which estimator produced the numbers (``estimated`` or ``true``).
+        The estimator's cardinality of every prefix of the order, starting
+        with the single left-most table.
     """
 
     order: tuple[str, ...]
     cost: float
     prefix_cardinalities: tuple[float, ...] = field(default_factory=tuple)
-    estimator_name: str = "estimated"
 
     @property
     def num_tables(self) -> int:

@@ -13,8 +13,8 @@ references, which determines how the engines treat it:
 
 The engines evaluate predicates over column arrays
 (:func:`repro.engine.vectorized.predicate_mask`); :meth:`Predicate.evaluate`
-against one binding is the tuple-at-a-time form the eddy baseline and the
-test oracles use.
+against one binding is the tuple-at-a-time form the benchmark harness's
+eddy and the test oracles use.
 """
 
 from __future__ import annotations

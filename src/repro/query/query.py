@@ -8,7 +8,7 @@ ordering, and limit are applied by the post-processor after the join result
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -55,7 +55,8 @@ class SelectItem:
         return self.aggregate is not None
 
     def output_name(self, position: int) -> str:
-        """Column name of this item in the result table."""
+        """This item's own name; :meth:`Query.output_names` makes a repeat
+        unique."""
         if self.alias:
             return self.alias
         if self.aggregate is not None:
@@ -204,23 +205,30 @@ class Query:
         return bool(self.group_by or self.order_by or self.has_aggregates or self.limit)
 
     def output_names(self, catalog: Any = None) -> list[str]:
-        """Result-column names, computable *before* execution.
+        """Result-column names, computable *before* execution: the one place
+        result columns are named (post-processing, cursor ``description``,
+        stream-buffer schemas and the wire's ``columns`` all read it).
 
-        Powers cursor ``description`` and stream-buffer schemas: an explicit
-        select list names its items via :meth:`SelectItem.output_name`;
-        ``SELECT *`` expands to ``alias_column`` per table, which needs a
+        An explicit select list names its items via
+        :meth:`SelectItem.output_name`; ``SELECT *`` expands to
+        ``alias_column`` per table (:meth:`star_names`), which needs a
         catalog to look the columns up (without one, the expansion of ``*``
-        is unknown and an empty list is returned).
+        is unknown and an empty list is returned).  A name that repeats an
+        earlier one gets ``_<position>`` appended until it is unique —
+        ``SELECT a.id, b.id`` names ``id`` and ``id_1`` — so every item
+        keeps its column.
         """
         if self.select_items:
-            return [item.output_name(i) for i, item in enumerate(self.select_items)]
-        names: list[str] = []
-        for alias, table_name in self.tables:
-            if catalog is None or not catalog.has_table(table_name):
-                return []
-            for column in catalog.table(table_name).column_names:
-                names.append(f"{alias}_{column}")
-        return names
+            return _unique([item.output_name(i) for i, item in enumerate(self.select_items)])
+        if catalog is None or not all(catalog.has_table(name) for _, name in self.tables):
+            return []
+        return self.star_names({alias: catalog.table(name) for alias, name in self.tables})
+
+    def star_names(self, tables: Mapping[str, Any]) -> list[str]:
+        """``SELECT *``'s names over ``tables`` (alias to table), made unique
+        as :meth:`output_names` makes an item's."""
+        return _unique([f"{alias}_{column}" for alias, _ in self.tables
+                        for column in tables[alias].column_names])
 
     def output_columns(self) -> list[ColumnRef]:
         """Column references needed to materialize the select list."""
@@ -271,6 +279,22 @@ class Query:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.display()
+
+
+def _unique(names: list[str]) -> list[str]:
+    """``names`` with each repeat suffixed ``_<position>`` until unique; a
+    name that is unique already never changes."""
+    taken = set(names)
+    seen: set[str] = set()
+    unique = []
+    for position, name in enumerate(names):
+        if name in seen:
+            while name in taken:
+                name = f"{name}_{position}"
+            taken.add(name)
+        seen.add(name)
+        unique.append(name)
+    return unique
 
 
 def make_query(

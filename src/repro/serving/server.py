@@ -671,9 +671,8 @@ class QueryServer:
         task = session.task
         buffer = session.stream
         assert task is not None and buffer is not None
-        # The journaled batches are post-processed tables already, so
-        # duplicate output names have collapsed to one column exactly like
-        # in a full run's result table.
+        # The journaled batches are post-processed tables already, named
+        # exactly like a full run's result table.
         table = (Table.concat(buffer.journal) if buffer.journal
                  else empty_batch(buffer.names))
         metrics = task.partial_metrics(table.num_rows)

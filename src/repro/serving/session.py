@@ -32,8 +32,8 @@ from repro.storage.table import Table
 
 
 def empty_batch(names: Sequence[str]) -> Table:
-    """A batch of no rows under a query's output names (repeats collapsed)."""
-    return Table("result", {name: [] for name in dict.fromkeys(names)})
+    """A batch of no rows under a query's output names."""
+    return Table("result", {name: [] for name in names})
 
 
 class StreamBuffer:

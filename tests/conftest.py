@@ -120,3 +120,14 @@ def tiny_join_query() -> Query:
 def job_workload():
     """A very small JOB-analogue workload shared by engine integration tests."""
     return make_job_workload(scale=0.12, seed=5)
+
+
+@pytest.fixture
+def baseline_engines() -> Iterator[tuple[str, ...]]:
+    """The benchmark harness's ``eddy`` and ``reoptimizer`` plug-ins, in the
+    default registry for one test."""
+    from benchmarks.paper import baselines
+
+    specs = baselines.register()
+    yield tuple(spec.name for spec in specs)
+    baselines.unregister()

@@ -58,20 +58,15 @@ def _project(
     tables: Mapping[str, Table],
 ) -> tuple[list[dict[str, Any]], list[str]]:
     if not query.select_items:
-        names = []
-        for alias, _ in query.tables:
-            for column in tables[alias].column_names:
-                names.append(f"{alias}_{column}")
+        names = query.star_names(tables)
         rows = []
         for binding in bindings:
-            row = {}
-            for alias, _ in query.tables:
-                for column, value in binding[alias].items():
-                    row[f"{alias}_{column}"] = value
+            row = dict(zip(names, (binding[alias][column] for alias, _ in query.tables
+                                   for column in tables[alias].column_names)))
             row["__binding__"] = binding
             rows.append(row)
         return rows, names
-    names = [item.output_name(i) for i, item in enumerate(query.select_items)]
+    names = query.output_names()
     rows = []
     for binding in bindings:
         row = {}
@@ -89,7 +84,7 @@ def _aggregate(
     bindings: Sequence[Mapping[str, Mapping[str, Any]]],
     udfs: UdfRegistry | None,
 ) -> tuple[list[dict[str, Any]], list[str]]:
-    names = [item.output_name(i) for i, item in enumerate(query.select_items)]
+    names = query.output_names()
     groups: dict[tuple[Any, ...], dict[str, Any]] = {}
     for binding in bindings:
         key = tuple(expr.evaluate(binding, udfs) for expr in query.group_by)

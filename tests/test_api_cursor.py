@@ -372,7 +372,7 @@ class TestPropertyByteIdentical:
     engines (same rows, same meter charges)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_four_paths_agree_across_engines(self, seed):
+    def test_four_paths_agree_across_engines(self, seed, baseline_engines):
         rng = random.Random(seed)
         for _ in range(3):
             sql = _random_query(rng)
@@ -667,10 +667,10 @@ class TestLimitPushdown:
         assert not session.stream.incremental
         assert session.result.metrics.extra.get("limit_pushdown") is None
 
-    def test_duplicate_output_names_collapse_like_a_full_run(self):
-        # Result tables are dict-keyed, so "SELECT a.v, b.v" collapses to a
-        # single column in a full run; the push-down's early result table
-        # must collapse identically instead of mispairing rows and names.
+    def test_repeated_output_names_are_named_like_a_full_run(self):
+        # "SELECT a.v, b.v" names its columns v and v_1 in a full run; the
+        # push-down's early result table must name them identically instead
+        # of mispairing rows and names.
         conn = self._conn()
         conn.create_table("b2", {"k": [0, 1, 2], "v": [7, 8, 9]})
         conn.commit()
@@ -680,8 +680,8 @@ class TestLimitPushdown:
         rows = limited.fetchall()
         session = conn.server.session(limited.ticket)
         assert session.result.metrics.extra.get("limit_pushdown") is True
-        assert len(rows) == 3
-        assert session.result.table.column_names == ["v"]
+        assert len(rows) == 3 and all(len(row) == 2 for row in rows)
+        assert session.result.table.column_names == ["v", "v_1"]
         full = conn.cursor()
         full.execute(sql, use_result_cache=False)
         assert rows == full.fetchall()[:3]
@@ -750,3 +750,54 @@ class TestExecuteDirect:
             warnings.simplefilter("error", DeprecationWarning)
             result = conn.execute_direct("SELECT COUNT(*) AS n FROM r")
         assert result.rows == [{"n": 6}]
+
+
+class TestRepeatedOutputNames:
+    """Two select items named alike are two columns on every engine and path:
+    the repeat is suffixed with its position (``id``, ``id_1``), and each
+    row carries one value per ``description`` entry."""
+
+    CASES = [
+        ("SELECT a.id, b.id FROM a, b WHERE a.k = b.k",
+         ["id", "id_1"], {(1, 10), (2, 20)}),
+        ("SELECT COUNT(*), COUNT(*) FROM a, b WHERE a.k = b.k",
+         ["count(*)", "count(*)_1"], {(2, 2)}),
+        ("SELECT a.id AS y, a.k AS y FROM a WHERE a.k < 9",
+         ["y", "y_1"], {(1, 7), (2, 8)}),
+    ]
+
+    @staticmethod
+    def _conn(target=FAST):
+        conn = connect(target)
+        conn.create_table("a", {"id": [1, 2, 3], "k": [7, 8, 9]})
+        conn.create_table("b", {"id": [10, 20, 30], "k": [7, 8, 0]})
+        conn.commit()
+        return conn
+
+    @staticmethod
+    def _fetched(cursor, sql, engine, names):
+        cursor.execute(sql, engine=engine, use_result_cache=False)
+        assert [column[0] for column in cursor.description] == names, engine
+        rows = []
+        while batch := cursor.fetchmany(1):
+            rows.extend(batch)
+        assert all(len(row) == len(cursor.description) for row in rows), engine
+        return set(rows)
+
+    @pytest.mark.parametrize("sql, names, expected", CASES, ids=["ids", "counts", "aliases"])
+    def test_every_engine_returns_both_columns(self, sql, names, expected, baseline_engines):
+        from repro.net.server import ServerThread
+
+        conn = self._conn()
+        with ServerThread(config=FAST) as live:
+            remote = self._conn(live.dsn)
+            try:
+                for engine in repro.api.engine_names():
+                    result = conn.execute(sql, engine=engine, use_result_cache=False)
+                    assert result.table.column_names == names, engine
+                    assert {tuple(row.values()) for row in result.rows} == expected, engine
+                    assert self._fetched(conn.cursor(), sql, engine, names) == expected
+                    assert self._fetched(remote.cursor(), sql, engine, names) == expected
+            finally:
+                remote.close()
+        conn.close()

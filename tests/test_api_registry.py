@@ -2,11 +2,21 @@
 
 import pytest
 
-from repro import ENGINE_NAMES, Connection, ReproError, SkinnerConfig, register_engine
-from repro.api import DEFAULT_REGISTRY, EngineRegistry, EngineSpec, connect
+from repro import (
+    ENGINE_NAMES,
+    Connection,
+    InterfaceError,
+    QueryServer,
+    ReproError,
+    SkinnerConfig,
+    register_engine,
+)
+from repro.api import BUILTIN_SPECS, DEFAULT_REGISTRY, EngineRegistry, EngineSpec, connect
 from repro.engine.task import EngineTask
+from repro.net.server import ServerThread
 from repro.result import QueryMetrics, QueryResult
 from repro.storage.table import Table
+from benchmarks.paper import baselines
 
 FAST = SkinnerConfig(slice_budget=64, batches_per_table=3, base_timeout=200)
 
@@ -15,8 +25,6 @@ BUILTINS = (
     "skinner-g",
     "skinner-h",
     "traditional",
-    "eddy",
-    "reoptimizer",
     "skinner_g_sqlite",
     "skinner_h_sqlite",
 )
@@ -183,6 +191,65 @@ class TestCustomEngine:
         context = captured["context"]
         assert context.catalog is db.catalog
         assert context.config == config
+
+
+class TestHarnessBaselinePlugins:
+    """The paper's eddy and re-optimizer reach the package through
+    ``register_engine()`` alone: registered, they answer on every path a
+    built-in engine does, with the traditional engine's rows."""
+
+    SQL = "SELECT r.id AS id, s.w AS w FROM r, s WHERE r.id = s.id AND r.x > 10"
+
+    @staticmethod
+    def _seed(conn):
+        conn.create_table("r", {"id": [1, 2, 3, 4], "x": [10, 20, 30, 40]})
+        conn.create_table("s", {"id": [2, 3, 3, 5, 1], "w": [7, 8, 9, 6, 5]})
+        conn.commit()
+        return conn
+
+    @staticmethod
+    def _fetchall(conn, sql, engine):
+        cursor = conn.cursor()
+        cursor.execute(sql, engine=engine, use_result_cache=False)
+        return sorted(cursor.fetchall())
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh-registry", "default-registry"])
+    def test_plugins_answer_like_traditional_on_every_path(self, fresh):
+        registry = EngineRegistry() if fresh else DEFAULT_REGISTRY
+        if fresh:
+            for spec in BUILTIN_SPECS:
+                registry.register(spec)
+        target = registry if fresh else None
+        try:
+            assert [spec.name for spec in baselines.register(target)] == ["eddy", "reoptimizer"]
+            with pytest.raises(ReproError, match="already registered"):
+                baselines.register(target)
+            conn = self._seed(connect(FAST, registry=registry))
+            server = QueryServer(conn.catalog, conn.udfs, FAST, registry=registry)
+            expected = sorted(tuple(row.values()) for row in conn.execute(
+                self.SQL, engine="traditional").rows)
+            assert len(expected) == 3
+            with ServerThread(self._seed(connect(FAST, registry=registry))) as live:
+                remote = connect(live.dsn)
+                for engine in ("eddy", "reoptimizer"):
+                    results = [
+                        conn.execute(self.SQL, engine=engine, use_result_cache=False),
+                        conn.execute_direct(self.SQL, engine=engine),
+                        server.result(server.submit(self.SQL, engine=engine)),
+                    ]
+                    for result in results:
+                        assert result.metrics.engine == engine
+                        assert sorted(tuple(row.values()) for row in result.rows) == expected
+                    assert self._fetchall(conn, self.SQL, engine) == expected
+                    assert self._fetchall(remote, self.SQL, engine) == expected
+                remote.close()
+            conn.close()
+        finally:
+            baselines.unregister(target)
+        assert registry.names() == BUILTINS
+        assert tuple(ENGINE_NAMES) == BUILTINS
+        with pytest.raises(InterfaceError, match="unknown engine 'eddy'"):
+            registry.resolve("eddy")
 
 
 class ToyTask(EngineTask):

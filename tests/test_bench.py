@@ -145,7 +145,7 @@ class TestModelledCores:
     #: rest are weighted as ``postgres``.
     RUNS_UNDER = {"skinner-c": "skinner", "eddy": "skinner", "reoptimizer": "skinner"}
 
-    def test_every_engine_at_one_core_reports_its_own_time(self, job_workload):
+    def test_every_engine_at_one_core_reports_its_own_time(self, job_workload, baseline_engines):
         query = job_workload.queries[0].query
         for name in DEFAULT_REGISTRY.names():
             context = EngineContext(job_workload.catalog, job_workload.udfs, FAST)

@@ -56,7 +56,7 @@ class TestSchemaManagement:
         db.create_table("later", {"x": [1]})
         assert db.statistics() is not first
 
-    def test_statistics_follow_their_own_catalog_state(self, monkeypatch):
+    def test_statistics_follow_their_own_catalog_state(self, monkeypatch, baseline_engines):
         """One collection per catalog state, read through one accessor by the
         connection, the engine context and the engines — never another
         catalog's, never an earlier state's."""
@@ -104,7 +104,7 @@ class TestQueryExecution:
         "WHERE e.did = d.did GROUP BY d.dname ORDER BY d.dname"
     )
 
-    def test_every_engine_answers_the_join(self, db):
+    def test_every_engine_answers_the_join(self, db, baseline_engines):
         expected = {"eng": 350, "hr": 80, "ops": 185}
         for engine in ENGINE_NAMES:
             result = db.execute(self.JOIN_SQL, engine=engine)
@@ -144,7 +144,7 @@ class TestServingLayerRouting:
         db.execute(self.JOIN_SQL)
         assert db.server.stats()["completed"] == 1
 
-    def test_direct_path_matches_server_path_per_engine(self, db):
+    def test_direct_path_matches_server_path_per_engine(self, db, baseline_engines):
         for engine in ENGINE_NAMES:
             served = db.execute(self.JOIN_SQL, engine=engine, use_result_cache=False)
             direct = db.execute_direct(self.JOIN_SQL, engine=engine)
@@ -205,7 +205,7 @@ class TestUdfs:
         result = db.execute("SELECT COUNT(*) AS n FROM emp e WHERE well_paid(e.salary)")
         assert result.rows[0]["n"] == 3
 
-    def test_udf_join_predicate_all_engines(self, db):
+    def test_udf_join_predicate_all_engines(self, db, baseline_engines):
         calls = []
 
         def register_counted(name, function):

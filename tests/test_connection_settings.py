@@ -71,8 +71,8 @@ SAMPLES = {
         valid=lambda tmp: (
             ("Skinner-G", "skinner-g"),
             ("SKINNER-H", "skinner-h"),
-            ("Eddy", "eddy"),
             ("Traditional", "traditional"),
+            ("Skinner_H_SQLite", "skinner_h_sqlite"),
         ),
         invalid=("", "   ", 7, True),
         invalid_text=("   ",),

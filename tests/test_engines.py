@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.baselines.eddy import EddyEngine
-from repro.baselines.reoptimizer import ReOptimizerEngine
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import DEFAULT_CONFIG
 from repro.query.expressions import ColumnRef, Star
@@ -21,6 +19,7 @@ from benchmarks.paper.ablations import (
     SkinnerCVariant,
     random_order,
 )
+from benchmarks.paper.baselines import EddyEngine, ReOptimizerEngine
 from tests.conftest import reference_join_count, reference_join_tuples, result_multiset
 
 FAST_CONFIG = DEFAULT_CONFIG.with_overrides(
@@ -341,13 +340,13 @@ class TestReOptimizer:
     def test_a_sample_that_overruns_the_budget_times_the_query_out(self, monkeypatch):
         import dataclasses
 
-        from repro.baselines import reoptimizer
+        from benchmarks.paper import baselines
         from repro.workloads.torture import make_udf_torture
 
         # The two UDFs tie for the optimizer; pin the first plan to the
         # left-to-right order the tie-break picks under PYTHONHASHSEED=0,
         # whose full-length validation sample is a 10 x 100^3 product.
-        choose_plan = reoptimizer.choose_plan
+        choose_plan = baselines.choose_plan
         plans = []
 
         def first_plan_left_to_right(query, estimator):
@@ -357,7 +356,7 @@ class TestReOptimizer:
             plans.append(plan)
             return plan
 
-        monkeypatch.setattr(reoptimizer, "choose_plan", first_plan_left_to_right)
+        monkeypatch.setattr(baselines, "choose_plan", first_plan_left_to_right)
         workload = make_udf_torture(4)
         engine = ReOptimizerEngine(workload.catalog, workload.udfs)
         result = engine.execute(workload.queries[0].query, work_budget=800_000)

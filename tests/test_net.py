@@ -84,7 +84,7 @@ class TestDsnParsing:
     @pytest.mark.parametrize("key, first, second", [
         ("workers", "2", "x"), ("tenant", "a", "b"), ("engine", "eddy", "eddy"),
     ])
-    def test_rejects_repeated_parameters(self, key, first, second):
+    def test_rejects_repeated_parameters(self, key, first, second, baseline_engines):
         with pytest.raises(InterfaceError, match=f"more than once: {key}"):
             parse_dsn(f"repro://localhost/?{key}={first}&{key}={second}")
 
@@ -132,7 +132,7 @@ class TestRemoteBasics:
                                 ("fox", 7), ("fox", 9)]
         assert cursor.rowcount == 5
 
-    def test_connection_execute_returns_result_with_metrics(self, remote):
+    def test_connection_execute_returns_result_with_metrics(self, remote, baseline_engines):
         result = remote.execute("SELECT COUNT(*) AS n FROM r")
         assert result.rows == [{"n": 6}]
         assert result.metrics.engine == "skinner-c"

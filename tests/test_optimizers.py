@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.engine.executor import PlanExecutor
-from repro.optimizer.cardinality import CardinalityEstimator, TrueCardinality
+from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import cout_cost, prefix_cardinalities
 from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
-from repro.optimizer.exhaustive import optimal_plan
 from repro.optimizer.greedy import GreedyOptimizer
 from repro.optimizer.plans import LeftDeepPlan
 from repro.query.predicates import column_equals_column
 from repro.query.query import make_query
+from benchmarks.paper.oracle import TrueCardinality, optimal_plan
 
 
 class FakeEstimator(CardinalityEstimator):
@@ -106,9 +105,7 @@ class TestGreedyAndHeuristic:
 class TestOracleOptimizer:
     def test_optimal_plan_minimizes_true_cout(self, tiny_catalog, tiny_join_query):
         plan = optimal_plan(tiny_catalog, tiny_join_query)
-        executor = PlanExecutor(tiny_catalog, tiny_join_query)
-        oracle = TrueCardinality(executor)
+        oracle = TrueCardinality(tiny_catalog, tiny_join_query)
         graph = tiny_join_query.join_graph()
         best = min(cout_cost(order, oracle) for order in graph.valid_join_orders())
         assert plan.cost == pytest.approx(best)
-        assert plan.estimator_name == "true"

@@ -9,13 +9,13 @@ import pytest
 
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import SkinnerConfig
-from repro.optimizer.exhaustive import optimal_plan
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_h import SkinnerH
 from repro.workloads.job import make_job_workload
 from repro.workloads.torture import make_correlation_torture, make_udf_torture
 from benchmarks.paper.ablations import SkinnerCVariant
 from benchmarks.paper.metrics import QueryRecord, count_failures_and_disasters, modelled_time
+from benchmarks.paper.oracle import optimal_plan
 from benchmarks.paper.specs import BENCH_CONFIG
 
 FAST = SkinnerConfig(slice_budget=64, batches_per_table=3, base_timeout=300)

@@ -258,7 +258,8 @@ STATEMENTS = (
 
 
 @pytest.mark.parametrize("engine", ["traditional", "reoptimizer", "skinner-g", "skinner-h"])
-def test_warm_statements_group_nothing_and_charge_what_cold_ones_do(backend, engine):
+def test_warm_statements_group_nothing_and_charge_what_cold_ones_do(backend, engine,
+                                                                   baseline_engines):
     config = SkinnerConfig(batches_per_table=3, base_timeout=150, serving_warm_start=False)
     conn = connect(config, **backend)
     rng = np.random.default_rng(5)

@@ -303,8 +303,8 @@ def test_skinner_c_result_matches_row_reference(tiny_catalog):
 
 
 def test_baseline_engine_results_match_row_reference(tiny_catalog):
-    from repro.baselines.eddy import EddyEngine
     from repro.baselines.traditional import TraditionalEngine
+    from benchmarks.paper.baselines import EddyEngine
 
     query = make_query(
         [("c", "customers"), ("o", "orders")],

@@ -27,8 +27,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 from repro.uct.tree import UctJoinTree
-from repro.baselines.eddy import EddyEngine
 from repro.baselines.traditional import TraditionalEngine
+from benchmarks.paper.baselines import EddyEngine
 from tests.conftest import reference_join_tuples
 
 FAST = SkinnerConfig(slice_budget=32, batches_per_table=2, base_timeout=150)

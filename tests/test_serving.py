@@ -18,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.eddy import EddyEngine
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import SkinnerConfig
 from repro.engine import task as engine_task
@@ -39,6 +38,7 @@ from repro.skinner.skinner_h import SkinnerH
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng
+from benchmarks.paper.baselines import EddyEngine
 
 from test_postprocess_columnar import assert_tables_identical
 
@@ -589,7 +589,8 @@ def cross_product_workload():
 
 
 @pytest.mark.parametrize("engine", ["traditional", "reoptimizer", "eddy"])
-def test_a_baseline_cross_product_does_not_hold_the_server(small_episodes, engine):
+def test_a_baseline_cross_product_does_not_hold_the_server(small_episodes, baseline_engines,
+                                                            engine):
     """Tenant ``a`` runs a UDF-filtered cross product on a baseline, tenant
     ``b`` a small Skinner-C statement: ``b`` finishes while ``a`` runs, and
     cancelling ``a`` frees its admission slot and closes its generator."""
@@ -640,7 +641,7 @@ def test_no_traditional_grant_materializes_more_than_one_episode(small_episodes)
     assert server.stats()["grant_wall_max_seconds"] <= server.stats()["grant_wall_seconds"]
 
 
-def test_no_eddy_grant_examines_more_than_one_episode(small_episodes):
+def test_no_eddy_grant_examines_more_than_one_episode(small_episodes, baseline_engines):
     """The eddy counts every candidate it examines, rejected ones included:
     a grant charges one episode's candidates (2 units each) and the driver
     tuples among them (a scan each)."""

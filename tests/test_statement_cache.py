@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro import SkinnerConfig, connect
-from repro.baselines.eddy import EddyEngine
 from repro.engine import statement_cache
 from repro.engine.statement_cache import StatementCache
 from repro.errors import CatalogError, InterfaceError
@@ -33,6 +32,7 @@ from repro.skinner.preprocessor import preprocess
 from repro.skinner.skinner_c import SkinnerC
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from benchmarks.paper.baselines import EddyEngine
 
 FAST = SkinnerConfig(
     slice_budget=32, batches_per_table=3, base_timeout=150, serving_warm_start=False
@@ -112,7 +112,7 @@ class TestWarmEqualsCold:
     @pytest.mark.parametrize("run", [_learned, _forced, _eddy],
                              ids=["skinner-c", "forced-order", "eddy"])
     @pytest.mark.parametrize("sql", [JOIN_SQL, ROWS_SQL], ids=["aggregate", "rows"])
-    def test_rows_and_work_are_identical(self, conn, filters, run, sql):
+    def test_rows_and_work_are_identical(self, conn, filters, run, sql, baseline_engines):
         cold = run(conn, sql)
         assert sorted(filters) == ["d", "f"]
         warm = run(conn, sql)
@@ -129,7 +129,7 @@ class TestWarmEqualsCold:
             assert not prepared.filtered[alias].flags.writeable
             assert again.join_maps[(alias, "k")] is prepared.join_maps[(alias, "k")]
 
-    def test_a_budget_runs_out_where_it_would_cold(self, backend, tmp_path):
+    def test_a_budget_runs_out_where_it_would_cold(self, backend, tmp_path, baseline_engines):
         """Replayed charges hit a work budget at the very charge the filter
         itself would have, inside pre-processing and after it."""
         def fresh(name: str):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.engine.executor import PlanExecutor
-from repro.optimizer.cardinality import EstimatedCardinality, TrueCardinality
+from repro.optimizer.cardinality import EstimatedCardinality
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.expressions import ColumnRef, FunctionCall
 from repro.query.predicates import Predicate, column_compare_literal, column_equals_column
@@ -11,6 +10,7 @@ from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from benchmarks.paper.oracle import TrueCardinality
 from tests.conftest import reference_join_count
 
 
@@ -113,20 +113,17 @@ class TestEstimatedCardinality:
 
 class TestTrueCardinality:
     def test_matches_brute_force(self, tiny_catalog, tiny_join_query):
-        executor = PlanExecutor(tiny_catalog, tiny_join_query)
-        oracle = TrueCardinality(executor)
+        oracle = TrueCardinality(tiny_catalog, tiny_join_query)
         expected = reference_join_count(tiny_catalog, tiny_join_query)
         assert oracle.cardinality(["c", "o", "i"]) == expected
 
     def test_caches_subsets(self, tiny_catalog, tiny_join_query):
-        executor = PlanExecutor(tiny_catalog, tiny_join_query)
-        oracle = TrueCardinality(executor)
+        oracle = TrueCardinality(tiny_catalog, tiny_join_query)
         oracle.cardinality(["c", "o"])
         oracle.cardinality(["o", "c"])
         assert oracle.cache_size == 1
 
     def test_single_table_cardinality_is_filtered_size(self, tiny_catalog, tiny_join_query):
-        executor = PlanExecutor(tiny_catalog, tiny_join_query)
-        oracle = TrueCardinality(executor)
+        oracle = TrueCardinality(tiny_catalog, tiny_join_query)
         # customers with score > 10
         assert oracle.base_cardinality("c") == 4

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import repro
 from repro import Connection, Cursor, EngineSpec, QueryServer, SkinnerConfig, connect
+from repro.api import BUILTIN_SPECS, engine_names
 from repro.api.settings import SETTINGS
 from repro.api.transport import LocalTransport, Transport
 from repro.engine.operators import hash_join_step
@@ -56,6 +57,20 @@ ENGINE_TASK_NAMES = {
     "finished", "streamable", "warm_startable",
     "run_episode", "work_total", "finalize",
     "enable_streaming", "drain_new_tuples", "partial_metrics", "learned_orders", "close",
+}
+
+#: The engines the package serves; the paper's comparison engines are
+#: plug-ins of ``benchmarks/paper/baselines.py``.
+BUILTIN_ENGINES = (
+    "skinner-c", "skinner-g", "skinner-h", "traditional",
+    "skinner_g_sqlite", "skinner_h_sqlite",
+)
+
+#: What the benchmark harness owns: the comparison engines and the C_out
+#: oracle of Tables 3 and 4.
+HARNESS_NAMES = {
+    "EddyEngine", "ReOptimizerEngine", "TrueCardinality", "optimal_plan",
+    "join_subset_cardinality",
 }
 
 #: The operations that differ between in-process and ``repro://``.
@@ -272,6 +287,64 @@ def test_the_package_is_the_engine():
     assert not {"repro.bench", "repro.external.postgres_adapter"} & modules
     for operator in (hash_join_step, post_process):
         assert "mode" not in inspect.signature(operator).parameters, operator.__name__
+
+
+def test_the_package_serves_exactly_these_engines():
+    assert engine_names() == BUILTIN_ENGINES
+    assert tuple(spec.name for spec in BUILTIN_SPECS) == BUILTIN_ENGINES
+
+
+def _harness_offenders(package: Path) -> list[str]:
+    """Where a module under ``package`` defines or imports a harness name,
+    imports ``benchmarks``, or compares a ``__name__`` attribute with a
+    string (recognising a class by its name)."""
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name in HARNESS_NAMES:
+                    offenders.append(f"{where}:{node.lineno}: defines {node.name}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names] if isinstance(
+                    node, ast.Import) else [node.module or ""]
+                names = {alias.name.split(".")[-1] for alias in node.names}
+                if any(module.split(".")[0] == "benchmarks" for module in modules):
+                    offenders.append(f"{where}:{node.lineno}: imports benchmarks")
+                offenders += [f"{where}:{node.lineno}: imports {name}"
+                              for name in sorted(names & HARNESS_NAMES)]
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(o, ast.Attribute) and o.attr == "__name__"
+                       for o in operands) and any(
+                        isinstance(o, ast.Constant) and isinstance(o.value, str)
+                        for o in operands):
+                    offenders.append(f"{where}:{node.lineno}: compares __name__")
+    return offenders
+
+
+def test_the_baselines_and_the_oracle_are_harness_plugins():
+    """The eddy, the re-optimizer and the C_out oracle live in
+    ``benchmarks/paper`` and reach the package through ``register_engine``
+    and the plan executor's public calls; no optimizer recognises an
+    estimator by its class name."""
+    assert _harness_offenders(Path(repro.__file__).parent) == []
+
+
+def test_the_harness_scan_sees_each_offence(tmp_path):
+    (tmp_path / "defines.py").write_text("class TrueCardinality:\n    pass\n")
+    (tmp_path / "imports.py").write_text("from somewhere import EddyEngine, optimal_plan\n")
+    (tmp_path / "harness.py").write_text("import benchmarks.paper.baselines\n")
+    (tmp_path / "sniffs.py").write_text(
+        "def kind(x):\n    return type(x).__name__ == 'TrueCardinality'\n")
+    (tmp_path / "main.py").write_text("if __name__ == '__main__':\n    pass\n")
+    assert _harness_offenders(tmp_path) == [
+        "defines.py:1: defines TrueCardinality",
+        "harness.py:1: imports benchmarks",
+        "imports.py:1: imports EddyEngine",
+        "imports.py:1: imports optimal_plan",
+        "sniffs.py:2: compares __name__",
+    ]
 
 
 def test_the_ablations_are_harness_variants():

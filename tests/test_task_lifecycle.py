@@ -24,8 +24,9 @@ from tests.oracles import forced_order
 #: Small budgets, so nearly every engine's run takes more than three episodes.
 CONFIG = SkinnerConfig(slice_budget=8, batches_per_table=3, base_timeout=5)
 
-#: Every registered engine, and the morsel coordinator inline and pooled.
-TASKS = [*DEFAULT_REGISTRY.names(), "parallel-1", "parallel-2"]
+#: Every built-in engine, the harness's plug-ins, and the morsel coordinator
+#: inline and pooled.
+TASKS = [*DEFAULT_REGISTRY.names(), "eddy", "reoptimizer", "parallel-1", "parallel-2"]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -48,7 +49,7 @@ def _make_task(name, workload, monkeypatch) -> GeneratorTask:
 
 
 @pytest.mark.parametrize("name", TASKS)
-def test_reported_work_is_work_total(name, job_workload, monkeypatch):
+def test_reported_work_is_work_total(name, job_workload, monkeypatch, baseline_engines):
     task = _make_task(name, job_workload, monkeypatch)
     assert isinstance(task, GeneratorTask)
     task.episode_rows = 8  # the baselines' episodes, as short as the others'
