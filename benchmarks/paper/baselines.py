@@ -71,6 +71,7 @@ class EddyTask(GeneratorTask):
                  work_budget: int | None = None) -> None:
         super().__init__(engine.name, query, engine._udfs, work_budget)
         self._catalog = engine._catalog
+        self._decoded: dict[tuple[str, str], list[Any]] = {}
 
     def episodes(self) -> Generator[None, None, RowIdRelation]:
         prepared = self.prepared = preprocess(self._catalog, self.query, self.udfs, self.meter)
@@ -160,16 +161,27 @@ class EddyTask(GeneratorTask):
             join_map = prepared.join_maps.get((alias, own.column))
             if join_map is None or other.table not in partial:
                 continue
-            value = prepared.value_at(other.table, other.column, partial[other.table])
+            value = self._value_at(other.table, other.column, partial[other.table])
             self.meter.charge_probe(1)
             matches = join_map.get(value)
             return [int(i) for i in matches] if matches is not None else []
         return list(range(prepared.cardinality(alias)))
 
+    def _value_at(self, alias: str, column: str, index: int) -> Any:
+        """Decoded value of ``alias.column`` at a filtered index; each
+        decoded filtered column is kept as a list, which the per-tuple
+        probes index faster than a numpy array."""
+        values = self._decoded.get((alias, column))
+        if values is None:
+            values = self._decoded[alias, column] = (
+                self.prepared.decoded_array(alias, column).tolist())
+        return values[index]
+
     def _satisfies(self, extended: dict[str, int], applicable) -> bool:
         for predicate in applicable:
             binding: dict[str, Any] = {
-                t: self.prepared.binding_for(t, extended[t]) for t in predicate.tables()
+                t: self.tables[t].row(self.prepared.base_row(t, extended[t]))
+                for t in predicate.tables()
             }
             self.meter.charge_predicate(1)
             if predicate.uses_udf:

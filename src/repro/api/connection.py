@@ -203,6 +203,10 @@ class Connection:
             self.registry = registry if registry is not None else DEFAULT_REGISTRY
             self._transport = LocalTransport(self, tenant=tenant)
         self._server: QueryServer | None = None
+        #: DSN of the :class:`~repro.net.server.ReproServer` serving this
+        #: connection while it runs (``None`` otherwise); local statements
+        #: are refused meanwhile (:class:`~repro.api.transport.LocalTransport`).
+        self.served_at: str | None = None
         self._closed = False
         # Opaque catalog snapshot token of the open transaction (a table
         # mapping in-memory, a WAL offset with durable storage) — None

@@ -40,11 +40,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.config import SkinnerConfig
+from repro.errors import InterfaceError
 from repro.result import QueryResult
 from repro.storage.table import Table
 
 if TYPE_CHECKING:
     from repro.api.connection import Connection
+    from repro.serving.server import QueryServer
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,13 @@ class LocalTransport(Transport):
 
     Its schema verbs change the catalog and nothing else: the connection
     wraps every change in its transaction bracket (``Connection._mutate``).
+
+    While a :class:`~repro.net.server.ReproServer` serves the connection
+    (``Connection.served_at``), that server's thread steps the scheduler,
+    so the verbs that would step it here too — ``submit``, ``fetch_batch``
+    and ``result`` — raise :class:`~repro.errors.InterfaceError`; the
+    schema verbs, ``commit`` and ``stats`` stay open for seeding and
+    inspection.
     """
 
     def __init__(self, connection: Connection, tenant: str = "default") -> None:
@@ -175,10 +184,11 @@ class LocalTransport(Transport):
         release: int | None = None,
     ) -> SubmitHandle:
         conn = self._connection
+        server = self._scheduler()
         if release is not None:
-            conn.server.release(release)
+            server.release(release)
         parsed = conn._resolve_query(operation, parameters)
-        ticket = conn.server.submit(
+        ticket = server.submit(
             parsed,
             engine=engine,
             # Resolve against the connection's (reassignable) config, not
@@ -191,7 +201,7 @@ class LocalTransport(Transport):
         return SubmitHandle(ticket, tuple(parsed.output_names(conn.catalog)))
 
     def fetch_batch(self, ticket: int, max_rows: int | None) -> Batch:
-        server = self._connection.server
+        server = self._scheduler()
         table = server.fetch_batch(ticket, max_rows)
         return Batch(table, server.session(ticket).drained)
 
@@ -199,10 +209,20 @@ class LocalTransport(Transport):
         return self._connection.server.poll(ticket)
 
     def result(self, ticket: int) -> QueryResult:
-        return self._connection.server.result(ticket)
+        return self._scheduler().result(ticket)
 
     def release(self, ticket: int) -> bool:
         return self._connection.server.release(ticket)
+
+    def _scheduler(self) -> QueryServer:
+        """The connection's serving layer, to step on this thread."""
+        conn = self._connection
+        if conn.served_at is not None:
+            raise InterfaceError(
+                f"this connection is served at {conn.served_at}, whose thread "
+                f"runs its statements: connect({conn.served_at!r}) to run one"
+            )
+        return conn.server
 
     # -- schema and transactions ----------------------------------------
     def add_table(self, table: Table, *, replace: bool) -> Table:

@@ -132,6 +132,15 @@ class ReproServer:
     host, port:
         Listen address; port 0 picks an ephemeral port (read back from
         :attr:`port` after :meth:`start`).
+
+    From :meth:`start` to :meth:`stop` the connection is *served*
+    (``connection.served_at`` is :attr:`dsn`): the server's thread steps
+    its scheduler, so a local statement on it — ``execute``, a cursor's
+    ``execute`` or fetch — raises :class:`~repro.errors.InterfaceError`
+    instead of racing that thread.  Seeding and inspecting stay allowed:
+    ``parse``, ``add_table`` / ``create_table`` / ``drop_table``,
+    ``commit``, ``stats`` and ``execute_direct``, which runs the engine
+    without the scheduler.
     """
 
     def __init__(
@@ -166,6 +175,7 @@ class ReproServer:
         """Bind the listening socket and start the episode pump."""
         self._server = await asyncio.start_server(self._handle_client, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        self.connection.served_at = self.dsn
         self._started_at = time.monotonic()
         self._pump_task = asyncio.create_task(self._pump())
 
@@ -210,6 +220,7 @@ class ReproServer:
             await self._server.wait_closed()
         if self._pump_task is not None:
             await self._pump_task
+        self.connection.served_at = None
 
     @property
     def dsn(self) -> str:
@@ -527,6 +538,10 @@ class ReproServer:
 
 class ServerThread:
     """A live :class:`ReproServer` on a daemon thread (tests, benchmarks).
+
+    Seed and inspect through :attr:`connection`; run statements through a
+    client of :attr:`dsn` — the served connection refuses local ones until
+    :meth:`stop` (see :class:`ReproServer`).
 
     >>> from repro.net.server import ServerThread  # doctest: +SKIP
     >>> with ServerThread() as server:             # doctest: +SKIP

@@ -26,11 +26,11 @@ Determinism is the design center (see ``docs/parallel.md``):
   order, so charges are byte-identical for every worker count ≥ 1 (with
   one worker the same morsel tasks run inline on the coordinator).
 
-Morsel 0 is the **pilot**: it always runs inline on the coordinator, one
-of its episodes per coordinator episode, which keeps the task cancellable
-and streamable while it learns.  When the pilot finishes, its best join
-orders seed the remaining morsels as warm-start priors — the same
-mechanism the serving layer's cross-query order cache uses.
+The coordinator is itself a Skinner-C task over morsel 0: its own slices
+run that morsel inline, one per coordinator episode, which keeps the task
+cancellable, streamable and traceable while it learns.  When morsel 0 is
+done, its best join orders seed the remaining morsels as warm-start priors
+— the same mechanism the serving layer's cross-query order cache uses.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import atexit
 import dataclasses
 import multiprocessing
 import pickle
-from collections.abc import Generator, Sequence
+from collections.abc import Generator, Mapping, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
@@ -49,11 +49,10 @@ import numpy as np
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.meter import CostMeter
 from repro.engine.relation import RowIdRelation
-from repro.engine.task import GeneratorTask, OrderPrior
+from repro.engine.task import OrderPrior
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.skinner.preprocessor import preprocess
-from repro.skinner.result_set import JoinResultSet
+from repro.skinner.preprocessor import PreprocessedQuery, preprocess
 from repro.skinner.skinner_c import SkinnerCTask
 from repro.storage.catalog import Catalog
 
@@ -139,7 +138,7 @@ def plan_morsels(
 # ----------------------------------------------------------------------
 
 def _run_morsel(
-    tables: bytes, query: Query, config: SkinnerConfig, engine_name: str,
+    tables: bytes, query: Query, config: SkinnerConfig, engine_name: str, trace: bool,
     order_prior: Sequence[OrderPrior], restrict: dict[str, np.ndarray],
 ) -> dict[str, Any]:
     """Execute one morsel to completion in a worker process.
@@ -153,7 +152,7 @@ def _run_morsel(
     for table in pickle.loads(tables):
         catalog.add_table(table)
     task = SkinnerCTask(
-        catalog, query, None, config, engine_name=engine_name,
+        catalog, query, None, config, engine_name=engine_name, trace=trace,
         order_prior=order_prior, restrict_positions=restrict,
     )
     while not task.finished:
@@ -168,6 +167,8 @@ def _morsel_outcome(task: SkinnerCTask) -> dict[str, Any]:
         "pre": task.pre_meter.snapshot(),
         "join": task.join_meter.snapshot(),
         "slices": task.slices,
+        "trace": task.trace_records,
+        "max_budget_factor": task._max_factor,
         "uct_nodes": task.tree.node_count(),
         "tracker_nodes": task.tracker.node_count(),
         "order_stats": task.tree.order_stats(),
@@ -179,26 +180,27 @@ def _morsel_outcome(task: SkinnerCTask) -> dict[str, Any]:
 # coordinator
 # ----------------------------------------------------------------------
 
-class ParallelSkinnerCTask(GeneratorTask):
+class ParallelSkinnerCTask(SkinnerCTask):
     """Coordinator of one morsel-parallel Skinner-C query.
 
-    A :class:`GeneratorTask`, so the serving scheduler drives it exactly
-    like the single-process task.  :meth:`episodes` yields:
+    A :class:`SkinnerCTask` over morsel 0 — its own slices are the first
+    morsel's, its tree and tracker learn there, it streams what they find
+    and it hands on its :meth:`learned_orders` like any Skinner-C task.
+    Two hooks differ.  :meth:`preprocess` filters the query once, plans
+    the morsels and snapshots the tables; :meth:`episodes` yields:
 
-    * once per pilot (morsel 0) episode — interleavable and cancellable,
-      with newly found tuples streamed live;
+    * once per slice of morsel 0 — interleavable, cancellable and traced
+      like the single-process task;
     * then once per merged morsel, in morsel order: a blocking collect from
       the pool, or one episode of an inline morsel task, with one worker or
       once a dead worker broke the pool.  Merging in a fixed order keeps
-      meters, the UCT tree, and the streamed tuple order deterministic.
+      meters, the UCT tree, the trace and the streamed tuple order
+      deterministic.
 
     Rows and meter charges are byte-identical for every
     ``parallel_workers`` value; with a single morsel the task degenerates
     to exactly the single-process episode sequence.
     """
-
-    streamable = True
-    warm_startable = True
 
     def __init__(
         self,
@@ -208,30 +210,13 @@ class ParallelSkinnerCTask(GeneratorTask):
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
         engine_name: str = "skinner-c",
+        trace: bool = False,
         order_prior: Sequence[OrderPrior] | None = None,
     ) -> None:
-        super().__init__(engine_name, query, udfs)
-        self._config = config
+        super().__init__(catalog, query, udfs, config, engine_name=engine_name,
+                         trace=trace, order_prior=order_prior)
         self._workers = max(1, config.parallel_workers)
-        self.pre_meter = CostMeter()
-        self.join_meter = self.meter
-        # Unary filtering happens once, here; morsel tasks receive the
-        # surviving positions and charge only their own join-map builds.
-        self.prepared = preprocess(
-            catalog, query, udfs, self.pre_meter, build_hash_maps=False
-        )
-        self.tables = self.prepared.tables
-        # Later morsel tasks read the tables snapshotted here, as workers do.
-        self._catalog = Catalog()
-        for table in self.prepared.tables.values():
-            self._catalog.add_table(table, replace=True)  # self-joins repeat one
-        self.result_set = JoinResultSet(self.prepared.aliases)
-        self.slices = 0
-        self._partition_alias, self._morsel_bounds = plan_morsels(
-            self.prepared.filtered, self.prepared.aliases
-        )
         self._priors: tuple[OrderPrior, ...] = ()
-        self._evidence: dict[tuple[str, ...], int] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_broken = False
         self._dispatched: list[Future] = []
@@ -239,28 +224,47 @@ class ParallelSkinnerCTask(GeneratorTask):
         self._worker_uct_nodes = 0
         self._worker_tracker_nodes = 0
         self._worker_episode_wall = 0.0
-        # The pilot is an ordinary single-process task over morsel 0 (with
-        # one morsel: over everything, making this exactly the plain task).
-        # Its tree is the coordinator tree all statistics merge into.
-        self._pilot: SkinnerCTask | None = self._make_morsel_task(0, order_prior)
-        self.tree = self._pilot.tree
-        self.tracker = self._pilot.tracker
+
+    def preprocess(
+        self,
+        catalog: Catalog,
+        query: Query,
+        udfs: UdfRegistry | None,
+        meter: CostMeter,
+        restrict_positions: Mapping[str, np.ndarray] | None,
+    ) -> PreprocessedQuery:
+        """Filter once, plan the morsels, and pre-process morsel 0.
+
+        Unary filtering happens here, on ``catalog``, and only here: every
+        morsel, morsel 0 included, receives the surviving positions and
+        charges only its own join-map builds.  Morsel 0 and the later
+        inline morsels read the tables snapshotted here, as workers do.
+        """
+        prepared = preprocess(catalog, query, udfs, meter, build_hash_maps=False,
+                              restrict_positions=restrict_positions)
+        self._filtered = prepared.filtered
+        self._partition_alias, self._morsel_bounds = plan_morsels(
+            prepared.filtered, prepared.aliases
+        )
+        self._catalog = Catalog()
+        for table in prepared.tables.values():
+            self._catalog.add_table(table, replace=True)  # self-joins repeat one
+        return super().preprocess(self._catalog, query, None, meter, self._restrict_for(0))
 
     def meters(self) -> tuple[CostMeter, ...]:
-        """Merged charges plus the live pilot's / inline morsel's."""
-        meters = (self.pre_meter, self.join_meter)
-        for task in (self._pilot, self._inline_task):
-            if task is not None:
-                meters += task.meters()
-        return meters
+        """The coordinator's meters plus the live inline morsel's."""
+        task = self._inline_task
+        return super().meters() + (task.meters() if task is not None else ())
 
     def episodes(self) -> Generator[None, None, RowIdRelation]:
         try:
-            pilot = self._pilot
-            while not pilot.run_episode():
-                self._forward(pilot.drain_new_tuples())
-                yield
-            self._finish_pilot(pilot)
+            yield from self._slices()
+            # The remaining morsels start from what morsel 0 learned — the
+            # same hand-over the serving layer's order cache makes across
+            # queries.
+            self._priors = self.learned_orders()
+            if len(self._morsel_bounds) > 1 and self._workers > 1:
+                self._dispatch_remaining()
             for index in range(1, len(self._morsel_bounds)):
                 yield
                 yield from self._merge(index)
@@ -271,96 +275,24 @@ class ParallelSkinnerCTask(GeneratorTask):
             for future in self._dispatched:
                 future.cancel()
             self._dispatched = []
-            self._pilot = self._inline_task = None
+            self._inline_task = None
         return self.result_set.to_relation()
 
     # ------------------------------------------------------------------
-    # incremental result delivery (streaming cursors)
+    # morsels 1..n
     # ------------------------------------------------------------------
-    def enable_streaming(self) -> None:
-        """The pilot keeps the probe ramp (:meth:`SkinnerCTask.enable_streaming`).
-
-        Its episodes are the ones a client's fetch waits for; the remaining
-        morsels arrive whole.  The streamed order is deterministic across
-        worker counts — pilot tuples in discovery order, then each
-        remaining morsel's tuples in sorted-matrix order, morsel by morsel.
-        """
-        if self._pilot is not None:
-            self._pilot.enable_streaming()
-
-    def order_evidence(self) -> dict[tuple[str, ...], int]:
-        """The pilot's :meth:`SkinnerCTask.order_evidence`, once it has finished."""
-        return self._evidence
-
-    #: The same assembly, over the merged tree and the pilot's evidence.
-    learned_orders = SkinnerCTask.learned_orders
-
-    def drain_new_tuples(self) -> np.ndarray:
-        """Result tuples added since the last drain, as a matrix."""
-        return self.result_set.drain_new()
-
-    @property
-    def stream_aliases(self) -> tuple[str, ...]:
-        """Alias order of streamed tuples."""
-        return self.result_set.aliases
-
-    @property
-    def stream_tables(self) -> dict[str, Any]:
-        """Alias-to-table mapping for projecting streamed tuples."""
-        return self.prepared.tables
-
-    # ------------------------------------------------------------------
-    # phases
-    # ------------------------------------------------------------------
-    def _make_morsel_task(
-        self,
-        index: int,
-        order_prior: Sequence[OrderPrior] | None,
-    ) -> SkinnerCTask:
-        """An inline single-process task over morsel ``index``.
-
-        UDFs are deliberately not passed: the parallel route excludes UDF
-        predicates, post-processing happens on the coordinator, and the
-        worker-side executor cannot receive callables either — keeping the
-        inline path and the worker path byte-identical.
-        """
-        return SkinnerCTask(
-            self._catalog, self.query, None, self._config,
-            engine_name=self.engine_name, order_prior=order_prior,
-            restrict_positions=self._restrict_for(index),
-        )
-
     def _restrict_for(self, index: int) -> dict[str, np.ndarray]:
         start, stop = self._morsel_bounds[index]
-        restrict = dict(self.prepared.filtered)
+        restrict = dict(self._filtered)
         restrict[self._partition_alias] = restrict[self._partition_alias][start:stop]
         return restrict
-
-    def _forward(self, matrix: np.ndarray) -> None:
-        # One source for all of them: a morsel task hands over distinct
-        # rows, and no row belongs to two morsels.
-        self.result_set.emit(matrix, self._partition_alias)
-
-    def _finish_pilot(self, pilot: SkinnerCTask) -> None:
-        """Fold the pilot into the coordinator and start phase two."""
-        self._forward(pilot.drain_new_tuples())
-        self.pre_meter.merge(pilot.pre_meter)
-        self.join_meter.merge(pilot.join_meter)
-        self.slices += pilot.slices
-        self._evidence = pilot.order_evidence()
-        # The remaining morsels start from what the pilot learned — the
-        # same hand-over the serving layer's order cache makes across queries.
-        self._priors = pilot.learned_orders()
-        self._pilot = None
-        if len(self._morsel_bounds) > 1 and self._workers > 1:
-            self._dispatch_remaining()
 
     def _dispatch_remaining(self) -> None:
         """Enqueue every remaining morsel on the pool, its inputs by value.
 
         Each payload carries the snapshotted tables (one per name, so
         self-joins ship one), its restricted positions, the query, the
-        config and the pilot's priors.  The tables are pickled once, on
+        config and morsel 0's priors.  The tables are pickled once, on
         this thread: a durable column pickles the generation this query
         read through the page cache, which the pool's feeder thread (where
         call arguments get pickled) must not touch.
@@ -370,15 +302,21 @@ class ParallelSkinnerCTask(GeneratorTask):
         try:
             for index in range(1, len(self._morsel_bounds)):
                 self._dispatched.append(self._pool.submit(
-                    _run_morsel, tables, self.query, self._config,
-                    self.engine_name, self._priors, self._restrict_for(index),
+                    _run_morsel, tables, self.query, self._config, self.engine_name,
+                    self._trace, self._priors, self._restrict_for(index),
                 ))
         except BrokenProcessPool:
             self._abandon_pool()
 
     def _merge(self, index: int) -> Generator[None, None, None]:
         """Merge morsel ``index``: collect it from the pool (blocking), or
-        run it inline, one :meth:`SkinnerCTask.run_episode` per episode."""
+        run it inline, one :meth:`SkinnerCTask.run_episode` per episode.
+
+        UDFs are deliberately not passed to an inline morsel: the parallel
+        route excludes UDF predicates, post-processing happens on the
+        coordinator, and the worker-side executor cannot receive callables
+        either — keeping the inline path and the worker path byte-identical.
+        """
         if self._dispatched:
             try:
                 outcome = self._dispatched[index - 1].result()
@@ -387,7 +325,11 @@ class ParallelSkinnerCTask(GeneratorTask):
             else:
                 self._merge_morsel(outcome)
                 return
-        task = self._inline_task = self._make_morsel_task(index, self._priors)
+        task = self._inline_task = SkinnerCTask(
+            self._catalog, self.query, None, self._config, engine_name=self.engine_name,
+            trace=self._trace, order_prior=self._priors,
+            restrict_positions=self._restrict_for(index),
+        )
         while not task.run_episode():
             yield
         self._inline_task = None
@@ -412,44 +354,39 @@ class ParallelSkinnerCTask(GeneratorTask):
         self.pre_meter.merge(outcome["pre"])
         self.join_meter.merge(outcome["join"])
         self.slices += outcome["slices"]
+        self.trace_records += outcome["trace"]
+        self._max_factor = max(self._max_factor, outcome["max_budget_factor"])
         self._worker_uct_nodes += outcome["uct_nodes"]
         self._worker_tracker_nodes += outcome["tracker_nodes"]
         self._worker_episode_wall += outcome["episode_wall"]
         self.tree.merge_stats(outcome["order_stats"])
-        self._forward(outcome["matrix"])
+        # One source for every later morsel: each hands over distinct rows,
+        # and no row belongs to two morsels.
+        self.result_set.emit(outcome["matrix"], self._partition_alias)
 
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
     def metric_fields(self) -> dict[str, Any]:
         """:meth:`SkinnerCTask.metric_fields` over the merged meters and
-        tree, the live pilot or inline morsel included."""
-        pre, join, slices = CostMeter(), CostMeter(), 0
-        for task in (self, self._pilot, self._inline_task):
-            if task is not None:
-                pre.merge(task.pre_meter)
-                join.merge(task.join_meter)
-                slices += task.slices
-        return {
-            "final_join_order": self.tree.best_order(),
-            "time_slices": slices,
-            "uct_nodes": self.tree.node_count(),
-            "tracker_nodes": self.tracker.node_count(),
-            "intermediate_cardinality": join.tuples_scanned,
-            "result_tuple_count": len(self.result_set),
-            "extra": {
-                "result_bytes": self.result_set.estimated_bytes(),
-                "tracker_bytes": self.tracker.estimated_bytes(),
-                "uct_bytes": self.tree.node_count() * 64,
-                "top_orders": self.tree.top_orders(5),
-                "trace": [],
-                "preprocess_work": dataclasses.asdict(pre.snapshot()),
-                "parallel_workers": self._workers,
-                "pool_broken": self._pool_broken,
-                "parallel_morsels": len(self._morsel_bounds),
-                "partition_alias": self._partition_alias,
-                "worker_uct_nodes": self._worker_uct_nodes,
-                "worker_tracker_nodes": self._worker_tracker_nodes,
-                "worker_episode_wall_seconds": self._worker_episode_wall,
-            },
-        }
+        tree, the live inline morsel included, and the pool's own."""
+        fields = super().metric_fields()
+        extra = fields["extra"]
+        task = self._inline_task
+        if task is not None:
+            fields["time_slices"] += task.slices
+            fields["intermediate_cardinality"] += task.join_meter.tuples_scanned
+            pre = CostMeter()
+            for meter in (self.pre_meter, task.pre_meter):
+                pre.merge(meter)
+            extra["preprocess_work"] = dataclasses.asdict(pre.snapshot())
+        extra.update(
+            parallel_workers=self._workers,
+            pool_broken=self._pool_broken,
+            parallel_morsels=len(self._morsel_bounds),
+            partition_alias=self._partition_alias,
+            worker_uct_nodes=self._worker_uct_nodes,
+            worker_tracker_nodes=self._worker_tracker_nodes,
+            worker_episode_wall_seconds=self._worker_episode_wall,
+        )
+        return fields

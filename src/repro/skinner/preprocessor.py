@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from repro.query.predicates import Predicate
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
-from repro.storage.column import ColumnType
 from repro.storage.table import Table
 
 
@@ -76,9 +74,6 @@ class PreprocessedQuery:
     _physical_cache: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, repr=False
     )
-    _decoded_cache: dict[tuple[str, str], list[Any]] = field(
-        default_factory=dict, repr=False
-    )
     _decoded_array_cache: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, repr=False
     )
@@ -95,34 +90,6 @@ class PreprocessedQuery:
     def base_row(self, alias: str, filtered_index: int) -> int:
         """Base-table row position for a filtered-array index."""
         return int(self.filtered[alias][filtered_index])
-
-    def value_at(self, alias: str, column: str, filtered_index: int) -> Any:
-        """Decoded value of ``alias.column`` at a filtered-array index.
-
-        The decoded filtered column is cached as a plain Python list on first
-        access: the join executors probe hash maps with these values once per
-        index advance, which makes list indexing measurably cheaper than
-        per-call numpy scalar extraction.
-        """
-        key = (alias, column)
-        values = self._decoded_cache.get(key)
-        if values is None:
-            values = self._decode_filtered(alias, column)
-            self._decoded_cache[key] = values
-        return values[filtered_index]
-
-    def _decode_filtered(self, alias: str, column: str) -> list[Any]:
-        physical = self.physical_column(alias, column)
-        col = self.tables[alias].column(column)
-        if col.ctype is ColumnType.STRING:
-            dictionary = col.dictionary
-            return [dictionary[code] for code in physical.tolist()]
-        return physical.tolist()
-
-    def binding_for(self, alias: str, filtered_index: int) -> dict[str, Any]:
-        """Decoded row dict of ``alias`` at a filtered-array index."""
-        position = self.base_row(alias, filtered_index)
-        return self.tables[alias].row(position)
 
     def base_rows(self, alias: str, filtered_indices: np.ndarray) -> np.ndarray:
         """Base-table row positions for an array of filtered-array indices."""

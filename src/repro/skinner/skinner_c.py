@@ -184,12 +184,15 @@ class SkinnerCTask(GeneratorTask):
         return preprocess(catalog, query, udfs, meter, restrict_positions=restrict_positions)
 
     def episodes(self) -> Generator[None, None, RowIdRelation]:
-        """One time slice per episode; an empty input or a single table
-        finishes in the first, running none."""
+        yield from self._slices()
+        return self.result_set.to_relation()
+
+    def _slices(self) -> Generator[None, None, None]:
+        """One time slice per episode until the join finishes; an empty
+        input or a single table finishes in the first, running none."""
         if not (self.prepared.is_empty() or self.query.num_tables == 1):
             while not self._slice():
                 yield
-        return self.result_set.to_relation()
 
     # ------------------------------------------------------------------
     # incremental result delivery (streaming cursors)
@@ -243,8 +246,8 @@ class SkinnerCTask(GeneratorTask):
         ``WARM_START_VISITS`` pseudo-visits so real rewards can still
         overrule a misleading prior, and its :meth:`order_evidence` — the
         next task starts the order at the budget this one reached.  The
-        serving layer's cross-query order cache and the morsel-parallel
-        pilot both hand on exactly this.
+        serving layer's cross-query order cache and the morsel coordinator
+        (to its later morsels) both hand on exactly this.
         """
         evidence = self.order_evidence()
         return tuple(
@@ -380,21 +383,15 @@ class SkinnerC(ExecutionBackend):
         coordinator (see :mod:`repro.skinner.parallel`) whenever the query
         is eligible: at least two tables, no UDF predicates (UDF callables
         cannot cross a process boundary — such queries fall back to the
-        single-process task with a warning), no tracing, and enough base
-        rows to form at least two morsels.
+        single-process task with a warning), and enough base rows to form
+        at least two morsels.
         """
-        if self._parallel_requested(query, trace=trace):
+        task_class = SkinnerCTask
+        if self._parallel_requested(query):
             from repro.skinner.parallel import ParallelSkinnerCTask
 
-            return ParallelSkinnerCTask(
-                self._catalog,
-                query,
-                self._udfs,
-                self._config,
-                engine_name=self.name,
-                order_prior=order_prior,
-            )
-        return SkinnerCTask(
+            task_class = ParallelSkinnerCTask
+        return task_class(
             self._catalog,
             query,
             self._udfs,
@@ -404,9 +401,9 @@ class SkinnerC(ExecutionBackend):
             order_prior=order_prior,
         )
 
-    def _parallel_requested(self, query: Query, *, trace: bool) -> bool:
+    def _parallel_requested(self, query: Query) -> bool:
         """Whether ``task`` should hand this query to the parallel coordinator."""
-        if self._config.parallel_workers <= 1 or trace or query.num_tables < 2:
+        if self._config.parallel_workers <= 1 or query.num_tables < 2:
             return False
         if query.has_udf_predicates():
             warnings.warn(

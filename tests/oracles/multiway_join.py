@@ -25,6 +25,7 @@ from repro.skinner.multiway_join import MultiwayJoin, _JumpSpec, _OrderContext
 from repro.skinner.preprocessor import PreprocessedQuery
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import JoinState
+from repro.storage.column import ColumnType
 
 
 def continue_scalar(
@@ -103,7 +104,7 @@ def _advance_index(
         # of sharing it.
         return current + 1
     earlier_index = state.indices[spec.earlier_position]
-    value = prepared.value_at(spec.earlier_alias, spec.earlier_column, earlier_index)
+    value = _value_at(prepared, spec.earlier_alias, spec.earlier_column, earlier_index)
     join_map = prepared.join_maps[(context.order[depth], spec.own_column)]
     matches = join_map.get(value)
     if matches is None:
@@ -127,7 +128,7 @@ def _satisfied(
     for plan in plans:
         binding: dict[str, dict[str, Any]] = {}
         for alias in plan.aliases:
-            binding[alias] = prepared.binding_for(alias, state.indices[position_of[alias]])
+            binding[alias] = _binding_for(prepared, alias, state.indices[position_of[alias]])
         meter.charge_predicate(1)
         per_row = plan.predicate.udf_cost(udfs) - 1
         if per_row > 0:  # meter only actual (registered) UDF invocations
@@ -143,3 +144,15 @@ def _result_tuple(prepared: PreprocessedQuery, state: JoinState) -> tuple[int, .
         prepared.base_row(alias, state.indices[position_of[alias]])
         for alias in prepared.aliases
     )
+
+
+def _value_at(prepared: PreprocessedQuery, alias: str, column: str, filtered_index: int) -> Any:
+    """Decoded value of ``alias.column`` at a filtered-array index."""
+    value = prepared.physical_column(alias, column)[filtered_index].item()
+    col = prepared.tables[alias].column(column)
+    return col.dictionary[value] if col.ctype is ColumnType.STRING else value
+
+
+def _binding_for(prepared: PreprocessedQuery, alias: str, filtered_index: int) -> dict[str, Any]:
+    """Decoded row dict of ``alias`` at a filtered-array index."""
+    return prepared.tables[alias].row(prepared.base_row(alias, filtered_index))

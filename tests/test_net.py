@@ -14,6 +14,7 @@ The acceptance properties of the remote transport:
 """
 
 import random
+import re
 import socket
 import threading
 import time
@@ -594,6 +595,41 @@ class TestServerLifecycle:
         assert not [record for record in caplog.records if record.name == "asyncio"]
         with pytest.raises(OperationalError):
             conn.cursor().execute("SELECT r.id FROM r").fetchall()
+        conn.close()
+
+    def test_a_served_connection_refuses_local_statements_until_stop(self):
+        """The server's thread steps the served connection's scheduler, so
+        a local statement on that connection would race it: ``submit``,
+        ``fetch_batch`` and ``result`` raise a typed error naming the DSN,
+        while seeding and inspecting stay open.  After ``stop()`` the
+        connection runs statements locally again."""
+        conn = connect(FAST)
+        seed_rs_schema(conn)
+        sql = "SELECT r.id FROM r"
+        early = conn.cursor().execute(sql, use_result_cache=False)  # runs when fetched
+        live = ServerThread(conn).start()
+        try:
+            refused = [
+                lambda: conn.execute(sql),
+                lambda: conn.cursor().execute(sql),
+                lambda: early.fetchmany(2),
+                lambda: conn.transport.result(early.ticket),
+            ]
+            for statement in refused:
+                with pytest.raises(InterfaceError, match=re.escape(live.dsn)):
+                    statement()
+            conn.create_table("t", {"x": [1, 2]})
+            conn.commit()
+            assert conn.parse("SELECT t.x FROM t").num_tables == 1
+            assert conn.stats()["sessions"] == 1  # the early cursor's
+            assert len(conn.execute_direct(sql).table.rows()) == 6
+            with connect(live.dsn) as remote:
+                assert len(remote.execute(sql).table.rows()) == 6
+        finally:
+            live.stop()
+        assert conn.served_at is None
+        assert len(early.fetchall()) == 6
+        assert len(conn.execute(sql).table.rows()) == 6
         conn.close()
 
     def test_stop_with_a_client_that_never_reads_is_prompt(self):

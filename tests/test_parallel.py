@@ -74,9 +74,10 @@ def join_query(limit_v: int = 8):
     )
 
 
-def run_parallel(catalog, query, workers: int, config: SkinnerConfig = DEFAULT_CONFIG):
+def run_parallel(catalog, query, workers: int, config: SkinnerConfig = DEFAULT_CONFIG,
+                 trace: bool = False):
     task = ParallelSkinnerCTask(
-        catalog, query, None, config.with_overrides(parallel_workers=workers)
+        catalog, query, None, config.with_overrides(parallel_workers=workers), trace=trace
     )
     try:
         while not task.finished:
@@ -155,6 +156,43 @@ class TestByteIdentity:
             task.close()
         assert len(plans[0][1]) > 1
         assert plans[0] == plans[1] == plans[2]
+
+
+class TestTracing:
+    """Tracing does not pick the execution path: a traced statement under
+    ``workers>1`` runs morsel-parallel, one trace record per slice."""
+
+    def test_a_traced_task_is_the_coordinator(self):
+        config = DEFAULT_CONFIG.with_overrides(parallel_workers=2)
+        task = SkinnerC(build_catalog(), None, config).task(join_query(), trace=True)
+        try:
+            assert isinstance(task, ParallelSkinnerCTask)
+        finally:
+            task.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_traced_run_matches_the_untraced_one(self, workers):
+        catalog = build_catalog()
+        query = join_query()
+        untraced = run_parallel(catalog, query, workers)
+        traced = run_parallel(catalog, query, workers, trace=True)
+        assert traced.metrics.extra["parallel_morsels"] > 1
+        assert traced.table.rows() == untraced.table.rows()
+        assert traced.metrics.work == untraced.metrics.work
+        assert traced.metrics.time_slices == untraced.metrics.time_slices
+        assert len(traced.metrics.extra["trace"]) == traced.metrics.time_slices
+        assert untraced.metrics.extra["trace"] == []
+
+    def test_a_traced_statement_runs_morsel_parallel(self):
+        catalog = build_catalog()
+        query = join_query()
+        engine = SkinnerC(catalog, None, DEFAULT_CONFIG.with_overrides(parallel_workers=2))
+        traced, untraced = engine.execute(query, trace=True), engine.execute(query)
+        assert traced.metrics.extra["parallel_workers"] == 2
+        assert traced.table.rows() == untraced.table.rows()
+        assert traced.metrics.work == untraced.metrics.work
+        assert traced.metrics.time_slices == untraced.metrics.time_slices
+        assert len(traced.metrics.extra["trace"]) == traced.metrics.time_slices
 
 
 class TestFallbacks:
@@ -250,8 +288,9 @@ class TestServingIntegration:
         server = QueryServer(catalog, config=config)
         ticket = server.submit(join_query(), use_result_cache=False)
         task = server._session(ticket).task
-        while task._pilot is not None:
-            server.step()
+        # Morsel 0 runs on the coordinator; the rest are dispatched once it is done.
+        while not task._dispatched and server.step():
+            pass
         morsels = list(task._dispatched)
         assert len(morsels) == 7
         assert server.cancel(ticket)
@@ -296,7 +335,7 @@ class TestWorkerDeath:
             catalog, query, None, DEFAULT_CONFIG.with_overrides(parallel_workers=2)
         )
         try:
-            while task._pilot is not None:
+            while not task._dispatched and not task.finished:
                 task.run_episode()
             killed = _kill_workers(2)
             while not task.finished:

@@ -468,3 +468,31 @@ def test_every_task_runs_the_one_episode_loop():
     assert not hasattr(skinner_g.SkinnerG, "_finalize")
     assert not hasattr(skinner_h.SkinnerH, "_traditional_result")
 
+
+
+#: The task surface the morsel coordinator inherits from ``SkinnerCTask``.
+COORDINATOR_INHERITS = {
+    "enable_streaming", "drain_new_tuples", "stream_aliases", "stream_tables",
+    "learned_orders", "order_evidence", "run_episode", "finalize",
+}
+
+
+def test_the_morsel_coordinator_is_a_skinner_c_task():
+    """``ParallelSkinnerCTask`` is a ``SkinnerCTask`` over morsel 0: it
+    overrides hooks (``preprocess``, ``episodes``, ``meters``,
+    ``metric_fields``) but defines none of the task surface, so nothing in
+    it forwards to a second, wrapped task."""
+    from repro.skinner.parallel import ParallelSkinnerCTask
+    from repro.skinner.skinner_c import SkinnerCTask
+
+    assert ParallelSkinnerCTask.__bases__ == (SkinnerCTask,)
+    (cls,) = ast.parse(inspect.getsource(ParallelSkinnerCTask)).body
+    defined = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {target.id for target in targets if isinstance(target, ast.Name)}
+    assert not defined & COORDINATOR_INHERITS
+    assert "_pilot" not in inspect.getsource(inspect.getmodule(ParallelSkinnerCTask))

@@ -318,7 +318,7 @@ def test_uploads_and_results_use_the_table_frame_in_both_directions(server):
         stored = server.connection.catalog.table("up")
         assert_exact(shipped, stored)
         result = conn.execute("SELECT up.i, up.f, up.s FROM up")
-        assert_exact(server.connection.execute("SELECT up.i, up.f, up.s FROM up").table,
+        assert_exact(server.connection.execute_direct("SELECT up.i, up.f, up.s FROM up").table,
                      result.table)
         with pytest.raises(InterfaceError, match="carries no table"):
             conn.transport._channel.request("create_table", name="x", columns={"a": [1]})
