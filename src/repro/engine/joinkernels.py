@@ -2,10 +2,11 @@
 
 The plan executor's hash join and the Skinner preprocessor's join maps share
 one structure, :class:`GroupedJoinMap`: the build side's rows grouped by join
-key into sorted runs, probed by binary search.  Nothing in it depends on the
-probe side, so one map serves every probe of an unchanged build side: the
-catalog's :class:`~repro.engine.statement_cache.StatementCache` keeps it for
-every statement, plan-executor engine and Skinner-C slice on the same table
+key into sorted runs, probed by direct address where the keys are dense ints
+and by binary search otherwise.  Nothing in it depends on the probe side, so
+one map serves every probe of an unchanged build side: the catalog's
+:class:`~repro.engine.statement_cache.StatementCache` keeps it for every
+statement, plan-executor engine and Skinner-C slice on the same table
 version, and :meth:`GroupedJoinMap.suffix` serves the remainders of
 Skinner-G/H's batches from it without grouping again.
 
@@ -15,7 +16,15 @@ Skinner-G/H's batches from it without grouping again.
 * :class:`GroupedJoinMap` — a single-column key groups the column's raw
   *physical* values (int64, float64, dictionary codes for strings): no
   factorization at all.  Probe values are translated into that domain
-  (:func:`_translate_probes`) and ``searchsorted`` into the run keys.
+  (:func:`_translate_probes`) and found among the run keys by :func:`_find`.
+* :func:`_find` — the one lookup of probes in sorted keys: the run keys, and
+  a composite key's per-column domains and re-compressed partial codes.
+  Int64 keys spanning at most ``DENSITY * (len(keys) + DENSITY)`` values
+  (:data:`DENSITY` is 8) get a direct-address table when they are grouped
+  (:func:`_direct_table`), and a probe is one gather from it; float keys,
+  sparse ints and empty key sets are binary-searched.  A float has no slot
+  to address (``1.5``, NaN), and a table over sparse ints would cost more
+  memory than the keys themselves.
 * :func:`encode_composite_keys` — a composite key gets one int64 code per
   build row: every key column is factorized over the *build rows only* and
   the per-column codes are combined mixed-radix.  The returned
@@ -64,6 +73,11 @@ __all__ = [
 #: Radix-combination guard: composite code spans stay below this bound, and
 #: are re-compressed to a dense domain when the next part would overflow.
 _MAX_SPAN = 2**62
+
+#: Sorted int64 keys get a direct-address table when their span is at most
+#: ``DENSITY * (len(keys) + DENSITY)``: eight table slots per key, and 64
+#: more so that a small key set with a few gaps gets one too.
+DENSITY = 8
 
 
 @dataclass(frozen=True)
@@ -180,14 +194,49 @@ def _translate_probes(
     return probes, valid
 
 
-def _find(keys: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per probe: its slot in the sorted, non-empty ``keys`` and whether it is there.
+def _direct_table(keys: np.ndarray) -> np.ndarray | None:
+    """The direct-address table :func:`_find` looks sorted, distinct ``keys`` up in.
 
-    The slot of a probe that is not found is some valid index; NaN is found
-    nowhere, on either side.
+    ``None`` unless the keys are int64 and span at most :data:`DENSITY`
+    slots per key.  Entry ``v - low + 1`` is the slot of key ``v``, and
+    ``len(keys)`` where no key is ``v``; one more entry at either end, for
+    ``low - 1`` and ``high + 1``, holds ``len(keys)`` for every probe
+    outside the keys.  Keys reaching an end of int64 have no such
+    neighbours and get no table.
     """
-    position = np.minimum(keys.searchsorted(probes), keys.shape[0] - 1)
-    return position, keys[position] == probes
+    count = keys.shape[0]
+    if keys.dtype != np.int64 or count == 0:
+        return None
+    low, high = int(keys[0]), int(keys[-1])
+    if high - low + 1 > DENSITY * (count + DENSITY) or low == -(2**63) or high == 2**63 - 1:
+        return None
+    table = np.full(high - low + 3, count, dtype=np.intp)
+    table[keys - (low - 1)] = np.arange(count, dtype=np.intp)
+    return table
+
+
+def _find(keys: np.ndarray, probes: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    """Each probe's slot in the sorted, distinct ``keys``; ``len(keys)`` where it is none.
+
+    ``table`` is the keys' :func:`_direct_table`: with one, an int64 probe
+    is clamped to ``[low - 1, high + 1]`` and read from it.  The clamp is
+    the mask of the probes outside the keys: it comes before ``probes -
+    low`` is computed, which therefore never leaves int64.  Without one the
+    keys are binary-searched.  NaN is found nowhere, on either side.
+    """
+    count = keys.shape[0]
+    if count == 0:
+        return np.zeros(probes.shape[0], dtype=np.intp)
+    if table is not None and probes.dtype == keys.dtype:
+        below = int(keys[0]) - 1
+        offsets = np.maximum(probes, below)
+        np.minimum(offsets, int(keys[-1]) + 1, out=offsets)
+        offsets -= below
+        return table.take(offsets)
+    slots = keys.searchsorted(probes)
+    # ``mode="clip"``: a probe beyond the last key reads the last key.
+    slots[keys.take(slots, mode="clip") != probes] = count  # also NaN on either side
+    return slots
 
 
 # ----------------------------------------------------------------------
@@ -202,11 +251,21 @@ class CompositeKeySpace:
     combination of its per-column domain slots.  ``dense[i]``, where present,
     are the sorted distinct partial codes of the build rows before column
     ``i`` joined in: the span guard re-compressed them to their own slots.
+    ``tables[i]`` and ``dense_tables[i]`` are the direct-address tables of
+    the two (:func:`_direct_table`).
     """
 
     columns: tuple[Column, ...]
     domains: tuple[np.ndarray, ...]
     dense: dict[int, np.ndarray]
+    tables: tuple[np.ndarray | None, ...]
+    dense_tables: dict[int, np.ndarray | None]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the domains, the re-compressed codes and their tables."""
+        arrays = (*self.domains, *self.dense.values(), *self.tables, *self.dense_tables.values())
+        return sum(array.nbytes for array in arrays if array is not None)
 
     def probe_codes(
         self, values: Sequence[np.ndarray], sources: Sequence[Column]
@@ -227,12 +286,12 @@ class CompositeKeySpace:
             if translated is None or domain.shape[0] == 0:
                 return codes, np.zeros(length, dtype=bool)
             if index in self.dense:
-                codes, found = _find(self.dense[index], codes)
-                valid &= found
+                codes = _find(self.dense[index], codes, self.dense_tables[index])
+                valid &= codes != self.dense[index].shape[0]
             probes, part_valid = translated
-            part, found = _find(domain, probes)
+            part = _find(domain, probes, self.tables[index])
+            valid &= part != domain.shape[0]
             codes = codes * domain.shape[0] + part
-            valid &= found
             if part_valid is not None:
                 valid &= part_valid
         return codes, valid
@@ -255,17 +314,20 @@ def encode_composite_keys(
     codes = np.zeros(positions.shape[0], dtype=np.int64)
     domains: list[np.ndarray] = []
     dense: dict[int, np.ndarray] = {}
+    dense_tables: dict[int, np.ndarray | None] = {}
     span = 1
     for index, column in enumerate(columns):
         domain, part = np.unique(column.data[positions], return_inverse=True)
         size = max(1, domain.shape[0])
         if span > _MAX_SPAN // size:
             dense[index], codes = np.unique(codes, return_inverse=True)
+            dense_tables[index] = _direct_table(dense[index])
             span = max(1, dense[index].shape[0])
         codes = codes.reshape(-1) * size + part.reshape(-1)
         span *= size
         domains.append(domain)
-    return CompositeKeySpace(tuple(columns), tuple(domains), dense), codes
+    tables = tuple(_direct_table(domain) for domain in domains)
+    return CompositeKeySpace(tuple(columns), tuple(domains), dense, tables, dense_tables), codes
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +344,9 @@ class GroupedJoinMap:
     the map is a function of the indexed rows alone, so it can be built once
     and probed from any column of any table.  A lookup takes two steps:
     :meth:`slots` translates a vector of probes into the key domain and
-    binary-searches the sorted run keys for each probe's bucket number, and
+    finds each probe's bucket number among the sorted run keys
+    (:func:`_find`: one gather from the direct-address table built with the
+    map where the keys are dense int64, a binary search otherwise), and
     :meth:`bounds` turns bucket numbers into bucket bounds.  A caller that
     probes with the same values again keeps the bucket numbers and repeats
     only the second step; :meth:`get` looks up one decoded value
@@ -306,8 +370,8 @@ class GroupedJoinMap:
       numeric column (or the reverse) matches nothing.
     """
 
-    __slots__ = ("_column", "_space", "_keys", "_rows", "_starts", "_ends", "_lower", "_cut",
-                 "_grouped", "unique", "__weakref__")
+    __slots__ = ("_column", "_space", "_keys", "_table", "_rows", "_starts", "_ends", "_lower",
+                 "_cut", "_grouped", "unique", "__weakref__")
 
     def __init__(self, key: Column | Sequence[Column], positions: np.ndarray) -> None:
         columns = (key,) if isinstance(key, Column) else tuple(key)
@@ -319,6 +383,8 @@ class GroupedJoinMap:
             self._column = None
             self._space, values = encode_composite_keys(columns, positions)
         self._rows, self._keys, bounds = _runs(values)
+        #: The keys' direct-address table, ``None`` where they are searched.
+        self._table = _direct_table(self._keys)
         #: Whether every key holds exactly one row (NaN keys are singletons).
         self.unique = self._keys.shape[0] == self._rows.shape[0]
         #: Bucket ``g`` is ``_rows[_starts[g]:_ends[g]]``; bucket ``len(self)``
@@ -337,10 +403,10 @@ class GroupedJoinMap:
         Probing the cut map finds what a map over ``positions[lower:]`` finds,
         every row ``lower`` higher: Skinner-G/H join each batch against the
         remainder of the other tables, one lower bound per table.  It is a
-        view, not a regrouping.  The keys and rows are shared, and since a
-        bucket's rows ascend, the rows below ``lower`` are each bucket's first
-        ones: its bounds move past them (:meth:`_cut_at`).  A bucket left with
-        no rows reads as absent.
+        view, not a regrouping.  The keys, their direct-address table and
+        the rows are shared, and since a bucket's rows ascend, the rows below
+        ``lower`` are each bucket's first ones: its bounds move past them
+        (:meth:`_cut_at`).  A bucket left with no rows reads as absent.
         """
         grouped = self._grouped
         if lower <= 0 or grouped._rows.shape[0] == 0:
@@ -348,6 +414,7 @@ class GroupedJoinMap:
         view = object.__new__(GroupedJoinMap)
         view._column, view._space = grouped._column, grouped._space
         view._keys, view._rows, view._ends = grouped._keys, grouped._rows, grouped._ends
+        view._table = grouped._table
         view.unique = grouped.unique
         view._starts = grouped._cut_at(lower)
         view._lower, view._cut, view._grouped = lower, None, grouped
@@ -381,8 +448,14 @@ class GroupedJoinMap:
     @property
     def nbytes(self) -> int:
         """Bytes of the grouped arrays, the per-bucket cut a resumed
-        :meth:`bounds` keeps included (what a cache of maps is bounded by)."""
-        return self._keys.nbytes + self._rows.nbytes + 2 * self._starts.nbytes
+        :meth:`bounds` keeps, the direct-address tables and a composite key's
+        code space included (what a cache of maps is bounded by)."""
+        held = self._keys.nbytes + self._rows.nbytes + 2 * self._starts.nbytes
+        if self._table is not None:
+            held += self._table.nbytes
+        if self._space is not None:
+            held += self._space.nbytes
+        return held
 
     def __len__(self) -> int:
         return int(self._keys.shape[0])
@@ -437,15 +510,12 @@ class GroupedJoinMap:
         table version's life must not grow with what it is asked.
         """
         probe = self._encode_probe(value)
-        keys = self._keys
-        if probe is None or keys.shape[0] == 0:
+        if probe is None:
             return None
-        position = int(keys.searchsorted(probe))
-        if position >= keys.shape[0] or keys[position] != probe:
-            return None  # also NaN on either side: nan != nan
-        start, end = int(self._starts[position]), int(self._ends[position])
+        slot = int(_find(self._keys, np.asarray([probe]), self._table)[0])
+        start, end = int(self._starts[slot]), int(self._ends[slot])
         if start == end:
-            return None  # a bucket a suffix view emptied
+            return None  # no key, or a bucket a suffix view emptied
         return self._rows[start:end]
 
     def slots(
@@ -463,7 +533,6 @@ class GroupedJoinMap:
         numeric one.  The numbers depend on the grouped keys alone, so they
         serve every :meth:`suffix` of this map as well.
         """
-        keys = self._keys
         if self._space is not None:
             probes = self._space.probe_codes(values, source)
             values = values[0]
@@ -471,16 +540,13 @@ class GroupedJoinMap:
             if not isinstance(source, Column):  # a one-column key given as a sequence
                 (values,), (source,) = values, source
             probes = _translate_probes(self._column, np.asarray(values), source)
-        absent = keys.shape[0]
-        if probes is None or absent == 0:
+        absent = self._keys.shape[0]
+        if probes is None:
             return np.full(np.shape(values)[0], absent, dtype=np.intp)
         probes, valid = probes
-        slots = keys.searchsorted(probes)
-        # ``mode="clip"``: a probe beyond the last key reads the last key.
-        found = keys.take(slots, mode="clip") == probes  # False for NaN on either side
+        slots = _find(self._keys, probes, self._table)
         if valid is not None:
-            found &= valid
-        slots[~found] = absent
+            slots[~valid] = absent
         return slots
 
     def edge(

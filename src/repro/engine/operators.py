@@ -23,8 +23,8 @@ column once) is evaluated over arrays of the surviving rows by
 The hash join runs the columnar kernel from :mod:`repro.engine.joinkernels`:
 the build side grouped by a stable sort into a
 :class:`~repro.engine.joinkernels.GroupedJoinMap` (the caller's cached one, a
-suffix view of it for a remainder), the probe side matched via
-``searchsorted`` (:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`),
+suffix view of it for a remainder), the probe side matched by direct
+address or binary search (:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`),
 and the candidates taken range by range from one of the two shapes of
 :mod:`repro.engine.joinsteps`: partner rows where the build key is unique,
 bucket runs otherwise, as in the multi-way join's frames.  A cross product

@@ -7,6 +7,10 @@ way, and charges the same meter work:
   multi-way join one tuple index at a time (Algorithm 2 verbatim);
 * :func:`~tests.oracles.hash_join.rows_hash_join_step` — the plan executor's
   hash join with a Python dict;
+* :func:`~tests.oracles.join_map.slots_reference`,
+  :func:`~tests.oracles.join_map.edge_reference` and
+  :func:`~tests.oracles.join_map.probe_codes_reference` — a join map's
+  lookups by plain binary search, with no direct-address table;
 * :func:`~tests.oracles.join_map.lookup_many_reference` — a join map's
   many-probe lookup in one step, cut at a bound per probe;
 * :func:`~tests.oracles.postprocess.rows_post_process` — post-processing
@@ -22,11 +26,13 @@ benchmarks (``benchmarks/paper/experiments_hashjoin.py`` and
 
 from .forced_order import forced_order
 from .hash_join import rows_hash_join_step
-from .join_map import lookup_many_reference
+from .join_map import (
+    edge_reference, lookup_many_reference, probe_codes_reference, slots_reference,
+)
 from .multiway_join import continue_scalar
 from .postprocess import rows_post_process
 
 __all__ = [
-    "continue_scalar", "forced_order", "lookup_many_reference", "rows_hash_join_step",
-    "rows_post_process",
+    "continue_scalar", "edge_reference", "forced_order", "lookup_many_reference",
+    "probe_codes_reference", "rows_hash_join_step", "rows_post_process", "slots_reference",
 ]

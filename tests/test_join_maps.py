@@ -149,7 +149,11 @@ _EDGE_FLOATS = [
     0.0, -0.0, 1.0, 5.0, 5.5, float(2**53), float(2**53) + 2.0, 2.0**63, -(2.0**63),
     float("nan"), float("inf"), float("-inf"),
 ]
-_ints = st.lists(st.one_of(st.sampled_from(_EDGE_INTS), st.integers(-6, 6)), max_size=12)
+_ints = st.lists(st.one_of(
+    st.sampled_from(_EDGE_INTS),
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(lambda value: value * 10**6),  # sparse: binary-searched
+), max_size=12)
 _floats = st.lists(
     st.one_of(st.sampled_from(_EDGE_FLOATS), st.integers(-6, 6).map(float)), max_size=12
 )
