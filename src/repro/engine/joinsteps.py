@@ -14,7 +14,10 @@ per-prefix loop.  Both shapes answer, without state, ``take(start, stop)``
 (the ``(parent, candidates)`` arrays of a range), ``at(pos)`` (one pair,
 where a suspended multi-way join resumes) and ``through(remaining)`` (what
 that loop has counted when a budget of ``remaining`` stops it: all up to the
-end of the prefix whose candidates cross it).  :func:`edge_candidates` picks
+end of the prefix whose candidates cross it); ``owned(bounds)`` (the
+candidates of the prefixes below each bound) and ``head(prefixes)`` (the
+shape of the first prefixes alone) are what the multi-way join trims a wide
+step with.  :func:`edge_candidates` picks
 a hash join's shape from the map's key uniqueness alone, for the multi-way
 join's frames and the plan executor's
 :class:`~repro.engine.operators.Candidates` alike.
@@ -79,6 +82,20 @@ class Runs:
         ends = self.ends
         return int(ends[ends.searchsorted(remaining, "right")])
 
+    def owned(self, bounds: np.ndarray) -> np.ndarray:
+        """Candidates owned by the prefixes below each of ``bounds``."""
+        return np.concatenate((np.zeros(1, np.int64), self.ends))[bounds]
+
+    def head(self, prefixes: int) -> Runs:
+        """The runs of the first ``prefixes`` prefixes, holding none of the rest."""
+        head = Runs.__new__(Runs)
+        head.rows = self.rows
+        head.counts = self.counts[:prefixes].copy()
+        head.ends = self.ends[:prefixes].copy()
+        head.shift = self.shift[:prefixes].copy()
+        head.total = int(head.ends[-1]) if prefixes else 0
+        return head
+
 
 class Partners:
     """The prefixes ``parents``, ascending, own one candidate each:
@@ -102,6 +119,15 @@ class Partners:
     def through(self, remaining: int) -> int:
         """Candidates through the one that crosses ``remaining``."""
         return remaining + 1
+
+    def owned(self, bounds: np.ndarray) -> np.ndarray:
+        """Candidates owned by the prefixes below each of ``bounds``."""
+        return self.parents.searchsorted(bounds)
+
+    def head(self, prefixes: int) -> Partners:
+        """The partners of the first ``prefixes`` prefixes, holding none of the rest."""
+        cut = int(self.parents.searchsorted(prefixes))
+        return Partners(self.parents[:cut].copy(), self.partners[:cut].copy())
 
 
 def scan(prefixes: int, lower: int, width: int) -> Runs:

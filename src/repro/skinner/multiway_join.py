@@ -63,7 +63,19 @@ Two rules tie this to the learning loop:
   one unit for each deeper position, so every slice reaches the last
   position and moves the lower bound; and a slice that has moved it stops
   once less than an eighth of its budget is left, because spending the
-  remainder takes ever narrower steps.
+  remainder takes ever narrower steps.  These *narrow* steps, each at most
+  ``batch_size`` wide with a stop check between any two, define the slice.
+  Where the executor can prove that several consecutive narrow steps at
+  one position keep their full width and, with all the work below them,
+  leave at least that eighth — so no check between them stops the slice —
+  it takes them as one *wide* step, and the slice ends with the same state,
+  charges, emitted rows and parked frames.  The proof: at the last position
+  a candidate costs one unit; above a chain of unique-key positions at most
+  one per position left; at the next-to-last position (no UDF there or
+  below) a chunk is filtered and the last position's frame built first,
+  which gives each narrow step's exact cost, and only the run of steps
+  that passes is kept and charged.  A meter with a work budget keeps every
+  step narrow, so the budget runs out at the same charge.
 
 The literal transcription of Algorithm 2 (one tuple index per loop
 iteration) is the test oracle ``continue_scalar`` in
@@ -75,6 +87,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -146,6 +159,8 @@ class _JumpSpec:
     earlier_position: int
     earlier_alias: str
     earlier_column: str
+    #: Whether the map's key is unique: every prefix has one candidate or none.
+    unique: bool = False
 
     @property
     def predicates(self) -> tuple[Predicate, ...]:
@@ -211,6 +226,32 @@ class _OrderContext:
     canonical_positions: tuple[int, ...] = ()
     #: alias -> join-order position, read when a batch's arrays are gathered.
     order_positions: dict[str, int] = field(default_factory=dict)
+    #: Units per candidate the last trimmed chunk showed; sizes the next one.
+    chunk_units: float = 1.0
+
+    @cached_property
+    def unit_cost(self) -> list[int]:
+        """Units a candidate at each position costs at most with all the work
+        below it: ``1`` at the last position, ``last - d + 1`` where every
+        later position joins through a unique key, ``0`` where nothing
+        bounds it."""
+        last = len(self.order) - 1
+        cost = [0] * last + [1]
+        for position in range(last - 1, -1, -1):
+            spec = self.jump_at[position + 1]
+            if not isinstance(spec, _JumpSpec) or not spec.unique:
+                break
+            cost[position] = last - position + 1
+        return cost
+
+    @cached_property
+    def trims(self) -> bool:
+        """Whether a step at the next-to-last position may filter a chunk and
+        keep the part the narrow steps would take: no UDF at either of the
+        last two positions, so none runs on a candidate they do not examine."""
+        return len(self.order) > 1 and not any(
+            plan.predicate.uses_udf for plans in self.plans_at[-2:] for plan in plans
+        )
 
 
 class _Block:
@@ -247,9 +288,14 @@ def _extend(prefix: np.ndarray, parent: np.ndarray, candidates: np.ndarray) -> n
     depth = prefix.shape[0]
     block = np.empty((depth + 1, candidates.shape[0]), dtype=np.int64)
     if depth:
-        prefix.take(parent, axis=1, out=block[:depth])
+        prefix.take(parent, axis=1, out=block[:depth], mode="clip")
     block[depth] = candidates
     return block
+
+
+def _step_ends(size: int, batch: int) -> list[int]:
+    """Where the narrow steps over the next ``size`` candidates of a frame end."""
+    return [*range(batch, size, batch), size]
 
 
 @dataclass
@@ -267,12 +313,12 @@ class MultiwayJoin:
     Parameters
     ----------
     batch_size:
-        Upper bound on the ``(prefix, candidate)`` pairs one vectorized step
-        examines, and so on the number of partial tuples a block holds;
-        larger values amortize interpreter overhead across NumPy operations
-        (Skinner-C uses ``BATCH_SIZE``; ``1`` means batches of one).  A step
-        is further limited to its share of the remaining slice budget
-        and to the meter's remaining work budget.
+        Upper bound on the ``(prefix, candidate)`` pairs one narrow step
+        examines; larger values amortize interpreter overhead across NumPy
+        operations (Skinner-C uses ``BATCH_SIZE``; ``1`` means batches of
+        one).  A step is further limited to its share of the remaining slice
+        budget and to the meter's remaining work budget.  A wide step takes
+        several narrow steps at once (see the module docstring).
     """
 
     def __init__(
@@ -291,6 +337,8 @@ class MultiwayJoin:
         #: Look-ahead of suspended orders, oldest first, at most
         #: ``_PARKED_RUNS`` (block frames for every order ever tried add up).
         self._parked: dict[tuple[str, ...], _ParkedRun] = {}
+        #: Narrow steps taken inside wide ones, two or more at a time.
+        self.merged_steps = 0
 
     def parked_frame_sets(self) -> int:
         """How many suspended orders currently keep their look-ahead."""
@@ -343,7 +391,8 @@ class MultiwayJoin:
             other = right if left.table == alias else left
             if other.table not in earlier:
                 continue
-            if (alias, own.column) not in self._prepared.join_maps:
+            join_map = self._prepared.join_maps.get((alias, own.column))
+            if join_map is None:
                 continue
             return _JumpSpec(
                 predicate=predicate,
@@ -351,6 +400,7 @@ class MultiwayJoin:
                 earlier_position=earlier[other.table],
                 earlier_alias=other.table,
                 earlier_column=other.column,
+                unique=join_map.unique,
             )
         return self._band_spec(alias, earlier, predicates)
 
@@ -474,6 +524,12 @@ class MultiwayJoin:
         # budget below that would make no progress and never terminate.
         budget = max(budget, len(order) + 1)
         last = len(order) - 1
+        batch = self._batch_size
+        # What the stop check needs left once the slice has advanced; and
+        # only without a work budget may steps widen, so that a budget runs
+        # out at the very charge the narrow steps reach it.
+        floor = max(1, budget // _TAIL_DIVISOR)
+        widens = meter.budget is None
         frames, depth, iterations = self._resume_frames(context, state, meter)
         advanced = False
         while True:
@@ -486,7 +542,7 @@ class MultiwayJoin:
                     return True
                 continue
             remaining = budget - iterations
-            if remaining <= 0 or (advanced and remaining < budget // _TAIL_DIVISOR):
+            if remaining <= 0 or (advanced and remaining < floor):
                 self._suspend(context, state, offsets, frames, depth)
                 return False
             # What this step may spend.  Where candidates come from hash
@@ -502,7 +558,21 @@ class MultiwayJoin:
                 share = max(1, remaining - below)
             else:
                 share = max(1, remaining // (below + 1))
-            parent, candidates = frame.take(meter.clamp_batch(min(self._batch_size, share)))
+            width = min(batch, share)
+            if advanced and widens and width == batch and frame.shape.total - frame.pos > batch:
+                # Full-width steps that provably end no slice run as one.
+                if depth == last - 1 and context.trims:
+                    kept, child = self._trimmed_step(context, frame, remaining, floor, offsets,
+                                                     meter)
+                    if kept:
+                        iterations += kept
+                        if child is not None:
+                            depth += 1
+                            frames[depth] = child
+                        continue
+                elif context.unit_cost[depth]:
+                    width = self._wide_width(context, depth, frame, remaining, floor)
+            parent, candidates = frame.take(meter.clamp_batch(width))
             examined = int(candidates.shape[0])
             iterations += examined
             meter.charge_scan(examined)
@@ -519,6 +589,121 @@ class MultiwayJoin:
             block = _extend(frame.prefix, parent, candidates)
             depth += 1
             frames[depth] = self._make_frame(context, depth, block, offsets.get(order[depth], 0))
+
+    def _narrow_steps(
+        self,
+        context: _OrderContext,
+        depth: int,
+        ends: list[int],
+        costs: list[int],
+        remaining: int,
+        floor: int,
+    ) -> int:
+        """How many narrow steps at ``depth`` run back to back from here.
+
+        ``ends[j]`` is where the ``j``-th next narrow step would end (counted
+        from the frame's cursor) and ``costs[j]`` what the steps through it
+        cost, the work below them included, or a bound above it.  A step
+        counts while the share the loop would compute before it still
+        allows its full width and what is left after it passes the stop
+        check; every check inside the steps reads at least that much.
+        """
+        below = len(context.order) - 1 - depth
+        scan = context.jump_at[depth] is None
+        start, before = 0, remaining
+        for steps, (end, cost) in enumerate(zip(ends, costs)):
+            share = before - below if scan else before // (below + 1)
+            before = remaining - cost
+            if max(1, share) < end - start or before < floor:
+                return steps
+            start = end
+        return len(ends)
+
+    def _wide_width(
+        self, context: _OrderContext, depth: int, frame: _Block, remaining: int, floor: int
+    ) -> int:
+        """The width of the narrow steps at ``depth`` that can run as one.
+
+        A candidate here costs at most ``context.unit_cost[depth]`` units
+        with all the work below it, so that bound decides; below two steps
+        the answer is one narrow step.
+        """
+        batch = self._batch_size
+        unit = context.unit_cost[depth]
+        fits = ((remaining - floor) // (unit * batch) + 1) * batch
+        size = min(frame.shape.total - frame.pos, fits)
+        if size <= batch:
+            return batch
+        ends = _step_ends(size, batch)
+        costs = [end * unit for end in ends]
+        steps = self._narrow_steps(context, depth, ends, costs, remaining, floor)
+        if steps < 2:
+            return batch
+        self.merged_steps += steps
+        return ends[steps - 1]
+
+    def _trimmed_step(
+        self,
+        context: _OrderContext,
+        frame: _Block,
+        remaining: int,
+        floor: int,
+        offsets: Mapping[str, int],
+        meter: CostMeter,
+    ) -> tuple[int, _Block | None]:
+        """A wide step at the next-to-last position, trimmed to the narrow steps.
+
+        Filters a chunk of the frame and builds the last position's frame
+        for its survivors, which gives what each narrow step would cost with
+        the work below it: its candidates plus those the survivors before
+        its end own.  The run of steps that passes :meth:`_narrow_steps` —
+        the first step always, as the loop would take it — is kept: the
+        frame's cursor moves past it, only it is charged, and the child
+        frame is cut to its survivors.  Returns the candidates kept (``0``:
+        no chunk worth filtering, take a narrow step) and the child frame
+        (``None``: no survivor kept).
+        """
+        batch = self._batch_size
+        depth = len(context.order) - 2
+        left = frame.shape.total - frame.pos
+        # Every step but the last must leave the share of a full one, and
+        # the chunk is sized by what a candidate cost the last time.
+        fits = remaining - floor
+        if context.jump_at[depth] is not None:
+            fits = min(fits, remaining - batch)
+        size = int(fits / context.chunk_units)
+        size = left if size >= left else size - size % batch
+        if size <= batch:
+            return 0, None
+        start = frame.pos
+        parent, candidates = frame.shape.take(start, start + size)
+        ranks = [np.arange(size)]
+        parent, survivors = self._filter_batch(
+            context, depth, frame.prefix, parent, candidates, meter, ranks
+        )
+        ends = _step_ends(size, batch)
+        below = ranks[-1].searchsorted(ends)
+        child = None
+        costs = ends
+        if survivors.shape[0]:
+            child = self._make_frame(context, depth + 1, _extend(frame.prefix, parent, survivors),
+                                     offsets.get(context.order[-1], 0))
+            costs = (child.shape.owned(below) + ends).tolist()
+        context.chunk_units = costs[-1] / size
+        steps = max(1, self._narrow_steps(context, depth, ends, costs, remaining, floor))
+        if steps > 1:
+            self.merged_steps += steps
+        kept, prefixes = ends[steps - 1], int(below[steps - 1])
+        frame.pos = start + kept
+        meter.charge_scan(kept)
+        for evaluated in ranks[:-1]:
+            meter.charge_predicate(int(evaluated.searchsorted(kept)))
+        if not prefixes:
+            return kept, None
+        if prefixes < survivors.shape[0]:
+            # The rest is look-ahead this slice does not reach: drop it whole.
+            child = _Block(child.prefix[:, :prefixes].copy(), child.shape.head(prefixes))
+        return kept, child
 
     def _make_frame(
         self, context: _OrderContext, depth: int, prefix: np.ndarray, lower: int
@@ -625,6 +810,7 @@ class MultiwayJoin:
         parent: np.ndarray,
         candidates: np.ndarray,
         meter: CostMeter,
+        ranks: list[np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply the newly applicable predicates at ``depth`` to a batch.
 
@@ -632,14 +818,21 @@ class MultiwayJoin:
         partial tuple ``prefix[:, parent[i]]``.  Predicates are applied
         sequentially to the shrinking survivor arrays, so the number of
         evaluations charged matches the scalar executor's per-tuple
-        short-circuiting.
+        short-circuiting.  A trimmed step passes ``ranks``, a list holding
+        the candidates' positions in its chunk, and charges its kept part
+        itself: nothing is charged here, and each predicate evaluated
+        appends its survivors' positions, so ``ranks[i]`` is what predicate
+        ``i`` evaluated and ``ranks[-1]`` what survived.
         """
         prepared = self._prepared
         alias = context.order[depth]
         for plan in context.plans_at[depth]:
             if candidates.shape[0] == 0:
                 break
-            meter.charge_predicate(int(candidates.shape[0]))
+            if ranks is None:
+                meter.charge_predicate(int(candidates.shape[0]))
+            else:
+                ranks.append(ranks[-1])
             if plan.jump:
                 continue
             if plan.vectorized:
@@ -657,6 +850,8 @@ class MultiwayJoin:
                 keep = self._filter_arrays(context, plan, alias, prefix, parent, candidates, meter)
             parent = parent[keep]
             candidates = candidates[keep]
+            if ranks is not None:
+                ranks[-1] = ranks[-1][keep]
         return parent, candidates
 
     def _filter_arrays(

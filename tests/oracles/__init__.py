@@ -5,6 +5,8 @@ way, and charges the same meter work:
 
 * :func:`~tests.oracles.multiway_join.continue_scalar` — Skinner-C's
   multi-way join one tuple index at a time (Algorithm 2 verbatim);
+* :class:`~tests.oracles.multiway_join.NarrowJoin` — the block executor
+  without wide steps, one step of at most ``batch_size`` candidates at a time;
 * :func:`~tests.oracles.hash_join.rows_hash_join_step` — the plan executor's
   hash join with a Python dict;
 * :func:`~tests.oracles.join_map.slots_reference`,
@@ -29,10 +31,10 @@ from .hash_join import rows_hash_join_step
 from .join_map import (
     edge_reference, lookup_many_reference, probe_codes_reference, slots_reference,
 )
-from .multiway_join import continue_scalar
+from .multiway_join import NarrowJoin, continue_scalar
 from .postprocess import rows_post_process
 
 __all__ = [
-    "continue_scalar", "edge_reference", "forced_order", "lookup_many_reference",
+    "NarrowJoin", "continue_scalar", "edge_reference", "forced_order", "lookup_many_reference",
     "probe_codes_reference", "rows_hash_join_step", "rows_post_process", "slots_reference",
 ]

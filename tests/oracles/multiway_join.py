@@ -11,6 +11,11 @@ finish in identical states and can take over from each other at any
 suspension.  It additionally examines the reset index on every descent and
 scans a band position instead of cutting it, so its slice boundaries and
 scan charges differ (see ``tests/test_batched_join.py``).
+
+:class:`NarrowJoin` is the block executor on its narrow schedule alone: every
+step at most ``batch_size`` wide and a stop check between any two, the
+definition of a slice that the production executor's wide steps must keep
+(``tests/test_wide_steps.py``).
 """
 
 from __future__ import annotations
@@ -21,11 +26,32 @@ from typing import Any
 import numpy as np
 
 from repro.engine.meter import CostMeter
-from repro.skinner.multiway_join import MultiwayJoin, _JumpSpec, _OrderContext
+from repro.skinner.multiway_join import MultiwayJoin, _Block, _JumpSpec, _OrderContext
 from repro.skinner.preprocessor import PreprocessedQuery
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import JoinState
 from repro.storage.column import ColumnType
+
+
+class NarrowJoin(MultiwayJoin):
+    """:class:`~repro.skinner.multiway_join.MultiwayJoin` whose merge hooks
+    take no merged step: one narrow step at a time, as the slice defines it."""
+
+    def _wide_width(
+        self, context: _OrderContext, depth: int, frame: _Block, remaining: int, floor: int
+    ) -> int:
+        return self._batch_size
+
+    def _trimmed_step(
+        self,
+        context: _OrderContext,
+        frame: _Block,
+        remaining: int,
+        floor: int,
+        offsets: Mapping[str, int],
+        meter: CostMeter,
+    ) -> tuple[int, _Block | None]:
+        return 0, None
 
 
 def continue_scalar(

@@ -232,8 +232,9 @@ def keyed_catalog_and_query(seed: int):
 #: hypothesis axes shared by the properties below.
 SHAPES = st.sampled_from([2, 3, 4, "wide", "wide", "band", "keyed"])
 BATCH_SIZES = st.sampled_from([1, 2, 7, 1024])
-#: slice budgets; ``0`` stands for the smallest legal one, ``len(order) + 1``.
-BUDGETS = st.sampled_from([0, 3, 17, 100])
+#: slice budgets, up to a serving-size one at which steps run wide; ``0``
+#: stands for the smallest legal one, ``len(order) + 1``.
+BUDGETS = st.sampled_from([0, 3, 17, 100, 2_000])
 SEEDS = st.integers(min_value=0, max_value=100_000)
 
 
