@@ -36,11 +36,12 @@ a table's rows for good, so one :class:`StatementCache` per catalog keeps
   holds grows later.  It belongs to both tables: a write to either drops
   it.
 
-The arrays are read-only and share one bound of :data:`MAX_BYTES`, least
-recently used out first; parses are capped at :data:`MAX_PARSED`.  A write
-leaves nothing dead behind: the first lookup after any table's version moved
-drops every entry of every table that moved — replaced, dropped or rolled
-back — at once, an entry owned by two tables as soon as either moved.
+Every entry lives in one :class:`~repro.engine.versioned_lru.VersionedLru`
+under its byte bound, least recently used out first, and answers to the
+versions of the tables it names: the first lookup after any table's version
+moved drops every entry of every table that moved — replaced, dropped or
+rolled back — at once, an edge as soon as either of its tables moved.  The
+arrays are read-only.
 
 Every connection, server and engine over one catalog shares its cache.  Like
 the serving layer above it, the cache takes no locks.
@@ -48,7 +49,6 @@ the serving layer above it, the cache takes no locks.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Hashable, Mapping, Sequence
 from typing import Any
 
@@ -57,6 +57,7 @@ import numpy as np
 from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import ChargeLog, CostMeter
 from repro.engine.operators import filter_table
+from repro.engine.versioned_lru import VersionedLru
 from repro.query.expressions import FunctionCall, Literal
 from repro.query.parser import parse_query
 from repro.query.predicates import Predicate
@@ -65,28 +66,15 @@ from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
-#: Bytes of filtered positions, join maps and edges one catalog's cache holds.
-MAX_BYTES = 32 * 2**20
-
-#: Parsed statements one catalog's cache holds.
-MAX_PARSED = 256
-
 
 class StatementCache:
     """The parses, filtered positions, join maps and edges built on one catalog."""
 
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        #: key -> (query, names of the tables it reads), oldest first.
-        self._parsed: OrderedDict[Hashable, tuple[Query, frozenset[str]]] = OrderedDict()
-        #: key -> (filter, join map or edge, bytes, the tables owning it),
-        #: least recently used first.
-        self._arrays: OrderedDict[Hashable, tuple[Any, int, tuple[str, ...]]] = OrderedDict()
-        #: table -> (the version its entries were built on, their keys).
-        self._tables: dict[str, tuple[int, set[Hashable]]] = {}
-        self._synced = catalog.latest_version
-        #: Bytes of the filtered positions, join maps and edges held.
-        self.nbytes = 0
+        #: Every parse, filter, join map and edge, each owned by the tables
+        #: it was built from.
+        self.lru = VersionedLru(catalog)
 
     @classmethod
     def of(cls, catalog: Catalog) -> StatementCache:
@@ -96,11 +84,18 @@ class StatementCache:
         return catalog.statement_cache
 
     def __len__(self) -> int:
-        return len(self._parsed) + len(self._arrays)
+        return len(self.lru)
 
-    def versions(self) -> dict[str, int]:
-        """Per table with entries: the version they were built on."""
-        return {name: version for name, (version, keys) in self._tables.items() if keys}
+    @property
+    def nbytes(self) -> int:
+        """Bytes charged for what the cache holds."""
+        return self.lru.nbytes
+
+    def versions(self) -> dict[str, int | None]:
+        """Per table with entries: the version they were built on (``None``:
+        a parse naming a table the catalog did not hold)."""
+        return {name: version for _, entry in self.lru.items()
+                for name, version in zip(entry.tables, entry.versions[1:])}
 
     # ------------------------------------------------------------------
     # lookups
@@ -113,21 +108,10 @@ class StatementCache:
         key = _statement_key(sql, params)
         if key is None:
             return parse_query(sql, self._catalog, params)
-        self._sync()
-        entry = self._parsed.get(key)
-        if entry is not None:
-            self._parsed.move_to_end(key)
-            return entry[0]
-        query = parse_query(sql, self._catalog, params)
-        names = frozenset(name for _, name in query.tables)
-        # The parser resolves columns against the tables it finds; a parse
-        # naming an absent table has no version to be dropped with.
-        if all(self._catalog.has_table(name) for name in names):
-            self._parsed[key] = (query, names)
-            for name in names:
-                self._own(name, key)
-            if len(self._parsed) > MAX_PARSED:
-                self._drop(next(iter(self._parsed)))
+        query = self.lru.get(key)
+        if query is None:
+            query = parse_query(sql, self._catalog, params)
+            self.lru.put(key, query, tuple(dict.fromkeys(name for _, name in query.tables)))
         return query
 
     def filter(
@@ -142,28 +126,24 @@ class StatementCache:
         with the filter's charges on ``meter``, and the key naming them for
         :meth:`join_map` (``None``: uncached, a UDF is called or ``table`` is
         no longer the catalog's)."""
-        if any(predicate.uses_udf for predicate in predicates):
-            return filter_table(table, alias, predicates, meter, udfs), None
-        self._sync()
         name = table.name
-        if not self._current(name, table):
+        if any(predicate.uses_udf for predicate in predicates) or not self._current(name, table):
             return filter_table(table, alias, predicates, meter, udfs), None
         predicates = tuple(predicates)
         key = ("filter", name, self._catalog.version(name), alias, predicates,
                _literal_types(predicates))
         try:
-            entry = self._arrays.get(key)
+            entry = self.lru.get(key)
         except TypeError:  # an unhashable literal, e.g. an array bound as a parameter
             return filter_table(table, alias, predicates, meter, udfs), None
         if entry is not None:
-            self._arrays.move_to_end(key)
-            positions, charges = entry[0]
+            positions, charges = entry
             meter.replay(charges)
             return positions, key
         log = ChargeLog(meter)
         positions = filter_table(table, alias, predicates, log, udfs)
         positions.flags.writeable = False
-        self._put(key, (name,), (positions, tuple(log.charges)), positions.nbytes)
+        self.lru.put(key, (positions, tuple(log.charges)), (name,), positions.nbytes)
         return positions, key
 
     def join_map(
@@ -178,14 +158,12 @@ class StatementCache:
         a map over a table version that is no longer the catalog's)."""
         map_key = ("map", key, columns)
         if key is not None:
-            self._sync()
-            entry = self._arrays.get(map_key)
-            if entry is not None:
-                self._arrays.move_to_end(map_key)
-                return entry[0]
+            join_map = self.lru.get(map_key)
+            if join_map is not None:
+                return join_map
         join_map = GroupedJoinMap([table.column(column) for column in columns], positions)
         if key is not None and self._current(table.name, table):
-            self._put(map_key, (table.name,), join_map, join_map.nbytes)
+            self.lru.put(map_key, join_map, (table.name,), join_map.nbytes)
         return join_map
 
     def edge(
@@ -209,11 +187,9 @@ class StatementCache:
         if build_key is None or probe_key is None:
             return None
         key = ("edge", ("map", build_key, columns), probe_key, column)
-        self._sync()
-        entry = self._arrays.get(key)
-        if entry is not None:
-            self._arrays.move_to_end(key)
-            return entry[0]
+        edge = self.lru.get(key)
+        if edge is not None:
+            return edge
         source = probe_table.column(column)
         edge = join_map.edge(source.data[positions], source)
         edge.flags.writeable = False
@@ -221,55 +197,13 @@ class StatementCache:
             probe_table.name, probe_table
         ):
             owners = tuple(dict.fromkeys((build_table.name, probe_table.name)))
-            self._put(key, owners, edge, edge.nbytes)
+            self.lru.put(key, edge, owners, edge.nbytes)
         return edge
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def _sync(self) -> None:
-        """Drop the entries of every table whose version moved since the last look."""
-        catalog = self._catalog
-        if catalog.latest_version == self._synced:
-            return
-        self._synced = catalog.latest_version
-        for name, (version, _) in list(self._tables.items()):
-            if not catalog.has_table(name) or catalog.version(name) != version:
-                self._forget(name)
 
     def _current(self, name: str, table: Table) -> bool:
         """Whether ``table`` is what the catalog holds under ``name``: what an
         engine built from a table since replaced or dropped is not kept."""
         return self._catalog.has_table(name) and self._catalog.table(name) is table
-
-    def _own(self, name: str, key: Hashable) -> None:
-        # Every caller synced first, so what is held is at the current version.
-        self._tables.setdefault(name, (self._catalog.version(name), set()))[1].add(key)
-
-    def _put(self, key: Hashable, names: tuple[str, ...], value: Any, nbytes: int) -> None:
-        if nbytes > MAX_BYTES:
-            return
-        self._arrays[key] = (value, nbytes, names)
-        self.nbytes += nbytes
-        for name in names:
-            self._own(name, key)
-        while self.nbytes > MAX_BYTES:
-            self._drop(next(iter(self._arrays)))
-
-    def _drop(self, key: Hashable) -> None:
-        if key in self._parsed:
-            names = self._parsed.pop(key)[1]
-        else:
-            _, nbytes, names = self._arrays.pop(key)
-            self.nbytes -= nbytes
-        for name in names:
-            held = self._tables.get(name)
-            if held is not None:
-                held[1].discard(key)
-
-    def _forget(self, name: str) -> None:
-        for key in self._tables.pop(name)[1]:
-            self._drop(key)
 
 
 def _statement_key(

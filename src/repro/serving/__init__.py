@@ -14,8 +14,6 @@ See ``docs/serving.md`` for the design document.
 
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import (
-    JoinOrderCache,
-    ResultCache,
     join_graph_signature,
     query_fingerprint,
 )
@@ -30,10 +28,8 @@ from repro.serving.session import (
 __all__ = [
     "AdmissionController",
     "FairScheduler",
-    "JoinOrderCache",
     "QueryServer",
     "QuerySession",
-    "ResultCache",
     "SessionState",
     "StreamBuffer",
     "join_graph_signature",

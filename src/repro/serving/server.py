@@ -37,30 +37,23 @@ from repro.engine.meter import CostMeter, WorkLedger
 from repro.engine.postprocess import post_process
 from repro.engine.relation import RowIdRelation
 from repro.engine.statement_cache import StatementCache
+from repro.engine.task import OrderPrior
+from repro.engine.versioned_lru import VersionedLru
 from repro.errors import InterfaceError, ReproError
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.result import QueryResult
 from repro.serving.admission import AdmissionController
 from repro.serving.cache import (
-    JoinOrderCache,
-    OrderPrior,
-    ResultCache,
     join_graph_signature,
     query_fingerprint,
     read_tables,
+    result_bytes,
 )
 from repro.serving.scheduler import FairScheduler
 from repro.serving.session import QuerySession, SessionState, StreamBuffer, empty_batch
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
-
-#: Entries of the cross-query join-order prior cache, keyed on the
-#: join-graph signature.
-ORDER_CACHE_SIZE = 128
-
-#: Entries of the result cache, keyed on normalized query fingerprints.
-RESULT_CACHE_SIZE = 64
 
 
 def check_fetch_size(max_rows: Any) -> None:
@@ -130,8 +123,10 @@ class QueryServer:
         self._sessions: dict[int, QuerySession] = {}
         self._tickets = itertools.count(1)
         self.ledger = WorkLedger()
-        self.result_cache = ResultCache(RESULT_CACHE_SIZE, self._versions)
-        self.order_cache = JoinOrderCache(ORDER_CACHE_SIZE, self._versions)
+        #: Finished results, keyed on normalized query fingerprints.
+        self.result_cache = VersionedLru(catalog, udfs)
+        #: Learned join-order priors, keyed on join-graph signatures.
+        self.order_cache = VersionedLru(catalog, udfs)
         self._completed = 0
         #: Work units charged per tenant (survives ``forget``); feeds the
         #: per-tenant grant shares of :meth:`stats`.
@@ -392,6 +387,11 @@ class QueryServer:
             "tenants": self.tenant_stats(),
             "result_cache": self.result_cache.counters(),
             "order_cache": self.order_cache.counters(),
+            "cache_bytes": {
+                "statement": StatementCache.of(self._catalog).nbytes,
+                "result": self.result_cache.nbytes,
+                "order": self.order_cache.nbytes,
+            },
         }
 
     # ------------------------------------------------------------------
@@ -489,15 +489,6 @@ class QueryServer:
             raise ReproError(f"unknown ticket {ticket}")
         return session
 
-    def _versions(self, tables: tuple[str, ...]) -> tuple:
-        """The UDF registry's version, then each table's (``None`` if absent)."""
-        catalog = self._catalog
-        return (
-            self._udfs.version if self._udfs is not None else 0,
-            *(catalog.version(name) if catalog.has_table(name) else None
-              for name in tables),
-        )
-
     # ------------------------------------------------------------------
     # streaming internals
     # ------------------------------------------------------------------
@@ -555,7 +546,7 @@ class QueryServer:
     ) -> tuple[OrderPrior, ...]:
         if not (spec.task_class.warm_startable and session.config.serving_warm_start):
             return ()
-        priors = self.order_cache.priors(join_graph_signature(session.query))
+        priors = self.order_cache.get(join_graph_signature(session.query), ())
         counters = self._tenant_cache_counters(session.tenant)
         counters["order_hits" if priors else "order_misses"] += 1
         return priors
@@ -563,7 +554,7 @@ class QueryServer:
     def _activate(self, session: QuerySession) -> None:
         # Task construction snapshots the input tables; remember at which
         # versions, so completion knows whether the result is still cacheable.
-        session.versions = self._versions(read_tables(session.query))
+        session.versions = self.result_cache.versions(read_tables(session.query))
         context = EngineContext(self._catalog, self._udfs, session.config)
         try:
             # resolve() must stay inside the try: a queued session can be
@@ -643,16 +634,15 @@ class QueryServer:
         # that landed while this task ran moved a version, and the result
         # and learned orders describe the rows from before it.
         tables = read_tables(session.query)
-        if self._versions(tables) == session.versions:
+        if self.result_cache.versions(tables) == session.versions:
             if session.fingerprint is not None:
-                self.result_cache.put(session.fingerprint, result, tables, session.versions)
+                self.result_cache.put(session.fingerprint, result, tables, result_bytes(result))
             # Each order's selection share goes beside the evidence it has
             # accumulated, which is where the next query on this join graph
             # enters the slice-budget schedule.
-            self.order_cache.record(
-                join_graph_signature(session.query), session.task.learned_orders(),
-                tables, session.versions,
-            )
+            priors = tuple(session.task.learned_orders())
+            if priors:
+                self.order_cache.put(join_graph_signature(session.query), priors, tables)
         self._finish(session, result)
 
     def _finish_limited(self, session: QuerySession) -> None:

@@ -21,11 +21,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
-from repro.engine import statement_cache
+from repro.engine import versioned_lru
 from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
 from repro.engine.relation import RowIdRelation
 from repro.engine.statement_cache import StatementCache
+from repro.engine.versioned_lru import ENTRY_BYTES
 from repro.query.parser import parse_query
 from repro.skinner import result_set
 from repro.skinner.multiway_join import MultiwayJoin
@@ -125,12 +126,17 @@ def _catalog() -> Catalog:
     return catalog
 
 
+def _entries(cache: StatementCache) -> dict:
+    """Every entry the cache holds after its next lookup, by key."""
+    return dict(cache.lru.items())
+
+
 def _edge_keys(cache: StatementCache) -> list:
-    return [key for key in cache._arrays if key[0] == "edge"]
+    return [key for key in _entries(cache) if key[0] == "edge"]
 
 
 def _map_keys(cache: StatementCache, table: str) -> list:
-    return [key for key in cache._arrays if key[0] == "map" and key[1][1] == table]
+    return [key for key in _entries(cache) if key[0] == "map" and key[1][1] == table]
 
 
 def _edge(catalog: Catalog):
@@ -154,7 +160,7 @@ def test_an_edge_is_looked_up_once_per_pair_of_table_versions(monkeypatch):
     assert not calls
     cache = StatementCache.of(catalog)
     (key,) = [key for key in _edge_keys(cache) if key[1][2] == ("k",) and key[1][1][1] == "r"]
-    assert key in cache._tables["r"][1] and key in cache._tables["s"][1]
+    assert sorted(_entries(cache)[key].tables) == ["r", "s"]
 
 
 def test_a_write_to_the_probing_table_drops_the_edge_and_keeps_the_build_map():
@@ -164,7 +170,6 @@ def test_a_write_to_the_probing_table_drops_the_edge_and_keeps_the_build_map():
     build_maps = _map_keys(cache, "r")
     assert build_maps and _edge_keys(cache)
     catalog.add_table(Table("s", {"k": [1, 4]}), replace=True)
-    cache._sync()
     assert _edge_keys(cache) == []
     assert _map_keys(cache, "r") == build_maps
     assert "s" not in cache.versions()
@@ -178,10 +183,9 @@ def test_a_write_to_the_build_table_drops_the_map_and_the_edge():
     _edge(catalog)
     cache = StatementCache.of(catalog)
     catalog.add_table(Table("r", {"k": [3], "v": [9]}), replace=True)
-    cache._sync()
     assert _edge_keys(cache) == [] and _map_keys(cache, "r") == []
     assert "r" not in cache.versions()
-    assert all(key[1] != "r" for key in cache._arrays if key[0] == "filter")
+    assert all(key[1] != "r" for key in _entries(cache) if key[0] == "filter")
 
 
 def test_an_evicted_edge_leaves_neither_owner_holding_it(monkeypatch):
@@ -191,15 +195,15 @@ def test_an_evicted_edge_leaves_neither_owner_holding_it(monkeypatch):
     cache = StatementCache.of(catalog)
     first, second = _edge_keys(cache)  # r.k probed by s.k, s.k probed by r.k
     preprocess(catalog, parse_query(JOIN_SQL, catalog))  # the edges are now the oldest
-    monkeypatch.setattr(statement_cache, "MAX_BYTES", cache.nbytes)
+    monkeypatch.setattr(versioned_lru, "MAX_BYTES", cache.nbytes)
     preprocess(catalog, parse_query("SELECT COUNT(*) AS n FROM s WHERE s.k > 2", catalog))
-    assert first not in cache._arrays and second in cache._arrays
-    assert all(first not in keys for _, keys in cache._tables.values())
+    held = _entries(cache)
+    assert first not in held and second in held
+    assert cache.nbytes == sum(entry.nbytes for entry in held.values())
     # A write to either owner then finds nothing it does not hold.
     catalog.add_table(Table("r", {"k": [1], "v": [2]}), replace=True)
     catalog.add_table(Table("s", {"k": [1]}), replace=True)
-    cache._sync()
-    assert len(cache._arrays) == 0 and cache.nbytes == 0
+    assert len(cache) == 0 and cache.nbytes == 0
 
 
 def test_an_edge_counts_against_the_byte_bound(monkeypatch):
@@ -207,14 +211,18 @@ def test_an_edge_counts_against_the_byte_bound(monkeypatch):
     cached = _edge(catalog)[1]
     cache = StatementCache.of(catalog)
     (edge,) = _edge_keys(cache)
-    assert cache._arrays[edge][1] == cached.nbytes > 0
-    assert cache.nbytes == sum(nbytes for _, nbytes, _ in cache._arrays.values())
+    held = _entries(cache)
+    assert held[edge].nbytes == cached.nbytes + ENTRY_BYTES and cached.nbytes > 0
+    assert cache.nbytes == sum(entry.nbytes for entry in held.values())
+    # A write to the probing table drops the edge with s's own entries, and
+    # their bytes with them.
     before = cache.nbytes
-    cache._drop(edge)
-    assert cache.nbytes == before - cached.nbytes
+    dropped = sum(entry.nbytes for entry in held.values() if "s" in entry.tables)
+    catalog.add_table(Table("s", {"k": [1, 4]}), replace=True)
+    assert edge not in _entries(cache) and cache.nbytes == before - dropped
     # Under a bound too small for any entry nothing is kept; the edge is
     # still made for the statement that asked.
-    monkeypatch.setattr(statement_cache, "MAX_BYTES", 0)
+    monkeypatch.setattr(versioned_lru, "MAX_BYTES", 0)
     fresh = _catalog()
     slots = _edge(fresh)[1]
     assert slots.tolist() == cached.tolist() and len(StatementCache.of(fresh)) == 0
@@ -286,8 +294,9 @@ def test_key_foreign_key_edges_hold_partner_rows_and_exact_bytes():
                 "SELECT COUNT(*) AS n FROM f a, f b, d WHERE a.k = d.id AND b.k = d.id"):
         assert engine.execute(parse_query(sql, catalog)).table.row_tuples()
     cache = StatementCache.of(catalog)
-    assert cache.nbytes == sum(_held_bytes(value) for value, _, _ in cache._arrays.values())
-    assert all(nbytes == _held_bytes(value) for value, nbytes, _ in cache._arrays.values())
+    held = _entries(cache).values()
+    assert cache.nbytes == sum(entry.nbytes for entry in held)
+    assert all(entry.nbytes == _held_bytes(entry.value) + ENTRY_BYTES for entry in held)
     prepared = preprocess(catalog, parse_query(KEYED_SQL, catalog))
     assert prepared.join_maps[("d", "id")].unique
     # d rows 0, 1, 3, 4 pass (ids 3, 0, 1, 4); f.k 2, 3, 7, 3, 0, 4.
@@ -296,9 +305,8 @@ def test_key_foreign_key_edges_hold_partner_rows_and_exact_bytes():
     for table, rows in (("d", {"id": [0, 1], "w": [1, 1]}), ("f", {"k": [1]})):
         assert _partner_edge_keys(cache)
         catalog.add_table(Table(table, rows), replace=True)
-        cache._sync()
         assert _partner_edge_keys(cache) == [], table
-        assert cache.nbytes == sum(_held_bytes(value) for value, _, _ in cache._arrays.values())
+        assert cache.nbytes == sum(entry.nbytes for entry in _entries(cache).values())
         engine.execute(parse_query(KEYED_SQL, catalog))
 
 

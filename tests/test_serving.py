@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import SkinnerConfig
 from repro.engine import task as engine_task
+from repro.engine import versioned_lru
 from repro.engine.statement_cache import StatementCache
 from repro.errors import ReproError
 from repro.query.parser import parse_query
@@ -29,8 +30,7 @@ from repro.query.predicates import Predicate, udf_predicate
 from repro.query.query import AggregateSpec, SelectItem, make_query
 from repro.query.udf import UdfRegistry
 from repro.serving import QueryServer, SessionState
-from repro.serving import server as serving_server
-from repro.serving.cache import join_graph_signature, query_fingerprint
+from repro.serving.cache import join_graph_signature, query_fingerprint, result_bytes
 from repro.skinner import skinner_c
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_g import SkinnerG
@@ -265,13 +265,32 @@ def test_result_cache_hit_and_flag(catalog):
 
 
 def test_result_cache_lru_eviction(catalog, monkeypatch):
-    monkeypatch.setattr(serving_server, "RESULT_CACHE_SIZE", 2)
+    charges = [result_bytes(solo_result(catalog, sql, "skinner-c")) + versioned_lru.ENTRY_BYTES
+               for sql in QUERIES[:3]]
+    monkeypatch.setattr(versioned_lru, "MAX_BYTES", charges[1] + charges[2])
     server = QueryServer(catalog, config=FAST)
     for sql in QUERIES[:3]:
         server.result(server.submit(sql))
     assert len(server.result_cache) == 2  # oldest entry evicted
+    assert server.stats()["cache_bytes"]["result"] == charges[1] + charges[2]
     oldest_again = server.submit(QUERIES[0])
     assert server.poll(oldest_again)["cache_hit"] is False
+    server.drain()
+
+
+def test_a_result_larger_than_the_bound_is_returned_but_not_kept(catalog, monkeypatch):
+    solo = solo_result(catalog, QUERIES[0], "skinner-c")
+    assert result_bytes(solo) > 0
+    monkeypatch.setattr(versioned_lru, "MAX_BYTES",
+                        result_bytes(solo) + versioned_lru.ENTRY_BYTES - 1)
+    server = QueryServer(catalog, config=FAST)
+    result = server.result(server.submit(QUERIES[0]))
+    assert_tables_identical(solo.table, result.table)
+    stats = server.stats()
+    assert stats["result_cache"]["entries"] == 0
+    assert stats["cache_bytes"]["result"] == 0
+    again = server.submit(QUERIES[0])
+    assert server.poll(again)["cache_hit"] is False
     server.drain()
 
 

@@ -354,11 +354,11 @@ def test_the_order_cache_hands_on_evidence_and_invalidation_drops_it(tiny_catalo
     best = []
     for _ in range(40):
         conn.execute(sql, use_result_cache=False)
-        best.append(max(selections for _, _, _, selections in cache.priors(signature)))
+        best.append(max(selections for _, _, _, selections in cache.get(signature, ())))
     assert best == sorted(best) and best[0] < SECOND_LOOK_FROM
     assert best.count(MAX_BUDGET_FACTOR) > 1  # reached, and not passed
     conn.add_table(conn.catalog.table("items"), replace=True)
-    assert cache.priors(signature) == ()
+    assert cache.get(signature, ()) == ()
     conn.close()
 
 

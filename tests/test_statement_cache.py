@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import SkinnerConfig, connect
-from repro.engine import statement_cache
+from repro.engine import statement_cache, versioned_lru
 from repro.engine.statement_cache import StatementCache
 from repro.errors import CatalogError, InterfaceError
 from repro.optimizer import statistics
@@ -259,8 +259,7 @@ class TestParameters:
 
 def test_the_byte_bound_holds_under_a_flood_of_predicates(monkeypatch):
     bound = 40_000
-    monkeypatch.setattr(statement_cache, "MAX_BYTES", bound)
-    monkeypatch.setattr(statement_cache, "MAX_PARSED", 16)
+    monkeypatch.setattr(versioned_lru, "MAX_BYTES", bound)
     conn = connect(FAST, workers=1)
     keys = [row % 40 for row in range(1_500)]
     conn.create_table("f", {"k": keys, "v": list(range(1_500))})
@@ -272,7 +271,7 @@ def test_the_byte_bound_holds_under_a_flood_of_predicates(monkeypatch):
         sql = f"SELECT COUNT(*) AS n FROM f, d WHERE f.k = d.k AND f.v < {cut}"
         assert _count(conn, sql) == cut
         assert 0 < cache.nbytes <= bound
-    assert conn.parse(first_sql) is not first, "the oldest parse outlived the cap"
+    assert conn.parse(first_sql) is not first, "the oldest parse outlived the bound"
     conn.close()
 
 

@@ -496,3 +496,69 @@ def test_the_morsel_coordinator_is_a_skinner_c_task():
             defined |= {target.id for target in targets if isinstance(target, ast.Name)}
     assert not defined & COORDINATOR_INHERITS
     assert "_pilot" not in inspect.getsource(inspect.getmodule(ParallelSkinnerCTask))
+
+
+#: Names the one versioned LRU replaced: count bounds and per-cache classes.
+RETIRED_CACHE_NAMES = {
+    "MAX_PARSED", "RESULT_CACHE_SIZE", "ORDER_CACHE_SIZE",
+    "_LruCache", "ResultCache", "JoinOrderCache",
+}
+
+
+def _cache_offenders(package: Path) -> list[str]:
+    """Where a module under ``package`` imports ``OrderedDict`` outside the
+    versioned LRU and the buffer pool, defines a retired cache name, or
+    defines ``MAX_BYTES`` outside the versioned LRU."""
+    own_lru = {Path("engine/versioned_lru.py"), Path("storage/buffer.py")}
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+                if "OrderedDict" in names and where not in own_lru:
+                    offenders.append(f"{where}:{node.lineno}: imports OrderedDict")
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name in RETIRED_CACHE_NAMES:
+                    offenders.append(f"{where}:{node.lineno}: defines {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    name = target.id if isinstance(target, ast.Name) else None
+                    if name in RETIRED_CACHE_NAMES or (
+                            name == "MAX_BYTES" and where != Path("engine/versioned_lru.py")):
+                        offenders.append(f"{where}:{node.lineno}: defines {name}")
+    return offenders
+
+
+def test_every_cache_of_derived_values_is_one_versioned_lru():
+    """Parses, filtered positions, join maps, edges, results and order priors
+    live in :class:`~repro.engine.versioned_lru.VersionedLru` instances under
+    one byte bound; the buffer pool's page cache is the one other LRU."""
+    from repro.engine.statement_cache import StatementCache
+    from repro.engine.versioned_lru import VersionedLru
+    from repro.storage.catalog import Catalog
+
+    assert _cache_offenders(Path(repro.__file__).parent) == []
+    serving = importlib.import_module("repro.serving")
+    assert not {"ResultCache", "JoinOrderCache"} & set(serving.__all__)
+    catalog = Catalog()
+    server = QueryServer(catalog)
+    for cache in (StatementCache.of(catalog).lru, server.result_cache, server.order_cache):
+        assert type(cache) is VersionedLru
+    assert set(server.stats()["cache_bytes"]) == {"statement", "result", "order"}
+
+
+def test_the_cache_scan_sees_each_offence(tmp_path):
+    (tmp_path / "engine").mkdir()
+    (tmp_path / "engine" / "versioned_lru.py").write_text(
+        "from collections import OrderedDict\nMAX_BYTES = 1\n")
+    (tmp_path / "ordered.py").write_text("import collections.OrderedDict\n")
+    (tmp_path / "bounds.py").write_text("MAX_BYTES = 2\nRESULT_CACHE_SIZE: int = 64\n")
+    (tmp_path / "classes.py").write_text("class JoinOrderCache:\n    pass\n")
+    assert _cache_offenders(tmp_path) == [
+        "bounds.py:1: defines MAX_BYTES",
+        "bounds.py:2: defines RESULT_CACHE_SIZE",
+        "classes.py:1: defines JoinOrderCache",
+        "ordered.py:1: imports OrderedDict",
+    ]
