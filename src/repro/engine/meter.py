@@ -194,6 +194,18 @@ class CostMeter:
             udf_invocations=self.udf_invocations,
         )
 
+    def counts(self) -> dict[str, int]:
+        """The six counters by name, in :class:`WorkBreakdown`'s field order:
+        ``dataclasses.asdict(self.snapshot())`` without its deep copy."""
+        return {
+            "tuples_scanned": self.tuples_scanned,
+            "predicate_evals": self.predicate_evals,
+            "hash_probes": self.hash_probes,
+            "intermediate_tuples": self.intermediate_tuples,
+            "output_tuples": self.output_tuples,
+            "udf_invocations": self.udf_invocations,
+        }
+
     def merge(self, other: "CostMeter | WorkBreakdown") -> None:
         """Add another meter's counters into this one (budget unchecked)."""
         self.tuples_scanned += other.tuples_scanned
@@ -219,11 +231,19 @@ class ChargeLog:
         self._meter = meter
         self.charges: list[tuple[str, int]] = []
 
+    def replay(self, charges: Iterable[tuple[str, int]]) -> None:
+        """Bill ``charges`` again, call by call, and keep each: a pass that
+        reuses a recorded pass inside a recorded pass records its calls."""
+        for name, amount in charges:
+            getattr(self, name)(amount)
+
     def __getattr__(self, name: str):
         def charge(amount: int = 1) -> None:
             self.charges.append((name, amount))
             getattr(self._meter, name)(amount)
 
+        # Made once per name: the next call finds it without coming here.
+        self.__dict__[name] = charge
         return charge
 
 

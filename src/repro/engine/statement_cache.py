@@ -1,4 +1,4 @@
-"""What one statement builds that the next may reuse: parses, filters, join maps, edges.
+"""What one statement builds that the next may reuse: parses, filters, maps, edges, statements.
 
 Skinner-C's pre-processing (paper §3) filters every base table by its unary
 predicates and groups the surviving rows of every equi-join column into a
@@ -32,16 +32,34 @@ a table's rows for good, so one :class:`StatementCache` per catalog keeps
   otherwise.  Skinner-C's hash jump so looks each probe value up once per
   pair of table versions, not once per block of prefixes (a plan step
   calls ``edge`` on its own probes, uncached).  An edge is built
-  whole when it is put in and counted by its own bytes; nothing the cache
-  holds grows later.  It belongs to both tables: a write to either drops
-  it.
+  whole when it is put in and counted by its own bytes.  It belongs to both
+  tables: a write to either drops it;
+* **prepared statements**, keyed on ``("prepared", tables, predicates,
+  types of their literals)`` (:attr:`Query.prepared_key
+  <repro.query.query.Query.prepared_key>`): everything Skinner-C's
+  pre-processing made of a statement's FROM and WHERE — the
+  :class:`~repro.skinner.preprocessor.PreprocessedQuery` with its filtered
+  positions, join maps, edges and gathered columns, and the multi-way
+  join's plan of every order a task ran — owned by the statement's tables.
+  A statement with the same FROM and WHERE (any SELECT) finds it with one
+  lookup, and the charges its cold build made, recorded call by call
+  (:class:`~repro.engine.meter.ChargeLog`, the filters' replays and the map
+  builds' scans included), are replayed on its meter: work units and a
+  budget's end read as if it was pre-processed afresh.  Its tasks share it
+  and keep their own trees, trackers, result sets and parked frames.  A
+  predicate that calls a UDF, a morsel's restricted aliases, a build
+  without join maps and a table no longer the catalog's make none.  The
+  entry is charged every array it keeps alive (``nbytes``); one a task
+  gathers later makes the object :meth:`recharge` the entry, so the bytes
+  held stay the bytes counted — an array may be counted in its own entry
+  too.
 
 Every entry lives in one :class:`~repro.engine.versioned_lru.VersionedLru`
 under its byte bound, least recently used out first, and answers to the
 versions of the tables it names: the first lookup after any table's version
 moved drops every entry of every table that moved — replaced, dropped or
-rolled back — at once, an edge as soon as either of its tables moved.  The
-arrays are read-only.
+rolled back — at once, an edge or a prepared statement as soon as any of
+its tables moved.  The arrays are read-only.
 
 Every connection, server and engine over one catalog shares its cache.  Like
 the serving layer above it, the cache takes no locks.
@@ -58,9 +76,8 @@ from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import ChargeLog, CostMeter
 from repro.engine.operators import filter_table
 from repro.engine.versioned_lru import VersionedLru
-from repro.query.expressions import FunctionCall, Literal
 from repro.query.parser import parse_query
-from repro.query.predicates import Predicate
+from repro.query.predicates import Predicate, literal_types
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
@@ -68,12 +85,13 @@ from repro.storage.table import Table
 
 
 class StatementCache:
-    """The parses, filtered positions, join maps and edges built on one catalog."""
+    """The parses, filtered positions, join maps, edges and prepared
+    statements built on one catalog."""
 
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        #: Every parse, filter, join map and edge, each owned by the tables
-        #: it was built from.
+        #: Every parse, filter, join map, edge and prepared statement, each
+        #: owned by the tables it was built from.
         self.lru = VersionedLru(catalog)
 
     @classmethod
@@ -131,7 +149,7 @@ class StatementCache:
             return filter_table(table, alias, predicates, meter, udfs), None
         predicates = tuple(predicates)
         key = ("filter", name, self._catalog.version(name), alias, predicates,
-               _literal_types(predicates))
+               literal_types(predicates))
         try:
             entry = self.lru.get(key)
         except TypeError:  # an unhashable literal, e.g. an array bound as a parameter
@@ -200,6 +218,48 @@ class StatementCache:
             self.lru.put(key, edge, owners, edge.nbytes)
         return edge
 
+    def prepared(self, query: Query, meter: CostMeter) -> tuple[Any, Hashable | None]:
+        """What pre-processing made of ``query``'s FROM and WHERE, kept by
+        :meth:`keep` and its charges replayed on ``meter``, or ``None``;
+        and the key to keep it under (``None``: a predicate calls a UDF or
+        holds an unhashable literal, and nothing is kept).
+
+        One lookup: a statement that finds its entry reads nothing else here.
+        """
+        if query.has_udf_predicates():
+            return None, None
+        try:
+            key = query.prepared_key
+        except TypeError:  # an unhashable literal, e.g. an array bound as a parameter
+            return None, None
+        entry = self.lru.get(key)
+        if entry is None:
+            return None, key
+        value, charges = entry
+        meter.replay(charges)
+        return value, key
+
+    def keep(self, key: Hashable, value: Any, charges: Sequence[tuple[str, int]]) -> None:
+        """Keep ``value``, what pre-processing made of the statement under
+        ``key`` while charging ``charges``, for the next one.
+
+        ``value`` exposes ``tables`` (alias to table), which own it, and
+        ``nbytes``, what its arrays hold; it calls :meth:`recharge` when it
+        comes to hold more.  Nothing is kept over a table that is no longer
+        the catalog's.
+        """
+        tables = value.tables.values()
+        if all(self._current(table.name, table) for table in tables):
+            owners = tuple(dict.fromkeys(table.name for table in tables))
+            self.lru.put(key, (value, tuple(charges)), owners, value.nbytes)
+
+    def recharge(self, key: Hashable, value: Any) -> None:
+        """Charge the entry :meth:`keep` made of ``value`` what ``value``
+        holds now; nothing if it no longer holds ``value``."""
+        entry = self.lru.peek(key)
+        if entry is not None and entry.value[0] is value:
+            self.lru.put(key, entry.value, entry.tables, value.nbytes)
+
     def _current(self, name: str, table: Table) -> bool:
         """Whether ``table`` is what the catalog holds under ``name``: what an
         engine built from a table since replaced or dropped is not kept."""
@@ -225,19 +285,3 @@ def _statement_key(
     except TypeError:
         return None
     return key
-
-
-def _literal_types(predicates: Sequence[Predicate]) -> tuple[type, ...]:
-    """The type of every literal in ``predicates``: ``x = 1`` and ``x = 1.0``
-    are equal predicates, but an int64 column need not compare alike with
-    both (``2**53 + 1``)."""
-    types = []
-    stack = [side for predicate in predicates for side in (predicate.left, predicate.right)
-             if side is not None]
-    while stack:
-        expression = stack.pop()
-        if isinstance(expression, Literal):
-            types.append(type(expression.value))
-        elif isinstance(expression, FunctionCall):
-            stack.extend(expression.args)
-    return tuple(types)

@@ -86,6 +86,11 @@ class VersionedLru:
         self.hits += 1
         return entry.value
 
+    def peek(self, key: Hashable) -> Entry | None:
+        """The entry under ``key``, left where it is and counted as no lookup."""
+        self._sync()
+        return self._entries.get(key)
+
     def put(self, key: Hashable, value: Any, tables: tuple[str, ...], nbytes: int = 0) -> None:
         """Keep ``value``, derived from the current rows of ``tables`` and
         holding ``nbytes`` of arrays, unless it alone exceeds the bound."""

@@ -19,7 +19,7 @@ eddy and the test oracles use.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -93,7 +93,7 @@ class Predicate:
             and self.left.table != self.right.table
         )
 
-    @property
+    @cached_property
     def uses_udf(self) -> bool:
         """Whether the predicate involves a non-builtin function call."""
         for expr in (self.left, self.right):
@@ -168,6 +168,22 @@ def udf_predicate(name: str, *columns: tuple[str, str]) -> Predicate:
     """Build a bare boolean UDF predicate over the given (table, column) refs."""
     args = tuple(ColumnRef(table, column) for table, column in columns)
     return Predicate(FunctionCall(name, args))
+
+
+def literal_types(predicates: Sequence[Predicate]) -> tuple[type, ...]:
+    """The type of every literal in ``predicates``: ``x = 1`` and ``x = 1.0``
+    are equal predicates, but an int64 column need not compare alike with
+    both (``2**53 + 1``), so a key of filtered rows carries them."""
+    types = []
+    stack = [side for predicate in predicates for side in (predicate.left, predicate.right)
+             if side is not None]
+    while stack:
+        expression = stack.pop()
+        if isinstance(expression, Literal):
+            types.append(type(expression.value))
+        elif isinstance(expression, FunctionCall):
+            stack.extend(expression.args)
+    return tuple(types)
 
 
 def _function_calls(expression: Expression) -> list[FunctionCall]:

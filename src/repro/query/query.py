@@ -16,7 +16,7 @@ from typing import Any
 from repro.errors import PlanningError
 from repro.query.expressions import ColumnRef, Expression
 from repro.query.join_graph import JoinGraph
-from repro.query.predicates import Predicate
+from repro.query.predicates import Predicate, literal_types
 
 AGGREGATE_FUNCTIONS = ("count", "sum", "avg", "min", "max")
 
@@ -179,7 +179,21 @@ class Query:
 
     def has_udf_predicates(self) -> bool:
         """Whether any predicate involves a registered UDF."""
+        return self._has_udf_predicates
+
+    @cached_property
+    def _has_udf_predicates(self) -> bool:
         return any(p.uses_udf for p in self.predicates)
+
+    @cached_property
+    def prepared_key(self) -> tuple:
+        """``("prepared", tables, predicates, the types of their literals)``:
+        all that pre-processing reads of the statement, as the statement
+        cache's key, hashed once — a cached parse is pre-processed on every
+        execution.  Raises ``TypeError`` for an unhashable literal."""
+        return _HashedTuple(
+            ("prepared", self.tables, self.predicates, literal_types(self.predicates))
+        )
 
     def join_graph(self) -> JoinGraph:
         """The join graph over this query's aliases, built once per query."""
@@ -273,12 +287,34 @@ class Query:
         return " ".join(parts)
 
     @cached_property
+    def fingerprints(self) -> dict:
+        """Memo of :func:`repro.serving.cache.query_fingerprint`, which owns
+        it: a cached parse is fingerprinted on every submit."""
+        return {}
+
+    @cached_property
     def _join_signature(self) -> tuple:
         joins = tuple(sorted(p.display() for p in self.join_predicates()))
         return (tuple(sorted(self.tables)), joins)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.display()
+
+
+class _HashedTuple(tuple):
+    """A tuple that hashes its items once: a key looked up again and again."""
+
+    def __new__(cls, items: tuple) -> "_HashedTuple":
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Hashed afresh where it is unpickled: a str hash is per process.
+        return _HashedTuple, (tuple(self),)
 
 
 def _unique(names: list[str]) -> list[str]:

@@ -34,6 +34,9 @@ from repro.config import SkinnerConfig
 from repro.query.query import Query
 from repro.result import QueryResult
 
+#: Fingerprints one query object keeps, one per engine and config object.
+_FINGERPRINTS = 16
+
 
 def query_fingerprint(query: Query, *, engine: str, config: SkinnerConfig) -> str:
     """Normalized fingerprint of one execution request.
@@ -41,9 +44,22 @@ def query_fingerprint(query: Query, *, engine: str, config: SkinnerConfig) -> st
     Queries are fingerprinted through their canonical rendering
     (:meth:`Query.display`), so textual variations that parse to the same
     query — whitespace, keyword case, redundant aliasing — share a key.
+    Computed once per query object, engine and config object
+    (:attr:`Query.fingerprints`): a server submits a cached parse under its
+    one config again and again.
     """
+    memo = query.fingerprints
+    key = (engine, id(config))
+    held = memo.get(key)
+    # The memo keeps the config alive, so its id names no other object.
+    if held is not None and held[0] is config:
+        return held[1]
     parts = (query.display(), engine, repr(config))
-    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
+    fingerprint = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
+    if len(memo) >= _FINGERPRINTS:
+        memo.clear()
+    memo[key] = (config, fingerprint)
+    return fingerprint
 
 
 def join_graph_signature(query: Query) -> tuple:

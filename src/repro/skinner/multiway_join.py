@@ -333,7 +333,10 @@ class MultiwayJoin:
         self._prepared = prepared
         self._udfs = udfs
         self._batch_size = batch_size
-        self._contexts: dict[tuple[str, ...], _OrderContext] = {}
+        #: Per join order, its plan: the statement cache's entry shares them
+        #: between every task of a statement, else this executor keeps its own.
+        self._contexts: dict[tuple[str, ...], _OrderContext] = (
+            prepared.order_contexts if prepared.key is not None else {})
         #: Look-ahead of suspended orders, oldest first, at most
         #: ``_PARKED_RUNS`` (block frames for every order ever tried add up).
         self._parked: dict[tuple[str, ...], _ParkedRun] = {}

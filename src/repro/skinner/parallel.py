@@ -36,7 +36,6 @@ done, its best join orders seed the remaining morsels as warm-start priors
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import multiprocessing
 import pickle
 from collections.abc import Generator, Mapping, Sequence
@@ -379,7 +378,7 @@ class ParallelSkinnerCTask(SkinnerCTask):
             pre = CostMeter()
             for meter in (self.pre_meter, task.pre_meter):
                 pre.merge(meter)
-            extra["preprocess_work"] = dataclasses.asdict(pre.snapshot())
+            extra["preprocess_work"] = pre.counts()
         extra.update(
             parallel_workers=self._workers,
             pool_broken=self._pool_broken,

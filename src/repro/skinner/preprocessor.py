@@ -14,17 +14,31 @@ filtered row of a probing alias finds in a join map — its partner row in a
 map whose key is unique, its bucket otherwise
 (:meth:`PreprocessedQuery.edge`) — which the hash jump gathers instead of
 looking up the values of each block of prefixes again.
+
+The whole :class:`PreprocessedQuery` is kept there too, once per FROM and
+WHERE (:attr:`Query.prepared_key <repro.query.query.Query.prepared_key>`)
+and versions of the tables they name: :func:`preprocess` of a repeated
+statement is one cache lookup and a replay of the charges its cold build
+recorded, so every work unit, ``pre_meter`` and ``preprocess_work`` read as
+if it ran afresh.  Every task of the statement then shares the filtered
+positions, maps, edges and gathered columns, and the multi-way join's plan
+of each order (:attr:`PreprocessedQuery.order_contexts`); nothing a task
+learns or parks lives there.  A UDF predicate (its plans read the UDF
+registry), ``restrict_positions`` (a morsel), ``build_hash_maps=False`` and
+a table no longer the catalog's take the path that keeps nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any
 
 import numpy as np
 
 from repro.engine.joinkernels import GroupedJoinMap
-from repro.engine.meter import CostMeter
+from repro.engine.meter import ChargeLog, CostMeter
 from repro.engine.statement_cache import StatementCache
 from repro.query.predicates import Predicate
 from repro.query.query import Query
@@ -35,12 +49,12 @@ from repro.storage.table import Table
 
 @dataclass
 class PreprocessedQuery:
-    """Everything the multi-way join needs, computed once per query.
+    """Everything the multi-way join needs, computed once per FROM and WHERE.
 
     Attributes
     ----------
     query:
-        The original query.
+        The query it was prepared for (see ``key``).
     aliases:
         Canonical alias order (declaration order) used for result tuples.
     tables:
@@ -58,6 +72,14 @@ class PreprocessedQuery:
     filter_keys:
         Per alias, the statement-cache key of its filter (``None``: not
         cached), which names its hash-jump edges there.
+    key:
+        The statement-cache key this object is kept under (``None``: built
+        for one caller).  ``query`` is then the first statement prepared
+        under it: every statement with the same FROM and WHERE shares it.
+    order_contexts:
+        Per join order, the multi-way join's plan of it, shared by every
+        task on a kept object (``key`` set); an executor on any other plans
+        for itself, since its plans may read its UDFs.
     """
 
     query: Query
@@ -68,6 +90,8 @@ class PreprocessedQuery:
     join_predicates: list[Predicate] = field(default_factory=list)
     filter_keys: dict[str, Hashable | None] = field(default_factory=dict)
     statement_cache: StatementCache | None = field(default=None, repr=False)
+    key: Hashable | None = field(default=None, repr=False)
+    order_contexts: dict[tuple[str, ...], Any] = field(default_factory=dict, repr=False)
     _edge_cache: dict[tuple[str, str, str, str], np.ndarray | None] = field(
         default_factory=dict, repr=False
     )
@@ -78,6 +102,8 @@ class PreprocessedQuery:
         default_factory=dict, repr=False
     )
     _ascends_cache: dict[tuple[str, str], bool] = field(default_factory=dict, repr=False)
+    #: Bytes of the edges and columns gathered so far.
+    _gathered_nbytes: int = field(default=0, repr=False)
 
     def cardinality(self, alias: str) -> int:
         """Filtered cardinality of a table."""
@@ -108,6 +134,7 @@ class PreprocessedQuery:
         if cached is None:
             cached = self.tables[alias].column(column).data[self.filtered[alias]]
             self._physical_cache[key] = cached
+            self._grew(cached)
         return cached
 
     def ascends(self, alias: str, column: str) -> bool:
@@ -139,6 +166,7 @@ class PreprocessedQuery:
             col = self.tables[alias].column(column)
             cached = col.decoded_data[self.filtered[alias]]
             self._decoded_array_cache[key] = cached
+            self._grew(cached)
         return cached
 
     def edge(
@@ -154,18 +182,41 @@ class PreprocessedQuery:
         """
         key = (alias, column, probe_alias, probe_column)
         if key not in self._edge_cache:
-            self._edge_cache[key] = None if self.statement_cache is None else (
+            edge = self._edge_cache[key] = None if self.statement_cache is None else (
                 self.statement_cache.edge(
                     (self.filter_keys.get(alias), self.tables[alias], (column,)),
                     (self.filter_keys.get(probe_alias), self.tables[probe_alias], probe_column,
                      self.filtered[probe_alias]),
                     self.join_maps[(alias, column)],
                 ))
+            if edge is not None:
+                self._grew(edge)
         return self._edge_cache[key]
 
     def is_empty(self) -> bool:
         """Whether any table has no surviving tuples (empty join result)."""
         return any(self.cardinality(alias) == 0 for alias in self.aliases)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays this object keeps alive: filtered positions,
+        join maps, edges and gathered columns."""
+        return self._built_nbytes + self._gathered_nbytes
+
+    @cached_property
+    def _built_nbytes(self) -> int:
+        # Filtered positions and join maps do not change once built.
+        return (sum(positions.nbytes for positions in self.filtered.values())
+                + sum(join_map.nbytes for join_map in self.join_maps.values()))
+
+    def _grew(self, array: np.ndarray) -> None:
+        """Count ``array``, new here and read-only from now on (the tasks of
+        a kept object share it), and charge it to the statement cache's
+        entry of this object."""
+        array.flags.writeable = False
+        self._gathered_nbytes += array.nbytes
+        if self.key is not None:
+            self.statement_cache.recharge(self.key, self)
 
 
 def preprocess(
@@ -179,6 +230,11 @@ def preprocess(
 ) -> PreprocessedQuery:
     """Filter base tables and build join hash maps for a query.
 
+    A statement whose predicates call no UDF is kept whole in the catalog's
+    statement cache, and the next one with the same FROM and WHERE on the
+    same table versions gets the same object, its charges replayed on
+    ``meter`` (see the module docstring).
+
     Parameters
     ----------
     restrict_positions:
@@ -188,6 +244,31 @@ def preprocess(
     """
     meter = meter if meter is not None else CostMeter()
     cache = StatementCache.of(catalog)
+    if not build_hash_maps or restrict_positions is not None:
+        return _prepare(catalog, cache, query, udfs, meter, build_hash_maps, restrict_positions)
+    prepared, key = cache.prepared(query, meter)
+    if prepared is not None:
+        return prepared
+    if key is None:
+        return _prepare(catalog, cache, query, udfs, meter)
+    log = ChargeLog(meter)
+    prepared = _prepare(catalog, cache, query, udfs, log)
+    prepared.key = key
+    cache.keep(key, prepared, log.charges)
+    return prepared
+
+
+def _prepare(
+    catalog: Catalog,
+    cache: StatementCache,
+    query: Query,
+    udfs: UdfRegistry | None,
+    meter: CostMeter,
+    build_hash_maps: bool = True,
+    restrict_positions: Mapping[str, np.ndarray] | None = None,
+) -> PreprocessedQuery:
+    """:func:`preprocess` run afresh (filters and maps may still come from
+    the cache)."""
     tables = {alias: catalog.table(name) for alias, name in query.tables}
     filtered: dict[str, np.ndarray] = {}
     #: Per alias, the cache key of its filter (``None``: not cached).

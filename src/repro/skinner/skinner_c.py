@@ -22,7 +22,6 @@ it has accumulated over earlier queries left it, not at the base budget
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from collections.abc import Generator, Mapping, Sequence
 from typing import Any
@@ -334,7 +333,7 @@ class SkinnerCTask(GeneratorTask):
                 "top_orders": self.tree.top_orders(5),
                 "trace": self.trace_records,
                 "max_budget_factor": self._max_factor,
-                "preprocess_work": dataclasses.asdict(self.pre_meter.snapshot()),
+                "preprocess_work": self.pre_meter.counts(),
             },
         }
 

@@ -194,9 +194,14 @@ def test_an_evicted_edge_leaves_neither_owner_holding_it(monkeypatch):
     prepared.edge("s", "k", "r", "k")
     cache = StatementCache.of(catalog)
     first, second = _edge_keys(cache)  # r.k probed by s.k, s.k probed by r.k
-    preprocess(catalog, parse_query(JOIN_SQL, catalog))  # the edges are now the oldest
+    # JOIN_SQL again would find its prepared entry and read nothing else:
+    # the tables in the other order read the same filters and maps, and the
+    # edges are now the oldest.
+    preprocess(catalog, parse_query(JOIN_SQL.replace("FROM r, s", "FROM s, r"), catalog))
     monkeypatch.setattr(versioned_lru, "MAX_BYTES", cache.nbytes)
-    preprocess(catalog, parse_query("SELECT COUNT(*) AS n FROM s WHERE s.k > 2", catalog))
+    # One entry more, a filter: room is made by evicting the oldest edge.
+    preprocess(catalog, parse_query("SELECT COUNT(*) AS n FROM s WHERE s.k > 2", catalog),
+               build_hash_maps=False)
     held = _entries(cache)
     assert first not in held and second in held
     assert cache.nbytes == sum(entry.nbytes for entry in held.values())

@@ -126,9 +126,11 @@ WIDE_BUDGETS = st.one_of(st.sampled_from([0, 3, 17, 40, 100, 300, 2_000, 16_000]
 
 
 def run_lockstep(prepared, order, batch_size, budget, udfs=None, *, offsets=None,
-                 fresh_executor=False):
+                 fresh_executor=False, before_slice=None):
     """Run ``order`` on the narrow and the production executor slice by slice,
-    requiring the same end of every slice; returns the wide steps taken."""
+    requiring the same end of every slice; returns the wide steps taken.
+    ``before_slice(join)`` is called with the production executor before
+    each of its slices."""
     offsets = offsets or {alias: 0 for alias in prepared.aliases}
     runs = []
     for cls in (NarrowJoin, MultiwayJoin):
@@ -145,6 +147,8 @@ def run_lockstep(prepared, order, batch_size, budget, udfs=None, *, offsets=None
                 merged += run["join"].merged_steps
                 run["join"] = run["cls"](prepared, udfs, batch_size=batch_size)
                 run["state"] = run["state"].copy()
+            if before_slice is not None and run["cls"] is MultiwayJoin:
+                before_slice(run["join"])
             done = run["join"].continue_join(run["state"], offsets, budget, run["results"],
                                              run["meter"])
             ends.append((done, tuple(run["state"].indices), run["meter"].snapshot(),
@@ -191,6 +195,46 @@ def test_a_sweep_takes_wide_steps_that_end_no_slice():
                 for budget in (17, 300, 2_000):
                     merged += run_lockstep(prepared, order, batch_size, budget, udfs)
     assert merged > 1_000
+
+
+# ----------------------------------------------------------------------
+# the chunk size a context carries
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SEEDS, SHAPES, BATCH_SIZES, WIDE_BUDGETS,
+       st.lists(st.floats(min_value=0.01, max_value=100), min_size=1, max_size=6))
+@example(2, 3, 1, 2_000, [0.01])
+@example(2, 3, 7, 300, [100.0, 0.5])
+def test_any_chunk_size_a_context_carries_changes_no_slice(seed, shape, batch_size, budget,
+                                                            units):
+    """``chunk_units`` only sizes the chunk a trimmed step filters before it
+    keeps what the narrow steps take: whatever value the context carries
+    into a slice (drawn from 0.01 to 100, in turn), the slice ends where the
+    narrow schedule ends it."""
+    prepared, order, udfs = build_case(seed, shape)
+    drawn = iter(units * 100_000)
+
+    def carry(join):
+        join.context_for(order).chunk_units = next(drawn)
+
+    run_lockstep(prepared, order, batch_size, budget, udfs, before_slice=carry)
+
+
+def test_a_second_executor_reuses_the_context_the_first_left():
+    """A cached statement's plans are shared by every executor on it, so the
+    next statement's first trimmed chunk is sized by what the last one saw:
+    its slices stay the narrow schedule's."""
+    carried = []
+    for seed in range(6):
+        for shape in (2, 3, 4, "keyed", "band"):
+            prepared, order, udfs = build_case(seed, shape)
+            assert prepared.key is not None  # one executor's plans are the next's
+            for batch_size, budget in ((1, 300), (7, 2_000)):
+                run_lockstep(prepared, order, batch_size, budget, udfs)
+                carried.append(prepared.order_contexts[order].chunk_units)
+                run_lockstep(prepared, order, batch_size, budget, udfs)
+    assert any(units != 1.0 for units in carried)
 
 
 # ----------------------------------------------------------------------
