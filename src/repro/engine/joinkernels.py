@@ -6,9 +6,11 @@ key into sorted runs, probed by direct address where the keys are dense ints
 and by binary search otherwise.  Nothing in it depends on the probe side, so
 one map serves every probe of an unchanged build side: the catalog's
 :class:`~repro.engine.statement_cache.StatementCache` keeps it for every
-statement, plan-executor engine and Skinner-C slice on the same table
-version, and :meth:`GroupedJoinMap.suffix` serves the remainders of
-Skinner-G/H's batches from it without grouping again.
+Skinner-C statement and plan-executor engine on the same table version, and
+:meth:`GroupedJoinMap.suffix` serves the remainders of Skinner-G/H's batches
+from it without grouping again.  What a Skinner-C statement's probes find in
+it (:meth:`GroupedJoinMap.edge`) lives on that statement's pre-processed
+object, not in the cache.
 
 * :func:`group_rows` — group a key vector into sorted runs (a stable sort +
   run boundaries), the columnar replacement for building a

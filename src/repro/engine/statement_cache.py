@@ -1,4 +1,4 @@
-"""What one statement builds that the next may reuse: parses, filters, maps, edges, statements.
+"""What one statement builds that the next may reuse: parses, filters, maps, statements.
 
 Skinner-C's pre-processing (paper §3) filters every base table by its unary
 predicates and groups the surviving rows of every equi-join column into a
@@ -25,22 +25,16 @@ a table's rows for good, so one :class:`StatementCache` per catalog keeps
   :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix` from it).  The
   caller still charges a hit the build's scan, as a plan step
   (:func:`~repro.engine.operators.hash_join_candidates`) charges every build;
-* **hash-jump edges**, keyed on ``(map key, probing filter key, probing
-  column)``: what every filtered row of the probing alias finds in one join
-  map (:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`): its partner
-  row where the map's key is unique (``-1``: none), its bucket number
-  otherwise.  Skinner-C's hash jump so looks each probe value up once per
-  pair of table versions, not once per block of prefixes (a plan step
-  calls ``edge`` on its own probes, uncached).  An edge is built
-  whole when it is put in and counted by its own bytes.  It belongs to both
-  tables: a write to either drops it;
 * **prepared statements**, keyed on ``("prepared", tables, predicates,
   types of their literals)`` (:attr:`Query.prepared_key
   <repro.query.query.Query.prepared_key>`): everything Skinner-C's
   pre-processing made of a statement's FROM and WHERE — the
   :class:`~repro.skinner.preprocessor.PreprocessedQuery` with its filtered
-  positions, join maps, edges and gathered columns, and the multi-way
-  join's plan of every order a task ran — owned by the statement's tables.
+  positions, join maps, edges (what every filtered probing row finds in a
+  join map, :meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`, which
+  Skinner-C's hash jump gathers; no other entry holds one) and gathered
+  columns, and the multi-way join's plan of every order a task ran — owned
+  by the statement's tables.
   A statement with the same FROM and WHERE (any SELECT) finds it with one
   lookup, and the charges its cold build made, recorded call by call
   (:class:`~repro.engine.meter.ChargeLog`, the filters' replays and the map
@@ -58,8 +52,8 @@ Every entry lives in one :class:`~repro.engine.versioned_lru.VersionedLru`
 under its byte bound, least recently used out first, and answers to the
 versions of the tables it names: the first lookup after any table's version
 moved drops every entry of every table that moved — replaced, dropped or
-rolled back — at once, an edge or a prepared statement as soon as any of
-its tables moved.  The arrays are read-only.
+rolled back — at once, a prepared statement as soon as any of its tables
+moved.  The arrays are read-only.
 
 Every connection, server and engine over one catalog shares its cache.  Like
 the serving layer above it, the cache takes no locks.
@@ -85,13 +79,13 @@ from repro.storage.table import Table
 
 
 class StatementCache:
-    """The parses, filtered positions, join maps, edges and prepared
-    statements built on one catalog."""
+    """The parses, filtered positions, join maps and prepared statements
+    built on one catalog."""
 
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        #: Every parse, filter, join map, edge and prepared statement, each
-        #: owned by the tables it was built from.
+        #: Every parse, filter, join map and prepared statement, each owned
+        #: by the tables it was built from.
         self.lru = VersionedLru(catalog)
 
     @classmethod
@@ -183,40 +177,6 @@ class StatementCache:
         if key is not None and self._current(table.name, table):
             self.lru.put(map_key, join_map, (table.name,), join_map.nbytes)
         return join_map
-
-    def edge(
-        self,
-        build: tuple[Hashable | None, Table, tuple[str, ...]],
-        probe: tuple[Hashable | None, Table, str, np.ndarray],
-        join_map: GroupedJoinMap,
-    ) -> np.ndarray | None:
-        """What every probing row finds in ``join_map``, or ``None``.
-
-        ``build`` is the map's ``(filter key, table, key columns)`` as given
-        to :meth:`join_map`; ``probe`` is ``(filter key, table, column,
-        filtered positions)`` of the probing alias.  Entry ``i`` is the
-        :meth:`~repro.engine.joinkernels.GroupedJoinMap.edge` entry of the
-        probing column at ``positions[i]``: a partner row of a unique map, a
-        bucket number of any other.  An edge with an uncached side (a
-        ``None`` key) is not built: its caller looks up each block.
-        """
-        build_key, build_table, columns = build
-        probe_key, probe_table, column, positions = probe
-        if build_key is None or probe_key is None:
-            return None
-        key = ("edge", ("map", build_key, columns), probe_key, column)
-        edge = self.lru.get(key)
-        if edge is not None:
-            return edge
-        source = probe_table.column(column)
-        edge = join_map.edge(source.data[positions], source)
-        edge.flags.writeable = False
-        if self._current(build_table.name, build_table) and self._current(
-            probe_table.name, probe_table
-        ):
-            owners = tuple(dict.fromkeys((build_table.name, probe_table.name)))
-            self.lru.put(key, edge, owners, edge.nbytes)
-        return edge
 
     def prepared(self, query: Query, meter: CostMeter) -> tuple[Any, Hashable | None]:
         """What pre-processing made of ``query``'s FROM and WHERE, kept by

@@ -25,8 +25,8 @@ bucket, a band found by one ``searchsorted`` per bound for the whole block,
 or the row range of a scan position) or partner rows.  The hash jump looks
 up each *edge* — a join map and the earlier ``(alias, column)`` probing
 it — once: every filtered row of the probing alias gets what it finds there
-(:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`), kept in the
-catalog's statement cache for the two tables' versions
+(:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`), kept on the
+pre-processed statement
 (:meth:`~repro.skinner.preprocessor.PreprocessedQuery.edge`).  Where the
 map's key is unique (the primary-key side of a key/foreign-key join) that
 is the probing row's *partner row*, or ``-1``, and the block keeps only the
@@ -333,10 +333,9 @@ class MultiwayJoin:
         self._prepared = prepared
         self._udfs = udfs
         self._batch_size = batch_size
-        #: Per join order, its plan: the statement cache's entry shares them
-        #: between every task of a statement, else this executor keeps its own.
-        self._contexts: dict[tuple[str, ...], _OrderContext] = (
-            prepared.order_contexts if prepared.key is not None else {})
+        #: Per join order, its plan, kept on ``prepared``: a kept entry shares
+        #: them between every task of a statement.
+        self._contexts: dict[tuple[str, ...], _OrderContext] = prepared.order_contexts
         #: Look-ahead of suspended orders, oldest first, at most
         #: ``_PARKED_RUNS`` (block frames for every order ever tried add up).
         self._parked: dict[tuple[str, ...], _ParkedRun] = {}
@@ -734,15 +733,8 @@ class MultiwayJoin:
             return _Block(prefix, Runs(None, starts, np.maximum(stops - starts, 0)))
         alias = context.order[depth]
         join_map = prepared.join_maps[(alias, spec.own_column)]
-        probes = prefix[spec.earlier_position]
         edge = prepared.edge(alias, spec.own_column, spec.earlier_alias, spec.earlier_column)
-        if edge is None:
-            found = join_map.edge(
-                prepared.physical_column(spec.earlier_alias, spec.earlier_column)[probes],
-                prepared.tables[spec.earlier_alias].column(spec.earlier_column),
-            )
-        else:
-            found = edge[probes]
+        found = edge[prefix[spec.earlier_position]]
         return _Block(prefix, edge_candidates(join_map, found, lower))
 
     def _resume_frames(

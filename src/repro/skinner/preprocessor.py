@@ -9,11 +9,11 @@ survived the unary predicates are hashed, keeping the overhead small.
 Both come from the catalog's
 :class:`~repro.engine.statement_cache.StatementCache`: a statement on tables
 an earlier statement filtered and indexed, at the same versions, reuses what
-that one built and is charged what building it cost.  So does what every
-filtered row of a probing alias finds in a join map — its partner row in a
-map whose key is unique, its bucket otherwise
-(:meth:`PreprocessedQuery.edge`) — which the hash jump gathers instead of
-looking up the values of each block of prefixes again.
+that one built and is charged what building it cost.  What every filtered
+row of a probing alias finds in a join map — its partner row in a map whose
+key is unique, its bucket otherwise (:meth:`PreprocessedQuery.edge`) — is
+built on the object, once, so the hash jump gathers it instead of looking
+up the values of each block of prefixes again.
 
 The whole :class:`PreprocessedQuery` is kept there too, once per FROM and
 WHERE (:attr:`Query.prepared_key <repro.query.query.Query.prepared_key>`)
@@ -25,7 +25,8 @@ positions, maps, edges and gathered columns, and the multi-way join's plan
 of each order (:attr:`PreprocessedQuery.order_contexts`); nothing a task
 learns or parks lives there.  A UDF predicate (its plans read the UDF
 registry), ``restrict_positions`` (a morsel), ``build_hash_maps=False`` and
-a table no longer the catalog's take the path that keeps nothing.
+a table no longer the catalog's take the path that keeps nothing: the
+object is then its one task's own.
 """
 
 from __future__ import annotations
@@ -69,17 +70,14 @@ class PreprocessedQuery:
     join_predicates:
         The query's join predicates (index order is stable and used to keep
         track of which have been applied).
-    filter_keys:
-        Per alias, the statement-cache key of its filter (``None``: not
-        cached), which names its hash-jump edges there.
     key:
         The statement-cache key this object is kept under (``None``: built
         for one caller).  ``query`` is then the first statement prepared
         under it: every statement with the same FROM and WHERE shares it.
     order_contexts:
         Per join order, the multi-way join's plan of it, shared by every
-        task on a kept object (``key`` set); an executor on any other plans
-        for itself, since its plans may read its UDFs.
+        task of a kept object (``key`` set); an object without a key is
+        built for one task.
     """
 
     query: Query
@@ -88,11 +86,10 @@ class PreprocessedQuery:
     filtered: dict[str, np.ndarray]
     join_maps: dict[tuple[str, str], "GroupedJoinMap"] = field(default_factory=dict)
     join_predicates: list[Predicate] = field(default_factory=list)
-    filter_keys: dict[str, Hashable | None] = field(default_factory=dict)
     statement_cache: StatementCache | None = field(default=None, repr=False)
     key: Hashable | None = field(default=None, repr=False)
     order_contexts: dict[tuple[str, ...], Any] = field(default_factory=dict, repr=False)
-    _edge_cache: dict[tuple[str, str, str, str], np.ndarray | None] = field(
+    _edge_cache: dict[tuple[str, str, str, str], np.ndarray] = field(
         default_factory=dict, repr=False
     )
     _physical_cache: dict[tuple[str, str], np.ndarray] = field(
@@ -171,27 +168,22 @@ class PreprocessedQuery:
 
     def edge(
         self, alias: str, column: str, probe_alias: str, probe_column: str
-    ) -> np.ndarray | None:
+    ) -> np.ndarray:
         """Per filtered row of ``probe_alias``, what its ``probe_column`` value
         finds in the join map of ``alias.column``
         (:meth:`~repro.engine.joinkernels.GroupedJoinMap.edge`: the partner
-        row of a unique map, else the bucket), or ``None`` when either
-        filter is uncached (the caller then looks up each block).
+        row of a unique map, else the bucket).
 
-        Fetched from the statement cache once per query and edge.
+        Built once per object and edge: the tasks of a kept object share it.
         """
         key = (alias, column, probe_alias, probe_column)
-        if key not in self._edge_cache:
-            edge = self._edge_cache[key] = None if self.statement_cache is None else (
-                self.statement_cache.edge(
-                    (self.filter_keys.get(alias), self.tables[alias], (column,)),
-                    (self.filter_keys.get(probe_alias), self.tables[probe_alias], probe_column,
-                     self.filtered[probe_alias]),
-                    self.join_maps[(alias, column)],
-                ))
-            if edge is not None:
-                self._grew(edge)
-        return self._edge_cache[key]
+        edge = self._edge_cache.get(key)
+        if edge is None:
+            source = self.tables[probe_alias].column(probe_column)
+            edge = self._edge_cache[key] = self.join_maps[(alias, column)].edge(
+                source.data[self.filtered[probe_alias]], source)
+            self._grew(edge)
+        return edge
 
     def is_empty(self) -> bool:
         """Whether any table has no surviving tuples (empty join result)."""
@@ -287,7 +279,6 @@ def _prepare(
         tables=tables,
         filtered=filtered,
         join_predicates=list(query.join_predicates()),
-        filter_keys=keys,
         statement_cache=cache,
     )
     if build_hash_maps:

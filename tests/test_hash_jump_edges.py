@@ -4,10 +4,12 @@
   :meth:`~repro.engine.joinkernels.GroupedJoinMap.slots` finds what the
   one-step lookup with a per-probe rank search found
   (``tests/oracles/join_map.py``), and again on a repeated call;
-* the statement cache keeps one entry per filtered probing row for every
-  hash-jump edge, owned by both of its tables: the partner row where the
-  map's key is unique, the bucket number otherwise, built whole when it is
-  put in, so the cache's byte count stays the bytes it holds;
+* a hash-jump edge holds one entry per filtered probing row: the partner row
+  where the map's key is unique, the bucket number otherwise.  It is built
+  once per pre-processed statement and lives there only, cached, restricted
+  or UDF-filtered alike: a kept statement's entry in the statement cache is
+  charged its bytes and goes, edges and all, when either table moves, so the
+  cache's byte count stays the bytes it holds;
 * ``JoinResultSet.to_relation()`` defers stacking and sorting to the first
   read of an alias, so a ``COUNT(*)`` never sorts, and streamed or not, a
   finalized result is the same.
@@ -28,6 +30,7 @@ from repro.engine.relation import RowIdRelation
 from repro.engine.statement_cache import StatementCache
 from repro.engine.versioned_lru import ENTRY_BYTES
 from repro.query.parser import parse_query
+from repro.query.udf import UdfRegistry
 from repro.skinner import result_set
 from repro.skinner.multiway_join import MultiwayJoin
 from repro.skinner.preprocessor import preprocess
@@ -37,7 +40,7 @@ from repro.skinner.state import JoinState
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
-from tests.oracles import lookup_many_reference
+from tests.oracles import continue_scalar, lookup_many_reference
 
 BIG = 2**53
 NAN = float("nan")
@@ -114,7 +117,7 @@ def test_a_resumed_cut_is_made_once_per_lower():
 
 
 # ----------------------------------------------------------------------
-# edges in the statement cache
+# edges on the pre-processed statement
 # ----------------------------------------------------------------------
 JOIN_SQL = "SELECT COUNT(*) AS n FROM r, s WHERE r.k = s.k AND r.v > 1"
 
@@ -131,8 +134,14 @@ def _entries(cache: StatementCache) -> dict:
     return dict(cache.lru.items())
 
 
-def _edge_keys(cache: StatementCache) -> list:
-    return [key for key in _entries(cache) if key[0] == "edge"]
+def _prepared_keys(cache: StatementCache) -> list:
+    """Keys of the prepared statements held, least recently used first."""
+    return [key for key in _entries(cache) if key[0] == "prepared"]
+
+
+def _held_bytes(value) -> int:
+    """Bytes of a cache entry's arrays as they are now."""
+    return value[0].nbytes if isinstance(value, tuple) else value.nbytes
 
 
 def _map_keys(cache: StatementCache, table: str) -> list:
@@ -145,7 +154,7 @@ def _edge(catalog: Catalog):
     return prepared, prepared.edge("r", "k", "s", "k")
 
 
-def test_an_edge_is_looked_up_once_per_pair_of_table_versions(monkeypatch):
+def test_an_edge_is_built_once_per_prepared_statement(monkeypatch):
     catalog = _catalog()
     prepared, slots = _edge(catalog)
     join_map = prepared.join_maps[("r", "k")]
@@ -155,25 +164,33 @@ def test_an_edge_is_looked_up_once_per_pair_of_table_versions(monkeypatch):
     calls = []
     original = GroupedJoinMap.slots
     monkeypatch.setattr(GroupedJoinMap, "slots", lambda *args: calls.append(1) or original(*args))
-    assert _edge(catalog)[1] is slots
+    assert _edge(catalog)[1] is slots  # the statement's prepared entry holds it
     assert prepared.edge("r", "k", "s", "k") is slots
     assert not calls
     cache = StatementCache.of(catalog)
-    (key,) = [key for key in _edge_keys(cache) if key[1][2] == ("k",) and key[1][1][1] == "r"]
-    assert sorted(_entries(cache)[key].tables) == ["r", "s"]
+    held = _entries(cache)
+    assert {key[0] for key in held} == {"filter", "map", "prepared"}
+    assert held[prepared.key].nbytes == prepared.nbytes + ENTRY_BYTES
+    # Another statement probing the same map builds an edge of its own.
+    other = preprocess(catalog, parse_query(JOIN_SQL + " AND s.k > 0", catalog))
+    assert other is not prepared and other.join_maps[("r", "k")] is join_map
+    assert other.edge("r", "k", "s", "k").tolist() == slots.tolist()
+    assert len(calls) == 1
 
 
 def test_a_write_to_the_probing_table_drops_the_edge_and_keeps_the_build_map():
+    """The edge goes with the statement's prepared entry, which ``s`` owns."""
     catalog = _catalog()
     prepared, slots = _edge(catalog)
     cache = StatementCache.of(catalog)
     build_maps = _map_keys(cache, "r")
-    assert build_maps and _edge_keys(cache)
+    assert build_maps and _prepared_keys(cache) == [prepared.key]
     catalog.add_table(Table("s", {"k": [1, 4]}), replace=True)
-    assert _edge_keys(cache) == []
+    assert _prepared_keys(cache) == []
     assert _map_keys(cache, "r") == build_maps
     assert "s" not in cache.versions()
     fresh = _edge(catalog)
+    assert fresh[0] is not prepared
     assert fresh[0].join_maps[("r", "k")] is prepared.join_maps[("r", "k")]
     assert fresh[1].tolist() == [len(prepared.join_maps[("r", "k")]), 2]  # 1 absent, 4 found
 
@@ -183,7 +200,7 @@ def test_a_write_to_the_build_table_drops_the_map_and_the_edge():
     _edge(catalog)
     cache = StatementCache.of(catalog)
     catalog.add_table(Table("r", {"k": [3], "v": [9]}), replace=True)
-    assert _edge_keys(cache) == [] and _map_keys(cache, "r") == []
+    assert _prepared_keys(cache) == [] and _map_keys(cache, "r") == []
     assert "r" not in cache.versions()
     assert all(key[1] != "r" for key in _entries(cache) if key[0] == "filter")
 
@@ -193,17 +210,20 @@ def test_an_evicted_edge_leaves_neither_owner_holding_it(monkeypatch):
     prepared, _ = _edge(catalog)
     prepared.edge("s", "k", "r", "k")
     cache = StatementCache.of(catalog)
-    first, second = _edge_keys(cache)  # r.k probed by s.k, s.k probed by r.k
-    # JOIN_SQL again would find its prepared entry and read nothing else:
-    # the tables in the other order read the same filters and maps, and the
-    # edges are now the oldest.
-    preprocess(catalog, parse_query(JOIN_SQL.replace("FROM r, s", "FROM s, r"), catalog))
+    # The tables in the other order read the same filters and maps and make a
+    # second prepared entry: the first, both of its edges inside, is now the
+    # oldest entry.
+    swapped = preprocess(catalog, parse_query(JOIN_SQL.replace("FROM r, s", "FROM s, r"),
+                                              catalog))
+    swapped.edge("r", "k", "s", "k")
+    assert _prepared_keys(cache) == [prepared.key, swapped.key]
     monkeypatch.setattr(versioned_lru, "MAX_BYTES", cache.nbytes)
-    # One entry more, a filter: room is made by evicting the oldest edge.
+    # One entry more, a filter: room is made by evicting the first statement
+    # and its edges with it.
     preprocess(catalog, parse_query("SELECT COUNT(*) AS n FROM s WHERE s.k > 2", catalog),
                build_hash_maps=False)
     held = _entries(cache)
-    assert first not in held and second in held
+    assert prepared.key not in held and swapped.key in held
     assert cache.nbytes == sum(entry.nbytes for entry in held.values())
     # A write to either owner then finds nothing it does not hold.
     catalog.add_table(Table("r", {"k": [1], "v": [2]}), replace=True)
@@ -213,18 +233,23 @@ def test_an_evicted_edge_leaves_neither_owner_holding_it(monkeypatch):
 
 def test_an_edge_counts_against_the_byte_bound(monkeypatch):
     catalog = _catalog()
-    cached = _edge(catalog)[1]
+    prepared = preprocess(catalog, parse_query(JOIN_SQL, catalog))
     cache = StatementCache.of(catalog)
-    (edge,) = _edge_keys(cache)
+    before = _entries(cache)[prepared.key].nbytes
+    cached = prepared.edge("r", "k", "s", "k")
     held = _entries(cache)
-    assert held[edge].nbytes == cached.nbytes + ENTRY_BYTES and cached.nbytes > 0
+    assert held[prepared.key].nbytes == before + cached.nbytes and cached.nbytes > 0
+    assert all(entry.nbytes == _held_bytes(entry.value) + ENTRY_BYTES for entry in held.values())
     assert cache.nbytes == sum(entry.nbytes for entry in held.values())
+    # No entry holds an edge alone: it is charged once, in its statement's.
+    assert {key[0] for key in held} == {"filter", "map", "prepared"}
+    assert not any(entry.value is cached for entry in held.values())
     # A write to the probing table drops the edge with s's own entries, and
     # their bytes with them.
     before = cache.nbytes
     dropped = sum(entry.nbytes for entry in held.values() if "s" in entry.tables)
     catalog.add_table(Table("s", {"k": [1, 4]}), replace=True)
-    assert edge not in _entries(cache) and cache.nbytes == before - dropped
+    assert prepared.key not in _entries(cache) and cache.nbytes == before - dropped
     # Under a bound too small for any entry nothing is kept; the edge is
     # still made for the statement that asked.
     monkeypatch.setattr(versioned_lru, "MAX_BYTES", 0)
@@ -233,14 +258,19 @@ def test_an_edge_counts_against_the_byte_bound(monkeypatch):
     assert slots.tolist() == cached.tolist() and len(StatementCache.of(fresh)) == 0
 
 
-def test_an_uncached_filter_builds_no_edge():
+def test_a_restricted_alias_builds_its_edge_on_its_object():
     catalog = _catalog()
     query = parse_query(JOIN_SQL, catalog)
     prepared = preprocess(catalog, query, restrict_positions={"s": np.array([0, 1])})
-    assert prepared.edge("r", "k", "s", "k") is None
-    assert prepared.edge("s", "k", "r", "k") is None
-    assert _edge_keys(StatementCache.of(catalog)) == []
-    # The hash jump then looks up each block's probes: s rows 0 and 1 (k 2 and 3).
+    assert prepared.key is None
+    edge = prepared.edge("r", "k", "s", "k")
+    source = catalog.table("s").column("k")
+    join_map = prepared.join_maps[("r", "k")]
+    assert edge.tolist() == join_map.slots(source.data[[0, 1]], source).tolist()
+    assert prepared.edge("r", "k", "s", "k") is edge
+    assert prepared.edge("s", "k", "r", "k").shape == prepared.filtered["r"].shape
+    assert _prepared_keys(StatementCache.of(catalog)) == []
+    # The hash jump gathers from it: s rows 0 and 1 (k 2 and 3).
     results = JoinResultSet(prepared.aliases)
     join = MultiwayJoin(prepared, batch_size=4)
     assert join.continue_join(JoinState(("s", "r")), {}, 1000, results, CostMeter())
@@ -261,13 +291,9 @@ def _keyed_catalog() -> Catalog:
 
 
 def _partner_edge_keys(cache: StatementCache) -> list:
-    """Edges whose build map is ``d.id``."""
-    return [key for key in _edge_keys(cache) if key[1][1][1] == "d" and key[1][2] == ("id",)]
-
-
-def _held_bytes(value) -> int:
-    """Bytes of a cache entry's arrays as they are now."""
-    return value[0].nbytes if isinstance(value, tuple) else value.nbytes
+    """Prepared statements holding an edge whose build map is ``d.id``."""
+    return [key for key in _prepared_keys(cache)
+            if any(edge[:2] == ("d", "id") for edge in _entries(cache)[key].value[0]._edge_cache)]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -315,11 +341,12 @@ def test_key_foreign_key_edges_hold_partner_rows_and_exact_bytes():
         engine.execute(parse_query(KEYED_SQL, catalog))
 
 
-def test_an_uncached_unique_map_is_probed_per_block():
+def test_an_uncached_unique_map_gives_partner_rows_from_its_object():
     catalog = _keyed_catalog()
     query = parse_query(KEYED_SQL, catalog)
     prepared = preprocess(catalog, query, restrict_positions={"f": np.arange(6)})
-    assert prepared.edge("d", "id", "f", "k") is None
+    assert prepared.key is None
+    assert prepared.edge("d", "id", "f", "k").tolist() == [-1, 0, -1, 0, 1, 3]
     for batch_size, budget in ((1, 3), (4, 5), (64, 1000)):
         results = JoinResultSet(prepared.aliases)
         join = MultiwayJoin(prepared, batch_size=batch_size)
@@ -407,3 +434,48 @@ def test_a_deferred_relation_builds_once_and_checks_its_shape():
     wrong = RowIdRelation.deferred(("a",), 3, build)
     with pytest.raises(Exception, match="shape"):
         wrong.ids("a")
+
+
+# ----------------------------------------------------------------------
+# one hash-jump path: an uncached probing alias builds its edges too
+# ----------------------------------------------------------------------
+UDF_SQL = "SELECT COUNT(*) AS n FROM f, d WHERE f.k = d.k AND d.w > 0 AND odd(f.v)"
+
+
+def _uncached(catalog: Catalog, probing: str, udfs: UdfRegistry):
+    """A statement whose ``f`` is filtered by a UDF or restricted to a morsel."""
+    if probing == "udf":
+        return preprocess(catalog, parse_query(UDF_SQL, catalog), udfs)
+    query = parse_query(COUNT_SQL, catalog)
+    morsel = preprocess(catalog, query).filtered["f"][100:300]
+    return preprocess(catalog, query, restrict_positions={"f": morsel})
+
+
+@pytest.mark.parametrize("probing", ["udf", "morsel"])
+def test_an_uncached_probing_alias_takes_the_one_hash_jump_path(monkeypatch, probing):
+    """At every batch size the join finds the scalar oracle's rows, and each
+    edge is built once per object."""
+    catalog = _star_catalog()
+    udfs = UdfRegistry()
+    udfs.register("odd", lambda v: v % 2 == 1)
+    prepared = _uncached(catalog, probing, udfs)
+    assert prepared.key is None
+    calls = []
+    original = GroupedJoinMap.slots
+    monkeypatch.setattr(GroupedJoinMap, "slots", lambda *args: calls.append(1) or original(*args))
+    for order in (("f", "d"), ("d", "f")):
+        expected = JoinResultSet(prepared.aliases)
+        state = JoinState(order)
+        scalar = MultiwayJoin(prepared, udfs)
+        while not continue_scalar(scalar, state, {}, 10_000, expected, CostMeter()):
+            pass
+        assert len(expected) > 0
+        for batch_size in (1, 4, 1024):
+            results = JoinResultSet(prepared.aliases)
+            join = MultiwayJoin(prepared, udfs, batch_size=batch_size)
+            state = JoinState(order)
+            while not join.continue_join(state, {}, 37, results, CostMeter()):
+                pass
+            assert sorted(results.tuples()) == sorted(expected.tuples()), (order, batch_size)
+    # d.k probed by f.k, f.k probed by d.k: two edges, each built once.
+    assert len(calls) == 2 and len(prepared._edge_cache) == 2

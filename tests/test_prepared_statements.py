@@ -147,7 +147,7 @@ def test_a_udf_predicate_a_morsel_and_a_build_without_maps_make_no_entry():
     morsel = SkinnerCTask(catalog, query, config=FAST, restrict_positions={"f": np.arange(100)})
     _observed(morsel)
     assert morsel.prepared.key is None
-    assert morsel.join._contexts is not morsel.prepared.order_contexts  # plans of its own
+    assert morsel.join._contexts is morsel.prepared.order_contexts  # its own, unkept object
     assert preprocess(catalog, query, build_hash_maps=False).key is None
     assert _prepared_keys(catalog) == []
 

@@ -26,8 +26,10 @@ import pytest
 from repro import SkinnerConfig, connect
 from repro.engine import statement_cache, versioned_lru
 from repro.engine.statement_cache import StatementCache
+from repro.engine.versioned_lru import ENTRY_BYTES
 from repro.errors import CatalogError, InterfaceError
 from repro.optimizer import statistics
+from repro.query.parser import parse_query
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.skinner_c import SkinnerC
 from repro.storage.catalog import Catalog
@@ -265,12 +267,25 @@ def test_the_byte_bound_holds_under_a_flood_of_predicates(monkeypatch):
     conn.create_table("f", {"k": keys, "v": list(range(1_500))})
     conn.create_table("d", {"k": list(range(40))})
     cache = StatementCache.of(conn.catalog)
+    kept = []
+    keep = StatementCache.keep
+    monkeypatch.setattr(StatementCache, "keep", lambda self, key, value, charges: (
+        kept.append(value), keep(self, key, value, charges)))
     first_sql = "SELECT COUNT(*) AS n FROM f, d WHERE f.k = d.k AND f.v < 0"
     first = conn.parse(first_sql)
+    held = []
     for cut in range(0, 1_500, 30):
         sql = f"SELECT COUNT(*) AS n FROM f, d WHERE f.k = d.k AND f.v < {cut}"
         assert _count(conn, sql) == cut
-        assert 0 < cache.nbytes <= bound
+        assert cache.nbytes <= bound
+        # The statement's prepared entry, edges and gathered columns charged
+        # in, stays exactly when it alone fits the bound.
+        prepared = kept[-1]
+        assert len(kept) == cut // 30 + 1
+        assert prepared.key == parse_query(sql, conn.catalog).prepared_key
+        held.append(cache.lru.peek(prepared.key) is not None)
+        assert held[-1] == (prepared.nbytes + ENTRY_BYTES <= bound), cut
+    assert held[0] and not held[-1]
     assert conn.parse(first_sql) is not first, "the oldest parse outlived the bound"
     conn.close()
 

@@ -532,9 +532,10 @@ def _cache_offenders(package: Path) -> list[str]:
 
 
 def test_every_cache_of_derived_values_is_one_versioned_lru():
-    """Parses, filtered positions, join maps, edges, results and order priors
-    live in :class:`~repro.engine.versioned_lru.VersionedLru` instances under
-    one byte bound; the buffer pool's page cache is the one other LRU."""
+    """Parses, filtered positions, join maps, prepared statements (their
+    hash-jump edges inside), results and order priors live in
+    :class:`~repro.engine.versioned_lru.VersionedLru` instances under one
+    byte bound; the buffer pool's page cache is the one other LRU."""
     from repro.engine.statement_cache import StatementCache
     from repro.engine.versioned_lru import VersionedLru
     from repro.storage.catalog import Catalog
@@ -547,6 +548,40 @@ def test_every_cache_of_derived_values_is_one_versioned_lru():
     for cache in (StatementCache.of(catalog).lru, server.result_cache, server.order_cache):
         assert type(cache) is VersionedLru
     assert set(server.stats()["cache_bytes"]) == {"statement", "result", "order"}
+
+
+def test_hash_jump_edges_live_on_their_prepared_statement_only():
+    """Whether Skinner-C's probing alias is cached, restricted to a morsel's
+    rows or filtered by a UDF, its edges are built on the statement's
+    pre-processed object: the statement cache holds four kinds of entry and
+    charges exactly the bytes they hold."""
+    import numpy as np
+
+    from repro.engine.statement_cache import StatementCache
+    from repro.query.parser import parse_query
+    from repro.query.udf import UdfRegistry
+    from repro.skinner.skinner_c import SkinnerCTask
+    from repro.storage.catalog import Catalog
+    from repro.storage.table import Table
+
+    catalog = Catalog()
+    catalog.add_table(Table("f", {"k": [row % 7 for row in range(60)], "v": list(range(60))}))
+    catalog.add_table(Table("d", {"k": list(range(7)), "w": [k % 3 for k in range(7)]}))
+    udfs = UdfRegistry()
+    udfs.register("odd", lambda v: v % 2 == 1)
+    sql = "SELECT COUNT(*) AS n FROM f, d WHERE f.k = d.k AND d.w > 0"
+    for text, restrict in ((sql, None), (sql, {"f": np.arange(10, 40)}),
+                           (f"{sql} AND odd(f.v)", None)):
+        task = SkinnerCTask(catalog, parse_query(text, catalog), udfs,
+                            SkinnerConfig(slice_budget=16), restrict_positions=restrict)
+        while not task.finished:
+            task.run_episode()
+        assert task.finalize().table.row_tuples()[0][0] > 0
+        assert task.prepared._edge_cache, "the statement built no edge"
+    cache = StatementCache.of(catalog)
+    entries = cache.lru.items()
+    assert {key[0] for key, _ in entries} <= {"sql", "filter", "map", "prepared"}
+    assert cache.nbytes == sum(entry.nbytes for _, entry in entries)
 
 
 def test_the_cache_scan_sees_each_offence(tmp_path):
