@@ -43,17 +43,17 @@ a table's rows for good, so one :class:`StatementCache` per catalog keeps
   and keep their own trees, trackers, result sets and parked frames.  A
   predicate that calls a UDF, a morsel's restricted aliases, a build
   without join maps and a table no longer the catalog's make none.  The
-  entry is charged every array it keeps alive (``nbytes``); one a task
-  gathers later makes the object :meth:`recharge` the entry, so the bytes
-  held stay the bytes counted — an array may be counted in its own entry
-  too.
+  entry is charged at :meth:`keep` for all it can come to hold (``nbytes``:
+  its arrays and a ceiling on what its tasks gather); an array may be
+  counted in its own entry too.
 
 Every entry lives in one :class:`~repro.engine.versioned_lru.VersionedLru`
-under its byte bound, least recently used out first, and answers to the
-versions of the tables it names: the first lookup after any table's version
-moved drops every entry of every table that moved — replaced, dropped or
-rolled back — at once, a prepared statement as soon as any of its tables
-moved.  The arrays are read-only.
+under its byte bound, least recently used out first (one that alone exceeds
+it is refused and evicts nothing), and answers to the versions of the tables
+it names: the first lookup after any table's version moved drops every
+entry of every table that moved — replaced, dropped or rolled back — at
+once, a prepared statement as soon as any of its tables moved.  The arrays
+are read-only.
 
 Every connection, server and engine over one catalog shares its cache.  Like
 the serving layer above it, the cache takes no locks.
@@ -204,21 +204,13 @@ class StatementCache:
         ``key`` while charging ``charges``, for the next one.
 
         ``value`` exposes ``tables`` (alias to table), which own it, and
-        ``nbytes``, what its arrays hold; it calls :meth:`recharge` when it
-        comes to hold more.  Nothing is kept over a table that is no longer
-        the catalog's.
+        ``nbytes``, all its arrays can come to hold: the entry's one charge.
+        Nothing is kept over a table that is no longer the catalog's.
         """
         tables = value.tables.values()
         if all(self._current(table.name, table) for table in tables):
             owners = tuple(dict.fromkeys(table.name for table in tables))
             self.lru.put(key, (value, tuple(charges)), owners, value.nbytes)
-
-    def recharge(self, key: Hashable, value: Any) -> None:
-        """Charge the entry :meth:`keep` made of ``value`` what ``value``
-        holds now; nothing if it no longer holds ``value``."""
-        entry = self.lru.peek(key)
-        if entry is not None and entry.value[0] is value:
-            self.lru.put(key, entry.value, entry.tables, value.nbytes)
 
     def _current(self, name: str, table: Table) -> bool:
         """Whether ``table`` is what the catalog holds under ``name``: what an

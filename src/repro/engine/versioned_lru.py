@@ -9,9 +9,9 @@ tables' rows, which :meth:`Catalog.version
 from when it was put in and is stale once they moved.  No lookup returns a
 stale entry: the first operation after the catalog's ``latest_version`` (or
 the UDF registry's version, for a cache given one) moved drops them all at
-once.  An entry is charged its array bytes plus
+once.  An entry is charged once, when put, its array bytes plus
 :data:`ENTRY_BYTES`; the bytes held never exceed :data:`MAX_BYTES`, least
-recently used out first, and a value larger than that is not kept.
+recently used out first, and a value larger than that evicts nothing.
 
 Like the serving layer that drives it, the class takes no locks.
 """
@@ -85,11 +85,6 @@ class VersionedLru:
         self._entries.move_to_end(key)
         self.hits += 1
         return entry.value
-
-    def peek(self, key: Hashable) -> Entry | None:
-        """The entry under ``key``, left where it is and counted as no lookup."""
-        self._sync()
-        return self._entries.get(key)
 
     def put(self, key: Hashable, value: Any, tables: tuple[str, ...], nbytes: int = 0) -> None:
         """Keep ``value``, derived from the current rows of ``tables`` and

@@ -88,6 +88,16 @@ def _ticket_arg(args: dict[str, Any], name: str = "ticket") -> int:
     raise InterfaceError(f"argument {name!r} must be an int ticket, got {value!r}")
 
 
+def _str_arg(args: dict[str, Any], name: str) -> str:
+    """A string argument (outside input): a ``str``, never ``null``."""
+    if name not in args:
+        raise InterfaceError(f"argument {name!r} is required")
+    value = args[name]
+    if isinstance(value, str):
+        return value
+    raise InterfaceError(f"argument {name!r} must be a string, got {value!r}")
+
+
 def _request_args(request: dict[str, Any]) -> dict[str, Any]:
     """A request's ``args`` (outside input): an object, or absent."""
     args = request.get("args")
@@ -510,7 +520,7 @@ class ReproServer:
         return {"name": table.name, "rows": table.num_rows}
 
     async def _verb_drop_table(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
-        self.connection.drop_table(str(args["name"]))
+        self.connection.drop_table(_str_arg(args, "name"))
         return {}
 
     async def _verb_commit(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
@@ -522,10 +532,11 @@ class ReproServer:
         return {}
 
     async def _verb_set_quota(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
+        tenant = _str_arg(args, "tenant")
         share = args.get("share")
         if isinstance(share, bool) or not isinstance(share, (int, float)):
             raise InterfaceError(f"tenant quota share must be positive and finite, got {share!r}")
-        self.connection.server.set_tenant_quota(str(args["tenant"]), share)
+        self.connection.server.set_tenant_quota(tenant, share)
         return {}
 
     async def _verb_stats(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:

@@ -23,10 +23,11 @@ recorded, so every work unit, ``pre_meter`` and ``preprocess_work`` read as
 if it ran afresh.  Every task of the statement then shares the filtered
 positions, maps, edges and gathered columns, and the multi-way join's plan
 of each order (:attr:`PreprocessedQuery.order_contexts`); nothing a task
-learns or parks lives there.  A UDF predicate (its plans read the UDF
-registry), ``restrict_positions`` (a morsel), ``build_hash_maps=False`` and
-a table no longer the catalog's take the path that keeps nothing: the
-object is then its one task's own.
+learns or parks lives there.  It is charged once, when kept, for all it
+can come to hold (:attr:`PreprocessedQuery.nbytes`).  A UDF predicate (its
+plans read the UDF registry), ``restrict_positions`` (a morsel),
+``build_hash_maps=False`` and a table no longer the catalog's take the path
+that keeps nothing: the object is then its one task's own.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class PreprocessedQuery:
     filtered: dict[str, np.ndarray]
     join_maps: dict[tuple[str, str], "GroupedJoinMap"] = field(default_factory=dict)
     join_predicates: list[Predicate] = field(default_factory=list)
-    statement_cache: StatementCache | None = field(default=None, repr=False)
     key: Hashable | None = field(default=None, repr=False)
     order_contexts: dict[tuple[str, ...], Any] = field(default_factory=dict, repr=False)
     _edge_cache: dict[tuple[str, str, str, str], np.ndarray] = field(
@@ -99,8 +99,6 @@ class PreprocessedQuery:
         default_factory=dict, repr=False
     )
     _ascends_cache: dict[tuple[str, str], bool] = field(default_factory=dict, repr=False)
-    #: Bytes of the edges and columns gathered so far.
-    _gathered_nbytes: int = field(default=0, repr=False)
 
     def cardinality(self, alias: str) -> int:
         """Filtered cardinality of a table."""
@@ -131,7 +129,7 @@ class PreprocessedQuery:
         if cached is None:
             cached = self.tables[alias].column(column).data[self.filtered[alias]]
             self._physical_cache[key] = cached
-            self._grew(cached)
+            cached.flags.writeable = False  # shared by the tasks of a kept object
         return cached
 
     def ascends(self, alias: str, column: str) -> bool:
@@ -163,7 +161,7 @@ class PreprocessedQuery:
             col = self.tables[alias].column(column)
             cached = col.decoded_data[self.filtered[alias]]
             self._decoded_array_cache[key] = cached
-            self._grew(cached)
+            cached.flags.writeable = False  # shared by the tasks of a kept object
         return cached
 
     def edge(
@@ -182,33 +180,31 @@ class PreprocessedQuery:
             source = self.tables[probe_alias].column(probe_column)
             edge = self._edge_cache[key] = self.join_maps[(alias, column)].edge(
                 source.data[self.filtered[probe_alias]], source)
-            self._grew(edge)
+            edge.flags.writeable = False  # shared by the tasks of a kept object
         return edge
 
     def is_empty(self) -> bool:
         """Whether any table has no surviving tuples (empty join result)."""
         return any(self.cardinality(alias) == 0 for alias in self.aliases)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays this object keeps alive: filtered positions,
-        join maps, edges and gathered columns."""
-        return self._built_nbytes + self._gathered_nbytes
-
     @cached_property
-    def _built_nbytes(self) -> int:
-        # Filtered positions and join maps do not change once built.
-        return (sum(positions.nbytes for positions in self.filtered.values())
-                + sum(join_map.nbytes for join_map in self.join_maps.values()))
-
-    def _grew(self, array: np.ndarray) -> None:
-        """Count ``array``, new here and read-only from now on (the tasks of
-        a kept object share it), and charge it to the statement cache's
-        entry of this object."""
-        array.flags.writeable = False
-        self._gathered_nbytes += array.nbytes
-        if self.key is not None:
-            self.statement_cache.recharge(self.key, self)
+    def nbytes(self) -> int:
+        """Bytes of every array this object holds or can come to: filtered
+        positions and join maps, plus per filtered row the physical and
+        decoded gathers of each column a join predicate names and the edge
+        either side of an equality may probe with.  Its cache entry's one
+        charge, read once the maps are built."""
+        built = (sum(positions.nbytes for positions in self.filtered.values())
+                 + sum(join_map.nbytes for join_map in self.join_maps.values()))
+        columns = {(ref.table, ref.column) for predicate in self.join_predicates
+                   for side in (predicate.left, predicate.right) if side is not None
+                   for ref in side.columns()}
+        gathers = sum((self.tables[alias].column(column).data.itemsize + 8)
+                      * self.cardinality(alias) for alias, column in columns)
+        edges = sum(8 * (self.cardinality(predicate.left.table)
+                         + self.cardinality(predicate.right.table))
+                    for predicate in self.join_predicates if predicate.is_equi_join)
+        return built + gathers + edges
 
 
 def preprocess(
@@ -279,7 +275,6 @@ def _prepare(
         tables=tables,
         filtered=filtered,
         join_predicates=list(query.join_predicates()),
-        statement_cache=cache,
     )
     if build_hash_maps:
         _build_join_maps(prepared, cache, keys, meter)

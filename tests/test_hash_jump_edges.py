@@ -8,8 +8,8 @@
   where the map's key is unique, the bucket number otherwise.  It is built
   once per pre-processed statement and lives there only, cached, restricted
   or UDF-filtered alike: a kept statement's entry in the statement cache is
-  charged its bytes and goes, edges and all, when either table moves, so the
-  cache's byte count stays the bytes it holds;
+  charged its bytes when kept, before it is built, and goes, edges and all,
+  when either table moves, so the cache's byte count stays what it charged;
 * ``JoinResultSet.to_relation()`` defers stacking and sorting to the first
   read of an alias, so a ``COUNT(*)`` never sorts, and streamed or not, a
   finalized result is the same.
@@ -235,10 +235,14 @@ def test_an_edge_counts_against_the_byte_bound(monkeypatch):
     catalog = _catalog()
     prepared = preprocess(catalog, parse_query(JOIN_SQL, catalog))
     cache = StatementCache.of(catalog)
-    before = _entries(cache)[prepared.key].nbytes
+    charged = _entries(cache)[prepared.key].nbytes
     cached = prepared.edge("r", "k", "s", "k")
     held = _entries(cache)
-    assert held[prepared.key].nbytes == before + cached.nbytes and cached.nbytes > 0
+    # The entry was charged the edge when it was kept: building it moves nothing.
+    assert held[prepared.key].nbytes == charged and cached.nbytes > 0
+    built = (sum(positions.nbytes for positions in prepared.filtered.values())
+             + sum(join_map.nbytes for join_map in prepared.join_maps.values()))
+    assert charged >= built + cached.nbytes + ENTRY_BYTES
     assert all(entry.nbytes == _held_bytes(entry.value) + ENTRY_BYTES for entry in held.values())
     assert cache.nbytes == sum(entry.nbytes for entry in held.values())
     # No entry holds an edge alone: it is charged once, in its statement's.

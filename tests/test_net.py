@@ -166,6 +166,24 @@ class TestRemoteBasics:
         with pytest.raises(CatalogError):
             remote.drop_table("missing")
 
+    @pytest.mark.parametrize("verb, args, name", [
+        ("drop_table", {}, "name"),
+        ("drop_table", {"name": None}, "name"),
+        ("drop_table", {"name": 5}, "name"),
+        ("set_quota", {"share": 2.0}, "tenant"),
+        ("set_quota", {"tenant": None, "share": 2.0}, "tenant"),
+        ("set_quota", {"tenant": ["x"], "share": 2.0}, "tenant"),
+    ])
+    def test_a_string_argument_is_typed_at_the_verb(self, remote, verb, args, name):
+        """A missing or non-string name is refused naming the argument, not
+        read as ``'None'`` or failed as a server ``KeyError``."""
+        channel = remote.transport._channel
+        required = "is required" if name not in args else "must be a string"
+        with pytest.raises(InterfaceError, match=f"argument '{name}' {required}"):
+            channel.request(verb, **args)
+        assert "None" not in remote.stats()["tenants"]
+        assert remote.execute("SELECT COUNT(*) AS n FROM s").rows == [{"n": 7}]
+
     def test_set_tenant_quota_over_the_wire(self, server, remote):
         remote.transport.set_tenant_quota("x", 2.0)
         tenant = connect(server.dsn, tenant="x")

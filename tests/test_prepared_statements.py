@@ -16,7 +16,9 @@ build replayed.  Pinned here:
   restricted task and a build without join maps make none;
 * a work budget runs out inside pre-processing at the same charge on a hit;
 * two tasks in flight on one entry each run as they would alone;
-* pre-processing a repeated statement makes exactly one cache lookup.
+* pre-processing a repeated statement makes exactly one cache lookup;
+* an entry is charged once, when kept, for every array its tasks may come
+  to hold, whatever orders they run: its charge never changes.
 
 Also here: the two per-statement costs of submitting that are computed once
 or without a deep copy — the result cache's fingerprint and the
@@ -32,6 +34,9 @@ import numpy as np
 import pytest
 
 from repro.config import SkinnerConfig
+from repro.docstore.axes import axis_query
+from repro.docstore.shred import shred_nodes
+from repro.docstore.workload import _query_pool, build_forest
 from repro.engine.meter import CostMeter
 from repro.engine.statement_cache import StatementCache
 from repro.engine.task import run_to_completion
@@ -43,6 +48,7 @@ from repro.skinner.preprocessor import preprocess
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from repro.workloads.job import make_job_workload
 
 FAST = SkinnerConfig(slice_budget=32, serving_warm_start=False)
 
@@ -195,18 +201,71 @@ def test_a_repeated_statement_makes_one_cache_lookup():
     assert lru.hits + lru.misses == before + 1
 
 
+def _array_bytes(prepared) -> int:
+    """Bytes of the arrays a prepared statement holds now (a join map's
+    own ``nbytes`` already covers the per-bucket cut it may keep)."""
+    gathered = (*prepared._edge_cache.values(), *prepared._physical_cache.values(),
+                *prepared._decoded_array_cache.values())
+    return (sum(positions.nbytes for positions in prepared.filtered.values())
+            + sum(join_map.nbytes for join_map in prepared.join_maps.values())
+            + sum(array.nbytes for array in gathered))
+
+
 def test_the_entry_is_charged_every_array_it_holds():
     catalog = _catalog()
     task = _task(catalog, COUNT_SQL)
     cache = StatementCache.of(catalog)
     (key,) = _prepared_keys(catalog)
-    held = cache.lru.peek(key)
-    assert held.nbytes == task.prepared.nbytes + 8 * 2**10
-    _observed(task)  # gathers edges: the entry is charged them
-    held = cache.lru.peek(key)
-    assert held.nbytes == task.prepared.nbytes + 8 * 2**10
-    assert task.prepared._edge_cache and held.nbytes > 8 * 2**10
+    charged = dict(cache.lru.items())[key].nbytes
+    assert charged == task.prepared.nbytes + 8 * 2**10
+    _observed(task)  # gathers edges: the entry was charged them at keep
+    assert dict(cache.lru.items())[key].nbytes == charged
+    assert task.prepared._edge_cache and charged >= _array_bytes(task.prepared) + 8 * 2**10
     assert cache.nbytes == sum(entry.nbytes for _, entry in cache.lru.items())
+
+
+def _string_join_catalog() -> tuple[Catalog, list[str]]:
+    rng = np.random.default_rng(5)
+    names = [f"n{i:02d}" for i in range(40)]
+    catalog = Catalog()
+    catalog.add_table(Table("a", {"s": [names[i] for i in rng.integers(0, 40, 300)],
+                                  "t": [names[i] for i in rng.integers(0, 40, 300)]}))
+    catalog.add_table(Table("b", {"s": names[5:], "t": names[:-5]}))
+    return catalog, ["SELECT COUNT(*) AS n FROM a, b WHERE a.s = b.s",
+                     "SELECT COUNT(*) AS n FROM a, b WHERE a.s = b.s AND a.t < b.t"]
+
+
+def _docstore_catalog() -> tuple[Catalog, list[str]]:
+    catalog = Catalog()
+    catalog.add_table(Table("doc", shred_nodes(build_forest(documents=4, seed=7))))
+    return catalog, [axis_query("doc", steps, select=f"s{len(steps) - 1}.pre")
+                     for _, _, steps in _query_pool("doc")]
+
+
+def _job_catalog() -> tuple[Catalog, list]:
+    workload = make_job_workload(scale=0.4, seed=13)
+    return workload.catalog, [named.query for named in workload.queries]
+
+
+@pytest.mark.parametrize("make", [_job_catalog, _docstore_catalog, _string_join_catalog],
+                         ids=["job", "docstore", "string"])
+def test_a_kept_entry_is_charged_once_for_everything_it_can_hold(make):
+    """Whatever orders its tasks run, learned or forced, a kept entry's
+    charge is what :meth:`StatementCache.keep` put and covers every array
+    it holds."""
+    catalog, statements = make()
+    cache = StatementCache.of(catalog)
+    engine = SkinnerC(catalog, config=FAST)
+    for statement in statements:
+        query = parse_query(statement, catalog) if isinstance(statement, str) else statement
+        learned = run_to_completion(engine.task(query))
+        key = query.prepared_key
+        charged = dict(cache.lru.items())[key].nbytes
+        engine.execute_with_order(query, learned.metrics.final_join_order)
+        engine.execute_with_order(query, tuple(reversed(learned.metrics.final_join_order)))
+        prepared = preprocess(catalog, query)
+        assert dict(cache.lru.items())[key].nbytes == charged == prepared.nbytes + 8 * 2**10
+        assert charged >= _array_bytes(prepared) + 8 * 2**10, query.display()
 
 
 # ----------------------------------------------------------------------

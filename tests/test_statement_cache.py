@@ -277,14 +277,22 @@ def test_the_byte_bound_holds_under_a_flood_of_predicates(monkeypatch):
     for cut in range(0, 1_500, 30):
         sql = f"SELECT COUNT(*) AS n FROM f, d WHERE f.k = d.k AND f.v < {cut}"
         assert _count(conn, sql) == cut
-        assert cache.nbytes <= bound
-        # The statement's prepared entry, edges and gathered columns charged
-        # in, stays exactly when it alone fits the bound.
+        assert 0 < cache.nbytes <= bound, cut
+        # The statement's prepared entry, charged at once for the edges and
+        # columns its tasks may gather, stays exactly when it alone fits the
+        # bound.
         prepared = kept[-1]
         assert len(kept) == cut // 30 + 1
-        assert prepared.key == parse_query(sql, conn.catalog).prepared_key
-        held.append(cache.lru.peek(prepared.key) is not None)
+        query = parse_query(sql, conn.catalog)
+        assert prepared.key == query.prepared_key
+        entries = dict(cache.lru.items())
+        held.append(prepared.key in entries)
         assert held[-1] == (prepared.nbytes + ENTRY_BYTES <= bound), cut
+        if not held[-1]:
+            # Refused before it evicted anything: the maps the statement
+            # built are still held, f's under its own filter.
+            maps = {(key[1][1], key[1][4]) for key in entries if key[0] == "map"}
+            assert maps == {("f", tuple(query.unary_predicates("f"))), ("d", ())}, cut
     assert held[0] and not held[-1]
     assert conn.parse(first_sql) is not first, "the oldest parse outlived the bound"
     conn.close()

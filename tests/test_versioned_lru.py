@@ -12,6 +12,10 @@ step:
 * eviction takes the least recently used entry first (the held keys, in
   order, are the model's);
 * ``invalidations`` counts exactly the stale entries dropped.
+
+And over interleaved puts and re-puts of a few keys at new sizes, a put
+that cannot stay evicts no other entry, and one that stays evicts only as
+many of the least recently used as it must.
 """
 
 from __future__ import annotations
@@ -130,3 +134,32 @@ def test_the_cache_matches_a_plain_dict_model(operations):
                 "invalidations": model.invalidations,
             }
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.tuples(st.just("put"), st.integers(0, 3), st.integers(0, 2 * BOUND)),
+                          st.tuples(st.just("get"), st.integers(0, 3))), max_size=40))
+def test_a_put_that_cannot_stay_evicts_no_other_entry(operations):
+    catalog = Catalog()
+    catalog.add_table(Table("a", {"x": [1]}))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(versioned_lru, "MAX_BYTES", BOUND)
+        cache = VersionedLru(catalog)
+        for operation in operations:
+            if operation[0] == "get":
+                cache.get(operation[1])
+                continue
+            _, key, nbytes = operation
+            others = [(held, entry.nbytes) for held, entry in cache.items() if held != key]
+            cache.put(key, key, ("a",), nbytes)
+            after = [(held, entry.nbytes) for held, entry in cache.items()]
+            assert cache.nbytes == sum(charge for _, charge in after) <= BOUND
+            if nbytes + ENTRY_BYTES > BOUND:
+                assert after == others, "a refused put evicted another entry"
+                continue
+            assert after[-1] == (key, nbytes + ENTRY_BYTES)
+            kept = after[:-1]
+            evicted = others[:len(others) - len(kept)]
+            assert kept == others[len(evicted):]
+            if evicted:  # one fewer eviction would not have fit
+                assert sum(charge for _, charge in after) + evicted[-1][1] > BOUND
