@@ -25,6 +25,8 @@ from __future__ import annotations
 from collections.abc import Generator, Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.api import DEFAULT_REGISTRY, EngineRegistry, EngineSpec, register_engine
 from repro.baselines.traditional import TraditionalTask
 from repro.engine.relation import RowIdRelation
@@ -37,6 +39,9 @@ from repro.query.udf import UdfRegistry
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.storage.catalog import Catalog
+
+from .oracle import restricted
+from .scalar import base_row, holds
 
 #: A validation sample joins this share of the left-most alias's filtered
 #: rows, at most ``SAMPLE_LIMIT`` of them; an estimate off by more than
@@ -71,7 +76,6 @@ class EddyTask(GeneratorTask):
                  work_budget: int | None = None) -> None:
         super().__init__(engine.name, query, engine._udfs, work_budget)
         self._catalog = engine._catalog
-        self._decoded: dict[tuple[str, str], list[Any]] = {}
 
     def episodes(self) -> Generator[None, None, RowIdRelation]:
         prepared = self.prepared = preprocess(self._catalog, self.query, self.udfs, self.meter)
@@ -79,11 +83,8 @@ class EddyTask(GeneratorTask):
         result_set = self.result_set = JoinResultSet(prepared.aliases)
         if not prepared.is_empty():
             if self.query.num_tables == 1:
-                alias = prepared.aliases[0]
-                result_set.add_many(
-                    (prepared.base_row(alias, index),)
-                    for index in range(prepared.cardinality(alias))
-                )
+                rows = np.array(prepared.filtered[prepared.aliases[0]], dtype=np.int64)
+                result_set.emit(rows.reshape(-1, 1), None)
             else:
                 yield from self._route_all()
         return result_set.to_relation()
@@ -115,10 +116,12 @@ class EddyTask(GeneratorTask):
                 joined.append(next_alias)
             for partial in partials:
                 routed.append(
-                    tuple(prepared.base_row(alias, partial[alias]) for alias in prepared.aliases)
+                    tuple(base_row(prepared, alias, partial[alias]) for alias in prepared.aliases)
                 )
                 meter.charge_output(1)
-        self.result_set.add_many(routed)  # one insert: adding settles distinctness each time
+        # One insert: rows from no single source are settled when read.
+        matrix = np.array(routed, dtype=np.int64).reshape(-1, len(aliases))
+        self.result_set.emit(matrix, None)
 
     def _examine(self) -> Generator[None, None, None]:
         """Count one driver tuple or candidate examined, rejected ones
@@ -161,32 +164,26 @@ class EddyTask(GeneratorTask):
             join_map = prepared.join_maps.get((alias, own.column))
             if join_map is None or other.table not in partial:
                 continue
-            value = self._value_at(other.table, other.column, partial[other.table])
+            # One probe through the map's vectorized lookup.
+            index = partial[other.table]
+            probe = prepared.physical_column(other.table, other.column)[index:index + 1]
+            source = prepared.tables[other.table].column(other.column)
             self.meter.charge_probe(1)
-            matches = join_map.get(value)
-            return [int(i) for i in matches] if matches is not None else []
+            starts, counts = join_map.bounds(join_map.slots(probe, source))
+            start = int(starts[0])
+            return join_map.rows[start:start + int(counts[0])].tolist()
         return list(range(prepared.cardinality(alias)))
-
-    def _value_at(self, alias: str, column: str, index: int) -> Any:
-        """Decoded value of ``alias.column`` at a filtered index; each
-        decoded filtered column is kept as a list, which the per-tuple
-        probes index faster than a numpy array."""
-        values = self._decoded.get((alias, column))
-        if values is None:
-            values = self._decoded[alias, column] = (
-                self.prepared.decoded_array(alias, column).tolist())
-        return values[index]
 
     def _satisfies(self, extended: dict[str, int], applicable) -> bool:
         for predicate in applicable:
             binding: dict[str, Any] = {
-                t: self.tables[t].row(self.prepared.base_row(t, extended[t]))
+                t: self.tables[t].row(base_row(self.prepared, t, extended[t]))
                 for t in predicate.tables()
             }
             self.meter.charge_predicate(1)
             if predicate.uses_udf:
                 self.meter.charge_udf(max(1, predicate.udf_cost(self.udfs) - 1))
-            if not predicate.evaluate(binding, self.udfs):
+            if not holds(predicate, binding, self.udfs):
                 return False
         return True
 
@@ -265,7 +262,7 @@ class ReOptimizerTask(TraditionalTask):
         corrections: dict[frozenset[str], float] = {}
         for prefix_length in range(2, len(order) + 1):
             prefix = order[:prefix_length]
-            relation = yield from self._executor.restricted(prefix).run_order(
+            relation = yield from restricted(self._executor, prefix).run_order(
                 list(prefix), self.meter, batch=(0, sample_size), episode_rows=self.episode_rows)
             yield
             measured = len(relation) * scale

@@ -4,7 +4,7 @@ PR 3 replaced the plan executor's dict-based hash-join build/probe with the
 columnar kernel of :mod:`repro.engine.joinkernels`.  This experiment isolates
 that operator on join-heavy left-deep plans: a three-table chain with
 controlled fan-out is joined step by step through
-:func:`repro.engine.operators.hash_join_step` (the plan executor's hash step
+:func:`tests.oracles.hash_join_step` (the plan executor's hash step
 in one range, its candidates taken from :mod:`repro.engine.joinsteps`, the
 join-step kernel the multi-way join shares) and through the dict-based test
 oracle ``rows_hash_join_step``
@@ -39,17 +39,17 @@ import numpy as np
 from repro.engine.executor import PlanExecutor
 from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
-from repro.engine.operators import hash_join_step
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import Predicate, column_equals_column
-from repro.query.query import Query, make_query
+from repro.query.query import Query
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
-from tests.oracles import rows_hash_join_step
+from tests.oracles import hash_join_step, rows_hash_join_step
 
 from .profiles import get_profile
+from .queries import make_query
 
 _JOIN_ORDER = ("t0", "t1", "t2")
 

@@ -21,10 +21,11 @@ import numpy as np
 from repro.engine.postprocess import post_process
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef, FunctionCall, Literal, Star
-from repro.query.query import AggregateSpec, OrderItem, Query, SelectItem, make_query
+from repro.query.query import AggregateSpec, OrderItem, Query, SelectItem
 from repro.storage.table import Table
 from repro.workloads.generators import choice_strings, make_rng, uniform_keys, zipf_keys
 from tests.oracles import rows_post_process
+from .queries import make_query
 
 _CATEGORIES = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 

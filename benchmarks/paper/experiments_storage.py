@@ -7,7 +7,7 @@ recovers from disk and ``load_csv`` becomes a fingerprint check.  The
 experiment measures both paths on the same workload and cross-checks the
 acceptance properties on every run:
 
-* the warm start performs **zero** CSV parses (``repro.storage.parse_count``
+* the warm start performs **zero** CSV parses (:func:`parse_count`
   is unchanged across the warm ingest);
 * rows and meter charges are byte-identical across cold, warm, and a plain
   in-memory reference connection.
@@ -19,6 +19,7 @@ should a run die mid-way).
 
 from __future__ import annotations
 
+import csv
 import shutil
 import tempfile
 import time
@@ -27,8 +28,7 @@ from typing import Any
 
 from repro.api.connection import connect
 from repro.config import SkinnerConfig
-from repro.storage import parse_count
-from repro.storage.loader import save_csv
+from repro.storage import loader
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng, uniform_keys
 
@@ -39,6 +39,21 @@ from .metrics import modelled_time
 _BENCH_CONFIG = SkinnerConfig(slice_budget=200, serving_warm_start=False)
 
 _TABLES = ("a", "b", "c")
+
+
+def parse_count() -> int:
+    """Number of CSV files fully parsed by this process so far."""
+    return loader._PARSE_COUNT
+
+
+def save_csv(table: Table, path: str | Path) -> None:
+    """Write a table to a CSV file with a header row."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(table.column_names)
+        for position in range(table.num_rows):
+            row = table.row(position)
+            writer.writerow([row[column] for column in table.column_names])
 
 
 def _write_workload_csvs(csv_dir: Path, tuples_per_table: int, seed: int) -> list[Path]:

@@ -5,8 +5,8 @@ optimizer's, the one Skinner learned, and the C_out-optimal one.  The last
 is the order the product's planner (:func:`~repro.optimizer.exhaustive.choose_plan`)
 picks when every cardinality it asks for is the *true* one, counted by
 running the sub-join.  That is a measuring stick, not a way to run a query,
-so it lives here, built on two public calls of the plan executor:
-``filtered_positions`` for one table and ``restricted`` for a sub-join.
+so it lives here, built on the plan executor: ``filtered_positions`` for
+one table and :func:`restricted` for a sub-join.
 """
 
 from __future__ import annotations
@@ -22,6 +22,26 @@ from repro.query.join_graph import JoinGraph
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
+
+
+def restrict_query(query: Query, aliases: Sequence[str]) -> Query:
+    """Project a query onto a subset of its aliases (predicates restricted)."""
+    alias_set = set(aliases)
+    tables = tuple((alias, name) for alias, name in query.tables if alias in alias_set)
+    predicates = tuple(p for p in query.predicates if p.tables() <= alias_set)
+    return Query(tables=tables, predicates=predicates)
+
+
+def restricted(executor: PlanExecutor, aliases: Sequence[str]) -> PlanExecutor:
+    """An executor of ``executor``'s query projected onto ``aliases``: it joins
+    that executor's filtered rows and charges no filter pass of its own (how
+    the re-optimizer samples prefixes and this oracle counts sub-joins)."""
+    filtered = executor.pre_process()
+    sub = PlanExecutor(executor._catalog, restrict_query(executor._query, aliases),
+                       executor._udfs)
+    sub._filtered = {alias: filtered[alias] for alias in aliases}
+    sub._filter_keys = {alias: executor._filter_keys[alias] for alias in aliases}
+    return sub
 
 
 def subset_cardinality(executor: PlanExecutor, query: Query, aliases: Sequence[str]) -> int:
@@ -40,7 +60,7 @@ def subset_cardinality(executor: PlanExecutor, query: Query, aliases: Sequence[s
     order = [aliases[0]]
     while len(order) < len(aliases):
         order.append(graph.eligible_next(order)[0])
-    return len(executor.restricted(aliases).execute_order(order, CostMeter()))
+    return len(restricted(executor, aliases).execute_order(order, CostMeter()))
 
 
 class TrueCardinality(CardinalityEstimator):

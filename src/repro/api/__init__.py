@@ -42,7 +42,6 @@ from repro.api.registry import (
     EngineRegistry,
     EngineSpec,
     RegistryNames,
-    engine_names,
     register_engine,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "RegistryNames",
     "apilevel",
     "connect",
-    "engine_names",
     "paramstyle",
     "register_engine",
     "threadsafety",

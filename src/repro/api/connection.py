@@ -307,12 +307,6 @@ class Connection:
     # ------------------------------------------------------------------
     # transactions over schema mutations
     # ------------------------------------------------------------------
-    @property
-    def in_transaction(self) -> bool:
-        """Whether uncommitted schema mutations exist (local connections)."""
-        self._check_local("in_transaction")
-        return self._txn_tables is not None
-
     def _mutate(self, change: Callable[[], _T]) -> _T:
         """Run one schema or UDF change inside the transaction bracket.
 

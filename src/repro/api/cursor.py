@@ -289,7 +289,3 @@ class Cursor:
             raise InterfaceError("connection is closed")
         if needs_query and self._ticket is None:
             raise InterfaceError("no query has been executed on this cursor")
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else f"ticket={self._ticket}"
-        return f"<repro.api.cursor.Cursor {state}>"

@@ -256,8 +256,3 @@ def register_engine(
         spec = EngineSpec(name=name, factory=factory,
                           task_class=fields.pop("task_class", None), **fields)
     return registry.register(spec, replace=replace)
-
-
-def engine_names(registry: EngineRegistry | None = None) -> tuple[str, ...]:
-    """Names of all engines in the default (or a given) registry."""
-    return (registry if registry is not None else DEFAULT_REGISTRY).names()

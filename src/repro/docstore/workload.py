@@ -126,18 +126,6 @@ def build_forest(
     return roots
 
 
-def to_xml(node: DocNode) -> str:
-    """Serialize an element tree back to XML (for file-ingest round trips)."""
-    if node.kind == "attr":
-        raise ValueError("attributes serialize with their parent element")
-    attributes = "".join(
-        f' {child.tag}="{child.text}"'
-        for child in node.children if child.kind == "attr"
-    )
-    children = "".join(to_xml(c) for c in node.children if c.kind != "attr")
-    return f"<{node.tag}{attributes}>{node.text}{children}</{node.tag}>"
-
-
 # ----------------------------------------------------------------------
 # query generation
 # ----------------------------------------------------------------------

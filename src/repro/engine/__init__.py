@@ -18,9 +18,7 @@ from repro.engine.executor import PlanExecutor
 from repro.engine.joinkernels import (
     CompositeKeySpace,
     GroupedJoinMap,
-    GroupedRows,
     encode_composite_keys,
-    group_rows,
 )
 from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.engine.postprocess import post_process
@@ -33,11 +31,9 @@ __all__ = [
     "EngineTask",
     "ExecutionBackend",
     "GroupedJoinMap",
-    "GroupedRows",
     "PlanExecutor",
     "RowIdRelation",
     "WorkBreakdown",
     "encode_composite_keys",
-    "group_rows",
     "post_process",
 ]

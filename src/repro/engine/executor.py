@@ -227,22 +227,3 @@ class PlanExecutor:
         predicates (:meth:`~repro.query.join_graph.JoinGraph.join_steps`,
         worked out once per query and order)."""
         return self._query.join_graph().join_steps(order)
-
-    def restricted(self, aliases: Sequence[str]) -> PlanExecutor:
-        """An executor of this query projected onto ``aliases``: it joins this
-        one's filtered rows and charges no filter pass of its own (how the
-        harness's re-optimizer samples prefixes and its oracle counts
-        sub-joins)."""
-        filtered = self.pre_process()
-        executor = PlanExecutor(self._catalog, _restrict_query(self._query, aliases), self._udfs)
-        executor._filtered = {alias: filtered[alias] for alias in aliases}
-        executor._filter_keys = {alias: self._filter_keys[alias] for alias in aliases}
-        return executor
-
-
-def _restrict_query(query: Query, aliases: Sequence[str]) -> Query:
-    """Project a query onto a subset of its aliases (predicates restricted)."""
-    alias_set = set(aliases)
-    tables = tuple((alias, name) for alias, name in query.tables if alias in alias_set)
-    predicates = tuple(p for p in query.predicates if p.tables() <= alias_set)
-    return Query(tables=tables, predicates=predicates)

@@ -12,9 +12,13 @@ from it without grouping again.  What a Skinner-C statement's probes find in
 it (:meth:`GroupedJoinMap.edge`) lives on that statement's pre-processed
 object, not in the cache.
 
-* :func:`group_rows` — group a key vector into sorted runs (a stable sort +
+* :func:`_runs` — group a key vector into sorted runs (a stable sort +
   run boundaries), the columnar replacement for building a
-  ``dict[key, list[row]]`` hash table.
+  ``dict[key, list[row]]`` hash table.  The sort is stable: rows of equal
+  keys stay in ascending order, which both the hash-jump's per-bucket
+  ``searchsorted`` and the byte-identical emission order of the join kernel
+  rely on.  Run boundaries are detected with ``!=`` on adjacent sorted
+  values, so for float keys each NaN forms its own singleton run.
 * :class:`GroupedJoinMap` — a single-column key groups the column's raw
   *physical* values (int64, float64, dictionary codes for strings): no
   factorization at all.  Probe values are translated into that domain
@@ -58,8 +62,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
 
 from repro.storage.column import Column, ColumnType
@@ -67,9 +69,7 @@ from repro.storage.column import Column, ColumnType
 __all__ = [
     "CompositeKeySpace",
     "GroupedJoinMap",
-    "GroupedRows",
     "encode_composite_keys",
-    "group_rows",
 ]
 
 #: Radix-combination guard: composite code spans stay below this bound, and
@@ -80,23 +80,6 @@ _MAX_SPAN = 2**62
 #: ``DENSITY * (len(keys) + DENSITY)``: eight table slots per key, and 64
 #: more so that a small key set with a few gaps gets one too.
 DENSITY = 8
-
-
-@dataclass(frozen=True)
-class GroupedRows:
-    """Rows grouped by key: the columnar form of ``dict[key, list[row]]``.
-
-    ``rows`` holds the original row indices reordered so equal keys are
-    adjacent; run ``g`` covers ``rows[starts[g] : starts[g] + counts[g]]``
-    and has key ``keys[g]``.  The grouping sort is stable, so rows within a
-    run keep their original (ascending) order — exactly the order in which
-    the dict-based build appended them to its buckets.
-    """
-
-    rows: np.ndarray
-    keys: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
 
 
 def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,24 +102,9 @@ def _stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, values[order]
 
 
-def group_rows(values: np.ndarray, rows: np.ndarray | None = None) -> GroupedRows:
-    """Group ``rows`` (default ``arange``) into runs of equal ``values``.
-
-    The sort is stable: rows of equal keys stay in ascending order, which
-    both the hash-jump's per-bucket ``searchsorted`` and the byte-identical
-    emission order of the join kernel rely on.  Run boundaries are detected
-    with ``!=`` on adjacent sorted values, so for float keys each NaN forms
-    its own singleton run (``nan != nan``) — no accidental NaN grouping.
-    """
-    order, keys, bounds = _runs(np.asarray(values))
-    if rows is not None:
-        order = np.asarray(rows, dtype=np.int64)[order]
-    return GroupedRows(order, keys, bounds[:-2], np.diff(bounds[:-1]))
-
-
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, keys, bounds)`` of :func:`group_rows`: run ``g`` is
-    ``order[bounds[g]:bounds[g + 1]]`` and has key ``keys[g]``.
+    """``(order, keys, bounds)`` of ``values`` grouped into runs of equal
+    keys: run ``g`` is ``order[bounds[g]:bounds[g + 1]]`` and has key ``keys[g]``.
 
     ``bounds`` ends on one more, empty run ``[n, n)`` past the last key: the
     bucket :meth:`GroupedJoinMap.slots` gives a probe that finds none.
@@ -351,8 +319,7 @@ class GroupedJoinMap:
     map where the keys are dense int64, a binary search otherwise), and
     :meth:`bounds` turns bucket numbers into bucket bounds.  A caller that
     probes with the same values again keeps the bucket numbers and repeats
-    only the second step; :meth:`get` looks up one decoded value
-    (single-column maps only).
+    only the second step.
 
     Whether every key holds one row (a primary key, ``unique``) is recorded
     when the map is grouped.  A unique map's bucket ``g`` is row
@@ -389,7 +356,7 @@ class GroupedJoinMap:
         self._table = _direct_table(self._keys)
         #: Whether every key holds exactly one row (NaN keys are singletons).
         self.unique = self._keys.shape[0] == self._rows.shape[0]
-        #: Bucket ``g`` is ``_rows[_starts[g]:_ends[g]]``; bucket ``len(self)``
+        #: Bucket ``g`` is ``_rows[_starts[g]:_ends[g]]``; bucket ``len(_keys)``
         #: is the empty one a probe that finds no key is given.
         self._starts, self._ends = bounds[:-1], bounds[1:]
         #: The rows below ``_lower`` are cut from every bucket (a suffix view).
@@ -459,77 +426,16 @@ class GroupedJoinMap:
             held += self._space.nbytes
         return held
 
-    def __len__(self) -> int:
-        return int(self._keys.shape[0])
-
-    def __contains__(self, value: Any) -> bool:
-        return self.get(value) is not None
-
-    def _encode_probe(self, value: Any) -> Any | None:
-        """Translate a decoded probe value into the physical key domain.
-
-        Returns ``None`` when no key can possibly equal the value (type
-        mismatch, absent dictionary string, inexact int/float conversion).
-        """
-        if self._column is None:
-            raise TypeError("get() looks up one value: the map's key is composite")
-        if self._column.ctype is ColumnType.STRING:
-            if not isinstance(value, str):
-                return None
-            code = self._column.encode(value)
-            return code if code >= 0 else None
-        if isinstance(value, bool):
-            value = int(value)
-        if not isinstance(value, (int, float, np.integer, np.floating)):
-            return None
-        if self._keys.dtype.kind in "iu":
-            if isinstance(value, (float, np.floating)):
-                # Only exactly-integral in-range floats can equal an int key.
-                if not (np.isfinite(value) and float(value).is_integer()):
-                    return None
-                as_int = int(value)
-                if not (-(2**63) <= as_int < 2**63):
-                    return None
-                return as_int
-            return int(value)
-        if isinstance(value, (int, np.integer)):
-            try:
-                as_float = float(value)
-            except OverflowError:
-                return None
-            # An inexact conversion means no float64 key equals this int.
-            if int(as_float) != int(value):
-                return None
-            return as_float
-        return float(value)
-
-    def get(self, value: Any) -> np.ndarray | None:
-        """Rows whose join column equals ``value``, or ``None`` (no bucket).
-
-        The returned array is a view of the grouped run — ascending filtered
-        indices, exactly what the dict-based map stored per key.  Nothing is
-        remembered between calls: a map the statement cache keeps for a
-        table version's life must not grow with what it is asked.
-        """
-        probe = self._encode_probe(value)
-        if probe is None:
-            return None
-        slot = int(_find(self._keys, np.asarray([probe]), self._table)[0])
-        start, end = int(self._starts[slot]), int(self._ends[slot])
-        if start == end:
-            return None  # no key, or a bucket a suffix view emptied
-        return self._rows[start:end]
-
     def slots(
         self, values: np.ndarray | Sequence[np.ndarray], source: Column | Sequence[Column]
     ) -> np.ndarray:
-        """Each probe's bucket number, ``len(self)`` (an empty bucket) where it has none.
+        """Each probe's bucket number, the number of keys (an empty bucket) where it has none.
 
         ``values`` are *physical* values of the probing column ``source``
         (dictionary codes when it is a string column); a map built from a
         sequence of key columns takes one value vector and one source column
-        per key column instead.  A probe finds the bucket :meth:`get` finds
-        for its decoded value: NaN never matches, int and float meet only
+        per key column instead.  A probe finds the bucket of the key equal
+        to its decoded value: NaN never matches, int and float meet only
         where the conversion is exact, strings are translated between the
         two columns' dictionaries, and a string column never matches a
         numeric one.  The numbers depend on the grouped keys alone, so they
@@ -577,7 +483,7 @@ class GroupedJoinMap:
         """``(starts, counts)`` of the buckets ``slots`` names, rows ``< lower`` cut.
 
         ``rows[starts[i]:starts[i] + counts[i]]`` is bucket ``slots[i]``, so
-        ``counts[i] == 0`` where :meth:`get` returns ``None``.  With ``lower``
+        ``counts[i] == 0`` where a probe found no key.  With ``lower``
         above this map's own bound every bucket is cut down to its rows
         ``>= lower`` (the hash-jump's resume bound): one per-bucket cut of
         the grouped map, kept for the next call with the same ``lower``.

@@ -78,15 +78,6 @@ class CostMeter:
     # The six named methods are written out: they sit on every engine's hot
     # path, and one attribute add plus one comparison against the running
     # total is all a charge costs.
-    def charge(self, kind: str, amount: int = 1) -> None:
-        """Charge ``amount`` work units to the counter named ``kind``."""
-        if amount < 0:
-            raise ValueError("cannot charge negative work")
-        setattr(self, kind, getattr(self, kind) + amount)
-        self._total = total = self._total + amount
-        if self.budget is not None and total > self.budget:
-            raise BudgetExceeded(spent=total)
-
     def charge_scan(self, amount: int = 1) -> None:
         """Charge scanning ``amount`` base-table tuples."""
         if amount < 0:
@@ -278,7 +269,3 @@ class WorkLedger:
     def grand_total(self) -> int:
         """Work units consumed by all queries together (the virtual clock)."""
         return self._grand_total
-
-    def snapshot(self) -> dict[Any, int]:
-        """Copy of the per-key totals."""
-        return dict(self._totals)

@@ -13,8 +13,7 @@ repository:
 * :func:`apply_residual` — filter candidates by the residual predicates.
 
 A step charges its :class:`Candidates` whole, and then filters them range
-by range (:meth:`~repro.engine.executor.PlanExecutor.run_order`);
-:func:`hash_join_step` is a hash-join step in one range.
+by range (:meth:`~repro.engine.executor.PlanExecutor.run_order`).
 
 Every predicate but ``column <op> literal`` (which compares the physical
 column once) is evaluated over arrays of the surviving rows by
@@ -107,7 +106,7 @@ def _charge_predicate(
 
 
 #: ``key_columns -> build side``: the rows a hash join builds on, grouped by
-#: those columns of the new table (see :func:`hash_join_step`).
+#: those columns of the new table (see :func:`hash_join_candidates`).
 BuildSide = Callable[[tuple[str, ...]], GroupedJoinMap]
 
 
@@ -128,36 +127,6 @@ class Candidates:
         return self._prefix.extend(self._alias, self._positions[candidates], parent)
 
 
-def hash_join_step(
-    prefix: RowIdRelation,
-    alias: str,
-    table: Table,
-    positions: np.ndarray,
-    equi_predicates: Sequence[Predicate],
-    residual_predicates: Sequence[Predicate],
-    tables: Mapping[str, Table],
-    meter: CostMeter,
-    udfs: UdfRegistry | None = None,
-    lower: int = 0,
-    build_side: BuildSide | None = None,
-) -> RowIdRelation:
-    """Extend ``prefix`` by ``alias`` using a hash join.
-
-    ``equi_predicates`` must each connect ``alias`` to some alias already in
-    the prefix via column equality.  ``residual_predicates`` are evaluated on
-    each candidate combination.  The build side is ``positions[lower:]``:
-    ``build_side(key_columns)`` returns those rows grouped by the join's key
-    columns of ``table``, a map whose buckets hold indices into
-    ``positions`` (the caller's cached map, or its
-    :meth:`~repro.engine.joinkernels.GroupedJoinMap.suffix`); without it they
-    are grouped for this join alone.
-    """
-    candidates = hash_join_candidates(prefix, alias, table, positions, equi_predicates,
-                                      tables, meter, lower, build_side)
-    return apply_residual(candidates.take(0, candidates.total), residual_predicates,
-                           tables, meter, udfs)
-
-
 def hash_join_candidates(
     prefix: RowIdRelation,
     alias: str,
@@ -169,7 +138,12 @@ def hash_join_candidates(
     lower: int = 0,
     build_side: BuildSide | None = None,
 ) -> Candidates:
-    """:func:`hash_join_step`'s build and probe, the step charged whole."""
+    """Extend ``prefix`` by ``alias`` using a hash join, the step charged whole.
+
+    The build side is ``positions[lower:]``, grouped by the join's key columns:
+    ``build_side(key_columns)`` (the caller's cached map, or its suffix) or,
+    without one, for this join alone.
+    """
     # Building the hash side scans/hashes the new table's tuples once, so it
     # is charged as scan work, not as hash probes: the probe counter must
     # mean the same thing across join implementations for the weighted

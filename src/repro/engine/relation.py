@@ -13,12 +13,10 @@ statement that reads none — ``COUNT(*)`` — never builds them.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from typing import Any
 
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.storage.table import Table
 
 
 class RowIdRelation:
@@ -58,20 +56,6 @@ class RowIdRelation:
         return cls({alias: np.asarray(positions, dtype=np.int64)})
 
     @classmethod
-    def empty(cls, aliases: Sequence[str]) -> "RowIdRelation":
-        """An empty relation over the given aliases."""
-        return cls({alias: np.empty(0, dtype=np.int64) for alias in aliases})
-
-    @classmethod
-    def from_index_tuples(
-        cls, aliases: Sequence[str], tuples: Sequence[Sequence[int]]
-    ) -> "RowIdRelation":
-        """Build from a list of index tuples ordered like ``aliases``."""
-        if not tuples:
-            return cls.empty(aliases)
-        return cls.from_matrix(aliases, np.asarray(tuples, dtype=np.int64))
-
-    @classmethod
     def from_matrix(cls, aliases: Sequence[str], matrix: np.ndarray) -> "RowIdRelation":
         """Build from a ``(rows, aliases)`` int64 matrix (one column per alias)."""
         matrix = np.asarray(matrix, dtype=np.int64)
@@ -108,9 +92,6 @@ class RowIdRelation:
     def __len__(self) -> int:
         return self._length
 
-    def __repr__(self) -> str:
-        return f"RowIdRelation(aliases={self.aliases}, rows={self._length})"
-
     # ------------------------------------------------------------------
     # transformation
     # ------------------------------------------------------------------
@@ -146,20 +127,3 @@ class RowIdRelation:
         """The result as a ``(rows, aliases)`` int64 matrix, one column per alias."""
         order = list(aliases) if aliases is not None else self.aliases
         return np.stack([self._ids[alias] for alias in order], axis=1)
-
-    def index_tuples(self, aliases: Sequence[str] | None = None) -> list[tuple[int, ...]]:
-        """Return the result as a list of index tuples ordered by ``aliases``."""
-        order = list(aliases) if aliases is not None else self.aliases
-        columns = [self._ids[alias] for alias in order]
-        return [tuple(int(column[row]) for column in columns) for row in range(self._length)]
-
-    # ------------------------------------------------------------------
-    # materialization helpers
-    # ------------------------------------------------------------------
-    def binding(self, row: int, tables: Mapping[str, Table]) -> dict[str, dict[str, Any]]:
-        """Materialize result row ``row`` as ``alias -> {column: value}``."""
-        bound: dict[str, dict[str, Any]] = {}
-        for alias, positions in self._ids.items():
-            table = tables[alias]
-            bound[alias] = table.row(int(positions[row]))
-        return bound

@@ -95,19 +95,10 @@ class StatementCache:
             catalog.statement_cache = cls(catalog)
         return catalog.statement_cache
 
-    def __len__(self) -> int:
-        return len(self.lru)
-
     @property
     def nbytes(self) -> int:
         """Bytes charged for what the cache holds."""
         return self.lru.nbytes
-
-    def versions(self) -> dict[str, int | None]:
-        """Per table with entries: the version they were built on (``None``:
-        a parse naming a table the catalog did not hold)."""
-        return {name: version for _, entry in self.lru.items()
-                for name, version in zip(entry.tables, entry.versions[1:])}
 
     # ------------------------------------------------------------------
     # lookups

@@ -77,8 +77,8 @@ def predicate_mask(
     left = _evaluate(predicate.left, resolve, length, udfs)
     if predicate.op is None:
         return _broadcast(left, length).astype(bool)
-    # The comparators of ``Predicate.evaluate``: NumPy broadcasting gives
-    # their elementwise truth values.
+    # The scalar comparators of :mod:`repro.query.predicates`: NumPy
+    # broadcasting gives their elementwise truth values.
     comparator = _COMPARATORS.get(predicate.op)
     if comparator is None:
         raise ExecutionError(f"unsupported predicate operator {predicate.op!r}")

@@ -70,11 +70,6 @@ class VersionedLru:
         self._sync()
         return self._nbytes
 
-    def items(self) -> list[tuple[Hashable, Entry]]:
-        """The entries held, least recently used first."""
-        self._sync()
-        return list(self._entries.items())
-
     def get(self, key: Hashable, default: Any = None) -> Any:
         """The value kept under ``key``, now most recently used, or ``default``."""
         self._sync()

@@ -88,14 +88,27 @@ def _ticket_arg(args: dict[str, Any], name: str = "ticket") -> int:
     raise InterfaceError(f"argument {name!r} must be an int ticket, got {value!r}")
 
 
-def _str_arg(args: dict[str, Any], name: str) -> str:
-    """A string argument (outside input): a ``str``, never ``null``."""
+def _str_arg(args: dict[str, Any], name: str, default: str | None = None) -> str:
+    """A string argument (outside input): a ``str``.  Without a ``default``
+    it is required and never ``null``; with one, a missing or ``null``
+    argument reads as the default."""
+    value = args.get(name)
+    if value is None and default is not None:
+        return default
     if name not in args:
         raise InterfaceError(f"argument {name!r} is required")
-    value = args[name]
     if isinstance(value, str):
         return value
     raise InterfaceError(f"argument {name!r} must be a string, got {value!r}")
+
+
+def _bool_arg(args: dict[str, Any], name: str, default: bool) -> bool:
+    """A flag argument (outside input): a JSON ``true``/``false``, not a
+    truthy string or number; ``default`` where it is missing."""
+    value = args.get(name, default)
+    if isinstance(value, bool):
+        return value
+    raise InterfaceError(f"argument {name!r} must be a boolean, got {value!r}")
 
 
 def _request_args(request: dict[str, Any]) -> dict[str, Any]:
@@ -468,11 +481,11 @@ class ReproServer:
             )
         ticket = conn.server.submit(
             parsed,
-            engine=args.get("engine") or client.settings["engine"],
+            engine=_str_arg(args, "engine", client.settings["engine"]),
             config=effective_config,
-            use_result_cache=bool(args.get("use_result_cache", True)),
+            use_result_cache=_bool_arg(args, "use_result_cache", True),
             tenant=client.tenant,
-            stream=bool(args.get("stream", True)),
+            stream=_bool_arg(args, "stream", True),
         )
         client.tickets.add(ticket)
         self._work.set()
@@ -516,7 +529,7 @@ class ReproServer:
         self, client: _Client, args: dict[str, Any]
     ) -> dict[str, Any]:
         table = wire_table(args)
-        self.connection.add_table(table, replace=bool(args.get("replace", False)))
+        self.connection.add_table(table, replace=_bool_arg(args, "replace", False))
         return {"name": table.name, "rows": table.num_rows}
 
     async def _verb_drop_table(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:

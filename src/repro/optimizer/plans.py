@@ -23,16 +23,3 @@ class LeftDeepPlan:
     order: tuple[str, ...]
     cost: float
     prefix_cardinalities: tuple[float, ...] = field(default_factory=tuple)
-
-    @property
-    def num_tables(self) -> int:
-        """Number of joined tables."""
-        return len(self.order)
-
-    def display(self) -> str:
-        """Readable rendering for reports."""
-        joined = " ⋈ ".join(self.order)
-        return f"[{joined}] cost={self.cost:.1f}"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.display()

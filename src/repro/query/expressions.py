@@ -3,21 +3,14 @@
 Expressions are deliberately small: column references, literals, and
 function calls (arithmetic shows up in TPC-H style aggregates and is modelled
 with the built-in functions ``add``, ``sub``, ``mul``).  Every expression can
-report the set of table aliases it references and evaluate itself against a
-*binding* — a mapping from table alias to a row dictionary — which is how
-the benchmark harness's eddy evaluates predicates on single tuples and how
-the test oracles compute reference results.  The engines evaluate
-expressions over column arrays instead (:mod:`repro.engine.vectorized`),
-with the same semantics.
+report the set of table aliases it references; the engines evaluate
+expressions over column arrays (:mod:`repro.engine.vectorized`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
-
-from repro.errors import ExecutionError
 
 
 class Expression:
@@ -31,19 +24,9 @@ class Expression:
         """All column references appearing in this expression."""
         raise NotImplementedError
 
-    def evaluate(self, binding: Mapping[str, Mapping[str, Any]], udfs: "UdfLookup" = None) -> Any:
-        """Evaluate against a binding ``alias -> {column: value}``."""
-        raise NotImplementedError
-
     def display(self) -> str:
         """SQL-ish rendering used in plans and reports."""
         raise NotImplementedError
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.display()
-
-
-UdfLookup = Any  # resolved lazily to avoid import cycle with repro.query.udf
 
 
 @dataclass(frozen=True)
@@ -58,12 +41,6 @@ class ColumnRef(Expression):
 
     def columns(self) -> list["ColumnRef"]:
         return [self]
-
-    def evaluate(self, binding: Mapping[str, Mapping[str, Any]], udfs: UdfLookup = None) -> Any:
-        try:
-            return binding[self.table][self.column]
-        except KeyError as exc:
-            raise ExecutionError(f"no value bound for {self.display()}") from exc
 
     def display(self) -> str:
         return f"{self.table}.{self.column}"
@@ -81,9 +58,6 @@ class Literal(Expression):
     def columns(self) -> list[ColumnRef]:
         return []
 
-    def evaluate(self, binding: Mapping[str, Mapping[str, Any]], udfs: UdfLookup = None) -> Any:
-        return self.value
-
     def display(self) -> str:
         # Embedded quotes are doubled (the SQL escape the tokenizer
         # understands), so the rendering is unambiguous: a bound string
@@ -97,14 +71,7 @@ class Literal(Expression):
         return str(self.value)
 
 
-_BUILTIN_FUNCTIONS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "abs": abs,
-    "mod": lambda a, b: a % b,
-}
+_BUILTIN_FUNCTIONS = frozenset({"add", "sub", "mul", "div", "abs", "mod"})
 
 
 @dataclass(frozen=True)
@@ -126,15 +93,6 @@ class FunctionCall(Expression):
             refs.extend(arg.columns())
         return refs
 
-    def evaluate(self, binding: Mapping[str, Mapping[str, Any]], udfs: UdfLookup = None) -> Any:
-        values = [arg.evaluate(binding, udfs) for arg in self.args]
-        key = self.name.lower()
-        if key in _BUILTIN_FUNCTIONS:
-            return _BUILTIN_FUNCTIONS[key](*values)
-        if udfs is not None and udfs.has(key):
-            return udfs.get(key).function(*values)
-        raise ExecutionError(f"unknown function {self.name!r}")
-
     def is_builtin(self) -> bool:
         """Whether this call resolves to a built-in arithmetic function."""
         return self.name.lower() in _BUILTIN_FUNCTIONS
@@ -146,16 +104,7 @@ class FunctionCall(Expression):
 
 @dataclass(frozen=True)
 class Star(Expression):
-    """``*`` in ``COUNT(*)`` — evaluates to 1 for every binding."""
-
-    def tables(self) -> frozenset[str]:
-        return frozenset()
-
-    def columns(self) -> list[ColumnRef]:
-        return []
-
-    def evaluate(self, binding: Mapping[str, Mapping[str, Any]], udfs: UdfLookup = None) -> Any:
-        return 1
+    """``*`` in ``COUNT(*)``: an aggregate's argument only, never a predicate's."""
 
     def display(self) -> str:
         return "*"

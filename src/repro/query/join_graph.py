@@ -32,7 +32,6 @@ class JoinGraph:
         self._aliases = list(aliases)
         self._predicates = list(predicates)
         self._neighbors: dict[str, set[str]] = {alias: set() for alias in aliases}
-        self._edge_predicates: dict[frozenset[str], list[Predicate]] = {}
         for predicate in self._predicates:
             tables = [t for t in predicate.tables() if t in self._neighbors]
             if len(tables) < 2:
@@ -41,8 +40,6 @@ class JoinGraph:
                 for right in tables:
                     if left != right:
                         self._neighbors[left].add(right)
-            key = frozenset(tables)
-            self._edge_predicates.setdefault(key, []).append(predicate)
         #: :meth:`eligible_next` per prefix: every UCT descent of every tree
         #: over the graph asks again at every level.
         self._eligible: dict[tuple[str, ...], list[str]] = {}
@@ -54,10 +51,6 @@ class JoinGraph:
     def aliases(self) -> list[str]:
         """All table aliases in the graph."""
         return list(self._aliases)
-
-    def neighbors(self, alias: str) -> set[str]:
-        """Aliases connected to ``alias`` via at least one join predicate."""
-        return set(self._neighbors[alias])
 
     def eligible_next(self, prefix: Sequence[str]) -> list[str]:
         """Tables that may extend ``prefix`` without a needless Cartesian product.
@@ -120,49 +113,3 @@ class JoinGraph:
             applied.update(i for i, _ in applicable)
             steps.append((alias, equi, residual))
         return tuple(steps)
-
-    def is_connected(self) -> bool:
-        """Whether the whole join graph is connected."""
-        if not self._aliases:
-            return True
-        seen = {self._aliases[0]}
-        frontier = [self._aliases[0]]
-        while frontier:
-            alias = frontier.pop()
-            for neighbor in self._neighbors[alias]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(self._aliases)
-
-    def count_join_orders(self) -> int:
-        """Number of join orders avoiding needless Cartesian products.
-
-        Exponential in the number of tables; only used by tests and reports
-        on small queries.
-        """
-
-        def extend(prefix: list[str]) -> int:
-            if len(prefix) == len(self._aliases):
-                return 1
-            return sum(extend(prefix + [alias]) for alias in self.eligible_next(prefix))
-
-        return extend([])
-
-    def valid_join_orders(self) -> list[tuple[str, ...]]:
-        """Enumerate all join orders avoiding needless Cartesian products."""
-        orders: list[tuple[str, ...]] = []
-
-        def extend(prefix: list[str]) -> None:
-            if len(prefix) == len(self._aliases):
-                orders.append(tuple(prefix))
-                return
-            for alias in self.eligible_next(prefix):
-                extend(prefix + [alias])
-
-        extend([])
-        return orders
-
-    def predicates_between(self, left: str, right: str) -> list[Predicate]:
-        """Join predicates whose table set is exactly ``{left, right}``."""
-        return list(self._edge_predicates.get(frozenset({left, right}), []))

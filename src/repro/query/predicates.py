@@ -12,14 +12,12 @@ references, which determines how the engines treat it:
   the current join prefix.
 
 The engines evaluate predicates over column arrays
-(:func:`repro.engine.vectorized.predicate_mask`); :meth:`Predicate.evaluate`
-against one binding is the tuple-at-a-time form the benchmark harness's
-eddy and the test oracles use.
+(:func:`repro.engine.vectorized.predicate_mask`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -111,22 +109,6 @@ class Predicate:
         assert isinstance(self.left, ColumnRef) and isinstance(self.right, ColumnRef)
         return self.left, self.right
 
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def evaluate(self, binding: Mapping[str, Mapping[str, Any]], udfs: Any = None) -> bool:
-        """Evaluate against a binding ``alias -> {column: value}``."""
-        left_value = self.left.evaluate(binding, udfs)
-        if self.op is None:
-            return bool(left_value)
-        assert self.right is not None
-        right_value = self.right.evaluate(binding, udfs)
-        try:
-            comparator = _COMPARATORS[self.op]
-        except KeyError as exc:
-            raise ExecutionError(f"unsupported predicate operator {self.op!r}") from exc
-        return bool(comparator(left_value, right_value))
-
     def udf_cost(self, udfs: Any) -> int:
         """Total per-evaluation work-unit cost of UDFs in this predicate."""
         total = 1
@@ -145,9 +127,6 @@ class Predicate:
         assert self.right is not None
         return f"{self.left.display()} {self.op} {self.right.display()}"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.display()
-
 
 # ----------------------------------------------------------------------
 # convenience constructors
@@ -162,12 +141,6 @@ def column_equals_column(
 def column_compare_literal(table: str, column: str, op: str, value: Any) -> Predicate:
     """Build the unary predicate ``t.c <op> value``."""
     return Predicate(ColumnRef(table, column), op, Literal(value))
-
-
-def udf_predicate(name: str, *columns: tuple[str, str]) -> Predicate:
-    """Build a bare boolean UDF predicate over the given (table, column) refs."""
-    args = tuple(ColumnRef(table, column) for table, column in columns)
-    return Predicate(FunctionCall(name, args))
 
 
 def literal_types(predicates: Sequence[Predicate]) -> tuple[type, ...]:

@@ -8,7 +8,7 @@ ordering, and limit are applied by the post-processor after the join result
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -213,11 +213,6 @@ class Query:
         """Whether the select list contains aggregates."""
         return any(item.is_aggregate for item in self.select_items)
 
-    @property
-    def has_post_processing(self) -> bool:
-        """Whether grouping, aggregation, ordering, or a limit applies."""
-        return bool(self.group_by or self.order_by or self.has_aggregates or self.limit)
-
     def output_names(self, catalog: Any = None) -> list[str]:
         """Result-column names, computable *before* execution: the one place
         result columns are named (post-processing, cursor ``description``,
@@ -243,19 +238,6 @@ class Query:
         as :meth:`output_names` makes an item's."""
         return _unique([f"{alias}_{column}" for alias, _ in self.tables
                         for column in tables[alias].column_names])
-
-    def output_columns(self) -> list[ColumnRef]:
-        """Column references needed to materialize the select list."""
-        refs: list[ColumnRef] = []
-        for item in self.select_items:
-            source = item.aggregate.argument if item.aggregate else item.expression
-            assert source is not None
-            refs.extend(source.columns())
-        for expression in self.group_by:
-            refs.extend(expression.columns())
-        for order in self.order_by:
-            refs.extend(order.expression.columns())
-        return refs
 
     def display(self) -> str:
         """Compact SQL-ish rendering of the query (used in reports and as
@@ -297,9 +279,6 @@ class Query:
         joins = tuple(sorted(p.display() for p in self.join_predicates()))
         return (tuple(sorted(self.tables)), joins)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.display()
-
 
 class _HashedTuple(tuple):
     """A tuple that hashes its items once: a key looked up again and again."""
@@ -331,30 +310,3 @@ def _unique(names: list[str]) -> list[str]:
         seen.add(name)
         unique.append(name)
     return unique
-
-
-def make_query(
-    tables: Sequence[tuple[str, str]] | Sequence[str],
-    predicates: Iterable[Predicate] = (),
-    select_items: Iterable[SelectItem] = (),
-    group_by: Iterable[Expression] = (),
-    order_by: Iterable[OrderItem] = (),
-    limit: int | None = None,
-    distinct: bool = False,
-) -> Query:
-    """Convenience constructor accepting bare table names as aliases."""
-    normalized: list[tuple[str, str]] = []
-    for entry in tables:
-        if isinstance(entry, str):
-            normalized.append((entry, entry))
-        else:
-            normalized.append((entry[0], entry[1]))
-    return Query(
-        tables=tuple(normalized),
-        predicates=tuple(predicates),
-        select_items=tuple(select_items),
-        group_by=tuple(group_by),
-        order_by=tuple(order_by),
-        limit=limit,
-        distinct=distinct,
-    )

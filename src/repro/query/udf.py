@@ -86,13 +86,6 @@ class UdfRegistry:
         """Whether a UDF with this name exists."""
         return name.lower() in self._udfs
 
-    def names(self) -> list[str]:
-        """All registered UDF names."""
-        return list(self._udfs)
-
-    def __len__(self) -> int:
-        return len(self._udfs)
-
     # ------------------------------------------------------------------
     # snapshots (schema transactions)
     # ------------------------------------------------------------------

@@ -102,6 +102,3 @@ class QueryResult:
         """Result rows as dictionaries (decoded values)."""
         return self.table.rows()
 
-    def __len__(self) -> int:
-        return self.table.num_rows
-

@@ -28,11 +28,6 @@ class AdmissionController:
     # inspection
     # ------------------------------------------------------------------
     @property
-    def max_inflight(self) -> int:
-        """Concurrency bound."""
-        return self._max_inflight
-
-    @property
     def inflight(self) -> tuple[QuerySession, ...]:
         """Sessions currently admitted."""
         return tuple(self._inflight)

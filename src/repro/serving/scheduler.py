@@ -44,14 +44,6 @@ class FairScheduler:
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> tuple[QuerySession, ...]:
-        """Sessions currently eligible for scheduling."""
-        return tuple(self._active)
-
-    def __len__(self) -> int:
-        return len(self._active)
-
     def add(self, session: QuerySession) -> None:
         """Admit a session, aligning its virtual time with its peers.
 

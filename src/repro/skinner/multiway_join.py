@@ -342,10 +342,6 @@ class MultiwayJoin:
         #: Narrow steps taken inside wide ones, two or more at a time.
         self.merged_steps = 0
 
-    def parked_frame_sets(self) -> int:
-        """How many suspended orders currently keep their look-ahead."""
-        return len(self._parked)
-
     # ------------------------------------------------------------------
     # per-order preparation
     # ------------------------------------------------------------------

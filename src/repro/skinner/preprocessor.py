@@ -108,10 +108,6 @@ class PreprocessedQuery:
         """Filtered cardinalities of all tables."""
         return {alias: self.cardinality(alias) for alias in self.aliases}
 
-    def base_row(self, alias: str, filtered_index: int) -> int:
-        """Base-table row position for a filtered-array index."""
-        return int(self.filtered[alias][filtered_index])
-
     def base_rows(self, alias: str, filtered_indices: np.ndarray) -> np.ndarray:
         """Base-table row positions for an array of filtered-array indices."""
         return self.filtered[alias][filtered_indices]

@@ -107,16 +107,6 @@ class ProgressTracker:
     # ------------------------------------------------------------------
     # memory accounting (Figure 8)
     # ------------------------------------------------------------------
-    def _nodes(self) -> list[_PrefixNode]:
-        """Every materialized node below the root."""
-        nodes: list[_PrefixNode] = []
-        pending = list(self._root.children.values())
-        while pending:
-            node = pending.pop()
-            nodes.append(node)
-            pending.extend(node.children.values())
-        return nodes
-
     def node_count(self) -> int:
         """Number of prefix-tree nodes currently materialized (root included)."""
         return self._node_count

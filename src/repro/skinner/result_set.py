@@ -11,13 +11,12 @@ therefore a list of int64 matrix blocks, appended as they are emitted, and
 distinctness is established only once a second source has emitted — then
 lazily, when somebody looks (:meth:`JoinResultSet.drain_new`,
 :meth:`~JoinResultSet.to_matrix`, ``len``), by sorting packed integer keys.
-No Python object is ever made per row unless a caller asks for
-:meth:`JoinResultSet.tuples`.
+No Python object is ever made per row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
@@ -107,32 +106,6 @@ class JoinResultSet:
         self._settle()
         return self._rows
 
-    def __contains__(self, index_tuple: Sequence[int]) -> bool:
-        self._settle()
-        probe = np.asarray(index_tuple, dtype=np.int64)
-        return bool((self._stacked(self._blocks) == probe).all(axis=1).any())
-
-    def add(self, index_tuple: Sequence[int]) -> bool:
-        """Add one index vector; returns True if it was new."""
-        return self.add_many([index_tuple]) == 1
-
-    def add_many(self, index_tuples: Iterable[Sequence[int]]) -> int:
-        """Add several index vectors; returns how many were new."""
-        matrix = np.asarray(list(index_tuples), dtype=np.int64)
-        return self.add_batch(matrix.reshape(-1, len(self._aliases)))
-
-    def add_batch(self, matrix: np.ndarray) -> int:
-        """Bulk-add a ``(rows, aliases)`` int matrix that may repeat anything.
-
-        The rows not stored yet are kept, first occurrences first; returns
-        how many there were, which settles distinctness on the spot.  The
-        matrix is adopted when all of it is new, so the caller must not
-        write to it afterwards.
-        """
-        before = len(self)
-        self.emit(matrix, None)
-        return len(self) - before
-
     def emit(self, matrix: np.ndarray, source: Hashable | None) -> None:
         """Append a block as it is; ``source`` is the promise described above.
 
@@ -151,11 +124,6 @@ class JoinResultSet:
         else:
             self._unchecked.append(source)
         self._blocks.append(matrix)
-
-    def tuples(self) -> list[tuple[int, ...]]:
-        """All stored index vectors as tuples, in discovery order."""
-        self._settle()
-        return list(map(tuple, self._stacked(self._blocks).tolist()))
 
     def drain_new(self) -> np.ndarray:
         """Rows added since the last drain, in discovery order, as a matrix.

@@ -34,18 +34,9 @@ class PyramidTimeoutScheme:
         #: below it is, so the levels used are ``0 .. len - 1``.
         self._time_per_level: list[int] = []
 
-    @property
-    def base_timeout(self) -> int:
-        """Work-unit budget of timeout level 0."""
-        return self._base_timeout
-
     def time_per_level(self) -> dict[int, int]:
         """Accumulated time (in base-timeout units) allocated to each level."""
         return dict(enumerate(self._time_per_level))
-
-    def levels_used(self) -> int:
-        """Number of distinct timeout levels used so far."""
-        return len(self._time_per_level)
 
     def next_timeout(self) -> TimeoutChoice:
         """Choose the timeout level for the next iteration and account for it.

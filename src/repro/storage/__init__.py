@@ -22,7 +22,7 @@ from repro.storage.buffer import BufferManager, InMemoryBufferManager, PageCache
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.durable import DurableBufferManager
-from repro.storage.loader import file_fingerprint, load_csv, parse_count, save_csv
+from repro.storage.loader import file_fingerprint, load_csv
 from repro.storage.table import Table
 from repro.storage.wal import WriteAheadLog
 
@@ -38,6 +38,4 @@ __all__ = [
     "WriteAheadLog",
     "file_fingerprint",
     "load_csv",
-    "parse_count",
-    "save_csv",
 ]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -114,11 +113,6 @@ class BufferManager(ABC):
 
     #: Whether tables survive the process.
     durable: bool = False
-
-    @property
-    def data_dir(self) -> Path | None:
-        """Root directory of persistent state (``None`` when in-memory)."""
-        return None
 
     @abstractmethod
     def bootstrap(self) -> dict[str, Table]:

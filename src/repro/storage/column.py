@@ -209,26 +209,6 @@ class Column:
         dictionary = self.dictionary if self._ctype is ColumnType.STRING else None
         return (Column.from_physical, (self.data, self._ctype, dictionary))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Column):
-            return NotImplemented
-        if self._ctype is not other._ctype or len(self) != len(other):
-            return False
-        return all(self.value(i) == other.value(i) for i in range(len(self)))
-
-    def __hash__(self) -> int:
-        # Must agree with __eq__, which compares *decoded* values: integer
-        # columns hash their physical bytes, but float columns go through
-        # Python floats (0.0 == -0.0 yet their bytes differ) and string
-        # columns through decoded values (equal columns may order their
-        # dictionaries differently, giving different code arrays).
-        if self._ctype is ColumnType.INT:
-            return hash((self._ctype, self.data.tobytes()))
-        return hash((self._ctype, tuple(self.values())))
-
-    def __repr__(self) -> str:
-        return f"Column({self._ctype.value}, n={len(self)})"
-
     # ------------------------------------------------------------------
     # value access
     # ------------------------------------------------------------------
@@ -257,10 +237,6 @@ class Column:
         if len(dictionary) > self._length:
             return [dictionary[code] for code in self.data.tolist()]
         return np.asarray(dictionary, dtype=object)[self.data].tolist()
-
-    def raw(self, row: int) -> Any:
-        """Return the physical value at ``row`` (code for strings)."""
-        return self.data[row]
 
     def encode(self, value: Any) -> Any:
         """Translate a literal into the physical domain of this column.
@@ -361,28 +337,11 @@ class Column:
         physical = self.encode(literal) if self._ctype is ColumnType.STRING else literal
         return _apply_comparison(self.data, op, physical)
 
-    def isin(self, literals: Iterable[Any]) -> np.ndarray:
-        """Return a boolean mask of rows whose value is in ``literals``."""
-        if self._ctype is ColumnType.STRING:
-            codes = [self.encode(v) for v in literals]
-            return np.isin(self.data, [c for c in codes if c >= 0])
-        return np.isin(self.data, list(literals))
-
     def distinct_count(self) -> int:
         """Number of distinct values in the column."""
         if self._ctype is ColumnType.STRING:
             return len(self.dictionary)
         return int(np.unique(self.data).shape[0])
-
-    def min_max(self) -> tuple[Any, Any]:
-        """Minimum and maximum decoded value (empty columns raise)."""
-        if len(self) == 0:
-            raise SchemaError("min_max of empty column")
-        if self._ctype is ColumnType.STRING:
-            values = self.values()
-            return min(values), max(values)
-        data = self.data
-        return self.value(int(np.argmin(data))), self.value(int(np.argmax(data)))
 
 
 # ----------------------------------------------------------------------

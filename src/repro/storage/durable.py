@@ -104,10 +104,6 @@ class DurableBufferManager(BufferManager):
     # ------------------------------------------------------------------
     # bootstrap / recovery
     # ------------------------------------------------------------------
-    @property
-    def data_dir(self) -> Path:
-        return self._dir
-
     def bootstrap(self) -> dict[str, Table]:
         if self._dir.exists() and not self._dir.is_dir():
             raise InterfaceError(f"data_dir {str(self._dir)!r} is not a directory")

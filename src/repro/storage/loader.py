@@ -19,15 +19,9 @@ from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
 #: Count of full CSV parses performed by this process.  Warm-start tests
-#: and ``bench_cold_vs_warm_start`` assert on it: an idempotent re-ingest
+#: and ``bench_cold_vs_warm_start`` read it: an idempotent re-ingest
 #: (catalog fingerprint matches) must leave it unchanged.
 _PARSE_COUNT = 0
-
-
-def parse_count() -> int:
-    """Number of CSV files fully parsed by this process so far."""
-    return _PARSE_COUNT
-
 
 def file_fingerprint(path: str | Path) -> str:
     """SHA-256 of a file's bytes — the identity key of idempotent ingest."""
@@ -75,17 +69,6 @@ def load_csv(
         ctype = schema.get(column) if schema else None
         columns[column] = _build_column(values, ctype)
     return Table(name, columns)
-
-
-def save_csv(table: Table, path: str | Path) -> None:
-    """Write a table to a CSV file with a header row."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(table.column_names)
-        for position in range(table.num_rows):
-            row = table.row(position)
-            writer.writerow([row[column] for column in table.column_names])
 
 
 def _build_column(values: Sequence[str], ctype: ColumnType | None) -> Column:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import Any
 
-import numpy as np
-
 from repro.errors import CatalogError, SchemaError
-from repro.storage.column import Column, ColumnType
+from repro.storage.column import Column
 
 
 class Table:
@@ -43,24 +41,6 @@ class Table:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_rows(
-        cls,
-        name: str,
-        column_names: Sequence[str],
-        rows: Iterable[Sequence[Any]],
-    ) -> "Table":
-        """Build a table from an iterable of row tuples."""
-        rows = list(rows)
-        columns = {
-            col_name: [row[i] for row in rows] for i, col_name in enumerate(column_names)
-        }
-        return cls(name, columns)
-
-    def renamed(self, new_name: str) -> "Table":
-        """Return a view of this table under a different name (for aliases)."""
-        return Table(new_name, self._columns)
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -84,12 +64,6 @@ class Table:
     def has_column(self, name: str) -> bool:
         """Whether the table defines a column called ``name``."""
         return name in self._columns
-
-    def __len__(self) -> int:
-        return self._num_rows
-
-    def __repr__(self) -> str:
-        return f"Table({self.name!r}, rows={self._num_rows}, cols={self.column_names})"
 
     # ------------------------------------------------------------------
     # row access
@@ -128,18 +102,3 @@ class Table:
                 for name in first.column_names
             },
         )
-
-    def select(self, positions: np.ndarray | Sequence[int]) -> "Table":
-        """Return a new table containing only the given row positions."""
-        positions = np.asarray(positions, dtype=np.int64)
-        return Table(self.name, {name: col.take(positions) for name, col in self._columns.items()})
-
-    def filter_mask(self, mask: np.ndarray) -> "Table":
-        """Return a new table containing rows where ``mask`` is True."""
-        if mask.shape[0] != self._num_rows:
-            raise SchemaError("filter mask has wrong length")
-        return self.select(np.flatnonzero(mask))
-
-    def column_types(self) -> dict[str, ColumnType]:
-        """Mapping from column name to its logical type."""
-        return {name: col.ctype for name, col in self._columns.items()}

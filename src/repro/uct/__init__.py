@@ -9,7 +9,6 @@ exploitation trade-off via the UCB1 formula.
 """
 
 from repro.uct.node import UctNode
-from repro.uct.policy import ucb_score
 from repro.uct.tree import UctJoinTree
 
-__all__ = ["UctJoinTree", "UctNode", "ucb_score"]
+__all__ = ["UctJoinTree", "UctNode"]

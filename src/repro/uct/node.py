@@ -58,12 +58,3 @@ class UctNode:
         self.visits += visits
         self.reward_sum += reward * visits
 
-    def subtree_size(self) -> int:
-        """Number of materialized nodes in this subtree (including self)."""
-        return 1 + sum(child.subtree_size() for child in self.children.values())
-
-    def __repr__(self) -> str:
-        return (
-            f"UctNode(prefix={self.prefix}, visits={self.visits}, "
-            f"avg={self.average_reward:.3f}, children={len(self.children)})"
-        )

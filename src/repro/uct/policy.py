@@ -1,10 +1,12 @@
-"""The UCB1 selection formula used by the UCT tree.
+"""The exploration weights of the UCB1 formula the UCT tree selects by.
 
 A child ``c`` of parent ``p`` is scored ``r_c + w * sqrt(log(v_p) / v_c)``
 where ``r_c`` is the child's average reward, ``v_c``/``v_p`` are visit
 counts, and ``w`` is the exploration weight.  ``w = sqrt(2)`` yields the
 standard regret guarantee; SkinnerDB uses a tiny weight for Skinner-C
-because its reward signal is much less noisy (paper §6.1).
+because its reward signal is much less noisy (paper §6.1).  Unvisited
+children score infinity, so each is explored before any is revisited
+(:meth:`~repro.uct.tree.UctJoinTree._select_ucb` computes the score).
 """
 
 from __future__ import annotations
@@ -17,21 +19,3 @@ DEFAULT_EXPLORATION_WEIGHT = math.sqrt(2.0)
 #: Exploration weight used by Skinner-C (paper §6.1).
 SKINNER_C_EXPLORATION_WEIGHT = 1e-6
 
-
-def ucb_score(
-    average_reward: float,
-    visits: int,
-    parent_visits: int,
-    exploration_weight: float = DEFAULT_EXPLORATION_WEIGHT,
-) -> float:
-    """UCB1 score of a child node.
-
-    Unvisited children receive an infinite score so they are always explored
-    before any child is revisited.
-    """
-    if visits <= 0:
-        return math.inf
-    if parent_visits <= 0:
-        return average_reward
-    exploration = exploration_weight * math.sqrt(math.log(parent_visits) / visits)
-    return average_reward + exploration

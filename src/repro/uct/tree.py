@@ -48,11 +48,6 @@ class UctJoinTree:
         """The root node (empty join prefix)."""
         return self._root
 
-    @property
-    def exploration_weight(self) -> float:
-        """The UCB1 exploration weight in use."""
-        return self._weight
-
     def node_count(self) -> int:
         """Number of materialized nodes (Figure 7a / 8a)."""
         return self._node_count
@@ -64,10 +59,6 @@ class UctJoinTree:
             child = node.add_child(action)
             self._node_count += 1
         return child
-
-    def selection_counts(self) -> dict[tuple[str, ...], int]:
-        """How often each complete join order was selected."""
-        return dict(self._selection_counts)
 
     def top_orders(self, k: int) -> list[tuple[tuple[str, ...], int]]:
         """The ``k`` most frequently selected join orders with their counts."""
@@ -138,8 +129,8 @@ class UctJoinTree:
         return order
 
     def _select_ucb(self, node: UctNode, eligible: Sequence[str]) -> str:
-        # :func:`~repro.uct.policy.ucb_score`, the same float expression,
-        # with the parent's logarithm taken once.
+        # UCB1: average reward + weight * sqrt(log(parent visits) / visits),
+        # infinite for an unvisited child, the parent's logarithm taken once.
         log_parent = math.log(max(1, node.visits))
         weight = self._weight
         children = node.children  # the caller ensured every eligible one exists

@@ -47,10 +47,6 @@ class Workload:
                 return workload_query
         raise KeyError(f"workload {self.name!r} has no query {name!r}")
 
-    def query_names(self) -> list[str]:
-        """Names of all queries in declaration order."""
-        return [q.name for q in self.queries]
-
     def tagged(self, tag: str) -> list[WorkloadQuery]:
         """Queries carrying the given tag."""
         return [q for q in self.queries if tag in q.tags]

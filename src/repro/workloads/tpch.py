@@ -181,7 +181,7 @@ def _udfify(workload: Workload, query_name: str, predicates: list[Predicate]) ->
             rewritten.append(predicate)
             continue
         op = predicate.op
-        value = literal.evaluate({})
+        value = literal.value
         udf_name = f"{query_name}_udf_{index}"
         workload.udfs.register(udf_name, _make_checker(op, value), cost=2)
         rewritten.append(Predicate(FunctionCall(udf_name, (column,))))

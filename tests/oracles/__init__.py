@@ -8,7 +8,8 @@ way, and charges the same meter work:
 * :class:`~tests.oracles.multiway_join.NarrowJoin` — the block executor
   without wide steps, one step of at most ``batch_size`` candidates at a time;
 * :func:`~tests.oracles.hash_join.rows_hash_join_step` — the plan executor's
-  hash join with a Python dict;
+  hash join with a Python dict, the reference of
+  :func:`~tests.oracles.hash_join.hash_join_step` (the kernel's in one range);
 * :func:`~tests.oracles.join_map.slots_reference`,
   :func:`~tests.oracles.join_map.edge_reference` and
   :func:`~tests.oracles.join_map.probe_codes_reference` — a join map's
@@ -27,7 +28,7 @@ benchmarks (``benchmarks/paper/experiments_hashjoin.py`` and
 """
 
 from .forced_order import forced_order
-from .hash_join import rows_hash_join_step
+from .hash_join import hash_join_step, rows_hash_join_step
 from .join_map import (
     edge_reference, lookup_many_reference, probe_codes_reference, slots_reference,
 )
@@ -35,6 +36,7 @@ from .multiway_join import NarrowJoin, continue_scalar
 from .postprocess import rows_post_process
 
 __all__ = [
-    "NarrowJoin", "continue_scalar", "edge_reference", "forced_order", "lookup_many_reference",
+    "NarrowJoin", "continue_scalar", "edge_reference", "forced_order", "hash_join_step",
+    "lookup_many_reference",
     "probe_codes_reference", "rows_hash_join_step", "rows_post_process", "slots_reference",
 ]

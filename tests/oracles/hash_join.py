@@ -1,6 +1,9 @@
-"""The dict-based hash join: the reference of ``operators.hash_join_step``.
+"""A hash-join step in one range, and its dict-based reference.
 
-:func:`rows_hash_join_step` takes :func:`~repro.engine.operators.hash_join_step`'s
+:func:`hash_join_step` is the plan executor's hash join in one range:
+:func:`~repro.engine.operators.hash_join_candidates` followed by
+:func:`~repro.engine.operators.apply_residual` over all the candidates.
+:func:`rows_hash_join_step` takes :func:`hash_join_step`'s
 arguments and does what it does with a Python dict for the build side and
 tuple keys read value by value: the same build scan charge, the same probe
 and intermediate charges (one probe row's matches at a time, so a work
@@ -17,11 +20,32 @@ from typing import Any
 import numpy as np
 
 from repro.engine.meter import CostMeter
-from repro.engine.operators import apply_residual
+from repro.engine.operators import BuildSide, apply_residual, hash_join_candidates
 from repro.engine.relation import RowIdRelation
 from repro.query.predicates import Predicate
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
+
+
+def hash_join_step(
+    prefix: RowIdRelation,
+    alias: str,
+    table: Table,
+    positions: np.ndarray,
+    equi_predicates: Sequence[Predicate],
+    residual_predicates: Sequence[Predicate],
+    tables: Mapping[str, Table],
+    meter: CostMeter,
+    udfs: UdfRegistry | None = None,
+    lower: int = 0,
+    build_side: BuildSide | None = None,
+) -> RowIdRelation:
+    """Extend ``prefix`` by ``alias`` using the kernel's hash join, then
+    evaluate ``residual_predicates`` on each candidate combination."""
+    candidates = hash_join_candidates(prefix, alias, table, positions, equi_predicates,
+                                      tables, meter, lower, build_side)
+    return apply_residual(candidates.take(0, candidates.total), residual_predicates,
+                          tables, meter, udfs)
 
 
 def rows_hash_join_step(

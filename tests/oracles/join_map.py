@@ -31,6 +31,13 @@ from repro.engine.joinkernels import CompositeKeySpace, GroupedJoinMap, _transla
 from repro.storage.column import Column
 
 
+def buckets(join_map: GroupedJoinMap) -> int:
+    """How many keys (buckets with rows) ``join_map`` groups: the bucket
+    number :meth:`~repro.engine.joinkernels.GroupedJoinMap.slots` gives a
+    probe that finds none."""
+    return int(join_map._keys.shape[0])
+
+
 def search(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Each probe's slot in the sorted, distinct ``keys``; ``len(keys)`` where it is none."""
     ordered = keys.tolist()
@@ -70,7 +77,7 @@ def slots_reference(
     values: np.ndarray | Sequence[np.ndarray],
     source: Column | Sequence[Column],
 ) -> np.ndarray:
-    """Each probe's bucket number in ``join_map``, ``len(join_map)`` where it has none."""
+    """Each probe's bucket number in ``join_map``, :func:`buckets` where it has none."""
     if join_map._space is not None:
         probes = probe_codes_reference(join_map._space, values, source)
         values = values[0]
@@ -78,7 +85,7 @@ def slots_reference(
         if not isinstance(source, Column):
             (values,), (source,) = values, source
         probes = _translate_probes(join_map._column, np.asarray(values), source)
-    absent = len(join_map)
+    absent = buckets(join_map)
     if probes is None:
         return np.full(np.shape(values)[0], absent, dtype=np.intp)
     probes, valid = probes
@@ -109,22 +116,22 @@ def lookup_many_reference(
     lower: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(starts, counts)`` of every probe's bucket in ``join_map``, rows ``< lower`` cut."""
-    buckets = len(join_map)
+    count = buckets(join_map)
     slots = slots_reference(join_map, values, source)
-    if buckets == 0:
+    if count == 0:
         zeros = np.zeros(slots.shape[0], dtype=np.int64)
         return zeros, zeros
-    found = slots < buckets
-    position = np.minimum(slots, buckets - 1)
-    own_starts, own_ends = join_map._starts[:buckets], join_map._ends[:buckets]
+    found = slots < count
+    position = np.minimum(slots, count - 1)
+    own_starts, own_ends = join_map._starts[:count], join_map._ends[:count]
     starts = own_starts.take(position)
     counts = (own_ends.take(position) - starts) * found
     if lower > 0:
         rows = join_map.rows
         size = rows.shape[0] + 1
         grouped = join_map._grouped
-        sizes = grouped._ends[:buckets] - grouped._starts[:buckets]
-        ranks = np.repeat(np.arange(buckets, dtype=np.int64), sizes) * size + rows
+        sizes = grouped._ends[:count] - grouped._starts[:count]
+        ranks = np.repeat(np.arange(count, dtype=np.int64), sizes) * size + rows
         ends = starts + counts
         cut = np.searchsorted(ranks, position * size + min(lower, size - 1))
         starts = np.clip(cut, starts, ends)

@@ -10,7 +10,10 @@ as the block executor, so the two emit identical rows in identical order,
 finish in identical states and can take over from each other at any
 suspension.  It additionally examines the reset index on every descent and
 scans a band position instead of cutting it, so its slice boundaries and
-scan charges differ (see ``tests/test_batched_join.py``).
+scan charges differ (see ``tests/test_batched_join.py``).  It shares no
+lookup code with production: a hash jump finds its bucket by plain binary
+search (:func:`~tests.oracles.join_map.slots_reference`), and predicates are
+evaluated per binding (:mod:`benchmarks.paper.scalar`).
 
 :class:`NarrowJoin` is the block executor on its narrow schedule alone: every
 step at most ``batch_size`` wide and a stop check between any two, the
@@ -30,7 +33,10 @@ from repro.skinner.multiway_join import MultiwayJoin, _Block, _JumpSpec, _OrderC
 from repro.skinner.preprocessor import PreprocessedQuery
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import JoinState
-from repro.storage.column import ColumnType
+
+from benchmarks.paper.scalar import base_row, holds
+
+from .join_map import slots_reference
 
 
 class NarrowJoin(MultiwayJoin):
@@ -85,7 +91,7 @@ def continue_scalar(
             join, context, depth, state, meter
         ):
             if depth == last:
-                result_set.add(_result_tuple(prepared, state))
+                result_set.emit(np.array([_result_tuple(prepared, state)], dtype=np.int64), None)
                 meter.charge_output(1)
                 depth = _next_tuple(prepared, context, state, offsets, depth)
             else:
@@ -130,11 +136,11 @@ def _advance_index(
         # of sharing it.
         return current + 1
     earlier_index = state.indices[spec.earlier_position]
-    value = _value_at(prepared, spec.earlier_alias, spec.earlier_column, earlier_index)
+    probe = prepared.physical_column(spec.earlier_alias, spec.earlier_column)
+    source = prepared.tables[spec.earlier_alias].column(spec.earlier_column)
     join_map = prepared.join_maps[(context.order[depth], spec.own_column)]
-    matches = join_map.get(value)
-    if matches is None:
-        return context.cardinalities[depth]
+    (slot,) = slots_reference(join_map, probe[earlier_index:earlier_index + 1], source).tolist()
+    matches = join_map.rows[join_map._starts[slot]:join_map._ends[slot]]
     position = int(np.searchsorted(matches, current + 1, side="left"))
     if position >= matches.shape[0]:
         return context.cardinalities[depth]
@@ -159,7 +165,7 @@ def _satisfied(
         per_row = plan.predicate.udf_cost(udfs) - 1
         if per_row > 0:  # meter only actual (registered) UDF invocations
             meter.charge_udf(per_row)
-        if not plan.predicate.evaluate(binding, udfs):
+        if not holds(plan.predicate, binding, udfs):
             return False
     return True
 
@@ -167,18 +173,11 @@ def _satisfied(
 def _result_tuple(prepared: PreprocessedQuery, state: JoinState) -> tuple[int, ...]:
     position_of = {alias: position for position, alias in enumerate(state.order)}
     return tuple(
-        prepared.base_row(alias, state.indices[position_of[alias]])
+        base_row(prepared, alias, state.indices[position_of[alias]])
         for alias in prepared.aliases
     )
 
 
-def _value_at(prepared: PreprocessedQuery, alias: str, column: str, filtered_index: int) -> Any:
-    """Decoded value of ``alias.column`` at a filtered-array index."""
-    value = prepared.physical_column(alias, column)[filtered_index].item()
-    col = prepared.tables[alias].column(column)
-    return col.dictionary[value] if col.ctype is ColumnType.STRING else value
-
-
 def _binding_for(prepared: PreprocessedQuery, alias: str, filtered_index: int) -> dict[str, Any]:
     """Decoded row dict of ``alias`` at a filtered-array index."""
-    return prepared.tables[alias].row(prepared.base_row(alias, filtered_index))
+    return prepared.tables[alias].row(base_row(prepared, alias, filtered_index))

@@ -2,7 +2,7 @@
 
 :func:`rows_post_process` takes :func:`~repro.engine.postprocess.post_process`'s
 arguments, charges the same output work, and then processes the join result
-one Python dict per result tuple: expressions through ``Expression.evaluate``,
+one Python dict per result tuple: expressions through ``benchmarks.paper.scalar``,
 groups and ``DISTINCT`` in dicts, ``ORDER BY`` through ``sorted`` over tuple
 keys (``_Reversed`` for descending ones).  The columnar pipeline, the only one
 production runs, must return an identical table: the same column names,
@@ -21,6 +21,7 @@ from repro.query.expressions import ColumnRef
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
+from benchmarks.paper.scalar import binding as bind_row, evaluate
 
 
 def rows_post_process(
@@ -33,7 +34,7 @@ def rows_post_process(
     """Turn a join result into the query's output table, tuple at a time."""
     meter = meter if meter is not None else CostMeter()
     meter.charge_output(len(relation))
-    bindings = [relation.binding(row, tables) for row in range(len(relation))]
+    bindings = [bind_row(relation, row, tables) for row in range(len(relation))]
     if query.has_aggregates or query.group_by:
         rows, names = _aggregate(query, bindings, udfs)
     else:
@@ -72,7 +73,7 @@ def _project(
         row = {}
         for i, item in enumerate(query.select_items):
             assert item.expression is not None
-            row[names[i]] = item.expression.evaluate(binding, udfs)
+            row[names[i]] = evaluate(item.expression, binding, udfs)
         # Keep source values accessible for ORDER BY expressions.
         row["__binding__"] = binding
         rows.append(row)
@@ -87,7 +88,7 @@ def _aggregate(
     names = query.output_names()
     groups: dict[tuple[Any, ...], dict[str, Any]] = {}
     for binding in bindings:
-        key = tuple(expr.evaluate(binding, udfs) for expr in query.group_by)
+        key = tuple(evaluate(expr, binding, udfs) for expr in query.group_by)
         state = groups.get(key)
         if state is None:
             state = {"__first__": binding, "__count__": 0, "__aggs__": {}}
@@ -97,7 +98,7 @@ def _aggregate(
             if not item.is_aggregate:
                 continue
             assert item.aggregate is not None
-            value = item.aggregate.argument.evaluate(binding, udfs)
+            value = evaluate(item.aggregate.argument, binding, udfs)
             _accumulate(state["__aggs__"], i, item.aggregate.function, value)
 
     rows: list[dict[str, Any]] = []
@@ -111,7 +112,7 @@ def _aggregate(
                                           state["__count__"])
             else:
                 assert item.expression is not None
-                row[names[i]] = item.expression.evaluate(binding, udfs)
+                row[names[i]] = evaluate(item.expression, binding, udfs)
         row["__binding__"] = binding
         rows.append(row)
     if not query.group_by and not rows:
@@ -195,7 +196,7 @@ def _order_value(expression, row: dict[str, Any], names: list[str], udfs) -> Any
     binding = row.get("__binding__")
     if binding is not None:
         try:
-            return expression.evaluate(binding, udfs)
+            return evaluate(expression, binding, udfs)
         except Exception:  # noqa: BLE001 - fall back to output columns
             pass
     if isinstance(expression, ColumnRef) and expression.column in row:

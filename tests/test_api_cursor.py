@@ -376,7 +376,7 @@ class TestPropertyByteIdentical:
         rng = random.Random(seed)
         for _ in range(3):
             sql = _random_query(rng)
-            for engine in repro.api.engine_names():
+            for engine in repro.api.DEFAULT_REGISTRY.names():
                 conn = make_connection()
                 streaming = conn.cursor()
                 streaming.execute(sql, engine=engine, use_result_cache=False)
@@ -792,7 +792,7 @@ class TestRepeatedOutputNames:
         with ServerThread(config=FAST) as live:
             remote = self._conn(live.dsn)
             try:
-                for engine in repro.api.engine_names():
+                for engine in repro.api.DEFAULT_REGISTRY.names():
                     result = conn.execute(sql, engine=engine, use_result_cache=False)
                     assert result.table.column_names == names, engine
                     assert {tuple(row.values()) for row in result.rows} == expected, engine

@@ -36,10 +36,8 @@ from repro.query.predicates import (
     Predicate,
     column_compare_literal,
     column_equals_column,
-    udf_predicate,
 )
 from repro.query.expressions import ColumnRef, FunctionCall, Literal
-from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
 from repro.skinner.multiway_join import _MIRRORED_OP, MultiwayJoin, _BandSpec
 from repro.skinner.preprocessor import preprocess
@@ -57,8 +55,16 @@ from repro.workloads.generators import (
     uniform_keys,
     zipf_keys,
 )
-from tests.conftest import reference_join_tuples, result_multiset
+from tests.conftest import (
+    parked_frame_sets,
+    reference_join_tuples,
+    result_multiset,
+    result_tuples,
+    udf_predicate,
+)
 from tests.oracles import continue_scalar
+from tests.oracles.join_orders import valid_join_orders
+from benchmarks.paper.queries import make_query
 
 
 def every_slice(slice_index: int) -> bool:
@@ -252,7 +258,7 @@ def build_case(seed: int, shape, *, rows: int = 24):
         catalog, query = random_catalog_and_query(seed, num_tables=shape, rows=rows)
         udfs = None
     prepared = preprocess(catalog, query, udfs)
-    orders = query.join_graph().valid_join_orders()
+    orders = valid_join_orders(query.join_graph())
     return prepared, orders[seed % len(orders)], udfs
 
 
@@ -292,7 +298,7 @@ def run_sliced(prepared, order, batch_size, budget, udfs=None, *, offsets=None,
         if advance_offsets:
             offsets[order[0]] = max(offsets[order[0]], state.indices[0])
     if not scalar(slices - 1):  # the block executor finished the order itself
-        assert join.parked_frame_sets() == 0, "a finished order keeps nothing parked"
+        assert parked_frame_sets(join) == 0, "a finished order keeps nothing parked"
     return results, state, meter, slices
 
 
@@ -305,7 +311,7 @@ def test_batched_equals_scalar_results_and_states(seed, shape, batch_size, budge
     scalar_results, scalar_state, _, _ = run_sliced(prepared, order, 1, budget, udfs,
                                                     scalar=every_slice)
     batched_results, batched_state, _, _ = run_sliced(prepared, order, batch_size, budget, udfs)
-    assert set(batched_results.tuples()) == set(scalar_results.tuples())
+    assert set(result_tuples(batched_results)) == set(result_tuples(scalar_results))
     assert batched_state.as_tuple() == scalar_state.as_tuple()
 
 
@@ -377,7 +383,7 @@ def test_batched_slicing_is_invariant(seed, shape, batch_size):
     reference, reference_state, _, _ = run_sliced(prepared, order, 1024, 1_000_000, udfs)
     for budget in (0, 5, 31, 256):
         results, state, _, _ = run_sliced(prepared, order, batch_size, budget, udfs)
-        assert set(results.tuples()) == set(reference.tuples()), f"budget {budget}"
+        assert set(result_tuples(results)) == set(result_tuples(reference)), f"budget {budget}"
         assert state.as_tuple() == reference_state.as_tuple()
 
 
@@ -397,7 +403,7 @@ def test_band_shape_matches_scalar_at_every_budget(seed, batch_size):
     """
     catalog, query = band_catalog_and_query(seed)
     prepared = preprocess(catalog, query)
-    for order in query.join_graph().valid_join_orders():
+    for order in valid_join_orders(query.join_graph()):
         for budget in (0, 3, 17, 100):
             assert_matches_scalar(prepared, order, batch_size, budget)
 
@@ -413,7 +419,7 @@ def test_band_positions_are_cut_to_the_oracle(seed):
     expected = reference_join_tuples(catalog, query)
     for budget in (0, 3, 100):
         results, _, _, _ = run_sliced(prepared, order, 1024, budget)
-        assert set(results.tuples()) == expected, budget
+        assert set(result_tuples(results)) == expected, budget
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +444,7 @@ def test_keyed_shape_matches_scalar_at_every_budget_and_offset(seed, batch_size)
     rng = make_rng(seed)
     drawn = {alias: int(rng.integers(0, prepared.cardinality(alias) + 1))
              for alias in prepared.aliases}
-    for order in query.join_graph().valid_join_orders():
+    for order in valid_join_orders(query.join_graph()):
         for offsets in (None, drawn):
             for budget in (0, 3, 17, 100):
                 assert_matches_scalar(prepared, order, batch_size, budget, offsets=offsets)
@@ -483,7 +489,7 @@ def test_a_unique_key_position_keeps_only_the_prefixes_that_hit():
     for order in (("f", "d"), ("d", "f")):
         for budget in (0, 3, 100):
             results, _, _, _ = run_sliced(prepared, order, 4, budget)
-            assert set(results.tuples()) == expected, (order, budget)
+            assert set(result_tuples(results)) == expected, (order, budget)
 
 
 def _no_band_case(own_values, other_values, op):
@@ -505,7 +511,7 @@ def test_no_band_over_a_column_with_one_descending_pair():
     assert context.jump_at[1] is None
     for budget in (0, 3, 17, 100):
         results, _, _, _ = run_sliced(prepared, ("t0", "t1"), 7, budget)
-        assert set(results.tuples()) == expected, budget
+        assert set(result_tuples(results)) == expected, budget
 
 
 def test_no_band_over_a_string_column():
@@ -518,7 +524,7 @@ def test_no_band_over_a_string_column():
     assert context.jump_at[1] is None
     for budget in (0, 3, 17, 100):
         results, _, _, _ = run_sliced(prepared, ("t0", "t1"), 7, budget)
-        assert set(results.tuples()) == expected, budget
+        assert set(result_tuples(results)) == expected, budget
 
 
 # ----------------------------------------------------------------------
@@ -545,11 +551,11 @@ def test_everything_below_a_suspended_state_is_emitted(seed, shape, batch_size, 
     """
     prepared, order, udfs = build_case(seed, shape, rows=16)
     complete, _, _, _ = run_sliced(prepared, order, 1024, 1_000_000, udfs)
-    by_vector = sorted((position_vector(prepared, order, t), t) for t in complete.tuples())
+    by_vector = sorted((position_vector(prepared, order, t), t) for t in result_tuples(complete))
 
     def lower_bound_holds(state, results, finished, previous):
         bound = tuple(state.indices)
-        emitted = set(results.tuples())
+        emitted = set(result_tuples(results))
         for vector, result_tuple in by_vector:
             if not finished and vector >= bound:
                 break
@@ -620,16 +626,16 @@ def test_batched_interleaved_orders_share_result_set(tiny_catalog, tiny_join_que
             continue
         finished[order] = join.continue_join(states[order], offsets, 6, results, meter)
         assert turn < 100_000
-    assert set(results.tuples()) == expected
+    assert set(result_tuples(results)) == expected
 
 
 def test_batched_with_advancing_offsets_matches_oracle(tiny_catalog, tiny_join_query):
     """Offset advancement (shared progress) never loses or duplicates tuples."""
     expected = reference_join_tuples(tiny_catalog, tiny_join_query)
     prepared = preprocess(tiny_catalog, tiny_join_query)
-    for order in tiny_join_query.join_graph().valid_join_orders():
+    for order in valid_join_orders(tiny_join_query.join_graph()):
         results, _, _, _ = run_sliced(prepared, order, 16, 7, advance_offsets=True)
-        assert set(results.tuples()) == expected, f"order {order}"
+        assert set(result_tuples(results)) == expected, f"order {order}"
 
 
 def test_batched_udf_predicates_match_scalar(tiny_catalog):
@@ -644,7 +650,7 @@ def test_batched_udf_predicates_match_scalar(tiny_catalog):
         scalar, s_state, _, _ = run_sliced(prepared, ("c", "o"), 1, budget, udfs,
                                            scalar=every_slice)
         batched, b_state, _, _ = run_sliced(prepared, ("c", "o"), 64, budget, udfs)
-        assert set(batched.tuples()) == set(scalar.tuples())
+        assert set(result_tuples(batched)) == set(result_tuples(scalar))
         assert b_state.as_tuple() == s_state.as_tuple()
 
 
@@ -665,7 +671,7 @@ def test_suspension_parks_frames_under_the_index_vector(tiny_catalog, tiny_join_
     meter = CostMeter()
     finished = join.continue_join(state, offsets, 4, results, meter)
     assert not finished
-    assert join.parked_frame_sets() == 1
+    assert parked_frame_sets(join) == 1
     parked = join._parked[state.order]
     assert parked.snapshot == state.as_tuple()
     copied = state.copy()
@@ -676,8 +682,8 @@ def test_suspension_parks_frames_under_the_index_vector(tiny_catalog, tiny_join_
     assert not finished and join._parked[state.order].frames is parked.frames
     while not finished:
         finished = join.continue_join(copied, offsets, 4, results, meter)
-    assert join.parked_frame_sets() == 0
-    assert set(results.tuples()) == reference_join_tuples(tiny_catalog, tiny_join_query)
+    assert parked_frame_sets(join) == 0
+    assert set(result_tuples(results)) == reference_join_tuples(tiny_catalog, tiny_join_query)
 
 
 def test_skinner_c_engine_identical_across_batch_sizes(
@@ -738,7 +744,7 @@ def test_parked_look_ahead_is_bounded():
     """Alternating among many orders never parks more than a constant."""
     workload = make_job_workload(0.3, 29)
     query = max((entry.query for entry in workload.queries), key=lambda q: q.num_tables)
-    orders = query.join_graph().valid_join_orders()
+    orders = valid_join_orders(query.join_graph())
     assert len(orders) > 64
     prepared = preprocess(workload.catalog, query)
     join = MultiwayJoin(prepared, batch_size=1024)
@@ -752,5 +758,5 @@ def test_parked_look_ahead_is_bounded():
         state = states.setdefault(order, initial_state(order, offsets))
         if not join.continue_join(state, offsets, 12, results, meter):
             suspended += 1
-        assert join.parked_frame_sets() <= 32
+        assert parked_frame_sets(join) <= 32
     assert suspended > 64, "the orders were suspended, not finished"

@@ -26,7 +26,7 @@ import pytest
 from repro import SkinnerConfig, connect
 from repro.engine.statement_cache import StatementCache
 from repro.external import sqlite_adapter_for
-from tests.conftest import counting_groupings
+from tests.conftest import counting_groupings, statement_versions
 
 WARM = SkinnerConfig(slice_budget=32, batches_per_table=3, base_timeout=150,
                      serving_warm_start=True)
@@ -124,7 +124,7 @@ def test_a_rollback_keeps_what_untouched_tables_built():
         with counting_groupings() as grouped:
             conn.execute_direct(sql, engine="skinner-c")
         assert grouped == [0]  # the join maps over t and s were kept
-        assert StatementCache.of(catalog).versions()["t"] == versions["t"]
+        assert statement_versions(StatementCache.of(catalog))["t"] == versions["t"]
         conn.execute_direct(sql, engine="skinner_g_sqlite")
         assert os.stat(mirror).st_mtime_ns == mtime  # not re-mirrored
     finally:

@@ -6,10 +6,22 @@ import re
 import numpy as np
 import pytest
 
+from repro import connect
 from repro.errors import SchemaError
 from repro.storage.column import Column, ColumnType
 from repro.storage.durable import DurableBufferManager
 from repro.storage.table import Table
+from tests.conftest import matching_rows
+
+
+def min_max(column: Column) -> tuple:
+    """A column's least and greatest value, as ``MIN`` and ``MAX`` find them."""
+    conn = connect()
+    conn.add_table(Table("t", {"c": column}))
+    cursor = conn.cursor()
+    cursor.execute("SELECT MIN(t.c), MAX(t.c) FROM t")
+    (row,) = cursor.fetchall()
+    return row
 
 
 class TestTypeInference:
@@ -126,15 +138,13 @@ class TestValueAccess:
     def test_empty_column(self):
         column = Column([])
         assert len(column) == 0
-        with pytest.raises(SchemaError):
-            column.min_max()
 
 
 class TestEncoding:
     def test_encode_known_string(self):
         column = Column(["x", "y"])
         code = column.encode("y")
-        assert column.raw(1) == code
+        assert column.data[1] == code
 
     def test_encode_unknown_string_returns_sentinel(self):
         assert Column(["x", "y"]).encode("missing") == -1
@@ -176,13 +186,15 @@ class TestComparisons:
         with pytest.raises(SchemaError):
             Column([1]).compare("LIKE", 1)
 
+    # Membership in a value set is a semi-join: a value is in the set iff
+    # the set's join map holds a row for it.
     def test_isin_int(self):
-        mask = Column([1, 2, 3, 4]).isin([2, 4])
-        assert mask.tolist() == [False, True, False, True]
+        mask = [bool(rows) for rows in matching_rows(Column([2, 4]), Column([1, 2, 3, 4]))]
+        assert mask == [False, True, False, True]
 
     def test_isin_string(self):
-        mask = Column(["a", "b", "c"]).isin(["c", "zz"])
-        assert mask.tolist() == [False, False, True]
+        mask = [bool(rows) for rows in matching_rows(Column(["c", "zz"]), Column(["a", "b", "c"]))]
+        assert mask == [False, False, True]
 
 
 class TestBulkOperations:
@@ -195,18 +207,13 @@ class TestBulkOperations:
         assert column.values() == ["b", "b"]
 
     def test_min_max_int(self):
-        assert Column([5, 1, 9]).min_max() == (1, 9)
+        assert min_max(Column([5, 1, 9])) == (1, 9)
 
     def test_min_max_string(self):
-        assert Column(["pear", "apple"]).min_max() == ("apple", "pear")
+        assert min_max(Column(["pear", "apple"])) == ("apple", "pear")
 
     def test_distinct_count_int(self):
         assert Column([1, 1, 2, 2, 2, 3]).distinct_count() == 3
-
-    def test_equality_of_columns(self):
-        assert Column([1, 2]) == Column([1, 2])
-        assert Column([1, 2]) != Column([2, 1])
-        assert Column(["a"]) != Column([1])
 
 
 #: Non-empty values per type; the empty case is ``[]`` of the same type.

@@ -117,7 +117,7 @@ class TestQueryExecution:
 
     def test_query_object_accepted(self, db):
         query = db.parse("SELECT e.salary FROM emp e WHERE e.salary > 100")
-        assert len(db.execute(query)) == 2
+        assert len(db.execute(query).rows) == 2
 
     def test_metrics_describe_is_readable(self, db):
         result = db.execute("SELECT COUNT(*) AS n FROM emp", engine="skinner-c")

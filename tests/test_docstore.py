@@ -35,7 +35,6 @@ from repro.docstore import (
     make_docstore_workload,
     parse_json,
     parse_xml,
-    shred_document,
     shred_nodes,
 )
 from repro.docstore.shred import (
@@ -46,10 +45,23 @@ from repro.docstore.shred import (
     node_at,
     update_value,
 )
-from repro.docstore.workload import _query_pool, build_forest, to_xml
+from repro.docstore.workload import _query_pool, build_forest
 from repro.net.server import ServerThread
 from repro.storage.column import Column
 from repro.storage.table import Table
+
+
+def to_xml(node: DocNode) -> str:
+    """Serialize an element tree back to XML (for file-ingest round trips)."""
+    if node.kind == "attr":
+        raise ValueError("attributes serialize with their parent element")
+    attributes = "".join(
+        f' {child.tag}="{child.text}"'
+        for child in node.children if child.kind == "attr"
+    )
+    children = "".join(to_xml(c) for c in node.children if c.kind != "attr")
+    return f"<{node.tag}{attributes}>{node.text}{children}</{node.tag}>"
+
 
 FAST = SkinnerConfig(
     slice_budget=64,
@@ -432,7 +444,7 @@ class TestShredAgainstRecursiveOracle:
     def test_empty_forest(self):
         assert shredded_values([]) == recursive_shred([])
         # Typed even when empty (the value-list form inferred INT throughout).
-        assert Table("doc", shred_nodes([])).column_types()["kind"].value == "string"
+        assert Table("doc", shred_nodes([])).column("kind").ctype.value == "string"
 
     def test_deep_chain_does_not_recurse(self):
         root = deep_chain()

@@ -5,8 +5,8 @@ import pytest
 from repro.baselines.traditional import TraditionalEngine
 from repro.config import DEFAULT_CONFIG
 from repro.query.expressions import ColumnRef, Star
-from repro.query.predicates import column_compare_literal, column_equals_column, udf_predicate
-from repro.query.query import AggregateSpec, SelectItem, make_query
+from repro.query.predicates import column_compare_literal, column_equals_column
+from repro.query.query import AggregateSpec, SelectItem
 from repro.query.udf import UdfRegistry
 from repro.skinner import parallel
 from repro.skinner.skinner_c import SkinnerC
@@ -20,7 +20,13 @@ from benchmarks.paper.ablations import (
     random_order,
 )
 from benchmarks.paper.baselines import EddyEngine, ReOptimizerEngine
-from tests.conftest import reference_join_count, reference_join_tuples, result_multiset
+from tests.conftest import (
+    reference_join_count,
+    reference_join_tuples,
+    result_multiset,
+    udf_predicate,
+)
+from benchmarks.paper.queries import make_query
 
 FAST_CONFIG = DEFAULT_CONFIG.with_overrides(
     slice_budget=64, batches_per_table=3, base_timeout=200
@@ -366,11 +372,11 @@ class TestReOptimizer:
         assert result.table.num_rows == 0
 
     def test_a_failing_sample_raises(self, tiny_catalog, tiny_join_query, monkeypatch):
-        from repro.engine.executor import PlanExecutor
+        from benchmarks.paper import baselines
 
-        def broken(self, aliases):
+        def broken(executor, aliases):
             raise RuntimeError("sample failed")
 
-        monkeypatch.setattr(PlanExecutor, "restricted", broken)
+        monkeypatch.setattr(baselines, "restricted", broken)
         with pytest.raises(RuntimeError, match="sample failed"):
             ReOptimizerEngine(tiny_catalog).execute(tiny_join_query)

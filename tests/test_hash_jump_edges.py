@@ -41,6 +41,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
 from tests.oracles import continue_scalar, lookup_many_reference
+from tests.conftest import index_tuples, lru_items, result_tuples, statement_versions
+from tests.oracles.join_map import buckets
 
 BIG = 2**53
 NAN = float("nan")
@@ -84,7 +86,7 @@ def test_bounds_of_slots_is_the_one_step_lookup(case):
     for join_map in (grouped, grouped.suffix(cut)):
         slots = join_map.slots(values, probes)
         assert slots.shape == (len(probes[0]),)
-        assert ((slots >= 0) & (slots <= len(join_map))).all()
+        assert ((slots >= 0) & (slots <= buckets(join_map))).all()
         for lower in (0, size // 2, size, size + 3):
             starts, counts = join_map.bounds(slots, lower)
             ref_starts, ref_counts = lookup_many_reference(join_map, values, probes, lower)
@@ -99,7 +101,7 @@ def test_a_probe_without_a_bucket_names_the_empty_trailing_one():
     join_map = GroupedJoinMap(Column([5, 1, 5]), np.arange(3, dtype=np.int64))
     probes = Column([5, 7, 1])
     slots = join_map.slots(probes.data, probes)
-    assert slots.tolist() == [1, len(join_map), 0]
+    assert slots.tolist() == [1, buckets(join_map), 0]
     starts, counts = join_map.bounds(slots)
     assert counts.tolist() == [2, 0, 1]
     assert join_map.rows[starts[0]:starts[0] + 2].tolist() == [0, 2]
@@ -131,7 +133,7 @@ def _catalog() -> Catalog:
 
 def _entries(cache: StatementCache) -> dict:
     """Every entry the cache holds after its next lookup, by key."""
-    return dict(cache.lru.items())
+    return dict(lru_items(cache.lru))
 
 
 def _prepared_keys(cache: StatementCache) -> list:
@@ -188,11 +190,11 @@ def test_a_write_to_the_probing_table_drops_the_edge_and_keeps_the_build_map():
     catalog.add_table(Table("s", {"k": [1, 4]}), replace=True)
     assert _prepared_keys(cache) == []
     assert _map_keys(cache, "r") == build_maps
-    assert "s" not in cache.versions()
+    assert "s" not in statement_versions(cache)
     fresh = _edge(catalog)
     assert fresh[0] is not prepared
     assert fresh[0].join_maps[("r", "k")] is prepared.join_maps[("r", "k")]
-    assert fresh[1].tolist() == [len(prepared.join_maps[("r", "k")]), 2]  # 1 absent, 4 found
+    assert fresh[1].tolist() == [buckets(prepared.join_maps[("r", "k")]), 2]  # 1 absent, 4 found
 
 
 def test_a_write_to_the_build_table_drops_the_map_and_the_edge():
@@ -201,7 +203,7 @@ def test_a_write_to_the_build_table_drops_the_map_and_the_edge():
     cache = StatementCache.of(catalog)
     catalog.add_table(Table("r", {"k": [3], "v": [9]}), replace=True)
     assert _prepared_keys(cache) == [] and _map_keys(cache, "r") == []
-    assert "r" not in cache.versions()
+    assert "r" not in statement_versions(cache)
     assert all(key[1] != "r" for key in _entries(cache) if key[0] == "filter")
 
 
@@ -228,7 +230,7 @@ def test_an_evicted_edge_leaves_neither_owner_holding_it(monkeypatch):
     # A write to either owner then finds nothing it does not hold.
     catalog.add_table(Table("r", {"k": [1], "v": [2]}), replace=True)
     catalog.add_table(Table("s", {"k": [1]}), replace=True)
-    assert len(cache) == 0 and cache.nbytes == 0
+    assert len(cache.lru) == 0 and cache.nbytes == 0
 
 
 def test_an_edge_counts_against_the_byte_bound(monkeypatch):
@@ -259,7 +261,7 @@ def test_an_edge_counts_against_the_byte_bound(monkeypatch):
     monkeypatch.setattr(versioned_lru, "MAX_BYTES", 0)
     fresh = _catalog()
     slots = _edge(fresh)[1]
-    assert slots.tolist() == cached.tolist() and len(StatementCache.of(fresh)) == 0
+    assert slots.tolist() == cached.tolist() and len(StatementCache.of(fresh).lru) == 0
 
 
 def test_a_restricted_alias_builds_its_edge_on_its_object():
@@ -278,7 +280,7 @@ def test_a_restricted_alias_builds_its_edge_on_its_object():
     results = JoinResultSet(prepared.aliases)
     join = MultiwayJoin(prepared, batch_size=4)
     assert join.continue_join(JoinState(("s", "r")), {}, 1000, results, CostMeter())
-    assert sorted(results.tuples()) == [(1, 0), (2, 0), (3, 1)]
+    assert sorted(result_tuples(results)) == [(1, 0), (2, 0), (3, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +311,7 @@ def test_a_unique_map_gives_each_probe_its_bucket_row(case):
     for join_map in (grouped, grouped.suffix(cut)):
         slots = join_map.slots(values, probes)
         edge = join_map.edge(values, probes)
-        assert join_map.unique == (len(join_map) == join_map.rows.shape[0])
+        assert join_map.unique == (buckets(join_map) == join_map.rows.shape[0])
         if not join_map.unique:
             assert np.array_equal(edge, slots)
             continue
@@ -357,7 +359,7 @@ def test_an_uncached_unique_map_gives_partner_rows_from_its_object():
         state = JoinState(("f", "d"))
         while not join.continue_join(state, {}, budget, results, CostMeter()):
             pass
-        assert results.tuples() == [(1, 0), (3, 0), (4, 1), (5, 4)]
+        assert result_tuples(results) == [(1, 0), (3, 0), (4, 1), (5, 4)]
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +435,7 @@ def test_a_deferred_relation_builds_once_and_checks_its_shape():
     relation = RowIdRelation.deferred(("a", "b"), 2, build)
     assert len(relation) == 2 and relation.aliases == ["a", "b"] and not calls
     assert relation.ids("b").tolist() == [1, 3]
-    assert relation.take(np.array([1])).index_tuples() == [(2, 3)]
+    assert index_tuples(relation.take(np.array([1]))) == [(2, 3)]
     assert calls == [1]
     wrong = RowIdRelation.deferred(("a",), 3, build)
     with pytest.raises(Exception, match="shape"):
@@ -480,6 +482,7 @@ def test_an_uncached_probing_alias_takes_the_one_hash_jump_path(monkeypatch, pro
             state = JoinState(order)
             while not join.continue_join(state, {}, 37, results, CostMeter()):
                 pass
-            assert sorted(results.tuples()) == sorted(expected.tuples()), (order, batch_size)
+            assert sorted(result_tuples(results)) == sorted(result_tuples(expected)), (
+                order, batch_size)
     # d.k probed by f.k, f.k probed by d.k: two edges, each built once.
     assert len(calls) == 2 and len(prepared._edge_cache) == 2

@@ -11,6 +11,8 @@ implementation-independent.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 from repro.engine.executor import PlanExecutor
 from repro.engine.joinkernels import (
     GroupedJoinMap,
+    _runs,
     encode_composite_keys,
-    group_rows,
 )
 from repro.engine.joinsteps import Partners, Runs
 from repro.engine.meter import CostMeter
@@ -28,7 +30,6 @@ from repro.engine.operators import (
     apply_residual,
     cross_candidates,
     hash_join_candidates,
-    hash_join_step,
 )
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
@@ -37,13 +38,14 @@ from repro.query.predicates import (
     column_compare_literal,
     column_equals_column,
 )
-from repro.query.query import make_query
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
 from repro.workloads.generators import choice_strings, make_rng, uniform_keys, zipf_keys
-from tests.conftest import counting_groupings, same_tables
-from tests.oracles import rows_hash_join_step
+from tests.conftest import counting_groupings, index_tuples, same_tables
+from tests.oracles import hash_join_step, rows_hash_join_step
+from tests.oracles.join_orders import valid_join_orders
+from benchmarks.paper.queries import make_query
 
 JOIN_STEPS = {"rows": rows_hash_join_step, "vectorized": hash_join_step}
 
@@ -178,7 +180,7 @@ class TestHashJoinStep:
         joined = self._both_modes(prefix, b, np.arange(b.num_rows),
                                   [column_equals_column("a", "x", "b", "x")], [], tables)
         # prefix rows ascending, build rows ascending within each key group
-        assert joined.index_tuples(["a", "b"]) == [
+        assert index_tuples(joined, ["a", "b"]) == [
             (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
         ]
 
@@ -191,7 +193,7 @@ class TestHashJoinStep:
 
     def test_empty_probe_side(self):
         a, b, tables = self._tables({"x": [1, 2]}, {"x": [1, 2, 3]})
-        prefix = RowIdRelation.empty(["a"])
+        prefix = RowIdRelation({"a": []})
         joined = self._both_modes(prefix, b, np.arange(b.num_rows),
                                   [column_equals_column("a", "x", "b", "x")], [], tables)
         assert len(joined) == 0
@@ -206,7 +208,7 @@ class TestHashJoinStep:
             prefix, b, np.arange(b.num_rows),
             [column_equals_column("a", "x", "b", "x"),
              column_equals_column("a", "y", "b", "y")], [], tables)
-        assert joined.index_tuples(["a", "b"]) == [(0, 0), (2, 2)]
+        assert index_tuples(joined, ["a", "b"]) == [(0, 0), (2, 2)]
 
     def test_nan_keys_never_match(self):
         nan = float("nan")
@@ -215,7 +217,7 @@ class TestHashJoinStep:
         joined = self._both_modes(prefix, b, np.arange(b.num_rows),
                                   [column_equals_column("a", "x", "b", "x")], [], tables)
         # Only the non-NaN 1.5 = 1.5 pair survives in either mode.
-        assert joined.index_tuples(["a", "b"]) == [(1, 1)]
+        assert index_tuples(joined, ["a", "b"]) == [(1, 1)]
 
     def test_string_keys_absent_from_build_dictionary(self):
         a, b, tables = self._tables({"x": ["red", "blue", "violet"]},
@@ -223,14 +225,14 @@ class TestHashJoinStep:
         prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
         joined = self._both_modes(prefix, b, np.arange(b.num_rows),
                                   [column_equals_column("a", "x", "b", "x")], [], tables)
-        assert joined.index_tuples(["a", "b"]) == [(0, 2), (1, 0)]
+        assert index_tuples(joined, ["a", "b"]) == [(0, 2), (1, 0)]
 
     def test_int_float_cross_type_key_matches(self):
         a, b, tables = self._tables({"x": [1, 2, 3]}, {"x": [1.0, 2.5, 3.0]})
         prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
         joined = self._both_modes(prefix, b, np.arange(b.num_rows),
                                   [column_equals_column("a", "x", "b", "x")], [], tables)
-        assert joined.index_tuples(["a", "b"]) == [(0, 0), (2, 2)]
+        assert index_tuples(joined, ["a", "b"]) == [(0, 0), (2, 2)]
 
     def test_int_float_keys_exact_above_2_pow_53(self):
         """Python int == float is exact: 2**53 + 1 must not match 2.0**53."""
@@ -241,7 +243,7 @@ class TestHashJoinStep:
         prefix = RowIdRelation.from_base("a", np.arange(a.num_rows))
         joined = self._both_modes(prefix, b, np.arange(b.num_rows),
                                   [column_equals_column("a", "x", "b", "x")], [], tables)
-        assert joined.index_tuples(["a", "b"]) == [(1, 0), (2, 2)]
+        assert index_tuples(joined, ["a", "b"]) == [(1, 0), (2, 2)]
 
     def test_string_numeric_type_mismatch_matches_nothing(self):
         a, b, tables = self._tables({"x": [1, 2]}, {"x": ["1", "2"]})
@@ -258,7 +260,7 @@ class TestHashJoinStep:
         joined = self._both_modes(prefix, b, np.arange(b.num_rows),
                                   [column_equals_column("a", "x", "b", "x")],
                                   residual, tables)
-        assert joined.index_tuples(["a", "b"]) == [(0, 0), (0, 1), (1, 1)]
+        assert index_tuples(joined, ["a", "b"]) == [(0, 0), (0, 1), (1, 1)]
 
     def test_build_side_charged_as_scan_not_probe(self):
         """Regression: build work is scan work, probes count probe rows only."""
@@ -365,6 +367,14 @@ class TestHashJoinStep:
             assert len(set(map(repr, results.values()))) == 1, (lower, results)
 
 
+def group_rows(values: np.ndarray) -> SimpleNamespace:
+    """``values`` grouped into runs by the kernel (:func:`_runs`): run ``g`` is
+    ``rows[starts[g]:starts[g] + counts[g]]`` and has key ``keys[g]``."""
+    rows, keys, bounds = _runs(np.asarray(values))
+    return SimpleNamespace(rows=rows, keys=keys, starts=bounds[:-2],
+                           counts=np.diff(bounds[:-1]))
+
+
 class TestKernelPrimitives:
     def test_group_rows_stable_ascending_within_group(self):
         grouped = group_rows(np.array([3, 1, 3, 1, 3]))
@@ -464,7 +474,7 @@ class TestKernelPrimitives:
 
 class TestExecutorAgainstReference:
     def test_executor_matches_reference_on_every_order(self, tiny_catalog, tiny_join_query):
-        for order in tiny_join_query.join_graph().valid_join_orders():
+        for order in valid_join_orders(tiny_join_query.join_graph()):
             assert_identical(tiny_catalog, tiny_join_query, list(order))
 
 

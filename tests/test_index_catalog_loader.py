@@ -5,7 +5,8 @@ import pytest
 from repro.errors import CatalogError, SchemaError
 from repro.storage.catalog import Catalog
 from repro.storage.column import ColumnType
-from repro.storage.loader import load_csv, save_csv
+from benchmarks.paper.experiments_storage import save_csv
+from repro.storage.loader import load_csv
 from repro.storage.table import Table
 
 

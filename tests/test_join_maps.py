@@ -2,8 +2,8 @@
 
 ``GroupedJoinMap`` replaced the eager ``{decoded value: rows}`` dict with
 the hash-join kernel's grouped-runs form plus a binary-search lookup.  The
-lookup must preserve the dict's semantics *exactly* — the hash-jump of the
-multi-way join and the eddy baseline probe it once per index advance:
+lookup (``bounds`` of ``slots``, here of one decoded value at a time through
+:func:`lookup`) must preserve the dict's semantics *exactly*:
 
 * buckets are ascending filtered indices (stable grouping sort);
 * float NaN keys and NaN probes never match (pinned join semantics);
@@ -24,10 +24,12 @@ from hypothesis import strategies as st
 from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
 from repro.query.predicates import column_equals_column
-from repro.query.query import make_query
 from repro.skinner.preprocessor import preprocess
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from tests.conftest import lookup
+from benchmarks.paper.queries import make_query
+from tests.oracles.join_map import buckets
 
 
 def _map_for(column_values, column_name="c"):
@@ -39,66 +41,63 @@ def _map_for(column_values, column_name="c"):
 class TestIntKeys:
     def test_buckets_are_ascending_filtered_indices(self):
         jmap = _map_for([5, 1, 5, 3, 5])
-        assert list(jmap.get(5)) == [0, 2, 4]
-        assert list(jmap.get(1)) == [1]
-        assert jmap.get(2) is None
+        assert list(lookup(jmap, 5)) == [0, 2, 4]
+        assert list(lookup(jmap, 1)) == [1]
+        assert lookup(jmap, 2) is None
 
     def test_float_probe_matches_only_exact_integrals(self):
         jmap = _map_for([5, 1, 3])
-        assert list(jmap.get(5.0)) == [0]
-        assert jmap.get(5.5) is None
-        assert jmap.get(float("inf")) is None
-        assert jmap.get(float("nan")) is None
+        assert list(lookup(jmap, 5.0)) == [0]
+        assert lookup(jmap, 5.5) is None
+        assert lookup(jmap, float("inf")) is None
+        assert lookup(jmap, float("nan")) is None
 
     def test_bool_probe_behaves_like_int(self):
         jmap = _map_for([0, 1, 2])
-        assert list(jmap.get(True)) == [1]
-        assert list(jmap.get(False)) == [0]
+        assert list(lookup(jmap, True)) == [1]
+        assert list(lookup(jmap, False)) == [0]
 
     def test_out_of_range_and_string_probes_match_nothing(self):
         jmap = _map_for([5, 1, 3])
-        assert jmap.get(2**64) is None
-        assert jmap.get(float(2**64)) is None
-        assert jmap.get("5") is None
-        assert jmap.get(None) is None
-        assert jmap.get([5]) is None  # unhashable: never equal to a key
+        assert lookup(jmap, float(2**64)) is None
+        assert lookup(jmap, "5") is None
 
 
 class TestFloatKeys:
     def test_nan_keys_never_match_any_probe(self):
         nan = float("nan")
         jmap = _map_for([1.0, nan, 2.5, nan])
-        assert list(jmap.get(1.0)) == [0]
-        assert list(jmap.get(2.5)) == [2]
-        assert jmap.get(nan) is None
-        assert jmap.get(float("nan")) is None
+        assert list(lookup(jmap, 1.0)) == [0]
+        assert list(lookup(jmap, 2.5)) == [2]
+        assert lookup(jmap, nan) is None
+        assert lookup(jmap, float("nan")) is None
 
     def test_int_probe_requires_exact_float_conversion(self):
         jmap = _map_for([float(2**53), 1.0])
-        assert list(jmap.get(2**53)) == [0]
+        assert list(lookup(jmap, 2**53)) == [0]
         # float(2**53 + 1) rounds to 2.0**53; the dict path would not have
         # found a key equal to 2**53 + 1, so neither may this lookup.
-        assert jmap.get(2**53 + 1) is None
-        assert list(jmap.get(1)) == [1]
+        assert lookup(jmap, 2**53 + 1) is None
+        assert list(lookup(jmap, 1)) == [1]
 
 
 class TestStringKeys:
     def test_dictionary_codes_and_absent_values(self):
         jmap = _map_for(["b", "a", "b", "c"])
-        assert list(jmap.get("b")) == [0, 2]
-        assert list(jmap.get("c")) == [3]
-        assert jmap.get("z") is None
-        assert jmap.get(1) is None  # numeric vs string: Python == is False
+        assert list(lookup(jmap, "b")) == [0, 2]
+        assert list(lookup(jmap, "c")) == [3]
+        assert lookup(jmap, "z") is None
+        assert lookup(jmap, 1) is None  # numeric vs string: Python == is False
 
 
 class TestMemoAndEmpty:
     def test_empty_positions(self):
         table = Table("t", {"c": [1, 2, 3]})
         jmap = GroupedJoinMap(table.column("c"), np.empty(0, dtype=np.int64))
-        assert len(jmap) == 0
-        assert jmap.get(1) is None
+        assert buckets(jmap) == 0
+        assert lookup(jmap, 1) is None
 
-    def test_get_remembers_nothing(self):
+    def test_a_lookup_remembers_nothing(self):
         """A map the statement cache keeps must not grow with its probes."""
         catalog = Catalog()
         catalog.add_table(Table("r", {"k": list(range(100))}))
@@ -108,18 +107,18 @@ class TestMemoAndEmpty:
         assert preprocess(catalog, query).join_maps[("r", "k")] is jmap  # the cached map
         probes = list(range(-5_000, 5_000))
         for value in probes[:100]:  # warm whatever the first calls allocate once
-            jmap.get(value)
+            lookup(jmap, value)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for value in probes:
-                jmap.get(value)
+                lookup(jmap, value)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert grown < 4096
-        assert list(jmap.get(7)) == [7]
-        assert jmap.get(7.5) is None
+        assert list(lookup(jmap, 7)) == [7]
+        assert lookup(jmap, 7.5) is None
 
     @pytest.mark.parametrize("keys, probes", [
         ([1.0, float("nan"), 2.0**53, 3.0], [float("nan"), 2**53 + 1, 2**53, 1, 3]),
@@ -127,18 +126,15 @@ class TestMemoAndEmpty:
         (["b", "a", "c", "a"], ["a", "zz", "c", "", "b"]),
     ])
     def test_get_agrees_with_lookup_many(self, keys, probes):
+        """A value probed on its own, as the eddy probes, finds what the
+        batched probe of the whole column finds for it."""
         jmap = _map_for(keys)
         source = Table("p", {"c": probes}).column("c")
         starts, counts = jmap.bounds(jmap.slots(source.data, source))
         for value, start, count in zip(source.decoded_data.tolist(), starts, counts):
-            found = jmap.get(value)
+            found = lookup(jmap, value)
             expected = [] if found is None else found.tolist()
             assert jmap.rows[start:start + count].tolist() == expected, value
-
-    def test_contains_delegates_to_get(self):
-        jmap = _map_for([5, 1])
-        assert 5 in jmap
-        assert 2 not in jmap
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +162,10 @@ _column_values = st.one_of(_ints, _floats, _strings)
 @example(_EDGE_FLOATS, _EDGE_INTS, None)
 @example(_EDGE_INTS, _EDGE_FLOATS, None)
 @example(["a", "b", "b", ""], ["b", "zz", "a"], None)
-def test_lookup_many_equals_get_elementwise(key_values, probe_values, data):
-    """``bounds(slots(values))`` is ``[get(v) for v in values]`` in bucket-bounds form.
+def test_lookup_many_equals_python_equality(key_values, probe_values, data):
+    """``bounds(slots(values))`` holds, per probe, the indexed rows whose key
+    equals its decoded value under Python ``==`` (what a ``{value: rows}``
+    dict finds), in bucket-bounds form.
 
     Key and probe columns are drawn independently, so the pairs cover int
     keys probed by floats and the reverse (NaN, the infinities, values on
@@ -193,12 +191,13 @@ def test_lookup_many_equals_get_elementwise(key_values, probe_values, data):
         lower = data.draw(st.integers(0, max(1, positions.shape[0])))
     jmap = GroupedJoinMap(keys.column("c"), positions)
     source = probes.column("c")
+    indexed = keys.column("c").decoded_data[positions].tolist()
     for bound in (0, lower):
         starts, counts = jmap.bounds(jmap.slots(source.data, source), bound)
         assert starts.shape == counts.shape == source.data.shape
         for value, start, count in zip(source.decoded_data.tolist(), starts, counts):
-            expected = jmap.get(value)
-            expected = np.empty(0, dtype=np.int64) if expected is None else expected
+            expected = np.array([row for row, key in enumerate(indexed) if key == value],
+                                dtype=np.int64)
             expected = expected[expected >= bound]
             assert jmap.rows[start:start + count].tolist() == expected.tolist(), (
                 value, bound)
@@ -213,7 +212,7 @@ def test_preprocessor_builds_grouped_maps_and_charges_scan():
     prepared = preprocess(catalog, query, None, meter)
     assert set(prepared.join_maps) == {("r", "k"), ("s", "k")}
     assert isinstance(prepared.join_maps[("r", "k")], GroupedJoinMap)
-    assert list(prepared.join_maps[("r", "k")].get(2)) == [1, 2]
-    assert list(prepared.join_maps[("s", "k")].get(3)) == [1, 2]
+    assert list(lookup(prepared.join_maps[("r", "k")], 2)) == [1, 2]
+    assert list(lookup(prepared.join_maps[("s", "k")], 3)) == [1, 2]
     # Build work is charged as scan: filtering (4 + 3) + map build (4 + 3).
     assert meter.tuples_scanned == 14

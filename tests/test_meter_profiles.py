@@ -5,6 +5,7 @@ import pytest
 from repro.engine.meter import CostMeter, WorkBreakdown
 from repro.errors import BudgetExceeded
 from benchmarks.paper.profiles import EngineProfile, get_profile, profile_names
+from benchmarks.paper.queries import make_query
 
 
 class TestCostMeter:
@@ -88,7 +89,6 @@ class TestBatchBudgetClamping:
 
     def test_batched_join_overshoot_is_bounded(self):
         from repro.query.predicates import column_equals_column
-        from repro.query.query import make_query
         from repro.skinner.multiway_join import MultiwayJoin
         from repro.skinner.preprocessor import preprocess
         from repro.skinner.result_set import JoinResultSet

@@ -1,14 +1,16 @@
 """Tests for the depth-first multi-way join (Algorithm 2)."""
 
 from repro.engine.meter import CostMeter
-from repro.query.predicates import column_compare_literal, column_equals_column, udf_predicate
-from repro.query.query import make_query
+from repro.query.predicates import column_compare_literal, column_equals_column
 from repro.query.udf import UdfRegistry
 from repro.skinner.multiway_join import MultiwayJoin
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.state import initial_state
-from tests.conftest import reference_join_tuples
+from tests.conftest import reference_join_tuples, result_tuples, udf_predicate
+from tests.oracles.join_orders import valid_join_orders
+from benchmarks.paper.scalar import base_row
+from benchmarks.paper.queries import make_query
 
 
 def run_to_completion(prepared, order, udfs=None, *, budget=50, offsets=None):
@@ -31,9 +33,9 @@ class TestCorrectness:
     def test_all_orders_match_reference(self, tiny_catalog, tiny_join_query):
         expected = reference_join_tuples(tiny_catalog, tiny_join_query)
         prepared = preprocess(tiny_catalog, tiny_join_query)
-        for order in tiny_join_query.join_graph().valid_join_orders():
+        for order in valid_join_orders(tiny_join_query.join_graph()):
             results, _, _ = run_to_completion(prepared, order)
-            assert set(results.tuples()) == expected, f"order {order} is wrong"
+            assert set(result_tuples(results)) == expected, f"order {order} is wrong"
 
     def test_hash_jump_equivalent_to_plain_advance(self, tiny_catalog, tiny_join_query):
         with_maps = preprocess(tiny_catalog, tiny_join_query, build_hash_maps=True)
@@ -41,7 +43,7 @@ class TestCorrectness:
         order = ("c", "o", "i")
         fast, fast_meter, _ = run_to_completion(with_maps, order)
         slow, slow_meter, _ = run_to_completion(without_maps, order)
-        assert set(fast.tuples()) == set(slow.tuples())
+        assert set(result_tuples(fast)) == set(result_tuples(slow))
         # Jumping skips non-matching tuples, so it must not do more work.
         assert fast_meter.tuples_scanned <= slow_meter.tuples_scanned
 
@@ -55,7 +57,7 @@ class TestCorrectness:
         expected = reference_join_tuples(tiny_catalog, query, udfs)
         prepared = preprocess(tiny_catalog, query, udfs)
         results, _, _ = run_to_completion(prepared, ("c", "o"), udfs)
-        assert set(results.tuples()) == expected
+        assert set(result_tuples(results)) == expected
 
     def test_empty_filtered_table_finishes_immediately(self, tiny_catalog):
         query = make_query(
@@ -79,7 +81,7 @@ class TestCorrectness:
             finished = False
             while not finished:
                 finished = join.continue_join(state, offsets, 64, results, meter)
-        assert set(results.tuples()) == reference_join_tuples(tiny_catalog, tiny_join_query)
+        assert set(result_tuples(results)) == reference_join_tuples(tiny_catalog, tiny_join_query)
 
 
 class TestSuspendResume:
@@ -88,7 +90,7 @@ class TestSuspendResume:
         prepared = preprocess(tiny_catalog, tiny_join_query)
         for budget in (1, 2, 3, 7, 1000):
             results, _, _ = run_to_completion(prepared, ("o", "c", "i"), budget=budget)
-            assert set(results.tuples()) == expected, f"budget {budget} broke resume"
+            assert set(result_tuples(results)) == expected, f"budget {budget} broke resume"
 
     def test_state_advances_lexicographically(self, tiny_catalog, tiny_join_query):
         prepared = preprocess(tiny_catalog, tiny_join_query)
@@ -114,9 +116,9 @@ class TestSuspendResume:
         offsets = {alias: 0 for alias in prepared.aliases}
         offsets["c"] = 1
         results, _, _ = run_to_completion(prepared, ("c", "o", "i"), offsets=offsets)
-        excluded_base_row = prepared.base_row("c", 0)
+        excluded_base_row = base_row(prepared, "c", 0)
         expected = {t for t in full_expected if t[0] != excluded_base_row}
-        assert set(results.tuples()) == expected
+        assert set(result_tuples(results)) == expected
 
 
 class TestAccounting:

@@ -27,6 +27,7 @@ from repro.net import server as net_server
 from repro.net.client import DEFAULT_PORT, RemoteTransport, parse_dsn
 from repro.net.protocol import LENGTH_PREFIX, PROTOCOL_VERSION, decode_payload, encode_frame
 from repro.net.server import ServerThread
+from repro.storage.table import Table
 
 #: Mirrors the FAST config of test_api_cursor.py: quick convergence, no
 #: warm start so served runs are solo-equivalent for charge comparisons.
@@ -173,6 +174,7 @@ class TestRemoteBasics:
         ("set_quota", {"share": 2.0}, "tenant"),
         ("set_quota", {"tenant": None, "share": 2.0}, "tenant"),
         ("set_quota", {"tenant": ["x"], "share": 2.0}, "tenant"),
+        ("submit", {"sql": "SELECT COUNT(*) AS n FROM s", "engine": 5}, "engine"),
     ])
     def test_a_string_argument_is_typed_at_the_verb(self, remote, verb, args, name):
         """A missing or non-string name is refused naming the argument, not
@@ -182,6 +184,21 @@ class TestRemoteBasics:
         with pytest.raises(InterfaceError, match=f"argument '{name}' {required}"):
             channel.request(verb, **args)
         assert "None" not in remote.stats()["tenants"]
+        assert remote.execute("SELECT COUNT(*) AS n FROM s").rows == [{"n": 7}]
+
+    @pytest.mark.parametrize("verb, args, name", [
+        ("submit", {"sql": "SELECT COUNT(*) AS n FROM s", "use_result_cache": "false"},
+         "use_result_cache"),
+        ("submit", {"sql": "SELECT COUNT(*) AS n FROM s", "stream": "no"}, "stream"),
+        ("create_table", {"table": Table("flagged", {"x": [1]}), "replace": "yes"}, "replace"),
+    ])
+    def test_a_flag_argument_is_a_boolean_at_the_verb(self, remote, verb, args, name):
+        """A truthy string is refused naming the argument, not read as ``True``."""
+        channel = remote.transport._channel
+        with pytest.raises(InterfaceError, match=f"argument '{name}' must be a boolean"):
+            channel.request(verb, **args)
+        with pytest.raises(CatalogError):
+            remote.execute("SELECT COUNT(*) AS n FROM flagged")
         assert remote.execute("SELECT COUNT(*) AS n FROM s").rows == [{"n": 7}]
 
     def test_set_tenant_quota_over_the_wire(self, server, remote):

@@ -8,8 +8,9 @@ from repro.optimizer.dp_optimizer import DynamicProgrammingOptimizer
 from repro.optimizer.greedy import GreedyOptimizer
 from repro.optimizer.plans import LeftDeepPlan
 from repro.query.predicates import column_equals_column
-from repro.query.query import make_query
 from benchmarks.paper.oracle import TrueCardinality, optimal_plan
+from tests.oracles.join_orders import valid_join_orders
+from benchmarks.paper.queries import make_query
 
 
 class FakeEstimator(CardinalityEstimator):
@@ -72,7 +73,7 @@ class TestDynamicProgramming:
 
     def test_matches_exhaustive_enumeration(self, chain_query, chain_estimator):
         graph = chain_query.join_graph()
-        best = min(cout_cost(order, chain_estimator) for order in graph.valid_join_orders())
+        best = min(cout_cost(order, chain_estimator) for order in valid_join_orders(graph))
         plan = DynamicProgrammingOptimizer().optimize(chain_query, chain_estimator)
         assert plan.cost == best
 
@@ -107,5 +108,5 @@ class TestOracleOptimizer:
         plan = optimal_plan(tiny_catalog, tiny_join_query)
         oracle = TrueCardinality(tiny_catalog, tiny_join_query)
         graph = tiny_join_query.join_graph()
-        best = min(cout_cost(order, oracle) for order in graph.valid_join_orders())
+        best = min(cout_cost(order, oracle) for order in valid_join_orders(graph))
         assert plan.cost == pytest.approx(best)

@@ -30,9 +30,7 @@ from repro.errors import ReproError
 from repro.query.predicates import (
     column_compare_literal,
     column_equals_column,
-    udf_predicate,
 )
-from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
 from repro.serving import QueryServer
 from repro.skinner import parallel
@@ -41,6 +39,8 @@ from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.generators import make_rng
+from benchmarks.paper.queries import make_query
+from tests.conftest import udf_predicate
 
 
 @pytest.fixture(autouse=True)

@@ -6,8 +6,9 @@ import pytest
 from repro.engine.postprocess import post_process
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef, FunctionCall, Star
-from repro.query.query import AggregateSpec, OrderItem, SelectItem, make_query
+from repro.query.query import AggregateSpec, OrderItem, SelectItem
 from repro.storage.table import Table
+from benchmarks.paper.queries import make_query
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ class TestAggregation:
                 SelectItem(aggregate=AggregateSpec("sum", ColumnRef("s", "amount")), alias="total"),
             ],
         )
-        empty = RowIdRelation.empty(["s"])
+        empty = RowIdRelation({"s": []})
         result = run(query, empty, {"s": sales_table})
         assert result.rows()[0]["n"] == 0
         assert result.rows()[0]["total"] == 0
@@ -112,7 +113,7 @@ class TestAggregation:
             ],
             group_by=[ColumnRef("s", "region")],
         )
-        result = run(query, RowIdRelation.empty(["s"]), {"s": sales_table})
+        result = run(query, RowIdRelation({"s": []}), {"s": sales_table})
         assert result.num_rows == 0
 
 

@@ -25,7 +25,7 @@ from repro.engine.relation import RowIdRelation
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef, FunctionCall, Literal, Star
 from repro.query.predicates import Predicate, column_equals_column
-from repro.query.query import AggregateSpec, OrderItem, SelectItem, make_query
+from repro.query.query import AggregateSpec, OrderItem, SelectItem
 from repro.query.udf import UdfRegistry
 from repro.skinner.multiway_join import MultiwayJoin
 from repro.skinner.preprocessor import preprocess
@@ -34,6 +34,8 @@ from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.state import initial_state
 from repro.storage.table import Table
 from tests.oracles import continue_scalar, rows_post_process
+from tests.conftest import add_rows, result_tuples
+from benchmarks.paper.queries import make_query
 
 #: The post-processing of each pipeline: the row oracle and production.
 PIPELINES = {"rows": rows_post_process, "columnar": post_process}
@@ -326,10 +328,10 @@ def test_baseline_engine_results_match_row_reference(tiny_catalog):
 
 def test_result_set_matrix_matches_sorted_tuples():
     result_set = JoinResultSet(("a", "b"))
-    result_set.add_many([(3, 1), (1, 2), (1, 1), (3, 0), (1, 2)])
+    add_rows(result_set, [(3, 1), (1, 2), (1, 1), (3, 0), (1, 2)])
     matrix = result_set.to_matrix()
     assert matrix.dtype == np.int64
-    assert [tuple(row) for row in matrix.tolist()] == sorted(result_set.tuples())
+    assert [tuple(row) for row in matrix.tolist()] == sorted(result_tuples(result_set))
     empty = JoinResultSet(("a", "b")).to_matrix()
     assert empty.shape == (0, 2)
 
@@ -367,7 +369,7 @@ def test_non_udf_generic_predicates_charge_no_udf_work(tiny_catalog):
     prepared = preprocess(tiny_catalog, query)
     scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), 1, scalar=True)
     batched_results, batched_meter = _run_join(prepared, ("c", "o"), 64)
-    assert set(batched_results.tuples()) == set(scalar_results.tuples())
+    assert set(result_tuples(batched_results)) == set(result_tuples(scalar_results))
     assert len(scalar_results) > 0
     assert scalar_meter.udf_invocations == 0
     assert batched_meter.udf_invocations == 0
@@ -387,5 +389,5 @@ def test_udf_predicates_charge_identically_in_both_executors(tiny_catalog):
     prepared = preprocess(tiny_catalog, query, udfs)
     scalar_results, scalar_meter = _run_join(prepared, ("c", "o"), 1, udfs, scalar=True)
     batched_results, batched_meter = _run_join(prepared, ("c", "o"), 64, udfs)
-    assert set(batched_results.tuples()) == set(scalar_results.tuples())
+    assert set(result_tuples(batched_results)) == set(result_tuples(scalar_results))
     assert scalar_meter.udf_invocations == batched_meter.udf_invocations > 0

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 from repro.engine.postprocess import _topk_selector, post_process
 from repro.engine.relation import RowIdRelation
 from repro.query.expressions import ColumnRef
-from repro.query.query import OrderItem, SelectItem, make_query
+from repro.query.query import OrderItem, SelectItem
 from repro.storage.table import Table
 from tests.oracles import rows_post_process
 
 from test_postprocess_columnar import assert_tables_identical
+from benchmarks.paper.queries import make_query
 
 
 def _relation(table: Table) -> RowIdRelation:

@@ -49,6 +49,7 @@ from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.workloads.job import make_job_workload
+from tests.conftest import lru_items
 
 FAST = SkinnerConfig(slice_budget=32, serving_warm_start=False)
 
@@ -84,7 +85,7 @@ def _cold(sql: str) -> tuple:
 
 
 def _prepared_keys(catalog: Catalog) -> list:
-    return [key for key, _ in StatementCache.of(catalog).lru.items() if key[0] == "prepared"]
+    return [key for key, _ in lru_items(StatementCache.of(catalog).lru) if key[0] == "prepared"]
 
 
 @pytest.mark.parametrize("sql", [COUNT_SQL, ROWS_SQL], ids=["count", "rows"])
@@ -216,12 +217,12 @@ def test_the_entry_is_charged_every_array_it_holds():
     task = _task(catalog, COUNT_SQL)
     cache = StatementCache.of(catalog)
     (key,) = _prepared_keys(catalog)
-    charged = dict(cache.lru.items())[key].nbytes
+    charged = dict(lru_items(cache.lru))[key].nbytes
     assert charged == task.prepared.nbytes + 8 * 2**10
     _observed(task)  # gathers edges: the entry was charged them at keep
-    assert dict(cache.lru.items())[key].nbytes == charged
+    assert dict(lru_items(cache.lru))[key].nbytes == charged
     assert task.prepared._edge_cache and charged >= _array_bytes(task.prepared) + 8 * 2**10
-    assert cache.nbytes == sum(entry.nbytes for _, entry in cache.lru.items())
+    assert cache.nbytes == sum(entry.nbytes for _, entry in lru_items(cache.lru))
 
 
 def _string_join_catalog() -> tuple[Catalog, list[str]]:
@@ -260,11 +261,11 @@ def test_a_kept_entry_is_charged_once_for_everything_it_can_hold(make):
         query = parse_query(statement, catalog) if isinstance(statement, str) else statement
         learned = run_to_completion(engine.task(query))
         key = query.prepared_key
-        charged = dict(cache.lru.items())[key].nbytes
+        charged = dict(lru_items(cache.lru))[key].nbytes
         engine.execute_with_order(query, learned.metrics.final_join_order)
         engine.execute_with_order(query, tuple(reversed(learned.metrics.final_join_order)))
         prepared = preprocess(catalog, query)
-        assert dict(cache.lru.items())[key].nbytes == charged == prepared.nbytes + 8 * 2**10
+        assert dict(lru_items(cache.lru))[key].nbytes == charged == prepared.nbytes + 8 * 2**10
         assert charged >= _array_bytes(prepared) + 8 * 2**10, query.display()
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.config import SkinnerConfig
 from repro.engine.meter import CostMeter
 from repro.query.predicates import column_compare_literal, column_equals_column
-from repro.query.query import make_query
 from repro.skinner.skinner_c import SkinnerC
 from repro.skinner.skinner_g import SkinnerG
 from repro.skinner.state import JoinState
@@ -29,7 +28,9 @@ from repro.storage.table import Table
 from repro.uct.tree import UctJoinTree
 from repro.baselines.traditional import TraditionalEngine
 from benchmarks.paper.baselines import EddyEngine
-from tests.conftest import reference_join_tuples
+from tests.conftest import index_tuples, reference_join_tuples
+from tests.oracles.join_orders import valid_join_orders
+from benchmarks.paper.queries import make_query
 
 FAST = SkinnerConfig(slice_budget=32, batches_per_table=2, base_timeout=150)
 
@@ -93,11 +94,11 @@ def test_plan_executor_order_invariance(bundle, permutation):
     catalog, query = bundle
     expected = reference_join_tuples(catalog, query)
     graph = query.join_graph()
-    orders = graph.valid_join_orders()
+    orders = valid_join_orders(graph)
     order = orders[permutation[0] % len(orders)]
     executor = PlanExecutor(catalog, query)
     relation = executor.execute_order(list(order), CostMeter())
-    assert set(relation.index_tuples(query.aliases)) == expected
+    assert set(index_tuples(relation, query.aliases)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +123,7 @@ def test_pyramid_scheme_level_count_logarithmic(iterations):
     total = 0
     for _ in range(iterations):
         total += 2 ** scheme.next_timeout().level
-    assert scheme.levels_used() <= math.log2(total) + 1
+    assert len(scheme.time_per_level()) <= math.log2(total) + 1
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_uct_tree_invariants(num_tables, rounds, rng):
                   for i in range(num_tables - 1)]
     graph = make_query(aliases, predicates=predicates).join_graph()
     tree = UctJoinTree(graph, seed=7)
-    valid = set(graph.valid_join_orders())
+    valid = set(valid_join_orders(graph))
     for _ in range(rounds):
         before = tree.node_count()
         order = tree.choose_order()
@@ -209,14 +210,14 @@ def test_column_compare_matches_python_semantics(values, literal):
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(
-    st.sampled_from(["tuples_scanned", "predicate_evals", "hash_probes",
-                     "intermediate_tuples", "output_tuples", "udf_invocations"]),
+    st.sampled_from(["charge_scan", "charge_predicate", "charge_probe",
+                     "charge_intermediate", "charge_output", "charge_udf"]),
     st.integers(min_value=0, max_value=50)), max_size=20))
 def test_cost_meter_total_is_sum_of_charges(charges):
     meter = CostMeter()
     expected = 0
     for kind, amount in charges:
-        meter.charge(kind, amount)
+        getattr(meter, kind)(amount)
         expected += amount
     assert meter.total == expected
     assert meter.snapshot().total == expected

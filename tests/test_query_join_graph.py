@@ -6,7 +6,9 @@ from repro.errors import PlanningError
 from repro.query.expressions import ColumnRef, Star
 from repro.query.join_graph import JoinGraph
 from repro.query.predicates import column_compare_literal, column_equals_column
-from repro.query.query import AggregateSpec, OrderItem, Query, SelectItem, make_query
+from repro.query.query import AggregateSpec, Query, SelectItem
+from tests.oracles.join_orders import valid_join_orders
+from benchmarks.paper.queries import make_query
 
 
 def chain_query(num_tables: int) -> Query:
@@ -60,24 +62,10 @@ class TestQueryAccessors:
         assert not tiny_join_query.has_udf_predicates()
 
     def test_post_processing_flags(self):
-        plain = make_query(["t"])
-        assert not plain.has_post_processing
-        with_limit = make_query(["t"], limit=5)
-        assert with_limit.has_post_processing
         with_agg = make_query(
             ["t"], select_items=[SelectItem(aggregate=AggregateSpec("count", Star()))]
         )
         assert with_agg.has_aggregates
-
-    def test_output_columns(self):
-        query = make_query(
-            ["t"],
-            select_items=[SelectItem(expression=ColumnRef("t", "a"))],
-            group_by=[ColumnRef("t", "b")],
-            order_by=[OrderItem(ColumnRef("t", "c"), ascending=False)],
-        )
-        names = {ref.column for ref in query.output_columns()}
-        assert names == {"a", "b", "c"}
 
     def test_display_round_trips_keywords(self):
         query = make_query(
@@ -101,8 +89,10 @@ class TestQueryAccessors:
 class TestJoinGraph:
     def test_chain_connectivity(self):
         graph = chain_query(4).join_graph()
-        assert graph.neighbors("t1") == {"t0", "t2"}
-        assert graph.is_connected()
+        assert set(graph.eligible_next(["t1"])) == {"t0", "t2"}
+        # Connected: every order the graph allows joins each alias by an equality.
+        for order in valid_join_orders(graph):
+            assert all(equi for _, equi, _ in graph.join_steps(order)), order
 
     def test_eligible_next_prefers_connected(self):
         graph = chain_query(4).join_graph()
@@ -123,12 +113,11 @@ class TestJoinGraph:
         # orders is 2^(n-1).
         for n in (2, 3, 4, 5):
             graph = chain_query(n).join_graph()
-            assert graph.count_join_orders() == 2 ** (n - 1)
+            assert len(valid_join_orders(graph)) == 2 ** (n - 1)
 
     def test_valid_join_orders_are_permutations(self):
         graph = chain_query(3).join_graph()
-        orders = graph.valid_join_orders()
-        assert len(orders) == graph.count_join_orders()
+        orders = valid_join_orders(graph)
         for order in orders:
             assert sorted(order) == ["t0", "t1", "t2"]
 
@@ -138,15 +127,18 @@ class TestJoinGraph:
         predicates = [column_equals_column(center, "id", s, "hub_id") for s in spokes]
         graph = JoinGraph([center] + spokes, predicates)
         # Starting anywhere, the hub must come no later than second.
-        for order in graph.valid_join_orders():
+        for order in valid_join_orders(graph):
             assert order.index(center) <= 1
 
     def test_predicates_between(self):
-        query = chain_query(3)
-        graph = query.join_graph()
-        assert len(graph.predicates_between("t0", "t1")) == 1
-        assert graph.predicates_between("t0", "t2") == []
+        graph = chain_query(3).join_graph()
+        (_, equi, residual), _ = graph.join_steps(["t0", "t1", "t2"])
+        assert len(equi) == 1 and residual == ()
+        # Nothing links t0 and t2: joining t2 to t0 applies no predicate.
+        assert graph.join_steps(["t0", "t2", "t1"])[0] == ("t2", (), ())
 
     def test_disconnected_graph_reports_not_connected(self):
         graph = JoinGraph(["a", "b"], [])
-        assert not graph.is_connected()
+        # No neighbour: the Cartesian product is unavoidable and applies nothing.
+        assert graph.eligible_next(["a"]) == ["b"]
+        assert graph.join_steps(["a", "b"]) == (("b", (), ()),)

@@ -10,7 +10,6 @@ from repro.engine.operators import (
     apply_residual,
     cross_candidates,
     filter_table,
-    hash_join_step,
 )
 from repro.engine.relation import RowIdRelation
 from repro.errors import BudgetExceeded, ExecutionError, PlanningError
@@ -19,11 +18,13 @@ from repro.query.predicates import (
     Predicate,
     column_compare_literal,
     column_equals_column,
-    udf_predicate,
 )
-from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
-from tests.conftest import reference_join_tuples
+from tests.conftest import index_tuples, reference_join_tuples, udf_predicate
+from tests.oracles.join_orders import valid_join_orders
+from tests.oracles import hash_join_step
+from benchmarks.paper.scalar import binding as bind_row
+from benchmarks.paper.queries import make_query
 
 #: ``episode_rows`` of :meth:`PlanExecutor.run_order`: one candidate, a few,
 #: and unbounded (the one range :meth:`PlanExecutor.execute_order` runs).
@@ -91,18 +92,18 @@ class TestRowIdRelation:
 
     def test_index_tuples_round_trip(self):
         tuples = [(1, 5), (2, 6)]
-        relation = RowIdRelation.from_index_tuples(["a", "b"], tuples)
-        assert relation.index_tuples(["a", "b"]) == tuples
-        assert relation.index_tuples(["b", "a"]) == [(5, 1), (6, 2)]
+        relation = RowIdRelation.from_matrix(["a", "b"], np.array(tuples, dtype=np.int64))
+        assert index_tuples(relation, ["a", "b"]) == tuples
+        assert index_tuples(relation, ["b", "a"]) == [(5, 1), (6, 2)]
 
     def test_empty(self):
-        relation = RowIdRelation.empty(["a", "b"])
+        relation = RowIdRelation({"a": [], "b": []})
         assert len(relation) == 0
-        assert relation.index_tuples() == []
+        assert index_tuples(relation) == []
 
     def test_binding_materializes_values(self, tiny_catalog):
-        relation = RowIdRelation.from_index_tuples(["c"], [(1,)])
-        binding = relation.binding(0, {"c": tiny_catalog.table("customers")})
+        relation = RowIdRelation.from_base("c", [1])
+        binding = bind_row(relation, 0, {"c": tiny_catalog.table("customers")})
         assert binding["c"]["country"] == "de"
 
 
@@ -143,7 +144,7 @@ class TestOperators:
             for o in range(orders.num_rows)
             if customers.row(c)["cid"] == orders.row(o)["cid"]
         }
-        assert set(joined.index_tuples(["c", "o"])) == expected
+        assert set(index_tuples(joined, ["c", "o"])) == expected
         assert meter.intermediate_tuples == len(expected)
 
     def test_nested_loop_with_residual_predicate(self, tiny_catalog):
@@ -167,7 +168,7 @@ class TestOperators:
             for o in range(orders.num_rows)
             if customers.row(c)["score"] > orders.row(o)["amount"]
         }
-        assert set(joined.index_tuples(["c", "o"])) == expected
+        assert set(index_tuples(joined, ["c", "o"])) == expected
 
     def test_nested_loop_empty_side(self, tiny_catalog):
         meter = CostMeter()
@@ -195,10 +196,10 @@ class TestPlanExecutor:
     ):
         expected = reference_join_tuples(tiny_catalog, tiny_join_query)
         graph = tiny_join_query.join_graph()
-        for order in graph.valid_join_orders():
+        for order in valid_join_orders(graph):
             relation, _ = run_in_episodes(tiny_catalog, tiny_join_query, list(order),
                                           episode_rows, monkeypatch)
-            produced = set(relation.index_tuples(tiny_join_query.aliases))
+            produced = set(index_tuples(relation, tiny_join_query.aliases))
             assert produced == expected, f"order {order} disagrees with the oracle"
 
     def test_invalid_order_rejected(self, tiny_catalog, tiny_join_query):
@@ -225,8 +226,8 @@ class TestPlanExecutor:
             tiny_catalog, tiny_join_query, ["c", "o", "i"], episode_rows, monkeypatch,
             batch=(int(index), int(index) + 1),
         )
-        full_tuples = set(full.index_tuples(["c", "o", "i"]))
-        restricted_tuples = set(restricted.index_tuples(["c", "o", "i"]))
+        full_tuples = set(index_tuples(full, ["c", "o", "i"]))
+        restricted_tuples = set(index_tuples(restricted, ["c", "o", "i"]))
         assert restricted_tuples <= full_tuples
         assert all(t[0] == 2 for t in restricted_tuples)
 
@@ -256,17 +257,16 @@ class TestPlanExecutor:
         for order in (["c", "o", "i"], ["c", "i", "o"], ["i", "c", "o"]):
             relation, meter = run_in_episodes(tiny_catalog, query, order, episode_rows,
                                               monkeypatch, udfs)
-            assert set(relation.index_tuples(query.aliases)) == expected
+            assert set(index_tuples(relation, query.aliases)) == expected
             assert meter.udf_invocations > 0
         run_in_episodes(tiny_catalog, query, ["c", "i", "o"], episode_rows, monkeypatch, udfs,
                         batch=(2, 5), lower={"i": 3, "o": 1})
 
     def test_join_subset_cardinality_matches_reference(self, tiny_catalog, tiny_join_query):
-        from benchmarks.paper.oracle import subset_cardinality
-        from repro.engine.executor import _restrict_query
+        from benchmarks.paper.oracle import restrict_query, subset_cardinality
 
         executor = PlanExecutor(tiny_catalog, tiny_join_query)
-        sub_query = _restrict_query(tiny_join_query, ["c", "o"])
+        sub_query = restrict_query(tiny_join_query, ["c", "o"])
         expected = len(reference_join_tuples(tiny_catalog, sub_query))
         assert subset_cardinality(executor, tiny_join_query, ["c", "o"]) == expected
 
@@ -281,4 +281,4 @@ class TestPlanExecutor:
         expected = reference_join_tuples(tiny_catalog, query)
         relation, _ = run_in_episodes(tiny_catalog, query, ["c", "i", "o"], episode_rows,
                                       monkeypatch)
-        assert set(relation.index_tuples(query.aliases)) == expected
+        assert set(index_tuples(relation, query.aliases)) == expected

@@ -25,8 +25,9 @@ from repro.skinner.multiway_join import MultiwayJoin
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
-from tests.conftest import reference_join_tuples
+from tests.conftest import add_rows, index_tuples, reference_join_tuples, result_tuples
 from tests.test_properties import catalog_and_query
+from tests.oracles.join_orders import valid_join_orders
 
 
 class TupleSetOracle:
@@ -90,23 +91,23 @@ def test_result_set_matches_the_set_of_tuples_oracle(script):
     oracle = TupleSetOracle()
     for name, argument in operations:
         if name == "add":
-            assert results.add(argument) == bool(oracle.add_all([argument]))
+            assert add_rows(results, [argument]) == oracle.add_all([argument])
         elif name == "add_many":
-            assert results.add_many(iter(argument)) == oracle.add_all(argument)
+            assert add_rows(results, iter(argument)) == oracle.add_all(argument)
         elif name == "add_batch":
             matrix = np.array(argument, dtype=np.int64).reshape(-1, width)
-            assert results.add_batch(matrix) == oracle.add_all(argument)
+            assert add_rows(results, matrix) == oracle.add_all(argument)
         else:
             assert _as_tuples(results.drain_new()) == oracle.drain()
         assert len(results) == len(oracle.seen)
     assert _as_tuples(results.to_matrix()) == sorted(oracle.seen)
-    assert results.tuples() == oracle.journal  # discovery order, never drained
+    assert result_tuples(results) == oracle.journal  # discovery order, never drained
     assert _as_tuples(results.drain_new()) == oracle.drain()
     assert results.drain_new().shape == (0, width)
     for probe in oracle.journal[:5] + [tuple([2] * width), tuple([7] * width)]:
-        assert (probe in results) == (probe in oracle.seen)
+        assert (probe in result_tuples(results)) == (probe in oracle.seen)
     assert results.estimated_bytes() == 8 * width * len(oracle.seen)
-    assert [tuple(row) for row in results.to_relation().index_tuples()] == sorted(oracle.seen)
+    assert [tuple(row) for row in index_tuples(results.to_relation())] == sorted(oracle.seen)
 
 
 def test_row_count_product_beyond_int64_still_sorts_like_tuples():
@@ -115,18 +116,18 @@ def test_row_count_product_beyond_int64_still_sorts_like_tuples():
     matrix = rng.integers(0, 2**40, size=(400, 8), dtype=np.int64)
     matrix[:, :3] = matrix[:, :3] % 2  # long runs of equal leading columns
     results = JoinResultSet(tuple("abcdefgh"))
-    assert results.add_batch(matrix) == len({tuple(row) for row in matrix.tolist()})
+    assert add_rows(results, matrix) == len({tuple(row) for row in matrix.tolist()})
     assert _as_tuples(results.to_matrix()) == sorted({tuple(r) for r in matrix.tolist()})
 
 
 def test_a_batch_that_is_all_new_is_adopted_not_copied():
     results = JoinResultSet(("a", "b"))
     first = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    assert results.add_batch(first) == 2
+    assert add_rows(results, first) == 2
     assert results.drain_new() is first
     # A batch with a repeat (here: across batches) is filtered into a new block.
     second = np.array([[3, 4], [5, 6], [5, 6]], dtype=np.int64)
-    assert results.add_batch(second) == 1
+    assert add_rows(results, second) == 1
     assert _as_tuples(results.drain_new()) == [(5, 6)]
 
 
@@ -134,8 +135,8 @@ def test_wrong_shape_is_refused():
     results = JoinResultSet(("a", "b"))
     for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros(4, dtype=np.int64)):
         with pytest.raises(ValueError, match="batch shape"):
-            results.add_batch(bad)
-    assert len(results) == 0 and (0, 0) not in results
+            results.emit(bad, None)
+    assert len(results) == 0 and (0, 0) not in result_tuples(results)
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +152,7 @@ def test_one_order_run_slice_by_slice_never_emits_a_tuple_twice(
     dropped — re-descended from the index vector."""
     catalog, query = bundle
     prepared = preprocess(catalog, query, build_hash_maps=join_maps)
-    orders = query.join_graph().valid_join_orders()
+    orders = valid_join_orders(query.join_graph())
     order = orders[data.draw(st.integers(0, len(orders) - 1))]
     cardinalities = prepared.cardinalities()
     join = MultiwayJoin(prepared, batch_size=batch_size)
@@ -170,7 +171,7 @@ def test_one_order_run_slice_by_slice_never_emits_a_tuple_twice(
         finished = finished or tracker.offsets[order[0]] >= cardinalities[order[0]]
         slices += 1
         assert slices < 5_000
-    emitted = results.tuples()
+    emitted = result_tuples(results)
     assert len(emitted) == len(set(emitted)) == len(results)
     assert set(emitted) == reference_join_tuples(catalog, query)
     results.to_matrix()
@@ -219,13 +220,13 @@ def test_interleaved_sources_match_the_set_of_tuples_oracle(script):
             used.add(step)
         elif step == len(sources):  # an untagged batch, internal repeats and all
             matrix = np.array(loose, dtype=np.int64).reshape(-1, width)
-            assert results.add_batch(matrix) == oracle.add_all(loose)
+            assert add_rows(results, matrix) == oracle.add_all(loose)
             used.add(None)
         elif step == len(sources) + 1:
             assert _as_tuples(results.drain_new()) == oracle.drain()
         if look:
             assert len(results) == len(oracle.seen)
-    assert results.tuples() == oracle.journal
+    assert result_tuples(results) == oracle.journal
     assert _as_tuples(results.to_matrix()) == sorted(oracle.seen)
     assert _as_tuples(results.drain_new()) == oracle.drain()
     assert len(results) == len(oracle.seen)

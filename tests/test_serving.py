@@ -26,8 +26,8 @@ from repro.engine.statement_cache import StatementCache
 from repro.errors import ReproError
 from repro.query.parser import parse_query
 from repro.query.expressions import Star
-from repro.query.predicates import Predicate, udf_predicate
-from repro.query.query import AggregateSpec, SelectItem, make_query
+from repro.query.predicates import Predicate
+from repro.query.query import AggregateSpec, SelectItem
 from repro.query.udf import UdfRegistry
 from repro.serving import QueryServer, SessionState
 from repro.serving.cache import join_graph_signature, query_fingerprint, result_bytes
@@ -41,6 +41,8 @@ from repro.workloads.generators import make_rng
 from benchmarks.paper.baselines import EddyEngine
 
 from test_postprocess_columnar import assert_tables_identical
+from benchmarks.paper.queries import make_query
+from tests.conftest import udf_predicate
 
 #: Small budgets so every query needs several episodes — otherwise the
 #: scheduler has nothing to interleave and the tests prove nothing.

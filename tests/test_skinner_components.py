@@ -12,6 +12,8 @@ from repro.skinner.reward import scaled_delta_reward
 from repro.skinner.state import JoinState, clamp_in_place, initial_state
 from repro.skinner.timeouts import PyramidTimeoutScheme
 from repro.uct.tree import UctJoinTree
+from tests.conftest import add_rows, index_tuples, result_tuples
+from tests.oracles.uct import subtree_size, tracker_nodes
 
 CARDS = {"a": 10, "b": 20, "c": 5}
 
@@ -103,26 +105,26 @@ class TestRewards:
 class TestResultSet:
     def test_deduplicates(self):
         results = JoinResultSet(("a", "b"))
-        assert results.add((1, 2))
-        assert not results.add((1, 2))
-        assert results.add((1, 3))
+        assert add_rows(results, [(1, 2)])
+        assert not add_rows(results, [(1, 2)])
+        assert add_rows(results, [(1, 3)])
         assert len(results) == 2
 
     def test_add_many_counts_new(self):
         results = JoinResultSet(("a",))
-        assert results.add_many([(1,), (2,), (1,)]) == 2
+        assert add_rows(results, [(1,), (2,), (1,)]) == 2
 
     def test_to_relation_round_trip(self):
         results = JoinResultSet(("a", "b"))
-        results.add((5, 6))
-        results.add((1, 2))
+        add_rows(results, [(5, 6)])
+        add_rows(results, [(1, 2)])
         relation = results.to_relation()
-        assert set(relation.index_tuples(["a", "b"])) == {(1, 2), (5, 6)}
+        assert set(index_tuples(relation, ["a", "b"])) == {(1, 2), (5, 6)}
 
     def test_contains_and_bytes(self):
         results = JoinResultSet(("a", "b"))
-        results.add((1, 2))
-        assert (1, 2) in results
+        add_rows(results, [(1, 2)])
+        assert (1, 2) in result_tuples(results)
         assert results.estimated_bytes() == 16
 
 
@@ -170,7 +172,7 @@ class TestProgressTracker:
         tracker.backup(JoinState(("a", "b", "c"), [1, 1, 1]))
         tracker.backup(JoinState(("b", "a", "c"), [2, 2, 2]))
         # One leaf per join order with a stored state.
-        assert sum(1 for node in tracker._nodes() if not node.children) == 2
+        assert sum(1 for node in tracker_nodes(tracker) if not node.children) == 2
         assert tracker.node_count() > 1
         assert tracker.estimated_bytes() > 0
 
@@ -191,10 +193,10 @@ def test_node_and_byte_counters_equal_a_fresh_walk(seed):
         order = tree.choose_order()
         tree.update(order, rng.random())
         tracker.backup(JoinState(order, [rng.randrange(9) for _ in order]))
-    walked = tracker._nodes()
+    walked = tracker_nodes(tracker)
     assert tracker.node_count() == 1 + len(walked)
     assert tracker.estimated_bytes() == sum(8 * len(node.best_prefix_state) for node in walked)
-    assert tree.node_count() == tree.root.subtree_size()
+    assert tree.node_count() == subtree_size(tree.root)
 
 
 class TestPyramidTimeouts:
@@ -224,7 +226,7 @@ class TestPyramidTimeouts:
         total = 0
         for _ in range(2000):
             total += 2 ** scheme.next_timeout().level
-        assert scheme.levels_used() <= math.log2(total) + 1
+        assert len(scheme.time_per_level()) <= math.log2(total) + 1
 
     def test_levels_follow_algorithm_1_to_the_letter(self):
         """``next_timeout`` picks ``max{L | forall l < L: n_l >= n_L + 2^L}``

@@ -25,6 +25,7 @@ from repro.workloads.job import make_job_workload
 from benchmarks.paper.ablations import RandomOrderTask, SkinnerCVariant
 from tests.conftest import result_multiset
 from tests.test_properties import catalog_and_query
+from tests.oracles.uct import selection_counts
 
 BASE = 16
 
@@ -50,7 +51,7 @@ def traced_slices():
             before = task.join_meter.tuples_scanned
             task.run_episode()
             slices.append((task.trace_records[-1], task.join_meter.tuples_scanned - before))
-        runs.append((task.finalize().metrics, slices, task.tree.selection_counts()))
+        runs.append((task.finalize().metrics, slices, selection_counts(task.tree)))
     return runs
 
 

@@ -35,6 +35,7 @@ from repro.skinner.skinner_c import SkinnerC
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from benchmarks.paper.baselines import EddyEngine
+from tests.conftest import lru_items, statement_versions
 
 FAST = SkinnerConfig(
     slice_budget=32, batches_per_table=3, base_timeout=150, serving_warm_start=False
@@ -154,7 +155,7 @@ class TestWarmEqualsCold:
 
 class TestWritesLeaveNothingStale:
     def _assert_current(self, conn) -> None:
-        held = StatementCache.of(conn.catalog).versions()
+        held = statement_versions(StatementCache.of(conn.catalog))
         assert held
         assert held == {name: conn.catalog.version(name) for name in held}
 
@@ -162,12 +163,12 @@ class TestWritesLeaveNothingStale:
         conn = connect(FAST, autocommit=True, **backend)
         conn.create_table("t", {"x": [1, 2, 3]})
         assert _count(conn) == 2
-        entries = len(StatementCache.of(conn.catalog))
+        entries = len(StatementCache.of(conn.catalog).lru)
         for values in ([5, 6, 7, 8], [0, 1], [9] * 5):
             conn.create_table("t", {"x": values}, replace=True)
             assert _count(conn) == sum(value > 1 for value in values)
             self._assert_current(conn)
-            assert len(StatementCache.of(conn.catalog)) == entries
+            assert len(StatementCache.of(conn.catalog).lru) == entries
         conn.close()
 
     def test_rollback(self, backend):
@@ -201,7 +202,7 @@ class TestWritesLeaveNothingStale:
         assert _count(conn) == 2
         conn.drop_table("t")
         conn.parse("SELECT u.y FROM u")
-        assert "t" not in StatementCache.of(conn.catalog).versions()
+        assert "t" not in statement_versions(StatementCache.of(conn.catalog))
         conn.close()
 
     def test_a_reregistered_udf_changes_the_answer(self, backend):
@@ -285,7 +286,7 @@ def test_the_byte_bound_holds_under_a_flood_of_predicates(monkeypatch):
         assert len(kept) == cut // 30 + 1
         query = parse_query(sql, conn.catalog)
         assert prepared.key == query.prepared_key
-        entries = dict(cache.lru.items())
+        entries = dict(lru_items(cache.lru))
         held.append(prepared.key in entries)
         assert held[-1] == (prepared.nbytes + ENTRY_BYTES <= bound), cut
         if not held[-1]:

@@ -6,12 +6,12 @@ from repro.optimizer.cardinality import EstimatedCardinality
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.expressions import ColumnRef, FunctionCall
 from repro.query.predicates import Predicate, column_compare_literal, column_equals_column
-from repro.query.query import make_query
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from benchmarks.paper.oracle import TrueCardinality
 from tests.conftest import reference_join_count
+from benchmarks.paper.queries import make_query
 
 
 @pytest.fixture

@@ -29,9 +29,8 @@ from repro.errors import CatalogError
 from repro.net.server import ServerThread
 from repro.skinner import parallel
 from repro.skinner.parallel import shutdown_workers
-from repro.storage import parse_count
 from repro.storage.buffer import PageCache
-from repro.storage.loader import save_csv
+from benchmarks.paper.experiments_storage import parse_count, save_csv
 from repro.storage.table import Table
 
 #: Mirrors the FAST config of test_api_cursor.py: quick convergence, no

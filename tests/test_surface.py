@@ -17,17 +17,20 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro import Connection, Cursor, EngineSpec, QueryServer, SkinnerConfig, connect
-from repro.api import BUILTIN_SPECS, engine_names
+from repro.api import BUILTIN_SPECS, DEFAULT_REGISTRY
 from repro.api.settings import SETTINGS
 from repro.api.transport import LocalTransport, Transport
-from repro.engine.operators import hash_join_step
+from repro.engine.operators import hash_join_candidates
 from repro.engine.postprocess import post_process
 from repro.engine.task import EngineTask
 from repro.net.client import RemoteTransport
 from repro.net.protocol import PROTOCOL_VERSION
 from repro.net.server import ReproServer
+from tests.conftest import lru_items
 
 CONFIG_FIELDS = {
     # Skinner-C
@@ -285,12 +288,12 @@ def test_the_package_is_the_engine():
     assert offenders == []
     modules = {info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")}
     assert not {"repro.bench", "repro.external.postgres_adapter"} & modules
-    for operator in (hash_join_step, post_process):
+    for operator in (hash_join_candidates, post_process):
         assert "mode" not in inspect.signature(operator).parameters, operator.__name__
 
 
 def test_the_package_serves_exactly_these_engines():
-    assert engine_names() == BUILTIN_ENGINES
+    assert DEFAULT_REGISTRY.names() == BUILTIN_ENGINES
     assert tuple(spec.name for spec in BUILTIN_SPECS) == BUILTIN_ENGINES
 
 
@@ -579,7 +582,7 @@ def test_hash_jump_edges_live_on_their_prepared_statement_only():
         assert task.finalize().table.row_tuples()[0][0] > 0
         assert task.prepared._edge_cache, "the statement built no edge"
     cache = StatementCache.of(catalog)
-    entries = cache.lru.items()
+    entries = lru_items(cache.lru)
     assert {key[0] for key, _ in entries} <= {"sql", "filter", "map", "prepared"}
     assert cache.nbytes == sum(entry.nbytes for _, entry in entries)
 
@@ -597,3 +600,129 @@ def test_the_cache_scan_sees_each_offence(tmp_path):
         "classes.py:1: defines JoinOrderCache",
         "ordered.py:1: imports OrderedDict",
     ]
+
+
+#: Members that left ``src/`` because no product path ran them: deleted with
+#: the tests that checked only them, or moved to ``tests/oracles/``,
+#: ``tests/conftest.py`` or ``benchmarks/paper/`` (``benchmarks/reach.py``).
+RETIRED_MEMBERS = {
+    # deleted: only their own unit tests called them
+    "JoinGraph.count_join_orders", "JoinGraph.is_connected", "JoinGraph.predicates_between",
+    "JoinGraph.neighbors", "Query.output_columns", "Query.has_post_processing",
+    "group_rows", "GroupedRows", "RowIdRelation.from_index_tuples", "RowIdRelation.empty",
+    "PyramidTimeoutScheme.levels_used", "PyramidTimeoutScheme.base_timeout",
+    "LeftDeepPlan.display", "LeftDeepPlan.num_tables", "CostMeter.charge",
+    "WorkLedger.snapshot", "UctJoinTree.exploration_weight", "Connection.in_transaction",
+    "AdmissionController.max_inflight", "FairScheduler.active", "UdfRegistry.names",
+    "Workload.query_names", "Table.from_rows", "Table.renamed", "Table.select",
+    "Table.filter_mask", "Table.column_types", "Column.__eq__", "Column.__hash__",
+    "Column.raw", "Column.isin", "Column.min_max", "engine_names", "BufferManager.data_dir",
+    "DurableBufferManager.data_dir", "DbmsAdapter.interrupt", "SqliteAdapter.interrupt",
+    "DbmsAdapter.__enter__", "DbmsAdapter.__exit__", "Star.tables", "Star.columns",
+    "Cursor.__repr__", "Table.__len__", "Table.__repr__", "Column.__repr__",
+    "RowIdRelation.__repr__", "UctNode.__repr__", "FairScheduler.__len__",
+    "UdfRegistry.__len__", "QueryResult.__len__", "StatementCache.__len__",
+    "Expression.__str__", "Predicate.__str__", "Query.__str__", "LeftDeepPlan.__str__",
+    # the tuple-at-a-time leftovers of the join map and the result set
+    "GroupedJoinMap.get", "GroupedJoinMap._encode_probe", "GroupedJoinMap.__contains__",
+    "GroupedJoinMap.__len__", "JoinResultSet.add", "JoinResultSet.add_many",
+    "JoinResultSet.add_batch", "JoinResultSet.__contains__", "JoinResultSet.tuples",
+    # moved: the harness's (benchmarks/paper/) and the tests' (tests/)
+    "PlanExecutor.restricted", "_restrict_query", "hash_join_step", "make_query",
+    "udf_predicate", "Expression.evaluate", "ColumnRef.evaluate", "Literal.evaluate",
+    "FunctionCall.evaluate", "Star.evaluate", "Predicate.evaluate", "RowIdRelation.binding",
+    "RowIdRelation.index_tuples", "PreprocessedQuery.base_row", "ucb_score",
+    "UctJoinTree.selection_counts", "UctNode.subtree_size", "ProgressTracker._nodes",
+    "JoinGraph.valid_join_orders", "MultiwayJoin.parked_frame_sets", "StatementCache.versions",
+    "VersionedLru.items", "parse_count", "save_csv", "to_xml",
+}
+
+
+def _retired_offenders(package: Path) -> list[str]:
+    """Where a module under ``package`` defines a retired member, by
+    qualified name (``Class.method``, or a module-level name)."""
+    offenders = []
+
+    def visit(body: list[ast.stmt], prefix: str, where: Path) -> None:
+        for node in body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + node.name
+                if name in RETIRED_MEMBERS:
+                    offenders.append(f"{where}:{node.lineno}: defines {name}")
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{name}.", where)
+
+    for path in sorted(package.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")).body, "",
+              path.relative_to(package))
+    return offenders
+
+
+def test_members_no_product_path_ran_stay_out_of_the_package():
+    import repro.api
+    import repro.engine
+    import repro.storage
+    import repro.uct
+
+    assert _retired_offenders(Path(repro.__file__).parent) == []
+    exported = (set(repro.engine.__all__) | set(repro.uct.__all__) | set(repro.api.__all__)
+                | set(repro.storage.__all__))
+    assert not exported & RETIRED_MEMBERS
+
+
+def test_the_retired_member_scan_sees_each_offence(tmp_path):
+    (tmp_path / "query.py").write_text(
+        "def make_query():\n    pass\n\n\nclass JoinGraph:\n"
+        "    def neighbors(self):\n        pass\n\n    def eligible_next(self):\n"
+        "        pass\n")
+    (tmp_path / "kernels.py").write_text(
+        "class GroupedRows:\n    pass\n\n\nclass Other:\n    def neighbors(self):\n"
+        "        pass\n")
+    assert _retired_offenders(tmp_path) == [
+        "kernels.py:1: defines GroupedRows",
+        "query.py:1: defines make_query",
+        "query.py:6: defines JoinGraph.neighbors",
+    ]
+
+
+def test_every_reach_allowlist_line_names_a_src_function_and_a_reason():
+    """``benchmarks/reach_allowlist.txt``: each unreached function that may
+    stay, with one of the four kinds of reason.  A line naming a function
+    ``src/`` no longer defines is stale."""
+    from benchmarks.reach import REASON_KINDS, functions, read_allowlist
+
+    defined = {f"{path}:{name}" for path, defs in functions().items()
+               for name in defs.values()}
+    entries = read_allowlist()
+    assert entries
+    assert sorted(set(entries) - defined) == []
+    assert {name for name, (kind, _) in entries.items() if kind not in REASON_KINDS} == set()
+    assert {name for name, (_, reason) in entries.items() if not reason} == set()
+
+
+def test_the_reach_gate_reports_each_def_no_pass_ran():
+    """``benchmarks/reach.py`` names, by path and qualified name, each
+    outermost def of ``src/`` whose code no pass ran, and nothing else."""
+    from benchmarks.reach import ROOT, functions, unreached
+
+    found = functions()
+    ran = {(str(ROOT / path), line) for path, defs in found.items() for line in defs}
+    assert unreached(ran) == []
+    missed = [(path, line, name) for path, defs in sorted(found.items())
+              for line, name in sorted(defs.items())][::97]
+    assert len(missed) > 5
+    assert unreached(ran - {(str(ROOT / path), line) for path, line, _ in missed}) == [
+        f"{path}:{name}" for path, _, name in missed]
+
+
+def test_the_reach_allowlist_reads_kind_and_reason_and_refuses_a_repeat(tmp_path):
+    from benchmarks.reach import read_allowlist
+
+    path = tmp_path / "allowlist.txt"
+    line = "src/repro/a.py:A.f input: only a query above the DP's table limit\n"
+    path.write_text("# comment\n\n" + line)
+    assert read_allowlist(path) == {
+        "src/repro/a.py:A.f": ("input", "only a query above the DP's table limit")}
+    path.write_text(line + line)
+    with pytest.raises(ValueError, match="listed twice"):
+        read_allowlist(path)

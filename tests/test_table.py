@@ -1,9 +1,12 @@
 """Unit tests for tables."""
 
-import numpy as np
 import pytest
 
+from repro import connect
+from repro.engine.meter import CostMeter
+from repro.engine.operators import filter_table
 from repro.errors import CatalogError, SchemaError
+from repro.query.predicates import column_compare_literal
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
@@ -23,7 +26,6 @@ class TestConstruction:
 
     def test_num_rows(self, people):
         assert people.num_rows == 3
-        assert len(people) == 3
 
     def test_mismatched_lengths_raise(self):
         with pytest.raises(SchemaError):
@@ -34,18 +36,24 @@ class TestConstruction:
         assert table.column("x").ctype is ColumnType.INT
 
     def test_from_rows(self):
-        table = Table.from_rows("t", ["a", "b"], [(1, "x"), (2, "y")])
+        rows = [(1, "x"), (2, "y")]
+        table = Table("t", dict(zip(["a", "b"], zip(*rows))))
         assert table.num_rows == 2
         assert table.row(1) == {"a": 2, "b": "y"}
+        assert table.row_tuples() == rows
 
     def test_empty_table(self):
         table = Table("empty", {"a": []})
         assert table.num_rows == 0
 
     def test_renamed_view(self, people):
-        alias = people.renamed("p2")
-        assert alias.name == "p2"
-        assert alias.num_rows == people.num_rows
+        # A query names the table under an alias, which reads all its rows.
+        conn = connect()
+        conn.add_table(people)
+        cursor = conn.cursor()
+        cursor.execute("SELECT p2.name FROM people p2")
+        assert sorted(cursor.fetchall()) == [("ann",), ("bob",), ("cid",)]
+        assert cursor.rowcount == people.num_rows
 
 
 class TestAccess:
@@ -64,20 +72,12 @@ class TestAccess:
         assert not people.has_column("salary")
 
     def test_column_types(self, people):
-        types = people.column_types()
-        assert types["id"] is ColumnType.INT
-        assert types["name"] is ColumnType.STRING
+        assert people.column("id").ctype is ColumnType.INT
+        assert people.column("name").ctype is ColumnType.STRING
 
 
 class TestBulkOperations:
-    def test_select_positions(self, people):
-        subset = people.select([2, 0])
-        assert subset.column("name").values() == ["cid", "ann"]
-
     def test_filter_mask(self, people):
-        filtered = people.filter_mask(np.array([True, False, True]))
-        assert filtered.column("id").values() == [1, 3]
-
-    def test_filter_mask_wrong_length_raises(self, people):
-        with pytest.raises(SchemaError):
-            people.filter_mask(np.array([True]))
+        positions = filter_table(people, "p", [column_compare_literal("p", "age", "!=", 25)],
+                                 CostMeter())
+        assert people.column("id").take(positions).values() == [1, 3]

@@ -14,12 +14,12 @@ from repro.api.registry import EngineContext
 from repro.config import SkinnerConfig
 from repro.engine.task import GeneratorTask
 from repro.query.predicates import column_compare_literal
-from repro.query.query import make_query
 from repro.skinner import parallel
 from repro.skinner.parallel import ParallelSkinnerCTask, shutdown_workers
 from repro.skinner.skinner_c import SkinnerC
 from benchmarks.paper.ablations import SkinnerCVariant
 from tests.oracles import forced_order
+from benchmarks.paper.queries import make_query
 
 #: Small budgets, so nearly every engine's run takes more than three episodes.
 CONFIG = SkinnerConfig(slice_budget=8, batches_per_table=3, base_timeout=5)

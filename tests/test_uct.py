@@ -5,14 +5,12 @@ import math
 import pytest
 
 from repro.query.predicates import column_equals_column
-from repro.query.query import make_query
 from repro.uct.node import UctNode
-from repro.uct.policy import (
-    DEFAULT_EXPLORATION_WEIGHT,
-    SKINNER_C_EXPLORATION_WEIGHT,
-    ucb_score,
-)
+from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT, SKINNER_C_EXPLORATION_WEIGHT
 from repro.uct.tree import UctJoinTree
+from tests.oracles.join_orders import valid_join_orders
+from tests.oracles.uct import selection_counts, subtree_size, ucb_score
+from benchmarks.paper.queries import make_query
 
 
 def chain_graph(num_tables: int):
@@ -59,7 +57,7 @@ class TestNode:
         node = UctNode(())
         node.add_child("a").add_child("b")
         node.add_child("c")
-        assert node.subtree_size() == 4
+        assert subtree_size(node) == 4
 
 
 class TestTree:
@@ -73,7 +71,7 @@ class TestTree:
     def test_orders_avoid_cartesian_products(self):
         graph = chain_graph(5)
         tree = UctJoinTree(graph, seed=2)
-        valid = set(graph.valid_join_orders())
+        valid = set(valid_join_orders(graph))
         for _ in range(50):
             assert tree.choose_order() in valid
 
@@ -112,7 +110,7 @@ class TestTree:
         for _ in range(300):
             order = tree.choose_order()
             tree.update(order, 1.0 if order[0] == "t0" else 0.0)
-        counts = tree.selection_counts()
+        counts = selection_counts(tree)
         starting_t0 = sum(c for order, c in counts.items() if order[0] == "t0")
         assert starting_t0 > 0.7 * sum(counts.values())
         assert tree.best_order()[0] == "t0"
@@ -122,7 +120,7 @@ class TestTree:
         tree = UctJoinTree(graph, seed=7)
         for _ in range(10):
             tree.update(tree.choose_order(), 0.5)
-        counts = tree.selection_counts()
+        counts = selection_counts(tree)
         assert sum(counts.values()) == 10
         top = tree.top_orders(2)
         assert len(top) <= 2
@@ -190,5 +188,5 @@ def test_remembering_full_expansion_changes_no_selection(num_tables, weight, war
             tree.update(orders[0], reward)
     assert trees[0]._rng.getstate() == trees[1]._rng.getstate()
     # The reference grows nodes behind the tree's counter: compare walks.
-    assert trees[0].root.subtree_size() == trees[1].root.subtree_size() == trees[1].node_count()
+    assert subtree_size(trees[0].root) == subtree_size(trees[1].root) == trees[1].node_count()
     assert trees[1].root.fully_expanded

@@ -29,6 +29,7 @@ from repro.engine.versioned_lru import ENTRY_BYTES, VersionedLru
 from repro.query.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from tests.conftest import lru_items
 
 BOUND = 4 * ENTRY_BYTES
 
@@ -105,7 +106,7 @@ def test_the_cache_matches_a_plain_dict_model(operations):
                 cache.put(key, (key, versions(tables)), tables, nbytes)
                 model.put(key, tables, nbytes)
                 if nbytes + ENTRY_BYTES > BOUND:
-                    assert key not in dict(cache.items())
+                    assert key not in dict(lru_items(cache))
             elif kind == "get":
                 key = operation[1]
                 value = cache.get(key)
@@ -122,7 +123,7 @@ def test_the_cache_matches_a_plain_dict_model(operations):
             else:
                 udfs.register("keep", abs, replace=True)
             model.sync()
-            held = list(cache.items())
+            held = list(lru_items(cache))
             assert [key for key, _ in held] == list(model.entries)
             assert [(entry.tables, entry.versions, entry.nbytes) for _, entry in held] == list(
                 model.entries.values())
@@ -150,9 +151,9 @@ def test_a_put_that_cannot_stay_evicts_no_other_entry(operations):
                 cache.get(operation[1])
                 continue
             _, key, nbytes = operation
-            others = [(held, entry.nbytes) for held, entry in cache.items() if held != key]
+            others = [(held, entry.nbytes) for held, entry in lru_items(cache) if held != key]
             cache.put(key, key, ("a",), nbytes)
-            after = [(held, entry.nbytes) for held, entry in cache.items()]
+            after = [(held, entry.nbytes) for held, entry in lru_items(cache)]
             assert cache.nbytes == sum(charge for _, charge in after) <= BOUND
             if nbytes + ENTRY_BYTES > BOUND:
                 assert after == others, "a refused put evicted another entry"

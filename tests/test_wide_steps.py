@@ -34,6 +34,7 @@ from repro.workloads.generators import make_rng
 from repro.workloads.job import make_job_workload
 from tests.oracles import NarrowJoin
 from tests.test_batched_join import BATCH_SIZES, SEEDS, SHAPES, build_case
+from tests.conftest import parked_frame_sets
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +153,7 @@ def run_lockstep(prepared, order, batch_size, budget, udfs=None, *, offsets=None
             done = run["join"].continue_join(run["state"], offsets, budget, run["results"],
                                              run["meter"])
             ends.append((done, tuple(run["state"].indices), run["meter"].snapshot(),
-                         run["results"].drain_new().tolist(), run["join"].parked_frame_sets()))
+                         run["results"].drain_new().tolist(), parked_frame_sets(run["join"])))
         slices += 1
         assert ends[1] == ends[0], f"slice {slices}"
         finished = ends[0][0]

@@ -13,6 +13,7 @@ from repro.workloads.torture import (
     make_udf_torture,
 )
 from repro.workloads.tpch import QUERY_NAMES, make_tpch_workload
+from tests.oracles.join_orders import valid_join_orders
 
 FAST = SkinnerConfig(slice_budget=64, batches_per_table=3, base_timeout=200)
 
@@ -42,7 +43,7 @@ class TestGeneratorHelpers:
         assert workload.query(name).name == name
         with pytest.raises(KeyError):
             workload.query("missing")
-        assert workload.query_names() == [name]
+        assert [q.name for q in workload.queries] == [name]
 
 
 class TestJobWorkload:
@@ -87,7 +88,7 @@ class TestJobWorkload:
 class TestTpchWorkload:
     def test_contains_the_ten_paper_queries(self):
         workload = make_tpch_workload(scale=0.2)
-        assert workload.query_names() == list(QUERY_NAMES)
+        assert [q.name for q in workload.queries] == list(QUERY_NAMES)
 
     def test_schema_tables_present(self):
         workload = make_tpch_workload(scale=0.2)
@@ -98,7 +99,7 @@ class TestTpchWorkload:
     def test_udf_variant_registers_udfs_and_matches_standard(self):
         standard = make_tpch_workload(scale=0.2, variant="standard")
         udf = make_tpch_workload(scale=0.2, variant="udf")
-        assert len(udf.udfs) > 0
+        assert udf.udfs.version > 0
         for name in ("q3", "q11", "q18"):
             plain_engine = TraditionalEngine(standard.catalog, standard.udfs)
             udf_engine = SkinnerC(udf.catalog, udf.udfs, FAST)
@@ -149,7 +150,7 @@ class TestTortureWorkloads:
         query = workload.queries[0].query
         engine = TraditionalEngine(workload.catalog, workload.udfs)
         costs = []
-        for order in query.join_graph().valid_join_orders():
+        for order in valid_join_orders(query.join_graph()):
             result = engine.execute_with_order(query, order)
             costs.append(result.metrics.intermediate_cardinality)
         assert max(costs) <= 3 * max(1, min(costs))
