@@ -7,8 +7,8 @@ recovers from disk and ``load_csv`` becomes a fingerprint check.  The
 experiment measures both paths on the same workload and cross-checks the
 acceptance properties on every run:
 
-* the warm start performs **zero** CSV parses (:func:`parse_count`
-  is unchanged across the warm ingest);
+* the warm start performs **zero** CSV parses (:func:`counted_parses`
+  sees none during the warm ingest);
 * rows and meter charges are byte-identical across cold, warm, and a plain
   in-memory reference connection.
 
@@ -19,10 +19,12 @@ should a run die mid-way).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import shutil
 import tempfile
 import time
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
@@ -41,9 +43,26 @@ _BENCH_CONFIG = SkinnerConfig(slice_budget=200, serving_warm_start=False)
 _TABLES = ("a", "b", "c")
 
 
-def parse_count() -> int:
-    """Number of CSV files fully parsed by this process so far."""
-    return loader._PARSE_COUNT
+@contextlib.contextmanager
+def counted_parses() -> Iterator[list[Path]]:
+    """The CSV files parsed while the block runs, one entry per parse.
+
+    ``Connection.load_csv`` looks ``repro.storage.loader.load_csv`` up when
+    it is called, so the block's loads go through the counting wrapper put
+    there; the loader itself keeps no count.
+    """
+    parsed: list[Path] = []
+    original = loader.load_csv
+
+    def load_csv(path: str | Path, *args: Any, **kwargs: Any) -> Table:
+        parsed.append(Path(path))
+        return original(path, *args, **kwargs)
+
+    loader.load_csv = load_csv
+    try:
+        yield parsed
+    finally:
+        loader.load_csv = original
 
 
 def save_csv(table: Table, path: str | Path) -> None:
@@ -117,23 +136,23 @@ def cold_vs_warm_start(tuples_per_table: int = 3_000, seed: int = 31) -> dict[st
         csv_paths = _write_workload_csvs(csv_dir, tuples_per_table, seed)
 
         # -- cold: parse CSVs, persist columns, answer the workload.
-        cold_parses = parse_count()
         started = time.perf_counter()
         cold = connect(_BENCH_CONFIG, data_dir=data_dir)
-        _ingest(cold, csv_paths)
+        with counted_parses() as parsed:
+            _ingest(cold, csv_paths)
         cold_load = time.perf_counter() - started
-        cold_parses = parse_count() - cold_parses
+        cold_parses = len(parsed)
         cold_results = _run_workload(cold)
         cold.close()
 
         # -- warm: a fresh connection over the same data_dir.  The same
         # load_csv calls must resolve via fingerprints without parsing.
-        warm_parses = parse_count()
         started = time.perf_counter()
         warm = connect(_BENCH_CONFIG, data_dir=data_dir)
-        _ingest(warm, csv_paths)
+        with counted_parses() as parsed:
+            _ingest(warm, csv_paths)
         warm_load = time.perf_counter() - started
-        warm_parses = parse_count() - warm_parses
+        warm_parses = len(parsed)
         if warm_parses != 0:
             raise AssertionError(
                 f"warm start re-parsed {warm_parses} CSV files; expected 0"

@@ -620,7 +620,9 @@ class Connection:
         them would drop the caller's bindings without a trace.
         """
         if isinstance(query, str):
-            return self.parse(query, params)
+            # What parse() checks first, its callers have: an open, local
+            # connection.
+            return StatementCache.of(self.catalog).parse(query, params)
         if params:
             raise ReproError(
                 "parameters require SQL text; a prebuilt Query has its "

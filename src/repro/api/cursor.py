@@ -74,6 +74,8 @@ class Cursor:
         self.arraysize = 1
         self.engine = engine if engine is not None else connection.default_engine
         self._ticket: int | None = None
+        #: The current query's output columns, made ``description`` when read.
+        self._columns: tuple[str, ...] | None = None
         self._description: list[tuple] | None = None
         #: Rows iteration has fetched and not handed out yet, last row first.
         self._ahead: list[tuple[Any, ...]] = []
@@ -87,6 +89,8 @@ class Cursor:
     @property
     def description(self) -> list[tuple] | None:
         """Per-column 7-tuples ``(name, type_code, ...)`` of the last query."""
+        if self._description is None and self._columns is not None:
+            self._description = [(name,) + _DESCRIPTION_PAD for name in self._columns]
         return self._description
 
     @property
@@ -148,7 +152,7 @@ class Cursor:
             self._release(previous)
             raise
         self._ticket = handle.ticket
-        self._description = [(name,) + _DESCRIPTION_PAD for name in handle.columns]
+        self._columns = handle.columns
         return self
 
     def executemany(
@@ -262,7 +266,7 @@ class Cursor:
         which the caller releases server-side."""
         ticket = self._ticket
         self._ticket = None
-        self._description = None
+        self._columns = self._description = None
         self._ahead = []
         self._drained = False
         return ticket

@@ -66,11 +66,13 @@ class CostMeter:
     intermediate_tuples: int = 0
     output_tuples: int = 0
     udf_invocations: int = 0
-    #: Running sum of the six counters (kept by every method that moves one).
-    _total: int = field(default=0, init=False, repr=False)
+    #: Total unweighted work units charged so far: the running sum of the six
+    #: counters, kept by every method that moves one.
+    total: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._total = self.snapshot().total
+        self.total = (self.tuples_scanned + self.predicate_evals + self.hash_probes
+                       + self.intermediate_tuples + self.output_tuples + self.udf_invocations)
 
     # ------------------------------------------------------------------
     # charging
@@ -83,7 +85,7 @@ class CostMeter:
         if amount < 0:
             raise ValueError("cannot charge negative work")
         self.tuples_scanned += amount
-        self._total = total = self._total + amount
+        self.total = total = self.total + amount
         if self.budget is not None and total > self.budget:
             raise BudgetExceeded(spent=total)
 
@@ -92,7 +94,7 @@ class CostMeter:
         if amount < 0:
             raise ValueError("cannot charge negative work")
         self.predicate_evals += amount
-        self._total = total = self._total + amount
+        self.total = total = self.total + amount
         if self.budget is not None and total > self.budget:
             raise BudgetExceeded(spent=total)
 
@@ -101,7 +103,7 @@ class CostMeter:
         if amount < 0:
             raise ValueError("cannot charge negative work")
         self.hash_probes += amount
-        self._total = total = self._total + amount
+        self.total = total = self.total + amount
         if self.budget is not None and total > self.budget:
             raise BudgetExceeded(spent=total)
 
@@ -110,7 +112,7 @@ class CostMeter:
         if amount < 0:
             raise ValueError("cannot charge negative work")
         self.intermediate_tuples += amount
-        self._total = total = self._total + amount
+        self.total = total = self.total + amount
         if self.budget is not None and total > self.budget:
             raise BudgetExceeded(spent=total)
 
@@ -119,7 +121,7 @@ class CostMeter:
         if amount < 0:
             raise ValueError("cannot charge negative work")
         self.output_tuples += amount
-        self._total = total = self._total + amount
+        self.total = total = self.total + amount
         if self.budget is not None and total > self.budget:
             raise BudgetExceeded(spent=total)
 
@@ -128,14 +130,19 @@ class CostMeter:
         if amount < 0:
             raise ValueError("cannot charge negative work")
         self.udf_invocations += amount
-        self._total = total = self._total + amount
+        self.total = total = self.total + amount
         if self.budget is not None and total > self.budget:
             raise BudgetExceeded(spent=total)
 
-    def replay(self, charges: Iterable[tuple[str, int]]) -> None:
+    def replay(self, charges: Iterable[tuple[str, int]],
+               sums: WorkBreakdown | None = None) -> None:
         """Charge again, call by call, what a :class:`ChargeLog` recorded: a
         budget runs out exactly where it ran out (or would have) the first
-        time."""
+        time.  Without a budget nothing runs out: ``sums``, the charges added
+        up where the caller keeps them, go in at once."""
+        if sums is not None and self.budget is None:
+            self.merge(sums)
+            return
         for name, amount in charges:
             getattr(self, name)(amount)
 
@@ -162,11 +169,6 @@ class CostMeter:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    @property
-    def total(self) -> int:
-        """Total unweighted work units charged so far."""
-        return self._total
-
     @property
     def remaining(self) -> int | None:
         """Remaining budget, or ``None`` if unlimited."""
@@ -205,7 +207,7 @@ class CostMeter:
         self.intermediate_tuples += other.intermediate_tuples
         self.output_tuples += other.output_tuples
         self.udf_invocations += other.udf_invocations
-        self._total += other.total
+        self.total += other.total
 
 
 class ChargeLog:

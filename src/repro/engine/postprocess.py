@@ -30,7 +30,7 @@ from repro.engine.meter import CostMeter
 from repro.engine.relation import RowIdRelation
 from repro.engine.vectorized import evaluate_array
 from repro.errors import ExecutionError
-from repro.query.expressions import ColumnRef
+from repro.query.expressions import ColumnRef, Star
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.storage.column import Column, ColumnType
@@ -46,8 +46,8 @@ def post_process(
 ) -> Table:
     """Turn a join result into the final output table of the query."""
     meter = meter if meter is not None else CostMeter()
-    meter.charge_output(len(relation))
     data = _ColumnarData(relation, tables, udfs)
+    meter.charge_output(data.length)
     if query.select_items:
         names = query.output_names()
         sources = [item.expression for item in query.select_items]
@@ -74,11 +74,11 @@ def post_process(
         # Empty results type every column as an empty value list does.
         return Table("result", {name: [] for name in names})
     # The default row of an empty global aggregate has no source to gather.
-    bare = {name: ref for name, ref in zip(names, sources)
-            if isinstance(ref, ColumnRef) and source_rows is not None}
     return Table("result", {
-        name: _output_column(values, bare.get(name), data, source_rows)
-        for name, values in columns.items()
+        name: _output_column(
+            values, ref if source_rows is not None and isinstance(ref, ColumnRef) else None,
+            data, source_rows)
+        for (name, values), ref in zip(columns.items(), sources)
     })
 
 
@@ -151,9 +151,10 @@ def _output_column(
     rows and shares the source's dictionary.  Any other ``object`` array
     (computed strings, UDF results) is typed from its Python values.
     """
-    if np.issubdtype(values.dtype, np.integer):
+    kind = values.dtype.kind
+    if kind in "iu":  # the integer dtypes
         return Column.from_physical(values.astype(np.int64, copy=False), ColumnType.INT)
-    if np.issubdtype(values.dtype, np.floating):
+    if kind == "f":  # the floating ones
         return Column.from_physical(values.astype(np.float64, copy=False), ColumnType.FLOAT)
     if bare is not None:
         source = data.table(bare.table).column(bare.column)
@@ -215,16 +216,20 @@ def _aggregate_columnar(
     else:  # one group, every row in row order: nothing to sort
         sorter = None
         representatives = starts = np.zeros(1, dtype=np.int64)
-        counts = np.full(1, length, dtype=np.int64)
+        counts = np.array([length], dtype=np.int64)
 
     columns: dict[str, np.ndarray] = {}
     for i, item in enumerate(query.select_items):
         if item.is_aggregate:
-            assert item.aggregate is not None
-            values = data.array(item.aggregate.argument)
+            aggregate = item.aggregate
+            assert aggregate is not None
+            if isinstance(aggregate.argument, Star) and aggregate.function.lower() == "count":
+                columns[names[i]] = counts  # COUNT(*) counts rows, never looks at them
+                continue
+            values = data.array(aggregate.argument)
             if sorter is not None:
                 values = values[sorter]
-            columns[names[i]] = _reduce_groups(item.aggregate.function, values, starts, counts)
+            columns[names[i]] = _reduce_groups(aggregate.function, values, starts, counts)
         else:
             assert item.expression is not None
             columns[names[i]] = data.array(item.expression, rows=representatives)

@@ -114,7 +114,7 @@ class StatementCache:
         query = self.lru.get(key)
         if query is None:
             query = parse_query(sql, self._catalog, params)
-            self.lru.put(key, query, tuple(dict.fromkeys(name for _, name in query.tables)))
+            self.lru.put(key, query, query.read_tables)
         return query
 
     def filter(
@@ -186,8 +186,8 @@ class StatementCache:
         entry = self.lru.get(key)
         if entry is None:
             return None, key
-        value, charges = entry
-        meter.replay(charges)
+        value, charges, sums = entry
+        meter.replay(charges, sums)
         return value, key
 
     def keep(self, key: Hashable, value: Any, charges: Sequence[tuple[str, int]]) -> None:
@@ -201,7 +201,9 @@ class StatementCache:
         tables = value.tables.values()
         if all(self._current(table.name, table) for table in tables):
             owners = tuple(dict.fromkeys(table.name for table in tables))
-            self.lru.put(key, (value, tuple(charges)), owners, value.nbytes)
+            sums = CostMeter()
+            sums.replay(charges)
+            self.lru.put(key, (value, tuple(charges), sums.snapshot()), owners, value.nbytes)
 
     def _current(self, name: str, table: Table) -> bool:
         """Whether ``table`` is what the catalog holds under ``name``: what an

@@ -55,6 +55,9 @@ class VersionedLru:
         #: stale entries (-1: none yet).
         self._latest = self._udf_version = -1
         self._nbytes = 0
+        #: :meth:`versions` by tables, at the versions ``_stamp``.
+        self._stamp: tuple[int, int] | None = None
+        self._versions: dict[tuple[str, ...], tuple] = {}
         self.hits = 0
         self.misses = 0
         #: Stale entries dropped.
@@ -107,11 +110,17 @@ class VersionedLru:
 
     def versions(self, tables: tuple[str, ...]) -> tuple:
         """The UDF registry's version (0 without one), then each table's
-        (``None`` if absent): what an entry over ``tables`` is derived from."""
-        catalog = self._catalog
-        udfs = self._udfs.version if self._udfs is not None else 0
-        return (udfs, *(catalog.version(name) if catalog.has_table(name) else None
-                        for name in tables))
+        (``None`` if absent): what an entry over ``tables`` is derived from;
+        read from the catalog once per ``tables`` until the versions move."""
+        catalog, udfs = self._catalog, self._udfs
+        stamp = (catalog.latest_version, udfs.version if udfs is not None else 0)
+        if stamp != self._stamp:
+            self._stamp, self._versions = stamp, {}
+        held = self._versions.get(tables)
+        if held is None:
+            held = self._versions[tables] = (stamp[1], *(
+                catalog.version(name) if catalog.has_table(name) else None for name in tables))
+        return held
 
     def _sync(self) -> None:
         """Drop every stale entry, once per move of the versions."""

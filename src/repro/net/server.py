@@ -358,7 +358,8 @@ class ReproServer:
             version = args.get("version")
             if version != PROTOCOL_VERSION:
                 raise _version_error(version)
-            client.tenant = str(args.get("tenant") or "default")
+            # A missing, null or empty tenant is the default one.
+            client.tenant = _str_arg(args, "tenant", "default") or "default"
             requested = self._admit_settings(args)
         except (OperationalError, InterfaceError) as exc:
             await self._write(writer, request_id, error=exc)

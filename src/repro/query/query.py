@@ -140,7 +140,7 @@ class Query:
         """Table aliases in declaration order."""
         return [alias for alias, _ in self.tables]
 
-    @property
+    @cached_property
     def num_tables(self) -> int:
         """Number of joined tables."""
         return len(self.tables)
@@ -208,7 +208,7 @@ class Query:
     # ------------------------------------------------------------------
     # post-processing structure
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def has_aggregates(self) -> bool:
         """Whether the select list contains aggregates."""
         return any(item.is_aggregate for item in self.select_items)
@@ -228,10 +228,20 @@ class Query:
         keeps its column.
         """
         if self.select_items:
-            return _unique([item.output_name(i) for i, item in enumerate(self.select_items)])
+            return list(self._item_names)
         if catalog is None or not all(catalog.has_table(name) for _, name in self.tables):
             return []
         return self.star_names({alias: catalog.table(name) for alias, name in self.tables})
+
+    @cached_property
+    def _item_names(self) -> tuple[str, ...]:
+        # Named once: a cached parse is named on every submit and post-process.
+        return tuple(_unique([item.output_name(i) for i, item in enumerate(self.select_items)]))
+
+    @cached_property
+    def read_tables(self) -> tuple[str, ...]:
+        """The catalog tables the query reads, each once, in FROM order."""
+        return tuple(dict.fromkeys(name for _, name in self.tables))
 
     def star_names(self, tables: Mapping[str, Any]) -> list[str]:
         """``SELECT *``'s names over ``tables`` (alias to table), made unique

@@ -20,7 +20,8 @@ per-query engines:
   by the join graph.
 
 Entries answer to the catalog's one staleness rule: each keeps the
-versions of the tables its statement read (:func:`read_tables`), and the
+versions of the tables its statement read (:attr:`Query.read_tables
+<repro.query.query.Query.read_tables>`), and the
 UDF registry's, from when the statement's task snapshotted its tables, and
 is dropped by the first lookup after they moved — a write to one table
 leaves the entries over others alone.
@@ -72,11 +73,6 @@ def join_graph_signature(query: Query) -> tuple:
     fingerprint's :meth:`Query.display`.
     """
     return query.join_signature()
-
-
-def read_tables(query: Query) -> tuple[str, ...]:
-    """The catalog tables a query reads, each once, in FROM order."""
-    return tuple(dict.fromkeys(name for _, name in query.tables))
 
 
 def result_bytes(result: QueryResult) -> int:

@@ -52,20 +52,23 @@ class FairScheduler:
         tenant has none); its tenant, if not already active, is aligned to
         the minimum tenant virtual time the same way.
         """
-        peers = [s.virtual_time for s in self._active if s.tenant == session.tenant]
-        if not peers:
-            peers = [s.virtual_time for s in self._active]
-        session.virtual_time = min(peers) if peers else 0.0
-        active_tenants = {s.tenant for s in self._active}
-        if session.tenant not in active_tenants:
-            floor = min(
-                (self._tenant_virtual.get(t, 0.0) for t in active_tenants),
-                default=0.0,
-            )
-            self._tenant_virtual[session.tenant] = max(
-                self._tenant_virtual.get(session.tenant, 0.0), floor
-            )
-        self._active.append(session)
+        active, tenant, tenant_virtual = self._active, session.tenant, self._tenant_virtual
+        own = every = floor = None  # the least virtual times, first found
+        for peer in active:
+            time, other = peer.virtual_time, tenant_virtual.get(peer.tenant, 0.0)
+            if every is None or time < every:
+                every = time
+            if peer.tenant == tenant and (own is None or time < own):
+                own = time
+            if floor is None or other < floor:
+                floor = other
+        if own is not None:
+            session.virtual_time = own
+        else:  # the tenant has no active session: it enters the active set
+            session.virtual_time = every if every is not None else 0.0
+            tenant_virtual[tenant] = max(tenant_virtual.get(tenant, 0.0),
+                                         floor if floor is not None else 0.0)
+        active.append(session)
 
     def remove(self, session: QuerySession) -> None:
         """Drop a session (completed, failed, or cancelled)."""
@@ -106,9 +109,9 @@ class FairScheduler:
         ticket, so the schedule is a pure function of the submission
         sequence and the per-episode charges.
         """
-        if not self._active:
-            return None
         candidates = self._active
+        if len(candidates) < 2:
+            return candidates[0] if candidates else None
         tenants = {s.tenant for s in candidates}
         if len(tenants) > 1:
             winner = min(tenants, key=lambda t: (self._tenant_virtual.get(t, 0.0), t))
@@ -122,9 +125,9 @@ class FairScheduler:
         by one unit, so a session whose episodes are all no-ops cannot pin
         the scheduler; the same floor applies to the tenant clock.
         """
-        charged = max(consumed, 1)
+        charged = consumed if consumed > 1 else 1
         session.virtual_time += charged
-        self._tenant_virtual[session.tenant] = (
-            self._tenant_virtual.get(session.tenant, 0.0)
-            + charged / self.quota(session.tenant)
+        tenant = session.tenant
+        self._tenant_virtual[tenant] = (
+            self._tenant_virtual.get(tenant, 0.0) + charged / self._quotas.get(tenant, 1.0)
         )

@@ -25,7 +25,6 @@ threads — determinism is the feature the tests and benchmarks lean on.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import time
 from dataclasses import replace
@@ -47,7 +46,6 @@ from repro.serving.admission import AdmissionController
 from repro.serving.cache import (
     join_graph_signature,
     query_fingerprint,
-    read_tables,
     result_bytes,
 )
 from repro.serving.scheduler import FairScheduler
@@ -248,8 +246,8 @@ class QueryServer:
         # *and* has fetchable rows (or reaches a terminal state).
         while (
             drive
+            and (session.stream is None or not session.stream.buffered)
             and not session.done
-            and (session.stream is None or not len(session.stream))
         ):
             if not self.step():
                 raise ReproError(f"query {ticket} cannot make progress")
@@ -316,7 +314,6 @@ class QueryServer:
             return False
         task = session.task
         assert task is not None
-        before = session.work_total()
         grant_started = time.perf_counter()
         try:
             session.episodes += 1
@@ -324,8 +321,10 @@ class QueryServer:
             elapsed = time.perf_counter() - grant_started
             session.wall_seconds += elapsed
             self._grant_wall_seconds += elapsed
-            self._grant_wall_max_seconds = max(self._grant_wall_max_seconds, elapsed)
-            self._account(session, session.work_total() - before)
+            if elapsed > self._grant_wall_max_seconds:
+                self._grant_wall_max_seconds = elapsed
+            # Every unit charged before this grant is on the ledger already.
+            self._account(session, task.work_total() - self.ledger.total(session.ticket))
             self._pump_stream(session)
             if session.done:
                 return True  # LIMIT push-down completed the session early
@@ -534,13 +533,6 @@ class QueryServer:
         if session.limit_remaining is not None and session.limit_remaining <= 0:
             self._finish_limited(session)
 
-    def _deliver_result_rows(self, session: QuerySession, result: QueryResult) -> None:
-        """Completion-time delivery: the final table becomes the buffer."""
-        if session.stream is None:
-            session.stream = StreamBuffer(result.table.column_names)
-        session.stream.names = tuple(result.table.column_names)
-        session.stream.push(result.table, self.ledger.grand_total())
-
     def _warm_start_priors(
         self, session: QuerySession, spec: Any
     ) -> tuple[OrderPrior, ...]:
@@ -554,7 +546,7 @@ class QueryServer:
     def _activate(self, session: QuerySession) -> None:
         # Task construction snapshots the input tables; remember at which
         # versions, so completion knows whether the result is still cacheable.
-        session.versions = self.result_cache.versions(read_tables(session.query))
+        session.versions = self.result_cache.versions(session.query.read_tables)
         context = EngineContext(self._catalog, self._udfs, session.config)
         try:
             # resolve() must stay inside the try: a queued session can be
@@ -578,7 +570,7 @@ class QueryServer:
         self._scheduler.add(session)
         # Task construction pre-processes the query; attribute that work to
         # the session now so ledger totals equal the solo-run meter totals.
-        setup_work = session.work_total()
+        setup_work = session.task.work_total()
         if setup_work:
             self._account(session, setup_work)
 
@@ -594,9 +586,8 @@ class QueryServer:
 
     def _account(self, session: QuerySession, consumed: int) -> None:
         self.ledger.record(session.ticket, consumed)
-        self._tenant_work[session.tenant] = (
-            self._tenant_work.get(session.tenant, 0) + consumed
-        )
+        tenant = session.tenant
+        self._tenant_work[tenant] = self._tenant_work.get(tenant, 0) + consumed
         self._scheduler.charge(session, consumed)
 
     def _finish(self, session: QuerySession, result: QueryResult) -> None:
@@ -621,7 +612,12 @@ class QueryServer:
         if session.stream_requested and (
             session.stream is None or not session.stream.incremental
         ):
-            self._deliver_result_rows(session, result)
+            # Completion-time delivery: the final table becomes the buffer.
+            names = result.table.column_names
+            if session.stream is None:
+                session.stream = StreamBuffer(names)
+            session.stream.names = tuple(names)
+            session.stream.push(result.table, session.completed_at_work)
         self._scheduler.discard(session)
         self._release_task(session)
         if session in self._admission.inflight:
@@ -633,7 +629,7 @@ class QueryServer:
         # Cache only what the current tables and UDFs still give: a write
         # that landed while this task ran moved a version, and the result
         # and learned orders describe the rows from before it.
-        tables = read_tables(session.query)
+        tables = session.query.read_tables
         if self.result_cache.versions(tables) == session.versions:
             if session.fingerprint is not None:
                 self.result_cache.put(session.fingerprint, result, tables, result_bytes(result))
@@ -681,8 +677,10 @@ class QueryServer:
         task = session.task
         session.task = None
         if task is not None:
-            with contextlib.suppress(Exception):
+            try:
                 task.close()
+            except Exception:  # noqa: BLE001 - the session is over either way
+                pass
 
     def _admit_next(self, session: QuerySession) -> None:
         admitted = self._admission.release(session)

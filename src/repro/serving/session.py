@@ -54,7 +54,8 @@ class StreamBuffer:
         self._tables: deque[Table] = deque()
         #: Rows of the head table already taken (it is sliced, never copied).
         self._head_taken = 0
-        self._buffered = 0
+        #: Rows pushed and not taken yet (``len`` of the buffer).
+        self.buffered = 0
         self.rows_streamed = 0
         self.first_rows_at_work: int | None = None
         #: Whether rows arrive between episodes (True) or only at completion.
@@ -72,15 +73,15 @@ class StreamBuffer:
         if self.first_rows_at_work is None:
             self.first_rows_at_work = clock
         self._tables.append(table)
-        self._buffered += table.num_rows
+        self.buffered += table.num_rows
         self.rows_streamed += table.num_rows
         if self.keep_journal:
             self.journal.append(table)
 
     def take(self, max_rows: int | None = None) -> Table:
         """Remove and return up to ``max_rows`` buffered rows (FIFO)."""
-        wanted = self._buffered if max_rows is None else min(max_rows, self._buffered)
-        self._buffered -= wanted
+        wanted = self.buffered if max_rows is None else min(max_rows, self.buffered)
+        self.buffered -= wanted
         parts = []
         while wanted:
             head, start = self._tables[0], self._head_taken
@@ -94,7 +95,7 @@ class StreamBuffer:
         return Table.concat(parts) if parts else empty_batch(self.names)
 
     def __len__(self) -> int:
-        return self._buffered
+        return self.buffered
 
 
 class SessionState(enum.Enum):
@@ -107,7 +108,10 @@ class SessionState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+_TERMINAL = (SessionState.FINISHED, SessionState.CANCELLED, SessionState.FAILED)
+
+
+@dataclass(slots=True, eq=False)  # a session is itself, whatever its fields
 class QuerySession:
     """One submitted query with its scheduling attributes and progress."""
 
@@ -151,13 +155,12 @@ class QuerySession:
     @property
     def done(self) -> bool:
         """Whether the session reached a terminal state."""
-        return self.state in (SessionState.FINISHED, SessionState.CANCELLED,
-                              SessionState.FAILED)
+        return self.state in _TERMINAL
 
     @property
     def drained(self) -> bool:
         """Whether the session is terminal and no buffered row is left."""
-        return self.done and (self.stream is None or not len(self.stream))
+        return self.done and (self.stream is None or not self.stream.buffered)
 
     def work_total(self) -> int:
         """Work units charged by this session's task so far."""

@@ -104,8 +104,9 @@ class PreprocessedQuery:
         """Filtered cardinality of a table."""
         return int(self.filtered[alias].shape[0])
 
+    @cached_property
     def cardinalities(self) -> dict[str, int]:
-        """Filtered cardinalities of all tables."""
+        """Filtered cardinalities of all tables: one dict, which callers only read."""
         return {alias: self.cardinality(alias) for alias in self.aliases}
 
     def base_rows(self, alias: str, filtered_indices: np.ndarray) -> np.ndarray:
@@ -181,7 +182,7 @@ class PreprocessedQuery:
 
     def is_empty(self) -> bool:
         """Whether any table has no surviving tuples (empty join result)."""
-        return any(self.cardinality(alias) == 0 for alias in self.aliases)
+        return 0 in self.cardinalities.values()
 
     @cached_property
     def nbytes(self) -> int:

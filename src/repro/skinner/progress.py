@@ -42,7 +42,7 @@ class ProgressTracker:
         #: Nodes made so far, the root included, and 8 bytes per index they store.
         self._node_count = 1
         self._state_bytes = 0
-        self._offsets: dict[str, int] = {alias: 0 for alias in aliases}
+        self._offsets: dict[str, int] = dict.fromkeys(aliases, 0)
         self._offsets_view = MappingProxyType(self._offsets)
 
     # ------------------------------------------------------------------
@@ -97,12 +97,10 @@ class ProgressTracker:
                     self._offsets.get(order[p], 0) for p in range(position + 1, len(order))
                 )
                 candidates.append(prefix + rest)
-        if not candidates:
-            state = initial_state(order, self._offsets)
-        else:
-            best = max(candidates)
-            state = JoinState(order, list(best))
-        return clamp_in_place(state, self._offsets, cardinalities)
+        if not candidates:  # every index at its offset: nothing to clamp
+            return initial_state(order, self._offsets)
+        return clamp_in_place(JoinState(order, list(max(candidates))), self._offsets,
+                              cardinalities)
 
     # ------------------------------------------------------------------
     # memory accounting (Figure 8)

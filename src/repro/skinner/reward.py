@@ -19,10 +19,5 @@ def scaled_delta_reward(
     """The refined SkinnerDB reward: covered fraction of the index space."""
     if prior.order != current.order:
         raise ValueError("reward compares states of the same join order")
-    progress_before = prior.progress_fraction(cardinalities)
-    progress_after = current.progress_fraction(cardinalities)
-    return _clamp(progress_after - progress_before)
-
-
-def _clamp(value: float) -> float:
-    return min(1.0, max(0.0, value))
+    progress = current.progress_fraction(cardinalities) - prior.progress_fraction(cardinalities)
+    return min(1.0, max(0.0, progress))

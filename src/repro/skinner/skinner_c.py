@@ -55,6 +55,7 @@ from repro.skinner.preprocessor import PreprocessedQuery, preprocess
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.reward import scaled_delta_reward
+from repro.skinner.state import JoinState, clamp_in_place
 from repro.storage.catalog import Catalog
 from repro.uct.policy import SKINNER_C_EXPLORATION_WEIGHT
 from repro.uct.tree import UctJoinTree
@@ -131,7 +132,7 @@ class SkinnerCTask(GeneratorTask):
             restrict_positions,
         )
         self.tables = self.prepared.tables
-        self._cardinalities = self.prepared.cardinalities()
+        self._cardinalities = self.prepared.cardinalities
         self.result_set = JoinResultSet(self.prepared.aliases)
         self.tree = UctJoinTree(
             query.join_graph(),
@@ -139,6 +140,7 @@ class SkinnerCTask(GeneratorTask):
             seed=config.seed,
         )
         self.tracker = ProgressTracker(self.prepared.aliases)
+        self._offsets = self.tracker.offsets  # a view: it follows the tracker
         self.join = MultiwayJoin(self.prepared, udfs, batch_size=BATCH_SIZE)
         self.slices = 0
         #: Slices given to a rival instead of UCT's choice (:meth:`next_order`).
@@ -161,6 +163,8 @@ class SkinnerCTask(GeneratorTask):
                 self._granted[prior_order] = head_start
                 self._earned[prior_order] = reward * head_start
         self._max_factor = 1
+        #: The state the last slice left its join order in.
+        self._last: JoinState | None = None
         self.trace_records: list[dict[str, Any]] = []
         if query.num_tables == 1 and not self.prepared.is_empty():
             # Single-table fast path: the filtered rows are the result.
@@ -266,27 +270,31 @@ class SkinnerCTask(GeneratorTask):
             order = self.next_order()
             granted = self._granted[order] = self._granted.get(order, 0) + 1
             factor = budget_factor(granted)
-        self._max_factor = max(self._max_factor, factor)
+        if factor > self._max_factor:
+            self._max_factor = factor
         budget = self._config.slice_budget * factor
-        state = self.tracker.restore(order, self._cardinalities)
+        cardinalities, tracker, offsets = self._cardinalities, self.tracker, self._offsets
+        state = self._last
+        if state is not None and state.order == order:
+            # The last slice ran this order, and only its own offset has
+            # moved since: the tracker would restore where that slice
+            # stopped, raised to the offsets — the parked state, mostly.
+            clamp_in_place(state, offsets, cardinalities)
+        else:
+            state = self._last = tracker.restore(order, cardinalities)
         prior = state.copy()
         finished = self.join.continue_join(
-            state,
-            self.tracker.offsets,
-            budget,
-            self.result_set,
-            self.join_meter,
-        )
+            state, offsets, budget, self.result_set, self.join_meter)
         # Progress per base budget, whatever this slice was given: rewards
         # earned at different factors stay comparable.
-        reward = scaled_delta_reward(prior, state, self._cardinalities) / factor
+        reward = scaled_delta_reward(prior, state, cardinalities) / factor
         self.tree.update(order, reward)
         self._earned[order] = self._earned.get(order, 0.0) + reward
-        self.tracker.backup(state)
+        tracker.backup(state)
         # The one offset a slice moves is its left-most table's.
         leftmost = order[0]
-        self.tracker.advance_offset(leftmost, state.indices[0])
-        if self.tracker.offsets[leftmost] >= self._cardinalities[leftmost]:
+        tracker.advance_offset(leftmost, state.indices[0])
+        if offsets[leftmost] >= cardinalities[leftmost]:
             finished = True
         if self._trace:
             self.trace_records.append(
@@ -318,10 +326,11 @@ class SkinnerCTask(GeneratorTask):
         return max(rivals)[1]
 
     def metric_fields(self) -> dict[str, Any]:
+        uct_nodes = self.tree.node_count()
         return {
             "final_join_order": self._forced or self.tree.best_order(),
             "time_slices": self.slices,
-            "uct_nodes": self.tree.node_count(),
+            "uct_nodes": uct_nodes,
             "tracker_nodes": self.tracker.node_count(),
             # The intermediate cardinality is the join's scans.
             "intermediate_cardinality": self.join_meter.tuples_scanned,
@@ -329,7 +338,7 @@ class SkinnerCTask(GeneratorTask):
             "extra": {
                 "result_bytes": self.result_set.estimated_bytes(),
                 "tracker_bytes": self.tracker.estimated_bytes(),
-                "uct_bytes": self.tree.node_count() * 64,
+                "uct_bytes": uct_nodes * 64,
                 "top_orders": self.tree.top_orders(5),
                 "trace": self.trace_records,
                 "max_budget_factor": self._max_factor,

@@ -33,7 +33,9 @@ class JoinState:
 
     def copy(self) -> "JoinState":
         """Deep copy of the state."""
-        return JoinState(self.order, list(self.indices))
+        copy = object.__new__(JoinState)  # a valid state: nothing to check
+        copy.order, copy.indices = self.order, list(self.indices)
+        return copy
 
     def as_tuple(self) -> tuple[int, ...]:
         """The indices as an immutable tuple (position order)."""
@@ -47,10 +49,10 @@ class JoinState:
         """
         fraction = 0.0
         scale = 1.0
-        for position, alias in enumerate(self.order):
-            cardinality = max(1, cardinalities[alias])
-            scale *= cardinality
-            fraction += self.indices[position] / scale
+        for alias, index in zip(self.order, self.indices):
+            cardinality = cardinalities[alias]
+            scale *= cardinality if cardinality > 1 else 1
+            fraction += index / scale
         return min(1.0, fraction)
 
 
@@ -75,16 +77,17 @@ def clamp_in_place(
     raised = False
     for position, alias in enumerate(state.order):
         low = offsets.get(alias, 0)
-        cardinality = cardinalities.get(alias)
-        index = indices[position]
         if raised:
             indices[position] = low
             continue
+        index = indices[position]
         if index < low:
             indices[position] = low
             raised = True
-        elif cardinality is not None:
-            indices[position] = min(index, max(low, cardinality))
+            continue
+        cardinality = cardinalities.get(alias)
+        if cardinality is not None and index > cardinality and index > low:
+            indices[position] = max(low, cardinality)
     return state
 
 

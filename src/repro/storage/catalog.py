@@ -42,7 +42,9 @@ class Catalog:
     def __init__(self, buffer_manager: BufferManager | None = None) -> None:
         self._buffer = buffer_manager if buffer_manager is not None else InMemoryBufferManager()
         self._tables: dict[str, Table] = self._buffer.bootstrap()
-        self._latest = 0
+        #: The newest version given to any table, dropped ones included: it
+        #: moves with every change to the set of tables or their rows.
+        self.latest_version = 0
         self._versions: dict[str, int] = {}
         for name in self._tables:
             self._bump(name)
@@ -90,15 +92,9 @@ class Catalog:
         except KeyError as exc:
             raise CatalogError(f"table {name!r} does not exist") from exc
 
-    @property
-    def latest_version(self) -> int:
-        """The newest version given to any table, dropped ones included: it
-        moves with every change to the set of tables or their rows."""
-        return self._latest
-
     def _bump(self, name: str) -> None:
-        self._latest += 1
-        self._versions[name] = self._latest
+        self.latest_version += 1
+        self._versions[name] = self.latest_version
 
     def has_table(self, name: str) -> bool:
         """Whether a table with this name is registered."""

@@ -18,10 +18,6 @@ from repro.errors import SchemaError
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
-#: Count of full CSV parses performed by this process.  Warm-start tests
-#: and ``bench_cold_vs_warm_start`` read it: an idempotent re-ingest
-#: (catalog fingerprint matches) must leave it unchanged.
-_PARSE_COUNT = 0
 
 def file_fingerprint(path: str | Path) -> str:
     """SHA-256 of a file's bytes — the identity key of idempotent ingest."""
@@ -48,8 +44,6 @@ def load_csv(
     schema:
         Optional explicit column types.  Columns not listed are inferred.
     """
-    global _PARSE_COUNT
-    _PARSE_COUNT += 1
     path = Path(path)
     name = table_name or path.stem
     with path.open(newline="") as handle:

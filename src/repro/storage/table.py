@@ -36,7 +36,8 @@ class Table:
                     f"expected {length}"
                 )
             self._columns[col_name] = col
-        self._num_rows = length or 0
+        #: Number of rows in the table.
+        self.num_rows = length or 0
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -44,11 +45,6 @@ class Table:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        """Number of rows in the table."""
-        return self._num_rows
-
     @property
     def column_names(self) -> list[str]:
         """Column names in declaration order."""
@@ -74,7 +70,7 @@ class Table:
 
     def rows(self) -> list[dict[str, Any]]:
         """Return all rows (decoded); intended for small tables and tests."""
-        return [self.row(i) for i in range(self._num_rows)]
+        return [self.row(i) for i in range(self.num_rows)]
 
     def row_tuples(self) -> list[tuple[Any, ...]]:
         """All rows as plain tuples in column-declaration order."""

@@ -11,16 +11,16 @@ class UctNode:
     child node (the tree grows by at most one node per round).
     """
 
-    __slots__ = ("prefix", "visits", "reward_sum", "children", "fully_expanded")
+    __slots__ = ("prefix", "visits", "reward_sum", "children", "eligible")
 
     def __init__(self, prefix: tuple[str, ...]) -> None:
         self.prefix = prefix
         self.visits = 0
         self.reward_sum = 0.0
         self.children: dict[str, UctNode] = {}
-        #: Set once every eligible action has a child; children are never
-        #: removed, so selection need not look for unexplored actions again.
-        self.fully_expanded = False
+        #: The eligible actions, set once every one has a child; children are
+        #: never removed, so selection need not look for unexplored ones again.
+        self.eligible: list[str] | None = None
 
     @property
     def average_reward(self) -> float:
@@ -41,17 +41,12 @@ class UctNode:
             self.children[action] = node
         return node
 
-    def update(self, reward: float) -> None:
-        """Record one visit with the given reward."""
-        self.visits += 1
-        self.reward_sum += reward
-
     def seed(self, reward: float, visits: int) -> None:
         """Bulk-record ``visits`` pseudo-visits of average reward ``reward``.
 
         Used to warm-start a tree from statistics learned by an earlier query
-        on the same join graph; equivalent to ``visits`` calls to
-        :meth:`update` without the per-call overhead.
+        on the same join graph; equivalent to ``visits`` rewards of ``reward``
+        each (:meth:`UctJoinTree.update <repro.uct.tree.UctJoinTree.update>`).
         """
         if visits < 0:
             raise ValueError("visits must be non-negative")

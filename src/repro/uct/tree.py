@@ -21,6 +21,12 @@ from repro.uct.node import UctNode
 from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT
 
 
+#: Every neutral sibling a seed makes (one visit, no reward) until something
+#: writes to it: then it becomes a node of its own (:meth:`UctJoinTree._child`).
+_NEUTRAL = UctNode(())
+_NEUTRAL.visits = 1
+
+
 class UctJoinTree:
     """A lazily materialized UCT tree over Cartesian-avoiding join orders."""
 
@@ -32,10 +38,12 @@ class UctJoinTree:
     ) -> None:
         self._graph = join_graph
         self._weight = exploration_weight
-        self._rng = random.Random(seed)
+        #: Seeded at the first random choice: a warm-started tree often makes none.
+        self._seed = seed
+        self._rng: random.Random | None = None
         self._root = UctNode(())
         #: Materialized nodes, the root included: nodes are never removed, so
-        #: :meth:`_expand` counts them as it makes them.
+        #: they are counted as they are made.
         self._node_count = 1
         self._num_tables = len(join_graph.aliases)
         self._selection_counts: dict[tuple[str, ...], int] = {}
@@ -51,14 +59,6 @@ class UctJoinTree:
     def node_count(self) -> int:
         """Number of materialized nodes (Figure 7a / 8a)."""
         return self._node_count
-
-    def _expand(self, node: UctNode, action: str) -> UctNode:
-        """The child of ``node`` for ``action``, materialized if it is new."""
-        child = node.child(action)
-        if child is None:
-            child = node.add_child(action)
-            self._node_count += 1
-        return child
 
     def top_orders(self, k: int) -> list[tuple[tuple[str, ...], int]]:
         """The ``k`` most frequently selected join orders with their counts."""
@@ -81,58 +81,80 @@ class UctJoinTree:
         per-slice progress rewards — pins the seeded tree to the learned
         order until enough real evidence dilutes the seed.
         """
-        top = sorted(
-            self._selection_counts.items(),
-            key=lambda item: (-item[1], -self._deepest_node(item[0]).average_reward),
-        )[:k]
+        top = list(self._selection_counts.items())
+        if len(top) > 1:
+            top.sort(key=lambda item: (-item[1], -self._deepest_node(item[0]).average_reward))
+            del top[k:]
         total = sum(count for _, count in top)
-        return [(order, count / total, count) for order, count in top]
+        return [(order, count / total, count) for order, count in top[:k]]
 
     def _deepest_node(self, order: Sequence[str]) -> UctNode:
         """The last materialized node on the path of ``order``."""
         node = self._root
         for action in order:
-            child = node.child(action)
+            child = node.children.get(action)
             if child is None:
                 break
             node = child
         return node
+
+    def _choice(self, actions: Sequence[str]) -> str:
+        """A random one of ``actions``, from the tree's seeded generator."""
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng.choice(actions)
 
     # ------------------------------------------------------------------
     # UctChoice
     # ------------------------------------------------------------------
     def choose_order(self) -> tuple[str, ...]:
         """Select the join order to execute during the next time slice."""
-        prefix: list[str] = []
+        eligible_next = self._graph.eligible_next
+        order: tuple[str, ...] = ()
         node: UctNode | None = self._root
         expanded_this_round = False
-        while len(prefix) < self._num_tables:
-            eligible = self._graph.eligible_next(prefix)
+        for _ in range(self._num_tables):
+            if node is not None and node.eligible is not None:
+                eligible = node.eligible
+                action = eligible[0] if len(eligible) == 1 else self._select_ucb(node, eligible)
+                child = node.children[action]
+                node = child if child is not _NEUTRAL else self._child(node, action)
+                order += (action,)
+                continue
+            eligible = eligible_next(order)
             if node is None:
-                action = self._rng.choice(eligible)
-            elif node.fully_expanded or not (
-                unexplored := [action for action in eligible if action not in node.children]
-            ):
-                node.fully_expanded = True
+                action = self._choice(eligible)
+            elif not (unexplored := [action for action in eligible
+                                     if action not in node.children]):
+                node.eligible = eligible
                 action = self._select_ucb(node, eligible)
-                node = node.children[action]
+                node = self._child(node, action)
             else:
-                action = self._rng.choice(unexplored)
+                action = self._choice(unexplored)
                 if not expanded_this_round:
-                    node = self._expand(node, action)
+                    node = node.add_child(action)
+                    self._node_count += 1
                     expanded_this_round = True
                 else:
                     node = None
-            prefix.append(action)
-        order = tuple(prefix)
+            order += (action,)
         self._selection_counts[order] = self._selection_counts.get(order, 0) + 1
         return order
+
+    @staticmethod
+    def _child(node: UctNode, action: str) -> UctNode:
+        """``node``'s child for ``action``, to write to."""
+        child = node.children[action]
+        if child is _NEUTRAL:
+            child = node.children[action] = UctNode(node.prefix + (action,))
+            child.visits = 1
+        return child
 
     def _select_ucb(self, node: UctNode, eligible: Sequence[str]) -> str:
         # UCB1: average reward + weight * sqrt(log(parent visits) / visits),
         # infinite for an unvisited child, the parent's logarithm taken once.
         log_parent = math.log(max(1, node.visits))
-        weight = self._weight
+        weight, sqrt = self._weight, math.sqrt
         children = node.children  # the caller ensured every eligible one exists
         best_action = eligible[0]
         best_score = -math.inf
@@ -142,7 +164,7 @@ class UctJoinTree:
             if visits <= 0:
                 score = math.inf
             else:
-                score = child.reward_sum / visits + weight * math.sqrt(log_parent / visits)
+                score = child.reward_sum / visits + weight * sqrt(log_parent / visits)
             if score > best_score:
                 best_score = score
                 best_action = action
@@ -156,13 +178,15 @@ class UctJoinTree:
         if not 0.0 <= reward <= 1.0:
             reward = min(1.0, max(0.0, reward))
         node = self._root
-        node.update(reward)
+        node.visits += 1
+        node.reward_sum += reward
         for action in order:
-            child = node.child(action)
+            child = node.children.get(action)
             if child is None:
                 break
-            child.update(reward)
-            node = child
+            node = child if child is not _NEUTRAL else self._child(node, action)
+            node.visits += 1
+            node.reward_sum += reward
 
     # ------------------------------------------------------------------
     # warm-starting (cross-query join-order cache)
@@ -176,7 +200,8 @@ class UctJoinTree:
         orders that worked well for earlier queries on the same join graph.
 
         Along the path, every *eligible sibling* is also materialized with
-        a neutral one-visit prior: :meth:`choose_order` samples unexplored
+        a neutral one-visit prior (one shared node, :data:`_NEUTRAL`, until
+        something writes to it): :meth:`choose_order` samples unexplored
         children before applying UCB1, so a path-only seed would still pay
         one episode per untried arm — exactly the cold-start cost the seed
         exists to skip.  A neutral sibling loses the UCB comparison against
@@ -191,15 +216,25 @@ class UctJoinTree:
         reward = min(1.0, max(0.0, reward))
         node = self._root
         node.seed(reward, visits)
-        prefix: list[str] = []
+        prefix: tuple[str, ...] = ()
+        made = 0
         for action in order:
-            for sibling in self._graph.eligible_next(prefix):
-                if sibling != action and node.child(sibling) is None:
-                    self._expand(node, sibling).seed(0.0, 1)
-            child = self._expand(node, action)
-            child.seed(reward, visits)
-            node = child
-            prefix.append(action)
+            children, eligible = node.children, self._graph.eligible_next(prefix)
+            for sibling in eligible:
+                if sibling != action and sibling not in children:
+                    children[sibling] = _NEUTRAL
+                    made += 1
+            if action in eligible:  # with the action's, every eligible child exists
+                node.eligible = eligible
+            prefix += (action,)
+            if action in children:
+                node = self._child(node, action)
+            else:
+                node = children[action] = UctNode(prefix)
+                made += 1
+            node.visits += visits
+            node.reward_sum += reward * visits
+        self._node_count += made
 
     # ------------------------------------------------------------------
     # cross-tree statistic exchange (morsel-parallel episodes)
@@ -255,23 +290,19 @@ class UctJoinTree:
         eligible action where the tree is not materialized.  This is the
         "final join order selected by Skinner" used in Tables 3 and 4.
         """
-        prefix: list[str] = []
+        order: tuple[str, ...] = ()
         node: UctNode | None = self._root
-        while len(prefix) < self._num_tables:
-            eligible = self._graph.eligible_next(prefix)
-            action: str
-            if node is not None and node.children:
-                visited = [a for a in eligible if node.child(a) is not None]
-                if visited:
-                    action = max(
-                        visited,
-                        key=lambda a: (node.child(a).average_reward, node.child(a).visits),
-                    )
-                else:
-                    action = self._rng.choice(eligible)
-                node = node.child(action)
-            else:
-                action = self._rng.choice(eligible)
-                node = None
-            prefix.append(action)
-        return tuple(prefix)
+        while len(order) < self._num_tables:
+            children = node.children if node is not None else {}
+            eligible = (node is not None and node.eligible) or self._graph.eligible_next(order)
+            # The first child of the highest (average reward, visits), in
+            # eligible order; a random action where none is materialized.
+            node = best = None
+            for action in eligible:
+                child = children.get(action)
+                if child is not None:
+                    rank = (child.reward_sum / child.visits if child.visits else 0.0, child.visits)
+                    if best is None or rank > best:
+                        node, best, chosen = child, rank, action
+            order += (chosen if node is not None else self._choice(eligible),)
+        return order

@@ -186,6 +186,32 @@ class TestRemoteBasics:
         assert "None" not in remote.stats()["tenants"]
         assert remote.execute("SELECT COUNT(*) AS n FROM s").rows == [{"n": 7}]
 
+    @staticmethod
+    def _hello(server, **args):
+        """The reply to one raw ``hello`` carrying ``args``."""
+        address = (server.server.host, server.server.port)
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(encode_frame(
+                {"id": 1, "v": "hello", "args": {"version": PROTOCOL_VERSION, **args}}))
+            stream = sock.makefile("rb")
+            (length,) = LENGTH_PREFIX.unpack(stream.read(LENGTH_PREFIX.size))
+            return decode_payload(stream.read(length))
+
+    @pytest.mark.parametrize("tenant", [5, 0, False, True, ["x"], {"name": "x"}])
+    def test_hello_refuses_a_tenant_that_is_no_string(self, server, remote, tenant):
+        """``5`` is not silently tenant ``'5'``, nor ``false`` or ``0`` the
+        default tenant: the handshake fails naming the argument."""
+        reply = self._hello(server, tenant=tenant)
+        assert not reply["ok"]
+        assert reply["error"]["type"] == "InterfaceError"
+        assert "argument 'tenant' must be a string" in reply["error"]["message"]
+        assert set(remote.stats()["tenants"]) <= {"default"}
+
+    @pytest.mark.parametrize("args", [{}, {"tenant": None}, {"tenant": ""}])
+    def test_hello_without_a_tenant_binds_the_default_one(self, server, args):
+        reply = self._hello(server, **args)
+        assert reply["ok"] and reply["data"]["tenant"] == "default"
+
     @pytest.mark.parametrize("verb, args, name", [
         ("submit", {"sql": "SELECT COUNT(*) AS n FROM s", "use_result_cache": "false"},
          "use_result_cache"),

@@ -154,7 +154,7 @@ def test_one_order_run_slice_by_slice_never_emits_a_tuple_twice(
     prepared = preprocess(catalog, query, build_hash_maps=join_maps)
     orders = valid_join_orders(query.join_graph())
     order = orders[data.draw(st.integers(0, len(orders) - 1))]
-    cardinalities = prepared.cardinalities()
+    cardinalities = prepared.cardinalities
     join = MultiwayJoin(prepared, batch_size=batch_size)
     tracker = ProgressTracker(prepared.aliases)
     results = JoinResultSet(prepared.aliases)

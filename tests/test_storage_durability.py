@@ -30,7 +30,7 @@ from repro.net.server import ServerThread
 from repro.skinner import parallel
 from repro.skinner.parallel import shutdown_workers
 from repro.storage.buffer import PageCache
-from benchmarks.paper.experiments_storage import parse_count, save_csv
+from benchmarks.paper.experiments_storage import counted_parses, save_csv
 from repro.storage.table import Table
 
 #: Mirrors the FAST config of test_api_cursor.py: quick convergence, no
@@ -273,11 +273,11 @@ class TestWarmStartIngest:
         cold.commit()
         cold.close()
 
-        parses_before = parse_count()
         warm = connect(FAST, data_dir=tmp_path / "db")
         try:
-            table = warm.load_csv(csv_path)  # no replace=True needed
-            assert parse_count() == parses_before  # served from storage
+            with counted_parses() as parsed:
+                table = warm.load_csv(csv_path)  # no replace=True needed
+            assert parsed == []  # served from storage
             assert table.num_rows == 4
             assert table.column("name").values() == ["ann", "bob", "cat", "dan"]
         finally:
@@ -293,9 +293,9 @@ class TestWarmStartIngest:
                  csv_path)
         warm = connect(FAST, data_dir=tmp_path / "db")
         try:
-            parses_before = parse_count()
-            table = warm.load_csv(csv_path, replace=True)
-            assert parse_count() == parses_before + 1
+            with counted_parses() as parsed:
+                table = warm.load_csv(csv_path, replace=True)
+            assert parsed == [csv_path]
             assert table.column("name").values() == ["zed"]
         finally:
             warm.close()

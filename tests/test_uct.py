@@ -40,10 +40,10 @@ class TestPolicy:
 
 
 class TestNode:
-    def test_update_and_average(self):
+    def test_seed_and_average(self):
         node = UctNode(())
-        node.update(1.0)
-        node.update(0.0)
+        node.seed(1.0, 1)
+        node.seed(0.0, 1)
         assert node.visits == 2
         assert node.average_reward == 0.5
 
@@ -148,7 +148,7 @@ class _RescanningTree(UctJoinTree):
             if node is not None:
                 unexplored = [action for action in eligible if action not in node.children]
                 if unexplored:
-                    action = self._rng.choice(unexplored)
+                    action = self._choice(unexplored)
                     if not expanded_this_round:
                         node = node.add_child(action)
                         expanded_this_round = True
@@ -156,9 +156,9 @@ class _RescanningTree(UctJoinTree):
                         node = None
                 else:
                     action = self._select_ucb(node, eligible)
-                    node = node.child(action)
+                    node = self._child(node, action)
             else:
-                action = self._rng.choice(eligible)
+                action = self._choice(eligible)
             prefix.append(action)
         order = tuple(prefix)
         self._selection_counts[order] = self._selection_counts.get(order, 0) + 1
@@ -186,7 +186,9 @@ def test_remembering_full_expansion_changes_no_selection(num_tables, weight, war
         assert orders[0] == orders[1]
         for tree in trees:
             tree.update(orders[0], reward)
-    assert trees[0]._rng.getstate() == trees[1]._rng.getstate()
+    # The generator is seeded at the first draw: none made, none seeded.
+    draws = [tree._rng.getstate() if tree._rng is not None else None for tree in trees]
+    assert draws[0] == draws[1]
     # The reference grows nodes behind the tree's counter: compare walks.
     assert subtree_size(trees[0].root) == subtree_size(trees[1].root) == trees[1].node_count()
-    assert trees[1].root.fully_expanded
+    assert trees[1].root.eligible is not None
