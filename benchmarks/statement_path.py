@@ -2,6 +2,7 @@
 
     python benchmarks/statement_path.py                      # 5 repetitions of 10 passes
     python benchmarks/statement_path.py --passes 1 --repetitions 1 --warm 1   # smallest
+    python benchmarks/statement_path.py --stream             # streamed statements instead
 
 On ``job_learn_local``'s data and statements (``benchmarks/e2e``'s frozen
 ``JobSizes``), one in-memory connection runs the 20 statements round-robin
@@ -21,8 +22,23 @@ and as many forced ones — ``SkinnerC.execute_with_order`` on those orders
   (``QueryServer._complete``) and ``glue`` (the rest: cursor, transport,
   scheduler steps, accounting, stream buffer).
 
+``--stream`` times ``wide_stream_remote``'s statements instead
+(``benchmarks/e2e``'s ``wide_statements(WideSizes())``, fetched 256 rows
+first and 4096 at a time after) on one in-memory connection, and prints per
+pass:
+
+* ``pass``: the statements through the cursor, execute to last fetch;
+* ``join``: seconds inside ``MultiwayJoin.continue_join``;
+* ``stream``: projecting each grant's new rows into the stream buffer
+  (``QueryServer._pump_stream``);
+* ``complete``: ``QueryServer._complete`` — a blocking statement's
+  post-processing, and a streamed one's output charge (its table is left
+  for whoever reads it);
+* ``glue``: the rest — cursor, transport, task set-up, slices less their
+  join, the scheduler's grant loop.
+
 The last lines are the medians over the repetitions.  The timers cost a
-few microseconds a statement, the same on any commit that has the four
+few microseconds a statement, the same on any commit that has the timed
 names, so two commits compare; wall time drifts on a shared machine, so
 compare runs made back to back, alternating.
 """
@@ -38,7 +54,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-from e2e.workloads import JobSizes  # noqa: E402
+from e2e.workloads import (  # noqa: E402
+    FIRST_FETCH_ROWS, NEXT_FETCH_ROWS, JobSizes, WideSizes, wide_columns, wide_statements)
 from repro.api import connect  # noqa: E402
 from repro.config import SkinnerConfig  # noqa: E402
 from repro.serving.server import QueryServer  # noqa: E402
@@ -52,15 +69,19 @@ TIMED = {
     "slice": (SkinnerCTask, "_slice"),
     "join": (MultiwayJoin, "continue_join"),
     "complete": (QueryServer, "_complete"),
+    "stream": (QueryServer, "_pump_stream"),
 }
 COLUMNS = ("learned", "forced", "learned/forced", "join", "forced join", "non-join",
            "setup", "slices", "complete", "glue")
+STREAM_COLUMNS = ("pass", "join", "stream", "complete", "glue")
 
 
-def install_timers() -> dict[str, float]:
-    """Wrap each :data:`TIMED` method in an inclusive timer; seconds by part."""
-    seconds = dict.fromkeys(TIMED, 0.0)
-    for part, (owner, name) in TIMED.items():
+def install_timers(parts: tuple[str, ...]) -> dict[str, float]:
+    """Wrap each of ``parts``' :data:`TIMED` methods in an inclusive timer;
+    seconds by part."""
+    seconds = dict.fromkeys(parts, 0.0)
+    for part in parts:
+        owner, name = TIMED[part]
         original = getattr(owner, name)
 
         def timed(*args, _original=original, _part=part, **kwargs):
@@ -79,8 +100,66 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--passes", type=int, default=10, help="passes a repetition times")
     parser.add_argument("--repetitions", type=int, default=5)
     parser.add_argument("--warm", type=int, default=8, help="untimed passes first")
+    parser.add_argument("--stream", action="store_true",
+                        help="time wide_stream_remote's statements, streamed")
     args = parser.parse_args(argv)
+    return stream_main(args) if args.stream else learned_main(args)
 
+
+def print_rows(rows: list[list[float]], columns: tuple[str, ...], row: list[float]) -> None:
+    """Print ``row`` (ms per pass) under ``columns`` and keep it in ``rows``."""
+    if not rows:
+        print(" ".join(f"{column:>14}" for column in columns))
+    rows.append(row)
+    print(" ".join(f"{value:14.3f}" for value in row))
+
+
+def print_medians(rows: list[list[float]]) -> None:
+    print("median:")
+    print(" ".join(f"{statistics.median(column):14.3f}" for column in zip(*rows)))
+
+
+def stream_main(args: argparse.Namespace) -> int:
+    """Per pass of the wide statements: join, stream projection, completion, glue."""
+    sizes = WideSizes()
+    conn = connect(SkinnerConfig())
+    for table_name, data in wide_columns(sizes.fact_rows, sizes.data_seed).items():
+        conn.create_table(table_name, data)
+    conn.commit()
+    reads = wide_statements(sizes)
+    cursor = conn.cursor()
+
+    def one_pass() -> None:
+        for read in reads:
+            cursor.execute(read.sql, engine=read.engine, use_result_cache=False)
+            size = FIRST_FETCH_ROWS
+            while cursor.fetchmany(size):
+                size = NEXT_FETCH_ROWS
+
+    for _ in range(max(1, args.warm)):
+        one_pass()
+    seconds = install_timers(("join", "stream", "complete"))
+    rows: list[list[float]] = []
+    print(f"{len(reads)} statements a pass, {args.passes} passes a repetition; ms per pass")
+    for _ in range(args.repetitions):
+        for part in seconds:
+            seconds[part] = 0.0
+        started = time.perf_counter()
+        for _ in range(args.passes):
+            one_pass()
+        elapsed = time.perf_counter() - started
+        parts = [seconds["join"], seconds["stream"], seconds["complete"]]
+        print_rows(rows, STREAM_COLUMNS,
+                   [value * 1000 / args.passes for value in (elapsed, *parts,
+                                                             elapsed - sum(parts))])
+    print_medians(rows)
+    cursor.close()
+    conn.close()
+    return 0
+
+
+def learned_main(args: argparse.Namespace) -> int:
+    """Per pass of job_learn_local's statements, learned and forced."""
     sizes = JobSizes()
     generated = make_job_workload(sizes.scale, sizes.data_seed)
     conn = connect(SkinnerConfig())
@@ -108,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         for query, order in orders:
             engine.execute_with_order(query, order)
 
-    seconds = install_timers()
+    seconds = install_timers(("setup", "slice", "join", "complete"))
 
     def timed(run) -> tuple[float, dict[str, float]]:
         for part in seconds:
@@ -119,10 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - started
         return elapsed, dict(seconds)
 
-    rows = []
+    rows: list[list[float]] = []
     print(f"{len(statements)} statements a pass, {args.passes} passes a repetition; "
           "ms per pass")
-    print(" ".join(f"{column:>14}" for column in COLUMNS))
     for repetition in range(args.repetitions):
         runs = [learned_pass, forced_pass][:: 1 if repetition % 2 == 0 else -1]
         results = {run: timed(run) for run in runs}
@@ -133,12 +211,9 @@ def main(argv: list[str] | None = None) -> int:
         glue = learned - parts["setup"] - parts["slice"] - parts["complete"]
         row = [learned, forced, None, join, forced_parts["join"], learned - join,
                parts["setup"], slices, parts["complete"], glue]
-        row = [value * 1000 / args.passes if value is not None else learned / forced
-               for value in row]
-        rows.append(row)
-        print(" ".join(f"{value:14.3f}" for value in row))
-    print("median:")
-    print(" ".join(f"{statistics.median(column):14.3f}" for column in zip(*rows)))
+        print_rows(rows, COLUMNS, [value * 1000 / args.passes if value is not None
+                                   else learned / forced for value in row])
+    print_medians(rows)
     cursor.close()
     conn.close()
     return 0

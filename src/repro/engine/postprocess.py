@@ -47,7 +47,7 @@ def post_process(
     """Turn a join result into the final output table of the query."""
     meter = meter if meter is not None else CostMeter()
     data = _ColumnarData(relation, tables, udfs)
-    meter.charge_output(data.length)
+    charge_post_process(relation, meter)
     if query.select_items:
         names = query.output_names()
         sources = [item.expression for item in query.select_items]
@@ -80,6 +80,16 @@ def post_process(
             data, source_rows)
         for (name, values), ref in zip(columns.items(), sources)
     })
+
+
+def charge_post_process(relation: RowIdRelation, meter: CostMeter) -> None:
+    """Charge what post-processing ``relation`` costs: one output unit a
+    joined row, whatever the query makes of them.
+
+    :func:`post_process` charges through here, and so does a completion
+    that charges now and builds the table later.
+    """
+    meter.charge_output(len(relation))
 
 
 def _take(
@@ -223,8 +233,8 @@ def _aggregate_columnar(
         if item.is_aggregate:
             aggregate = item.aggregate
             assert aggregate is not None
-            if isinstance(aggregate.argument, Star) and aggregate.function.lower() == "count":
-                columns[names[i]] = counts  # COUNT(*) counts rows, never looks at them
+            if aggregate.function.lower() == "count" and _counts_rows(aggregate.argument, data):
+                columns[names[i]] = counts
                 continue
             values = data.array(aggregate.argument)
             if sorter is not None:
@@ -234,6 +244,21 @@ def _aggregate_columnar(
             assert item.expression is not None
             columns[names[i]] = data.array(item.expression, rows=representatives)
     return columns, representatives
+
+
+def _counts_rows(argument: Any, data: _ColumnarData) -> bool:
+    """Whether ``COUNT(argument)`` is the group size without looking at a
+    value: ``*``, or a bare numeric column (NULLs are not modelled, so every
+    row of one counts)."""
+    if isinstance(argument, Star):
+        return True
+    if not isinstance(argument, ColumnRef):
+        return False
+    try:
+        ctype = data.table(argument.table).column(argument.column).ctype
+    except Exception:  # noqa: BLE001 - unknown alias or column: evaluate, and fail there
+        return False
+    return ctype is ColumnType.INT or ctype is ColumnType.FLOAT
 
 
 def _factorize(key_arrays: Sequence[np.ndarray], length: int) -> np.ndarray:

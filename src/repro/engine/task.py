@@ -33,6 +33,7 @@ implementations and the serving scheduler share them without cycles.
 from __future__ import annotations
 
 import abc
+import functools
 import time
 from collections.abc import Generator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
@@ -40,14 +41,14 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.engine.meter import CostMeter
-from repro.engine.postprocess import post_process
+from repro.engine.postprocess import charge_post_process, post_process
 from repro.errors import BudgetExceeded
+from repro.query.udf import UdfRegistry
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.relation import RowIdRelation
     from repro.query.query import Query
-    from repro.query.udf import UdfRegistry
     from repro.result import QueryMetrics, QueryResult
 
 #: A warm-start prior, handed from one task to the next: (join order,
@@ -123,7 +124,9 @@ class EngineTask(abc.ABC):
         """Materialize the final result (requires ``finished``)."""
 
     def enable_streaming(self) -> None:
-        """Rows will be drained while the query runs; call before the first episode."""
+        """Rows will be drained while the query runs; call before the first
+        episode.  :meth:`finalize` may then leave the table of a query
+        without blocking post-processing to be built when first read."""
 
     def drain_new_tuples(self) -> np.ndarray:
         """Result tuples found since the last drain, in discovery order: a
@@ -176,7 +179,8 @@ def run_to_completion(task: EngineTask) -> "QueryResult":
 class GeneratorTask(EngineTask):
     """A task written as one generator, :meth:`episodes`: each ``yield`` ends
     an episode, and it returns the join result, which :meth:`finalize`
-    post-processes over :attr:`tables`, charging :attr:`meter`.
+    post-processes over :attr:`tables`, charging :attr:`meter` — once the
+    table is read, if the rows were streamed (:meth:`enable_streaming`).
 
     Every built-in engine's task is one, so this class is the one episode
     loop: it times episodes (``extra["episode_wall_seconds"]``), turns an
@@ -196,6 +200,7 @@ class GeneratorTask(EngineTask):
         self.meter = CostMeter(budget=work_budget)
         self.episode_rows = EPISODE_ROWS
         self.timed_out = self.finished = False
+        self._streamed = False
         #: Wall seconds spent inside :meth:`run_episode`: the query's own
         #: cost, free of the gaps between an interleaved query's episodes.
         self.episode_wall_seconds = 0.0
@@ -233,18 +238,47 @@ class GeneratorTask(EngineTask):
             total += meter.total
         return total
 
+    def enable_streaming(self) -> None:
+        self._streamed = True
+
     def finalize(self) -> "QueryResult":
+        """Charge post-processing and build the table — or, for a query
+        whose rows were streamed and that only projects them, charge now
+        and leave the table to whoever reads it.
+
+        Such a query returns the join's rows cut by its ``LIMIT``, so the
+        metrics need no table.  The pending table holds the join result's
+        rows, the query, the snapshotted tables and the UDFs as they are
+        now, not this task.
+        """
         from repro.result import QueryResult  # imports this package: not at the top
 
-        if not self.timed_out:
+        relation = None if self.timed_out else self._returned
+        if relation is not None:
             try:
-                output = post_process(self.query, self._returned, self.tables,
-                                      self.udfs, self.meter)
+                charge_post_process(relation, self.meter)
             except BudgetExceeded:
-                self.timed_out = True
-        if self.timed_out:
-            output = Table("result", {})
-        return QueryResult(output, self.partial_metrics(output.num_rows))
+                self.timed_out, relation = True, None
+        if relation is None:
+            return QueryResult(Table("result", {}), self.partial_metrics(0))
+        # Charged above: post_process charges a meter nobody reads.
+        query, tables = self.query, self.tables
+        if not self._streamed or query.blocking:
+            output = post_process(query, relation, tables, self.udfs, CostMeter())
+            return QueryResult(output, self.partial_metrics(output.num_rows))
+        udfs = None
+        if self.udfs is not None:
+            udfs = UdfRegistry()  # the functions of now, whenever the table is built
+            udfs.restore(self.udfs.snapshot())
+        names = query.output_names() if query.select_items else query.star_names(tables)
+        rows = len(relation) if query.limit is None else min(len(relation), query.limit)
+        if not names:  # nothing to project: post_process counts the rows
+            rows = 1
+        # Every output column's array is 8 bytes a row, as every alias's row
+        # id is: the bound holds whatever the select list makes of them.
+        nbytes = max(len(relation.aliases), len(names), 1) * rows * 8
+        build = functools.partial(post_process, query, relation, tables, udfs, CostMeter())
+        return QueryResult.deferred(build, self.partial_metrics(rows), nbytes)
 
     def partial_metrics(self, result_rows: int) -> "QueryMetrics":
         """The metrics of the run so far, ``result_rows`` rows delivered."""

@@ -244,6 +244,21 @@ def _narrow(data: np.ndarray) -> tuple[str, np.ndarray]:
     return kind, np.ascontiguousarray(data, dtype=_DTYPES[kind])
 
 
+def _used_strings(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending dictionary codes ``codes`` uses, and ``codes`` renumbered
+    to positions among them: ``np.unique(codes, return_inverse=True)``.
+
+    A presence mask over a dictionary of ``size`` strings finds them
+    without sorting the frame; a dictionary larger than the frame is
+    cheaper to sort the frame for.
+    """
+    if size > codes.shape[0]:
+        return np.unique(codes, return_inverse=True)
+    present = np.zeros(size, dtype=bool)
+    present[codes] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[codes]
+
+
 def _table_to_wire(table: Table, attach: Callable[[np.ndarray], int]) -> dict[str, Any]:
     columns = []
     for name in table.column_names:
@@ -251,8 +266,8 @@ def _table_to_wire(table: Table, attach: Callable[[np.ndarray], int]) -> dict[st
         data = column.data
         wire: dict[str, Any] = {"name": name}
         if column.ctype is ColumnType.STRING:
-            used, codes = np.unique(data, return_inverse=True)
             dictionary = column.dictionary
+            used, codes = _used_strings(data, len(dictionary))
             width, codes = _narrow(codes)
             wire.update(kind="dict", codes=width, at=attach(codes),
                         strings=[dictionary[code] for code in used.tolist()])

@@ -213,6 +213,13 @@ class Query:
         """Whether the select list contains aggregates."""
         return any(item.is_aggregate for item in self.select_items)
 
+    @cached_property
+    def blocking(self) -> bool:
+        """Whether the output depends on the complete join result:
+        aggregation, GROUP BY, ORDER BY or DISTINCT.  Otherwise every output
+        row projects one joined row, and a ``LIMIT`` only cuts them."""
+        return bool(self.has_aggregates or self.group_by or self.order_by or self.distinct)
+
     def output_names(self, catalog: Any = None) -> list[str]:
         """Result-column names, computable *before* execution: the one place
         result columns are named (post-processing, cursor ``description``,

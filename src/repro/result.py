@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -90,15 +91,45 @@ class QueryMetrics:
         )
 
 
-@dataclass
 class QueryResult:
-    """A result table together with the metrics of producing it."""
+    """A result table together with the metrics of producing it.
 
-    table: Table
-    metrics: QueryMetrics
+    The table may be *pending* (:meth:`deferred`): the result knows its
+    metrics, and builds the table the first time anything reads
+    :attr:`table`, dropping what it was built from.
+    """
+
+    def __init__(self, table: Table, metrics: QueryMetrics) -> None:
+        self._table: Table | None = table
+        self._build: Callable[[], Table] | None = None
+        self.metrics = metrics
+        #: For a pending result, bytes the built table's arrays take at most.
+        self.pending_bytes = 0
+
+    @classmethod
+    def deferred(
+        cls, build: Callable[[], Table], metrics: QueryMetrics, nbytes: int
+    ) -> "QueryResult":
+        """A result whose table ``build()`` makes when first read; the
+        table's column arrays take at most ``nbytes``."""
+        result = cls(None, metrics)  # type: ignore[arg-type]
+        result._build, result.pending_bytes = build, nbytes
+        return result
+
+    @property
+    def pending(self) -> bool:
+        """Whether the table is still to be built."""
+        return self._table is None
+
+    @property
+    def table(self) -> Table:
+        """The result table, built now if it was pending."""
+        if self._table is None:
+            self._table = self._build()
+            self._build = None
+        return self._table
 
     @property
     def rows(self) -> list[dict[str, Any]]:
         """Result rows as dictionaries (decoded values)."""
         return self.table.rows()
-

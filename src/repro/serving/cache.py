@@ -8,7 +8,8 @@ per-query engines:
   query's canonical rendering plus everything else that can change the
   answer or its metrics (engine and config) —
   to a finished :class:`~repro.result.QueryResult`, charged its columns'
-  bytes (:func:`result_bytes`).
+  bytes (:func:`result_bytes`) — or, for a table still pending, a bound
+  on them.
 * the **join-order cache** maps a *join-graph signature* — the aliased base
   tables plus the join predicates, with unary predicates deliberately
   excluded — to the join orders a previous Skinner-C query on the same
@@ -76,6 +77,9 @@ def join_graph_signature(query: Query) -> tuple:
 
 
 def result_bytes(result: QueryResult) -> int:
-    """The array bytes of a result's columns."""
+    """The array bytes of a result's columns; for a pending result, what
+    they will take at most, so that charging it builds nothing."""
+    if result.pending:
+        return result.pending_bytes
     table = result.table
     return sum(table.column(name).data.nbytes for name in table.column_names)

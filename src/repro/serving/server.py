@@ -83,7 +83,7 @@ def _stream_eligible(query: Query) -> bool:
     a valid answer, though a truncated stream is a prefix of the
     materialization order rather than the canonical completion order.
     """
-    return not (query.has_aggregates or query.group_by or query.order_by or query.distinct)
+    return not query.blocking
 
 
 class QueryServer:
@@ -205,8 +205,11 @@ class QueryServer:
             "queue_position": self._admission.queue_position(session),
             "cache_hit": session.cache_hit,
         }
-        if session.state is SessionState.FINISHED and session.result is not None:
-            snapshot["result_rows"] = session.result.table.num_rows
+        result = session.result
+        if session.state is SessionState.FINISHED and result is not None:
+            # A pending table stays unbuilt: its metrics know its length.
+            snapshot["result_rows"] = (result.metrics.result_rows if result.pending
+                                       else result.table.num_rows)
         if session.stream is not None:
             snapshot["stream"] = {
                 "names": session.stream.names,
@@ -507,10 +510,9 @@ class QueryServer:
     def _pump_stream(self, session: QuerySession) -> None:
         """Move tuples the last grant materialized into the stream buffer.
 
-        Projection runs against a throwaway meter: the authoritative
-        post-processing (and its charges) still happens in ``finalize()``,
-        so a streamed query's meter charges are byte-identical to the same
-        query executed without streaming.
+        Projection runs against a throwaway meter: ``finalize()`` charges
+        what post-processing charges, so a streamed query's meter charges
+        are byte-identical to the same query executed without streaming.
         """
         buffer = session.stream
         task = session.task
@@ -625,6 +627,8 @@ class QueryServer:
 
     def _complete(self, session: QuerySession) -> None:
         assert session.task is not None
+        # A streamed statement's table is left for whoever reads it (a
+        # result-cache hit, ``result()``), if anybody does.
         result = session.task.finalize()
         # Cache only what the current tables and UDFs still give: a write
         # that landed while this task ran moved a version, and the result

@@ -145,7 +145,7 @@ class JoinResultSet:
         of which join orders produced the tuples.
         """
         self._settle()
-        return self._sorted(self._blocks)
+        return self._sorted(self._blocks, len(self._aliases))
 
     def to_relation(self) -> RowIdRelation:
         """The set as a row-id relation over the alias order.
@@ -153,11 +153,13 @@ class JoinResultSet:
         Only distinctness is settled now, for the length.  The rows are
         stacked and sorted as :meth:`to_matrix` sorts them the first time
         post-processing reads an alias, which a ``COUNT(*)`` never does.
-        Rows emitted after this call are not in the relation.
+        Rows emitted after this call are not in the relation, and the
+        relation holds the blocks alone, not the set's keys.
         """
         length = len(self)
-        blocks = list(self._blocks)
-        return RowIdRelation.deferred(self._aliases, length, lambda: self._sorted(blocks))
+        blocks, width = list(self._blocks), len(self._aliases)
+        return RowIdRelation.deferred(
+            self._aliases, length, lambda: JoinResultSet._sorted(blocks, width))
 
     def estimated_bytes(self) -> int:
         """Rough memory footprint: 8 bytes per stored index."""
@@ -241,13 +243,20 @@ class JoinResultSet:
         self._run_keys = []
         return keys[settled:]
 
-    def _sorted(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        matrix = self._stacked(blocks)
+    @staticmethod
+    def _sorted(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
+        """The blocks' rows, ``width`` aliases a row, sorted like tuples."""
+        matrix = _stack(blocks, width)
         return matrix[_lexicographic_order(matrix)]
 
     def _stacked(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        if len(blocks) == 1:
-            return blocks[0]
-        if not blocks:
-            return np.empty((0, len(self._aliases)), dtype=np.int64)
-        return np.concatenate(blocks)
+        return _stack(blocks, len(self._aliases))
+
+
+def _stack(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """The blocks' rows as one matrix of ``width`` columns."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return np.empty((0, width), dtype=np.int64)
+    return np.concatenate(blocks)

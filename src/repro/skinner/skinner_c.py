@@ -209,9 +209,10 @@ class SkinnerCTask(GeneratorTask):
         slice.  A prior's head start in the budget schedule is therefore
         set aside — every order starts at a base budget, as in a cold task
         — and only counts as evidence for the next query.  Call before the
-        first episode.  :meth:`finalize` materializes from the full
-        duplicate-eliminated set either way.
+        first episode.  :meth:`finalize`'s table, built when first read,
+        comes from the full duplicate-eliminated set either way.
         """
+        super().enable_streaming()
         for order, head_start in self._granted.items():
             self._withheld[order] += head_start
         self._granted, self._earned = {}, {}

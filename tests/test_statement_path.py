@@ -10,7 +10,8 @@ one cache lookup of a repeated statement:
 * a repeated statement on a warm connection reads no table version from
   the catalog and seeds no random generator;
 * a prepared statement's charges are billed at once, not call by call;
-* ``COUNT(*)`` counts rows without evaluating its argument;
+* ``COUNT(*)``, and ``COUNT`` of a numeric column, count rows without
+  evaluating the argument;
 * seeding makes no node for a neutral sibling until one is written to.
 
 And the property behind them all: every ``QueryMetrics`` field but the wall
@@ -22,20 +23,27 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import connect
 from repro.config import SkinnerConfig
 from repro.engine import postprocess
 from repro.engine.meter import CostMeter
+from repro.engine.relation import RowIdRelation
+from repro.query.expressions import ColumnRef
+from repro.query.parser import parse_query
 from repro.skinner.progress import ProgressTracker
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.storage.catalog import Catalog
+from repro.storage.table import Table
 from repro.uct import tree as uct_tree
 from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT, SKINNER_C_EXPLORATION_WEIGHT
 from repro.uct.tree import UctJoinTree
 from repro.workloads.job import make_job_workload
+from tests.oracles import rows_post_process
 from tests.oracles.uct import subtree_size
+from tests.test_postprocess_columnar import assert_tables_identical
 
 #: Metrics fields that are seconds, not work.
 WALL_FIELDS = ("wall_time_seconds",)
@@ -155,6 +163,30 @@ def test_count_star_counts_rows_without_evaluating_them(job, monkeypatch):
     result = SkinnerC(job.catalog, job.udfs).execute(job.queries[0].query)
     assert result.table.column_names and result.table.num_rows == 1
     assert evaluated == []
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT COUNT(t.a) AS n FROM t",
+    "SELECT t.g, COUNT(t.f) AS n, COUNT(*) AS m, SUM(t.a) AS s FROM t GROUP BY t.g",
+    "SELECT t.g, COUNT(t.a) AS n FROM t GROUP BY t.g ORDER BY n DESC, t.g",
+    "SELECT DISTINCT COUNT(t.f) AS n FROM t GROUP BY t.g",
+])
+@pytest.mark.parametrize("rows", [0, 1, 37])
+def test_count_of_a_numeric_column_counts_rows_without_evaluating_it(monkeypatch, sql, rows):
+    """NULLs are not modelled: ``COUNT`` of an INT or FLOAT column is the
+    group size, which grouping knows without gathering the column."""
+    table = Table("t", {"g": [f"g{i % 4}" for i in range(40)], "a": list(range(40)),
+                        "f": [i / 4 for i in range(40)]})
+    catalog = Catalog()
+    catalog.add_table(table)
+    query = parse_query(sql, catalog)
+    relation = RowIdRelation.from_base("t", np.arange(rows))
+    expected = rows_post_process(query, relation, {"t": table})
+    evaluated = _counting(monkeypatch, postprocess, "evaluate_array")
+    actual = postprocess.post_process(query, relation, {"t": table})
+    counted = {ColumnRef("t", "f")} | ({ColumnRef("t", "a")} if "SUM" not in sql else set())
+    assert not counted & {call[0] for call in evaluated}
+    assert_tables_identical(expected, actual)
 
 
 @pytest.mark.parametrize("weight", [SKINNER_C_EXPLORATION_WEIGHT, DEFAULT_EXPLORATION_WEIGHT])
