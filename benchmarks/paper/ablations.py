@@ -160,7 +160,7 @@ class RandomLearningRun(GenericLearningRun):
 class _RandomLearning:
     """Builds a :class:`RandomLearningRun` where Skinner-G/H build theirs."""
 
-    def learning_run(self, query: Query, substrate: GenericEngine | None) -> GenericLearningRun:
+    def learning_run(self, query: Query, substrate: GenericEngine) -> GenericLearningRun:
         return RandomLearningRun(self._catalog, query, self._udfs, self._config, engine=substrate)
 
 

@@ -93,7 +93,7 @@ def external_sqlite(tuples_per_table: int = 400) -> dict[str, Any]:
 
         learned_order = external.metrics.final_join_order
         adapter = sqlite_adapter_for(connection.catalog)
-        emitter = SqlEmitter(connection.catalog, query, adapter.dialect)
+        emitter = SqlEmitter(connection.catalog, query)
 
         def plan_cost(order):
             """Full-query cost of one plan on the deterministic work clock."""

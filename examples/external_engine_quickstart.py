@@ -50,8 +50,8 @@ def main() -> None:
     assert sorted(map(tuple, (r.values() for r in external.rows))) == \
         sorted(map(tuple, (r.values() for r in internal.rows)))
 
-    # Queries the host dialect cannot replicate bit-for-bit (UDFs here)
-    # fall back to the internal executor with a RuntimeWarning.
+    # Queries sqlite cannot replicate bit-for-bit (UDFs here) run on the
+    # internal executor after a RuntimeWarning.
     conn.register_udf("heavy", lambda w: w > 6.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

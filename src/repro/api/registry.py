@@ -212,9 +212,9 @@ BUILTIN_SPECS = (
     EngineSpec("traditional", lambda context: TraditionalEngine(context.catalog, context.udfs),
                task_class=TraditionalTask),
     # Skinner-G/H over a real host DBMS (the paper's actual deployment):
-    # batches run as order-forcing SQL on a per-catalog sqlite mirror, with
-    # automatic fallback to the internal executor for queries the dialect
-    # cannot replicate (see repro.external).
+    # batches run as order-forcing SQL on a per-catalog sqlite mirror; the
+    # provider picks the internal executor instead, with a warning, for a
+    # query sqlite cannot replicate (see repro.external.engines).
     *(EngineSpec(name, factory, task_class=task_class)
       for name, factory, task_class in SQLITE_ENGINES),
 )

@@ -13,6 +13,10 @@ of a query), producing a row-id relation.  It supports:
   timeouts: when the budget is exhausted, execution aborts and all
   intermediate results are lost, exactly like a timed-out DBMS invocation.
 
+It is Skinner-G/H's internal host: a :class:`~repro.engine.task.GenericEngine`
+whose :meth:`~PlanExecutor.execute_batch` / :meth:`~PlanExecutor.execute_plan`
+run one budgeted attempt each.
+
 Filtered positions and grouped hash-join build sides come from the catalog's
 :class:`~repro.engine.statement_cache.StatementCache`, shared with every
 other statement and engine on the same table versions.  A build side is
@@ -37,6 +41,8 @@ from repro.engine.operators import (
 )
 from repro.engine.relation import RowIdRelation
 from repro.engine.statement_cache import StatementCache
+from repro.engine.task import GenericEngine
+from repro.errors import BudgetExceeded
 from repro.query.join_graph import JoinStep
 from repro.query.predicates import Predicate
 from repro.query.query import Query
@@ -45,7 +51,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
 
-class PlanExecutor:
+class PlanExecutor(GenericEngine):
     """Executes left-deep join orders for one query against a catalog."""
 
     def __init__(
@@ -78,18 +84,19 @@ class PlanExecutor:
         """Alias-to-table mapping for this query."""
         return self._tables
 
-    def pre_process(
-        self, meter: CostMeter | None = None, *, bill_again: bool = False
-    ) -> dict[str, np.ndarray]:
-        """Every alias's rows surviving its unary predicates.
+    def pre_process(self, meter: CostMeter | None = None) -> dict[str, np.ndarray]:
+        """Every alias's rows surviving its unary predicates, charging
+        ``meter`` the filter pass on every call, as a host scans for each
+        statement: live the first time (also where the statement cache held
+        the filter), then replayed charge by charge, so a budget runs out
+        exactly where it would on filtering afresh.  Skinner-H's attempts and
+        its learning run share one executor."""
+        if self._filtered is not None and meter is not None:
+            meter.replay(self._filter_charges)
+        return self._filter(meter)
 
-        The first pass charges ``meter`` what filtering costs, also where the
-        statement cache held the filter.  A later pass charges nothing, unless
-        ``bill_again``: then ``meter`` is charged the first pass, charge by
-        charge, so a budget runs out exactly where it would on filtering
-        afresh (Skinner-H's attempts and its learning run share one executor;
-        a host would scan for each).
-        """
+    def _filter(self, meter: CostMeter | None = None) -> dict[str, np.ndarray]:
+        """The filtered rows, charging ``meter`` only the first pass."""
         if self._filtered is None:
             log = ChargeLog(meter if meter is not None else CostMeter())
             filtered: dict[str, np.ndarray] = {}
@@ -99,13 +106,39 @@ class PlanExecutor:
                     table, alias, predicates, log, self._udfs
                 )
             self._filtered, self._filter_charges = filtered, log.charges
-        elif bill_again:
-            meter.replay(self._filter_charges)
         return self._filtered
 
     def filtered_positions(self, alias: str) -> np.ndarray:
         """Row positions of ``alias`` surviving its unary predicates."""
-        return self.pre_process()[alias]
+        return self._filter()[alias]
+
+    # ------------------------------------------------------------------
+    # budgeted attempts (the GenericEngine contract)
+    # ------------------------------------------------------------------
+    def execute_batch(
+        self,
+        order: Sequence[str],
+        batch: tuple[int, int],
+        lower: Mapping[str, int],
+        budget: int,
+    ) -> tuple[CostMeter, np.ndarray | None]:
+        meter = CostMeter(budget=budget)
+        try:
+            relation = self.execute_order(order, meter, batch, lower)
+        except BudgetExceeded:
+            return meter, None
+        return meter, relation.matrix(self._query.aliases)
+
+    def execute_plan(
+        self, order: Sequence[str], budget: int
+    ) -> tuple[CostMeter, RowIdRelation | None]:
+        meter = CostMeter(budget=budget)
+        try:
+            self.pre_process(meter)  # every whole-query attempt pays the filters
+            relation = self.execute_order(order, meter)
+        except BudgetExceeded:
+            return meter, None
+        return meter, relation
 
     # ------------------------------------------------------------------
     # join execution
@@ -149,7 +182,7 @@ class PlanExecutor:
         residual charges, never the rows or the counters.
         """
         steps = self.join_steps(order)
-        filtered = self.pre_process(meter)
+        filtered = self._filter(meter)
         lower = lower or {}
         first = filtered[order[0]]
         if batch is not None:

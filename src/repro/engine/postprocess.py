@@ -68,8 +68,6 @@ def post_process(
         columns, source_rows, length = _take(columns, source_rows, order)
     if query.limit is not None:
         columns, source_rows, length = _take(columns, source_rows, slice(None, query.limit))
-    if not names:
-        return Table("result", {"count": [length]})
     if length == 0:
         # Empty results type every column as an empty value list does.
         return Table("result", {name: [] for name in names})

@@ -20,10 +20,10 @@
 
 :class:`GenericEngine`
     The execution substrate Skinner-G/H drive their batch attempts on —
-    the paper's "existing DBMS".  The internal left-deep
-    :class:`~repro.engine.executor.PlanExecutor` implements it as the
-    default; :mod:`repro.external` implements it over sqlite3 by emitting
-    order-forcing SQL.
+    the paper's "existing DBMS".  Two hosts implement it: the internal
+    left-deep :class:`~repro.engine.executor.PlanExecutor`, and
+    :mod:`repro.external`'s engine over sqlite3, which emits order-forcing
+    SQL.
 
 Keeping the ABCs in ``repro.engine`` (below ``repro.skinner``,
 ``repro.external``, and ``repro.serving`` in the import graph) lets engine
@@ -272,11 +272,9 @@ class GeneratorTask(EngineTask):
             udfs.restore(self.udfs.snapshot())
         names = query.output_names() if query.select_items else query.star_names(tables)
         rows = len(relation) if query.limit is None else min(len(relation), query.limit)
-        if not names:  # nothing to project: post_process counts the rows
-            rows = 1
         # Every output column's array is 8 bytes a row, as every alias's row
         # id is: the bound holds whatever the select list makes of them.
-        nbytes = max(len(relation.aliases), len(names), 1) * rows * 8
+        nbytes = max(len(relation.aliases), len(names)) * rows * 8
         build = functools.partial(post_process, query, relation, tables, udfs, CostMeter())
         return QueryResult.deferred(build, self.partial_metrics(rows), nbytes)
 
@@ -370,6 +368,3 @@ class GenericEngine(abc.ABC):
         Used by Skinner-H's traditional-plan side.  Returns the meter and
         the complete join relation, or ``None`` on timeout.
         """
-
-    def close(self) -> None:
-        """Release external resources; idempotent."""

@@ -7,11 +7,11 @@ table with the remaining tuples of all other tables under that budget.
 Completed batches earn reward 1 and are excluded from further processing;
 timed-out attempts earn reward 0 and all their intermediate work is lost.
 
-The generic engine is pluggable (:class:`~repro.engine.task.GenericEngine`):
-the default :class:`InternalGenericEngine` wraps the left-deep
-:class:`~repro.engine.executor.PlanExecutor` (the A/B reference), while
-:mod:`repro.external` provides substrates that drive a real DBMS through
-order-forcing SQL — exactly the deployment the paper describes.
+The generic engine is pluggable (:class:`~repro.engine.task.GenericEngine`),
+and a provider chooses it once per query: by default the left-deep
+:class:`~repro.engine.executor.PlanExecutor` itself (the A/B reference), while
+:mod:`repro.external` provides one that drives sqlite through order-forcing
+SQL — exactly the deployment the paper describes.
 
 Clock discipline: all batch budgets and rewards run on the deterministic
 work-unit clock of :class:`~repro.engine.meter.CostMeter` — never wall-clock
@@ -26,24 +26,21 @@ clock).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Mapping, Sequence
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
 from repro.engine.relation import RowIdRelation
 from repro.engine.task import ExecutionBackend, GeneratorTask, GenericEngine
-from repro.errors import BudgetExceeded, ExecutionError
+from repro.errors import ExecutionError
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.skinner.result_set import JoinResultSet
 from repro.skinner.timeouts import PyramidTimeoutScheme
 from repro.storage.catalog import Catalog
-from repro.storage.table import Table
 from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT
 from repro.uct.tree import UctJoinTree
 
@@ -54,68 +51,10 @@ _MAX_ITERATIONS = 500_000
 #: later batch can produce a tuple with one of them again (paper §4.3).
 _BATCHES = "batches"
 
-#: ``provider(catalog, query, udfs) -> GenericEngine | None`` — a factory
-#: selecting the execution substrate for one query.  Returning ``None``
-#: means "fall back to the internal executor" (e.g. external engines facing
-#: UDF predicates they cannot evaluate remotely).
-GenericEngineProvider = Callable[[Catalog, Query, "UdfRegistry | None"], "GenericEngine | None"]
-
-
-class InternalGenericEngine(GenericEngine):
-    """The default substrate: the internal left-deep plan executor.
-
-    Wraps :class:`~repro.engine.executor.PlanExecutor` behind the
-    :class:`~repro.engine.task.GenericEngine` contract with byte-identical
-    charges and results to the historical direct-call code path.
-    """
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        query: Query,
-        udfs: UdfRegistry | None,
-    ) -> None:
-        self._query = query
-        self._aliases = tuple(query.aliases)
-        self._executor = PlanExecutor(catalog, query, udfs)
-
-    @property
-    def tables(self) -> Mapping[str, Table]:
-        return self._executor.tables
-
-    def pre_process(self, meter: CostMeter) -> None:
-        # Skinner-H's traditional attempts may have filtered already; the
-        # learning run is charged its own pass all the same.
-        self._executor.pre_process(meter, bill_again=True)
-
-    def filtered_positions(self, alias: str) -> np.ndarray:
-        return self._executor.filtered_positions(alias)
-
-    def execute_batch(
-        self,
-        order: Sequence[str],
-        batch: tuple[int, int],
-        lower: Mapping[str, int],
-        budget: int,
-    ) -> tuple[CostMeter, np.ndarray | None]:
-        meter = CostMeter(budget=budget)
-        try:
-            relation = self._executor.execute_order(order, meter, batch, lower)
-        except BudgetExceeded:
-            return meter, None
-        return meter, relation.matrix(self._aliases)
-
-    def execute_plan(
-        self, order: Sequence[str], budget: int
-    ) -> tuple[CostMeter, RowIdRelation | None]:
-        meter = CostMeter(budget=budget)
-        try:
-            # Every whole-query invocation pays the filters, as a host would.
-            self._executor.pre_process(meter, bill_again=True)
-            relation = self._executor.execute_order(order, meter)
-        except BudgetExceeded:
-            return meter, None
-        return meter, relation
+#: ``provider(catalog, query, udfs) -> GenericEngine`` — chooses the host of
+#: one query's batch attempts; :class:`~repro.engine.executor.PlanExecutor` is
+#: one (the default).
+GenericEngineProvider = Callable[[Catalog, Query, "UdfRegistry | None"], GenericEngine]
 
 
 @dataclass
@@ -133,8 +72,8 @@ class GenericLearningRun:
     query: Query
     udfs: UdfRegistry | None
     config: SkinnerConfig
-    #: The execution substrate; ``None`` selects the internal executor.
-    engine: GenericEngine | None = None
+    #: The execution substrate (the host).
+    engine: GenericEngine
     meter: CostMeter = field(init=False)
     result_set: JoinResultSet = field(init=False)
     scheme: PyramidTimeoutScheme = field(init=False)
@@ -149,8 +88,6 @@ class GenericLearningRun:
     finished: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        if self.engine is None:
-            self.engine = InternalGenericEngine(self.catalog, self.query, self.udfs)
         self.meter = CostMeter()
         self.engine.pre_process(self.meter)
         self.result_set = JoinResultSet(tuple(self.query.aliases))
@@ -195,7 +132,6 @@ class GenericLearningRun:
         # The batches are consecutive pieces of the filtered rows, so what
         # remains of an alias starts where its current batch does.
         lower = {alias: self.batch_edges[alias][self.batch_offsets[alias]] for alias in order}
-        assert self.engine is not None
         slice_meter, joined = self.engine.execute_batch(
             order, (edges[offset], edges[offset + 1]), lower, choice.budget
         )
@@ -277,30 +213,23 @@ class SkinnerG(ExecutionBackend):
         udfs: UdfRegistry | None = None,
         config: SkinnerConfig = DEFAULT_CONFIG,
         *,
-        generic_engine: GenericEngineProvider | None = None,
+        generic_engine: GenericEngineProvider = PlanExecutor,
         backend_label: str | None = None,
     ) -> None:
         self._catalog = catalog
         self._udfs = udfs
         self._config = config
-        #: Substrate factory — ``None`` keeps the internal executor (the
-        #: historical behavior and the A/B reference); ``repro.external``
-        #: passes providers that drive a real DBMS.
+        #: Chooses each query's host: the internal executor by default;
+        #: ``repro.external`` passes one that drives sqlite.
         self._generic_engine = generic_engine
         self._backend_label = backend_label
 
-    def _make_generic_engine(self, query: Query) -> GenericEngine | None:
-        """The substrate for one query; ``None`` means the internal executor.
-
-        Providers may themselves return ``None`` to fall back (external
-        engines facing UDF predicates warn and run internally).
-        """
-        if self._generic_engine is None:
-            return None
+    def _make_generic_engine(self, query: Query) -> GenericEngine:
+        """The host of ``query``'s batch attempts (the provider's choice)."""
         return self._generic_engine(self._catalog, query, self._udfs)
 
-    def learning_run(self, query: Query, substrate: GenericEngine | None) -> GenericLearningRun:
-        """The learning run of ``query`` on ``substrate`` (``None``: the internal executor)."""
+    def learning_run(self, query: Query, substrate: GenericEngine) -> GenericLearningRun:
+        """The learning run of ``query`` on ``substrate``."""
         return GenericLearningRun(self._catalog, query, self._udfs, self._config, engine=substrate)
 
     @property

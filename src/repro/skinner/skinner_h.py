@@ -20,12 +20,7 @@ from repro.engine.task import GeneratorTask
 from repro.errors import ExecutionError
 from repro.optimizer.exhaustive import estimated_plan
 from repro.query.query import Query
-from repro.skinner.skinner_g import (
-    GenericLearningRun,
-    InternalGenericEngine,
-    SkinnerG,
-    SkinnerGTask,
-)
+from repro.skinner.skinner_g import GenericLearningRun, SkinnerG, SkinnerGTask
 
 _MAX_ROUNDS = 64
 
@@ -59,9 +54,7 @@ class SkinnerHTask(GeneratorTask):
         # One substrate serves both sides of the hybrid — the traditional
         # plan's timed whole-query attempts and the learning run's batch
         # attempts — so the internal executor filters and groups once.
-        self._substrate = engine._make_generic_engine(query) or (
-            InternalGenericEngine(engine._catalog, query, engine._udfs)
-        )
+        self._substrate = engine._make_generic_engine(query)
         self.tables = self._substrate.tables
         self.run: GenericLearningRun | None = None
         #: The side that finished first, its rounds, and its join tuples.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import Any
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, SchemaError
 from repro.storage.buffer import BufferManager, InMemoryBufferManager
 from repro.storage.table import Table
 
@@ -62,7 +62,10 @@ class Catalog:
     # tables
     # ------------------------------------------------------------------
     def add_table(self, table: Table, *, replace: bool = False) -> None:
-        """Register a table; raises if the name exists unless ``replace``."""
+        """Register a table; raises if the name exists unless ``replace``,
+        and for a table with no columns (``SELECT *`` names at least one)."""
+        if not table.column_names:
+            raise SchemaError(f"table {table.name!r} has no columns")
         if table.name in self._tables and not replace:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = self._buffer.register_table(table, replace=replace)

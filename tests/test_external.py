@@ -26,6 +26,7 @@ import hashlib
 import os
 import random
 import sqlite3
+import warnings
 
 import pytest
 
@@ -177,7 +178,12 @@ class TestSqliteEquivalence:
                 conn.close()
         assert readings[0] == readings[1]
 
-    def test_udf_query_falls_back_with_warning(self):
+    @pytest.mark.parametrize("external_engine, internal_engine",
+                             [("skinner_g_sqlite", "skinner-g"),
+                              ("skinner_h_sqlite", "skinner-h")])
+    def test_udf_query_falls_back_with_warning(self, external_engine, internal_engine):
+        """The provider warns once per statement and hands it to the plan
+        executor, which charges what the internal engine charges."""
         conn = connect(FAST)
         try:
             seed_random_tables(conn, random.Random(2))
@@ -193,10 +199,15 @@ class TestSqliteEquivalence:
                     SelectItem(expression=ColumnRef("b", "id"), alias="id"),
                 ],
             )
-            internal = conn.execute_direct(query, engine="skinner-g")
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                external = conn.execute_direct(query, engine="skinner_g_sqlite")
-            assert rows_of(external) == rows_of(internal)
+            internal = conn.execute_direct(query, engine=internal_engine)
+            for _ in range(2):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    external = conn.execute_direct(query, engine=external_engine)
+                assert [warning.category for warning in caught] == [RuntimeWarning]
+                assert "falling back" in str(caught[0].message)
+                assert rows_of(external) == rows_of(internal)
+                assert external.metrics.work == internal.metrics.work
         finally:
             conn.close()
 
@@ -364,7 +375,7 @@ class TestHostStatements:
         try:
             query = history_workload(conn)[1]
             engine = ExternalGenericEngine(conn.catalog, query, adapter)
-            emitter = SqlEmitter(conn.catalog, query, adapter.dialect)
+            emitter = SqlEmitter(conn.catalog, query)
             for order in (("a", "b", "c"), ("c", "b", "a"), ("b", "a", "c")):
                 sql, params = emitter.join_sql(order, {order[0]: (0, 19), order[1]: (5, None)})
                 plan = [row[3] for row in
@@ -520,7 +531,7 @@ class TestMirrorLifecycle:
 
     def test_adapter_close_is_idempotent(self):
         adapter = SqliteAdapter()
-        adapter.connect()
+        adapter._require_conn()
         path = adapter.path
         adapter.close()
         adapter.close()

@@ -201,13 +201,14 @@ def test_skinner_g_groups_each_build_side_once_per_query():
     workload = make_tpch_workload(1.0, 29)
     for workload_query in workload.queries[:4]:
         with counting_groupings() as grouped:
-            run = GenericLearningRun(same_tables(workload.catalog), workload_query.query, None,
-                                     config)
+            catalog = same_tables(workload.catalog)
+            run = GenericLearningRun(catalog, workload_query.query, None, config,
+                                     engine=PlanExecutor(catalog, workload_query.query))
             while not run.finished:
                 run.step()
         assert run.iterations > 20 * batches  # most slices joined a remainder
         # At most one grouping per (alias, key columns) the executor built on.
-        assert 0 < grouped[0] <= len(run.engine._executor._builds)
+        assert 0 < grouped[0] <= len(run.engine._builds)
 
 
 def test_a_map_over_a_udf_filter_is_kept_for_the_executor_only():

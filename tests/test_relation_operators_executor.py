@@ -202,6 +202,40 @@ class TestPlanExecutor:
             produced = set(index_tuples(relation, tiny_join_query.aliases))
             assert produced == expected, f"order {order} disagrees with the oracle"
 
+    def test_every_pre_process_with_a_meter_charges_the_filter_pass(
+        self, tiny_catalog, tiny_join_query
+    ):
+        """Skinner-H's attempts and its learning run share one executor, and
+        a host scans for each statement: each ``pre_process(meter)`` charges
+        the pass (live, then replayed), the joins after it charge none."""
+        order = ["c", "o", "i"]
+        scan = CostMeter()
+        PlanExecutor(tiny_catalog, tiny_join_query).pre_process(scan)
+        assert scan.total > 0
+        executor = PlanExecutor(tiny_catalog, tiny_join_query)
+        for _ in range(2):
+            again = CostMeter()
+            executor.pre_process(again)
+            assert again.snapshot() == scan.snapshot()
+        for budget in range(scan.total):
+            fresh, replayed = CostMeter(budget=budget), CostMeter(budget=budget)
+            with pytest.raises(BudgetExceeded):
+                PlanExecutor(tiny_catalog, tiny_join_query).pre_process(fresh)
+            with pytest.raises(BudgetExceeded):
+                executor.pre_process(replayed)
+            assert replayed.snapshot() == fresh.snapshot()
+        whole = CostMeter()
+        PlanExecutor(tiny_catalog, tiny_join_query).execute_order(order, whole)
+        joined = CostMeter()
+        executor.execute_order(order, joined)
+        assert joined.total == whole.total - scan.total > 0
+        rows = executor.filtered_positions("c").shape[0]
+        batch_meter, matrix = executor.execute_batch(order, (0, rows), {}, 10**9)
+        assert batch_meter.total == joined.total and matrix is not None
+        plan_meter, relation = executor.execute_plan(order, 10**9)
+        assert plan_meter.total == whole.total and relation is not None
+        assert executor.execute_plan(order, whole.total - 1)[1] is None
+
     def test_invalid_order_rejected(self, tiny_catalog, tiny_join_query):
         executor = PlanExecutor(tiny_catalog, tiny_join_query)
         with pytest.raises(PlanningError):

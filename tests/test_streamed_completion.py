@@ -11,7 +11,8 @@ hit, the remote ``result`` verb.  Pinned here:
   is every metric but the wall times — locally, over ``repro://``, after a
   result-cache hit, for a ``LIMIT`` the join fell short of, and after a
   durable write replaced the statement's table;
-* the result cache charges a pending result at least the built table's bytes.
+* the result cache charges a pending result at least the built table's bytes;
+* a table with no columns is refused, so no ``SELECT *`` projects nothing.
 """
 
 from __future__ import annotations
@@ -236,3 +237,34 @@ def test_a_blocking_statement_still_builds_its_table_at_completion():
         assert cursor.result().table.row_tuples() == rows
     finally:
         conn.close()
+
+
+def test_a_table_with_no_columns_is_refused(tmp_path):
+    """``SELECT *`` names at least one column of every table, so the stream
+    and the built table always project the same rows: a table with no
+    columns is refused by name, locally, over ``repro://`` and on a durable
+    catalog, before anything is stored."""
+    from repro.errors import SchemaError
+    from repro.net.server import ServerThread
+
+    data_dir = tmp_path / "db"
+    local, durable = _open(), _open(data_dir=data_dir)
+    try:
+        stored = sorted((path, path.stat().st_size) for path in data_dir.rglob("*"))
+        for conn in (local, durable):
+            with pytest.raises(SchemaError, match="'e' has no columns"):
+                conn.create_table("e", {})
+            assert not conn.catalog.has_table("e")
+            assert conn.execute("SELECT * FROM dim d").table.num_rows == 24
+        assert sorted((path, path.stat().st_size) for path in data_dir.rglob("*")) == stored
+    finally:
+        local.close()
+        durable.close()
+    with ServerThread(config=FAST) as live:
+        remote = connect(live.dsn, workers=1)
+        try:
+            with pytest.raises(SchemaError, match="'e' has no columns"):
+                remote.create_table("e", {})
+            assert not live.connection.catalog.has_table("e")
+        finally:
+            remote.close()

@@ -377,6 +377,31 @@ def test_the_ablations_are_harness_variants():
         assert "random" not in imported, module
 
 
+def test_skinner_g_and_h_have_two_hosts_and_no_layer_around_them():
+    """A provider returns a ``GenericEngine``: the plan executor is one, the
+    sqlite engine the other, and nothing wraps, abstracts or configures
+    either beyond what one value in use needs."""
+    import repro.external
+    from repro.engine.executor import PlanExecutor
+    from repro.engine.task import GenericEngine
+    from repro.external import SqlEmitter, SqliteAdapter
+    from repro.skinner import skinner_g
+
+    assert not (Path(repro.__file__).parent / "external" / "adapter.py").exists()
+    assert "DbmsAdapter" not in repro.external.__all__
+    assert not hasattr(repro.external, "DbmsAdapter")
+    assert list(inspect.signature(SqliteAdapter).parameters) == []
+    assert list(inspect.signature(SqlEmitter).parameters) == ["catalog", "query"]
+    assert issubclass(PlanExecutor, GenericEngine)
+    assert not hasattr(skinner_g, "InternalGenericEngine")
+    engine_field = {field.name: field for field in
+                    dataclasses.fields(skinner_g.GenericLearningRun)}["engine"]
+    assert engine_field.default is dataclasses.MISSING
+    assert engine_field.default_factory is dataclasses.MISSING
+    assert not hasattr(GenericEngine, "close")
+    assert list(inspect.signature(PlanExecutor.pre_process).parameters) == ["self", "meter"]
+
+
 #: Row-at-a-time accessors: a call to one of them is a per-row path.
 ROW_AT_A_TIME_CALLS = {"evaluate", "binding", "row", "binding_for", "value_at"}
 
@@ -635,6 +660,8 @@ RETIRED_MEMBERS = {
     "UctJoinTree.selection_counts", "UctNode.subtree_size", "ProgressTracker._nodes",
     "JoinGraph.valid_join_orders", "MultiwayJoin.parked_frame_sets", "StatementCache.versions",
     "VersionedLru.items", "parse_count", "save_csv", "to_xml",
+    # Skinner-G/H's hosts implement GenericEngine directly
+    "InternalGenericEngine", "DbmsAdapter", "GenericEngine.close", "SqliteAdapter.connect",
 }
 
 
