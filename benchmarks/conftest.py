@@ -21,9 +21,9 @@ Two environment variables drive the CI integration:
 from __future__ import annotations
 
 import dataclasses
-import glob
 import json
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -57,39 +57,53 @@ def smoke_mode() -> bool:
     return os.environ.get("BENCH_SMOKE", "") == "1"
 
 
+#: A benchmark session's scratch directory in the temp dir, named with the
+#: pid of the process that owns it.
+_SESSION_DIR = re.compile(r"repro-bench-(\d+)")
+
+
 @pytest.fixture(scope="session", autouse=True)
-def _sweep_stray_data_dirs():
-    """Remove ``repro-bench-data-*`` temp directories left by failed runs.
+def _session_scratch_dir():
+    """Keep the session's temp files in a directory of its own.
 
-    The storage benchmarks keep all on-disk state (CSV fixtures, durable
-    ``data_dir``) in one ``tempfile.mkdtemp(prefix="repro-bench-data-")``
-    directory and remove it themselves; a run that dies mid-experiment
-    leaves it behind.  The external-engine benchmarks likewise scratch
-    their sqlite mirrors into ``repro-mirror-*.sqlite`` files plus
-    per-table ``repro-mirror-*.sqlite.tables/`` directories deleted on
-    ``Connection.close()``.  Sweeping all patterns before *and* after the
-    session keeps the runner's temp space bounded no matter how the
-    previous run ended.
+    The storage benchmarks keep their on-disk state (CSV fixtures, durable
+    ``data_dir``) in a ``tempfile.mkdtemp`` directory, and the
+    external-engine benchmarks mirror tables into ``repro-mirror-*`` sqlite
+    files; both are made under ``repro-bench-<pid>`` in the temp dir, which
+    the session removes at its end.  A session that died leaves its
+    directory behind, so every session first sweeps those of dead pids —
+    never the files of a live process, such as the mirrors of a test suite
+    running beside it.
     """
-    _remove_stray_data_dirs()
-    yield
-    _remove_stray_data_dirs()
+    root = tempfile.gettempdir()
+    remove_dead_sessions(root)
+    scratch = os.path.join(root, f"repro-bench-{os.getpid()}")
+    os.makedirs(scratch, exist_ok=True)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tempfile, "tempdir", scratch)
+            patch.setenv("TMPDIR", scratch)  # subprocesses too
+            yield scratch
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _remove_stray_data_dirs() -> None:
-    pattern = os.path.join(tempfile.gettempdir(), "repro-bench-data-*")
-    for path in glob.glob(pattern):
-        if os.path.isdir(path):
-            shutil.rmtree(path, ignore_errors=True)
-    mirrors = os.path.join(tempfile.gettempdir(), "repro-mirror-*")
-    for path in glob.glob(mirrors):
-        if os.path.isdir(path):
-            shutil.rmtree(path, ignore_errors=True)
-        elif os.path.isfile(path):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+def remove_dead_sessions(root: str) -> None:
+    """Remove the scratch directories in ``root`` of sessions that are gone."""
+    for name in os.listdir(root):
+        match = _SESSION_DIR.fullmatch(name)
+        if match and not _alive(int(match.group(1))):
+            shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        return True
+    return True
 
 
 def _smoke_kwargs(kwargs: dict[str, Any]) -> dict[str, Any]:

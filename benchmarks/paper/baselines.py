@@ -37,7 +37,6 @@ from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
 from repro.skinner.preprocessor import preprocess
-from repro.skinner.result_set import JoinResultSet
 from repro.storage.catalog import Catalog
 
 from .oracle import restricted
@@ -80,19 +79,19 @@ class EddyTask(GeneratorTask):
     def episodes(self) -> Generator[None, None, RowIdRelation]:
         prepared = self.prepared = preprocess(self._catalog, self.query, self.udfs, self.meter)
         self.tables = prepared.tables
-        result_set = self.result_set = JoinResultSet(prepared.aliases)
+        self.rows = np.empty((0, len(prepared.aliases)), dtype=np.int64)
         if not prepared.is_empty():
             if self.query.num_tables == 1:
                 rows = np.array(prepared.filtered[prepared.aliases[0]], dtype=np.int64)
-                result_set.emit(rows.reshape(-1, 1), None)
+                self.rows = rows.reshape(-1, 1)
             else:
                 yield from self._route_all()
-        return result_set.to_relation()
+        return RowIdRelation.from_blocks(prepared.aliases, [self.rows])
 
     def metric_fields(self) -> dict[str, Any]:
-        # The routed tuples enter the result set when routing ends.
+        # The routed tuples are kept when routing ends.
         done = self.finished and not self.timed_out
-        return {"result_tuple_count": len(self.result_set) if done else 0}
+        return {"result_tuple_count": self.rows.shape[0] if done else 0}
 
     def _route_all(self) -> Generator[None, None, None]:
         prepared, meter = self.prepared, self.meter
@@ -119,9 +118,8 @@ class EddyTask(GeneratorTask):
                     tuple(base_row(prepared, alias, partial[alias]) for alias in prepared.aliases)
                 )
                 meter.charge_output(1)
-        # One insert: rows from no single source are settled when read.
-        matrix = np.array(routed, dtype=np.int64).reshape(-1, len(aliases))
-        self.result_set.emit(matrix, None)
+        # Each driver tuple extends into distinct partials: no row repeats.
+        self.rows = np.array(routed, dtype=np.int64).reshape(-1, len(aliases))
 
     def _examine(self) -> Generator[None, None, None]:
         """Count one driver tuple or candidate examined, rejected ones

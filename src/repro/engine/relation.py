@@ -5,18 +5,59 @@ integer arrays: row ``i`` of the result is the combination of base-table
 rows ``ids['a'][i]``, ``ids['b'][i]``, ``ids['c'][i]``.  This mirrors the
 paper's concise tuple representation (§4.5): tuples are described by arrays
 of tuple indices and materialized only on demand.  A relation may even
-defer its index arrays (:meth:`RowIdRelation.deferred`): it knows its
-aliases and length, and builds the arrays the first time one is read, so a
-statement that reads none — ``COUNT(*)`` — never builds them.
+defer its index arrays (:meth:`RowIdRelation.from_blocks`): it knows its
+aliases and length, and sorts the arrays into the canonical order (one
+function sorts every one) the first time one is read, so a statement that
+reads none — ``COUNT(*)`` — never sorts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ExecutionError
+
+_INT64_RANGE = 1 << 63
+
+
+def _lexicographic_order(matrix: np.ndarray) -> np.ndarray:
+    """The permutation sorting a matrix of *distinct* int64 rows like tuples.
+
+    Columns are packed mixed-radix, most significant first and each shifted
+    to start at zero, into as few int64 keys as hold them — one key
+    whenever the column ranges (at most the base tables' row counts)
+    multiply to less than 2^63 — so the sort compares one integer per row,
+    not one per alias.  Ties cannot occur between distinct rows, so the
+    single-key sort need not be stable.
+    """
+    if not matrix.shape[0]:
+        return np.empty(0, dtype=np.intp)
+    lows, highs = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
+    keys: list[np.ndarray] = []
+    size = 0  # the key being packed holds values in [0, size); 0: packs no more
+    for column, (low, high) in enumerate(zip(lows, highs)):
+        span = high - low + 1
+        if size and size * span <= _INT64_RANGE:
+            keys[-1] = keys[-1] * span + (matrix[:, column] - low)
+            size *= span
+        elif span <= _INT64_RANGE:
+            keys.append(matrix[:, column] - low)
+            size = span
+        else:  # a range too wide to shift into int64 sorts as it is
+            keys.append(matrix[:, column])
+            size = 0
+    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+
+
+def stack_blocks(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """The blocks' rows as one matrix of ``width`` columns."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return np.empty((0, width), dtype=np.int64)
+    return np.concatenate(blocks)
 
 
 class RowIdRelation:
@@ -34,20 +75,18 @@ class RowIdRelation:
             self._columns[alias] = positions
         self._aliases = tuple(self._columns)
         self._length = length or 0
-        self._build: Callable[[], np.ndarray] | None = None
+        self._blocks: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def deferred(
-        cls, aliases: Sequence[str], length: int, build: Callable[[], np.ndarray]
-    ) -> "RowIdRelation":
-        """A relation of ``length`` rows whose ``(rows, aliases)`` matrix
-        ``build()`` makes the first time anything reads an index array."""
+    def from_blocks(cls, aliases: Sequence[str], blocks: Sequence[np.ndarray]) -> "RowIdRelation":
+        """Distinct rows in ``(rows, aliases)`` int64 blocks, sorted on first
+        read.  The caller must not write to the blocks afterwards."""
         relation = cls({})
-        relation._columns, relation._build = None, build
-        relation._aliases, relation._length = tuple(aliases), length
+        relation._aliases, relation._columns, relation._blocks = tuple(aliases), None, list(blocks)
+        relation._length = sum(block.shape[0] for block in relation._blocks)
         return relation
 
     @classmethod
@@ -73,13 +112,12 @@ class RowIdRelation:
 
     @property
     def _ids(self) -> dict[str, np.ndarray]:
-        """The index arrays, built now if they were deferred."""
+        """The index arrays, stacked and sorted now if they were deferred."""
         if self._columns is None:
-            matrix = self._build()
-            if matrix.shape != (self._length, len(self._aliases)):
-                raise ExecutionError("deferred matrix shape must be (length, num_aliases)")
+            matrix = stack_blocks(self._blocks, len(self._aliases))
+            matrix = matrix[_lexicographic_order(matrix)]
             self._columns = {alias: matrix[:, i] for i, alias in enumerate(self._aliases)}
-            self._build = None
+            self._blocks = None
         return self._columns
 
     def ids(self, alias: str) -> np.ndarray:
@@ -111,16 +149,15 @@ class RowIdRelation:
         return RowIdRelation(ids)
 
     def canonical_order(self, aliases: Sequence[str] | None = None) -> "RowIdRelation":
-        """Rows lexsorted by the given alias order.
+        """Rows sorted like tuples over the given alias order (all aliases).
 
-        The same canonical order :meth:`JoinResultSet.to_matrix` produces,
-        so a materialized row order becomes a pure function of the result
-        *set* — never of the executor (hash join, external scan, ...) that
-        happened to find the tuples.
+        The order :meth:`from_blocks` sorts into, so a materialized row
+        order is a pure function of the result *set* — never of the
+        executor (hash join, external scan, ...) that found the tuples.
         """
         if self._length == 0:
             return self
-        order = np.lexsort(self.matrix(aliases).T[::-1])
+        order = _lexicographic_order(self.matrix(aliases))
         return RowIdRelation({alias: ids[order] for alias, ids in self._ids.items()})
 
     def matrix(self, aliases: Sequence[str] | None = None) -> np.ndarray:

@@ -437,8 +437,8 @@ def metrics_to_wire(metrics: QueryMetrics) -> dict[str, Any]:
         "uct_nodes": metrics.uct_nodes,
         "tracker_nodes": metrics.tracker_nodes,
         "result_tuple_count": metrics.result_tuple_count,
-        # Engine extras are JSON-normalized (tuples become lists); the
-        # byte-identity tests compare charges, not extras' container types.
+        # JSON turns the extras' tuples into lists and their int keys into
+        # strings; ``metrics_from_wire`` rebuilds the ones engines report.
         "extra": metrics.extra,
     }
 
@@ -457,8 +457,23 @@ def metrics_from_wire(wire: dict[str, Any]) -> QueryMetrics:
         uct_nodes=wire["uct_nodes"],
         tracker_nodes=wire["tracker_nodes"],
         result_tuple_count=wire["result_tuple_count"],
-        extra=dict(wire.get("extra") or {}),
+        extra=_extra_from_wire(wire.get("extra") or {}),
     )
+
+
+def _extra_from_wire(extra: dict[str, Any]) -> dict[str, Any]:
+    """Engine extras as the engine reported them: join orders as tuples,
+    Skinner-G's timeout levels keyed by int."""
+    extra = dict(extra)
+    if "top_orders" in extra:
+        extra["top_orders"] = [(tuple(order), visits) for order, visits in extra["top_orders"]]
+    if "trace" in extra:
+        extra["trace"] = [{**record, "order": tuple(record["order"])} for record in extra["trace"]]
+    if extra.get("plan") is not None:
+        extra["plan"] = tuple(extra["plan"])
+    if "timeout_levels" in extra:
+        extra["timeout_levels"] = {int(k): units for k, units in extra["timeout_levels"].items()}
+    return extra
 
 
 def result_to_wire(result: QueryResult) -> dict[str, Any]:

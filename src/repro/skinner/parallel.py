@@ -19,9 +19,9 @@ Determinism is the design center (see ``docs/parallel.md``):
   contiguous chunks.
 * Morsels partition the result space disjointly (every result tuple carries
   exactly one partition-alias row), so the duplicate-eliminating result set
-  assembles the union without cross-morsel interference and
-  ``to_matrix()``'s lexicographic sort makes the final rows byte-identical
-  to the single-process reference.
+  assembles the union without cross-morsel interference.  A morsel hands
+  over its rows in discovery order; the coordinator's relation sorts the
+  union once, into the canonical order the single-process reference has.
 * Meter charges are the sum of per-morsel charges merged in morsel-index
   order, so charges are byte-identical for every worker count ≥ 1 (with
   one worker the same morsel tasks run inline on the coordinator).
@@ -144,8 +144,8 @@ def _run_morsel(
 
     Registers the received (pickled) tables in a fresh catalog, runs an
     ordinary :class:`SkinnerCTask` whose universe is the morsel's restricted
-    positions, and returns plain data: the lexicographically sorted result
-    matrix, meter snapshots, and the local UCT tree's order statistics.
+    positions, and returns plain data: the result rows in discovery order,
+    meter snapshots, and the local UCT tree's order statistics.
     """
     catalog = Catalog()
     for table in pickle.loads(tables):
@@ -162,7 +162,7 @@ def _run_morsel(
 def _morsel_outcome(task: SkinnerCTask) -> dict[str, Any]:
     """What a finished morsel task hands the coordinator, as plain data."""
     return {
-        "matrix": task.result_set.to_matrix(),
+        "matrix": task.result_set.drain_new(),  # all rows: none were drained
         "pre": task.pre_meter.snapshot(),
         "join": task.join_meter.snapshot(),
         "slices": task.slices,

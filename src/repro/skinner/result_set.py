@@ -1,4 +1,4 @@
-"""Result set of tuple-index vectors with duplicate elimination.
+"""Skinner-C's result set: the tuples of all join orders, repeats dropped.
 
 Different join orders can regenerate the same result tuple; Skinner-C stores
 result tuples as vectors of base-table row positions (one per query alias,
@@ -10,8 +10,12 @@ forward lexicographically, so it never emits a tuple twice.  The store is
 therefore a list of int64 matrix blocks, appended as they are emitted, and
 distinctness is established only once a second source has emitted — then
 lazily, when somebody looks (:meth:`JoinResultSet.drain_new`,
-:meth:`~JoinResultSet.to_matrix`, ``len``), by sorting packed integer keys.
-No Python object is ever made per row.
+:meth:`~JoinResultSet.to_relation`, ``len``), by sorting packed integer
+keys.  No Python object is ever made per row.
+
+Only Skinner-C's join orders need this: rows distinct by construction —
+Skinner-G's batches, one morsel's — go straight to
+:meth:`RowIdRelation.from_blocks`, which sorts this set's rows too.
 """
 
 from __future__ import annotations
@@ -20,40 +24,10 @@ from collections.abc import Hashable, Sequence
 
 import numpy as np
 
-from repro.engine.relation import RowIdRelation
+from repro.engine.relation import RowIdRelation, stack_blocks
 
 
-_INT64_RANGE = 1 << 63
 _KEY_BITS = 63
-
-
-def _lexicographic_order(matrix: np.ndarray) -> np.ndarray:
-    """The permutation sorting a matrix of *distinct* int64 rows like tuples.
-
-    Columns are packed mixed-radix, most significant first and each shifted
-    to start at zero, into as few int64 keys as hold them — one key
-    whenever the column ranges (at most the base tables' row counts)
-    multiply to less than 2^63 — so the sort compares one integer per row,
-    not one per alias.  Ties cannot occur between distinct rows, so the
-    single-key sort need not be stable.
-    """
-    if not matrix.shape[0]:
-        return np.empty(0, dtype=np.intp)
-    lows, highs = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
-    keys: list[np.ndarray] = []
-    size = 0  # the key being packed holds values in [0, size); 0: packs no more
-    for column, (low, high) in enumerate(zip(lows, highs)):
-        span = high - low + 1
-        if size and size * span <= _INT64_RANGE:
-            keys[-1] = keys[-1] * span + (matrix[:, column] - low)
-            size *= span
-        elif span <= _INT64_RANGE:
-            keys.append(matrix[:, column] - low)
-            size = span
-        else:  # a range too wide to shift into int64 sorts as it is
-            keys.append(matrix[:, column])
-            size = 0
-    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
 
 
 class JoinResultSet:
@@ -134,32 +108,19 @@ class JoinResultSet:
         self._settle()
         fresh = self._blocks[self._drained:]
         self._drained = len(self._blocks)
-        return self._stacked(fresh)
-
-    def to_matrix(self) -> np.ndarray:
-        """The stored index vectors as a ``(rows, aliases)`` int64 matrix.
-
-        Rows are sorted lexicographically (same order ``sorted`` gives the
-        tuples), so downstream consumers — materialization, the columnar
-        post-processing pipeline — see a deterministic row order regardless
-        of which join orders produced the tuples.
-        """
-        self._settle()
-        return self._sorted(self._blocks, len(self._aliases))
+        return stack_blocks(fresh, len(self._aliases))
 
     def to_relation(self) -> RowIdRelation:
         """The set as a row-id relation over the alias order.
 
-        Only distinctness is settled now, for the length.  The rows are
-        stacked and sorted as :meth:`to_matrix` sorts them the first time
-        post-processing reads an alias, which a ``COUNT(*)`` never does.
-        Rows emitted after this call are not in the relation, and the
-        relation holds the blocks alone, not the set's keys.
+        Only distinctness is settled now, for the length; the relation
+        sorts the rows the first time post-processing reads an alias, which
+        a ``COUNT(*)`` never does.  Rows emitted after this call are not in
+        the relation, and the relation holds the blocks alone, not the
+        set's keys.
         """
-        length = len(self)
-        blocks, width = list(self._blocks), len(self._aliases)
-        return RowIdRelation.deferred(
-            self._aliases, length, lambda: JoinResultSet._sorted(blocks, width))
+        self._settle()
+        return RowIdRelation.from_blocks(self._aliases, self._blocks)
 
     def estimated_bytes(self) -> int:
         """Rough memory footprint: 8 bytes per stored index."""
@@ -181,7 +142,7 @@ class JoinResultSet:
         sources = set(self._unchecked)
         source = sources.pop() if len(sources) == 1 else None
         self._unchecked = []
-        pending = self._stacked(blocks[self._settled:])
+        pending = stack_blocks(blocks[self._settled:], len(self._aliases))
         keys = self._keys(pending) if self._seen is not None else None
         if keys is None:
             keys = self._rekey(pending)
@@ -229,7 +190,7 @@ class JoinResultSet:
         that.  Negative values, or more than 63 bits in all, and the key is
         the row's bytes from then on.
         """
-        rows = self._stacked(self._blocks[: self._settled] + [pending])
+        rows = stack_blocks(self._blocks[: self._settled] + [pending], len(self._aliases))
         widths = [high.bit_length() for high in rows.max(axis=0).tolist()]
         spare = (_KEY_BITS - sum(widths)) // len(widths)
         self._widths = None
@@ -242,21 +203,3 @@ class JoinResultSet:
         self._seen = np.sort(keys[:settled])
         self._run_keys = []
         return keys[settled:]
-
-    @staticmethod
-    def _sorted(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
-        """The blocks' rows, ``width`` aliases a row, sorted like tuples."""
-        matrix = _stack(blocks, width)
-        return matrix[_lexicographic_order(matrix)]
-
-    def _stacked(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return _stack(blocks, len(self._aliases))
-
-
-def _stack(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """The blocks' rows as one matrix of ``width`` columns."""
-    if len(blocks) == 1:
-        return blocks[0]
-    if not blocks:
-        return np.empty((0, width), dtype=np.int64)
-    return np.concatenate(blocks)

@@ -6,6 +6,8 @@ picks a join order, and the generic engine joins one batch of the left-most
 table with the remaining tuples of all other tables under that budget.
 Completed batches earn reward 1 and are excluded from further processing;
 timed-out attempts earn reward 0 and all their intermediate work is lost.
+Completed batches never share a tuple, so the run keeps their rows as
+plain blocks, without Skinner-C's duplicate elimination.
 
 The generic engine is pluggable (:class:`~repro.engine.task.GenericEngine`),
 and a provider chooses it once per query: by default the left-deep
@@ -30,6 +32,8 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.engine.executor import PlanExecutor
 from repro.engine.meter import CostMeter
@@ -38,18 +42,12 @@ from repro.engine.task import ExecutionBackend, GeneratorTask, GenericEngine
 from repro.errors import ExecutionError
 from repro.query.query import Query
 from repro.query.udf import UdfRegistry
-from repro.skinner.result_set import JoinResultSet
 from repro.skinner.timeouts import PyramidTimeoutScheme
 from repro.storage.catalog import Catalog
 from repro.uct.policy import DEFAULT_EXPLORATION_WEIGHT
 from repro.uct.tree import UctJoinTree
 
 _MAX_ITERATIONS = 500_000
-
-#: The one source of a run's result blocks (see ``JoinResultSet``): a batch
-#: that succeeds leaves its left-most table's remaining rows for good, so no
-#: later batch can produce a tuple with one of them again (paper §4.3).
-_BATCHES = "batches"
 
 #: ``provider(catalog, query, udfs) -> GenericEngine`` — chooses the host of
 #: one query's batch attempts; :class:`~repro.engine.executor.PlanExecutor` is
@@ -75,7 +73,11 @@ class GenericLearningRun:
     #: The execution substrate (the host).
     engine: GenericEngine
     meter: CostMeter = field(init=False)
-    result_set: JoinResultSet = field(init=False)
+    #: The joined rows, one block per successful batch.  They never repeat:
+    #: a batch that succeeds leaves its left-most table's remaining rows for
+    #: good, so no later batch produces a tuple with one of them again
+    #: (paper §4.3), and one batch joins distinct rows.
+    blocks: list[np.ndarray] = field(init=False, default_factory=list)
     scheme: PyramidTimeoutScheme = field(init=False)
     trees: dict[int, UctJoinTree] = field(init=False, default_factory=dict)
     #: Per alias, its current batch: the batches before it have completed.
@@ -90,7 +92,6 @@ class GenericLearningRun:
     def __post_init__(self) -> None:
         self.meter = CostMeter()
         self.engine.pre_process(self.meter)
-        self.result_set = JoinResultSet(tuple(self.query.aliases))
         self.scheme = PyramidTimeoutScheme(self.config.base_timeout)
         for alias in self.query.aliases:
             rows = int(self.engine.filtered_positions(alias).shape[0])
@@ -104,7 +105,7 @@ class GenericLearningRun:
             self.finished = True
         if self.query.num_tables == 1:
             positions = self.engine.filtered_positions(self.query.aliases[0])
-            self.result_set.emit(positions[:, None], _BATCHES)
+            self.blocks.append(positions[:, None])
             self.finished = True
 
     # ------------------------------------------------------------------
@@ -138,7 +139,7 @@ class GenericLearningRun:
         spent = slice_meter.total
         self.meter.merge(slice_meter)
         if joined is not None:
-            self.result_set.emit(joined, _BATCHES)
+            self.blocks.append(joined)
             self.batch_offsets[left] += 1
             tree.update(order, 1.0)
             if self.batch_offsets[left] >= len(edges) - 1:
@@ -187,7 +188,7 @@ class SkinnerGTask(GeneratorTask):
             run.step()
             if not run.finished:
                 yield
-        return run.result_set.to_relation()
+        return RowIdRelation.from_blocks(run.query.aliases, run.blocks)
 
     def metric_fields(self) -> dict[str, Any]:
         run = self.run
@@ -195,7 +196,7 @@ class SkinnerGTask(GeneratorTask):
             "final_join_order": run.best_order(),
             "time_slices": run.iterations,
             "uct_nodes": run.uct_node_count(),
-            "result_tuple_count": len(run.result_set),
+            "result_tuple_count": sum(block.shape[0] for block in run.blocks),
             "extra": {"timeout_levels": run.scheme.time_per_level()},
         }
 

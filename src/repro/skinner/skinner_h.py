@@ -96,7 +96,7 @@ class SkinnerHTask(GeneratorTask):
                 yield  # episode boundary: one learning iteration
             if run.finished:
                 self._winner = "learning"
-                return run.result_set.to_relation()
+                return RowIdRelation.from_blocks(query.aliases, run.blocks)
         raise ExecutionError("Skinner-H did not converge within the round limit")
 
     def metric_fields(self) -> dict[str, Any]:

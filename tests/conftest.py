@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.engine.joinkernels import GroupedJoinMap
-from repro.engine.relation import RowIdRelation
+from repro.engine.relation import RowIdRelation, stack_blocks
 from repro.engine.statement_cache import StatementCache
 from repro.engine.versioned_lru import Entry, VersionedLru
 from repro.query.expressions import ColumnRef, FunctionCall
@@ -114,7 +114,7 @@ def add_rows(results: JoinResultSet, rows) -> int:
 def result_tuples(results: JoinResultSet) -> list[tuple[int, ...]]:
     """A result set's rows as tuples in discovery order, draining nothing."""
     results._settle()
-    return [tuple(row) for row in results._stacked(results._blocks).tolist()]
+    return [tuple(row) for row in stack_blocks(results._blocks, len(results.aliases)).tolist()]
 
 
 def result_multiset(result) -> list[tuple[Any, ...]]:

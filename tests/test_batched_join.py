@@ -347,7 +347,8 @@ def assert_matches_scalar(prepared, order, batch_size, budget, udfs=None, offset
                           ("scalar then batched", lambda i: i % 2 == 0)):
         results, state, meter, _ = run_sliced(prepared, order, batch_size, budget, udfs,
                                               offsets=offsets, scalar=scalar)
-        assert np.array_equal(results.to_matrix(), reference.to_matrix()), label
+        assert np.array_equal(results.to_relation().matrix(),
+                              reference.to_relation().matrix()), label
         assert np.array_equal(results.drain_new(), emitted), f"{label}: emission order"
         assert state.as_tuple() == reference_state.as_tuple(), label
         assert meter.output_tuples == reference_meter.output_tuples, label

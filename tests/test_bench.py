@@ -1,6 +1,9 @@
 """Tests for the benchmark harness, metrics aggregation, and reporting."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -240,3 +243,23 @@ class TestExperimentDrivers:
         assert kept["Work Units"] == fresh["Work Units"] > 0
         # The series sits beside the gated work total, not in it.
         assert "simulated_time" not in kept
+
+
+class TestScratchSweep:
+    def test_a_mirror_owned_by_a_live_process_survives_the_sweep(self, tmp_path):
+        from benchmarks.conftest import remove_dead_sessions
+
+        ended = subprocess.Popen([sys.executable, "-c", "pass"])
+        ended.wait()
+        dead, live = (tmp_path / f"repro-bench-{pid}" for pid in (ended.pid, os.getpid()))
+        for session in (dead, live):
+            (session / "repro-mirror-1.sqlite.tables").mkdir(parents=True)
+            (session / "repro-mirror-1.sqlite").write_bytes(b"")
+        # Another suite's live mirror, straight in the temp dir.
+        (tmp_path / "repro-mirror-2.sqlite.tables").mkdir()
+        (tmp_path / "repro-mirror-2.sqlite").write_bytes(b"")
+        remove_dead_sessions(str(tmp_path))
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [live.name, "repro-mirror-2.sqlite", "repro-mirror-2.sqlite.tables"])
+        assert sorted(path.name for path in live.iterdir()) == [
+            "repro-mirror-1.sqlite", "repro-mirror-1.sqlite.tables"]

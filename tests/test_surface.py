@@ -17,6 +17,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -559,6 +560,46 @@ def _cache_offenders(package: Path) -> list[str]:
     return offenders
 
 
+def test_only_skinner_c_keeps_a_result_set():
+    """Only Skinner-C's join orders repeat tuples (paper §4.5): every other
+    engine's rows are distinct by construction and skip ``JoinResultSet``."""
+    root = Path(repro.__file__).parent.parent.parent
+    users = set()
+    for folder in ("src/repro", "benchmarks/paper"):
+        for path in (root / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if any(isinstance(node, ast.Name) and node.id == "JoinResultSet"
+                   or isinstance(node, ast.alias) and node.name == "JoinResultSet"
+                   for node in ast.walk(tree)):
+                users.add(path.relative_to(root).as_posix())
+    assert users == {"src/repro/skinner/__init__.py", "src/repro/skinner/skinner_c.py",
+                     "src/repro/skinner/multiway_join.py"}
+
+
+def test_one_function_sorts_every_canonical_order(monkeypatch):
+    from repro.engine import relation as relation_module
+    from repro.engine.relation import RowIdRelation
+    from repro.skinner.result_set import JoinResultSet
+
+    sorted_ = []
+    original = relation_module._lexicographic_order
+
+    def counted(matrix):
+        sorted_.append(matrix.shape[0])
+        return original(matrix)
+
+    monkeypatch.setattr(relation_module, "_lexicographic_order", counted)
+    rows = np.array([[2, 0], [0, 1], [1, 1]], dtype=np.int64)
+    results = JoinResultSet(("a", "b"))
+    results.emit(rows, "one order")
+    expected = [[0, 1], [1, 1], [2, 0]]
+    assert RowIdRelation.from_blocks(("a", "b"), [rows]).matrix().tolist() == expected
+    assert results.to_relation().matrix().tolist() == expected
+    assert RowIdRelation.from_matrix(("a", "b"), rows).canonical_order().matrix().tolist() \
+        == expected
+    assert sorted_ == [3, 3, 3]
+
+
 def test_every_cache_of_derived_values_is_one_versioned_lru():
     """Parses, filtered positions, join maps, prepared statements (their
     hash-jump edges inside), results and order priors live in
@@ -662,6 +703,8 @@ RETIRED_MEMBERS = {
     "VersionedLru.items", "parse_count", "save_csv", "to_xml",
     # Skinner-G/H's hosts implement GenericEngine directly
     "InternalGenericEngine", "DbmsAdapter", "GenericEngine.close", "SqliteAdapter.connect",
+    # one canonical sort, in engine/relation.py
+    "JoinResultSet.to_matrix", "JoinResultSet._sorted", "RowIdRelation.deferred",
 }
 
 
