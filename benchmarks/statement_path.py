@@ -3,6 +3,7 @@
     python benchmarks/statement_path.py                      # 5 repetitions of 10 passes
     python benchmarks/statement_path.py --passes 1 --repetitions 1 --warm 1   # smallest
     python benchmarks/statement_path.py --stream             # streamed statements instead
+    python benchmarks/statement_path.py --stream --remote    # ... over repro:// too
 
 On ``job_learn_local``'s data and statements (``benchmarks/e2e``'s frozen
 ``JobSizes``), one in-memory connection runs the 20 statements round-robin
@@ -37,6 +38,18 @@ pass:
 * ``glue``: the rest — cursor, transport, task set-up, slices less their
   join, the scheduler's grant loop.
 
+``--stream --remote`` runs the same statements over ``repro://`` to an
+in-process :class:`~repro.net.server.ServerThread`, as ``wide_stream_remote``
+does, and on an in-process connection, alternating, and prints per pass:
+
+* ``remote``: the statements over ``repro://``, execute to last fetch;
+* ``local``: the same statements in process;
+* ``exchanges``: request/response exchanges the remote pass made;
+* ``one-exchange``: statements that took exactly one exchange;
+* ``us/exchange``: ``(remote - local) / exchanges`` in microseconds — what
+  one hop costs, a figure that does not move when work is taken out of
+  the statements (the ratio ``net.hop_tax_share`` does).
+
 The last lines are the medians over the repetitions.  The timers cost a
 few microseconds a statement, the same on any commit that has the timed
 names, so two commits compare; wall time drifts on a shared machine, so
@@ -58,6 +71,7 @@ from e2e.workloads import (  # noqa: E402
     FIRST_FETCH_ROWS, NEXT_FETCH_ROWS, JobSizes, WideSizes, wide_columns, wide_statements)
 from repro.api import connect  # noqa: E402
 from repro.config import SkinnerConfig  # noqa: E402
+from repro.net.server import ServerThread  # noqa: E402
 from repro.serving.server import QueryServer  # noqa: E402
 from repro.skinner.multiway_join import MultiwayJoin  # noqa: E402
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask  # noqa: E402
@@ -74,6 +88,7 @@ TIMED = {
 COLUMNS = ("learned", "forced", "learned/forced", "join", "forced join", "non-join",
            "setup", "slices", "complete", "glue")
 STREAM_COLUMNS = ("pass", "join", "stream", "complete", "glue")
+REMOTE_COLUMNS = ("remote", "local", "exchanges", "one-exchange", "us/exchange")
 
 
 def install_timers(parts: tuple[str, ...]) -> dict[str, float]:
@@ -102,7 +117,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--warm", type=int, default=8, help="untimed passes first")
     parser.add_argument("--stream", action="store_true",
                         help="time wide_stream_remote's statements, streamed")
+    parser.add_argument("--remote", action="store_true",
+                        help="with --stream: over repro:// beside in process, per exchange")
     args = parser.parse_args(argv)
+    if args.remote and not args.stream:
+        parser.error("--remote needs --stream")
+    if args.remote:
+        return remote_main(args)
     return stream_main(args) if args.stream else learned_main(args)
 
 
@@ -119,22 +140,34 @@ def print_medians(rows: list[list[float]]) -> None:
     print(" ".join(f"{statistics.median(column):14.3f}" for column in zip(*rows)))
 
 
+def wide_pass(cursor, reads, after_each=None) -> None:
+    """The wide statements once through ``cursor``, fetched as the benchmark
+    fetches them; ``after_each()`` is called after each statement."""
+    for read in reads:
+        cursor.execute(read.sql, engine=read.engine, use_result_cache=False)
+        size = FIRST_FETCH_ROWS
+        while cursor.fetchmany(size):
+            size = NEXT_FETCH_ROWS
+        if after_each is not None:
+            after_each()
+
+
+def load_wide(conn, sizes: WideSizes) -> None:
+    for table_name, data in wide_columns(sizes.fact_rows, sizes.data_seed).items():
+        conn.create_table(table_name, data)
+    conn.commit()
+
+
 def stream_main(args: argparse.Namespace) -> int:
     """Per pass of the wide statements: join, stream projection, completion, glue."""
     sizes = WideSizes()
     conn = connect(SkinnerConfig())
-    for table_name, data in wide_columns(sizes.fact_rows, sizes.data_seed).items():
-        conn.create_table(table_name, data)
-    conn.commit()
+    load_wide(conn, sizes)
     reads = wide_statements(sizes)
     cursor = conn.cursor()
 
     def one_pass() -> None:
-        for read in reads:
-            cursor.execute(read.sql, engine=read.engine, use_result_cache=False)
-            size = FIRST_FETCH_ROWS
-            while cursor.fetchmany(size):
-                size = NEXT_FETCH_ROWS
+        wide_pass(cursor, reads)
 
     for _ in range(max(1, args.warm)):
         one_pass()
@@ -155,6 +188,64 @@ def stream_main(args: argparse.Namespace) -> int:
     print_medians(rows)
     cursor.close()
     conn.close()
+    return 0
+
+
+def remote_main(args: argparse.Namespace) -> int:
+    """Per pass of the wide statements over repro:// and in process: exchanges
+    and what one costs."""
+    sizes = WideSizes()
+    reads = wide_statements(sizes)
+    live = ServerThread(config=SkinnerConfig()).start()
+    local = connect(SkinnerConfig())
+    remote = None
+    try:
+        load_wide(live.connection, sizes)
+        load_wide(local, sizes)
+        remote = connect(live.dsn)
+        channel = remote.transport._channel
+        request = channel.request
+        #: Exchanges of each finished statement, then of the one in flight.
+        per_statement = [0]
+
+        def counting(verb, **kwargs):
+            per_statement[-1] += 1
+            return request(verb, **kwargs)
+
+        channel.request = counting
+        remote_cursor, local_cursor = remote.cursor(), local.cursor()
+        runs = {"remote": lambda: wide_pass(remote_cursor, reads, lambda: per_statement.append(0)),
+                "local": lambda: wide_pass(local_cursor, reads)}
+        for _ in range(max(1, args.warm)):
+            for run in runs.values():
+                run()
+
+        def timed_passes(run) -> float:
+            started = time.perf_counter()
+            for _ in range(args.passes):
+                run()
+            return (time.perf_counter() - started) / args.passes
+
+        rows: list[list[float]] = []
+        print(f"{len(reads)} statements a pass, {args.passes} passes a repetition; "
+              "ms per pass, exchanges and one-exchange statements per pass")
+        for repetition in range(args.repetitions):
+            per_statement[:] = [0]
+            sides = list(runs)[:: 1 if repetition % 2 == 0 else -1]
+            seconds = {side: timed_passes(runs[side]) for side in sides}
+            counts = per_statement[:-1]
+            exchanges = sum(counts) / args.passes
+            hop_us = (seconds["remote"] - seconds["local"]) * 1e6 / exchanges
+            print_rows(rows, REMOTE_COLUMNS, [seconds["remote"] * 1000, seconds["local"] * 1000,
+                                              exchanges, counts.count(1) / args.passes, hop_us])
+        print_medians(rows)
+        remote_cursor.close()
+        local_cursor.close()
+    finally:
+        if remote is not None:
+            remote.close()
+        local.close()
+        live.stop()
     return 0
 
 

@@ -19,13 +19,15 @@ cursors interleave their queries' episodes; on a remote connection the
 server's own pump makes progress and fetches simply wait for batches.
 
 A statement pays only for the exchanges that carry something.  Every
-fetched batch says whether the result is done, so once the last rows
-arrive the fetch methods answer ``[]`` without asking again; and the
-cursor keeps its ticket until the *next* ``execute``, whose submission
-carries the release of the old one.  ``result()``, ``rowcount`` and the
-server-side ``poll`` therefore still answer after the rows are drained,
-and a statement whose result fits one batch costs one submit and one
-fetch.
+batch says whether the result is done, so once the last rows arrive the
+fetch methods answer ``[]`` without asking again; the submission asks for
+the statement's first batch, which a ``repro://`` server sends back with
+the ticket; and the cursor keeps its ticket until the *next* ``execute``,
+whose submission carries the release of the old one.  ``result()``,
+``rowcount`` and the server-side ``poll`` therefore still answer after the
+rows are drained, and over ``repro://`` a statement whose result fits one
+batch costs one exchange, the submit.  A batch stays columnar in the
+cursor: each fetch makes tuples of only the rows it returns.
 
 Closing a cursor mid-stream cancels its submission (at the next episode
 boundary) and releases its admission slot — abandoning a half-fetched
@@ -45,6 +47,8 @@ from repro.result import QueryResult
 
 if TYPE_CHECKING:
     from repro.api.connection import Connection
+    from repro.api.transport import Batch
+    from repro.storage.table import Table
 
 #: ``description`` type codes are not modelled; every column reports None.
 _DESCRIPTION_PAD = (None, None, None, None, None, None)
@@ -79,7 +83,9 @@ class Cursor:
         self._description: list[tuple] | None = None
         #: Rows iteration has fetched and not handed out yet, last row first.
         self._ahead: list[tuple[Any, ...]] = []
-        #: Whether a fetched batch said the result is done: no more fetches.
+        #: The rows of the last batch no fetch has returned yet, as columns.
+        self._rows: Table | None = None
+        #: Whether a batch said the result is done: no more fetches.
         self._drained = False
         self._closed = False
 
@@ -129,10 +135,14 @@ class Cursor:
 
         ``operation`` is SQL text with optional ``?`` / ``:name``
         placeholders bound from ``parameters``, or (on a local connection)
-        a prebuilt :class:`~repro.query.query.Query`.  The call returns as
-        soon as the query is admitted or queued — rows are produced by the
-        fetch methods.  ``config=None`` uses the serving side's default:
-        the connection's config locally, the *server's* config remotely.
+        a prebuilt :class:`~repro.query.query.Query`.  In process the call
+        returns as soon as the query is admitted or queued — rows are
+        produced by the fetch methods.  Over ``repro://`` an admitted
+        statement returns after its first episode, carrying that episode's
+        rows (a queued one returns at once, without rows); the fetch
+        methods hand those out before asking the server for more.
+        ``config=None`` uses the serving side's default: the connection's
+        config locally, the *server's* config remotely.
         """
         self._check_fetchable(needs_query=False)
         previous = self._drop_submission()
@@ -145,6 +155,7 @@ class Cursor:
                 use_result_cache=use_result_cache,
                 stream=True,
                 release=previous,
+                first=True,
             )
         except Exception:
             # The submission may have failed before it reached the server;
@@ -153,6 +164,7 @@ class Cursor:
             raise
         self._ticket = handle.ticket
         self._columns = handle.columns
+        self._hold(handle.batch)
         return self
 
     def executemany(
@@ -206,24 +218,38 @@ class Cursor:
         return self._ahead.pop()
 
     def _fetch(self, max_rows: int | None) -> list[tuple[Any, ...]]:
-        """The next batch as tuples — made here, from whole columns at a
-        time; everything below the cursor hands tables on."""
+        """Up to ``max_rows`` next rows as tuples — made here, from whole
+        columns at a time; everything below the cursor hands tables on."""
+        from repro.serving.server import check_fetch_size
+
         self._check_fetchable(needs_query=True)
         assert self._ticket is not None
+        check_fetch_size(max_rows)
         ahead = self._ahead
-        # What iteration fetched ahead goes out first; once a batch said the
-        # result is done, there is nothing left to ask the transport for.
-        if ahead or self._drained:
-            from repro.serving.server import check_fetch_size
-
-            check_fetch_size(max_rows)
+        # What iteration fetched ahead goes out first.
+        if ahead:
             keep = 0 if max_rows is None else max(0, len(ahead) - max_rows)
             rows = ahead[keep:][::-1]
             del ahead[keep:]
             return rows
-        batch = self.connection.transport.fetch_batch(self._ticket, max_rows)
-        self._drained = batch.done
-        return batch.row_tuples()
+        # Then what the last batch brought; once a batch said the result is
+        # done, there is nothing left to ask the transport for.
+        if self._rows is None and not self._drained:
+            self._hold(self.connection.transport.fetch_batch(self._ticket, max_rows))
+        table = self._rows
+        if table is None:
+            return []
+        if max_rows is not None and max_rows < table.num_rows:
+            self._rows = table.slice(max_rows)
+            table = table.slice(0, max_rows)
+        else:
+            self._rows = None
+        return table.row_tuples()
+
+    def _hold(self, batch: Batch | None) -> None:
+        """Keep ``batch``'s rows for the fetches to come, and its ``done``."""
+        self._rows = batch.table if batch is not None and batch.table.num_rows else None
+        self._drained = batch is not None and batch.done
 
     # ------------------------------------------------------------------
     # results and metrics
@@ -268,6 +294,7 @@ class Cursor:
         self._ticket = None
         self._columns = self._description = None
         self._ahead = []
+        self._rows = None
         self._drained = False
         return ticket
 

@@ -26,10 +26,14 @@ between the two.
 
 The verbs are shaped so that a statement pays only for exchanges that
 carry something: every :class:`Batch` says whether the result is ``done``
-(no empty batch is ever needed to learn that), and ``submit`` takes the
-ticket to ``release`` along with the new statement.  A statement on a
-reused cursor whose result fits one batch is therefore one ``submit`` and
-one ``fetch_batch`` — two exchanges over ``repro://``.
+(no empty batch is ever needed to learn that), ``submit`` takes the ticket
+to ``release`` along with the new statement, and a ``submit`` that asks
+for its ``first`` batch may bring it back in its :class:`SubmitHandle`.
+Over ``repro://`` the server answers such a ``submit`` after the
+statement's first episode, with the rows that episode produced, so a
+statement on a reused cursor whose result fits one batch is one exchange.
+In process the handle carries no batch: submitting never drives the
+scheduler, fetching does.
 """
 
 from __future__ import annotations
@@ -50,19 +54,6 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class SubmitHandle:
-    """What a submission returns: the server ticket plus output columns.
-
-    The columns travel with the handle so a cursor can populate its PEP 249
-    ``description`` without a client-side catalog (remote connections have
-    none — the server parses the query and reports the output names).
-    """
-
-    ticket: int
-    columns: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Batch:
     """One fetched batch: its rows as a table, and whether the result is done.
 
@@ -76,6 +67,22 @@ class Batch:
     def row_tuples(self) -> list[tuple[Any, ...]]:
         """The batch's rows as tuples."""
         return self.table.row_tuples()
+
+
+@dataclass(frozen=True)
+class SubmitHandle:
+    """What a submission returns: the server ticket plus output columns.
+
+    The columns travel with the handle so a cursor can populate its PEP 249
+    ``description`` without a client-side catalog (remote connections have
+    none — the server parses the query and reports the output names).
+    ``batch`` is the statement's first batch where the submission asked for
+    it and the backend had one to give, else ``None``.
+    """
+
+    ticket: int
+    columns: tuple[str, ...]
+    batch: Batch | None = None
 
 
 class Transport(ABC):
@@ -97,12 +104,15 @@ class Transport(ABC):
         use_result_cache: bool,
         stream: bool = True,
         release: int | None = None,
+        first: bool = False,
     ) -> SubmitHandle:
         """Submit a query; ``config=None`` means the backend's default.
 
         ``release`` names a ticket to :meth:`release` first, in the same
         exchange — before the new submission is admitted, so a slot it
-        frees can go to the new statement.
+        frees can go to the new statement.  ``first`` (with ``stream``)
+        asks for the statement's first batch in the handle; a backend may
+        answer with none, and the rows then come from :meth:`fetch_batch`.
         """
 
     @abstractmethod
@@ -182,7 +192,10 @@ class LocalTransport(Transport):
         use_result_cache: bool,
         stream: bool = True,
         release: int | None = None,
+        first: bool = False,
     ) -> SubmitHandle:
+        # ``first`` gets no batch here: submitting never steps the
+        # scheduler in process, the fetch that follows does.
         conn = self._connection
         server = self._scheduler()
         if release is not None:

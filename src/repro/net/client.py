@@ -7,12 +7,14 @@ request/response exchanges under a lock (thread-safe, like the local
 transport's cooperative driving).  :class:`RemoteTransport` carries only
 the :class:`~repro.api.transport.Transport` verbs, one exchange per call —
 and no call that carries nothing: a ``fetch`` reply says whether the
-result is ``done``, and ``submit`` carries the release of the cursor's
-previous ticket, so a statement whose result fits one batch is two
-exchanges (``submit``, ``fetch``).  Long waits are server-side: a
-``fetch`` or ``result`` request parks in the server's event loop until
-rows exist, so the client needs no polling loop and no timeout by default
-(pass ``timeout=`` seconds to bound every exchange instead).
+result is ``done``, ``submit`` carries the release of the cursor's
+previous ticket, and a cursor's ``submit`` asks for its ``first`` batch,
+which the server sends back after the statement's first episode — so a
+statement whose result fits one batch is one exchange (``submit``).  Long
+waits are server-side: a ``submit`` waiting for its first episode, or a
+``fetch`` or ``result`` request, parks in the server's event loop, so the
+client needs no polling loop and no timeout by default (pass ``timeout=``
+seconds to bound every exchange instead).
 
 Capability limits of the wire (both raise
 :class:`~repro.errors.InterfaceError` client-side, before any bytes are
@@ -98,6 +100,11 @@ def parse_dsn(dsn: str) -> tuple[str, int, dict[str, Any]]:
                 f"DSN timeout must be a number of seconds, got {raw['timeout']!r}"
             ) from None
     return host, port, options
+
+
+def _batch(data: dict[str, Any]) -> Batch:
+    """The batch a ``fetch`` reply, or a ``submit`` reply that has one, carries."""
+    return Batch(wire_table(data), bool(data.get("done")))
 
 
 class SocketChannel:
@@ -264,6 +271,7 @@ class RemoteTransport(Transport):
         use_result_cache: bool,
         stream: bool = True,
         release: int | None = None,
+        first: bool = False,
     ) -> SubmitHandle:
         data = self._channel.request(
             "submit",
@@ -274,12 +282,13 @@ class RemoteTransport(Transport):
             use_result_cache=use_result_cache,
             stream=stream,
             release=release,
+            first=first,
         )
-        return SubmitHandle(int(data["ticket"]), tuple(data["columns"]))
+        batch = _batch(data) if "table" in data else None
+        return SubmitHandle(int(data["ticket"]), tuple(data["columns"]), batch)
 
     def fetch_batch(self, ticket: int, max_rows: int | None) -> Batch:
-        data = self._channel.request("fetch", ticket=ticket, max_rows=max_rows)
-        return Batch(wire_table(data), bool(data.get("done")))
+        return _batch(self._channel.request("fetch", ticket=ticket, max_rows=max_rows))
 
     def poll(self, ticket: int) -> dict[str, Any]:
         return self._channel.request("poll", ticket=ticket)

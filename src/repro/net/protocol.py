@@ -1,4 +1,4 @@
-"""The wire protocol, version 6: framed JSON headers and raw column buffers.
+"""The wire protocol, version 7: framed JSON headers and raw column buffers.
 
 One frame, in either direction::
 
@@ -51,9 +51,14 @@ pins the protocol version and the client's tenant identity; the tenant
 cannot be changed afterwards (quota accounting is per-connection).  A
 protocol-1 peer (frames of ``length | JSON``, rows as JSON lists) is told
 so in its own framing — :func:`refuse_v1` — and disconnected; nothing else
-of version 1 remains.  A protocol-2 to -5 peer frames like version 6 and
+of version 1 remains.  A protocol-2 to -6 peer frames like version 7 and
 gets the same typed refusal in it.  See ``docs/serving.md`` for the full
 verb table.
+
+A reply never outgrows :data:`MAX_FRAME`: a batch of rows is cut to the
+rows :func:`fitting_rows` says one frame carries (the rest stay buffered
+for the next ``fetch``), and any other reply too large to encode is
+answered with a typed :class:`~repro.errors.OperationalError` instead.
 """
 
 from __future__ import annotations
@@ -87,12 +92,13 @@ from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 
 #: Protocol revision; bumped on any incompatible wire change.  The server
-#: rejects a ``hello`` with a different version.  Versions 3 to 6 have
+#: rejects a ``hello`` with a different version.  Versions 3 to 7 have
 #: version 2's framing and different verbs (``docs/serving.md`` has the
 #: table); version 4's metrics carry work units only, version 5's
-#: ``submit`` carries only the statement, its engine and its config, and
-#: version 6's config has no fields for the paper's ablations.
-PROTOCOL_VERSION = 6
+#: ``submit`` carries only the statement, its engine and its config,
+#: version 6's config has no fields for the paper's ablations, and
+#: version 7's ``submit`` may ask for the statement's first batch.
+PROTOCOL_VERSION = 7
 
 #: Upper bound on one frame's body (64 MiB).
 MAX_FRAME = 64 * 1024 * 1024
@@ -143,7 +149,7 @@ def encode_frame(payload: dict[str, Any]) -> bytes:
     header += b" " * (-(LENGTH_PREFIX.size + len(header)) % 8)
     length = LENGTH_PREFIX.size + len(header) + size
     if length > MAX_FRAME:
-        raise FrameError(f"frame of {length} bytes exceeds MAX_FRAME")
+        raise FrameError(f"frame of {length} bytes exceeds MAX_FRAME ({MAX_FRAME} bytes)")
     return b"".join([FRAME_HEAD.pack(length, len(header)), header, *buffers])
 
 
@@ -278,6 +284,58 @@ def _table_to_wire(table: Table, attach: Callable[[np.ndarray], int]) -> dict[st
             wire.update(kind="f8", at=attach(np.ascontiguousarray(data, dtype=_DTYPES["f8"])))
         columns.append(wire)
     return {"name": table.name, "rows": table.num_rows, "columns": columns}
+
+
+#: Header bytes a batch reply may spend besides its table's columns: the
+#: envelope, ``done``, and a ``submit`` reply's ticket.
+_REPLY_ROOM = 256
+
+
+def _table_bound(table: Table, *, exact: bool = True) -> int:
+    """An upper bound on the bytes ``table`` adds to a reply frame.
+
+    No column buffer is wider than 8 bytes a row plus 7 of padding; a
+    column's description is its name (counted twice: a ``submit`` reply
+    lists the names again) and some 100 bytes of keys; a string column
+    adds the strings it uses, as JSON.  Not ``exact``, a dictionary no
+    longer than the column counts every string it holds at its longest
+    spelling (``\\uXXXX`` for each UTF-16 unit), which is cheaper to count
+    than the strings used.
+    """
+    rows = table.num_rows
+    size = _REPLY_ROOM + len(json.dumps(table.name))
+    for name in table.column_names:
+        column = table.column(name)
+        size += 8 * rows + 7 + 128 + 2 * len(json.dumps(name))
+        if column.ctype is ColumnType.STRING:
+            dictionary = column.dictionary
+            if not exact and len(dictionary) <= rows:
+                size += 12 * sum(map(len, dictionary)) + 3 * len(dictionary) + 2
+            else:
+                used, _ = _used_strings(column.data, len(dictionary))
+                size += len(json.dumps([dictionary[code] for code in used.tolist()]))
+    return size
+
+
+def fitting_rows(table: Table) -> int:
+    """How many leading rows of ``table`` one reply frame is sure to carry.
+
+    All of them when their bound fits :data:`MAX_FRAME` (the rough bound
+    first: for a table without long strings that is one look at the column
+    widths); else the longest prefix whose bound fits, found by bisection.
+    ``0`` means not even one row fits.
+    """
+    rows = table.num_rows
+    if _table_bound(table, exact=False) <= MAX_FRAME or _table_bound(table) <= MAX_FRAME:
+        return rows
+    fits, too_many = 0, rows
+    while too_many - fits > 1:
+        middle = (fits + too_many) // 2
+        if _table_bound(table.slice(0, middle)) <= MAX_FRAME:
+            fits = middle
+        else:
+            too_many = middle
+    return fits
 
 
 def _table_from_wire(wire: Any, buffers: memoryview) -> Table:

@@ -43,6 +43,7 @@ from repro.api.connection import Connection, connect
 from repro.api.settings import SETTINGS, check_settings
 from repro.config import DEFAULT_CONFIG, SkinnerConfig
 from repro.errors import InterfaceError, OperationalError, ReproError
+from repro.net import protocol
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     FrameError,
@@ -50,12 +51,14 @@ from repro.net.protocol import (
     config_from_wire,
     encode_frame,
     error_to_wire,
+    fitting_rows,
     read_frame,
     refuse_v1,
     result_to_wire,
     wire_table,
 )
 from repro.serving.server import check_fetch_size
+from repro.serving.session import QuerySession, SessionState
 
 #: Non-terminal sessions a tenant may hold before its sockets stop being
 #: read (the backpressure bound).
@@ -63,7 +66,7 @@ TENANT_BACKLOG = 8
 
 #: The arguments the ``submit`` verb reads; any other name is refused.
 _SUBMIT_ARGS = frozenset({
-    "sql", "params", "engine", "config", "use_result_cache", "stream", "release",
+    "sql", "params", "engine", "config", "use_result_cache", "stream", "release", "first",
 })
 
 
@@ -119,6 +122,18 @@ def _request_args(request: dict[str, Any]) -> dict[str, Any]:
     if not isinstance(args, dict):
         raise OperationalError("args must be a JSON object")
     return args
+
+
+def _reply(
+    request_id: Any,
+    *,
+    data: dict[str, Any] | None = None,
+    error: BaseException | None = None,
+) -> bytes:
+    """The frame answering request ``request_id``: ``data``, or ``error``."""
+    if error is not None:
+        return encode_frame({"id": request_id, "ok": False, "error": error_to_wire(error)})
+    return encode_frame({"id": request_id, "ok": True, "data": data or {}})
 
 
 class _Client:
@@ -407,13 +422,16 @@ class ReproServer:
         verb = request.get("v")
         try:
             data = await self._dispatch(client, str(verb), _request_args(request))
-        except ReproError as exc:
-            await self._write(writer, request_id, error=exc)
-        except Exception as exc:  # noqa: BLE001 - a server bug becomes an
-            # OperationalError on the wire instead of killing the socket.
-            await self._write(writer, request_id, error=exc)
-        else:
-            await self._write(writer, request_id, data=data)
+            frame = _reply(request_id, data=data)
+        except FrameError as exc:
+            # A reply too large for one frame: the peer is fine, so it is
+            # told so and the connection keeps serving.
+            frame = _reply(request_id, error=OperationalError(str(exc)))
+        except Exception as exc:  # noqa: BLE001 - a ReproError, or a server
+            # bug, becomes an error on the wire instead of killing the socket.
+            frame = _reply(request_id, error=exc)
+        writer.write(frame)
+        await writer.drain()
 
     async def _write(
         self,
@@ -423,11 +441,7 @@ class ReproServer:
         data: dict[str, Any] | None = None,
         error: BaseException | None = None,
     ) -> None:
-        if error is not None:
-            payload = {"id": request_id, "ok": False, "error": error_to_wire(error)}
-        else:
-            payload = {"id": request_id, "ok": True, "data": data or {}}
-        writer.write(encode_frame(payload))
+        writer.write(_reply(request_id, data=data, error=error))
         await writer.drain()
 
     def _abandon_client(self, client: _Client) -> None:
@@ -480,20 +494,35 @@ class ReproServer:
             effective_config = conn.config.with_overrides(
                 parallel_workers=client.settings["workers"]
             )
+        stream = _bool_arg(args, "stream", True)
+        first = _bool_arg(args, "first", False)
         ticket = conn.server.submit(
             parsed,
             engine=_str_arg(args, "engine", client.settings["engine"]),
             config=effective_config,
             use_result_cache=_bool_arg(args, "use_result_cache", True),
             tenant=client.tenant,
-            stream=_bool_arg(args, "stream", True),
+            stream=stream,
         )
         client.tickets.add(ticket)
         self._work.set()
-        return {
+        reply: dict[str, Any] = {
             "ticket": ticket,
             "columns": list(parsed.output_names(conn.catalog)),
         }
+        if first and stream:
+            # Park until the first grant ran.  A queued session returns at
+            # once; a failed or cancelled one gets its ticket only, and its
+            # first fetch raises the typed error.
+            session = conn.server.session(ticket)
+            while session.state is SessionState.RUNNING and not session.episodes:
+                await self._await_progress()
+            if session.state in (SessionState.RUNNING, SessionState.FINISHED):
+                try:
+                    reply.update(self._batch(ticket, session, None))
+                except OperationalError:
+                    pass  # a row too large for a frame: the first fetch says so
+        return reply
 
     async def _verb_poll(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
         return self.connection.server.poll(client.owned(args))
@@ -511,9 +540,28 @@ class ReproServer:
         while True:
             session = qs.session(ticket)
             if session.done or (session.stream is not None and len(session.stream)):
-                table = qs.fetch_batch(ticket, max_rows, drive=False)
-                return {"table": table, "done": session.drained}
+                return self._batch(ticket, session, max_rows)
             await self._await_progress()
+
+    def _batch(
+        self, ticket: int, session: QuerySession, max_rows: int | None
+    ) -> dict[str, Any]:
+        """Up to ``max_rows`` buffered rows, as many as one reply frame
+        carries, and whether they are the last.
+
+        Rows that do not fit go back to the head of the stream buffer for
+        the next ``fetch``, so the batch says ``done: false``.
+        """
+        table = self.connection.server.fetch_batch(ticket, max_rows, drive=False)
+        fits = fitting_rows(table)
+        if fits < table.num_rows:
+            assert session.stream is not None
+            session.stream.give_back(table.slice(fits))
+            if not fits:
+                raise OperationalError(
+                    f"a result row does not fit one frame of {protocol.MAX_FRAME} bytes")
+            table = table.slice(0, fits)
+        return {"table": table, "done": session.drained}
 
     async def _verb_result(self, client: _Client, args: dict[str, Any]) -> dict[str, Any]:
         """The completed result; parks until the session is terminal."""

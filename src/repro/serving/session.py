@@ -94,6 +94,17 @@ class StreamBuffer:
             self._head_taken = stop
         return Table.concat(parts) if parts else empty_batch(self.names)
 
+    def give_back(self, table: Table) -> None:
+        """Return the tail of a take its reader could not deliver to the
+        head of the queue (a reply frame holds only so many rows)."""
+        if not table.num_rows:
+            return
+        if self._head_taken:
+            self._tables[0] = self._tables[0].slice(self._head_taken)
+            self._head_taken = 0
+        self._tables.appendleft(table)
+        self.buffered += table.num_rows
+
     def __len__(self) -> int:
         return self.buffered
 

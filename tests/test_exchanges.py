@@ -1,10 +1,14 @@
 """What a statement costs in exchanges, and whose tickets an exchange reaches.
 
-* every fetched batch says whether the result is ``done``, so a cursor
-  never asks for the empty batch, and a statement on a reused cursor whose
-  result fits one batch is exactly ``submit`` + ``fetch`` over ``repro://``;
+* every batch says whether the result is ``done``, so a cursor never asks
+  for the empty batch; a cursor's ``submit`` brings back the rows of the
+  statement's first episode, so a statement on a reused cursor whose result
+  fits one batch is exactly one ``submit`` over ``repro://``;
 * the release of the cursor's previous ticket rides on its next
   ``submit``; ``close()`` sends the one standalone ``release``;
+* a ``submit`` waits for no more than its statement's first grant: a
+  statement queued behind admission, failed or cancelled gets its ticket
+  only, and a raw ``submit`` that does not ask for rows gets no rows;
 * ``done`` behaves the same in process and over the wire: the rows equal
   draining until an empty batch, ``result()`` and ``rowcount`` still answer
   after the drain, and cancelled or failed sessions still raise;
@@ -20,6 +24,7 @@ import random
 import pytest
 
 from repro import InterfaceError, ReproError, SkinnerConfig, connect
+from repro.errors import ExecutionError
 from repro.net.server import ServerThread
 
 FAST = SkinnerConfig(
@@ -87,7 +92,7 @@ def verbs(sent) -> list[str]:
 # the exchange budget
 # ----------------------------------------------------------------------
 class TestExchangeBudget:
-    def test_a_one_batch_statement_on_a_reused_cursor_is_two_exchanges(self, remote):
+    def test_a_one_batch_statement_on_a_reused_cursor_is_one_exchange(self, remote):
         cursor = remote.cursor()
         sent = record_exchanges(remote)
         for _ in range(2):
@@ -97,28 +102,30 @@ class TestExchangeBudget:
             assert cursor.fetchone() is None and cursor.fetchmany(3) == []
             with pytest.raises(InterfaceError, match="fetch size"):
                 cursor.fetchmany(-1)  # validated without an exchange
-        assert verbs(sent) == ["submit", "fetch", "submit", "fetch"]
+        assert verbs(sent) == ["submit", "submit"]
         first_ticket = sent[0][2]["ticket"]
-        assert sent[0][1]["release"] is None
-        assert sent[2][1]["release"] == first_ticket  # rode on the next submit
-        assert all(reply["done"] for verb, _, reply in sent if verb == "fetch")
+        assert sent[0][1]["release"] is None and sent[0][1]["first"] is True
+        assert sent[1][1]["release"] == first_ticket  # rode on the next submit
+        assert all(reply["done"] and reply["table"].num_rows == 6 for _, _, reply in sent)
         second_ticket = cursor.ticket
         cursor.close()
-        assert verbs(sent)[4:] == ["release"]
-        assert sent[4][1] == {"ticket": second_ticket}
+        assert verbs(sent)[2:] == ["release"]
+        assert sent[2][1] == {"ticket": second_ticket}
         assert remote.stats()["sessions"] == 0
 
     def test_a_multi_batch_stream_sends_no_fetch_after_done(self, remote):
         cursor = remote.cursor()
+        sent = record_exchanges(remote)
         cursor.execute("SELECT b1.v, b2.v FROM big b1, big b2 WHERE b1.k = b2.k AND b1.v < 20",
                        use_result_cache=False)
-        sent = record_exchanges(remote)
         rows = []
         while batch := cursor.fetchmany(50):
             rows.extend(batch)
         assert cursor.fetchall() == [] and cursor.fetchone() is None
-        dones = [reply["done"] for verb, _, reply in sent]
-        assert verbs(sent) == ["fetch"] * len(dones) and len(dones) > 2
+        (verb, _, submitted), *fetched = sent
+        assert verb == "submit" and submitted["table"].num_rows and not submitted["done"]
+        dones = [reply["done"] for verb, _, reply in fetched]
+        assert verbs(fetched) == ["fetch"] * len(dones) and len(dones) > 2
         assert dones[-1] is True and True not in dones[:-1]
         assert len(rows) == cursor.rowcount == cursor.result().table.num_rows
 
@@ -236,18 +243,101 @@ class TestDoneOnBothTransports:
             cursor.execute(JOIN, use_result_cache=False)  # in process: runs when fetched
             assert conn.server.cancel(cursor.ticket)
         else:
-            # Hold the pump so the session is still running when cancelled.
+            # Hold the pump so the session is still running when cancelled:
+            # its submit parks for a first grant that never comes, and the
+            # loop thread cancels it there and wakes the parked submit.
             qs = live.connection.server
             monkeypatch.setattr(qs, "step", lambda: False)
-            cursor.execute(JOIN, use_result_cache=False)
 
             async def cancel():
-                return qs.cancel(cursor.ticket)
+                while not any(client.tickets for client in live.server._clients):
+                    await asyncio.sleep(0.001)
+                (ticket,) = set().union(*(client.tickets for client in live.server._clients))
+                cancelled = qs.cancel(ticket)
+                live.server._notify_progress()
+                return cancelled
 
-            assert asyncio.run_coroutine_threadsafe(cancel(), live._loop).result(timeout=10)
+            cancelling = asyncio.run_coroutine_threadsafe(cancel(), live._loop)
+            cursor.execute(JOIN, use_result_cache=False)
+            assert cancelling.result(timeout=10)
         for _ in range(2):
             with pytest.raises(ReproError, match=f"query {cursor.ticket} was cancelled"):
                 cursor.fetchmany(2)
+
+
+# ----------------------------------------------------------------------
+# a submit waits for its first grant, and for no more
+# ----------------------------------------------------------------------
+class TestFirstBatchWait:
+    def test_a_submit_queued_behind_full_admission_returns_at_once_without_rows(
+        self, monkeypatch
+    ):
+        with ServerThread(config=FAST.with_overrides(serving_max_inflight=1)) as live:
+            seed(live.connection)
+            qs = live.connection.server
+            with connect(live.dsn) as conn:
+                # No grant runs: the first statement holds the one slot.
+                monkeypatch.setattr(qs, "step", lambda: False)
+                holder = conn.transport.submit(JOIN, None, engine=conn.default_engine,
+                                               config=None, use_result_cache=False)
+                cursor = conn.cursor()
+                sent = record_exchanges(conn)
+                cursor.execute(JOIN, use_result_cache=False)
+                (verb, args, reply), = sent
+                assert verb == "submit" and args["first"] is True
+                assert "table" not in reply and "done" not in reply
+                assert conn.transport.poll(cursor.ticket)["state"] == "queued"
+                monkeypatch.undo()  # the pump runs again once woken
+                assert len(cursor.fetchall()) == 7
+                assert len(drain_batches(conn, holder.ticket)) == 7
+
+    def test_a_statement_whose_first_grant_fails_gets_its_ticket_and_a_typed_error(
+        self, server, remote
+    ):
+        def boom(value):
+            raise ExecutionError(f"boom at {value}")
+
+        server.connection.register_udf("boom", boom)
+        server.connection.commit()
+        cursor = remote.cursor()
+        sent = record_exchanges(remote)
+        cursor.execute("SELECT boom(r.id) AS b FROM r, s WHERE r.id = s.rid",
+                       use_result_cache=False)
+        (verb, _, reply), = sent
+        assert verb == "submit" and "table" not in reply
+        snapshot = remote.transport.poll(cursor.ticket)
+        assert (snapshot["state"], snapshot["episodes"]) == ("failed", 1)
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="boom at"):
+                cursor.fetchall()
+
+    def test_a_raw_submit_that_does_not_ask_for_rows_gets_none(self, remote):
+        sent = record_exchanges(remote)
+        handle = remote.transport.submit(ORDERED, None, engine=remote.default_engine,
+                                         config=None, use_result_cache=False)
+        assert handle.batch is None
+        (verb, args, reply), = sent
+        assert verb == "submit" and args["first"] is False and "table" not in reply
+        assert len(drain_batches(remote, handle.ticket)) == 6
+
+    def test_in_process_a_submit_brings_no_batch_and_runs_no_grant(self):
+        with connect(FAST) as conn:
+            seed(conn)
+            handle = conn.transport.submit(JOIN, None, engine=conn.default_engine,
+                                           config=None, use_result_cache=False, first=True)
+            assert handle.batch is None
+            assert conn.transport.poll(handle.ticket)["episodes"] == 0
+            assert len(drain_batches(conn, handle.ticket)) == 7
+
+
+def drain_batches(conn, ticket: int) -> list[tuple]:
+    """Every row left of ``ticket``, fetched until a batch says ``done``."""
+    rows = []
+    while True:
+        batch = conn.transport.fetch_batch(ticket, None)
+        rows.extend(batch.row_tuples())
+        if batch.done:
+            return rows
 
 
 # ----------------------------------------------------------------------

@@ -152,7 +152,7 @@ class TestRemoteBasics:
     def test_stats_verb_reports_tenants_and_caches(self, remote):
         remote.execute("SELECT COUNT(*) AS n FROM s")
         stats = remote.stats()
-        assert stats["protocol_version"] == 6
+        assert stats["protocol_version"] == 7
         assert stats["clients"] >= 1
         assert "default" in stats["tenants"]
         assert "result_cache" in stats and "order_cache" in stats
@@ -222,6 +222,7 @@ class TestRemoteBasics:
         ("submit", {"sql": "SELECT COUNT(*) AS n FROM s", "use_result_cache": "false"},
          "use_result_cache"),
         ("submit", {"sql": "SELECT COUNT(*) AS n FROM s", "stream": "no"}, "stream"),
+        ("submit", {"sql": "SELECT COUNT(*) AS n FROM s", "first": 1}, "first"),
         ("create_table", {"table": Table("flagged", {"x": [1]}), "replace": "yes"}, "replace"),
     ])
     def test_a_flag_argument_is_a_boolean_at_the_verb(self, remote, verb, args, name):
@@ -279,39 +280,55 @@ class TestRemoteBasics:
 
 
 class TestIteration:
-    """``for row in cursor`` fetches ``arraysize`` rows a round trip."""
+    """``for row in cursor`` hands out the rows the ``submit`` brought, then
+    fetches ``arraysize`` rows a round trip."""
 
     SQL = "SELECT r.id, s.c FROM r, s WHERE r.id = s.rid"
+    #: A result no first grant finishes: 10 x 40 rows join 40 x 6 ways.
+    WIDE = "SELECT w1.v, w2.v FROM w w1, w w2 WHERE w1.k = w2.k"
 
     @staticmethod
     def _fetch_frames(conn):
-        """Every ``fetch`` request the connection sends from now on."""
+        """Every ``fetch`` request the connection sends from now on, and the
+        rows each ``submit`` reply brought."""
         channel = conn.transport._channel
         sent, request = [], channel.request
 
         def counting(verb, **args):
+            reply = request(verb, **args)
             if verb == "fetch":
                 sent.append(args["max_rows"])
-            return request(verb, **args)
+            elif verb == "submit":
+                sent.append(("submit", reply["table"].num_rows, reply["done"]))
+            return reply
 
         channel.request = counting
         return sent
 
-    def _finished_cursor(self, conn, arraysize):
+    def _finished_cursor(self, conn, arraysize, sql=SQL, rows=7):
         cursor = conn.cursor()
         cursor.arraysize = arraysize
-        cursor.execute(self.SQL, use_result_cache=False)
-        assert cursor.result().table.num_rows == 7  # all seven rows are buffered now
+        cursor.execute(sql, use_result_cache=False)
+        assert cursor.result().table.num_rows == rows  # all rows are buffered now
         return cursor
 
-    def test_iteration_sends_one_fetch_per_chunk(self, remote):
+    def test_iteration_sends_one_fetch_per_chunk(self, server, remote):
         sent = self._fetch_frames(remote)
         row_by_row = list(self._finished_cursor(remote, 1))
-        assert sent == [1] * 7  # the seventh row's batch says the result is done
+        assert sent == [("submit", 7, True)]  # all seven rode on the submit
+        server.connection.create_table("w", {"k": [i % 10 for i in range(40)],
+                                             "v": list(range(40))})
+        server.connection.commit()
         del sent[:]
-        chunked = list(self._finished_cursor(remote, 4))
-        assert sent == [4, 4]
-        assert chunked == row_by_row and len(chunked) == 7
+        chunked = list(self._finished_cursor(remote, 64, self.WIDE, 160))
+        [(verb, first, done), *fetched] = sent
+        assert verb == "submit" and 0 < first < 160 and not done
+        assert fetched == [64] * -((first - 160) // 64)  # the last chunk says done
+        assert sorted(chunked) == sorted(
+            server.connection.execute_direct(self.WIDE).table.row_tuples())
+        del sent[:]
+        assert list(self._finished_cursor(remote, 4)) == row_by_row and len(row_by_row) == 7
+        assert sent == [("submit", 7, True)]
 
     def test_fetch_methods_continue_where_iteration_stands(self, remote):
         reference = list(self._finished_cursor(remote, 1))
@@ -321,7 +338,7 @@ class TestIteration:
         assert cursor.rowcount == 7
         rows += cursor.fetchmany(2)
         rows += cursor.fetchmany(2)  # the one row left of the chunk, not a new fetch
-        assert sent == [5] and len(rows) == 5
+        assert sent == [("submit", 7, True)] and len(rows) == 5
         rows.append(next(cursor))
         with pytest.raises(InterfaceError, match="fetch size"):
             cursor.fetchmany(-1)  # refused mid-chunk as anywhere else

@@ -117,7 +117,7 @@ EXECUTE_PARAMETERS = {
     ],
     Transport.submit: [
         "self", "operation", "parameters", "engine", "config", "use_result_cache",
-        "stream", "release",
+        "stream", "release", "first",
     ],
 }
 
@@ -201,8 +201,9 @@ def test_transport_carries_exactly_the_boundary_verbs():
         "self", "ticket", "max_rows", "drive"]
     assert list(inspect.signature(Transport.fetch_batch).parameters) == [
         "self", "ticket", "max_rows"]
-    assert list(inspect.signature(Transport.submit).parameters)[-2:] == ["stream", "release"]
-    assert PROTOCOL_VERSION == 6
+    assert list(inspect.signature(Transport.submit).parameters)[-3:] == [
+        "stream", "release", "first"]
+    assert PROTOCOL_VERSION == 7
 
 
 def test_the_wire_answers_exactly_these_verbs():

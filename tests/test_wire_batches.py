@@ -7,7 +7,7 @@
   buffer shorter than ``rows × width``, unknown kind, oversized — raises
   :class:`FrameError` without allocating what it announced;
 * a protocol-1 ``hello`` gets the typed version error in its own framing,
-  and a protocol-2 to -5 ``hello`` gets it in the framing versions 2 to 6
+  and a protocol-2 to -6 ``hello`` gets it in the framing versions 2 to 7
   share;
 * a bad fetch size is the same :class:`InterfaceError` locally and remotely.
 """
@@ -25,6 +25,7 @@ import pytest
 
 from repro import InterfaceError, SkinnerConfig, connect
 from repro.errors import OperationalError
+from repro.net import protocol
 from repro.net.protocol import (
     FRAME_HEAD,
     LENGTH_PREFIX,
@@ -250,13 +251,14 @@ def test_a_v1_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server):
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
 def test_an_older_hello_gets_the_typed_refusal_and_the_server_keeps_serving(server, version):
-    """Versions 3 to 6 changed the verbs, the metrics and the config, not the
+    """Versions 3 to 7 changed the verbs, the metrics and the config, not the
     framing: an older client — version 2 before ``release``, 3 with
     ``profile``, 4 with ``submit``'s ``forced_order`` / ``weight`` /
-    ``priority``, 5 with the ablation config fields — is refused at the
-    handshake with the typed error and a disconnect, not half served."""
+    ``priority``, 5 with the ablation config fields, 6 before ``submit``'s
+    ``first`` — is refused at the handshake with the typed error and a
+    disconnect, not half served."""
     with _raw_socket(server) as sock:
         sock.sendall(encode_frame({"v": "hello", "id": version, "args": {"version": version}}))
         stream = sock.makefile("rb")
@@ -268,7 +270,7 @@ def test_an_older_hello_gets_the_typed_refusal_and_the_server_keeps_serving(serv
                        f"(server speaks {PROTOCOL_VERSION})"}}
         assert stream.read() == b""  # and disconnected
     with connect(server.dsn) as conn:
-        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 6
+        assert conn.stats()["protocol_version"] == PROTOCOL_VERSION == 7
         assert sorted(conn.cursor().execute("SELECT r.id FROM r").fetchall()) == [(1,), (2,), (3,)]
 
 
@@ -285,6 +287,44 @@ def test_a_hostile_first_frame_is_dropped_without_harm(server, garbage):
         assert sock.makefile("rb").read() == b""
     with connect(server.dsn) as conn:
         assert conn.stats()["inflight"] == 0
+
+
+def test_a_result_larger_than_a_frame_arrives_in_several_fetches(server, monkeypatch):
+    """A batch is cut to the rows one frame carries and the rest stay
+    buffered; a reply that cannot be cut is a typed error; and the
+    connection keeps serving after either."""
+    monkeypatch.setattr(protocol, "MAX_FRAME", 16 * 1024)
+    rng = np.random.default_rng(3)
+    data = {name: rng.integers(-2**62, 2**62, 3000) for name in "abc"}  # 72 KB as i8
+    server.connection.create_table("wide", data)
+    server.connection.create_table("long", {"s": ["x" * 20_000]})
+    server.connection.commit()
+    with connect(server.dsn) as conn:
+        channel = conn.transport._channel
+        replies, request = [], channel.request
+
+        def recording(verb, **args):
+            reply = request(verb, **args)
+            replies.append((verb, reply.get("table"), reply.get("done")))
+            return reply
+
+        channel.request = recording
+        cursor = conn.cursor()
+        cursor.execute("SELECT wide.a, wide.b, wide.c FROM wide", use_result_cache=False)
+        rows = cursor.fetchall()
+        assert sorted(rows) == sorted(zip(*(data[name].tolist() for name in "abc")))
+        verbs = [verb for verb, _, _ in replies]
+        assert verbs[0] == "submit" and set(verbs[1:]) == {"fetch"} and len(verbs) >= 5
+        assert [done for _, _, done in replies] == [False] * (len(verbs) - 1) + [True]
+        assert sum(table.num_rows for _, table, _ in replies) == 3000
+        with pytest.raises(OperationalError,
+                           match=r"frame of \d+ bytes exceeds MAX_FRAME \(16384 bytes\)"):
+            cursor.result()
+        cursor.execute("SELECT long.s FROM long", use_result_cache=False)
+        with pytest.raises(OperationalError, match="row does not fit one frame of 16384"):
+            cursor.fetchall()
+        assert not channel.closed
+        assert conn.execute("SELECT COUNT(*) AS n FROM wide").rows == [{"n": 3000}]
 
 
 def test_a_torn_reply_tears_the_channel_down(server):
