@@ -4,6 +4,7 @@
     python benchmarks/statement_path.py --passes 1 --repetitions 1 --warm 1   # smallest
     python benchmarks/statement_path.py --stream             # streamed statements instead
     python benchmarks/statement_path.py --stream --remote    # ... over repro:// too
+    python benchmarks/statement_path.py --churn              # reads beside writes
 
 On ``job_learn_local``'s data and statements (``benchmarks/e2e``'s frozen
 ``JobSizes``), one in-memory connection runs the 20 statements round-robin
@@ -50,6 +51,21 @@ does, and on an in-process connection, alternating, and prints per pass:
   one hop costs, a figure that does not move when work is taken out of
   the statements (the ratio ``net.hop_tax_share`` does).
 
+``--churn`` replays ``doc_churn_durable``'s steps (``benchmarks/e2e``'s
+``DocChurnDurable`` at its frozen ``DocSizes``: XPath-axis self-joins with
+the result cache on and a subtree write every five reads, on a durable
+``data_dir`` in a temporary directory) on one connection, one read at a
+time through one cursor, and prints per pass:
+
+* ``reads``: the read statements, execute to last fetch;
+* ``writes``: the writes (edit the forest, re-shred it, replace the table,
+  commit);
+* ``slices``: Skinner-C time slices of the reads that ran (a result-cache
+  hit runs none and is counted nowhere below);
+* ``fresh`` / ``stale`` / ``missed``: reads whose task started from priors
+  learned on the current tables, from priors the tables moved under (a
+  hint), or from none (``metrics.extra["warm_start"]``).
+
 The last lines are the medians over the repetitions.  The timers cost a
 few microseconds a statement, the same on any commit that has the timed
 names, so two commits compare; wall time drifts on a shared machine, so
@@ -61,6 +77,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -68,7 +85,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 from e2e.workloads import (  # noqa: E402
-    FIRST_FETCH_ROWS, NEXT_FETCH_ROWS, JobSizes, WideSizes, wide_columns, wide_statements)
+    FIRST_FETCH_ROWS, NEXT_FETCH_ROWS, DocChurnDurable, DocSizes, JobSizes, Scratch, WideSizes,
+    wide_columns, wide_statements)
 from repro.api import connect  # noqa: E402
 from repro.config import SkinnerConfig  # noqa: E402
 from repro.net.server import ServerThread  # noqa: E402
@@ -89,6 +107,7 @@ COLUMNS = ("learned", "forced", "learned/forced", "join", "forced join", "non-jo
            "setup", "slices", "complete", "glue")
 STREAM_COLUMNS = ("pass", "join", "stream", "complete", "glue")
 REMOTE_COLUMNS = ("remote", "local", "exchanges", "one-exchange", "us/exchange")
+CHURN_COLUMNS = ("reads", "writes", "slices", "fresh", "stale", "missed")
 
 
 def install_timers(parts: tuple[str, ...]) -> dict[str, float]:
@@ -119,9 +138,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="time wide_stream_remote's statements, streamed")
     parser.add_argument("--remote", action="store_true",
                         help="with --stream: over repro:// beside in process, per exchange")
+    parser.add_argument("--churn", action="store_true",
+                        help="replay doc_churn_durable's reads and writes instead")
     args = parser.parse_args(argv)
     if args.remote and not args.stream:
         parser.error("--remote needs --stream")
+    if args.churn and args.stream:
+        parser.error("--churn and --stream are two modes")
+    if args.churn:
+        return churn_main(args)
     if args.remote:
         return remote_main(args)
     return stream_main(args) if args.stream else learned_main(args)
@@ -246,6 +271,54 @@ def remote_main(args: argparse.Namespace) -> int:
             remote.close()
         local.close()
         live.stop()
+    return 0
+
+
+def churn_main(args: argparse.Namespace) -> int:
+    """Per pass of doc_churn_durable's steps: read and write ms, slices, warm starts."""
+    with tempfile.TemporaryDirectory(prefix="repro-churn-") as root:
+        workload = DocChurnDurable(DocSizes(), seed=1, scratch=Scratch(Path(root)))
+        try:
+            for _, phase in workload._setup_phases():
+                phase()
+            cursor = workload.conn.cursor()
+
+            def one_pass() -> list[float]:
+                """reads s, writes s, slices, fresh, stale, missed."""
+                totals = [0.0] * len(CHURN_COLUMNS)
+                for step in workload.steps:
+                    if step.write is not None:
+                        started = time.perf_counter()
+                        workload.apply_write(step.write)
+                        totals[1] += time.perf_counter() - started
+                    for read in step.reads:
+                        started = time.perf_counter()
+                        cursor.execute(read.sql, engine=read.engine,
+                                       use_result_cache=read.use_result_cache)
+                        while cursor.fetchmany(NEXT_FETCH_ROWS):
+                            pass
+                        totals[0] += time.perf_counter() - started
+                        metrics = cursor.result().metrics
+                        if metrics.extra.get("result_cache") != "hit":
+                            totals[2] += metrics.time_slices
+                            kind = metrics.extra.get("warm_start", "missed")
+                            totals[CHURN_COLUMNS.index(kind)] += 1
+                return totals
+
+            for _ in range(max(1, args.warm)):
+                one_pass()
+            rows: list[list[float]] = []
+            print(f"{sum(len(step.reads) for step in workload.steps)} reads and "
+                  f"{sum(step.write is not None for step in workload.steps)} writes a pass, "
+                  f"{args.passes} passes a repetition; ms and counts per pass")
+            for _ in range(args.repetitions):
+                passes = [one_pass() for _ in range(args.passes)]
+                reads, writes, *counts = (sum(column) / args.passes for column in zip(*passes))
+                print_rows(rows, CHURN_COLUMNS, [reads * 1000, writes * 1000, *counts])
+            print_medians(rows)
+            cursor.close()
+        finally:
+            workload.close()
     return 0
 
 

@@ -214,6 +214,10 @@ class ReproServer:
         self._server = await asyncio.start_server(self._handle_client, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self.connection.served_at = self.dsn
+        # A cancel made on the loop thread — a handler's release, or the
+        # host's own call — frees an admission slot and shrinks a tenant's
+        # backlog: it wakes the pump and every parked request.
+        self.connection.server.progress_hook = self._notify_progress
         self._started_at = time.monotonic()
         self._pump_task = asyncio.create_task(self._pump())
 
@@ -241,8 +245,7 @@ class ReproServer:
         if self._stopping:
             return
         self._stopping = True
-        self._work.set()
-        self._notify_progress()  # wake handlers blocked on fetch/backpressure
+        self._notify_progress()  # wake the pump and handlers blocked on fetch/backpressure
         if self._server is not None:
             self._server.close()
         for writer in list(self._writers.values()):
@@ -258,6 +261,8 @@ class ReproServer:
             await self._server.wait_closed()
         if self._pump_task is not None:
             await self._pump_task
+        if not self.connection.closed:
+            self.connection.server.progress_hook = None
         self.connection.served_at = None
 
     @property
@@ -303,7 +308,8 @@ class ReproServer:
             await asyncio.sleep(0)
 
     def _notify_progress(self) -> None:
-        """Wake every coroutine waiting for serving-state changes."""
+        """Wake the pump and every coroutine waiting for serving-state changes."""
+        self._work.set()
         event, self._progress = self._progress, asyncio.Event()
         event.set()
 
@@ -454,12 +460,8 @@ class ReproServer:
         if ticket not in client.tickets:
             return False
         client.tickets.discard(ticket)
-        released = self.connection.server.release(ticket)
-        # A cancel frees an admission slot and shrinks the tenant's backlog:
-        # wake the pump and any handler gated on either.
-        self._notify_progress()
-        self._work.set()
-        return released
+        # A release that cancels wakes the waiters through the progress hook.
+        return self.connection.server.release(ticket)
 
     # ------------------------------------------------------------------
     # verb dispatch

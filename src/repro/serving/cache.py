@@ -20,12 +20,17 @@ per-query engines:
   predicates, and the relative quality of join orders is largely determined
   by the join graph.
 
-Entries answer to the catalog's one staleness rule: each keeps the
+Results answer to the catalog's one staleness rule: each keeps the
 versions of the tables its statement read (:attr:`Query.read_tables
 <repro.query.query.Query.read_tables>`), and the
 UDF registry's, from when the statement's task snapshotted its tables, and
 is dropped by the first lookup after they moved — a write to one table
-leaves the entries over others alone.
+leaves the entries over others alone.  Learned orders keep those versions
+in their value instead, and no write drops them: a join order never
+changes a query's rows, so once the versions moved the server hands the
+orders on as a hint, with one pseudo-visit each and no evidence
+(:meth:`QueryServer._warm_start_priors
+<repro.serving.server.QueryServer._warm_start_priors>`).
 """
 
 from __future__ import annotations

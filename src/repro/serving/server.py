@@ -14,8 +14,9 @@ never *what* they compute.
 Above the scheduler sit two serving-level caches (see
 :mod:`repro.serving.cache`): a result cache over normalized query
 fingerprints, and a cross-query join-order cache that warm-starts a new
-query's UCT tree from orders learned on the same join graph; their entries
-answer to table and UDF versions, so no write has to clear them.
+query's UCT tree from orders learned on the same join graph.  Results
+answer to table and UDF versions, so no write has to clear them; learned
+orders outlive a write to their tables as hints.
 
 The server is cooperative and single-threaded by design: ``step()`` runs
 one scheduling grant, ``drain()`` runs until idle, and ``result(ticket)``
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Callable
 from dataclasses import replace
 from typing import Any
 
@@ -123,8 +125,10 @@ class QueryServer:
         self.ledger = WorkLedger()
         #: Finished results, keyed on normalized query fingerprints.
         self.result_cache = VersionedLru(catalog, udfs)
-        #: Learned join-order priors, keyed on join-graph signatures.
-        self.order_cache = VersionedLru(catalog, udfs)
+        #: Learned join-order priors, keyed on join-graph signatures; each
+        #: value carries the tables its statement read and their versions
+        #: (no write drops it: see :meth:`_warm_start_priors`).
+        self.order_cache = VersionedLru(catalog)
         self._completed = 0
         #: Work units charged per tenant (survives ``forget``); feeds the
         #: per-tenant grant shares of :meth:`stats`.
@@ -137,6 +141,9 @@ class QueryServer:
         #: longest one — the reference-time companions of the work ledger.
         self._grant_wall_seconds = 0.0
         self._grant_wall_max_seconds = 0.0
+        #: Called after a :meth:`cancel` changed a session's state outside
+        #: a grant; a network front door wakes the requests parked on it.
+        self.progress_hook: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # submission API
@@ -289,19 +296,22 @@ class QueryServer:
 
         A running query is cancelled cooperatively at its next episode
         boundary — i.e. immediately, since the server only runs episodes
-        inside :meth:`step`.  Already-finished submissions return ``False``.
+        inside :meth:`step`.  Already-finished submissions return ``False``;
+        otherwise :attr:`progress_hook` is called.
         """
         session = self._session(ticket)
         if session.done:
             return False
         if session.state is SessionState.QUEUED and self._admission.withdraw(session):
             session.state = SessionState.CANCELLED
-            return True
-        # Running: drop it from the rotation and hand the slot onward.
-        self._scheduler.remove(session)
-        session.state = SessionState.CANCELLED
-        self._release_task(session)
-        self._admit_next(session)
+        else:
+            # Running: drop it from the rotation and hand the slot onward.
+            self._scheduler.remove(session)
+            session.state = SessionState.CANCELLED
+            self._release_task(session)
+            self._admit_next(session)
+        if self.progress_hook is not None:
+            self.progress_hook()
         return True
 
     # ------------------------------------------------------------------
@@ -388,7 +398,11 @@ class QueryServer:
             "grant_wall_max_seconds": self._grant_wall_max_seconds,
             "tenants": self.tenant_stats(),
             "result_cache": self.result_cache.counters(),
-            "order_cache": self.order_cache.counters(),
+            "order_cache": {
+                **self.order_cache.counters(),
+                "stale_hits": sum(counters["order_stale_hits"]
+                                  for counters in self._tenant_caches.values()),
+            },
             "cache_bytes": {
                 "statement": StatementCache.of(self._catalog).nbytes,
                 "result": self.result_cache.nbytes,
@@ -429,7 +443,8 @@ class QueryServer:
 
         Each tenant's ``caches`` entry reports the result-cache lookups its
         submissions performed and the order-cache warm-start probes made on
-        their behalf; ``invalidations`` is the result cache's count of stale
+        their behalf (``stale_hits``: the hits whose tables had moved, handed
+        on as hints); ``invalidations`` is the result cache's count of stale
         entries dropped (the caches are server-wide, so every tenant sees
         the same value).
         """
@@ -460,6 +475,7 @@ class QueryServer:
                     "order": {
                         "hits": caches["order_hits"],
                         "misses": caches["order_misses"],
+                        "stale_hits": caches["order_stale_hits"],
                     },
                     "invalidations": invalidations,
                 },
@@ -474,6 +490,7 @@ class QueryServer:
                 "result_misses": 0,
                 "order_hits": 0,
                 "order_misses": 0,
+                "order_stale_hits": 0,
             }
             self._tenant_caches[tenant] = counters
         return counters
@@ -538,12 +555,32 @@ class QueryServer:
     def _warm_start_priors(
         self, session: QuerySession, spec: Any
     ) -> tuple[OrderPrior, ...]:
+        """The priors a session's task starts from; their kind goes on the
+        session.
+
+        Priors learned on the tables as they are now are handed on whole
+        (``"fresh"``).  Once a write moved one of those tables they are a
+        hint (``"stale"``): the same orders and shares with one pseudo-visit
+        each and no evidence, so UCT tries them first, but every order
+        starts at a base probe in the slice schedule.  A join order never
+        changes a query's rows, so a stale prior can cost time, never
+        correctness.
+        """
         if not (spec.task_class.warm_startable and session.config.serving_warm_start):
             return ()
-        priors = self.order_cache.get(join_graph_signature(session.query), ())
+        entry = self.order_cache.get(join_graph_signature(session.query))
         counters = self._tenant_cache_counters(session.tenant)
-        counters["order_hits" if priors else "order_misses"] += 1
-        return priors
+        if entry is None:
+            counters["order_misses"] += 1
+            return ()
+        counters["order_hits"] += 1
+        priors, tables, versions = entry
+        if self.result_cache.versions(tables) == versions:
+            session.warm_start = "fresh"
+            return priors
+        counters["order_stale_hits"] += 1
+        session.warm_start = "stale"
+        return tuple((order, share, 1, 0) for order, share, _, _ in priors)
 
     def _activate(self, session: QuerySession) -> None:
         # Task construction snapshots the input tables; remember at which
@@ -605,6 +642,8 @@ class QueryServer:
         outlives completion.
         """
         session.result = result
+        if session.warm_start is not None:
+            result.metrics.extra["warm_start"] = session.warm_start
         residual = session.work_total() - self.ledger.total(session.ticket)
         if residual > 0:
             self._account(session, residual)
@@ -642,7 +681,8 @@ class QueryServer:
             # enters the slice-budget schedule.
             priors = tuple(session.task.learned_orders())
             if priors:
-                self.order_cache.put(join_graph_signature(session.query), priors, tables)
+                self.order_cache.put(join_graph_signature(session.query),
+                                     (priors, tables, session.versions), ())
         self._finish(session, result)
 
     def _finish_limited(self, session: QuerySession) -> None:

@@ -162,6 +162,9 @@ class QuerySession:
     #: A result finished after a write moved any of them is still the right
     #: answer for *this* submission but must not enter the serving caches.
     versions: tuple = ()
+    #: ``"fresh"`` or ``"stale"`` when the task started from join-order
+    #: priors (``QueryMetrics.extra["warm_start"]``), else ``None``.
+    warm_start: str | None = None
 
     @property
     def done(self) -> bool:

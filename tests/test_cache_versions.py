@@ -10,7 +10,8 @@ catalog:
   other tables hitting;
 * a write to a table, or a UDF re-registration, that lands while a
   streamed statement is half fetched never reaches a later submission;
-* a dropped and recreated table misses, even with the same rows.
+* a dropped and recreated table misses the result cache, even with the
+  same rows, and its learned orders come back as a hint (``"stale"``).
 
 And, in memory only (the durable backend re-opens every table on restore,
 so there a rollback renumbers them all): rolling back a write to one table
@@ -102,9 +103,11 @@ def test_a_dropped_and_recreated_table_misses(conn):
     again = conn.execute(JOIN_SQL.format(floor=1))
     assert not _hit(again) and again.rows == first.rows
     stats = conn.stats()
-    assert stats["order_cache"]["hits"] == 0
     assert stats["result_cache"]["invalidations"] == 1
-    assert stats["order_cache"]["invalidations"] == 1
+    # The learned orders are kept, and handed on as a hint.
+    assert again.metrics.extra["warm_start"] == "stale"
+    assert stats["order_cache"]["hits"] == stats["order_cache"]["stale_hits"] == 1
+    assert stats["order_cache"]["invalidations"] == 0
 
 
 def test_a_rollback_keeps_what_untouched_tables_built():

@@ -19,7 +19,9 @@
 from __future__ import annotations
 
 import asyncio
+import queue
 import random
+import threading
 
 import pytest
 
@@ -245,7 +247,7 @@ class TestDoneOnBothTransports:
         else:
             # Hold the pump so the session is still running when cancelled:
             # its submit parks for a first grant that never comes, and the
-            # loop thread cancels it there and wakes the parked submit.
+            # loop thread cancels it there, which wakes the parked submit.
             qs = live.connection.server
             monkeypatch.setattr(qs, "step", lambda: False)
 
@@ -253,9 +255,7 @@ class TestDoneOnBothTransports:
                 while not any(client.tickets for client in live.server._clients):
                     await asyncio.sleep(0.001)
                 (ticket,) = set().union(*(client.tickets for client in live.server._clients))
-                cancelled = qs.cancel(ticket)
-                live.server._notify_progress()
-                return cancelled
+                return qs.cancel(ticket)
 
             cancelling = asyncio.run_coroutine_threadsafe(cancel(), live._loop)
             cursor.execute(JOIN, use_result_cache=False)
@@ -263,6 +263,48 @@ class TestDoneOnBothTransports:
         for _ in range(2):
             with pytest.raises(ReproError, match=f"query {cursor.ticket} was cancelled"):
                 cursor.fetchmany(2)
+
+
+def test_a_host_side_cancel_wakes_a_parked_fetch(monkeypatch):
+    """A cancel the host makes on the server's loop thread, with no grant,
+    submission or wire release after it, answers a fetch parked for rows."""
+    live = ServerThread(config=FAST).start()
+    conn = None
+    try:
+        seed(live.connection)
+        qs = live.connection.server
+        conn = connect(live.dsn)
+        monkeypatch.setattr(qs, "step", lambda: False)  # no grant ever runs
+        handle = conn.transport.submit(JOIN, None, engine=conn.default_engine,
+                                       config=None, use_result_cache=False)
+        parked, park = threading.Event(), live.server._await_progress
+
+        async def parking():
+            parked.set()
+            await park()
+
+        monkeypatch.setattr(live.server, "_await_progress", parking)
+        raised: queue.Queue = queue.Queue()
+
+        def fetch():
+            try:
+                conn.transport.fetch_batch(handle.ticket, 2)
+            except ReproError as error:
+                raised.put(error)
+
+        threading.Thread(target=fetch, daemon=True).start()
+        assert parked.wait(timeout=10)
+
+        async def cancel():
+            return qs.cancel(handle.ticket)
+
+        assert asyncio.run_coroutine_threadsafe(cancel(), live._loop).result(timeout=10)
+        error = raised.get(timeout=1)
+        assert f"query {handle.ticket} was cancelled" in str(error)
+    finally:
+        live.stop()  # answers a fetch still parked, so the connection can close
+        if conn is not None:
+            conn.close()
 
 
 # ----------------------------------------------------------------------

@@ -528,6 +528,36 @@ class TestRemoteLocalByteIdentical:
             remote_conn.close()
             local.close()
 
+    def test_a_warm_start_reads_the_same_across_transports(self):
+        """Fresh priors, then a write that makes them a hint: every
+        statement's metrics, ``extra["warm_start"]`` included, are equal."""
+        warm = FAST.with_overrides(serving_warm_start=True)
+        sql = "SELECT r.name, s.c FROM r, s WHERE r.id = s.rid"
+        with ServerThread(config=warm) as live:
+            seed_rs_schema(live.connection)
+            local = connect(warm)
+            seed_rs_schema(local)
+            remote_conn = connect(live.dsn)
+            try:
+                kinds = []
+                for write in (False, False, True, False):
+                    fields = []
+                    for conn in (local, remote_conn):
+                        if write:
+                            conn.create_table("s", {"rid": [1, 2, 6], "c": [7, 8, 9]},
+                                              replace=True)
+                            conn.commit()
+                        cursor = conn.cursor()
+                        cursor.execute(sql, use_result_cache=False)
+                        cursor.fetchall()
+                        fields.append(_without_wall_clock(cursor.result().metrics))
+                    assert fields[0] == fields[1]
+                    kinds.append(fields[0]["extra"].get("warm_start"))
+                assert kinds == [None, "fresh", "stale", "fresh"]
+            finally:
+                remote_conn.close()
+                local.close()
+
     def test_traced_metrics_cross_the_wire_as_reported(self):
         local = connect(FAST)
         seed_rs_schema(local)

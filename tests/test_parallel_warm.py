@@ -88,7 +88,7 @@ def test_a_served_warm_start_is_identical_across_worker_counts():
             assert metrics.extra["parallel_workers"] == workers
             runs.append((sorted(rows), metrics.work, metrics.time_slices))
         assert conn.stats()["order_cache"]["hits"] == 2
-        priors = conn.server.order_cache.get(join_graph_signature(conn.parse(sql)))
+        priors, _, _ = conn.server.order_cache.get(join_graph_signature(conn.parse(sql)))
         outcomes[workers] = (runs, priors)
         conn.close()
     assert outcomes[2] == outcomes[3]

@@ -365,15 +365,30 @@ def test_warm_start_reduces_repeated_template_work(catalog):
     assert first.rows[0]["n"] >= second.rows[0]["n"]
 
 
-def test_a_table_replace_drops_results_and_priors():
+def test_a_table_replace_drops_results_and_keeps_priors_as_a_hint():
     catalog = build_catalog()
     server = QueryServer(catalog, config=FAST.with_overrides(serving_warm_start=True))
-    server.result(server.submit(QUERIES[0]))
+    first = server.result(server.submit(QUERIES[0]))
+    assert "warm_start" not in first.metrics.extra  # nothing learned yet
     assert len(server.result_cache) == 1
     assert len(server.order_cache) == 1
     catalog.add_table(catalog.table("s"), replace=True)
     assert len(server.result_cache) == 0
-    assert len(server.order_cache) == 0
+    assert len(server.order_cache) == 1  # a join order never changes the rows
+    again = server.result(server.submit(QUERIES[0]))
+    assert again.metrics.extra["warm_start"] == "stale"
+    assert_tables_identical(again.table, first.table)
+    stats = server.stats()["order_cache"]
+    assert (stats["hits"], stats["stale_hits"], stats["invalidations"]) == (1, 1, 0)
+    third = server.result(server.submit(QUERIES[0], use_result_cache=False))
+    assert third.metrics.extra["warm_start"] == "fresh"  # recorded after the write
+
+
+def test_priors_stay_fresh_for_a_statement_naming_its_tables_in_another_order():
+    server = QueryServer(build_catalog(), config=FAST.with_overrides(serving_warm_start=True))
+    server.result(server.submit("SELECT COUNT(*) AS n FROM r, s WHERE r.id = s.rid"))
+    swapped = server.result(server.submit("SELECT COUNT(*) AS n FROM s, r WHERE r.id = s.rid"))
+    assert swapped.metrics.extra["warm_start"] == "fresh"
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.config import SkinnerConfig
 from repro.skinner import skinner_c
-from repro.skinner.multiway_join import MAX_BUDGET_FACTOR, SECOND_LOOK_FROM, budget_factor
+from repro.skinner.multiway_join import (
+    MAX_BUDGET_FACTOR, SECOND_LOOK_FROM, MultiwayJoin, budget_factor)
 from repro.skinner.skinner_c import SkinnerC, SkinnerCTask
 from repro.workloads.job import make_job_workload
 from benchmarks.paper.ablations import RandomOrderTask, SkinnerCVariant
@@ -340,13 +341,16 @@ def test_a_mislearned_donor_is_left_for_its_rival_within_the_first_second_look(m
     assert first["factor"] == budget_factor(evidence[leader] + 1) >= SECOND_LOOK_FROM
 
 
-def test_the_order_cache_hands_on_evidence_and_invalidation_drops_it(tiny_catalog):
+def _learned_connection(catalog):
+    """A served connection whose order cache learned the three-way join of
+    ``catalog`` for 40 statements; the connection, the statement, the
+    order cache, its key, and the top evidence after each statement."""
     from repro import connect
     from repro.serving.cache import join_graph_signature
 
     conn = connect(SkinnerConfig(slice_budget=2))
-    for name in tiny_catalog.table_names():
-        conn.add_table(tiny_catalog.table(name))
+    for name in catalog.table_names():
+        conn.add_table(catalog.table(name))
     conn.commit()
     sql = ("SELECT COUNT(*) FROM customers c, orders o, items i "
            "WHERE c.cid = o.cid AND o.oid = i.oid")
@@ -355,11 +359,65 @@ def test_the_order_cache_hands_on_evidence_and_invalidation_drops_it(tiny_catalo
     best = []
     for _ in range(40):
         conn.execute(sql, use_result_cache=False)
-        best.append(max(selections for _, _, _, selections in cache.get(signature, ())))
+        priors, _, _ = cache.get(signature)
+        best.append(max(selections for _, _, _, selections in priors))
+    return conn, sql, cache, signature, best
+
+
+def _recorded_slices(monkeypatch):
+    """``(order, budget)`` of every slice run from now on."""
+    slices = []
+    continue_join = MultiwayJoin.continue_join
+
+    def recording(self, state, offsets, budget, *args):
+        slices.append((state.order, budget))
+        return continue_join(self, state, offsets, budget, *args)
+
+    monkeypatch.setattr(MultiwayJoin, "continue_join", recording)
+    return slices
+
+
+def test_the_order_cache_hands_on_evidence_and_a_write_makes_it_a_hint(tiny_catalog):
+    conn, sql, cache, signature, best = _learned_connection(tiny_catalog)
     assert best == sorted(best) and best[0] < SECOND_LOOK_FROM
     assert best.count(MAX_BUDGET_FACTOR) > 1  # reached, and not passed
+    priors, _, _ = cache.get(signature)
     conn.add_table(conn.catalog.table("items"), replace=True)
-    assert cache.get(signature, ()) == ()
+    assert cache.get(signature)[0] == priors  # kept through the write
+    stale = conn.execute(sql, use_result_cache=False)
+    assert stale.metrics.extra["warm_start"] == "stale"
+    # The hint brought no evidence: what it records is this statement's own.
+    relearned, _, _ = cache.get(signature)
+    assert max(selections for _, _, _, selections in relearned) < MAX_BUDGET_FACTOR
+    conn.close()
+
+
+def test_after_a_write_the_first_slice_probes_a_prior_order_at_the_base_budget(
+        tiny_catalog, monkeypatch):
+    conn, sql, cache, signature, _ = _learned_connection(tiny_catalog)
+    priors, _, _ = cache.get(signature)
+    conn.add_table(conn.catalog.table("items"), replace=True)
+    slices = _recorded_slices(monkeypatch)
+    result = conn.execute(sql, use_result_cache=False)
+    assert result.metrics.extra["warm_start"] == "stale"
+    order, budget = slices[0]
+    assert order in {prior_order for prior_order, _, _, _ in priors} and budget == 2
+    first: dict[tuple[str, ...], int] = {}
+    for order, budget in slices:
+        first.setdefault(order, budget)
+    assert set(first.values()) == {2}  # no order starts above a base probe
+    conn.close()
+
+
+def test_a_fresh_prior_still_starts_at_the_rung_its_evidence_earned(tiny_catalog, monkeypatch):
+    conn, sql, cache, signature, _ = _learned_connection(tiny_catalog)
+    priors, _, _ = cache.get(signature)
+    evidence = {order: selections for order, _, _, selections in priors}
+    slices = _recorded_slices(monkeypatch)
+    result = conn.execute(sql, use_result_cache=False)
+    assert result.metrics.extra["warm_start"] == "fresh"
+    order, budget = slices[0]
+    assert budget == 2 * budget_factor(evidence[order] + 1) > 2
     conn.close()
 
 

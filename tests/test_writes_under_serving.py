@@ -19,6 +19,9 @@ Plus the observability satellite: per-tenant cache hit/miss counters in
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +163,80 @@ class TestInterleavingProperty:
             conn.close()
 
 
+class TestWarmStartsAcrossWrites:
+    """A write leaves the learned join orders in place as a hint for the
+    next statement on the same join graph: inserts, updates and deletes
+    interleaved with warm-started Skinner-C reads never change a row."""
+
+    READS = tuple(
+        "SELECT a.k, b.v, c.w FROM a, b, c WHERE a.k = b.k AND b.v = c.v" + where
+        for where in ("", " AND a.x > 2", " AND c.w < 40"))
+
+    @staticmethod
+    def churn(ops, seed=0):
+        """Run ``ops`` (``insert``/``update``/``delete`` on a drawn table,
+        or ``read``); every read's rows equal ``traditional``'s.  Returns
+        the warm-start kinds the reads reported."""
+        rng = random.Random(seed)
+        tables = {
+            "a": {"k": [i % 5 for i in range(12)], "x": list(range(12))},
+            "b": {"k": [i % 5 for i in range(8)], "v": [i % 3 for i in range(8)]},
+            "c": {"v": [i % 3 for i in range(6)], "w": [10 * i for i in range(6)]},
+        }
+        conn = connect(FAST.with_overrides(slice_budget=4, serving_warm_start=True))
+        kinds = []
+        try:
+            for name, columns in tables.items():
+                conn.create_table(name, columns)
+            conn.commit()
+            for op in ops:
+                if op == "read":
+                    for sql in TestWarmStartsAcrossWrites.READS:
+                        learned = conn.execute(sql, engine="skinner-c", use_result_cache=False)
+                        expected = conn.execute(sql, engine="traditional",
+                                                use_result_cache=False)
+                        assert sorted(rows_of(learned)) == sorted(rows_of(expected)), sql
+                        kinds.append(learned.metrics.extra.get("warm_start"))
+                    continue
+                name = rng.choice(sorted(tables))
+                columns = tables[name]
+                rows = len(next(iter(columns.values())))
+                if op == "insert":
+                    for values in columns.values():
+                        values.append(rng.choice(values))
+                elif op == "update":
+                    values = columns[rng.choice(sorted(columns))]
+                    values[rng.randrange(rows)] = rng.choice(values) + rng.randrange(2)
+                elif rows > 1:  # delete
+                    doomed = rng.randrange(rows)
+                    for values in columns.values():
+                        del values[doomed]
+                conn.create_table(name, columns, replace=True)
+                conn.commit()
+        finally:
+            conn.close()
+        return kinds
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.sampled_from(["insert", "update", "delete", "read"]),
+                    min_size=2, max_size=12),
+           st.integers(0, 2**16))
+    def test_interleaved_writes_never_change_a_warm_started_read(self, ops, seed):
+        self.churn(ops, seed)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_write_turns_the_next_read_into_a_stale_warm_start(self, seed):
+        ops = ["read", "read"] + ["insert", "read", "update", "read", "delete", "read"] * 2
+        kinds = self.churn(ops, seed)
+        reads = len(self.READS)
+        # The first read of each graph learns cold, the second is fresh,
+        # and the first after every write is a hint.
+        assert kinds[:reads] == [None] + ["fresh"] * (reads - 1)
+        assert kinds[reads:2 * reads] == ["fresh"] * reads
+        assert kinds[2 * reads::reads] == ["stale"] * 6
+
+
 class TestCacheCounters:
     def test_tenant_stats_report_per_tenant_cache_traffic(self):
         conn = fresh_conn([1, 2, 3])
@@ -178,7 +255,7 @@ class TestCacheCounters:
             assert alpha["result"] == {"hits": 1, "misses": 1}
             assert beta["result"] == {"hits": 0, "misses": 1}
             # order-cache probes happen on behalf of the submitting tenant
-            assert set(alpha["order"]) == {"hits", "misses"}
+            assert set(alpha["order"]) == {"hits", "misses", "stale_hits"}
             # invalidations are server-wide: both tenants see both commits
             assert alpha["invalidations"] == beta["invalidations"] == 2
         finally:
